@@ -42,6 +42,13 @@ run cargo test -q --workspace
 run cargo test -q --features paranoid
 run cargo test -q -p lobstore-core -p lobstore-buddy --features paranoid
 
+# lobbench (benchmark/) is a workspace of its own that the bench driver
+# builds against this engine, so nothing above compiles it: build it and
+# run its harness tests here, or a changed public signature reaches the
+# driver unbuilt. (Build output lands in benchmark/target, untracked.)
+run cargo build --release --offline --manifest-path benchmark/Cargo.toml
+run cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 # Machine-readable bench output: run one small bench and validate its
 # --json-out document against the lobstore-bench-report/v1 schema.
 run cargo run -q -p lobstore-bench --bin table2 -- --quick \

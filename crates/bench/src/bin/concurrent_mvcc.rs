@@ -15,12 +15,16 @@
 //!    while a writer runs the balanced append/insert/delete rotation;
 //!    reports reader bandwidth and the MVCC bookkeeping.
 //! 3. **Reader scaling** — 1/2/4/8 concurrent scanners under writer
-//!    churn, each thread count run twice: *serialized* (every chunk
-//!    through the exclusive write tier — the old `Mutex<Db>` behavior)
-//!    and *concurrent* (streaming on the read tier). The aggregate
-//!    MB/s ratio per thread count is emitted as the
-//!    `reader.scaling_ratio` series; `bench-compare` enforces a ≥3×
-//!    floor at 8 threads.
+//!    churn, each thread count run twice over the *same* pinned cursor
+//!    (`SnapshotReader`: node memo, 4 MB span window, page-direct
+//!    segment reads): *serialized* takes the exclusive write tier
+//!    (`SharedDb::with`) around every 16 KB chunk, window-resident or
+//!    not — the old `Mutex<Db>` discipline; *concurrent* takes the
+//!    shared read tier once per window refill and nothing in between.
+//!    The arms differ by the lock tier and nothing else, so the
+//!    aggregate MB/s ratio per thread count (the `reader.scaling_ratio`
+//!    series) is what the two-tier lock buys; `bench-compare` enforces
+//!    a ≥3× floor at 8 threads.
 //!
 //! The JSON report uses `lobstore-bench-report/v2`: v1 plus the
 //! per-scheme `mvcc.*` churn series and the `reader.*` scaling series.
@@ -51,10 +55,11 @@ const SCALING_CHUNK: usize = 16 * 1024;
 const SCALING_PASSES: usize = 12;
 /// Fixed scaling-phase object size, independent of `--mb`: small enough
 /// to fit a reader's 4 MB read-ahead window. Pass 1 pays the full
-/// descent + segment-read cost; later passes show the design point —
-/// a pinned scanner re-reads without entering any `SharedDb` lock,
-/// while the serialized discipline re-pays the exclusive lock and the
-/// staging copies for every chunk of every pass.
+/// descent + segment-read cost in both arms; later passes show the
+/// design point — a pinned scanner re-reads without entering any
+/// `SharedDb` lock, while the serialized discipline re-pays the
+/// exclusive lock (against the writer and its sibling scanners) for
+/// every chunk of every pass.
 const SCALING_OBJECT_BYTES: u64 = 2 << 20;
 /// Reader-thread counts swept by the scaling phase.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -427,10 +432,11 @@ fn main() {
 }
 
 /// One scaling measurement: `threads` scanners each stream the pinned
-/// object `SCALING_PASSES` times under writer churn — through the
-/// exclusive write tier when `concurrent` is false (the old serialized
-/// `Mutex<Db>` discipline), on the shared read tier when true. Returns
-/// (aggregate scanner MB/s, failed lock probes).
+/// object `SCALING_PASSES` times under writer churn with the same
+/// cursor — every chunk under the exclusive write tier when `concurrent`
+/// is false (the old serialized `Mutex<Db>` discipline), refills on the
+/// shared read tier when true. Returns (aggregate scanner MB/s, failed
+/// lock probes).
 fn scaling_run(
     shared: &SharedDb,
     kind: StorageKind,

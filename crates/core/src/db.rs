@@ -363,11 +363,10 @@ impl Db {
     }
 
     /// Fix-read a META page as a parsed [`Node`] through a shared
-    /// reference. Simulated I/O is identical to [`Self::with_meta_node`]
-    /// (the page is fixed either way); the node-cache memo is bypassed
-    /// because it needs `&mut self`. This is the descent step of
-    /// concurrent snapshot scans, which hold only the read side of
-    /// [`crate::SharedDb`]'s lock.
+    /// reference: the descent step of pinned-version scans. Simulated I/O
+    /// is identical to [`Self::with_meta_node`] (the page is fixed either
+    /// way); the node cache is not consulted — [`crate::SnapshotReader`]
+    /// memoizes pinned pages itself (its `node_memo` says why).
     pub(crate) fn read_meta_node_ref(&self, page: u32) -> Node {
         lobstore_obs::counter_add("core.nodecache.ref_reads", 1);
         let r = self.pool.fix(PageId::new(AreaId::META, page));
@@ -557,6 +556,19 @@ impl Db {
         self.pool
             .peek_page(PageId::new(AreaId::META, page), &mut buf);
         buf
+    }
+
+    /// [`Self::peek_meta`] parsed as a root/descriptor page.
+    pub(crate) fn peek_root(&self, page: u32) -> (RootHdr, Node) {
+        let bytes = self.peek_meta(page);
+        let hdr = RootHdr::read(&bytes[..]);
+        let node = Node::read_root(&bytes[..], &hdr);
+        (hdr, node)
+    }
+
+    /// [`Self::peek_meta`] parsed as a non-root index node.
+    pub(crate) fn peek_node(&self, page: u32) -> Node {
+        Node::read_page(&self.peek_meta(page)[..])
     }
 
     /// Cost-free snapshot of a LEAF page (newest pool copy if resident).

@@ -24,16 +24,17 @@
 //!   more reshuffling on updates — the §4.6 trade-off.
 
 use lobstore_buddy::Extent;
-use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PageId, PAGE_SIZE, PAGE_SIZE_U64};
+use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PageId, PAGE_SIZE_U64};
 
 use crate::db::Db;
 use crate::error::{LobError, Result};
 use crate::node::{Entry, RootHdr};
-use crate::object::{LargeObject, StorageKind, Utilization};
-use crate::segdata::{append_in_place, patch_in_place, read_seg_bytes, write_new_seg};
+use crate::object::{
+    check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization,
+};
+use crate::segdata::{append_in_place, read_seg_bytes, write_new_seg};
 use crate::shadow::OpCtx;
 use crate::tree::PosTree;
-use crate::MAX_OP_BYTES;
 
 const EOS_MAGIC: u32 = 0x454F_5331; // "EOS1"
 const KIND_EOS: u8 = 2;
@@ -122,44 +123,18 @@ impl EosObject {
         u64::from(self.max_seg_pages) * PAGE_SIZE_U64
     }
 
-    fn check_range(&self, db: &mut Db, off: u64, len: u64) -> Result<u64> {
-        let size = self.tree.read_hdr(db).size;
-        if off.checked_add(len).is_none_or(|end| end > size) {
-            return Err(LobError::OutOfRange { off, len, size });
-        }
-        if len > MAX_OP_BYTES as u64 {
-            return Err(LobError::OperationTooLarge { len });
-        }
-        Ok(size)
-    }
-
-    /// Pages allocated to the segment behind `entry` (the flagged
-    /// rightmost segment may be over-allocated during append growth).
-    fn alloc_of(&self, hdr: &RootHdr, entry: &Entry) -> u32 {
-        if hdr.last_seg_alloc > 0 && hdr.last_seg_ptr == entry.ptr {
-            hdr.last_seg_alloc
-        } else {
-            pages_for_bytes(entry.count)
-        }
-    }
-
     /// Queue the whole segment behind `entry` to be freed when the
     /// operation ends (the old pages must stay intact for recovery,
     /// §3.3), clearing the over-allocation flag if it pointed here.
     fn free_seg(&self, ctx: &mut OpCtx, hdr: &mut RootHdr, entry: &Entry) {
-        let alloc = self.alloc_of(hdr, entry);
-        ctx.free_extent_later(Extent::new(AreaId::LEAF, entry.ptr, alloc));
-        if hdr.last_seg_alloc > 0 && hdr.last_seg_ptr == entry.ptr {
-            hdr.last_seg_alloc = 0;
-            hdr.last_seg_ptr = 0;
-        }
+        self.free_seg_tail(ctx, hdr, entry, 0);
     }
 
     /// Queue the pages of `entry`'s segment beyond the first `keep_pages`
     /// for release at operation end, clearing the over-allocation flag if
     /// it pointed here.
     fn free_seg_tail(&self, ctx: &mut OpCtx, hdr: &mut RootHdr, entry: &Entry, keep_pages: u32) {
-        let alloc = self.alloc_of(hdr, entry);
+        let alloc = alloc_of(hdr, entry);
         if alloc > keep_pages {
             ctx.free_extent_later(Extent::new(
                 AreaId::LEAF,
@@ -225,12 +200,6 @@ impl EosObject {
                 cur = x.leaf_end();
             }
         }
-    }
-
-    fn bump_size(&self, db: &mut Db, delta: i64) {
-        let mut hdr = self.tree.read_hdr(db);
-        hdr.size = (hdr.size as i64 + delta) as u64;
-        self.tree.write_hdr(db, &hdr);
     }
 
     /// Rebuild a contiguous region of the object: the leaf entries in
@@ -394,11 +363,21 @@ impl EosObject {
         }
 
         let region_len = self.rebuild_region(db, ctx, region_start, &old, sources, &parents)?;
-        self.bump_size(db, bytes.len() as i64);
+        self.tree.bump_size(db, bytes.len() as i64);
         // Cascade at the outer boundaries, in the rare case the edge
         // groups still violate the rule against segments outside the
         // window.
         self.merge_around(db, ctx, region_start, region_start + region_len)
+    }
+}
+
+/// Pages allocated to the segment behind `entry` (the flagged rightmost
+/// segment may be over-allocated during append growth).
+fn alloc_of(hdr: &RootHdr, entry: &Entry) -> u32 {
+    if hdr.last_seg_alloc > 0 && hdr.last_seg_ptr == entry.ptr {
+        hdr.last_seg_alloc
+    } else {
+        pages_for_bytes(entry.count)
     }
 }
 
@@ -451,18 +430,14 @@ impl LargeObject for EosObject {
     }
 
     fn size(&self, db: &mut Db) -> u64 {
-        self.tree.read_hdr(db).size
+        self.tree.size(db)
     }
 
     fn append(&mut self, db: &mut Db, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
             return Ok(());
         }
-        if bytes.len() > MAX_OP_BYTES {
-            return Err(LobError::OperationTooLarge {
-                len: bytes.len() as u64,
-            });
-        }
+        check_op_len(bytes.len() as u64)?;
         let mut ctx = OpCtx::new();
         let mut rem = bytes;
 
@@ -470,14 +445,14 @@ impl LargeObject for EosObject {
         let mut prev_alloc = 0u32;
         if let Some(pos) = self.tree.rightmost(db) {
             let hdr = self.tree.read_hdr(db);
-            let alloc = self.alloc_of(&hdr, &pos.entry);
+            let alloc = alloc_of(&hdr, &pos.entry);
             prev_alloc = alloc;
             let space = u64::from(alloc) * PAGE_SIZE_U64 - pos.entry.count;
             let take = cast::to_usize((rem.len() as u64).min(space));
             if take > 0 {
                 append_in_place(db, pos.entry.ptr, pos.entry.count, &rem[..take]);
                 self.tree.add_count(db, &mut ctx, &pos.path, take as i64);
-                self.bump_size(db, take as i64);
+                self.tree.bump_size(db, take as i64);
                 rem = &rem[take..];
             }
         }
@@ -520,44 +495,20 @@ impl LargeObject for EosObject {
     }
 
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
-        self.check_range(db, off, out.len() as u64)?;
-        let mut at = off;
-        let mut done = 0usize;
-        while done < out.len() {
-            let pos = self.tree.try_descend(db, at)?;
-            let take = cast::to_usize((pos.leaf_end() - at).min((out.len() - done) as u64));
-            db.pool.read_segment(
-                AreaId::LEAF,
-                pos.entry.ptr,
-                pos.off_in_leaf,
-                &mut out[done..done + take],
-            );
-            done += take;
-            at += take as u64;
-        }
-        Ok(())
+        check_range(self.tree.size(db), off, out.len() as u64)?;
+        self.tree.read(db, off, out)
     }
 
-    fn locate(&self, db: &mut Db, off: u64) -> Result<crate::object::SegSpan> {
-        self.check_range(db, off, 1)?;
-        let pos = self.tree.try_descend(db, off)?;
-        Ok(crate::object::SegSpan {
-            start: pos.leaf_start,
-            bytes: pos.entry.count,
-            page: pos.entry.ptr,
-        })
+    fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {
+        self.tree.locate(db, off)
     }
 
     fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        let size = self.check_range(db, off, 0)?;
+        let size = check_range(self.tree.size(db), off, 0)?;
         if bytes.is_empty() {
             return Ok(());
         }
-        if bytes.len() > MAX_OP_BYTES {
-            return Err(LobError::OperationTooLarge {
-                len: bytes.len() as u64,
-            });
-        }
+        check_op_len(bytes.len() as u64)?;
         if off == size {
             return self.append(db, bytes);
         }
@@ -575,7 +526,7 @@ impl LargeObject for EosObject {
     }
 
     fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
-        self.check_range(db, off, len)?;
+        check_range(self.tree.size(db), off, len)?;
         if len == 0 {
             return Ok(());
         }
@@ -666,12 +617,12 @@ impl LargeObject for EosObject {
             }
             let region_len =
                 self.rebuild_region(db, &mut ctx, region_start, &old, sources, &parents)?;
-            self.bump_size(db, -(len as i64));
+            self.tree.bump_size(db, -(len as i64));
             self.merge_around(db, &mut ctx, region_start, region_start + region_len)?;
         } else {
             // Pure whole-segment delete: the freed gap may have brought
             // two violating segments together.
-            self.bump_size(db, -(len as i64));
+            self.tree.bump_size(db, -(len as i64));
             self.merge_around(db, &mut ctx, off, off)?;
         }
         ctx.finish(db);
@@ -681,36 +632,19 @@ impl LargeObject for EosObject {
     }
 
     fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        self.check_range(db, off, bytes.len() as u64)?;
+        check_range(self.tree.size(db), off, bytes.len() as u64)?;
         if bytes.is_empty() {
             return Ok(());
         }
         let mut ctx = OpCtx::new();
-        let mut at = off;
-        let mut done = 0usize;
-        while done < bytes.len() {
-            let pos = self.tree.try_descend(db, at)?;
-            let take = cast::to_usize((pos.leaf_end() - at).min((bytes.len() - done) as u64));
-            let s = cast::to_usize(pos.off_in_leaf);
-            if db.config().shadowing {
+        self.tree
+            .replace_range(db, &mut ctx, off, bytes, |db, ctx, pos, content| {
                 let mut hdr = self.tree.read_hdr(db);
-                let mut content = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
-                content[s..s + take].copy_from_slice(&bytes[done..done + take]);
-                let e = self.new_exact_seg(db, &content);
-                self.free_seg(&mut ctx, &mut hdr, &pos.entry);
+                let e = self.new_exact_seg(db, content);
+                self.free_seg(ctx, &mut hdr, &pos.entry);
                 self.tree.write_hdr(db, &hdr);
-                self.tree.replace_entry(db, &mut ctx, &pos.path, vec![e]);
-            } else {
-                patch_in_place(
-                    db,
-                    pos.entry.ptr,
-                    pos.off_in_leaf,
-                    &bytes[done..done + take],
-                );
-            }
-            done += take;
-            at += take as u64;
-        }
+                e
+            })?;
         ctx.finish(db);
         #[cfg(feature = "paranoid")]
         self.paranoid_verify(db, None)?;
@@ -746,62 +680,25 @@ impl LargeObject for EosObject {
     }
 
     fn destroy(&mut self, db: &mut Db) -> Result<()> {
-        let hdr = self.tree.read_hdr(db);
-        for (_, e) in self.tree.collect_leaves_costed(db) {
-            let alloc = self.alloc_of(&hdr, &e);
-            db.free_leaf(Extent::new(AreaId::LEAF, e.ptr, alloc));
-        }
-        for page in self.tree.internal_pages(db) {
-            db.free_meta_page(page);
-        }
-        db.free_meta_page(self.tree.root_page);
+        self.tree.destroy(db, alloc_of);
         Ok(())
     }
 
     fn utilization(&self, db: &Db) -> Utilization {
-        let page = db.peek_meta(self.tree.root_page);
-        let hdr = RootHdr::read(&page[..]);
-        let leaves = self.tree.collect_leaves(db);
-        let mut data_pages = 0u64;
-        for (_, e) in &leaves {
-            data_pages += u64::from(if hdr.last_seg_alloc > 0 && hdr.last_seg_ptr == e.ptr {
-                hdr.last_seg_alloc
-            } else {
-                pages_for_bytes(e.count)
-            });
-        }
-        Utilization {
-            object_bytes: hdr.size,
-            data_pages,
-            index_pages: self.tree.index_page_count(db),
-        }
+        self.tree.utilization(db, alloc_of)
     }
 
-    fn segments(&self, db: &Db) -> Vec<crate::object::SegmentInfo> {
-        let page = db.peek_meta(self.tree.root_page);
-        let hdr = RootHdr::read(&page[..]);
-        self.tree
-            .collect_leaves(db)
-            .into_iter()
-            .map(|(offset, e)| crate::object::SegmentInfo {
-                offset,
-                start_page: e.ptr,
-                bytes: e.count,
-                pages: self.alloc_of(&hdr, &e),
-            })
-            .collect()
+    fn segments(&self, db: &Db) -> Vec<SegmentInfo> {
+        self.tree.segments(db, alloc_of)
     }
 
     fn index_page_numbers(&self, db: &Db) -> Vec<u32> {
-        let mut out = vec![self.tree.root_page];
-        out.extend(self.tree.internal_pages(db));
-        out
+        self.tree.index_page_numbers(db)
     }
 
     fn check_invariants(&self, db: &Db) -> Result<()> {
         self.tree.check_invariants(db)?;
-        let page = db.peek_meta(self.tree.root_page);
-        let hdr = RootHdr::read(&page[..]);
+        let (hdr, _) = db.peek_root(self.tree.root_page);
         let leaves = self.tree.collect_leaves(db);
         for (off, e) in &leaves {
             if e.count == 0 {
@@ -834,19 +731,7 @@ impl LargeObject for EosObject {
     }
 
     fn snapshot(&self, db: &Db) -> Vec<u8> {
-        let leaves = self.tree.collect_leaves(db);
-        let mut out = Vec::with_capacity(leaves.iter().map(|(_, e)| e.count as usize).sum());
-        for (_, e) in leaves {
-            let pages = pages_for_bytes(e.count);
-            let mut rem = cast::to_usize(e.count);
-            for i in 0..pages {
-                let page = db.peek_leaf_page(e.ptr + i);
-                let take = rem.min(PAGE_SIZE);
-                out.extend_from_slice(&page[..take]);
-                rem -= take;
-            }
-        }
-        out
+        self.tree.peek_content(db)
     }
 }
 
@@ -879,12 +764,11 @@ mod tests {
 
     /// Segment page counts, left to right (allocation-aware).
     fn seg_pages(db: &Db, obj: &EosObject) -> Vec<u32> {
-        let page = db.peek_meta(obj.tree.root_page);
-        let hdr = RootHdr::read(&page[..]);
+        let (hdr, _) = db.peek_root(obj.tree.root_page);
         obj.tree
             .collect_leaves(db)
             .iter()
-            .map(|(_, e)| obj.alloc_of(&hdr, e))
+            .map(|(_, e)| alloc_of(&hdr, e))
             .collect()
     }
 

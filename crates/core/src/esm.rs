@@ -22,18 +22,17 @@
 //! (§3.3). Only pages actually holding bytes are ever transferred.
 
 use lobstore_buddy::Extent;
-use lobstore_simdisk::{cast, AreaId, PAGE_SIZE, PAGE_SIZE_U64};
+use lobstore_simdisk::{cast, AreaId, PAGE_SIZE_U64};
 
 use crate::db::Db;
 use crate::error::{LobError, Result};
 use crate::node::{Entry, RootHdr};
-use crate::object::{LargeObject, StorageKind, Utilization};
-use crate::segdata::{
-    append_in_place, append_sizes, even_sizes, patch_in_place, read_seg_bytes, write_new_seg,
+use crate::object::{
+    check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization,
 };
+use crate::segdata::{append_in_place, append_sizes, even_sizes, read_seg_bytes, write_new_seg};
 use crate::shadow::OpCtx;
 use crate::tree::{LeafPos, PosTree};
-use crate::MAX_OP_BYTES;
 
 const ESM_MAGIC: u32 = 0x4553_4D31; // "ESM1"
 const KIND_ESM: u8 = 1;
@@ -138,17 +137,6 @@ impl EsmObject {
         Extent::new(AreaId::LEAF, ptr, self.leaf_pages)
     }
 
-    fn check_range(&self, db: &mut Db, off: u64, len: u64) -> Result<u64> {
-        let size = self.tree.read_hdr(db).size;
-        if off.checked_add(len).is_none_or(|end| end > size) {
-            return Err(LobError::OutOfRange { off, len, size });
-        }
-        if len > MAX_OP_BYTES as u64 {
-            return Err(LobError::OperationTooLarge { len });
-        }
-        Ok(size)
-    }
-
     /// Write `bytes` into a freshly allocated leaf; returns its entry.
     fn new_leaf(&self, db: &mut Db, bytes: &[u8]) -> Entry {
         let ext = write_new_seg(db, self.leaf_pages, bytes);
@@ -156,12 +144,6 @@ impl EsmObject {
             count: bytes.len() as u64,
             ptr: ext.start,
         }
-    }
-
-    fn bump_size(&self, db: &mut Db, delta: i64) {
-        let mut hdr = self.tree.read_hdr(db);
-        hdr.size = (hdr.size as i64 + delta) as u64;
-        self.tree.write_hdr(db, &hdr);
     }
 
     /// The append-overflow redistribution of §4.2. `pos` is the rightmost
@@ -290,7 +272,7 @@ impl EsmObject {
             let ln = self.tree.try_descend(db, pos.leaf_start - 1)?;
             (ln, pos)
         } else {
-            let total = self.tree.read_hdr(db).size;
+            let total = self.tree.size(db);
             if pos.leaf_end() >= total {
                 return Ok(()); // only leaf in the object
             }
@@ -337,7 +319,7 @@ impl EsmObject {
 
         if self.insert_algo == EsmInsertAlgo::Improved {
             // Try to avoid a new leaf by redistributing with one neighbour.
-            let size = self.tree.read_hdr(db).size;
+            let size = self.tree.size(db);
             let left = if pos.leaf_start > 0 {
                 Some(self.tree.try_descend(db, pos.leaf_start - 1)?)
             } else {
@@ -423,18 +405,14 @@ impl LargeObject for EsmObject {
     }
 
     fn size(&self, db: &mut Db) -> u64 {
-        self.tree.read_hdr(db).size
+        self.tree.size(db)
     }
 
     fn append(&mut self, db: &mut Db, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
             return Ok(());
         }
-        if bytes.len() > MAX_OP_BYTES {
-            return Err(LobError::OperationTooLarge {
-                len: bytes.len() as u64,
-            });
-        }
+        check_op_len(bytes.len() as u64)?;
         let mut ctx = OpCtx::new();
         match self.tree.rightmost(db) {
             None => {
@@ -459,7 +437,7 @@ impl LargeObject for EsmObject {
                 }
             }
         }
-        self.bump_size(db, bytes.len() as i64);
+        self.tree.bump_size(db, bytes.len() as i64);
         ctx.finish(db);
         #[cfg(feature = "paranoid")]
         self.paranoid_verify(db)?;
@@ -467,57 +445,34 @@ impl LargeObject for EsmObject {
     }
 
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
-        self.check_range(db, off, out.len() as u64)?;
-        let mut at = off;
-        let mut done = 0usize;
-        while done < out.len() {
-            let pos = self.tree.try_descend(db, at)?;
-            let take = cast::to_usize((pos.leaf_end() - at).min((out.len() - done) as u64));
-            if self.whole_leaf_io {
-                // §4.5 ablation: fetch the entire leaf, then copy.
-                let whole = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
-                let s = cast::to_usize(pos.off_in_leaf);
-                out[done..done + take].copy_from_slice(&whole[s..s + take]);
-            } else {
-                db.pool.read_segment(
-                    AreaId::LEAF,
-                    pos.entry.ptr,
-                    pos.off_in_leaf,
-                    &mut out[done..done + take],
-                );
-            }
-            done += take;
-            at += take as u64;
+        check_range(self.tree.size(db), off, out.len() as u64)?;
+        if !self.whole_leaf_io {
+            return self.tree.read(db, off, out);
         }
-        Ok(())
-    }
-
-    fn locate(&self, db: &mut Db, off: u64) -> Result<crate::object::SegSpan> {
-        self.check_range(db, off, 1)?;
-        let pos = self.tree.try_descend(db, off)?;
-        Ok(crate::object::SegSpan {
-            start: pos.leaf_start,
-            bytes: pos.entry.count,
-            page: pos.entry.ptr,
+        // §4.5 ablation: fetch the entire leaf, then copy.
+        self.tree.for_each_leaf(db, off, out.len(), |db, pos, r| {
+            let whole = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
+            let s = cast::to_usize(pos.off_in_leaf);
+            out[r.clone()].copy_from_slice(&whole[s..s + r.len()]);
         })
     }
 
+    fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {
+        self.tree.locate(db, off)
+    }
+
     fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        let size = self.check_range(db, off, 0)?;
+        let size = check_range(self.tree.size(db), off, 0)?;
         if bytes.is_empty() {
             return Ok(());
         }
         if off == size {
             return self.append(db, bytes);
         }
-        if bytes.len() > MAX_OP_BYTES {
-            return Err(LobError::OperationTooLarge {
-                len: bytes.len() as u64,
-            });
-        }
+        check_op_len(bytes.len() as u64)?;
         let mut ctx = OpCtx::new();
         self.insert_inner(db, &mut ctx, off, bytes)?;
-        self.bump_size(db, bytes.len() as i64);
+        self.tree.bump_size(db, bytes.len() as i64);
         ctx.finish(db);
         #[cfg(feature = "paranoid")]
         self.paranoid_verify(db)?;
@@ -525,7 +480,7 @@ impl LargeObject for EsmObject {
     }
 
     fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
-        self.check_range(db, off, len)?;
+        check_range(self.tree.size(db), off, len)?;
         if len == 0 {
             return Ok(());
         }
@@ -548,12 +503,12 @@ impl LargeObject for EsmObject {
             remaining -= del;
         }
         // Both deletion boundaries may have left an under-half leaf.
-        self.bump_size(db, -(len as i64));
-        let total = self.tree.read_hdr(db).size;
+        self.tree.bump_size(db, -(len as i64));
+        let total = self.tree.size(db);
         if total > 0 {
             self.fix_underflow(db, &mut ctx, off.min(total - 1))?;
             if off > 0 {
-                let total = self.tree.read_hdr(db).size;
+                let total = self.tree.size(db);
                 self.fix_underflow(db, &mut ctx, (off - 1).min(total - 1))?;
             }
         }
@@ -564,33 +519,15 @@ impl LargeObject for EsmObject {
     }
 
     fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        self.check_range(db, off, bytes.len() as u64)?;
+        check_range(self.tree.size(db), off, bytes.len() as u64)?;
         if bytes.is_empty() {
             return Ok(());
         }
         let mut ctx = OpCtx::new();
-        let mut at = off;
-        let mut done = 0usize;
-        while done < bytes.len() {
-            let pos = self.tree.try_descend(db, at)?;
-            let take = cast::to_usize((pos.leaf_end() - at).min((bytes.len() - done) as u64));
-            let s = cast::to_usize(pos.off_in_leaf);
-            if db.config().shadowing {
-                let mut content = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
-                content[s..s + take].copy_from_slice(&bytes[done..done + take]);
-                let e = self.rewrite_leaf(db, &mut ctx, &pos, &content, pos.off_in_leaf);
-                self.tree.replace_entry(db, &mut ctx, &pos.path, vec![e]);
-            } else {
-                patch_in_place(
-                    db,
-                    pos.entry.ptr,
-                    pos.off_in_leaf,
-                    &bytes[done..done + take],
-                );
-            }
-            done += take;
-            at += take as u64;
-        }
+        self.tree
+            .replace_range(db, &mut ctx, off, bytes, |db, ctx, pos, content| {
+                self.rewrite_leaf(db, ctx, pos, content, pos.off_in_leaf)
+            })?;
         ctx.finish(db);
         #[cfg(feature = "paranoid")]
         self.paranoid_verify(db)?;
@@ -602,44 +539,20 @@ impl LargeObject for EsmObject {
     }
 
     fn destroy(&mut self, db: &mut Db) -> Result<()> {
-        // Walk the tree once (through the pool, so the reads are costed),
-        // then free every leaf, every index page, and the root.
-        for (_, e) in self.tree.collect_leaves_costed(db) {
-            db.free_leaf(self.leaf_extent(e.ptr));
-        }
-        for page in self.tree.internal_pages(db) {
-            db.free_meta_page(page);
-        }
-        db.free_meta_page(self.tree.root_page);
+        self.tree.destroy(db, |_, _| self.leaf_pages);
         Ok(())
     }
 
     fn utilization(&self, db: &Db) -> Utilization {
-        let leaves = self.tree.collect_leaves(db);
-        Utilization {
-            object_bytes: leaves.iter().map(|(_, e)| e.count).sum(),
-            data_pages: leaves.len() as u64 * u64::from(self.leaf_pages),
-            index_pages: self.tree.index_page_count(db),
-        }
+        self.tree.utilization(db, |_, _| self.leaf_pages)
     }
 
-    fn segments(&self, db: &Db) -> Vec<crate::object::SegmentInfo> {
-        self.tree
-            .collect_leaves(db)
-            .into_iter()
-            .map(|(offset, e)| crate::object::SegmentInfo {
-                offset,
-                start_page: e.ptr,
-                bytes: e.count,
-                pages: self.leaf_pages,
-            })
-            .collect()
+    fn segments(&self, db: &Db) -> Vec<SegmentInfo> {
+        self.tree.segments(db, |_, _| self.leaf_pages)
     }
 
     fn index_page_numbers(&self, db: &Db) -> Vec<u32> {
-        let mut out = vec![self.tree.root_page];
-        out.extend(self.tree.internal_pages(db));
-        out
+        self.tree.index_page_numbers(db)
     }
 
     fn check_invariants(&self, db: &Db) -> Result<()> {
@@ -664,19 +577,7 @@ impl LargeObject for EsmObject {
     }
 
     fn snapshot(&self, db: &Db) -> Vec<u8> {
-        let leaves = self.tree.collect_leaves(db);
-        let mut out = Vec::with_capacity(leaves.iter().map(|(_, e)| e.count as usize).sum());
-        for (_, e) in leaves {
-            let pages = lobstore_simdisk::pages_for_bytes(e.count);
-            let mut rem = cast::to_usize(e.count);
-            for i in 0..pages {
-                let page = db.peek_leaf_page(e.ptr + i);
-                let take = rem.min(PAGE_SIZE);
-                out.extend_from_slice(&page[..take]);
-                rem -= take;
-            }
-        }
-        out
+        self.tree.peek_content(db)
     }
 }
 

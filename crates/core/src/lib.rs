@@ -72,8 +72,8 @@ pub use object::{LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization};
 pub use shared::{SharedDb, SharedSnapshotReader};
 pub use spec::{open_object, ManagerSpec};
 pub use starburst::{StarburstObject, StarburstParams};
-pub use stream::{ObjectReader, ObjectWriter};
-pub use version::{Snapshot, SnapshotReader};
+pub use stream::{ObjectReader, ObjectWriter, SnapshotReader};
+pub use version::Snapshot;
 
 /// Maximum bytes any single operation may carry, a sanity bound
 /// (object sizes themselves are limited only by disk space).

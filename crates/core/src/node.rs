@@ -81,17 +81,7 @@ impl Node {
     /// # Panics
     /// If the node is empty or `off > total()`.
     pub fn find_child(&self, off: u64) -> (usize, u64) {
-        assert!(!self.entries.is_empty(), "find_child on empty node");
-        let mut rem = off;
-        for (i, e) in self.entries.iter().enumerate() {
-            if rem < e.count {
-                return (i, rem);
-            }
-            rem = rem.saturating_sub(e.count);
-        }
-        let last = self.entries.len() - 1;
-        assert!(rem == 0, "offset beyond node total");
-        (last, self.entries.last().map_or(0, |e| e.count))
+        find_child(&self.entries, off)
     }
 
     /// Byte offset (relative to this node) at which entry `idx` starts.
@@ -163,6 +153,22 @@ impl Node {
             page.get_mut(ROOT_ENTRIES_OFF..).unwrap_or_default(),
         );
     }
+}
+
+/// [`Node::find_child`] over a bare entry list (Starburst's descriptor is
+/// one: the segment holding byte `off` starts at `off - within`).
+pub(crate) fn find_child(entries: &[Entry], off: u64) -> (usize, u64) {
+    assert!(!entries.is_empty(), "find_child on empty node");
+    let mut rem = off;
+    for (i, e) in entries.iter().enumerate() {
+        if rem < e.count {
+            return (i, rem);
+        }
+        rem = rem.saturating_sub(e.count);
+    }
+    let last = entries.len() - 1;
+    assert!(rem == 0, "offset beyond node total");
+    (last, entries.last().map_or(0, |e| e.count))
 }
 
 fn write_entries(entries: &[Entry], out: &mut [u8]) {

@@ -1,7 +1,27 @@
 //! The common large-object interface implemented by all three managers.
 
 use crate::db::Db;
-use crate::error::Result;
+use crate::error::{LobError, Result};
+use crate::MAX_OP_BYTES;
+
+/// Validate the byte range `[off, off + len)` of an operation against the
+/// object's current `size` (and the per-operation sanity bound); returns
+/// `size` so callers can tell an insert at the end from one in the middle.
+pub(crate) fn check_range(size: u64, off: u64, len: u64) -> Result<u64> {
+    if off.checked_add(len).is_none_or(|end| end > size) {
+        return Err(LobError::OutOfRange { off, len, size });
+    }
+    check_op_len(len)?;
+    Ok(size)
+}
+
+/// Reject an operation carrying more than [`MAX_OP_BYTES`].
+pub(crate) fn check_op_len(len: u64) -> Result<()> {
+    if len > MAX_OP_BYTES as u64 {
+        return Err(LobError::OperationTooLarge { len });
+    }
+    Ok(())
+}
 
 /// Which storage structure an object uses.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]

@@ -12,34 +12,16 @@ use lobstore_buddy::Extent;
 use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PageId, PAGE_SIZE, PAGE_SIZE_U64};
 
 use crate::db::Db;
+use crate::node::Entry;
 
-/// Read `len` bytes starting at byte `from` of the segment at `ptr`
-/// (LEAF area), using one page-grained I/O call.
+/// Read bytes `[from, from + len)` of the segment at `ptr` (LEAF area):
+/// the covering page run, with one page-grained I/O call, straight into
+/// the caller-recycled `buf`. Returns `(buf, skip)` — the requested bytes
+/// are `buf[skip..skip + len]`, the only copy they make on the way out.
 ///
 /// Takes `&Db`: segment reads only touch the pool's internally
 /// synchronized read path, so snapshot scanners can run them while
 /// holding just the shared side of [`crate::SharedDb`]'s lock.
-pub(crate) fn read_seg_bytes(db: &Db, ptr: u32, from: u64, len: u64) -> Vec<u8> {
-    if len == 0 {
-        return Vec::new();
-    }
-    lobstore_obs::counter_add("core.seg.reads", 1);
-    let first_page = cast::to_u32(from / PAGE_SIZE_U64);
-    let last_page = cast::to_u32((from + len - 1) / PAGE_SIZE_U64);
-    let n_pages = last_page - first_page + 1;
-    let mut scratch = vec![0u8; cast::u32_to_usize(n_pages) * PAGE_SIZE];
-    db.pool
-        .read_pages(AreaId::LEAF, ptr + first_page, n_pages, &mut scratch);
-    let skip = cast::to_usize(from % PAGE_SIZE_U64);
-    scratch[skip..skip + cast::to_usize(len)].to_vec()
-}
-
-/// Like [`read_seg_bytes`] but page-direct into a caller-recycled
-/// buffer: the whole covering page run is read with the same single
-/// I/O call, landing in `buf` directly. Returns `(buf, skip)` — the
-/// requested bytes are `buf[skip..skip + len]`. This is the shared-lock
-/// scan path's only per-byte copy; [`read_seg_bytes`] stages through a
-/// scratch `Vec` and copies again.
 pub(crate) fn read_seg_pages(
     db: &Db,
     ptr: u32,
@@ -66,6 +48,37 @@ pub(crate) fn read_seg_pages(
     db.pool
         .read_pages(AreaId::LEAF, ptr + first_page, n_pages, &mut buf);
     (buf, cast::to_usize(from % PAGE_SIZE_U64))
+}
+
+/// [`read_seg_pages`] trimmed to exactly the requested bytes, for the
+/// update paths that splice segment contents (they almost always pass
+/// `from == 0`, so the trim moves nothing).
+pub(crate) fn read_seg_bytes(db: &Db, ptr: u32, from: u64, len: u64) -> Vec<u8> {
+    if len == 0 {
+        return Vec::new();
+    }
+    let (mut buf, skip) = read_seg_pages(db, ptr, from, len, Vec::new());
+    buf.truncate(skip + cast::to_usize(len));
+    buf.drain(..skip);
+    buf
+}
+
+/// Cost-free copy of the bytes stored in `segs`, left to right, from
+/// peeked pages — the reference content behind
+/// [`crate::LargeObject::snapshot`].
+pub(crate) fn peek_segs(db: &Db, segs: &[Entry]) -> Vec<u8> {
+    let total: u64 = segs.iter().map(|e| e.count).sum();
+    let mut out = Vec::with_capacity(cast::to_usize(total));
+    for e in segs {
+        let mut rem = cast::to_usize(e.count);
+        for i in 0..pages_for_bytes(e.count) {
+            let page = db.peek_leaf_page(e.ptr + i);
+            let take = rem.min(PAGE_SIZE);
+            out.extend_from_slice(&page[..take]);
+            rem -= take;
+        }
+    }
+    out
 }
 
 /// Allocate a segment of `alloc_pages` pages and write `bytes` into its

@@ -37,7 +37,8 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::db::Db;
 use crate::error::Result;
-use crate::version::{Snapshot, SnapshotReader};
+use crate::stream::{read_buffered, seek_target, SnapshotReader};
+use crate::version::Snapshot;
 
 /// A cloneable, thread-safe handle to one database. All clones refer to
 /// the same underlying [`Db`]; mutating operations are serialized on the
@@ -167,26 +168,23 @@ impl SharedSnapshotReader {
 
 impl Read for SharedSnapshotReader {
     fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        let SharedSnapshotReader { shared, reader, .. } = self;
-        Ok(shared.with_read(|db| reader.read_ref(db, out)))
+        read_buffered(self, out)
     }
 }
 
 impl BufRead for SharedSnapshotReader {
     fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        // Fast path: while the read-ahead buffer covers the cursor, hand
-        // bytes out without touching the lock at all — a scanner only
-        // re-enters the read tier once per exhausted buffer.
-        if !self.reader.buffer_covers_pos() {
+        // While the read-ahead window covers the cursor, hand bytes out
+        // without touching the lock at all — a scanner only re-enters the
+        // read tier once per exhausted window. The slice borrows the
+        // cursor's own window, valid after the lock drops.
+        if self.reader.buffered().is_empty() {
             let SharedSnapshotReader { shared, reader, .. } = self;
-            // Refill under the shared lock; the returned slice borrows
-            // the cursor's own read-ahead buffer, valid after the lock
-            // drops.
             shared.with_read(|db| {
-                reader.buffered_ref(db);
+                reader.fill_buf(db);
             });
         }
-        Ok(self.reader.buffered_ref_cached())
+        Ok(self.reader.buffered())
     }
 
     fn consume(&mut self, amt: usize) {
@@ -196,21 +194,9 @@ impl BufRead for SharedSnapshotReader {
 
 impl Seek for SharedSnapshotReader {
     fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
-        let size = self.reader.size();
-        let target = match pos {
-            SeekFrom::Start(o) => i128::from(o),
-            SeekFrom::End(d) => i128::from(size) + i128::from(d),
-            SeekFrom::Current(d) => i128::from(self.reader.position()) + i128::from(d),
-        };
-        if target < 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "seek before byte 0",
-            ));
-        }
-        let clamped = u64::try_from(target).unwrap_or(u64::MAX).min(size);
-        self.reader.seek(clamped);
-        Ok(clamped)
+        let target = seek_target(pos, self.reader.position(), self.reader.size())?;
+        self.reader.seek(target);
+        Ok(target)
     }
 }
 
@@ -355,6 +341,30 @@ mod tests {
         let mut one = [0u8; 1];
         r.read_exact(&mut one).unwrap();
         assert_eq!(one[0], payload[10 + skip]);
+
+        // Same seek contract as `ObjectReader`: past the end is allowed
+        // and reads as EOF, the whole u64 range is addressable, targets
+        // outside it are errors that leave the cursor in place.
+        assert_eq!(r.seek(SeekFrom::Start(u64::MAX)).unwrap(), u64::MAX);
+        assert!(r.fill_buf().unwrap().is_empty());
+        assert_eq!(r.read(&mut one).unwrap(), 0);
+        r.seek(SeekFrom::Start(1_000)).unwrap();
+        for bad in [SeekFrom::End(i64::MIN), SeekFrom::Current(i64::MIN)] {
+            let err = r.seek(bad).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        }
+        assert_eq!(
+            r.seek(SeekFrom::Current(i64::MAX)).unwrap(),
+            1_000 + i64::MAX as u64
+        );
+        assert_eq!(r.read(&mut one).unwrap(), 0);
+        assert!(
+            r.seek(SeekFrom::Current(i64::MAX)).is_err(),
+            "past u64::MAX"
+        );
+        assert_eq!(r.seek(SeekFrom::Start(20)).unwrap(), 20);
+        r.read_exact(&mut one).unwrap();
+        assert_eq!(one[0], payload[20]);
         r.close();
         assert_eq!(shared.with(|db| db.pinned_snapshots()), 0);
     }

@@ -25,10 +25,11 @@ use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PageId, PAGE_SIZE, PAGE_SI
 
 use crate::db::Db;
 use crate::error::{LobError, Result};
-use crate::node::{Entry, Node, RootHdr, ROOT_MAX_ENTRIES};
-use crate::object::{LargeObject, StorageKind, Utilization};
-use crate::segdata::{append_in_place, patch_in_place};
-use crate::MAX_OP_BYTES;
+use crate::node::{find_child, Entry, Node, RootHdr, ROOT_MAX_ENTRIES};
+use crate::object::{
+    check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization,
+};
+use crate::segdata::{append_in_place, patch_in_place, peek_segs};
 
 const STAR_MAGIC: u32 = 0x5354_4152; // "STAR"
 const KIND_STARBURST: u8 = 3;
@@ -151,30 +152,6 @@ impl StarburstObject {
         }
     }
 
-    /// Find the segment containing byte `off` (`off < size`). Returns
-    /// (index, byte offset of the segment's first byte).
-    fn find_seg(segs: &[Entry], off: u64) -> (usize, u64) {
-        let mut start = 0u64;
-        for (i, e) in segs.iter().enumerate() {
-            if off < start + e.count {
-                return (i, start);
-            }
-            start += e.count;
-        }
-        panic!("offset {off} beyond object ({start} bytes)");
-    }
-
-    fn check_range(&self, db: &mut Db, off: u64, len: u64) -> Result<u64> {
-        let size = db.with_meta_root(self.root, |hdr, _| hdr.size);
-        if off.checked_add(len).is_none_or(|end| end > size) {
-            return Err(LobError::OutOfRange { off, len, size });
-        }
-        if len > MAX_OP_BYTES as u64 {
-            return Err(LobError::OperationTooLarge { len });
-        }
-        Ok(size)
-    }
-
     /// Read the bytes of segments `segs[from..]` into one buffer, charging
     /// one I/O call per ≤ 512 KB chunk per segment (the staging-buffer
     /// read pattern of §3.5).
@@ -249,8 +226,8 @@ impl StarburstObject {
         edit: impl FnOnce(&mut Vec<u8>, usize),
     ) -> Result<()> {
         let (mut hdr, mut segs) = self.load(db);
-        let (i, seg_start) = Self::find_seg(&segs, off);
-        let p = cast::to_usize(off - seg_start);
+        let (i, p) = find_child(&segs, off);
+        let p = cast::to_usize(p);
         let mut tail = self.read_tail(db, &hdr, &segs, i);
         edit(&mut tail, p);
         let old = segs.split_off(i);
@@ -258,14 +235,7 @@ impl StarburstObject {
             segs.extend(self.write_max_segments(db, &tail));
         }
         // Writes done; now release the superseded tail.
-        for (j, e) in old.iter().enumerate() {
-            let alloc = if j + 1 == old.len() && hdr.last_seg_alloc > 0 {
-                hdr.last_seg_alloc
-            } else {
-                pages_for_bytes(e.count)
-            };
-            db.free_leaf(Extent::new(AreaId::LEAF, e.ptr, alloc));
-        }
+        self.free_tail(db, &hdr, &old, 0);
         hdr.last_seg_alloc = 0; // the rewritten tail is exact
         hdr.size = segs.iter().map(|e| e.count).sum();
         self.store(db, &mut hdr, &segs)
@@ -298,11 +268,7 @@ impl LargeObject for StarburstObject {
         if bytes.is_empty() {
             return Ok(());
         }
-        if bytes.len() > MAX_OP_BYTES {
-            return Err(LobError::OperationTooLarge {
-                len: bytes.len() as u64,
-            });
-        }
+        check_op_len(bytes.len() as u64)?;
         let (mut hdr, mut segs) = self.load(db);
         let mut rem = bytes;
 
@@ -361,7 +327,7 @@ impl LargeObject for StarburstObject {
     }
 
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
-        self.check_range(db, off, out.len() as u64)?;
+        check_range(self.size(db), off, out.len() as u64)?;
         if out.is_empty() {
             return Ok(());
         }
@@ -370,18 +336,15 @@ impl LargeObject for StarburstObject {
         let want = out.len();
         let plan: Vec<(u32, u64, usize)> = db.with_meta_root(self.root, |_, node| {
             let segs = &node.entries;
-            let (mut i, mut seg_start) = Self::find_seg(segs, off);
-            let mut at = off;
+            let (mut i, mut within) = find_child(segs, off);
             let mut done = 0usize;
             let mut plan = Vec::new();
             while done < want {
                 let e = segs[i];
-                let within = at - seg_start;
                 let take = cast::to_usize((e.count - within).min((want - done) as u64));
                 plan.push((e.ptr, within, take));
                 done += take;
-                at += take as u64;
-                seg_start += e.count;
+                within = 0;
                 i += 1;
             }
             plan
@@ -395,15 +358,15 @@ impl LargeObject for StarburstObject {
         Ok(())
     }
 
-    fn locate(&self, db: &mut Db, off: u64) -> Result<crate::object::SegSpan> {
-        self.check_range(db, off, 1)?;
+    fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {
+        check_range(self.size(db), off, 1)?;
         Ok(db.with_meta_root(self.root, |_, node| {
-            let (i, seg_start) = Self::find_seg(&node.entries, off);
-            // `find_seg` returns an in-bounds index for a checked offset.
+            let (i, within) = node.find_child(off);
+            // `find_child` returns an in-bounds index for a checked offset.
             // loblint: allow(panic-path)
             let e = node.entries[i];
-            crate::object::SegSpan {
-                start: seg_start,
+            SegSpan {
+                start: off - within,
                 bytes: e.count,
                 page: e.ptr,
             }
@@ -411,15 +374,11 @@ impl LargeObject for StarburstObject {
     }
 
     fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        let size = self.check_range(db, off, 0)?;
+        let size = check_range(self.size(db), off, 0)?;
         if bytes.is_empty() {
             return Ok(());
         }
-        if bytes.len() > MAX_OP_BYTES {
-            return Err(LobError::OperationTooLarge {
-                len: bytes.len() as u64,
-            });
-        }
+        check_op_len(bytes.len() as u64)?;
         if off == size {
             return self.append(db, bytes);
         }
@@ -433,7 +392,7 @@ impl LargeObject for StarburstObject {
     }
 
     fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
-        self.check_range(db, off, len)?;
+        check_range(self.size(db), off, len)?;
         if len == 0 {
             return Ok(());
         }
@@ -447,21 +406,18 @@ impl LargeObject for StarburstObject {
     }
 
     fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        self.check_range(db, off, bytes.len() as u64)?;
+        check_range(self.size(db), off, bytes.len() as u64)?;
         if bytes.is_empty() {
             return Ok(());
         }
         let (mut hdr, mut segs) = self.load(db);
-        let (first, mut seg_start) = Self::find_seg(&segs, off);
-        let mut at = off;
+        let (mut i, mut within) = find_child(&segs, off);
         let mut done = 0usize;
-        let mut i = first;
         // Superseded segments are released only after every new copy has
         // been written (§3.3 shadowing discipline).
         let mut free_later: Vec<Extent> = Vec::new();
         while done < bytes.len() {
             let e = segs[i];
-            let within = at - seg_start;
             let take = cast::to_usize((e.count - within).min((bytes.len() - done) as u64));
             if db.config().shadowing {
                 // Shadow the whole affected segment: read, patch, rewrite.
@@ -486,8 +442,7 @@ impl LargeObject for StarburstObject {
                 patch_in_place(db, e.ptr, within, &bytes[done..done + take]);
             }
             done += take;
-            at += take as u64;
-            seg_start += e.count;
+            within = 0;
             i += 1;
         }
         for ext in free_later {
@@ -533,43 +488,26 @@ impl LargeObject for StarburstObject {
     }
 
     fn utilization(&self, db: &Db) -> Utilization {
-        let page = db.peek_meta(self.root);
-        let hdr = RootHdr::read(&page[..]);
-        let node = Node::read_root(&page[..], &hdr);
-        let mut data_pages = 0u64;
-        for (i, e) in node.entries.iter().enumerate() {
-            data_pages += u64::from(if i + 1 == node.entries.len() && hdr.last_seg_alloc > 0 {
-                hdr.last_seg_alloc
-            } else {
-                pages_for_bytes(e.count)
-            });
-        }
+        let segs = self.segments(db);
         Utilization {
-            object_bytes: hdr.size,
-            data_pages,
+            object_bytes: segs.iter().map(|s| s.bytes).sum(),
+            data_pages: segs.iter().map(|s| u64::from(s.pages)).sum(),
             index_pages: 1,
         }
     }
 
-    fn segments(&self, db: &Db) -> Vec<crate::object::SegmentInfo> {
-        let page = db.peek_meta(self.root);
-        let hdr = RootHdr::read(&page[..]);
-        let node = Node::read_root(&page[..], &hdr);
+    fn segments(&self, db: &Db) -> Vec<SegmentInfo> {
+        let (hdr, node) = db.peek_root(self.root);
         let mut off = 0u64;
-        let n = node.entries.len();
         node.entries
             .iter()
             .enumerate()
             .map(|(i, e)| {
-                let info = crate::object::SegmentInfo {
+                let info = SegmentInfo {
                     offset: off,
                     start_page: e.ptr,
                     bytes: e.count,
-                    pages: if i + 1 == n && hdr.last_seg_alloc > 0 {
-                        hdr.last_seg_alloc
-                    } else {
-                        pages_for_bytes(e.count)
-                    },
+                    pages: self.seg_alloc(&hdr, &node.entries, i),
                 };
                 off += e.count;
                 info
@@ -621,21 +559,7 @@ impl LargeObject for StarburstObject {
     }
 
     fn snapshot(&self, db: &Db) -> Vec<u8> {
-        let page = db.peek_meta(self.root);
-        let hdr = RootHdr::read(&page[..]);
-        let node = Node::read_root(&page[..], &hdr);
-        let mut out = Vec::with_capacity(cast::to_usize(hdr.size));
-        for e in &node.entries {
-            let pages = pages_for_bytes(e.count);
-            let mut rem = cast::to_usize(e.count);
-            for i in 0..pages {
-                let pg = db.peek_leaf_page(e.ptr + i);
-                let take = rem.min(PAGE_SIZE);
-                out.extend_from_slice(&pg[..take]);
-                rem -= take;
-            }
-        }
-        out
+        peek_segs(db, &db.peek_root(self.root).1.entries)
     }
 }
 

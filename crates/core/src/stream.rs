@@ -1,23 +1,78 @@
 //! `std::io` adapters over large objects: stream a BLOB like a file.
 //!
-//! [`ObjectReader`] implements [`Read`] + [`Seek`] for sequential and
-//! random consumption (the §1 "play the recording / seek to a frame"
-//! access pattern); [`ObjectWriter`] implements [`Write`] for streaming
-//! creation by appends, buffering to a configurable chunk size so the
-//! append pattern matches how clients would really feed a storage
-//! manager.
+//! Two cursors, because they differ by something the code observes —
+//! whether the version being read can still change:
+//!
+//! * [`ObjectReader`] reads the **live** version. It borrows the database
+//!   exclusively, finds segments through the manager (node cache, hybrid
+//!   §3.2 pool policy) and costs exactly what one bulk
+//!   [`LargeObject::read`] would.
+//! * [`SnapshotReader`] reads a **pinned** version. Everything below its
+//!   root is immutable while the pin is held, so `&Db` is enough for every
+//!   call; it keeps its own node memo and reads segments page-direct, so
+//!   concurrent scanners never fix pool frames under the shared lock.
+//!   [`crate::SharedSnapshotReader`] wraps it for [`crate::SharedDb`].
+//!
+//! [`ObjectWriter`] implements [`Write`] for streaming creation by
+//! appends, buffering to a configurable chunk size so the append pattern
+//! matches how clients would really feed a storage manager.
 
+use std::collections::VecDeque;
 use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 
 use lobstore_simdisk::cast;
 
 use crate::db::Db;
-use crate::object::LargeObject;
+use crate::error::{LobError, Result};
+use crate::node::{Node, RootHdr};
+use crate::object::{LargeObject, StorageKind};
+use crate::segdata::read_seg_pages;
+use crate::version::Snapshot;
 
-/// Upper bound on one scan-cursor refill. Large enough that tree-scheme
-/// segments (≤ a few hundred KB) always refill in a single span read;
-/// bounds the buffer for Starburst's up-to-32 MB segments.
+/// Upper bound on one scan-cursor refill, live or pinned. Large enough
+/// that tree-scheme segments (≤ a few hundred KB) always refill in a
+/// single span read; bounds the buffer for Starburst's up-to-32 MB
+/// segments.
 const READ_AHEAD_MAX: usize = 4 << 20;
+
+/// Resolve a [`SeekFrom`] against a cursor at `pos` over `size` bytes,
+/// with [`std::io::Cursor`]'s semantics: a target before byte 0 (or past
+/// `u64::MAX`) is `InvalidInput`; a target past the end is allowed and
+/// reads there return 0 bytes.
+pub(crate) fn seek_target(from: SeekFrom, pos: u64, size: u64) -> io::Result<u64> {
+    let target = match from {
+        SeekFrom::Start(n) => i128::from(n),
+        SeekFrom::End(d) => i128::from(size) + i128::from(d),
+        SeekFrom::Current(d) => i128::from(pos) + i128::from(d),
+    };
+    u64::try_from(target).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "seek to a negative or overflowing position",
+        )
+    })
+}
+
+/// [`Read::read`] for a cursor that is a [`BufRead`]: copy from the head
+/// of `fill_buf`, then `consume`. Short reads happen at span boundaries.
+pub(crate) fn read_buffered(r: &mut impl BufRead, out: &mut [u8]) -> io::Result<usize> {
+    if out.is_empty() {
+        return Ok(0);
+    }
+    let n = take_into(out, r.fill_buf()?);
+    r.consume(n);
+    Ok(n)
+}
+
+/// Copy as much of the head of `src` as fits into `out`; returns the
+/// count.
+fn take_into(out: &mut [u8], src: &[u8]) -> usize {
+    let take = src.len().min(out.len());
+    // `take` is clamped to both slice lengths.
+    // loblint: allow(panic-path)
+    out[..take].copy_from_slice(&src[..take]);
+    take
+}
 
 /// Streaming reader over a large object.
 ///
@@ -77,7 +132,7 @@ impl<'a> ObjectReader<'a> {
     /// Refill the read-ahead buffer starting at the current position:
     /// one `locate` to find the segment's end, one byte-range read for
     /// the remainder of that segment.
-    fn refill(&mut self) -> crate::error::Result<()> {
+    fn refill(&mut self) -> Result<()> {
         let span = self.obj.locate(self.db, self.pos)?;
         let span_end = span.end().min(self.size);
         let want = cast::to_usize(span_end.saturating_sub(self.pos)).min(READ_AHEAD_MAX);
@@ -91,23 +146,7 @@ impl<'a> ObjectReader<'a> {
 
 impl Read for ObjectReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let remaining = self.size.saturating_sub(self.pos);
-        let n = (buf.len() as u64).min(remaining) as usize;
-        if n == 0 {
-            return Ok(0);
-        }
-        if !self.buffered(self.pos) {
-            self.refill().map_err(|e| io::Error::other(e.to_string()))?;
-        }
-        let lo = cast::to_usize(self.pos.saturating_sub(self.buf_start));
-        // Serve to the end of the buffered span; `Read` allows short
-        // reads and callers loop.
-        let take = n.min(self.buf.len() - lo);
-        // `lo < buf.len()` by `buffered` above and `take` is clamped.
-        // loblint: allow(panic-path)
-        buf[..take].copy_from_slice(&self.buf[lo..lo + take]);
-        self.pos += take as u64;
-        Ok(take)
+        read_buffered(self, buf)
     }
 }
 
@@ -144,19 +183,301 @@ impl BufRead for ObjectReader<'_> {
 
 impl Seek for ObjectReader<'_> {
     fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        let target: i64 = match pos {
-            SeekFrom::Start(n) => n as i64,
-            SeekFrom::End(d) => self.size as i64 + d,
-            SeekFrom::Current(d) => self.pos as i64 + d,
-        };
-        if target < 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "seek before start",
-            ));
-        }
-        self.pos = target as u64; // seeking past EOF is allowed, reads return 0
+        self.pos = seek_target(pos, self.pos, self.size)?;
         Ok(self.pos)
+    }
+}
+
+/// A positional cursor reading one object *as of* a pinned snapshot.
+///
+/// The reader resolves the object's root through the version overlay
+/// once, at construction — everything reachable from that root is
+/// immutable while the snapshot stays pinned. That is also why a shared
+/// `&Db` is enough for every read (`&mut Db` coerces to it): the cursor
+/// does not borrow the database between calls, so readers on other
+/// threads of a [`crate::SharedDb`] interleave with a writer's operations
+/// and still observe stable bytes.
+///
+/// Read-ahead is a window of up to 4 MB past the cursor, one page-aligned
+/// span per segment. Each span costs one index descent plus one page-run
+/// segment read, so a whole-object scan charges the same simulated I/O
+/// calls in the same order as [`ObjectReader`]; a *partial* read also
+/// reads ahead across segment boundaries, up to the window. An object
+/// that fits the window stays resident, so re-scans touch no database at
+/// all.
+pub struct SnapshotReader {
+    version: u64,
+    /// Parsed root: level and entries as of the snapshot.
+    root: Node,
+    size: u64,
+    pos: u64,
+    /// Parsed index nodes below the root, by META page. The live path
+    /// memoizes parses in [`Db`]'s node cache, which writers invalidate
+    /// and which needs `&mut Db`; a pinned version's index pages cannot
+    /// change, so this reader keeps its own — a hit skips the page fix
+    /// entirely, which keeps concurrent scanners off the buffer pool's
+    /// control latch. Bounded: cleared wholesale at
+    /// [`READER_NODE_CACHE`] entries.
+    node_memo: Vec<(u32, Node)>,
+    /// The read-ahead window: spans sorted by object offset, holding up
+    /// to [`READ_AHEAD_MAX`] bytes. Evicted oldest-first only under
+    /// capacity pressure.
+    spans: VecDeque<SpanBuf>,
+    /// Total object bytes held in `spans`.
+    span_bytes: usize,
+    /// Recycled span buffers (bounded by [`SPAN_FREE_MAX`]): steady-state
+    /// scans reuse allocations instead of hitting the allocator per
+    /// refill.
+    free: Vec<Vec<u8>>,
+}
+
+/// One read-ahead span: object bytes `[start, start + len)` live at
+/// `data[skip..skip + len]`. `data` holds the whole covering page run, so
+/// the disk read lands in it directly — the only copy those bytes ever
+/// make before `fill_buf` hands them out.
+struct SpanBuf {
+    start: u64,
+    skip: usize,
+    len: usize,
+    data: Vec<u8>,
+}
+
+impl SpanBuf {
+    fn end(&self) -> u64 {
+        self.start.saturating_add(self.len as u64)
+    }
+
+    /// The unread tail of this span from `pos` on, if `pos` is inside.
+    fn slice_at(&self, pos: u64) -> Option<&[u8]> {
+        if pos < self.start || pos >= self.end() {
+            return None;
+        }
+        // `pos - start < len` by the check above; the constructor put
+        // `len` valid bytes at `skip`.
+        // loblint: allow(arith-overflow)
+        let lo = self.skip + cast::to_usize(pos - self.start);
+        self.data.get(lo..self.skip + self.len)
+    }
+}
+
+/// Cap on recycled span buffers a [`SnapshotReader`] keeps around.
+const SPAN_FREE_MAX: usize = 80;
+
+/// Cap on [`SnapshotReader::node_memo`] entries. A scan's working set is
+/// one node per tree level (2-3), so a small bound never thrashes; the
+/// wholesale clear keeps the lookup a linear scan over a short vec.
+const READER_NODE_CACHE: usize = 32;
+
+impl SnapshotReader {
+    /// Open a snapshot cursor over the object rooted at `root_page`.
+    /// Fails if the page does not hold a manager root at this version.
+    pub fn new(db: &mut Db, snap: &Snapshot, root_page: u32) -> Result<SnapshotReader> {
+        let v = snap.version();
+        let (hdr, root) = db.versioned_meta_page(root_page, v, |p| {
+            let hdr = RootHdr::read(p);
+            let node = Node::read_root(p, &hdr);
+            (hdr, node)
+        });
+        if StorageKind::from_u8(hdr.kind).is_none() {
+            return Err(LobError::Corrupt(format!(
+                "page {root_page} is not an object root at version {v} (kind {})",
+                hdr.kind
+            )));
+        }
+        Ok(SnapshotReader {
+            version: v,
+            root,
+            size: hdr.size,
+            pos: 0,
+            node_memo: Vec::new(),
+            spans: VecDeque::new(),
+            span_bytes: 0,
+            free: Vec::new(),
+        })
+    }
+
+    /// Object size at the snapshot version.
+    pub fn size(&self) -> u64 {
+        self.size
+    }
+
+    /// Current read position.
+    pub fn position(&self) -> u64 {
+        self.pos
+    }
+
+    /// Move the cursor. Past the end is allowed, like a file: reads
+    /// there return 0 bytes.
+    pub fn seek(&mut self, pos: u64) {
+        self.pos = pos;
+    }
+
+    /// Read up to `out.len()` bytes at the cursor; returns the count
+    /// (0 at end of object). Short reads happen at span boundaries,
+    /// like [`std::io::Read`].
+    pub fn read(&mut self, db: &Db, out: &mut [u8]) -> usize {
+        if out.is_empty() {
+            return 0;
+        }
+        let n = take_into(out, self.fill_buf(db));
+        self.consume(n);
+        n
+    }
+
+    /// Bytes buffered at the cursor, refilling the window if it does not
+    /// cover the current position. Empty only at (or past) the end of
+    /// the object.
+    pub fn fill_buf(&mut self, db: &Db) -> &[u8] {
+        if self.pos < self.size && self.buffered().is_empty() {
+            self.refill(db);
+        }
+        self.buffered()
+    }
+
+    /// What [`Self::fill_buf`] last produced, as far as it is still
+    /// unconsumed — without touching the database, so a caller can check
+    /// it before taking any lock and hand it out after dropping one.
+    pub fn buffered(&self) -> &[u8] {
+        self.spans
+            .iter()
+            .find_map(|s| s.slice_at(self.pos))
+            .unwrap_or(&[])
+    }
+
+    /// Advance the cursor past `n` bytes returned by [`Self::fill_buf`].
+    pub fn consume(&mut self, n: usize) {
+        self.pos = self.pos.saturating_add(n as u64);
+    }
+
+    /// Read from the cursor to the end of the object.
+    pub fn read_to_end(&mut self, db: &Db) -> Vec<u8> {
+        let mut out = Vec::with_capacity(cast::to_usize(self.size.saturating_sub(self.pos)));
+        loop {
+            let chunk = self.fill_buf(db);
+            if chunk.is_empty() {
+                return out;
+            }
+            out.extend_from_slice(chunk);
+            let n = chunk.len();
+            self.consume(n);
+        }
+    }
+
+    /// Locate the leaf segment holding object byte `off`: returns
+    /// `(segment first page, segment start offset, segment byte count)`.
+    fn locate(&mut self, db: &Db, off: u64) -> (u32, u64, u64) {
+        debug_assert!(off < self.size);
+        let mut level = self.root.level;
+        let mut base = 0u64;
+        let mut page = None;
+        loop {
+            let node = match page {
+                None => &self.root,
+                Some(p) => memo_node(&mut self.node_memo, db, p),
+            };
+            // `off >= base` along the whole descent: `base` is the byte
+            // offset where the current subtree starts.
+            // loblint: allow(arith-overflow)
+            let (i, within) = node.find_child(off - base);
+            let e = match node.entries.get(i) {
+                Some(e) => *e,
+                None => unreachable!("find_child returned an in-range index"),
+            };
+            // `within <= off` by the same subtree-offset invariant.
+            // loblint: allow(arith-overflow)
+            base = off - within;
+            if level == 0 {
+                return (e.ptr, base, e.count);
+            }
+            level -= 1;
+            page = Some(e.ptr);
+        }
+    }
+
+    /// Extend the window from its tail (or restart it at the cursor after
+    /// a seek that left it) until it covers [`READ_AHEAD_MAX`] bytes past
+    /// the cursor or the object ends: per span one descent and one
+    /// page-run segment read, landing in the span buffer directly. A
+    /// concurrent scanner thus takes the shared `SharedDb` lock once per
+    /// window, not once per segment.
+    fn refill(&mut self, db: &Db) {
+        assert!(
+            db.is_pinned(self.version),
+            "snapshot at version {} was released while a reader was open",
+            self.version
+        );
+        if self.spans.back().is_some_and(|s| s.end() != self.pos) {
+            // A seek landed outside the retained window and doesn't
+            // adjoin its tail: drop it and start over at the cursor.
+            while self.evict_front() {}
+        }
+        let mut at = self.pos;
+        while at < self.size && cast::to_usize(at.saturating_sub(self.pos)) < READ_AHEAD_MAX {
+            let (ptr, seg_start, seg_len) = self.locate(db, at);
+            // `locate` returns the segment containing `at`, so
+            // `seg_start <= at < seg_start + seg_len <= u64::MAX`.
+            // loblint: allow(arith-overflow)
+            let span_end = (seg_start + seg_len).min(self.size);
+            let want = cast::to_usize(span_end - at).min(READ_AHEAD_MAX);
+            // Make room, but never evict the span holding the cursor.
+            while self.span_bytes.saturating_add(want) > READ_AHEAD_MAX
+                && self
+                    .spans
+                    .front()
+                    .is_some_and(|s| s.slice_at(self.pos).is_none())
+            {
+                self.evict_front();
+            }
+            let recycled = self.free.pop().unwrap_or_default();
+            // loblint: allow(arith-overflow)
+            let (data, skip) = read_seg_pages(db, ptr, at - seg_start, want as u64, recycled);
+            self.spans.push_back(SpanBuf {
+                start: at,
+                skip,
+                len: want,
+                data,
+            });
+            // The eviction above kept `span_bytes + want` within the
+            // window, far below `usize::MAX`.
+            // loblint: allow(arith-overflow)
+            self.span_bytes += want;
+            at = at.saturating_add(want as u64);
+        }
+    }
+
+    /// Evict the oldest span, recycling its buffer; false if there was
+    /// none.
+    fn evict_front(&mut self) -> bool {
+        let Some(s) = self.spans.pop_front() else {
+            return false;
+        };
+        self.span_bytes = self.span_bytes.saturating_sub(s.len);
+        if self.free.len() < SPAN_FREE_MAX {
+            self.free.push(s.data);
+        }
+        true
+    }
+}
+
+/// The parsed index node on META `page` of a pinned version, from the
+/// reader's memo or read through `&Db` and memoized.
+fn memo_node<'a>(memo: &'a mut Vec<(u32, Node)>, db: &Db, page: u32) -> &'a Node {
+    let at = match memo.iter().position(|(p, _)| *p == page) {
+        Some(i) => {
+            lobstore_obs::counter_add("core.nodecache.reader_hits", 1);
+            i
+        }
+        None => {
+            if memo.len() >= READER_NODE_CACHE {
+                memo.clear();
+            }
+            memo.push((page, db.read_meta_node_ref(page)));
+            memo.len() - 1
+        }
+    };
+    match memo.get(at) {
+        Some((_, node)) => node,
+        None => unreachable!("index found or pushed above"),
     }
 }
 
@@ -285,6 +606,25 @@ mod tests {
         r.seek(SeekFrom::Start(1 << 30)).unwrap();
         assert_eq!(r.read(&mut buf).unwrap(), 0);
         assert!(r.seek(SeekFrom::End(-1_000_000)).is_err());
+        // The whole u64 range is addressable; targets outside it are
+        // errors (not panics) and leave the cursor where it was.
+        assert_eq!(r.seek(SeekFrom::Start(u64::MAX)).unwrap(), u64::MAX);
+        assert_eq!(r.read(&mut buf).unwrap(), 0);
+        r.seek(SeekFrom::Start(1_000)).unwrap();
+        for bad in [SeekFrom::End(i64::MIN), SeekFrom::Current(i64::MIN)] {
+            let err = r.seek(bad).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert_eq!(r.position(), 1_000);
+        }
+        assert_eq!(
+            r.seek(SeekFrom::Current(i64::MAX)).unwrap(),
+            1_000 + i64::MAX as u64
+        );
+        assert_eq!(r.read(&mut buf).unwrap(), 0);
+        assert!(
+            r.seek(SeekFrom::Current(i64::MAX)).is_err(),
+            "past u64::MAX"
+        );
     }
 
     #[test]

@@ -16,9 +16,16 @@
 //! shadowed through the operation's [`OpCtx`] (§3.3); the root is updated
 //! in place and left to the buffer pool.
 
+use std::ops::Range;
+
+use lobstore_buddy::Extent;
+use lobstore_simdisk::{cast, AreaId};
+
 use crate::db::Db;
 use crate::error::{LobError, Result};
 use crate::node::{Entry, Node, RootHdr, NODE_MAX_ENTRIES, ROOT_MAX_ENTRIES};
+use crate::object::{check_range, SegSpan, SegmentInfo, Utilization};
+use crate::segdata::{patch_in_place, peek_segs, read_seg_bytes};
 use crate::shadow::OpCtx;
 
 /// One step of a root-to-leaf search path: the node's page and the entry
@@ -451,33 +458,125 @@ impl PosTree {
         self.store_root(db, &mut hdr, &node);
     }
 
-    /// Like [`Self::collect_leaves`], but reading index pages through the
-    /// buffer pool so the walk is I/O-costed — used by `destroy`, which
-    /// really does have to read the index to find the segments.
-    pub fn collect_leaves_costed(&self, db: &mut Db) -> Vec<(u64, Entry)> {
-        let (_, root) = self.load_root(db);
-        let mut out = Vec::new();
-        let mut off = 0u64;
-        // Depth-first, preserving left-to-right order.
-        fn walk(
-            tree: &PosTree,
-            db: &mut Db,
-            node: &Node,
-            off: &mut u64,
-            out: &mut Vec<(u64, Entry)>,
-        ) {
-            for e in &node.entries {
-                if node.level == 0 {
-                    out.push((*off, *e));
-                    *off += e.count;
-                } else {
-                    let child = tree.load_node(db, e.ptr);
-                    walk(tree, db, &child, off, out);
-                }
-            }
+    // ----- the object body ESM and EOS share -------------------------------
+    //
+    // What the two managers do identically over this tree lives here once;
+    // what differs (how many pages a leaf entry owns, how a leaf is
+    // shadowed) is passed in.
+
+    /// Object size recorded in the root header.
+    pub fn size(&self, db: &mut Db) -> u64 {
+        self.read_hdr(db).size
+    }
+
+    /// Add `delta` to the object size recorded in the root header.
+    pub fn bump_size(&self, db: &mut Db, delta: i64) {
+        let mut hdr = self.read_hdr(db);
+        hdr.size = (hdr.size as i64 + delta) as u64;
+        self.write_hdr(db, &hdr);
+    }
+
+    /// Visit, left to right, every leaf overlapping object bytes
+    /// `[off, off + len)` (range-checked by the caller): one descent per
+    /// leaf, `visit` gets the leaf and the sub-range of the caller's
+    /// `len`-byte buffer that falls in it. The tree may be restructured
+    /// inside `visit`; the next leaf is found by a fresh descent.
+    pub fn for_each_leaf(
+        &self,
+        db: &mut Db,
+        off: u64,
+        len: usize,
+        mut visit: impl FnMut(&mut Db, &LeafPos, Range<usize>),
+    ) -> Result<()> {
+        let mut done = 0usize;
+        while done < len {
+            // `off + len` was range-checked against the object size.
+            // loblint: allow(arith-overflow)
+            let at = off + done as u64;
+            let pos = self.try_descend(db, at)?;
+            let take = cast::to_usize((pos.leaf_end() - at).min((len - done) as u64));
+            visit(db, &pos, done..done + take);
+            done += take;
         }
-        walk(self, db, &root, &mut off, &mut out);
-        out
+        Ok(())
+    }
+
+    /// Read `out.len()` bytes at `off` (range-checked by the caller): one
+    /// descent plus one hybrid-policy segment read (§3.2) per leaf.
+    pub fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
+        self.for_each_leaf(db, off, out.len(), |db, pos, r| {
+            // `for_each_leaf` hands out sub-ranges of `0..out.len()`.
+            // loblint: allow(panic-path)
+            let piece = &mut out[r];
+            db.pool
+                .read_segment(AreaId::LEAF, pos.entry.ptr, pos.off_in_leaf, piece);
+        })
+    }
+
+    /// The stored segment holding byte `off` (`off < size`): one costed
+    /// descent.
+    pub fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {
+        check_range(self.size(db), off, 1)?;
+        let pos = self.try_descend(db, off)?;
+        Ok(SegSpan {
+            start: pos.leaf_start,
+            bytes: pos.entry.count,
+            page: pos.entry.ptr,
+        })
+    }
+
+    /// Overwrite `[off, off + bytes.len())` (range-checked by the caller),
+    /// leaf by leaf. Under shadowing each touched leaf is read whole,
+    /// patched in memory and handed to `shadow_leaf`, which writes the new
+    /// copy, queues the old one for release and returns the replacement
+    /// entry; without shadowing the bytes are patched in place.
+    pub fn replace_range(
+        &self,
+        db: &mut Db,
+        ctx: &mut OpCtx,
+        off: u64,
+        bytes: &[u8],
+        mut shadow_leaf: impl FnMut(&mut Db, &mut OpCtx, &LeafPos, &[u8]) -> Entry,
+    ) -> Result<()> {
+        self.for_each_leaf(db, off, bytes.len(), |db, pos, r| {
+            // `for_each_leaf` hands out sub-ranges of `0..bytes.len()`.
+            // loblint: allow(panic-path)
+            let patch = &bytes[r];
+            if db.config().shadowing {
+                let s = cast::to_usize(pos.off_in_leaf);
+                let mut content = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
+                // The patch lies inside this leaf: `s + patch.len()` is at
+                // most the leaf's byte count, which is `content.len()`.
+                // loblint: allow(panic-path)
+                content[s..s + patch.len()].copy_from_slice(patch);
+                let e = shadow_leaf(db, ctx, pos, &content);
+                self.replace_entry(db, ctx, &pos.path, vec![e]);
+            } else {
+                patch_in_place(db, pos.entry.ptr, pos.off_in_leaf, patch);
+            }
+        })
+    }
+
+    /// Free every leaf segment (`leaf_pages` says how many pages an entry
+    /// owns), every index page and the root. The index is read through
+    /// the pool, so finding the segments is I/O-costed — `destroy` really
+    /// does have to read it.
+    pub fn destroy(&self, db: &mut Db, leaf_pages: impl Fn(&RootHdr, &Entry) -> u32) {
+        let (hdr, root) = self.load_root(db);
+        let mut leaves = Vec::new();
+        walk_leaves(
+            &root,
+            &mut |page| self.load_node(db, page),
+            &mut 0,
+            &mut leaves,
+        );
+        for (_, e) in leaves {
+            db.free_leaf(Extent::new(AreaId::LEAF, e.ptr, leaf_pages(&hdr, &e)));
+        }
+        for page in self.index_page_numbers(db).into_iter().skip(1) {
+            db.free_meta_page(page);
+        }
+        db.free_meta_page(self.root_page);
     }
 
     // ----- whole-tree walks (cost-free, for metrics and verification) -----
@@ -486,55 +585,59 @@ impl PosTree {
     /// Cost-free (peeks pages).
     pub fn collect_leaves(&self, db: &Db) -> Vec<(u64, Entry)> {
         let mut out = Vec::new();
-        let page = db.peek_meta(self.root_page);
-        let hdr = RootHdr::read(&page[..]);
-        let node = Node::read_root(&page[..], &hdr);
-        let mut off = 0u64;
-        self.walk_leaves(db, &node, &mut off, &mut out);
+        let (_, root) = db.peek_root(self.root_page);
+        walk_leaves(&root, &mut |page| db.peek_node(page), &mut 0, &mut out);
         out
     }
 
-    fn walk_leaves(&self, db: &Db, node: &Node, off: &mut u64, out: &mut Vec<(u64, Entry)>) {
-        for e in &node.entries {
-            if node.level == 0 {
-                out.push((*off, *e));
-                *off += e.count;
-            } else {
-                let child = Node::read_page(&db.peek_meta(e.ptr)[..]);
-                self.walk_leaves(db, &child, off, out);
-            }
-        }
-    }
-
-    /// Total index pages of this tree (root included). Cost-free.
-    pub fn index_page_count(&self, db: &Db) -> u64 {
-        let page = db.peek_meta(self.root_page);
-        let hdr = RootHdr::read(&page[..]);
-        let node = Node::read_root(&page[..], &hdr);
-        1 + self.count_below(db, &node)
-    }
-
-    fn count_below(&self, db: &Db, node: &Node) -> u64 {
-        if node.level == 0 {
-            return 0;
-        }
-        node.entries
-            .iter()
-            .map(|e| {
-                let child = Node::read_page(&db.peek_meta(e.ptr)[..]);
-                1 + self.count_below(db, &child)
+    /// The data segments, left to right; `leaf_pages` says how many pages
+    /// an entry owns. Cost-free.
+    pub fn segments(
+        &self,
+        db: &Db,
+        leaf_pages: impl Fn(&RootHdr, &Entry) -> u32,
+    ) -> Vec<SegmentInfo> {
+        let (hdr, _) = db.peek_root(self.root_page);
+        self.collect_leaves(db)
+            .into_iter()
+            .map(|(offset, e)| SegmentInfo {
+                offset,
+                start_page: e.ptr,
+                bytes: e.count,
+                pages: leaf_pages(&hdr, &e),
             })
-            .sum()
+            .collect()
     }
 
-    /// All index pages except the root (for `destroy`). Cost-free
-    /// discovery; the caller frees them.
-    pub fn internal_pages(&self, db: &Db) -> Vec<u32> {
-        let page = db.peek_meta(self.root_page);
-        let hdr = RootHdr::read(&page[..]);
-        let node = Node::read_root(&page[..], &hdr);
-        let mut out = Vec::new();
-        self.collect_internal(db, &node, &mut out);
+    /// Storage-utilization breakdown over [`Self::segments`]. Cost-free.
+    pub fn utilization(
+        &self,
+        db: &Db,
+        leaf_pages: impl Fn(&RootHdr, &Entry) -> u32,
+    ) -> Utilization {
+        let segs = self.segments(db, leaf_pages);
+        Utilization {
+            object_bytes: segs.iter().map(|s| s.bytes).sum(),
+            data_pages: segs.iter().map(|s| u64::from(s.pages)).sum(),
+            index_pages: self.index_page_numbers(db).len() as u64,
+        }
+    }
+
+    /// Cost-free copy of the full object content (peeked pages).
+    pub fn peek_content(&self, db: &Db) -> Vec<u8> {
+        let leaves: Vec<Entry> = self
+            .collect_leaves(db)
+            .into_iter()
+            .map(|(_, e)| e)
+            .collect();
+        peek_segs(db, &leaves)
+    }
+
+    /// Every index page of this tree, the root first. Cost-free.
+    pub fn index_page_numbers(&self, db: &Db) -> Vec<u32> {
+        let (_, root) = db.peek_root(self.root_page);
+        let mut out = vec![self.root_page];
+        self.collect_internal(db, &root, &mut out);
         out
     }
 
@@ -544,17 +647,14 @@ impl PosTree {
         }
         for e in &node.entries {
             out.push(e.ptr);
-            let child = Node::read_page(&db.peek_meta(e.ptr)[..]);
-            self.collect_internal(db, &child, out);
+            self.collect_internal(db, &db.peek_node(e.ptr), out);
         }
     }
 
     /// Structural checks: count consistency, level monotonicity, fan-out
     /// bounds, half-full rule for non-root nodes.
     pub fn check_invariants(&self, db: &Db) -> Result<()> {
-        let page = db.peek_meta(self.root_page);
-        let hdr = RootHdr::read(&page[..]);
-        let root = Node::read_root(&page[..], &hdr);
+        let (hdr, root) = db.peek_root(self.root_page);
         if root.entries.len() > self.root_cap(db) {
             return Err(LobError::InvariantViolated(format!(
                 "root holds {} entries, cap {}",
@@ -566,7 +666,7 @@ impl PosTree {
             // A lone child is tolerated only when it cannot be absorbed
             // into the root (the root's pair capacity is slightly smaller
             // than an interior node's).
-            let child = Node::read_page(&db.peek_meta(root.entries[0].ptr)[..]);
+            let child = db.peek_node(root.entries[0].ptr);
             if child.entries.len() <= self.root_cap(db) {
                 return Err(LobError::InvariantViolated(
                     "internal root with a lone absorbable child".into(),
@@ -604,7 +704,7 @@ impl PosTree {
             if node.level == 0 {
                 total += e.count;
             } else {
-                let child = Node::read_page(&db.peek_meta(e.ptr)[..]);
+                let child = db.peek_node(e.ptr);
                 if child.level != node.level - 1 {
                     return Err(LobError::InvariantViolated(format!(
                         "child level {} under node level {}",
@@ -622,6 +722,25 @@ impl PosTree {
             }
         }
         Ok(total)
+    }
+}
+
+/// Depth-first leaf walk under `node`, preserving left-to-right order;
+/// `fetch` loads a child index page (costed through the pool for
+/// `destroy`, peeked for the cost-free inspections).
+fn walk_leaves(
+    node: &Node,
+    fetch: &mut impl FnMut(u32) -> Node,
+    off: &mut u64,
+    out: &mut Vec<(u64, Entry)>,
+) {
+    for e in &node.entries {
+        if node.level == 0 {
+            out.push((*off, *e));
+            *off += e.count;
+        } else {
+            walk_leaves(&fetch(e.ptr), fetch, off, out);
+        }
     }
 }
 
@@ -706,7 +825,7 @@ mod tests {
         let leaves = tree.collect_leaves(&db);
         assert_eq!(leaves.len(), 20);
         assert_eq!(leaves[7], (70, e(10, 1007)));
-        assert!(tree.index_page_count(&db) > 1);
+        assert!(tree.index_page_numbers(&db).len() > 1);
     }
 
     #[test]
@@ -802,7 +921,11 @@ mod tests {
         assert_eq!(hdr.size, 0);
         assert_eq!(hdr.level, 0, "tree collapsed");
         assert!(tree.collect_leaves(&db).is_empty());
-        assert_eq!(tree.index_page_count(&db), 1, "only the root remains");
+        assert_eq!(
+            tree.index_page_numbers(&db),
+            [tree.root_page],
+            "only the root remains"
+        );
     }
 
     #[test]

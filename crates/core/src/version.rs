@@ -15,7 +15,7 @@
 //!   it was valid for, and every `free` of a committed page or extent is
 //!   **deferred** — the pages stay allocated (so nothing can reuse and
 //!   clobber them) until no pin needs them;
-//! * [`SnapshotReader`] walks an object's index *as of* the pinned
+//! * [`crate::SnapshotReader`] walks an object's index *as of* the pinned
 //!   version: the root comes from the overlay (or the live page when it
 //!   was never overwritten since), everything below the root is immutable
 //!   while pinned, so ordinary costed reads serve the rest.
@@ -37,14 +37,8 @@ use lobstore_buddy::Extent;
 use lobstore_simdisk::{cast, PAGE_SIZE};
 
 use crate::db::Db;
+#[cfg(feature = "paranoid")]
 use crate::error::{LobError, Result};
-use crate::node::{Node, RootHdr};
-use crate::object::StorageKind;
-use crate::segdata::{read_seg_bytes, read_seg_pages};
-
-/// Upper bound on one snapshot-reader refill (matches
-/// [`crate::ObjectReader`]'s read-ahead cap).
-const READ_AHEAD_MAX: usize = 4 << 20;
 
 /// One archived pre-image of a META page that was overwritten in place.
 struct ArchivedPage {
@@ -117,7 +111,7 @@ impl Snapshot {
 
 impl Db {
     /// Pin the current committed version and return a read handle for it.
-    /// Reads through the returned [`Snapshot`] (see [`SnapshotReader`])
+    /// Reads through the returned [`Snapshot`] (see [`crate::SnapshotReader`])
     /// observe exactly the bytes committed at this version, no matter how
     /// many updates or transactions commit afterwards.
     ///
@@ -306,19 +300,9 @@ impl Db {
             .versions
             .overlay
             .get(&page)
-            .and_then(|copies| copies.iter().position(|c| c.valid_through >= version));
+            .and_then(|copies| copies.iter().find(|c| c.valid_through >= version));
         match archived {
-            Some(i) => {
-                let copy = self
-                    .versions
-                    .overlay
-                    .get(&page)
-                    .and_then(|copies| copies.get(i));
-                match copy {
-                    Some(c) => f(&c.content[..]),
-                    None => unreachable!("index found above"),
-                }
-            }
+            Some(c) => f(&c.content[..]),
             None => self.with_meta_page(page, f),
         }
     }
@@ -384,435 +368,5 @@ impl Db {
     pub(crate) fn clear_version_state(&mut self) {
         self.versions = VersionState::new();
         self.publish_version_gauges();
-    }
-}
-
-/// A positional cursor reading one object *as of* a pinned snapshot.
-///
-/// The reader resolves the object's root through the version overlay
-/// once, at construction — everything reachable from that root is
-/// immutable while the snapshot stays pinned, so subsequent refills are
-/// ordinary costed reads (one index descent + one byte-range segment
-/// read per span, exactly like [`crate::ObjectReader`]).
-///
-/// Unlike [`crate::ObjectReader`] the cursor does not borrow the
-/// database: each call takes `&mut Db`, so readers on other threads of a
-/// [`crate::SharedDb`] can interleave with a writer's operations and
-/// still observe stable bytes.
-pub struct SnapshotReader {
-    version: u64,
-    /// Parsed root: level and entries as of the snapshot.
-    root: Node,
-    size: u64,
-    pos: u64,
-    buf: Vec<u8>,
-    buf_start: u64,
-    /// Per-reader memo of parsed index nodes for the shared-lock scan
-    /// path, which cannot reach [`Db`]'s node cache (that needs
-    /// `&mut Db`). Safe because the pinned version's index pages are
-    /// immutable while the snapshot is pinned. Bounded: cleared
-    /// wholesale at [`READER_NODE_CACHE`] entries.
-    node_memo: Vec<(u32, Node)>,
-    /// Shared-lock-path read-ahead: one page-aligned span per segment,
-    /// sorted by object offset, holding up to [`READ_AHEAD_MAX`] bytes
-    /// of the pinned object. Spans are evicted oldest-first only under
-    /// capacity pressure — an object that fits the window stays
-    /// resident, so re-scans never re-enter the lock. Kept separate
-    /// from `buf` so the `&mut` path stays byte-for-byte identical to
-    /// the pre-span behavior.
-    spans: std::collections::VecDeque<SpanBuf>,
-    /// Total object bytes held in `spans`.
-    span_bytes: usize,
-    /// Recycled span buffers (bounded by [`SPAN_FREE_MAX`]): steady-state
-    /// scans reuse allocations instead of hitting the allocator per
-    /// refill.
-    free: Vec<Vec<u8>>,
-}
-
-/// One read-ahead span of the shared-lock scan path: object bytes
-/// `[start, start + len)` live at `data[skip..skip + len]`. `data`
-/// holds the whole covering page run, so the disk read lands in it
-/// directly — the only copy those bytes ever make before `BufRead`
-/// hands them out.
-struct SpanBuf {
-    start: u64,
-    skip: usize,
-    len: usize,
-    data: Vec<u8>,
-}
-
-impl SpanBuf {
-    fn end(&self) -> u64 {
-        self.start.saturating_add(self.len as u64)
-    }
-
-    /// The unread tail of this span from `pos` on, if `pos` is inside.
-    fn slice_at(&self, pos: u64) -> Option<&[u8]> {
-        if pos < self.start || pos >= self.end() {
-            return None;
-        }
-        // `pos - start < len` by the check above; the constructor put
-        // `len` valid bytes at `skip`.
-        // loblint: allow(arith-overflow)
-        let lo = self.skip + cast::to_usize(pos - self.start);
-        self.data.get(lo..self.skip + self.len)
-    }
-}
-
-/// Cap on recycled span buffers a [`SnapshotReader`] keeps around.
-const SPAN_FREE_MAX: usize = 80;
-
-/// Copy up to `n` bytes from the head of `src` into `out`; returns the
-/// count.
-fn take_into(out: &mut [u8], src: &[u8], n: usize) -> usize {
-    let take = n.min(src.len()).min(out.len());
-    // `take` is clamped to both slice lengths.
-    // loblint: allow(panic-path)
-    out[..take].copy_from_slice(&src[..take]);
-    take
-}
-
-/// Cap on [`SnapshotReader::node_memo`] entries. A scan's working set is
-/// one node per tree level (2-3), so a small bound never thrashes; the
-/// wholesale clear keeps the lookup a linear scan over a short vec.
-const READER_NODE_CACHE: usize = 32;
-
-impl SnapshotReader {
-    /// Open a snapshot cursor over the object rooted at `root_page`.
-    /// Fails if the page does not hold a manager root at this version.
-    pub fn new(db: &mut Db, snap: &Snapshot, root_page: u32) -> Result<SnapshotReader> {
-        let v = snap.version();
-        let (hdr, root) = db.versioned_meta_page(root_page, v, |p| {
-            let hdr = RootHdr::read(p);
-            let node = Node::read_root(p, &hdr);
-            (hdr, node)
-        });
-        if StorageKind::from_u8(hdr.kind).is_none() {
-            return Err(LobError::Corrupt(format!(
-                "page {root_page} is not an object root at version {v} (kind {})",
-                hdr.kind
-            )));
-        }
-        Ok(SnapshotReader {
-            version: v,
-            root,
-            size: hdr.size,
-            pos: 0,
-            buf: Vec::new(),
-            buf_start: 0,
-            node_memo: Vec::new(),
-            spans: std::collections::VecDeque::new(),
-            span_bytes: 0,
-            free: Vec::new(),
-        })
-    }
-
-    /// Object size at the snapshot version.
-    pub fn size(&self) -> u64 {
-        self.size
-    }
-
-    /// Current read position.
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
-    /// Move the cursor (clamped to the snapshot's object size).
-    pub fn seek(&mut self, pos: u64) {
-        self.pos = pos.min(self.size);
-    }
-
-    /// Locate the leaf segment holding object byte `off`: returns
-    /// `(segment first page, segment start offset, segment byte count)`.
-    /// Index pages below the root are immutable while the snapshot is
-    /// pinned, so the walk uses the ordinary (cached, costed) node reads.
-    fn locate(&self, db: &mut Db, off: u64) -> (u32, u64, u64) {
-        self.locate_with(off, |p| db.with_meta_node(p, Clone::clone))
-    }
-
-    /// [`Self::locate`] through a shared reference: identical descent,
-    /// but [`Db`]'s node cache (which needs `&mut Db`) is replaced by the
-    /// reader's own [`Self::node_memo`]. A memo hit skips the page fix
-    /// entirely — sound because the pinned version's index pages cannot
-    /// change, and it keeps concurrent scanners off the buffer pool's
-    /// control latch on the hot descent path.
-    fn locate_ref(&mut self, db: &Db, off: u64) -> (u32, u64, u64) {
-        // Moved out so the descent closure can mutate the memo while
-        // `locate_with` borrows the rest of the reader.
-        let mut memo = std::mem::take(&mut self.node_memo);
-        let out = self.locate_with(off, |p| {
-            if let Some((_, node)) = memo.iter().find(|(pg, _)| *pg == p) {
-                lobstore_obs::counter_add("core.nodecache.reader_hits", 1);
-                return node.clone();
-            }
-            let node = db.read_meta_node_ref(p);
-            if memo.len() >= READER_NODE_CACHE {
-                memo.clear();
-            }
-            memo.push((p, node.clone()));
-            node
-        });
-        self.node_memo = memo;
-        out
-    }
-
-    /// The index descent itself, parameterized over how a child node is
-    /// fetched (cached via `&mut Db`, or cache-bypassing via `&Db`).
-    fn locate_with(&self, off: u64, mut fetch: impl FnMut(u32) -> Node) -> (u32, u64, u64) {
-        debug_assert!(off < self.size);
-        let mut level = self.root.level;
-        let mut base = 0u64;
-        let mut cursor: Option<Node> = None;
-        loop {
-            let node = cursor.as_ref().unwrap_or(&self.root);
-            // `off >= base` along the whole descent: `base` is the byte
-            // offset where the current subtree starts.
-            // loblint: allow(arith-overflow)
-            let (i, within) = node.find_child(off - base);
-            let e = match node.entries.get(i) {
-                Some(e) => *e,
-                None => unreachable!("find_child returned an in-range index"),
-            };
-            // `within <= off` by the same subtree-offset invariant.
-            // loblint: allow(arith-overflow)
-            base = off - within;
-            if level == 0 {
-                return (e.ptr, base, e.count);
-            }
-            level -= 1;
-            cursor = Some(fetch(e.ptr));
-        }
-    }
-
-    /// Refill the read-ahead buffer at the current position: one locate,
-    /// one byte-range segment read to the end of the span (capped).
-    fn refill(&mut self, db: &mut Db) {
-        self.assert_pinned(db);
-        let (ptr, seg_start, seg_len) = self.locate(db, self.pos);
-        self.refill_from(db, ptr, seg_start, seg_len);
-    }
-
-    /// [`Self::refill`] through `&Db`: the shared-lock scan path of
-    /// [`crate::SharedDb::snapshot_reader`]. Unlike the `&mut` path this
-    /// one reads **across segment boundaries**, batching consecutive
-    /// page-aligned spans until the read-ahead covers
-    /// [`READ_AHEAD_MAX`] bytes past the cursor (or the object ends).
-    /// Each span still costs one descent plus one page-run segment read
-    /// — the same simulated I/O in the same order — but a concurrent
-    /// scanner takes the shared `SharedDb` lock once per refill instead
-    /// of once per segment, and the disk read lands in the span buffer
-    /// directly (single copy; the `&mut` path stages through a scratch
-    /// `Vec` and copies out again).
-    fn refill_ref(&mut self, db: &Db) {
-        self.assert_pinned(db);
-        if self.span_slice_at_pos().is_none()
-            && self.spans.back().is_some_and(|s| s.end() != self.pos)
-        {
-            // A seek landed outside the retained window and doesn't
-            // adjoin its tail: drop it and start over at the cursor.
-            self.recycle_all_spans();
-        }
-        let mut at = self.spans.back().map_or(self.pos, SpanBuf::end);
-        while at < self.size && cast::to_usize(at.saturating_sub(self.pos)) < READ_AHEAD_MAX {
-            let (ptr, seg_start, seg_len) = self.locate_ref(db, at);
-            // `locate_ref` returns the segment containing `at`, so
-            // `seg_start <= at < seg_start + seg_len <= u64::MAX`.
-            // loblint: allow(arith-overflow)
-            let span_end = (seg_start + seg_len).min(self.size);
-            let want = cast::to_usize(span_end - at).min(READ_AHEAD_MAX);
-            self.evict_spans_for(want);
-            let recycled = self.free.pop().unwrap_or_default();
-            // loblint: allow(arith-overflow)
-            let (data, skip) = read_seg_pages(db, ptr, at - seg_start, want as u64, recycled);
-            self.spans.push_back(SpanBuf {
-                start: at,
-                skip,
-                len: want,
-                data,
-            });
-            // The eviction above kept `span_bytes + want` within the
-            // window, far below `usize::MAX`.
-            // loblint: allow(arith-overflow)
-            self.span_bytes += want;
-            at = at.saturating_add(want as u64);
-        }
-    }
-
-    /// Evict oldest spans until `want` more bytes fit in the
-    /// [`READ_AHEAD_MAX`] window. The span holding the cursor is never
-    /// evicted.
-    fn evict_spans_for(&mut self, want: usize) {
-        while self.span_bytes.saturating_add(want) > READ_AHEAD_MAX {
-            if self
-                .spans
-                .front()
-                .is_none_or(|s| s.slice_at(self.pos).is_some())
-            {
-                break;
-            }
-            if let Some(s) = self.spans.pop_front() {
-                self.span_bytes = self.span_bytes.saturating_sub(s.len);
-                if self.free.len() < SPAN_FREE_MAX {
-                    self.free.push(s.data);
-                }
-            }
-        }
-    }
-
-    /// Drop the whole retained window, recycling its buffers.
-    fn recycle_all_spans(&mut self) {
-        while let Some(s) = self.spans.pop_front() {
-            if self.free.len() < SPAN_FREE_MAX {
-                self.free.push(s.data);
-            }
-        }
-        self.span_bytes = 0;
-    }
-
-    /// The buffered bytes at the cursor from the span read-ahead, if any.
-    fn span_slice_at_pos(&self) -> Option<&[u8]> {
-        self.spans.iter().find_map(|s| s.slice_at(self.pos))
-    }
-
-    fn assert_pinned(&self, db: &Db) {
-        assert!(
-            db.is_pinned(self.version),
-            "snapshot at version {} was released while a reader was open",
-            self.version
-        );
-    }
-
-    fn refill_from(&mut self, db: &Db, ptr: u32, seg_start: u64, seg_len: u64) {
-        // Segment offsets and lengths are bounded by the object size
-        // (<= MAX_OP_BYTES per op), and locate() returns the segment
-        // containing `pos`, so `seg_start <= pos < seg_start + seg_len`.
-        // loblint: allow(arith-overflow)
-        let span_end = (seg_start + seg_len).min(self.size);
-        // loblint: allow(arith-overflow)
-        let want = cast::to_usize(span_end - self.pos).min(READ_AHEAD_MAX);
-        // loblint: allow(arith-overflow)
-        self.buf = read_seg_bytes(db, ptr, self.pos - seg_start, want as u64);
-        self.buf_start = self.pos;
-    }
-
-    /// Read up to `out.len()` bytes at the cursor; returns the count
-    /// (0 at end of object). Short reads happen at span boundaries,
-    /// like [`std::io::Read`].
-    pub fn read(&mut self, db: &mut Db, out: &mut [u8]) -> usize {
-        let n = self.clamp_len(out.len());
-        if n == 0 {
-            return 0;
-        }
-        if !self.buf_covers_pos() {
-            self.refill(db);
-        }
-        self.copy_out(out, n)
-    }
-
-    /// [`Self::read`] through `&Db` — the scan path concurrent snapshot
-    /// readers use while holding only the shared side of
-    /// [`crate::SharedDb`]'s lock. Short reads happen at span
-    /// boundaries, like [`std::io::Read`].
-    pub fn read_ref(&mut self, db: &Db, out: &mut [u8]) -> usize {
-        let n = self.clamp_len(out.len());
-        if n == 0 {
-            return 0;
-        }
-        if !self.buffer_covers_pos() {
-            self.refill_ref(db);
-        }
-        let take = match self.span_slice_at_pos() {
-            Some(slice) => take_into(out, slice, n),
-            // A leftover `&mut`-path buffer can also cover the cursor.
-            None => return self.copy_out(out, n),
-        };
-        self.consume(take);
-        take
-    }
-
-    /// Bytes buffered at the cursor, refilling through `&Db` if the
-    /// read-ahead does not cover the current position. Empty only at
-    /// end of object. Backs `BufRead::fill_buf` on
-    /// [`crate::SharedSnapshotReader`].
-    pub(crate) fn buffered_ref(&mut self, db: &Db) -> &[u8] {
-        if self.pos >= self.size {
-            return &[];
-        }
-        if !self.buffer_covers_pos() {
-            self.refill_ref(db);
-        }
-        self.buffered_ref_cached()
-    }
-
-    /// The slice [`Self::buffered_ref`] just produced, without touching
-    /// the database — callers use this to hand the buffer out after the
-    /// shared lock has been dropped.
-    pub(crate) fn buffered_ref_cached(&self) -> &[u8] {
-        if self.pos >= self.size {
-            return &[];
-        }
-        if let Some(slice) = self.span_slice_at_pos() {
-            return slice;
-        }
-        if !self.buf_covers_pos() {
-            return &[];
-        }
-        let lo = cast::to_usize(self.pos.saturating_sub(self.buf_start));
-        self.buf.get(lo..).unwrap_or(&[])
-    }
-
-    /// Advance the cursor past bytes returned by [`Self::buffered_ref`]
-    /// (`BufRead::consume`).
-    pub(crate) fn consume(&mut self, n: usize) {
-        self.pos = (self.pos.saturating_add(n as u64)).min(self.size);
-    }
-
-    /// Clamp a request to the bytes remaining in the object.
-    fn clamp_len(&self, want: usize) -> usize {
-        let remaining = self.size.saturating_sub(self.pos);
-        cast::to_usize((want as u64).min(remaining))
-    }
-
-    /// Whether any read-ahead (span or `&mut`-path buffer) already holds
-    /// the byte at the cursor — callers use this to skip taking any lock
-    /// at all before [`Self::buffered_ref_cached`] / [`Self::consume`].
-    pub(crate) fn buffer_covers_pos(&self) -> bool {
-        self.buf_covers_pos() || self.span_slice_at_pos().is_some()
-    }
-
-    /// Whether the `&mut`-path read-ahead buffer covers the cursor.
-    fn buf_covers_pos(&self) -> bool {
-        self.pos
-            .checked_sub(self.buf_start)
-            .is_some_and(|d| d < self.buf.len() as u64)
-    }
-
-    fn copy_out(&mut self, out: &mut [u8], n: usize) -> usize {
-        // The buffered-range check (or the refill) guarantees
-        // `buf_start <= pos < buf_start + buf.len()`.
-        // loblint: allow(arith-overflow)
-        let lo = cast::to_usize(self.pos - self.buf_start);
-        let take = n.min(self.buf.len().saturating_sub(lo));
-        // `lo < buf.len()` after the refill above and `take` is clamped.
-        // loblint: allow(panic-path)
-        out[..take].copy_from_slice(&self.buf[lo..lo + take]);
-        // `pos + take <= size <= u64::MAX` (take was clamped to
-        // `size - pos` above).
-        // loblint: allow(arith-overflow)
-        self.pos += take as u64;
-        take
-    }
-
-    /// Read from the cursor to the end of the object.
-    pub fn read_to_end(&mut self, db: &mut Db) -> Vec<u8> {
-        let mut out = Vec::with_capacity(cast::to_usize(self.size.saturating_sub(self.pos)));
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            let n = self.read(db, &mut chunk);
-            if n == 0 {
-                return out;
-            }
-            out.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
-        }
     }
 }

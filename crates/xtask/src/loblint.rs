@@ -1118,7 +1118,7 @@ pub(crate) const IO_ENTRIES: [(&str, &str, Option<&str>); 5] = [
     ("crates/bufpool/src/segio.rs", "read_segment", None),
     (
         "crates/core/src/segdata.rs",
-        "read_seg_bytes",
+        "read_seg_pages",
         Some("core.seg.reads"),
     ),
     (
@@ -2393,7 +2393,7 @@ TOTAL           3          2      1
             ),
             (
                 "crates/core/src/segdata.rs",
-                "fn read_seg_bytes(db: &mut Db) { counter_add(\"core.seg.reads\", 1); db.pool.read_pages(); }\n\
+                "fn read_seg_pages(db: &mut Db) { counter_add(\"core.seg.reads\", 1); db.pool.read_pages(); }\n\
                  fn write_new_seg(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n\
                  fn append_in_place(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n\
                  fn patch_in_place(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n",
@@ -2522,18 +2522,18 @@ TOTAL           3          2      1
 
     #[test]
     fn deleting_a_wrapper_call_uncovers_the_entry_path() {
-        // read_seg_bytes no longer calls any wrapper: flagged.
+        // read_seg_pages no longer calls any wrapper: flagged.
         let mut files = io_fixture();
         files[2] = (
             "crates/core/src/segdata.rs",
-            "fn read_seg_bytes(db: &mut Db) { counter_add(\"core.seg.reads\", 1); }\n\
+            "fn read_seg_pages(db: &mut Db) { counter_add(\"core.seg.reads\", 1); }\n\
              fn write_new_seg(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n\
              fn append_in_place(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n\
              fn patch_in_place(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n",
         );
         let found = io_findings(&files);
         assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("read_seg_bytes"));
+        assert!(found[0].message.contains("read_seg_pages"));
         assert!(found[0].message.contains("never reaches"));
     }
 
@@ -2583,7 +2583,7 @@ TOTAL           3          2      1
         let mut files = io_fixture();
         files[2] = (
             "crates/core/src/segdata.rs",
-            "fn read_seg_bytes(db: &mut Db) { db.pool.read_pages(); }\n\
+            "fn read_seg_pages(db: &mut Db) { db.pool.read_pages(); }\n\
              fn write_new_seg(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n\
              fn append_in_place(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n\
              fn patch_in_place(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n",

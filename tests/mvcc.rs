@@ -44,7 +44,7 @@ fn snapshot_readers_are_byte_stable_under_writer_churn() {
         let mut first = vec![0u8; 50_000];
         let mut got = 0;
         while got < first.len() {
-            let n = reader.read(&mut db, &mut first[got..]);
+            let n = reader.read(&db, &mut first[got..]);
             assert!(n > 0, "premature EOF at {got}");
             got += n;
         }
@@ -57,11 +57,11 @@ fn snapshot_readers_are_byte_stable_under_writer_churn() {
         assert_ne!(obj.snapshot(&db), before, "live state moved on");
 
         // The in-flight reader keeps producing the snapshot's bytes...
-        let rest = reader.read_to_end(&mut db);
+        let rest = reader.read_to_end(&db);
         assert_eq!(rest, before[50_000..], "{spec:?}: tail diverged");
         // ...and a reader opened late on the same snapshot agrees.
         let mut late = SnapshotReader::new(&mut db, &snap, obj.root_page()).unwrap();
-        assert_eq!(late.read_to_end(&mut db), before, "{spec:?}: late reader");
+        assert_eq!(late.read_to_end(&db), before, "{spec:?}: late reader");
 
         // Releasing the pin lets deferred frees drain on the next commit.
         db.release_snapshot(snap);
@@ -93,7 +93,7 @@ fn snapshot_reader_random_access_matches_snapshot_bytes() {
         let mut out = vec![0u8; len];
         let mut got = 0;
         while got < len {
-            let n = reader.read(&mut db, &mut out[got..]);
+            let n = reader.read(&db, &mut out[got..]);
             assert!(n > 0);
             got += n;
         }

@@ -230,3 +230,287 @@ proptest! {
         streamed_accounting_matches_bulk(ManagerSpec::starburst(), total, start, chunk);
     }
 }
+
+// ---- the pinned cursor ----------------------------------------------------
+//
+// `SnapshotReader` has one buffering scheme (the span window) behind
+// `read` and `fill_buf`/`consume`, and `SharedSnapshotReader` is a lock
+// adapter over it. Three more properties, over the same generators:
+//
+// 3. **Pinned bytes**: after the object is pinned and then churned, random
+//    seek/read scripts through `SnapshotReader::read` and through
+//    `SharedSnapshotReader` return the content at pin time.
+// 4. **Pinned accounting**: driving the cursor by `read` and by
+//    `fill_buf`/`consume` charges identical `IoStats` on twin databases.
+// 5. **Pinned scan trace**: a whole scan's LEAF-area reads are exactly
+//    the model computed from `segments()` at pin time — one call per
+//    ≤ 4 MB piece of each segment, covering pages only. (The in-repo twin
+//    of lobbench's `versioned/sim_ms_per_op`.)
+
+use std::io::BufRead;
+
+use lobstore::simdisk::TraceKind;
+use lobstore::{
+    AreaId, IoStats, LargeObject, SegmentInfo, SharedDb, SharedSnapshotReader, Snapshot,
+    SnapshotReader, PAGE_SIZE,
+};
+
+/// The pinned cursor's read-ahead window (`READ_AHEAD_MAX` in `stream.rs`).
+const WINDOW: u64 = 4 << 20;
+
+/// Apply `edits` by turn (append / insert / replace / delete), payloads
+/// seeded from `seed`.
+fn apply_edits(db: &mut Db, obj: &mut dyn LargeObject, edits: &[(f64, usize)], seed: usize) {
+    for (i, &(at, len)) in edits.iter().enumerate() {
+        let size = obj.size(db) as usize;
+        let bytes = fill(len, seed + i);
+        let off = ((at * size as f64) as usize).min(size.saturating_sub(1));
+        match i % 4 {
+            1 => obj.insert(db, off as u64, &bytes).unwrap(),
+            2 if size > 0 => {
+                let len = len.min(size - off);
+                obj.replace(db, off as u64, &bytes[..len]).unwrap();
+            }
+            3 if size > 1 => {
+                let len = len.min(size - off - 1);
+                obj.delete(db, off as u64, len as u64).unwrap();
+            }
+            _ => obj.append(db, &bytes).unwrap(),
+        }
+    }
+}
+
+/// A store whose object was built from `edits`, pinned twice (a bare
+/// [`Snapshot`] and a [`SharedSnapshotReader`]), then churned by the same
+/// edits again — so the pinned version's pages are superseded, deferred
+/// and, without the pins, would be reused.
+struct PinnedStore {
+    shared: SharedDb,
+    root: u32,
+    snap: Snapshot,
+    cursor: SharedSnapshotReader,
+    /// Object content and segment list at pin time.
+    content: Vec<u8>,
+    segs: Vec<SegmentInfo>,
+}
+
+fn pinned_store(spec: ManagerSpec, edits: &[(f64, usize)]) -> PinnedStore {
+    let mut db = Db::paper_default();
+    let mut obj = spec.create(&mut db).unwrap();
+    apply_edits(&mut db, obj.as_mut(), edits, 0);
+    let content = obj.snapshot(&db);
+    let segs = obj.segments(&db);
+    let root = obj.root_page();
+    let shared = SharedDb::new(db);
+    let snap = shared.with(|db| db.snapshot());
+    let cursor = shared.snapshot_reader(root).unwrap();
+    shared.with(|db| apply_edits(db, obj.as_mut(), edits, 100));
+    PinnedStore {
+        shared,
+        root,
+        snap,
+        cursor,
+        content,
+        segs,
+    }
+}
+
+impl PinnedStore {
+    fn reader(&self) -> SnapshotReader {
+        self.shared
+            .with(|db| SnapshotReader::new(db, &self.snap, self.root))
+            .unwrap()
+    }
+
+    fn io_stats(&self) -> IoStats {
+        self.shared.with(|db| db.io_stats())
+    }
+
+    /// The `(offset, length)` ranges a script visits, clipped to the
+    /// pinned content; a whole scan comes first.
+    fn ranges(&self, script: &[(f64, usize)]) -> Vec<(usize, usize)> {
+        let size = self.content.len();
+        let clip = |&(at, len): &(f64, usize)| {
+            let off = ((at * size as f64) as usize).min(size);
+            (off, len.min(size - off))
+        };
+        std::iter::once((0, size))
+            .chain(script.iter().map(clip))
+            .collect()
+    }
+
+    fn finish(self) {
+        self.cursor.close();
+        self.shared.with(|db| db.release_snapshot(self.snap));
+    }
+}
+
+/// Pull `len` bytes out of a cursor: `step(want)` returns the next at
+/// most `want` bytes.
+fn pull(len: usize, mut step: impl FnMut(usize) -> Vec<u8>) -> Vec<u8> {
+    let mut got = Vec::with_capacity(len);
+    while got.len() < len {
+        let piece = step(len - got.len());
+        assert!(!piece.is_empty(), "premature EOF after {} bytes", got.len());
+        got.extend_from_slice(&piece);
+    }
+    got
+}
+
+fn pinned_cursor_properties(
+    spec: ManagerSpec,
+    edits: &[(f64, usize)],
+    script: &[(f64, usize)],
+    chunk: usize,
+) {
+    // Twins: identical history, so identical pool and disk state.
+    let mut by_read = pinned_store(spec, edits);
+    let by_fill = pinned_store(spec, edits);
+    let content = by_read.content.clone();
+    assert!(content == by_fill.content, "twin stores diverge");
+    let ranges = by_read.ranges(script);
+
+    // Properties 3 and 4 on the bare cursor: same bytes, same charge,
+    // whichever surface drives it. The `read` side goes through the
+    // exclusive tier, where `&mut Db` coerces to the `&Db` it takes.
+    let (before_read, before_fill) = (by_read.io_stats(), by_fill.io_stats());
+    let (mut r, mut f) = (by_read.reader(), by_fill.reader());
+    for &(off, len) in &ranges {
+        r.seek(off as u64);
+        let got = pull(len, |want| {
+            let mut buf = vec![0u8; want.min(chunk)];
+            let n = by_read.shared.with(|db| r.read(db, &mut buf));
+            buf.truncate(n);
+            buf
+        });
+        assert!(
+            got == content[off..off + len],
+            "read({off}, {len}) diverges"
+        );
+
+        f.seek(off as u64);
+        let got = pull(len, |want| {
+            let avail = by_fill.shared.with_read(|db| f.fill_buf(db).len());
+            let n = avail.min(want).min(chunk);
+            let piece = f.buffered()[..n].to_vec();
+            f.consume(n);
+            piece
+        });
+        assert!(
+            got == content[off..off + len],
+            "fill_buf({off}, {len}) diverges"
+        );
+    }
+    assert_eq!(
+        by_read.io_stats() - before_read,
+        by_fill.io_stats() - before_fill,
+        "read and fill_buf/consume must charge the same simulated I/O"
+    );
+    let mut at_end = [0u8; 1];
+    r.seek(content.len() as u64 + 7);
+    assert_eq!(by_read.shared.with(|db| r.read(db, &mut at_end)), 0);
+
+    // Property 3 on the lock adapter, pinned before the churn.
+    for &(off, len) in &ranges {
+        let c = &mut by_read.cursor;
+        c.seek(SeekFrom::Start(off as u64)).unwrap();
+        let got = pull(len, |want| {
+            let piece = c.fill_buf().unwrap();
+            let piece = piece[..piece.len().min(want).min(chunk)].to_vec();
+            c.consume(piece.len());
+            piece
+        });
+        assert!(
+            got == content[off..off + len],
+            "shared({off}, {len}) diverges"
+        );
+    }
+
+    // Property 5: a cold cursor's whole scan, call by call.
+    let mut model = Vec::new();
+    for s in &by_read.segs {
+        let mut lo = 0u64;
+        while lo < s.bytes {
+            let hi = (lo + WINDOW).min(s.bytes);
+            let (first, last) = (lo / PAGE_SIZE as u64, (hi - 1) / PAGE_SIZE as u64);
+            model.push((s.start_page + first as u32, (last - first + 1) as u32));
+            lo = hi;
+        }
+    }
+    by_read
+        .shared
+        .with(|db| db.pool().disk_mut().enable_trace(model.len() + 64));
+    let mut cold = by_read.reader();
+    let scanned = by_read.shared.with_read(|db| cold.read_to_end(db));
+    assert!(scanned == content, "cold scan diverges");
+    let (trace, dropped) = by_read.shared.with(|db| {
+        let disk = db.pool().disk_mut();
+        (disk.take_trace(), disk.trace_dropped())
+    });
+    assert_eq!(dropped, 0, "trace buffer too small");
+    let leaf_reads: Vec<(u32, u32)> = trace
+        .iter()
+        .filter(|e| e.area == AreaId::LEAF && e.kind == TraceKind::Read)
+        .map(|e| (e.start, e.pages))
+        .collect();
+    assert_eq!(
+        leaf_reads, model,
+        "LEAF reads of a pinned scan must be one call per <= 4 MB piece of \
+         each segment, covering pages only"
+    );
+
+    by_read.finish();
+    by_fill.finish();
+}
+
+/// A segment larger than the window is read in window-sized pieces.
+#[test]
+fn pinned_scan_splits_a_segment_larger_than_the_window() {
+    pinned_cursor_properties(
+        ManagerSpec::starburst(),
+        &[(0.0, 9 << 20)],
+        &[(0.6, 70_000)],
+        1 << 20,
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 12,
+        max_shrink_iters: 100,
+        ..ProptestConfig::default()
+    })]
+
+    #[test]
+    fn esm_pinned_cursor_is_stable_and_costed_once(
+        (edits, script, chunk) in (
+            prop::collection::vec((0.0f64..=1.0, 1usize..40_000), 1..12),
+            prop::collection::vec((0.0f64..=1.0, 1usize..30_000), 1..8),
+            1usize..9_000,
+        )
+    ) {
+        pinned_cursor_properties(ManagerSpec::esm(4), &edits, &script, chunk);
+    }
+
+    #[test]
+    fn eos_pinned_cursor_is_stable_and_costed_once(
+        (edits, script, chunk) in (
+            prop::collection::vec((0.0f64..=1.0, 1usize..40_000), 1..12),
+            prop::collection::vec((0.0f64..=1.0, 1usize..30_000), 1..8),
+            1usize..9_000,
+        )
+    ) {
+        pinned_cursor_properties(ManagerSpec::eos(16), &edits, &script, chunk);
+    }
+
+    #[test]
+    fn starburst_pinned_cursor_is_stable_and_costed_once(
+        (edits, script, chunk) in (
+            prop::collection::vec((0.0f64..=1.0, 1usize..40_000), 1..10),
+            prop::collection::vec((0.0f64..=1.0, 1usize..30_000), 1..8),
+            1usize..9_000,
+        )
+    ) {
+        pinned_cursor_properties(ManagerSpec::starburst(), &edits, &script, chunk);
+    }
+}

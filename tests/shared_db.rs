@@ -318,7 +318,7 @@ fn snapshot_scans_race_writers_with_closed_accounting_and_clean_fsck() {
                     let guard = aux.lock().unwrap();
                     let (n, delta) = shared.with_read(|db| {
                         let before = db.io_stats();
-                        let n = reader.read_ref(db, &mut buf);
+                        let n = reader.read(db, &mut buf);
                         (n, db.io_stats() - before)
                     });
                     drop(guard);
