@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI driver: the exact gate sequence .github/workflows/ci.yml runs.
+# CI driver: the one list of gates. .github/workflows/ci.yml runs this
+# script and nothing else, then uploads target/loblint.sarif.
 # Usage: ./ci.sh   (from the workspace root; offline, no network needed)
 set -euo pipefail
 cd "$(dirname "$0")"

@@ -1,12 +1,31 @@
-//! Frame control blocks: the replacement metadata of one pool frame.
-//!
-//! The page *bytes* no longer live here — they sit in the sharded page
-//! store ([`crate::pool::BufferPool`]'s latched shards) so readers of
-//! different pages never serialize on one big pool borrow. What remains
-//! is the control information the replacement policy needs, all of it
-//! guarded by the single pool control-block mutex.
+//! One pool frame: its page bytes behind the frame's own latch
+//! ([`Frame`]) and its replacement metadata ([`FrameMeta`]), which the
+//! pool keeps in the control block under `BufferPool.ctl`.
 
-use lobstore_simdisk::PageId;
+use std::sync::RwLock;
+
+use lobstore_simdisk::{PageId, PAGE_SIZE};
+
+/// One page worth of heap bytes.
+pub(crate) type PageBox = Box<[u8; PAGE_SIZE]>;
+
+/// The bytes of one frame. The box is allocated once and overwritten in
+/// place when the frame changes pages; *which* page the bytes belong to
+/// is [`FrameMeta::pid`], decided under the control block.
+pub(crate) struct Frame {
+    /// The frame latch: shared for readers, exclusive for writers and
+    /// for the refill after an eviction.
+    pub bytes: RwLock<PageBox>,
+}
+
+impl Frame {
+    /// A frame of zero bytes.
+    pub fn zeroed() -> Self {
+        Frame {
+            bytes: RwLock::new(Box::new([0u8; PAGE_SIZE])),
+        }
+    }
+}
 
 /// Control information of one buffer frame.
 pub(crate) struct FrameMeta {

@@ -8,35 +8,28 @@
 //!   residency map, LRU clock and hit/miss counters. Every replacement
 //!   decision runs under this one mutex, which keeps the victim choice —
 //!   and therefore the simulated I/O stream and golden traces — exactly
-//!   as deterministic as the old `&mut self` pool.
-//! * **Page bytes** (`shards: [Shard; 16]`): the actual 4 KiB boxes live
-//!   in per-shard tables behind `RwLock` latches, keyed by `PageId`.
-//!   Readers of different pages (or shared readers of the same page)
-//!   copy bytes in parallel without touching the control mutex.
+//!   as deterministic as a `&mut self` pool.
+//! * **Page bytes** (`frames: Vec<Frame>`, one per configured frame):
+//!   each frame owns its 4 KiB box behind its own `RwLock` latch. The
+//!   box never moves; eviction writes the old page back and reads the
+//!   new one into it in place.
 //!
-//! Lock hierarchy (must be acquired top-to-bottom, released bottom-up):
-//! page pin (`guard*`) → `BufferPool.ctl` → `Shard.pages` → the disk's
-//! own area locks. `PageGuard`/`PageGuardMut` hold the shard latch for
-//! their lifetime and release it *before* re-taking `ctl` to drop the
-//! pin.
+//! A pinned frame is never a victim, so a [`FrameRef`] reaches its bytes
+//! with the frame latch alone — no control mutex, no lookup. Code that
+//! holds `ctl` instead of a pin reaches bytes by the frame index the
+//! control block just gave it.
 //!
-//! A pinned page is never evicted and never leaves its shard, so holding
-//! a pin is enough to reach the bytes with only the shard latch.
+//! Lock order (DESIGN.md §13): `BufferPool.ctl` → `Frame.bytes` → the
+//! disk's own locks. [`PageGuard`]/[`PageGuardMut`] hold the frame latch
+//! for their lifetime and release it *before* re-taking `ctl` to drop
+//! the pin.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
-use lobstore_simdisk::{cast, IoStats, PageId, SimDisk, PAGE_SIZE};
+use lobstore_simdisk::{IoStats, PageId, SimDisk, PAGE_SIZE};
 
-use crate::frame::FrameMeta;
-
-/// Number of page-byte shards. A power of two so `shard_of` stays a
-/// multiply-and-mask; 16 is plenty for the core counts this simulation
-/// targets while keeping the memory overhead of the latches trivial.
-const SHARDS: usize = 16;
-
-/// One page worth of heap bytes.
-type PageBox = Box<[u8; PAGE_SIZE]>;
+use crate::frame::{Frame, FrameMeta, PageBox};
 
 /// Pool sizing parameters. The study fixes these to 12 frames with a
 /// 4-page segment-buffering limit (§4.1, Table 1).
@@ -75,71 +68,8 @@ pub struct PoolStats {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct FrameRef(pub(crate) usize);
 
-/// Which shard holds the bytes of `pid`. Deterministic, so the mapping
-/// can be reasoned about in tests and the DESIGN shard diagram.
-fn shard_of(pid: PageId) -> usize {
-    cast::u32_to_usize(pid.page)
-        .wrapping_mul(0x9e37_79b9)
-        .wrapping_add(usize::from(pid.area.0))
-        % SHARDS
-}
-
-/// One latched slice of the page-byte store.
-struct Shard {
-    /// Page bytes of every resident page hashed to this shard.
-    pages: RwLock<PageTable>,
-}
-
-/// The byte table of one shard: resident page → its heap box.
-#[derive(Default)]
-struct PageTable {
-    pages: HashMap<PageId, PageBox>,
-}
-
-impl PageTable {
-    fn page(&self, pid: PageId) -> &[u8; PAGE_SIZE] {
-        self.pages
-            .get(&pid)
-            // Invariant, not an error path: the caller holds a pin.
-            // loblint: allow(unwrap)
-            .expect("pinned page must be resident in its shard")
-    }
-
-    fn page_mut(&mut self, pid: PageId) -> &mut [u8; PAGE_SIZE] {
-        self.pages
-            .get_mut(&pid)
-            // loblint: allow(unwrap)
-            .expect("pinned page must be resident in its shard")
-    }
-
-    fn insert(&mut self, pid: PageId, data: PageBox) {
-        let prev = self.pages.insert(pid, data);
-        debug_assert!(prev.is_none(), "page installed twice");
-    }
-
-    fn take(&mut self, pid: PageId) -> PageBox {
-        self.pages
-            .remove(&pid)
-            // loblint: allow(unwrap)
-            .expect("detached page must be resident in its shard")
-    }
-
-    fn zero(&mut self, pid: PageId) {
-        self.page_mut(pid).fill(0);
-    }
-
-    fn fill_from(&mut self, pid: PageId, content: &[u8]) {
-        self.page_mut(pid).copy_from_slice(content);
-    }
-
-    fn copy_to(&self, pid: PageId, out: &mut [u8]) {
-        let n = out.len();
-        out.copy_from_slice(&self.page(pid)[..n]);
-    }
-}
-
-/// Replacement metadata: everything the old single-borrow pool kept in
-/// `&mut self`, now behind `BufferPool.ctl`. All methods are lock-free
+/// Replacement metadata: everything a single-borrow pool would keep in
+/// `&mut self`, behind `BufferPool.ctl`. All methods are lock-free
 /// helpers — the caller holds the control mutex.
 pub(crate) struct PoolInner {
     frames: Vec<FrameMeta>,
@@ -147,9 +77,6 @@ pub(crate) struct PoolInner {
     map: HashMap<PageId, usize>,
     clock: u64,
     stats: PoolStats,
-    /// Heap boxes of the free frames; eviction returns a box here, a miss
-    /// takes one out. `spare.len()` equals the number of free frames.
-    spare: Vec<PageBox>,
 }
 
 impl PoolInner {
@@ -162,13 +89,9 @@ impl PoolInner {
         self.map.get(&pid).copied()
     }
 
+    /// The frame holding `pid`, if it is resident and dirty.
     pub(crate) fn resident_dirty(&self, pid: PageId) -> Option<usize> {
-        let idx = self.resident(pid)?;
-        if self.frames[idx].dirty {
-            Some(idx)
-        } else {
-            None
-        }
+        self.resident(pid).filter(|&idx| self.frames[idx].dirty)
     }
 
     /// Count a hit, re-pin the frame, refresh LRU. Returns the stats
@@ -187,9 +110,8 @@ impl PoolInner {
         self.stats
     }
 
-    /// Re-pin an already-resident frame, forcing its dirty bit — used by
-    /// the resident fast paths of `fix_new` (dirty) and `install_clean`
-    /// (clean).
+    /// Re-pin an already-resident frame, forcing its dirty bit — the
+    /// resident side of [`BufferPool::claim`].
     fn repin(&mut self, idx: usize, dirty: bool) {
         let t = self.tick();
         let f = &mut self.frames[idx];
@@ -232,26 +154,7 @@ impl PoolInner {
         Some((pid, dirty))
     }
 
-    fn take_spare(&mut self) -> PageBox {
-        self.spare
-            .pop()
-            // loblint: allow(unwrap)
-            .expect("eviction must leave a spare page box")
-    }
-
-    fn take_spare_zeroed(&mut self) -> PageBox {
-        let mut b = self.take_spare();
-        b.fill(0);
-        b
-    }
-
-    fn take_spare_filled(&mut self, content: &[u8]) -> PageBox {
-        let mut b = self.take_spare();
-        b.copy_from_slice(content);
-        b
-    }
-
-    fn install(&mut self, idx: usize, pid: PageId, dirty: bool) -> FrameRef {
+    fn install(&mut self, idx: usize, pid: PageId, dirty: bool) {
         let t = self.tick();
         let f = &mut self.frames[idx];
         f.pid = Some(pid);
@@ -259,7 +162,6 @@ impl PoolInner {
         f.pins = 1;
         f.last_used = t;
         self.map.insert(pid, idx);
-        FrameRef(idx)
     }
 
     fn unpin(&mut self, idx: usize, dirtied: bool) {
@@ -271,100 +173,65 @@ impl PoolInner {
         f.pins -= 1;
     }
 
-    fn pinned_pid(&self, idx: usize) -> PageId {
-        let f = &self.frames[idx];
-        debug_assert!(f.pins > 0, "access to unfixed frame");
-        // loblint: allow(unwrap)
-        f.pid.expect("fixed frame holds a page")
-    }
-
-    /// Like [`Self::pinned_pid`] but also marks the frame dirty — the
-    /// write-access twin, preserving the old `page_mut` semantics of
-    /// dirtying at access time.
-    fn dirty_pinned_pid(&mut self, idx: usize) -> PageId {
+    /// Mark a fixed frame dirty — at access time, not at unfix.
+    fn dirty_pinned(&mut self, idx: usize) {
         let f = &mut self.frames[idx];
         debug_assert!(f.pins > 0, "access to unfixed frame");
         f.dirty = true;
-        // loblint: allow(unwrap)
-        f.pid.expect("fixed frame holds a page")
     }
 
-    fn set_clean(&mut self, idx: usize) {
+    pub(crate) fn set_clean(&mut self, idx: usize) {
         self.frames[idx].dirty = false;
     }
 
-    fn set_clean_pid(&mut self, pid: PageId) {
-        if let Some(idx) = self.resident(pid) {
-            self.set_clean(idx);
-        }
-    }
-
-    fn remove_unpinned(&mut self, pid: PageId) -> Option<usize> {
-        let idx = self.map.remove(&pid)?;
+    /// Free the frame holding `pid`, if any; its bytes are simply left
+    /// behind for the next install to overwrite.
+    fn remove_unpinned(&mut self, pid: PageId) {
+        let Some(idx) = self.map.remove(&pid) else {
+            return;
+        };
         let f = &mut self.frames[idx];
         assert_eq!(f.pins, 0, "discard of a fixed page {pid}");
         f.pid = None;
         f.dirty = false;
-        Some(idx)
     }
 
-    /// Detach every frame without write-back; panics on a surviving pin.
-    fn crash_detach_all(&mut self) -> Vec<PageId> {
-        let mut pids = Vec::new();
+    /// Free every frame without write-back; panics on a surviving pin.
+    fn crash_detach_all(&mut self) {
         for f in &mut self.frames {
             assert_eq!(f.pins, 0, "crash with a fixed frame");
-            if let Some(pid) = f.pid.take() {
-                pids.push(pid);
-            }
-            f.dirty = false;
-            f.last_used = 0;
+            *f = FrameMeta::empty();
         }
         self.map.clear();
-        pids
     }
 
     fn available(&self) -> usize {
         self.frames.iter().filter(|f| f.pins == 0).count()
     }
 
-    /// Page ids of every dirty frame, in frame-index order (the order the
-    /// old pool flushed them, which golden traces depend on).
-    fn dirty_pids(&self) -> Vec<PageId> {
+    /// Every dirty frame and the page it holds, in frame-index order (the
+    /// order the pool has always flushed them, which golden traces depend
+    /// on).
+    fn dirty_frames(&self) -> Vec<(usize, PageId)> {
         self.frames
             .iter()
-            .filter(|f| f.dirty)
-            .filter_map(|f| f.pid)
+            .enumerate()
+            .filter(|(_, f)| f.dirty)
+            .filter_map(|(idx, f)| Some((idx, f.pid?)))
             .collect()
     }
 
-    /// First maximal run of resident-dirty pages in `[from, end)`, as
-    /// `(start, len)`.
+    /// First maximal run of resident-dirty pages in `[from, end)`: its
+    /// start page and the frames holding it, in page order.
     pub(crate) fn next_dirty_run(
         &self,
         area: lobstore_simdisk::AreaId,
         from: u32,
         end: u32,
-    ) -> Option<(u32, u32)> {
-        let mut p = from;
-        while p < end {
-            if self.resident_dirty(PageId::new(area, p)).is_some() {
-                let start = p;
-                let mut len = 0u32;
-                while p < end && self.resident_dirty(PageId::new(area, p)).is_some() {
-                    len += 1;
-                    p += 1;
-                }
-                return Some((start, len));
-            }
-            p += 1;
-        }
-        None
-    }
-
-    pub(crate) fn mark_run_clean(&mut self, area: lobstore_simdisk::AreaId, start: u32, len: u32) {
-        for p in start..start.saturating_add(len) {
-            self.set_clean_pid(PageId::new(area, p));
-        }
+    ) -> Option<(u32, Vec<usize>)> {
+        let dirty_at = |p: u32| self.resident_dirty(PageId::new(area, p));
+        let start = (from..end).find(|&p| dirty_at(p).is_some())?;
+        Some((start, (start..end).map_while(dirty_at).collect()))
     }
 }
 
@@ -376,8 +243,9 @@ pub struct BufferPool {
     pub(crate) cfg: PoolConfig,
     /// Control block: frame table, residency map, LRU state, counters.
     pub(crate) ctl: Mutex<PoolInner>,
-    /// Latched page-byte store, indexed by `shard_of(pid)`.
-    shards: Vec<Shard>,
+    /// The latched page bytes, one per frame, indexed like the control
+    /// block's frame table.
+    frames: Vec<Frame>,
 }
 
 impl BufferPool {
@@ -395,15 +263,8 @@ impl BufferPool {
                 map: HashMap::with_capacity(cfg.frames),
                 clock: 0,
                 stats: PoolStats::default(),
-                spare: (0..cfg.frames)
-                    .map(|_| -> PageBox { Box::new([0u8; PAGE_SIZE]) })
-                    .collect(),
             }),
-            shards: (0..SHARDS)
-                .map(|_| Shard {
-                    pages: RwLock::new(PageTable::default()),
-                })
-                .collect(),
+            frames: (0..cfg.frames).map(|_| Frame::zeroed()).collect(),
         }
     }
 
@@ -452,46 +313,24 @@ impl BufferPool {
         g.resident(pid).is_some()
     }
 
-    fn shard(&self, pid: PageId) -> &Shard {
-        &self.shards[shard_of(pid)]
+    /// The bytes of frame `idx`. Callers hold either a pin on the frame
+    /// or the control mutex, so the frame cannot change pages under them.
+    fn frame(&self, idx: usize) -> &Frame {
+        &self.frames[idx]
     }
 
-    /// Move `data` into `pid`'s shard slot.
-    fn put_page(&self, pid: PageId, data: PageBox) {
-        let slot = self.shard(pid);
-        let mut t = slot.pages.write().unwrap_or_else(PoisonError::into_inner);
-        t.insert(pid, data);
-    }
-
-    /// Remove `pid`'s bytes from its shard, returning the box.
-    fn take_page(&self, pid: PageId) -> PageBox {
-        let slot = self.shard(pid);
-        let mut t = slot.pages.write().unwrap_or_else(PoisonError::into_inner);
-        t.take(pid)
-    }
-
-    fn zero_page(&self, pid: PageId) {
-        let slot = self.shard(pid);
-        let mut t = slot.pages.write().unwrap_or_else(PoisonError::into_inner);
-        t.zero(pid);
-    }
-
-    fn fill_page(&self, pid: PageId, content: &[u8]) {
-        let slot = self.shard(pid);
-        let mut t = slot.pages.write().unwrap_or_else(PoisonError::into_inner);
-        t.fill_from(pid, content);
-    }
-
-    /// Copy a resident page's bytes out under the shard read latch. The
-    /// caller must guarantee residency (a pin, or the control mutex).
-    pub(crate) fn copy_page_into(&self, pid: PageId, out: &mut [u8]) {
-        let slot = self.shard(pid);
-        let t = slot.pages.read().unwrap_or_else(PoisonError::into_inner);
-        t.copy_to(pid, out);
+    /// Copy one whole page out of frame `idx` under its read latch.
+    pub(crate) fn copy_frame_into(&self, idx: usize, out: &mut [u8]) {
+        let bytes = self
+            .frame(idx)
+            .bytes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        out.copy_from_slice(bytes.as_slice());
     }
 
     /// Choose and clear a victim frame; the caller holds the control
-    /// mutex. Leaves one spare page box for the caller to fill.
+    /// mutex and overwrites the frame's bytes next.
     fn victim(&self, inner: &mut PoolInner) -> usize {
         let idx = inner.pick_victim();
         self.evict(inner, idx);
@@ -500,17 +339,34 @@ impl BufferPool {
 
     /// Write back (if dirty) and forget the page in frame `idx`.
     fn evict(&self, inner: &mut PoolInner, idx: usize) {
-        let Some((pid, dirty)) = inner.detach(idx) else {
+        let Some((pid, true)) = inner.detach(idx) else {
             return;
         };
-        let data = self.take_page(pid);
-        if dirty {
-            self.disk.write(pid.area, pid.page, data.as_slice());
-            inner.stats.eviction_writes += 1;
-            lobstore_obs::counter_add("bufpool.eviction_writes", 1);
-            lobstore_obs::counter_add("bufpool.dirty_writebacks", 1);
+        {
+            let bytes = self
+                .frame(idx)
+                .bytes
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.disk.write(pid.area, pid.page, bytes.as_slice());
         }
-        inner.spare.push(data);
+        inner.stats.eviction_writes += 1;
+        lobstore_obs::counter_add("bufpool.eviction_writes", 1);
+        lobstore_obs::counter_add("bufpool.dirty_writebacks", 1);
+    }
+
+    /// Pin a frame for `pid` whose bytes the caller overwrites entirely:
+    /// a cleared victim, or — when the page is already resident (a
+    /// recycled page number, a caller racing itself) — its own frame with
+    /// one more pin. Either way the dirty bit becomes `dirty`.
+    fn claim(&self, inner: &mut PoolInner, pid: PageId, dirty: bool) -> usize {
+        if let Some(idx) = inner.resident(pid) {
+            inner.repin(idx, dirty);
+            return idx;
+        }
+        let idx = self.victim(inner);
+        inner.install(idx, pid, dirty);
+        idx
     }
 
     /// Record one fix outcome in the observability registry and refresh
@@ -543,12 +399,17 @@ impl BufferPool {
         }
         let stats = g.count_miss();
         Self::note_fix(false, stats);
-        let inner = &mut *g;
-        let idx = self.victim(inner);
-        let mut data = inner.take_spare();
-        self.disk.read(pid.area, pid.page, data.as_mut_slice());
-        self.put_page(pid, data);
-        inner.install(idx, pid, false)
+        let idx = self.victim(&mut g);
+        {
+            let mut bytes = self
+                .frame(idx)
+                .bytes
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.disk.read(pid.area, pid.page, bytes.as_mut_slice());
+        }
+        g.install(idx, pid, false);
+        FrameRef(idx)
     }
 
     /// Fix `pid` **without** reading it from disk — for pages the caller is
@@ -556,18 +417,14 @@ impl BufferPool {
     /// shadow copies). The frame starts zeroed and dirty.
     pub fn fix_new(&self, pid: PageId) -> FrameRef {
         let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(idx) = g.resident(pid) {
-            // Page already resident (e.g. a recycled page number): reuse the
-            // frame but reset its content.
-            g.repin(idx, true);
-            self.zero_page(pid);
-            return FrameRef(idx);
-        }
-        let inner = &mut *g;
-        let idx = self.victim(inner);
-        let data = inner.take_spare_zeroed();
-        self.put_page(pid, data);
-        inner.install(idx, pid, true)
+        let idx = self.claim(&mut g, pid, true);
+        let mut bytes = self
+            .frame(idx)
+            .bytes
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        bytes.fill(0);
+        FrameRef(idx)
     }
 
     /// Install a full page of `content` (just read from disk) into a
@@ -579,62 +436,47 @@ impl BufferPool {
     pub(crate) fn install_clean(&self, pid: PageId, content: &[u8]) -> FrameRef {
         assert_eq!(content.len(), PAGE_SIZE, "install_clean needs a full page");
         let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(idx) = g.resident(pid) {
-            // Already resident (possible only if the caller raced itself;
-            // kept for safety): refresh the content, count another pin.
-            g.repin(idx, false);
-            self.fill_page(pid, content);
-            return FrameRef(idx);
-        }
-        let inner = &mut *g;
-        let idx = self.victim(inner);
-        let data = inner.take_spare_filled(content);
-        self.put_page(pid, data);
-        inner.install(idx, pid, false)
-    }
-
-    /// The page a fixed frame holds.
-    fn pinned_pid(&self, r: FrameRef) -> PageId {
-        let g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        g.pinned_pid(r.0)
-    }
-
-    /// The page a fixed frame holds, marking it dirty.
-    fn dirty_pinned_pid(&self, r: FrameRef) -> PageId {
-        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        g.dirty_pinned_pid(r.0)
+        let idx = self.claim(&mut g, pid, false);
+        let mut bytes = self
+            .frame(idx)
+            .bytes
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        bytes.copy_from_slice(content);
+        FrameRef(idx)
     }
 
     /// Run `body` with read access to a fixed frame's bytes, under the
-    /// page's shard latch. `body` must not call back into the pool.
+    /// frame's read latch. `body` must not call back into the pool.
     pub fn with_page<R>(&self, r: FrameRef, body: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> R {
-        let pid = self.pinned_pid(r);
-        let slot = self.shard(pid);
-        let t = slot.pages.read().unwrap_or_else(PoisonError::into_inner);
-        body(t.page(pid))
+        let bytes = self
+            .frame(r.0)
+            .bytes
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        body(&bytes)
     }
 
     /// Run `body` with write access to a fixed frame's bytes, under the
-    /// page's exclusive shard latch; marks the page dirty. `body` must not
+    /// frame's exclusive latch; marks the page dirty. `body` must not
     /// call back into the pool.
     pub fn with_page_mut<R>(&self, r: FrameRef, body: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R) -> R {
-        let pid = self.dirty_pinned_pid(r);
-        let slot = self.shard(pid);
-        let mut t = slot.pages.write().unwrap_or_else(PoisonError::into_inner);
-        body(t.page_mut(pid))
+        self.ctl
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .dirty_pinned(r.0);
+        let mut bytes = self
+            .frame(r.0)
+            .bytes
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        body(&mut bytes)
     }
 
     /// Release one fix on the frame.
     pub fn unfix(&self, r: FrameRef) {
         let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
         g.unpin(r.0, false);
-    }
-
-    /// Guard drop path: release one fix, optionally marking the frame
-    /// dirty first (writes that went through a `PageGuardMut`).
-    fn release_pin(&self, r: FrameRef, dirtied: bool) {
-        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        g.unpin(r.0, dirtied);
     }
 
     /// If `pid` is resident and dirty, write it to disk (one 1-page call).
@@ -644,9 +486,12 @@ impl BufferPool {
             return;
         };
         {
-            let slot = self.shard(pid);
-            let t = slot.pages.read().unwrap_or_else(PoisonError::into_inner);
-            self.disk.write(pid.area, pid.page, t.page(pid).as_slice());
+            let bytes = self
+                .frame(idx)
+                .bytes
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.disk.write(pid.area, pid.page, bytes.as_slice());
         }
         g.set_clean(idx);
         lobstore_obs::counter_add("bufpool.dirty_writebacks", 1);
@@ -655,13 +500,16 @@ impl BufferPool {
     /// Write back every dirty frame (one call per page).
     pub fn flush_all(&self) {
         let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        for pid in g.dirty_pids() {
+        for (idx, pid) in g.dirty_frames() {
             {
-                let slot = self.shard(pid);
-                let t = slot.pages.read().unwrap_or_else(PoisonError::into_inner);
-                self.disk.write(pid.area, pid.page, t.page(pid).as_slice());
+                let bytes = self
+                    .frame(idx)
+                    .bytes
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner);
+                self.disk.write(pid.area, pid.page, bytes.as_slice());
             }
-            g.set_clean_pid(pid);
+            g.set_clean(idx);
             lobstore_obs::counter_add("bufpool.dirty_writebacks", 1);
         }
     }
@@ -673,11 +521,7 @@ impl BufferPool {
     /// If the page is currently fixed.
     pub fn discard(&self, pid: PageId) {
         let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        if g.remove_unpinned(pid).is_none() {
-            return;
-        }
-        let data = self.take_page(pid);
-        g.spare.push(data);
+        g.remove_unpinned(pid);
     }
 
     /// Simulate a crash: every frame is discarded **without** write-back,
@@ -690,10 +534,7 @@ impl BufferPool {
     /// harness bug, not a simulated condition).
     pub fn crash(&self) {
         let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        for pid in g.crash_detach_all() {
-            let data = self.take_page(pid);
-            g.spare.push(data);
-        }
+        g.crash_detach_all();
     }
 
     /// Cost-free inspection of a page's *current* content: the resident
@@ -708,10 +549,10 @@ impl BufferPool {
 
     fn peek_resident(&self, pid: PageId, out: &mut [u8; PAGE_SIZE]) -> bool {
         let g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        if g.resident(pid).is_none() {
+        let Some(idx) = g.resident(pid) else {
             return false;
-        }
-        self.copy_page_into(pid, out.as_mut_slice());
+        };
+        self.copy_frame_into(idx, out.as_mut_slice());
         true
     }
 
@@ -724,121 +565,113 @@ impl BufferPool {
     }
 
     /// Fix `pid` and return a read guard: derefs to the page bytes and
-    /// releases the fix when dropped. The guard holds the page's shard
-    /// latch for its whole lifetime, so the borrow is latched, not a
-    /// `&mut self` borrow of the pool — independent pages stay reachable.
+    /// releases the fix when dropped. The guard latches only its own
+    /// frame, shared, for its whole lifetime: guards on other pages —
+    /// and a `fix` that has to evict — never wait for it.
     pub fn guard(&self, pid: PageId) -> PageGuard<'_> {
-        let r = self.fix(pid);
-        let slot = self.shard(pid);
-        let latch = slot.pages.read().unwrap_or_else(PoisonError::into_inner);
+        let pin = HeldPin::new(self, self.fix(pid));
         PageGuard {
-            pool: self,
-            pid,
-            r,
-            latch: Some(latch),
+            latch: pin
+                .frame()
+                .bytes
+                .read()
+                .unwrap_or_else(PoisonError::into_inner),
+            _pin: pin,
         }
     }
 
     /// Fix `pid` and return a write guard; mutable access marks the page
     /// dirty, exactly as [`Self::with_page_mut`] does.
     pub fn guard_mut(&self, pid: PageId) -> PageGuardMut<'_> {
-        let r = self.fix(pid);
-        let slot = self.shard(pid);
-        let latch = slot.pages.write().unwrap_or_else(PoisonError::into_inner);
-        PageGuardMut {
-            pool: self,
-            pid,
-            r,
-            dirtied: false,
-            latch: Some(latch),
-        }
+        PageGuardMut::over(HeldPin::new(self, self.fix(pid)))
     }
 
     /// Like [`Self::guard_mut`] but over [`Self::fix_new`]: no disk read,
     /// the frame starts zeroed and dirty.
     pub fn guard_new(&self, pid: PageId) -> PageGuardMut<'_> {
-        let r = self.fix_new(pid);
-        let slot = self.shard(pid);
-        let latch = slot.pages.write().unwrap_or_else(PoisonError::into_inner);
-        PageGuardMut {
-            pool: self,
-            pid,
+        PageGuardMut::over(HeldPin::new(self, self.fix_new(pid)))
+    }
+}
+
+/// The pin half of a page guard: releases one fix when dropped, marking
+/// the frame dirty first if the guard was written through.
+struct HeldPin<'a> {
+    pool: &'a BufferPool,
+    r: FrameRef,
+    dirtied: bool,
+}
+
+impl<'a> HeldPin<'a> {
+    fn new(pool: &'a BufferPool, r: FrameRef) -> Self {
+        HeldPin {
+            pool,
             r,
             dirtied: false,
-            latch: Some(latch),
         }
+    }
+
+    fn frame(&self) -> &'a Frame {
+        self.pool.frame(self.r.0)
+    }
+}
+
+impl Drop for HeldPin<'_> {
+    fn drop(&mut self) {
+        let mut g = self.pool.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        g.unpin(self.r.0, self.dirtied);
     }
 }
 
 /// RAII read access to one fixed page. Created by [`BufferPool::guard`];
-/// holds the page's shard **read latch** (shared — concurrent readers of
-/// any page proceed in parallel) plus one fix. Both are released on drop,
-/// latch first, so the lock hierarchy is never inverted.
+/// holds the frame's **read latch** (shared — concurrent readers of the
+/// page proceed in parallel) plus one fix. Fields drop in declaration
+/// order, so the latch is released before the pin re-enters `ctl` and
+/// the lock hierarchy is never inverted.
 pub struct PageGuard<'a> {
-    pool: &'a BufferPool,
-    pid: PageId,
-    r: FrameRef,
-    latch: Option<RwLockReadGuard<'a, PageTable>>,
+    latch: RwLockReadGuard<'a, PageBox>,
+    _pin: HeldPin<'a>,
 }
 
 impl std::ops::Deref for PageGuard<'_> {
     type Target = [u8; PAGE_SIZE];
     fn deref(&self) -> &Self::Target {
-        self.latch
-            .as_ref()
-            // loblint: allow(unwrap)
-            .expect("latch held until drop")
-            .page(self.pid)
-    }
-}
-
-impl Drop for PageGuard<'_> {
-    fn drop(&mut self) {
-        // Release the shard latch before re-entering the control mutex:
-        // pins are released under `ctl`, which sits above `Shard.pages`
-        // in the lock order.
-        self.latch = None;
-        self.pool.unfix(self.r);
+        &self.latch
     }
 }
 
 /// RAII write access to one fixed page (see [`BufferPool::guard_mut`]).
-/// Holds the shard **write latch**; shared derefs do not dirty the page,
-/// mutable derefs do (recorded on drop, when the pin is released).
+/// Holds the frame's **write latch**; shared derefs do not dirty the
+/// page, mutable derefs do (recorded when the pin is released). Drop
+/// order as for [`PageGuard`]: latch first, then the pin.
 pub struct PageGuardMut<'a> {
-    pool: &'a BufferPool,
-    pid: PageId,
-    r: FrameRef,
-    dirtied: bool,
-    latch: Option<RwLockWriteGuard<'a, PageTable>>,
+    latch: RwLockWriteGuard<'a, PageBox>,
+    pin: HeldPin<'a>,
+}
+
+impl<'a> PageGuardMut<'a> {
+    fn over(pin: HeldPin<'a>) -> Self {
+        PageGuardMut {
+            latch: pin
+                .frame()
+                .bytes
+                .write()
+                .unwrap_or_else(PoisonError::into_inner),
+            pin,
+        }
+    }
 }
 
 impl std::ops::Deref for PageGuardMut<'_> {
     type Target = [u8; PAGE_SIZE];
     fn deref(&self) -> &Self::Target {
-        self.latch
-            .as_ref()
-            // loblint: allow(unwrap)
-            .expect("latch held until drop")
-            .page(self.pid)
+        &self.latch
     }
 }
 
 impl std::ops::DerefMut for PageGuardMut<'_> {
     fn deref_mut(&mut self) -> &mut Self::Target {
-        self.dirtied = true;
-        self.latch
-            .as_mut()
-            // loblint: allow(unwrap)
-            .expect("latch held until drop")
-            .page_mut(self.pid)
-    }
-}
-
-impl Drop for PageGuardMut<'_> {
-    fn drop(&mut self) {
-        self.latch = None;
-        self.pool.release_pin(self.r, self.dirtied);
+        self.pin.dirtied = true;
+        &mut self.latch
     }
 }
 
@@ -1147,5 +980,122 @@ mod tests {
             0,
             "all pages resident: guard fixes must all hit"
         );
+    }
+
+    /// Run `body` on a thread of its own, so a pool that deadlocks
+    /// against itself fails the test instead of hanging the suite.
+    fn finishes(body: impl FnOnce() + Send + 'static) {
+        let (done, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        assert!(
+            rx.recv_timeout(std::time::Duration::from_secs(3)).is_ok(),
+            "pool call deadlocked (or panicked) under a held guard"
+        );
+    }
+
+    #[test]
+    fn write_guards_on_distinct_pages_coexist() {
+        // A guard latches only its own frame, so one thread can hold
+        // two. Page numbers 16 apart: any latch keyed by a small hash of
+        // the page number would put these two on one latch.
+        finishes(|| {
+            let pool = pool_with_frames(4);
+            let mut a = pool.guard_mut(pid(0));
+            let mut b = pool.guard_mut(pid(16));
+            a[0] = 1;
+            b[0] = 2;
+            assert_eq!((a[0], b[0]), (1, 2));
+            drop((a, b));
+            assert_eq!(pool.available_frames(), 4);
+        });
+    }
+
+    #[test]
+    fn fix_under_a_write_guard_can_evict() {
+        finishes(|| {
+            let pool = pool_with_frames(2);
+            let r = pool.fix(pid(16));
+            pool.unfix(r); // resident, unpinned: the only possible victim
+            let mut g = pool.guard_mut(pid(0));
+            g[0] = 9;
+            let r = pool.fix(pid(5));
+            assert!(!pool.contains(pid(16)), "page 16 was evicted");
+            pool.unfix(r);
+            assert_eq!(g[0], 9, "the guarded frame was left alone");
+        });
+    }
+
+    #[test]
+    fn frame_reuse_under_concurrent_access() {
+        // 64 pages through 8 frames from 4 threads: frames change pages
+        // constantly while other threads read and write. If the pin
+        // protocol broke, an in-place refill would hand a reader another
+        // page's bytes. Byte 0 names the page, the last byte is its
+        // complement, byte 1 counts the writes.
+        const PAGES: u32 = 64;
+        const THREADS: u64 = 4;
+        const ACCESSES: u64 = 20_000;
+        let pool = pool_with_frames(8);
+        for p in 0..PAGES {
+            let mut page = [0u8; PAGE_SIZE];
+            page[0] = p as u8;
+            page[PAGE_SIZE - 1] = !(p as u8);
+            pool.disk().poke(AreaId::META, p, &page);
+        }
+        let own = |page: &[u8; PAGE_SIZE], p: u32| {
+            assert_eq!((page[0], page[PAGE_SIZE - 1]), (p as u8, !(p as u8)));
+        };
+        let mut bumps = [0u32; PAGES as usize];
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let pool = &pool;
+                    s.spawn(move || {
+                        let mut mine = [0u32; PAGES as usize];
+                        let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ t;
+                        for _ in 0..ACCESSES {
+                            // xorshift64
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            let p = (x >> 8) as u32 % PAGES;
+                            match x % 3 {
+                                0 => {
+                                    let r = pool.fix(pid(p));
+                                    pool.with_page(r, |page| own(page, p));
+                                    pool.unfix(r);
+                                }
+                                1 => own(&pool.guard(pid(p)), p),
+                                _ => {
+                                    let mut g = pool.guard_mut(pid(p));
+                                    own(&g, p);
+                                    g[1] = g[1].wrapping_add(1);
+                                    mine[p as usize] += 1;
+                                }
+                            }
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            for w in workers {
+                for (sum, n) in bumps.iter_mut().zip(w.join().unwrap()) {
+                    *sum += n;
+                }
+            }
+        });
+        let stats = pool.pool_stats();
+        assert_eq!(stats.hits + stats.misses, THREADS * ACCESSES);
+        assert_eq!(pool.available_frames(), 8);
+        pool.flush_all();
+        for p in 0..PAGES {
+            let mut page = [0u8; PAGE_SIZE];
+            pool.disk().peek(AreaId::META, p, &mut page);
+            own(&page, p);
+            assert_eq!(page[1], bumps[p as usize] as u8, "page {p} lost a write");
+        }
     }
 }

@@ -192,7 +192,7 @@ impl BufferPool {
                 .read(area, mid_first, &mut out[pos..pos + mid_len]);
             // Overlay any resident *dirty* pages: the pool copy is newer
             // than the disk copy we just read.
-            self.overlay_dirty(area, mid_first, mid_pages, &mut out[pos..pos + mid_len]);
+            self.overlay_dirty(area, mid_first, &mut out[pos..pos + mid_len]);
             pos += mid_len;
         }
         if tail_partial {
@@ -211,18 +211,16 @@ impl BufferPool {
     /// acquisition covers the whole run — dirty residents are rare on
     /// the scan path, and per-page locking would put every concurrent
     /// scanner through the control latch once per page.
-    fn overlay_dirty(&self, area: AreaId, first: u32, n_pages: usize, out: &mut [u8]) {
+    fn overlay_dirty(&self, area: AreaId, first: u32, out: &mut [u8]) {
+        debug_assert!(out.len().is_multiple_of(PAGE_SIZE));
         let g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        for i in 0..n_pages {
+        for (i, page) in out.chunks_mut(PAGE_SIZE).enumerate() {
             let pid = PageId::new(area, first + cast::usize_to_u32(i));
-            if g.resident_dirty(pid).is_none() {
-                continue;
+            // Holding `ctl` keeps the page in its frame; copy under the
+            // frame latch.
+            if let Some(idx) = g.resident_dirty(pid) {
+                self.copy_frame_into(idx, page);
             }
-            // Holding `ctl` pins residency; copy under the shard latch.
-            // `out` spans exactly `n_pages` pages, so the slice bounds
-            // cannot panic here.
-            // loblint: allow(panic-while-locked)
-            self.copy_page_into(pid, &mut out[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]);
         }
     }
 
@@ -235,7 +233,7 @@ impl BufferPool {
         assert!(out.len() >= cast::u32_to_usize(n_pages) * PAGE_SIZE);
         let out = &mut out[..cast::u32_to_usize(n_pages) * PAGE_SIZE];
         self.disk.read(area, start_page, out);
-        self.overlay_dirty(area, start_page, cast::u32_to_usize(n_pages), out);
+        self.overlay_dirty(area, start_page, out);
     }
 
     /// Write `data` to contiguous pages starting at `start_page` with one
@@ -271,29 +269,31 @@ impl BufferPool {
         let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
         let mut p = start;
         while p < end {
-            let Some((run_start, run_len)) = g.next_dirty_run(area, p, end) else {
+            let Some((run_start, frames)) = g.next_dirty_run(area, p, end) else {
                 break;
             };
             // Stage the run's frame bytes into one contiguous buffer and
-            // write it with a single sequential call — the same one-call,
-            // `run_len`-page charge the old gather write produced.
-            let staged = self.gather_run(area, run_start, run_len);
+            // write it with a single sequential call — one call charged
+            // for the whole run.
+            let staged = self.gather_run(&frames);
             self.disk.write(area, run_start, &staged);
-            g.mark_run_clean(area, run_start, run_len);
+            for &idx in &frames {
+                g.set_clean(idx);
+            }
+            let run_len = cast::usize_to_u32(frames.len());
             lobstore_obs::counter_add("bufpool.dirty_writebacks", u64::from(run_len));
             // The run lies inside `[start, end)`, which the caller sized.
             p = run_start + run_len;
         }
     }
 
-    /// Copy a run of resident pages into one contiguous staging buffer,
-    /// page by page under the shard latches. The caller holds `ctl`, so
-    /// residency cannot change mid-copy.
-    fn gather_run(&self, area: AreaId, start: u32, run_len: u32) -> Vec<u8> {
-        let n = cast::u32_to_usize(run_len);
-        let mut buf = vec![0u8; n * PAGE_SIZE];
-        for (i, chunk) in buf.chunks_mut(PAGE_SIZE).enumerate() {
-            self.copy_page_into(PageId::new(area, start + cast::usize_to_u32(i)), chunk);
+    /// Copy the frames of a dirty run into one contiguous staging buffer,
+    /// page by page under the frame latches. The caller holds `ctl`, so
+    /// no frame changes pages mid-copy.
+    fn gather_run(&self, frames: &[usize]) -> Vec<u8> {
+        let mut buf = vec![0u8; frames.len() * PAGE_SIZE];
+        for (chunk, &idx) in buf.chunks_mut(PAGE_SIZE).zip(frames) {
+            self.copy_frame_into(idx, chunk);
         }
         buf
     }

@@ -12,8 +12,8 @@
 //! * version-pinned snapshot scans ([`SharedDb::snapshot_reader`]) take
 //!   only the **read side**: everything a pinned [`SnapshotReader`]
 //!   touches below its root is immutable while the pin is held, and the
-//!   buffer pool's internal sharded latches make the page traffic itself
-//!   thread-safe — so any number of scanners stream concurrently, and
+//!   buffer pool's control mutex and per-frame latches make the page
+//!   traffic thread-safe — so any number of scanners stream concurrently, and
 //!   with each other *and* block only writers.
 //!
 //! This is still not fine-grained concurrency control over updates:

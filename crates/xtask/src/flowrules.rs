@@ -45,19 +45,24 @@ use crate::lobsyn::{FnDef, Tok, TokKind};
 /// The canonical workspace lock order, outermost first. An acquisition
 /// edge `A -> B` (B taken while A is held) between two listed
 /// resources must go strictly downward in this table. Mirrored in
-/// DESIGN.md sections 13 and 17; extend the table (and the docs) when a
-/// new lock joins the workspace.
+/// DESIGN.md section 13; a test below holds the table, the workspace's
+/// lock declarations and that section to the same names, so a new lock
+/// joins all three at once.
 pub(crate) const CANONICAL_LOCK_ORDER: [&str; 9] = [
-    "SharedDb.inner",   // two-tier DB lock: writers exclusive, scans shared
-    "bench::REPORT",    // process-wide bench report registry
-    "BufferPool.frame", // page pins, only under the DB lock
-    "BufferPool.ctl",   // pool control block: frame table + replacement
-    "Shard.pages",      // per-shard page-box latch, only under/after ctl
-    "AreaSlot.store",   // per-area disk store latch
-    "SimDisk.trace",    // trace stream, innermost disk-side lock
-    "obs::REGISTRY",    // thread-local metrics registry latch
-    "obs::SINK",        // innermost: thread-local event sink latch
+    "SharedDb.inner", // two-tier DB lock: writers exclusive, scans shared
+    "bench::REPORT",  // process-wide bench report registry
+    PAGE_PIN,         // page pins, only under the DB lock
+    "BufferPool.ctl", // pool control block: frame table + replacement
+    "Frame.bytes",    // per-frame page-byte latch, only under/after ctl
+    "AreaSlot.store", // per-area disk store latch
+    "SimDisk.trace",  // trace stream, innermost disk-side lock
+    "obs::REGISTRY",  // thread-local metrics registry latch
+    "obs::SINK",      // innermost: thread-local event sink latch
 ];
+
+/// The one table entry that is not a declared lock: every page pin
+/// (`BufferPool::guard*`) maps to this pseudo-resource.
+const PAGE_PIN: &str = "BufferPool.frame";
 
 /// Method names that acquire; they never resolve to workspace
 /// functions in the call graph (a `.with(` on a thread-local would
@@ -109,7 +114,7 @@ fn crate_of(rel: &str) -> &str {
         .unwrap_or("lobstore")
 }
 
-fn collect_lock_decls(analyses: &[Analysis]) -> LockDecls {
+fn collect_lock_decls<'a>(analyses: impl IntoIterator<Item = &'a Analysis>) -> LockDecls {
     let mut d = LockDecls::default();
     for a in analyses {
         let t = &a.toks;
@@ -305,7 +310,7 @@ fn acquisitions(a: &Analysis, f: &FnDef, decls: &LockDecls) -> Vec<Acq> {
                     "guard",
                 )
             }
-            "guard" | "guard_mut" | "guard_new" => ("BufferPool.frame".to_string(), "page pin"),
+            "guard" | "guard_mut" | "guard_new" => (PAGE_PIN.to_string(), "page pin"),
             _ => continue,
         };
         out.push(Acq {
@@ -1236,30 +1241,31 @@ mod tests {
     }
 
     #[test]
-    fn shard_latch_above_pool_ctl_violates_canonical_order() {
-        // The sharded pool's discipline is ctl -> shard: taking the
-        // control mutex while a shard's page latch is held inverts the
-        // table (and deadlocks against a concurrent fix()).
-        let decl = "struct Shard { pages: RwLock<PageTable> }\n\
-                    pub struct BufferPool { ctl: Mutex<PoolInner> }\n";
+    fn frame_latch_above_pool_ctl_violates_canonical_order() {
+        // The pool's discipline is ctl -> frame latch: taking the
+        // control mutex while a frame's byte latch is held inverts the
+        // table (and deadlocks against a concurrent flush_all()). The
+        // latch is reached through an index, as in the real pool.
+        let decl = "struct Frame { bytes: RwLock<PageBox> }\n\
+                    pub struct BufferPool { ctl: Mutex<PoolInner>, frames: Vec<Frame> }\n";
         let bad = format!(
-            "{decl}impl BufferPool {{ fn bad(&self, slot: &Shard) {{ \
-             let g = slot.pages.write(); let h = self.ctl.lock(); use2(g, h); }} }}\n"
+            "{decl}impl BufferPool {{ fn bad(&self, i: usize) {{ \
+             let g = self.frames[i].bytes.write(); let h = self.ctl.lock(); use2(g, h); }} }}\n"
         );
         let found = findings_for(
             &[("crates/bufpool/src/pool_fix.rs", bad.as_str())],
             "lock-order",
         );
         assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("Shard.pages"), "{found:?}");
+        assert!(found[0].message.contains("Frame.bytes"), "{found:?}");
         assert!(found[0].message.contains("BufferPool.ctl"), "{found:?}");
         assert!(found[0].message.contains("canonical lock order"));
 
-        // Mutation drill: ctl first, shard latch second is the real
+        // Mutation drill: ctl first, frame latch second is the real
         // pool's order and must be quiet.
         let good = format!(
-            "{decl}impl BufferPool {{ fn good(&self, slot: &Shard) {{ \
-             let h = self.ctl.lock(); let g = slot.pages.write(); use2(g, h); }} }}\n"
+            "{decl}impl BufferPool {{ fn good(&self, i: usize) {{ \
+             let h = self.ctl.lock(); let g = self.frames[i].bytes.write(); use2(g, h); }} }}\n"
         );
         assert_eq!(
             findings_for(
@@ -1270,29 +1276,88 @@ mod tests {
         );
     }
 
+    /// The table is only as good as its names: `rank()` ignores a
+    /// resource the table does not list, and a listed name that nothing
+    /// declares ranks nothing. Over the real workspace: every level is
+    /// a declared lock, every lock field of the library crates has a
+    /// level, and DESIGN.md section 13 shows the same table.
+    #[test]
+    fn canonical_table_matches_the_workspace_and_the_design_doc() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let analyses: Vec<Analysis> = crate::loblint::workspace_sources(&root)
+            .expect("workspace must be scannable")
+            .iter()
+            .filter(|(rel, _)| lock_graph_file(rel))
+            .map(|(rel, content)| Analysis::new(rel, content))
+            .collect();
+        let fields = |d: &LockDecls| -> BTreeSet<String> {
+            d.mutex_fields
+                .iter()
+                .chain(&d.rwlock_fields)
+                .map(|(field, owner)| format!("{owner}.{field}"))
+                .collect()
+        };
+
+        let all = collect_lock_decls(&analyses);
+        let mut declared = fields(&all);
+        declared.extend(all.statics.values().cloned());
+        for level in CANONICAL_LOCK_ORDER.iter().filter(|l| **l != PAGE_PIN) {
+            assert!(
+                declared.contains(*level),
+                "`{level}` has a level but no Mutex/RwLock field or static declares it"
+            );
+        }
+
+        let library = collect_lock_decls(analyses.iter().filter(|a| a.class.library));
+        for lock in fields(&library) {
+            assert!(
+                CANONICAL_LOCK_ORDER.contains(&lock.as_str()),
+                "`{lock}` is a lock field of a library crate with no level in the table"
+            );
+        }
+
+        let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+        let section = design
+            .split("\n## ")
+            .find(|s| s.starts_with("13. "))
+            .expect("DESIGN.md has a section 13");
+        // "| 5 | `Frame.bytes` | ..." splits to ["", "5", "`Frame.bytes`", ..].
+        let listed: Vec<&str> = section
+            .lines()
+            .filter_map(|l| {
+                let mut cols = l.split('|').map(str::trim).skip(1);
+                let (order, name) = (cols.next()?, cols.next()?);
+                order
+                    .starts_with(|c: char| c.is_ascii_digit())
+                    .then(|| name.trim_matches('`'))
+            })
+            .collect();
+        assert_eq!(listed, CANONICAL_LOCK_ORDER, "DESIGN.md section 13 table");
+    }
+
     // ---- guard-across-io ----------------------------------------------
 
     #[test]
-    fn shard_latch_held_across_io_wrapper_is_flagged() {
-        // A shard page latch live across a cost-counted wrapper call
-        // serializes that shard behind simulated I/O.
-        let decl = "struct Shard { pages: RwLock<PageTable> }\n";
+    fn frame_latch_held_across_io_wrapper_is_flagged() {
+        // A frame latch live across a cost-counted wrapper call keeps
+        // every reader of that page waiting behind simulated I/O.
+        let decl = "struct Frame { bytes: RwLock<PageBox> }\n";
         let bad = format!(
-            "{decl}impl Pool {{ fn refill(&self, slot: &Shard, p: PageId) {{ \
-             let g = slot.pages.write(); self.read_pages(p); g.touch(); }} }}\n"
+            "{decl}impl Pool {{ fn refill(&self, slot: &Frame, p: PageId) {{ \
+             let g = slot.bytes.write(); self.read_pages(p); g.touch(); }} }}\n"
         );
         let found = findings_for(
             &[("crates/bufpool/src/pool_fix.rs", bad.as_str())],
             "guard-across-io",
         );
         assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("Shard.pages"), "{found:?}");
+        assert!(found[0].message.contains("Frame.bytes"), "{found:?}");
         assert!(found[0].message.contains("read_pages"));
 
         // Mutation drill: dropping the latch before the I/O is quiet.
         let dropped = format!(
-            "{decl}impl Pool {{ fn refill(&self, slot: &Shard, p: PageId) {{ \
-             let g = slot.pages.write(); g.touch(); drop(g); self.read_pages(p); }} }}\n"
+            "{decl}impl Pool {{ fn refill(&self, slot: &Frame, p: PageId) {{ \
+             let g = slot.bytes.write(); g.touch(); drop(g); self.read_pages(p); }} }}\n"
         );
         assert_eq!(
             findings_for(
@@ -1306,8 +1371,8 @@ mod tests {
         // (here a fn *named* like one) stay exempt — they pin across
         // raw I/O by design.
         let wrapper = format!(
-            "{decl}impl Pool {{ fn read_buffered(&self, slot: &Shard, p: PageId) {{ \
-             let g = slot.pages.write(); self.read_pages(p); g.touch(); }} }}\n"
+            "{decl}impl Pool {{ fn read_buffered(&self, slot: &Frame, p: PageId) {{ \
+             let g = slot.bytes.write(); self.read_pages(p); g.touch(); }} }}\n"
         );
         assert_eq!(
             findings_for(
@@ -1411,13 +1476,13 @@ mod tests {
     }
 
     #[test]
-    fn indexing_under_a_shard_latch_is_flagged() {
-        // A panic under a shard's page latch poisons that shard for
-        // every later fix() that hashes to it.
-        let decl = "struct Shard { pages: RwLock<PageTable> }\n";
+    fn indexing_under_a_frame_latch_is_flagged() {
+        // A panic under a frame's byte latch poisons that frame for
+        // every page that later lands in it.
+        let decl = "struct Frame { bytes: RwLock<PageBox> }\n";
         let bad = format!(
-            "{decl}fn f(slot: &Shard, v: &[u8], i: usize) -> u8 {{\n\
-             let g = slot.pages.write();\n\
+            "{decl}fn f(slot: &Frame, v: &[u8], i: usize) -> u8 {{\n\
+             let g = slot.bytes.write();\n\
              let b = v[i];\n\
              g.set(b);\n\
              b }}\n"
@@ -1427,13 +1492,13 @@ mod tests {
             "panic-while-locked",
         );
         assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("Shard.pages"), "{found:?}");
+        assert!(found[0].message.contains("Frame.bytes"), "{found:?}");
 
         // Mutation drill: the same indexing before the latch is quiet.
         let good = format!(
-            "{decl}fn f(slot: &Shard, v: &[u8], i: usize) -> u8 {{\n\
+            "{decl}fn f(slot: &Frame, v: &[u8], i: usize) -> u8 {{\n\
              let b = v[i];\n\
-             let g = slot.pages.write();\n\
+             let g = slot.bytes.write();\n\
              g.set(b);\n\
              b }}\n"
         );

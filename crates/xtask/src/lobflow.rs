@@ -566,18 +566,39 @@ fn scope_extent(toks: &[Tok], b1: usize, i: usize) -> usize {
     b1.min(toks.len())
 }
 
+/// Index of the opener matching the `)`/`]` at `close`, scanning back
+/// no further than `b0` (returned as is when the group is unbalanced).
+fn group_start(toks: &[Tok], b0: usize, close: usize) -> usize {
+    let mut depth = 0usize;
+    for j in (b0..=close).rev() {
+        if toks[j].is_punct(")") || toks[j].is_punct("]") {
+            depth += 1;
+        } else if toks[j].is_punct("(") || toks[j].is_punct("[") {
+            depth -= 1;
+            if depth == 0 {
+                return j;
+            }
+        }
+    }
+    b0
+}
+
 /// The live region of a value produced at token `prod` inside a
 /// function body `[b0, b1)`. Walks back from `prod` for a `let
 /// [mut] name =` binding head; when bound, the region runs to the end
 /// of the enclosing brace scope or an explicit `drop(name)`, whichever
 /// comes first. Unbound values live to the end of their statement.
 pub fn live_region(toks: &[Tok], b0: usize, b1: usize, prod: usize) -> Region {
-    // Find the binding: scan back past the receiver chain to `let`.
+    // Find the binding: scan back past the receiver chain to `let`. A
+    // call or index inside the chain (`self.frame(i).bytes.read()`,
+    // `v[i].lock()`) is skipped as one balanced group.
     let mut j = prod;
     while j > b0 {
         let t = &toks[j - 1];
         if t.kind == TokKind::Ident || t.is_punct(".") || t.is_punct("::") || t.is_punct("&") {
             j -= 1;
+        } else if t.is_punct(")") || t.is_punct("]") {
+            j = group_start(toks, b0, j - 1);
         } else {
             break;
         }
@@ -874,6 +895,22 @@ mod tests {
         assert_eq!(r.var.as_deref(), Some("g"));
         let use1 = toks.iter().position(|t| t.is_ident("use1")).unwrap();
         assert!(r.contains(use1));
+    }
+
+    #[test]
+    fn calls_and_indexing_in_the_receiver_chain_keep_the_binding() {
+        for src in [
+            "fn f() { let g = self.frame(i).bytes.read(); use1(); }",
+            "fn f() { let mut g = self.frames[i + 1].bytes.read(); use1(); }",
+        ] {
+            let (toks, r) = region_at(src, "read");
+            assert_eq!(r.var.as_deref(), Some("g"), "{src}");
+            let use1 = toks.iter().position(|t| t.is_ident("use1")).unwrap();
+            assert!(r.contains(use1), "{src}");
+        }
+        // An argument position is still not a binding.
+        let (_, r) = region_at("fn f() { let n = take(m.lock()); use1(); }", "lock");
+        assert_eq!(r.var, None);
     }
 
     #[test]

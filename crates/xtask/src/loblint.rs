@@ -158,7 +158,11 @@ pub const RULE_DOCS: [(&str, &str, &str); 21] = [
          thread-local RefCell .with) form a graph: an edge A -> B means B is acquired while \
          A is held, directly or through a call. The graph must be acyclic, must not \
          re-acquire a held resource, and known resources must follow the canonical order in \
-         flowrules::CANONICAL_LOCK_ORDER (DESIGN.md section 13).",
+         flowrules::CANONICAL_LOCK_ORDER (DESIGN.md section 13). Only what the rule can name \
+         is checked: a lock must be a `field: [Arc<]Mutex<..>|RwLock<..>` struct field (the \
+         pool's frame latch is `Frame.bytes`) or an ALL_CAPS static, and a resource missing \
+         from the table is unranked; an xtask test holds the table, the workspace's \
+         declarations and the DESIGN.md table to the same names.",
     ),
     (
         "magic-duplicate",
@@ -302,7 +306,7 @@ pub(crate) struct Analysis {
 }
 
 impl Analysis {
-    fn new(rel: &str, content: &str) -> Self {
+    pub(crate) fn new(rel: &str, content: &str) -> Self {
         let lexed = lobsyn::lex(content);
         let spans = lobsyn::attr_spans(&lexed.toks);
         let test_lines = lobsyn::test_lines(&lexed.toks, &spans);
@@ -495,6 +499,12 @@ fn check_unused_waivers(analyses: &[Analysis], out: &mut Vec<Finding>) {
 
 /// Everything `loblint` found across the workspace rooted at `root`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
+    Ok(lint_sources(&workspace_sources(root)?))
+}
+
+/// Every `.rs` file under `root` as (workspace-relative path, content),
+/// in path order.
+pub(crate) fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
     files.sort();
@@ -507,7 +517,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
             .replace('\\', "/");
         sources.push((rel, std::fs::read_to_string(path)?));
     }
-    Ok(lint_sources(&sources))
+    Ok(sources)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
