@@ -38,10 +38,14 @@ run cargo run -q -p xtask -- check-lint-json target/loblint.json
 run cargo run -q -p xtask -- lint-sarif target/loblint.json --out target/loblint.sarif
 
 # Functional gates: the whole suite, then again with deep runtime
-# verification compiled into every mutating operation.
+# verification compiled into every mutating operation. The buddy crate
+# runs once more optimized: its word-parallel bitmap search is checked
+# against the bit-at-a-time fold it replaced, and that sweep (all space
+# sizes x all orders) only reaches full depth without debug assertions.
 run cargo test -q --workspace
 run cargo test -q --features paranoid
 run cargo test -q -p lobstore-core -p lobstore-buddy --features paranoid
+run cargo test -q --release -p lobstore-buddy
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

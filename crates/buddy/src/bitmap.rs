@@ -3,9 +3,28 @@
 //!
 //! Bit `i` set ⇒ page `i` of the space is **free**. Coalescing of buddies
 //! is implicit: a buddy block is free exactly when all its bits are set,
-//! so freeing any range automatically re-forms larger blocks.
+//! so freeing any range automatically re-forms larger blocks. Searching
+//! and marking are O(words) and allocate nothing: a block of up to 64
+//! pages is found by folding each `u64` onto itself, a larger one as an
+//! aligned chunk of full words, first fit in both cases. The bitmap is
+//! decoded from its directory page on every call and never cached:
+//! decoding and re-encoding 2 KB costs 0.3 µs, which a cache (and the
+//! crash-coherence rules it would need) cannot repay.
 
 use lobstore_simdisk::{bytes, cast};
+
+/// The in-word buddy fold: with bit `i` of `t` saying "the order-`k-1`
+/// block at page `i` is free", `t & (t >> FOLDS[k].0) & FOLDS[k].1` says it
+/// for order `k` (`FOLDS[0]` is the identity: order 0 is the bitmap).
+const FOLDS: [(u32, u64); 7] = [
+    (0, u64::MAX),
+    (1, 0x5555_5555_5555_5555),
+    (2, 0x1111_1111_1111_1111),
+    (4, 0x0101_0101_0101_0101),
+    (8, 0x0001_0001_0001_0001),
+    (16, 0x0000_0001_0000_0001),
+    (32, 1),
+];
 
 /// An in-memory working copy of a directory bitmap.
 ///
@@ -79,9 +98,42 @@ impl BuddyBitmap {
         w & (1u64 << (page % 64)) != 0
     }
 
+    /// The words `[start, start + n)` touches, each as `(word index, page
+    /// of its bit 0, mask of its bits inside the range)`.
+    ///
+    /// # Panics
+    /// If the range leaves the space.
+    fn range_masks(&self, start: u32, n: u32) -> impl Iterator<Item = (usize, u32, u64)> {
+        let Some(end) = start.checked_add(n).filter(|&end| end <= self.pages) else {
+            panic!("range out of space");
+        };
+        let low_bits = |k: u32| u64::MAX.checked_shr(64 - k).unwrap_or(0);
+        let words = cast::u32_to_usize(start / 64)..cast::u32_to_usize(end.div_ceil(64));
+        words
+            .zip((start / 64 * 64..).step_by(64))
+            .map(move |(wi, base)| {
+                let lo = start.max(base) - base;
+                let hi = end.min(base + 64) - base;
+                (wi, base, low_bits(hi) & !low_bits(lo))
+            })
+    }
+
+    /// The first page of `[start, start + n)` that is free (`free`) or
+    /// allocated (`!free`), if there is one.
+    fn first_in(&self, start: u32, n: u32, free: bool) -> Option<u32> {
+        let flip = if free { 0 } else { u64::MAX };
+        self.range_masks(start, n).find_map(|(wi, base, mask)| {
+            let hits = (self.words.get(wi)? ^ flip) & mask;
+            (hits != 0).then(|| base + hits.trailing_zeros())
+        })
+    }
+
     /// Whether all pages in `[start, start + n)` are free.
+    ///
+    /// # Panics
+    /// If the range leaves the space.
     pub fn run_free(&self, start: u32, n: u32) -> bool {
-        (start..start + n).all(|p| self.is_free(p))
+        self.first_in(start, n, false).is_none()
     }
 
     /// Mark `[start, start + n)` allocated.
@@ -89,16 +141,25 @@ impl BuddyBitmap {
     /// # Panics
     /// In debug builds, if any page in the range is already allocated.
     pub fn mark_used(&mut self, start: u32, n: u32) {
-        assert!(
-            start.checked_add(n).is_some_and(|end| end <= self.pages),
-            "range out of space"
+        debug_assert!(
+            self.run_free(start, n),
+            "double allocation of page {}",
+            self.first_in(start, n, false).unwrap_or(start)
         );
-        for p in start..start + n {
-            debug_assert!(self.is_free(p), "double allocation of page {p}");
-            if let Some(w) = self.words.get_mut(cast::u32_to_usize(p / 64)) {
-                *w &= !(1u64 << (p % 64));
+        self.claim(start, n);
+    }
+
+    /// Mark `[start, start + n)` allocated wherever it is not yet, and
+    /// return how many pages that flipped.
+    pub(crate) fn claim(&mut self, start: u32, n: u32) -> u32 {
+        let mut flipped = 0;
+        for (wi, _, mask) in self.range_masks(start, n) {
+            if let Some(w) = self.words.get_mut(wi) {
+                flipped += (*w & mask).count_ones();
+                *w &= !mask;
             }
         }
+        flipped
     }
 
     /// Mark `[start, start + n)` free.
@@ -107,14 +168,14 @@ impl BuddyBitmap {
     /// In debug builds, if any page in the range is already free
     /// (double free).
     pub fn mark_free(&mut self, start: u32, n: u32) {
-        assert!(
-            start.checked_add(n).is_some_and(|end| end <= self.pages),
-            "range out of space"
+        debug_assert!(
+            self.first_in(start, n, true).is_none(),
+            "double free of page {}",
+            self.first_in(start, n, true).unwrap_or(start)
         );
-        for p in start..start + n {
-            debug_assert!(!self.is_free(p), "double free of page {p}");
-            if let Some(w) = self.words.get_mut(cast::u32_to_usize(p / 64)) {
-                *w |= 1u64 << (p % 64);
+        for (wi, _, mask) in self.range_masks(start, n) {
+            if let Some(w) = self.words.get_mut(wi) {
+                *w |= mask;
             }
         }
     }
@@ -124,72 +185,278 @@ impl BuddyBitmap {
         self.words.iter().map(|w| w.count_ones()).sum()
     }
 
+    /// Every maximal run of free (`free`) or allocated (`!free`) pages as
+    /// `(start, length)`, ascending.
+    pub(crate) fn runs(&self, free: bool) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let mut next = 0;
+        std::iter::from_fn(move || {
+            let start = self.first_in(next, self.pages.saturating_sub(next), free)?;
+            let rest = self.pages.saturating_sub(start);
+            next = self.first_in(start, rest, !free).unwrap_or(self.pages);
+            Some((start, next.saturating_sub(start)))
+        })
+    }
+
     /// Find the first free buddy block of order `order` (an aligned run of
     /// `2^order` free pages) and return its start page.
-    ///
-    /// Implemented by folding the bitmap bottom-up: at each level, bit `i`
-    /// means "the order-k block starting at page `i·2^k` is entirely free".
     pub fn find_block(&self, order: u32) -> Option<u32> {
         assert!(order <= self.max_order(), "order beyond space size");
-        let level = self.level(order);
-        for (wi, &w) in level.iter().enumerate() {
-            if w != 0 {
-                let bit = w.trailing_zeros();
-                let block = wi as u32 * 64 + bit;
-                return Some(block << order);
-            }
+        // Up to 64 pages a block sits inside one word: fold, lowest bit.
+        if let Some(folds) = FOLDS.get(..=cast::u32_to_usize(order)) {
+            let mut words = self.words.iter().zip((0u32..).step_by(64));
+            return words.find_map(|(&w, base)| {
+                let t = folds.iter().fold(w, |t, &(s, m)| t & (t >> s) & m);
+                (t != 0).then(|| base + t.trailing_zeros())
+            });
         }
-        None
+        // Above that it is an aligned chunk of completely free words.
+        let chunk = self.words.len() >> (self.max_order() - order);
+        let mut chunks = (self.words.chunks_exact(chunk)).zip((0u32..).step_by(chunk * 64));
+        chunks.find_map(|(c, base)| c.iter().all(|&w| w == u64::MAX).then_some(base))
     }
 
     /// The largest order for which a free aligned block exists, or `None`
     /// if the space is completely full.
     pub fn max_free_order(&self) -> Option<u32> {
-        // Fold upward until a level has no set bits.
-        let mut cur = self.words.clone();
-        if cur.iter().all(|&w| w == 0) {
-            return None;
-        }
-        let mut best = 0u32;
-        for order in 1..=self.max_order() {
-            cur = fold_level(&cur);
-            if cur.iter().all(|&w| w == 0) {
-                break;
-            }
-            best = order;
-        }
-        Some(best)
-    }
-
-    /// Bit vector for buddy order `order` (order 0 = the page bitmap).
-    fn level(&self, order: u32) -> Vec<u64> {
-        let mut cur = self.words.clone();
-        for _ in 0..order {
-            cur = fold_level(&cur);
-        }
-        cur
-    }
-}
-
-/// One buddy fold: output bit `i` = input bit `2i` AND input bit `2i+1`.
-fn fold_level(level: &[u64]) -> Vec<u64> {
-    let out_bits = level.len() * 64 / 2;
-    let n_words = out_bits.div_ceil(64);
-    let mut out = vec![0u64; n_words];
-    let bit = |at: usize| level.get(at / 64).copied().unwrap_or(0) >> (at % 64) & 1;
-    for i in 0..out_bits {
-        if bit(2 * i) & bit(2 * i + 1) == 1 {
-            if let Some(w) = out.get_mut(i / 64) {
-                *w |= 1u64 << (i % 64);
+        // `levels[k]`: every word's order-`k` fold, ORed together.
+        let mut levels = [0u64; FOLDS.len()];
+        for &w in &self.words {
+            let mut t = w;
+            for (level, &(s, m)) in levels.iter_mut().zip(&FOLDS) {
+                t &= (t >> s) & m;
+                *level |= t;
             }
         }
+        let in_word = cast::usize_to_u32(levels.iter().rposition(|&l| l != 0)?);
+        // A free order-k block contains a free order-(k-1) block, so the
+        // first order without one ends the climb.
+        let above = (7..=self.max_order()).take_while(|&o| self.find_block(o).is_some());
+        Some(above.last().unwrap_or(in_word))
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::SplitMix;
+
+    /// One buddy fold, a bit at a time: output bit `i` = input bit `2i`
+    /// AND input bit `2i+1`. The search this crate shipped before the
+    /// word-parallel one, kept as its oracle.
+    fn fold_level(level: &[u64]) -> Vec<u64> {
+        let out_bits = level.len() * 64 / 2;
+        let n_words = out_bits.div_ceil(64);
+        let mut out = vec![0u64; n_words];
+        let bit = |at: usize| level.get(at / 64).copied().unwrap_or(0) >> (at % 64) & 1;
+        for i in 0..out_bits {
+            if bit(2 * i) & bit(2 * i + 1) == 1 {
+                if let Some(w) = out.get_mut(i / 64) {
+                    *w |= 1u64 << (i % 64);
+                }
+            }
+        }
+        out
+    }
+
+    impl BuddyBitmap {
+        /// Bit vector for buddy order `order` (order 0 = the page bitmap):
+        /// bit `i` means "the block starting at page `i·2^order` is free".
+        fn level(&self, order: u32) -> Vec<u64> {
+            let mut cur = self.words.clone();
+            for _ in 0..order {
+                cur = fold_level(&cur);
+            }
+            cur
+        }
+
+        fn oracle_find_block(&self, order: u32) -> Option<u32> {
+            let level = self.level(order);
+            for (wi, &w) in level.iter().enumerate() {
+                if w != 0 {
+                    let bit = w.trailing_zeros();
+                    let block = wi as u32 * 64 + bit;
+                    return Some(block << order);
+                }
+            }
+            None
+        }
+
+        fn oracle_max_free_order(&self) -> Option<u32> {
+            // Fold upward until a level has no set bits.
+            let mut cur = self.words.clone();
+            if cur.iter().all(|&w| w == 0) {
+                return None;
+            }
+            let mut best = 0u32;
+            for order in 1..=self.max_order() {
+                cur = fold_level(&cur);
+                if cur.iter().all(|&w| w == 0) {
+                    break;
+                }
+                best = order;
+            }
+            Some(best)
+        }
+
+        /// Force `[start, start + n)` free or allocated whatever it held,
+        /// through every range operation.
+        fn set(&mut self, start: u32, n: u32, free: bool) {
+            self.claim(start, n);
+            self.mark_free(start, n);
+            assert!(self.run_free(start, n));
+            if !free {
+                self.mark_used(start, n);
+                assert_eq!(self.first_in(start, n, true), None);
+            }
+        }
+    }
+
+    #[track_caller]
+    fn assert_matches_fold(b: &BuddyBitmap) {
+        for o in 0..=b.max_order() {
+            assert_eq!(b.find_block(o), b.oracle_find_block(o), "order {o}");
+        }
+        assert_eq!(b.max_free_order(), b.oracle_max_free_order());
+    }
+
+    /// One step of the seeded scripts: single pages, short runs, runs that
+    /// straddle a word, Starburst-sized tails, the whole space.
+    fn random_step(b: &mut BuddyBitmap, rng: &mut SplitMix) -> (u32, u32, bool) {
+        let pages = b.pages();
+        let n = match rng.below(16) {
+            0..=5 => 1,
+            6..=10 => 2 + rng.below(15),
+            11..=13 => 40 + rng.below(90),
+            14 => 1000 + rng.below(2001),
+            _ if rng.below(8) == 0 => pages,
+            _ => 64 << rng.below(3),
+        }
+        .min(pages);
+        // Long runs sit at the end of the space, like a trimmed tail; the
+        // 64/128/256-page ones are aligned half of the time.
+        let start = match n {
+            1000.. => pages - n,
+            64 | 128 | 256 if rng.below(2) == 0 => rng.below(pages / n) * n,
+            _ => rng.below(pages - n + 1),
+        };
+        let free = rng.below(2) == 0;
+        b.set(start, n, free);
+        (start, n, free)
+    }
+
+    #[test]
+    fn word_parallel_search_matches_the_fold() {
+        // The oracle is the slow side: ~2 x pages bit reads per order.
+        let budget: u32 = if cfg!(debug_assertions) {
+            1 << 20
+        } else {
+            1 << 25
+        };
+        for pages in [64u32, 128, 256, 4096, 16384] {
+            let mut rng = SplitMix(u64::from(pages));
+            for start_full in [false, true] {
+                let mut b = BuddyBitmap::all_free(pages);
+                if start_full {
+                    b.mark_used(0, pages);
+                }
+                assert_matches_fold(&b);
+                for _ in 0..(budget / pages).clamp(48, 4096) {
+                    random_step(&mut b, &mut rng);
+                    assert_matches_fold(&b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn search_at_the_word_and_chunk_seams() {
+        // A free 64-run across two words is no order-6 block.
+        let mut b = BuddyBitmap::all_free(128);
+        b.mark_used(0, 32);
+        b.mark_used(96, 32);
+        assert_eq!(b.find_block(6), None, "64 free pages, not aligned");
+        assert_eq!(b.find_block(5), Some(32));
+        assert_eq!(b.max_free_order(), Some(5));
+        assert_matches_fold(&b);
+
+        // Orders 5/6/7 where the in-word fold hands over to word chunks.
+        let mut b = BuddyBitmap::all_free(256);
+        b.mark_used(0, 256);
+        b.mark_free(96, 32);
+        assert_eq!((b.find_block(5), b.find_block(6)), (Some(96), None));
+        b.mark_free(64, 32);
+        assert_eq!((b.find_block(6), b.find_block(7)), (Some(64), None));
+        b.mark_free(128, 64);
+        assert_eq!(b.find_block(7), None, "words 1-2: a 128-run off its seam");
+        assert_eq!(b.max_free_order(), Some(6));
+        assert_matches_fold(&b);
+        b.mark_free(192, 64);
+        assert_eq!(b.find_block(7), Some(128));
+        assert_eq!(b.max_free_order(), Some(7));
+        assert_matches_fold(&b);
+
+        // The smallest space is one word and tops out at order 6.
+        let mut b = BuddyBitmap::all_free(64);
+        assert_eq!(b.max_order(), 6);
+        assert_eq!((b.find_block(6), b.max_free_order()), (Some(0), Some(6)));
+        b.mark_used(63, 1);
+        assert_eq!((b.find_block(6), b.find_block(5)), (None, Some(0)));
+        assert_eq!(b.max_free_order(), Some(5));
+        assert_matches_fold(&b);
+
+        // Paper scale: half of a 64 MB space gone to one 32 MB segment.
+        let mut b = BuddyBitmap::all_free(16384);
+        assert_matches_fold(&b);
+        b.mark_used(0, 8192);
+        assert_eq!(b.find_block(13), Some(8192));
+        assert_matches_fold(&b);
+    }
+
+    #[test]
+    fn range_ops_and_runs_match_a_page_model() {
+        for pages in [64u32, 256, 4096] {
+            let mut rng = SplitMix(u64::from(pages) + 1);
+            let mut b = BuddyBitmap::all_free(pages);
+            let mut model = vec![true; pages as usize];
+            for _ in 0..400 {
+                let (start, n, free) = random_step(&mut b, &mut rng);
+                model[start as usize..(start + n) as usize].fill(free);
+                let got: Vec<bool> = (0..pages).map(|p| b.is_free(p)).collect();
+                assert_eq!(got, model, "after [{start}, +{n}) := {free}");
+                for free in [true, false] {
+                    let mut want = Vec::new();
+                    let mut p = 0;
+                    while p < model.len() {
+                        let len = model[p..].iter().take_while(|&&f| f == free).count();
+                        if len > 0 {
+                            want.push((p as u32, len as u32));
+                        }
+                        p += len.max(1);
+                    }
+                    assert_eq!(b.runs(free).collect::<Vec<_>>(), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ranges_that_leave_the_space_fail_alike() {
+        let panics = |f: fn(&mut BuddyBitmap)| {
+            let err = std::panic::catch_unwind(|| f(&mut BuddyBitmap::all_free(64))).unwrap_err();
+            err.downcast_ref::<&str>().map(|s| s.to_string())
+        };
+        let want = Some("range out of space".to_string());
+        assert_eq!(panics(|b| assert!(b.run_free(60, 5))), want);
+        assert_eq!(panics(|b| b.mark_used(60, 5)), want);
+        assert_eq!(panics(|b| b.mark_free(64, 1)), want);
+        assert_eq!(panics(|b| assert!(b.run_free(1, u32::MAX))), want);
+        // An empty range at the very end is inside the space.
+        let mut b = BuddyBitmap::all_free(64);
+        assert!(b.run_free(64, 0));
+        b.mark_used(64, 0);
+        b.mark_free(13, 0);
+        assert_eq!(b.free_pages(), 64);
+    }
 
     #[test]
     fn fresh_space_is_all_free() {

@@ -80,6 +80,20 @@ impl std::fmt::Display for Extent {
 mod tests {
     use super::*;
 
+    /// splitmix64, the seeded generator behind this crate's scripted tests.
+    pub(crate) struct SplitMix(pub(crate) u64);
+
+    impl SplitMix {
+        /// The next value in `0..bound`.
+        pub(crate) fn below(&mut self, bound: u32) -> u32 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            u32::try_from((z ^ (z >> 31)) % u64::from(bound)).unwrap()
+        }
+    }
+
     #[test]
     fn extent_prefix_suffix() {
         let e = Extent::new(AreaId::LEAF, 10, 8);

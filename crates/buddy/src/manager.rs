@@ -341,13 +341,7 @@ impl BuddyManager {
         let dir = PageId::new(self.cfg.area, self.dir_page(space));
         let r = pool.fix(dir);
         let mut bm = pool.with_page(r, |page| self.parse_dir(page));
-        let mut flipped = 0u64;
-        for p in rel..rel.saturating_add(ext.pages) {
-            if bm.is_free(p) {
-                bm.mark_used(p, 1);
-                flipped += 1;
-            }
-        }
+        let flipped = bm.claim(rel, ext.pages);
         pool.with_page_mut(r, |page| {
             bm.write_bytes(page.get_mut(BITMAP_OFF..).unwrap_or_default());
         });
@@ -355,7 +349,7 @@ impl BuddyManager {
             *hint = bm.max_free_order();
         }
         pool.unfix(r);
-        self.allocated += flipped;
+        self.allocated += u64::from(flipped);
     }
 
     /// Every currently allocated page range, as maximal extents in
@@ -370,25 +364,10 @@ impl BuddyManager {
             let bm = pool.with_page(r, |page| self.parse_dir(page));
             pool.unfix(r);
             let base = self.data_base(s);
-            let mut run_start: Option<u32> = None;
-            for p in 0..self.cfg.space_pages {
-                let used = !bm.is_free(p);
-                match (used, run_start) {
-                    (true, None) => run_start = Some(p),
-                    (false, Some(st)) => {
-                        out.push(Extent::new(self.cfg.area, base + st, p - st));
-                        run_start = None;
-                    }
-                    _ => {}
-                }
-            }
-            if let Some(st) = run_start {
-                out.push(Extent::new(
-                    self.cfg.area,
-                    base + st,
-                    self.cfg.space_pages.saturating_sub(st),
-                ));
-            }
+            out.extend(
+                bm.runs(false)
+                    .map(|(start, n)| Extent::new(self.cfg.area, base + start, n)),
+            );
         }
         out
     }
@@ -462,18 +441,7 @@ impl BuddyManager {
             pool.peek_page(dir, &mut probe);
             let bm = self.parse_dir(&probe);
             st.free_pages = st.free_pages.saturating_add(u64::from(bm.free_pages()));
-            let mut run = 0u32;
-            for p in 0..self.cfg.space_pages {
-                if bm.is_free(p) {
-                    run += 1;
-                } else if run > 0 {
-                    st.free_runs.push(run);
-                    run = 0;
-                }
-            }
-            if run > 0 {
-                st.free_runs.push(run);
-            }
+            st.free_runs.extend(bm.runs(true).map(|(_, n)| n));
         }
         st.allocated_pages = st.total_pages().saturating_sub(st.free_pages);
         st.largest_free_run = st.free_runs.iter().copied().max().unwrap_or(0);
@@ -824,6 +792,64 @@ mod tests {
         let st = m.frag_stats(&pool);
         assert_eq!(st.allocated_pages, 32);
         assert_eq!(st.free_pages, 224);
+    }
+
+    /// First-fit placement and the §3.1 superdirectory, pinned: a seeded
+    /// script at paper scale folds everything the manager decides into one
+    /// digest. The constant was recorded with the bit-at-a-time buddy
+    /// fold; any bitmap search that places a block elsewhere, or leaves a
+    /// different hint behind, changes it.
+    #[test]
+    fn placement_is_pinned() {
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+        let (mut m, mut pool) = setup(16 * 1024);
+        let mut rng = crate::tests::SplitMix(0x5EED_B0DD);
+        let mut digest = 0xCBF2_9CE4_8422_2325_u64;
+        let mut fold = |v: u64| digest = (digest ^ v).wrapping_mul(FNV_PRIME);
+        let mut held: Vec<Extent> = Vec::new();
+        for _ in 0..20_000 {
+            // Grow to ~1.5 spaces of live pages, then hover there.
+            let grow = if m.allocated_pages() < 24_000 { 60 } else { 40 };
+            if held.is_empty() || rng.below(100) < grow {
+                let n = if rng.below(200) == 0 {
+                    1000 + rng.below(2001) // a Starburst-like segment
+                } else {
+                    1 + rng.below(64)
+                };
+                let e = m.allocate(&mut pool, n);
+                fold(u64::from(e.start) << 32 | u64::from(e.pages));
+                held.push(e);
+            } else {
+                let i = rng.below(u32::try_from(held.len()).unwrap()) as usize;
+                let e = held.swap_remove(i);
+                let cut = rng.below(e.pages);
+                match rng.below(4) {
+                    0 if cut > 0 => {
+                        m.free(&mut pool, e.suffix(cut));
+                        held.push(e.prefix(cut));
+                    }
+                    1 if cut > 0 => {
+                        m.free(&mut pool, e.prefix(cut));
+                        held.push(e.suffix(cut));
+                    }
+                    _ => m.free(&mut pool, e),
+                }
+            }
+            fold(u64::from(m.n_spaces()));
+            fold(m.allocated_pages());
+            for s in 0..m.n_spaces() {
+                fold(m.superdir_hint(s).map_or(u64::MAX, u64::from));
+            }
+        }
+        assert!(m.n_spaces() >= 2, "the script must open a second space");
+        let live: u32 = held.iter().map(|e| e.pages).sum();
+        assert_eq!(m.allocated_pages(), u64::from(live));
+        #[cfg(feature = "paranoid")]
+        m.paranoid_verify(&mut pool).unwrap();
+        assert_eq!(
+            digest, 0x4AFB_4969_076C_A3C8,
+            "placement or superdirectory hints moved"
+        );
     }
 
     #[test]
