@@ -42,10 +42,14 @@ run cargo run -q -p xtask -- lint-sarif target/loblint.json --out target/loblint
 # runs once more optimized: its word-parallel bitmap search is checked
 # against the bit-at-a-time fold it replaced, and that sweep (all space
 # sizes x all orders) only reaches full depth without debug assertions.
+# Likewise Starburst's streaming tail copy against the materialising
+# copy it replaced: the proptest runs 256 cases of up to 3 MB optimized
+# and 8 otherwise.
 run cargo test -q --workspace
 run cargo test -q --features paranoid
 run cargo test -q -p lobstore-core -p lobstore-buddy --features paranoid
 run cargo test -q --release -p lobstore-buddy
+run cargo test -q --release -p lobstore-core starburst
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

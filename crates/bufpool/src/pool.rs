@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
-use lobstore_simdisk::{IoStats, PageId, SimDisk, PAGE_SIZE};
+use lobstore_simdisk::{cast, IoStats, PageId, SimDisk, PAGE_SIZE};
 
 use crate::frame::{Frame, FrameMeta, PageBox};
 
@@ -90,7 +90,7 @@ impl PoolInner {
     }
 
     /// The frame holding `pid`, if it is resident and dirty.
-    pub(crate) fn resident_dirty(&self, pid: PageId) -> Option<usize> {
+    fn resident_dirty(&self, pid: PageId) -> Option<usize> {
         self.resident(pid).filter(|&idx| self.frames[idx].dirty)
     }
 
@@ -184,16 +184,17 @@ impl PoolInner {
         self.frames[idx].dirty = false;
     }
 
-    /// Free the frame holding `pid`, if any; its bytes are simply left
-    /// behind for the next install to overwrite.
-    fn remove_unpinned(&mut self, pid: PageId) {
-        let Some(idx) = self.map.remove(&pid) else {
+    /// Free frame `idx`; its bytes are simply left behind for the next
+    /// install to overwrite. Panics if the frame is fixed.
+    fn drop_frame(&mut self, idx: usize) {
+        let f = &mut self.frames[idx];
+        let Some(pid) = f.pid else {
             return;
         };
-        let f = &mut self.frames[idx];
         assert_eq!(f.pins, 0, "discard of a fixed page {pid}");
         f.pid = None;
         f.dirty = false;
+        self.map.remove(&pid);
     }
 
     /// Free every frame without write-back; panics on a surviving pin.
@@ -221,17 +222,46 @@ impl PoolInner {
             .collect()
     }
 
-    /// First maximal run of resident-dirty pages in `[from, end)`: its
-    /// start page and the frames holding it, in page order.
-    pub(crate) fn next_dirty_run(
+    /// The resident pages of `[start, start + pages)` with the frames
+    /// holding them, in page order. A range longer than the pool is
+    /// answered from the frame table, a shorter one by probing the
+    /// residency map once per page — so the cost is bounded by the
+    /// smaller of the two, whatever the caller's segment size.
+    fn resident_in(
         &self,
         area: lobstore_simdisk::AreaId,
-        from: u32,
-        end: u32,
-    ) -> Option<(u32, Vec<usize>)> {
-        let dirty_at = |p: u32| self.resident_dirty(PageId::new(area, p));
-        let start = (from..end).find(|&p| dirty_at(p).is_some())?;
-        Some((start, (start..end).map_while(dirty_at).collect()))
+        start: u32,
+        pages: u32,
+    ) -> Vec<(u32, usize)> {
+        let range = start..start.saturating_add(pages);
+        if cast::u32_to_usize(pages) <= self.frames.len() {
+            return range
+                .filter_map(|p| Some((p, self.resident(PageId::new(area, p))?)))
+                .collect();
+        }
+        let mut found: Vec<(u32, usize)> = self
+            .frames
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, f)| {
+                let pid = f.pid.filter(|pid| pid.area == area)?;
+                range.contains(&pid.page).then_some((pid.page, idx))
+            })
+            .collect();
+        found.sort_unstable();
+        found
+    }
+
+    /// [`Self::resident_in`] restricted to dirty frames.
+    pub(crate) fn dirty_in(
+        &self,
+        area: lobstore_simdisk::AreaId,
+        start: u32,
+        pages: u32,
+    ) -> Vec<(u32, usize)> {
+        let mut found = self.resident_in(area, start, pages);
+        found.retain(|&(_, idx)| self.frames.get(idx).is_some_and(|f| f.dirty));
+        found
     }
 }
 
@@ -521,7 +551,9 @@ impl BufferPool {
     /// If the page is currently fixed.
     pub fn discard(&self, pid: PageId) {
         let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        g.remove_unpinned(pid);
+        if let Some(idx) = g.resident(pid) {
+            g.drop_frame(idx);
+        }
     }
 
     /// Simulate a crash: every frame is discarded **without** write-back,
@@ -557,10 +589,15 @@ impl BufferPool {
     }
 
     /// Discard every resident page of an extent (used when a whole segment
-    /// is freed).
+    /// is freed or overwritten by a direct write), under one `ctl`
+    /// acquisition.
+    ///
+    /// # Panics
+    /// If a page of the range is currently fixed.
     pub fn discard_range(&self, area: lobstore_simdisk::AreaId, start: u32, pages: u32) {
-        for p in start..start.saturating_add(pages) {
-            self.discard(PageId::new(area, p));
+        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        for (_, idx) in g.resident_in(area, start, pages) {
+            g.drop_frame(idx);
         }
     }
 

@@ -214,12 +214,13 @@ impl BufferPool {
     fn overlay_dirty(&self, area: AreaId, first: u32, out: &mut [u8]) {
         debug_assert!(out.len().is_multiple_of(PAGE_SIZE));
         let g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        for (i, page) in out.chunks_mut(PAGE_SIZE).enumerate() {
-            let pid = PageId::new(area, first + cast::usize_to_u32(i));
+        let n_pages = cast::usize_to_u32(out.len() / PAGE_SIZE);
+        for (page, idx) in g.dirty_in(area, first, n_pages) {
             // Holding `ctl` keeps the page in its frame; copy under the
-            // frame latch.
-            if let Some(idx) = g.resident_dirty(pid) {
-                self.copy_frame_into(idx, page);
+            // frame latch. `dirty_in` only returns pages of the run.
+            let at = cast::u32_to_usize(page.saturating_sub(first)) * PAGE_SIZE;
+            if let Some(dst) = out.get_mut(at..at + PAGE_SIZE) {
+                self.copy_frame_into(idx, dst);
             }
         }
     }
@@ -263,36 +264,31 @@ impl BufferPool {
     /// single sequential I/O call (§3.3: "the dirty pages of the segment
     /// are simply flushed to disk at the end of the operation").
     pub fn flush_range(&self, area: AreaId, start: u32, n_pages: u32) {
-        // The caller's flush range lies within the area's page space.
-        // loblint: allow(arith-overflow)
-        let end = start + n_pages;
         let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut p = start;
-        while p < end {
-            let Some((run_start, frames)) = g.next_dirty_run(area, p, end) else {
-                break;
+        let dirty = g.dirty_in(area, start, n_pages);
+        // Consecutive page numbers form one run.
+        for run in dirty.chunk_by(|a, b| a.0 + 1 == b.0) {
+            let Some(&(run_start, _)) = run.first() else {
+                continue;
             };
             // Stage the run's frame bytes into one contiguous buffer and
             // write it with a single sequential call — one call charged
             // for the whole run.
-            let staged = self.gather_run(&frames);
+            let staged = self.gather_run(run);
             self.disk.write(area, run_start, &staged);
-            for &idx in &frames {
+            for &(_, idx) in run {
                 g.set_clean(idx);
             }
-            let run_len = cast::usize_to_u32(frames.len());
-            lobstore_obs::counter_add("bufpool.dirty_writebacks", u64::from(run_len));
-            // The run lies inside `[start, end)`, which the caller sized.
-            p = run_start + run_len;
+            lobstore_obs::counter_add("bufpool.dirty_writebacks", run.len() as u64);
         }
     }
 
     /// Copy the frames of a dirty run into one contiguous staging buffer,
     /// page by page under the frame latches. The caller holds `ctl`, so
     /// no frame changes pages mid-copy.
-    fn gather_run(&self, frames: &[usize]) -> Vec<u8> {
-        let mut buf = vec![0u8; frames.len() * PAGE_SIZE];
-        for (chunk, &idx) in buf.chunks_mut(PAGE_SIZE).zip(frames) {
+    fn gather_run(&self, run: &[(u32, usize)]) -> Vec<u8> {
+        let mut buf = vec![0u8; run.len() * PAGE_SIZE];
+        for (chunk, &(_, idx)) in buf.chunks_mut(PAGE_SIZE).zip(run) {
             self.copy_frame_into(idx, chunk);
         }
         buf
@@ -566,6 +562,102 @@ mod tests {
         p.read_pages(A, 0, 4, &mut out);
         assert_eq!(p.io_stats().read_calls, 1);
         assert!(out[PAGE_SIZE..2 * PAGE_SIZE].iter().all(|&b| b == 0x77));
+    }
+
+    /// Make `page` resident and dirty, filled with `fill`.
+    fn dirty(p: &BufferPool, page: u32, fill: u8) {
+        let r = p.fix_new(PageId::new(A, page));
+        p.with_page_mut(r, |bytes| bytes.fill(fill));
+        p.unfix(r);
+    }
+
+    #[test]
+    fn long_read_pages_overlays_a_dirty_resident_page() {
+        // 10 000 pages against 12 frames: the overlay walks the frame
+        // table, not the page range, and must still find page 7 777.
+        let p = pool();
+        dirty(&p, 7_777, 0x77);
+        dirty(&p, 10_000, 0x11); // just past the end: not part of the run
+        let mut out = vec![0xFFu8; 10_000 * PAGE_SIZE];
+        p.read_pages(A, 0, 10_000, &mut out);
+        assert_eq!(p.io_stats().read_calls, 1);
+        let at = 7_777 * PAGE_SIZE;
+        assert!(out[at..at + PAGE_SIZE].iter().all(|&b| b == 0x77));
+        assert!(out[..at].iter().all(|&b| b == 0), "disk bytes elsewhere");
+        assert!(out[at + PAGE_SIZE..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn long_discard_range_drops_exactly_the_residents_inside() {
+        let p = pool();
+        for q in [99u32, 100, 5_000, 10_099, 10_100] {
+            dirty(&p, q, 1);
+        }
+        // The same page numbers in the other area stay out of it.
+        let r = p.fix(PageId::new(AreaId::META, 5_000));
+        p.unfix(r);
+        p.discard_range(A, 100, 10_000);
+        for (q, kept) in [
+            (99u32, true),
+            (100, false),
+            (5_000, false),
+            (10_099, false),
+            (10_100, true),
+        ] {
+            assert_eq!(p.contains(PageId::new(A, q)), kept, "page {q}");
+        }
+        assert!(p.contains(PageId::new(AreaId::META, 5_000)));
+        assert_eq!(p.io_stats().write_calls, 0, "discarded, not flushed");
+    }
+
+    #[test]
+    #[should_panic(expected = "discard of a fixed page")]
+    fn long_discard_range_panics_on_a_fixed_page() {
+        let p = pool();
+        let _held = p.fix(PageId::new(A, 5_000));
+        p.discard_range(A, 100, 10_000);
+    }
+
+    #[test]
+    fn long_flush_range_writes_the_same_runs_in_page_order() {
+        // Dirtied out of page order, so the frame table is not sorted by
+        // page: runs [40,41,42], [9_000] and [9_002,9_003] must still go
+        // out lowest page first, one call each, exactly as the per-page
+        // walk over a short range does.
+        let p = pool();
+        for q in [9_003u32, 41, 9_000, 40, 9_002, 42] {
+            dirty(&p, q, q as u8);
+        }
+        let r = p.fix(PageId::new(A, 9_001)); // clean resident: splits a run
+        p.unfix(r);
+        dirty(&p, 20_000, 9); // outside the range: stays dirty
+        p.disk().reset_stats();
+        p.disk().enable_trace(8);
+        p.flush_range(A, 0, 10_000);
+        let writes: Vec<_> = p
+            .disk()
+            .take_trace()
+            .into_iter()
+            .map(|e| (e.kind, e.start, e.pages))
+            .collect();
+        assert_eq!(
+            writes,
+            vec![
+                (TraceKind::Write, 40, 3),
+                (TraceKind::Write, 9_000, 1),
+                (TraceKind::Write, 9_002, 2),
+            ]
+        );
+        let mut out = vec![0u8; 2 * PAGE_SIZE];
+        p.disk().peek(A, 9_002, &mut out);
+        assert!(out[..PAGE_SIZE].iter().all(|&b| b == 9_002u32 as u8));
+        assert!(out[PAGE_SIZE..].iter().all(|&b| b == 9_003u32 as u8));
+        // Everything in range is clean now; page 20 000 is not.
+        p.disk().reset_stats();
+        p.flush_range(A, 0, 10_000);
+        assert_eq!(p.io_stats().write_calls, 0);
+        p.flush_page(PageId::new(A, 20_000));
+        assert_eq!(p.io_stats().write_calls, 1);
     }
 
     #[test]

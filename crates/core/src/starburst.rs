@@ -9,10 +9,12 @@
 //! The price is paid by length-changing updates: inserting (deleting)
 //! bytes in the middle requires **copying every segment from the affected
 //! one rightward** (including it, because of shadowing) into a new set of
-//! segments, streamed through a 512 KB staging buffer (§3.5). Once an
-//! object has been updated, its size is known, so the rewrite uses
-//! maximum-size segments with the last one trimmed — which is why the
-//! steady-state update cost equals a whole-object copy (Table 3).
+//! segments, streamed through a 512 KB staging buffer (§3.5): ≤ 128-page
+//! reads of the old segments alternate with ≤ 128-page writes of the new
+//! ones, and the object is never in memory whole. Once an object has
+//! been updated, its size is known, so the rewrite uses maximum-size
+//! segments with the last one trimmed — which is why the steady-state
+//! update cost equals a whole-object copy (Table 3).
 //!
 //! Departure from the paper, documented in DESIGN.md: the descriptor
 //! stores an explicit `(bytes, pointer)` pair per segment (8 bytes)
@@ -33,8 +35,10 @@ use crate::segdata::{append_in_place, patch_in_place, peek_segs};
 
 const STAR_MAGIC: u32 = 0x5354_4152; // "STAR"
 const KIND_STARBURST: u8 = 3;
-/// The 512 KB copy buffer of §3.5, in pages.
+/// The 512 KB copy buffer of §3.5, in pages and in bytes (a widening
+/// cast; `cast::u32_to_usize` is not `const`).
 const STAGING_PAGES: u32 = 128;
+const CHUNK: usize = STAGING_PAGES as usize * PAGE_SIZE; // loblint: allow(truncating-cast)
 
 /// Creation parameters for a Starburst long field.
 #[derive(Copy, Clone, Debug)]
@@ -152,57 +156,93 @@ impl StarburstObject {
         }
     }
 
-    /// Read the bytes of segments `segs[from..]` into one buffer, charging
-    /// one I/O call per ≤ 512 KB chunk per segment (the staging-buffer
-    /// read pattern of §3.5).
-    fn read_tail(&self, db: &mut Db, hdr: &RootHdr, segs: &[Entry], from: usize) -> Vec<u8> {
-        let total: u64 = segs[from..].iter().map(|e| e.count).sum();
-        let mut out = Vec::with_capacity(cast::to_usize(total));
-        for (i, e) in segs.iter().enumerate().skip(from) {
-            let _ = self.seg_alloc(hdr, segs, i); // (used pages only are read)
-            let used_pages = pages_for_bytes(e.count);
-            let mut scratch = vec![0u8; cast::u32_to_usize(STAGING_PAGES) * PAGE_SIZE];
-            let mut page = 0u32;
-            let mut remaining = cast::to_usize(e.count);
-            while page < used_pages {
-                let n = (used_pages - page).min(STAGING_PAGES);
-                db.pool
-                    .read_pages(AreaId::LEAF, e.ptr + page, n, &mut scratch);
-                let take = remaining.min(cast::u32_to_usize(n) * PAGE_SIZE);
-                out.extend_from_slice(&scratch[..take]);
-                remaining -= take;
-                page += n;
+    /// The §3.5 copy: stream the bytes of segments `old` into fresh
+    /// maximum-size segments (the last one exact, none smaller than
+    /// `min_alloc` pages), with bytes `at..at + cut` of the stream
+    /// replaced by `put`. Each ≤ 512 KB read lands in the staging buffer
+    /// behind the bytes still pending and is edited there; every chunk of
+    /// the current new segment that is complete is then written. Nothing
+    /// is freed here.
+    fn copy_tail(
+        &self,
+        db: &mut Db,
+        old: &[Entry],
+        at: usize,
+        cut: usize,
+        put: &[u8],
+        min_alloc: u32,
+    ) -> Vec<Entry> {
+        #[cfg(test)]
+        if tests::MATERIALISE.get() {
+            return self.copy_tail_oracle(db, old, at, cut, put, min_alloc);
+        }
+        let old_len: usize = old.iter().map(|e| cast::to_usize(e.count)).sum();
+        let max_bytes = cast::to_usize(self.max_bytes());
+        // `buf[..fill]` is copied but not yet written: less than a chunk
+        // between reads. `put` is spliced in, so `buf` grows by it.
+        let mut buf = vec![0u8; 2 * CHUNK];
+        let (mut fill, mut pos) = (0usize, 0usize);
+        // Bytes of the new tail no segment is open for yet; then the open
+        // segment: bytes it still takes, and the page they go to. A segment
+        // is opened, and allocated, as soon as the one before it is full.
+        let mut unplaced = old_len - cut + put.len();
+        let (mut seg_left, mut next_page) = (0usize, 0u32);
+        let mut segs = Vec::new();
+        for e in old {
+            let (mut left, mut page) = (cast::to_usize(e.count), e.ptr);
+            while left > 0 {
+                let n = pages_for_bytes(left as u64).min(STAGING_PAGES);
+                let got = left.min(cast::u32_to_usize(n) * PAGE_SIZE);
+                let chunk = &mut buf[fill..];
+                db.pool.read_pages(AreaId::LEAF, page, n, chunk);
+                // Drop the part of the cut inside this chunk; `put` goes
+                // in where the cut starts.
+                let lo = at.clamp(pos, pos + got) - pos;
+                let hi = (at + cut).clamp(pos, pos + got) - pos;
+                if lo < hi {
+                    chunk.copy_within(hi..got, lo);
+                }
+                if (pos..pos + got).contains(&at) {
+                    buf.splice(fill + lo..fill + lo, put.iter().copied());
+                    fill += put.len();
+                }
+                fill += got - (hi - lo);
+                (left, page, pos) = (left - got, page + n, pos + got);
+                let mut head = 0;
+                loop {
+                    if seg_left == 0 {
+                        seg_left = unplaced.min(max_bytes);
+                        if seg_left == 0 {
+                            break;
+                        }
+                        // `seg_left <= unplaced` by the `min` above.
+                        // loblint: allow(arith-overflow)
+                        unplaced -= seg_left;
+                        let pages = pages_for_bytes(seg_left as u64).max(min_alloc);
+                        next_page = db.alloc_leaf(pages).start;
+                        segs.push(Entry {
+                            count: seg_left as u64,
+                            ptr: next_page,
+                        });
+                    }
+                    let n = seg_left.min(CHUNK);
+                    if fill - head < n {
+                        break;
+                    }
+                    let chunk = &buf[head..head + n];
+                    db.pool.write_direct(AreaId::LEAF, next_page, chunk);
+                    (seg_left, head) = (seg_left - n, head + n);
+                    // Only a segment's last chunk is shorter than 128 pages,
+                    // and `next_page` is not used again after that one.
+                    // loblint: allow(arith-overflow)
+                    next_page += STAGING_PAGES;
+                }
+                buf.copy_within(head..fill, 0);
+                fill -= head;
             }
         }
-        out
-    }
-
-    /// Write `bytes` as a fresh run of segments using the known-size
-    /// pattern: maximum-size segments, last one trimmed to exact size.
-    /// Writes go out in ≤ 512 KB staging chunks.
-    fn write_max_segments(&self, db: &mut Db, bytes: &[u8]) -> Vec<Entry> {
-        let mut out = Vec::new();
-        let mut off = 0usize;
-        while off < bytes.len() {
-            let seg_bytes = cast::to_usize(((bytes.len() - off) as u64).min(self.max_bytes()));
-            let pages = pages_for_bytes(seg_bytes as u64);
-            let ext = db.alloc_leaf(pages);
-            let mut page = 0u32;
-            while page < pages {
-                let n = (pages - page).min(STAGING_PAGES);
-                let lo = off + cast::u32_to_usize(page) * PAGE_SIZE;
-                let hi = (lo + cast::u32_to_usize(n) * PAGE_SIZE).min(off + seg_bytes);
-                db.pool
-                    .write_direct(AreaId::LEAF, ext.start + page, &bytes[lo..hi]);
-                page += n;
-            }
-            out.push(Entry {
-                count: seg_bytes as u64,
-                ptr: ext.start,
-            });
-            off += seg_bytes;
-        }
-        out
+        debug_assert_eq!((fill, unplaced, seg_left), (0, 0, 0));
+        segs
     }
 
     /// Free segments `segs[from..]` (with the last one's true allocation).
@@ -214,26 +254,18 @@ impl StarburstObject {
     }
 
     /// The §3.5 update path shared by insert and delete: rewrite the tail
-    /// from the segment containing `off`, applying `edit` to the stream.
+    /// from the segment containing `off`, with `cut` bytes at `off`
+    /// replaced by `put`.
     ///
     /// The new segments are written *before* the old ones are freed so
     /// that, per the shadowing discipline (§3.3), a crash mid-operation
     /// cannot have clobbered the pages the previous state references.
-    fn rewrite_tail(
-        &mut self,
-        db: &mut Db,
-        off: u64,
-        edit: impl FnOnce(&mut Vec<u8>, usize),
-    ) -> Result<()> {
+    fn rewrite_tail(&mut self, db: &mut Db, off: u64, cut: u64, put: &[u8]) -> Result<()> {
         let (mut hdr, mut segs) = self.load(db);
         let (i, p) = find_child(&segs, off);
-        let p = cast::to_usize(p);
-        let mut tail = self.read_tail(db, &hdr, &segs, i);
-        edit(&mut tail, p);
         let old = segs.split_off(i);
-        if !tail.is_empty() {
-            segs.extend(self.write_max_segments(db, &tail));
-        }
+        let (at, cut) = (cast::to_usize(p), cast::to_usize(cut));
+        segs.extend(self.copy_tail(db, &old, at, cut, put, 0));
         // Writes done; now release the superseded tail.
         self.free_tail(db, &hdr, &old, 0);
         hdr.last_seg_alloc = 0; // the rewritten tail is exact
@@ -382,9 +414,7 @@ impl LargeObject for StarburstObject {
         if off == size {
             return self.append(db, bytes);
         }
-        self.rewrite_tail(db, off, |tail, p| {
-            tail.splice(p..p, bytes.iter().copied());
-        })?;
+        self.rewrite_tail(db, off, 0, bytes)?;
         #[cfg(feature = "paranoid")]
         self.paranoid_verify(db)?;
         db.op_commit();
@@ -396,9 +426,7 @@ impl LargeObject for StarburstObject {
         if len == 0 {
             return Ok(());
         }
-        self.rewrite_tail(db, off, |tail, p| {
-            tail.drain(p..p + cast::to_usize(len));
-        })?;
+        self.rewrite_tail(db, off, len, &[])?;
         #[cfg(feature = "paranoid")]
         self.paranoid_verify(db)?;
         db.op_commit();
@@ -420,24 +448,12 @@ impl LargeObject for StarburstObject {
             let e = segs[i];
             let take = cast::to_usize((e.count - within).min((bytes.len() - done) as u64));
             if db.config().shadowing {
-                // Shadow the whole affected segment: read, patch, rewrite.
-                let mut content = self.read_tail(db, &hdr, &segs[i..i + 1], 0);
-                let w = cast::to_usize(within);
-                content[w..w + take].copy_from_slice(&bytes[done..done + take]);
+                // Shadow the whole affected segment: copy it, patched.
                 let alloc = self.seg_alloc(&hdr, &segs, i);
-                let ext = db.alloc_leaf(alloc);
-                let mut page = 0u32;
-                let used = pages_for_bytes(e.count);
-                while page < used {
-                    let n = (used - page).min(STAGING_PAGES);
-                    let lo = cast::u32_to_usize(page) * PAGE_SIZE;
-                    let hi = (lo + cast::u32_to_usize(n) * PAGE_SIZE).min(content.len());
-                    db.pool
-                        .write_direct(AreaId::LEAF, ext.start + page, &content[lo..hi]);
-                    page += n;
-                }
-                free_later.push(Extent::new(AreaId::LEAF, segs[i].ptr, alloc));
-                segs[i].ptr = ext.start;
+                let (at, put) = (cast::to_usize(within), &bytes[done..done + take]);
+                let new = self.copy_tail(db, &segs[i..=i], at, take, put, alloc);
+                free_later.push(Extent::new(AreaId::LEAF, e.ptr, alloc));
+                segs[i].ptr = new[0].ptr;
             } else {
                 patch_in_place(db, e.ptr, within, &bytes[done..done + take]);
             }
@@ -566,8 +582,268 @@ impl LargeObject for StarburstObject {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lobstore_simdisk::TraceKind;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Routes `copy_tail` through `copy_tail_oracle` on this thread.
+        pub(super) static MATERIALISE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    impl StarburstObject {
+        /// The copy `copy_tail` replaced, kept as its oracle: read every
+        /// old segment into one `Vec` the size of the tail, edit the
+        /// `Vec`, write it out as maximum-size segments. Same read calls
+        /// and same write calls, all reads first.
+        pub(super) fn copy_tail_oracle(
+            &self,
+            db: &mut Db,
+            old: &[Entry],
+            at: usize,
+            cut: usize,
+            put: &[u8],
+            min_alloc: u32,
+        ) -> Vec<Entry> {
+            let total: u64 = old.iter().map(|e| e.count).sum();
+            let mut tail = Vec::with_capacity(cast::to_usize(total));
+            for e in old {
+                let used_pages = pages_for_bytes(e.count);
+                let mut scratch = vec![0u8; CHUNK];
+                let mut page = 0u32;
+                let mut remaining = cast::to_usize(e.count);
+                while page < used_pages {
+                    let n = (used_pages - page).min(STAGING_PAGES);
+                    db.pool
+                        .read_pages(AreaId::LEAF, e.ptr + page, n, &mut scratch);
+                    let take = remaining.min(cast::u32_to_usize(n) * PAGE_SIZE);
+                    tail.extend_from_slice(&scratch[..take]);
+                    remaining -= take;
+                    page += n;
+                }
+            }
+            tail.splice(at..at + cut, put.iter().copied());
+            let bytes = &tail[..];
+            let mut out = Vec::new();
+            let mut off = 0usize;
+            while off < bytes.len() {
+                let seg_bytes = cast::to_usize(((bytes.len() - off) as u64).min(self.max_bytes()));
+                let pages = pages_for_bytes(seg_bytes as u64);
+                let ext = db.alloc_leaf(pages.max(min_alloc));
+                let mut page = 0u32;
+                while page < pages {
+                    let n = (pages - page).min(STAGING_PAGES);
+                    let lo = off + cast::u32_to_usize(page) * PAGE_SIZE;
+                    let hi = (lo + cast::u32_to_usize(n) * PAGE_SIZE).min(off + seg_bytes);
+                    db.pool
+                        .write_direct(AreaId::LEAF, ext.start + page, &bytes[lo..hi]);
+                    page += n;
+                }
+                out.push(Entry {
+                    count: seg_bytes as u64,
+                    ptr: ext.start,
+                });
+                off += seg_bytes;
+            }
+            out
+        }
+    }
+
+    /// One update of the twin runs below; offsets and lengths are clamped
+    /// into the object as it is when the op runs.
+    #[derive(Clone, Copy, Debug)]
+    enum TwinOp {
+        Insert { at: usize, len: usize },
+        Delete { at: usize, len: usize },
+        Replace { at: usize, len: usize },
+    }
+
+    /// Objects in the twin runs stay below this size: at 2-page segments
+    /// the descriptor's 507 slots hold 4.15 MB.
+    const TWIN_MAX: usize = 4_000_000;
+
+    impl TwinOp {
+        fn apply(self, obj: &mut StarburstObject, db: &mut Db, step: usize) {
+            let size = cast::to_usize(obj.size(db));
+            let clamp = |at: usize, len: usize| {
+                let at = at.min(size.saturating_sub(1));
+                (at, len.min(size - at))
+            };
+            match self {
+                TwinOp::Insert { at, len } => {
+                    let bytes = pattern(len.min(TWIN_MAX - size), step as u8);
+                    obj.insert(db, at.min(size) as u64, &bytes).unwrap();
+                }
+                TwinOp::Delete { at, len } => {
+                    let (at, len) = clamp(at, len);
+                    obj.delete(db, at as u64, len as u64).unwrap();
+                }
+                TwinOp::Replace { at, len } => {
+                    let (at, len) = clamp(at, len);
+                    let bytes = pattern(len, step as u8 ^ 0x55);
+                    obj.replace(db, at as u64, &bytes).unwrap();
+                }
+            }
+        }
+    }
+
+    /// Run `ops` on two identical stores — one through the streaming
+    /// copy, one through the materialising oracle — and after every op
+    /// compare the read calls, the write calls (each as a sequence; only
+    /// their interleaving may differ), `IoStats`, the descriptor, the
+    /// allocation total and the object's bytes.
+    fn run_twin(max_seg_pages: u32, size: usize, ops: &[TwinOp]) {
+        let build = || {
+            let mut db = db();
+            let params = StarburstParams {
+                max_seg_pages,
+                known_size: false,
+            };
+            let mut obj = StarburstObject::create(&mut db, params).unwrap();
+            for piece in pattern(size, 3).chunks(100_000) {
+                obj.append(&mut db, piece).unwrap();
+            }
+            (db, obj)
+        };
+        let mut twins = [build(), build()];
+        for (step, op) in ops.iter().enumerate() {
+            let mut seen = Vec::new();
+            for (oracle, (db, obj)) in [false, true].into_iter().zip(&mut twins) {
+                db.reset_io_stats();
+                db.pool().disk().enable_trace(1 << 14);
+                MATERIALISE.set(oracle);
+                op.apply(obj, db, step);
+                MATERIALISE.set(false);
+                assert_eq!(db.pool().disk().trace_dropped(), 0);
+                let trace = db.pool().disk().take_trace();
+                let calls = |kind: TraceKind| -> Vec<_> {
+                    let of_kind = trace.iter().filter(|e| e.kind == kind);
+                    of_kind.map(|e| (e.area, e.start, e.pages)).collect()
+                };
+                let stats = db.io_stats();
+                obj.check_invariants(db).unwrap();
+                seen.push((
+                    calls(TraceKind::Read),
+                    calls(TraceKind::Write),
+                    stats,
+                    obj.load(db),
+                    db.leaf_pages_allocated(),
+                    obj.snapshot(db),
+                ));
+            }
+            let (new, old) = (&seen[0], &seen[1]);
+            let ctx = format!("max_seg_pages {max_seg_pages}, step {step}: {op:?}");
+            assert_eq!(new.0, old.0, "read calls, {ctx}");
+            assert_eq!(new.1, old.1, "write calls, {ctx}");
+            assert_eq!(new.2, old.2, "IoStats, {ctx}");
+            assert_eq!(new.3, old.3, "descriptor, {ctx}");
+            assert_eq!(new.4, old.4, "leaf pages allocated, {ctx}");
+            assert!(new.5 == old.5, "object bytes, {ctx}");
+        }
+    }
+
+    #[test]
+    fn streaming_copy_matches_the_materialising_oracle_on_the_hard_cases() {
+        use TwinOp::*;
+        const MB: usize = 1 << 20;
+        for max_seg_pages in [2, 16, 8192] {
+            let ops = [
+                // First update: doubling segments, over-allocated last one.
+                Replace {
+                    at: 2 * MB - 5,
+                    len: 3 * PAGE_SIZE,
+                },
+                Insert {
+                    at: CHUNK - 1,
+                    len: 3,
+                },
+                // Steady state from here on. A payload larger than the
+                // whole staging buffer, landing mid-page.
+                Insert {
+                    at: CHUNK + 77,
+                    len: 3 * CHUNK + 4097,
+                },
+                // A delete spanning several 512 KB chunks, ragged ends.
+                Delete {
+                    at: CHUNK - 3,
+                    len: 3 * CHUNK + 11,
+                },
+                // Edit points exactly on chunk, page and stream ends.
+                Insert {
+                    at: CHUNK,
+                    len: PAGE_SIZE,
+                },
+                Delete {
+                    at: 2 * CHUNK,
+                    len: CHUNK,
+                },
+                Delete { at: 0, len: 1 },
+                Replace {
+                    at: 0,
+                    len: usize::MAX,
+                },
+                Insert { at: 0, len: 1 },
+                Delete {
+                    at: 5,
+                    len: usize::MAX,
+                },
+                Insert { at: 5, len: 1 },
+                Delete {
+                    at: 0,
+                    len: usize::MAX,
+                }, // everything
+                Insert {
+                    at: 0,
+                    len: 3 * CHUNK + 1,
+                },
+            ];
+            run_twin(max_seg_pages, 3 * MB, &ops);
+        }
+    }
+
+    /// An offset or length near a multiple of a page, of the small
+    /// segment sizes or of the 512 KB chunk.
+    fn near_a_boundary() -> impl Strategy<Value = usize> {
+        let unit = prop_oneof![
+            Just(1usize),
+            Just(PAGE_SIZE),
+            Just(2 * PAGE_SIZE),
+            Just(16 * PAGE_SIZE),
+            Just(CHUNK),
+        ];
+        (unit, 0usize..8, 0usize..5).prop_map(|(unit, k, d)| (unit * k + d).saturating_sub(2))
+    }
+
+    fn twin_op() -> impl Strategy<Value = TwinOp> {
+        let len = || prop_oneof![4 => near_a_boundary(), 1 => Just(usize::MAX)];
+        prop_oneof![
+            (near_a_boundary(), near_a_boundary()).prop_map(|(at, len)| TwinOp::Insert { at, len }),
+            (near_a_boundary(), len()).prop_map(|(at, len)| TwinOp::Delete { at, len }),
+            (near_a_boundary(), len()).prop_map(|(at, len)| TwinOp::Replace { at, len }),
+        ]
+    }
+
+    proptest! {
+        // The 3 MB cases cost a few hundred 2-page segments per op at
+        // the smallest segment size; `ci.sh` runs them optimised.
+        #![proptest_config(ProptestConfig {
+            cases: if cfg!(debug_assertions) { 8 } else { 256 },
+            ..ProptestConfig::default()
+        })]
+
+        #[test]
+        fn streaming_copy_matches_the_materialising_oracle(
+            (max_seg_pages, size, ops) in (
+                prop_oneof![Just(2u32), Just(16), Just(8192)],
+                1usize..3 << 20,
+                prop::collection::vec(twin_op(), 1..8),
+            )
+        ) {
+            run_twin(max_seg_pages, size, &ops);
+        }
+    }
 
     fn db() -> Db {
         Db::paper_default()

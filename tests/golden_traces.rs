@@ -78,6 +78,57 @@ fn large_unaligned_read_is_exactly_three_steps() {
     assert!((23..=24).contains(&t[1].2), "interior pages direct: {t:?}");
 }
 
+/// §3.5's tail copy in the steady state (one maximum-size segment):
+/// the old segment streams through the 512 KB staging buffer, so reads
+/// and writes alternate in 128-page calls and the last write is the
+/// trimmed partial chunk. The new segment is allocated — and written —
+/// while the old one is still allocated, so no write lands on a page
+/// the copy reads: the old segment is freed only after the last write.
+#[test]
+fn starburst_steady_state_insert_alternates_128_page_reads_and_writes() {
+    let (mut db, mut obj) = build(ManagerSpec::starburst(), 1 << 20, 256 * 1024);
+    obj.insert(&mut db, 3, b"x").unwrap(); // steady state: one 257-page segment
+    let old = obj.segments(&db);
+    assert_eq!(old.len(), 1);
+    db.pool().disk_mut().enable_trace(16);
+    obj.insert(&mut db, 500_000, &[7u8; 100]).unwrap();
+    let trace = db.pool().disk_mut().take_trace();
+    let t: Vec<_> = trace.iter().map(|e| (e.kind, e.area, e.pages)).collect();
+    assert_eq!(
+        t,
+        vec![
+            (R, LEAF, 128),
+            (W, LEAF, 128),
+            (R, LEAF, 128),
+            (W, LEAF, 128),
+            (R, LEAF, 1),
+            (W, LEAF, 1),
+        ],
+        "{t:?}"
+    );
+    let new = obj.segments(&db);
+    assert_eq!(new.len(), 1);
+    assert_eq!((new[0].bytes, new[0].pages), ((1 << 20) + 101, 257));
+    let old_pages = old[0].start_page..old[0].start_page + old[0].pages;
+    for e in &trace {
+        let touches_old = e.start < old_pages.end && old_pages.start < e.start + e.pages;
+        assert_eq!(
+            touches_old,
+            e.kind == R,
+            "old segment read, never written: {e:?}"
+        );
+    }
+    let starts: Vec<_> = trace
+        .iter()
+        .filter(|e| e.kind == W)
+        .map(|e| e.start)
+        .collect();
+    let first = new[0].start_page;
+    assert_eq!(starts, vec![first, first + 128, first + 256]);
+    // The old segment was freed in the end: only the new one is allocated.
+    assert_eq!(db.leaf_pages_allocated(), 257);
+}
+
 /// A small buffered read is one call; repeating it is free.
 #[test]
 fn small_read_buffers_then_hits() {
