@@ -44,12 +44,16 @@ run cargo run -q -p xtask -- lint-sarif target/loblint.json --out target/loblint
 # sizes x all orders) only reaches full depth without debug assertions.
 # Likewise Starburst's streaming tail copy against the materialising
 # copy it replaced: the proptest runs 256 cases of up to 3 MB optimized
-# and 8 otherwise.
+# and 8 otherwise. And obs: its handles-and-names-are-one-registry model
+# test runs 256 seeds of 4 000 interleaved updates optimized, 16 of 400
+# otherwise. The workspace run includes tests/metric_catalog.rs, which
+# holds the crates' declared metric handles to DESIGN.md section 10.
 run cargo test -q --workspace
 run cargo test -q --features paranoid
 run cargo test -q -p lobstore-core -p lobstore-buddy --features paranoid
 run cargo test -q --release -p lobstore-buddy
 run cargo test -q --release -p lobstore-core starburst
+run cargo test -q --release -p lobstore-obs
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

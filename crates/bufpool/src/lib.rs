@@ -20,7 +20,9 @@
 #![forbid(unsafe_code)]
 
 mod frame;
+mod metrics;
 mod pool;
 mod segio;
 
+pub use metrics::NAMES as METRIC_NAMES;
 pub use pool::{BufferPool, FrameRef, PageGuard, PageGuardMut, PoolConfig, PoolStats};

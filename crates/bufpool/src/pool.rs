@@ -30,6 +30,7 @@ use std::sync::{Mutex, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 use lobstore_simdisk::{cast, IoStats, PageId, SimDisk, PAGE_SIZE};
 
 use crate::frame::{Frame, FrameMeta, PageBox};
+use crate::metrics;
 
 /// Pool sizing parameters. The study fixes these to 12 frames with a
 /// 4-page segment-buffering limit (§4.1, Table 1).
@@ -381,8 +382,8 @@ impl BufferPool {
             self.disk.write(pid.area, pid.page, bytes.as_slice());
         }
         inner.stats.eviction_writes += 1;
-        lobstore_obs::counter_add("bufpool.eviction_writes", 1);
-        lobstore_obs::counter_add("bufpool.dirty_writebacks", 1);
+        metrics::EVICTION_WRITES.add(1);
+        metrics::DIRTY_WRITEBACKS.add(1);
     }
 
     /// Pin a frame for `pid` whose bytes the caller overwrites entirely:
@@ -402,17 +403,14 @@ impl BufferPool {
     /// Record one fix outcome in the observability registry and refresh
     /// the derived hit-ratio gauge.
     fn note_fix(hit: bool, stats: PoolStats) {
-        lobstore_obs::counter_add(
-            if hit {
-                "bufpool.hits"
-            } else {
-                "bufpool.misses"
-            },
-            1,
-        );
+        if hit {
+            metrics::HITS.add(1);
+        } else {
+            metrics::MISSES.add(1);
+        }
         let total = stats.hits + stats.misses;
         if total > 0 {
-            lobstore_obs::gauge_set("bufpool.hit_ratio", stats.hits as f64 / total as f64);
+            metrics::HIT_RATIO.set(stats.hits as f64 / total as f64);
         }
     }
 
@@ -524,7 +522,7 @@ impl BufferPool {
             self.disk.write(pid.area, pid.page, bytes.as_slice());
         }
         g.set_clean(idx);
-        lobstore_obs::counter_add("bufpool.dirty_writebacks", 1);
+        metrics::DIRTY_WRITEBACKS.add(1);
     }
 
     /// Write back every dirty frame (one call per page).
@@ -540,7 +538,7 @@ impl BufferPool {
                 self.disk.write(pid.area, pid.page, bytes.as_slice());
             }
             g.set_clean(idx);
-            lobstore_obs::counter_add("bufpool.dirty_writebacks", 1);
+            metrics::DIRTY_WRITEBACKS.add(1);
         }
     }
 

@@ -17,6 +17,7 @@ use std::sync::PoisonError;
 
 use lobstore_simdisk::{cast, AreaId, PageId, PAGE_SIZE, PAGE_SIZE_U64};
 
+use crate::metrics;
 use crate::pool::{BufferPool, FrameRef};
 
 impl BufferPool {
@@ -279,7 +280,7 @@ impl BufferPool {
             for &(_, idx) in run {
                 g.set_clean(idx);
             }
-            lobstore_obs::counter_add("bufpool.dirty_writebacks", run.len() as u64);
+            metrics::DIRTY_WRITEBACKS.add(run.len() as u64);
         }
     }
 

@@ -60,6 +60,7 @@ use lobstore_simdisk::{cast, AreaId, PageId, PAGE_SIZE};
 
 use crate::db::Db;
 use crate::error::{LobError, Result};
+use crate::metrics;
 
 const LOG_MAGIC: &[u8; 4] = b"ALOG";
 const GEN_OFF: usize = 4;
@@ -321,7 +322,7 @@ impl Db {
         if let Some(log) = &mut self.log {
             push_extent_record(&mut log.pending, TAG_ALLOC, ext);
             log.records += 1;
-            lobstore_obs::counter_add("core.alloclog.records", 1);
+            metrics::ALLOCLOG_RECORDS.add(1);
         }
     }
 
@@ -333,7 +334,7 @@ impl Db {
         if let Some(log) = &mut self.log {
             push_extent_record(&mut log.pending, TAG_FREE, ext);
             log.records += 1;
-            lobstore_obs::counter_add("core.alloclog.records", 1);
+            metrics::ALLOCLOG_RECORDS.add(1);
         }
     }
 
@@ -352,7 +353,7 @@ impl Db {
             let img = self.peek_meta(page);
             push_image_record(&mut log.pending, TAG_UNDO_IMAGE, page, &img[..]);
             log.records += 1;
-            lobstore_obs::counter_add("core.alloclog.undo_images", 1);
+            metrics::ALLOCLOG_UNDO_IMAGES.add(1);
             self.write_log_pending(&mut log, true);
         }
         self.log = Some(log);
@@ -373,7 +374,7 @@ impl Db {
             let img = self.peek_meta(page);
             push_image_record(&mut log.pending, TAG_ROOT_IMAGE, page, &img[..]);
             log.records += 1;
-            lobstore_obs::counter_add("core.alloclog.root_images", 1);
+            metrics::ALLOCLOG_ROOT_IMAGES.add(1);
         }
         log.pending.push(TAG_COMMIT);
         log.pending.extend_from_slice(&version.to_le_bytes());
@@ -381,8 +382,8 @@ impl Db {
         self.write_log_pending(&mut log, true);
         log.committed_version = version;
         log.imaged.clear();
-        lobstore_obs::counter_add("core.alloclog.commits", 1);
-        lobstore_obs::gauge_set("alloclog.chain_pages", log.chain.len() as f64);
+        metrics::ALLOCLOG_COMMITS.add(1);
+        metrics::ALLOCLOG_CHAIN_PAGES.set(log.chain.len() as f64);
         self.log = Some(log);
     }
 
@@ -414,7 +415,7 @@ impl Db {
                 log.chain.push(np);
                 log.tail_used = 0;
                 touched.push(np);
-                lobstore_obs::counter_add("core.alloclog.chain_growth", 1);
+                metrics::ALLOCLOG_CHAIN_GROWTH.add(1);
                 continue;
             }
             let n = (PAGE_CAP - log.tail_used).min(buf.len() - i);
@@ -538,7 +539,7 @@ impl Db {
                 BuddyConfig::new(AreaId::LEAF, self.cfg.leaf_space_pages),
                 &mut self.pool,
             );
-            lobstore_obs::counter_add("core.alloclog.replay_fallbacks", 1);
+            metrics::ALLOCLOG_REPLAY_FALLBACKS.add(1);
             self.restart_log_from_live_state(log.head, log.generation.saturating_add(1), 0);
             return;
         };
@@ -631,7 +632,7 @@ impl Db {
             imaged: HashSet::new(),
             records: log.records,
         });
-        lobstore_obs::counter_add("core.alloclog.replays", 1);
+        metrics::ALLOCLOG_REPLAYS.add(1);
         // Make the recovered state durable (directories and rewritten
         // pages are only pool-dirty until now).
         self.pool.flush_all();
@@ -686,7 +687,7 @@ impl Db {
             self.meta_alloc
                 .free(&mut self.pool, Extent::new(AreaId::META, p, 1));
         }
-        lobstore_obs::counter_add("core.alloclog.compactions", 1);
+        metrics::ALLOCLOG_COMPACTIONS.add(1);
         self.restart_log_from_live_state(
             log.head,
             log.generation.saturating_add(1),

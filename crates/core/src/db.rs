@@ -9,6 +9,7 @@ use lobstore_simdisk::{AreaId, CostModel, IoStats, PageId, SimDisk, PAGE_SIZE};
 
 use crate::alloclog::AllocLog;
 use crate::health::{self, HealthSample};
+use crate::metrics;
 use crate::node::{Node, RootHdr};
 use crate::nodecache::{CachedMeta, NodeCache};
 use crate::txn::TxnState;
@@ -322,9 +323,9 @@ impl Db {
     pub(crate) fn with_meta_node<R>(&mut self, page: u32, f: impl FnOnce(&Node) -> R) -> R {
         let r = self.pool.fix(PageId::new(AreaId::META, page));
         if matches!(self.meta_cache.get(page), Some(CachedMeta::Node(_))) {
-            lobstore_obs::counter_add("core.nodecache.hits", 1);
+            metrics::NODECACHE_HITS.add(1);
         } else {
-            lobstore_obs::counter_add("core.nodecache.misses", 1);
+            metrics::NODECACHE_MISSES.add(1);
             let node = self.pool.with_page(r, |p| Node::read_page(p));
             self.meta_cache.insert(page, CachedMeta::Node(node));
         }
@@ -345,9 +346,9 @@ impl Db {
     ) -> R {
         let r = self.pool.fix(PageId::new(AreaId::META, page));
         if matches!(self.meta_cache.get(page), Some(CachedMeta::Root(..))) {
-            lobstore_obs::counter_add("core.nodecache.hits", 1);
+            metrics::NODECACHE_HITS.add(1);
         } else {
-            lobstore_obs::counter_add("core.nodecache.misses", 1);
+            metrics::NODECACHE_MISSES.add(1);
             let (hdr, node) = self.pool.with_page(r, |p| {
                 let hdr = RootHdr::read(p);
                 let node = Node::read_root(p, &hdr);
@@ -368,7 +369,7 @@ impl Db {
     /// way); the node cache is not consulted — [`crate::SnapshotReader`]
     /// memoizes pinned pages itself (its `node_memo` says why).
     pub(crate) fn read_meta_node_ref(&self, page: u32) -> Node {
-        lobstore_obs::counter_add("core.nodecache.ref_reads", 1);
+        metrics::NODECACHE_REF_READS.add(1);
         let r = self.pool.fix(PageId::new(AreaId::META, page));
         let node = self.pool.with_page(r, |p| Node::read_page(p));
         self.pool.unfix(r);

@@ -43,6 +43,7 @@ mod error;
 mod esm;
 mod health;
 mod layout;
+mod metrics;
 mod node;
 mod nodecache;
 mod object;
@@ -68,6 +69,7 @@ pub use error::{LobError, Result};
 pub use esm::{EsmInsertAlgo, EsmObject, EsmParams};
 pub use health::{object_health, publish_object_health, HealthSample, ObjectHealth};
 pub use lobstore_buddy::{Extent, FragStats};
+pub use metrics::NAMES as METRIC_NAMES;
 pub use object::{LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization};
 pub use shared::{SharedDb, SharedSnapshotReader};
 pub use spec::{open_object, ManagerSpec};

@@ -20,6 +20,7 @@
 
 use std::collections::HashMap;
 
+use crate::metrics;
 use crate::node::{Node, RootHdr};
 
 /// A deserialized META page: a non-root index node, or a root/descriptor
@@ -73,7 +74,7 @@ impl NodeCache {
                 .map(|(page, _)| page)
             {
                 self.map.remove(&victim);
-                lobstore_obs::counter_add("core.nodecache.evictions", 1);
+                metrics::NODECACHE_EVICTIONS.add(1);
             }
         }
         self.stamp += 1;

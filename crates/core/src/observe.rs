@@ -2,10 +2,11 @@
 //!
 //! [`ObservedObject`] wraps any [`LargeObject`] and brackets each
 //! I/O-bearing operation with a `lobstore-obs` span named
-//! `op.<scheme>.<operation>` (e.g. `op.esm.append`). The span names are a
-//! fixed 3×11 table of static strings, so the per-op counter bump never
-//! allocates. [`crate::ManagerSpec::create`], [`crate::ManagerSpec::open`],
-//! and [`crate::open_object`] return wrapped objects, so everything built
+//! `op.<scheme>.<operation>` (e.g. `op.esm.append`). Each name is a
+//! static counter handle in [`crate::metrics`]; with no sink installed
+//! an operation bumps that handle and opens no span at all.
+//! [`crate::ManagerSpec::create`], [`crate::ManagerSpec::open`], and
+//! [`crate::open_object`] return wrapped objects, so everything built
 //! through the declarative layer is observed; constructing a concrete
 //! manager directly bypasses observation.
 //!
@@ -21,11 +22,12 @@
 //!   integration tests pin.
 
 use lobstore_obs::json::Value;
-use lobstore_obs::{counter_add, counter_value, sink_installed, Span};
+use lobstore_obs::{sink_installed, Counter, Span};
 use lobstore_simdisk::IoStats;
 
 use crate::db::Db;
 use crate::error::Result;
+use crate::metrics as m;
 use crate::object::{LargeObject, SegmentInfo, StorageKind, Utilization};
 
 /// The logical operations an observed span can describe.
@@ -55,45 +57,45 @@ pub(crate) enum OpName {
     Destroy,
 }
 
-/// Static span/counter name for `(kind, op)`; doubles as the per-op
-/// counter name, so op counts exist even with no sink installed.
-fn span_name(kind: StorageKind, op: OpName) -> &'static str {
+/// The counter of `(kind, op)`; its name doubles as the span name, and
+/// bumping it is all an operation does when no sink is installed.
+fn op_counter(kind: StorageKind, op: OpName) -> &'static Counter {
     use OpName as O;
     use StorageKind as K;
     match (kind, op) {
-        (K::Esm, O::Create) => "op.esm.create",
-        (K::Esm, O::Open) => "op.esm.open",
-        (K::Esm, O::Size) => "op.esm.size",
-        (K::Esm, O::Append) => "op.esm.append",
-        (K::Esm, O::Read) => "op.esm.read",
-        (K::Esm, O::Locate) => "op.esm.locate",
-        (K::Esm, O::Insert) => "op.esm.insert",
-        (K::Esm, O::Delete) => "op.esm.delete",
-        (K::Esm, O::Replace) => "op.esm.replace",
-        (K::Esm, O::Trim) => "op.esm.trim",
-        (K::Esm, O::Destroy) => "op.esm.destroy",
-        (K::Starburst, O::Create) => "op.starburst.create",
-        (K::Starburst, O::Open) => "op.starburst.open",
-        (K::Starburst, O::Size) => "op.starburst.size",
-        (K::Starburst, O::Append) => "op.starburst.append",
-        (K::Starburst, O::Read) => "op.starburst.read",
-        (K::Starburst, O::Locate) => "op.starburst.locate",
-        (K::Starburst, O::Insert) => "op.starburst.insert",
-        (K::Starburst, O::Delete) => "op.starburst.delete",
-        (K::Starburst, O::Replace) => "op.starburst.replace",
-        (K::Starburst, O::Trim) => "op.starburst.trim",
-        (K::Starburst, O::Destroy) => "op.starburst.destroy",
-        (K::Eos, O::Create) => "op.eos.create",
-        (K::Eos, O::Open) => "op.eos.open",
-        (K::Eos, O::Size) => "op.eos.size",
-        (K::Eos, O::Append) => "op.eos.append",
-        (K::Eos, O::Read) => "op.eos.read",
-        (K::Eos, O::Locate) => "op.eos.locate",
-        (K::Eos, O::Insert) => "op.eos.insert",
-        (K::Eos, O::Delete) => "op.eos.delete",
-        (K::Eos, O::Replace) => "op.eos.replace",
-        (K::Eos, O::Trim) => "op.eos.trim",
-        (K::Eos, O::Destroy) => "op.eos.destroy",
+        (K::Esm, O::Create) => &m::OP_ESM_CREATE,
+        (K::Esm, O::Open) => &m::OP_ESM_OPEN,
+        (K::Esm, O::Size) => &m::OP_ESM_SIZE,
+        (K::Esm, O::Append) => &m::OP_ESM_APPEND,
+        (K::Esm, O::Read) => &m::OP_ESM_READ,
+        (K::Esm, O::Locate) => &m::OP_ESM_LOCATE,
+        (K::Esm, O::Insert) => &m::OP_ESM_INSERT,
+        (K::Esm, O::Delete) => &m::OP_ESM_DELETE,
+        (K::Esm, O::Replace) => &m::OP_ESM_REPLACE,
+        (K::Esm, O::Trim) => &m::OP_ESM_TRIM,
+        (K::Esm, O::Destroy) => &m::OP_ESM_DESTROY,
+        (K::Starburst, O::Create) => &m::OP_STARBURST_CREATE,
+        (K::Starburst, O::Open) => &m::OP_STARBURST_OPEN,
+        (K::Starburst, O::Size) => &m::OP_STARBURST_SIZE,
+        (K::Starburst, O::Append) => &m::OP_STARBURST_APPEND,
+        (K::Starburst, O::Read) => &m::OP_STARBURST_READ,
+        (K::Starburst, O::Locate) => &m::OP_STARBURST_LOCATE,
+        (K::Starburst, O::Insert) => &m::OP_STARBURST_INSERT,
+        (K::Starburst, O::Delete) => &m::OP_STARBURST_DELETE,
+        (K::Starburst, O::Replace) => &m::OP_STARBURST_REPLACE,
+        (K::Starburst, O::Trim) => &m::OP_STARBURST_TRIM,
+        (K::Starburst, O::Destroy) => &m::OP_STARBURST_DESTROY,
+        (K::Eos, O::Create) => &m::OP_EOS_CREATE,
+        (K::Eos, O::Open) => &m::OP_EOS_OPEN,
+        (K::Eos, O::Size) => &m::OP_EOS_SIZE,
+        (K::Eos, O::Append) => &m::OP_EOS_APPEND,
+        (K::Eos, O::Read) => &m::OP_EOS_READ,
+        (K::Eos, O::Locate) => &m::OP_EOS_LOCATE,
+        (K::Eos, O::Insert) => &m::OP_EOS_INSERT,
+        (K::Eos, O::Delete) => &m::OP_EOS_DELETE,
+        (K::Eos, O::Replace) => &m::OP_EOS_REPLACE,
+        (K::Eos, O::Trim) => &m::OP_EOS_TRIM,
+        (K::Eos, O::Destroy) => &m::OP_EOS_DESTROY,
     }
 }
 
@@ -139,19 +141,20 @@ struct HookCounters {
 impl HookCounters {
     fn capture() -> HookCounters {
         HookCounters {
-            descents: counter_value("core.tree.descents"),
-            descend_depth: counter_value("core.tree.descend_depth"),
-            seg_reads: counter_value("core.seg.reads"),
-            seg_writes: counter_value("core.seg.writes"),
-            shadow_pages: counter_value("core.shadow.pages"),
-            fresh_pages: counter_value("core.shadow.fresh_pages"),
+            descents: m::TREE_DESCENTS.value(),
+            descend_depth: m::TREE_DESCEND_DEPTH.value(),
+            seg_reads: m::SEG_READS.value(),
+            seg_writes: m::SEG_WRITES.value(),
+            shadow_pages: m::SHADOW_PAGES.value(),
+            fresh_pages: m::SHADOW_FRESH_PAGES.value(),
         }
     }
 }
 
 /// Bracketing state for one observed operation: the before-snapshot of
 /// the disk's [`IoStats`] and (when a sink is listening) of the hook
-/// counters.
+/// counters. Whether one is listening is read once, in
+/// [`OpObserver::begin`], and holds for the whole operation.
 pub(crate) struct OpObserver {
     kind: StorageKind,
     op: OpName,
@@ -174,44 +177,55 @@ impl OpObserver {
         }
     }
 
+    /// Was a sink installed when the operation began? Callers collect
+    /// span-only values (the object's size) only then.
+    pub(crate) fn listening(&self) -> bool {
+        self.hooks.is_some()
+    }
+
     /// Close the operation: accumulate its [`IoStats`] delta into the
-    /// `span.io.*` counters, end the span (emitting the annotated record
-    /// when a sink is installed), and advance the database's operation
-    /// tick — which may fire the periodic health sampler
-    /// ([`Db::set_health_sampling`]). The sampler only uses cost-free
-    /// inspection, so the wrapper stays simulated-I/O-neutral.
+    /// `span.io.*` counters, count the operation (as an annotated span
+    /// when a sink is listening, as a bare counter bump otherwise), and
+    /// advance the database's operation tick — which may fire the
+    /// periodic health sampler ([`Db::set_health_sampling`]). The sampler
+    /// only uses cost-free inspection, so the wrapper stays
+    /// simulated-I/O-neutral.
     pub(crate) fn finish(self, db: &mut Db, object_bytes: Option<u64>, ok: bool) {
         db.note_op();
         let delta = db.io_stats() - self.before_io;
-        counter_add("span.io.read_calls", delta.read_calls);
-        counter_add("span.io.write_calls", delta.write_calls);
-        counter_add("span.io.pages_read", delta.pages_read);
-        counter_add("span.io.pages_written", delta.pages_written);
-        counter_add("span.io.time_us", delta.time_us);
-        let mut span = Span::begin(span_name(self.kind, self.op));
-        if let Some(before) = self.hooks {
-            let now = HookCounters::capture();
-            span.field_str("scheme", kind_label(self.kind));
-            span.field_str("op", op_label(self.op));
-            if let Some(bytes) = object_bytes {
-                span.field_u64("object_bytes", bytes);
-            }
-            span.field_u64("io_read_calls", delta.read_calls);
-            span.field_u64("io_write_calls", delta.write_calls);
-            span.field_u64("io_pages_read", delta.pages_read);
-            span.field_u64("io_pages_written", delta.pages_written);
-            span.field_u64("io_time_us", delta.time_us);
-            span.field_u64("tree_descents", now.descents - before.descents);
-            span.field_u64(
-                "tree_descend_depth",
-                now.descend_depth - before.descend_depth,
-            );
-            span.field_u64("segments_read", now.seg_reads - before.seg_reads);
-            span.field_u64("segments_written", now.seg_writes - before.seg_writes);
-            span.field_u64("shadow_pages", now.shadow_pages - before.shadow_pages);
-            span.field_u64("fresh_index_pages", now.fresh_pages - before.fresh_pages);
-            span.field("ok", Value::Bool(ok));
+        m::SPAN_IO_READ_CALLS.add(delta.read_calls);
+        m::SPAN_IO_WRITE_CALLS.add(delta.write_calls);
+        m::SPAN_IO_PAGES_READ.add(delta.pages_read);
+        m::SPAN_IO_PAGES_WRITTEN.add(delta.pages_written);
+        m::SPAN_IO_TIME_US.add(delta.time_us);
+        let counter = op_counter(self.kind, self.op);
+        let Some(before) = self.hooks else {
+            counter.add(1);
+            return;
+        };
+        // Ending the span bumps `counter` by name.
+        let mut span = Span::begin(counter.name());
+        let now = HookCounters::capture();
+        span.field_str("scheme", kind_label(self.kind));
+        span.field_str("op", op_label(self.op));
+        if let Some(bytes) = object_bytes {
+            span.field_u64("object_bytes", bytes);
         }
+        span.field_u64("io_read_calls", delta.read_calls);
+        span.field_u64("io_write_calls", delta.write_calls);
+        span.field_u64("io_pages_read", delta.pages_read);
+        span.field_u64("io_pages_written", delta.pages_written);
+        span.field_u64("io_time_us", delta.time_us);
+        span.field_u64("tree_descents", now.descents - before.descents);
+        span.field_u64(
+            "tree_descend_depth",
+            now.descend_depth - before.descend_depth,
+        );
+        span.field_u64("segments_read", now.seg_reads - before.seg_reads);
+        span.field_u64("segments_written", now.seg_writes - before.seg_writes);
+        span.field_u64("shadow_pages", now.shadow_pages - before.shadow_pages);
+        span.field_u64("fresh_index_pages", now.fresh_pages - before.fresh_pages);
+        span.field("ok", Value::Bool(ok));
         span.end();
     }
 }
@@ -232,12 +246,9 @@ impl ObservedObject {
     /// Cost-free object size for span annotation, collected only when
     /// someone is listening. Never calls [`LargeObject::size`] — that
     /// could fix the root page and perturb the operation's own I/O.
-    fn observed_bytes(&self, db: &Db) -> Option<u64> {
-        if sink_installed() {
-            Some(self.inner.utilization(db).object_bytes)
-        } else {
-            None
-        }
+    fn observed_bytes(&self, obs: &OpObserver, db: &Db) -> Option<u64> {
+        obs.listening()
+            .then(|| self.inner.utilization(db).object_bytes)
     }
 }
 
@@ -253,7 +264,7 @@ impl LargeObject for ObservedObject {
     fn size(&self, db: &mut Db) -> u64 {
         let obs = OpObserver::begin(self.inner.kind(), OpName::Size, db);
         let n = self.inner.size(db);
-        let bytes = if sink_installed() { Some(n) } else { None };
+        let bytes = obs.listening().then_some(n);
         obs.finish(db, bytes, true);
         n
     }
@@ -261,7 +272,7 @@ impl LargeObject for ObservedObject {
     fn append(&mut self, db: &mut Db, bytes: &[u8]) -> Result<()> {
         let obs = OpObserver::begin(self.inner.kind(), OpName::Append, db);
         let r = self.inner.append(db, bytes);
-        let b = self.observed_bytes(db);
+        let b = self.observed_bytes(&obs, db);
         obs.finish(db, b, r.is_ok());
         r
     }
@@ -269,7 +280,7 @@ impl LargeObject for ObservedObject {
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
         let obs = OpObserver::begin(self.inner.kind(), OpName::Read, db);
         let r = self.inner.read(db, off, out);
-        let b = self.observed_bytes(db);
+        let b = self.observed_bytes(&obs, db);
         obs.finish(db, b, r.is_ok());
         r
     }
@@ -277,7 +288,7 @@ impl LargeObject for ObservedObject {
     fn locate(&self, db: &mut Db, off: u64) -> Result<crate::object::SegSpan> {
         let obs = OpObserver::begin(self.inner.kind(), OpName::Locate, db);
         let r = self.inner.locate(db, off);
-        let b = self.observed_bytes(db);
+        let b = self.observed_bytes(&obs, db);
         obs.finish(db, b, r.is_ok());
         r
     }
@@ -285,7 +296,7 @@ impl LargeObject for ObservedObject {
     fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
         let obs = OpObserver::begin(self.inner.kind(), OpName::Insert, db);
         let r = self.inner.insert(db, off, bytes);
-        let b = self.observed_bytes(db);
+        let b = self.observed_bytes(&obs, db);
         obs.finish(db, b, r.is_ok());
         r
     }
@@ -293,7 +304,7 @@ impl LargeObject for ObservedObject {
     fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
         let obs = OpObserver::begin(self.inner.kind(), OpName::Delete, db);
         let r = self.inner.delete(db, off, len);
-        let b = self.observed_bytes(db);
+        let b = self.observed_bytes(&obs, db);
         obs.finish(db, b, r.is_ok());
         r
     }
@@ -301,7 +312,7 @@ impl LargeObject for ObservedObject {
     fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
         let obs = OpObserver::begin(self.inner.kind(), OpName::Replace, db);
         let r = self.inner.replace(db, off, bytes);
-        let b = self.observed_bytes(db);
+        let b = self.observed_bytes(&obs, db);
         obs.finish(db, b, r.is_ok());
         r
     }
@@ -309,7 +320,7 @@ impl LargeObject for ObservedObject {
     fn trim(&mut self, db: &mut Db) -> Result<()> {
         let obs = OpObserver::begin(self.inner.kind(), OpName::Trim, db);
         let r = self.inner.trim(db);
-        let b = self.observed_bytes(db);
+        let b = self.observed_bytes(&obs, db);
         obs.finish(db, b, r.is_ok());
         r
     }
@@ -371,11 +382,7 @@ fn observe_build(
     let obs = OpObserver::begin(kind, op, db);
     match f(db) {
         Ok(inner) => {
-            let bytes = if sink_installed() {
-                Some(inner.utilization(db).object_bytes)
-            } else {
-                None
-            };
+            let bytes = obs.listening().then(|| inner.utilization(db).object_bytes);
             obs.finish(db, bytes, true);
             Ok(ObservedObject::wrap(inner))
         }

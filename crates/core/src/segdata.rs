@@ -12,6 +12,7 @@ use lobstore_buddy::Extent;
 use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PageId, PAGE_SIZE, PAGE_SIZE_U64};
 
 use crate::db::Db;
+use crate::metrics;
 use crate::node::Entry;
 
 /// Read bytes `[from, from + len)` of the segment at `ptr` (LEAF area):
@@ -30,7 +31,7 @@ pub(crate) fn read_seg_pages(
     mut buf: Vec<u8>,
 ) -> (Vec<u8>, usize) {
     debug_assert!(len > 0);
-    lobstore_obs::counter_add("core.seg.reads", 1);
+    metrics::SEG_READS.add(1);
     let first_page = cast::to_u32(from / PAGE_SIZE_U64);
     // `from + len - 1` is the last requested byte; callers stay inside
     // the segment, far below `u64::MAX`.
@@ -87,7 +88,7 @@ pub(crate) fn peek_segs(db: &Db, segs: &[Entry]) -> Vec<u8> {
 pub(crate) fn write_new_seg(db: &mut Db, alloc_pages: u32, bytes: &[u8]) -> Extent {
     debug_assert!(!bytes.is_empty());
     debug_assert!(pages_for_bytes(bytes.len() as u64) <= alloc_pages);
-    lobstore_obs::counter_add("core.seg.writes", 1);
+    metrics::SEG_WRITES.add(1);
     let ext = db.alloc_leaf(alloc_pages);
     db.pool.write_direct(AreaId::LEAF, ext.start, bytes);
     ext
@@ -99,7 +100,7 @@ pub(crate) fn write_new_seg(db: &mut Db, alloc_pages: u32, bytes: &[u8]) -> Exte
 /// sequential call — exactly the paper's append cost (§4.2).
 pub(crate) fn append_in_place(db: &mut Db, ptr: u32, old_len: u64, new: &[u8]) {
     debug_assert!(!new.is_empty());
-    lobstore_obs::counter_add("core.seg.writes", 1);
+    metrics::SEG_WRITES.add(1);
     let first_page = cast::to_u32(old_len / PAGE_SIZE_U64);
     let in_page = cast::to_usize(old_len % PAGE_SIZE_U64);
     let mut buf = Vec::with_capacity(in_page + new.len());
@@ -118,7 +119,7 @@ pub(crate) fn append_in_place(db: &mut Db, ptr: u32, old_len: u64, new: &[u8]) {
 /// read first (if partially covered) so their surrounding bytes survive.
 pub(crate) fn patch_in_place(db: &mut Db, ptr: u32, from: u64, patch: &[u8]) {
     debug_assert!(!patch.is_empty());
-    lobstore_obs::counter_add("core.seg.writes", 1);
+    metrics::SEG_WRITES.add(1);
     let first_page = cast::to_u32(from / PAGE_SIZE_U64);
     let end = from + patch.len() as u64;
     let head_skip = cast::to_usize(from % PAGE_SIZE_U64);

@@ -19,6 +19,7 @@ use lobstore_buddy::Extent;
 use lobstore_simdisk::{AreaId, PageId};
 
 use crate::db::Db;
+use crate::metrics;
 
 /// State for one logical large-object operation.
 pub(crate) struct OpCtx {
@@ -72,7 +73,7 @@ impl OpCtx {
             return new;
         }
         let new = db.alloc_meta_page();
-        lobstore_obs::counter_add("core.shadow.pages", 1);
+        metrics::SHADOW_PAGES.add(1);
         // Copy old content into the new frame, through the Db funnels so
         // the node cache sees the write to the (possibly recycled) page.
         let mut buf = [0u8; lobstore_simdisk::PAGE_SIZE];
@@ -89,7 +90,7 @@ impl OpCtx {
     /// Allocate a brand-new META index page (e.g. for a node split). It is
     /// flushed at operation end like any shadow copy.
     pub fn fresh_page(&mut self, db: &mut Db) -> u32 {
-        lobstore_obs::counter_add("core.shadow.fresh_pages", 1);
+        metrics::SHADOW_FRESH_PAGES.add(1);
         let page = db.alloc_meta_page();
         self.created.insert(page);
         db.op_created.insert(page);

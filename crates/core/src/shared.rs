@@ -37,6 +37,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::db::Db;
 use crate::error::Result;
+use crate::metrics;
 use crate::stream::{read_buffered, seek_target, SnapshotReader};
 use crate::version::Snapshot;
 
@@ -64,7 +65,7 @@ impl SharedDb {
         if let Ok(mut g) = self.inner.try_write() {
             return f(&mut g);
         }
-        lobstore_obs::counter_add("core.shared.write_waits", 1);
+        metrics::SHARED_WRITE_WAITS.add(1);
         f(&mut self.inner.write().unwrap_or_else(PoisonError::into_inner))
     }
 
@@ -80,7 +81,7 @@ impl SharedDb {
         if let Ok(g) = self.inner.try_read() {
             return f(&g);
         }
-        lobstore_obs::counter_add("core.shared.read_waits", 1);
+        metrics::SHARED_READ_WAITS.add(1);
         f(&self.inner.read().unwrap_or_else(PoisonError::into_inner))
     }
 

@@ -24,6 +24,7 @@ use lobstore_simdisk::cast;
 
 use crate::db::Db;
 use crate::error::{LobError, Result};
+use crate::metrics;
 use crate::node::{Node, RootHdr};
 use crate::object::{LargeObject, StorageKind};
 use crate::segdata::read_seg_pages;
@@ -464,7 +465,7 @@ impl SnapshotReader {
 fn memo_node<'a>(memo: &'a mut Vec<(u32, Node)>, db: &Db, page: u32) -> &'a Node {
     let at = match memo.iter().position(|(p, _)| *p == page) {
         Some(i) => {
-            lobstore_obs::counter_add("core.nodecache.reader_hits", 1);
+            metrics::NODECACHE_READER_HITS.add(1);
             i
         }
         None => {

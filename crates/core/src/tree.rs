@@ -23,6 +23,7 @@ use lobstore_simdisk::{cast, AreaId};
 
 use crate::db::Db;
 use crate::error::{LobError, Result};
+use crate::metrics;
 use crate::node::{Entry, Node, RootHdr, NODE_MAX_ENTRIES, ROOT_MAX_ENTRIES};
 use crate::object::{check_range, SegSpan, SegmentInfo, Utilization};
 use crate::segdata::{patch_in_place, peek_segs, read_seg_bytes};
@@ -148,8 +149,8 @@ impl PosTree {
             (idx, within, entry, level) = db.with_meta_node(page, |node| step_in(node, rem));
             path.push(PathStep { page, idx });
         }
-        lobstore_obs::counter_add("core.tree.descents", 1);
-        lobstore_obs::counter_add("core.tree.descend_depth", path.len() as u64);
+        metrics::TREE_DESCENTS.add(1);
+        metrics::TREE_DESCEND_DEPTH.add(path.len() as u64);
         Some(LeafPos {
             path,
             entry,

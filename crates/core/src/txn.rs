@@ -26,6 +26,7 @@ use lobstore_simdisk::{AreaId, PageId, PAGE_SIZE};
 
 use crate::db::Db;
 use crate::error::Result;
+use crate::metrics;
 
 /// Queued effects of an open transaction (owned by [`Db`]).
 pub(crate) struct TxnState {
@@ -112,8 +113,8 @@ impl Db {
         for ext in t.free_extents {
             self.release_extent(ext);
         }
-        lobstore_obs::counter_add("core.mvcc.txn_commits", 1);
-        lobstore_obs::counter_add("core.mvcc.txn_ops", u64::from(t.ops));
+        metrics::MVCC_TXN_COMMITS.add(1);
+        metrics::MVCC_TXN_OPS.add(u64::from(t.ops));
         self.commit_version();
     }
 
@@ -143,7 +144,7 @@ impl Db {
             self.log_record_free(ext);
             self.free_now(ext);
         }
-        lobstore_obs::counter_add("core.mvcc.txn_rollbacks", 1);
+        metrics::MVCC_TXN_ROLLBACKS.add(1);
     }
 
     /// Absorb one finished operation's shadow effects into the open
@@ -179,7 +180,7 @@ impl Db {
         };
         if let Some(t) = &mut self.txn {
             t.preimages.insert(page, img);
-            lobstore_obs::counter_add("core.mvcc.txn_preimages", 1);
+            metrics::MVCC_TXN_PREIMAGES.add(1);
         }
     }
 

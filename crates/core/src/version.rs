@@ -39,6 +39,7 @@ use lobstore_simdisk::{cast, PAGE_SIZE};
 use crate::db::Db;
 #[cfg(feature = "paranoid")]
 use crate::error::{LobError, Result};
+use crate::metrics;
 
 /// One archived pre-image of a META page that was overwritten in place.
 struct ArchivedPage {
@@ -130,7 +131,7 @@ impl Db {
         );
         let v = self.versions.current;
         *self.versions.pins.entry(v).or_insert(0) += 1;
-        lobstore_obs::counter_add("core.mvcc.snapshots_opened", 1);
+        metrics::MVCC_SNAPSHOTS_OPENED.add(1);
         self.publish_version_gauges();
         Snapshot { version: v }
     }
@@ -146,7 +147,7 @@ impl Db {
             }
             None => unreachable!("snapshot {v} released but never pinned"),
         }
-        lobstore_obs::counter_add("core.mvcc.snapshots_released", 1);
+        metrics::MVCC_SNAPSHOTS_RELEASED.add(1);
         self.reclaim_versions();
         self.publish_version_gauges();
     }
@@ -201,7 +202,7 @@ impl Db {
                 valid_through: current,
                 content,
             });
-        lobstore_obs::counter_add("core.mvcc.pages_archived", 1);
+        metrics::MVCC_PAGES_ARCHIVED.add(1);
     }
 
     /// Queue `ext` to be freed once no pin at a version `<= free_after`
@@ -211,7 +212,7 @@ impl Db {
         self.versions
             .deferred
             .push(DeferredFree { free_after, ext });
-        lobstore_obs::counter_add("core.mvcc.frees_deferred", 1);
+        metrics::MVCC_FREES_DEFERRED.add(1);
     }
 
     /// Commit point of one operation (or one transaction batch): write
@@ -238,7 +239,7 @@ impl Db {
     /// needs.
     fn bump_version(&mut self) {
         self.versions.current += 1;
-        lobstore_obs::counter_add("core.mvcc.versions_committed", 1);
+        metrics::MVCC_VERSIONS_COMMITTED.add(1);
         self.reclaim_versions();
         self.publish_version_gauges();
     }
@@ -265,7 +266,7 @@ impl Db {
             }
         });
         for ext in run {
-            lobstore_obs::counter_add("core.mvcc.frees_reclaimed", 1);
+            metrics::MVCC_FREES_RECLAIMED.add(1);
             self.free_now(ext);
         }
     }
@@ -277,15 +278,15 @@ impl Db {
             .versions
             .oldest_pin()
             .map_or(0, |m| self.versions.current - m);
-        lobstore_obs::gauge_set("mvcc.snapshot_age", age as f64);
-        lobstore_obs::gauge_set("mvcc.pinned_snapshots", self.pinned_snapshots() as f64);
+        metrics::MVCC_SNAPSHOT_AGE.set(age as f64);
+        metrics::MVCC_PINNED_SNAPSHOTS.set(self.pinned_snapshots() as f64);
         let held: u64 = self
             .versions
             .deferred
             .iter()
             .map(|d| u64::from(d.ext.pages))
             .sum();
-        lobstore_obs::gauge_set("mvcc.deferred_pages", held as f64);
+        metrics::MVCC_DEFERRED_PAGES.set(held as f64);
     }
 
     /// Read META `page` as of `version`: the first archived copy still

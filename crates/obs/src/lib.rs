@@ -2,10 +2,16 @@
 //!
 //! Three cooperating pieces:
 //!
-//! * **Metrics** ([`counter_add`], [`gauge_set`], [`histogram_record`]) —
-//!   a thread-local registry of named counters, gauges, and log₂-bucketed
-//!   histograms. Always on; each update is a map lookup plus an integer
-//!   bump, cheap enough for the simulated disk's per-call hot path.
+//! * **Metrics** — counters, gauges, and log₂-bucketed histograms.
+//!   Always on. The engine declares each metric once as a static handle
+//!   ([`Counter`], [`Gauge`], [`Histogram`], usually through
+//!   [`metrics!`]); a handle resolves once to a process-wide slot number
+//!   and then updates a dense per-thread cell — one thread-local borrow
+//!   and one index, cheap enough for the simulated disk's per-call hot
+//!   path. The name-keyed functions ([`counter_add`], [`gauge_set`],
+//!   [`histogram_record`], [`counter_value`], ...) reach the same cells
+//!   through a per-thread name → slot memo; tests, tools and computed
+//!   names use those.
 //! * **Spans and events** ([`Span`], [`event`]) — structured records of
 //!   logical operations. Ending a span always bumps its name's counter;
 //!   the full field set is serialized as one JSON line *only* when a sink
@@ -14,9 +20,11 @@
 //!   serialized span/event lines go. No-op by default; [`JsonlSink`]
 //!   appends one JSON object per line to any `std::io::Write`.
 //!
-//! The registry and sink are thread-local on purpose: the engine is
-//! single-client by design (§3 of the paper), and per-thread state keeps
-//! parallel test binaries from polluting each other's measurements.
+//! Metric values and the sink are thread-local on purpose: a bump needs
+//! no synchronization, and per-thread state keeps parallel tests that
+//! `reset()` and assert exact values from polluting each other. Only the
+//! slot ↔ name table is process-wide; threads hand their numbers over
+//! with [`snapshot`] + [`merge_thread_registry`].
 //!
 //! The [`json`] module is the self-contained JSON reader/writer the rest
 //! of the workspace shares: bench reports, `IoStats::to_json`, metric
@@ -33,6 +41,11 @@
 //! assert_eq!(snap.counter("demo.calls"), 2);
 //! let dump = snap.to_json();
 //! assert!(dump.contains("demo.pages"));
+//!
+//! // A static handle addresses the same cell as the name does.
+//! static CALLS: lobstore_obs::Counter = lobstore_obs::Counter::new("demo.calls");
+//! CALLS.add(1);
+//! assert_eq!(lobstore_obs::counter_value("demo.calls"), 3);
 //! ```
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -46,7 +59,7 @@ mod timeseries;
 
 pub use metrics::{
     counter_add, counter_value, gauge_set, gauge_value, histogram_record, merge_thread_registry,
-    snapshot, HistogramSnapshot, MetricsSnapshot,
+    snapshot, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot,
 };
 pub use sink::{install_sink, sink_installed, take_sink, EventSink, JsonlSink, MemorySink};
 pub use span::{event, Span};
@@ -54,6 +67,32 @@ pub use timeseries::{
     series_names, series_record, series_snapshot, series_snapshot_all, SeriesPoint, SeriesSnapshot,
     SeriesSummary, SERIES_CAPACITY,
 };
+
+/// Declare a crate's metric handles and the list of their names in one
+/// place (by convention a private `metrics` module):
+///
+/// ```
+/// lobstore_obs::metrics! {
+///     /// Segments read.
+///     pub static SEG_READS: Counter = "demo.seg.reads";
+///     pub static HIT_RATIO: Gauge = "demo.hit_ratio";
+///     pub static CALL_PAGES: Histogram = "demo.call_pages";
+/// }
+/// SEG_READS.add(2);
+/// assert_eq!(NAMES, ["demo.seg.reads", "demo.hit_ratio", "demo.call_pages"]);
+/// ```
+///
+/// Each line becomes a `static` of the named handle type ([`Counter`],
+/// [`Gauge`] or [`Histogram`]); `NAMES` lists every declared name in
+/// order, which is what the metric-catalog test compares with DESIGN.md.
+#[macro_export]
+macro_rules! metrics {
+    ($($(#[$meta:meta])* $vis:vis static $id:ident: $kind:ident = $name:literal;)*) => {
+        $($(#[$meta])* $vis static $id: $crate::$kind = $crate::$kind::new($name);)*
+        /// Every metric name this module declares a handle for.
+        pub const NAMES: &[&str] = &[$($name),*];
+    };
+}
 
 /// Wipe this thread's registry — every counter, gauge, histogram, and
 /// time series. Tests and bench phases call this to measure from a

@@ -1,13 +1,32 @@
-//! The thread-local metrics registry: counters, gauges, and
-//! log₂-bucketed histograms, addressed by name.
+//! The metrics registry: counters, gauges, and log₂-bucketed
+//! histograms, addressed by static handle or by name.
 //!
-//! Updates are a `BTreeMap` lookup plus an integer bump — cheap enough
-//! for the simulated disk's per-I/O-call hot path, with no setup or
-//! registration step. Names should be `dotted.lowercase` and stable;
-//! the catalog lives in DESIGN.md ("Observability").
+//! Every metric has a process-wide **slot number** per kind, handed out
+//! by the slot ↔ name table ([`SLOTS`]) the first time its name is seen
+//! and never reused. Values live in dense per-thread `Vec`s indexed by
+//! slot, so an update through a handle ([`Counter`], [`Gauge`],
+//! [`Histogram`]: a `static` that resolves its slot once) is one
+//! thread-local borrow and one index — no string compare, no allocation,
+//! no lock. The name-keyed functions ([`counter_add`] and friends)
+//! address the *same* cells: name → slot through a per-thread memo, then
+//! the same update; they are what tests, tools and computed names
+//! (`health.<area>.<metric>`) use.
+//!
+//! Storage is per-thread on purpose: a bump needs no synchronization,
+//! and parallel tests that `reset()` and then assert exact values cannot
+//! disturb each other. Worker threads hand their numbers over with
+//! [`snapshot`] + [`merge_thread_registry`]. Only slot *numbers* are
+//! process-wide, which is what would let the cells move behind
+//! [`Counter::add`] into shared atomics later without touching a caller.
+//!
+//! Names should be `dotted.lowercase` and stable; the catalog lives in
+//! DESIGN.md ("Observability") and is checked against the handles each
+//! crate declares with [`metrics!`](crate::metrics!).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::json::Value;
 
@@ -17,16 +36,16 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 
 #[derive(Clone)]
 struct Histo {
-    buckets: Box<[u64; HISTOGRAM_BUCKETS]>,
+    buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
     sum: u64,
     max: u64,
 }
 
 impl Histo {
-    fn new() -> Histo {
+    const fn new() -> Histo {
         Histo {
-            buckets: Box::new([0; HISTOGRAM_BUCKETS]),
+            buckets: [0; HISTOGRAM_BUCKETS],
             count: 0,
             sum: 0,
             max: 0,
@@ -34,11 +53,28 @@ impl Histo {
     }
 
     fn record(&mut self, value: u64) {
-        let b = bucket_of(value);
-        self.buckets[b] += 1;
-        self.count += 1;
+        if let Some(b) = self.buckets.get_mut(bucket_of(value)) {
+            *b = b.saturating_add(1);
+        }
+        self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
+    }
+
+    fn snapshot(&self, name: &str) -> HistogramSnapshot {
+        HistogramSnapshot {
+            name: name.to_string(),
+            count: self.count,
+            sum: self.sum,
+            buckets: self
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, &c)| (i, c))
+                .collect(),
+            max: self.max,
+        }
     }
 }
 
@@ -50,67 +86,325 @@ fn bucket_of(value: u64) -> usize {
     }
 }
 
-#[derive(Default)]
+// ---- the process-wide slot ↔ name table ------------------------------------
+
+/// The three metric kinds; each has a slot space of its own, so a
+/// counter and a histogram may share a name.
+#[derive(Clone, Copy)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+/// One kind's name → slot map. Slots count up from 0 in order of first
+/// use and are never freed or renumbered.
+struct SlotNames(BTreeMap<String, usize>);
+
+impl SlotNames {
+    fn find(&self, name: &str) -> Option<usize> {
+        self.0.get(name).copied()
+    }
+
+    /// The slot of `name`; a new name gets the next one.
+    fn intern(&mut self, name: &str) -> usize {
+        if let Some(slot) = self.find(name) {
+            return slot;
+        }
+        let slot = self.0.len();
+        self.0.insert(name.to_string(), slot);
+        slot
+    }
+}
+
+/// The slot ↔ name table.
+struct SlotTable {
+    counters: SlotNames,
+    gauges: SlotNames,
+    histos: SlotNames,
+}
+
+impl SlotTable {
+    fn names(&mut self, kind: Kind) -> &mut SlotNames {
+        match kind {
+            Kind::Counter => &mut self.counters,
+            Kind::Gauge => &mut self.gauges,
+            Kind::Histogram => &mut self.histos,
+        }
+    }
+}
+
+/// Innermost lock of the workspace (DESIGN.md §13): taken for a name's
+/// first resolution on a thread and for [`snapshot`], held over map work
+/// only, never across a call out of this module.
+static SLOTS: Mutex<SlotTable> = Mutex::new(SlotTable {
+    counters: SlotNames(BTreeMap::new()),
+    gauges: SlotNames(BTreeMap::new()),
+    histos: SlotNames(BTreeMap::new()),
+});
+
+fn slots() -> MutexGuard<'static, SlotTable> {
+    // The table's only update is one map insert; a poisoned guard still
+    // holds a consistent table.
+    SLOTS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+// ---- static handles ---------------------------------------------------------
+
+const UNRESOLVED: usize = usize::MAX;
+
+/// A name and its lazily resolved slot; the common part of the three
+/// handle types.
+struct Handle {
+    name: &'static str,
+    slot: AtomicUsize,
+}
+
+impl Handle {
+    const fn new(name: &'static str) -> Handle {
+        Handle {
+            name,
+            slot: AtomicUsize::new(UNRESOLVED),
+        }
+    }
+
+    /// The handle's slot, asking the table on first use. `Relaxed`: the
+    /// number publishes nothing but itself (the table it indexes is
+    /// behind [`SLOTS`]), and racing first uses all get the same answer.
+    fn slot(&self, kind: Kind) -> usize {
+        let known = self.slot.load(Ordering::Relaxed);
+        if known != UNRESOLVED {
+            return known;
+        }
+        let slot = slots().names(kind).intern(self.name);
+        self.slot.store(slot, Ordering::Relaxed);
+        slot
+    }
+}
+
+/// A monotonically increasing counter, declared once as a `static` and
+/// bumped without a name lookup. Addresses the same cell as
+/// [`counter_add`] with the same name.
+pub struct Counter(Handle);
+
+impl Counter {
+    /// A handle for the counter `name`. `const`, so handles are plain
+    /// `static`s; the slot is resolved on first use.
+    pub const fn new(name: &'static str) -> Counter {
+        Counter(Handle::new(name))
+    }
+
+    /// The counter's name.
+    pub fn name(&self) -> &'static str {
+        self.0.name
+    }
+
+    /// Add `n` (saturating at `u64::MAX`), creating the counter at zero
+    /// first if this thread has not touched it since [`reset`](crate::reset).
+    pub fn add(&self, n: u64) {
+        let slot = self.0.slot(Kind::Counter);
+        with_registry(|r| r.counters.update(slot, |c| add_to(c, n)));
+    }
+
+    /// This thread's current value (0 if untouched since [`reset`](crate::reset)).
+    pub fn value(&self) -> u64 {
+        let slot = self.0.slot(Kind::Counter);
+        with_registry(|r| r.counters.get(slot).copied().unwrap_or(0))
+    }
+}
+
+/// A last-value gauge, declared once as a `static`. Addresses the same
+/// cell as [`gauge_set`] with the same name.
+pub struct Gauge(Handle);
+
+impl Gauge {
+    /// A handle for the gauge `name`; see [`Counter::new`].
+    pub const fn new(name: &'static str) -> Gauge {
+        Gauge(Handle::new(name))
+    }
+
+    /// The gauge's name.
+    pub fn name(&self) -> &'static str {
+        self.0.name
+    }
+
+    /// Set the gauge to `v`.
+    pub fn set(&self, v: f64) {
+        let slot = self.0.slot(Kind::Gauge);
+        with_registry(|r| r.gauges.update(slot, |g| *g = Some(v)));
+    }
+
+    /// This thread's current reading (`None` if unset since [`reset`](crate::reset)).
+    pub fn value(&self) -> Option<f64> {
+        let slot = self.0.slot(Kind::Gauge);
+        with_registry(|r| r.gauges.get(slot).copied())
+    }
+}
+
+/// A log₂-bucketed histogram, declared once as a `static`. Addresses
+/// the same cell as [`histogram_record`] with the same name.
+pub struct Histogram(Handle);
+
+impl Histogram {
+    /// A handle for the histogram `name`; see [`Counter::new`].
+    pub const fn new(name: &'static str) -> Histogram {
+        Histogram(Handle::new(name))
+    }
+
+    /// The histogram's name.
+    pub fn name(&self) -> &'static str {
+        self.0.name
+    }
+
+    /// Record one observation of `value`.
+    pub fn record(&self, value: u64) {
+        let slot = self.0.slot(Kind::Histogram);
+        with_registry(|r| r.histos.update(slot, |h| record_in(h, value)));
+    }
+}
+
+fn add_to(cell: &mut Option<u64>, n: u64) {
+    *cell = Some(cell.unwrap_or(0).saturating_add(n));
+}
+
+fn record_in(cell: &mut Option<Histo>, value: u64) {
+    cell.get_or_insert_with(Histo::new).record(value);
+}
+
+// ---- the per-thread cells ---------------------------------------------------
+
+/// One metric kind on one thread: a cell per slot (`None` = untouched
+/// since [`reset`], so absent from [`snapshot`]) and the memo the
+/// name-keyed functions resolve through.
+struct Family<T> {
+    cells: Vec<Option<T>>,
+    memo: BTreeMap<String, usize>,
+    kind: Kind,
+}
+
+impl<T> Family<T> {
+    const fn new(kind: Kind) -> Family<T> {
+        Family {
+            cells: Vec::new(),
+            memo: BTreeMap::new(),
+            kind,
+        }
+    }
+
+    fn get(&self, slot: usize) -> Option<&T> {
+        self.cells.get(slot).and_then(Option::as_ref)
+    }
+
+    /// Apply `f` to the cell at `slot`, growing the vector to reach it.
+    fn update(&mut self, slot: usize, f: impl FnOnce(&mut Option<T>)) {
+        if slot >= self.cells.len() {
+            self.cells.resize_with(slot + 1, || None);
+        }
+        if let Some(cell) = self.cells.get_mut(slot) {
+            f(cell);
+        }
+    }
+
+    /// Slot of `name`: this thread's memo first, then the process-wide
+    /// table. With `create` unset a name nobody has used stays unknown.
+    fn slot_of(&mut self, name: &str, create: bool) -> Option<usize> {
+        if let Some(&slot) = self.memo.get(name) {
+            return Some(slot);
+        }
+        let slot = {
+            let mut table = slots();
+            let names = table.names(self.kind);
+            if create {
+                names.intern(name)
+            } else {
+                names.find(name)?
+            }
+        };
+        self.memo.insert(name.to_string(), slot);
+        Some(slot)
+    }
+
+    fn update_named(&mut self, name: &str, f: impl FnOnce(&mut Option<T>)) {
+        if let Some(slot) = self.slot_of(name, true) {
+            self.update(slot, f);
+        }
+    }
+
+    fn get_named(&mut self, name: &str) -> Option<&T> {
+        let slot = self.slot_of(name, false)?;
+        self.get(slot)
+    }
+
+    fn clear(&mut self) {
+        self.cells.iter_mut().for_each(|c| *c = None);
+    }
+
+    /// `(name, value)` of every touched cell, in name order.
+    fn named<'a>(&'a self, names: &'a SlotNames) -> impl Iterator<Item = (&'a str, &'a T)> {
+        names
+            .0
+            .iter()
+            .filter_map(|(name, &slot)| Some((name.as_str(), self.get(slot)?)))
+    }
+}
+
 struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histos: BTreeMap<String, Histo>,
+    counters: Family<u64>,
+    gauges: Family<f64>,
+    histos: Family<Histo>,
 }
 
 thread_local! {
-    static REGISTRY: RefCell<Registry> = RefCell::new(Registry::default());
+    static REGISTRY: RefCell<Registry> = const {
+        RefCell::new(Registry {
+            counters: Family::new(Kind::Counter),
+            gauges: Family::new(Kind::Gauge),
+            histos: Family::new(Kind::Histogram),
+        })
+    };
 }
 
 fn with_registry<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
     REGISTRY.with(|r| f(&mut r.borrow_mut()))
 }
 
-/// Add `n` to the counter `name`, creating it at zero first if needed.
+// ---- the name-keyed API -----------------------------------------------------
+
+/// Add `n` to the counter `name` (saturating at `u64::MAX`), creating it
+/// at zero first if needed.
 pub fn counter_add(name: &str, n: u64) {
-    with_registry(|r| match r.counters.get_mut(name) {
-        Some(v) => *v += n,
-        None => {
-            r.counters.insert(name.to_string(), n);
-        }
-    });
+    with_registry(|r| r.counters.update_named(name, |c| add_to(c, n)));
 }
 
 /// Current value of counter `name` (0 if it was never bumped).
 pub fn counter_value(name: &str) -> u64 {
-    with_registry(|r| r.counters.get(name).copied().unwrap_or(0))
+    with_registry(|r| r.counters.get_named(name).copied().unwrap_or(0))
 }
 
 /// Set the gauge `name` to `v`.
 pub fn gauge_set(name: &str, v: f64) {
-    with_registry(|r| match r.gauges.get_mut(name) {
-        Some(g) => *g = v,
-        None => {
-            r.gauges.insert(name.to_string(), v);
-        }
-    });
+    with_registry(|r| r.gauges.update_named(name, |g| *g = Some(v)));
 }
 
 /// Current value of gauge `name` (`None` if never set).
 pub fn gauge_value(name: &str) -> Option<f64> {
-    with_registry(|r| r.gauges.get(name).copied())
+    with_registry(|r| r.gauges.get_named(name).copied())
 }
 
 /// Record one observation of `value` in the histogram `name`.
 pub fn histogram_record(name: &str, value: u64) {
-    with_registry(|r| match r.histos.get_mut(name) {
-        Some(h) => h.record(value),
-        None => {
-            let mut h = Histo::new();
-            h.record(value);
-            r.histos.insert(name.to_string(), h);
-        }
-    });
+    with_registry(|r| r.histos.update_named(name, |h| record_in(h, value)));
 }
 
 /// Wipe this thread's registry: every counter, gauge, and histogram.
-/// Tests call this to measure from a clean slate.
+/// Tests call this to measure from a clean slate. Slot numbers (and the
+/// name memo) survive; they are process-wide facts, not measurements.
 pub fn reset() {
-    with_registry(|r| *r = Registry::default());
+    with_registry(|r| {
+        r.counters.clear();
+        r.gauges.clear();
+        r.histos.clear();
+    });
 }
 
 /// One histogram, as captured by [`snapshot`].
@@ -138,19 +432,7 @@ impl HistogramSnapshot {
         for &v in values {
             h.record(v);
         }
-        HistogramSnapshot {
-            name: name.to_string(),
-            count: h.count,
-            sum: h.sum,
-            buckets: h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &c)| (i, c))
-                .collect(),
-            max: h.max,
-        }
+        h.snapshot(name)
     }
 
     /// Estimate the `q`-quantile (`0.0 ≤ q ≤ 1.0`) by linear
@@ -307,7 +589,7 @@ impl MetricsSnapshot {
 /// they are point-in-time readings, not accumulators). Time series are
 /// not part of [`MetricsSnapshot`] and are deliberately excluded.
 ///
-/// The registry is thread-local by design (hot-path updates need no
+/// The cells are per-thread by design (hot-path updates need no
 /// synchronization); worker threads capture [`snapshot`] before exiting
 /// and the coordinating thread folds them in with this function —
 /// benches and the `shared_db` hammer use it to report fleet-wide
@@ -315,52 +597,49 @@ impl MetricsSnapshot {
 pub fn merge_thread_registry(other: &MetricsSnapshot) {
     with_registry(|r| {
         for (name, v) in &other.counters {
-            match r.counters.get_mut(name) {
-                Some(c) => *c = c.saturating_add(*v),
-                None => {
-                    r.counters.insert(name.clone(), *v);
-                }
-            }
+            r.counters.update_named(name, |c| add_to(c, *v));
         }
         for (name, v) in &other.gauges {
-            r.gauges.insert(name.clone(), *v);
+            r.gauges.update_named(name, |g| *g = Some(*v));
         }
         for hs in &other.histograms {
-            let h = r.histos.entry(hs.name.clone()).or_insert_with(Histo::new);
-            for &(i, c) in &hs.buckets {
-                if let Some(b) = h.buckets.get_mut(i) {
-                    *b = b.saturating_add(c);
+            r.histos.update_named(&hs.name, |cell| {
+                let h = cell.get_or_insert_with(Histo::new);
+                for &(i, c) in &hs.buckets {
+                    if let Some(b) = h.buckets.get_mut(i) {
+                        *b = b.saturating_add(c);
+                    }
                 }
-            }
-            h.count = h.count.saturating_add(hs.count);
-            h.sum = h.sum.saturating_add(hs.sum);
-            h.max = h.max.max(hs.max);
+                h.count = h.count.saturating_add(hs.count);
+                h.sum = h.sum.saturating_add(hs.sum);
+                h.max = h.max.max(hs.max);
+            });
         }
     });
 }
 
-/// Capture the current state of this thread's registry.
+/// Capture the current state of this thread's registry: every metric
+/// touched since [`reset`](crate::reset), through a handle or by name.
 pub fn snapshot() -> MetricsSnapshot {
-    with_registry(|r| MetricsSnapshot {
-        counters: r.counters.iter().map(|(n, v)| (n.clone(), *v)).collect(),
-        gauges: r.gauges.iter().map(|(n, v)| (n.clone(), *v)).collect(),
-        histograms: r
-            .histos
-            .iter()
-            .map(|(n, h)| HistogramSnapshot {
-                name: n.clone(),
-                count: h.count,
-                sum: h.sum,
-                buckets: h
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(i, &c)| (i, c))
-                    .collect(),
-                max: h.max,
-            })
-            .collect(),
+    with_registry(|r| {
+        let table = slots();
+        MetricsSnapshot {
+            counters: r
+                .counters
+                .named(&table.counters)
+                .map(|(name, v)| (name.to_string(), *v))
+                .collect(),
+            gauges: r
+                .gauges
+                .named(&table.gauges)
+                .map(|(name, v)| (name.to_string(), *v))
+                .collect(),
+            histograms: r
+                .histos
+                .named(&table.histos)
+                .map(|(name, h)| h.snapshot(name))
+                .collect(),
+        }
     })
 }
 

@@ -3,9 +3,12 @@
 //! A [`Span`] brackets one operation (e.g. `op.esm.insert`). Ending it
 //! always bumps the counter named after the span, so operation counts
 //! are available even with no sink; the annotated JSON line is built and
-//! emitted only when a sink is installed. Callers that want to skip
+//! emitted only when a sink is installed. Whether one is gets read once,
+//! in [`Span::begin`], not once per field. Callers that want to skip
 //! collecting expensive field values entirely can guard on
-//! [`crate::sink_installed`].
+//! [`crate::sink_installed`]; a hot path that already holds a
+//! [`crate::Counter`] for the span's name can bump that instead of
+//! opening a span when nobody listens (`core`'s `OpObserver` does).
 //!
 //! An [`event`] is a span with no duration — one record, same pipeline.
 
@@ -20,6 +23,9 @@ pub struct Span {
     name: &'static str,
     fields: Vec<(String, Value)>,
     ended: bool,
+    /// Was a sink installed when the span began? Fields are kept, and
+    /// the record emitted, only then.
+    recording: bool,
 }
 
 impl Span {
@@ -31,6 +37,7 @@ impl Span {
             name,
             fields: Vec::new(),
             ended: false,
+            recording: sink_installed(),
         }
     }
 
@@ -56,7 +63,7 @@ impl Span {
 
     /// Attach an arbitrary JSON field. No-op when no sink is installed.
     pub fn field(&mut self, key: &str, v: Value) -> &mut Span {
-        if sink_installed() {
+        if self.recording {
             self.fields.push((key.to_string(), v));
         }
         self
@@ -74,7 +81,7 @@ impl Span {
         }
         self.ended = true;
         counter_add(self.name, 1);
-        if emit_record && sink_installed() {
+        if emit_record && self.recording {
             let mut members = Vec::with_capacity(self.fields.len() + 2);
             members.push(("type".to_string(), Value::from("span")));
             members.push(("name".to_string(), Value::from(self.name)));

@@ -1,9 +1,10 @@
 //! The simulated disk itself.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError, RwLock};
 
 use crate::cost::CostModel;
+use crate::metrics as m;
 use crate::stats::IoStats;
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::{cast, AreaId, PAGE_SIZE};
@@ -195,14 +196,19 @@ impl AtomicIoStats {
 ///
 /// Every operation takes `&self`: areas sit behind per-area `RwLock`s
 /// (reads share, writes exclude), the statistics are atomics, and the
-/// optional trace is mutex-guarded. Single-threaded callers see exactly
-/// the pre-latch behavior — same costs, same counter ordering, same
-/// trace stream.
+/// optional trace is mutex-guarded — a mutex no call takes until a trace
+/// has been enabled. Single-threaded callers see exactly the pre-latch
+/// behavior — same costs, same counter ordering, same trace stream.
 pub struct SimDisk {
     areas: Vec<AreaSlot>,
     cost: CostModel,
     stats: AtomicIoStats,
     trace: Mutex<Option<Trace>>,
+    /// Set, and never cleared, once [`Self::enable_trace`] has stored a
+    /// trace; `charge` leaves the `trace` mutex alone until then. A call
+    /// racing `enable_trace` may go unrecorded, as it could before by
+    /// winning the race for the mutex.
+    tracing: AtomicBool,
 }
 
 impl SimDisk {
@@ -217,6 +223,7 @@ impl SimDisk {
             cost,
             stats: AtomicIoStats::default(),
             trace: Mutex::new(None),
+            tracing: AtomicBool::new(false),
         }
     }
 
@@ -245,6 +252,7 @@ impl SimDisk {
         let trace = Trace::new(capacity);
         let mut g = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
         *g = Some(trace);
+        self.tracing.store(true, Ordering::Release);
     }
 
     /// Drain the recorded trace (empty if tracing was never enabled).
@@ -288,31 +296,33 @@ impl SimDisk {
             }
         }
         self.stats.time_us.fetch_add(cost, Ordering::AcqRel);
-        // Observability: per-area call/page counters (static names so the
-        // hot path never allocates) and cost-shape histograms.
-        let (calls_name, pages_name) = match (kind, area.0) {
-            (TraceKind::Read, 0) => ("simdisk.meta.read_calls", "simdisk.meta.pages_read"),
-            (TraceKind::Read, 1) => ("simdisk.leaf.read_calls", "simdisk.leaf.pages_read"),
-            (TraceKind::Read, _) => ("simdisk.other.read_calls", "simdisk.other.pages_read"),
-            (TraceKind::Write, 0) => ("simdisk.meta.write_calls", "simdisk.meta.pages_written"),
-            (TraceKind::Write, 1) => ("simdisk.leaf.write_calls", "simdisk.leaf.pages_written"),
-            (TraceKind::Write, _) => ("simdisk.other.write_calls", "simdisk.other.pages_written"),
+        // Observability: per-area call/page counters and cost-shape
+        // histograms, through static handles.
+        let (calls, moved) = match (kind, area.0) {
+            (TraceKind::Read, 0) => (&m::META_READ_CALLS, &m::META_PAGES_READ),
+            (TraceKind::Read, 1) => (&m::LEAF_READ_CALLS, &m::LEAF_PAGES_READ),
+            (TraceKind::Read, _) => (&m::OTHER_READ_CALLS, &m::OTHER_PAGES_READ),
+            (TraceKind::Write, 0) => (&m::META_WRITE_CALLS, &m::META_PAGES_WRITTEN),
+            (TraceKind::Write, 1) => (&m::LEAF_WRITE_CALLS, &m::LEAF_PAGES_WRITTEN),
+            (TraceKind::Write, _) => (&m::OTHER_WRITE_CALLS, &m::OTHER_PAGES_WRITTEN),
         };
-        lobstore_obs::counter_add(calls_name, 1);
-        lobstore_obs::counter_add(pages_name, u64::from(pages));
-        lobstore_obs::histogram_record("simdisk.seek_us", self.cost.seek_us);
-        lobstore_obs::histogram_record("simdisk.transfer_us", cost - self.cost.seek_us);
-        lobstore_obs::histogram_record("simdisk.call_pages", u64::from(pages));
-        let event = TraceEvent {
-            kind,
-            area,
-            start,
-            pages,
-            cost_us: cost,
-        };
-        let mut g = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(t) = g.as_mut() {
-            t.record(event);
+        calls.add(1);
+        moved.add(u64::from(pages));
+        m::SEEK_US.record(self.cost.seek_us);
+        m::TRANSFER_US.record(cost - self.cost.seek_us);
+        m::CALL_PAGES.record(u64::from(pages));
+        if self.tracing.load(Ordering::Acquire) {
+            let event = TraceEvent {
+                kind,
+                area,
+                start,
+                pages,
+                cost_us: cost,
+            };
+            let mut g = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(t) = g.as_mut() {
+                t.record(event);
+            }
         }
     }
 
@@ -327,8 +337,8 @@ impl SimDisk {
     pub fn read(&self, area: AreaId, start_page: u32, out: &mut [u8]) {
         assert!(!out.is_empty(), "zero-length disk read");
         let n_pages = cast::usize_to_u32(out.len().div_ceil(PAGE_SIZE));
-        self.charge(TraceKind::Read, area, start_page, n_pages);
         let slot = self.slot(area);
+        self.charge(TraceKind::Read, area, start_page, n_pages);
         let a = slot.store.read().unwrap_or_else(PoisonError::into_inner);
         a.copy_out(start_page, out);
     }
@@ -345,8 +355,8 @@ impl SimDisk {
     pub fn write(&self, area: AreaId, start_page: u32, data: &[u8]) {
         assert!(!data.is_empty(), "zero-length disk write");
         let n_pages = cast::usize_to_u32(data.len().div_ceil(PAGE_SIZE));
-        self.charge(TraceKind::Write, area, start_page, n_pages);
         let slot = self.slot(area);
+        self.charge(TraceKind::Write, area, start_page, n_pages);
         let mut a = slot.store.write().unwrap_or_else(PoisonError::into_inner);
         a.copy_in(start_page, data);
     }
@@ -362,13 +372,13 @@ impl SimDisk {
     /// If `pages` is empty or the area does not exist.
     pub fn write_gather(&self, area: AreaId, start_page: u32, pages: &[&[u8; PAGE_SIZE]]) {
         assert!(!pages.is_empty(), "zero-length disk write");
+        let slot = self.slot(area);
         self.charge(
             TraceKind::Write,
             area,
             start_page,
             cast::usize_to_u32(pages.len()),
         );
-        let slot = self.slot(area);
         let mut a = slot.store.write().unwrap_or_else(PoisonError::into_inner);
         for (i, p) in pages.iter().enumerate() {
             // The run was charged above; `start_page + pages.len()` fits
@@ -551,6 +561,55 @@ mod tests {
         let d = SimDisk::new(1, CostModel::FREE);
         let mut buf = [0u8; 1];
         d.read(AreaId(3), 0, &mut buf);
+    }
+
+    /// A call on an area that does not exist is rejected before anything
+    /// is charged: no `IoStats`, no `simdisk.other.*`, no histogram.
+    #[test]
+    fn bad_area_charges_nothing() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        lobstore_obs::reset();
+        let d = SimDisk::new(1, CostModel::default());
+        let page: PageBox = Box::new([0u8; PAGE_SIZE]);
+        let mut buf = [0u8; 1];
+        let panics = |call: &mut dyn FnMut()| catch_unwind(AssertUnwindSafe(call)).is_err();
+        assert!(panics(&mut || d.read(AreaId(3), 0, &mut buf)));
+        assert!(panics(&mut || d.write(AreaId(3), 0, &[1u8; 8])));
+        assert!(panics(&mut || d.write_gather(AreaId(3), 0, &[&page])));
+        assert_eq!(d.stats(), IoStats::default());
+        assert_eq!(
+            lobstore_obs::snapshot(),
+            lobstore_obs::MetricsSnapshot::default()
+        );
+    }
+
+    /// `charge` skips the trace mutex until a trace is enabled; enabling
+    /// one later records exactly the calls made from then on.
+    #[test]
+    fn trace_enabled_late_records_only_later_calls() {
+        let d = disk();
+        let mut buf = [0u8; 8];
+        for p in 0..3 {
+            d.read(AreaId::META, p, &mut buf);
+        }
+        assert!(d.take_trace().is_empty());
+        assert_eq!(d.trace_dropped(), 0);
+        d.enable_trace(2);
+        d.write(AreaId::LEAF, 7, &[1u8; PAGE_SIZE]);
+        d.read(AreaId::LEAF, 7, &mut buf);
+        d.read(AreaId::LEAF, 8, &mut buf);
+        assert_eq!(d.trace_dropped(), 1);
+        let t = d.take_trace();
+        assert_eq!(
+            t.iter().map(|e| (e.kind, e.start)).collect::<Vec<_>>(),
+            vec![(TraceKind::Write, 7), (TraceKind::Read, 7)]
+        );
+        assert_eq!(d.trace_dropped(), 0, "take_trace resets the count");
+        // The trace stays on after a take, and the untraced prefix was
+        // still counted.
+        d.read(AreaId::META, 0, &mut buf);
+        assert_eq!(d.take_trace().len(), 1);
+        assert_eq!(d.stats().read_calls, 6);
     }
 
     #[test]

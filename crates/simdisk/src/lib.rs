@@ -25,12 +25,14 @@ mod convert;
 mod cost;
 mod disk;
 mod image;
+mod metrics;
 mod stats;
 mod trace;
 
 pub use convert::{bytes, cast};
 pub use cost::CostModel;
 pub use disk::SimDisk;
+pub use metrics::NAMES as METRIC_NAMES;
 pub use stats::IoStats;
 pub use trace::{TraceEvent, TraceKind};
 

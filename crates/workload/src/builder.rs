@@ -3,7 +3,7 @@
 use lobstore_core::{Db, LargeObject, Result};
 use lobstore_simdisk::IoStats;
 
-use crate::fill_bytes;
+use crate::{fill_bytes, metrics};
 
 /// Outcome of a build run.
 #[derive(Clone, Debug)]
@@ -48,8 +48,8 @@ pub fn build_by_appends(
         appends += 1;
     }
     obj.trim(db)?;
-    lobstore_obs::counter_add("workload.build.appends", appends as u64);
-    lobstore_obs::counter_add("workload.build.bytes", total_bytes);
+    metrics::BUILD_APPENDS.add(appends as u64);
+    metrics::BUILD_BYTES.add(total_bytes);
     Ok(BuildReport {
         object_bytes: total_bytes,
         append_bytes,

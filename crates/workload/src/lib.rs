@@ -19,12 +19,14 @@
 
 mod builder;
 mod churn;
+mod metrics;
 mod mixed;
 mod scanner;
 
 pub use builder::{build_by_appends, build_object, BuildReport};
 pub use churn::{ChurnConfig, ChurnMark, ChurnReport, ChurnWorkload};
 pub use lobstore_core::ManagerSpec;
+pub use metrics::NAMES as METRIC_NAMES;
 pub use mixed::{Mark, MixedConfig, MixedReport, MixedWorkload, OpKind};
 pub use scanner::{random_reads, sequential_scan, stream_scan, ScanReport};
 

@@ -7,8 +7,8 @@ use lobstore_simdisk::IoStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fill_bytes;
 use crate::scanner::sample_op_size;
+use crate::{fill_bytes, metrics};
 
 /// Kind of one workload operation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -159,14 +159,12 @@ impl MixedWorkload {
             counts[k] += 1;
             win[k].0 += 1;
             win[k].1 += cost.time_us;
-            lobstore_obs::counter_add(
-                match kind {
-                    OpKind::Read => "workload.op.read",
-                    OpKind::Insert => "workload.op.insert",
-                    OpKind::Delete => "workload.op.delete",
-                },
-                1,
-            );
+            match kind {
+                OpKind::Read => &metrics::OP_READ,
+                OpKind::Insert => &metrics::OP_INSERT,
+                OpKind::Delete => &metrics::OP_DELETE,
+            }
+            .add(1);
 
             if op_no % self.cfg.mark_every == 0 {
                 let avg = |(n, us): (usize, u64)| (n > 0).then(|| us as f64 / 1_000.0 / n as f64);
@@ -179,7 +177,7 @@ impl MixedWorkload {
                 };
                 let ms = |v: Option<f64>| v.map(Value::Num).unwrap_or(Value::Null);
                 lobstore_obs::event(
-                    "workload.mark",
+                    metrics::MARK.name(),
                     &[
                         ("ops_done", Value::from(mark.ops_done as u64)),
                         ("read_ms", ms(mark.read_ms)),

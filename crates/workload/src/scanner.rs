@@ -6,6 +6,8 @@ use lobstore_simdisk::IoStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::metrics;
+
 /// Outcome of a scan or read-probe run.
 #[derive(Clone, Debug)]
 pub struct ScanReport {
@@ -55,8 +57,8 @@ pub fn sequential_scan(
         at += n as u64;
         reads += 1;
     }
-    lobstore_obs::counter_add("workload.scan.reads", reads as u64);
-    lobstore_obs::counter_add("workload.scan.bytes", size);
+    metrics::SCAN_READS.add(reads as u64);
+    metrics::SCAN_BYTES.add(size);
     Ok(ScanReport {
         bytes: size,
         reads,
@@ -90,8 +92,8 @@ pub fn stream_scan(db: &mut Db, obj: &dyn LargeObject, chunk_bytes: usize) -> Re
         bytes += n as u64;
         reads += 1;
     }
-    lobstore_obs::counter_add("workload.stream_scan.reads", reads as u64);
-    lobstore_obs::counter_add("workload.stream_scan.bytes", bytes);
+    metrics::STREAM_SCAN_READS.add(reads as u64);
+    metrics::STREAM_SCAN_BYTES.add(bytes);
     Ok(ScanReport {
         bytes,
         reads,
@@ -126,8 +128,8 @@ pub fn random_reads(
         obj.read(db, off, &mut buf[..len as usize])?;
         bytes += len;
     }
-    lobstore_obs::counter_add("workload.random.reads", count as u64);
-    lobstore_obs::counter_add("workload.random.bytes", bytes);
+    metrics::RANDOM_READS.add(count as u64);
+    metrics::RANDOM_BYTES.add(bytes);
     Ok(ScanReport {
         bytes,
         reads: count,

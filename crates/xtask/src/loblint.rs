@@ -147,7 +147,9 @@ pub const RULE_DOCS: [(&str, &str, &str); 21] = [
         "io-accounting",
         "library crates",
         "Raw `disk.read`/`disk.write` only inside the cost-counted bufpool wrappers; every \
-         I/O entry point must reach a wrapper through the call graph and bump its counter. \
+         I/O entry point must reach a wrapper through the call graph and bump its counter: \
+         its body calls `.add(` on a handle that its crate declares \
+         (`static SEG_READS: Counter = ..` naming `core.seg.reads`) with exactly that name. \
          Health meta-inspectors (frag_stats, sample_health, object_health) are the inverse: \
          peek-only recounts that must never perform raw I/O or call a costed wrapper/entry.",
     ),
@@ -162,7 +164,8 @@ pub const RULE_DOCS: [(&str, &str, &str); 21] = [
          is checked: a lock must be a `field: [Arc<]Mutex<..>|RwLock<..>` struct field (the \
          pool's frame latch is `Frame.bytes`) or an ALL_CAPS static, and a resource missing \
          from the table is unranked; an xtask test holds the table, the workspace's \
-         declarations and the DESIGN.md table to the same names.",
+         declarations (struct fields and statics of the library crates alike) and the \
+         DESIGN.md table to the same names.",
     ),
     (
         "magic-duplicate",
@@ -1123,7 +1126,9 @@ pub(crate) const IO_WRAPPERS: [(&str, &[&str]); 2] = [
 
 /// The I/O entry points above the pool: each must reach a wrapper
 /// through the call graph, and the core ones must bump their obs
-/// counter — the static twin of `tests/observability.rs`.
+/// counter — through a handle their crate declares for that name
+/// (`static SEG_READS: Counter = "core.seg.reads"` in a `metrics!`
+/// block) — the static twin of `tests/observability.rs`.
 pub(crate) const IO_ENTRIES: [(&str, &str, Option<&str>); 5] = [
     ("crates/bufpool/src/segio.rs", "read_segment", None),
     (
@@ -1241,6 +1246,43 @@ fn callees(toks: &[Tok], b0: usize, b1: usize, owners: &BTreeSet<&str>) -> BTree
         }
     }
     out
+}
+
+/// The metric handles the crate under `crate_dir` declares: handle
+/// identifier -> metric name. Reads both spellings of a declaration,
+/// `static ID: Counter = "name";` inside `lobstore_obs::metrics!` and
+/// the longhand `static ID: Counter = Counter::new("name");` — the name
+/// is the first string literal before the closing `;`.
+fn metric_handles(analyses: &[Analysis], crate_dir: &str) -> BTreeMap<String, String> {
+    let mut handles = BTreeMap::new();
+    for a in analyses.iter().filter(|a| a.rel.starts_with(crate_dir)) {
+        let t = &a.toks;
+        for i in 0..t.len() {
+            let declares = t[i].is_ident("static")
+                && t.get(i + 1).is_some_and(|n| n.kind == TokKind::Ident)
+                && t.get(i + 2).is_some_and(|n| n.is_punct(":"))
+                && t.get(i + 3).is_some_and(|n| {
+                    ["Counter", "Gauge", "Histogram"]
+                        .iter()
+                        .any(|k| n.is_ident(k))
+                })
+                && t.get(i + 4).is_some_and(|n| n.is_punct("="));
+            if !declares {
+                continue;
+            }
+            let name = t[i + 5..]
+                .iter()
+                .take_while(|n| !n.is_punct(";"))
+                .find(|n| n.kind == TokKind::Str);
+            if let Some(name) = name {
+                handles.insert(
+                    t[i + 1].text.clone(),
+                    name.text.trim_matches('"').to_string(),
+                );
+            }
+        }
+    }
+    handles
 }
 
 /// The io-accounting pass. Only runs when the scanned set contains
@@ -1398,6 +1440,8 @@ fn check_io_accounting(analyses: &[Analysis], out: &mut Vec<Finding>) {
     }
 
     // (c) Each entry point reaches a wrapper and bumps its counter.
+    // Handle declarations are read once per crate, not once per entry.
+    let mut crate_handles: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
     for (file, entry, counter) in IO_ENTRIES {
         let Some(a) = analyses.iter().find(|a| a.rel == file) else {
             continue;
@@ -1420,15 +1464,30 @@ fn check_io_accounting(analyses: &[Analysis], out: &mut Vec<Finding>) {
             );
         }
         if let (Some(counter), Some((b0, b1))) = (counter, f.body) {
-            let bumps = a.toks[b0..b1.min(a.toks.len())]
-                .iter()
-                .any(|t| t.kind == TokKind::Str && t.text.contains(counter));
-            if !bumps {
+            // `HANDLE.add(` in the body, each handle resolved to the
+            // name its crate declared it with.
+            let crate_dir = file.split_inclusive('/').take(2).collect::<String>();
+            let handles = crate_handles
+                .entry(crate_dir)
+                .or_insert_with_key(|dir| metric_handles(analyses, dir));
+            let body = &a.toks[b0..b1.min(a.toks.len())];
+            let bumped: BTreeSet<&str> = body
+                .windows(3)
+                .filter(|w| w[1].is_punct(".") && w[2].is_ident("add"))
+                .filter_map(|w| handles.get(&w[0].text).map(String::as_str))
+                .collect();
+            if !bumped.contains(counter) {
+                let instead = if bumped.is_empty() {
+                    String::new()
+                } else {
+                    let names: Vec<&str> = bumped.into_iter().collect();
+                    format!(" (it bumps `{}`)", names.join("`, `"))
+                };
                 a.push(
                     out,
                     f.line,
                     "io-accounting",
-                    format!("I/O entry `{entry}` does not bump its `{counter}` counter"),
+                    format!("I/O entry `{entry}` does not bump its `{counter}` counter{instead}"),
                 );
             }
         }
@@ -2403,10 +2462,17 @@ TOTAL           3          2      1
             ),
             (
                 "crates/core/src/segdata.rs",
-                "fn read_seg_pages(db: &mut Db) { counter_add(\"core.seg.reads\", 1); db.pool.read_pages(); }\n\
-                 fn write_new_seg(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n\
-                 fn append_in_place(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n\
-                 fn patch_in_place(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n",
+                "fn read_seg_pages(db: &mut Db) { metrics::SEG_READS.add(1); db.pool.read_pages(); }\n\
+                 fn write_new_seg(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
+                 fn append_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
+                 fn patch_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n",
+            ),
+            (
+                "crates/core/src/metrics.rs",
+                "lobstore_obs::metrics! {\n\
+                 pub(crate) static SEG_READS: Counter = \"core.seg.reads\";\n\
+                 pub(crate) static SEG_WRITES: Counter = \"core.seg.writes\";\n\
+                 }\n",
             ),
         ]
     }
@@ -2488,7 +2554,7 @@ TOTAL           3          2      1
     #[test]
     fn inspector_calling_a_costed_wrapper_is_flagged() {
         let mut files = inspector_fixture();
-        files[3] = (
+        files[4] = (
             "crates/core/src/health.rs",
             "pub fn object_health(db: &mut Db) -> ObjectHealth { db.pool.read_pages() }\n\
              pub fn publish_area(st: &FragStats) { gauge_set(\"health.leaf.x\", st.ratio()); }\n\
@@ -2503,7 +2569,7 @@ TOTAL           3          2      1
     #[test]
     fn inspector_doing_raw_io_or_missing_is_flagged() {
         let mut files = inspector_fixture();
-        files[3] = (
+        files[4] = (
             "crates/core/src/health.rs",
             "pub fn object_health(db: &mut Db) -> ObjectHealth { db.pool.disk.read(a, p, d) }\n\
              pub fn publish_area(st: &FragStats) { gauge_set(\"health.leaf.x\", st.ratio()); }\n\
@@ -2517,7 +2583,7 @@ TOTAL           3          2      1
             "{found:?}"
         );
 
-        files[3] = (
+        files[4] = (
             "crates/core/src/health.rs",
             "pub fn publish_area(st: &FragStats) { gauge_set(\"health.leaf.x\", st.ratio()); }\n\
              pub fn publish_object_health(objs: &[ObjectHealth]) { publish_area(&recount(objs)); }\n",
@@ -2536,10 +2602,10 @@ TOTAL           3          2      1
         let mut files = io_fixture();
         files[2] = (
             "crates/core/src/segdata.rs",
-            "fn read_seg_pages(db: &mut Db) { counter_add(\"core.seg.reads\", 1); }\n\
-             fn write_new_seg(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n\
-             fn append_in_place(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n\
-             fn patch_in_place(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n",
+            "fn read_seg_pages(db: &mut Db) { metrics::SEG_READS.add(1); }\n\
+             fn write_new_seg(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
+             fn append_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
+             fn patch_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n",
         );
         let found = io_findings(&files);
         assert_eq!(found.len(), 1, "{found:?}");
@@ -2594,13 +2660,44 @@ TOTAL           3          2      1
         files[2] = (
             "crates/core/src/segdata.rs",
             "fn read_seg_pages(db: &mut Db) { db.pool.read_pages(); }\n\
-             fn write_new_seg(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n\
-             fn append_in_place(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n\
-             fn patch_in_place(db: &mut Db) { counter_add(\"core.seg.writes\", 1); db.pool.write_direct(); }\n",
+             fn write_new_seg(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
+             fn append_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
+             fn patch_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n",
         );
         let found = io_findings(&files);
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].message.contains("core.seg.reads"));
+    }
+
+    #[test]
+    fn bumping_the_wrong_handle_is_reported() {
+        // The entry bumps a declared handle, but one that resolves to
+        // another counter's name.
+        let mut files = io_fixture();
+        files[2] = (
+            "crates/core/src/segdata.rs",
+            "fn read_seg_pages(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.read_pages(); }\n\
+             fn write_new_seg(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
+             fn append_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
+             fn patch_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n",
+        );
+        let found = io_findings(&files);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0]
+            .message
+            .contains("`read_seg_pages` does not bump its `core.seg.reads`"));
+        assert!(found[0].message.contains("it bumps `core.seg.writes`"));
+
+        // Right identifier, declared with the wrong name (longhand form).
+        let mut files = io_fixture();
+        files[3] = (
+            "crates/core/src/metrics.rs",
+            "static SEG_READS: Counter = Counter::new(\"core.seg.raeds\");\n\
+             static SEG_WRITES: Counter = Counter::new(\"core.seg.writes\");\n",
+        );
+        let found = io_findings(&files);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].message.contains("it bumps `core.seg.raeds`"));
     }
 
     #[test]
