@@ -16,9 +16,10 @@
 //!                  (default `results/`; created on demand)
 //! --json-out <p>   also write a machine-readable JSON report to <p>
 //!                  (schema `lobstore-bench-report/v1`)
-//! --baseline-json <p>  a prior run's JSON report to compare against
-//!                  (used by `throughput` to print the speedup trajectory)
 //! ```
+//!
+//! Anything else — an unknown flag, a flag without its value, a value
+//! that is not a number — prints the usage line and exits with status 2.
 //!
 //! Every printed banner, table, and note is also accumulated into an
 //! in-process report; [`finalize`] (called at the end of every binary)
@@ -32,10 +33,9 @@ use std::sync::{Mutex, OnceLock};
 
 use lobstore_core::{Db, DbConfig};
 use lobstore_obs::json::Value;
-use lobstore_obs::SeriesSnapshot;
 use lobstore_workload::ManagerSpec;
 
-pub use lobstore_obs::{BENCH_REPORT_SCHEMA, BENCH_REPORT_SCHEMA_V2};
+pub use lobstore_obs::BENCH_REPORT_SCHEMA;
 
 /// Directory for machine-readable CSV copies of every printed table
 /// (`--csv <dir>`); tables are numbered per process in print order.
@@ -61,16 +61,11 @@ struct ReportState {
     text: String,
     /// Title to attach to the next table (set by [`print_mark_table`]).
     next_table_title: Option<String>,
-    /// Sampled time series attached via [`add_series`], as
-    /// `(scheme label, series)`. Non-empty series upgrade the JSON
-    /// report to `lobstore-bench-report/v2`.
-    series: Vec<(String, SeriesSnapshot)>,
     out_dir: Option<PathBuf>,
     json_out: Option<PathBuf>,
     /// Monotonic start of the run, set by [`print_banner`]; the elapsed
     /// time becomes the report's `wall_clock_us` field.
     started: Option<std::time::Instant>,
-    baseline_json: Option<PathBuf>,
 }
 
 static REPORT: Mutex<Option<ReportState>> = Mutex::new(None);
@@ -116,6 +111,9 @@ pub const EOS_THRESHOLDS: [u32; 4] = [1, 4, 16, 64];
 /// Mean operation sizes of §4.4 (bytes).
 pub const MEAN_OP_SIZES: [u64; 3] = [100, 10_000, 100_000];
 
+/// The flags every binary takes, for the usage line.
+const USAGE: &str = "[--quick] [--mb N] [--ops N] [--csv DIR] [--out-dir DIR] [--json-out PATH]";
+
 /// Experiment scale, adjustable from the command line.
 #[derive(Copy, Clone, Debug)]
 pub struct Scale {
@@ -144,56 +142,54 @@ impl Scale {
         }
     }
 
-    /// Parse `--mb`, `--ops`, `--quick` from the process arguments.
+    /// Parse the process arguments (see the crate docs); on a malformed
+    /// command line print the usage line to stderr and exit 2.
     pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Scale::parse(&args).unwrap_or_else(|msg| {
+            let bin = bin_name();
+            eprintln!("{bin}: {msg}\nusage: {bin} {USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse `args` (without the program name). The output flags take
+    /// effect as they are read: `--csv` creates its directory, `--out-dir`
+    /// and `--json-out` are noted for [`finalize`].
+    fn parse(args: &[String]) -> Result<Scale, String> {
+        fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+            v.parse()
+                .map_err(|_| format!("{flag} takes a number, got `{v}`"))
+        }
         let mut scale = Scale::paper();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut rest = args.iter();
+        while let Some(flag) = rest.next() {
+            let mut value = || rest.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--quick" => scale = Scale::quick(),
-                "--mb" => {
-                    i += 1;
-                    let mb: u64 = args[i].parse().expect("--mb takes a number");
-                    scale.object_bytes = mb << 20;
-                }
+                "--mb" => scale.object_bytes = number::<u64>(flag, value()?)? << 20,
                 "--ops" => {
-                    i += 1;
-                    scale.ops = args[i].parse().expect("--ops takes a number");
+                    scale.ops = number(flag, value()?)?;
                     scale.mark_every = (scale.ops / 5).max(1);
                 }
                 "--csv" => {
-                    i += 1;
-                    let dir = std::path::PathBuf::from(&args[i]);
-                    std::fs::create_dir_all(&dir).expect("create --csv directory");
+                    let dir = PathBuf::from(value()?);
+                    std::fs::create_dir_all(&dir)
+                        .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
                     let _ = CSV_DIR.set(Some(dir));
                 }
                 "--out-dir" => {
-                    i += 1;
-                    let dir = PathBuf::from(&args[i]);
+                    let dir = PathBuf::from(value()?);
                     with_report(|r| r.out_dir = Some(dir));
                 }
                 "--json-out" => {
-                    i += 1;
-                    let path = PathBuf::from(&args[i]);
+                    let path = PathBuf::from(value()?);
                     with_report(|r| r.json_out = Some(path));
                 }
-                "--baseline-json" => {
-                    i += 1;
-                    let path = PathBuf::from(&args[i]);
-                    with_report(|r| r.baseline_json = Some(path));
-                }
-                other => {
-                    panic!(
-                        "unknown argument {other} \
-                         (try --mb N, --ops N, --quick, --csv DIR, --out-dir DIR, \
-                         --json-out PATH, --baseline-json PATH)"
-                    )
-                }
+                other => return Err(format!("unknown argument {other}")),
             }
-            i += 1;
         }
-        scale
+        Ok(scale)
     }
 
     pub fn object_mb(&self) -> f64 {
@@ -233,20 +229,6 @@ pub fn note(msg: &str) {
     emit_line(msg);
 }
 
-/// The `--baseline-json` path, if one was given: a prior run's report to
-/// compare against (used by the throughput trajectory).
-pub fn baseline_json() -> Option<PathBuf> {
-    with_report(|r| r.baseline_json.clone())
-}
-
-/// Attach one sampled time series (tagged with the scheme it was
-/// measured under) to the report. Any attached series upgrades the
-/// `--json-out` document to `lobstore-bench-report/v2`, whose `series`
-/// array `xtask bench-compare` diffs between runs.
-pub fn add_series(scheme: &str, series: SeriesSnapshot) {
-    with_report(|r| r.series.push((scheme.to_string(), series)));
-}
-
 /// Write the accumulated report: always `<out-dir>/<bin>.txt` (the
 /// directory defaults to `results/` and is created on demand), plus the
 /// versioned JSON document when `--json-out` was given. Every binary
@@ -281,10 +263,10 @@ pub fn finalize() {
     });
 }
 
-/// The report as a `lobstore-bench-report/v1` JSON document (v2 when
-/// series were attached): one record per table row, `values` keyed by
-/// the column headers. `wall_clock_us` is the binary's monotonic elapsed
-/// time, reported next to the simulated costs in the records.
+/// The report as a `lobstore-bench-report/v1` JSON document: one record
+/// per table row, `values` keyed by the column headers. `wall_clock_us`
+/// is the binary's monotonic elapsed time, reported next to the
+/// simulated costs in the records.
 fn report_json(bin: &str, r: &ReportState, wall_clock_us: u64) -> Value {
     let scale = r.scale.unwrap_or_else(Scale::paper);
     let mut records = Vec::new();
@@ -304,13 +286,8 @@ fn report_json(bin: &str, r: &ReportState, wall_clock_us: u64) -> Value {
             ]));
         }
     }
-    let schema = if r.series.is_empty() {
-        lobstore_obs::BENCH_REPORT_SCHEMA
-    } else {
-        lobstore_obs::BENCH_REPORT_SCHEMA_V2
-    };
-    let mut fields = vec![
-        ("schema".to_string(), Value::from(schema)),
+    Value::Obj(vec![
+        ("schema".to_string(), Value::from(BENCH_REPORT_SCHEMA)),
         ("bin".to_string(), Value::from(bin)),
         ("title".to_string(), Value::from(r.title.as_str())),
         ("wall_clock_us".to_string(), Value::from(wall_clock_us)),
@@ -330,24 +307,7 @@ fn report_json(bin: &str, r: &ReportState, wall_clock_us: u64) -> Value {
             "notes".to_string(),
             Value::Arr(r.notes.iter().map(|n| Value::from(n.as_str())).collect()),
         ),
-    ];
-    if !r.series.is_empty() {
-        let series = r
-            .series
-            .iter()
-            .map(|(scheme, s)| {
-                // Prepend the scheme tag to the series' own fields.
-                let mut entry = vec![("scheme".to_string(), Value::from(scheme.as_str()))];
-                match s.to_value() {
-                    Value::Obj(fields) => entry.extend(fields),
-                    other => entry.push(("series".to_string(), other)),
-                }
-                Value::Obj(entry)
-            })
-            .collect();
-        fields.push(("series".to_string(), Value::Arr(series)));
-    }
-    Value::Obj(fields)
+    ])
 }
 
 /// Column specs of the standard manager sweeps.
@@ -420,14 +380,6 @@ pub fn print_mark_table(
         rows.push(row);
     }
     print_table(&headers, &rows);
-}
-
-/// [`print_table`] with a title line; the title also names the table's
-/// records in the JSON report (so downstream tools can find them).
-pub fn print_titled_table(title: &str, headers: &[String], rows: &[Vec<String>]) {
-    with_report(|r| r.next_table_title = Some(title.to_string()));
-    emit_line(title);
-    print_table(headers, rows);
 }
 
 /// Render an aligned text table: `headers` then rows of equal length.
@@ -598,59 +550,26 @@ mod tests {
     }
 
     #[test]
-    fn report_json_upgrades_to_v2_with_series() {
-        use lobstore_obs::SeriesPoint;
-        let r = ReportState {
-            title: "Aging".to_string(),
-            scale: Some(Scale::quick()),
-            tables: vec![TableRecord {
-                table: 0,
-                title: "post-aging scan".to_string(),
-                headers: vec!["scheme".to_string(), "sim s".to_string()],
-                rows: vec![vec!["ESM/16".to_string(), "1.5".to_string()]],
-            }],
-            series: vec![(
-                "ESM/16".to_string(),
-                SeriesSnapshot {
-                    name: "health.leaf.frag_ratio".to_string(),
-                    dropped: 0,
-                    points: vec![
-                        SeriesPoint {
-                            tick: 100,
-                            value: 0.1,
-                        },
-                        SeriesPoint {
-                            tick: 200,
-                            value: 0.2,
-                        },
-                    ],
-                },
-            )],
-            ..ReportState::default()
+    fn malformed_command_lines_are_errors_not_panics() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+            Scale::parse(&args).map(|s| (s.object_bytes, s.ops, s.mark_every))
         };
-        let doc = report_json("aging", &r, 99);
-        let v = lobstore_obs::json::parse(&doc.to_json()).unwrap();
+        assert_eq!(parse(&[]), Ok((10 << 20, 10_000, 2_000)));
         assert_eq!(
-            v.get("schema").and_then(Value::as_str),
-            Some(BENCH_REPORT_SCHEMA_V2)
+            parse(&["--quick", "--mb", "3", "--ops", "50"]),
+            Ok((3 << 20, 50, 10))
         );
-        let series = v.get("series").and_then(Value::as_arr).unwrap();
-        assert_eq!(series.len(), 1);
-        let s = &series[0];
-        assert_eq!(s.get("scheme").and_then(Value::as_str), Some("ESM/16"));
+        for flag in ["--mb", "--ops", "--csv", "--out-dir", "--json-out"] {
+            assert_eq!(parse(&[flag]), Err(format!("{flag} needs a value")));
+        }
         assert_eq!(
-            s.get("name").and_then(Value::as_str),
-            Some("health.leaf.frag_ratio")
+            parse(&["--mb", "x"]),
+            Err("--mb takes a number, got `x`".to_string())
         );
         assert_eq!(
-            s.get("points").and_then(Value::as_arr).map(<[Value]>::len),
-            Some(2)
-        );
-        assert_eq!(
-            s.get("summary")
-                .and_then(|x| x.get("last"))
-                .and_then(Value::as_num),
-            Some(0.2)
+            parse(&["--quick", "--nope"]),
+            Err("unknown argument --nope".to_string())
         );
     }
 

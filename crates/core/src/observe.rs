@@ -518,8 +518,8 @@ mod tests {
         assert_eq!(series.points.len(), 2);
         assert_eq!(series.points[1].tick, 4);
         assert_eq!(
-            series.last(),
-            Some(db.leaf_pages_allocated() as f64),
+            series.points[1].value,
+            db.leaf_pages_allocated() as f64,
             "gauge series tracks the allocator"
         );
         // Disabled sampler: ticks advance, no new samples.

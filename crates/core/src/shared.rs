@@ -85,17 +85,6 @@ impl SharedDb {
         f(&self.inner.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Non-blocking probe for the write tier: run `f` only if the lock is
-    /// immediately available, else return `None` without waiting. The
-    /// reader-scaling bench uses this to report lock-wait pressure
-    /// without perturbing the writers it measures.
-    pub fn try_with<R>(&self, f: impl FnOnce(&mut Db) -> R) -> Option<R> {
-        match self.inner.try_write() {
-            Ok(mut g) => Some(f(&mut g)),
-            Err(_) => None,
-        }
-    }
-
     /// Open a pinned snapshot scan over the object rooted at `root_page`.
     ///
     /// Takes the write lock briefly (pinning mutates version state), then
@@ -308,15 +297,95 @@ mod tests {
         assert_eq!(shared.with(|db| db.pinned_snapshots()), 0);
     }
 
+    const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+    fn fnv(digest: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(digest, |d, &b| {
+            (d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// Build an EOS object of `len` patterned bytes; returns its root
+    /// page and the digest of its content.
+    fn patterned(shared: &SharedDb, len: usize) -> (u32, u64) {
+        let mut obj = shared.with(|db| ManagerSpec::eos(16).create(db)).unwrap();
+        let mut digest = FNV_OFFSET;
+        let mut chunk = vec![0u8; 256 * 1024];
+        for at in (0..len).step_by(chunk.len()) {
+            let n = chunk.len().min(len - at);
+            for (i, b) in chunk[..n].iter_mut().enumerate() {
+                *b = ((at + i) % 251) as u8;
+            }
+            digest = fnv(digest, &chunk[..n]);
+            shared.with(|db| obj.append(db, &chunk[..n])).unwrap();
+        }
+        (obj.root_page(), digest)
+    }
+
+    /// Digest of the whole object, read from offset 0. Stops at the last
+    /// byte instead of probing for EOF: `fill_buf` on an empty window
+    /// enters the read tier even when there is nothing left to fetch.
+    fn scan_digest(r: &mut SharedSnapshotReader) -> u64 {
+        r.seek(SeekFrom::Start(0)).unwrap();
+        let mut left = r.size();
+        let mut digest = FNV_OFFSET;
+        while left > 0 {
+            let buf = r.fill_buf().unwrap();
+            assert!(!buf.is_empty(), "{left} bytes short");
+            digest = fnv(digest, buf);
+            let n = buf.len();
+            r.consume(n);
+            left -= n as u64;
+        }
+        digest
+    }
+
+    /// Scan `r` on a thread of its own and hand back the digest, or
+    /// `None` if the scan has not finished after 3 s (it is blocked on
+    /// the lock `held`). Dropping `held` afterwards lets a blocked
+    /// scanner (and the reader's drop, which needs the write tier)
+    /// through, so the thread is always joined.
+    fn scan_while_holding<G>(mut r: SharedSnapshotReader, held: G) -> Option<u64> {
+        let (done, rx) = std::sync::mpsc::channel();
+        let scanner = std::thread::spawn(move || {
+            let _ = done.send(scan_digest(&mut r));
+        });
+        let got = rx.recv_timeout(std::time::Duration::from_secs(3)).ok();
+        drop(held);
+        scanner.join().unwrap();
+        got
+    }
+
     #[test]
-    fn try_with_probe_does_not_block() {
+    fn cold_pinned_scan_needs_only_the_read_tier() {
         let shared = SharedDb::new(Db::paper_default());
-        assert!(shared.try_with(|db| db.current_version()).is_some());
-        // While a reader holds the shared side, the probe reports
-        // contention instead of blocking.
-        let guard = shared.inner.read().unwrap();
-        assert!(shared.try_with(|_| ()).is_none());
-        drop(guard);
+        // Three read-ahead windows: the scanner must refill twice after
+        // the first, each time through the lock.
+        let (root, want) = patterned(&shared, 9 << 20);
+        let r = shared.snapshot_reader(root).unwrap();
+        let held = shared.inner.read().unwrap();
+        assert_eq!(
+            scan_while_holding(r, held),
+            Some(want),
+            "a pinned scan blocked behind (or misread under) a held read lock"
+        );
+        assert_eq!(shared.with(|db| db.pinned_snapshots()), 0);
+    }
+
+    #[test]
+    fn window_resident_rescan_takes_no_lock() {
+        let shared = SharedDb::new(Db::paper_default());
+        // Half a window: one scan leaves the whole object resident.
+        let (root, want) = patterned(&shared, 2 << 20);
+        let mut r = shared.snapshot_reader(root).unwrap();
+        assert_eq!(scan_digest(&mut r), want);
+        let held = shared.inner.write().unwrap();
+        assert_eq!(
+            scan_while_holding(r, held),
+            Some(want),
+            "a re-scan of a resident window waited for the database lock"
+        );
+        assert_eq!(shared.with(|db| db.pinned_snapshots()), 0);
     }
 
     #[test]

@@ -64,8 +64,7 @@ pub use metrics::{
 pub use sink::{install_sink, sink_installed, take_sink, EventSink, JsonlSink, MemorySink};
 pub use span::{event, Span};
 pub use timeseries::{
-    series_names, series_record, series_snapshot, series_snapshot_all, SeriesPoint, SeriesSnapshot,
-    SeriesSummary, SERIES_CAPACITY,
+    series_names, series_record, series_snapshot, SeriesPoint, SeriesSnapshot, SERIES_CAPACITY,
 };
 
 /// Declare a crate's metric handles and the list of their names in one
@@ -105,9 +104,3 @@ pub fn reset() {
 /// Version tag every machine-readable bench report carries in its
 /// `schema` field; `xtask check-bench-json` validates against it.
 pub const BENCH_REPORT_SCHEMA: &str = "lobstore-bench-report/v1";
-
-/// Extended bench-report schema: everything in v1 plus a top-level
-/// `series` array of sampled time series (see [`SeriesSnapshot::to_value`]).
-/// Emitted by bins that sample health over time (`aging`); validated by
-/// `xtask check-bench-json`, diffed by `xtask bench-compare`.
-pub const BENCH_REPORT_SCHEMA_V2: &str = "lobstore-bench-report/v2";

@@ -1,22 +1,20 @@
 //! Thread-local time series: fixed-capacity rings of `(tick, value)`
-//! samples per named series, with quantile summaries and JSON export.
+//! samples per named series.
 //!
 //! The metrics registry answers "what is the value *now*"; this module
 //! answers "how did it get there". The health sampler ([`Db` drives it
 //! every N operations](../../core) — see DESIGN.md §14) records each
-//! `health.*` gauge here as well, so an aging run can export
-//! fragmentation-over-time without retaining every sample forever: each
-//! series keeps the newest [`SERIES_CAPACITY`] points and counts what it
-//! dropped.
+//! `health.*` gauge here as well, so a long churn run keeps its
+//! fragmentation-over-time curve without retaining every sample forever:
+//! each series keeps the newest [`SERIES_CAPACITY`] points and counts
+//! what it dropped.
 //!
 //! Ticks are caller-defined monotonic positions (the health sampler uses
-//! the operation count), *not* wall-clock timestamps, so exported series
+//! the operation count), *not* wall-clock timestamps, so recorded series
 //! are deterministic under the simulated cost model.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-
-use crate::json::Value;
 
 /// Points retained per series; older points are dropped (and counted)
 /// once a series grows past this.
@@ -81,34 +79,6 @@ pub fn series_snapshot(name: &str) -> Option<SeriesSnapshot> {
     })
 }
 
-/// Point-in-time copy of every series on this thread, sorted by name.
-pub fn series_snapshot_all() -> Vec<SeriesSnapshot> {
-    with_series(|map| {
-        map.iter()
-            .map(|(n, s)| SeriesSnapshot {
-                name: n.clone(),
-                dropped: s.dropped,
-                points: s.points.iter().copied().collect(),
-            })
-            .collect()
-    })
-}
-
-/// Five-number summary of a series' retained points.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SeriesSummary {
-    /// Median of retained values.
-    pub p50: f64,
-    /// 90th percentile of retained values.
-    pub p90: f64,
-    /// 99th percentile of retained values.
-    pub p99: f64,
-    /// Largest retained value.
-    pub max: f64,
-    /// Most recent value.
-    pub last: f64,
-}
-
 /// A captured series: the retained ring plus how much history it shed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SeriesSnapshot {
@@ -120,83 +90,9 @@ pub struct SeriesSnapshot {
     pub points: Vec<SeriesPoint>,
 }
 
-impl SeriesSnapshot {
-    /// Most recent value (`None` when empty).
-    pub fn last(&self) -> Option<f64> {
-        self.points.last().map(|p| p.value)
-    }
-
-    /// Exact nearest-rank `q`-quantile over the *retained* values.
-    /// Unlike [`HistogramSnapshot::quantile`](crate::HistogramSnapshot),
-    /// every point is kept verbatim, so no bucket interpolation is
-    /// involved. `None` when empty or `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.points.is_empty() || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        let mut values: Vec<f64> = self.points.iter().map(|p| p.value).collect();
-        values.sort_by(f64::total_cmp);
-        let rank = ((q * values.len() as f64).ceil().max(1.0)) as usize;
-        // rank is clamped to [1, len], so the index is in bounds.
-        // loblint: allow(panic-path)
-        Some(values[rank.min(values.len()) - 1])
-    }
-
-    /// The five-number summary ([`SeriesSummary`]); `None` when empty.
-    pub fn summary(&self) -> Option<SeriesSummary> {
-        let last = self.last()?;
-        let max = self
-            .points
-            .iter()
-            .map(|p| p.value)
-            .fold(f64::NEG_INFINITY, f64::max);
-        Some(SeriesSummary {
-            p50: self.quantile(0.50)?,
-            p90: self.quantile(0.90)?,
-            p99: self.quantile(0.99)?,
-            max,
-            last,
-        })
-    }
-
-    /// The series as a [`Value`] tree:
-    /// `{"name": s, "dropped": n, "summary": {"p50": x, ...},
-    ///   "points": [[tick, value], ...]}`.
-    pub fn to_value(&self) -> Value {
-        let points = Value::Arr(
-            self.points
-                .iter()
-                .map(|p| Value::Arr(vec![Value::from(p.tick), Value::Num(p.value)]))
-                .collect(),
-        );
-        let summary = self.summary().unwrap_or_default();
-        Value::Obj(vec![
-            ("name".to_string(), Value::Str(self.name.clone())),
-            ("dropped".to_string(), Value::from(self.dropped)),
-            (
-                "summary".to_string(),
-                Value::Obj(vec![
-                    ("p50".to_string(), Value::Num(summary.p50)),
-                    ("p90".to_string(), Value::Num(summary.p90)),
-                    ("p99".to_string(), Value::Num(summary.p99)),
-                    ("max".to_string(), Value::Num(summary.max)),
-                    ("last".to_string(), Value::Num(summary.last)),
-                ]),
-            ),
-            ("points".to_string(), points),
-        ])
-    }
-
-    /// The series serialized as one JSON object.
-    pub fn to_json(&self) -> String {
-        self.to_value().to_json()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     #[test]
     fn record_and_snapshot_round_trip() {
@@ -219,12 +115,8 @@ mod tests {
                 }
             ]
         );
-        assert_eq!(snap.last(), Some(0.25));
         assert_eq!(series_names(), vec!["t.other", "t.s"]);
         assert_eq!(series_snapshot("t.never"), None);
-        let all = series_snapshot_all();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].name, "t.other");
     }
 
     #[test]
@@ -237,58 +129,9 @@ mod tests {
         assert_eq!(snap.points.len(), SERIES_CAPACITY);
         assert_eq!(snap.dropped, 7);
         assert_eq!(snap.points[0].tick, 7, "oldest retained after 7 drops");
-        assert_eq!(snap.last(), Some(SERIES_CAPACITY as f64 + 6.0));
-    }
-
-    #[test]
-    fn summary_quantiles_are_exact_nearest_rank() {
-        reset();
-        for i in 1..=100_u64 {
-            series_record("t.q", i, i as f64);
-        }
-        let snap = series_snapshot("t.q").unwrap();
-        let s = snap.summary().unwrap();
-        assert_eq!(s.p50, 50.0);
-        assert_eq!(s.p90, 90.0);
-        assert_eq!(s.p99, 99.0);
-        assert_eq!(s.max, 100.0);
-        assert_eq!(s.last, 100.0);
-        assert_eq!(snap.quantile(1.0), Some(100.0));
-        assert_eq!(snap.quantile(0.0), Some(1.0));
-        assert_eq!(snap.quantile(1.5), None);
-    }
-
-    #[test]
-    fn empty_series_summary_is_none() {
-        let snap = SeriesSnapshot {
-            name: "t.e".to_string(),
-            dropped: 0,
-            points: Vec::new(),
-        };
-        assert_eq!(snap.summary(), None);
-        assert_eq!(snap.last(), None);
-        assert_eq!(snap.quantile(0.5), None);
-    }
-
-    #[test]
-    fn json_export_parses_back() {
-        reset();
-        series_record("t.j", 100, 0.125);
-        series_record("t.j", 200, 0.25);
-        let snap = series_snapshot("t.j").unwrap();
-        let v = json::parse(&snap.to_json()).unwrap();
-        assert_eq!(v.get("name").and_then(Value::as_str), Some("t.j"));
-        assert_eq!(v.get("dropped").and_then(Value::as_u64), Some(0));
-        let points = v.get("points").and_then(Value::as_arr).unwrap();
-        assert_eq!(points.len(), 2);
-        let p0 = points[0].as_arr().unwrap();
-        assert_eq!(p0[0].as_u64(), Some(100));
-        assert_eq!(p0[1].as_num(), Some(0.125));
         assert_eq!(
-            v.get("summary")
-                .and_then(|s| s.get("last"))
-                .and_then(Value::as_num),
-            Some(0.25)
+            snap.points.last().map(|p| p.value),
+            Some(SERIES_CAPACITY as f64 + 6.0)
         );
     }
 

@@ -8,8 +8,8 @@
 //! recreates, appends to, deletes from, and reads them, so freed extents
 //! interleave with new allocations and external fragmentation can
 //! actually develop. At every mark it records allocator and object
-//! health ([`Db::sample_health`], [`lobstore_core::object_health`]) —
-//! the fragmentation-over-time curves of the `aging` bench.
+//! health ([`Db::sample_health`], [`lobstore_core::object_health`]);
+//! `tests/aging.rs` bounds that curve and pins the aged store exactly.
 
 use lobstore_core::{
     object_health, publish_object_health, Db, LargeObject, ManagerSpec, ObjectHealth, Result,

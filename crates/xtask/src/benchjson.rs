@@ -1,33 +1,27 @@
 //! `check-bench-json` — validate a machine-readable bench report.
 //!
 //! Every bench binary emits (with `--json-out <path>`) one JSON document
-//! in the `lobstore-bench-report/v1` or `/v2` schema; CI runs a small
-//! bench and pushes its output through this validator so the schema
-//! cannot drift silently. The checks are structural: schema tag, binary
-//! name, scale block, one record per table row with string cells, string
-//! notes, and — for v2 — well-formed health time series (scheme/name
-//! tags, numeric summary, `[tick, value]` points with monotonic ticks).
+//! in the `lobstore-bench-report/v1` schema; CI runs a small bench and
+//! pushes its output through this validator so the schema cannot drift
+//! silently. The checks are structural: schema tag, binary name, scale
+//! block, one record per table row with string cells, string notes.
 //! The full field-by-field reference lives in `docs/SCHEMAS.md`.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use lobstore_obs::json::{self, Value};
-use lobstore_obs::{BENCH_REPORT_SCHEMA, BENCH_REPORT_SCHEMA_V2};
+use lobstore_obs::BENCH_REPORT_SCHEMA;
 
-/// Validate `doc` as a `lobstore-bench-report/v1|v2` document. Returns
+/// Validate `doc` as a `lobstore-bench-report/v1` document. Returns
 /// every problem found (empty = valid).
 pub fn validate(doc: &Value) -> Vec<String> {
     let mut problems = Vec::new();
     let mut fail = |msg: String| problems.push(msg);
 
-    let mut v2 = false;
     match doc.get("schema").and_then(Value::as_str) {
         Some(s) if s == BENCH_REPORT_SCHEMA => {}
-        Some(s) if s == BENCH_REPORT_SCHEMA_V2 => v2 = true,
-        Some(s) => fail(format!(
-            "schema is {s:?}, expected {BENCH_REPORT_SCHEMA:?} or {BENCH_REPORT_SCHEMA_V2:?}"
-        )),
+        Some(s) => fail(format!("schema is {s:?}, expected {BENCH_REPORT_SCHEMA:?}")),
         None => fail("missing string field `schema`".to_string()),
     }
     match doc.get("bin").and_then(Value::as_str) {
@@ -94,71 +88,6 @@ pub fn validate(doc: &Value) -> Vec<String> {
         None => fail("missing array field `notes`".to_string()),
     }
 
-    match doc.get("series").and_then(Value::as_arr) {
-        Some(series) if v2 => {
-            if series.is_empty() {
-                fail("v2 report has an empty `series` array — emit v1 instead".to_string());
-            }
-            for (i, s) in series.iter().enumerate() {
-                for field in ["scheme", "name"] {
-                    match s.get(field).and_then(Value::as_str) {
-                        Some(v) if !v.is_empty() => {}
-                        _ => fail(format!("series[{i}].{field} must be a non-empty string")),
-                    }
-                }
-                if s.get("dropped").and_then(Value::as_u64).is_none() {
-                    fail(format!(
-                        "series[{i}].dropped must be a non-negative integer"
-                    ));
-                }
-                match s.get("summary").and_then(Value::as_obj) {
-                    Some(summary) => {
-                        for field in ["p50", "p90", "p99", "max", "last"] {
-                            if summary
-                                .iter()
-                                .find(|(k, _)| k == field)
-                                .and_then(|(_, v)| v.as_num())
-                                .is_none()
-                            {
-                                fail(format!("series[{i}].summary.{field} must be a number"));
-                            }
-                        }
-                    }
-                    None => fail(format!("series[{i}].summary must be an object")),
-                }
-                match s.get("points").and_then(Value::as_arr) {
-                    Some(points) => {
-                        if points.is_empty() {
-                            fail(format!("series[{i}].points is empty"));
-                        }
-                        let mut prev_tick = None;
-                        for (j, p) in points.iter().enumerate() {
-                            let pair = p.as_arr().filter(|a| a.len() == 2);
-                            let tick = pair.and_then(|a| a[0].as_u64());
-                            let value = pair.and_then(|a| a[1].as_num());
-                            if tick.is_none() || value.is_none() {
-                                fail(format!(
-                                    "series[{i}].points[{j}] must be a [tick, value] pair"
-                                ));
-                                continue;
-                            }
-                            if prev_tick.is_some() && tick <= prev_tick {
-                                fail(format!(
-                                    "series[{i}].points[{j}] tick is not strictly increasing"
-                                ));
-                            }
-                            prev_tick = tick;
-                        }
-                    }
-                    None => fail(format!("series[{i}].points must be an array")),
-                }
-            }
-        }
-        Some(_) => fail("v1 report must not carry a `series` field".to_string()),
-        None if v2 => fail("v2 report is missing the `series` array".to_string()),
-        None => {}
-    }
-
     problems
 }
 
@@ -185,13 +114,8 @@ pub fn run(path: &Path) -> ExitCode {
             .get("records")
             .and_then(Value::as_arr)
             .map_or(0, <[Value]>::len);
-        let series = doc
-            .get("series")
-            .and_then(Value::as_arr)
-            .map_or(0, <[Value]>::len);
-        let schema = doc.get("schema").and_then(Value::as_str).unwrap_or("?");
         println!(
-            "ok: {} is a valid {schema} report ({records} records, {series} series)",
+            "ok: {} is a valid {BENCH_REPORT_SCHEMA} report ({records} records)",
             path.display()
         );
         ExitCode::SUCCESS
@@ -229,104 +153,9 @@ mod tests {
         .unwrap()
     }
 
-    fn valid_v2_doc() -> Value {
-        json::parse(
-            r#"{
-                "schema": "lobstore-bench-report/v2",
-                "bin": "aging",
-                "title": "Aging",
-                "wall_clock_us": 120000,
-                "scale": {"object_bytes": 1048576, "ops": 1000, "mark_every": 200},
-                "records": [
-                    {"table": 0, "title": "post-aging scan",
-                     "values": {"scheme": "ESM/16", "wall MB/s": "100.0", "sim s": "1.55"}}
-                ],
-                "notes": [],
-                "series": [
-                    {"scheme": "ESM/16", "name": "health.leaf.frag_ratio", "dropped": 0,
-                     "summary": {"p50": 0.1, "p90": 0.2, "p99": 0.2, "max": 0.2, "last": 0.15},
-                     "points": [[100, 0.1], [200, 0.2], [300, 0.15]]}
-                ]
-            }"#,
-        )
-        .unwrap()
-    }
-
     #[test]
     fn valid_report_passes() {
         assert_eq!(validate(&valid_doc()), Vec::<String>::new());
-    }
-
-    #[test]
-    fn valid_v2_report_passes() {
-        assert_eq!(validate(&valid_v2_doc()), Vec::<String>::new());
-    }
-
-    #[test]
-    fn v2_requires_series_and_v1_rejects_them() {
-        // v2 without series.
-        let mut fields: Vec<(String, Value)> = match valid_v2_doc() {
-            Value::Obj(f) => f,
-            _ => unreachable!(),
-        };
-        let series = fields.iter().position(|(k, _)| k == "series").unwrap();
-        let (_, series_val) = fields.remove(series);
-        let problems = validate(&Value::Obj(fields));
-        assert!(
-            problems.iter().any(|p| p.contains("missing the `series`")),
-            "{problems:?}"
-        );
-        // v1 with series.
-        let mut fields: Vec<(String, Value)> = match valid_doc() {
-            Value::Obj(f) => f,
-            _ => unreachable!(),
-        };
-        fields.push(("series".to_string(), series_val));
-        let problems = validate(&Value::Obj(fields));
-        assert!(
-            problems.iter().any(|p| p.contains("must not carry")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn v2_series_structure_is_checked() {
-        let doc = json::parse(
-            r#"{
-                "schema": "lobstore-bench-report/v2",
-                "bin": "aging",
-                "title": "t",
-                "wall_clock_us": 5,
-                "scale": {"object_bytes": 1, "ops": 1, "mark_every": 1},
-                "records": [{"table": 0, "title": "", "values": {"a": "b"}}],
-                "notes": [],
-                "series": [
-                    {"scheme": "", "name": "health.x", "dropped": 0,
-                     "summary": {"p50": 1, "p90": 1, "p99": 1, "max": 1},
-                     "points": [[200, 0.2], [100, 0.1], [300, "bad"]]}
-                ]
-            }"#,
-        )
-        .unwrap();
-        let problems = validate(&doc);
-        assert!(
-            problems.iter().any(|p| p.contains("series[0].scheme")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("summary.last")),
-            "{problems:?}"
-        );
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("not strictly increasing")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("[tick, value] pair")),
-            "{problems:?}"
-        );
     }
 
     #[test]

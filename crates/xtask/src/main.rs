@@ -20,16 +20,11 @@
 //!   document to SARIF 2.1.0 for code-scanning UIs; validates both the
 //!   input (v2 schema) and the emitted SARIF before writing.
 //! * `check-bench-json <path>` — validate a bench binary's `--json-out`
-//!   document against the `lobstore-bench-report/v1|v2` schema.
-//! * `bench-compare <baseline.json> <new.json> [--threshold-pct <n>]` —
-//!   the perf-regression gate: fail when simulated scan time regresses
-//!   past the threshold (default 20 %) or health series blow up against
-//!   the baseline (DESIGN.md §14).
+//!   document against the `lobstore-bench-report/v1` schema.
 //!
 //! See `loblint::RULES` for the rule set and `DESIGN.md` ("Correctness
 //! tooling" and "Static analysis") for the rationale.
 
-mod benchcompare;
 mod benchjson;
 mod effectrules;
 mod flowrules;
@@ -141,35 +136,10 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        Some("bench-compare") => {
-            let mut paths = Vec::new();
-            let mut threshold = benchcompare::DEFAULT_THRESHOLD_PCT;
-            let mut rest = args;
-            while let Some(arg) = rest.next() {
-                if arg == "--threshold-pct" {
-                    match rest.next().and_then(|v| v.parse::<f64>().ok()) {
-                        Some(t) if t >= 0.0 => threshold = t,
-                        _ => {
-                            eprintln!("bench-compare: --threshold-pct needs a non-negative number");
-                            return ExitCode::from(2);
-                        }
-                    }
-                } else {
-                    paths.push(PathBuf::from(arg));
-                }
-            }
-            match paths.as_slice() {
-                [baseline, new] => benchcompare::run(baseline, new, threshold),
-                _ => {
-                    eprintln!("bench-compare: needs exactly <baseline.json> <new.json>");
-                    ExitCode::from(2)
-                }
-            }
-        }
         Some(other) => {
             eprintln!(
                 "xtask: unknown subcommand `{other}` (try `loblint`, `check-lint-json`, \
-                 `lint-sarif`, `check-bench-json`, `bench-compare`)"
+                 `lint-sarif`, `check-bench-json`)"
             );
             ExitCode::from(2)
         }
@@ -180,9 +150,7 @@ fn main() -> ExitCode {
                  [--explain <rule>] [--stats]\n       \
                  cargo run -p xtask -- check-lint-json <path>\n       \
                  cargo run -p xtask -- lint-sarif <path> [--out <path>]\n       \
-                 cargo run -p xtask -- check-bench-json <path>\n       \
-                 cargo run -p xtask -- bench-compare <baseline.json> <new.json> \
-                 [--threshold-pct <n>]"
+                 cargo run -p xtask -- check-bench-json <path>"
             );
             ExitCode::from(2)
         }
