@@ -48,7 +48,10 @@ run cargo run -q -p xtask -- lint-sarif target/loblint.json --out target/loblint
 # copy it replaced: the proptest runs 256 cases of up to 3 MB optimized
 # and 8 otherwise. And obs: its handles-and-names-are-one-registry model
 # test runs 256 seeds of 4 000 interleaved updates optimized, 16 of 400
-# otherwise. The workspace run includes tests/metric_catalog.rs, which
+# otherwise. And core's node tests: the boundary sweep of `NodeView`
+# against `Node` over full 507/511-pair pages runs 64 seeds optimized
+# and 4 otherwise, and its range asserts must also hold without debug
+# assertions. The workspace run includes tests/metric_catalog.rs, which
 # holds the crates' declared metric handles to DESIGN.md section 10, and
 # tests/aging.rs, which pins the aged store to the I/O call (section 14).
 run cargo test -q --workspace
@@ -56,6 +59,7 @@ run cargo test -q --features paranoid
 run cargo test -q -p lobstore-core -p lobstore-buddy --features paranoid
 run cargo test -q --release -p lobstore-buddy
 run cargo test -q --release -p lobstore-core starburst
+run cargo test -q --release -p lobstore-core node
 run cargo test -q --release -p lobstore-obs
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver

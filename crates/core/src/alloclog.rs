@@ -441,7 +441,6 @@ impl Db {
     /// Write a fresh chain-page header (fresh funnel: the frame is not
     /// read from disk).
     fn format_log_page(&mut self, page: u32, generation: u32, seq: u32) {
-        self.meta_cache.invalidate(page);
         let mut g = self.pool.guard_new(PageId::new(AreaId::META, page));
         let p = &mut g[..];
         if let Some(m) = p.get_mut(0..4) {
@@ -454,11 +453,9 @@ impl Db {
     }
 
     /// Raw write funnel for log chain pages and replay-applied images:
-    /// invalidates the node cache like every META write, but runs none of
-    /// the versioning/transaction/log hooks (logging the log's own writes
-    /// would recurse).
+    /// runs none of the versioning/transaction/log hooks (logging the
+    /// log's own writes would recurse).
     pub(crate) fn with_log_page_mut<R>(&mut self, page: u32, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        self.meta_cache.invalidate(page);
         let mut g = self.pool.guard_mut(PageId::new(AreaId::META, page));
         f(&mut g[..])
     }
@@ -683,7 +680,6 @@ impl Db {
     pub(crate) fn compact_alloc_log(&mut self) {
         let Some(log) = self.log.take() else { return };
         for &p in log.chain.iter().skip(1) {
-            self.meta_cache.invalidate(p);
             self.meta_alloc
                 .free(&mut self.pool, Extent::new(AreaId::META, p, 1));
         }
@@ -701,7 +697,6 @@ impl Db {
     pub(crate) fn retire_alloc_log(&mut self) {
         let Some(log) = self.log.take() else { return };
         for &p in &log.chain {
-            self.meta_cache.invalidate(p);
             self.meta_alloc
                 .free(&mut self.pool, Extent::new(AreaId::META, p, 1));
         }

@@ -9,14 +9,9 @@ use lobstore_simdisk::{AreaId, CostModel, IoStats, PageId, SimDisk, PAGE_SIZE};
 
 use crate::alloclog::AllocLog;
 use crate::health::{self, HealthSample};
-use crate::metrics;
-use crate::node::{Node, RootHdr};
-use crate::nodecache::{CachedMeta, NodeCache};
+use crate::node::{Node, NodeView, RootHdr};
 use crate::txn::TxnState;
 use crate::version::VersionState;
-
-/// Parsed META pages kept in [`Db`]'s node cache (see `nodecache.rs`).
-const META_CACHE_ENTRIES: usize = 64;
 
 /// Positional-tree fan-out limits. With the paper's 4 KB pages and 4-byte
 /// counts and pointers, the root holds up to 507 pairs and interior index
@@ -94,15 +89,9 @@ pub struct Db {
     pub(crate) meta_alloc: BuddyManager,
     pub(crate) leaf_alloc: BuddyManager,
     pub(crate) cfg: DbConfig,
-    /// Deserialized index-node overlay; pure wall-clock memoization
-    /// (simulated I/O accounting is unchanged by hits).
-    pub(crate) meta_cache: NodeCache,
-    /// Operations completed through observed objects — the health
-    /// sampler's tick source (see DESIGN.md §14).
+    /// Operations completed through observed objects — the tick of a
+    /// health sample (see DESIGN.md §14).
     ops_total: u64,
-    /// Publish a health sample every this many observed operations;
-    /// 0 disables the sampler (the default).
-    health_every: u64,
     /// MVCC version state: current version, snapshot pins, archived root
     /// pre-images, deferred frees (see `version.rs`).
     pub(crate) versions: VersionState,
@@ -130,9 +119,7 @@ impl Db {
             meta_alloc: BuddyManager::new(BuddyConfig::new(AreaId::META, cfg.meta_space_pages)),
             leaf_alloc: BuddyManager::new(BuddyConfig::new(AreaId::LEAF, cfg.leaf_space_pages)),
             cfg,
-            meta_cache: NodeCache::new(META_CACHE_ENTRIES),
             ops_total: 0,
-            health_every: 0,
             versions: VersionState::new(),
             txn: None,
             log: None,
@@ -181,7 +168,6 @@ impl Db {
     /// commit; while a snapshot pins the current state it defers until
     /// the pin is released (see `version.rs`).
     pub fn free_meta_page(&mut self, page: u32) {
-        self.meta_cache.invalidate(page);
         let ext = Extent::new(AreaId::META, page, 1);
         if self.txn_queue_free(ext) {
             return;
@@ -225,13 +211,9 @@ impl Db {
         }
     }
 
-    /// Physically return `ext` to its allocator, invalidating any cached
-    /// parses of META pages (a snapshot walker may have cached them).
+    /// Physically return `ext` to its allocator.
     pub(crate) fn free_now(&mut self, ext: Extent) {
         if ext.area == AreaId::META {
-            for p in ext.start..ext.end() {
-                self.meta_cache.invalidate(p);
-            }
             self.meta_alloc.free(&mut self.pool, ext);
         } else {
             self.leaf_alloc.free(&mut self.pool, ext);
@@ -280,12 +262,7 @@ impl Db {
 
     /// Convenience: fix a META page for update, run `f`, unfix. The page
     /// is marked dirty; flushing is the caller's (shadow context's) job.
-    ///
-    /// This is a META *write funnel*: any cached parse of the page is
-    /// dropped here, which keeps the node cache consistent for every
-    /// index update in the tree/starburst/catalog layers.
     pub fn with_meta_page_mut<R>(&mut self, page: u32, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        self.meta_cache.invalidate(page);
         self.note_meta_overwrite(page);
         let mut g = self.pool.guard_mut(PageId::new(AreaId::META, page));
         f(&mut g[..])
@@ -308,72 +285,31 @@ impl Db {
     }
 
     /// Like [`Self::with_meta_page_mut`] but for a freshly allocated page
-    /// that need not be read from disk. Also a META write funnel (the
-    /// page number may be recycled from a freed index page).
+    /// that need not be read from disk.
     pub fn with_new_meta_page<R>(&mut self, page: u32, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        self.meta_cache.invalidate(page);
         let mut g = self.pool.guard_new(PageId::new(AreaId::META, page));
         f(&mut g[..])
     }
 
-    /// Fix-read a META page as a parsed non-root index [`Node`], run `f`
-    /// on it, unfix. The pool fix/unfix (and therefore all simulated I/O
-    /// and hit/miss accounting) is identical to [`Self::with_meta_page`];
-    /// only the deserialization is memoized in the node cache.
-    pub(crate) fn with_meta_node<R>(&mut self, page: u32, f: impl FnOnce(&Node) -> R) -> R {
-        let r = self.pool.fix(PageId::new(AreaId::META, page));
-        if matches!(self.meta_cache.get(page), Some(CachedMeta::Node(_))) {
-            metrics::NODECACHE_HITS.add(1);
-        } else {
-            metrics::NODECACHE_MISSES.add(1);
-            let node = self.pool.with_page(r, |p| Node::read_page(p));
-            self.meta_cache.insert(page, CachedMeta::Node(node));
-        }
-        self.pool.unfix(r);
-        match self.meta_cache.get(page) {
-            Some(CachedMeta::Node(node)) => f(node),
-            _ => unreachable!("entry inserted above"),
-        }
+    /// Fix-read a META page as a non-root index node, run `f` on the view
+    /// of its pair array, unfix. `&self`, like the pool's `guard`: the
+    /// descent of a pinned-version scan has only a shared reference.
+    pub(crate) fn with_meta_node<R>(&self, page: u32, f: impl FnOnce(NodeView<'_>) -> R) -> R {
+        let g = self.pool.guard(PageId::new(AreaId::META, page));
+        f(NodeView::of_page(&g[..]))
     }
 
     /// Like [`Self::with_meta_node`] for a root/descriptor page: `f` gets
-    /// the parsed header and entry node (the Starburst descriptor shares
-    /// the root-page layout).
+    /// the parsed header and the view of the entry array (the Starburst
+    /// descriptor shares the root-page layout).
     pub(crate) fn with_meta_root<R>(
-        &mut self,
+        &self,
         page: u32,
-        f: impl FnOnce(&RootHdr, &Node) -> R,
+        f: impl FnOnce(&RootHdr, NodeView<'_>) -> R,
     ) -> R {
-        let r = self.pool.fix(PageId::new(AreaId::META, page));
-        if matches!(self.meta_cache.get(page), Some(CachedMeta::Root(..))) {
-            metrics::NODECACHE_HITS.add(1);
-        } else {
-            metrics::NODECACHE_MISSES.add(1);
-            let (hdr, node) = self.pool.with_page(r, |p| {
-                let hdr = RootHdr::read(p);
-                let node = Node::read_root(p, &hdr);
-                (hdr, node)
-            });
-            self.meta_cache.insert(page, CachedMeta::Root(hdr, node));
-        }
-        self.pool.unfix(r);
-        match self.meta_cache.get(page) {
-            Some(CachedMeta::Root(hdr, node)) => f(hdr, node),
-            _ => unreachable!("entry inserted above"),
-        }
-    }
-
-    /// Fix-read a META page as a parsed [`Node`] through a shared
-    /// reference: the descent step of pinned-version scans. Simulated I/O
-    /// is identical to [`Self::with_meta_node`] (the page is fixed either
-    /// way); the node cache is not consulted — [`crate::SnapshotReader`]
-    /// memoizes pinned pages itself (its `node_memo` says why).
-    pub(crate) fn read_meta_node_ref(&self, page: u32) -> Node {
-        metrics::NODECACHE_REF_READS.add(1);
-        let r = self.pool.fix(PageId::new(AreaId::META, page));
-        let node = self.pool.with_page(r, |p| Node::read_page(p));
-        self.pool.unfix(r);
-        node
+        let g = self.pool.guard(PageId::new(AreaId::META, page));
+        let hdr = RootHdr::read(&g[..]);
+        f(&hdr, NodeView::of_root(&g[..], &hdr))
     }
 
     /// Simulate a crash and restart: the buffer pool loses every unflushed
@@ -391,7 +327,6 @@ impl Db {
     /// images (see `alloclog.rs`). An open transaction is aborted; all
     /// snapshots are released (they are in-memory handles).
     pub fn crash_and_reboot(&mut self) {
-        self.meta_cache.clear();
         self.pool.crash();
         self.clear_version_state();
         self.txn = None;
@@ -470,9 +405,7 @@ impl Db {
             meta_alloc,
             leaf_alloc,
             cfg,
-            meta_cache: NodeCache::new(META_CACHE_ENTRIES),
             ops_total: 0,
-            health_every: 0,
             versions: VersionState::new(),
             txn: None,
             log: None,
@@ -523,32 +456,6 @@ impl Db {
         Ok(())
     }
 
-    /// Deep node-cache verification (the `paranoid` feature): every
-    /// cached parse must equal a fresh parse of the page's current bytes.
-    /// A mismatch means a META write bypassed the invalidation funnels.
-    #[cfg(feature = "paranoid")]
-    pub fn paranoid_verify_node_cache(&mut self) -> crate::error::Result<()> {
-        use crate::error::LobError;
-        for page in self.meta_cache.pages() {
-            let bytes = self.peek_meta(page);
-            let stale = match self.meta_cache.peek(page) {
-                Some(CachedMeta::Node(node)) => *node != Node::read_page(&bytes[..]),
-                Some(CachedMeta::Root(hdr, node)) => {
-                    let fresh_hdr = RootHdr::read(&bytes[..]);
-                    *hdr != fresh_hdr || *node != Node::read_root(&bytes[..], &fresh_hdr)
-                }
-                None => false,
-            };
-            if stale {
-                return Err(LobError::InvariantViolated(format!(
-                    "node cache stale for META page {page}: cached parse \
-                     disagrees with the page bytes"
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Cost-free snapshot of a META page's current content (newest pool
     /// copy if resident, else the disk copy). For verification and metric
     /// code only.
@@ -591,49 +498,31 @@ impl Db {
         self.meta_alloc.frag_stats(&self.pool)
     }
 
-    /// Enable (or with 0, disable) the periodic health sampler: every
-    /// `every_ops` observed operations, [`Self::sample_health`] runs and
-    /// publishes `health.*` gauges plus time-series points ticked by the
-    /// operation count. Off by default — sampling is cost-free in
-    /// simulated I/O but walks every space directory, so it is opt-in
-    /// for benches, `lobctl`, and tests.
-    pub fn set_health_sampling(&mut self, every_ops: u64) {
-        self.health_every = every_ops;
-    }
-
-    /// Operations observed so far (ticks of the health sampler). Counts
-    /// every operation routed through the observed wrapper
-    /// ([`crate::ManagerSpec::create`] / [`crate::open_object`] objects),
-    /// whether or not sampling is enabled.
+    /// Operations observed so far: every operation routed through the
+    /// observed wrapper ([`crate::ManagerSpec::create`] /
+    /// [`crate::open_object`] objects).
     pub fn health_ops(&self) -> u64 {
         self.ops_total
     }
 
     /// Take one health sample *now*: recount both allocators cost-free,
-    /// publish `health.leaf.*` / `health.meta.*` gauges, histogram the
-    /// free-run lengths, and append series points at the current
-    /// operation tick. Returns the sample for direct inspection.
+    /// publish `health.leaf.*` / `health.meta.*` gauges and histogram the
+    /// free-run lengths. Returns the sample for direct inspection.
     pub fn sample_health(&self) -> HealthSample {
         let sample = HealthSample {
             tick: self.ops_total,
             leaf: self.leaf_frag_stats(),
             meta: self.meta_frag_stats(),
         };
-        health::publish_area("leaf", &sample.leaf, Some(sample.tick));
-        health::publish_area("meta", &sample.meta, Some(sample.tick));
+        health::publish_area("leaf", &sample.leaf);
+        health::publish_area("meta", &sample.meta);
         sample
     }
 
-    /// One observed operation completed: advance the tick and, when the
-    /// sampler is enabled and the cadence divides the count, publish a
-    /// sample. Called by the observation wrapper after every operation;
-    /// uses only cost-free inspection, so the wrapper's simulated-I/O
-    /// neutrality is preserved.
+    /// One observed operation completed: advance the tick. Called by the
+    /// observation wrapper after every operation.
     pub(crate) fn note_op(&mut self) {
         self.ops_total += 1;
-        if self.health_every > 0 && self.ops_total.is_multiple_of(self.health_every) {
-            self.sample_health();
-        }
     }
 }
 

@@ -6,8 +6,8 @@
 //! * **Allocator health** — per area (LEAF / META), a [`FragStats`]
 //!   recount of the buddy directories: free pages, the largest free run,
 //!   and the derived external-fragmentation ratio. [`Db::sample_health`]
-//!   publishes these as `health.<area>.*` gauges, a free-run-length
-//!   histogram, and time-series points ticked by operation count.
+//!   publishes these as `health.<area>.*` gauges and a free-run-length
+//!   histogram.
 //! * **Object health** — per object, extent contiguity and leaf
 //!   utilization derived from cost-free [`LargeObject`] inspection
 //!   ([`object_health`]). Benches and `lobctl` aggregate these per scheme
@@ -20,7 +20,7 @@
 //! recount and stability across [`Db::crash_and_reboot`]).
 
 use lobstore_buddy::FragStats;
-use lobstore_obs::{gauge_set, histogram_record, series_record};
+use lobstore_obs::{gauge_set, histogram_record};
 
 use crate::db::Db;
 use crate::object::LargeObject;
@@ -28,7 +28,7 @@ use crate::object::LargeObject;
 /// One published health sample: both areas' allocator recounts at a tick.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HealthSample {
-    /// Operation count at which the sample was taken (the series tick).
+    /// Operation count at which the sample was taken.
     pub tick: u64,
     /// LEAF-area allocator health.
     pub leaf: FragStats,
@@ -105,16 +105,9 @@ pub fn object_health(obj: &dyn LargeObject, db: &Db) -> ObjectHealth {
 }
 
 /// Publish one area's [`FragStats`] under `health.<area>.*`: gauges for
-/// the current values, one histogram observation per free run, and — when
-/// `tick` is `Some` — a time-series point per gauge.
-pub(crate) fn publish_area(area: &str, st: &FragStats, tick: Option<u64>) {
-    let set = |metric: &str, v: f64| {
-        let name = format!("health.{area}.{metric}");
-        gauge_set(&name, v);
-        if let Some(t) = tick {
-            series_record(&name, t, v);
-        }
-    };
+/// the current values and one histogram observation per free run.
+pub(crate) fn publish_area(area: &str, st: &FragStats) {
+    let set = |metric: &str, v: f64| gauge_set(&format!("health.{area}.{metric}"), v);
     set("spaces", f64::from(st.spaces));
     set("allocated_pages", st.allocated_pages as f64);
     set("free_pages", st.free_pages as f64);
@@ -128,10 +121,9 @@ pub(crate) fn publish_area(area: &str, st: &FragStats, tick: Option<u64>) {
 }
 
 /// Aggregate per-object health over a scheme's live objects and publish
-/// it under `health.object.*` gauges (and series points when `tick` is
-/// `Some`): mean contiguity, mean utilization, and totals. No-op on an
-/// empty slice (gauges keep their previous values).
-pub fn publish_object_health(objs: &[ObjectHealth], tick: Option<u64>) {
+/// it under `health.object.*` gauges: mean contiguity, mean utilization,
+/// and totals. No-op on an empty slice (gauges keep their previous values).
+pub fn publish_object_health(objs: &[ObjectHealth]) {
     if objs.is_empty() {
         return;
     }
@@ -143,13 +135,7 @@ pub fn publish_object_health(objs: &[ObjectHealth], tick: Option<u64>) {
     let utilization: f64 = objs.iter().map(ObjectHealth::utilization).sum::<f64>() / n;
     let segments: u64 = objs.iter().map(|o| o.segments).sum();
     let bytes: u64 = objs.iter().map(|o| o.object_bytes).sum();
-    let set = |metric: &str, v: f64| {
-        let name = format!("health.object.{metric}");
-        gauge_set(&name, v);
-        if let Some(t) = tick {
-            series_record(&name, t, v);
-        }
-    };
+    let set = |metric: &str, v: f64| gauge_set(&format!("health.object.{metric}"), v);
     set("count", n);
     set("contiguity", contiguity);
     set("utilization", utilization);
@@ -161,7 +147,7 @@ pub fn publish_object_health(objs: &[ObjectHealth], tick: Option<u64>) {
 mod tests {
     use super::*;
     use crate::spec::ManagerSpec;
-    use lobstore_obs::{gauge_value, series_snapshot};
+    use lobstore_obs::gauge_value;
 
     #[test]
     fn object_health_of_a_fresh_multi_segment_object() {
@@ -204,19 +190,16 @@ mod tests {
     }
 
     #[test]
-    fn publish_area_sets_gauges_and_series() {
+    fn publish_area_sets_gauges() {
         lobstore_obs::reset();
         let mut db = Db::paper_default();
         let ext = db.alloc_leaf(32);
-        publish_area("leaf", &db.leaf_frag_stats(), Some(7));
+        publish_area("leaf", &db.leaf_frag_stats());
         assert_eq!(gauge_value("health.leaf.allocated_pages"), Some(32.0));
         assert_eq!(
             gauge_value("health.leaf.free_pages"),
             Some(f64::from(16 * 1024 - 32))
         );
-        let s = series_snapshot("health.leaf.frag_ratio").unwrap();
-        assert_eq!(s.points.len(), 1);
-        assert_eq!(s.points[0].tick, 7);
         db.free_leaf(ext);
     }
 
@@ -237,13 +220,13 @@ mod tests {
             segments: 2,
             contiguous_joins: 0,
         };
-        publish_object_health(&[a, b], None);
+        publish_object_health(&[a, b]);
         assert_eq!(gauge_value("health.object.count"), Some(2.0));
         assert_eq!(gauge_value("health.object.contiguity"), Some(0.5));
         assert_eq!(gauge_value("health.object.utilization"), Some(0.75));
         assert_eq!(gauge_value("health.object.segments"), Some(3.0));
         // Empty slice: gauges untouched.
-        publish_object_health(&[], None);
+        publish_object_health(&[]);
         assert_eq!(gauge_value("health.object.count"), Some(2.0));
     }
 }

@@ -45,7 +45,6 @@ mod health;
 mod layout;
 mod metrics;
 mod node;
-mod nodecache;
 mod object;
 mod observe;
 /// Deep runtime verification helpers, compiled in by the `paranoid`

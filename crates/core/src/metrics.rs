@@ -9,11 +9,6 @@ lobstore_obs::metrics! {
     pub(crate) static SEG_WRITES: Counter = "core.seg.writes";
     pub(crate) static SHADOW_PAGES: Counter = "core.shadow.pages";
     pub(crate) static SHADOW_FRESH_PAGES: Counter = "core.shadow.fresh_pages";
-    pub(crate) static NODECACHE_HITS: Counter = "core.nodecache.hits";
-    pub(crate) static NODECACHE_MISSES: Counter = "core.nodecache.misses";
-    pub(crate) static NODECACHE_EVICTIONS: Counter = "core.nodecache.evictions";
-    pub(crate) static NODECACHE_REF_READS: Counter = "core.nodecache.ref_reads";
-    pub(crate) static NODECACHE_READER_HITS: Counter = "core.nodecache.reader_hits";
     pub(crate) static SHARED_READ_WAITS: Counter = "core.shared.read_waits";
     pub(crate) static SHARED_WRITE_WAITS: Counter = "core.shared.write_waits";
 

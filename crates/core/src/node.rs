@@ -74,14 +74,11 @@ impl Node {
         self.entries.iter().map(|e| e.count).sum()
     }
 
-    /// Locate the child holding byte `off`; `off == total()` selects the
-    /// last child with its full count as the in-child offset (the append
-    /// position). Returns `(entry index, offset within that child)`.
-    ///
-    /// # Panics
-    /// If the node is empty or `off > total()`.
+    /// [`find_child`] over this node's entries, without the entry.
+    #[cfg(test)]
     pub fn find_child(&self, off: u64) -> (usize, u64) {
-        find_child(&self.entries, off)
+        let (idx, within, _) = find_child(self.entries.iter().copied(), off);
+        (idx, within)
     }
 
     /// Byte offset (relative to this node) at which entry `idx` starts.
@@ -92,18 +89,7 @@ impl Node {
 
     /// Parse an interior node page.
     pub fn read_page(page: &[u8]) -> Node {
-        let n = usize::from(get_u16(page, 0));
-        let level = page.get(2).copied().unwrap_or(0);
-        assert!(n <= NODE_MAX_ENTRIES, "corrupt node: {n} entries");
-        let mut entries = Vec::with_capacity(n);
-        for i in 0..n {
-            let at = NODE_ENTRIES_OFF + i * 8;
-            entries.push(Entry {
-                count: u64::from(get_u32(page, at)),
-                ptr: get_u32(page, at + 4),
-            });
-        }
-        Node { level, entries }
+        NodeView::of_page(page).to_node()
     }
 
     /// Serialize into an interior node page.
@@ -125,20 +111,7 @@ impl Node {
     /// Parse the entry array of a root page (level/count come from the
     /// header, already parsed into `hdr`).
     pub fn read_root(page: &[u8], hdr: &RootHdr) -> Node {
-        let n = usize::from(hdr.n_entries);
-        assert!(n <= ROOT_MAX_ENTRIES, "corrupt root: {n} entries");
-        let mut entries = Vec::with_capacity(n);
-        for i in 0..n {
-            let at = ROOT_ENTRIES_OFF + i * 8;
-            entries.push(Entry {
-                count: u64::from(get_u32(page, at)),
-                ptr: get_u32(page, at + 4),
-            });
-        }
-        Node {
-            level: hdr.level,
-            entries,
-        }
+        NodeView::of_root(page, hdr).to_node()
     }
 
     /// Serialize entries into a root page and refresh the header fields
@@ -155,20 +128,103 @@ impl Node {
     }
 }
 
-/// [`Node::find_child`] over a bare entry list (Starburst's descriptor is
-/// one: the segment holding byte `off` starts at `off - within`).
-pub(crate) fn find_child(entries: &[Entry], off: u64) -> (usize, u64) {
-    assert!(!entries.is_empty(), "find_child on empty node");
+/// The pair array of an index page, searched where it lies: a descent has
+/// the page fixed in the pool anyway, so it decodes only the pairs it walks
+/// past instead of parsing all of them into a [`Node`] first. The view
+/// borrows the page bytes, so it lives no longer than the frame latch they
+/// were read under — nothing outlives a write to the page, nothing can go
+/// stale. This is the only decoder of the on-page pair layout.
+#[derive(Copy, Clone)]
+pub(crate) struct NodeView<'a> {
+    pub level: u8,
+    /// Exactly `n_entries` 8-byte `(count u32, ptr u32)` pairs.
+    pairs: &'a [u8],
+}
+
+impl<'a> NodeView<'a> {
+    /// View an interior node page.
+    pub fn of_page(page: &'a [u8]) -> Self {
+        let n = usize::from(get_u16(page, 0));
+        assert!(n <= NODE_MAX_ENTRIES, "corrupt node: {n} entries");
+        NodeView {
+            level: page.get(2).copied().unwrap_or(0),
+            pairs: page
+                .get(NODE_ENTRIES_OFF..NODE_ENTRIES_OFF + n * 8)
+                .unwrap_or_default(),
+        }
+    }
+
+    /// View the entry array of a root page (level/count come from the
+    /// header, already parsed into `hdr`).
+    pub fn of_root(page: &'a [u8], hdr: &RootHdr) -> Self {
+        let n = usize::from(hdr.n_entries);
+        assert!(n <= ROOT_MAX_ENTRIES, "corrupt root: {n} entries");
+        NodeView {
+            level: hdr.level,
+            pairs: page
+                .get(ROOT_ENTRIES_OFF..ROOT_ENTRIES_OFF + n * 8)
+                .unwrap_or_default(),
+        }
+    }
+
+    /// Whether the node has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// The entries in page order, decoded as they are reached.
+    pub fn iter(&self) -> impl Iterator<Item = Entry> + 'a {
+        self.pairs.chunks_exact(8).map(|pair| Entry {
+            count: u64::from(get_u32(pair, 0)),
+            ptr: get_u32(pair, 4),
+        })
+    }
+
+    /// Total bytes under this node.
+    pub fn total(&self) -> u64 {
+        self.iter().map(|e| e.count).sum()
+    }
+
+    /// [`find_child`] over the page's pairs.
+    pub fn find_child(&self, off: u64) -> (usize, u64, Entry) {
+        find_child(self.iter(), off)
+    }
+
+    /// The owned form, for paths that go on to change the node.
+    pub fn to_node(self) -> Node {
+        Node {
+            level: self.level,
+            entries: self.iter().collect(),
+        }
+    }
+}
+
+/// Locate the child holding byte `off` among `entries` (a node's, or
+/// Starburst's descriptor: the segment holding byte `off` starts at
+/// `off - within`); `off` equal to their total selects the last child with
+/// its full count as the in-child offset (the append position). Returns
+/// `(entry index, offset within that child, the entry)`.
+///
+/// # Panics
+/// If there are no entries or `off` exceeds their total.
+pub(crate) fn find_child(
+    entries: impl IntoIterator<Item = Entry>,
+    off: u64,
+) -> (usize, u64, Entry) {
     let mut rem = off;
-    for (i, e) in entries.iter().enumerate() {
+    let mut last = None;
+    for (i, e) in entries.into_iter().enumerate() {
         if rem < e.count {
-            return (i, rem);
+            return (i, rem, e);
         }
         rem = rem.saturating_sub(e.count);
+        last = Some((i, e));
     }
-    let last = entries.len() - 1;
+    let Some((i, e)) = last else {
+        panic!("find_child on empty node");
+    };
     assert!(rem == 0, "offset beyond node total");
-    (last, entries.last().map_or(0, |e| e.count))
+    (i, e.count, e)
 }
 
 fn write_entries(entries: &[Entry], out: &mut [u8]) {
@@ -307,6 +363,105 @@ mod tests {
         let mut n = Node::new(0);
         n.entries = vec![entry(10, 1)];
         n.find_child(11);
+    }
+
+    /// What a call returned, or the message it panicked with.
+    fn outcome<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|p| {
+            p.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| p.downcast_ref::<&str>().map(ToString::to_string))
+                .unwrap_or_default()
+        })
+    }
+
+    /// Write `node` as a root or interior page and check the view of that
+    /// page against the node at every offset where the two could differ.
+    fn check_view_against_node(root: bool, node: &Node) {
+        let mut page = [0u8; PAGE_SIZE];
+        let mut hdr = RootHdr::read(&page);
+        let view = if root {
+            node.write_root(&mut page, &mut hdr);
+            hdr = RootHdr::read(&page);
+            NodeView::of_root(&page, &hdr)
+        } else {
+            node.write_page(&mut page);
+            NodeView::of_page(&page)
+        };
+        assert_eq!(view.level, node.level);
+        assert_eq!(view.is_empty(), node.entries.is_empty());
+        assert!(view.iter().eq(node.entries.iter().copied()));
+        assert_eq!(view.total(), node.total());
+        assert_eq!(&view.to_node(), node);
+
+        // 0, every entry boundary ± 1, the append position and one past it.
+        let total = node.total();
+        let mut probes = vec![0, total, total + 1];
+        let mut boundary = 0u64;
+        for e in &node.entries {
+            boundary += e.count;
+            probes.extend([boundary.saturating_sub(1), boundary, boundary + 1]);
+        }
+        for off in probes {
+            let want = outcome(|| {
+                let (idx, within) = node.find_child(off);
+                (idx, within, node.entries[idx])
+            });
+            assert_eq!(
+                outcome(|| view.find_child(off)),
+                want,
+                "offset {off} of {total}"
+            );
+            if node.entries.is_empty() {
+                assert_eq!(want, Err("find_child on empty node".to_string()));
+            } else if off > total {
+                assert_eq!(want, Err("offset beyond node total".to_string()));
+            } else {
+                assert!(want.is_ok(), "offset {off} of {total}: {want:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn view_of_a_written_page_equals_the_node() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // The full-page sweeps are the slow part unoptimized (ci.sh runs
+        // this module in release too).
+        let seeds = if cfg!(debug_assertions) { 4 } else { 64 };
+        for seed in 0..seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (root, cap) in [(true, ROOT_MAX_ENTRIES), (false, NODE_MAX_ENTRIES)] {
+                for n in [0, 1, 2, cap] {
+                    let mut node = Node::new(rng.gen_range(0..4u8));
+                    for _ in 0..n {
+                        let count = match rng.gen_range(0..8u8) {
+                            0 | 1 => 0,
+                            2 => u64::from(u32::MAX),
+                            _ => rng.gen_range(1..=3 * PAGE_SIZE as u64),
+                        };
+                        node.entries.push(entry(count, rng.gen()));
+                    }
+                    check_view_against_node(root, &node);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn entry_count_above_capacity_is_corruption() {
+        let mut page = [0u8; PAGE_SIZE];
+        put_u16(&mut page, 0, (NODE_MAX_ENTRIES + 1) as u16);
+        assert_eq!(
+            outcome(|| NodeView::of_page(&page).total()),
+            Err("corrupt node: 512 entries".to_string())
+        );
+        let mut hdr = RootHdr::read(&page);
+        hdr.n_entries = (ROOT_MAX_ENTRIES + 1) as u16;
+        assert_eq!(
+            outcome(|| NodeView::of_root(&page, &hdr).total()),
+            Err("corrupt root: 508 entries".to_string())
+        );
     }
 
     #[test]

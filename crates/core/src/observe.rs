@@ -186,10 +186,7 @@ impl OpObserver {
     /// Close the operation: accumulate its [`IoStats`] delta into the
     /// `span.io.*` counters, count the operation (as an annotated span
     /// when a sink is listening, as a bare counter bump otherwise), and
-    /// advance the database's operation tick — which may fire the
-    /// periodic health sampler ([`Db::set_health_sampling`]). The sampler
-    /// only uses cost-free inspection, so the wrapper stays
-    /// simulated-I/O-neutral.
+    /// advance the database's operation tick.
     pub(crate) fn finish(self, db: &mut Db, object_bytes: Option<u64>, ok: bool) {
         db.note_op();
         let delta = db.io_stats() - self.before_io;
@@ -497,38 +494,23 @@ mod tests {
     }
 
     #[test]
-    fn health_sampler_fires_on_cadence_and_costs_no_io() {
+    fn health_sample_is_ticked_by_observed_ops_and_costs_no_io() {
         reset();
         let _ = take_sink();
         let mut db = Db::paper_default();
-        db.set_health_sampling(2);
         let mut obj = ManagerSpec::esm(4).create(&mut db).unwrap(); // op 1
-        obj.append(&mut db, &[1u8; 30_000]).unwrap(); // op 2 → sample
+        obj.append(&mut db, &[1u8; 30_000]).unwrap(); // op 2
         let io_mid = db.io_stats();
-        let after_two =
-            lobstore_obs::series_snapshot("health.leaf.frag_ratio").expect("sampler fired at op 2");
-        assert_eq!(after_two.points.len(), 1);
-        assert_eq!(after_two.points[0].tick, 2);
+        let sample = db.sample_health();
+        assert_eq!(sample.tick, 2);
         assert_eq!(db.io_stats(), io_mid, "sampling itself is cost-free");
-
-        obj.append(&mut db, &[2u8; 10_000]).unwrap(); // op 3
-        obj.append(&mut db, &[3u8; 10_000]).unwrap(); // op 4 → sample
-        assert_eq!(db.health_ops(), 4);
-        let series = lobstore_obs::series_snapshot("health.leaf.allocated_pages").unwrap();
-        assert_eq!(series.points.len(), 2);
-        assert_eq!(series.points[1].tick, 4);
         assert_eq!(
-            series.points[1].value,
-            db.leaf_pages_allocated() as f64,
-            "gauge series tracks the allocator"
+            lobstore_obs::gauge_value("health.leaf.allocated_pages"),
+            Some(db.leaf_pages_allocated() as f64),
+            "the gauge tracks the allocator"
         );
-        // Disabled sampler: ticks advance, no new samples.
-        db.set_health_sampling(0);
-        obj.append(&mut db, &[4u8; 1_000]).unwrap();
-        obj.append(&mut db, &[5u8; 1_000]).unwrap();
-        assert_eq!(db.health_ops(), 6);
-        let series = lobstore_obs::series_snapshot("health.leaf.allocated_pages").unwrap();
-        assert_eq!(series.points.len(), 2);
+        obj.append(&mut db, &[2u8; 10_000]).unwrap(); // op 3
+        assert_eq!(db.health_ops(), 3);
     }
 
     #[test]

@@ -101,7 +101,6 @@ pub fn verify_starburst_descriptor(obj: &StarburstObject, db: &Db) -> Result<()>
 /// against the live allocator maps (DESIGN.md §16).
 pub fn verify_object(obj: &dyn LargeObject, db: &mut Db) -> Result<()> {
     verify_segments(obj, db)?;
-    db.paranoid_verify_node_cache()?;
     db.paranoid_verify_allocators()?;
     db.paranoid_verify_versions()?;
     db.verify_alloc_log()

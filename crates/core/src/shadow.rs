@@ -74,8 +74,7 @@ impl OpCtx {
         }
         let new = db.alloc_meta_page();
         metrics::SHADOW_PAGES.add(1);
-        // Copy old content into the new frame, through the Db funnels so
-        // the node cache sees the write to the (possibly recycled) page.
+        // Copy old content into the new frame.
         let mut buf = [0u8; lobstore_simdisk::PAGE_SIZE];
         db.with_meta_page(page, |p| buf.copy_from_slice(p));
         db.with_new_meta_page(new, |p| p.copy_from_slice(&buf));

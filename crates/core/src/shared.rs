@@ -167,8 +167,9 @@ impl BufRead for SharedSnapshotReader {
         // While the read-ahead window covers the cursor, hand bytes out
         // without touching the lock at all — a scanner only re-enters the
         // read tier once per exhausted window. The slice borrows the
-        // cursor's own window, valid after the lock drops.
-        if self.reader.buffered().is_empty() {
+        // cursor's own window, valid after the lock drops. At or past
+        // the end there is nothing to fetch, so EOF takes no lock either.
+        if self.reader.buffered().is_empty() && self.reader.position() < self.reader.size() {
             let SharedSnapshotReader { shared, reader, .. } = self;
             shared.with_read(|db| {
                 reader.fill_buf(db);
@@ -322,9 +323,7 @@ mod tests {
         (obj.root_page(), digest)
     }
 
-    /// Digest of the whole object, read from offset 0. Stops at the last
-    /// byte instead of probing for EOF: `fill_buf` on an empty window
-    /// enters the read tier even when there is nothing left to fetch.
+    /// Digest of the whole object, read from offset 0.
     fn scan_digest(r: &mut SharedSnapshotReader) -> u64 {
         r.seek(SeekFrom::Start(0)).unwrap();
         let mut left = r.size();
@@ -340,20 +339,29 @@ mod tests {
         digest
     }
 
-    /// Scan `r` on a thread of its own and hand back the digest, or
-    /// `None` if the scan has not finished after 3 s (it is blocked on
-    /// the lock `held`). Dropping `held` afterwards lets a blocked
-    /// scanner (and the reader's drop, which needs the write tier)
-    /// through, so the thread is always joined.
-    fn scan_while_holding<G>(mut r: SharedSnapshotReader, held: G) -> Option<u64> {
+    /// Run `f` over `r` on a thread of its own and hand back its result,
+    /// or `None` if it has not finished after 3 s (it is blocked on the
+    /// lock `held`). Dropping `held` afterwards lets a blocked `f` (and
+    /// the reader's drop, which needs the write tier) through, so the
+    /// thread is always joined.
+    fn while_holding<G, T: Send + 'static>(
+        mut r: SharedSnapshotReader,
+        held: G,
+        f: impl FnOnce(&mut SharedSnapshotReader) -> T + Send + 'static,
+    ) -> Option<T> {
         let (done, rx) = std::sync::mpsc::channel();
-        let scanner = std::thread::spawn(move || {
-            let _ = done.send(scan_digest(&mut r));
+        let worker = std::thread::spawn(move || {
+            let _ = done.send(f(&mut r));
         });
         let got = rx.recv_timeout(std::time::Duration::from_secs(3)).ok();
         drop(held);
-        scanner.join().unwrap();
+        worker.join().unwrap();
         got
+    }
+
+    /// The digest of a whole scan of `r` made while `held` is held.
+    fn scan_while_holding<G>(r: SharedSnapshotReader, held: G) -> Option<u64> {
+        while_holding(r, held, scan_digest)
     }
 
     #[test]
@@ -386,6 +394,20 @@ mod tests {
             "a re-scan of a resident window waited for the database lock"
         );
         assert_eq!(shared.with(|db| db.pinned_snapshots()), 0);
+    }
+
+    #[test]
+    fn read_at_eof_takes_no_lock() {
+        let shared = SharedDb::new(Db::paper_default());
+        let (root, _) = patterned(&shared, 100_000);
+        let mut r = shared.snapshot_reader(root).unwrap();
+        r.seek(SeekFrom::End(0)).unwrap();
+        let held = shared.inner.write().unwrap();
+        assert_eq!(
+            while_holding(r, held, |r| r.read(&mut [0u8; 16]).unwrap()),
+            Some(0),
+            "a read at EOF waited for the database lock"
+        );
     }
 
     #[test]

@@ -123,10 +123,10 @@ impl StarburstObject {
     }
 
     /// Load the descriptor: header and segment list (by value, for the
-    /// update paths). Hot read-only paths use [`Db::with_meta_root`]
-    /// directly so a cached descriptor costs no segment-list clone.
+    /// update paths). Read-only paths step through [`Db::with_meta_root`]'s
+    /// view instead.
     fn load(&self, db: &mut Db) -> (RootHdr, Vec<Entry>) {
-        db.with_meta_root(self.root, |hdr, node| (*hdr, node.entries.clone()))
+        db.with_meta_root(self.root, |hdr, node| (*hdr, node.iter().collect()))
     }
 
     /// Store the descriptor. The root page is left dirty in the pool (no
@@ -262,7 +262,7 @@ impl StarburstObject {
     /// cannot have clobbered the pages the previous state references.
     fn rewrite_tail(&mut self, db: &mut Db, off: u64, cut: u64, put: &[u8]) -> Result<()> {
         let (mut hdr, mut segs) = self.load(db);
-        let (i, p) = find_child(&segs, off);
+        let (i, p, _) = find_child(segs.iter().copied(), off);
         let old = segs.split_off(i);
         let (at, cut) = (cast::to_usize(p), cast::to_usize(cut));
         segs.extend(self.copy_tail(db, &old, at, cut, put, 0));
@@ -359,28 +359,32 @@ impl LargeObject for StarburstObject {
     }
 
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
-        check_range(self.size(db), off, out.len() as u64)?;
-        if out.is_empty() {
-            return Ok(());
-        }
-        // Plan the per-segment spans under the cached descriptor (no
-        // segment-list clone), then issue the same reads as before.
+        // Range-check and plan the per-segment spans on the descriptor
+        // page in one fix, then issue the reads.
         let want = out.len();
-        let plan: Vec<(u32, u64, usize)> = db.with_meta_root(self.root, |_, node| {
-            let segs = &node.entries;
-            let (mut i, mut within) = find_child(segs, off);
-            let mut done = 0usize;
+        let plan: Vec<(u32, u64, usize)> = db.with_meta_root(self.root, |hdr, node| {
+            check_range(hdr.size, off, want as u64)?;
             let mut plan = Vec::new();
+            if want == 0 {
+                return Ok(plan);
+            }
+            let (first, mut within, _) = node.find_child(off);
+            let mut segs = node.iter().skip(first);
+            let mut done = 0usize;
             while done < want {
-                let e = segs[i];
+                let Some(e) = segs.next() else {
+                    return Err(LobError::InvariantViolated(format!(
+                        "descriptor at page {} ends before its size {}",
+                        self.root, hdr.size
+                    )));
+                };
                 let take = cast::to_usize((e.count - within).min((want - done) as u64));
                 plan.push((e.ptr, within, take));
                 done += take;
                 within = 0;
-                i += 1;
             }
-            plan
-        });
+            Ok(plan)
+        })?;
         let mut done = 0usize;
         for (ptr, within, take) in plan {
             db.pool
@@ -391,18 +395,15 @@ impl LargeObject for StarburstObject {
     }
 
     fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {
-        check_range(self.size(db), off, 1)?;
-        Ok(db.with_meta_root(self.root, |_, node| {
-            let (i, within) = node.find_child(off);
-            // `find_child` returns an in-bounds index for a checked offset.
-            // loblint: allow(panic-path)
-            let e = node.entries[i];
-            SegSpan {
+        db.with_meta_root(self.root, |hdr, node| {
+            check_range(hdr.size, off, 1)?;
+            let (_, within, e) = node.find_child(off);
+            Ok(SegSpan {
                 start: off - within,
                 bytes: e.count,
                 page: e.ptr,
-            }
-        }))
+            })
+        })
     }
 
     fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
@@ -439,7 +440,7 @@ impl LargeObject for StarburstObject {
             return Ok(());
         }
         let (mut hdr, mut segs) = self.load(db);
-        let (mut i, mut within) = find_child(&segs, off);
+        let (mut i, mut within, _) = find_child(segs.iter().copied(), off);
         let mut done = 0usize;
         // Superseded segments are released only after every new copy has
         // been written (§3.3 shadowing discipline).
@@ -1054,6 +1055,41 @@ mod tests {
         assert!(obj.read(&mut db, 4, &mut out).is_err());
         assert!(obj.insert(&mut db, 9, b"x").is_err());
         assert!(obj.delete(&mut db, 0, 6).is_err());
+    }
+
+    #[test]
+    fn reads_and_locates_reach_the_end_and_no_further() {
+        let mut db = db();
+        let mut obj = make(&mut db);
+        // Empty: nothing to plan over, and still no panic.
+        obj.read(&mut db, 0, &mut []).unwrap();
+        assert!(obj.locate(&mut db, 0).is_err());
+
+        let data = pattern(50_000, 5);
+        let size = data.len() as u64;
+        obj.append(&mut db, &data).unwrap();
+        obj.read(&mut db, size, &mut []).unwrap();
+        let mut out = vec![0u8; 20_000];
+        obj.read(&mut db, size - 20_000, &mut out).unwrap();
+        assert_eq!(out[..], data[30_000..]);
+        assert_eq!(
+            obj.read(&mut db, size - 19_999, &mut out),
+            Err(LobError::OutOfRange {
+                off: size - 19_999,
+                len: 20_000,
+                size
+            })
+        );
+        let last = obj.locate(&mut db, size - 1).unwrap();
+        assert_eq!(last.start + last.bytes, size);
+        assert_eq!(
+            obj.locate(&mut db, size),
+            Err(LobError::OutOfRange {
+                off: size,
+                len: 1,
+                size
+            })
+        );
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! whether the version being read can still change:
 //!
 //! * [`ObjectReader`] reads the **live** version. It borrows the database
-//!   exclusively, finds segments through the manager (node cache, hybrid
-//!   §3.2 pool policy) and costs exactly what one bulk
-//!   [`LargeObject::read`] would.
+//!   exclusively, finds segments through the manager (hybrid §3.2 pool
+//!   policy) and costs exactly what one bulk [`LargeObject::read`] would.
 //! * [`SnapshotReader`] reads a **pinned** version. Everything below its
 //!   root is immutable while the pin is held, so `&Db` is enough for every
-//!   call; it keeps its own node memo and reads segments page-direct, so
-//!   concurrent scanners never fix pool frames under the shared lock.
+//!   call; it reads segments page-direct, so under the shared lock a
+//!   concurrent scanner fixes only the index pages of its descents.
 //!   [`crate::SharedSnapshotReader`] wraps it for [`crate::SharedDb`].
 //!
 //! [`ObjectWriter`] implements [`Write`] for streaming creation by
@@ -24,8 +23,7 @@ use lobstore_simdisk::cast;
 
 use crate::db::Db;
 use crate::error::{LobError, Result};
-use crate::metrics;
-use crate::node::{Node, RootHdr};
+use crate::node::{find_child, Node, RootHdr};
 use crate::object::{LargeObject, StorageKind};
 use crate::segdata::read_seg_pages;
 use crate::version::Snapshot;
@@ -212,14 +210,6 @@ pub struct SnapshotReader {
     root: Node,
     size: u64,
     pos: u64,
-    /// Parsed index nodes below the root, by META page. The live path
-    /// memoizes parses in [`Db`]'s node cache, which writers invalidate
-    /// and which needs `&mut Db`; a pinned version's index pages cannot
-    /// change, so this reader keeps its own — a hit skips the page fix
-    /// entirely, which keeps concurrent scanners off the buffer pool's
-    /// control latch. Bounded: cleared wholesale at
-    /// [`READER_NODE_CACHE`] entries.
-    node_memo: Vec<(u32, Node)>,
     /// The read-ahead window: spans sorted by object offset, holding up
     /// to [`READ_AHEAD_MAX`] bytes. Evicted oldest-first only under
     /// capacity pressure.
@@ -264,11 +254,6 @@ impl SpanBuf {
 /// Cap on recycled span buffers a [`SnapshotReader`] keeps around.
 const SPAN_FREE_MAX: usize = 80;
 
-/// Cap on [`SnapshotReader::node_memo`] entries. A scan's working set is
-/// one node per tree level (2-3), so a small bound never thrashes; the
-/// wholesale clear keeps the lookup a linear scan over a short vec.
-const READER_NODE_CACHE: usize = 32;
-
 impl SnapshotReader {
     /// Open a snapshot cursor over the object rooted at `root_page`.
     /// Fails if the page does not hold a manager root at this version.
@@ -290,7 +275,6 @@ impl SnapshotReader {
             root,
             size: hdr.size,
             pos: 0,
-            node_memo: Vec::new(),
             spans: VecDeque::new(),
             span_bytes: 0,
             free: Vec::new(),
@@ -366,33 +350,17 @@ impl SnapshotReader {
 
     /// Locate the leaf segment holding object byte `off`: returns
     /// `(segment first page, segment start offset, segment byte count)`.
-    fn locate(&mut self, db: &Db, off: u64) -> (u32, u64, u64) {
+    fn locate(&self, db: &Db, off: u64) -> (u32, u64, u64) {
         debug_assert!(off < self.size);
-        let mut level = self.root.level;
-        let mut base = 0u64;
-        let mut page = None;
-        loop {
-            let node = match page {
-                None => &self.root,
-                Some(p) => memo_node(&mut self.node_memo, db, p),
-            };
-            // `off >= base` along the whole descent: `base` is the byte
-            // offset where the current subtree starts.
-            // loblint: allow(arith-overflow)
-            let (i, within) = node.find_child(off - base);
-            let e = match node.entries.get(i) {
-                Some(e) => *e,
-                None => unreachable!("find_child returned an in-range index"),
-            };
-            // `within <= off` by the same subtree-offset invariant.
-            // loblint: allow(arith-overflow)
-            base = off - within;
-            if level == 0 {
-                return (e.ptr, base, e.count);
-            }
-            level -= 1;
-            page = Some(e.ptr);
+        let (_, mut within, mut e) = find_child(self.root.entries.iter().copied(), off);
+        for _ in 0..self.root.level {
+            // A pinned version's index pages cannot change, so the page
+            // is searched in place through `&Db`, like the live descent.
+            (_, within, e) = db.with_meta_node(e.ptr, |node| node.find_child(within));
         }
+        // `within <= off`: it is `off`'s offset inside the leaf's subtree.
+        // loblint: allow(arith-overflow)
+        (e.ptr, off - within, e.count)
     }
 
     /// Extend the window from its tail (or restart it at the cursor after
@@ -457,28 +425,6 @@ impl SnapshotReader {
             self.free.push(s.data);
         }
         true
-    }
-}
-
-/// The parsed index node on META `page` of a pinned version, from the
-/// reader's memo or read through `&Db` and memoized.
-fn memo_node<'a>(memo: &'a mut Vec<(u32, Node)>, db: &Db, page: u32) -> &'a Node {
-    let at = match memo.iter().position(|(p, _)| *p == page) {
-        Some(i) => {
-            metrics::NODECACHE_READER_HITS.add(1);
-            i
-        }
-        None => {
-            if memo.len() >= READER_NODE_CACHE {
-                memo.clear();
-            }
-            memo.push((page, db.read_meta_node_ref(page)));
-            memo.len() - 1
-        }
-    };
-    match memo.get(at) {
-        Some((_, node)) => node,
-        None => unreachable!("index found or pushed above"),
     }
 }
 

@@ -24,7 +24,7 @@ use lobstore_simdisk::{cast, AreaId};
 use crate::db::Db;
 use crate::error::{LobError, Result};
 use crate::metrics;
-use crate::node::{Entry, Node, RootHdr, NODE_MAX_ENTRIES, ROOT_MAX_ENTRIES};
+use crate::node::{Entry, Node, NodeView, RootHdr, NODE_MAX_ENTRIES, ROOT_MAX_ENTRIES};
 use crate::object::{check_range, SegSpan, SegmentInfo, Utilization};
 use crate::segdata::{patch_in_place, peek_segs, read_seg_bytes};
 use crate::shadow::OpCtx;
@@ -97,10 +97,9 @@ impl PosTree {
     }
 
     /// Root header + entries by value, for the structural write paths.
-    /// Read-only walks use [`Db::with_meta_root`] directly to avoid the
-    /// entry-vector clone.
+    /// Read-only walks step through [`Db::with_meta_root`]'s view instead.
     fn load_root(&self, db: &mut Db) -> (RootHdr, Node) {
-        db.with_meta_root(self.root_page, |hdr, node| (*hdr, node.clone()))
+        db.with_meta_root(self.root_page, |hdr, node| (*hdr, node.to_node()))
     }
 
     fn store_root(&self, db: &mut Db, hdr: &mut RootHdr, node: &Node) {
@@ -108,7 +107,7 @@ impl PosTree {
     }
 
     fn load_node(&self, db: &mut Db, page: u32) -> Node {
-        db.with_meta_node(page, Node::clone)
+        db.with_meta_node(page, |node| node.to_node())
     }
 
     fn store_node(&self, db: &mut Db, page: u32, node: &Node) {
@@ -127,16 +126,15 @@ impl PosTree {
     /// # Panics
     /// If `off` exceeds the stored object size.
     pub fn descend(&self, db: &mut Db, off: u64) -> Option<LeafPos> {
-        // Each step runs inside the node cache's closure accessors, so a
-        // warm descent clones no entry vectors and re-parses no pages.
-        let step_in = |node: &Node, rem: u64| {
-            let (idx, within) = node.find_child(rem);
-            (idx, within, node.entries[idx], node.level)
+        // Each step searches the fixed page's pair array in place.
+        let step_in = |node: NodeView<'_>, rem: u64| {
+            let (idx, within, entry) = node.find_child(rem);
+            (idx, within, entry, node.level)
         };
         let mut rem = off;
         let (mut idx, mut within, mut entry, mut level) = db
             .with_meta_root(self.root_page, |_, node| {
-                (!node.entries.is_empty()).then(|| step_in(node, rem))
+                (!node.is_empty()).then(|| step_in(node, rem))
             })?;
         let mut path = Vec::with_capacity(4);
         path.push(PathStep {

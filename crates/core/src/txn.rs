@@ -107,7 +107,6 @@ impl Db {
             self.pool.flush_page(PageId::new(AreaId::META, page));
         }
         for page in t.free_meta {
-            self.meta_cache.invalidate(page);
             self.release_extent(Extent::new(AreaId::META, page, 1));
         }
         for ext in t.free_extents {

@@ -55,17 +55,13 @@ pub mod json;
 mod metrics;
 mod sink;
 mod span;
-mod timeseries;
 
 pub use metrics::{
     counter_add, counter_value, gauge_set, gauge_value, histogram_record, merge_thread_registry,
-    snapshot, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot,
+    reset, snapshot, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot,
 };
 pub use sink::{install_sink, sink_installed, take_sink, EventSink, JsonlSink, MemorySink};
 pub use span::{event, Span};
-pub use timeseries::{
-    series_names, series_record, series_snapshot, SeriesPoint, SeriesSnapshot, SERIES_CAPACITY,
-};
 
 /// Declare a crate's metric handles and the list of their names in one
 /// place (by convention a private `metrics` module):
@@ -91,14 +87,6 @@ macro_rules! metrics {
         /// Every metric name this module declares a handle for.
         pub const NAMES: &[&str] = &[$($name),*];
     };
-}
-
-/// Wipe this thread's registry — every counter, gauge, histogram, and
-/// time series. Tests and bench phases call this to measure from a
-/// clean slate.
-pub fn reset() {
-    metrics::reset();
-    timeseries::reset();
 }
 
 /// Version tag every machine-readable bench report carries in its

@@ -586,8 +586,7 @@ impl MetricsSnapshot {
 /// Merge a snapshot captured on another thread into **this** thread's
 /// registry: counters add, histograms add bucket-wise (count, sum
 /// saturating, max by maximum), gauges overwrite (last merge wins —
-/// they are point-in-time readings, not accumulators). Time series are
-/// not part of [`MetricsSnapshot`] and are deliberately excluded.
+/// they are point-in-time readings, not accumulators).
 ///
 /// The cells are per-thread by design (hot-path updates need no
 /// synchronization); worker threads capture [`snapshot`] before exiting

@@ -361,33 +361,6 @@ impl SimDisk {
         a.copy_in(start_page, data);
     }
 
-    /// One write call covering `pages.len()` physically contiguous pages
-    /// supplied as separate whole-page buffers (e.g. buffer-pool frames).
-    ///
-    /// Cost-identical to [`Self::write`] of one contiguous run of the
-    /// same length — one seek plus one transfer per page — but spares the
-    /// caller from staging the frames into a contiguous buffer first.
-    ///
-    /// # Panics
-    /// If `pages` is empty or the area does not exist.
-    pub fn write_gather(&self, area: AreaId, start_page: u32, pages: &[&[u8; PAGE_SIZE]]) {
-        assert!(!pages.is_empty(), "zero-length disk write");
-        let slot = self.slot(area);
-        self.charge(
-            TraceKind::Write,
-            area,
-            start_page,
-            cast::usize_to_u32(pages.len()),
-        );
-        let mut a = slot.store.write().unwrap_or_else(PoisonError::into_inner);
-        for (i, p) in pages.iter().enumerate() {
-            // The run was charged above; `start_page + pages.len()` fits
-            // the page space or `charge` would have rejected the area.
-            // loblint: allow(arith-overflow)
-            a.copy_in(start_page + cast::usize_to_u32(i), &p[..]);
-        }
-    }
-
     /// Cost-free read used by verification code and by the buffer manager
     /// when overlaying already-resident pages. Not part of the simulated
     /// I/O stream.
@@ -570,12 +543,10 @@ mod tests {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         lobstore_obs::reset();
         let d = SimDisk::new(1, CostModel::default());
-        let page: PageBox = Box::new([0u8; PAGE_SIZE]);
         let mut buf = [0u8; 1];
         let panics = |call: &mut dyn FnMut()| catch_unwind(AssertUnwindSafe(call)).is_err();
         assert!(panics(&mut || d.read(AreaId(3), 0, &mut buf)));
         assert!(panics(&mut || d.write(AreaId(3), 0, &[1u8; 8])));
-        assert!(panics(&mut || d.write_gather(AreaId(3), 0, &[&page])));
         assert_eq!(d.stats(), IoStats::default());
         assert_eq!(
             lobstore_obs::snapshot(),
@@ -667,27 +638,6 @@ mod tests {
             out[PAGE_SIZE..].iter().all(|&b| b == 0),
             "past the frontier"
         );
-    }
-
-    #[test]
-    fn write_gather_is_one_call_of_n_pages() {
-        let d = disk();
-        d.enable_trace(4);
-        let a: PageBox = Box::new([5u8; PAGE_SIZE]);
-        let b: PageBox = Box::new([6u8; PAGE_SIZE]);
-        d.write_gather(AreaId::LEAF, 9, &[&a, &b]);
-        assert_eq!(d.stats().write_calls, 1);
-        assert_eq!(d.stats().pages_written, 2);
-        assert_eq!(d.stats().time_us, 33_000 + 2 * 4_000);
-        let t = d.take_trace();
-        assert_eq!(
-            (t[0].kind, t[0].start, t[0].pages),
-            (TraceKind::Write, 9, 2)
-        );
-        let mut out = vec![0u8; 2 * PAGE_SIZE];
-        d.peek(AreaId::LEAF, 9, &mut out);
-        assert!(out[..PAGE_SIZE].iter().all(|&b| b == 5));
-        assert!(out[PAGE_SIZE..].iter().all(|&b| b == 6));
     }
 
     #[test]

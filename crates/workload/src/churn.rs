@@ -168,13 +168,12 @@ impl ChurnWorkload {
         Ok((pool, counts))
     }
 
-    /// Take one mark: publish a health sample (gauges + series, ticked
-    /// by the database's observed-op count) and fold it into a
+    /// Take one mark: publish a health sample (gauges) and fold it into a
     /// [`ChurnMark`].
     fn mark(db: &mut Db, pool: &[Box<dyn LargeObject>], ops_done: usize) -> ChurnMark {
         let sample = db.sample_health();
         let objs: Vec<ObjectHealth> = pool.iter().map(|o| object_health(o.as_ref(), db)).collect();
-        publish_object_health(&objs, Some(sample.tick));
+        publish_object_health(&objs);
         let n = objs.len().max(1) as f64;
         ChurnMark {
             ops_done,
@@ -263,12 +262,6 @@ mod tests {
                 assert!(m.free_pages + u64::from(m.largest_free_run) > 0);
                 assert_eq!(m.live_objects, 4);
             }
-            // The sampler published series points at every mark.
-            let s = lobstore_obs::series_snapshot("health.leaf.frag_ratio")
-                .expect("marks record health series");
-            assert_eq!(s.points.len(), 3, "{}", spec.label());
-            let c = lobstore_obs::series_snapshot("health.object.contiguity").unwrap();
-            assert_eq!(c.points.len(), 3);
         }
     }
 

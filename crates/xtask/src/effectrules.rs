@@ -6,7 +6,7 @@
 //! workspace function, the set of storage effects it may perform —
 //! raw disk sites, cost-counted wrapper reads, durable writes, buddy
 //! allocate/free, shadow-session operations, meta-page writes,
-//! node-cache invalidations, guard acquisitions, root flips — by a
+//! guard acquisitions, root flips — by a
 //! bottom-up fixpoint over the call graph ([`Effect`] is a small
 //! finite lattice joined by set union, so the fixpoint terminates).
 //! Calls resolve with the same conservative descriptor rules as the
@@ -15,7 +15,7 @@
 //! witness chain (call site -> ... -> direct site) that becomes the
 //! finding's `evidence` array.
 //!
-//! Four rules consume the summaries, all scoped to library crates,
+//! Three rules consume the summaries, all scoped to library crates,
 //! non-test code (DESIGN.md section 15):
 //!
 //! * `shadow-order` — inside an `OpCtx` shadow operation (§3.3
@@ -29,12 +29,6 @@
 //!   queued, or recorded (any later mention counts as an ownership
 //!   transfer) on *every* CFG path, including `?`/`return` error
 //!   edges, where a leaked extent would survive until fsck.
-//! * `cache-invalidate` — a raw META page write (`guard_mut`/
-//!   `guard_new` on `AreaId::META`) must reach a node-cache
-//!   invalidation in the same function on every path; the
-//!   `Db::with_meta_page_mut`/`with_new_meta_page` funnels are the
-//!   sanctioned shape (the static twin of the PR 4 nodecache
-//!   invariant).
 //! * `commit-point` — an operation that makes a freshly allocated
 //!   META root/header page durable (`flush_page(PageId::new(
 //!   AreaId::META, <new page>))`) has exactly one such flip per
@@ -60,7 +54,7 @@ use crate::lobsyn::{FnDef, Tok, TokKind};
 /// function is a set of these, each with a witness chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Effect {
-    /// Raw `disk.read`/`disk.write`/`write_gather` site.
+    /// Raw `disk.read`/`disk.write` site.
     RawDisk,
     /// Cost-counted read wrapper or entry (`read_buffered`, ...).
     WrapperRead,
@@ -82,9 +76,6 @@ pub(crate) enum Effect {
     /// Meta-page write: a `with_meta_page_mut`/`with_new_meta_page`
     /// funnel call, or a raw META guard site.
     MetaWrite,
-    /// Node-cache invalidation (`meta_cache.invalidate/clear`, or a
-    /// funnel, which invalidates internally).
-    CacheInvalidate,
     /// Commit point: `flush_page` of a freshly allocated META page.
     RootFlip,
 }
@@ -241,15 +232,7 @@ fn scan_sites(t: &[Tok], b0: usize, b1: usize) -> Vec<Site> {
             "shadow_page" => eff(Effect::ShadowPage),
             "fresh_page" => eff(Effect::FreshPage),
             "free_extent_later" | "free_page_later" => eff(Effect::FreeLater),
-            "with_meta_page_mut" | "with_new_meta_page" => {
-                // The sanctioned funnels: they write META and
-                // invalidate the node cache internally (db.rs).
-                eff(Effect::MetaWrite);
-                eff(Effect::CacheInvalidate);
-            }
-            "invalidate" | "clear" if recv.iter().any(|r| r == "meta_cache") => {
-                eff(Effect::CacheInvalidate)
-            }
+            "with_meta_page_mut" | "with_new_meta_page" => eff(Effect::MetaWrite),
             name @ ("guard" | "guard_mut" | "guard_new" | "fix" | "fix_new") => {
                 eff(Effect::GuardAcq);
                 if name == "fix" {
@@ -271,9 +254,7 @@ fn scan_sites(t: &[Tok], b0: usize, b1: usize) -> Vec<Site> {
                     eff(Effect::RootFlip);
                 }
             }
-            name @ ("read" | "write" | "write_gather")
-                if recv.iter().any(|r| r == "disk" || r == "disk_mut") =>
-            {
+            name @ ("read" | "write") if recv.iter().any(|r| r == "disk" || r == "disk_mut") => {
                 eff(Effect::RawDisk);
                 if name != "read" {
                     eff(Effect::DurableWrite);
@@ -356,7 +337,7 @@ pub(crate) fn summarize(analyses: &[Analysis]) -> Sums {
 
 // ---- per-function context -------------------------------------------------
 
-/// Everything the four rules need about one function under analysis.
+/// Everything the three rules need about one function under analysis.
 struct FnCx<'a> {
     a: &'a Analysis,
     f: &'a FnDef,
@@ -472,7 +453,6 @@ pub(crate) fn check(analyses: &[Analysis], out: &mut Vec<Finding>) {
             };
             check_shadow_order(&cx, &sums, out);
             check_alloc_balance(&cx, out);
-            check_cache_invalidate(&cx, out);
             check_commit_point(&cx, &sums, out);
         }
     }
@@ -726,69 +706,6 @@ fn check_alloc_balance(cx: &FnCx, out: &mut Vec<Finding>) {
                         t[site].text
                     ),
                     Vec::new(),
-                );
-            }
-        }
-    }
-}
-
-fn check_cache_invalidate(cx: &FnCx, out: &mut Vec<Finding>) {
-    let t = cx.t();
-    // Raw META write sites: META-addressed mutable guards (and, for
-    // completeness, direct write wrappers aimed at META). The flush
-    // family is exempt: flushing a frame cannot stale the node cache.
-    let raw: Vec<usize> = (cx.b0..cx.b1.min(t.len()))
-        .filter(|&k| {
-            t[k].kind == TokKind::Ident
-                && t.get(k + 1).is_some_and(|n| n.is_punct("("))
-                && !(k > 0 && t[k - 1].is_ident("fn"))
-                && matches!(
-                    t[k].text.as_str(),
-                    "guard_mut" | "guard_new" | "fix_new" | "write_direct" | "write_gather"
-                )
-                && group_has(t, k + 1, "META")
-        })
-        .collect();
-    for &site in &raw {
-        #[derive(Clone, PartialEq, Default)]
-        struct S {
-            /// Invalidation seen on *every* path so far (must-join).
-            inval: bool,
-            /// Site executed without a preceding invalidation, and no
-            /// invalidation since (may-join).
-            pending: bool,
-        }
-        let join = |a: &S, b: &S| S {
-            inval: a.inval && b.inval,
-            pending: a.pending || b.pending,
-        };
-        let transfer = |s: &mut S, st: &Stmt| {
-            if st.lo <= site && site < st.hi && !s.inval {
-                s.pending = true;
-            }
-            if cx
-                .sites_in(st.lo, st.hi)
-                .any(|x| x.effect == Effect::CacheInvalidate)
-            {
-                s.inval = true;
-                s.pending = false;
-            }
-        };
-        let entries = lobflow::forward(&cx.cfg, S::default(), join, transfer);
-        if let Some(Some(end)) = entries.get(cx.cfg.exit) {
-            if end.pending {
-                cx.a.push_ev(
-                    out,
-                    t[site].line,
-                    "cache-invalidate",
-                    format!(
-                        "raw META page write via `{}(..)` does not reach a node-cache \
-                         invalidation before function exit; stale deserialized nodes would \
-                         survive — use `Db::with_meta_page_mut`/`with_new_meta_page` or \
-                         invalidate explicitly",
-                        t[site].text
-                    ),
-                    vec![format!("write site: {}:{}", cx.a.rel, t[site].line)],
                 );
             }
         }
@@ -1069,50 +986,6 @@ mod tests {
              }\n",
         )];
         assert!(findings_for(&files, "alloc-balance").is_empty());
-    }
-
-    // ---- cache-invalidate ---------------------------------------------
-
-    #[test]
-    fn cache_invalidate_flags_dropped_invalidation() {
-        // Mutation drill: the funnel shape (invalidate first) and the
-        // invalidate-after-on-all-paths shape are both clean; dropping
-        // the invalidation is the seeded violation.
-        let bad = "fn raw(&mut self, page: u32) {\n\
-                   let g = self.pool.guard_mut(PageId::new(AreaId::META, page));\n\
-                   consume(g);\n\
-                   }\n";
-        let before = "fn raw(&mut self, page: u32) {\n\
-                      self.meta_cache.invalidate(page);\n\
-                      let g = self.pool.guard_mut(PageId::new(AreaId::META, page));\n\
-                      consume(g);\n\
-                      }\n";
-        let after = "fn raw(&mut self, page: u32) {\n\
-                     let g = self.pool.guard_mut(PageId::new(AreaId::META, page));\n\
-                     consume(g);\n\
-                     self.meta_cache.invalidate(page);\n\
-                     }\n";
-        let fs = findings_for(&[("crates/core/src/x.rs", bad)], "cache-invalidate");
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert!(fs[0].message.contains("node-cache invalidation"));
-        assert!(findings_for(&[("crates/core/src/x.rs", before)], "cache-invalidate").is_empty());
-        assert!(findings_for(&[("crates/core/src/x.rs", after)], "cache-invalidate").is_empty());
-    }
-
-    #[test]
-    fn cache_invalidate_flags_partial_branch_invalidation() {
-        let files = [(
-            "crates/core/src/x.rs",
-            "fn raw(&mut self, page: u32, c: bool) {\n\
-             let g = self.pool.guard_mut(PageId::new(AreaId::META, page));\n\
-             consume(g);\n\
-             if c {\n\
-             self.meta_cache.invalidate(page);\n\
-             }\n\
-             }\n",
-        )];
-        let fs = findings_for(&files, "cache-invalidate");
-        assert_eq!(fs.len(), 1, "one path misses the invalidation: {fs:?}");
     }
 
     // ---- commit-point -------------------------------------------------

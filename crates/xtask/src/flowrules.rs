@@ -48,7 +48,7 @@ use crate::lobsyn::{FnDef, Tok, TokKind};
 /// DESIGN.md section 13; a test below holds the table, the workspace's
 /// lock declarations and that section to the same names, so a new lock
 /// joins all three at once.
-pub(crate) const CANONICAL_LOCK_ORDER: [&str; 11] = [
+pub(crate) const CANONICAL_LOCK_ORDER: [&str; 10] = [
     "SharedDb.inner", // two-tier DB lock: writers exclusive, scans shared
     "bench::REPORT",  // process-wide bench report registry
     PAGE_PIN,         // page pins, only under the DB lock
@@ -57,7 +57,6 @@ pub(crate) const CANONICAL_LOCK_ORDER: [&str; 11] = [
     "AreaSlot.store", // per-area disk store latch
     "SimDisk.trace",  // trace stream, innermost disk-side lock
     "obs::REGISTRY",  // thread-local metric cells latch
-    "obs::SERIES",    // thread-local time-series latch
     "obs::SINK",      // thread-local event sink latch
     "obs::SLOTS",     // innermost: process-wide metric slot <-> name table
 ];

@@ -57,11 +57,10 @@ use std::process::ExitCode;
 use crate::lobsyn::{self, AttrSpan, FnDef, Tok, TokKind};
 
 /// The rule identifiers, as used in findings and `allow(...)` comments.
-pub const RULES: [&str; 21] = [
+pub const RULES: [&str; 20] = [
     "alloc-balance",
     "arith-overflow",
     "bad-waiver",
-    "cache-invalidate",
     "commit-point",
     "disk-taint",
     "forbid-unsafe",
@@ -82,7 +81,7 @@ pub const RULES: [&str; 21] = [
 ];
 
 /// One `--explain` documentation entry per rule: (name, scope, text).
-pub const RULE_DOCS: [(&str, &str, &str); 21] = [
+pub const RULE_DOCS: [(&str, &str, &str); 20] = [
     (
         "alloc-balance",
         "library crates, non-test code",
@@ -102,15 +101,6 @@ pub const RULE_DOCS: [(&str, &str, &str); 21] = [
         "whole workspace",
         "A `// loblint: allow(...)` comment names a rule loblint does not know; fix the \
          spelling so the waiver actually waives something.",
-    ),
-    (
-        "cache-invalidate",
-        "library crates, non-test code",
-        "A raw META page write (guard_mut/guard_new/fix_new addressing AreaId::META) must \
-         reach a node-cache invalidation in the same function on every CFG path, before or \
-         after the write; otherwise stale deserialized nodes survive the write. The \
-         Db::with_meta_page_mut / with_new_meta_page funnels are the sanctioned shape — the \
-         static twin of the PR 4 nodecache invariant (DESIGN.md section 15).",
     ),
     (
         "commit-point",
@@ -1173,8 +1163,8 @@ pub(crate) const CALL_KEYWORDS: [&str; 11] = [
 ];
 
 /// A raw disk I/O site: `disk` / `disk_mut()` receiver followed by
-/// `.read(`, `.write(` or `.write_gather(`. Returns the index of the
-/// method ident for each site in `toks`.
+/// `.read(` or `.write(`. Returns the index of the method ident for each
+/// site in `toks`.
 fn raw_disk_sites(toks: &[Tok]) -> Vec<usize> {
     let mut out = Vec::new();
     for i in 0..toks.len() {
@@ -1189,9 +1179,9 @@ fn raw_disk_sites(toks: &[Tok]) -> Vec<usize> {
             j += 2;
         }
         if toks.get(j).is_some_and(|t| t.is_punct("."))
-            && toks.get(j + 1).is_some_and(|t| {
-                t.is_ident("read") || t.is_ident("write") || t.is_ident("write_gather")
-            })
+            && toks
+                .get(j + 1)
+                .is_some_and(|t| t.is_ident("read") || t.is_ident("write"))
             && toks.get(j + 2).is_some_and(|t| t.is_punct("("))
         {
             out.push(j + 1);
@@ -2456,7 +2446,7 @@ TOTAL           3          2      1
                  fn read_pages(&mut self) { self.disk.read(a, p, d); }\n\
                  fn read_scatter(&mut self) { self.disk.read(a, p, d); }\n\
                  fn write_direct(&mut self) { self.disk.write(a, p, d); }\n\
-                 fn flush_range(&mut self) { self.disk.write_gather(a, p, d); }\n\
+                 fn flush_range(&mut self) { self.disk.write(a, p, d); }\n\
                  fn read_segment(&mut self) { self.read_buffered(); self.read_direct(); }\n\
                  }\n",
             ),
@@ -2520,18 +2510,6 @@ TOTAL           3          2      1
         ));
         let found = io_findings(&files);
         assert_eq!(found.len(), 1, "{found:?}");
-    }
-
-    #[test]
-    fn gather_write_raw_io_is_caught() {
-        let mut files = io_fixture();
-        files.push((
-            "crates/core/src/rogue.rs",
-            "fn sneaky(d: &mut SimDisk) { d.disk.write_gather(a, p, runs); }\n",
-        ));
-        let found = io_findings(&files);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("raw disk write_gather"));
     }
 
     /// The io fixture plus a peek-only model of the health inspectors.
@@ -2625,7 +2603,7 @@ TOTAL           3          2      1
              fn read_pages(&mut self) { self.disk.read(a, p, d); }\n\
              fn read_scatter(&mut self) { self.disk.read(a, p, d); }\n\
              fn write_direct(&mut self) { self.disk.write(a, p, d); }\n\
-             fn flush_range(&mut self) { self.disk.write_gather(a, p, d); }\n\
+             fn flush_range(&mut self) { self.disk.write(a, p, d); }\n\
              fn read_segment(&mut self) { self.read_buffered(); self.read_direct(); }\n\
              }\n",
         );

@@ -98,7 +98,7 @@ fn computed_health_names_match_the_documented_pattern() {
     gone.append(&mut db, &[2u8; 50_000]).unwrap();
     gone.destroy(&mut db).unwrap();
     db.sample_health();
-    publish_object_health(&[object_health(keep.as_ref(), &db)], None);
+    publish_object_health(&[object_health(keep.as_ref(), &db)]);
     let snap = lobstore::obs::snapshot();
     let emitted: BTreeSet<String> = snap
         .gauges
