@@ -4,11 +4,12 @@
 //!
 //! The pool is shared (`&self` everywhere) and splits its state two ways:
 //!
-//! * **Control block** (`ctl: Mutex<PoolInner>`): the frame table,
-//!   residency map, LRU clock and hit/miss counters. Every replacement
-//!   decision runs under this one mutex, which keeps the victim choice —
-//!   and therefore the simulated I/O stream and golden traces — exactly
-//!   as deterministic as a `&mut self` pool.
+//! * **Control block** (`ctl: Mutex<PoolInner>`): the frame table, LRU
+//!   clock and hit/miss counters. Which frame holds a page is a scan of
+//!   the table's 2–12 `pid`s; there is no second index to keep in step.
+//!   Every replacement decision runs under this one mutex, which keeps
+//!   the victim choice — and therefore the simulated I/O stream and
+//!   golden traces — exactly as deterministic as a `&mut self` pool.
 //! * **Page bytes** (`frames: Vec<Frame>`, one per configured frame):
 //!   each frame owns its 4 KiB box behind its own `RwLock` latch. The
 //!   box never moves; eviction writes the old page back and reads the
@@ -24,7 +25,6 @@
 //! for their lifetime and release it *before* re-taking `ctl` to drop
 //! the pin.
 
-use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
 use lobstore_simdisk::{cast, IoStats, PageId, SimDisk, PAGE_SIZE};
@@ -43,6 +43,10 @@ pub struct PoolConfig {
     pub max_buffered_seg: u32,
 }
 
+/// The largest `max_buffered_seg` a pool takes: a buffered read keeps its
+/// frame indices in an array of this many.
+pub(crate) const MAX_BUFFERED_SEG: usize = 8;
+
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
@@ -56,9 +60,12 @@ impl Default for PoolConfig {
 /// authoritative time/cost counters).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// `fix` or segment-read requests satisfied without disk I/O.
+    /// Pages found resident: by `fix`, or by a buffered segment read
+    /// (one per resident page of the request).
     pub hits: u64,
-    /// Requests that had to touch the disk.
+    /// `fix` calls that had to read the page. A buffered segment read's
+    /// missing pages are fetched a run at a time and were never counted
+    /// here, so `hits / (hits + misses)` is a ratio over fixes.
     pub misses: u64,
     /// Dirty pages written back by eviction.
     pub eviction_writes: u64,
@@ -74,8 +81,6 @@ pub struct FrameRef(pub(crate) usize);
 /// helpers — the caller holds the control mutex.
 pub(crate) struct PoolInner {
     frames: Vec<FrameMeta>,
-    /// Resident pages → frame index.
-    map: HashMap<PageId, usize>,
     clock: u64,
     stats: PoolStats,
 }
@@ -86,18 +91,24 @@ impl PoolInner {
         self.clock
     }
 
-    fn resident(&self, pid: PageId) -> Option<usize> {
-        self.map.get(&pid).copied()
+    /// The frame holding `pid`: a scan of the frame table, which
+    /// `pick_victim` and `available` walk on every miss anyway.
+    pub(crate) fn resident(&self, pid: PageId) -> Option<usize> {
+        self.frames.iter().position(|f| f.pid == Some(pid))
+    }
+
+    fn is_dirty(&self, idx: usize) -> bool {
+        self.frames.get(idx).is_some_and(|f| f.dirty)
     }
 
     /// The frame holding `pid`, if it is resident and dirty.
     fn resident_dirty(&self, pid: PageId) -> Option<usize> {
-        self.resident(pid).filter(|&idx| self.frames[idx].dirty)
+        self.resident(pid).filter(|&idx| self.is_dirty(idx))
     }
 
     /// Count a hit, re-pin the frame, refresh LRU. Returns the stats
     /// snapshot for the obs mirror.
-    fn repin_hit(&mut self, idx: usize) -> PoolStats {
+    pub(crate) fn repin_hit(&mut self, idx: usize) -> PoolStats {
         self.stats.hits += 1;
         let t = self.tick();
         let f = &mut self.frames[idx];
@@ -151,7 +162,6 @@ impl PoolInner {
         let pid = f.pid.take()?;
         let dirty = f.dirty;
         f.dirty = false;
-        self.map.remove(&pid);
         Some((pid, dirty))
     }
 
@@ -162,10 +172,9 @@ impl PoolInner {
         f.dirty = dirty;
         f.pins = 1;
         f.last_used = t;
-        self.map.insert(pid, idx);
     }
 
-    fn unpin(&mut self, idx: usize, dirtied: bool) {
+    pub(crate) fn unpin(&mut self, idx: usize, dirtied: bool) {
         let f = &mut self.frames[idx];
         if dirtied {
             f.dirty = true;
@@ -195,7 +204,6 @@ impl PoolInner {
         assert_eq!(f.pins, 0, "discard of a fixed page {pid}");
         f.pid = None;
         f.dirty = false;
-        self.map.remove(&pid);
     }
 
     /// Free every frame without write-back; panics on a surviving pin.
@@ -204,10 +212,9 @@ impl PoolInner {
             assert_eq!(f.pins, 0, "crash with a fixed frame");
             *f = FrameMeta::empty();
         }
-        self.map.clear();
     }
 
-    fn available(&self) -> usize {
+    pub(crate) fn available(&self) -> usize {
         self.frames.iter().filter(|f| f.pins == 0).count()
     }
 
@@ -224,10 +231,8 @@ impl PoolInner {
     }
 
     /// The resident pages of `[start, start + pages)` with the frames
-    /// holding them, in page order. A range longer than the pool is
-    /// answered from the frame table, a shorter one by probing the
-    /// residency map once per page — so the cost is bounded by the
-    /// smaller of the two, whatever the caller's segment size.
+    /// holding them, in page order: one walk of the frame table, whatever
+    /// the caller's segment size.
     fn resident_in(
         &self,
         area: lobstore_simdisk::AreaId,
@@ -235,11 +240,6 @@ impl PoolInner {
         pages: u32,
     ) -> Vec<(u32, usize)> {
         let range = start..start.saturating_add(pages);
-        if cast::u32_to_usize(pages) <= self.frames.len() {
-            return range
-                .filter_map(|p| Some((p, self.resident(PageId::new(area, p))?)))
-                .collect();
-        }
         let mut found: Vec<(u32, usize)> = self
             .frames
             .iter()
@@ -261,7 +261,7 @@ impl PoolInner {
         pages: u32,
     ) -> Vec<(u32, usize)> {
         let mut found = self.resident_in(area, start, pages);
-        found.retain(|&(_, idx)| self.frames.get(idx).is_some_and(|f| f.dirty));
+        found.retain(|&(_, idx)| self.is_dirty(idx));
         found
     }
 }
@@ -272,7 +272,7 @@ impl PoolInner {
 pub struct BufferPool {
     pub(crate) disk: SimDisk,
     pub(crate) cfg: PoolConfig,
-    /// Control block: frame table, residency map, LRU state, counters.
+    /// Control block: frame table, LRU state, counters.
     pub(crate) ctl: Mutex<PoolInner>,
     /// The latched page bytes, one per frame, indexed like the control
     /// block's frame table.
@@ -283,15 +283,18 @@ impl BufferPool {
     /// A pool of `cfg.frames` empty frames over `disk`.
     ///
     /// # Panics
-    /// If `cfg.frames < 2`.
+    /// If `cfg.frames < 2` or `cfg.max_buffered_seg > 8`.
     pub fn new(disk: SimDisk, cfg: PoolConfig) -> Self {
         assert!(cfg.frames >= 2, "pool needs at least 2 frames");
+        assert!(
+            cast::u32_to_usize(cfg.max_buffered_seg) <= MAX_BUFFERED_SEG,
+            "pool buffers segments of at most {MAX_BUFFERED_SEG} pages"
+        );
         BufferPool {
             disk,
             cfg,
             ctl: Mutex::new(PoolInner {
                 frames: (0..cfg.frames).map(|_| FrameMeta::empty()).collect(),
-                map: HashMap::with_capacity(cfg.frames),
                 clock: 0,
                 stats: PoolStats::default(),
             }),
@@ -402,7 +405,7 @@ impl BufferPool {
 
     /// Record one fix outcome in the observability registry and refresh
     /// the derived hit-ratio gauge.
-    fn note_fix(hit: bool, stats: PoolStats) {
+    pub(crate) fn note_fix(hit: bool, stats: PoolStats) {
         if hit {
             metrics::HITS.add(1);
         } else {
@@ -455,23 +458,54 @@ impl BufferPool {
         FrameRef(idx)
     }
 
-    /// Install a full page of `content` (just read from disk) into a
-    /// frame, pinned once and clean. Unlike [`Self::fix_new`] + copy, the
-    /// frame is never zero-filled first — the copy overwrites every byte.
-    ///
-    /// # Panics
-    /// If `content` is not exactly one page.
-    pub(crate) fn install_clean(&self, pid: PageId, content: &[u8]) -> FrameRef {
-        assert_eq!(content.len(), PAGE_SIZE, "install_clean needs a full page");
-        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
-        let idx = self.claim(&mut g, pid, false);
-        let mut bytes = self
-            .frame(idx)
+    /// Install a full page of `content` (just read from disk) for the
+    /// non-resident `pid` in a victim frame, pinned once and clean; the
+    /// caller holds the control mutex. Unlike [`Self::fix_new`] + copy,
+    /// the frame is never zero-filled first — the copy overwrites every
+    /// byte.
+    pub(crate) fn install_page(&self, inner: &mut PoolInner, pid: PageId, content: &[u8]) -> usize {
+        let idx = self.victim(inner);
+        inner.install(idx, pid, false);
+        self.frame(idx)
             .bytes
             .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        bytes.copy_from_slice(content);
-        FrameRef(idx)
+            .unwrap_or_else(PoisonError::into_inner)
+            .copy_from_slice(content);
+        idx
+    }
+
+    /// Read the non-resident `pid` into a victim frame with one 1-page
+    /// call, pinned once and clean, and show `body` the page — the
+    /// one-page missing run of a buffered read that wants only part of
+    /// the page. The read is issued *before* the victim's write-back, as
+    /// for every buffered run, so a clean or free victim takes the read
+    /// in place, as in [`Self::fix`], and only a dirty victim's successor
+    /// is staged through a stack page.
+    pub(crate) fn read_clipped(
+        &self,
+        inner: &mut PoolInner,
+        pid: PageId,
+        body: impl FnOnce(&[u8]),
+    ) -> usize {
+        let idx = inner.pick_victim();
+        if inner.is_dirty(idx) {
+            let mut page = [0u8; PAGE_SIZE];
+            self.disk.read(pid.area, pid.page, &mut page);
+            body(&page);
+            return self.install_page(inner, pid, &page);
+        }
+        inner.detach(idx);
+        {
+            let mut bytes = self
+                .frame(idx)
+                .bytes
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.disk.read(pid.area, pid.page, bytes.as_mut_slice());
+            body(bytes.as_slice());
+        }
+        inner.install(idx, pid, false);
+        idx
     }
 
     /// Run `body` with read access to a fixed frame's bytes, under the
@@ -727,6 +761,33 @@ mod tests {
 
     fn pid(p: u32) -> PageId {
         PageId::new(AreaId::META, p)
+    }
+
+    impl BufferPool {
+        /// What `install_page` replaced, kept for the oracle in `segio`'s
+        /// tests: the same install under a `ctl` acquisition of its own.
+        pub(crate) fn install_clean(&self, pid: PageId, content: &[u8]) -> FrameRef {
+            assert_eq!(content.len(), PAGE_SIZE, "install_clean needs a full page");
+            let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+            let idx = self.claim(&mut g, pid, false);
+            let mut bytes = self
+                .frame(idx)
+                .bytes
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            bytes.copy_from_slice(content);
+            FrameRef(idx)
+        }
+
+        /// Every frame's page, dirty bit, pin count and LRU stamp, in frame
+        /// order — what the twin-pool tests in `segio` compare.
+        pub(crate) fn frame_table(&self) -> Vec<(Option<PageId>, bool, u32, u64)> {
+            let g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+            g.frames
+                .iter()
+                .map(|f| (f.pid, f.dirty, f.pins, f.last_used))
+                .collect()
+        }
     }
 
     #[test]
@@ -1132,5 +1193,89 @@ mod tests {
             own(&page, p);
             assert_eq!(page[1], bumps[p as usize] as u8, "page {p} lost a write");
         }
+    }
+
+    #[test]
+    fn buffered_reads_under_concurrent_access() {
+        // The sibling of `frame_reuse_under_concurrent_access` for the
+        // buffered segment read, which holds `ctl` across its disk reads
+        // and frame latches as `fix` does: two threads read 1–4 pages,
+        // aligned and clipped, while two fix and write through guards.
+        // Every byte of page `p` is `p`, except the last (`!p`) and byte
+        // 1, which counts the writes.
+        const PAGES: u32 = 64;
+        const ACCESSES: u64 = 4_000;
+        finishes(|| {
+            let pool = pool_with_frames(8);
+            for p in 0..PAGES {
+                let mut page = [p as u8; PAGE_SIZE];
+                (page[1], page[PAGE_SIZE - 1]) = (0, !(p as u8));
+                pool.disk().poke(AreaId::META, p, &page);
+            }
+            let own = |at: usize, byte: u8| {
+                let p = (at / PAGE_SIZE) as u8;
+                match at % PAGE_SIZE {
+                    1 => {}
+                    o if o == PAGE_SIZE - 1 => assert_eq!(byte, !p, "byte {at}"),
+                    _ => assert_eq!(byte, p, "byte {at}"),
+                }
+            };
+            let mut bumps = [0u32; PAGES as usize];
+            std::thread::scope(|s| {
+                let workers: Vec<_> = (0..4u64)
+                    .map(|t| {
+                        let pool = &pool;
+                        s.spawn(move || {
+                            let mut mine = [0u32; PAGES as usize];
+                            let mut out = vec![0u8; 4 * PAGE_SIZE];
+                            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ t;
+                            for _ in 0..ACCESSES {
+                                // xorshift64
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                let p = (x >> 8) as u32 % PAGES;
+                                if t < 2 {
+                                    // Aligned whole pages, or a clipped range.
+                                    let pages = 1 + (x >> 20) as usize % 4;
+                                    let (skip, len) = match (x >> 24) % 3 {
+                                        0 => (0, pages * PAGE_SIZE),
+                                        1 => (0, 100),
+                                        _ => ((x >> 28) as usize % PAGE_SIZE, pages * PAGE_SIZE),
+                                    };
+                                    let off = p as usize * PAGE_SIZE + skip;
+                                    let len = len.min(PAGES as usize * PAGE_SIZE - off);
+                                    pool.read_segment(AreaId::META, 0, off as u64, &mut out[..len]);
+                                    for (i, &b) in out[..len].iter().enumerate() {
+                                        own(off + i, b);
+                                    }
+                                } else if x.is_multiple_of(2) {
+                                    let r = pool.fix(pid(p));
+                                    pool.with_page(r, |page| own(p as usize * PAGE_SIZE, page[0]));
+                                    pool.unfix(r);
+                                } else {
+                                    let mut g = pool.guard_mut(pid(p));
+                                    g[1] = g[1].wrapping_add(1);
+                                    mine[p as usize] += 1;
+                                }
+                            }
+                            mine
+                        })
+                    })
+                    .collect();
+                for w in workers {
+                    for (sum, n) in bumps.iter_mut().zip(w.join().unwrap()) {
+                        *sum += n;
+                    }
+                }
+            });
+            assert_eq!(pool.available_frames(), 8);
+            pool.flush_all();
+            for p in 0..PAGES {
+                let mut page = [0u8; PAGE_SIZE];
+                pool.disk().peek(AreaId::META, p, &mut page);
+                assert_eq!(page[1], bumps[p as usize] as u8, "page {p} lost a write");
+            }
+        });
     }
 }

@@ -18,7 +18,7 @@ use std::sync::PoisonError;
 use lobstore_simdisk::{cast, AreaId, PageId, PAGE_SIZE, PAGE_SIZE_U64};
 
 use crate::metrics;
-use crate::pool::{BufferPool, FrameRef};
+use crate::pool::{BufferPool, FrameRef, MAX_BUFFERED_SEG};
 
 impl BufferPool {
     /// Read `out.len()` bytes starting at byte `byte_off` of the segment
@@ -35,23 +35,26 @@ impl BufferPool {
         let head_skip = cast::to_usize(byte_off % PAGE_SIZE_U64);
 
         if n_pages <= self.cfg.max_buffered_seg
-            && self.available_frames() >= cast::u32_to_usize(n_pages)
+            && self.read_buffered(area, first, n_pages, head_skip, out)
         {
-            self.read_buffered(area, first, n_pages, head_skip, out);
-        } else {
-            self.read_direct(area, first, last, head_skip, out);
+            return;
         }
+        self.read_direct(area, first, last, head_skip, out);
     }
 
-    /// Buffered path: pin resident pages, fetch each missing run with one
-    /// call, copy the byte range out of the frames.
+    /// Buffered path, one pass under one `ctl` acquisition: pin the
+    /// resident pages, fetch each maximal missing run with one call,
+    /// install its pages, copy the byte range out, release every pin.
+    /// Returns `false`, having touched nothing, if fewer frames are
+    /// unpinned than the request has pages.
     ///
     /// A missing run of *whole* pages that lands entirely inside `out` is
     /// scatter-read straight into the caller's buffer and the frames are
-    /// filled from it — one copy instead of disk→staging→frame→caller.
-    /// Only runs clipped by a partial first or last page still stage
-    /// through a temporary buffer. The I/O calls issued (and therefore
-    /// the simulated cost) are identical either way.
+    /// filled from it. A single page of which `out` wants only a part is
+    /// read into the frame it will live in ([`BufferPool::read_clipped`]).
+    /// Only a longer run clipped by a partial first or last page is
+    /// staged through a temporary buffer. The I/O calls issued (and
+    /// therefore the simulated cost) are identical every way.
     fn read_buffered(
         &self,
         area: AreaId,
@@ -59,91 +62,63 @@ impl BufferPool {
         n_pages: u32,
         head_skip: usize,
         out: &mut [u8],
-    ) {
-        let n = cast::u32_to_usize(n_pages);
-        let mut refs: Vec<Option<FrameRef>> = Vec::with_capacity(n);
-        // Pass 1: pin what is already resident so eviction can't steal it.
-        for i in 0..n_pages {
-            let pid = PageId::new(area, first + i);
-            if self.contains(pid) {
-                refs.push(Some(self.fix(pid)));
-            } else {
-                refs.push(None);
+    ) -> bool {
+        // The request's pages and, once known, the frames they are in.
+        let mut slots = [(PageId::new(area, first), None); MAX_BUFFERED_SEG];
+        let at = &mut slots[..cast::u32_to_usize(n_pages)];
+        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        if g.available() < at.len() {
+            return false;
+        }
+        // Pin what is already resident so eviction can't steal it.
+        for ((pid, slot), page) in at.iter_mut().zip(first..) {
+            *pid = PageId::new(area, page);
+            *slot = g.resident(*pid);
+            if let Some(idx) = *slot {
+                Self::note_fix(true, g.repin_hit(idx));
             }
         }
-        // Pass 2: fetch each maximal missing run with a single I/O call.
-        let mut in_place = vec![false; n];
-        let mut i = 0usize;
-        while i < refs.len() {
-            if refs[i].is_some() {
-                i += 1;
-                continue;
-            }
-            let run_start = i;
-            while i < refs.len() && refs[i].is_none() {
-                i += 1;
-            }
-            let run_len = i - run_start;
-            let start_page = first + cast::usize_to_u32(run_start);
-            let (out_off, from, _) = page_span(run_start, head_skip, out.len());
-            let (_, _, last_take) = page_span(run_start + run_len - 1, head_skip, out.len());
-            if from == 0 && last_take == PAGE_SIZE {
-                // Whole pages, fully inside `out`: scatter read.
-                let dst = &mut out[out_off..out_off + run_len * PAGE_SIZE];
-                let installed = self.read_scatter(area, start_page, dst);
-                for (j, r) in installed.into_iter().enumerate() {
-                    refs[run_start + j] = Some(r);
-                    in_place[run_start + j] = true;
+        // A resident page, or a maximal run of missing ones, at a time:
+        // `rest` is still to fill, the next page supplies its bytes from
+        // `from` on.
+        let (mut rest, mut from) = (out, head_skip);
+        for run in at.chunk_by_mut(|a, b| a.1.is_none() && b.1.is_none()) {
+            let run_bytes = run.len() * PAGE_SIZE;
+            // `from < PAGE_SIZE <= run_bytes`.
+            // loblint: allow(arith-overflow)
+            let (dst, tail) = rest.split_at_mut((run_bytes - from).min(rest.len()));
+            match run {
+                [(_, Some(idx))] => {
+                    self.with_page(FrameRef(*idx), |page| copy_part(page, from, dst))
                 }
-            } else {
-                // Boundary run: stage through a buffer sized to the run.
-                let mut tmp = vec![0u8; run_len * PAGE_SIZE];
-                self.disk.read(area, start_page, &mut tmp);
-                for (j, chunk) in tmp.chunks(PAGE_SIZE).enumerate() {
-                    let pid = PageId::new(area, start_page + cast::usize_to_u32(j));
-                    refs[run_start + j] = Some(self.install_clean(pid, chunk));
+                [(pid, slot)] if dst.len() < PAGE_SIZE => {
+                    *slot =
+                        Some(self.read_clipped(&mut g, *pid, |page| copy_part(page, from, dst)));
                 }
+                [(start, _), ..] => {
+                    let mut staged = Vec::new();
+                    let src: &[u8] = if dst.len() == run_bytes {
+                        self.disk.read(area, start.page, dst);
+                        dst
+                    } else {
+                        staged.resize(run_bytes, 0);
+                        self.disk.read(area, start.page, &mut staged);
+                        copy_part(&staged, from, dst);
+                        &staged
+                    };
+                    for ((pid, slot), bytes) in run.iter_mut().zip(src.chunks(PAGE_SIZE)) {
+                        *slot = Some(self.install_page(&mut g, *pid, bytes));
+                    }
+                }
+                [] => {}
             }
+            (rest, from) = (tail, 0);
         }
-        // Pass 3: copy from frames for pages not already filled in place,
-        // and release every pin.
-        let mut copied = 0usize;
-        for (i, r) in refs.iter().enumerate() {
-            let r = match r {
-                Some(r) => *r,
-                None => unreachable!("pass 2 installed a frame for every missing page"),
-            };
-            let (out_off, from, take) = page_span(i, head_skip, out.len());
-            debug_assert_eq!(out_off, copied);
-            if !in_place[i] {
-                self.with_page(r, |page| {
-                    out[copied..copied + take].copy_from_slice(&page[from..from + take]);
-                });
-            }
-            copied += take;
-            if copied == out.len() {
-                break;
-            }
+        debug_assert!(rest.is_empty());
+        for idx in at.iter().filter_map(|&(_, slot)| slot) {
+            g.unpin(idx, false);
         }
-        debug_assert_eq!(copied, out.len());
-        for r in refs.into_iter().flatten() {
-            self.unfix(r);
-        }
-    }
-
-    /// Scatter read (cost-counted wrapper): one I/O call reading a run of
-    /// whole pages directly into `dst`, then installing each page into a
-    /// pool frame *from* `dst`. The caller's bytes are already in place;
-    /// the frames are filled with one copy each and no staging buffer.
-    fn read_scatter(&self, area: AreaId, start_page: u32, dst: &mut [u8]) -> Vec<FrameRef> {
-        debug_assert!(!dst.is_empty() && dst.len().is_multiple_of(PAGE_SIZE));
-        self.disk.read(area, start_page, dst);
-        dst.chunks(PAGE_SIZE)
-            .enumerate()
-            .map(|(j, page)| {
-                self.install_clean(PageId::new(area, start_page + cast::usize_to_u32(j)), page)
-            })
-            .collect()
+        true
     }
 
     /// Direct path with 3-step I/O on boundary mismatch.
@@ -296,19 +271,9 @@ impl BufferPool {
     }
 }
 
-/// Where page `i` of a buffered request lands: byte offset in `out`,
-/// offset of the first requested byte within the page, and how many
-/// bytes of the page are requested.
-fn page_span(i: usize, head_skip: usize, out_len: usize) -> (usize, usize, usize) {
-    let (out_off, from) = if i == 0 {
-        (0, head_skip)
-    } else {
-        (PAGE_SIZE - head_skip + (i - 1) * PAGE_SIZE, 0)
-    };
-    // `from < PAGE_SIZE` and `out_off < out_len` for every page index
-    // the read loop produces.
-    // loblint: allow(arith-overflow)
-    (out_off, from, (PAGE_SIZE - from).min(out_len - out_off))
+/// Copy the `dst.len()` bytes of `page` that start at `from`.
+fn copy_part(page: &[u8], from: usize, dst: &mut [u8]) {
+    dst.copy_from_slice(&page[from..from + dst.len()]);
 }
 
 #[cfg(test)]
@@ -316,6 +281,7 @@ mod tests {
     use super::*;
     use crate::pool::PoolConfig;
     use lobstore_simdisk::{CostModel, SimDisk, TraceKind};
+    use proptest::prelude::*;
 
     const A: AreaId = AreaId::LEAF;
 
@@ -702,5 +668,409 @@ mod tests {
                 });
             }
         });
+    }
+
+    // ---- the multi-pass buffered read, kept as `read_buffered`'s oracle ----
+
+    impl BufferPool {
+        /// `read_segment` as it was before the single pass: the frame
+        /// count, each residency probe, each install and each unfix take
+        /// `ctl` on their own, through the public calls.
+        fn oracle_read_segment(
+            &self,
+            area: AreaId,
+            start_page: u32,
+            byte_off: u64,
+            out: &mut [u8],
+        ) {
+            if out.is_empty() {
+                return;
+            }
+            let len = out.len() as u64;
+            let first = start_page + cast::to_u32(byte_off / PAGE_SIZE_U64);
+            let last = start_page + cast::to_u32((byte_off + len - 1) / PAGE_SIZE_U64);
+            let n_pages = last - first + 1;
+            let head_skip = cast::to_usize(byte_off % PAGE_SIZE_U64);
+            if n_pages <= self.cfg.max_buffered_seg
+                && self.available_frames() >= cast::u32_to_usize(n_pages)
+            {
+                self.oracle_read_buffered(area, first, n_pages, head_skip, out);
+            } else {
+                self.read_direct(area, first, last, head_skip, out);
+            }
+        }
+
+        fn oracle_read_buffered(
+            &self,
+            area: AreaId,
+            first: u32,
+            n_pages: u32,
+            head_skip: usize,
+            out: &mut [u8],
+        ) {
+            let n = cast::u32_to_usize(n_pages);
+            let mut refs: Vec<Option<FrameRef>> = Vec::with_capacity(n);
+            // Pass 1: pin what is already resident so eviction can't steal it.
+            for i in 0..n_pages {
+                let pid = PageId::new(area, first + i);
+                if self.contains(pid) {
+                    refs.push(Some(self.fix(pid)));
+                } else {
+                    refs.push(None);
+                }
+            }
+            // Pass 2: fetch each maximal missing run with a single I/O call.
+            let mut in_place = vec![false; n];
+            let mut i = 0usize;
+            while i < refs.len() {
+                if refs[i].is_some() {
+                    i += 1;
+                    continue;
+                }
+                let run_start = i;
+                while i < refs.len() && refs[i].is_none() {
+                    i += 1;
+                }
+                let run_len = i - run_start;
+                let start_page = first + cast::usize_to_u32(run_start);
+                let (out_off, from, _) = page_span(run_start, head_skip, out.len());
+                let (_, _, last_take) = page_span(run_start + run_len - 1, head_skip, out.len());
+                if from == 0 && last_take == PAGE_SIZE {
+                    // Whole pages, fully inside `out`: scatter read.
+                    let dst = &mut out[out_off..out_off + run_len * PAGE_SIZE];
+                    let installed = self.oracle_read_scatter(area, start_page, dst);
+                    for (j, r) in installed.into_iter().enumerate() {
+                        refs[run_start + j] = Some(r);
+                        in_place[run_start + j] = true;
+                    }
+                } else {
+                    // Boundary run: stage through a buffer sized to the run.
+                    let mut tmp = vec![0u8; run_len * PAGE_SIZE];
+                    self.disk.read(area, start_page, &mut tmp);
+                    for (j, chunk) in tmp.chunks(PAGE_SIZE).enumerate() {
+                        let pid = PageId::new(area, start_page + cast::usize_to_u32(j));
+                        refs[run_start + j] = Some(self.install_clean(pid, chunk));
+                    }
+                }
+            }
+            // Pass 3: copy from frames for pages not already filled in
+            // place, and release every pin.
+            let mut copied = 0usize;
+            for (i, r) in refs.iter().enumerate() {
+                let r = r.expect("pass 2 installed a frame for every missing page");
+                let (out_off, from, take) = page_span(i, head_skip, out.len());
+                assert_eq!(out_off, copied);
+                if !in_place[i] {
+                    self.with_page(r, |page| {
+                        out[copied..copied + take].copy_from_slice(&page[from..from + take]);
+                    });
+                }
+                copied += take;
+            }
+            assert_eq!(copied, out.len());
+            for r in refs.into_iter().flatten() {
+                self.unfix(r);
+            }
+        }
+
+        fn oracle_read_scatter(
+            &self,
+            area: AreaId,
+            start_page: u32,
+            dst: &mut [u8],
+        ) -> Vec<FrameRef> {
+            self.disk.read(area, start_page, dst);
+            dst.chunks(PAGE_SIZE)
+                .enumerate()
+                .map(|(j, page)| {
+                    self.install_clean(PageId::new(area, start_page + cast::usize_to_u32(j)), page)
+                })
+                .collect()
+        }
+    }
+
+    /// Where page `i` of a buffered request lands: byte offset in `out`,
+    /// offset of the first requested byte within the page, and how many
+    /// bytes of the page are requested.
+    fn page_span(i: usize, head_skip: usize, out_len: usize) -> (usize, usize, usize) {
+        let (out_off, from) = if i == 0 {
+            (0, head_skip)
+        } else {
+            (PAGE_SIZE - head_skip + (i - 1) * PAGE_SIZE, 0)
+        };
+        (out_off, from, (PAGE_SIZE - from).min(out_len - out_off))
+    }
+
+    /// The twin-run region: 24 seeded pages; `Probe` fixes pages past it.
+    const REGION_PAGES: u32 = 24;
+    const REGION: usize = REGION_PAGES as usize * PAGE_SIZE;
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Fix a page and keep it fixed.
+        Fix(u32),
+        /// Write one byte through the `n`th held fix (modulo how many).
+        Poke(usize, usize, u8),
+        /// Release the `n`th held fix.
+        Unfix(usize),
+        /// Byte-range read at (offset, length) within the region.
+        Read(usize, usize),
+        /// Direct write of whole pages (skipped over a fixed page).
+        WriteDirect(u32, u32, u8),
+        FlushRange(u32, u32),
+        /// Fix a page neither pool has seen, and release it: which page
+        /// left is the next victim.
+        Probe,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            2 => (0..REGION_PAGES).prop_map(Op::Fix),
+            2 => (0usize..8, 0..PAGE_SIZE, any::<u8>()).prop_map(|(n, at, v)| Op::Poke(n, at, v)),
+            2 => (0usize..8).prop_map(Op::Unfix),
+            // Probes clipped inside a page or straddling two, then every
+            // alignment of 1–6 pages (5 and 6 take the direct path).
+            4 => (0..REGION - 1, 1usize..300).prop_map(|(off, len)| Op::Read(off, len)),
+            4 => (0..REGION_PAGES as usize, 0usize..3, 1usize..7, 0usize..3).prop_map(
+                |(page, head, pages, tail)| {
+                    let off = page * PAGE_SIZE + [0, 1, 4_000][head];
+                    Op::Read(off, pages * PAGE_SIZE - [0, 1, 4_000][tail])
+                }
+            ),
+            1 => (0..REGION_PAGES, 1u32..6, any::<u8>())
+                .prop_map(|(page, pages, fill)| Op::WriteDirect(page, pages, fill)),
+            1 => (0..REGION_PAGES, 1u32..6).prop_map(|(page, pages)| Op::FlushRange(page, pages)),
+            1 => Just(Op::Probe),
+        ]
+    }
+
+    /// Two pools over equal disks, `new` read through `read_segment` and
+    /// `old` through the oracle, with the fixes held in both.
+    struct Twins {
+        new: BufferPool,
+        old: BufferPool,
+        held: Vec<(u32, FrameRef)>,
+        probes: u32,
+    }
+
+    impl Twins {
+        fn new(frames: usize, max_buffered_seg: u32) -> Twins {
+            let cfg = PoolConfig {
+                frames,
+                max_buffered_seg,
+            };
+            let pool = || {
+                let p = BufferPool::new(SimDisk::new(2, CostModel::default()), cfg);
+                seed(&p, 0, REGION_PAGES as usize);
+                p.disk().enable_trace(64);
+                p
+            };
+            Twins {
+                new: pool(),
+                old: pool(),
+                held: Vec::new(),
+                probes: 0,
+            }
+        }
+
+        fn both(&self) -> [&BufferPool; 2] {
+            [&self.new, &self.old]
+        }
+
+        /// Apply `op` to both pools, then require that nothing tells
+        /// them apart.
+        fn step(&mut self, op: &Op) {
+            match *op {
+                // One frame stays unpinned: `fix` panics on a full pool.
+                Op::Fix(page) if self.held.len() + 1 < self.new.config().frames => {
+                    let [a, b] = self.both().map(|p| p.fix(PageId::new(A, page)));
+                    assert_eq!(a, b, "fix({page}) chose different frames");
+                    self.held.push((page, a));
+                }
+                Op::Poke(n, at, val) if !self.held.is_empty() => {
+                    let (_, r) = self.held[n % self.held.len()];
+                    for p in self.both() {
+                        p.with_page_mut(r, |page| page[at] = val);
+                    }
+                }
+                Op::Unfix(n) if !self.held.is_empty() => {
+                    let (_, r) = self.held.swap_remove(n % self.held.len());
+                    for p in self.both() {
+                        p.unfix(r);
+                    }
+                }
+                Op::Read(off, len) => {
+                    let len = len.min(REGION - off);
+                    let (mut a, mut b) = (vec![0u8; len], vec![0u8; len]);
+                    self.new.read_segment(A, 0, off as u64, &mut a);
+                    self.old.oracle_read_segment(A, 0, off as u64, &mut b);
+                    assert_eq!(a, b, "read {off}+{len} returned different bytes");
+                }
+                Op::WriteDirect(page, pages, fill) => {
+                    let pages = pages.min(REGION_PAGES - page);
+                    // `write_direct` panics over a fixed page.
+                    if !self
+                        .held
+                        .iter()
+                        .any(|&(q, _)| (page..page + pages).contains(&q))
+                    {
+                        let data = vec![fill; pages as usize * PAGE_SIZE - 7];
+                        for p in self.both() {
+                            p.write_direct(A, page, &data);
+                        }
+                    }
+                }
+                Op::FlushRange(page, pages) => {
+                    for p in self.both() {
+                        p.flush_range(A, page, pages.min(REGION_PAGES - page));
+                    }
+                }
+                Op::Probe if self.held.len() < self.new.config().frames => {
+                    let fresh = PageId::new(A, REGION_PAGES + self.probes);
+                    self.probes += 1;
+                    let before = self.both().map(|p| p.frame_table());
+                    let [a, b] = self.both().map(|p| p.fix(fresh));
+                    assert_eq!((before[0][a.0].0, a), (before[1][b.0].0, b), "next victim");
+                    for p in self.both() {
+                        p.unfix(a);
+                    }
+                }
+                _ => {}
+            }
+            let [new, old] = self.both();
+            assert_eq!(new.disk().take_trace(), old.disk().take_trace(), "{op:?}");
+            assert_eq!(new.disk().trace_dropped() + old.disk().trace_dropped(), 0);
+            assert_eq!(new.io_stats(), old.io_stats(), "{op:?}");
+            assert_eq!(new.pool_stats(), old.pool_stats(), "{op:?}");
+            // Residency, dirty bits, pins and LRU stamps, frame by frame.
+            assert_eq!(new.frame_table(), old.frame_table(), "{op:?}");
+        }
+
+        /// Unfix everything, flush, and compare the disks.
+        fn finish(mut self) {
+            while !self.held.is_empty() {
+                self.step(&Op::Unfix(0));
+            }
+            self.step(&Op::Probe);
+            let disks = self.both().map(|p| {
+                p.flush_all();
+                let mut bytes = vec![0u8; REGION];
+                p.disk().peek(A, 0, &mut bytes);
+                bytes
+            });
+            assert!(disks[0] == disks[1], "disk images differ");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+        #[test]
+        fn single_pass_matches_the_multi_pass_oracle(
+            input in (2usize..=12, 1u32..=4, prop::collection::vec(op_strategy(), 1..80))
+        ) {
+            let (frames, max_buffered_seg, ops) = input;
+            let mut twins = Twins::new(frames, max_buffered_seg);
+            for op in &ops {
+                twins.step(op);
+            }
+            twins.finish();
+        }
+    }
+
+    /// A pool of `frames` frames, every one holding an unpinned dirty
+    /// page (100, 101, ... of the META area, oldest first), tracing.
+    fn all_dirty(frames: usize) -> BufferPool {
+        let p = BufferPool::new(
+            SimDisk::new(2, CostModel::default()),
+            PoolConfig {
+                frames,
+                max_buffered_seg: 4,
+            },
+        );
+        for q in 0..cast::usize_to_u32(frames) {
+            let r = p.fix_new(PageId::new(AreaId::META, 100 + q));
+            p.with_page_mut(r, |page| page.fill(0xD0 + q as u8));
+            p.unfix(r);
+        }
+        p.disk().enable_trace(8);
+        p
+    }
+
+    fn calls(p: &BufferPool) -> Vec<(TraceKind, AreaId, u32, u32)> {
+        let trace = p.disk().take_trace();
+        trace
+            .iter()
+            .map(|e| (e.kind, e.area, e.start, e.pages))
+            .collect()
+    }
+
+    #[test]
+    fn clipped_read_over_a_dirty_victim_reads_before_it_writes_back() {
+        for frames in [2, 3] {
+            let p = all_dirty(frames);
+            let data = seed(&p, 0, 8);
+            let mut out = [0u8; 100];
+            p.read_segment(A, 5, 1_000, &mut out);
+            assert_eq!(out[..], data[5 * PAGE_SIZE + 1_000..][..100]);
+            // The staged order: the page is read, then the LRU dirty
+            // page makes room for it.
+            assert_eq!(
+                calls(&p),
+                [
+                    (TraceKind::Read, A, 5, 1),
+                    (TraceKind::Write, AreaId::META, 100, 1)
+                ]
+            );
+            assert_eq!(p.pool_stats().eviction_writes, 1);
+            assert!(p.contains(PageId::new(A, 5)));
+            assert!(!p.contains(PageId::new(AreaId::META, 100)));
+            let mut back = [0u8; PAGE_SIZE];
+            p.disk().peek(AreaId::META, 100, &mut back);
+            assert!(
+                back.iter().all(|&b| b == 0xD0),
+                "the victim's bytes reached disk"
+            );
+            // The frame holds the whole page, not just the 100 bytes.
+            let mut again = vec![0u8; PAGE_SIZE];
+            p.read_segment(A, 5, 0, &mut again);
+            assert_eq!(again[..], data[5 * PAGE_SIZE..6 * PAGE_SIZE]);
+            assert!(calls(&p).is_empty(), "a re-read is a hit");
+        }
+    }
+
+    #[test]
+    fn lone_missing_page_between_two_resident_ones_over_a_dirty_victim() {
+        // Runs [hit][miss][hit] in a 3-frame pool: pages 4 and 6 resident
+        // and dirty, the third frame dirty too. Pinning the two hits
+        // leaves that frame as the only victim; page 5 is read (whole,
+        // into `out`) before the victim is written back.
+        let p = BufferPool::new(
+            SimDisk::new(2, CostModel::default()),
+            PoolConfig {
+                frames: 3,
+                max_buffered_seg: 4,
+            },
+        );
+        let data = seed(&p, 0, 8);
+        for q in [4usize, 6] {
+            let r = p.fix(PageId::new(A, q as u32));
+            p.with_page_mut(r, |page| page[0] = data[q * PAGE_SIZE]);
+            p.unfix(r);
+        }
+        dirty(&p, 50, 0xEE);
+        p.disk().enable_trace(8);
+        // Bytes 4 000 of page 4 .. 100 of page 6.
+        let mut out = vec![0u8; 96 + PAGE_SIZE + 100];
+        p.read_segment(A, 4, 4_000, &mut out);
+        assert_eq!(out[..], data[4 * PAGE_SIZE + 4_000..][..out.len()]);
+        assert_eq!(
+            calls(&p),
+            [(TraceKind::Read, A, 5, 1), (TraceKind::Write, A, 50, 1)]
+        );
+        assert_eq!(p.pool_stats().eviction_writes, 1);
+        assert_eq!(p.pool_stats().hits, 2, "pages 4 and 6 were pinned as hits");
+        assert_eq!(p.available_frames(), 3, "every pin released");
+        assert!(p.contains(PageId::new(A, 5)) && !p.contains(PageId::new(A, 50)));
     }
 }

@@ -244,7 +244,7 @@ fn scan_sites(t: &[Tok], b0: usize, b1: usize) -> Vec<Site> {
                     eff(Effect::MetaWrite);
                 }
             }
-            "read_buffered" | "read_direct" | "read_pages" | "read_scatter" | "read_segment" => {
+            "read_buffered" | "read_clipped" | "read_direct" | "read_pages" | "read_segment" => {
                 eff(Effect::WrapperRead)
             }
             "evict" | "flush_all" | "flush_range" | "write_direct" => eff(Effect::DurableWrite),

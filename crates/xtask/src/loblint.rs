@@ -1099,7 +1099,7 @@ fn check_forbid_unsafe(analyses: &[Analysis], out: &mut Vec<Finding>) {
 pub(crate) const IO_WRAPPERS: [(&str, &[&str]); 2] = [
     (
         "crates/bufpool/src/pool.rs",
-        &["evict", "fix", "flush_page", "flush_all"],
+        &["evict", "fix", "flush_page", "flush_all", "read_clipped"],
     ),
     (
         "crates/bufpool/src/segio.rs",
@@ -1107,7 +1107,6 @@ pub(crate) const IO_WRAPPERS: [(&str, &[&str]); 2] = [
             "read_buffered",
             "read_direct",
             "read_pages",
-            "read_scatter",
             "write_direct",
             "flush_range",
         ],
@@ -2436,15 +2435,15 @@ TOTAL           3          2      1
                  fn fix(&mut self) { self.disk.read(a, p, d); }\n\
                  fn flush_page(&mut self) { self.disk.write(a, p, d); }\n\
                  fn flush_all(&mut self) { self.flush_page(); }\n\
+                 fn read_clipped(&mut self) { self.disk.read(a, p, d); }\n\
                  }\n",
             ),
             (
                 "crates/bufpool/src/segio.rs",
                 "impl BufferPool {\n\
-                 fn read_buffered(&mut self) { self.disk.read(a, p, d); }\n\
+                 fn read_buffered(&mut self) { self.disk.read(a, p, d); self.read_clipped(); }\n\
                  fn read_direct(&mut self) { self.disk.read(a, p, d); }\n\
                  fn read_pages(&mut self) { self.disk.read(a, p, d); }\n\
-                 fn read_scatter(&mut self) { self.disk.read(a, p, d); }\n\
                  fn write_direct(&mut self) { self.disk.write(a, p, d); }\n\
                  fn flush_range(&mut self) { self.disk.write(a, p, d); }\n\
                  fn read_segment(&mut self) { self.read_buffered(); self.read_direct(); }\n\
@@ -2601,7 +2600,6 @@ TOTAL           3          2      1
              fn read_buffered(&mut self) { self.noop(); }\n\
              fn read_direct(&mut self) { self.disk.read(a, p, d); }\n\
              fn read_pages(&mut self) { self.disk.read(a, p, d); }\n\
-             fn read_scatter(&mut self) { self.disk.read(a, p, d); }\n\
              fn write_direct(&mut self) { self.disk.write(a, p, d); }\n\
              fn flush_range(&mut self) { self.disk.write(a, p, d); }\n\
              fn read_segment(&mut self) { self.read_buffered(); self.read_direct(); }\n\
@@ -2623,7 +2621,6 @@ TOTAL           3          2      1
              fn read_buffered(&mut self) { self.disk.read(a, p, d); }\n\
              fn read_direct(&mut self) { self.disk.read(a, p, d); }\n\
              fn read_pages(&mut self) { self.disk.read(a, p, d); }\n\
-             fn read_scatter(&mut self) { self.disk.read(a, p, d); }\n\
              fn write_direct(&mut self) { self.disk.write(a, p, d); }\n\
              fn read_segment(&mut self) { self.read_buffered(); self.read_direct(); }\n\
              }\n",
