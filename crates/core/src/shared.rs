@@ -120,10 +120,11 @@ impl SharedDb {
 /// holding the database lock only in **read** mode while scanning — the
 /// `SharedDb` twin of [`crate::ObjectReader`].
 ///
-/// Implements [`Read`], [`BufRead`] (with the snapshot reader's
-/// read-ahead as the buffer), and [`Seek`]. Each refill takes the shared
-/// lock once per read-ahead span (up to 4 MB), so concurrent scanners
-/// spend almost all their time outside any `SharedDb`-level lock.
+/// Implements [`Read`], [`BufRead`] (with the snapshot reader's span as
+/// the buffer), and [`Seek`]. Each refill takes the shared lock once per
+/// span — the rest of one segment, up to 4 MB — and consuming the span
+/// takes none, so concurrent scanners spend almost all their time outside
+/// any `SharedDb`-level lock.
 ///
 /// Dropping the cursor re-enters the write tier once to release the
 /// snapshot pin; call [`Self::close`] to do it explicitly.
@@ -164,10 +165,10 @@ impl Read for SharedSnapshotReader {
 
 impl BufRead for SharedSnapshotReader {
     fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        // While the read-ahead window covers the cursor, hand bytes out
+        // While the buffered span covers the cursor, hand bytes out
         // without touching the lock at all — a scanner only re-enters the
-        // read tier once per exhausted window. The slice borrows the
-        // cursor's own window, valid after the lock drops. At or past
+        // read tier once per exhausted span. The slice borrows the
+        // cursor's own buffer, valid after the lock drops. At or past
         // the end there is nothing to fetch, so EOF takes no lock either.
         if self.reader.buffered().is_empty() && self.reader.position() < self.reader.size() {
             let SharedSnapshotReader { shared, reader, .. } = self;
@@ -359,21 +360,16 @@ mod tests {
         got
     }
 
-    /// The digest of a whole scan of `r` made while `held` is held.
-    fn scan_while_holding<G>(r: SharedSnapshotReader, held: G) -> Option<u64> {
-        while_holding(r, held, scan_digest)
-    }
-
     #[test]
     fn cold_pinned_scan_needs_only_the_read_tier() {
         let shared = SharedDb::new(Db::paper_default());
-        // Three read-ahead windows: the scanner must refill twice after
-        // the first, each time through the lock.
+        // Dozens of segments: the scanner refills once per segment, each
+        // time through the lock.
         let (root, want) = patterned(&shared, 9 << 20);
         let r = shared.snapshot_reader(root).unwrap();
         let held = shared.inner.read().unwrap();
         assert_eq!(
-            scan_while_holding(r, held),
+            while_holding(r, held, scan_digest),
             Some(want),
             "a pinned scan blocked behind (or misread under) a held read lock"
         );
@@ -381,17 +377,25 @@ mod tests {
     }
 
     #[test]
-    fn window_resident_rescan_takes_no_lock() {
+    fn span_resident_reread_takes_no_lock() {
         let shared = SharedDb::new(Db::paper_default());
-        // Half a window: one scan leaves the whole object resident.
-        let (root, want) = patterned(&shared, 2 << 20);
+        let (root, _) = patterned(&shared, 2 << 20);
         let mut r = shared.snapshot_reader(root).unwrap();
-        assert_eq!(scan_digest(&mut r), want);
+        r.seek(SeekFrom::Start(300_000)).unwrap();
+        let span = r.fill_buf().unwrap().to_vec();
+        assert!(!span.is_empty());
+        r.consume(span.len());
         let held = shared.inner.write().unwrap();
+        let reread = while_holding(r, held, move |r| {
+            r.seek(SeekFrom::Start(300_000)).unwrap();
+            let mut out = vec![0u8; span.len()];
+            r.read_exact(&mut out).unwrap();
+            out == span
+        });
         assert_eq!(
-            scan_while_holding(r, held),
-            Some(want),
-            "a re-scan of a resident window waited for the database lock"
+            reread,
+            Some(true),
+            "a re-read of the buffered span waited for the database lock"
         );
         assert_eq!(shared.with(|db| db.pinned_snapshots()), 0);
     }

@@ -12,11 +12,15 @@
 //!   concurrent scanner fixes only the index pages of its descents.
 //!   [`crate::SharedSnapshotReader`] wraps it for [`crate::SharedDb`].
 //!
+//! Both buffer the same way: one [`Span`], the rest of the segment under
+//! the cursor, refilled by one `locate` and one segment read into the
+//! `Vec` it handed out last time (§3.2: one segment per I/O call, nothing
+//! read ahead of the request).
+//!
 //! [`ObjectWriter`] implements [`Write`] for streaming creation by
 //! appends, buffering to a configurable chunk size so the append pattern
 //! matches how clients would really feed a storage manager.
 
-use std::collections::VecDeque;
 use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 
 use lobstore_simdisk::cast;
@@ -73,12 +77,38 @@ fn take_into(out: &mut [u8], src: &[u8]) -> usize {
     take
 }
 
+/// What a scan cursor buffers: object bytes `[start, start + len)`, held
+/// at `data[skip..skip + len]`. The segment read lands in `data`
+/// directly — the only copy those bytes make before `fill_buf` hands
+/// them out — and the next refill reuses the allocation.
+#[derive(Default)]
+struct Span {
+    start: u64,
+    skip: usize,
+    len: usize,
+    data: Vec<u8>,
+}
+
+impl Span {
+    /// The buffered bytes from `pos` to the end of the span; empty when
+    /// `pos` is outside it.
+    fn slice_at(&self, pos: u64) -> &[u8] {
+        let Some(d) = pos.checked_sub(self.start).map(cast::to_usize) else {
+            return &[];
+        };
+        let end = self.skip.saturating_add(self.len);
+        self.data
+            .get(self.skip.saturating_add(d)..end)
+            .unwrap_or(&[])
+    }
+}
+
 /// Streaming reader over a large object.
 ///
 /// A sequential-scan cursor: instead of descending the index for every
 /// `read()` call (ruinous for small chunks — one full root-to-leaf walk
 /// per 4 KB), the reader locates the segment containing the current
-/// position once per span and refills a read-ahead buffer with a single
+/// position once per span and refills its buffer with a single
 /// byte-range read covering the rest of that segment (capped at
 /// `READ_AHEAD_MAX`, 4 MiB). Small sequential reads then cost exactly the
 /// simulated I/O of one large read: the refills issue the same
@@ -93,10 +123,9 @@ pub struct ObjectReader<'a> {
     obj: &'a dyn LargeObject,
     pos: u64,
     size: u64,
-    /// Read-ahead buffer holding object bytes
-    /// `[buf_start, buf_start + buf.len())`.
-    buf: Vec<u8>,
-    buf_start: u64,
+    /// The buffered span; `skip` stays 0, a byte-range read fills `data`
+    /// from its first byte.
+    span: Span,
 }
 
 impl<'a> ObjectReader<'a> {
@@ -112,8 +141,10 @@ impl<'a> ObjectReader<'a> {
             obj,
             pos: 0,
             size,
-            buf: Vec::with_capacity(cap),
-            buf_start: 0,
+            span: Span {
+                data: Vec::with_capacity(cap),
+                ..Span::default()
+            },
         }
     }
 
@@ -122,23 +153,18 @@ impl<'a> ObjectReader<'a> {
         self.pos
     }
 
-    /// Is `pos` inside the buffered span?
-    fn buffered(&self, pos: u64) -> bool {
-        pos.checked_sub(self.buf_start)
-            .is_some_and(|d| d < self.buf.len() as u64)
-    }
-
-    /// Refill the read-ahead buffer starting at the current position:
-    /// one `locate` to find the segment's end, one byte-range read for
-    /// the remainder of that segment.
+    /// Refill the span starting at the current position: one `locate` to
+    /// find the segment's end, one byte-range read for the remainder of
+    /// that segment.
     fn refill(&mut self) -> Result<()> {
-        let span = self.obj.locate(self.db, self.pos)?;
-        let span_end = span.end().min(self.size);
-        let want = cast::to_usize(span_end.saturating_sub(self.pos)).min(READ_AHEAD_MAX);
+        let seg = self.obj.locate(self.db, self.pos)?;
+        let seg_end = seg.end().min(self.size);
+        let want = cast::to_usize(seg_end.saturating_sub(self.pos)).min(READ_AHEAD_MAX);
         debug_assert!(want > 0, "refill past the located span");
-        self.buf.resize(want, 0);
-        self.obj.read(self.db, self.pos, &mut self.buf)?;
-        self.buf_start = self.pos;
+        self.span.data.resize(want, 0);
+        self.obj.read(self.db, self.pos, &mut self.span.data)?;
+        self.span.start = self.pos;
+        self.span.len = want;
         Ok(())
     }
 }
@@ -156,23 +182,17 @@ impl BufRead for ObjectReader<'_> {
     /// instead of twice. Refills on demand like [`Read::read`] and
     /// charges identical simulated I/O.
     fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        if self.pos >= self.size {
-            return Ok(&[]);
-        }
-        if !self.buffered(self.pos) {
+        if self.pos < self.size && self.span.slice_at(self.pos).is_empty() {
             self.refill().map_err(|e| io::Error::other(e.to_string()))?;
         }
-        let lo = cast::to_usize(self.pos.saturating_sub(self.buf_start));
-        // `lo < buf.len()` by `buffered` above.
-        // loblint: allow(panic-path)
-        Ok(&self.buf[lo..])
+        Ok(self.span.slice_at(self.pos))
     }
 
     fn consume(&mut self, amt: usize) {
         // Contract (std::io::BufRead): `amt` never exceeds the slice
         // `fill_buf` returned, so this stays within the buffered span.
         debug_assert!(
-            self.buffered(self.pos) || amt == 0,
+            amt <= self.span.slice_at(self.pos).len(),
             "consume before fill_buf"
         );
         // loblint: allow(arith-overflow)
@@ -197,62 +217,22 @@ impl Seek for ObjectReader<'_> {
 /// threads of a [`crate::SharedDb`] interleave with a writer's operations
 /// and still observe stable bytes.
 ///
-/// Read-ahead is a window of up to 4 MB past the cursor, one page-aligned
-/// span per segment. Each span costs one index descent plus one page-run
-/// segment read, so a whole-object scan charges the same simulated I/O
-/// calls in the same order as [`ObjectReader`]; a *partial* read also
-/// reads ahead across segment boundaries, up to the window. An object
-/// that fits the window stays resident, so re-scans touch no database at
-/// all.
+/// It buffers like [`ObjectReader`]: one span, the rest of the segment
+/// under the cursor (capped at 4 MiB), refilled by one index descent plus
+/// one page-run segment read. A whole-object scan therefore charges the
+/// same simulated I/O calls in the same order as [`ObjectReader`], a
+/// partial read pays for its own segment only, and a re-read inside the
+/// buffered span touches no database at all.
 pub struct SnapshotReader {
     version: u64,
     /// Parsed root: level and entries as of the snapshot.
     root: Node,
     size: u64,
     pos: u64,
-    /// The read-ahead window: spans sorted by object offset, holding up
-    /// to [`READ_AHEAD_MAX`] bytes. Evicted oldest-first only under
-    /// capacity pressure.
-    spans: VecDeque<SpanBuf>,
-    /// Total object bytes held in `spans`.
-    span_bytes: usize,
-    /// Recycled span buffers (bounded by [`SPAN_FREE_MAX`]): steady-state
-    /// scans reuse allocations instead of hitting the allocator per
-    /// refill.
-    free: Vec<Vec<u8>>,
+    /// The buffered span; `data` holds the whole covering page run, so
+    /// `skip` is the span's offset inside its first page.
+    span: Span,
 }
-
-/// One read-ahead span: object bytes `[start, start + len)` live at
-/// `data[skip..skip + len]`. `data` holds the whole covering page run, so
-/// the disk read lands in it directly — the only copy those bytes ever
-/// make before `fill_buf` hands them out.
-struct SpanBuf {
-    start: u64,
-    skip: usize,
-    len: usize,
-    data: Vec<u8>,
-}
-
-impl SpanBuf {
-    fn end(&self) -> u64 {
-        self.start.saturating_add(self.len as u64)
-    }
-
-    /// The unread tail of this span from `pos` on, if `pos` is inside.
-    fn slice_at(&self, pos: u64) -> Option<&[u8]> {
-        if pos < self.start || pos >= self.end() {
-            return None;
-        }
-        // `pos - start < len` by the check above; the constructor put
-        // `len` valid bytes at `skip`.
-        // loblint: allow(arith-overflow)
-        let lo = self.skip + cast::to_usize(pos - self.start);
-        self.data.get(lo..self.skip + self.len)
-    }
-}
-
-/// Cap on recycled span buffers a [`SnapshotReader`] keeps around.
-const SPAN_FREE_MAX: usize = 80;
 
 impl SnapshotReader {
     /// Open a snapshot cursor over the object rooted at `root_page`.
@@ -275,9 +255,7 @@ impl SnapshotReader {
             root,
             size: hdr.size,
             pos: 0,
-            spans: VecDeque::new(),
-            span_bytes: 0,
-            free: Vec::new(),
+            span: Span::default(),
         })
     }
 
@@ -309,7 +287,7 @@ impl SnapshotReader {
         n
     }
 
-    /// Bytes buffered at the cursor, refilling the window if it does not
+    /// Bytes buffered at the cursor, refilling the span if it does not
     /// cover the current position. Empty only at (or past) the end of
     /// the object.
     pub fn fill_buf(&mut self, db: &Db) -> &[u8] {
@@ -323,10 +301,7 @@ impl SnapshotReader {
     /// unconsumed — without touching the database, so a caller can check
     /// it before taking any lock and hand it out after dropping one.
     pub fn buffered(&self) -> &[u8] {
-        self.spans
-            .iter()
-            .find_map(|s| s.slice_at(self.pos))
-            .unwrap_or(&[])
+        self.span.slice_at(self.pos)
     }
 
     /// Advance the cursor past `n` bytes returned by [`Self::fill_buf`].
@@ -349,7 +324,8 @@ impl SnapshotReader {
     }
 
     /// Locate the leaf segment holding object byte `off`: returns
-    /// `(segment first page, segment start offset, segment byte count)`.
+    /// `(segment first page, offset of `off` in the segment, segment
+    /// byte count)`.
     fn locate(&self, db: &Db, off: u64) -> (u32, u64, u64) {
         debug_assert!(off < self.size);
         let (_, mut within, mut e) = find_child(self.root.entries.iter().copied(), off);
@@ -358,73 +334,32 @@ impl SnapshotReader {
             // is searched in place through `&Db`, like the live descent.
             (_, within, e) = db.with_meta_node(e.ptr, |node| node.find_child(within));
         }
-        // `within <= off`: it is `off`'s offset inside the leaf's subtree.
-        // loblint: allow(arith-overflow)
-        (e.ptr, off - within, e.count)
+        (e.ptr, within, e.count)
     }
 
-    /// Extend the window from its tail (or restart it at the cursor after
-    /// a seek that left it) until it covers [`READ_AHEAD_MAX`] bytes past
-    /// the cursor or the object ends: per span one descent and one
-    /// page-run segment read, landing in the span buffer directly. A
-    /// concurrent scanner thus takes the shared `SharedDb` lock once per
-    /// window, not once per segment.
+    /// Refill the span starting at the current position: one descent to
+    /// find the segment, one page-run read for the remainder of that
+    /// segment, landing in the span's buffer directly.
     fn refill(&mut self, db: &Db) {
         assert!(
             db.is_pinned(self.version),
             "snapshot at version {} was released while a reader was open",
             self.version
         );
-        if self.spans.back().is_some_and(|s| s.end() != self.pos) {
-            // A seek landed outside the retained window and doesn't
-            // adjoin its tail: drop it and start over at the cursor.
-            while self.evict_front() {}
-        }
-        let mut at = self.pos;
-        while at < self.size && cast::to_usize(at.saturating_sub(self.pos)) < READ_AHEAD_MAX {
-            let (ptr, seg_start, seg_len) = self.locate(db, at);
-            // `locate` returns the segment containing `at`, so
-            // `seg_start <= at < seg_start + seg_len <= u64::MAX`.
-            // loblint: allow(arith-overflow)
-            let span_end = (seg_start + seg_len).min(self.size);
-            let want = cast::to_usize(span_end - at).min(READ_AHEAD_MAX);
-            // Make room, but never evict the span holding the cursor.
-            while self.span_bytes.saturating_add(want) > READ_AHEAD_MAX
-                && self
-                    .spans
-                    .front()
-                    .is_some_and(|s| s.slice_at(self.pos).is_none())
-            {
-                self.evict_front();
-            }
-            let recycled = self.free.pop().unwrap_or_default();
-            // loblint: allow(arith-overflow)
-            let (data, skip) = read_seg_pages(db, ptr, at - seg_start, want as u64, recycled);
-            self.spans.push_back(SpanBuf {
-                start: at,
-                skip,
-                len: want,
-                data,
-            });
-            // The eviction above kept `span_bytes + want` within the
-            // window, far below `usize::MAX`.
-            // loblint: allow(arith-overflow)
-            self.span_bytes += want;
-            at = at.saturating_add(want as u64);
-        }
-    }
-
-    /// Evict the oldest span, recycling its buffer; false if there was
-    /// none.
-    fn evict_front(&mut self) -> bool {
-        let Some(s) = self.spans.pop_front() else {
-            return false;
+        let (ptr, from, seg_len) = self.locate(db, self.pos);
+        let left = seg_len
+            .saturating_sub(from)
+            .min(self.size.saturating_sub(self.pos));
+        let want = cast::to_usize(left).min(READ_AHEAD_MAX);
+        debug_assert!(want > 0, "refill past the located segment");
+        let recycled = std::mem::take(&mut self.span.data);
+        let (data, skip) = read_seg_pages(db, ptr, from, want as u64, recycled);
+        self.span = Span {
+            start: self.pos,
+            skip,
+            len: want,
+            data,
         };
-        self.span_bytes = self.span_bytes.saturating_sub(s.len);
-        if self.free.len() < SPAN_FREE_MAX {
-            self.free.push(s.data);
-        }
-        true
     }
 }
 

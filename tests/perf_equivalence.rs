@@ -233,9 +233,10 @@ proptest! {
 
 // ---- the pinned cursor ----------------------------------------------------
 //
-// `SnapshotReader` has one buffering scheme (the span window) behind
-// `read` and `fill_buf`/`consume`, and `SharedSnapshotReader` is a lock
-// adapter over it. Three more properties, over the same generators:
+// `SnapshotReader` has one buffering scheme (one span: the rest of the
+// segment under the cursor) behind `read` and `fill_buf`/`consume`, and
+// `SharedSnapshotReader` is a lock adapter over it. Four more properties,
+// over the same generators:
 //
 // 3. **Pinned bytes**: after the object is pinned and then churned, random
 //    seek/read scripts through `SnapshotReader::read` and through
@@ -246,6 +247,9 @@ proptest! {
 //    the model computed from `segments()` at pin time — one call per
 //    ≤ 4 MB piece of each segment, covering pages only. (The in-repo twin
 //    of lobbench's `versioned/sim_ms_per_op`.)
+// 6. **Pinned partial read**: a cold 100-byte read is one LEAF-area call,
+//    for the rest of the segment that holds its offset — nothing is read
+//    ahead across a segment boundary.
 
 use std::io::BufRead;
 
@@ -255,8 +259,17 @@ use lobstore::{
     SnapshotReader, PAGE_SIZE,
 };
 
-/// The pinned cursor's read-ahead window (`READ_AHEAD_MAX` in `stream.rs`).
-const WINDOW: u64 = 4 << 20;
+/// The most one span of the pinned cursor holds (`READ_AHEAD_MAX` in
+/// `stream.rs`).
+const SPAN_MAX: u64 = 4 << 20;
+
+/// The LEAF read a cold pinned cursor issues at byte `lo` of segment `s`,
+/// as `(first page, page count)`, and the segment offset its span ends at.
+fn span_read(s: &SegmentInfo, lo: u64) -> ((u32, u32), u64) {
+    let hi = (lo + SPAN_MAX).min(s.bytes);
+    let (first, last) = (lo / PAGE_SIZE as u64, (hi - 1) / PAGE_SIZE as u64);
+    ((s.start_page + first as u32, (last - first + 1) as u32), hi)
+}
 
 /// Apply `edits` by turn (append / insert / replace / delete), payloads
 /// seeded from `seed`.
@@ -337,6 +350,24 @@ impl PinnedStore {
         std::iter::once((0, size))
             .chain(script.iter().map(clip))
             .collect()
+    }
+
+    /// The LEAF-area disk reads `f` causes, as `(first page, page count)`.
+    fn leaf_reads<T>(&self, f: impl FnOnce() -> T) -> (T, Vec<(u32, u32)>) {
+        self.shared
+            .with(|db| db.pool().disk_mut().enable_trace(self.segs.len() * 3 + 64));
+        let got = f();
+        let (trace, dropped) = self.shared.with(|db| {
+            let disk = db.pool().disk_mut();
+            (disk.take_trace(), disk.trace_dropped())
+        });
+        assert_eq!(dropped, 0, "trace buffer too small");
+        let reads = trace
+            .iter()
+            .filter(|e| e.area == AreaId::LEAF && e.kind == TraceKind::Read)
+            .map(|e| (e.start, e.pages))
+            .collect();
+        (got, reads)
     }
 
     fn finish(self) {
@@ -431,39 +462,54 @@ fn pinned_cursor_properties(
     for s in &by_read.segs {
         let mut lo = 0u64;
         while lo < s.bytes {
-            let hi = (lo + WINDOW).min(s.bytes);
-            let (first, last) = (lo / PAGE_SIZE as u64, (hi - 1) / PAGE_SIZE as u64);
-            model.push((s.start_page + first as u32, (last - first + 1) as u32));
+            let (call, hi) = span_read(s, lo);
+            model.push(call);
             lo = hi;
         }
     }
-    by_read
-        .shared
-        .with(|db| db.pool().disk_mut().enable_trace(model.len() + 64));
     let mut cold = by_read.reader();
-    let scanned = by_read.shared.with_read(|db| cold.read_to_end(db));
+    let (scanned, leaf_reads) =
+        by_read.leaf_reads(|| by_read.shared.with_read(|db| cold.read_to_end(db)));
     assert!(scanned == content, "cold scan diverges");
-    let (trace, dropped) = by_read.shared.with(|db| {
-        let disk = db.pool().disk_mut();
-        (disk.take_trace(), disk.trace_dropped())
-    });
-    assert_eq!(dropped, 0, "trace buffer too small");
-    let leaf_reads: Vec<(u32, u32)> = trace
-        .iter()
-        .filter(|e| e.area == AreaId::LEAF && e.kind == TraceKind::Read)
-        .map(|e| (e.start, e.pages))
-        .collect();
     assert_eq!(
         leaf_reads, model,
         "LEAF reads of a pinned scan must be one call per <= 4 MB piece of \
          each segment, covering pages only"
     );
 
+    // Property 6: a cold partial read pays for its own segment only.
+    for &(off, _) in ranges.iter().filter(|r| r.0 < content.len()) {
+        let mut seg_end = 0u64;
+        let seg = by_read.segs.iter().find(|s| {
+            seg_end += s.bytes;
+            (off as u64) < seg_end
+        });
+        let seg = seg.expect("segments() covers the object");
+        let in_seg = off as u64 - (seg_end - seg.bytes);
+        let mut cold = by_read.reader();
+        cold.seek(off as u64);
+        let mut buf = [0u8; 100];
+        let (n, leaf_reads) =
+            by_read.leaf_reads(|| by_read.shared.with_read(|db| cold.read(db, &mut buf)));
+        assert_eq!(
+            n as u64,
+            (seg.bytes - in_seg).min(100),
+            "short read at {off}"
+        );
+        assert!(buf[..n] == content[off..off + n], "partial({off}) diverges");
+        assert_eq!(
+            leaf_reads,
+            [span_read(seg, in_seg).0],
+            "a cold 100-byte pinned read at {off} must be one LEAF call, for \
+             the rest of its own segment"
+        );
+    }
+
     by_read.finish();
     by_fill.finish();
 }
 
-/// A segment larger than the window is read in window-sized pieces.
+/// A segment larger than one span is read in span-sized pieces.
 #[test]
 fn pinned_scan_splits_a_segment_larger_than_the_window() {
     pinned_cursor_properties(
