@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # CI driver: the one list of gates. .github/workflows/ci.yml runs this
-# script and nothing else, then uploads target/loblint.sarif. No step
-# reads a wall clock: every verdict is the same on any machine. Wall-clock
+# script and nothing else. No step reads a wall clock: every verdict is the same on any machine. Wall-clock
 # numbers are lobbench's (benchmark/README.md), compared by its driver.
 # Usage: ./ci.sh   (from the workspace root; offline, no network needed)
 set -euo pipefail
@@ -13,31 +12,30 @@ run() {
     "$@"
 }
 
-# Style and static analysis first: these fail fastest. The xtask suite
-# runs explicitly before loblint: it carries the seeded-violation
-# fixtures and mutation drills for every lint rule (including the CFG
-# rules: lock-order cycle/canonical-order detection, guard-across-io,
-# panic-while-locked, disk-taint), so a broken rule fails loudly here
-# rather than silently passing an under-linted workspace. loblint then
-# runs against the committed ratchet baseline (loblint.baseline): any
-# finding not already frozen there — a lock-order cycle or a v4
-# crash-consistency violation included — fails the build. Its JSON
-# report is validated against the loblint-findings/v2 schema (with
-# per-finding CFG/effect-chain evidence) like the bench reports are,
-# then converted to SARIF 2.1.0 (the converter validates its own
-# output; CI uploads the .sarif as a workflow artifact).
+# Style and static analysis first: these fail fastest. clippy carries
+# the policy the compiler can decide with types: no `unsafe`, no
+# `todo!`/`unimplemented!` anywhere ([workspace.lints] in Cargo.toml),
+# and in the six library crates' non-test code documented public items,
+# no `unwrap`/`expect` and no truncating `as` cast (the attribute block
+# at the top of each library lib.rs). loblint carries what it cannot.
+# The xtask suite runs explicitly before loblint: it carries the
+# seeded-violation fixtures and mutation drills for every lint rule
+# (including the CFG rules: lock-order cycle/canonical-order detection,
+# guard-across-io, panic-while-locked, disk-taint), so a broken rule
+# fails loudly here rather than silently passing an under-linted
+# workspace. loblint then runs against the committed ratchet baseline
+# (loblint.baseline): any finding not already frozen there — a
+# lock-order cycle or a crash-consistency violation included — is
+# printed with its evidence trail and fails the build.
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 
 # Documentation gate: rustdoc warnings (broken intra-doc links above
-# all) are errors, and crates/obs + crates/buddy deny missing docs on
-# their public APIs. docs/SCHEMAS.md is the prose counterpart for the
-# JSON formats the validators below enforce.
+# all) are errors. docs/SCHEMAS.md is the prose counterpart for the
+# JSON format the validator at the end of this script enforces.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 run cargo test -q -p xtask
-run cargo run -q -p xtask -- loblint --json --out target/loblint.json
-run cargo run -q -p xtask -- check-lint-json target/loblint.json
-run cargo run -q -p xtask -- lint-sarif target/loblint.json --out target/loblint.sarif
+run cargo run -q -p xtask -- loblint
 
 # Functional gates: the whole suite, then again with deep runtime
 # verification compiled into every mutating operation. The buddy crate

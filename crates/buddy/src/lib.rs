@@ -21,6 +21,14 @@
 //! directory page is hot in the buffer pool).
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::cast_possible_truncation
+    )
+)]
 
 mod bitmap;
 mod manager;

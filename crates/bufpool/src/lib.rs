@@ -18,6 +18,15 @@
 //! [`IoStats`](lobstore_simdisk::IoStats) capture the complete simulated
 //! cost.
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::cast_possible_truncation
+    )
+)]
 
 mod frame;
 mod metrics;

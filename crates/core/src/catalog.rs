@@ -29,8 +29,11 @@ pub const MAX_NAME: usize = 128;
 /// One catalog entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CatalogEntry {
+    /// The name the object was registered under (1..=[`MAX_NAME`] bytes).
     pub name: String,
+    /// Which manager owns the object.
     pub kind: StorageKind,
+    /// META page of the object's root.
     pub root_page: u32,
 }
 
@@ -73,11 +76,14 @@ impl Catalog {
         kind: StorageKind,
         root_page: u32,
     ) -> Result<()> {
-        if name.is_empty() || name.len() > MAX_NAME {
-            return Err(LobError::Corrupt(format!(
-                "catalog name must be 1..={MAX_NAME} bytes"
-            )));
-        }
+        let name_len = match u8::try_from(name.len()) {
+            Ok(n) if (1..=MAX_NAME).contains(&name.len()) => n,
+            _ => {
+                return Err(LobError::Corrupt(format!(
+                    "catalog name must be 1..={MAX_NAME} bytes"
+                )))
+            }
+        };
         if self.get(db, name)?.is_some() {
             return Err(LobError::Corrupt(format!("name '{name}' already exists")));
         }
@@ -91,7 +97,7 @@ impl Catalog {
             if PAGE_SIZE - used >= needed {
                 db.with_meta_page_mut(page, |p| {
                     let mut at = used;
-                    p[at] = name.len() as u8;
+                    p[at] = name_len;
                     at += 1;
                     p[at..at + name.len()].copy_from_slice(name.as_bytes());
                     at += name.len();
@@ -137,13 +143,23 @@ impl Catalog {
             if let Some(pos) = entries.iter().position(|e| e.name == name) {
                 let mut keep = entries;
                 removed = Some(keep.remove(pos));
+                // Lengths before the page is touched: a name `parse_entries`
+                // had to repair (invalid UTF-8 on a damaged page) may no
+                // longer fit the length byte it was read from.
+                let lens = keep
+                    .iter()
+                    .map(|e| u8::try_from(e.name.len()))
+                    .collect::<std::result::Result<Vec<u8>, _>>()
+                    .map_err(|_| {
+                        LobError::Corrupt("catalog name outgrew its length byte".into())
+                    })?;
                 db.with_meta_page_mut(page, |p| {
                     let next = header(p).1;
                     init_page(p);
                     p[6..10].copy_from_slice(&next.to_le_bytes());
                     let mut at = HDR;
-                    for e in &keep {
-                        p[at] = e.name.len() as u8;
+                    for (e, &len) in keep.iter().zip(&lens) {
+                        p[at] = len;
                         at += 1;
                         p[at..at + e.name.len()].copy_from_slice(e.name.as_bytes());
                         at += e.name.len();

@@ -48,8 +48,11 @@ impl TreeConfig {
 /// Everything configurable about a database instance.
 #[derive(Copy, Clone, Debug)]
 pub struct DbConfig {
+    /// Simulated disk timing (seek and per-page transfer).
     pub cost: CostModel,
+    /// Buffer-pool sizing (frames, segment-buffering limit).
     pub pool: PoolConfig,
+    /// Positional-tree fan-out limits.
     pub tree: TreeConfig,
     /// Data pages per buddy space in the META area.
     pub meta_space_pages: u32,

@@ -13,7 +13,10 @@ pub enum LobError {
         size: u64,
     },
     /// A single operation exceeded [`crate::MAX_OP_BYTES`].
-    OperationTooLarge { len: u64 },
+    OperationTooLarge {
+        /// Requested length.
+        len: u64,
+    },
     /// A page failed structural validation (bad magic, impossible counts).
     Corrupt(String),
     /// An internal invariant was violated (returned by `check_invariants`).

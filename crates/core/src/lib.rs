@@ -34,6 +34,15 @@
 //! assert_eq!(&buf, b"hello there");
 //! ```
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::cast_possible_truncation
+    )
+)]
 
 mod alloclog;
 mod catalog;

@@ -13,15 +13,22 @@ use crate::starburst::{StarburstObject, StarburstParams};
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ManagerSpec {
     /// ESM with a fixed leaf size in pages (1, 4, 16, 64 in the paper).
-    Esm { leaf_pages: u32 },
+    Esm {
+        /// See [`EsmParams::leaf_pages`].
+        leaf_pages: u32,
+    },
     /// Starburst with a maximum segment size in pages.
     Starburst {
+        /// See [`StarburstParams::max_seg_pages`].
         max_seg_pages: u32,
+        /// See [`StarburstParams::known_size`].
         known_size: bool,
     },
     /// EOS with a segment-size threshold and maximum segment size.
     Eos {
+        /// See [`EosParams::threshold_pages`].
         threshold_pages: u32,
+        /// See [`EosParams::max_seg_pages`].
         max_seg_pages: u32,
     },
 }

@@ -38,7 +38,7 @@ const KIND_STARBURST: u8 = 3;
 /// The 512 KB copy buffer of §3.5, in pages and in bytes (a widening
 /// cast; `cast::u32_to_usize` is not `const`).
 const STAGING_PAGES: u32 = 128;
-const CHUNK: usize = STAGING_PAGES as usize * PAGE_SIZE; // loblint: allow(truncating-cast)
+const CHUNK: usize = STAGING_PAGES as usize * PAGE_SIZE;
 
 /// Creation parameters for a Starburst long field.
 #[derive(Copy, Clone, Debug)]

@@ -48,6 +48,10 @@ impl Value {
     /// The number as a `u64`, if it is a whole non-negative number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the guard admits only whole numbers in 0..=9.0e15"
+            )]
             Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.0e15 => Some(*n as u64),
             _ => None,
         }
@@ -147,7 +151,12 @@ fn write_num(n: f64, out: &mut String) {
         // JSON has no NaN/Inf; null is the conventional stand-in.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() <= 9.0e15 {
-        let _ = write!(out, "{}", n as i64);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the branch admits only whole numbers within ±9.0e15"
+        )]
+        let whole = n as i64;
+        let _ = write!(out, "{whole}");
     } else {
         let _ = write!(out, "{n}");
     }

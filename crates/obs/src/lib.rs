@@ -49,6 +49,14 @@
 //! ```
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::cast_possible_truncation
+    )
+)]
 
 /// Minimal JSON value model, writer, and parser (no dependencies).
 pub mod json;

@@ -456,8 +456,11 @@ impl HistogramSnapshot {
                 if i == 0 {
                     return Some(0.0);
                 }
-                let lo = 2.0_f64.powi(i as i32 - 1);
-                let hi = 2.0_f64.powi(i as i32);
+                // No histogram has a bucket past 64; an index beyond `i32`
+                // would saturate to +inf and be clamped to `max` below.
+                let exp = i32::try_from(i).unwrap_or(i32::MAX);
+                let lo = 2.0_f64.powi(exp - 1);
+                let hi = 2.0_f64.powi(exp);
                 // f64 division; `c > 0` for any present bucket.
                 // loblint: allow(panic-path)
                 let frac = (target - seen) / c;

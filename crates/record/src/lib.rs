@@ -32,6 +32,15 @@
 //! assert_eq!(portrait.snapshot(&db), b"...portrait bytes...");
 //! ```
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::cast_possible_truncation
+    )
+)]
 
 mod error;
 /// Pure slotted heap-page primitives (insert/get/delete/compact over a

@@ -25,7 +25,9 @@ const TAG_LONG: u8 = 0x01;
 /// Descriptor of a long field stored outside the record.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct LongHandle {
+    /// Which manager owns the long field.
     pub kind: StorageKind,
+    /// META page of the long field's root.
     pub root_page: u32,
 }
 

@@ -15,7 +15,9 @@ const MAX_HEAP_PAGES: usize = (PAGE_SIZE - HDR) / 4;
 /// Stable address of a record: heap page + slot.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RecordId {
+    /// The heap page (a META-area page number) holding the record.
     pub page: u32,
+    /// Slot within that heap page.
     pub slot: u16,
 }
 
@@ -32,7 +34,9 @@ pub enum FieldInput<'a> {
     /// Create a fresh large object of the given shape and store its
     /// descriptor.
     Long {
+        /// Manager and parameters of the new object.
         spec: ManagerSpec,
+        /// Its initial bytes.
         content: &'a [u8],
     },
     /// Adopt an already existing large object (the record takes ownership:

@@ -1,8 +1,10 @@
 //! Checked narrowing conversions and fixed-width byte parsing for page
 //! and offset arithmetic.
 //!
-//! `loblint` bans bare truncating `as` casts and `try_into().unwrap()`
-//! in library code; these helpers centralize the two patterns behind
+//! The library crates deny clippy's `cast_possible_truncation` and
+//! `unwrap_used`/`expect_used` (each `lib.rs`), which bans bare
+//! truncating `as` casts and `try_into().unwrap()` in library code;
+//! these helpers centralize the two patterns behind
 //! names that state the intent. The checked casts panic with a clear
 //! message when the value genuinely does not fit — which in page
 //! arithmetic means a structural invariant is already broken, so there

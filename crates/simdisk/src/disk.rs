@@ -393,6 +393,10 @@ impl SimDisk {
     }
 
     /// Number of areas on this disk.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`new` builds `areas` from a `u8` count and nothing grows it"
+    )]
     pub fn n_areas(&self) -> u8 {
         self.areas.len() as u8
     }

@@ -20,6 +20,15 @@
 //! all higher-level algorithms are verifiable end to end; simulated time
 //! is accumulated in [`IoStats`] from the [`CostModel`] parameters.
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::cast_possible_truncation
+    )
+)]
 
 mod convert;
 mod cost;
@@ -68,7 +77,9 @@ impl std::fmt::Display for AreaId {
 /// Address of one disk page: an area plus a page number within that area.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct PageId {
+    /// The disk area the page lives in.
     pub area: AreaId,
+    /// The page number within that area.
     pub page: u32,
 }
 

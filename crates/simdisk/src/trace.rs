@@ -6,16 +6,22 @@ use crate::AreaId;
 /// Direction of a traced I/O call.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum TraceKind {
+    /// A `SimDisk::read` call.
     Read,
+    /// A `SimDisk::write` call.
     Write,
 }
 
 /// One disk access: `pages` contiguous pages starting at `start` in `area`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
+    /// Read or write.
     pub kind: TraceKind,
+    /// The area the call addressed.
     pub area: AreaId,
+    /// First page of the call, within `area`.
     pub start: u32,
+    /// Number of contiguous pages the call moved.
     pub pages: u32,
     /// Simulated cost of this single call, in µs.
     pub cost_us: u64,

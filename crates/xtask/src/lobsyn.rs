@@ -1,14 +1,14 @@
 //! `lobsyn` — a std-only Rust lexer and lightweight structural parser.
 //!
-//! This is the token layer under `loblint` v2. The v1 linter matched
-//! substrings of raw lines, so a rule like `todo` fired on the word
-//! `todo!` inside a string literal or a comment. `lobsyn` lexes real
-//! Rust tokens (identifiers, literals, multi-character operators) with
-//! their line numbers, records comments separately, and recovers just
-//! enough structure for semantic lint rules:
+//! This is the token layer under `loblint`. Matching substrings of raw
+//! lines would fire a rule on a magic literal or an `a / b` quoted in a
+//! string or a comment; `lobsyn` lexes real Rust tokens (identifiers,
+//! literals, multi-character operators) with their line numbers, records
+//! comments separately, and recovers just enough structure for semantic
+//! lint rules:
 //!
 //! * **attribute spans** (`#[...]` / `#![...]`), including whether an
-//!   attribute is a doc attribute or a `#[cfg(test)]`-family gate;
+//!   attribute is a `#[cfg(test)]`-family gate;
 //! * **test regions** — the token/line extent of every item under a
 //!   `#[cfg(test)]` attribute;
 //! * **function definitions** — name, defining line, body token range,
@@ -89,15 +89,6 @@ impl Lexed {
     /// Lines that carry at least one code token.
     pub fn code_lines(&self) -> BTreeSet<usize> {
         self.toks.iter().map(|t| t.line).collect()
-    }
-
-    /// Lines that carry a doc comment (`///` / `//!` / `/** */`).
-    pub fn doc_lines(&self) -> BTreeSet<usize> {
-        self.comments
-            .iter()
-            .filter(|c| c.doc)
-            .map(|c| c.line)
-            .collect()
     }
 }
 
@@ -386,10 +377,6 @@ pub struct AttrSpan {
     pub first: usize,
     /// Index of the closing `]` token.
     pub last: usize,
-    /// Inner attribute (`#![...]`)?
-    pub inner: bool,
-    /// Is this `#[doc ...]`?
-    pub is_doc: bool,
     /// Is this a `#[cfg(test)]` / `#[cfg(all(test, ...))]` /
     /// `#[cfg(any(test, ...))]` gate?
     pub is_cfg_test: bool,
@@ -405,8 +392,7 @@ pub fn attr_spans(toks: &[Tok]) -> Vec<AttrSpan> {
             continue;
         }
         let mut j = i + 1;
-        let inner = j < toks.len() && toks[j].is_punct("!");
-        if inner {
+        if j < toks.len() && toks[j].is_punct("!") {
             j += 1;
         }
         if j >= toks.len() || !toks[j].is_punct("[") {
@@ -433,7 +419,6 @@ pub fn attr_spans(toks: &[Tok]) -> Vec<AttrSpan> {
             break;
         }
         let body = &toks[j + 1..k];
-        let is_doc = body.first().is_some_and(|t| t.is_ident("doc"));
         let is_cfg_test = body.first().is_some_and(|t| t.is_ident("cfg"))
             && body.get(1).is_some_and(|t| t.is_punct("("))
             && (body.get(2).is_some_and(|t| t.is_ident("test"))
@@ -445,8 +430,6 @@ pub fn attr_spans(toks: &[Tok]) -> Vec<AttrSpan> {
         out.push(AttrSpan {
             first: i,
             last: k,
-            inner,
-            is_doc,
             is_cfg_test,
         });
         i = k + 1;
@@ -753,12 +736,12 @@ mod tests {
     }
 
     #[test]
-    fn attr_spans_classify_doc_and_cfg_test() {
+    fn attr_spans_classify_cfg_test() {
         let src = "#[doc = \"hi\"]\n#[cfg(test)]\n#[cfg(all(test, feature = \"x\"))]\nfn f() {}\n";
         let l = lex(src);
         let spans = attr_spans(&l.toks);
         assert_eq!(spans.len(), 3);
-        assert!(spans[0].is_doc);
+        assert!(!spans[0].is_cfg_test);
         assert!(spans[1].is_cfg_test);
         assert!(spans[2].is_cfg_test);
     }
