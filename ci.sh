@@ -41,10 +41,17 @@ run cargo run -q -p xtask -- loblint
 # verification compiled into every mutating operation. The buddy crate
 # runs once more optimized: its word-parallel bitmap search is checked
 # against the bit-at-a-time fold it replaced, and that sweep (all space
-# sizes x all orders) only reaches full depth without debug assertions.
-# Likewise Starburst's streaming tail copy against the materialising
-# copy it replaced: the proptest runs 256 cases of up to 3 MB optimized
-# and 8 otherwise. And obs: its handles-and-names-are-one-registry model
+# sizes x all orders) only reaches full depth without debug assertions;
+# and its twin test (`in_place_manager_matches_the_decoding_one`: 24 000
+# allocate/free/adopt steps on the directory page in place against the
+# decode-and-write-back manager it replaced — page bytes, extents, hints,
+# `IoStats`, `PoolStats` and trace after every step) must hold with the
+# debug double-alloc/double-free asserts compiled out too. Likewise core's
+# segment byte helpers (`segdata`: a read appended in place against a
+# read into a buffer of its own, the block-move insert against
+# `Vec::splice`). Likewise Starburst's streaming tail copy against the
+# materialising copy it replaced: the proptest runs 256 cases of up to
+# 3 MB optimized and 8 otherwise. And obs: its handles-and-names-are-one-registry model
 # test runs 256 seeds of 4 000 interleaved updates optimized, 16 of 400
 # otherwise. And core's node tests: the boundary sweep of `NodeView`
 # against `Node` over full 507/511-pair pages runs 64 seeds optimized
@@ -56,6 +63,7 @@ run cargo test -q --workspace
 run cargo test -q --features paranoid
 run cargo test -q -p lobstore-core -p lobstore-buddy --features paranoid
 run cargo test -q --release -p lobstore-buddy
+run cargo test -q --release -p lobstore-core segdata
 run cargo test -q --release -p lobstore-core starburst
 run cargo test -q --release -p lobstore-core node
 run cargo test -q --release -p lobstore-obs

@@ -6,10 +6,14 @@
 //! so freeing any range automatically re-forms larger blocks. Searching
 //! and marking are O(words) and allocate nothing: a block of up to 64
 //! pages is found by folding each `u64` onto itself, a larger one as an
-//! aligned chunk of full words, first fit in both cases. The bitmap is
-//! decoded from its directory page on every call and never cached:
-//! decoding and re-encoding 2 KB costs 0.3 µs, which a cache (and the
-//! crash-coherence rules it would need) cannot repay.
+//! aligned chunk of full words, first fit in both cases.
+//!
+//! [`Bitmap`] is a view: every algorithm here runs over the bitmap's
+//! little-endian words where they lie, so the manager searches and marks
+//! the fixed directory page in place — a search reads words until it
+//! finds its block, a mark rewrites only the words its range touches, and
+//! nothing is decoded, copied or written back. [`BuddyBitmap`] is the same
+//! code over a buffer of its own, for callers that have no page to hold.
 
 use lobstore_simdisk::{bytes, cast};
 
@@ -26,37 +30,61 @@ const FOLDS: [(u32, u64); 7] = [
     (32, 1),
 ];
 
-/// An in-memory working copy of a directory bitmap.
+/// A directory bitmap over the bytes `B` holds: `&[u8]` or `&mut [u8]`
+/// for the bitmap region of a directory page, `Vec<u8>` for a copy.
 ///
 /// `pages` must be a power of two so that the buddy levels line up.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BuddyBitmap {
-    words: Vec<u64>,
+pub struct Bitmap<B> {
+    /// At least `pages / 8` bytes; the bitmap is the first `pages / 8`.
+    bytes: B,
     pages: u32,
 }
+
+/// A directory bitmap with a buffer of its own.
+pub type BuddyBitmap = Bitmap<Vec<u8>>;
 
 impl BuddyBitmap {
     /// A bitmap with every page free.
     pub fn all_free(pages: u32) -> Self {
-        assert!(pages.is_power_of_two(), "buddy space size must be 2^k");
-        assert!(pages >= 64, "buddy space must hold at least 64 pages");
-        BuddyBitmap {
-            words: vec![u64::MAX; cast::u32_to_usize(pages / 64)],
-            pages,
-        }
+        Bitmap::over(vec![0xFF; cast::u32_to_usize(pages / 8)], pages)
     }
 
     /// Deserialize from directory-page bytes (little-endian u64 words).
     pub fn from_bytes(bytes: &[u8], pages: u32) -> Self {
-        assert!(pages.is_power_of_two() && pages >= 64);
-        let n_words = cast::u32_to_usize(pages / 64);
-        assert!(bytes.len() >= n_words * 8, "directory bytes too short");
-        let words = bytes
-            .chunks_exact(8)
-            .take(n_words)
-            .map(bytes::le_u64)
-            .collect();
-        BuddyBitmap { words, pages }
+        let view = Bitmap::over(bytes, pages);
+        Bitmap::over(view.bytes().to_vec(), pages)
+    }
+}
+
+impl<B: AsRef<[u8]>> Bitmap<B> {
+    /// The bitmap of a `pages`-page space stored at the start of `bytes`.
+    ///
+    /// # Panics
+    /// If `pages` is not a power of two ≥ 64 or `bytes` is too short.
+    pub fn over(bytes: B, pages: u32) -> Self {
+        assert!(pages.is_power_of_two(), "buddy space size must be 2^k");
+        assert!(pages >= 64, "buddy space must hold at least 64 pages");
+        let bm = Bitmap { bytes, pages };
+        assert!(
+            bm.bytes.as_ref().len() >= bm.byte_len(),
+            "directory bytes too short"
+        );
+        bm
+    }
+
+    /// The bitmap's bytes: `pages / 64` little-endian words.
+    fn bytes(&self) -> &[u8] {
+        // In range: `over` checked the length.
+        self.bytes
+            .as_ref()
+            .get(..self.byte_len())
+            .unwrap_or_default()
+    }
+
+    /// The bitmap's words, in page order.
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.bytes().chunks_exact(8).map(bytes::le_u64)
     }
 
     /// Serialize into directory-page bytes.
@@ -64,15 +92,15 @@ impl BuddyBitmap {
     /// # Panics
     /// If `out` is shorter than [`Self::byte_len`].
     pub fn write_bytes(&self, out: &mut [u8]) {
-        assert!(out.len() >= self.byte_len(), "directory buffer too short");
-        for (chunk, w) in out.chunks_exact_mut(8).zip(&self.words) {
-            chunk.copy_from_slice(&w.to_le_bytes());
-        }
+        let Some(out) = out.get_mut(..self.byte_len()) else {
+            panic!("directory buffer too short");
+        };
+        out.copy_from_slice(self.bytes());
     }
 
     /// Number of bytes the serialized bitmap occupies.
     pub fn byte_len(&self) -> usize {
-        self.words.len() * 8
+        cast::u32_to_usize(self.pages / 8)
     }
 
     /// Pages covered by this bitmap (the buddy-space size).
@@ -89,41 +117,20 @@ impl BuddyBitmap {
     #[inline]
     pub fn is_free(&self, page: u32) -> bool {
         assert!(page < self.pages, "page out of space");
-        // In range by the assert: `words` holds exactly `pages / 64` words.
-        let w = self
-            .words
-            .get(cast::u32_to_usize(page / 64))
-            .copied()
-            .unwrap_or(0);
-        w & (1u64 << (page % 64)) != 0
-    }
-
-    /// The words `[start, start + n)` touches, each as `(word index, page
-    /// of its bit 0, mask of its bits inside the range)`.
-    ///
-    /// # Panics
-    /// If the range leaves the space.
-    fn range_masks(&self, start: u32, n: u32) -> impl Iterator<Item = (usize, u32, u64)> {
-        let Some(end) = start.checked_add(n).filter(|&end| end <= self.pages) else {
-            panic!("range out of space");
-        };
-        let low_bits = |k: u32| u64::MAX.checked_shr(64 - k).unwrap_or(0);
-        let words = cast::u32_to_usize(start / 64)..cast::u32_to_usize(end.div_ceil(64));
-        words
-            .zip((start / 64 * 64..).step_by(64))
-            .map(move |(wi, base)| {
-                let lo = start.max(base) - base;
-                let hi = end.min(base + 64) - base;
-                (wi, base, low_bits(hi) & !low_bits(lo))
-            })
+        // Little-endian words: bit `page % 64` of word `page / 64` is bit
+        // `page % 8` of byte `page / 8`, in range by the assert.
+        let byte = self.bytes().get(cast::u32_to_usize(page / 8));
+        byte.copied().unwrap_or(0) & (1u8 << (page % 8)) != 0
     }
 
     /// The first page of `[start, start + n)` that is free (`free`) or
     /// allocated (`!free`), if there is one.
     fn first_in(&self, start: u32, n: u32, free: bool) -> Option<u32> {
         let flip = if free { 0 } else { u64::MAX };
-        self.range_masks(start, n).find_map(|(wi, base, mask)| {
-            let hits = (self.words.get(wi)? ^ flip) & mask;
+        let (first, masks) = range_masks(self.pages, start, n);
+        let mut words = self.words().skip(first).zip(masks);
+        words.find_map(|(w, (base, mask))| {
+            let hits = (w ^ flip) & mask;
             (hits != 0).then(|| base + hits.trailing_zeros())
         })
     }
@@ -136,53 +143,9 @@ impl BuddyBitmap {
         self.first_in(start, n, false).is_none()
     }
 
-    /// Mark `[start, start + n)` allocated.
-    ///
-    /// # Panics
-    /// In debug builds, if any page in the range is already allocated.
-    pub fn mark_used(&mut self, start: u32, n: u32) {
-        debug_assert!(
-            self.run_free(start, n),
-            "double allocation of page {}",
-            self.first_in(start, n, false).unwrap_or(start)
-        );
-        self.claim(start, n);
-    }
-
-    /// Mark `[start, start + n)` allocated wherever it is not yet, and
-    /// return how many pages that flipped.
-    pub(crate) fn claim(&mut self, start: u32, n: u32) -> u32 {
-        let mut flipped = 0;
-        for (wi, _, mask) in self.range_masks(start, n) {
-            if let Some(w) = self.words.get_mut(wi) {
-                flipped += (*w & mask).count_ones();
-                *w &= !mask;
-            }
-        }
-        flipped
-    }
-
-    /// Mark `[start, start + n)` free.
-    ///
-    /// # Panics
-    /// In debug builds, if any page in the range is already free
-    /// (double free).
-    pub fn mark_free(&mut self, start: u32, n: u32) {
-        debug_assert!(
-            self.first_in(start, n, true).is_none(),
-            "double free of page {}",
-            self.first_in(start, n, true).unwrap_or(start)
-        );
-        for (wi, _, mask) in self.range_masks(start, n) {
-            if let Some(w) = self.words.get_mut(wi) {
-                *w |= mask;
-            }
-        }
-    }
-
     /// Number of free pages.
     pub fn free_pages(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
+        self.words().map(u64::count_ones).sum()
     }
 
     /// Every maximal run of free (`free`) or allocated (`!free`) pages as
@@ -202,37 +165,127 @@ impl BuddyBitmap {
     pub fn find_block(&self, order: u32) -> Option<u32> {
         assert!(order <= self.max_order(), "order beyond space size");
         // Up to 64 pages a block sits inside one word: fold, lowest bit.
-        if let Some(folds) = FOLDS.get(..=cast::u32_to_usize(order)) {
-            let mut words = self.words.iter().zip((0u32..).step_by(64));
-            return words.find_map(|(&w, base)| {
-                let t = folds.iter().fold(w, |t, &(s, m)| t & (t >> s) & m);
-                (t != 0).then(|| base + t.trailing_zeros())
-            });
-        }
-        // Above that it is an aligned chunk of completely free words.
-        let chunk = self.words.len() >> (self.max_order() - order);
-        let mut chunks = (self.words.chunks_exact(chunk)).zip((0u32..).step_by(chunk * 64));
-        chunks.find_map(|(c, base)| c.iter().all(|&w| w == u64::MAX).then_some(base))
+        let Some(folds) = FOLDS.get(..=cast::u32_to_usize(order)) else {
+            return self.find_full_chunk(order);
+        };
+        let mut words = self.words().zip((0u32..).step_by(64));
+        words.find_map(|(w, base)| {
+            let t = folds.iter().fold(w, |t, &(s, m)| t & (t >> s) & m);
+            (t != 0).then(|| base + t.trailing_zeros())
+        })
+    }
+
+    /// [`Self::find_block`] above 64 pages: the first aligned chunk of
+    /// completely free words. A chunk is given up at its first word that
+    /// is not.
+    fn find_full_chunk(&self, order: u32) -> Option<u32> {
+        let chunk = self.byte_len() >> (self.max_order() - order);
+        let mut chunks = (self.bytes().chunks_exact(chunk)).zip((0u32..).step_by(chunk * 8));
+        chunks.find_map(|(c, base)| {
+            let mut words = c.chunks_exact(8).map(bytes::le_u64);
+            words.all(|w| w == u64::MAX).then_some(base)
+        })
     }
 
     /// The largest order for which a free aligned block exists, or `None`
     /// if the space is completely full.
+    ///
+    /// Top down, because an aged space usually still has a large block: the
+    /// first order above 6 with a free chunk is the answer, found after
+    /// about one chunk's worth of words. At worst every chunk of an order
+    /// above the answer reads two answer-sized chunks of words before it
+    /// meets one that is not full, so those orders together read under two
+    /// bitmaps' worth and the answering order under one more; only a space
+    /// with no free block above 64 pages goes on to fold every word.
     pub fn max_free_order(&self) -> Option<u32> {
+        let mut above = (7..=self.max_order()).rev();
+        if let Some(order) = above.find(|&o| self.find_full_chunk(o).is_some()) {
+            return Some(order);
+        }
         // `levels[k]`: every word's order-`k` fold, ORed together.
         let mut levels = [0u64; FOLDS.len()];
-        for &w in &self.words {
+        for w in self.words() {
             let mut t = w;
             for (level, &(s, m)) in levels.iter_mut().zip(&FOLDS) {
                 t &= (t >> s) & m;
                 *level |= t;
             }
         }
-        let in_word = cast::usize_to_u32(levels.iter().rposition(|&l| l != 0)?);
-        // A free order-k block contains a free order-(k-1) block, so the
-        // first order without one ends the climb.
-        let above = (7..=self.max_order()).take_while(|&o| self.find_block(o).is_some());
-        Some(above.last().unwrap_or(in_word))
+        levels.iter().rposition(|&l| l != 0).map(cast::usize_to_u32)
     }
+}
+
+impl<B: AsRef<[u8]> + AsMut<[u8]>> Bitmap<B> {
+    /// Replace each word `w` that `[start, start + n)` touches by
+    /// `f(w, mask of the range's bits in it)`; no other word is written.
+    fn rewrite(&mut self, start: u32, n: u32, mut f: impl FnMut(u64, u64) -> u64) {
+        let (first, masks) = range_masks(self.pages, start, n);
+        let len = self.byte_len();
+        // In range: `over` checked the length.
+        let bytes = self.bytes.as_mut().get_mut(..len).unwrap_or_default();
+        for (word, (_, mask)) in bytes.chunks_exact_mut(8).skip(first).zip(masks) {
+            let w = f(bytes::le_u64(word), mask);
+            word.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    /// Mark `[start, start + n)` allocated.
+    ///
+    /// # Panics
+    /// In debug builds, if any page in the range is already allocated.
+    pub fn mark_used(&mut self, start: u32, n: u32) {
+        debug_assert!(
+            self.run_free(start, n),
+            "double allocation of page {}",
+            self.first_in(start, n, false).unwrap_or(start)
+        );
+        self.claim(start, n);
+    }
+
+    /// Mark `[start, start + n)` allocated wherever it is not yet, and
+    /// return how many pages that flipped.
+    pub(crate) fn claim(&mut self, start: u32, n: u32) -> u32 {
+        let mut flipped = 0;
+        self.rewrite(start, n, |w, mask| {
+            flipped += (w & mask).count_ones();
+            w & !mask
+        });
+        flipped
+    }
+
+    /// Mark `[start, start + n)` free.
+    ///
+    /// # Panics
+    /// In debug builds, if any page in the range is already free
+    /// (double free).
+    pub fn mark_free(&mut self, start: u32, n: u32) {
+        debug_assert!(
+            self.first_in(start, n, true).is_none(),
+            "double free of page {}",
+            self.first_in(start, n, true).unwrap_or(start)
+        );
+        self.rewrite(start, n, |w, mask| w | mask);
+    }
+}
+
+/// The words `[start, start + n)` of a `pages`-page space touches: the
+/// index of the first, and for each in turn `(page of its bit 0, mask of
+/// its bits inside the range)`.
+///
+/// # Panics
+/// If the range leaves the space.
+fn range_masks(pages: u32, start: u32, n: u32) -> (usize, impl Iterator<Item = (u32, u64)>) {
+    let Some(end) = start.checked_add(n).filter(|&end| end <= pages) else {
+        panic!("range out of space");
+    };
+    let low_bits = |k: u32| u64::MAX.checked_shr(64 - k).unwrap_or(0);
+    let first = start / 64;
+    let masks = (first * 64..end).step_by(64).map(move |base| {
+        let lo = start.max(base) - base;
+        let hi = end.min(base + 64) - base;
+        (base, low_bits(hi) & !low_bits(lo))
+    });
+    (cast::u32_to_usize(first), masks)
 }
 
 #[cfg(test)]
@@ -262,7 +315,7 @@ mod tests {
         /// Bit vector for buddy order `order` (order 0 = the page bitmap):
         /// bit `i` means "the block starting at page `i·2^order` is free".
         fn level(&self, order: u32) -> Vec<u64> {
-            let mut cur = self.words.clone();
+            let mut cur: Vec<u64> = self.words().collect();
             for _ in 0..order {
                 cur = fold_level(&cur);
             }
@@ -283,7 +336,7 @@ mod tests {
 
         fn oracle_max_free_order(&self) -> Option<u32> {
             // Fold upward until a level has no set bits.
-            let mut cur = self.words.clone();
+            let mut cur: Vec<u64> = self.words().collect();
             if cur.iter().all(|&w| w == 0) {
                 return None;
             }
@@ -410,6 +463,67 @@ mod tests {
         b.mark_used(0, 8192);
         assert_eq!(b.find_block(13), Some(8192));
         assert_matches_fold(&b);
+    }
+
+    /// Shapes the seeded scripts rarely make, each a corner of the
+    /// top-down hint search: nothing to find at any order, everything at
+    /// the first, only in-word blocks, the answer in the last chunk looked
+    /// at, and chunks that are free in part but never in full.
+    #[test]
+    fn hint_matches_the_fold_on_adversarial_shapes() {
+        for pages in [64u32, 128, 1024, 16384] {
+            let full = || {
+                let mut b = BuddyBitmap::all_free(pages);
+                b.mark_used(0, pages);
+                b
+            };
+            let top = pages.trailing_zeros();
+            let mut shapes = vec![(BuddyBitmap::all_free(pages), Some(top)), (full(), None)];
+            for page in [0, 63, pages / 2, pages - 1] {
+                let mut b = full();
+                b.mark_free(page, 1);
+                shapes.push((b, Some(0)));
+            }
+            // Every word keeps its low half: order-5 blocks everywhere, no
+            // full word anywhere.
+            let mut b = BuddyBitmap::all_free(pages);
+            (32..pages).step_by(64).for_each(|p| b.mark_used(p, 32));
+            shapes.push((b, Some(5)));
+            // One free block of order 6, then of order 7 (where there is
+            // room for one), at the very end of an otherwise full space.
+            for order in [6, 7].into_iter().filter(|&o| o <= top) {
+                let mut b = full();
+                b.mark_free(pages - (1 << order), 1 << order);
+                shapes.push((b, Some(order)));
+            }
+            // Alternating full and empty words: half the space is free and
+            // no two free words are buddies. Then the other phase, and the
+            // same with a page missing from each half of every free word.
+            for phase in [0, 64] {
+                for dent in [false, true] {
+                    let mut b = full();
+                    for p in (phase..pages).step_by(128) {
+                        b.mark_free(p, 64);
+                        if dent {
+                            b.mark_used(p + 17, 1);
+                            b.mark_used(p + 49, 1);
+                        }
+                    }
+                    let want = (pages > phase).then_some(if dent { 4 } else { 6 });
+                    shapes.push((b, want));
+                }
+            }
+            // A free run of half the space, off its seam by one word.
+            if pages >= 256 {
+                let mut b = full();
+                b.mark_free(64, pages / 2);
+                shapes.push((b, Some(top - 2)));
+            }
+            for (b, want) in &shapes {
+                assert_eq!(b.max_free_order(), *want, "{pages} pages");
+                assert_matches_fold(b);
+            }
+        }
     }
 
     #[test]

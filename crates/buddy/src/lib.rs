@@ -33,7 +33,7 @@
 mod bitmap;
 mod manager;
 
-pub use bitmap::BuddyBitmap;
+pub use bitmap::{Bitmap, BuddyBitmap};
 pub use manager::{BuddyConfig, BuddyManager, FragStats};
 
 use lobstore_simdisk::AreaId;

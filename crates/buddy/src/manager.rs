@@ -3,7 +3,7 @@
 use lobstore_bufpool::BufferPool;
 use lobstore_simdisk::{bytes, AreaId, PageId};
 
-use crate::bitmap::BuddyBitmap;
+use crate::bitmap::{Bitmap, BuddyBitmap};
 use crate::Extent;
 
 /// Magic number identifying an initialized buddy-space directory page.
@@ -152,10 +152,13 @@ impl BuddyManager {
             }
             // Real (costed) read of the directory, as a restart would do.
             let r = pool.fix(dir);
-            let bm = pool.with_page(r, |page| mgr.parse_dir(page));
+            let (free, max_order) = pool.with_page(r, |page| {
+                let bm = mgr.parse_dir(page);
+                (bm.free_pages(), bm.max_order())
+            });
             pool.unfix(r);
-            mgr.allocated += u64::from(cfg.space_pages.saturating_sub(bm.free_pages()));
-            mgr.superdir.push(Some(bm.max_order()));
+            mgr.allocated += u64::from(cfg.space_pages.saturating_sub(free));
+            mgr.superdir.push(Some(max_order));
             mgr.n_spaces += 1;
         }
         mgr
@@ -242,7 +245,8 @@ impl BuddyManager {
         ext
     }
 
-    /// Visit one space's directory and try to carve out the request.
+    /// Visit one space's directory and try to carve out the request, in
+    /// place on the fixed page; a probe that finds no block only reads it.
     /// Updates the superdirectory with the space's true state either way.
     fn try_alloc_in_space(
         &mut self,
@@ -253,20 +257,48 @@ impl BuddyManager {
     ) -> Option<Extent> {
         let dir = PageId::new(self.cfg.area, self.dir_page(space));
         let r = pool.fix(dir);
-        let mut bm = pool.with_page(r, |page| self.parse_dir(page));
-        let found = bm.find_block(order);
-        let result = found.map(|block| {
-            bm.mark_used(block, n_pages);
-            pool.with_page_mut(r, |page| {
-                bm.write_bytes(page.get_mut(BITMAP_OFF..).unwrap_or_default());
-            });
-            Extent::new(self.cfg.area, self.data_base(space) + block, n_pages)
+        let probe = pool.with_page(r, |page| {
+            let bm = self.parse_dir(page);
+            bm.find_block(order).ok_or_else(|| bm.max_free_order())
         });
-        if let Some(hint) = self.superdir.get_mut(space as usize) {
-            *hint = bm.max_free_order();
-        }
+        let (result, hint) = match probe {
+            Ok(block) => {
+                let hint = pool.with_page_mut(r, |page| {
+                    let mut bm = self.parse_dir_mut(page);
+                    bm.mark_used(block, n_pages);
+                    bm.max_free_order()
+                });
+                let start = self.data_base(space) + block;
+                (Some(Extent::new(self.cfg.area, start, n_pages)), hint)
+            }
+            Err(hint) => (None, hint),
+        };
         pool.unfix(r);
+        if let Some(slot) = self.superdir.get_mut(space as usize) {
+            *slot = hint;
+        }
         result
+    }
+
+    /// Edit one space's directory bitmap in place on its fixed page, then
+    /// set the superdirectory to the space's true state.
+    fn edit_dir<R>(
+        &mut self,
+        pool: &mut BufferPool,
+        space: u32,
+        edit: impl FnOnce(&mut Bitmap<&mut [u8]>) -> R,
+    ) -> R {
+        let dir = PageId::new(self.cfg.area, self.dir_page(space));
+        let r = pool.fix(dir);
+        let (out, hint) = pool.with_page_mut(r, |page| {
+            let mut bm = self.parse_dir_mut(page);
+            (edit(&mut bm), bm.max_free_order())
+        });
+        pool.unfix(r);
+        if let Some(slot) = self.superdir.get_mut(space as usize) {
+            *slot = hint;
+        }
+        out
     }
 
     /// Free every page of `ext`. Partial frees of a previous allocation
@@ -291,17 +323,7 @@ impl BuddyManager {
         assert!(ext.start >= base, "extent covers a directory page");
         let rel = ext.start - base;
 
-        let dir = PageId::new(self.cfg.area, self.dir_page(space));
-        let r = pool.fix(dir);
-        let mut bm = pool.with_page(r, |page| self.parse_dir(page));
-        bm.mark_free(rel, ext.pages);
-        pool.with_page_mut(r, |page| {
-            bm.write_bytes(page.get_mut(BITMAP_OFF..).unwrap_or_default());
-        });
-        if let Some(hint) = self.superdir.get_mut(space as usize) {
-            *hint = bm.max_free_order();
-        }
-        pool.unfix(r);
+        self.edit_dir(pool, space, |bm| bm.mark_free(rel, ext.pages));
         // Drop stale buffered copies of freed pages.
         pool.discard_range(self.cfg.area, ext.start, ext.pages);
         self.allocated -= u64::from(ext.pages);
@@ -338,17 +360,7 @@ impl BuddyManager {
         assert!(ext.start >= base, "extent covers a directory page");
         let rel = ext.start - base;
 
-        let dir = PageId::new(self.cfg.area, self.dir_page(space));
-        let r = pool.fix(dir);
-        let mut bm = pool.with_page(r, |page| self.parse_dir(page));
-        let flipped = bm.claim(rel, ext.pages);
-        pool.with_page_mut(r, |page| {
-            bm.write_bytes(page.get_mut(BITMAP_OFF..).unwrap_or_default());
-        });
-        if let Some(hint) = self.superdir.get_mut(space as usize) {
-            *hint = bm.max_free_order();
-        }
-        pool.unfix(r);
+        let flipped = self.edit_dir(pool, space, |bm| bm.claim(rel, ext.pages));
         self.allocated += u64::from(flipped);
     }
 
@@ -361,13 +373,13 @@ impl BuddyManager {
         for s in 0..self.n_spaces {
             let dir = PageId::new(self.cfg.area, self.dir_page(s));
             let r = pool.fix(dir);
-            let bm = pool.with_page(r, |page| self.parse_dir(page));
-            pool.unfix(r);
             let base = self.data_base(s);
-            out.extend(
-                bm.runs(false)
-                    .map(|(start, n)| Extent::new(self.cfg.area, base + start, n)),
-            );
+            pool.with_page(r, |page| {
+                let bm = self.parse_dir(page);
+                let used = bm.runs(false);
+                out.extend(used.map(|(start, n)| Extent::new(self.cfg.area, base + start, n)));
+            });
+            pool.unfix(r);
         }
         out
     }
@@ -464,12 +476,27 @@ impl BuddyManager {
         s
     }
 
-    fn parse_dir(&self, page: &[u8]) -> BuddyBitmap {
+    /// The bitmap of a directory page, where it lies.
+    ///
+    /// # Panics
+    /// If the page's magic or size field is not this manager's.
+    fn parse_dir<'a>(&self, page: &'a [u8]) -> Bitmap<&'a [u8]> {
+        let pages = self.check_dir(page);
+        Bitmap::over(page.get(BITMAP_OFF..).unwrap_or_default(), pages)
+    }
+
+    /// [`Self::parse_dir`] for editing the page in place.
+    fn parse_dir_mut<'a>(&self, page: &'a mut [u8]) -> Bitmap<&'a mut [u8]> {
+        let pages = self.check_dir(page);
+        Bitmap::over(page.get_mut(BITMAP_OFF..).unwrap_or_default(), pages)
+    }
+
+    fn check_dir(&self, page: &[u8]) -> u32 {
         let magic = dir_u32(page, 0);
         assert_eq!(magic, DIR_MAGIC, "corrupt buddy directory page");
         let pages = dir_u32(page, 4);
         assert_eq!(pages, self.cfg.space_pages, "directory/config mismatch");
-        BuddyBitmap::from_bytes(page.get(BITMAP_OFF..).unwrap_or(&[]), pages)
+        pages
     }
 }
 
@@ -850,6 +877,336 @@ mod tests {
             digest, 0x4AFB_4969_076C_A3C8,
             "placement or superdirectory hints moved"
         );
+    }
+
+    /// The manager this crate shipped before the in-place one, kept as its
+    /// oracle: every visit decodes the directory bitmap into a `Vec<u64>`,
+    /// works on that, writes all of it back, and refolds the whole of it
+    /// for the hint.
+    mod oracle {
+        use super::*;
+
+        const FOLDS: [(u32, u64); 7] = [
+            (0, u64::MAX),
+            (1, 0x5555_5555_5555_5555),
+            (2, 0x1111_1111_1111_1111),
+            (4, 0x0101_0101_0101_0101),
+            (8, 0x0001_0001_0001_0001),
+            (16, 0x0000_0001_0000_0001),
+            (32, 1),
+        ];
+
+        struct WordBitmap {
+            words: Vec<u64>,
+            pages: u32,
+        }
+
+        impl WordBitmap {
+            fn from_bytes(bytes: &[u8], pages: u32) -> Self {
+                let n_words = (pages / 64) as usize;
+                assert!(bytes.len() >= n_words * 8, "directory bytes too short");
+                let words = bytes.chunks_exact(8).take(n_words).map(bytes::le_u64);
+                WordBitmap {
+                    words: words.collect(),
+                    pages,
+                }
+            }
+
+            fn write_bytes(&self, out: &mut [u8]) {
+                assert!(out.len() >= self.words.len() * 8);
+                for (chunk, w) in out.chunks_exact_mut(8).zip(&self.words) {
+                    chunk.copy_from_slice(&w.to_le_bytes());
+                }
+            }
+
+            fn max_order(&self) -> u32 {
+                self.pages.trailing_zeros()
+            }
+
+            fn range_masks(&self, start: u32, n: u32) -> impl Iterator<Item = (usize, u64)> {
+                let end = start + n;
+                assert!(end <= self.pages, "range out of space");
+                let low_bits = |k: u32| u64::MAX.checked_shr(64 - k).unwrap_or(0);
+                (start / 64..end.div_ceil(64)).map(move |wi| {
+                    let base = wi * 64;
+                    let lo = start.max(base) - base;
+                    let hi = end.min(base + 64) - base;
+                    (wi as usize, low_bits(hi) & !low_bits(lo))
+                })
+            }
+
+            fn claim(&mut self, start: u32, n: u32) -> u32 {
+                let mut flipped = 0;
+                for (wi, mask) in self.range_masks(start, n) {
+                    flipped += (self.words[wi] & mask).count_ones();
+                    self.words[wi] &= !mask;
+                }
+                flipped
+            }
+
+            fn mark_free(&mut self, start: u32, n: u32) {
+                for (wi, mask) in self.range_masks(start, n) {
+                    assert_eq!(self.words[wi] & mask, 0, "double free");
+                    self.words[wi] |= mask;
+                }
+            }
+
+            fn find_block(&self, order: u32) -> Option<u32> {
+                if let Some(folds) = FOLDS.get(..=order as usize) {
+                    let mut words = self.words.iter().zip((0u32..).step_by(64));
+                    return words.find_map(|(&w, base)| {
+                        let t = folds.iter().fold(w, |t, &(s, m)| t & (t >> s) & m);
+                        (t != 0).then(|| base + t.trailing_zeros())
+                    });
+                }
+                let chunk = self.words.len() >> (self.max_order() - order);
+                let mut chunks = (self.words.chunks_exact(chunk)).zip((0u32..).step_by(chunk * 64));
+                chunks.find_map(|(c, base)| c.iter().all(|&w| w == u64::MAX).then_some(base))
+            }
+
+            fn max_free_order(&self) -> Option<u32> {
+                let mut levels = [0u64; FOLDS.len()];
+                for &w in &self.words {
+                    let mut t = w;
+                    for (level, &(s, m)) in levels.iter_mut().zip(&FOLDS) {
+                        t &= (t >> s) & m;
+                        *level |= t;
+                    }
+                }
+                let in_word = levels.iter().rposition(|&l| l != 0)? as u32;
+                let above = (7..=self.max_order()).take_while(|&o| self.find_block(o).is_some());
+                Some(above.last().unwrap_or(in_word))
+            }
+        }
+
+        impl BuddyManager {
+            fn old_parse_dir(&self, page: &[u8]) -> WordBitmap {
+                assert_eq!(dir_u32(page, 0), DIR_MAGIC, "corrupt buddy directory page");
+                assert_eq!(dir_u32(page, 4), self.cfg.space_pages);
+                WordBitmap::from_bytes(&page[BITMAP_OFF..], self.cfg.space_pages)
+            }
+
+            pub(super) fn old_allocate(&mut self, pool: &mut BufferPool, n_pages: u32) -> Extent {
+                assert!(n_pages > 0 && n_pages <= self.cfg.space_pages);
+                let order = ceil_log2(n_pages);
+                for s in 0..self.n_spaces {
+                    if self.superdir[s as usize].is_none_or(|hint| hint < order) {
+                        continue;
+                    }
+                    if let Some(ext) = self.old_try_alloc_in_space(pool, s, order, n_pages) {
+                        self.allocated += u64::from(n_pages);
+                        return ext;
+                    }
+                }
+                let s = self.create_space(pool);
+                let ext = self.old_try_alloc_in_space(pool, s, order, n_pages);
+                self.allocated += u64::from(n_pages);
+                ext.expect("fresh space must satisfy any in-range allocation")
+            }
+
+            fn old_try_alloc_in_space(
+                &mut self,
+                pool: &mut BufferPool,
+                space: u32,
+                order: u32,
+                n_pages: u32,
+            ) -> Option<Extent> {
+                let dir = PageId::new(self.cfg.area, self.dir_page(space));
+                let r = pool.fix(dir);
+                let mut bm = pool.with_page(r, |page| self.old_parse_dir(page));
+                let result = bm.find_block(order).map(|block| {
+                    assert_eq!(bm.claim(block, n_pages), n_pages, "double allocation");
+                    pool.with_page_mut(r, |page| bm.write_bytes(&mut page[BITMAP_OFF..]));
+                    Extent::new(self.cfg.area, self.data_base(space) + block, n_pages)
+                });
+                self.superdir[space as usize] = bm.max_free_order();
+                pool.unfix(r);
+                result
+            }
+
+            pub(super) fn old_free(&mut self, pool: &mut BufferPool, ext: Extent) {
+                let space = self.space_of(ext.start);
+                assert_eq!(space, self.space_of(ext.end() - 1));
+                assert!(space < self.n_spaces && ext.start >= self.data_base(space));
+                let rel = ext.start - self.data_base(space);
+                let dir = PageId::new(self.cfg.area, self.dir_page(space));
+                let r = pool.fix(dir);
+                let mut bm = pool.with_page(r, |page| self.old_parse_dir(page));
+                bm.mark_free(rel, ext.pages);
+                pool.with_page_mut(r, |page| bm.write_bytes(&mut page[BITMAP_OFF..]));
+                self.superdir[space as usize] = bm.max_free_order();
+                pool.unfix(r);
+                pool.discard_range(self.cfg.area, ext.start, ext.pages);
+                self.allocated -= u64::from(ext.pages);
+            }
+
+            pub(super) fn old_adopt(&mut self, pool: &mut BufferPool, ext: Extent) {
+                let space = self.space_of(ext.start);
+                assert_eq!(space, self.space_of(ext.end() - 1));
+                while self.n_spaces <= space {
+                    self.create_space(pool);
+                }
+                assert!(ext.start >= self.data_base(space));
+                let rel = ext.start - self.data_base(space);
+                let dir = PageId::new(self.cfg.area, self.dir_page(space));
+                let r = pool.fix(dir);
+                let mut bm = pool.with_page(r, |page| self.old_parse_dir(page));
+                let flipped = bm.claim(rel, ext.pages);
+                pool.with_page_mut(r, |page| bm.write_bytes(&mut page[BITMAP_OFF..]));
+                self.superdir[space as usize] = bm.max_free_order();
+                pool.unfix(r);
+                self.allocated += u64::from(flipped);
+            }
+        }
+    }
+
+    /// The in-place manager against the decode-and-write-back one, on twin
+    /// pools small enough that directory pages are evicted while dirty:
+    /// after every step of a seeded allocate/free/adopt script the two
+    /// agree on everything either can be observed by.
+    #[test]
+    fn in_place_manager_matches_the_decoding_one() {
+        const SPACE: u32 = 4096;
+        const STRIDE: u32 = SPACE + 1;
+        let twin = || {
+            let cfg = PoolConfig {
+                frames: 2,
+                max_buffered_seg: 4,
+            };
+            let pool = BufferPool::new(SimDisk::new(2, CostModel::default()), cfg);
+            pool.disk().enable_trace(64);
+            (
+                BuddyManager::new(BuddyConfig::new(AreaId::LEAF, SPACE)),
+                pool,
+            )
+        };
+        let (mut new, mut new_pool) = twin();
+        let (mut old, mut old_pool) = twin();
+        let mut rng = crate::tests::SplitMix(0x7417_B0DD);
+        // Page model over three spaces' worth of area: which pages the
+        // script holds, so that frees are legal and adoptions are tracked.
+        let mut used = vec![false; 3 * STRIDE as usize];
+        let mut held: Vec<Extent> = Vec::new();
+        let mut model_live = 0u64;
+        let size = |rng: &mut crate::tests::SplitMix| match rng.below(16) {
+            0..=5 => 1,
+            6..=10 => 2 + rng.below(15),
+            11..=13 => 40 + rng.below(91),
+            14 => 1000 + rng.below(2001),
+            _ if rng.below(4) == 0 => SPACE,
+            _ => 64 << rng.below(3),
+        };
+        for step in 0..24_000 {
+            // Hover around 5 000 live pages and never hold two spaces' worth:
+            // three spaces do the work, a whole-space request opens more.
+            let live = new.allocated_pages();
+            let roll = if live >= 7000 { 100 } else { rng.below(100) };
+            if roll < 8 {
+                // Adopt a run at a dictated place, whatever it overlaps.
+                let n = size(&mut rng).min(SPACE);
+                let space = rng.below(3);
+                let start = space * STRIDE + 1 + rng.below(SPACE - n + 1);
+                let ext = Extent::new(AreaId::LEAF, start, n);
+                new.adopt(&mut new_pool, ext);
+                old.old_adopt(&mut old_pool, ext);
+                let mut p = start;
+                while p < start + n {
+                    let run = |u: bool| {
+                        let rest = &used[p as usize..(start + n) as usize];
+                        rest.iter().take_while(|&&x| x == u).count() as u32
+                    };
+                    let fresh = run(false);
+                    if fresh > 0 {
+                        held.push(Extent::new(AreaId::LEAF, p, fresh));
+                        model_live += u64::from(fresh);
+                    }
+                    p += fresh + run(true);
+                }
+                used[start as usize..(start + n) as usize].fill(true);
+            } else if held.is_empty() || roll < if live < 5000 { 60 } else { 40 } {
+                let n = size(&mut rng);
+                let got = new.allocate(&mut new_pool, n);
+                assert_eq!(got, old.old_allocate(&mut old_pool, n), "step {step}");
+                if got.end() as usize > used.len() {
+                    used.resize(got.end() as usize + STRIDE as usize, false);
+                }
+                let pages = &mut used[got.start as usize..got.end() as usize];
+                assert!(
+                    pages.iter().all(|&u| !u),
+                    "step {step}: {got} handed out twice"
+                );
+                pages.fill(true);
+                model_live += u64::from(n);
+                held.push(got);
+            } else {
+                let e = held.swap_remove(rng.below(held.len() as u32) as usize);
+                let cut = rng.below(e.pages);
+                let gone = match rng.below(4) {
+                    0 if cut > 0 => {
+                        held.push(e.prefix(cut));
+                        e.suffix(cut)
+                    }
+                    1 if cut > 0 => {
+                        held.push(e.suffix(cut));
+                        e.prefix(cut)
+                    }
+                    _ => e,
+                };
+                new.free(&mut new_pool, gone);
+                old.old_free(&mut old_pool, gone);
+                used[gone.start as usize..gone.end() as usize].fill(false);
+                model_live -= u64::from(gone.pages);
+            }
+
+            assert_eq!(new.n_spaces(), old.n_spaces(), "step {step}");
+            assert_eq!(new.allocated_pages(), old.allocated_pages(), "step {step}");
+            assert_eq!(new.allocated_pages(), model_live, "step {step}");
+            for s in 0..new.n_spaces() {
+                assert_eq!(new.superdir_hint(s), old.superdir_hint(s), "step {step}");
+                let dir = PageId::new(AreaId::LEAF, new.dir_page(s));
+                let (mut a, mut b) = ([0u8; 4096], [0u8; 4096]);
+                new_pool.peek_page(dir, &mut a);
+                old_pool.peek_page(dir, &mut b);
+                assert!(a == b, "step {step}: directory page of space {s} differs");
+            }
+            assert_eq!(new_pool.io_stats(), old_pool.io_stats(), "step {step}");
+            assert_eq!(new_pool.pool_stats(), old_pool.pool_stats(), "step {step}");
+            assert_eq!(new_pool.disk().trace_dropped(), 0);
+            assert_eq!(
+                new_pool.disk().take_trace(),
+                old_pool.disk().take_trace(),
+                "step {step}"
+            );
+        }
+        assert!(new.n_spaces() >= 3, "the script must work three spaces");
+        assert!(new_pool.io_stats().write_calls > 1000, "dirty evictions");
+        #[cfg(feature = "paranoid")]
+        new.paranoid_verify(&mut new_pool).unwrap();
+    }
+
+    /// §3.1's wrong guess: a probe that finds no block corrects the hint
+    /// and only *reads* the directory page — nothing to write back.
+    #[test]
+    fn failed_probe_leaves_the_page_clean_and_corrects_the_hint() {
+        let (mut m, mut pool) = setup(64);
+        let _a = m.allocate(&mut pool, 33);
+        pool.flush_all();
+        // A restart forgets the hints: every space looks empty again.
+        let mut m = BuddyManager::open(m.config(), &mut pool);
+        assert_eq!(m.superdir_hint(0), Some(6), "optimistic after open");
+        let io = pool.io_stats();
+        let written = lobstore_obs::counter_value("bufpool.dirty_writebacks");
+        assert_eq!(m.try_alloc_in_space(&mut pool, 0, 5, 32), None);
+        assert_eq!(m.superdir_hint(0), Some(4), "the exact order, not a guess");
+        pool.flush_all();
+        assert_eq!(pool.io_stats(), io, "no dirty page to flush");
+        assert_eq!(
+            lobstore_obs::counter_value("bufpool.dirty_writebacks"),
+            written
+        );
+        // The next request for 32 pages goes past space 0 without a probe.
+        let b = m.allocate(&mut pool, 32);
+        assert_eq!(m.space_of(b.start), 1);
     }
 
     #[test]

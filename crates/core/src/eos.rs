@@ -32,7 +32,7 @@ use crate::node::{Entry, RootHdr};
 use crate::object::{
     check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization,
 };
-use crate::segdata::{append_in_place, read_seg_bytes, write_new_seg};
+use crate::segdata::{append_in_place, append_seg_bytes, read_segs, seg_buf, write_new_seg};
 use crate::shadow::OpCtx;
 use crate::tree::PosTree;
 
@@ -185,8 +185,7 @@ impl EosObject {
             let y = self.tree.try_descend(db, x.leaf_end())?;
             if self.must_merge(x.entry.count, y.entry.count) {
                 let mut hdr = self.tree.read_hdr(db);
-                let mut buf = read_seg_bytes(db, x.entry.ptr, 0, x.entry.count);
-                buf.extend(read_seg_bytes(db, y.entry.ptr, 0, y.entry.count));
+                let buf = read_segs(db, &[x.entry, y.entry], 0);
                 let merged = self.new_exact_seg(db, &buf);
                 self.free_seg(ctx, &mut hdr, &x.entry);
                 self.free_seg(ctx, &mut hdr, &y.entry);
@@ -222,14 +221,14 @@ impl EosObject {
         ctx: &mut OpCtx,
         region_start: u64,
         old: &[Entry],
-        sources: Vec<Src>,
+        sources: Vec<Src<'_>>,
         parents: &[Entry],
     ) -> Result<u64> {
         debug_assert!(!old.is_empty() && !sources.is_empty());
         let region_len: u64 = sources.iter().map(Src::len).sum();
 
         // Group adjacent sources while the threshold rule demands it.
-        let mut groups: Vec<Vec<Src>> = sources.into_iter().map(|s| vec![s]).collect();
+        let mut groups: Vec<Vec<Src<'_>>> = sources.into_iter().map(|s| vec![s]).collect();
         loop {
             let mut merged_any = false;
             let mut i = 0;
@@ -268,18 +267,18 @@ impl EosObject {
                 }
                 _ => {
                     let total: u64 = g.iter().map(Src::len).sum();
-                    let mut buf = Vec::with_capacity(cast::to_usize(total));
+                    let mut buf = seg_buf(&[total]);
                     for s in &g {
                         match s {
                             Src::Seg(e) => {
-                                buf.extend(read_seg_bytes(db, e.ptr, 0, e.count));
+                                append_seg_bytes(db, &mut buf, e.ptr, 0, e.count);
                                 absorbed_segs.push(*e);
                             }
                             Src::Prefix { ptr, len } => {
-                                buf.extend(read_seg_bytes(db, *ptr, 0, *len));
+                                append_seg_bytes(db, &mut buf, *ptr, 0, *len);
                             }
                             Src::Tail { ptr, from, len } => {
-                                buf.extend(read_seg_bytes(db, *ptr, *from, *len));
+                                append_seg_bytes(db, &mut buf, *ptr, *from, *len);
                             }
                             Src::Mem(m) => buf.extend_from_slice(m),
                         }
@@ -344,11 +343,11 @@ impl EosObject {
         if p == 0 {
             // Boundary insert: S itself is relocatable but untouched
             // unless the rule merges it with the new bytes.
-            sources.push(Src::Mem(bytes.to_vec()));
+            sources.push(Src::Mem(bytes));
             sources.push(Src::Seg(s));
         } else {
             sources.push(Src::Prefix { ptr: s.ptr, len: p });
-            sources.push(Src::Mem(bytes.to_vec()));
+            sources.push(Src::Mem(bytes));
             sources.push(Src::Tail {
                 ptr: s.ptr,
                 from: p,
@@ -383,7 +382,7 @@ fn alloc_of(hdr: &RootHdr, entry: &Entry) -> u32 {
 
 /// One content source for an EOS region rebuild (see
 /// [`EosObject::rebuild_region`]).
-enum Src {
+enum Src<'a> {
     /// An existing whole segment pulled into the window.
     Seg(Entry),
     /// The kept prefix of a split segment — stays physically in place if
@@ -392,10 +391,10 @@ enum Src {
     /// A kept part of a split segment that has to move.
     Tail { ptr: u32, from: u64, len: u64 },
     /// New bytes supplied by the caller.
-    Mem(Vec<u8>),
+    Mem(&'a [u8]),
 }
 
-impl Src {
+impl Src<'_> {
     fn len(&self) -> u64 {
         match self {
             Src::Seg(e) => e.count,

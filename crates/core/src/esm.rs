@@ -30,7 +30,10 @@ use crate::node::{Entry, RootHdr};
 use crate::object::{
     check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization,
 };
-use crate::segdata::{append_in_place, append_sizes, even_sizes, read_seg_bytes, write_new_seg};
+use crate::segdata::{
+    append_in_place, append_sizes, even_sizes, insert_bytes, read_seg_bytes, read_segs,
+    write_new_seg,
+};
 use crate::shadow::OpCtx;
 use crate::tree::{LeafPos, PosTree};
 
@@ -146,6 +149,13 @@ impl EsmObject {
         }
     }
 
+    /// The bytes of the leaf at `pos` with `bytes` inserted at its offset.
+    fn leaf_with(&self, db: &Db, pos: &LeafPos, bytes: &[u8]) -> Vec<u8> {
+        let mut content = read_segs(db, &[pos.entry], bytes.len() as u64);
+        insert_bytes(&mut content, cast::to_usize(pos.off_in_leaf), bytes);
+        content
+    }
+
     /// The append-overflow redistribution of §4.2. `pos` is the rightmost
     /// leaf; `bytes` did not fit in its free space.
     fn append_overflow(
@@ -177,10 +187,8 @@ impl EsmObject {
         }
 
         // Materialize the rewritten byte stream.
-        let mut buf = Vec::new();
-        for p in &parts[skip..] {
-            buf.extend(read_seg_bytes(db, p.entry.ptr, 0, p.entry.count));
-        }
+        let rewritten: Vec<Entry> = parts[skip..].iter().map(|p| p.entry).collect();
+        let mut buf = read_segs(db, &rewritten, bytes.len() as u64);
         buf.extend_from_slice(bytes);
 
         let mut new_entries = Vec::with_capacity(sizes.len() - skip);
@@ -279,8 +287,7 @@ impl EsmObject {
             let rn = self.tree.try_descend(db, pos.leaf_end())?;
             (pos, rn)
         };
-        let mut buf = read_seg_bytes(db, left.entry.ptr, 0, left.entry.count);
-        buf.extend(read_seg_bytes(db, right.entry.ptr, 0, right.entry.count));
+        let buf = read_segs(db, &[left.entry, right.entry], 0);
         let total = buf.len() as u64;
         let new_entries: Vec<Entry> = if total <= cap {
             vec![self.new_leaf(db, &buf)]
@@ -310,8 +317,7 @@ impl EsmObject {
 
         if pos.entry.count + len <= cap {
             // Fits in the target leaf: rewrite it.
-            let mut content = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
-            content.splice(p..p, bytes.iter().copied());
+            let content = self.leaf_with(db, &pos, bytes);
             let e = self.rewrite_leaf(db, ctx, &pos, &content, pos.off_in_leaf);
             self.tree.replace_entry(db, ctx, &pos.path, vec![e]);
             return Ok(());
@@ -338,17 +344,13 @@ impl EsmObject {
             };
             if let Some((n, n_is_left)) = neighbour {
                 // Stream: neighbour/leaf in object order, with the insert.
-                let mut buf;
-                if n_is_left {
-                    buf = read_seg_bytes(db, n.entry.ptr, 0, n.entry.count);
-                    buf.extend(read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count));
-                    let at = cast::to_usize(n.entry.count) + p;
-                    buf.splice(at..at, bytes.iter().copied());
+                let (first, second, at) = if n_is_left {
+                    (&n, &pos, cast::to_usize(n.entry.count) + p)
                 } else {
-                    buf = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
-                    buf.splice(p..p, bytes.iter().copied());
-                    buf.extend(read_seg_bytes(db, n.entry.ptr, 0, n.entry.count));
-                }
+                    (&pos, &n, p)
+                };
+                let mut buf = read_segs(db, &[first.entry, second.entry], len);
+                insert_bytes(&mut buf, at, bytes);
                 let total = buf.len() as u64;
                 let split = cast::to_usize(total.div_ceil(2));
                 let entries = vec![
@@ -357,13 +359,8 @@ impl EsmObject {
                 ];
                 ctx.free_extent_later(self.leaf_extent(pos.entry.ptr));
                 ctx.free_extent_later(self.leaf_extent(n.entry.ptr));
-                let (first, first_start) = if n_is_left {
-                    (&n, n.leaf_start)
-                } else {
-                    (&pos, pos.leaf_start)
-                };
                 self.tree.remove_entry(db, ctx, &first.path);
-                let again = self.tree.try_descend(db, first_start)?;
+                let again = self.tree.try_descend(db, first.leaf_start)?;
                 self.tree.replace_entry(db, ctx, &again.path, entries);
                 return Ok(());
             }
@@ -371,8 +368,7 @@ impl EsmObject {
 
         // Split: distribute the leaf plus the new bytes evenly over
         // ceil(total/cap) leaves.
-        let mut buf = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
-        buf.splice(p..p, bytes.iter().copied());
+        let buf = self.leaf_with(db, &pos, bytes);
         let sizes = even_sizes(buf.len() as u64, cap);
         let mut entries = Vec::with_capacity(sizes.len());
         let mut o = 0usize;

@@ -7,6 +7,12 @@
 //!   ("only the blocks that are actually dirty are written, sequentially");
 //! * an in-place append reads the rightmost partial page (if any), then
 //!   writes the pages containing new bytes with a single sequential call.
+//!
+//! An update assembles the bytes of each segment it writes in one buffer,
+//! reserved once ([`seg_buf`]): old segments are read straight onto its
+//! end ([`append_seg_bytes`], [`read_segs`]) and the caller's bytes are
+//! placed with two block moves ([`insert_bytes`]), so a byte is copied once per I/O call
+//! it rides and once more only if it sits behind an insertion point.
 
 use lobstore_buddy::Extent;
 use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PageId, PAGE_SIZE, PAGE_SIZE_U64};
@@ -17,8 +23,10 @@ use crate::node::Entry;
 
 /// Read bytes `[from, from + len)` of the segment at `ptr` (LEAF area):
 /// the covering page run, with one page-grained I/O call, straight into
-/// the caller-recycled `buf`. Returns `(buf, skip)` — the requested bytes
-/// are `buf[skip..skip + len]`, the only copy they make on the way out.
+/// `buf[at..]`, which becomes exactly that long (`at` is 0 for a recycled
+/// read buffer, `buf.len()` to append). Returns `skip` — the requested
+/// bytes are `buf[at + skip..at + skip + len]`, the only copy they make
+/// on the way out.
 ///
 /// Takes `&Db`: segment reads only touch the pool's internally
 /// synchronized read path, so snapshot scanners can run them while
@@ -28,9 +36,10 @@ pub(crate) fn read_seg_pages(
     ptr: u32,
     from: u64,
     len: u64,
-    mut buf: Vec<u8>,
-) -> (Vec<u8>, usize) {
-    debug_assert!(len > 0);
+    buf: &mut Vec<u8>,
+    at: usize,
+) -> usize {
+    debug_assert!(len > 0 && at <= buf.len());
     metrics::SEG_READS.add(1);
     let first_page = cast::to_u32(from / PAGE_SIZE_U64);
     // `from + len - 1` is the last requested byte; callers stay inside
@@ -40,28 +49,74 @@ pub(crate) fn read_seg_pages(
     // page counts are far below `u32::MAX`.
     // loblint: allow(arith-overflow)
     let n_pages = last_page - first_page + 1;
-    let need = cast::u32_to_usize(n_pages) * PAGE_SIZE;
+    let need = at + cast::u32_to_usize(n_pages) * PAGE_SIZE;
     // Recycled buffers are usually already the right size; `resize`
     // only zero-fills growth.
     if buf.len() != need {
         buf.resize(need, 0);
     }
+    let pages = buf.get_mut(at..).unwrap_or_default();
     db.pool
-        .read_pages(AreaId::LEAF, ptr + first_page, n_pages, &mut buf);
-    (buf, cast::to_usize(from % PAGE_SIZE_U64))
+        .read_pages(AreaId::LEAF, ptr + first_page, n_pages, pages);
+    cast::to_usize(from % PAGE_SIZE_U64)
 }
 
-/// [`read_seg_pages`] trimmed to exactly the requested bytes, for the
-/// update paths that splice segment contents (they almost always pass
-/// `from == 0`, so the trim moves nothing).
-pub(crate) fn read_seg_bytes(db: &Db, ptr: u32, from: u64, len: u64) -> Vec<u8> {
+/// An empty buffer in which pieces of these lengths can be assembled
+/// without growing: the page slack of an [`append_seg_bytes`] read fits
+/// behind them (under a page before the first requested byte, under a
+/// page after the last).
+pub(crate) fn seg_buf(pieces: &[u64]) -> Vec<u8> {
+    let total: u64 = pieces.iter().sum();
+    Vec::with_capacity(cast::to_usize(total) + 2 * PAGE_SIZE)
+}
+
+/// Append bytes `[from, from + len)` of the segment at `ptr` to `buf`:
+/// [`read_seg_pages`]' one page-grained call lands behind what `buf`
+/// holds, and the page slack around the requested bytes is moved over
+/// (`from` is almost always 0, so nothing moves) and cut off.
+pub(crate) fn append_seg_bytes(db: &Db, buf: &mut Vec<u8>, ptr: u32, from: u64, len: u64) {
     if len == 0 {
-        return Vec::new();
+        return;
     }
-    let (mut buf, skip) = read_seg_pages(db, ptr, from, len, Vec::new());
-    buf.truncate(skip + cast::to_usize(len));
-    buf.drain(..skip);
+    let at = buf.len();
+    let skip = read_seg_pages(db, ptr, from, len, buf, at);
+    let len = cast::to_usize(len);
+    if skip > 0 {
+        buf.copy_within(at + skip..at + skip + len, at);
+    }
+    buf.truncate(at + len);
+}
+
+/// The whole segments `segs`, read left to right into one buffer that
+/// `room` more bytes fit in without growing.
+pub(crate) fn read_segs(db: &Db, segs: &[Entry], room: u64) -> Vec<u8> {
+    let stored: u64 = segs.iter().map(|e| e.count).sum();
+    let mut buf = seg_buf(&[stored, room]);
+    for e in segs {
+        append_seg_bytes(db, &mut buf, e.ptr, 0, e.count);
+    }
     buf
+}
+
+/// Exactly bytes `[from, from + len)` of the segment at `ptr`, for the
+/// update paths that edit one segment's contents.
+pub(crate) fn read_seg_bytes(db: &Db, ptr: u32, from: u64, len: u64) -> Vec<u8> {
+    let mut buf = Vec::new();
+    append_seg_bytes(db, &mut buf, ptr, from, len);
+    buf
+}
+
+/// Insert `bytes` into `buf` at `at`: grow once, move the tail once, copy
+/// the payload once.
+///
+/// # Panics
+/// If `at` is beyond the end of `buf`.
+pub(crate) fn insert_bytes(buf: &mut Vec<u8>, at: usize, bytes: &[u8]) {
+    let old_len = buf.len();
+    buf.resize(old_len + bytes.len(), 0);
+    buf.copy_within(at..old_len, at + bytes.len());
+    let gap = buf.get_mut(at..at + bytes.len()).unwrap_or_default();
+    gap.copy_from_slice(bytes);
 }
 
 /// Cost-free copy of the bytes stored in `segs`, left to right, from
@@ -224,6 +279,91 @@ mod tests {
         assert_eq!(back, data);
         let mid = read_seg_bytes(&db, ext.start, 5_000, 2_000);
         assert_eq!(mid[..], data[5_000..7_000]);
+    }
+
+    #[test]
+    fn insert_bytes_matches_splice() {
+        let base: Vec<u8> = (0..10_000).map(|i| (i % 239) as u8).collect();
+        let payload: Vec<u8> = (0..3_000).map(|i| (i % 13) as u8 + 240).collect();
+        for buf in [&base[..], &[]] {
+            for put in [&payload[..], &payload[..1], &[]] {
+                for at in [0, buf.len() / 2, buf.len().saturating_sub(1), buf.len()] {
+                    let mut want = buf.to_vec();
+                    want.splice(at..at, put.iter().copied());
+                    let mut got = buf.to_vec();
+                    insert_bytes(&mut got, at, put);
+                    assert_eq!(got, want, "{} bytes into {} at {at}", put.len(), buf.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn insert_bytes_beyond_the_end_panics() {
+        insert_bytes(&mut vec![1, 2, 3], 4, &[9]);
+    }
+
+    /// A segment read as this module did it before reads could append: a
+    /// zeroed page buffer of its own, one `read_pages`, the bytes copied
+    /// out of the middle.
+    fn read_seg_bytes_oracle(db: &Db, ptr: u32, from: u64, len: u64) -> Vec<u8> {
+        let first = from / PAGE_SIZE_U64;
+        let n_pages = (from + len - 1) / PAGE_SIZE_U64 - first + 1;
+        let mut pages = vec![0u8; n_pages as usize * PAGE_SIZE];
+        db.pool
+            .read_pages(AreaId::LEAF, ptr + first as u32, n_pages as u32, &mut pages);
+        let skip = (from % PAGE_SIZE_U64) as usize;
+        pages[skip..skip + len as usize].to_vec()
+    }
+
+    #[test]
+    fn append_seg_bytes_is_the_same_read_landing_in_place() {
+        let data: Vec<u8> = (0..6 * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        let twin = || {
+            let mut db = Db::paper_default();
+            let ext = write_new_seg(&mut db, 8, &data);
+            db.pool.disk().enable_trace(8);
+            db.reset_io_stats();
+            (db, ext.start)
+        };
+        let (new, ptr) = twin();
+        let (old, old_ptr) = twin();
+        assert_eq!(ptr, old_ptr);
+        let page = PAGE_SIZE_U64;
+        let head = b"bytes already in the buffer";
+        for from in [0, 1, page - 1, page, 5000] {
+            // Ends on a page edge, one byte past it, inside a page, and
+            // (a buffered read) inside the page it starts in.
+            for end in [4 * page, 4 * page + 1, 5 * page - 7, from + 100] {
+                let len = end - from;
+                let reads = lobstore_obs::counter_value("core.seg.reads");
+                let mut buf = head.to_vec();
+                append_seg_bytes(&new, &mut buf, ptr, from, len);
+                assert_eq!(lobstore_obs::counter_value("core.seg.reads"), reads + 1);
+                let want = read_seg_bytes_oracle(&old, ptr, from, len);
+                assert_eq!(want[..], data[from as usize..end as usize]);
+                assert_eq!(buf[..head.len()], head[..], "[{from}, {end})");
+                assert_eq!(buf[head.len()..], want[..], "[{from}, {end})");
+                // The fresh-buffer form is the same read once more.
+                assert_eq!(read_seg_bytes(&new, ptr, from, len), want);
+                assert_eq!(read_seg_bytes_oracle(&old, ptr, from, len), want);
+                assert_eq!(new.io_stats(), old.io_stats(), "[{from}, {end})");
+                let trace = new.pool.disk().take_trace();
+                assert_eq!(trace, old.pool.disk().take_trace(), "[{from}, {end})");
+                assert_eq!(trace.len(), 2, "one I/O call a segment read");
+            }
+        }
+        // Nothing to read is no call at all, and a reserved buffer takes
+        // page-slack reads at both ends without growing.
+        let mut buf = seg_buf(&[3, 2 * page]);
+        let (stats, cap) = (new.io_stats(), buf.capacity());
+        append_seg_bytes(&new, &mut buf, ptr, 77, 0);
+        assert_eq!((buf.len(), new.io_stats()), (0, stats));
+        buf.extend_from_slice(b"abc");
+        append_seg_bytes(&new, &mut buf, ptr, page - 1, 2 * page);
+        assert_eq!(buf[3..], data[PAGE_SIZE - 1..3 * PAGE_SIZE - 1]);
+        assert_eq!(buf.capacity(), cap);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::node::{find_child, Entry, Node, RootHdr, ROOT_MAX_ENTRIES};
 use crate::object::{
     check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization,
 };
-use crate::segdata::{append_in_place, patch_in_place, peek_segs};
+use crate::segdata::{append_in_place, insert_bytes, patch_in_place, peek_segs};
 
 const STAR_MAGIC: u32 = 0x5354_4152; // "STAR"
 const KIND_STARBURST: u8 = 3;
@@ -203,7 +203,7 @@ impl StarburstObject {
                     chunk.copy_within(hi..got, lo);
                 }
                 if (pos..pos + got).contains(&at) {
-                    buf.splice(fill + lo..fill + lo, put.iter().copied());
+                    insert_bytes(&mut buf, fill + lo, put);
                     fill += put.len();
                 }
                 fill += got - (hi - lo);

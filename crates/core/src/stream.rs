@@ -352,8 +352,8 @@ impl SnapshotReader {
             .min(self.size.saturating_sub(self.pos));
         let want = cast::to_usize(left).min(READ_AHEAD_MAX);
         debug_assert!(want > 0, "refill past the located segment");
-        let recycled = std::mem::take(&mut self.span.data);
-        let (data, skip) = read_seg_pages(db, ptr, from, want as u64, recycled);
+        let mut data = std::mem::take(&mut self.span.data);
+        let skip = read_seg_pages(db, ptr, from, want as u64, &mut data, 0);
         self.span = Span {
             start: self.pos,
             skip,
