@@ -56,7 +56,10 @@ run cargo run -q -p xtask -- loblint
 # otherwise. And core's node tests: the boundary sweep of `NodeView`
 # against `Node` over full 507/511-pair pages runs 64 seeds optimized
 # and 4 otherwise, and its range asserts must also hold without debug
-# assertions. The workspace run includes tests/metric_catalog.rs, which
+# assertions. And the model configurations (tests/model.rs,
+# proptest_model.rs, crash_fuzz.rs, txn_crash.rs: configurations of
+# lobstore_workload::model) run 256 seeds optimized and their old case
+# counts otherwise. The workspace run includes tests/metric_catalog.rs, which
 # holds the crates' declared metric handles to DESIGN.md section 10, and
 # tests/aging.rs, which pins the aged store to the I/O call (section 14).
 run cargo test -q --workspace
@@ -67,6 +70,7 @@ run cargo test -q --release -p lobstore-core segdata
 run cargo test -q --release -p lobstore-core starburst
 run cargo test -q --release -p lobstore-core node
 run cargo test -q --release -p lobstore-obs
+run cargo test -q --release --test model --test proptest_model --test crash_fuzz --test txn_crash
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

@@ -440,13 +440,23 @@ impl LargeObject for EosObject {
         let mut ctx = OpCtx::new();
         let mut rem = bytes;
 
-        // Fill the allocated tail of the rightmost segment in place.
+        // Fill the allocated tail of the rightmost segment in place. A
+        // tail delete keeps the prefix where it is (`delete_suffix_is_free`),
+        // so past an unflagged segment's end may lie bytes a pinned
+        // snapshot or an open transaction's rollback still reads; only a
+        // flagged over-allocation, which no shrink survives, is then safe.
         let mut prev_alloc = 0u32;
         if let Some(pos) = self.tree.rightmost(db) {
             let hdr = self.tree.read_hdr(db);
             let alloc = alloc_of(&hdr, &pos.entry);
             prev_alloc = alloc;
-            let space = u64::from(alloc) * PAGE_SIZE_U64 - pos.entry.count;
+            let flagged = hdr.last_seg_alloc > 0 && hdr.last_seg_ptr == pos.entry.ptr;
+            let older_reader = db.txn_active() || db.pinned_snapshots() > 0;
+            let space = if flagged || !older_reader {
+                u64::from(alloc) * PAGE_SIZE_U64 - pos.entry.count
+            } else {
+                0
+            };
             let take = cast::to_usize((rem.len() as u64).min(space));
             if take > 0 {
                 append_in_place(db, pos.entry.ptr, pos.entry.count, &rem[..take]);

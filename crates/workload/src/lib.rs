@@ -16,11 +16,15 @@
 //!
 //! All costs come from the simulated disk ([`lobstore_simdisk::IoStats`]
 //! deltas), so runs are deterministic given a seed.
+//!
+//! [`model`] is the one reference model the model-checked tests in
+//! `tests/` are configurations of.
 
 mod builder;
 mod churn;
 mod metrics;
 mod mixed;
+pub mod model;
 mod scanner;
 
 pub use builder::{build_by_appends, build_object, BuildReport};
@@ -41,6 +45,14 @@ pub fn fill_bytes(buf: &mut [u8], seed: u64) {
         let b = x.to_le_bytes();
         chunk.copy_from_slice(&b[..chunk.len()]);
     }
+}
+
+/// `len` bytes of [`fill_bytes`] for `seed`: the one payload filler of
+/// the tests.
+pub fn fill(len: usize, seed: u64) -> Vec<u8> {
+    let mut buf = vec![0u8; len];
+    fill_bytes(&mut buf, seed);
+    buf
 }
 
 #[cfg(test)]

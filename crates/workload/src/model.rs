@@ -1,0 +1,419 @@
+//! One reference model for every model-checked test. The paper's §3.3
+//! promise (a crash recovers the last flushed state), `Db::txn`'s (a
+//! rolled-back transaction leaves no trace) and the snapshot's (a pinned
+//! version never changes) are stated here once:
+//!
+//! * [`Op`] — one abstract operation. Offsets are fractions of the
+//!   object's current size and lengths byte counts, both clamped by one
+//!   rule, so a sequence stays meaningful as the object grows and shrinks.
+//! * [`Model`] — the live bytes and the durable bytes a crash must give
+//!   back. With the allocation log on, every committed op or transaction
+//!   is durable; with it off only a checkpoint is, and a crash is defined
+//!   one unflushed op deep (§3.3 defers frees per operation).
+//! * [`OpGen`] — the one seeded generator, over a weighted mix of [`Kind`]s.
+//! * [`Driver`] — applies each op to a store object and to the model and
+//!   checks every read's bytes, the size and `check_invariants` after every
+//!   op; the whole object after a transaction and after a crash (rebooted,
+//!   reopened through `ManagerSpec::open`); at [`Driver::finish`] the final
+//!   bytes and that `destroy` leaks no page.
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+use lobstore_core::{Db, LargeObject, LobError, ManagerSpec};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use crate::fill;
+
+/// One abstract operation. `(at, len)`: `at` a fraction of the current
+/// size, `len` bytes.
+#[derive(Clone, Debug)]
+pub enum Op {
+    Append(usize),
+    Insert(f64, usize),
+    Delete(f64, usize),
+    Replace(f64, usize),
+    Read(f64, usize),
+    /// Destroy the object and create an empty one of the same spec.
+    Recreate,
+    Checkpoint,
+    /// `crash_and_reboot`, then reopen the object by its root page.
+    Crash,
+    /// `ops` as one `Db::txn`; `abort` fails the closure after them all.
+    Txn {
+        ops: Vec<Op>,
+        abort: bool,
+    },
+}
+
+/// The kinds an [`OpGen`] mix weighs; a `Txn` draws its members from the
+/// mix's data kinds (`Append` to `Read`).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Kind {
+    Append,
+    Insert,
+    Delete,
+    Replace,
+    Read,
+    Recreate,
+    Checkpoint,
+    Crash,
+    Txn,
+}
+
+/// The one clamping rule: `at` picks an offset in the current `size` (an
+/// insert may land at the end, every other op starts on a byte) and
+/// `len` is cut at the end of the object. `None` when nothing is touched.
+fn resolve(size: usize, at: f64, len: usize, insert: bool) -> Option<(usize, usize)> {
+    let last = if insert { size } else { size.checked_sub(1)? };
+    let off = ((at * size as f64) as usize).min(last);
+    let len = if insert { len } else { len.min(size - off) };
+    (len > 0).then_some((off, len))
+}
+
+/// The fraction the clamping rule turns into byte `off` of `size`, for
+/// fixed op lists.
+pub fn at(off: usize, size: usize) -> f64 {
+    (off as f64 + 0.5) / size as f64
+}
+
+/// The bytes the store must hold now and the bytes a crash must give
+/// back. An open transaction edits a scratch copy of the live bytes (see
+/// [`Driver`]) that replaces them only on commit.
+#[derive(Debug, Default)]
+pub struct Model {
+    live: Vec<u8>,
+    durable: Vec<u8>,
+    alloc_log: bool,
+    /// Updates since the last checkpoint or crash.
+    unflushed: usize,
+}
+
+impl Model {
+    /// The bytes the store must hold now.
+    pub fn bytes(&self) -> &[u8] {
+        &self.live
+    }
+
+    /// An op or a transaction committed: with the log on it is durable.
+    fn committed(&mut self) {
+        if self.alloc_log {
+            self.durable.clone_from(&self.live);
+        } else {
+            self.unflushed += 1;
+        }
+    }
+
+    fn checkpoint(&mut self) {
+        self.durable.clone_from(&self.live);
+        self.unflushed = 0;
+    }
+
+    /// The crash rule: the last committed op or transaction with the log
+    /// on, the last checkpoint without it.
+    fn crash(&mut self) {
+        assert!(
+            self.alloc_log || self.unflushed <= 1,
+            "without the allocation log a crash is defined one unflushed op deep (§3.3), not {}",
+            self.unflushed
+        );
+        self.live.clone_from(&self.durable);
+        self.unflushed = 0;
+    }
+}
+
+/// The one seeded op generator: an endless stream over a weighted `mix`,
+/// lengths in `1..=max_len`, fractions uniform in `[0, 1]`. A `Txn` holds
+/// one to three ops of the mix's data kinds and aborts half the time.
+/// When the mix holds `Crash`, a `Checkpoint` goes before a second
+/// unflushed update, so every crash lands where the log-off rule is defined.
+pub struct OpGen {
+    rng: StdRng,
+    mix: &'static [(u32, Kind)],
+    max_len: usize,
+    /// An update ran since the last checkpoint or crash.
+    dirty: bool,
+    /// A drawn update waiting behind the checkpoint emitted for it.
+    held: Option<Op>,
+}
+
+impl OpGen {
+    pub fn new(seed: u64, mix: &'static [(u32, Kind)], max_len: usize) -> Self {
+        OpGen {
+            rng: StdRng::seed_from_u64(seed),
+            mix,
+            max_len,
+            dirty: false,
+            held: None,
+        }
+    }
+
+    fn pick(&mut self, data_only: bool) -> Kind {
+        let arms = self
+            .mix
+            .iter()
+            .filter(|(_, k)| !data_only || (*k as u8) <= Kind::Read as u8);
+        let mut n = self
+            .rng
+            .gen_range(0..arms.clone().map(|&(w, _)| w).sum::<u32>());
+        for &(w, kind) in arms {
+            if n < w {
+                return kind;
+            }
+            n -= w;
+        }
+        unreachable!("weighted pick out of range")
+    }
+
+    fn draw(&mut self, kind: Kind) -> Op {
+        let (at, len) = (
+            self.rng.gen_range(0.0..=1.0),
+            self.rng.gen_range(1..=self.max_len),
+        );
+        match kind {
+            Kind::Append => Op::Append(len),
+            Kind::Insert => Op::Insert(at, len),
+            Kind::Delete => Op::Delete(at, len),
+            Kind::Replace => Op::Replace(at, len),
+            Kind::Read => Op::Read(at, len),
+            Kind::Recreate => Op::Recreate,
+            Kind::Checkpoint => Op::Checkpoint,
+            Kind::Crash => Op::Crash,
+            Kind::Txn => {
+                let n = self.rng.gen_range(1..=3);
+                let kinds: Vec<Kind> = (0..n).map(|_| self.pick(true)).collect();
+                let ops = kinds.into_iter().map(|k| self.draw(k)).collect();
+                Op::Txn {
+                    ops,
+                    abort: self.rng.gen(),
+                }
+            }
+        }
+    }
+}
+
+impl Iterator for OpGen {
+    type Item = Op;
+
+    fn next(&mut self) -> Option<Op> {
+        if let Some(op) = self.held.take() {
+            self.dirty = true;
+            return Some(op);
+        }
+        let kind = self.pick(false);
+        let op = self.draw(kind);
+        match kind {
+            Kind::Checkpoint | Kind::Crash => self.dirty = false,
+            Kind::Read => {}
+            _ if self.dirty && self.mix.iter().any(|&(_, k)| k == Kind::Crash) => {
+                self.held = Some(op);
+                return Some(Op::Checkpoint);
+            }
+            _ => self.dirty = true,
+        }
+        Some(op)
+    }
+}
+
+/// Run `case` for every seed a model configuration covers: 256 optimized,
+/// `debug_cases` otherwise (the idiom of Starburst's proptest and obs's
+/// model test). A failing seed is named before the panic goes on.
+pub fn for_seeds(debug_cases: u64, mut case: impl FnMut(u64)) {
+    let cases = if cfg!(debug_assertions) {
+        debug_cases
+    } else {
+        256
+    };
+    for seed in 0..cases {
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| case(seed))) {
+            eprintln!("model configuration failed at seed {seed}");
+            resume_unwind(panic);
+        }
+    }
+}
+
+/// Panic with the first differing offset unless `got == want`.
+pub fn assert_same(got: &[u8], want: &[u8], what: &str) {
+    if got != want {
+        let at = got.iter().zip(want).position(|(a, b)| a != b);
+        let (n, m) = (got.len(), want.len());
+        panic!("{what}: {n} bytes where {m} are expected, first difference at {at:?}");
+    }
+}
+
+/// One object driven in lockstep with its [`Model`]. The database is
+/// passed to every call, so it may live inside a `SharedDb`.
+pub struct Driver {
+    spec: ManagerSpec,
+    /// The object under test (reopened after every crash).
+    pub obj: Box<dyn LargeObject>,
+    /// Its reference model.
+    pub model: Model,
+    /// [`held_pages`] before the object was created.
+    baseline: (u64, u64),
+    /// Ops applied so far, transaction members included; seeds payloads.
+    step: u64,
+}
+
+impl Driver {
+    /// Create an empty object of `spec` in `db`.
+    pub fn new(db: &mut Db, spec: ManagerSpec) -> Self {
+        let alloc_log = db.config().alloc_log;
+        let baseline = held_pages(db);
+        Driver {
+            obj: spec.create(db).expect("create"),
+            model: Model {
+                alloc_log,
+                ..Model::default()
+            },
+            spec,
+            baseline,
+            step: 0,
+        }
+    }
+
+    /// [`Driver::apply`] each of `ops` in turn.
+    pub fn run(&mut self, db: &mut Db, ops: impl IntoIterator<Item = Op>) {
+        for op in ops {
+            self.apply(db, &op);
+        }
+    }
+
+    /// Apply `op` to the object and the model, then check them.
+    pub fn apply(&mut self, db: &mut Db, op: &Op) {
+        let what = format!("{} op {} {op:?}", self.spec.label(), self.step);
+        let whole = match op {
+            Op::Checkpoint => {
+                db.checkpoint();
+                self.model.checkpoint();
+                false
+            }
+            Op::Crash => {
+                let root = self.obj.root_page();
+                db.crash_and_reboot();
+                if self.model.alloc_log {
+                    db.verify_alloc_log().expect("allocation log after replay");
+                }
+                self.obj = self.spec.open(db, root).expect("reopen after crash");
+                self.model.crash();
+                true
+            }
+            Op::Recreate => {
+                self.obj.destroy(db).expect("destroy");
+                self.obj = self.spec.create(db).expect("create");
+                self.model.live.clear();
+                self.model.committed();
+                false
+            }
+            Op::Txn { ops, abort } => {
+                let mut scratch = self.model.live.clone();
+                let (obj, step) = (&mut self.obj, &mut self.step);
+                let result = db.txn(|db| {
+                    for op in ops {
+                        edit(db, obj.as_mut(), &mut scratch, op, step);
+                    }
+                    if *abort {
+                        Err(LobError::Corrupt("injected abort".into()))
+                    } else {
+                        Ok(())
+                    }
+                });
+                match result {
+                    Err(LobError::Corrupt(_)) if *abort => {}
+                    Ok(()) if !abort => {
+                        self.model.live = scratch;
+                        self.model.committed();
+                    }
+                    other => panic!("{what}: {other:?}"),
+                }
+                true
+            }
+            _ => {
+                if edit(
+                    db,
+                    self.obj.as_mut(),
+                    &mut self.model.live,
+                    op,
+                    &mut self.step,
+                ) {
+                    self.model.committed();
+                }
+                false
+            }
+        };
+        self.step += 1;
+        if let Err(e) = self.obj.check_invariants(db) {
+            panic!("{what}: {e}");
+        }
+        assert_eq!(
+            self.obj.size(db),
+            self.model.live.len() as u64,
+            "{what}: size"
+        );
+        if whole {
+            assert_same(&self.obj.snapshot(db), &self.model.live, &what);
+        }
+    }
+
+    /// The final bytes equal the model, and `destroy` returns every page
+    /// the object held.
+    pub fn finish(mut self, db: &mut Db) {
+        let label = self.spec.label();
+        assert_same(&self.obj.snapshot(db), &self.model.live, &label);
+        self.obj.destroy(db).expect("destroy");
+        assert_eq!(
+            held_pages(db),
+            self.baseline,
+            "{label}: LEAF/META pages leaked"
+        );
+    }
+}
+
+/// LEAF and META pages allocated, the allocation log's own chain aside.
+fn held_pages(db: &Db) -> (u64, u64) {
+    let log = db.alloc_log_pages().len() as u64;
+    (db.leaf_pages_allocated(), db.meta_pages_allocated() - log)
+}
+
+/// Apply data op `op` to `obj` and to `bytes`, payloads seeded by `step`
+/// (advanced); a read compares. `false` when `op` changed nothing.
+fn edit(
+    db: &mut Db,
+    obj: &mut dyn LargeObject,
+    bytes: &mut Vec<u8>,
+    op: &Op,
+    step: &mut u64,
+) -> bool {
+    *step += 1;
+    let (at, len, insert) = match *op {
+        Op::Append(len) => (1.0, len, true),
+        Op::Insert(at, len) => (at, len, true),
+        Op::Delete(at, len) | Op::Replace(at, len) | Op::Read(at, len) => (at, len, false),
+        _ => return false,
+    };
+    let Some((off, len)) = resolve(bytes.len(), at, len, insert) else {
+        return false;
+    };
+    let new = fill(len, *step);
+    match op {
+        Op::Append(_) => obj.append(db, &new),
+        Op::Insert(..) => obj.insert(db, off as u64, &new),
+        Op::Delete(..) => obj.delete(db, off as u64, len as u64),
+        Op::Replace(..) => obj.replace(db, off as u64, &new),
+        _ => {
+            let mut out = vec![0u8; len];
+            obj.read(db, off as u64, &mut out).expect("read");
+            assert_same(&out, &bytes[off..off + len], &format!("read({off}, {len})"));
+            return false;
+        }
+    }
+    .unwrap_or_else(|e| panic!("{op:?}: {e}"));
+    // Every update is one splice: inserts cut nothing, deletes put nothing.
+    let (cut, put) = match op {
+        Op::Delete(..) => (len, Vec::new()),
+        Op::Replace(..) => (len, new),
+        _ => (0, new),
+    };
+    bytes.splice(off..off + cut, put);
+    true
+}

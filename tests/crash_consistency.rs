@@ -14,13 +14,9 @@
 //! buffer pool, buddy directories, count trees — for all three managers
 //! and all operation types.
 
+use lobstore::workload::fill;
+use lobstore::workload::model::{at, Driver, Op};
 use lobstore::{Db, EsmObject, LargeObject, ManagerSpec};
-
-fn pattern(len: usize, seed: u64) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i as u64 * 89 + seed * 13 + 1) % 250) as u8)
-        .collect()
-}
 
 fn specs() -> Vec<ManagerSpec> {
     vec![
@@ -33,85 +29,50 @@ fn specs() -> Vec<ManagerSpec> {
 }
 
 /// Build + checkpoint, apply one unflushed op, crash — the checkpointed
-/// state must read back bit-for-bit.
+/// state must read back bit-for-bit (the model's log-off crash rule).
 #[test]
 fn one_unflushed_op_never_damages_the_checkpoint() {
-    type Op = (&'static str, fn(&mut dyn LargeObject, &mut Db));
-    let ops: Vec<Op> = vec![
-        ("insert", |o, db| {
-            o.insert(db, 30_000, &pattern(12_345, 9)).unwrap();
-        }),
-        ("delete", |o, db| o.delete(db, 10_000, 25_000).unwrap()),
-        ("append", |o, db| o.append(db, &pattern(20_000, 7)).unwrap()),
-        ("replace", |o, db| {
-            o.replace(db, 50_000, &pattern(8_000, 5)).unwrap();
-        }),
-        ("delete-to-end", |o, db| {
-            let size = o.size(db);
-            o.delete(db, size - 40_000, 40_000).unwrap();
-        }),
+    let ops = [
+        Op::Insert(at(30_000, 150_000), 12_345),
+        Op::Delete(at(10_000, 150_000), 25_000),
+        Op::Append(20_000),
+        Op::Replace(at(50_000, 150_000), 8_000),
+        // Delete to the end.
+        Op::Delete(at(110_000, 150_000), 40_000),
     ];
     for spec in specs() {
-        for (name, op) in &ops {
-            let mut db = Db::paper_default();
-            let mut obj = spec.create(&mut db).unwrap();
-            let content = pattern(150_000, 3);
-            obj.append(&mut db, &content).unwrap();
-            obj.trim(&mut db).unwrap();
-            let root = obj.root_page();
-            db.checkpoint();
-
-            // One op the crash will erase.
-            op(obj.as_mut(), &mut db);
-            let _ = obj;
-            db.crash_and_reboot();
-
-            let obj = open_any(&mut db, &spec, root);
-            assert_eq!(
-                obj.snapshot(&db),
-                content,
-                "{} after unflushed {name}: checkpoint damaged",
-                spec.label()
-            );
-            obj.check_invariants(&db)
-                .unwrap_or_else(|e| panic!("{} after {name}: {e}", spec.label()));
+        for op in &ops {
+            let (mut db, mut d) = built(spec, 150_000);
+            d.run(&mut db, [op.clone(), Op::Crash]);
         }
     }
 }
 
 /// After a crash, the recovered allocator state is consistent enough to
 /// keep working: the recovered object can be updated, read, and destroyed
-/// without leaks relative to the post-recovery baseline.
+/// without leaks.
 #[test]
 fn recovered_database_remains_usable() {
     for spec in specs() {
-        let mut db = Db::paper_default();
-        let mut obj = spec.create(&mut db).unwrap();
-        obj.append(&mut db, &pattern(200_000, 1)).unwrap();
-        obj.trim(&mut db).unwrap();
-        let root = obj.root_page();
-        db.checkpoint();
-        obj.insert(&mut db, 5, &pattern(999, 2)).unwrap(); // lost
-        let _ = obj;
-        db.crash_and_reboot();
-
-        let baseline = (db.leaf_pages_allocated(), db.meta_pages_allocated());
-        let mut obj = open_any(&mut db, &spec, root);
-        let mut expected = pattern(200_000, 1);
-        obj.insert(&mut db, 100_000, &pattern(5_000, 8)).unwrap();
-        expected.splice(100_000..100_000, pattern(5_000, 8));
-        obj.delete(&mut db, 0, 1_000).unwrap();
-        expected.drain(0..1_000);
-        assert_eq!(obj.snapshot(&db), expected, "{}", spec.label());
-        obj.check_invariants(&db).unwrap();
-        obj.destroy(&mut db).unwrap();
-        assert!(
-            db.leaf_pages_allocated() <= baseline.0,
-            "{}: leaf pages grew past the recovery baseline",
-            spec.label()
-        );
-        assert!(db.meta_pages_allocated() <= baseline.1, "{}", spec.label());
+        let (mut db, mut d) = built(spec, 200_000);
+        let lost = Op::Insert(at(5, 200_000), 999);
+        let edits = [
+            Op::Insert(at(100_000, 200_000), 5_000),
+            Op::Delete(0.0, 1_000),
+        ];
+        d.run(&mut db, [lost, Op::Crash].into_iter().chain(edits));
+        d.finish(&mut db);
     }
+}
+
+/// A trimmed, checkpointed object of `len` bytes.
+fn built(spec: ManagerSpec, len: usize) -> (Db, Driver) {
+    let mut db = Db::paper_default();
+    let mut d = Driver::new(&mut db, spec);
+    d.apply(&mut db, &Op::Append(len));
+    d.obj.trim(&mut db).unwrap();
+    d.apply(&mut db, &Op::Checkpoint);
+    (db, d)
 }
 
 /// The counter-example that motivates shadowing: with shadowing disabled,
@@ -124,12 +85,12 @@ fn without_shadowing_replace_is_not_crash_safe() {
         ..lobstore::DbConfig::default()
     });
     let mut obj = EsmObject::create(&mut db, lobstore::EsmParams { leaf_pages: 4 }).unwrap();
-    let content = pattern(50_000, 1);
+    let content = fill(50_000, 1);
     obj.append(&mut db, &content).unwrap();
     let root = obj.root_page();
     db.checkpoint();
 
-    obj.replace(&mut db, 10_000, &pattern(4_000, 2)).unwrap(); // in place!
+    obj.replace(&mut db, 10_000, &fill(4_000, 2)).unwrap(); // in place!
     let _ = obj;
     db.crash_and_reboot();
 
@@ -148,18 +109,9 @@ fn without_shadowing_replace_is_not_crash_safe() {
 fn crash_before_first_checkpoint_recovers_empty() {
     let mut db = Db::paper_default();
     let mut obj = ManagerSpec::eos(4).create(&mut db).unwrap();
-    obj.append(&mut db, &pattern(100_000, 1)).unwrap();
+    obj.append(&mut db, &fill(100_000, 1)).unwrap();
     drop(obj);
     db.crash_and_reboot();
     // Directories were never flushed: everything is free again.
     assert_eq!(db.leaf_pages_allocated(), 0);
-}
-
-fn open_any(db: &mut Db, spec: &ManagerSpec, root: u32) -> Box<dyn LargeObject> {
-    use lobstore::{EosObject, StarburstObject};
-    match spec {
-        ManagerSpec::Esm { .. } => Box::new(EsmObject::open(db, root).unwrap()),
-        ManagerSpec::Eos { .. } => Box::new(EosObject::open(db, root).unwrap()),
-        ManagerSpec::Starburst { .. } => Box::new(StarburstObject::open(db, root).unwrap()),
-    }
 }

@@ -1,132 +1,42 @@
-//! Randomized crash-recovery fuzzing: interleave operations, checkpoints,
-//! and crashes at arbitrary points; after every crash the object must
-//! read back exactly as of the last checkpoint.
+//! Crash-recovery model configurations: seeded updates, checkpoints and
+//! crashes at arbitrary points; after every crash the object must read
+//! back exactly as of the last checkpoint (the model's log-off crash
+//! rule, which the generator keeps one unflushed op deep).
 
+use lobstore::workload::model::{for_seeds, Driver, Kind, Op, OpGen};
 use lobstore::{Db, ManagerSpec};
-use proptest::prelude::*;
 
-#[derive(Clone, Debug)]
-enum Step {
-    Insert { at: f64, len: usize },
-    Delete { at: f64, len: usize },
-    Append { len: usize },
-    Checkpoint,
-    Crash,
+const MIX: &[(u32, Kind)] = &[
+    (3, Kind::Insert),
+    (2, Kind::Delete),
+    (2, Kind::Append),
+    (2, Kind::Checkpoint),
+    (1, Kind::Crash),
+];
+
+/// 16 seeds (256 optimized): a checkpointed 30 000-byte object, then
+/// `steps` ops of up to 20 000 bytes.
+fn recovers(spec: ManagerSpec, steps: usize) {
+    for_seeds(16, |seed| {
+        let mut db = Db::paper_default();
+        let mut d = Driver::new(&mut db, spec);
+        d.run(&mut db, [Op::Append(30_000), Op::Checkpoint]);
+        d.run(&mut db, OpGen::new(seed, MIX, 20_000).take(steps));
+        d.finish(&mut db);
+    });
 }
 
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        3 => (0.0f64..=1.0, 1usize..20_000).prop_map(|(at, len)| Step::Insert { at, len }),
-        2 => (0.0f64..=1.0, 1usize..15_000).prop_map(|(at, len)| Step::Delete { at, len }),
-        2 => (1usize..20_000).prop_map(|len| Step::Append { len }),
-        2 => Just(Step::Checkpoint),
-        1 => Just(Step::Crash),
-    ]
+#[test]
+fn esm_recovers_after_random_crashes() {
+    recovers(ManagerSpec::esm(4), 29);
 }
 
-fn fill(len: usize, seed: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i * 41 + seed * 3 + 11) % 253) as u8)
-        .collect()
+#[test]
+fn eos_recovers_after_random_crashes() {
+    recovers(ManagerSpec::eos(4), 29);
 }
 
-fn run_fuzz(spec: ManagerSpec, steps: &[Step]) {
-    let mut db = Db::paper_default();
-    let mut obj = spec.create(&mut db).unwrap();
-    let root = obj.root_page();
-    // Live model (tracks the uncheckpointed state) and the checkpointed
-    // model (what a crash must recover).
-    let mut live: Vec<u8> = Vec::new();
-    obj.append(&mut db, &fill(30_000, 0)).unwrap();
-    live.extend(fill(30_000, 0));
-    db.checkpoint();
-    let mut checkpointed = live.clone();
-    // After a crash, only one op may run before the next checkpoint —
-    // the §3.3 discipline defers frees per *operation*, so the paper's
-    // guarantee is one-op-deep. We model that by checkpointing whenever
-    // an op follows another unflushed op.
-    let mut dirty_ops = 0usize;
-
-    for (i, step) in steps.iter().enumerate() {
-        match step {
-            Step::Insert { at, len } => {
-                if dirty_ops >= 1 {
-                    db.checkpoint();
-                    checkpointed = live.clone();
-                    dirty_ops = 0;
-                }
-                let off = ((at * live.len() as f64) as usize).min(live.len());
-                let bytes = fill(*len, i);
-                obj.insert(&mut db, off as u64, &bytes).unwrap();
-                live.splice(off..off, bytes);
-                dirty_ops += 1;
-            }
-            Step::Delete { at, len } => {
-                if live.is_empty() {
-                    continue;
-                }
-                if dirty_ops >= 1 {
-                    db.checkpoint();
-                    checkpointed = live.clone();
-                    dirty_ops = 0;
-                }
-                let off = ((at * live.len() as f64) as usize).min(live.len() - 1);
-                let len = (*len).min(live.len() - off);
-                obj.delete(&mut db, off as u64, len as u64).unwrap();
-                live.drain(off..off + len);
-                dirty_ops += 1;
-            }
-            Step::Append { len } => {
-                if dirty_ops >= 1 {
-                    db.checkpoint();
-                    checkpointed = live.clone();
-                    dirty_ops = 0;
-                }
-                let bytes = fill(*len, i + 500);
-                obj.append(&mut db, &bytes).unwrap();
-                live.extend(bytes);
-                dirty_ops += 1;
-            }
-            Step::Checkpoint => {
-                db.checkpoint();
-                checkpointed = live.clone();
-                dirty_ops = 0;
-            }
-            Step::Crash => {
-                db.crash_and_reboot();
-                let recovered = lobstore::open_object(&mut db, obj.kind(), root).unwrap();
-                assert_eq!(
-                    recovered.snapshot(&db),
-                    checkpointed,
-                    "step {i}: crash did not recover the checkpoint"
-                );
-                recovered.check_invariants(&db).unwrap();
-                obj = recovered;
-                live = checkpointed.clone();
-                dirty_ops = 0;
-            }
-        }
-    }
-    // Final sanity: live state is intact and invariants hold.
-    assert_eq!(obj.snapshot(&db), live);
-    obj.check_invariants(&db).unwrap();
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, max_shrink_iters: 100, ..ProptestConfig::default() })]
-
-    #[test]
-    fn esm_recovers_after_random_crashes(steps in prop::collection::vec(step_strategy(), 1..30)) {
-        run_fuzz(ManagerSpec::esm(4), &steps);
-    }
-
-    #[test]
-    fn eos_recovers_after_random_crashes(steps in prop::collection::vec(step_strategy(), 1..30)) {
-        run_fuzz(ManagerSpec::eos(4), &steps);
-    }
-
-    #[test]
-    fn starburst_recovers_after_random_crashes(steps in prop::collection::vec(step_strategy(), 1..16)) {
-        run_fuzz(ManagerSpec::starburst(), &steps);
-    }
+#[test]
+fn starburst_recovers_after_random_crashes() {
+    recovers(ManagerSpec::starburst(), 15);
 }

@@ -2,9 +2,9 @@
 //! *performance* designs over the same abstraction, so any operation
 //! sequence must produce byte-identical objects on all of them.
 
+use lobstore::workload::fill;
+use lobstore::workload::model::{Driver, Kind, OpGen};
 use lobstore::{Db, LargeObject, ManagerSpec};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn all_specs() -> Vec<ManagerSpec> {
     vec![
@@ -16,12 +16,6 @@ fn all_specs() -> Vec<ManagerSpec> {
     ]
 }
 
-fn pattern(len: usize, seed: u64) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i as u64 * 131 + seed * 7 + 3) % 251) as u8)
-        .collect()
-}
-
 /// Drive the same scripted edit session everywhere and diff the results.
 #[test]
 fn scripted_session_is_identical_everywhere() {
@@ -29,12 +23,12 @@ fn scripted_session_is_identical_everywhere() {
     for spec in all_specs() {
         let mut db = Db::paper_default();
         let mut obj = spec.create(&mut db).unwrap();
-        obj.append(&mut db, &pattern(100_000, 1)).unwrap();
-        obj.insert(&mut db, 40_000, &pattern(9_000, 2)).unwrap();
+        obj.append(&mut db, &fill(100_000, 1)).unwrap();
+        obj.insert(&mut db, 40_000, &fill(9_000, 2)).unwrap();
         obj.delete(&mut db, 20_000, 15_000).unwrap();
-        obj.replace(&mut db, 0, &pattern(5_000, 3)).unwrap();
-        obj.append(&mut db, &pattern(30_000, 4)).unwrap();
-        obj.insert(&mut db, 0, &pattern(777, 5)).unwrap();
+        obj.replace(&mut db, 0, &fill(5_000, 3)).unwrap();
+        obj.append(&mut db, &fill(30_000, 4)).unwrap();
+        obj.insert(&mut db, 0, &fill(777, 5)).unwrap();
         obj.delete(&mut db, 100_000, 10_000).unwrap();
         obj.trim(&mut db).unwrap();
         obj.check_invariants(&db).unwrap();
@@ -50,60 +44,23 @@ fn scripted_session_is_identical_everywhere() {
     }
 }
 
-/// Random sessions with a shared RNG seed: every manager must agree with
-/// the in-memory reference model at every step.
+/// Random sessions with a shared seed: every manager must agree with
+/// the reference model at every step, and `destroy` must leak nothing.
 #[test]
 fn random_sessions_agree_with_model() {
+    const MIX: &[(u32, Kind)] = &[
+        (4, Kind::Insert),
+        (2, Kind::Delete),
+        (2, Kind::Replace),
+        (2, Kind::Read),
+    ];
     for spec in all_specs() {
         let mut db = Db::paper_default();
-        let mut obj = spec.create(&mut db).unwrap();
-        let mut model: Vec<u8> = Vec::new();
-        let mut rng = StdRng::seed_from_u64(2024);
+        let mut d = Driver::new(&mut db, spec);
         let heavy = matches!(spec, ManagerSpec::Starburst { .. });
         let steps = if heavy { 40 } else { 90 };
-        for step in 0..steps {
-            match rng.gen_range(0..10) {
-                0..=3 => {
-                    let chunk = pattern(rng.gen_range(1..40_000), step);
-                    let off = rng.gen_range(0..=model.len());
-                    obj.insert(&mut db, off as u64, &chunk).unwrap();
-                    model.splice(off..off, chunk.iter().copied());
-                }
-                4..=5 if !model.is_empty() => {
-                    let off = rng.gen_range(0..model.len());
-                    let len = rng.gen_range(1..=(model.len() - off).min(30_000));
-                    obj.delete(&mut db, off as u64, len as u64).unwrap();
-                    model.drain(off..off + len);
-                }
-                6..=7 if !model.is_empty() => {
-                    let off = rng.gen_range(0..model.len());
-                    let len = rng.gen_range(1..=(model.len() - off).min(10_000));
-                    let patch = pattern(len, step + 1000);
-                    obj.replace(&mut db, off as u64, &patch).unwrap();
-                    model[off..off + len].copy_from_slice(&patch);
-                }
-                _ if !model.is_empty() => {
-                    let off = rng.gen_range(0..model.len());
-                    let len = rng.gen_range(1..=(model.len() - off).min(20_000));
-                    let mut out = vec![0u8; len];
-                    obj.read(&mut db, off as u64, &mut out).unwrap();
-                    assert_eq!(out[..], model[off..off + len], "{}: read", spec.label());
-                }
-                _ => {}
-            }
-            obj.check_invariants(&db)
-                .unwrap_or_else(|e| panic!("{} step {step}: {e}", spec.label()));
-        }
-        assert_eq!(obj.snapshot(&db), model, "{}", spec.label());
-        // Tear down and verify no storage leaks.
-        obj.destroy(&mut db).unwrap();
-        assert_eq!(
-            db.leaf_pages_allocated(),
-            0,
-            "{} leaked leaves",
-            spec.label()
-        );
-        assert_eq!(db.meta_pages_allocated(), 0, "{} leaked meta", spec.label());
+        d.run(&mut db, OpGen::new(2024, MIX, 40_000).take(steps));
+        d.finish(&mut db);
     }
 }
 
@@ -116,17 +73,17 @@ fn mixed_kinds_share_one_database() {
         .map(|s| s.create(&mut db).unwrap())
         .collect();
     for (i, obj) in objs.iter_mut().enumerate() {
-        obj.append(&mut db, &pattern(50_000 + i * 1_000, i as u64))
+        obj.append(&mut db, &fill(50_000 + i * 1_000, i as u64))
             .unwrap();
     }
     // Interleaved edits must not interfere.
     for (i, obj) in objs.iter_mut().enumerate() {
-        obj.insert(&mut db, 10_000, &pattern(2_000, 99 + i as u64))
+        obj.insert(&mut db, 10_000, &fill(2_000, 99 + i as u64))
             .unwrap();
     }
     for (i, obj) in objs.iter_mut().enumerate() {
-        let mut expected = pattern(50_000 + i * 1_000, i as u64);
-        let ins = pattern(2_000, 99 + i as u64);
+        let mut expected = fill(50_000 + i * 1_000, i as u64);
+        let ins = fill(2_000, 99 + i as u64);
         expected.splice(10_000..10_000, ins.iter().copied());
         assert_eq!(obj.snapshot(&db), expected, "object {i}");
         obj.check_invariants(&db).unwrap();
@@ -148,9 +105,9 @@ fn reopen_after_flush() {
     let mut esm = EsmObject::create(&mut db, lobstore::EsmParams { leaf_pages: 4 }).unwrap();
     let mut eos = EosObject::create(&mut db, lobstore::EosParams::default()).unwrap();
     let mut star = StarburstObject::create(&mut db, lobstore::StarburstParams::default()).unwrap();
-    esm.append(&mut db, &pattern(30_000, 1)).unwrap();
-    eos.append(&mut db, &pattern(30_000, 2)).unwrap();
-    star.append(&mut db, &pattern(30_000, 3)).unwrap();
+    esm.append(&mut db, &fill(30_000, 1)).unwrap();
+    eos.append(&mut db, &fill(30_000, 2)).unwrap();
+    star.append(&mut db, &fill(30_000, 3)).unwrap();
     let roots = (esm.root_page(), eos.root_page(), star.root_page());
     let _ = (esm, eos, star);
 
@@ -160,9 +117,9 @@ fn reopen_after_flush() {
     let esm = EsmObject::open(&mut db, roots.0).unwrap();
     let eos = EosObject::open(&mut db, roots.1).unwrap();
     let star = StarburstObject::open(&mut db, roots.2).unwrap();
-    assert_eq!(esm.snapshot(&db), pattern(30_000, 1));
-    assert_eq!(eos.snapshot(&db), pattern(30_000, 2));
-    assert_eq!(star.snapshot(&db), pattern(30_000, 3));
+    assert_eq!(esm.snapshot(&db), fill(30_000, 1));
+    assert_eq!(eos.snapshot(&db), fill(30_000, 2));
+    assert_eq!(star.snapshot(&db), fill(30_000, 3));
     // Kind confusion is rejected.
     assert!(EsmObject::open(&mut db, roots.1).is_err());
     assert!(StarburstObject::open(&mut db, roots.0).is_err());

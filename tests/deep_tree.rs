@@ -4,9 +4,8 @@
 //! to 4–6 entries per node and drive the full manager stack over trees
 //! four and five levels tall.
 
+use lobstore::workload::model::{at, Driver, Kind, Op, OpGen};
 use lobstore::{Db, DbConfig, ManagerSpec, TreeConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn tiny_db(fanout: usize) -> Db {
     Db::new(DbConfig {
@@ -15,106 +14,49 @@ fn tiny_db(fanout: usize) -> Db {
     })
 }
 
-fn pattern(len: usize, seed: u64) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i as u64 * 61 + seed * 17 + 3) % 251) as u8)
-        .collect()
-}
-
 /// Build enough 1-page ESM leaves that the tree is several levels tall,
 /// then read across the whole range and dismantle it again.
 #[test]
 fn esm_grows_and_shrinks_through_many_levels() {
     let mut db = tiny_db(4);
-    let mut obj = ManagerSpec::esm(1).create(&mut db).unwrap();
-    let mut model = Vec::new();
+    let mut d = Driver::new(&mut db, ManagerSpec::esm(1));
     // 300 leaves at fan-out 4 → height ≥ 4.
-    for i in 0..300u64 {
-        let chunk = pattern(4096, i);
-        obj.append(&mut db, &chunk).unwrap();
-        model.extend_from_slice(&chunk);
-    }
-    obj.check_invariants(&db).unwrap();
+    d.run(&mut db, (0..300).map(|_| Op::Append(4096)));
     assert!(
         db.meta_pages_allocated() > 80,
         "expected a bushy tree, got {} index pages",
         db.meta_pages_allocated()
     );
     // Random reads across level boundaries.
-    let mut rng = StdRng::seed_from_u64(5);
-    for _ in 0..50 {
-        let off = rng.gen_range(0..model.len() - 10_000);
-        let mut out = vec![0u8; 10_000];
-        obj.read(&mut db, off as u64, &mut out).unwrap();
-        assert_eq!(out[..], model[off..off + 10_000]);
-    }
+    d.run(&mut db, OpGen::new(5, &[(1, Kind::Read)], 10_000).take(50));
     // Delete from the middle until the object is small again; every step
     // must keep counts, fill factors, and content consistent.
-    while model.len() > 50_000 {
-        let len = rng.gen_range(1..30_000).min(model.len() - 1);
-        let off = rng.gen_range(0..model.len() - len);
-        obj.delete(&mut db, off as u64, len as u64).unwrap();
-        model.drain(off..off + len);
-        obj.check_invariants(&db)
-            .unwrap_or_else(|e| panic!("{} bytes left: {e}", model.len()));
+    let mut deletes = OpGen::new(5, &[(1, Kind::Delete)], 30_000);
+    while d.model.bytes().len() > 50_000 {
+        d.run(&mut db, deletes.next());
     }
-    assert_eq!(obj.snapshot(&db), model);
-    obj.destroy(&mut db).unwrap();
-    assert_eq!(db.meta_pages_allocated(), 0);
-    assert_eq!(db.leaf_pages_allocated(), 0);
+    d.finish(&mut db);
 }
 
 /// EOS under a deep tree: T=1 keeps segments small, so the entry count —
 /// and the index — stays large while inserts and deletes churn.
 #[test]
 fn eos_mixed_ops_on_a_deep_tree() {
+    const MIX: &[(u32, Kind)] = &[(5, Kind::Insert), (3, Kind::Delete), (2, Kind::Read)];
     let mut db = tiny_db(5);
-    let mut obj = ManagerSpec::eos(1).create(&mut db).unwrap();
-    let mut model: Vec<u8> = Vec::new();
-    let mut rng = StdRng::seed_from_u64(77);
-    for step in 0..250 {
-        match rng.gen_range(0..10) {
-            0..=4 => {
-                let chunk = pattern(rng.gen_range(1..12_000), step);
-                let off = rng.gen_range(0..=model.len());
-                obj.insert(&mut db, off as u64, &chunk).unwrap();
-                model.splice(off..off, chunk.iter().copied());
-            }
-            5..=7 if !model.is_empty() => {
-                let off = rng.gen_range(0..model.len());
-                let len = rng.gen_range(1..=(model.len() - off).min(9_000));
-                obj.delete(&mut db, off as u64, len as u64).unwrap();
-                model.drain(off..off + len);
-            }
-            _ if !model.is_empty() => {
-                let off = rng.gen_range(0..model.len());
-                let len = rng.gen_range(1..=(model.len() - off).min(6_000));
-                let mut out = vec![0u8; len];
-                obj.read(&mut db, off as u64, &mut out).unwrap();
-                assert_eq!(out[..], model[off..off + len], "step {step}");
-            }
-            _ => {}
-        }
-        obj.check_invariants(&db)
-            .unwrap_or_else(|e| panic!("step {step}: {e}"));
-    }
-    assert_eq!(obj.snapshot(&db), model);
-    let segs = obj.segments(&db);
+    let mut d = Driver::new(&mut db, ManagerSpec::eos(1));
+    d.run(&mut db, OpGen::new(77, MIX, 12_000).take(250));
+    let segs = d.obj.segments(&db);
     assert!(
         segs.len() > 25,
         "T=1 should leave many segments: {}",
         segs.len()
     );
-    // Crash-recovery still works on deep trees.
-    db.checkpoint();
-    let checkpointed = model.clone();
-    obj.insert(&mut db, 0, b"lost to the crash").unwrap();
-    let root = obj.root_page();
-    drop(obj);
-    db.crash_and_reboot();
-    let recovered = lobstore::open_object(&mut db, lobstore::StorageKind::Eos, root).unwrap();
-    assert_eq!(recovered.snapshot(&db), checkpointed);
-    recovered.check_invariants(&db).unwrap();
+    // Crash-recovery still works on deep trees: the unflushed insert is
+    // lost, the checkpoint comes back.
+    let lost = Op::Insert(0.0, 17);
+    d.run(&mut db, [Op::Checkpoint, lost, Op::Crash]);
+    d.finish(&mut db);
 }
 
 /// The tree must also survive pathological splice patterns: repeated
@@ -124,30 +66,22 @@ fn eos_mixed_ops_on_a_deep_tree() {
 fn adversarial_splice_patterns() {
     for spec in [ManagerSpec::esm(1), ManagerSpec::eos(2)] {
         let mut db = tiny_db(4);
-        let mut obj = spec.create(&mut db).unwrap();
-        let mut model: Vec<u8> = Vec::new();
+        let mut d = Driver::new(&mut db, spec);
         // Front-load: every insert lands at offset 0.
-        for i in 0..80u64 {
-            let chunk = pattern(3_000, i);
-            obj.insert(&mut db, 0, &chunk).unwrap();
-            model.splice(0..0, chunk.iter().copied());
-            obj.check_invariants(&db)
-                .unwrap_or_else(|e| panic!("{} front-load {i}: {e}", spec.label()));
-        }
+        d.run(&mut db, (0..80).map(|_| Op::Insert(0.0, 3_000)));
         // Alternating first/last deletes until nothing is left.
-        let mut from_front = true;
-        while !model.is_empty() {
-            let len = 5_000.min(model.len());
-            let off = if from_front { 0 } else { model.len() - len };
-            obj.delete(&mut db, off as u64, len as u64).unwrap();
-            model.drain(off..off + len);
-            from_front = !from_front;
-            obj.check_invariants(&db)
-                .unwrap_or_else(|e| panic!("{} drain: {e}", spec.label()));
+        for i in 0.. {
+            let size = d.model.bytes().len();
+            if size == 0 {
+                break;
+            }
+            let off = if i % 2 == 0 {
+                0
+            } else {
+                size.saturating_sub(5_000)
+            };
+            d.apply(&mut db, &Op::Delete(at(off, size), 5_000));
         }
-        assert_eq!(obj.size(&mut db), 0);
-        obj.destroy(&mut db).unwrap();
-        assert_eq!(db.leaf_pages_allocated(), 0, "{}", spec.label());
-        assert_eq!(db.meta_pages_allocated(), 0, "{}", spec.label());
+        d.finish(&mut db);
     }
 }

@@ -13,30 +13,11 @@
 //! The same must hold after `checkpoint` + `crash_and_reboot`: health is
 //! recomputed from disk state, so a reboot cannot change it.
 
+use lobstore::workload::model::{for_seeds, Driver, Kind, Op, OpGen};
 use lobstore::{object_health, Db, ManagerSpec};
-use proptest::prelude::*;
 
-/// Abstract churn op; fractions scale to the current object size.
-#[derive(Clone, Debug)]
-enum Op {
-    Append { len: usize },
-    Delete { at: f64, len: usize },
-    Recreate,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (1usize..40_000).prop_map(|len| Op::Append { len }),
-        (0.0f64..=1.0, 1usize..30_000).prop_map(|(at, len)| Op::Delete { at, len }),
-        Just(Op::Recreate),
-    ]
-}
-
-fn fill(len: usize, seed: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i * 31 + seed * 7 + 3) % 251) as u8)
-        .collect()
-}
+/// Appends, deletes and whole-object recreation, equally weighted.
+const MIX: &[(u32, Kind)] = &[(1, Kind::Append), (1, Kind::Delete), (1, Kind::Recreate)];
 
 /// Assert the three accountings agree for both areas, and that the
 /// published gauges carry exactly the recounted values.
@@ -100,77 +81,51 @@ fn assert_health_closure(db: &mut Db, context: &str) {
     }
 }
 
-fn run_history(spec: ManagerSpec, ops: &[Op]) {
+/// 16 seeded histories of `ops` ops of up to 40 000 bytes.
+fn histories(spec: ManagerSpec, ops: usize) {
+    for_seeds(16, |seed| {
+        history(spec, OpGen::new(seed, MIX, 40_000).take(ops))
+    });
+}
+
+fn history(spec: ManagerSpec, ops: impl Iterator<Item = Op>) {
     lobstore_obs::reset();
     let mut db = Db::paper_default();
-    let mut obj = spec.create(&mut db).unwrap();
-    let mut size = 0usize;
-    for (i, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Append { len } => {
-                obj.append(&mut db, &fill(len, i)).unwrap();
-                size += len;
-            }
-            Op::Delete { at, len } => {
-                if size == 0 {
-                    continue;
-                }
-                let off = ((at * size as f64) as usize).min(size - 1);
-                let len = len.min(size - off);
-                if len == 0 {
-                    continue;
-                }
-                obj.delete(&mut db, off as u64, len as u64).unwrap();
-                size -= len;
-            }
-            Op::Recreate => {
-                obj.destroy(&mut db).unwrap();
-                obj = spec.create(&mut db).unwrap();
-                size = 0;
-            }
-        }
-    }
+    let mut d = Driver::new(&mut db, spec);
+    d.run(&mut db, ops);
     assert_health_closure(&mut db, &format!("{} live", spec.label()));
 
     // Object health agrees with the object's own walk.
-    let health = object_health(obj.as_ref(), &db);
-    let util = obj.utilization(&db);
+    let health = object_health(d.obj.as_ref(), &db);
+    let util = d.obj.utilization(&db);
     assert_eq!(health.object_bytes, util.object_bytes);
-    assert_eq!(health.segments, obj.segments(&db).len() as u64);
+    assert_eq!(health.segments, d.obj.segments(&db).len() as u64);
     assert!((0.0..=1.0).contains(&health.contiguity()));
 
     // Flushed state survives a crash with identical health: the recount
     // only ever looks at what the disk (plus pool) holds.
     let before = db.sample_health();
-    db.checkpoint();
-    db.crash_and_reboot();
+    d.run(&mut db, [Op::Checkpoint, Op::Crash]);
     let after = db.sample_health();
     assert_eq!(before.leaf, after.leaf, "{}: reboot", spec.label());
     assert_eq!(before.meta, after.meta, "{}: reboot", spec.label());
     assert_health_closure(&mut db, &format!("{} rebooted", spec.label()));
+    d.finish(&mut db);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 16,
-        max_shrink_iters: 100,
-        ..ProptestConfig::default()
-    })]
+#[test]
+fn esm_health_matches_recount() {
+    histories(ManagerSpec::esm(4), 24);
+}
 
-    #[test]
-    fn esm_health_matches_recount(ops in prop::collection::vec(op_strategy(), 1..25)) {
-        run_history(ManagerSpec::esm(4), &ops);
-    }
+#[test]
+fn eos_health_matches_recount() {
+    histories(ManagerSpec::eos(16), 24);
+}
 
-    #[test]
-    fn eos_health_matches_recount(ops in prop::collection::vec(op_strategy(), 1..25)) {
-        run_history(ManagerSpec::eos(16), &ops);
-    }
-
-    #[test]
-    fn starburst_health_matches_recount(ops in prop::collection::vec(op_strategy(), 1..18)) {
-        run_history(ManagerSpec::starburst(), &ops);
-    }
+#[test]
+fn starburst_health_matches_recount() {
+    histories(ManagerSpec::starburst(), 17);
 }
 
 #[test]

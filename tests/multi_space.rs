@@ -6,6 +6,7 @@
 //! A 64 MB space holds 16384 pages, so we shrink spaces to 1024 pages
 //! (4 MB) to get many of them without moving hundreds of megabytes.
 
+use lobstore::workload::fill;
 use lobstore::{Db, DbConfig, IoStats, LargeObject, ManagerSpec};
 
 fn small_space_db() -> Db {
@@ -14,12 +15,6 @@ fn small_space_db() -> Db {
         meta_space_pages: 1024,
         ..DbConfig::default()
     })
-}
-
-fn pattern(len: usize, seed: u64) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i as u64 * 131 + seed) % 251) as u8)
-        .collect()
 }
 
 #[test]
@@ -35,7 +30,7 @@ fn object_spanning_many_buddy_spaces() {
     }
     .create(&mut db)
     .unwrap();
-    let chunk = pattern(256 * 1024, 1);
+    let chunk = fill(256 * 1024, 1);
     for _ in 0..80 {
         obj.append(&mut db, &chunk).unwrap();
     }
@@ -48,10 +43,10 @@ fn object_spanning_many_buddy_spaces() {
     for mb in [4u64, 8, 12, 16] {
         let off = (mb << 20) - 4096;
         obj.read(&mut db, off, &mut buf).unwrap();
-        // Expected bytes follow the repeating 256 KB chunk pattern.
+        // Expected bytes follow the repeating 256 KB chunk.
         for (i, &b) in buf.iter().enumerate() {
             let pos = (off + i as u64) % (256 * 1024);
-            assert_eq!(b, ((pos * 131 + 1) % 251) as u8, "byte at {off}+{i}");
+            assert_eq!(b, chunk[pos as usize], "byte at {off}+{i}");
         }
     }
 
@@ -59,7 +54,7 @@ fn object_spanning_many_buddy_spaces() {
     for i in 0..60u64 {
         let size = obj.size(&mut db);
         let at = (i * 334_961) % size;
-        obj.insert(&mut db, at, &pattern(9_000, i)).unwrap();
+        obj.insert(&mut db, at, &fill(9_000, i)).unwrap();
         let size = obj.size(&mut db);
         obj.delete(&mut db, (i * 746_773) % (size - 9_000), 9_000)
             .unwrap();
@@ -88,7 +83,7 @@ fn many_objects_fill_and_release_spaces() {
             },
         };
         let mut obj = spec.create(&mut db).unwrap();
-        obj.append(&mut db, &pattern(2 << 20, i)).unwrap();
+        obj.append(&mut db, &fill(2 << 20, i)).unwrap();
         obj.trim(&mut db).unwrap();
         objs.push(obj);
     }
@@ -105,10 +100,10 @@ fn many_objects_fill_and_release_spaces() {
         .collect();
     let mut db_ref = db;
     for (i, obj) in survivors.into_iter().enumerate() {
-        obj.append(&mut db_ref, &pattern(1 << 20, 100 + i as u64))
+        obj.append(&mut db_ref, &fill(1 << 20, 100 + i as u64))
             .unwrap();
         obj.check_invariants(&db_ref).unwrap();
-        let expected_tail = pattern(1 << 20, 100 + i as u64);
+        let expected_tail = fill(1 << 20, 100 + i as u64);
         let size = obj.size(&mut db_ref);
         let mut tail = vec![0u8; 1 << 20];
         obj.read(&mut db_ref, size - (1 << 20), &mut tail).unwrap();

@@ -2,7 +2,9 @@
 //! allocation-log crash recovery (DESIGN.md §16), exercised across all
 //! three storage structures.
 
-use lobstore::{Db, DbConfig, LobError, ManagerSpec, SnapshotReader};
+use lobstore::workload::fill;
+use lobstore::workload::model::{at, Driver, Op};
+use lobstore::{Db, DbConfig, ManagerSpec, SnapshotReader};
 
 fn mvcc_db() -> Db {
     Db::new(DbConfig {
@@ -17,12 +19,6 @@ fn specs() -> [ManagerSpec; 3] {
         ManagerSpec::eos(16),
         ManagerSpec::starburst(),
     ]
-}
-
-fn fill(len: usize, seed: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i * 37 + seed * 7 + 13) % 251) as u8)
-        .collect()
 }
 
 /// A reader holding a snapshot sees exactly the bytes that were
@@ -108,30 +104,18 @@ fn snapshot_reader_random_access_matches_snapshot_bytes() {
 fn transactions_commit_atomically() {
     for spec in specs() {
         let mut db = mvcc_db();
-        let mut obj = spec.create(&mut db).unwrap();
-        let mut model = fill(80_000, 6);
-        obj.append(&mut db, &model).unwrap();
-
+        let mut d = Driver::new(&mut db, spec);
+        d.apply(&mut db, &Op::Append(80_000));
         let v_before = db.current_version();
-        obj = db
-            .txn(|db| {
-                let mut obj = lobstore::open_object(db, obj.kind(), obj.root_page())?;
-                obj.append(db, &fill(12_000, 7))?;
-                obj.insert(db, 5_000, &fill(3_000, 8))?;
-                obj.delete(db, 60_000, 9_000)?;
-                Ok(obj)
-            })
-            .unwrap();
-        assert_eq!(
-            db.current_version(),
-            v_before + 1,
-            "{spec:?}: one version per transaction"
-        );
-        model.extend(fill(12_000, 7));
-        model.splice(5_000..5_000, fill(3_000, 8));
-        model.drain(60_000..69_000);
-        assert_eq!(obj.snapshot(&db), model, "{spec:?}");
-        obj.check_invariants(&db).unwrap();
+        let ops = vec![
+            Op::Append(12_000),
+            Op::Insert(at(5_000, 92_000), 3_000),
+            Op::Delete(at(60_000, 95_000), 9_000),
+        ];
+        d.apply(&mut db, &Op::Txn { ops, abort: false });
+        let v_after = db.current_version();
+        assert_eq!(v_after, v_before + 1, "{spec:?}: one version per txn");
+        d.finish(&mut db);
     }
 }
 
@@ -141,48 +125,27 @@ fn transactions_commit_atomically() {
 fn failed_transactions_roll_back() {
     for spec in specs() {
         let mut db = mvcc_db();
-        let mut obj = spec.create(&mut db).unwrap();
-        let model = fill(70_000, 9);
-        obj.append(&mut db, &model).unwrap();
-        db.checkpoint();
-
-        let v_before = db.current_version();
-        let meta_before = db.meta_pages_allocated();
-        let leaf_before = db.leaf_pages_allocated();
-        let kind = obj.kind();
-        let root = obj.root_page();
-
-        let err = db
-            .txn(|db| -> lobstore::Result<()> {
-                let mut obj = lobstore::open_object(db, kind, root)?;
-                obj.append(db, &fill(20_000, 10))?;
-                obj.insert(db, 2_000, &fill(6_000, 11))?;
-                obj.delete(db, 30_000, 10_000)?;
-                Err(LobError::Corrupt("deliberate abort".into()))
-            })
-            .unwrap_err();
-        assert!(matches!(err, LobError::Corrupt(_)), "{spec:?}: {err}");
-
-        assert_eq!(db.current_version(), v_before, "{spec:?}: no version");
-        assert_eq!(
-            db.meta_pages_allocated(),
-            meta_before,
-            "{spec:?}: META allocations rolled back"
-        );
-        assert_eq!(
-            db.leaf_pages_allocated(),
-            leaf_before,
-            "{spec:?}: LEAF allocations rolled back"
-        );
-        let obj = lobstore::open_object(&mut db, kind, root).unwrap();
-        assert_eq!(obj.snapshot(&db), model, "{spec:?}: bytes restored");
-        obj.check_invariants(&db).unwrap();
+        let mut d = Driver::new(&mut db, spec);
+        d.run(&mut db, [Op::Append(70_000), Op::Checkpoint]);
+        let state = |db: &Db| {
+            let pages = (db.meta_pages_allocated(), db.leaf_pages_allocated());
+            (db.current_version(), pages)
+        };
+        let before = state(&db);
+        let ops = vec![
+            Op::Append(20_000),
+            Op::Insert(at(2_000, 90_000), 6_000),
+            Op::Delete(at(30_000, 96_000), 10_000),
+        ];
+        // The driver checks the bytes are restored and the error passes
+        // through.
+        d.apply(&mut db, &Op::Txn { ops, abort: true });
+        let what = "no version, META and LEAF allocations rolled back";
+        assert_eq!(state(&db), before, "{spec:?}: {what}");
         db.verify_alloc_log().unwrap();
-
         // The database keeps working after a rollback.
-        let mut obj = lobstore::open_object(&mut db, kind, root).unwrap();
-        obj.append(&mut db, b"life goes on").unwrap();
-        obj.check_invariants(&db).unwrap();
+        d.apply(&mut db, &Op::Append(12));
+        d.finish(&mut db);
     }
 }
 
@@ -191,44 +154,19 @@ fn failed_transactions_roll_back() {
 /// needed (the log subsumes the directory-flush requirement).
 #[test]
 fn crash_after_each_op_recovers_the_committed_version() {
+    let append = Op::Append(25_000);
+    let insert = Op::Insert(1.0 / 3.0, 8_000);
+    let delete = Op::Delete(0.25, 9_000);
     for spec in specs() {
         let mut db = mvcc_db();
-        let mut obj = spec.create(&mut db).unwrap();
-        db.checkpoint();
-        let kind = obj.kind();
-        let root = obj.root_page();
-        let mut model: Vec<u8> = Vec::new();
-
-        for (i, action) in [0usize, 1, 2, 0, 2, 1, 0].iter().enumerate() {
-            match action {
-                0 => {
-                    let bytes = fill(25_000, i);
-                    obj.append(&mut db, &bytes).unwrap();
-                    model.extend(bytes);
-                }
-                1 => {
-                    let at = model.len() / 3;
-                    let bytes = fill(8_000, i + 100);
-                    obj.insert(&mut db, at as u64, &bytes).unwrap();
-                    model.splice(at..at, bytes);
-                }
-                _ => {
-                    let at = model.len() / 4;
-                    let len = (model.len() - at).min(9_000);
-                    obj.delete(&mut db, at as u64, len as u64).unwrap();
-                    model.drain(at..at + len);
-                }
-            }
-            db.crash_and_reboot();
-            obj = lobstore::open_object(&mut db, kind, root).unwrap();
-            assert_eq!(
-                obj.snapshot(&db),
-                model,
-                "{spec:?}: step {i} lost committed bytes"
-            );
-            obj.check_invariants(&db).unwrap();
-            db.verify_alloc_log().unwrap();
+        let mut d = Driver::new(&mut db, spec);
+        d.apply(&mut db, &Op::Checkpoint);
+        for op in [
+            &append, &insert, &delete, &append, &delete, &insert, &append,
+        ] {
+            d.run(&mut db, [op.clone(), Op::Crash]);
         }
+        d.finish(&mut db);
     }
 }
 
@@ -238,37 +176,16 @@ fn crash_after_each_op_recovers_the_committed_version() {
 #[test]
 fn crash_replays_committed_transactions_and_forgets_aborted_ones() {
     let mut db = mvcc_db();
-    let mut obj = ManagerSpec::esm(4).create(&mut db).unwrap();
-    let kind = obj.kind();
-    let root = obj.root_page();
-    let mut model = fill(40_000, 20);
-    obj.append(&mut db, &model).unwrap();
-
-    // Committed transaction, then crash.
-    db.txn(|db| {
-        let mut obj = lobstore::open_object(db, kind, root)?;
-        obj.append(db, &fill(10_000, 21))?;
-        obj.delete(db, 0, 5_000)?;
-        Ok(())
-    })
-    .unwrap();
-    model.extend(fill(10_000, 21));
-    model.drain(0..5_000);
-    db.crash_and_reboot();
-    let obj = lobstore::open_object(&mut db, kind, root).unwrap();
-    assert_eq!(obj.snapshot(&db), model, "committed txn survives the crash");
-
-    // Aborted transaction, then crash.
-    let _ = db.txn(|db| -> lobstore::Result<()> {
-        let mut obj = lobstore::open_object(db, kind, root)?;
-        obj.append(db, &fill(15_000, 22))?;
-        Err(LobError::Corrupt("abort".into()))
-    });
-    db.crash_and_reboot();
-    let obj = lobstore::open_object(&mut db, kind, root).unwrap();
-    assert_eq!(obj.snapshot(&db), model, "aborted txn leaves no trace");
-    obj.check_invariants(&db).unwrap();
-    db.verify_alloc_log().unwrap();
+    let mut d = Driver::new(&mut db, ManagerSpec::esm(4));
+    let ops = vec![Op::Append(10_000), Op::Delete(0.0, 5_000)];
+    let committed = Op::Txn { ops, abort: false };
+    let ops = vec![Op::Append(15_000)];
+    let aborted = Op::Txn { ops, abort: true };
+    d.run(
+        &mut db,
+        [Op::Append(40_000), committed, Op::Crash, aborted, Op::Crash],
+    );
+    d.finish(&mut db);
 }
 
 /// Snapshot bookkeeping survives image round-trips and stays observable

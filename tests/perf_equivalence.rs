@@ -1,15 +1,15 @@
 //! Property-based equivalence of the optimized read paths.
 //!
 //! The wall-clock work — extent-backed arenas, the scatter read path,
-//! the deserialized-node cache, the scan cursor — must leave both the
-//! returned bytes and the simulated cost model untouched. Two
-//! properties pin that:
+//! the scan cursor — must leave both the returned bytes and the
+//! simulated cost model untouched. Two properties pin that:
 //!
-//! 1. **Bytes**: for arbitrary build histories, the optimized
+//! 1. **Bytes**: for seeded build histories (driven through the one
+//!    reference model, `lobstore::workload::model`), the optimized
 //!    `LargeObject::read` and the `ObjectReader` cursor return exactly
 //!    the bytes of the naive peek-based reference (`snapshot()`, which
 //!    walks the index with cost-free peeks and bypasses the buffer
-//!    pool, the node cache and the scatter path entirely).
+//!    pool and the scatter path entirely).
 //! 2. **Accounting**: streaming an object through the cursor charges
 //!    *identical* `IoStats` to one bulk `LargeObject::read` of the same
 //!    range on a twin database. Bulk reads' absolute costs are pinned
@@ -19,14 +19,20 @@
 
 use std::io::{Read, Seek, SeekFrom};
 
+use lobstore::workload::fill;
+use lobstore::workload::model::{Driver, Kind, Op, OpGen};
 use lobstore::{Db, ManagerSpec, ObjectReader};
 use proptest::prelude::*;
 
-fn fill(len: usize, seed: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i * 31 + seed * 17 + 3) % 249) as u8)
-        .collect()
-}
+/// Build histories: appends, inserts and replaces.
+const BUILD: &[(u32, Kind)] = &[(1, Kind::Append), (1, Kind::Insert), (1, Kind::Replace)];
+/// Churn under a pin: the build mix plus deletes.
+const CHURN: &[(u32, Kind)] = &[
+    (1, Kind::Append),
+    (1, Kind::Insert),
+    (1, Kind::Replace),
+    (1, Kind::Delete),
+];
 
 /// Drain a reader to the end in `chunk`-sized requests.
 fn stream_all(r: &mut ObjectReader<'_>, chunk: usize, out: &mut Vec<u8>) {
@@ -39,37 +45,19 @@ fn stream_all(r: &mut ObjectReader<'_>, chunk: usize, out: &mut Vec<u8>) {
     }
 }
 
-/// Build an object from `edits` (append / insert / replace, by turn),
-/// then check random-range reads and a full streamed scan against the
-/// peek-based snapshot.
+/// Build an object from `edits` ops of up to `max_len` bytes of the
+/// `BUILD` mix, then check random-range reads and a full streamed scan
+/// against the peek-based snapshot.
 fn bytes_match_reference(
     spec: ManagerSpec,
-    edits: &[(f64, usize)],
+    (seed, edits, max_len): (u64, usize, usize),
     reads: &[(f64, usize)],
     chunk: usize,
 ) {
     let mut db = Db::paper_default();
-    let mut obj = spec.create(&mut db).unwrap();
-    for (i, &(at, len)) in edits.iter().enumerate() {
-        let size = obj.size(&mut db) as usize;
-        let bytes = fill(len, i);
-        match i % 3 {
-            0 => obj.append(&mut db, &bytes).unwrap(),
-            1 => {
-                let off = ((at * size as f64) as usize).min(size);
-                obj.insert(&mut db, off as u64, &bytes).unwrap();
-            }
-            _ => {
-                if size == 0 {
-                    obj.append(&mut db, &bytes).unwrap();
-                } else {
-                    let off = ((at * size as f64) as usize).min(size - 1);
-                    let len = len.min(size - off);
-                    obj.replace(&mut db, off as u64, &bytes[..len]).unwrap();
-                }
-            }
-        }
-    }
+    let mut d = Driver::new(&mut db, spec);
+    d.run(&mut db, OpGen::new(seed, BUILD, max_len).take(edits));
+    let obj = d.obj;
 
     let reference = obj.snapshot(&db);
     let size = reference.len();
@@ -167,46 +155,50 @@ proptest! {
 
     #[test]
     fn esm_reads_match_the_peek_reference(
-        (edits, reads, chunk) in (
-            prop::collection::vec((0.0f64..=1.0, 1usize..40_000), 1..12),
+        (seed, edits, reads, chunk) in (
+            any::<u64>(),
+            1usize..12,
             prop::collection::vec((0.0f64..=1.0, 1usize..30_000), 1..8),
             1usize..9_000,
         )
     ) {
-        bytes_match_reference(ManagerSpec::esm(16), &edits, &reads, chunk);
+        bytes_match_reference(ManagerSpec::esm(16), (seed, edits, 40_000), &reads, chunk);
     }
 
     #[test]
     fn esm_single_page_leaves_match_the_peek_reference(
-        (edits, reads, chunk) in (
-            prop::collection::vec((0.0f64..=1.0, 1usize..20_000), 1..10),
+        (seed, edits, reads, chunk) in (
+            any::<u64>(),
+            1usize..10,
             prop::collection::vec((0.0f64..=1.0, 1usize..15_000), 1..8),
             1usize..9_000,
         )
     ) {
-        bytes_match_reference(ManagerSpec::esm(1), &edits, &reads, chunk);
+        bytes_match_reference(ManagerSpec::esm(1), (seed, edits, 20_000), &reads, chunk);
     }
 
     #[test]
     fn eos_reads_match_the_peek_reference(
-        (edits, reads, chunk) in (
-            prop::collection::vec((0.0f64..=1.0, 1usize..40_000), 1..12),
+        (seed, edits, reads, chunk) in (
+            any::<u64>(),
+            1usize..12,
             prop::collection::vec((0.0f64..=1.0, 1usize..30_000), 1..8),
             1usize..9_000,
         )
     ) {
-        bytes_match_reference(ManagerSpec::eos(16), &edits, &reads, chunk);
+        bytes_match_reference(ManagerSpec::eos(16), (seed, edits, 40_000), &reads, chunk);
     }
 
     #[test]
     fn starburst_reads_match_the_peek_reference(
-        (edits, reads, chunk) in (
-            prop::collection::vec((0.0f64..=1.0, 1usize..40_000), 1..10),
+        (seed, edits, reads, chunk) in (
+            any::<u64>(),
+            1usize..10,
             prop::collection::vec((0.0f64..=1.0, 1usize..30_000), 1..8),
             1usize..9_000,
         )
     ) {
-        bytes_match_reference(ManagerSpec::starburst(), &edits, &reads, chunk);
+        bytes_match_reference(ManagerSpec::starburst(), (seed, edits, 40_000), &reads, chunk);
     }
 
     #[test]
@@ -255,8 +247,8 @@ use std::io::BufRead;
 
 use lobstore::simdisk::TraceKind;
 use lobstore::{
-    AreaId, IoStats, LargeObject, SegmentInfo, SharedDb, SharedSnapshotReader, Snapshot,
-    SnapshotReader, PAGE_SIZE,
+    AreaId, IoStats, SegmentInfo, SharedDb, SharedSnapshotReader, Snapshot, SnapshotReader,
+    PAGE_SIZE,
 };
 
 /// The most one span of the pinned cursor holds (`READ_AHEAD_MAX` in
@@ -271,31 +263,9 @@ fn span_read(s: &SegmentInfo, lo: u64) -> ((u32, u32), u64) {
     ((s.start_page + first as u32, (last - first + 1) as u32), hi)
 }
 
-/// Apply `edits` by turn (append / insert / replace / delete), payloads
-/// seeded from `seed`.
-fn apply_edits(db: &mut Db, obj: &mut dyn LargeObject, edits: &[(f64, usize)], seed: usize) {
-    for (i, &(at, len)) in edits.iter().enumerate() {
-        let size = obj.size(db) as usize;
-        let bytes = fill(len, seed + i);
-        let off = ((at * size as f64) as usize).min(size.saturating_sub(1));
-        match i % 4 {
-            1 => obj.insert(db, off as u64, &bytes).unwrap(),
-            2 if size > 0 => {
-                let len = len.min(size - off);
-                obj.replace(db, off as u64, &bytes[..len]).unwrap();
-            }
-            3 if size > 1 => {
-                let len = len.min(size - off - 1);
-                obj.delete(db, off as u64, len as u64).unwrap();
-            }
-            _ => obj.append(db, &bytes).unwrap(),
-        }
-    }
-}
-
-/// A store whose object was built from `edits`, pinned twice (a bare
+/// A store whose object was built from `history`, pinned twice (a bare
 /// [`Snapshot`] and a [`SharedSnapshotReader`]), then churned by the same
-/// edits again — so the pinned version's pages are superseded, deferred
+/// ops again — so the pinned version's pages are superseded, deferred
 /// and, without the pins, would be reused.
 struct PinnedStore {
     shared: SharedDb,
@@ -307,17 +277,17 @@ struct PinnedStore {
     segs: Vec<SegmentInfo>,
 }
 
-fn pinned_store(spec: ManagerSpec, edits: &[(f64, usize)]) -> PinnedStore {
+fn pinned_store(spec: ManagerSpec, history: &[Op]) -> PinnedStore {
     let mut db = Db::paper_default();
-    let mut obj = spec.create(&mut db).unwrap();
-    apply_edits(&mut db, obj.as_mut(), edits, 0);
-    let content = obj.snapshot(&db);
-    let segs = obj.segments(&db);
-    let root = obj.root_page();
+    let mut d = Driver::new(&mut db, spec);
+    d.run(&mut db, history.to_vec());
+    let content = d.model.bytes().to_vec();
+    let segs = d.obj.segments(&db);
+    let root = d.obj.root_page();
     let shared = SharedDb::new(db);
     let snap = shared.with(|db| db.snapshot());
     let cursor = shared.snapshot_reader(root).unwrap();
-    shared.with(|db| apply_edits(db, obj.as_mut(), edits, 100));
+    shared.with(|db| d.run(db, history.to_vec()));
     PinnedStore {
         shared,
         root,
@@ -390,13 +360,13 @@ fn pull(len: usize, mut step: impl FnMut(usize) -> Vec<u8>) -> Vec<u8> {
 
 fn pinned_cursor_properties(
     spec: ManagerSpec,
-    edits: &[(f64, usize)],
+    history: &[Op],
     script: &[(f64, usize)],
     chunk: usize,
 ) {
     // Twins: identical history, so identical pool and disk state.
-    let mut by_read = pinned_store(spec, edits);
-    let by_fill = pinned_store(spec, edits);
+    let mut by_read = pinned_store(spec, history);
+    let by_fill = pinned_store(spec, history);
     let content = by_read.content.clone();
     assert!(content == by_fill.content, "twin stores diverge");
     let ranges = by_read.ranges(script);
@@ -514,7 +484,7 @@ fn pinned_cursor_properties(
 fn pinned_scan_splits_a_segment_larger_than_the_window() {
     pinned_cursor_properties(
         ManagerSpec::starburst(),
-        &[(0.0, 9 << 20)],
+        &[Op::Append(9 << 20)],
         &[(0.6, 70_000)],
         1 << 20,
     );
@@ -529,34 +499,40 @@ proptest! {
 
     #[test]
     fn esm_pinned_cursor_is_stable_and_costed_once(
-        (edits, script, chunk) in (
-            prop::collection::vec((0.0f64..=1.0, 1usize..40_000), 1..12),
+        (seed, edits, script, chunk) in (
+            any::<u64>(),
+            1usize..12,
             prop::collection::vec((0.0f64..=1.0, 1usize..30_000), 1..8),
             1usize..9_000,
         )
     ) {
-        pinned_cursor_properties(ManagerSpec::esm(4), &edits, &script, chunk);
+        let history: Vec<Op> = OpGen::new(seed, CHURN, 40_000).take(edits).collect();
+        pinned_cursor_properties(ManagerSpec::esm(4), &history, &script, chunk);
     }
 
     #[test]
     fn eos_pinned_cursor_is_stable_and_costed_once(
-        (edits, script, chunk) in (
-            prop::collection::vec((0.0f64..=1.0, 1usize..40_000), 1..12),
+        (seed, edits, script, chunk) in (
+            any::<u64>(),
+            1usize..12,
             prop::collection::vec((0.0f64..=1.0, 1usize..30_000), 1..8),
             1usize..9_000,
         )
     ) {
-        pinned_cursor_properties(ManagerSpec::eos(16), &edits, &script, chunk);
+        let history: Vec<Op> = OpGen::new(seed, CHURN, 40_000).take(edits).collect();
+        pinned_cursor_properties(ManagerSpec::eos(16), &history, &script, chunk);
     }
 
     #[test]
     fn starburst_pinned_cursor_is_stable_and_costed_once(
-        (edits, script, chunk) in (
-            prop::collection::vec((0.0f64..=1.0, 1usize..40_000), 1..10),
+        (seed, edits, script, chunk) in (
+            any::<u64>(),
+            1usize..10,
             prop::collection::vec((0.0f64..=1.0, 1usize..30_000), 1..8),
             1usize..9_000,
         )
     ) {
-        pinned_cursor_properties(ManagerSpec::starburst(), &edits, &script, chunk);
+        let history: Vec<Op> = OpGen::new(seed, CHURN, 40_000).take(edits).collect();
+        pinned_cursor_properties(ManagerSpec::starburst(), &history, &script, chunk);
     }
 }

@@ -1,142 +1,52 @@
-//! Property-based model checking: arbitrary operation sequences against
-//! an in-memory reference `Vec<u8>`, for every manager, plus allocator
-//! and buffer-pool properties.
+//! Model configurations: seeded sequences of every paper update plus
+//! reads against the one reference model (`lobstore::workload::model`),
+//! for every manager, plus allocator and buffer-pool properties.
 
+use lobstore::workload::model::{for_seeds, Driver, Kind, OpGen};
 use lobstore::{Db, ManagerSpec};
 use proptest::prelude::*;
 
-/// One abstract operation; offsets/lengths are fractions so they stay
-/// meaningful as the object grows and shrinks.
-#[derive(Clone, Debug)]
-enum Op {
-    Append { len: usize },
-    Insert { at: f64, len: usize },
-    Delete { at: f64, len: usize },
-    Replace { at: f64, len: usize },
-    Read { at: f64, len: usize },
+const MIX: &[(u32, Kind)] = &[
+    (1, Kind::Append),
+    (1, Kind::Insert),
+    (1, Kind::Delete),
+    (1, Kind::Replace),
+    (1, Kind::Read),
+];
+
+/// 24 seeds (256 optimized) of `ops` ops of up to 30 000 bytes.
+fn matches_model(spec: ManagerSpec, ops: usize) {
+    for_seeds(24, |seed| {
+        let mut db = Db::paper_default();
+        let mut d = Driver::new(&mut db, spec);
+        d.run(&mut db, OpGen::new(seed, MIX, 30_000).take(ops));
+        d.finish(&mut db);
+    });
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (1usize..30_000).prop_map(|len| Op::Append { len }),
-        (0.0f64..=1.0, 1usize..30_000).prop_map(|(at, len)| Op::Insert { at, len }),
-        (0.0f64..=1.0, 1usize..20_000).prop_map(|(at, len)| Op::Delete { at, len }),
-        (0.0f64..=1.0, 1usize..10_000).prop_map(|(at, len)| Op::Replace { at, len }),
-        (0.0f64..=1.0, 1usize..10_000).prop_map(|(at, len)| Op::Read { at, len }),
-    ]
+#[test]
+fn esm_small_leaves_match_model() {
+    matches_model(ManagerSpec::esm(1), 34);
 }
 
-fn fill(len: usize, seed: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i * 37 + seed * 11 + 5) % 251) as u8)
-        .collect()
+#[test]
+fn esm_large_leaves_match_model() {
+    matches_model(ManagerSpec::esm(16), 34);
 }
 
-fn run_model(spec: ManagerSpec, ops: &[Op]) {
-    let mut db = Db::paper_default();
-    let mut obj = spec.create(&mut db).unwrap();
-    let mut model: Vec<u8> = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        let size = model.len();
-        match *op {
-            Op::Append { len } => {
-                let bytes = fill(len, i);
-                obj.append(&mut db, &bytes).unwrap();
-                model.extend_from_slice(&bytes);
-            }
-            Op::Insert { at, len } => {
-                let off = (at * size as f64) as usize;
-                let bytes = fill(len, i);
-                obj.insert(&mut db, off as u64, &bytes).unwrap();
-                model.splice(off..off, bytes.iter().copied());
-            }
-            Op::Delete { at, len } => {
-                if size == 0 {
-                    continue;
-                }
-                let off = ((at * size as f64) as usize).min(size - 1);
-                let len = len.min(size - off);
-                if len == 0 {
-                    continue;
-                }
-                obj.delete(&mut db, off as u64, len as u64).unwrap();
-                model.drain(off..off + len);
-            }
-            Op::Replace { at, len } => {
-                if size == 0 {
-                    continue;
-                }
-                let off = ((at * size as f64) as usize).min(size - 1);
-                let len = len.min(size - off);
-                if len == 0 {
-                    continue;
-                }
-                let bytes = fill(len, i + 7777);
-                obj.replace(&mut db, off as u64, &bytes).unwrap();
-                model[off..off + len].copy_from_slice(&bytes);
-            }
-            Op::Read { at, len } => {
-                if size == 0 {
-                    continue;
-                }
-                let off = ((at * size as f64) as usize).min(size - 1);
-                let len = len.min(size - off);
-                if len == 0 {
-                    continue;
-                }
-                let mut out = vec![0u8; len];
-                obj.read(&mut db, off as u64, &mut out).unwrap();
-                prop_assert_eq_bytes(&out, &model[off..off + len], i);
-            }
-        }
-        obj.check_invariants(&db)
-            .unwrap_or_else(|e| panic!("op {i} ({op:?}): {e}"));
-        assert_eq!(obj.size(&mut db), model.len() as u64, "size after op {i}");
-    }
-    assert_eq!(obj.snapshot(&db), model, "final content");
-    obj.destroy(&mut db).unwrap();
-    assert_eq!(db.leaf_pages_allocated(), 0, "leaf leak");
-    assert_eq!(db.meta_pages_allocated(), 0, "meta leak");
+#[test]
+fn eos_small_threshold_matches_model() {
+    matches_model(ManagerSpec::eos(1), 34);
 }
 
-fn prop_assert_eq_bytes(a: &[u8], b: &[u8], op: usize) {
-    if a != b {
-        let first = a.iter().zip(b).position(|(x, y)| x != y);
-        panic!("read mismatch at op {op}, first divergence at {first:?}");
-    }
+#[test]
+fn eos_large_threshold_matches_model() {
+    matches_model(ManagerSpec::eos(64), 34);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        max_shrink_iters: 200,
-        ..ProptestConfig::default()
-    })]
-
-    #[test]
-    fn esm_small_leaves_match_model(ops in prop::collection::vec(op_strategy(), 1..35)) {
-        run_model(ManagerSpec::esm(1), &ops);
-    }
-
-    #[test]
-    fn esm_large_leaves_match_model(ops in prop::collection::vec(op_strategy(), 1..35)) {
-        run_model(ManagerSpec::esm(16), &ops);
-    }
-
-    #[test]
-    fn eos_small_threshold_matches_model(ops in prop::collection::vec(op_strategy(), 1..35)) {
-        run_model(ManagerSpec::eos(1), &ops);
-    }
-
-    #[test]
-    fn eos_large_threshold_matches_model(ops in prop::collection::vec(op_strategy(), 1..35)) {
-        run_model(ManagerSpec::eos(64), &ops);
-    }
-
-    #[test]
-    fn starburst_matches_model(ops in prop::collection::vec(op_strategy(), 1..20)) {
-        run_model(ManagerSpec::starburst(), &ops);
-    }
+#[test]
+fn starburst_matches_model() {
+    matches_model(ManagerSpec::starburst(), 19);
 }
 
 // ---- allocator properties ------------------------------------------------

@@ -30,18 +30,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+use lobstore::workload::fill;
 use lobstore::{Catalog, Db, ManagerSpec, SharedDb, SnapshotReader};
 use lobstore_cli::check_database;
 use lobstore_simdisk::IoStats;
 
 const THREADS: u8 = 6;
 const OPS_PER_THREAD: usize = 25;
-
-fn pattern(t: u8, i: usize, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|k| (t as usize).wrapping_mul(97).wrapping_add(i * 31 + k) as u8)
-        .collect()
-}
 
 #[test]
 fn mixed_traffic_from_many_threads_keeps_io_accounting_closed() {
@@ -102,7 +97,7 @@ fn mixed_traffic_from_many_threads_keeps_io_accounting_closed() {
                 match i % 5 {
                     // Mostly appends, so the object keeps growing.
                     0..=2 => {
-                        let chunk = pattern(t, i, 4_000 + 128 * i);
+                        let chunk = fill(4_000 + 128 * i, (u64::from(t) << 32) | i as u64);
                         op(&mut |db| obj.append(db, &chunk).expect("append"));
                         model.extend_from_slice(&chunk);
                     }
@@ -217,7 +212,7 @@ fn snapshot_scans_race_writers_with_closed_accounting_and_clean_fsck() {
     for (i, (name, spec)) in specs.iter().enumerate() {
         let (kind, root, model) = shared.with(|db| {
             let mut obj = spec.create(db).unwrap();
-            let seed = pattern(i as u8, 7, SEED_BYTES);
+            let seed = fill(SEED_BYTES, i as u64);
             obj.append(db, &seed).unwrap();
             let mut cat = Catalog::open(db, cat_root).unwrap();
             cat.put(db, name, obj.kind(), obj.root_page()).unwrap();
@@ -277,7 +272,7 @@ fn snapshot_scans_race_writers_with_closed_accounting_and_clean_fsck() {
                         obj.delete(db, 0, 2_000).expect("delete");
                         model.drain(0..2_000);
                     } else {
-                        let chunk = pattern(w as u8 + 16, i, 4_000 + 64 * i);
+                        let chunk = fill(4_000 + 64 * i, ((w as u64 + 16) << 32) | i as u64);
                         obj.append(db, &chunk).expect("append");
                         model.extend_from_slice(&chunk);
                     }

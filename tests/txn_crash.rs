@@ -1,164 +1,60 @@
-//! Transactional crash-consistency fuzzing (DESIGN.md §16): run a mixed
-//! workload of multi-operation transactions, single operations, and
-//! checkpoints, and inject `crash_and_reboot` at EVERY commit boundary.
-//! After each crash the database must fsck clean (exit-0 semantics: zero
-//! findings) and the object must read back byte-identical to the last
-//! committed state — the allocation log replays everything since the
-//! last checkpoint, and aborted transactions leave no trace.
+//! Transactional crash-consistency model configurations (DESIGN.md §16):
+//! seeded multi-op transactions (half of them aborted), single updates
+//! and checkpoints, with `crash_and_reboot` injected after EVERY step.
+//! After each crash the model's log-on rule must hold (the object reads
+//! back byte-identical to the last committed state, the replayed log
+//! verifies, aborted transactions leave no trace) and the database must
+//! fsck clean (exit-0 semantics: zero findings).
 
-use lobstore::{Catalog, Db, DbConfig, LargeObject, LobError, ManagerSpec};
+use lobstore::workload::model::{for_seeds, Driver, Kind, Op, OpGen};
+use lobstore::{Catalog, Db, DbConfig, ManagerSpec};
 use lobstore_cli::check_database;
-use proptest::prelude::*;
 
-#[derive(Clone, Debug)]
-enum Op {
-    Append { len: usize },
-    Insert { at: f64, len: usize },
-    Delete { at: f64, len: usize },
-}
+/// Half transactions of one to three updates, three eighths single
+/// updates (append : insert : delete = 3 : 2 : 2), one eighth checkpoints.
+const MIX: &[(u32, Kind)] = &[
+    (28, Kind::Txn),
+    (9, Kind::Append),
+    (6, Kind::Insert),
+    (6, Kind::Delete),
+    (7, Kind::Checkpoint),
+];
 
-#[derive(Clone, Debug)]
-enum Step {
-    /// A multi-op transaction; `abort` makes the closure fail after
-    /// running every op, exercising rollback.
-    Txn {
-        ops: Vec<Op>,
-        abort: bool,
-    },
-    /// One auto-committed operation.
-    Single(Op),
-    Checkpoint,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (1usize..12_000).prop_map(|len| Op::Append { len }),
-        2 => (0.0f64..=1.0, 1usize..8_000).prop_map(|(at, len)| Op::Insert { at, len }),
-        2 => (0.0f64..=1.0, 1usize..8_000).prop_map(|(at, len)| Op::Delete { at, len }),
-    ]
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        4 => (prop::collection::vec(op_strategy(), 1..4), any::<bool>())
-            .prop_map(|(ops, abort)| Step::Txn { ops, abort }),
-        3 => op_strategy().prop_map(Step::Single),
-        1 => Just(Step::Checkpoint),
-    ]
-}
-
-fn fill(len: usize, seed: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i * 43 + seed * 11 + 7) % 249) as u8)
-        .collect()
-}
-
-/// Apply `op` to the live object and mirror it on `model`.
-fn apply(db: &mut Db, obj: &mut dyn LargeObject, model: &mut Vec<u8>, op: &Op, seed: usize) {
-    match op {
-        Op::Append { len } => {
-            let bytes = fill(*len, seed);
-            obj.append(db, &bytes).unwrap();
-            model.extend(bytes);
+/// 10 seeds (256 optimized): a cataloged, checkpointed 20 000-byte
+/// object, then `steps` steps of up to 12 000 bytes, each followed by a
+/// crash and an fsck.
+fn crash_consistently(spec: ManagerSpec, steps: usize) {
+    for_seeds(10, |seed| {
+        let mut db = Db::new(DbConfig {
+            alloc_log: true,
+            ..DbConfig::default()
+        });
+        let mut cat = Catalog::create(&mut db).unwrap();
+        let mut d = Driver::new(&mut db, spec);
+        cat.put(&mut db, "x", spec.kind(), d.obj.root_page())
+            .unwrap();
+        d.run(&mut db, [Op::Append(20_000), Op::Checkpoint]);
+        for (i, op) in OpGen::new(seed, MIX, 12_000).take(steps).enumerate() {
+            d.run(&mut db, [op, Op::Crash]);
+            cat = Catalog::open(&mut db, cat.root_page()).unwrap();
+            let findings = check_database(&mut db, &mut cat);
+            assert!(findings.is_empty(), "step {i}: fsck found {findings:?}");
         }
-        Op::Insert { at, len } => {
-            let off = ((at * model.len() as f64) as usize).min(model.len());
-            let bytes = fill(*len, seed + 1000);
-            obj.insert(db, off as u64, &bytes).unwrap();
-            model.splice(off..off, bytes);
-        }
-        Op::Delete { at, len } => {
-            if model.is_empty() {
-                return;
-            }
-            let off = ((at * model.len() as f64) as usize).min(model.len() - 1);
-            let len = (*len).min(model.len() - off);
-            obj.delete(db, off as u64, len as u64).unwrap();
-            model.drain(off..off + len);
-        }
-    }
-}
-
-fn run(spec: ManagerSpec, steps: &[Step]) {
-    let mut db = Db::new(DbConfig {
-        alloc_log: true,
-        ..DbConfig::default()
+        d.finish(&mut db);
     });
-    let mut cat = Catalog::create(&mut db).unwrap();
-    let cat_root = cat.root_page();
-    let mut obj = spec.create(&mut db).unwrap();
-    let kind = obj.kind();
-    let root = obj.root_page();
-    cat.put(&mut db, "x", kind, root).unwrap();
-    let mut model: Vec<u8> = Vec::new();
-    obj.append(&mut db, &fill(20_000, 0)).unwrap();
-    model.extend(fill(20_000, 0));
-    db.checkpoint();
-
-    for (i, step) in steps.iter().enumerate() {
-        match step {
-            Step::Txn { ops, abort } => {
-                let mut scratch = model.clone();
-                let abort = *abort;
-                let ops = ops.clone();
-                let result = db.txn(|db| {
-                    let mut obj = lobstore::open_object(db, kind, root)?;
-                    for (j, op) in ops.iter().enumerate() {
-                        apply(db, obj.as_mut(), &mut scratch, op, i * 10 + j);
-                    }
-                    if abort {
-                        Err(LobError::Corrupt("injected abort".into()))
-                    } else {
-                        Ok(())
-                    }
-                });
-                if abort {
-                    result.unwrap_err();
-                    // model unchanged: the rollback must erase the txn.
-                } else {
-                    result.unwrap();
-                    model = scratch;
-                }
-            }
-            Step::Single(op) => {
-                apply(&mut db, obj.as_mut(), &mut model, op, i * 10 + 7);
-            }
-            Step::Checkpoint => db.checkpoint(),
-        }
-
-        // Commit boundary: crash, replay, verify.
-        db.crash_and_reboot();
-        db.verify_alloc_log().unwrap();
-        obj = lobstore::open_object(&mut db, kind, root).unwrap();
-        assert_eq!(
-            obj.snapshot(&db),
-            model,
-            "step {i}: recovered bytes differ from the last committed state"
-        );
-        obj.check_invariants(&db).unwrap();
-        let mut cat2 = Catalog::open(&mut db, cat_root).unwrap();
-        let findings = check_database(&mut db, &mut cat2);
-        assert!(findings.is_empty(), "step {i}: fsck found {findings:?}");
-        cat = cat2;
-    }
-    let _ = &cat;
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, max_shrink_iters: 60, ..ProptestConfig::default() })]
+#[test]
+fn esm_txns_crash_consistently() {
+    crash_consistently(ManagerSpec::esm(4), 9);
+}
 
-    #[test]
-    fn esm_txns_crash_consistently(steps in prop::collection::vec(step_strategy(), 1..10)) {
-        run(ManagerSpec::esm(4), &steps);
-    }
+#[test]
+fn eos_txns_crash_consistently() {
+    crash_consistently(ManagerSpec::eos(8), 9);
+}
 
-    #[test]
-    fn eos_txns_crash_consistently(steps in prop::collection::vec(step_strategy(), 1..10)) {
-        run(ManagerSpec::eos(8), &steps);
-    }
-
-    #[test]
-    fn starburst_txns_crash_consistently(steps in prop::collection::vec(step_strategy(), 1..8)) {
-        run(ManagerSpec::starburst(), &steps);
-    }
+#[test]
+fn starburst_txns_crash_consistently() {
+    crash_consistently(ManagerSpec::starburst(), 7);
 }
