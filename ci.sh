@@ -56,7 +56,15 @@ run cargo run -q -p xtask -- loblint
 # otherwise. And core's node tests: the boundary sweep of `NodeView`
 # against `Node` over full 507/511-pair pages runs 64 seeds optimized
 # and 4 otherwise, and its range asserts must also hold without debug
-# assertions. And the model configurations (tests/model.rs,
+# assertions; so does its sweep of the in-place pair edits (`NodeMut`:
+# splice at every front/back/empty/full boundary, count add, pointer
+# set) against decode -> `Vec` -> whole-page encode, byte for byte. And
+# core's count-tree twin (`in_place_tree_matches_the_decoding_one`:
+# 24 000 append/replace/remove/add_count steps optimized, 2 000
+# otherwise, at fan-out 4, 6 and 507/511 with shadowing on and off,
+# through the in-place write path against the decoding one it replaced
+# -- every META page's bytes, `IoStats`, `PoolStats`, trace and the
+# tree invariants after every step). And the model configurations (tests/model.rs,
 # proptest_model.rs, crash_fuzz.rs, txn_crash.rs: configurations of
 # lobstore_workload::model) run 256 seeds optimized and their old case
 # counts otherwise. The workspace run includes tests/metric_catalog.rs, which
@@ -69,6 +77,7 @@ run cargo test -q --release -p lobstore-buddy
 run cargo test -q --release -p lobstore-core segdata
 run cargo test -q --release -p lobstore-core starburst
 run cargo test -q --release -p lobstore-core node
+run cargo test -q --release -p lobstore-core tree
 run cargo test -q --release -p lobstore-obs
 run cargo test -q --release --test model --test proptest_model --test crash_fuzz --test txn_crash
 

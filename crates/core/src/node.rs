@@ -102,10 +102,7 @@ impl Node {
         if let Some(gap) = page.get_mut(3..NODE_ENTRIES_OFF) {
             gap.fill(0);
         }
-        write_entries(
-            &self.entries,
-            page.get_mut(NODE_ENTRIES_OFF..).unwrap_or_default(),
-        );
+        NodeMut::of_page(page).encode(0, &self.entries);
     }
 
     /// Parse the entry array of a root page (level/count come from the
@@ -121,10 +118,7 @@ impl Node {
         hdr.level = self.level;
         hdr.n_entries = cast::usize_to_u16(self.entries.len());
         hdr.write(page);
-        write_entries(
-            &self.entries,
-            page.get_mut(ROOT_ENTRIES_OFF..).unwrap_or_default(),
-        );
+        NodeMut::of_root(page).encode(0, &self.entries);
     }
 }
 
@@ -144,12 +138,17 @@ pub(crate) struct NodeView<'a> {
 impl<'a> NodeView<'a> {
     /// View an interior node page.
     pub fn of_page(page: &'a [u8]) -> Self {
-        let n = usize::from(get_u16(page, 0));
-        assert!(n <= NODE_MAX_ENTRIES, "corrupt node: {n} entries");
+        Self::in_layout(page, INTERIOR)
+    }
+
+    /// View a page in `at`'s layout, reading its own header fields.
+    fn in_layout(page: &'a [u8], at: Layout) -> Self {
+        let n = usize::from(get_u16(page, at.len_at));
+        assert!(n <= at.cap, "corrupt {}: {n} entries", at.name);
         NodeView {
-            level: page.get(2).copied().unwrap_or(0),
+            level: page.get(at.level_at).copied().unwrap_or(0),
             pairs: page
-                .get(NODE_ENTRIES_OFF..NODE_ENTRIES_OFF + n * 8)
+                .get(at.pairs_at..at.pairs_at + n * 8)
                 .unwrap_or_default(),
         }
     }
@@ -172,12 +171,20 @@ impl<'a> NodeView<'a> {
         self.pairs.is_empty()
     }
 
+    /// Number of entries (the page's `n_entries`).
+    pub fn len(&self) -> usize {
+        self.pairs.len() / 8
+    }
+
+    /// Entry `i`, if the node has that many.
+    pub fn get(&self, i: usize) -> Option<Entry> {
+        let at = i.checked_mul(8)?;
+        self.pairs.get(at..at.checked_add(8)?).map(decode_pair)
+    }
+
     /// The entries in page order, decoded as they are reached.
     pub fn iter(&self) -> impl Iterator<Item = Entry> + 'a {
-        self.pairs.chunks_exact(8).map(|pair| Entry {
-            count: u64::from(get_u32(pair, 0)),
-            ptr: get_u32(pair, 4),
-        })
+        self.pairs.chunks_exact(8).map(decode_pair)
     }
 
     /// Total bytes under this node.
@@ -227,11 +234,165 @@ pub(crate) fn find_child(
     (i, e.count, e)
 }
 
-fn write_entries(entries: &[Entry], out: &mut [u8]) {
-    for (i, e) in entries.iter().enumerate() {
-        assert!(e.count <= u64::from(u32::MAX), "count exceeds on-page u32");
-        put_u32(out, i * 8, cast::to_u32(e.count));
-        put_u32(out, i * 8 + 4, e.ptr);
+/// One 8-byte `(count u32, ptr u32)` pair.
+fn decode_pair(pair: &[u8]) -> Entry {
+    Entry {
+        count: u64::from(get_u32(pair, 0)),
+        ptr: get_u32(pair, 4),
+    }
+}
+
+/// `count + delta`: how every count moves by a signed amount.
+///
+/// # Panics
+/// If the result would be negative.
+pub(crate) fn add_signed(count: u64, delta: i64) -> u64 {
+    let Some(moved) = count.checked_add_signed(delta) else {
+        panic!("count underflow");
+    };
+    moved
+}
+
+/// Where the fields a [`NodeMut`] edits lie on its page.
+#[derive(Copy, Clone)]
+struct Layout {
+    /// Offset of the `n_entries` u16.
+    len_at: usize,
+    /// Offset of the level byte.
+    level_at: usize,
+    /// Offset of the pair array.
+    pairs_at: usize,
+    /// Physical pair capacity.
+    cap: usize,
+    /// What the page is, for the assert messages.
+    name: &'static str,
+}
+
+const INTERIOR: Layout = Layout {
+    len_at: 0,
+    level_at: 2,
+    pairs_at: NODE_ENTRIES_OFF,
+    cap: NODE_MAX_ENTRIES,
+    name: "node",
+};
+
+const ROOT: Layout = Layout {
+    len_at: 6,
+    level_at: 5,
+    pairs_at: ROOT_ENTRIES_OFF,
+    cap: ROOT_MAX_ENTRIES,
+    name: "root",
+};
+
+/// [`NodeView`]'s write twin: an index page edited where its pairs lie.
+/// An update changes one or a few pairs of a node of up to 511, so a
+/// splice moves the pairs behind the edit once (`copy_within`) and encodes
+/// only the new ones, instead of decoding every pair into a [`Node`] and
+/// encoding every pair back. Bytes past `n_entries` stay as they were,
+/// exactly as the whole-node encode left them. The level and the rest of
+/// the header are not touched. This is the only encoder of the on-page
+/// pair layout: [`Node::write_page`] and [`Node::write_root`] go through
+/// it too.
+pub(crate) struct NodeMut<'a> {
+    page: &'a mut [u8],
+    at: Layout,
+}
+
+impl<'a> NodeMut<'a> {
+    /// Edit an interior node page.
+    pub fn of_page(page: &'a mut [u8]) -> Self {
+        NodeMut { page, at: INTERIOR }
+    }
+
+    /// Edit the entry array of a root page (its `n_entries` header field
+    /// included).
+    pub fn of_root(page: &'a mut [u8]) -> Self {
+        NodeMut { page, at: ROOT }
+    }
+
+    /// The page's pairs, read where they lie (`n_entries` checked against
+    /// the capacity).
+    fn view(&self) -> NodeView<'_> {
+        NodeView::in_layout(self.page, self.at)
+    }
+
+    fn len(&self) -> usize {
+        self.view().len()
+    }
+
+    /// Entry `i`.
+    ///
+    /// # Panics
+    /// If the node has no entry `i`.
+    fn entry(&self, i: usize) -> Entry {
+        let Some(e) = self.view().get(i) else {
+            panic!("no pair {i} in a {} of {} pairs", self.at.name, self.len());
+        };
+        e
+    }
+
+    /// Replace pairs `at..at + remove` with `repl` and return the change
+    /// in the node's byte count (`repl`'s counts less the removed ones').
+    ///
+    /// # Panics
+    /// If the range runs past the last pair, the node would outgrow the
+    /// page, or a count exceeds the on-page `u32`.
+    pub fn splice(&mut self, at: usize, remove: usize, repl: &[Entry]) -> i64 {
+        let n = self.len();
+        let end = at + remove;
+        assert!(
+            end <= n,
+            "splice {at}..{end} of a {} of {n} pairs",
+            self.at.name
+        );
+        let new_n = n - remove + repl.len();
+        assert!(new_n <= self.at.cap, "{} overflow", self.at.name);
+        let removed: u64 = self
+            .view()
+            .iter()
+            .skip(at)
+            .take(remove)
+            .map(|e| e.count)
+            .sum();
+        if repl.len() != remove {
+            let pairs = self.page.get_mut(self.at.pairs_at..).unwrap_or_default();
+            pairs.copy_within(end * 8..n * 8, (at + repl.len()) * 8);
+        }
+        self.encode(at, repl);
+        put_u16(self.page, self.at.len_at, cast::usize_to_u16(new_n));
+        let added: u64 = repl.iter().map(|e| e.count).sum();
+        added as i64 - removed as i64
+    }
+
+    /// Add `delta` to entry `i`'s count.
+    ///
+    /// # Panics
+    /// If there is no entry `i`, or the count would drop below zero or
+    /// exceed the on-page `u32`.
+    pub fn add_count(&mut self, i: usize, delta: i64) {
+        let mut e = self.entry(i);
+        e.count = add_signed(e.count, delta);
+        self.encode(i, &[e]);
+    }
+
+    /// Point entry `i` at `ptr`.
+    ///
+    /// # Panics
+    /// If there is no entry `i`.
+    pub fn set_ptr(&mut self, i: usize, ptr: u32) {
+        let e = self.entry(i);
+        self.encode(i, &[Entry { ptr, ..e }]);
+    }
+
+    /// Write `entries` as pairs `at..at + entries.len()`: the one place the
+    /// pair layout is written.
+    fn encode(&mut self, at: usize, entries: &[Entry]) {
+        let out = self.page.get_mut(self.at.pairs_at..).unwrap_or_default();
+        for (i, e) in (at..).zip(entries) {
+            assert!(e.count <= u64::from(u32::MAX), "count exceeds on-page u32");
+            put_u32(out, i * 8, cast::to_u32(e.count));
+            put_u32(out, i * 8 + 4, e.ptr);
+        }
     }
 }
 
@@ -296,6 +457,8 @@ impl RootHdr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn entry(count: u64, ptr: u32) -> Entry {
         Entry { count, ptr }
@@ -422,10 +585,142 @@ mod tests {
         }
     }
 
+    fn random_entry(rng: &mut StdRng) -> Entry {
+        let count = match rng.gen_range(0..8u8) {
+            0 | 1 => 0,
+            2 => u64::from(u32::MAX),
+            _ => rng.gen_range(1..=3 * PAGE_SIZE as u64),
+        };
+        entry(count, rng.gen())
+    }
+
+    /// The owned path's entry `i`, panicking as `NodeMut` does when absent.
+    fn pair_mut(entries: &mut [Entry], i: usize, root: bool) -> &mut Entry {
+        let (n, name) = (entries.len(), ["node", "root"][usize::from(root)]);
+        let Some(e) = entries.get_mut(i) else {
+            panic!("no pair {i} in a {name} of {n} pairs");
+        };
+        e
+    }
+
+    /// Edit `node`, written as a root or interior page over noise, once in
+    /// place and once through the owned path (decode, edit the `Vec`,
+    /// encode all of it back), at every boundary: splices at the front,
+    /// middle and back, removing nothing, one pair or the rest, inserting
+    /// up to a full page and one past it, with and without a count the
+    /// on-page `u32` cannot hold; count adds that underflow and overflow;
+    /// pointer rewrites. The two must return the same delta or panic with
+    /// the same message, and leave byte-identical pages — the stale pairs
+    /// past `n_entries` included.
+    fn check_edits_against_node(root: bool, node: &Node, rng: &mut StdRng) {
+        let cap = if root {
+            ROOT_MAX_ENTRIES
+        } else {
+            NODE_MAX_ENTRIES
+        };
+        let mut base = [0u8; PAGE_SIZE];
+        rng.fill_bytes(&mut base);
+        if root {
+            let mut hdr = RootHdr::read(&base);
+            node.write_root(&mut base, &mut hdr);
+        } else {
+            node.write_page(&mut base);
+        }
+        // Make one edit both ways and compare what they did.
+        let twin = |label: &str,
+                    in_place: &dyn Fn(&mut NodeMut<'_>) -> i64,
+                    owned: &dyn Fn(&mut Vec<Entry>)| {
+            let mut a = base;
+            let got = outcome(|| {
+                let mut view = if root {
+                    NodeMut::of_root(&mut a)
+                } else {
+                    NodeMut::of_page(&mut a)
+                };
+                in_place(&mut view)
+            });
+            let mut b = base;
+            let want = outcome(|| {
+                let mut hdr = RootHdr::read(&b);
+                let mut edited = if root {
+                    Node::read_root(&b, &hdr)
+                } else {
+                    Node::read_page(&b)
+                };
+                owned(&mut edited.entries);
+                let delta = edited.total() as i64 - node.total() as i64;
+                if root {
+                    edited.write_root(&mut b, &mut hdr);
+                } else {
+                    edited.write_page(&mut b);
+                }
+                delta
+            });
+            assert_eq!(got, want, "{label}");
+            if got.is_ok() {
+                assert!(a == b, "{label}: pages differ");
+            }
+        };
+        let n = node.entries.len();
+        let mut at = vec![0, n / 2, n];
+        at.dedup();
+        for &i in &at {
+            let mut removes = vec![0, 1.min(n - i), n - i];
+            removes.dedup();
+            for &k in &removes {
+                let room = cap - (n - k);
+                let mut lens = vec![0, 1, 2, room, room + 1];
+                lens.sort_unstable();
+                lens.dedup();
+                for r in lens {
+                    let mut repl: Vec<Entry> = (0..r).map(|_| random_entry(rng)).collect();
+                    for too_big in [false, true] {
+                        if too_big {
+                            let Some(last) = repl.last_mut() else {
+                                continue;
+                            };
+                            last.count = u64::from(u32::MAX) + 1;
+                        }
+                        twin(
+                            &format!("splice {i}..{} of {n} with {r}, too big {too_big}", i + k),
+                            &|v| v.splice(i, k, &repl),
+                            &|es| {
+                                es.splice(i..i + k, repl.iter().copied());
+                            },
+                        );
+                    }
+                }
+            }
+        }
+        for i in [0, n.saturating_sub(1), n] {
+            let count = node.entries.get(i).map_or(0, |e| e.count) as i64;
+            for delta in [1, -1, -count, -count - 1, i64::from(u32::MAX) - count + 1] {
+                twin(
+                    &format!("add {delta} to pair {i} of {n}"),
+                    &|v| {
+                        v.add_count(i, delta);
+                        delta
+                    },
+                    &|es| {
+                        let e = pair_mut(es, i, root);
+                        e.count = add_signed(e.count, delta);
+                    },
+                );
+            }
+            let ptr = rng.gen();
+            twin(
+                &format!("point pair {i} of {n} at {ptr}"),
+                &|v| {
+                    v.set_ptr(i, ptr);
+                    0
+                },
+                &|es| pair_mut(es, i, root).ptr = ptr,
+            );
+        }
+    }
+
     #[test]
     fn view_of_a_written_page_equals_the_node() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         // The full-page sweeps are the slow part unoptimized (ci.sh runs
         // this module in release too).
         let seeds = if cfg!(debug_assertions) { 4 } else { 64 };
@@ -434,15 +729,9 @@ mod tests {
             for (root, cap) in [(true, ROOT_MAX_ENTRIES), (false, NODE_MAX_ENTRIES)] {
                 for n in [0, 1, 2, cap] {
                     let mut node = Node::new(rng.gen_range(0..4u8));
-                    for _ in 0..n {
-                        let count = match rng.gen_range(0..8u8) {
-                            0 | 1 => 0,
-                            2 => u64::from(u32::MAX),
-                            _ => rng.gen_range(1..=3 * PAGE_SIZE as u64),
-                        };
-                        node.entries.push(entry(count, rng.gen()));
-                    }
+                    node.entries = (0..n).map(|_| random_entry(&mut rng)).collect();
                     check_view_against_node(root, &node);
+                    check_edits_against_node(root, &node, &mut rng);
                 }
             }
         }
@@ -454,6 +743,10 @@ mod tests {
         put_u16(&mut page, 0, (NODE_MAX_ENTRIES + 1) as u16);
         assert_eq!(
             outcome(|| NodeView::of_page(&page).total()),
+            Err("corrupt node: 512 entries".to_string())
+        );
+        assert_eq!(
+            outcome(|| NodeMut::of_page(&mut page.clone()).add_count(0, 1)),
             Err("corrupt node: 512 entries".to_string())
         );
         let mut hdr = RootHdr::read(&page);

@@ -24,7 +24,9 @@ use lobstore_simdisk::{cast, AreaId};
 use crate::db::Db;
 use crate::error::{LobError, Result};
 use crate::metrics;
-use crate::node::{Entry, Node, NodeView, RootHdr, NODE_MAX_ENTRIES, ROOT_MAX_ENTRIES};
+use crate::node::{
+    add_signed, Entry, Node, NodeMut, NodeView, RootHdr, NODE_MAX_ENTRIES, ROOT_MAX_ENTRIES,
+};
 use crate::object::{check_range, SegSpan, SegmentInfo, Utilization};
 use crate::segdata::{patch_in_place, peek_segs, read_seg_bytes};
 use crate::shadow::OpCtx;
@@ -102,8 +104,12 @@ impl PosTree {
         db.with_meta_root(self.root_page, |hdr, node| (*hdr, node.to_node()))
     }
 
-    fn store_root(&self, db: &mut Db, hdr: &mut RootHdr, node: &Node) {
-        db.with_meta_page_mut(self.root_page, |p| node.write_root(p, hdr));
+    /// Write `node` back as the root, keeping the header fields the tree
+    /// does not own (nothing writes them while a node is decoded).
+    fn store_root(&self, db: &mut Db, node: &Node) {
+        db.with_meta_page_mut(self.root_page, |p| {
+            node.write_root(p, &mut RootHdr::read(p));
+        });
     }
 
     fn load_node(&self, db: &mut Db, page: u32) -> Node {
@@ -116,6 +122,39 @@ impl PosTree {
 
     fn store_node_new(&self, db: &mut Db, page: u32, node: &Node) {
         db.with_new_meta_page(page, |p| node.write_page(p));
+    }
+
+    /// One level of an update on index page `page` (in the root's layout
+    /// if it is the root). A read fix learns the node's level and the pair
+    /// count `edit` would leave and asks `plain`; if it says yes, a write
+    /// fix makes the edit where the pairs lie, otherwise the node comes
+    /// back decoded, the edit not made. Those are the two fixes the
+    /// decoding path took, so the pool sees the same sequence either way.
+    fn edit_level(
+        &self,
+        db: &mut Db,
+        page: u32,
+        edit: &Edit,
+        plain: impl FnOnce(usize, u8) -> bool,
+    ) -> Level {
+        let root = page == self.root_page;
+        let choose =
+            |v: NodeView<'_>| (!plain(edit.len_after(v.len()), v.level)).then(|| v.to_node());
+        let decoded = if root {
+            db.with_meta_root(page, |_, v| choose(v))
+        } else {
+            db.with_meta_node(page, choose)
+        };
+        match decoded {
+            Some(node) => Level::Decoded(node),
+            None => Level::Edited(db.with_meta_page_mut(page, |p| {
+                edit.make(if root {
+                    NodeMut::of_root(p)
+                } else {
+                    NodeMut::of_page(p)
+                })
+            })),
+        }
     }
 
     // ----- search ---------------------------------------------------------
@@ -186,29 +225,23 @@ impl PosTree {
     // ----- localized updates ----------------------------------------------
 
     /// Add `delta` to the leaf count along `path` (and to every ancestor
-    /// entry). Used for in-place appends that change no pointers.
+    /// entry). Used for in-place appends that change no pointers. Every
+    /// level is edited where it lies and none is restructured.
     pub fn add_count(&self, db: &mut Db, ctx: &mut OpCtx, path: &[PathStep], delta: i64) {
-        let mut child_ptr_fix: Option<u32> = None;
+        let mut moved = None;
         for (d, step) in path.iter().enumerate().rev() {
-            let adjust = |e: &mut Entry, fix: Option<u32>| {
-                let new = e.count as i64 + delta;
-                assert!(new >= 0, "count underflow");
-                e.count = new as u64;
-                if let Some(p) = fix {
-                    e.ptr = p;
-                }
-            };
-            if d == 0 {
-                let (mut hdr, mut node) = self.load_root(db);
-                adjust(&mut node.entries[step.idx], child_ptr_fix);
-                self.store_root(db, &mut hdr, &node);
+            let page = if d == 0 {
+                self.root_page
             } else {
-                let target = ctx.shadow_page(db, step.page);
-                let mut node = self.load_node(db, target);
-                adjust(&mut node.entries[step.idx], child_ptr_fix);
-                self.store_node(db, target, &node);
-                child_ptr_fix = (target != step.page).then_some(target);
-            }
+                ctx.shadow_page(db, step.page)
+            };
+            let edit = Edit::Adjust {
+                at: step.idx,
+                delta,
+                ptr: moved,
+            };
+            self.edit_level(db, page, &edit, |_, _| true);
+            moved = (page != step.page).then_some(page);
         }
     }
 
@@ -219,7 +252,7 @@ impl PosTree {
     /// The path is stale afterwards; re-descend before the next tree call.
     pub fn replace_entry(&self, db: &mut Db, ctx: &mut OpCtx, path: &[PathStep], repl: Vec<Entry>) {
         assert!(!repl.is_empty(), "use remove_entry to delete");
-        self.apply(db, ctx, path, 1, repl);
+        self.apply(db, ctx, path, repl);
     }
 
     /// Remove the leaf entry at the end of `path`, rebalancing ancestors
@@ -228,7 +261,7 @@ impl PosTree {
     ///
     /// The path is stale afterwards; re-descend before the next tree call.
     pub fn remove_entry(&self, db: &mut Db, ctx: &mut OpCtx, path: &[PathStep]) {
-        self.apply(db, ctx, path, 1, Vec::new());
+        self.apply(db, ctx, path, Vec::new());
     }
 
     /// Append `entry` after the current rightmost leaf (or as the first
@@ -236,10 +269,12 @@ impl PosTree {
     pub fn append_entry(&self, db: &mut Db, ctx: &mut OpCtx, entry: Entry) {
         match self.rightmost(db) {
             None => {
-                let (mut hdr, mut node) = self.load_root(db);
-                debug_assert_eq!(node.level, 0);
-                node.entries.push(entry);
-                self.store_root(db, &mut hdr, &node);
+                let first = Edit::Splice {
+                    at: 0,
+                    remove: 0,
+                    repl: vec![entry],
+                };
+                self.apply_at_root(db, ctx, first);
             }
             Some(pos) => {
                 let old = pos.entry;
@@ -251,177 +286,183 @@ impl PosTree {
     // ----- structural engine ----------------------------------------------
 
     /// Bottom-up splice engine: at the node addressed by the last step of
-    /// `path`, replace `remove_len` entries starting at that step's index
-    /// with `repl`; then walk up fixing counts/pointers, splitting
-    /// overfull nodes and rebalancing underfull ones.
-    fn apply(
+    /// `path`, replace the entry at that step's index with `repl`; then
+    /// walk up fixing counts/pointers, splitting overfull nodes and
+    /// rebalancing underfull ones.
+    ///
+    /// A level whose node stays within `[node_min, node_cap]` — the plain
+    /// case, nearly every update — is edited where its pairs lie and hands
+    /// its parent a 1→1 rewrite: the parent's pair count plus this level's
+    /// byte delta, and the shadow copy's page number. Only a split, merge,
+    /// borrow, root grow or height shrink decodes a node into a [`Node`].
+    fn apply(&self, db: &mut Db, ctx: &mut OpCtx, path: &[PathStep], repl: Vec<Entry>) {
+        let Some(leaf_parent) = path.last() else {
+            unreachable!("search paths always contain at least the root");
+        };
+        let mut edit = Edit::Splice {
+            at: leaf_parent.idx,
+            remove: 1,
+            repl,
+        };
+        for d in (1..path.len()).rev() {
+            let step = path[d];
+            let target = ctx.shadow_page(db, step.page);
+            let (cap, min) = (self.node_cap(db), self.node_min(db));
+            edit = match self.edit_level(db, target, &edit, |n, _| (min..=cap).contains(&n)) {
+                Level::Edited(delta) => Edit::Adjust {
+                    at: path[d - 1].idx,
+                    delta,
+                    ptr: (target != step.page).then_some(target),
+                },
+                Level::Decoded(mut node) => {
+                    edit.make_owned(&mut node.entries);
+                    self.restructure(db, ctx, &path[..=d], target, node)
+                }
+            };
+        }
+        self.apply_at_root(db, ctx, edit);
+    }
+
+    /// The structural half of one [`Self::apply`] level: `node`, decoded
+    /// from `target` (the shadow of the last page of `path`) and already
+    /// edited, has left `[node_min, node_cap]`. Split it, or rebalance it
+    /// with a sibling, and return the splice its parent must make.
+    fn restructure(
         &self,
         db: &mut Db,
         ctx: &mut OpCtx,
         path: &[PathStep],
-        remove_len: usize,
-        repl: Vec<Entry>,
-    ) {
-        let mut start = match path.last() {
-            Some(step) => step.idx,
-            None => unreachable!("search paths always contain at least the root"),
-        };
-        let mut remove_len = remove_len;
-        let mut repl = repl;
-        let mut d = path.len() - 1;
-        loop {
-            let step = path[d];
-            if d == 0 {
-                self.apply_at_root(db, ctx, start, remove_len, repl);
-                return;
-            }
-            let target = ctx.shadow_page(db, step.page);
-            let mut node = self.load_node(db, target);
-            node.entries.splice(start..start + remove_len, repl);
-            let cap = self.node_cap(db);
-            let min = self.node_min(db);
-
-            let parent_repl: Vec<Entry>;
-            let parent_start: usize;
-            let parent_remove: usize;
-
-            if node.entries.len() > cap {
-                // Split into evenly filled pieces; the first keeps this page.
-                let pieces = split_even(&node.entries, cap);
-                let mut out = Vec::with_capacity(pieces.len());
-                for (i, piece) in pieces.into_iter().enumerate() {
-                    let n2 = Node {
-                        level: node.level,
-                        entries: piece,
-                    };
-                    let pg = if i == 0 { target } else { ctx.fresh_page(db) };
-                    if i == 0 {
-                        self.store_node(db, pg, &n2);
-                    } else {
-                        self.store_node_new(db, pg, &n2);
-                    }
-                    out.push(Entry {
-                        count: n2.total(),
-                        ptr: pg,
-                    });
-                }
-                parent_repl = out;
-                parent_start = path[d - 1].idx;
-                parent_remove = 1;
-            } else if node.entries.len() < min {
-                // Underflow: rebalance with a sibling, if one exists.
-                let parent_node = if d - 1 == 0 {
-                    self.load_root(db).1
-                } else {
-                    self.load_node(db, path[d - 1].page)
+        target: u32,
+        node: Node,
+    ) -> Edit {
+        let d = path.len() - 1;
+        let cap = self.node_cap(db);
+        let pidx = path[d - 1].idx;
+        if node.entries.len() > cap {
+            // Split into evenly filled pieces; the first keeps this page.
+            let pieces = split_even(&node.entries, cap);
+            let mut out = Vec::with_capacity(pieces.len());
+            for (i, piece) in pieces.into_iter().enumerate() {
+                let n2 = Node {
+                    level: node.level,
+                    entries: piece,
                 };
-                let pidx = path[d - 1].idx;
-                if parent_node.entries.len() < 2 {
-                    // No sibling (parent is a 1-entry root): tolerate the
-                    // underflow; root collapse will absorb it eventually.
-                    self.store_node(db, target, &node);
-                    parent_repl = vec![Entry {
-                        count: node.total(),
-                        ptr: target,
-                    }];
-                    parent_start = pidx;
-                    parent_remove = 1;
+                let pg = if i == 0 { target } else { ctx.fresh_page(db) };
+                if i == 0 {
+                    self.store_node(db, pg, &n2);
                 } else {
-                    let (lo, hi) = if pidx > 0 {
-                        (pidx - 1, pidx)
-                    } else {
-                        (pidx, pidx + 1)
-                    };
-                    let sib_is_left = pidx > 0;
-                    let sib_old = parent_node.entries[if sib_is_left { lo } else { hi }].ptr;
-                    let sib_target = ctx.shadow_page(db, sib_old);
-                    let sib = self.load_node(db, sib_target);
-                    debug_assert_eq!(sib.level, node.level);
-                    let mut combined = Vec::with_capacity(sib.entries.len() + node.entries.len());
-                    if sib_is_left {
-                        combined.extend_from_slice(&sib.entries);
-                        combined.extend_from_slice(&node.entries);
-                    } else {
-                        combined.extend_from_slice(&node.entries);
-                        combined.extend_from_slice(&sib.entries);
-                    }
-                    if combined.len() <= cap {
-                        // Merge into the left page; free the right one.
-                        let left_pg = if sib_is_left { sib_target } else { target };
-                        let right_pg = if sib_is_left { target } else { sib_target };
-                        let merged = Node {
-                            level: node.level,
-                            entries: combined,
-                        };
-                        self.store_node(db, left_pg, &merged);
-                        ctx.free_page_later(right_pg);
-                        parent_repl = vec![Entry {
-                            count: merged.total(),
-                            ptr: left_pg,
-                        }];
-                    } else {
-                        // Borrow: redistribute evenly across both pages.
-                        let mid = combined.len() / 2;
-                        let right_entries = combined.split_off(mid);
-                        let (left_pg, right_pg) = if sib_is_left {
-                            (sib_target, target)
-                        } else {
-                            (target, sib_target)
-                        };
-                        let left = Node {
-                            level: node.level,
-                            entries: combined,
-                        };
-                        let right = Node {
-                            level: node.level,
-                            entries: right_entries,
-                        };
-                        self.store_node(db, left_pg, &left);
-                        self.store_node(db, right_pg, &right);
-                        parent_repl = vec![
-                            Entry {
-                                count: left.total(),
-                                ptr: left_pg,
-                            },
-                            Entry {
-                                count: right.total(),
-                                ptr: right_pg,
-                            },
-                        ];
-                    }
-                    parent_start = lo;
-                    parent_remove = 2;
+                    self.store_node_new(db, pg, &n2);
                 }
-            } else {
-                // Plain store; propagate count and (possibly new) pointer.
-                self.store_node(db, target, &node);
-                parent_repl = vec![Entry {
+                out.push(Entry {
+                    count: n2.total(),
+                    ptr: pg,
+                });
+            }
+            return Edit::Splice {
+                at: pidx,
+                remove: 1,
+                repl: out,
+            };
+        }
+        // Underflow: rebalance with a sibling, if one exists.
+        let parent_node = if d - 1 == 0 {
+            self.load_root(db).1
+        } else {
+            self.load_node(db, path[d - 1].page)
+        };
+        if parent_node.entries.len() < 2 {
+            // No sibling (parent is a 1-entry root): tolerate the
+            // underflow; root collapse will absorb it eventually.
+            self.store_node(db, target, &node);
+            return Edit::Splice {
+                at: pidx,
+                remove: 1,
+                repl: vec![Entry {
                     count: node.total(),
                     ptr: target,
-                }];
-                parent_start = path[d - 1].idx;
-                parent_remove = 1;
-            }
-            start = parent_start;
-            remove_len = parent_remove;
-            repl = parent_repl;
-            d -= 1;
+                }],
+            };
+        }
+        let (lo, hi) = if pidx > 0 {
+            (pidx - 1, pidx)
+        } else {
+            (pidx, pidx + 1)
+        };
+        let sib_is_left = pidx > 0;
+        let sib_old = parent_node.entries[if sib_is_left { lo } else { hi }].ptr;
+        let sib_target = ctx.shadow_page(db, sib_old);
+        let sib = self.load_node(db, sib_target);
+        debug_assert_eq!(sib.level, node.level);
+        let mut combined = Vec::with_capacity(sib.entries.len() + node.entries.len());
+        if sib_is_left {
+            combined.extend_from_slice(&sib.entries);
+            combined.extend_from_slice(&node.entries);
+        } else {
+            combined.extend_from_slice(&node.entries);
+            combined.extend_from_slice(&sib.entries);
+        }
+        let repl = if combined.len() <= cap {
+            // Merge into the left page; free the right one.
+            let left_pg = if sib_is_left { sib_target } else { target };
+            let right_pg = if sib_is_left { target } else { sib_target };
+            let merged = Node {
+                level: node.level,
+                entries: combined,
+            };
+            self.store_node(db, left_pg, &merged);
+            ctx.free_page_later(right_pg);
+            vec![Entry {
+                count: merged.total(),
+                ptr: left_pg,
+            }]
+        } else {
+            // Borrow: redistribute evenly across both pages.
+            let mid = combined.len() / 2;
+            let right_entries = combined.split_off(mid);
+            let (left_pg, right_pg) = if sib_is_left {
+                (sib_target, target)
+            } else {
+                (target, sib_target)
+            };
+            let left = Node {
+                level: node.level,
+                entries: combined,
+            };
+            let right = Node {
+                level: node.level,
+                entries: right_entries,
+            };
+            self.store_node(db, left_pg, &left);
+            self.store_node(db, right_pg, &right);
+            vec![
+                Entry {
+                    count: left.total(),
+                    ptr: left_pg,
+                },
+                Entry {
+                    count: right.total(),
+                    ptr: right_pg,
+                },
+            ]
+        };
+        Edit::Splice {
+            at: lo,
+            remove: 2,
+            repl,
         }
     }
 
-    /// Terminal step of [`Self::apply`] at the root: splice, then grow the
-    /// tree on overflow or shrink it while the root has a single child.
-    fn apply_at_root(
-        &self,
-        db: &mut Db,
-        ctx: &mut OpCtx,
-        start: usize,
-        remove_len: usize,
-        repl: Vec<Entry>,
-    ) {
-        let (mut hdr, mut node) = self.load_root(db);
-        node.entries.splice(start..start + remove_len, repl);
+    /// Terminal step of [`Self::apply`] at the root: make `edit` in place
+    /// if the root neither outgrows `root_cap` nor is left an interior
+    /// root with one child; otherwise decode it, grow the tree on overflow
+    /// or shrink it while the root has a single child.
+    fn apply_at_root(&self, db: &mut Db, ctx: &mut OpCtx, edit: Edit) {
         let rcap = self.root_cap(db);
+        let plain = |n: usize, level: u8| n <= rcap && !(level > 0 && n == 1);
+        let Level::Decoded(mut node) = self.edit_level(db, self.root_page, &edit, plain) else {
+            return;
+        };
+        edit.make_owned(&mut node.entries);
         if node.entries.len() > rcap {
             // Push everything one level down (§2.1: the tree grows at the
             // root, like a B-tree).
@@ -454,7 +495,7 @@ impl PosTree {
             ctx.free_page_later(child_pg);
             node = child;
         }
-        self.store_root(db, &mut hdr, &node);
+        self.store_root(db, &node);
     }
 
     // ----- the object body ESM and EOS share -------------------------------
@@ -724,6 +765,79 @@ impl PosTree {
     }
 }
 
+/// The change one level of an update makes to a node's pairs, handed up
+/// the path by [`PosTree::apply`].
+enum Edit {
+    /// Replace pairs `at..at + remove` with `repl`.
+    Splice {
+        at: usize,
+        remove: usize,
+        repl: Vec<Entry>,
+    },
+    /// Rewrite pair `at`: add `delta` to its count and, when the child
+    /// moved to a shadow copy, point it at `ptr`.
+    Adjust {
+        at: usize,
+        delta: i64,
+        ptr: Option<u32>,
+    },
+}
+
+impl Edit {
+    /// Pairs a node of `n` pairs holds after the edit.
+    fn len_after(&self, n: usize) -> usize {
+        match self {
+            Edit::Splice { remove, repl, .. } => (n + repl.len()).saturating_sub(*remove),
+            Edit::Adjust { .. } => n,
+        }
+    }
+
+    /// Make the edit where the pairs lie; returns the change in the node's
+    /// byte count.
+    fn make(&self, mut node: NodeMut<'_>) -> i64 {
+        match *self {
+            Edit::Splice {
+                at,
+                remove,
+                ref repl,
+            } => node.splice(at, remove, repl),
+            Edit::Adjust { at, delta, ptr } => {
+                node.add_count(at, delta);
+                if let Some(ptr) = ptr {
+                    node.set_ptr(at, ptr);
+                }
+                delta
+            }
+        }
+    }
+
+    /// Make the edit on a decoded node's entries (the structural paths).
+    fn make_owned(self, entries: &mut Vec<Entry>) {
+        match self {
+            Edit::Splice { at, remove, repl } => {
+                entries.splice(at..at + remove, repl);
+            }
+            Edit::Adjust { at, delta, ptr } => {
+                let Some(e) = entries.get_mut(at) else {
+                    panic!("no pair {at} in a node of {} pairs", entries.len());
+                };
+                e.count = add_signed(e.count, delta);
+                e.ptr = ptr.unwrap_or(e.ptr);
+            }
+        }
+    }
+}
+
+/// What one level of an update turned out to need
+/// ([`PosTree::edit_level`]).
+enum Level {
+    /// Plain: the edit was made in place and moved the node's byte count
+    /// by this much.
+    Edited(i64),
+    /// Structural: the node decoded, the edit not yet made.
+    Decoded(Node),
+}
+
 /// Depth-first leaf walk under `node`, preserving left-to-right order;
 /// `fetch` loads a child index page (costed through the pool for
 /// `destroy`, peeked for the cost-free inspections).
@@ -767,13 +881,18 @@ mod tests {
     use super::*;
     use crate::db::{DbConfig, TreeConfig};
     use crate::node::RootHdr;
+    use lobstore_bufpool::PoolConfig;
 
     /// Build a db with tiny fan-out and an initialized empty root.
     fn setup(fanout: usize) -> (Db, PosTree) {
-        let cfg = DbConfig {
+        setup_with(DbConfig {
             tree: TreeConfig::tiny(fanout),
             ..DbConfig::default()
-        };
+        })
+    }
+
+    /// Build a db from `cfg` with an initialized empty root.
+    fn setup_with(cfg: DbConfig) -> (Db, PosTree) {
         let mut db = Db::new(cfg);
         let root = db.alloc_meta_page();
         let hdr = RootHdr {
@@ -888,10 +1007,9 @@ mod tests {
         let mut ctx = OpCtx::new();
         let repl: Vec<Entry> = (0..5).map(|i| e(2, 2000 + i)).collect();
         tree.replace_entry(&mut db, &mut ctx, &pos.path, repl);
-        let mut hdr = tree.read_hdr(&mut db);
-        hdr.size = hdr.size - 10 + 10;
-        tree.write_hdr(&mut db, &hdr);
         ctx.finish(&mut db);
+        // Ten bytes out, five leaves of two in: the object size is unchanged.
+        assert_eq!(tree.read_hdr(&mut db).size, 40);
         tree.check_invariants(&db).unwrap();
         let leaves = tree.collect_leaves(&db);
         assert_eq!(leaves.len(), 8);
@@ -1010,5 +1128,454 @@ mod tests {
         // Order preserved.
         assert_eq!(pieces[0][0].ptr, 0);
         assert_eq!(pieces[2].last().unwrap().ptr, 22);
+    }
+
+    /// The write path this tree shipped before it edited pages in place,
+    /// kept as its oracle: every level decodes its node into a
+    /// `Vec<Entry>`, splices that, encodes all of it back and sends its
+    /// parent the recounted total.
+    mod oracle {
+        use super::*;
+
+        impl PosTree {
+            pub(super) fn old_add_count(
+                &self,
+                db: &mut Db,
+                ctx: &mut OpCtx,
+                path: &[PathStep],
+                delta: i64,
+            ) {
+                let mut child_ptr_fix: Option<u32> = None;
+                for (d, step) in path.iter().enumerate().rev() {
+                    let adjust = |e: &mut Entry, fix: Option<u32>| {
+                        let new = e.count as i64 + delta;
+                        assert!(new >= 0, "count underflow");
+                        e.count = new as u64;
+                        if let Some(p) = fix {
+                            e.ptr = p;
+                        }
+                    };
+                    if d == 0 {
+                        let (mut hdr, mut node) = self.load_root(db);
+                        adjust(&mut node.entries[step.idx], child_ptr_fix);
+                        self.old_store_root(db, &mut hdr, &node);
+                    } else {
+                        let target = ctx.shadow_page(db, step.page);
+                        let mut node = self.load_node(db, target);
+                        adjust(&mut node.entries[step.idx], child_ptr_fix);
+                        self.store_node(db, target, &node);
+                        child_ptr_fix = (target != step.page).then_some(target);
+                    }
+                }
+            }
+
+            pub(super) fn old_replace_entry(
+                &self,
+                db: &mut Db,
+                ctx: &mut OpCtx,
+                path: &[PathStep],
+                repl: Vec<Entry>,
+            ) {
+                assert!(!repl.is_empty(), "use remove_entry to delete");
+                self.old_apply(db, ctx, path, 1, repl);
+            }
+
+            pub(super) fn old_remove_entry(&self, db: &mut Db, ctx: &mut OpCtx, path: &[PathStep]) {
+                self.old_apply(db, ctx, path, 1, Vec::new());
+            }
+
+            pub(super) fn old_append_entry(&self, db: &mut Db, ctx: &mut OpCtx, entry: Entry) {
+                match self.rightmost(db) {
+                    None => {
+                        let (mut hdr, mut node) = self.load_root(db);
+                        debug_assert_eq!(node.level, 0);
+                        node.entries.push(entry);
+                        self.old_store_root(db, &mut hdr, &node);
+                    }
+                    Some(pos) => {
+                        let old = pos.entry;
+                        self.old_replace_entry(db, ctx, &pos.path, vec![old, entry]);
+                    }
+                }
+            }
+
+            fn old_store_root(&self, db: &mut Db, hdr: &mut RootHdr, node: &Node) {
+                db.with_meta_page_mut(self.root_page, |p| node.write_root(p, hdr));
+            }
+
+            fn old_apply(
+                &self,
+                db: &mut Db,
+                ctx: &mut OpCtx,
+                path: &[PathStep],
+                remove_len: usize,
+                repl: Vec<Entry>,
+            ) {
+                let mut start = path.last().unwrap().idx;
+                let mut remove_len = remove_len;
+                let mut repl = repl;
+                let mut d = path.len() - 1;
+                loop {
+                    let step = path[d];
+                    if d == 0 {
+                        self.old_apply_at_root(db, ctx, start, remove_len, repl);
+                        return;
+                    }
+                    let target = ctx.shadow_page(db, step.page);
+                    let mut node = self.load_node(db, target);
+                    node.entries.splice(start..start + remove_len, repl);
+                    let cap = self.node_cap(db);
+                    let min = self.node_min(db);
+                    let parent_repl: Vec<Entry>;
+                    let parent_start: usize;
+                    let parent_remove: usize;
+                    if node.entries.len() > cap {
+                        let pieces = split_even(&node.entries, cap);
+                        let mut out = Vec::with_capacity(pieces.len());
+                        for (i, piece) in pieces.into_iter().enumerate() {
+                            let n2 = Node {
+                                level: node.level,
+                                entries: piece,
+                            };
+                            let pg = if i == 0 { target } else { ctx.fresh_page(db) };
+                            if i == 0 {
+                                self.store_node(db, pg, &n2);
+                            } else {
+                                self.store_node_new(db, pg, &n2);
+                            }
+                            out.push(e(n2.total(), pg));
+                        }
+                        parent_repl = out;
+                        parent_start = path[d - 1].idx;
+                        parent_remove = 1;
+                    } else if node.entries.len() < min {
+                        let parent_node = if d - 1 == 0 {
+                            self.load_root(db).1
+                        } else {
+                            self.load_node(db, path[d - 1].page)
+                        };
+                        let pidx = path[d - 1].idx;
+                        if parent_node.entries.len() < 2 {
+                            self.store_node(db, target, &node);
+                            parent_repl = vec![e(node.total(), target)];
+                            parent_start = pidx;
+                            parent_remove = 1;
+                        } else {
+                            let (lo, hi) = if pidx > 0 {
+                                (pidx - 1, pidx)
+                            } else {
+                                (pidx, pidx + 1)
+                            };
+                            let sib_is_left = pidx > 0;
+                            let sib_old =
+                                parent_node.entries[if sib_is_left { lo } else { hi }].ptr;
+                            let sib_target = ctx.shadow_page(db, sib_old);
+                            let sib = self.load_node(db, sib_target);
+                            let mut combined = Vec::new();
+                            if sib_is_left {
+                                combined.extend_from_slice(&sib.entries);
+                                combined.extend_from_slice(&node.entries);
+                            } else {
+                                combined.extend_from_slice(&node.entries);
+                                combined.extend_from_slice(&sib.entries);
+                            }
+                            if combined.len() <= cap {
+                                let left_pg = if sib_is_left { sib_target } else { target };
+                                let right_pg = if sib_is_left { target } else { sib_target };
+                                let merged = Node {
+                                    level: node.level,
+                                    entries: combined,
+                                };
+                                self.store_node(db, left_pg, &merged);
+                                ctx.free_page_later(right_pg);
+                                parent_repl = vec![e(merged.total(), left_pg)];
+                            } else {
+                                let mid = combined.len() / 2;
+                                let right_entries = combined.split_off(mid);
+                                let (left_pg, right_pg) = if sib_is_left {
+                                    (sib_target, target)
+                                } else {
+                                    (target, sib_target)
+                                };
+                                let left = Node {
+                                    level: node.level,
+                                    entries: combined,
+                                };
+                                let right = Node {
+                                    level: node.level,
+                                    entries: right_entries,
+                                };
+                                self.store_node(db, left_pg, &left);
+                                self.store_node(db, right_pg, &right);
+                                parent_repl =
+                                    vec![e(left.total(), left_pg), e(right.total(), right_pg)];
+                            }
+                            parent_start = lo;
+                            parent_remove = 2;
+                        }
+                    } else {
+                        self.store_node(db, target, &node);
+                        parent_repl = vec![e(node.total(), target)];
+                        parent_start = path[d - 1].idx;
+                        parent_remove = 1;
+                    }
+                    start = parent_start;
+                    remove_len = parent_remove;
+                    repl = parent_repl;
+                    d -= 1;
+                }
+            }
+
+            fn old_apply_at_root(
+                &self,
+                db: &mut Db,
+                ctx: &mut OpCtx,
+                start: usize,
+                remove_len: usize,
+                repl: Vec<Entry>,
+            ) {
+                let (mut hdr, mut node) = self.load_root(db);
+                node.entries.splice(start..start + remove_len, repl);
+                let rcap = self.root_cap(db);
+                if node.entries.len() > rcap {
+                    let pieces = split_even(&node.entries, self.node_cap(db));
+                    let mut out = Vec::with_capacity(pieces.len());
+                    for piece in pieces {
+                        let child = Node {
+                            level: node.level,
+                            entries: piece,
+                        };
+                        let pg = ctx.fresh_page(db);
+                        self.store_node_new(db, pg, &child);
+                        out.push(e(child.total(), pg));
+                    }
+                    node.entries = out;
+                    node.level += 1;
+                }
+                while node.level > 0 && node.entries.len() == 1 {
+                    let child_pg = node.entries[0].ptr;
+                    let child = self.load_node(db, child_pg);
+                    if child.entries.len() > rcap {
+                        break;
+                    }
+                    ctx.free_page_later(child_pg);
+                    node = child;
+                }
+                self.old_store_root(db, &mut hdr, &node);
+            }
+        }
+    }
+
+    /// One update of the twin script, made on both trees.
+    #[derive(Debug)]
+    enum TwinOp {
+        Append(Entry),
+        /// Replace leaf `i` with these entries (1→1 or 1→k).
+        Replace(usize, Vec<Entry>),
+        Remove(usize),
+        /// Add to leaf `i`'s count.
+        AddCount(usize, i64),
+    }
+
+    /// Run `op` on `tree`, through the in-place write path or the oracle;
+    /// returns the change in the object size.
+    fn run_twin_op(db: &mut Db, tree: &PosTree, ctx: &mut OpCtx, op: &TwinOp, old: bool) -> i64 {
+        let leaf = |db: &mut Db, i: usize| {
+            let off: u64 = tree.collect_leaves(db)[i].0;
+            tree.descend(db, off).unwrap()
+        };
+        match op {
+            TwinOp::Append(x) => {
+                if old {
+                    tree.old_append_entry(db, ctx, *x);
+                } else {
+                    tree.append_entry(db, ctx, *x);
+                }
+                x.count as i64
+            }
+            TwinOp::Replace(i, repl) => {
+                let pos = leaf(db, *i);
+                if old {
+                    tree.old_replace_entry(db, ctx, &pos.path, repl.clone());
+                } else {
+                    tree.replace_entry(db, ctx, &pos.path, repl.clone());
+                }
+                repl.iter().map(|x| x.count as i64).sum::<i64>() - pos.entry.count as i64
+            }
+            TwinOp::Remove(i) => {
+                let pos = leaf(db, *i);
+                if old {
+                    tree.old_remove_entry(db, ctx, &pos.path);
+                } else {
+                    tree.remove_entry(db, ctx, &pos.path);
+                }
+                -(pos.entry.count as i64)
+            }
+            TwinOp::AddCount(i, delta) => {
+                let pos = leaf(db, *i);
+                if old {
+                    tree.old_add_count(db, ctx, &pos.path, *delta);
+                } else {
+                    tree.add_count(db, ctx, &pos.path, *delta);
+                }
+                *delta
+            }
+        }
+    }
+
+    /// The in-place tree against the decoding one on twin databases, for
+    /// one fan-out and shadowing setting: a seeded script of appends,
+    /// 1→1 and 1→k replacements, removals and ± count adds, one to three
+    /// in an operation, that grows the tree to `high` leaves, shrinks it
+    /// to `low` and again. After every operation the two agree on every
+    /// META page's bytes (the stale pairs past `n_entries` included),
+    /// `IoStats`, `PoolStats` and the disk trace, and the in-place tree's
+    /// leaves are the script's.
+    fn twin_run(tree_cfg: TreeConfig, shadowing: bool, steps: usize, (low, high): (usize, usize)) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Four frames, so the index pages (the dirty root included) are
+        // evicted and read back as the script runs.
+        let cfg = DbConfig {
+            tree: tree_cfg,
+            shadowing,
+            pool: PoolConfig {
+                frames: 4,
+                max_buffered_seg: 4,
+            },
+            ..DbConfig::default()
+        };
+        let (mut new_db, tree) = setup_with(cfg);
+        let (mut old_db, old_tree) = setup_with(cfg);
+        assert_eq!(tree.root_page, old_tree.root_page);
+        for db in [&new_db, &old_db] {
+            db.pool.disk().enable_trace(1 << 12);
+        }
+        let label = format!("{tree_cfg:?}, shadowing {shadowing}");
+        let mut rng = StdRng::seed_from_u64(0x7EE_2026 ^ tree_cfg.node_entries as u64);
+        let mut model: Vec<Entry> = Vec::new();
+        let mut next_ptr = 1u32;
+        let mut fresh = |rng: &mut StdRng| {
+            next_ptr += 1;
+            let count = if rng.gen_bool(0.02) {
+                rng.gen_range(1..=1 << 20)
+            } else {
+                rng.gen_range(1..=5_000)
+            };
+            e(count, next_ptr)
+        };
+        let cap = tree_cfg.node_entries;
+        let (mut growing, mut high_page, mut max_level, mut shrinks) = (true, 0u32, 0u8, 0);
+        for step in 0..steps {
+            if model.len() >= high {
+                growing = false;
+            } else if model.len() <= low {
+                growing = true;
+            }
+            let mut ops = Vec::new();
+            let mut leaves = model.clone();
+            for _ in 0..[1, 1, 1, 2, 3][rng.gen_range(0..5)] {
+                let roll = rng.gen_range(0..100);
+                let (append, grow, remove) = if growing { (20, 45, 60) } else { (5, 10, 70) };
+                let i = rng.gen_range(0..leaves.len().max(1));
+                let op = if leaves.is_empty() || roll < append {
+                    TwinOp::Append(fresh(&mut rng))
+                } else if roll < grow {
+                    // Now and then enough pairs to split a node in three.
+                    let room = high.saturating_sub(leaves.len()).max(2);
+                    let k_max = if rng.gen_bool(0.02) { 2 * cap + 2 } else { 5 };
+                    let k = rng.gen_range(2..=k_max.min(room));
+                    TwinOp::Replace(i, (0..k).map(|_| fresh(&mut rng)).collect())
+                } else if roll < remove {
+                    TwinOp::Remove(i)
+                } else if roll < remove + (100 - remove) / 2 {
+                    TwinOp::Replace(i, vec![fresh(&mut rng)])
+                } else if rng.gen_bool(0.5) || leaves[i].count == 1 {
+                    TwinOp::AddCount(i, rng.gen_range(1..=4_000))
+                } else {
+                    TwinOp::AddCount(i, -rng.gen_range(1..leaves[i].count as i64))
+                };
+                match &op {
+                    TwinOp::Append(x) => leaves.push(*x),
+                    TwinOp::Replace(i, repl) => {
+                        leaves.splice(*i..*i + 1, repl.iter().copied());
+                    }
+                    TwinOp::Remove(i) => {
+                        leaves.remove(*i);
+                    }
+                    TwinOp::AddCount(i, d) => leaves[*i].count = add_signed(leaves[*i].count, *d),
+                }
+                ops.push(op);
+            }
+            for (db, t, old) in [(&mut new_db, &tree, false), (&mut old_db, &old_tree, true)] {
+                let mut ctx = OpCtx::new();
+                let moved: i64 = ops
+                    .iter()
+                    .map(|op| run_twin_op(db, t, &mut ctx, op, old))
+                    .sum();
+                t.bump_size(db, moved);
+                ctx.finish(db);
+            }
+            model = leaves;
+
+            let at = || format!("{label}: step {step} ({ops:?})");
+            let pages = tree.index_page_numbers(&new_db);
+            high_page = high_page.max(pages.iter().copied().max().unwrap_or(0));
+            for page in 0..=high_page + 8 {
+                let (a, b) = (new_db.peek_meta(page), old_db.peek_meta(page));
+                assert!(a == b, "{}: META page {page} differs", at());
+            }
+            assert_eq!(new_db.io_stats(), old_db.io_stats(), "{}", at());
+            assert_eq!(
+                new_db.pool.pool_stats(),
+                old_db.pool.pool_stats(),
+                "{}",
+                at()
+            );
+            assert_eq!(new_db.pool.disk().trace_dropped(), 0, "{}", at());
+            assert!(
+                new_db.pool.disk().take_trace() == old_db.pool.disk().take_trace(),
+                "{}: traces differ",
+                at()
+            );
+            tree.check_invariants(&new_db)
+                .unwrap_or_else(|err| panic!("{}: {err}", at()));
+            old_tree
+                .check_invariants(&old_db)
+                .unwrap_or_else(|err| panic!("{}: oracle: {err}", at()));
+            let got = tree.collect_leaves(&new_db).into_iter().map(|x| x.1);
+            assert!(got.eq(model.iter().copied()), "{}: leaves differ", at());
+            let level = new_db.peek_root(tree.root_page).0.level;
+            shrinks += usize::from(level < max_level);
+            max_level = max_level.max(level);
+        }
+        // The script reached the structural paths, not only the plain one.
+        let deep = if cap < 16 { 3 } else { 1 };
+        assert!(
+            max_level >= deep,
+            "{label}: the tree only reached level {max_level}"
+        );
+        assert!(
+            new_db.pool.pool_stats().eviction_writes > 0,
+            "{label}: no dirty eviction"
+        );
+        if steps >= 24_000 {
+            assert!(shrinks > 0, "{label}: the tree never shrank");
+        }
+    }
+
+    #[test]
+    fn in_place_tree_matches_the_decoding_one() {
+        // ci.sh runs this module optimized too, at full length.
+        let steps = if cfg!(debug_assertions) {
+            2_000
+        } else {
+            24_000
+        };
+        for shadowing in [true, false] {
+            twin_run(TreeConfig::tiny(4), shadowing, steps, (0, 120));
+            twin_run(TreeConfig::tiny(6), shadowing, steps, (0, 200));
+            twin_run(TreeConfig::default(), shadowing, steps, (100, 1_300));
+        }
     }
 }
