@@ -64,7 +64,14 @@ run cargo run -q -p xtask -- loblint
 # otherwise, at fan-out 4, 6 and 507/511 with shadowing on and off,
 # through the in-place write path against the decoding one it replaced
 # -- every META page's bytes, `IoStats`, `PoolStats`, trace and the
-# tree invariants after every step). And the model configurations (tests/model.rs,
+# tree invariants after every step). And the live cursor, refilled by one
+# `read_span` a segment: core's stream tests hold a streamed scan to the
+# `IoStats` of one bulk read of the same range, and
+# tests/perf_equivalence.rs also to its disk trace, call by call, and on
+# ESM and EOS to its pool fixes plus the reader's one size lookup, for
+# ESM's direct (16-page) and buffered (4-page) leaves alike; tree's
+# `reads_fix_the_root_once` holds a read to one root fix, an out-of-range
+# one included. And the model configurations (tests/model.rs,
 # proptest_model.rs, crash_fuzz.rs, txn_crash.rs: configurations of
 # lobstore_workload::model) run 256 seeds optimized and their old case
 # counts otherwise. The workspace run includes tests/metric_catalog.rs, which
@@ -78,6 +85,8 @@ run cargo test -q --release -p lobstore-core segdata
 run cargo test -q --release -p lobstore-core starburst
 run cargo test -q --release -p lobstore-core node
 run cargo test -q --release -p lobstore-core tree
+run cargo test -q --release -p lobstore-core stream
+run cargo test -q --release --test perf_equivalence
 run cargo test -q --release -p lobstore-obs
 run cargo test -q --release --test model --test proptest_model --test crash_fuzz --test txn_crash
 

@@ -34,7 +34,7 @@ use crate::object::{
 };
 use crate::segdata::{append_in_place, append_seg_bytes, read_segs, seg_buf, write_new_seg};
 use crate::shadow::OpCtx;
-use crate::tree::PosTree;
+use crate::tree::{read_piece, PosTree};
 
 const EOS_MAGIC: u32 = 0x454F_5331; // "EOS1"
 const KIND_EOS: u8 = 2;
@@ -504,8 +504,11 @@ impl LargeObject for EosObject {
     }
 
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
-        check_range(self.tree.size(db), off, out.len() as u64)?;
-        self.tree.read(db, off, out)
+        self.tree.read(db, off, out, read_piece)
+    }
+
+    fn read_span(&self, db: &mut Db, off: u64, max: usize, buf: &mut Vec<u8>) -> Result<usize> {
+        self.tree.read_span(db, off, max, buf, read_piece)
     }
 
     fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {

@@ -35,7 +35,7 @@ use crate::segdata::{
     write_new_seg,
 };
 use crate::shadow::OpCtx;
-use crate::tree::{LeafPos, PosTree};
+use crate::tree::{read_piece, LeafPos, PosTree};
 
 const ESM_MAGIC: u32 = 0x4553_4D31; // "ESM1"
 const KIND_ESM: u8 = 1;
@@ -309,6 +309,17 @@ impl EsmObject {
         Ok(())
     }
 
+    /// A read's copy out of the leaf at `pos`: the hybrid segment read,
+    /// or under the §4.5 ablation the entire leaf, then the piece copied.
+    fn fetch(&self, db: &mut Db, pos: &LeafPos, piece: &mut [u8]) {
+        if !self.whole_leaf_io {
+            return read_piece(db, pos, piece);
+        }
+        let whole = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
+        let s = cast::to_usize(pos.off_in_leaf);
+        piece.copy_from_slice(&whole[s..s + piece.len()]);
+    }
+
     fn insert_inner(&mut self, db: &mut Db, ctx: &mut OpCtx, off: u64, bytes: &[u8]) -> Result<()> {
         let cap = self.cap();
         let len = bytes.len() as u64;
@@ -441,15 +452,13 @@ impl LargeObject for EsmObject {
     }
 
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
-        check_range(self.tree.size(db), off, out.len() as u64)?;
-        if !self.whole_leaf_io {
-            return self.tree.read(db, off, out);
-        }
-        // §4.5 ablation: fetch the entire leaf, then copy.
-        self.tree.for_each_leaf(db, off, out.len(), |db, pos, r| {
-            let whole = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
-            let s = cast::to_usize(pos.off_in_leaf);
-            out[r.clone()].copy_from_slice(&whole[s..s + r.len()]);
+        self.tree
+            .read(db, off, out, |db, pos, piece| self.fetch(db, pos, piece))
+    }
+
+    fn read_span(&self, db: &mut Db, off: u64, max: usize, buf: &mut Vec<u8>) -> Result<usize> {
+        self.tree.read_span(db, off, max, buf, |db, pos, piece| {
+            self.fetch(db, pos, piece)
         })
     }
 

@@ -106,9 +106,9 @@ pub struct SegmentInfo {
 }
 
 /// Location of the contiguous stored segment holding one byte offset, as
-/// reported by [`LargeObject::locate`]. Streaming readers use it to size
-/// read-ahead spans so a buffered refill issues exactly the segment read
-/// a single large [`LargeObject::read`] call would.
+/// reported by [`LargeObject::locate`], for probes and tooling. Streaming
+/// readers do not ask for it: [`LargeObject::read_span`] finds the
+/// segment and reads it in the same call.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SegSpan {
     /// Object offset of the segment's first byte.
@@ -117,15 +117,6 @@ pub struct SegSpan {
     pub bytes: u64,
     /// First disk page of the segment (LEAF area).
     pub page: u32,
-}
-
-impl SegSpan {
-    /// Object offset one past the segment's last byte.
-    pub fn end(&self) -> u64 {
-        // Both fields are bounded by the object size (<= MAX_OP_BYTES).
-        // loblint: allow(arith-overflow)
-        self.start + self.bytes
-    }
 }
 
 /// A large object stored in the database.
@@ -148,6 +139,15 @@ pub trait LargeObject {
 
     /// Read `out.len()` bytes starting at `off` into `out`.
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()>;
+
+    /// Read from `off` to the end of the stored segment holding it, at
+    /// most `max` bytes, into `buf`, which is resized to that count; the
+    /// count is returned. One descent (Starburst: one descriptor fix) and
+    /// the one segment read a [`Self::read`] of that range issues, so it
+    /// costs exactly that read. Requires `off < size`, except that
+    /// `max == 0` reads nothing and is checked like an empty `read`. The
+    /// live [`crate::ObjectReader`] refills its buffer with this call.
+    fn read_span(&self, db: &mut Db, off: u64, max: usize, buf: &mut Vec<u8>) -> Result<usize>;
 
     /// Locate the contiguous stored segment containing byte `off`
     /// (requires `off < size`). For the tree schemes this is one costed

@@ -41,9 +41,10 @@ pub(crate) enum OpName {
     Size,
     /// Append at the object's end.
     Append,
-    /// Byte-range read.
+    /// Byte-range read: bulk, or a streaming reader's span refill.
     Read,
-    /// Segment-span lookup for streaming readers (a costed descent).
+    /// Segment-span lookup (a costed descent), for probes and tooling;
+    /// streaming readers find their segment inside a `Read`.
     Locate,
     /// Byte insertion at an arbitrary offset.
     Insert,
@@ -277,6 +278,15 @@ impl LargeObject for ObservedObject {
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
         let obs = OpObserver::begin(self.inner.kind(), OpName::Read, db);
         let r = self.inner.read(db, off, out);
+        let b = self.observed_bytes(&obs, db);
+        obs.finish(db, b, r.is_ok());
+        r
+    }
+
+    /// Spanned as `op.<scheme>.read`: a cursor's refill is a read.
+    fn read_span(&self, db: &mut Db, off: u64, max: usize, buf: &mut Vec<u8>) -> Result<usize> {
+        let obs = OpObserver::begin(self.inner.kind(), OpName::Read, db);
+        let r = self.inner.read_span(db, off, max, buf);
         let b = self.observed_bytes(&obs, db);
         obs.finish(db, b, r.is_ok());
         r

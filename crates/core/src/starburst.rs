@@ -394,6 +394,21 @@ impl LargeObject for StarburstObject {
         Ok(())
     }
 
+    fn read_span(&self, db: &mut Db, off: u64, max: usize, buf: &mut Vec<u8>) -> Result<usize> {
+        if max == 0 {
+            buf.clear();
+            return self.read(db, off, buf).map(|()| 0);
+        }
+        // The descriptor's one fix finds the segment, as the plan of a
+        // bulk `read` of the range would; then that plan's one read.
+        let seg = self.locate(db, off)?;
+        let within = off.saturating_sub(seg.start);
+        let n = cast::to_usize(seg.bytes.saturating_sub(within).min(max as u64));
+        buf.resize(n, 0);
+        db.pool.read_segment(AreaId::LEAF, seg.page, within, buf);
+        Ok(n)
+    }
+
     fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {
         db.with_meta_root(self.root, |hdr, node| {
             check_range(hdr.size, off, 1)?;

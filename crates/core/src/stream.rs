@@ -13,9 +13,10 @@
 //!   [`crate::SharedSnapshotReader`] wraps it for [`crate::SharedDb`].
 //!
 //! Both buffer the same way: one [`Span`], the rest of the segment under
-//! the cursor, refilled by one `locate` and one segment read into the
+//! the cursor, refilled by one descent and one segment read into the
 //! `Vec` it handed out last time (§3.2: one segment per I/O call, nothing
-//! read ahead of the request).
+//! read ahead of the request). The live cursor makes both inside one
+//! [`LargeObject::read_span`] call.
 //!
 //! [`ObjectWriter`] implements [`Write`] for streaming creation by
 //! appends, buffering to a configurable chunk size so the append pattern
@@ -107,13 +108,14 @@ impl Span {
 ///
 /// A sequential-scan cursor: instead of descending the index for every
 /// `read()` call (ruinous for small chunks — one full root-to-leaf walk
-/// per 4 KB), the reader locates the segment containing the current
-/// position once per span and refills its buffer with a single
-/// byte-range read covering the rest of that segment (capped at
-/// `READ_AHEAD_MAX`, 4 MiB). Small sequential reads then cost exactly the
-/// simulated I/O of one large read: the refills issue the same
-/// per-segment `read_segment` calls a whole-range [`LargeObject::read`]
-/// would.
+/// per 4 KB), the reader refills its buffer once per span with one
+/// [`LargeObject::read_span`]: one descent to the segment holding the
+/// current position, one byte-range read of the rest of that segment
+/// (capped at `READ_AHEAD_MAX`, 4 MiB). Small sequential reads then cost
+/// exactly the simulated I/O of one large read: the refills make the
+/// descents and issue the per-segment `read_segment` calls a whole-range
+/// [`LargeObject::read`] would, and nothing else but the one size lookup
+/// of [`ObjectReader::new`].
 ///
 /// Seeks don't discard the buffer — the object cannot change while the
 /// reader holds the database borrow, so re-reads within the buffered
@@ -153,18 +155,15 @@ impl<'a> ObjectReader<'a> {
         self.pos
     }
 
-    /// Refill the span starting at the current position: one `locate` to
-    /// find the segment's end, one byte-range read for the remainder of
-    /// that segment.
+    /// Refill the span starting at the current position with the rest of
+    /// the segment holding it: one observed read, one descent.
     fn refill(&mut self) -> Result<()> {
-        let seg = self.obj.locate(self.db, self.pos)?;
-        let seg_end = seg.end().min(self.size);
-        let want = cast::to_usize(seg_end.saturating_sub(self.pos)).min(READ_AHEAD_MAX);
-        debug_assert!(want > 0, "refill past the located span");
-        self.span.data.resize(want, 0);
-        self.obj.read(self.db, self.pos, &mut self.span.data)?;
+        let n = self
+            .obj
+            .read_span(self.db, self.pos, READ_AHEAD_MAX, &mut self.span.data)?;
+        debug_assert!(n > 0, "refill inside the object read nothing");
         self.span.start = self.pos;
-        self.span.len = want;
+        self.span.len = n;
         Ok(())
     }
 }

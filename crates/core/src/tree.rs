@@ -16,6 +16,7 @@
 //! shadowed through the operation's [`OpCtx`] (§3.3); the root is updated
 //! in place and left to the buffer pool.
 
+use std::convert::Infallible;
 use std::ops::Range;
 
 use lobstore_buddy::Extent;
@@ -165,16 +166,41 @@ impl PosTree {
     /// # Panics
     /// If `off` exceeds the stored object size.
     pub fn descend(&self, db: &mut Db, off: u64) -> Option<LeafPos> {
+        let Ok(pos) = self.descend_gated(db, off, |_| Ok::<(), Infallible>(()));
+        pos
+    }
+
+    /// The leaf holding byte `off` of a read of `[off, off + len)`
+    /// (`len > 0`), range-checked against the header under the descent's
+    /// own root fix: an out-of-range request fails with
+    /// [`LobError::OutOfRange`] after that one fix and descends no
+    /// further.
+    pub fn descend_checked(&self, db: &mut Db, off: u64, len: u64) -> Result<LeafPos> {
+        self.descend_gated(db, off, |hdr| check_range(hdr.size, off, len).map(drop))?
+            .ok_or_else(|| self.no_leaf(off))
+    }
+
+    /// The one descent: `gate` sees the root header under the root's fix
+    /// and may refuse the walk before any pair is searched.
+    fn descend_gated<E>(
+        &self,
+        db: &mut Db,
+        off: u64,
+        gate: impl FnOnce(&RootHdr) -> std::result::Result<(), E>,
+    ) -> std::result::Result<Option<LeafPos>, E> {
         // Each step searches the fixed page's pair array in place.
         let step_in = |node: NodeView<'_>, rem: u64| {
             let (idx, within, entry) = node.find_child(rem);
             (idx, within, entry, node.level)
         };
         let mut rem = off;
-        let (mut idx, mut within, mut entry, mut level) = db
-            .with_meta_root(self.root_page, |_, node| {
-                (!node.is_empty()).then(|| step_in(node, rem))
-            })?;
+        let first = db.with_meta_root(self.root_page, |hdr, node| {
+            gate(hdr)?;
+            Ok((!node.is_empty()).then(|| step_in(node, rem)))
+        })?;
+        let Some((mut idx, mut within, mut entry, mut level)) = first else {
+            return Ok(None);
+        };
         let mut path = Vec::with_capacity(4);
         path.push(PathStep {
             page: self.root_page,
@@ -188,12 +214,12 @@ impl PosTree {
         }
         metrics::TREE_DESCENTS.add(1);
         metrics::TREE_DESCEND_DEPTH.add(path.len() as u64);
-        Some(LeafPos {
+        Ok(Some(LeafPos {
             path,
             entry,
             off_in_leaf: within,
             leaf_start: off - within,
-        })
+        }))
     }
 
     /// [`Self::descend`], required to succeed. Callers use it only after
@@ -201,12 +227,14 @@ impl PosTree {
     /// tree and the stored object size disagree — an invariant violation,
     /// not a caller error.
     pub fn try_descend(&self, db: &mut Db, off: u64) -> Result<LeafPos> {
-        self.descend(db, off).ok_or_else(|| {
-            LobError::InvariantViolated(format!(
-                "count tree at page {} has no leaf covering offset {off}",
-                self.root_page
-            ))
-        })
+        self.descend(db, off).ok_or_else(|| self.no_leaf(off))
+    }
+
+    fn no_leaf(&self, off: u64) -> LobError {
+        LobError::InvariantViolated(format!(
+            "count tree at page {} has no leaf covering offset {off}",
+            self.root_page
+        ))
     }
 
     /// The rightmost leaf, if any. Uses the tree's actual entry total (not
@@ -517,47 +545,84 @@ impl PosTree {
     }
 
     /// Visit, left to right, every leaf overlapping object bytes
-    /// `[off, off + len)` (range-checked by the caller): one descent per
-    /// leaf, `visit` gets the leaf and the sub-range of the caller's
-    /// `len`-byte buffer that falls in it. The tree may be restructured
-    /// inside `visit`; the next leaf is found by a fresh descent.
-    pub fn for_each_leaf(
+    /// `[off, off + len)`: one descent per leaf, `visit` gets the leaf
+    /// and the sub-range of the caller's `len`-byte buffer that falls in
+    /// it. The first descent range-checks the request under its own root
+    /// fix; an empty request descends nowhere and is checked against
+    /// [`Self::size`]. The tree may be restructured inside `visit`; the
+    /// next leaf is found by a fresh descent.
+    fn for_each_leaf(
         &self,
         db: &mut Db,
         off: u64,
         len: usize,
         mut visit: impl FnMut(&mut Db, &LeafPos, Range<usize>),
     ) -> Result<()> {
+        if len == 0 {
+            return check_range(self.size(db), off, 0).map(drop);
+        }
+        let mut pos = self.descend_checked(db, off, len as u64)?;
         let mut done = 0usize;
-        while done < len {
+        loop {
             // `off + len` was range-checked against the object size.
             // loblint: allow(arith-overflow)
             let at = off + done as u64;
-            let pos = self.try_descend(db, at)?;
             let take = cast::to_usize((pos.leaf_end() - at).min((len - done) as u64));
             visit(db, &pos, done..done + take);
             done += take;
+            if done == len {
+                return Ok(());
+            }
+            pos = self.try_descend(db, pos.leaf_end())?;
         }
-        Ok(())
     }
 
-    /// Read `out.len()` bytes at `off` (range-checked by the caller): one
-    /// descent plus one hybrid-policy segment read (§3.2) per leaf.
-    pub fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
+    /// Read `out.len()` bytes at `off`: one descent per leaf, `fetch`
+    /// copying each leaf's piece out ([`read_piece`] but for ESM's
+    /// whole-leaf ablation).
+    pub fn read(
+        &self,
+        db: &mut Db,
+        off: u64,
+        out: &mut [u8],
+        mut fetch: impl FnMut(&mut Db, &LeafPos, &mut [u8]),
+    ) -> Result<()> {
         self.for_each_leaf(db, off, out.len(), |db, pos, r| {
             // `for_each_leaf` hands out sub-ranges of `0..out.len()`.
             // loblint: allow(panic-path)
-            let piece = &mut out[r];
-            db.pool
-                .read_segment(AreaId::LEAF, pos.entry.ptr, pos.off_in_leaf, piece);
+            fetch(db, pos, &mut out[r]);
         })
     }
 
-    /// The stored segment holding byte `off` (`off < size`): one costed
-    /// descent.
+    /// Read from `off` to the end of its leaf, at most `max` bytes, into
+    /// `buf` (resized to the count, which is returned): the one
+    /// range-checked descent and the one `fetch` of a [`Self::read`] of
+    /// that range. `max == 0` reads nothing, checked like an empty read.
+    pub fn read_span(
+        &self,
+        db: &mut Db,
+        off: u64,
+        max: usize,
+        buf: &mut Vec<u8>,
+        fetch: impl FnOnce(&mut Db, &LeafPos, &mut [u8]),
+    ) -> Result<usize> {
+        if max == 0 {
+            check_range(self.size(db), off, 0)?;
+            buf.clear();
+            return Ok(0);
+        }
+        let pos = self.descend_checked(db, off, 1)?;
+        let left = pos.entry.count.saturating_sub(pos.off_in_leaf);
+        let n = cast::to_usize(left.min(max as u64));
+        buf.resize(n, 0);
+        fetch(db, &pos, buf);
+        Ok(n)
+    }
+
+    /// The stored segment holding byte `off` (`off < size`): one costed,
+    /// range-checked descent.
     pub fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {
-        check_range(self.size(db), off, 1)?;
-        let pos = self.try_descend(db, off)?;
+        let pos = self.descend_checked(db, off, 1)?;
         Ok(SegSpan {
             start: pos.leaf_start,
             bytes: pos.entry.count,
@@ -836,6 +901,13 @@ enum Level {
     Edited(i64),
     /// Structural: the node decoded, the edit not yet made.
     Decoded(Node),
+}
+
+/// A read's copy out of one leaf: the §3.2 hybrid-policy segment read of
+/// `piece.len()` bytes from the leaf's `off_in_leaf`.
+pub(crate) fn read_piece(db: &mut Db, pos: &LeafPos, piece: &mut [u8]) {
+    db.pool
+        .read_segment(AreaId::LEAF, pos.entry.ptr, pos.off_in_leaf, piece);
 }
 
 /// Depth-first leaf walk under `node`, preserving left-to-right order;
@@ -1128,6 +1200,93 @@ mod tests {
         // Order preserved.
         assert_eq!(pieces[0][0].ptr, 0);
         assert_eq!(pieces[2].last().unwrap().ptr, 22);
+    }
+
+    /// Buffer-pool fixes `f` makes, resident or not.
+    fn fixes_of<T>(db: &mut Db, f: impl FnOnce(&mut Db) -> T) -> (T, u64) {
+        let count = |db: &Db| {
+            let s = db.pool.pool_stats();
+            s.hits + s.misses
+        };
+        let before = count(db);
+        let got = f(db);
+        (got, count(db) - before)
+    }
+
+    #[test]
+    fn reads_fix_the_root_once() {
+        use crate::object::LargeObject;
+        use crate::{EosObject, EosParams, EsmObject, EsmParams};
+        // Twelve one-page leaves under fan-out 4: a root over interior
+        // nodes. The leaves were written direct, so none is in the pool,
+        // and a cold leaf's read fixes nothing.
+        const SIZE: u64 = 12 * 4096;
+        for esm in [true, false] {
+            let mut db = Db::new(DbConfig {
+                tree: TreeConfig::tiny(4),
+                ..DbConfig::default()
+            });
+            let mut obj: Box<dyn LargeObject> = if esm {
+                Box::new(EsmObject::create(&mut db, EsmParams { leaf_pages: 1 }).unwrap())
+            } else {
+                let params = EosParams {
+                    threshold_pages: 1,
+                    max_seg_pages: 1,
+                };
+                Box::new(EosObject::create(&mut db, params).unwrap())
+            };
+            let bytes: Vec<u8> = (0..SIZE).map(|i| (i % 253) as u8).collect();
+            obj.append(&mut db, &bytes).unwrap();
+            let kind = obj.kind();
+            assert_eq!(db.peek_root(obj.root_page()).0.level, 1, "{kind}: depth 2");
+
+            // A one-leaf read: the root and one interior node.
+            let mut out = [0u8; 100];
+            let (r, n) = fixes_of(&mut db, |db| obj.read(db, 5 * 4096 + 10, &mut out));
+            r.unwrap();
+            assert_eq!(out[..], bytes[5 * 4096 + 10..][..100]);
+            assert_eq!(n, 2, "{kind}: a one-leaf read fixes root + interior");
+            let mut span = Vec::new();
+            let (r, n) = fixes_of(&mut db, |db| {
+                obj.read_span(db, 7 * 4096 + 10, 99, &mut span)
+            });
+            assert_eq!(r.unwrap(), 99);
+            assert_eq!(span[..], bytes[7 * 4096 + 10..][..99]);
+            assert_eq!(n, 2, "{kind}: a span read fixes root + interior");
+            let (r, _) = fixes_of(&mut db, |db| {
+                obj.read_span(db, 8 * 4096 + 96, 1 << 20, &mut span)
+            });
+            assert_eq!(r.unwrap(), 4000, "{kind}: a span ends with its leaf");
+
+            // Out of range: the error the size check always gave, after
+            // the root fix alone.
+            let oor = |off, len| LobError::OutOfRange {
+                off,
+                len,
+                size: SIZE,
+            };
+            for (off, len) in [(SIZE - 50, 100u64), (SIZE, 1), (SIZE + 7, 0), (0, SIZE + 1)] {
+                let mut out = vec![0u8; cast::to_usize(len)];
+                let (r, n) = fixes_of(&mut db, |db| obj.read(db, off, &mut out));
+                assert_eq!(r.unwrap_err(), oor(off, len), "{kind}: read({off}, {len})");
+                assert_eq!(n, 1, "{kind}: read({off}, {len}) fixes only the root");
+            }
+            for off in [SIZE, SIZE + 7] {
+                let (r, n) = fixes_of(&mut db, |db| obj.locate(db, off));
+                assert_eq!(r.unwrap_err(), oor(off, 1), "{kind}: locate({off})");
+                assert_eq!(n, 1, "{kind}: locate({off}) fixes only the root");
+                let (r, n) = fixes_of(&mut db, |db| obj.read_span(db, off, 10, &mut span));
+                assert_eq!(r.unwrap_err(), oor(off, 1), "{kind}: read_span({off})");
+                assert_eq!(n, 1, "{kind}: read_span({off}) fixes only the root");
+            }
+
+            // Zero-length at the end: still a success, still one fix.
+            let (r, n) = fixes_of(&mut db, |db| obj.read(db, SIZE, &mut []));
+            r.unwrap();
+            assert_eq!(n, 1, "{kind}: an empty read fixes the root");
+            let (r, n) = fixes_of(&mut db, |db| obj.read_span(db, SIZE, 0, &mut span));
+            assert_eq!((r.unwrap(), span.len(), n), (0, 0, 1), "{kind}");
+        }
     }
 
     /// The write path this tree shipped before it edited pages in place,

@@ -10,18 +10,21 @@
 //!    the bytes of the naive peek-based reference (`snapshot()`, which
 //!    walks the index with cost-free peeks and bypasses the buffer
 //!    pool and the scatter path entirely).
-//! 2. **Accounting**: streaming an object through the cursor charges
-//!    *identical* `IoStats` to one bulk `LargeObject::read` of the same
-//!    range on a twin database. Bulk reads' absolute costs are pinned
-//!    by `tests/golden_traces.rs` and `tests/cost_model.rs` (unchanged
-//!    by the optimization pass), so equality here is transitively
-//!    equality with pre-optimization accounting.
+//! 2. **Accounting**: streaming an object through the cursor makes the
+//!    disk calls of one bulk `LargeObject::read` of the same range on a
+//!    twin database — *identical* `IoStats` and disk trace — and on the
+//!    tree schemes its pool fixes plus the reader's one size lookup.
+//!    Bulk reads' absolute costs are pinned by `tests/golden_traces.rs`
+//!    and `tests/cost_model.rs` (unchanged by the optimization pass), so
+//!    equality here is transitively equality with pre-optimization
+//!    accounting.
 
 use std::io::{Read, Seek, SeekFrom};
 
+use lobstore::simdisk::TraceEvent;
 use lobstore::workload::fill;
 use lobstore::workload::model::{Driver, Kind, Op, OpGen};
-use lobstore::{Db, ManagerSpec, ObjectReader};
+use lobstore::{Db, ManagerSpec, ObjectReader, StorageKind};
 use proptest::prelude::*;
 
 /// Build histories: appends, inserts and replaces.
@@ -93,16 +96,46 @@ fn bytes_match_reference(
     );
 }
 
+/// What one side of [`streamed_accounting_matches_bulk`] cost: its
+/// `IoStats`, its disk calls in order, and its buffer-pool fixes.
+struct Charge {
+    io: IoStats,
+    trace: Vec<TraceEvent>,
+    fixes: u64,
+}
+
+/// Run `f` on `db` and measure what it charges.
+fn charge(db: &mut Db, f: impl FnOnce(&mut Db)) -> Charge {
+    let fixes = |db: &mut Db| {
+        let s = db.pool().pool_stats();
+        s.hits + s.misses
+    };
+    db.pool().disk_mut().enable_trace(4_096);
+    let (io, fixed) = (db.io_stats(), fixes(db));
+    f(db);
+    let disk = db.pool().disk_mut();
+    let (trace, dropped) = (disk.take_trace(), disk.trace_dropped());
+    assert_eq!(dropped, 0, "trace buffer too small");
+    Charge {
+        io: db.io_stats() - io,
+        trace,
+        fixes: fixes(db) - fixed,
+    }
+}
+
 /// Twin databases, identical single-append build: stream `[start, size)`
-/// through the cursor on one, bulk-read the same range on the other, and
-/// require bit-identical `IoStats`.
+/// through the cursor on one, bulk-read the same range on the other.
+/// Both must make the same disk calls in the same order (bit-identical
+/// `IoStats` and disk trace), and on the tree schemes the same pool
+/// fixes plus exactly one: the root fix of the size lookup in
+/// `ObjectReader::new`.
 ///
-/// A single large append yields full-width segments everywhere but the
-/// tail, so every refill's span read is a direct (unbuffered) read and
-/// the cursor's extra index descents hit META pages still resident in
-/// the pool — zero additional simulated I/O. The tail segment may be
-/// small enough to take the buffered path, but it is read last in both
-/// runs, so the accounting stays equal.
+/// Each refill is one `read_span`: the range-checked descent to the leaf
+/// under the cursor and the segment read a bulk `read` issues for that
+/// leaf, so the cursor walks the bulk read's fix sequence leaf by leaf.
+/// Starburst's bulk read plans every segment under one descriptor fix,
+/// where the cursor fixes the descriptor once a segment, so its fixes are
+/// not compared; each of those extra fixes is a hit, with no disk call.
 fn streamed_accounting_matches_bulk(
     spec: ManagerSpec,
     total: usize,
@@ -122,28 +155,36 @@ fn streamed_accounting_matches_bulk(
     let start = ((start_frac * total as f64) as usize).min(total - 1);
     let want = total - start;
 
-    let before = db_bulk.io_stats();
     let mut bulk_bytes = vec![0u8; want];
-    obj_bulk
-        .read(&mut db_bulk, start as u64, &mut bulk_bytes)
-        .unwrap();
-    let bulk = db_bulk.io_stats() - before;
+    let bulk = charge(&mut db_bulk, |db| {
+        obj_bulk.read(db, start as u64, &mut bulk_bytes).unwrap();
+    });
 
-    let before = db_stream.io_stats();
     let mut streamed_bytes = Vec::with_capacity(want);
-    {
-        let mut r = ObjectReader::new(&mut db_stream, obj_stream.as_ref());
+    let streamed = charge(&mut db_stream, |db| {
+        let mut r = ObjectReader::new(db, obj_stream.as_ref());
         r.seek(SeekFrom::Start(start as u64)).unwrap();
         stream_all(&mut r, chunk, &mut streamed_bytes);
-    }
-    let streamed = db_stream.io_stats() - before;
+    });
 
     assert!(streamed_bytes == bulk_bytes, "content diverges");
+    let what = format!("cursor scan of [{start}, {total}) in {chunk}-byte chunks");
     assert_eq!(
-        streamed, bulk,
-        "cursor scan of [{start}, {total}) in {chunk}-byte chunks must charge \
-         exactly the simulated I/O of one bulk read"
+        streamed.io, bulk.io,
+        "{what} must charge exactly the simulated I/O of one bulk read"
     );
+    assert_eq!(
+        streamed.trace, bulk.trace,
+        "{what} must make the disk calls of one bulk read, in its order"
+    );
+    if spec.kind() != StorageKind::Starburst {
+        assert_eq!(
+            streamed.fixes,
+            bulk.fixes + 1,
+            "{what} must fix the pages one bulk read fixes, plus the root \
+             once for the reader's size"
+        );
+    }
 }
 
 proptest! {
@@ -206,6 +247,13 @@ proptest! {
         (total, start, chunk) in (65_536usize..1_500_000, 0.0f64..=1.0, 512usize..16_384)
     ) {
         streamed_accounting_matches_bulk(ManagerSpec::esm(16), total, start, chunk);
+    }
+
+    #[test]
+    fn esm_buffered_leaves_streamed_accounting_matches_bulk(
+        (total, start, chunk) in (65_536usize..1_500_000, 0.0f64..=1.0, 512usize..16_384)
+    ) {
+        streamed_accounting_matches_bulk(ManagerSpec::esm(4), total, start, chunk);
     }
 
     #[test]
