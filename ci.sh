@@ -74,7 +74,13 @@ run cargo run -q -p xtask -- loblint
 # one included. And the model configurations (tests/model.rs,
 # proptest_model.rs, crash_fuzz.rs, txn_crash.rs: configurations of
 # lobstore_workload::model) run 256 seeds optimized and their old case
-# counts otherwise. The workspace run includes tests/metric_catalog.rs, which
+# counts otherwise. And simdisk optimized, where its copies run at full
+# speed: a read of 1 MiB or more of an area's arena is copied as
+# page-aligned pieces on scoped threads, and its tests hold that copy to
+# `copy_from_slice` (1 MiB +-1 .. 4 MiB x 1, 2, 3, 7 pieces), a read across
+# the arena frontier into sparse pages, one call's charge (`IoStats`, obs
+# counters, trace event), and four concurrent 4 MiB readers beside a writer
+# to exact `IoStats` sums. The workspace run includes tests/metric_catalog.rs, which
 # holds the crates' declared metric handles to DESIGN.md section 10, and
 # tests/aging.rs, which pins the aged store to the I/O call (section 14).
 run cargo test -q --workspace
@@ -88,6 +94,7 @@ run cargo test -q --release -p lobstore-core tree
 run cargo test -q --release -p lobstore-core stream
 run cargo test -q --release --test perf_equivalence
 run cargo test -q --release -p lobstore-obs
+run cargo test -q --release -p lobstore-simdisk
 run cargo test -q --release --test model --test proptest_model --test crash_fuzz --test txn_crash
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver

@@ -1,7 +1,7 @@
 //! The simulated disk itself.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError, RwLock};
+use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
 
 use crate::cost::CostModel;
 use crate::metrics as m;
@@ -17,13 +17,102 @@ type PageBox = Box<[u8; PAGE_SIZE]>;
 /// allocation while a stray far-off write cannot balloon memory.
 const ARENA_GROW_SLACK_PAGES: usize = 4096;
 
+/// The smallest arena copy a read splits across cores. Below it, starting
+/// and joining a helper thread costs more than the half copy it takes
+/// over (DESIGN.md §12, "Extent-backed page store").
+const SPLIT_MIN_BYTES: usize = 1 << 20;
+
+/// The smallest piece of a split copy: a copy is cut into at most
+/// `len / SPLIT_PIECE_BYTES` pieces, one per core.
+const SPLIT_PIECE_BYTES: usize = 512 << 10;
+
+/// Stack of a copy helper thread, which only runs one `copy_from_slice`.
+const SPLIT_HELPER_STACK: usize = 64 << 10;
+
+/// How many cores this process may use, read once: the standard library
+/// asks the cgroup files each time, far too slow for every read.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// How many pieces an arena copy of `len` bytes is cut into: one below
+/// [`SPLIT_MIN_BYTES`] or on one core, else one per core, each at least
+/// [`SPLIT_PIECE_BYTES`].
+fn split_pieces(len: usize) -> usize {
+    if len < SPLIT_MIN_BYTES {
+        1
+    } else {
+        cores().min(len / SPLIT_PIECE_BYTES)
+    }
+}
+
+/// The length of each piece but the last when a `len`-byte copy is cut
+/// into `pieces`: whole pages, so every cut falls on a page boundary, and
+/// 0 when the copy has fewer pages than pieces (or no pieces).
+fn piece_bytes(len: usize, pieces: usize) -> usize {
+    len.checked_div(pieces).unwrap_or(0) / PAGE_SIZE * PAGE_SIZE
+}
+
+/// `dst.copy_from_slice(src)`, cut into `pieces` pieces that run at once:
+/// the calling thread copies the last, scoped helper threads the others,
+/// and all are joined before this returns. Each piece but the last is
+/// [`piece_bytes`] long, and the last takes the remainder; with fewer
+/// than two pieces, or pages, it is one serial copy. A piece whose helper
+/// cannot be started is copied by the caller after the others.
+///
+/// # Panics
+/// If `dst` and `src` differ in length, as `copy_from_slice` does.
+fn copy_split(dst: &mut [u8], src: &[u8], pieces: usize) {
+    // A serial copy, the common case, pays no division.
+    let step = if pieces < 2 {
+        0
+    } else {
+        piece_bytes(dst.len(), pieces)
+    };
+    if step == 0 {
+        dst.copy_from_slice(src);
+        return;
+    }
+    // `step * (pieces - 1) <= dst.len()` by `piece_bytes`'s division.
+    let cut = step * (pieces - 1);
+    let (helped, own) = dst.split_at_mut(cut);
+    let (helped_src, own_src) = src.split_at(cut);
+    // A helper takes its piece out of its slot, so a piece whose thread
+    // never started is still in its slot after the scope.
+    let mut slots: Vec<_> = helped
+        .chunks_mut(step)
+        .zip(helped_src.chunks(step))
+        .map(Some)
+        .collect();
+    std::thread::scope(|s| {
+        for slot in &mut slots {
+            let copy = move || {
+                if let Some((d, from)) = slot.take() {
+                    d.copy_from_slice(from);
+                }
+            };
+            // A failed start hands back nothing; its slot stays full.
+            let _started = std::thread::Builder::new()
+                .stack_size(SPLIT_HELPER_STACK)
+                .spawn_scoped(s, copy);
+        }
+        own.copy_from_slice(own_src);
+    });
+    for (d, from) in slots.into_iter().flatten() {
+        d.copy_from_slice(from);
+    }
+}
+
 /// One database area: an extent-backed page store.
 ///
 /// Pages `[0, arena_pages)` live contiguously in `arena` (page `p` at
 /// byte offset `p * PAGE_SIZE`), so a multi-page run moves with one
-/// `copy_from_slice` instead of one map lookup and copy per page. Writes
-/// far beyond the frontier land in the `sparse` fallback map and are
-/// migrated into the arena when it later grows over them.
+/// slice copy instead of one map lookup and copy per page; a read of
+/// 1 MiB or more of the arena is cut into page-aligned pieces copied on
+/// every core at once ([`copy_split`]). Writes far beyond the frontier
+/// land in the `sparse` fallback map and are migrated into the arena
+/// when it later grows over them.
 ///
 /// Pages are still materialized lazily — a never-written page reads as
 /// zeroes, like a freshly formatted volume — with one bit per arena page
@@ -98,6 +187,9 @@ impl Area {
 
     /// Fetch pages starting at `start` into `out`. Never materializes;
     /// absent pages read as zeroes (arena slack already holds zeroes).
+    /// The arena part is one [`copy_split`] (cut across cores from 1 MiB,
+    /// counted in `simdisk.split_reads`); sparse pages are copied one by
+    /// one on the calling thread.
     fn copy_out(&self, start: u32, out: &mut [u8]) {
         let first = cast::u32_to_usize(start);
         let arena_bytes = self
@@ -107,11 +199,16 @@ impl Area {
             .min(out.len());
         if arena_bytes > 0 {
             let off = first * PAGE_SIZE;
+            let pieces = split_pieces(arena_bytes);
+            if pieces > 1 {
+                m::SPLIT_READS.add(1);
+            }
             // `arena_bytes` was clamped to both the arena extent past
             // `off` and `out.len()` above, so neither slice can be out
             // of range.
             // loblint: allow(arith-overflow, panic-path)
-            out[..arena_bytes].copy_from_slice(&self.arena[off..off + arena_bytes]);
+            let (dst, src) = (&mut out[..arena_bytes], &self.arena[off..off + arena_bytes]);
+            copy_split(dst, src, pieces);
         }
         // `first + served pages` stays within the 32-bit page space.
         // loblint: allow(arith-overflow)
@@ -151,6 +248,8 @@ impl Area {
 /// One area behind its own reader/writer latch, so concurrent readers of
 /// *different* (or even the same) area proceed in parallel: `copy_out`
 /// never materializes pages, so a read call only needs the read side.
+/// The helper threads of a split copy borrow the two slices under the
+/// latch their caller holds and take none of their own.
 struct AreaSlot {
     store: RwLock<Area>,
 }
@@ -197,8 +296,12 @@ impl AtomicIoStats {
 /// Every operation takes `&self`: areas sit behind per-area `RwLock`s
 /// (reads share, writes exclude), the statistics are atomics, and the
 /// optional trace is mutex-guarded — a mutex no call takes until a trace
-/// has been enabled. Single-threaded callers see exactly the pre-latch
-/// behavior — same costs, same counter ordering, same trace stream.
+/// has been enabled. A call is charged on the calling thread before any
+/// byte moves, so costs, counter order and the trace stream depend only
+/// on the sequence of calls. A read or peek of 1 MiB or more of an
+/// area's dense arena copies its bytes on every core the process may
+/// use, on scoped threads joined before the call returns; writes and
+/// the pages past the arena are always copied by the calling thread.
 pub struct SimDisk {
     areas: Vec<AreaSlot>,
     cost: CostModel,
@@ -330,7 +433,9 @@ impl SimDisk {
     /// starting at `start_page` into `out`.
     ///
     /// Cost: one seek + one page transfer per page touched, even if `out`
-    /// ends mid-page — the disk always moves whole pages.
+    /// ends mid-page — the disk always moves whole pages. The call is
+    /// charged before the copy; a copy of 1 MiB or more of the arena is
+    /// split across cores (see [`SimDisk`]), which changes no count.
     ///
     /// # Panics
     /// If `out` is empty or the area does not exist.
@@ -363,7 +468,8 @@ impl SimDisk {
 
     /// Cost-free read used by verification code and by the buffer manager
     /// when overlaying already-resident pages. Not part of the simulated
-    /// I/O stream.
+    /// I/O stream. Its copy is [`Self::read`]'s, split across cores from
+    /// 1 MiB of arena alike.
     pub fn peek(&self, area: AreaId, start_page: u32, out: &mut [u8]) {
         let slot = self.slot(area);
         let a = slot.store.read().unwrap_or_else(PoisonError::into_inner);
@@ -669,5 +775,186 @@ mod tests {
         assert_eq!(s.read_calls, 200);
         assert_eq!(s.pages_read, 400);
         assert_eq!(s.write_calls, 1);
+    }
+
+    const MIB: usize = 1 << 20;
+
+    fn pattern(len: usize, salt: usize) -> Vec<u8> {
+        (0..len).map(|i| ((i / 7 + salt) % 251) as u8).collect()
+    }
+
+    /// The split copy is `copy_from_slice` cut at page boundaries, for
+    /// any piece count, so this runs the same on one core as on many.
+    #[test]
+    fn split_copy_matches_copy_from_slice() {
+        for len in [MIB - 1, MIB, MIB + 1, 3 * MIB + 100, 4 * MIB] {
+            let src = pattern(len, len);
+            for pieces in [1, 2, 3, 7] {
+                let step = piece_bytes(len, pieces);
+                assert_eq!(step % PAGE_SIZE, 0, "cuts fall on page boundaries");
+                assert!(step > 0, "{len} bytes in {pieces} pieces");
+                let last = len - step * (pieces - 1);
+                assert!(last >= step, "the last piece takes the remainder");
+                let mut dst = vec![0xAAu8; len];
+                copy_split(&mut dst, &src, pieces);
+                assert!(dst == src, "{len} bytes in {pieces} pieces");
+            }
+        }
+        // Fewer pages than pieces: one serial copy.
+        let mut dst = [0u8; 3 * PAGE_SIZE];
+        copy_split(&mut dst, &[5u8; 3 * PAGE_SIZE], 7);
+        assert!(dst.iter().all(|&b| b == 5));
+    }
+
+    #[test]
+    fn only_a_large_arena_copy_on_several_cores_splits() {
+        assert_eq!(split_pieces(MIB - 1), 1);
+        assert_eq!(split_pieces(256 << 10), 1);
+        // Two pieces of 512 KiB at most from 1 MiB, eight from 4 MiB.
+        assert_eq!(split_pieces(MIB), cores().min(2));
+        assert_eq!(split_pieces(4 * MIB), cores().min(8));
+    }
+
+    /// A 3 MiB read that crosses the arena frontier into sparse pages:
+    /// the arena part (split once it reaches 1 MiB), the zero slack and
+    /// the sparse pages all read back.
+    #[test]
+    fn split_read_across_the_frontier_into_sparse_pages() {
+        lobstore_obs::reset();
+        let d = disk();
+        // Sparse first, while the arena is empty; then the data run that
+        // grows the arena to page 4000.
+        let (near, far) = (4_200u32, 4_700u32);
+        d.write(AreaId::LEAF, near, &[7u8; PAGE_SIZE]);
+        d.write(AreaId::LEAF, far, &[8u8; 100]);
+        let data = pattern(500 * PAGE_SIZE, 3);
+        d.write(AreaId::LEAF, 3_500, &data);
+        assert_eq!(d.materialized_page_numbers(AreaId::LEAF).last(), Some(&far));
+        let frontier = 4_000u32;
+        let expect = |start: u32, len: usize| -> Vec<u8> {
+            let mut want = vec![0u8; len];
+            for (i, byte) in want.iter_mut().enumerate() {
+                let page = start + (i / PAGE_SIZE) as u32;
+                *byte = match page {
+                    3_500..=3_999 => data[(page - 3_500) as usize * PAGE_SIZE + i % PAGE_SIZE],
+                    p if p == near => 7,
+                    p if p == far && i % PAGE_SIZE < 100 => 8,
+                    _ => 0,
+                };
+            }
+            want
+        };
+        for (start, arena_pages) in [(frontier - 2, 2usize), (frontier - 300, 300)] {
+            let before = lobstore_obs::counter_value("simdisk.split_reads");
+            let mut out = vec![0xAAu8; 3 * MIB];
+            d.read(AreaId::LEAF, start, &mut out);
+            assert!(out == expect(start, 3 * MIB), "read at {start}");
+            let split = u64::from(split_pieces(arena_pages * PAGE_SIZE) > 1);
+            assert_eq!(
+                lobstore_obs::counter_value("simdisk.split_reads") - before,
+                split
+            );
+        }
+        if cores() > 1 {
+            assert_eq!(lobstore_obs::counter_value("simdisk.split_reads"), 1);
+        }
+    }
+
+    /// A split read is charged exactly as an unsplit one: one call, its
+    /// pages, its cost and one trace event, before the copy.
+    #[test]
+    fn split_read_charges_one_call() {
+        lobstore_obs::reset();
+        let d = disk();
+        let data = pattern(4 * MIB, 1);
+        d.write(AreaId::LEAF, 0, &data);
+        d.reset_stats();
+        d.enable_trace(4);
+        let mut out = vec![0u8; 3 * MIB];
+        d.read(AreaId::LEAF, 10, &mut out);
+        assert!(out == data[10 * PAGE_SIZE..10 * PAGE_SIZE + 3 * MIB]);
+        let pages = (3 * MIB / PAGE_SIZE) as u32;
+        let cost = d.cost_model().io_cost_us(pages);
+        assert_eq!(
+            d.stats(),
+            IoStats {
+                read_calls: 1,
+                pages_read: u64::from(pages),
+                time_us: cost,
+                ..IoStats::default()
+            }
+        );
+        assert_eq!(
+            d.take_trace(),
+            vec![TraceEvent {
+                kind: TraceKind::Read,
+                area: AreaId::LEAF,
+                start: 10,
+                pages,
+                cost_us: cost,
+            }]
+        );
+        assert_eq!(lobstore_obs::counter_value("simdisk.leaf.read_calls"), 1);
+        assert_eq!(
+            lobstore_obs::counter_value("simdisk.leaf.pages_read"),
+            u64::from(pages)
+        );
+        assert_eq!(
+            lobstore_obs::counter_value("simdisk.split_reads"),
+            u64::from(cores() > 1)
+        );
+    }
+
+    /// Four readers split 4 MiB reads of one area at once, every one
+    /// spawning helpers under the shared area latch, while a fifth thread
+    /// writes a disjoint range of the same area.
+    #[test]
+    fn concurrent_large_reads_split_under_the_shared_latch() {
+        const ROUNDS: u64 = 6;
+        const WRITES: u32 = 16;
+        let d = disk();
+        let data = pattern(4 * MIB, 9);
+        d.write(AreaId::LEAF, 0, &data);
+        let run_pages = (4 * MIB / PAGE_SIZE) as u32;
+        let piece = pattern(16 * PAGE_SIZE, 5);
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        let mut out = vec![0u8; data.len()];
+                        d.read(AreaId::LEAF, 0, &mut out);
+                        assert!(out == data, "a split read diverges");
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                for i in 0..WRITES {
+                    d.write(AreaId::LEAF, run_pages + 16 * i, &piece);
+                }
+            });
+        });
+        let s = d.stats();
+        assert_eq!(s.read_calls, 4 * ROUNDS);
+        assert_eq!(s.pages_read, 4 * ROUNDS * u64::from(run_pages));
+        assert_eq!(s.write_calls, 1 + u64::from(WRITES));
+        assert_eq!(
+            s.pages_written,
+            u64::from(run_pages) + u64::from(WRITES) * 16
+        );
+        let cost = CostModel::default();
+        assert_eq!(
+            s.time_us,
+            4 * ROUNDS * cost.io_cost_us(run_pages)
+                + cost.io_cost_us(run_pages)
+                + u64::from(WRITES) * cost.io_cost_us(16)
+        );
+        for i in 0..WRITES {
+            let mut back = vec![0u8; piece.len()];
+            d.peek(AreaId::LEAF, run_pages + 16 * i, &mut back);
+            assert!(back == piece, "write {i}");
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! The disk's metric handles (DESIGN.md §10): per-area call and page
-//! counters and the cost-shape histograms, bumped once per I/O call.
+//! counters and the cost-shape histograms, bumped once per I/O call, and
+//! the count of calls whose copy was cut across cores.
 
 lobstore_obs::metrics! {
     pub(crate) static META_READ_CALLS: Counter = "simdisk.meta.read_calls";
@@ -17,4 +18,5 @@ lobstore_obs::metrics! {
     pub(crate) static SEEK_US: Histogram = "simdisk.seek_us";
     pub(crate) static TRANSFER_US: Histogram = "simdisk.transfer_us";
     pub(crate) static CALL_PAGES: Histogram = "simdisk.call_pages";
+    pub(crate) static SPLIT_READS: Counter = "simdisk.split_reads";
 }

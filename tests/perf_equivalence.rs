@@ -17,7 +17,9 @@
 //!    Bulk reads' absolute costs are pinned by `tests/golden_traces.rs`
 //!    and `tests/cost_model.rs` (unchanged by the optimization pass), so
 //!    equality here is transitively equality with pre-optimization
-//!    accounting.
+//!    accounting. Two fixed cases hold property 2 on 3–4 MB objects,
+//!    whose disk calls are large enough that `SimDisk` splits their copy
+//!    across cores, and check both reads against the appended bytes.
 
 use std::io::{Read, Seek, SeekFrom};
 
@@ -167,6 +169,10 @@ fn streamed_accounting_matches_bulk(
         stream_all(&mut r, chunk, &mut streamed_bytes);
     });
 
+    assert!(
+        bulk_bytes == build[start..],
+        "bulk read diverges from the append"
+    );
     assert!(streamed_bytes == bulk_bytes, "content diverges");
     let what = format!("cursor scan of [{start}, {total}) in {chunk}-byte chunks");
     assert_eq!(
@@ -185,6 +191,42 @@ fn streamed_accounting_matches_bulk(
              once for the reader's size"
         );
     }
+}
+
+/// An object of one multi-megabyte append, whose streamed and bulk reads
+/// make disk calls of 1 MiB and more — the calls whose copy `SimDisk`
+/// cuts across cores. Both read back the appended bytes and make the same
+/// calls; `snapshot()` peeks one page at a time, so it never splits and
+/// is the independent oracle.
+///
+/// One append makes one segment, and `total` stays under the cursor's
+/// 4 MiB span: the cursor reads a longer segment in 4 MiB pieces, one
+/// call each, where a bulk read makes one call.
+fn large_append_reads_back(spec: ManagerSpec, total: usize) {
+    assert!(total <= SPAN_MAX as usize);
+    let split_reads = || lobstore::obs::counter_value("simdisk.split_reads");
+    let before = split_reads();
+    streamed_accounting_matches_bulk(spec, total, 0.0, 64 << 10);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores > 1 {
+        assert!(split_reads() > before, "no read was split");
+    }
+
+    let build = fill(total, 99);
+    let mut db = Db::paper_default();
+    let mut obj = spec.create(&mut db).unwrap();
+    obj.append(&mut db, &build).unwrap();
+    assert!(obj.snapshot(&db) == build, "peek reference diverges");
+}
+
+#[test]
+fn eos_large_append_reads_back_through_split_calls() {
+    large_append_reads_back(ManagerSpec::eos(16), (3 << 20) + 1_234);
+}
+
+#[test]
+fn starburst_large_append_reads_back_through_split_calls() {
+    large_append_reads_back(ManagerSpec::starburst(), (4 << 20) - 4_321);
 }
 
 proptest! {
