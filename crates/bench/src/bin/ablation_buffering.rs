@@ -3,7 +3,7 @@
 //! the pages holding the requested bytes, which is what reveals the
 //! advantage of large leaves for reads.
 
-use lobstore_bench::{finalize, fmt_ms, fresh_db, note, print_banner, print_table, Scale};
+use lobstore_bench::{fmt_ms, fresh_db, note, print_banner, print_table, Scale};
 use lobstore_core::{EsmObject, EsmParams};
 use lobstore_workload::{build_by_appends, random_reads};
 
@@ -48,5 +48,4 @@ fn main() {
         &rows,
     );
     note("Expected: whole-leaf I/O erases the large-leaf read advantage (§4.5).");
-    finalize();
 }

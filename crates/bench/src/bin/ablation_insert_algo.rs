@@ -3,7 +3,7 @@
 //! \[Care86\]'s claim, adopted by the paper: the improved algorithm gains
 //! significant storage utilization at minimal additional insert cost.
 
-use lobstore_bench::{finalize, fmt_ms, fmt_pct, fresh_db, note, print_banner, print_table, Scale};
+use lobstore_bench::{fmt_ms, fmt_pct, fresh_db, note, print_banner, print_table, Scale};
 use lobstore_core::{EsmInsertAlgo, EsmObject, EsmParams};
 use lobstore_workload::{build_by_appends, MixedConfig, MixedWorkload, OpKind};
 
@@ -48,5 +48,4 @@ fn main() {
         &rows,
     );
     note("Expected: Improved holds noticeably higher utilization for ~equal insert cost.");
-    finalize();
 }

@@ -8,7 +8,7 @@
 //! update figures likewise measure a structure under churn, not the
 //! pristine build.
 
-use lobstore_bench::{finalize, fmt_s, fresh_db, note, print_banner, print_table, Scale};
+use lobstore_bench::{fmt_s, fresh_db, note, print_banner, print_table, Scale};
 use lobstore_core::{Db, LargeObject};
 use lobstore_workload::{build_object, fill_bytes, ManagerSpec};
 use rand::rngs::StdRng;
@@ -80,5 +80,4 @@ fn main() {
     }
     print_table(&headers, &rows);
     note("Expected: build columns scale linearly; ESM/EOS update flat; Starburst update linear.");
-    finalize();
 }

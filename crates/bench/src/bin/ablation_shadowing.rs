@@ -5,7 +5,7 @@
 //! more costly than one page of a 2-block segment"). Turning it off makes
 //! small in-place updates nearly free of the segment-size effect.
 
-use lobstore_bench::{finalize, fmt_ms, note, print_banner, print_table, Scale};
+use lobstore_bench::{fmt_ms, note, print_banner, print_table, Scale};
 use lobstore_core::{Db, DbConfig};
 use lobstore_workload::{build_object, fill_bytes, ManagerSpec};
 
@@ -54,5 +54,4 @@ fn main() {
         &rows,
     );
     note("Expected: with shadowing the cost grows with segment size; without it, it barely does.");
-    finalize();
 }

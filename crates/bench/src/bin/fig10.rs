@@ -6,8 +6,7 @@
 //! threshold of 16 is enough to match Starburst (Table 2).
 
 use lobstore_bench::{
-    eos_specs, finalize, fmt_ms, print_banner, print_mark_table, run_update_sweep, Scale,
-    MEAN_OP_SIZES,
+    eos_specs, fmt_ms, print_banner, print_mark_table, run_update_sweep, Scale, MEAN_OP_SIZES,
 };
 
 fn main() {
@@ -24,5 +23,4 @@ fn main() {
             |m| fmt_ms(m.read_ms),
         );
     }
-    finalize();
 }

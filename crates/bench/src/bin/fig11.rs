@@ -7,8 +7,7 @@
 //! are poor for 100 KB inserts because 25 new pages land as random I/O.
 
 use lobstore_bench::{
-    esm_specs, finalize, fmt_ms, print_banner, print_mark_table, run_update_sweep, Scale,
-    MEAN_OP_SIZES,
+    esm_specs, fmt_ms, print_banner, print_mark_table, run_update_sweep, Scale, MEAN_OP_SIZES,
 };
 
 fn main() {
@@ -25,5 +24,4 @@ fn main() {
             |m| fmt_ms(m.insert_ms),
         );
     }
-    finalize();
 }

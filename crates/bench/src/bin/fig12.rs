@@ -5,8 +5,7 @@
 //! because of the extra page reshuffling the merge rule demands.
 
 use lobstore_bench::{
-    eos_specs, finalize, fmt_ms, print_banner, print_mark_table, run_update_sweep, Scale,
-    MEAN_OP_SIZES,
+    eos_specs, fmt_ms, print_banner, print_mark_table, run_update_sweep, Scale, MEAN_OP_SIZES,
 };
 
 fn main() {
@@ -23,5 +22,4 @@ fn main() {
             |m| fmt_ms(m.insert_ms),
         );
     }
-    finalize();
 }

@@ -8,7 +8,7 @@
 //! beat ESM's best case at every append size.
 
 use lobstore_bench::{
-    esm_specs, finalize, fmt_s, fresh_db, note, print_banner, print_table, Scale, PAPER_APPEND_KB,
+    esm_specs, fmt_s, fresh_db, note, print_banner, print_table, Scale, PAPER_APPEND_KB,
 };
 use lobstore_workload::{build_object, ManagerSpec};
 
@@ -41,5 +41,4 @@ fn main() {
     }
     print_table(&headers, &rows);
     note("Note: the Starburst and EOS columns should coincide (same growth pattern, §4.2).");
-    finalize();
 }

@@ -8,7 +8,7 @@
 //! best case. The floor is the pure transfer time (≈10 s for 10 MB).
 
 use lobstore_bench::{
-    esm_specs, finalize, fmt_s, fresh_db, note, print_banner, print_table, Scale, PAPER_APPEND_KB,
+    esm_specs, fmt_s, fresh_db, note, print_banner, print_table, Scale, PAPER_APPEND_KB,
 };
 use lobstore_workload::{build_object, sequential_scan, ManagerSpec};
 
@@ -44,5 +44,4 @@ fn main() {
         "Transfer-rate floor: {:.1} s for this object size.",
         scale.object_bytes as f64 / 1024.0 / 1000.0
     ));
-    finalize();
 }

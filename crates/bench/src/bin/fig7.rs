@@ -8,8 +8,7 @@
 //! stay near 96 % while 64-page leaves fall toward 75 %.
 
 use lobstore_bench::{
-    esm_specs, finalize, fmt_pct, print_banner, print_mark_table, run_update_sweep, Scale,
-    MEAN_OP_SIZES,
+    esm_specs, fmt_pct, print_banner, print_mark_table, run_update_sweep, Scale, MEAN_OP_SIZES,
 };
 
 fn main() {
@@ -26,5 +25,4 @@ fn main() {
             |m| fmt_pct(m.utilization),
         );
     }
-    finalize();
 }

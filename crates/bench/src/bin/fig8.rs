@@ -6,8 +6,7 @@
 //! T=64 is essentially 100 %, T=1 is clearly the worst.
 
 use lobstore_bench::{
-    eos_specs, finalize, fmt_pct, print_banner, print_mark_table, run_update_sweep, Scale,
-    MEAN_OP_SIZES,
+    eos_specs, fmt_pct, print_banner, print_mark_table, run_update_sweep, Scale, MEAN_OP_SIZES,
 };
 
 fn main() {
@@ -24,5 +23,4 @@ fn main() {
             |m| fmt_pct(m.utilization),
         );
     }
-    finalize();
 }

@@ -3,8 +3,8 @@
 //! delete operations"; the graphs lived in the technical report).
 
 use lobstore_bench::{
-    eos_specs, esm_specs, finalize, fmt_ms, print_banner, print_mark_table, run_update_sweep,
-    Scale, MEAN_OP_SIZES,
+    eos_specs, esm_specs, fmt_ms, print_banner, print_mark_table, run_update_sweep, Scale,
+    MEAN_OP_SIZES,
 };
 
 fn main() {
@@ -20,5 +20,4 @@ fn main() {
             );
         }
     }
-    finalize();
 }

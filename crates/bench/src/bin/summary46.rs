@@ -2,9 +2,7 @@
 //! matches Starburst's read cost and storage utilization while its
 //! length-changing updates cost roughly 30× less.
 
-use lobstore_bench::{
-    finalize, fmt_ms, fmt_pct, fmt_s, fresh_db, note, print_banner, print_table, Scale,
-};
+use lobstore_bench::{fmt_ms, fmt_pct, fmt_s, fresh_db, note, print_banner, print_table, Scale};
 use lobstore_workload::{
     build_object, fill_bytes, random_reads, ManagerSpec, MixedConfig, MixedWorkload, OpKind,
 };
@@ -88,5 +86,4 @@ fn main() {
         "Expected: EOS/64 reads & utilization ≈ Starburst, with update cost ~30x lower;\n\
          ESM cannot optimize reads and utilization at once (§4.6).",
     );
-    finalize();
 }

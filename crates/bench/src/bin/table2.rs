@@ -6,9 +6,7 @@
 //! build puts the object into its steady state (maximum-size segments).
 //! Paper values: 37 / 54 / 201 ms.
 
-use lobstore_bench::{
-    finalize, fmt_ms, fresh_db, note, print_banner, print_table, Scale, MEAN_OP_SIZES,
-};
+use lobstore_bench::{fmt_ms, fresh_db, note, print_banner, print_table, Scale, MEAN_OP_SIZES};
 use lobstore_workload::{build_object, random_reads, ManagerSpec};
 
 fn main() {
@@ -43,5 +41,4 @@ fn main() {
     }
     print_table(&headers, &[row]);
     note("Paper reports: 37 / 54 / 201 ms.");
-    finalize();
 }

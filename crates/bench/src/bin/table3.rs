@@ -7,9 +7,7 @@
 //! Paper value: 22.3 s across the board; it scales linearly with object
 //! size (≈2.5 min at 100 MB, §4.4.3).
 
-use lobstore_bench::{
-    finalize, fmt_s, fresh_db, note, print_banner, print_table, Scale, MEAN_OP_SIZES,
-};
+use lobstore_bench::{fmt_s, fresh_db, note, print_banner, print_table, Scale, MEAN_OP_SIZES};
 use lobstore_workload::{build_object, fill_bytes, ManagerSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,5 +66,4 @@ fn main() {
     }
     print_table(&headers, &[insert_row, delete_row]);
     note("Paper reports: 22.3 s for every operation size (at 10 MB).");
-    finalize();
 }

@@ -36,6 +36,9 @@
 //! 24      —     record bytes (records span page boundaries freely)
 //! ```
 //!
+//! The headers make the chain self-describing, so a chain page carries
+//! no record of its own: replay adopts every page of the chain it walks.
+//!
 //! Records, little-endian:
 //!
 //! ```text
@@ -89,21 +92,18 @@ pub(crate) struct AllocLog {
     tail_used: usize,
     /// Record bytes appended but not yet written into chain pages.
     pending: Vec<u8>,
-    /// Version of the last commit marker written.
-    committed_version: u64,
     /// Committed META pages that already have an [`UndoImage`] in the
     /// current commit interval (re-imaging them would be redundant).
     imaged: HashSet<u32>,
-    /// Records appended over the log's lifetime (observability).
-    records: u64,
 }
 
-/// One parsed log record.
+/// One parsed log record. A `Commit`'s version stays on disk, but
+/// replay needs only the marker's position.
 enum Record {
     Alloc(Extent),
     Free(Extent),
     RootImage { page: u32, content: Vec<u8> },
-    Commit { version: u64 },
+    Commit,
     UndoImage { page: u32, content: Vec<u8> },
 }
 
@@ -182,15 +182,8 @@ fn parse_record(stream: &[u8], at: usize) -> Option<(Record, usize)> {
             Some((rec, at + 7 + len))
         }
         TAG_COMMIT => {
-            let body = stream.get(at + 1..at + 9)?;
-            let mut b = [0u8; 8];
-            b.copy_from_slice(body);
-            Some((
-                Record::Commit {
-                    version: u64::from_le_bytes(b),
-                },
-                at + 9,
-            ))
+            stream.get(at + 1..at + 9)?;
+            Some((Record::Commit, at + 9))
         }
         _ => None,
     }
@@ -279,8 +272,8 @@ impl IntervalSet {
 
 impl Db {
     /// Bootstrap the allocation log on a fresh or newly-loaded database:
-    /// allocate and format the head page, and seed the record stream with
-    /// the head's own `Alloc` so replay adopts it.
+    /// allocate and format the head page (replay adopts it with the rest
+    /// of the chain).
     pub(crate) fn init_alloc_log(&mut self) {
         assert!(self.log.is_none(), "allocation log already initialized");
         assert!(
@@ -291,17 +284,13 @@ impl Db {
         let generation = 1;
         self.format_log_page(head, generation, 0);
         self.pool.flush_page(PageId::new(AreaId::META, head));
-        let mut pending = Vec::new();
-        push_extent_record(&mut pending, TAG_ALLOC, Extent::new(AreaId::META, head, 1));
         self.log = Some(AllocLog {
             head,
             generation,
             chain: vec![head],
             tail_used: 0,
-            pending,
-            committed_version: 0,
+            pending: Vec::new(),
             imaged: HashSet::new(),
-            records: 1,
         });
     }
 
@@ -311,17 +300,10 @@ impl Db {
         self.log.as_ref().map_or_else(Vec::new, |l| l.chain.clone())
     }
 
-    /// Version recorded by the log's last commit marker (0 before the
-    /// first commit, or when the log is disabled).
-    pub fn alloc_log_committed_version(&self) -> u64 {
-        self.log.as_ref().map_or(0, |l| l.committed_version)
-    }
-
     /// Record an allocation in the log (no-op when the log is disabled).
     pub(crate) fn log_record_alloc(&mut self, ext: Extent) {
         if let Some(log) = &mut self.log {
             push_extent_record(&mut log.pending, TAG_ALLOC, ext);
-            log.records += 1;
             metrics::ALLOCLOG_RECORDS.add(1);
         }
     }
@@ -333,7 +315,6 @@ impl Db {
     pub(crate) fn log_record_free(&mut self, ext: Extent) {
         if let Some(log) = &mut self.log {
             push_extent_record(&mut log.pending, TAG_FREE, ext);
-            log.records += 1;
             metrics::ALLOCLOG_RECORDS.add(1);
         }
     }
@@ -352,7 +333,6 @@ impl Db {
         if log.imaged.insert(page) {
             let img = self.peek_meta(page);
             push_image_record(&mut log.pending, TAG_UNDO_IMAGE, page, &img[..]);
-            log.records += 1;
             metrics::ALLOCLOG_UNDO_IMAGES.add(1);
             self.write_log_pending(&mut log, true);
         }
@@ -373,14 +353,11 @@ impl Db {
         for page in roots {
             let img = self.peek_meta(page);
             push_image_record(&mut log.pending, TAG_ROOT_IMAGE, page, &img[..]);
-            log.records += 1;
             metrics::ALLOCLOG_ROOT_IMAGES.add(1);
         }
         log.pending.push(TAG_COMMIT);
         log.pending.extend_from_slice(&version.to_le_bytes());
-        log.records += 1;
         self.write_log_pending(&mut log, true);
-        log.committed_version = version;
         log.imaged.clear();
         metrics::ALLOCLOG_COMMITS.add(1);
         metrics::ALLOCLOG_CHAIN_PAGES.set(log.chain.len() as f64);
@@ -388,26 +365,21 @@ impl Db {
     }
 
     /// Drain `log.pending` into the chain, growing it as needed. A new
-    /// chain page allocates directly from the META allocator and splices
-    /// its own `Alloc` record at the write cursor, so the stream accounts
-    /// for every page the log itself occupies. With `flush`, every
-    /// touched page is flushed in chain order.
+    /// chain page allocates directly from the META allocator and is
+    /// logged by no record: replay adopts the chain it walks. With
+    /// `flush`, every touched page is flushed in chain order.
     fn write_log_pending(&mut self, log: &mut AllocLog, flush: bool) {
         if log.pending.is_empty() {
             return;
         }
-        let mut buf = std::mem::take(&mut log.pending);
+        let buf = std::mem::take(&mut log.pending);
         let mut i = 0usize;
         let mut touched = vec![*log.chain.last().unwrap_or(&log.head)];
         while i < buf.len() {
             if log.tail_used >= PAGE_CAP {
                 // Grow the chain. Allocation bypasses the Db hooks — the
-                // spliced record *is* the bookkeeping.
+                // chain itself is the bookkeeping.
                 let np = self.meta_alloc.allocate(&mut self.pool, 1).start;
-                let mut rec = Vec::with_capacity(10);
-                push_extent_record(&mut rec, TAG_ALLOC, Extent::new(AreaId::META, np, 1));
-                log.records += 1;
-                buf.splice(i..i, rec);
                 let tail = *log.chain.last().unwrap_or(&log.head);
                 self.with_log_page_mut(tail, |p| put_u32(p, NEXT_OFF, np));
                 let seq = cast::usize_to_u32(log.chain.len());
@@ -501,8 +473,9 @@ impl Db {
 
     /// Crash recovery with the allocation log: rebuild both allocators
     /// from scratch by replaying `Alloc`/`Free` records up to the last
-    /// commit marker, rewrite in-place-written pages from their last
-    /// committed `RootImage`, and restore pages the crashed tail had
+    /// commit marker and adopting the committed chain's own pages,
+    /// rewrite in-place-written pages from their last committed
+    /// `RootImage`, and restore pages the crashed tail had
     /// overwritten from their `UndoImage`s. Falls back to re-opening the
     /// allocators from the space directories when the chain holds no
     /// commit marker under the current generation (bootstrap, or a crash
@@ -515,11 +488,9 @@ impl Db {
         // Locate the last commit marker.
         let mut at = 0usize;
         let mut committed_end = None;
-        let mut committed_version = 0u64;
         while let Some((rec, next)) = parse_record(&stream, at) {
-            if let Record::Commit { version } = rec {
+            if matches!(rec, Record::Commit) {
                 committed_end = Some(next);
-                committed_version = version;
             }
             at = next;
         }
@@ -572,7 +543,7 @@ impl Db {
                 Record::RootImage { page, content } => {
                     redo.insert(page, content);
                 }
-                Record::Commit { .. } | Record::UndoImage { .. } => {}
+                Record::Commit | Record::UndoImage { .. } => {}
             }
             at = next;
         }
@@ -598,8 +569,9 @@ impl Db {
             self.pool.flush_page(PageId::new(AreaId::META, page));
         }
 
-        // Truncate the in-memory chain to the committed prefix and seal
-        // the tail page so a second crash replays identically.
+        // Truncate the in-memory chain to the committed prefix, adopt its
+        // pages (no record names them), and seal the tail page so a
+        // second crash replays identically.
         let page_idx = committed_end / PAGE_CAP;
         let within = committed_end % PAGE_CAP;
         let (keep, tail_used) = if within == 0 {
@@ -612,6 +584,10 @@ impl Db {
         };
         let mut chain = log.chain.clone();
         chain.truncate(keep.max(1));
+        for &p in &chain {
+            self.meta_alloc
+                .adopt(&mut self.pool, Extent::new(AreaId::META, p, 1));
+        }
         if let Some(&tail) = chain.last() {
             self.with_log_page_mut(tail, |p| {
                 put_u16(p, USED_OFF, cast::usize_to_u16(tail_used));
@@ -625,9 +601,7 @@ impl Db {
             chain,
             tail_used,
             pending: Vec::new(),
-            committed_version,
             imaged: HashSet::new(),
-            records: log.records,
         });
         metrics::ALLOCLOG_REPLAYS.add(1);
         // Make the recovered state durable (directories and rewritten
@@ -645,18 +619,14 @@ impl Db {
         self.meta_alloc
             .adopt(&mut self.pool, Extent::new(AreaId::META, head, 1));
         let mut pending = Vec::new();
-        let mut records = 0u64;
         for ext in self.meta_allocated_ranges() {
             push_extent_record(&mut pending, TAG_ALLOC, ext);
-            records += 1;
         }
         for ext in self.leaf_allocated_ranges() {
             push_extent_record(&mut pending, TAG_ALLOC, ext);
-            records += 1;
         }
         for ext in self.deferred_extents() {
             push_extent_record(&mut pending, TAG_FREE, ext);
-            records += 1;
         }
         self.format_log_page(head, generation, 0);
         self.log = Some(AllocLog {
@@ -665,9 +635,7 @@ impl Db {
             chain: vec![head],
             tail_used: 0,
             pending,
-            committed_version: 0,
             imaged: HashSet::new(),
-            records,
         });
         self.dirty_roots.clear();
         self.log_commit(version);
@@ -703,10 +671,10 @@ impl Db {
     }
 
     /// Verify the allocation log against the live allocators: replaying
-    /// every record (committed and pending) must yield exactly the live
-    /// allocated set minus the extents whose free is deferred for pinned
-    /// snapshots. Pure arithmetic — no pages are modified. `Ok` when the
-    /// log is disabled.
+    /// every record (committed and pending), plus the chain's own pages,
+    /// must yield exactly the live allocated set minus the extents whose
+    /// free is deferred for pinned snapshots. Pure arithmetic — no pages
+    /// are modified. `Ok` when the log is disabled.
     pub fn verify_alloc_log(&mut self) -> Result<()> {
         let Some(log) = self.log.take() else {
             return Ok(());
@@ -730,6 +698,9 @@ impl Db {
         // ever exist after a crash, and replay truncates them.
         let stream_ok = parsed == stream.len();
         apply(&log.pending, &mut replayed);
+        for &p in &log.chain {
+            replayed.insert(Extent::new(AreaId::META, p, 1));
+        }
         self.log = Some(log);
         if !stream_ok {
             return Err(LobError::Corrupt(
@@ -780,7 +751,7 @@ mod tests {
                 Record::Free(e) => format!("F{e}"),
                 Record::RootImage { page, content } => format!("R{page}:{}", content.len()),
                 Record::UndoImage { page, content } => format!("U{page}:{}", content.len()),
-                Record::Commit { version } => format!("C{version}"),
+                Record::Commit => "C".to_string(),
             });
             at = next;
         }
@@ -796,7 +767,7 @@ mod tests {
             "leading zeros kept: {}",
             seen[3]
         );
-        assert_eq!(seen[4], "C42");
+        assert_eq!(seen[4], "C");
     }
 
     #[test]
@@ -810,6 +781,59 @@ mod tests {
             );
         }
         assert!(parse_record(&buf, 0).is_some());
+    }
+
+    /// A chain grown by commits whose `RootImage`s run a few hundred
+    /// bytes grows inside a record. The chain pages carry no record of
+    /// their own, so the stream still parses to its end, the log agrees
+    /// with the allocators, and replay owns every chain page once.
+    #[test]
+    fn chain_growth_inside_a_record_keeps_the_stream_whole() {
+        let mut db = Db::new(crate::DbConfig {
+            alloc_log: true,
+            ..crate::DbConfig::default()
+        });
+        let page = db.alloc_meta_page();
+        db.with_new_meta_page(page, |p| p[..300].fill(1));
+        db.commit_version();
+        let mut round = 1u8;
+        while db.alloc_log_pages().len() < 3 {
+            round += 1;
+            db.with_meta_page_mut(page, |p| p[..300].fill(round));
+            db.commit_version();
+        }
+
+        let log = db.log.as_ref().unwrap();
+        let (stream, pages) = db.read_log_stream(log);
+        assert_eq!(pages, log.chain, "the walk reads the whole chain");
+        let mut at = 0;
+        while let Some((_, next)) = parse_record(&stream, at) {
+            at = next;
+        }
+        assert_eq!(at, stream.len(), "the stream parses exactly to its end");
+        db.verify_alloc_log().unwrap();
+
+        db.crash_and_reboot();
+        db.verify_alloc_log().unwrap();
+        assert_eq!(
+            db.peek_meta(page)[..300],
+            [round; 300],
+            "last commit replayed"
+        );
+        let chain = db.alloc_log_pages();
+        assert!(chain.len() >= 3);
+        let ranges = db.meta_allocated_ranges();
+        for &p in &chain {
+            let owners = ranges
+                .iter()
+                .filter(|e| e.start <= p && p < e.end())
+                .count();
+            assert_eq!(owners, 1, "chain page {p} is allocated after replay");
+        }
+        for _ in 0..chain.len() {
+            let p = db.alloc_meta_page();
+            assert!(!chain.contains(&p), "chain page {p} handed out again");
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! A minimal, dependency-free JSON value, writer, and parser.
 //!
 //! This is the one JSON implementation the workspace shares: metric
-//! snapshots, span/event lines, `IoStats::to_json`, the bench-report
-//! pipeline, and the CI-side `xtask check-bench-json` validator all use
-//! it, so producer and consumer can never drift apart.
+//! snapshots, span/event lines, `IoStats::to_value`, `lobctl` and
+//! lobbench all use it, so producer and consumer can never drift apart.
 //!
 //! Numbers are carried as `f64` (exact for integers up to 2⁵³, far above
 //! any counter this workspace produces) and written back as integers

@@ -27,9 +27,8 @@
 //! with [`snapshot`] + [`merge_thread_registry`].
 //!
 //! The [`json`] module is the self-contained JSON reader/writer the rest
-//! of the workspace shares: bench reports, `IoStats::to_json`, metric
-//! snapshots, and the `xtask check-bench-json` validator all speak
-//! through it.
+//! of the workspace shares: sinks, metric snapshots, `IoStats::to_value`,
+//! `lobctl` and lobbench all speak through it.
 //!
 //! # Example
 //!
@@ -96,7 +95,3 @@ macro_rules! metrics {
         pub const NAMES: &[&str] = &[$($name),*];
     };
 }
-
-/// Version tag every machine-readable bench report carries in its
-/// `schema` field; `xtask check-bench-json` validates against it.
-pub const BENCH_REPORT_SCHEMA: &str = "lobstore-bench-report/v1";

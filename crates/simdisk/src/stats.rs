@@ -2,7 +2,7 @@
 
 use std::ops::Sub;
 
-use lobstore_obs::json::{self, Value};
+use lobstore_obs::json::Value;
 
 /// Cumulative I/O statistics of a [`crate::SimDisk`].
 ///
@@ -53,7 +53,7 @@ impl IoStats {
     }
 
     /// The stats as a JSON [`Value`] object, field names matching the
-    /// struct. Bench reports and `lobctl stats --json` embed this.
+    /// struct. `lobctl stats --json` and lobbench embed this.
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![
             ("read_calls".to_string(), Value::from(self.read_calls)),
@@ -62,26 +62,6 @@ impl IoStats {
             ("pages_written".to_string(), Value::from(self.pages_written)),
             ("time_us".to_string(), Value::from(self.time_us)),
         ])
-    }
-
-    /// The stats as one JSON object string; see [`Self::to_value`].
-    pub fn to_json(&self) -> String {
-        self.to_value().to_json()
-    }
-
-    /// Parse a JSON object produced by [`Self::to_json`]. Returns `None`
-    /// if `s` is not valid JSON or any of the five fields is missing or
-    /// not a non-negative integer.
-    pub fn from_json(s: &str) -> Option<IoStats> {
-        let v = json::parse(s).ok()?;
-        let field = |name: &str| v.get(name).and_then(Value::as_u64);
-        Some(IoStats {
-            read_calls: field("read_calls")?,
-            write_calls: field("write_calls")?,
-            pages_read: field("pages_read")?,
-            pages_written: field("pages_written")?,
-            time_us: field("time_us")?,
-        })
     }
 }
 
@@ -162,35 +142,6 @@ mod tests {
         let a = sample(7, 7, 7, 7, 7);
         let b = sample(1, 2, 3, 4, 5);
         assert_eq!((a - b) + b, a);
-    }
-
-    #[test]
-    fn json_roundtrips() {
-        let s = sample(10, 5, 40, 20, 1_234_567);
-        let j = s.to_json();
-        assert_eq!(IoStats::from_json(&j), Some(s));
-        // default roundtrips too
-        let d = IoStats::default();
-        assert_eq!(IoStats::from_json(&d.to_json()), Some(d));
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_input() {
-        assert_eq!(IoStats::from_json("not json"), None);
-        assert_eq!(IoStats::from_json("{}"), None);
-        assert_eq!(
-            IoStats::from_json(r#"{"read_calls": 1, "write_calls": 2}"#),
-            None,
-            "missing fields"
-        );
-        assert_eq!(
-            IoStats::from_json(
-                r#"{"read_calls": -1, "write_calls": 0, "pages_read": 0,
-                    "pages_written": 0, "time_us": 0}"#
-            ),
-            None,
-            "negative counter"
-        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! (`inner` declared as `Mutex<..>` inside `struct SharedDb` names the
 //! resource `SharedDb.inner` at every call site, whether spelled
 //! `self.inner.lock()` or `db.inner.lock()`); ALL_CAPS statics are
-//! crate-qualified (`bench::REPORT`); page pins all map to the single
+//! crate-qualified (`obs::SLOTS`); page pins all map to the single
 //! `BufferPool.frame` resource. Call-graph edges resolve by bare name,
 //! so — as with `io-accounting` — the graph excludes xtask and the
 //! dependency shims, and the acquisition method names themselves
@@ -48,9 +48,8 @@ use crate::lobsyn::{FnDef, Tok, TokKind};
 /// DESIGN.md section 13; a test below holds the table, the workspace's
 /// lock declarations and that section to the same names, so a new lock
 /// joins all three at once.
-pub(crate) const CANONICAL_LOCK_ORDER: [&str; 10] = [
+pub(crate) const CANONICAL_LOCK_ORDER: [&str; 9] = [
     "SharedDb.inner", // two-tier DB lock: writers exclusive, scans shared
-    "bench::REPORT",  // process-wide bench report registry
     PAGE_PIN,         // page pins, only under the DB lock
     "BufferPool.ctl", // pool control block: frame table + replacement
     "Frame.bytes",    // per-frame page-byte latch, only under/after ctl

@@ -1,6 +1,6 @@
 //! `cargo xtask`-style workspace automation (std-only, no dependencies).
 //!
-//! Subcommands:
+//! One subcommand:
 //!
 //! * `loblint [--no-baseline] [--update-baseline] [--rule <name>]
 //!   [--explain <rule>] [--stats]` — run the project-specific static
@@ -15,13 +15,10 @@
 //!   runs a single rule in isolation; `--explain` prints a rule's
 //!   documentation entry and exits; `--stats` prints a per-rule
 //!   finding-count and baseline-delta table.
-//! * `check-bench-json <path>` — validate a bench binary's `--json-out`
-//!   document against the `lobstore-bench-report/v1` schema.
 //!
 //! See `loblint::RULES` for the rule set and `DESIGN.md` ("Correctness
 //! tooling" and "Static analysis") for the rationale.
 
-mod benchjson;
 mod effectrules;
 mod flowrules;
 mod lobflow;
@@ -59,22 +56,14 @@ fn main() -> ExitCode {
             }
             loblint::run(&opts)
         }
-        Some("check-bench-json") => match args.next() {
-            Some(path) => benchjson::run(std::path::Path::new(&path)),
-            None => {
-                eprintln!("check-bench-json: needs the path of a --json-out report");
-                ExitCode::from(2)
-            }
-        },
         Some(other) => {
-            eprintln!("xtask: unknown subcommand `{other}` (try `loblint`, `check-bench-json`)");
+            eprintln!("xtask: unknown subcommand `{other}` (try `loblint`)");
             ExitCode::from(2)
         }
         None => {
             eprintln!(
                 "usage: cargo run -p xtask -- loblint [--no-baseline] [--update-baseline] \
-                 [--rule <name>] [--explain <rule>] [--stats]\n       \
-                 cargo run -p xtask -- check-bench-json <path>"
+                 [--rule <name>] [--explain <rule>] [--stats]"
             );
             ExitCode::from(2)
         }

@@ -1,8 +1,8 @@
 #!/bin/bash
 # Regenerate every table and figure at the paper's scale (10 MB / 10k ops).
-# Each binary writes its own report into results/ (the `--out-dir` default)
-# plus a machine-readable JSON document; stdout stays on the terminal for
-# progress. Extra arguments are forwarded to every binary — in particular
+# Each binary prints its tables; its stdout is saved as results/<bin>.txt
+# and its stderr as results/<bin>.err, while this script reports progress
+# on the terminal. Extra arguments are forwarded to every binary — in particular
 # `./run_all_benches.sh --quick` runs the whole sweep at the 1 MB /
 # 1000 ops smoke scale (seconds instead of minutes). Exits non-zero if any
 # binary failed. crates/bench/tests/experiment_index.rs holds the list
@@ -18,8 +18,8 @@ failed=0
 for b in fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table2 table3 fig_deletes summary46 \
          ablation_insert_algo ablation_buffering ablation_shadowing ablation_scaling; do
   echo "[$(date +%T)] running $b"
-  ./target/release/$b --out-dir results --json-out results/$b.json "$@" \
-    > /dev/null 2> results/$b.err || { echo "$b FAILED"; failed=1; }
+  ./target/release/$b "$@" > results/$b.txt 2> results/$b.err \
+    || { echo "$b FAILED"; failed=1; }
 done
 echo "[$(date +%T)] all done"
 exit $failed
