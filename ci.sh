@@ -37,11 +37,14 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 run cargo test -q -p xtask
 run cargo run -q -p xtask -- loblint
 
-# Functional gates: the whole suite, then again with deep runtime
-# verification compiled into every mutating operation (the nine replay
-# cases of tests/model.rs -- a logged object, a checkpoint, committed
-# insert+delete pairs, one crash -- run in both). The buddy crate
-# runs once more optimized: its word-parallel bitmap search is checked
+# Functional gates: the whole suite once. Every model configuration
+# (tests/model.rs, proptest_model.rs, crash_fuzz.rs, txn_crash.rs, all
+# drivers of lobstore_workload::model) runs the consistency walk,
+# `Db::verify`, after every op: object invariants, pages claimed twice,
+# both allocators against reachability and against their own
+# directories, the allocation log and the version store. It reads
+# cost-free, so no build needs a flag to carry it. Then the optimized
+# passes. The buddy crate: its word-parallel bitmap search is checked
 # against the bit-at-a-time fold it replaced, and that sweep (all space
 # sizes x all orders) only reaches full depth without debug assertions;
 # and its twin test (`in_place_manager_matches_the_decoding_one`: 24 000
@@ -73,10 +76,9 @@ run cargo run -q -p xtask -- loblint
 # ESM and EOS to its pool fixes plus the reader's one size lookup, for
 # ESM's direct (16-page) and buffered (4-page) leaves alike; tree's
 # `reads_fix_the_root_once` holds a read to one root fix, an out-of-range
-# one included. And the model configurations (tests/model.rs,
-# proptest_model.rs, crash_fuzz.rs, txn_crash.rs: configurations of
-# lobstore_workload::model) run 256 seeds optimized and their old case
-# counts otherwise. And simdisk optimized, where its copies run at full
+# one included. And the model configurations, 256 seeds optimized and
+# their old case counts otherwise, the walk after every op included.
+# And simdisk optimized, where its copies run at full
 # speed: a read of 1 MiB or more of an area's arena is copied as
 # page-aligned pieces on scoped threads, and its tests hold that copy to
 # `copy_from_slice` (1 MiB +-1 .. 4 MiB x 1, 2, 3, 7 pieces), a read across
@@ -86,8 +88,6 @@ run cargo run -q -p xtask -- loblint
 # holds the crates' declared metric handles to DESIGN.md section 10, and
 # tests/aging.rs, which pins the aged store to the I/O call (section 14).
 run cargo test -q --workspace
-run cargo test -q --features paranoid
-run cargo test -q -p lobstore-core -p lobstore-buddy --features paranoid
 run cargo test -q --release -p lobstore-buddy
 run cargo test -q --release -p lobstore-core segdata
 run cargo test -q --release -p lobstore-core starburst

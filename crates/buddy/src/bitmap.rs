@@ -253,6 +253,17 @@ impl<B: AsRef<[u8]> + AsMut<[u8]>> Bitmap<B> {
         flipped
     }
 
+    /// Mark `[start, start + n)` free wherever it is not yet, and return
+    /// how many pages that flipped.
+    pub(crate) fn unclaim(&mut self, start: u32, n: u32) -> u32 {
+        let mut flipped = 0;
+        self.rewrite(start, n, |w, mask| {
+            flipped += (!w & mask).count_ones();
+            w | mask
+        });
+        flipped
+    }
+
     /// Mark `[start, start + n)` free.
     ///
     /// # Panics

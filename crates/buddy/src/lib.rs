@@ -58,7 +58,7 @@ impl Extent {
     /// Last page of the extent.
     pub fn end(&self) -> u32 {
         // Extent invariants bound start + pages to the area size (the
-        // paranoid layer checks this at runtime).
+        // consistency walk checks this at runtime).
         // loblint: allow(arith-overflow)
         self.start + self.pages
     }

@@ -364,6 +364,37 @@ impl BuddyManager {
         self.allocated += u64::from(flipped);
     }
 
+    /// Free whichever pages of `ext` are allocated: [`Self::adopt`]'s
+    /// counterpart for recovery, which knows a free is durable but not
+    /// whether the directory reached disk before or after it. Pages
+    /// already free stay free, and a space never created holds nothing.
+    ///
+    /// # Panics
+    /// If the extent is from another area, spans spaces, or covers a
+    /// directory page.
+    pub fn release(&mut self, pool: &mut BufferPool, ext: Extent) {
+        assert_eq!(ext.area, self.cfg.area, "extent from a different area");
+        if ext.pages == 0 {
+            return;
+        }
+        let space = self.space_of(ext.start);
+        assert_eq!(
+            space,
+            self.space_of(ext.end() - 1),
+            "extent crosses a buddy-space boundary"
+        );
+        if space >= self.n_spaces {
+            return;
+        }
+        let base = self.data_base(space);
+        assert!(ext.start >= base, "extent covers a directory page");
+        let rel = ext.start - base;
+
+        let flipped = self.edit_dir(pool, space, |bm| bm.unclaim(rel, ext.pages));
+        pool.discard_range(self.cfg.area, ext.start, ext.pages);
+        self.allocated -= u64::from(flipped);
+    }
+
     /// Every currently allocated page range, as maximal extents in
     /// ascending order — the allocator's view for consistency checking.
     /// Reads each space's directory through the pool (costed, like any
@@ -373,45 +404,48 @@ impl BuddyManager {
         for s in 0..self.n_spaces {
             let dir = PageId::new(self.cfg.area, self.dir_page(s));
             let r = pool.fix(dir);
-            let base = self.data_base(s);
             pool.with_page(r, |page| {
-                let bm = self.parse_dir(page);
-                let used = bm.runs(false);
-                out.extend(used.map(|(start, n)| Extent::new(self.cfg.area, base + start, n)));
+                out.extend(self.used_extents(s, &self.parse_dir(page)))
             });
             pool.unfix(r);
         }
         out
     }
 
-    /// Deep self-check (the `paranoid` feature): re-read every space
-    /// directory and verify that the on-disk bitmaps agree with the
-    /// in-memory bookkeeping — the allocated-page counter must equal the
-    /// total of used bits, and no superdirectory hint may *under*-report
-    /// a space (hints are allowed to be optimistic, §3.1, but a hint
-    /// below the true maximum free order would hide free storage
-    /// forever).
-    #[cfg(feature = "paranoid")]
-    pub fn paranoid_verify(&self, pool: &mut BufferPool) -> Result<(), String> {
+    /// The allocated runs of space `s`'s bitmap `bm`, as absolute extents.
+    fn used_extents<'a>(
+        &'a self,
+        s: u32,
+        bm: &'a Bitmap<&[u8]>,
+    ) -> impl Iterator<Item = Extent> + 'a {
+        let base = self.data_base(s);
+        bm.runs(false)
+            .map(move |(start, n)| Extent::new(self.cfg.area, base + start, n))
+    }
+
+    /// Self-check, read cost-free through [`BufferPool::peek_page`] like
+    /// [`Self::frag_stats`]: every space directory carries this manager's
+    /// magic and space size, the allocated-page counter equals the
+    /// directories' used pages, and no superdirectory hint *under*-reports
+    /// a space (hints may be optimistic, §3.1, but one below the true
+    /// maximum free order would hide free storage forever). On success,
+    /// the allocation map [`Self::allocated_ranges`] reads at a cost.
+    pub fn verify(&self, pool: &BufferPool) -> Result<Vec<Extent>, String> {
+        let mut out = Vec::new();
         let mut used_total = 0u64;
         for s in 0..self.n_spaces {
-            let dir = PageId::new(self.cfg.area, self.dir_page(s));
-            let r = pool.fix(dir);
-            let check = pool.with_page(r, |page| {
-                if dir_u32(page, 0) != DIR_MAGIC {
-                    return Err(format!("space {s}: directory magic corrupted"));
-                }
-                if dir_u32(page, 4) != self.cfg.space_pages {
-                    return Err(format!("space {s}: directory space-size field mismatch"));
-                }
-                Ok(BuddyBitmap::from_bytes(
-                    page.get(BITMAP_OFF..).unwrap_or(&[]),
-                    self.cfg.space_pages,
-                ))
-            });
-            pool.unfix(r);
-            let bm = check?;
-            used_total += u64::from(self.cfg.space_pages.saturating_sub(bm.free_pages()));
+            let mut page = [0u8; lobstore_simdisk::PAGE_SIZE];
+            pool.peek_page(PageId::new(self.cfg.area, self.dir_page(s)), &mut page);
+            if dir_u32(&page, 0) != DIR_MAGIC {
+                return Err(format!("space {s}: directory magic corrupted"));
+            }
+            if dir_u32(&page, 4) != self.cfg.space_pages {
+                return Err(format!("space {s}: directory space-size field mismatch"));
+            }
+            let bm = self.parse_dir(&page);
+            let used = self.cfg.space_pages.saturating_sub(bm.free_pages());
+            used_total = used_total.saturating_add(u64::from(used));
+            out.extend(self.used_extents(s, &bm));
             match (self.superdir_hint(s), bm.max_free_order()) {
                 (None, Some(order)) => {
                     return Err(format!(
@@ -432,7 +466,7 @@ impl BuddyManager {
                 self.allocated
             ));
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Fragmentation summary of every space, read *cost-free* through
@@ -671,6 +705,20 @@ mod tests {
     }
 
     #[test]
+    fn release_frees_only_what_is_allocated() {
+        let (mut m, mut pool) = setup(256);
+        let a = m.allocate(&mut pool, 8);
+        m.free(&mut pool, a.prefix(3));
+        // Pages 0..3 of `a` are free already, 3..8 are not.
+        m.release(&mut pool, a);
+        assert_eq!(m.allocated_pages(), 0);
+        assert_eq!(m.verify(&pool), Ok(Vec::new()));
+        // Beyond the spaces the directory knows: nothing to free.
+        m.release(&mut pool, Extent::new(AreaId::LEAF, 300, 4));
+        assert_eq!(m.n_spaces(), 1);
+    }
+
+    #[test]
     fn allocated_ranges_reflect_state() {
         let (mut m, mut pool) = setup(256);
         assert!(m.allocated_ranges(&mut pool).is_empty());
@@ -693,50 +741,75 @@ mod tests {
         assert_eq!(total, 8);
     }
 
-    #[cfg(feature = "paranoid")]
-    mod paranoid {
+    mod verify {
         use super::*;
 
-        #[test]
-        fn healthy_manager_verifies() {
+        /// A manager holding 8 + 3 pages of which 8 were freed again.
+        fn used() -> (BuddyManager, BufferPool) {
             let (mut m, mut pool) = setup(256);
-            assert!(m.paranoid_verify(&mut pool).is_ok(), "no spaces yet");
+            assert_eq!(m.verify(&pool), Ok(Vec::new()), "no spaces yet");
             let a = m.allocate(&mut pool, 8);
             let _b = m.allocate(&mut pool, 3);
             m.free(&mut pool, a);
-            m.paranoid_verify(&mut pool).unwrap();
+            (m, pool)
+        }
+
+        /// Run `tamper` on space 0's directory page.
+        fn tamper(pool: &mut BufferPool, tamper: impl FnOnce(&mut [u8])) {
+            let r = pool.fix(PageId::new(AreaId::LEAF, 0));
+            pool.with_page_mut(r, |page| tamper(page));
+            pool.unfix(r);
+        }
+
+        #[test]
+        fn healthy_manager_verifies_cost_free() {
+            let (m, mut pool) = used();
+            pool.flush_all();
+            let (io, fixes) = (pool.io_stats(), pool.pool_stats());
+            let ranges = m.verify(&pool).unwrap();
+            assert_eq!((pool.io_stats(), pool.pool_stats()), (io, fixes));
+            assert_eq!(ranges, m.allocated_ranges(&mut pool));
         }
 
         #[test]
         fn bitmap_tampering_is_detected() {
-            let (mut m, mut pool) = setup(256);
-            let e = m.allocate(&mut pool, 8);
-            m.paranoid_verify(&mut pool).unwrap();
+            let (m, mut pool) = used();
             // Flip an allocated page back to free behind the manager's
             // back, as a lost directory write would.
-            let dir = PageId::new(AreaId::LEAF, 0);
-            let r = pool.fix(dir);
-            let mut bm =
-                pool.with_page(r, |page| BuddyBitmap::from_bytes(&page[BITMAP_OFF..], 256));
-            bm.mark_free(e.start - 1, 1);
-            pool.with_page_mut(r, |page| {
-                bm.write_bytes(&mut page[BITMAP_OFF..BITMAP_OFF + bm.byte_len()]);
+            tamper(&mut pool, |page| {
+                let mut bm = BuddyBitmap::from_bytes(&page[BITMAP_OFF..], 256);
+                bm.mark_free(8, 1);
+                bm.write_bytes(&mut page[BITMAP_OFF..]);
             });
-            pool.unfix(r);
-            let err = m.paranoid_verify(&mut pool).unwrap_err();
+            let err = m.verify(&pool).unwrap_err();
             assert!(err.contains("allocated counter"), "{err}");
         }
 
         #[test]
         fn corrupt_directory_magic_is_detected() {
-            let (mut m, mut pool) = setup(256);
-            let _e = m.allocate(&mut pool, 4);
-            let dir = PageId::new(AreaId::LEAF, 0);
-            let r = pool.fix(dir);
-            pool.with_page_mut(r, |page| page[0..4].copy_from_slice(b"XXXX"));
-            pool.unfix(r);
-            let err = m.paranoid_verify(&mut pool).unwrap_err();
+            let (m, mut pool) = used();
+            tamper(&mut pool, |page| page[0..4].copy_from_slice(b"XXXX"));
+            let err = m.verify(&pool).unwrap_err();
             assert!(err.contains("magic"), "{err}");
+        }
+
+        #[test]
+        fn corrupt_space_size_field_is_detected() {
+            let (m, mut pool) = used();
+            tamper(&mut pool, |page| put_u32(page, 4, 128));
+            let err = m.verify(&pool).unwrap_err();
+            assert!(err.contains("space-size"), "{err}");
+        }
+
+        #[test]
+        fn under_reporting_superdirectory_is_detected() {
+            let (mut m, pool) = used();
+            m.superdir[0] = Some(0);
+            let err = m.verify(&pool).unwrap_err();
+            assert!(err.contains("below actual max free order"), "{err}");
+            m.superdir[0] = None;
+            let err = m.verify(&pool).unwrap_err();
+            assert!(err.contains("says full"), "{err}");
         }
     }
 
@@ -871,8 +944,7 @@ mod tests {
         assert!(m.n_spaces() >= 2, "the script must open a second space");
         let live: u32 = held.iter().map(|e| e.pages).sum();
         assert_eq!(m.allocated_pages(), u64::from(live));
-        #[cfg(feature = "paranoid")]
-        m.paranoid_verify(&mut pool).unwrap();
+        m.verify(&pool).unwrap();
         assert_eq!(
             digest, 0x4AFB_4969_076C_A3C8,
             "placement or superdirectory hints moved"
@@ -1180,8 +1252,7 @@ mod tests {
         }
         assert!(new.n_spaces() >= 3, "the script must work three spaces");
         assert!(new_pool.io_stats().write_calls > 1000, "dirty evictions");
-        #[cfg(feature = "paranoid")]
-        new.paranoid_verify(&mut new_pool).unwrap();
+        new.verify(&new_pool).unwrap();
     }
 
     /// §3.1's wrong guess: a probe that finds no block corrects the hint

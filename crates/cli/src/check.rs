@@ -1,83 +1,13 @@
 //! `lobctl <image> check` — offline consistency checking (an `fsck` for
-//! database images).
-//!
-//! Verifies, for a database reached through its catalog:
-//!
-//! 1. every object's own structural invariants (count-tree consistency,
-//!    fill factors, segment bounds);
-//! 2. that no two objects claim the same LEAF pages;
-//! 3. that the LEAF allocator's map matches exactly the pages reachable
-//!    from objects (no leaks, no dangling references);
-//! 4. the same for META pages (catalog chain + object roots + interior
-//!    index pages).
+//! database images): read the catalog, open its objects, and print what
+//! [`Db::verify`] finds walking from them (see its docs for the checks).
 //!
 //! The CLI maps results to exit codes the way `fsck` does: 0 when the
 //! image is consistent, 1 when findings were reported, 2 when the image
 //! could not be read at all. `--json` emits the findings in the same
 //! `{"count": N, "findings": [...]}` shape the workspace linter uses.
 
-use std::collections::HashMap;
-
-use lobstore_core::{open_object, Catalog, Db};
-
-/// One problem found by the checker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Finding {
-    ObjectBroken { name: String, detail: String },
-    LeafOverlap { page: u32, owners: Vec<String> },
-    LeafLeaked { page: u32 },
-    LeafDangling { name: String, page: u32 },
-    MetaLeaked { page: u32 },
-    MetaDangling { owner: String, page: u32 },
-    AllocLogBroken { detail: String },
-}
-
-impl Finding {
-    /// Stable machine-readable name of this finding class (the `kind`
-    /// field of the JSON output).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Finding::ObjectBroken { .. } => "object-broken",
-            Finding::LeafOverlap { .. } => "leaf-overlap",
-            Finding::LeafLeaked { .. } => "leaf-leaked",
-            Finding::LeafDangling { .. } => "leaf-dangling",
-            Finding::MetaLeaked { .. } => "meta-leaked",
-            Finding::MetaDangling { .. } => "meta-dangling",
-            Finding::AllocLogBroken { .. } => "alloc-log-broken",
-        }
-    }
-}
-
-impl std::fmt::Display for Finding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Finding::ObjectBroken { name, detail } => {
-                write!(f, "object '{name}' failed invariants: {detail}")
-            }
-            Finding::LeafOverlap { page, owners } => {
-                write!(
-                    f,
-                    "leaf page {page} claimed by multiple objects: {owners:?}"
-                )
-            }
-            Finding::LeafLeaked { page } => {
-                write!(f, "leaf page {page} allocated but unreachable (leak)")
-            }
-            Finding::LeafDangling { name, page } => {
-                write!(f, "object '{name}' references unallocated leaf page {page}")
-            }
-            Finding::MetaLeaked { page } => {
-                write!(f, "meta page {page} allocated but unreachable (leak)")
-            }
-            Finding::MetaDangling { owner, page } => {
-                write!(f, "'{owner}' references unallocated meta page {page}")
-            }
-            Finding::AllocLogBroken { detail } => {
-                write!(f, "allocation log failed verification: {detail}")
-            }
-        }
-    }
-}
+use lobstore_core::{open_object, Catalog, Db, Finding, LargeObject};
 
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -136,161 +66,46 @@ fn catching<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 
 /// Run all checks; an empty result means the database is consistent.
 pub fn check_database(db: &mut Db, cat: &mut Catalog) -> Vec<Finding> {
-    let mut findings = Vec::new();
-
-    // Reachability maps: page → owner name.
-    let mut leaf_owner: HashMap<u32, String> = HashMap::new();
-    let mut meta_owner: HashMap<u32, String> = HashMap::new();
-
-    // Pages owned by the MVCC machinery rather than any object: the
-    // allocation-log chain (META) and frees deferred while a snapshot
-    // still pins an old version (DESIGN.md §16). Both are allocated on
-    // purpose and must not be reported as leaks.
-    for page in db.alloc_log_pages() {
-        meta_owner.insert(page, "<alloc-log>".to_string());
-    }
-    for ext in db.deferred_extents() {
-        let map = if ext.area == lobstore_simdisk::AreaId::META {
-            &mut meta_owner
-        } else {
-            &mut leaf_owner
-        };
-        for p in ext.start..ext.end() {
-            map.insert(p, "<deferred-free>".to_string());
-        }
-    }
-    if let Err(e) = db.verify_alloc_log() {
-        findings.push(Finding::AllocLogBroken {
-            detail: e.to_string(),
-        });
-    }
-
-    match catching(|| cat.pages(db)) {
-        Ok(Ok(pages)) => {
-            for p in pages {
-                meta_owner.insert(p, "<catalog>".to_string());
-            }
-        }
-        Ok(Err(e)) => {
-            findings.push(Finding::ObjectBroken {
-                name: "<catalog>".into(),
-                detail: e.to_string(),
-            });
-            return findings;
-        }
-        Err(msg) => {
-            findings.push(Finding::ObjectBroken {
-                name: "<catalog>".into(),
-                detail: format!("checker panicked: {msg}"),
-            });
-            return findings;
-        }
-    }
-
-    let entries = match catching(|| cat.list(db)) {
-        Ok(Ok(e)) => e,
-        Ok(Err(e)) => {
-            findings.push(Finding::ObjectBroken {
-                name: "<catalog>".into(),
-                detail: e.to_string(),
-            });
-            return findings;
-        }
-        Err(msg) => {
-            findings.push(Finding::ObjectBroken {
-                name: "<catalog>".into(),
-                detail: format!("checker panicked: {msg}"),
-            });
-            return findings;
-        }
+    let catalog_broken = |detail: String| {
+        vec![Finding::ObjectBroken {
+            name: "<catalog>".into(),
+            detail,
+        }]
+    };
+    let read = || cat.pages(db).and_then(|pages| Ok((pages, cat.list(db)?)));
+    let (pages, entries) = match catching(read) {
+        Ok(Ok(read)) => read,
+        Ok(Err(e)) => return catalog_broken(e.to_string()),
+        Err(msg) => return catalog_broken(format!("checker panicked: {msg}")),
     };
 
+    let mut findings = Vec::new();
+    let mut objects = Vec::new();
     for entry in &entries {
-        let walked = catching(|| {
-            let obj = match open_object(db, entry.kind, entry.root_page) {
-                Ok(o) => o,
-                Err(e) => {
-                    findings.push(Finding::ObjectBroken {
-                        name: entry.name.clone(),
-                        detail: e.to_string(),
-                    });
-                    return;
-                }
-            };
-            if let Err(e) = obj.check_invariants(db) {
-                findings.push(Finding::ObjectBroken {
-                    name: entry.name.clone(),
-                    detail: e.to_string(),
-                });
+        let detail = match catching(|| open_object(db, entry.kind, entry.root_page)) {
+            Ok(Ok(obj)) => {
+                objects.push((entry.name.as_str(), obj));
+                continue;
             }
-            for page in obj.index_page_numbers(db) {
-                meta_owner.insert(page, entry.name.clone());
-            }
-            for seg in obj.segments(db) {
-                for p in seg.start_page..seg.start_page + seg.pages {
-                    if let Some(prev) = leaf_owner.insert(p, entry.name.clone()) {
-                        if prev != entry.name {
-                            findings.push(Finding::LeafOverlap {
-                                page: p,
-                                owners: vec![prev, entry.name.clone()],
-                            });
-                        }
-                    }
-                }
-            }
+            Ok(Err(e)) => e.to_string(),
+            Err(msg) => format!("checker panicked: {msg}"),
+        };
+        findings.push(Finding::ObjectBroken {
+            name: entry.name.clone(),
+            detail,
         });
-        if let Err(msg) = walked {
-            findings.push(Finding::ObjectBroken {
-                name: entry.name.clone(),
-                detail: format!("checker panicked: {msg}"),
-            });
-        }
     }
-
-    // Allocator vs reachability, LEAF area.
-    let mut leaf_allocated = std::collections::HashSet::new();
-    for ext in db.leaf_allocated_ranges() {
-        for p in ext.start..ext.end() {
-            leaf_allocated.insert(p);
-        }
+    let roots: Vec<(&str, &dyn LargeObject)> = objects
+        .iter()
+        .map(|(name, obj)| (*name, obj.as_ref()))
+        .collect();
+    match catching(|| db.verify(&roots, &pages)) {
+        Ok(walked) => findings.extend(walked),
+        Err(msg) => findings.push(Finding::ObjectBroken {
+            name: "<walk>".into(),
+            detail: format!("checker panicked: {msg}"),
+        }),
     }
-    for (&page, name) in &leaf_owner {
-        if !leaf_allocated.contains(&page) {
-            findings.push(Finding::LeafDangling {
-                name: name.clone(),
-                page,
-            });
-        }
-    }
-    for &page in &leaf_allocated {
-        if !leaf_owner.contains_key(&page) {
-            findings.push(Finding::LeafLeaked { page });
-        }
-    }
-
-    // META area: allocated pages must be exactly the reachable set.
-    // (Directory pages are the allocator's own and are not in its map.)
-    let mut meta_allocated = std::collections::HashSet::new();
-    for ext in db.meta_allocated_ranges() {
-        for p in ext.start..ext.end() {
-            meta_allocated.insert(p);
-        }
-    }
-    for (&page, owner) in &meta_owner {
-        if !meta_allocated.contains(&page) {
-            findings.push(Finding::MetaDangling {
-                owner: owner.clone(),
-                page,
-            });
-        }
-    }
-    for &page in &meta_allocated {
-        if !meta_owner.contains_key(&page) {
-            findings.push(Finding::MetaLeaked { page });
-        }
-    }
-
-    findings.sort_by_key(|f| format!("{f:?}"));
     findings
 }
 
@@ -320,40 +135,6 @@ mod tests {
         let (mut db, mut cat) = setup();
         let findings = check_database(&mut db, &mut cat);
         assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn detects_leaked_leaf_pages() {
-        let (mut db, mut cat) = setup();
-        // Allocate pages that no object references.
-        let _leak = db.alloc_leaf(3);
-        let findings = check_database(&mut db, &mut cat);
-        let leaks = findings
-            .iter()
-            .filter(|f| matches!(f, Finding::LeafLeaked { .. }))
-            .count();
-        assert_eq!(leaks, 3, "{findings:?}");
-    }
-
-    #[test]
-    fn detects_dangling_references() {
-        let (mut db, mut cat) = setup();
-        // Free a segment out from under object "b".
-        let e = cat.get(&mut db, "b").unwrap().unwrap();
-        let obj = open_object(&mut db, e.kind, e.root_page).unwrap();
-        let seg = obj.segments(&db)[0];
-        db.free_leaf(lobstore_core::Extent::new(
-            lobstore_simdisk::AreaId::LEAF,
-            seg.start_page,
-            1,
-        ));
-        let findings = check_database(&mut db, &mut cat);
-        assert!(
-            findings
-                .iter()
-                .any(|f| matches!(f, Finding::LeafDangling { .. })),
-            "{findings:?}"
-        );
     }
 
     #[test]
@@ -387,55 +168,6 @@ mod tests {
         assert!(json.contains("\"kind\": \"leaf-leaked\""), "{json}");
         assert!(json.contains("\"kind\": \"object-broken\""), "{json}");
         assert!(json.contains("a\\\"b"), "quotes escaped: {json}");
-    }
-
-    #[test]
-    fn alloc_log_and_deferred_pages_are_not_leaks() {
-        let mut db = Db::new(DbConfig {
-            alloc_log: true,
-            ..DbConfig::default()
-        });
-        let mut cat = Catalog::create(&mut db).unwrap();
-        let mut obj = ManagerSpec::esm(4).create(&mut db).unwrap();
-        obj.append(&mut db, &vec![1u8; 120_000]).unwrap();
-        cat.put(&mut db, "a", obj.kind(), obj.root_page()).unwrap();
-        assert!(
-            !db.alloc_log_pages().is_empty(),
-            "log chain exists once configured"
-        );
-        // Pin a snapshot, then shrink the object so frees are deferred.
-        let snap = db.snapshot();
-        obj.delete(&mut db, 0, 60_000).unwrap();
-        assert!(!db.deferred_extents().is_empty(), "frees were deferred");
-        let findings = check_database(&mut db, &mut cat);
-        assert!(findings.is_empty(), "{findings:?}");
-        db.release_snapshot(snap);
-        let findings = check_database(&mut db, &mut cat);
-        assert!(findings.is_empty(), "clean after reclamation: {findings:?}");
-    }
-
-    #[test]
-    fn detects_a_broken_alloc_log() {
-        let mut db = Db::new(DbConfig {
-            alloc_log: true,
-            ..DbConfig::default()
-        });
-        let mut cat = Catalog::create(&mut db).unwrap();
-        let mut obj = ManagerSpec::eos(16).create(&mut db).unwrap();
-        obj.append(&mut db, &vec![2u8; 40_000]).unwrap();
-        cat.put(&mut db, "a", obj.kind(), obj.root_page()).unwrap();
-        // Stamp garbage over the log head's magic: the chain walk stops
-        // dead, so the replayed allocation map can no longer match the
-        // live allocators.
-        let head = db.alloc_log_pages()[0];
-        db.with_meta_page_mut(head, |p| p[0..4].copy_from_slice(b"XXXX"));
-        let findings = check_database(&mut db, &mut cat);
-        assert!(
-            findings
-                .iter()
-                .any(|f| matches!(f, Finding::AllocLogBroken { .. })),
-            "{findings:?}"
-        );
     }
 
     #[test]

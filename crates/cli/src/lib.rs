@@ -28,7 +28,8 @@
 
 mod check;
 
-pub use check::{check_database, findings_to_json, Finding};
+pub use check::{check_database, findings_to_json};
+pub use lobstore_core::Finding;
 
 use std::io::Write as _;
 

@@ -189,7 +189,7 @@ fn parse_record(stream: &[u8], at: usize) -> Option<(Record, usize)> {
     }
 }
 
-/// An area-keyed interval set used by [`Db::verify_alloc_log`] to replay
+/// An area-keyed interval set used by [`Db::check_alloc_log`] to replay
 /// the log arithmetically, without touching any pages.
 #[derive(Default)]
 struct IntervalSet {
@@ -670,16 +670,16 @@ impl Db {
         }
     }
 
-    /// Verify the allocation log against the live allocators: replaying
-    /// every record (committed and pending), plus the chain's own pages,
-    /// must yield exactly the live allocated set minus the extents whose
-    /// free is deferred for pinned snapshots. Pure arithmetic — no pages
-    /// are modified. `Ok` when the log is disabled.
-    pub fn verify_alloc_log(&mut self) -> Result<()> {
-        let Some(log) = self.log.take() else {
+    /// The allocation log against `live`, both allocators' maps, checked
+    /// by [`Db::verify`]: replaying every record (committed and pending),
+    /// plus the chain's own pages, must yield exactly the live allocated
+    /// set minus the extents whose free is deferred for pinned snapshots.
+    /// Pure arithmetic over peeked pages. `Ok` when the log is disabled.
+    pub(crate) fn check_alloc_log(&self, live: impl IntoIterator<Item = Extent>) -> Result<()> {
+        let Some(log) = &self.log else {
             return Ok(());
         };
-        let (stream, _) = self.read_log_stream(&log);
+        let (stream, _) = self.read_log_stream(log);
         let mut replayed = IntervalSet::default();
         let apply = |bytes: &[u8], set: &mut IntervalSet| -> usize {
             let mut at = 0usize;
@@ -693,26 +693,19 @@ impl Db {
             }
             at
         };
-        let parsed = apply(&stream, &mut replayed);
         // The stream must parse exactly to its end: partial records only
         // ever exist after a crash, and replay truncates them.
-        let stream_ok = parsed == stream.len();
-        apply(&log.pending, &mut replayed);
-        for &p in &log.chain {
-            replayed.insert(Extent::new(AreaId::META, p, 1));
-        }
-        self.log = Some(log);
-        if !stream_ok {
+        if apply(&stream, &mut replayed) != stream.len() {
             return Err(LobError::Corrupt(
                 "allocation log: record stream ends mid-record".into(),
             ));
         }
+        apply(&log.pending, &mut replayed);
+        for &p in &log.chain {
+            replayed.insert(Extent::new(AreaId::META, p, 1));
+        }
 
-        let mut live = IntervalSet::from_extents(
-            self.meta_allocated_ranges()
-                .into_iter()
-                .chain(self.leaf_allocated_ranges()),
-        );
+        let mut live = IntervalSet::from_extents(live);
         for ext in self.deferred_extents() {
             live.remove(ext);
         }
@@ -811,10 +804,10 @@ mod tests {
             at = next;
         }
         assert_eq!(at, stream.len(), "the stream parses exactly to its end");
-        db.verify_alloc_log().unwrap();
+        assert_eq!(db.verify(&[], &[page]), Vec::<crate::Finding>::new());
 
         db.crash_and_reboot();
-        db.verify_alloc_log().unwrap();
+        assert_eq!(db.verify(&[], &[page]), Vec::<crate::Finding>::new());
         assert_eq!(
             db.peek_meta(page)[..300],
             [round; 300],

@@ -111,6 +111,10 @@ pub struct Db {
     /// Committed META pages overwritten in place since the last commit
     /// (root/catalog flips) — imaged into the allocation log at commit.
     pub(crate) dirty_roots: Vec<u32>,
+    /// Frees deferred at the last checkpoint: free in the checkpointed
+    /// state, written to disk as allocated for the pins of the time. A
+    /// reboot without the log releases them (replay has them free).
+    durable_frees: Vec<Extent>,
 }
 
 impl Db {
@@ -128,6 +132,7 @@ impl Db {
             log: None,
             op_created: HashSet::new(),
             dirty_roots: Vec::new(),
+            durable_frees: Vec::new(),
         };
         if cfg.alloc_log {
             db.init_alloc_log();
@@ -328,7 +333,9 @@ impl Db {
     /// to the last committed version: allocators rebuilt from the record
     /// stream, in-place-written pages restored from their committed
     /// images (see `alloclog.rs`). An open transaction is aborted; all
-    /// snapshots are released (they are in-memory handles).
+    /// snapshots are released (they are in-memory handles), and without
+    /// the log the frees the last checkpoint deferred for them are
+    /// executed.
     pub fn crash_and_reboot(&mut self) {
         self.pool.crash();
         self.clear_version_state();
@@ -347,6 +354,16 @@ impl Db {
             BuddyConfig::new(AreaId::LEAF, self.cfg.leaf_space_pages),
             &mut self.pool,
         );
+        // Kept until the next checkpoint: a second crash returns to the
+        // same checkpointed state.
+        for &ext in &self.durable_frees {
+            let alloc = if ext.area == AreaId::META {
+                &mut self.meta_alloc
+            } else {
+                &mut self.leaf_alloc
+            };
+            alloc.release(&mut self.pool, ext);
+        }
     }
 
     /// Flush everything that is dirty — the "checkpoint" matching the end
@@ -364,6 +381,7 @@ impl Db {
             "checkpoint inside a transaction would make uncommitted state durable"
         );
         self.pool.flush_all();
+        self.durable_frees = self.deferred_extents();
         self.compact_alloc_log();
     }
 
@@ -414,6 +432,7 @@ impl Db {
             log: None,
             op_created: HashSet::new(),
             dirty_roots: Vec::new(),
+            durable_frees: Vec::new(),
         };
         if cfg.alloc_log {
             // Images are log-less (see save_image): start a fresh log
@@ -436,27 +455,6 @@ impl Db {
     pub fn load_from_path(path: impl AsRef<std::path::Path>, cfg: DbConfig) -> std::io::Result<Db> {
         let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
         Db::load_image(&mut r, cfg)
-    }
-
-    /// Deep allocator verification (the `paranoid` feature): both buddy
-    /// managers re-read their space directories and cross-check the
-    /// bitmaps against their in-memory bookkeeping.
-    #[cfg(feature = "paranoid")]
-    pub fn paranoid_verify_allocators(&mut self) -> crate::error::Result<()> {
-        use crate::error::LobError;
-        let Db {
-            pool,
-            meta_alloc,
-            leaf_alloc,
-            ..
-        } = self;
-        meta_alloc
-            .paranoid_verify(pool)
-            .map_err(|e| LobError::InvariantViolated(format!("META allocator: {e}")))?;
-        leaf_alloc
-            .paranoid_verify(pool)
-            .map_err(|e| LobError::InvariantViolated(format!("LEAF allocator: {e}")))?;
-        Ok(())
     }
 
     /// Cost-free snapshot of a META page's current content (newest pool

@@ -404,21 +404,6 @@ impl Src<'_> {
     }
 }
 
-#[cfg(feature = "paranoid")]
-impl EosObject {
-    /// Post-operation deep verification (the `paranoid` feature). The
-    /// threshold rule is checked only inside `window`: the merge rule is
-    /// an *update* postcondition — append growth legitimately leaves
-    /// small doubling segments adjacent (§4.2).
-    fn paranoid_verify(&self, db: &mut Db, window: Option<(u64, u64)>) -> Result<()> {
-        crate::paranoid::verify_object(self, db)?;
-        if let Some((lo, hi)) = window {
-            crate::paranoid::verify_eos_threshold(self, db, lo, hi)?;
-        }
-        Ok(())
-    }
-}
-
 impl LargeObject for EosObject {
     fn kind(&self) -> StorageKind {
         StorageKind::Eos
@@ -498,8 +483,6 @@ impl LargeObject for EosObject {
             rem = &rem[take..];
         }
         ctx.finish(db);
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db, None)?;
         Ok(())
     }
 
@@ -532,8 +515,6 @@ impl LargeObject for EosObject {
         let mut ctx = OpCtx::new();
         self.insert_inner(db, &mut ctx, off, bytes)?;
         ctx.finish(db);
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db, Some((off, off + bytes.len() as u64)))?;
         Ok(())
     }
 
@@ -638,8 +619,6 @@ impl LargeObject for EosObject {
             self.merge_around(db, &mut ctx, off, off)?;
         }
         ctx.finish(db);
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db, Some((off, off)))?;
         Ok(())
     }
 
@@ -658,8 +637,6 @@ impl LargeObject for EosObject {
                 e
             })?;
         ctx.finish(db);
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db, None)?;
         Ok(())
     }
 
@@ -686,8 +663,6 @@ impl LargeObject for EosObject {
         hdr.last_seg_alloc = 0;
         hdr.last_seg_ptr = 0;
         self.tree.write_hdr(db, &hdr);
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db, None)?;
         Ok(())
     }
 
@@ -772,6 +747,55 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    /// §2.3's threshold rule over the update window `[lo, hi]` (object
+    /// offsets): no segment boundary inside it separates two adjacent
+    /// segments whose bytes fit in `T` pages together. The window only:
+    /// the rule is an update postcondition, and append growth leaves
+    /// small doubling segments adjacent on purpose (§4.2).
+    fn check_threshold_window(obj: &EosObject, db: &Db, lo: u64, hi: u64) -> Result<()> {
+        for w in obj.segments(db).windows(2) {
+            let boundary = w[1].offset;
+            if (lo..=hi).contains(&boundary) && obj.must_merge(w[0].bytes, w[1].bytes) {
+                return Err(LobError::InvariantViolated(format!(
+                    "threshold rule violated at offset {boundary}: adjacent segments of {} and \
+                     {} bytes fit in {} pages",
+                    w[0].bytes,
+                    w[1].bytes,
+                    obj.threshold_pages()
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Seeded violation: raise the threshold on disk after segments were
+    /// laid out for a smaller `T`, so pairs legal under the old `T` now
+    /// break the merge rule.
+    #[test]
+    fn a_raised_threshold_breaks_the_window_rule() {
+        let mut db = db();
+        let mut obj = EosObject::create(
+            &mut db,
+            EosParams {
+                threshold_pages: 1,
+                max_seg_pages: 64,
+            },
+        )
+        .unwrap();
+        // Two adjacent multi-page segments (T=1 never merges them).
+        obj.append(&mut db, &pattern(3 * 4096, 5)).unwrap();
+        obj.insert(&mut db, 4096, &pattern(2 * 4096, 6)).unwrap();
+        let size = obj.size(&mut db);
+        check_threshold_window(&obj, &db, 0, size).unwrap();
+        // The params word (bytes 16..24: T | max << 32) now claims T=64.
+        db.with_meta_page_mut(obj.root_page(), |p| {
+            p[16..24].copy_from_slice(&(64u64 | (64u64 << 32)).to_le_bytes());
+        });
+        let obj = EosObject::open(&mut db, obj.root_page()).unwrap();
+        let err = check_threshold_window(&obj, &db, 0, size).unwrap_err();
+        assert!(err.to_string().contains("threshold rule"), "{err}");
     }
 
     /// Segment page counts, left to right (allocation-aware).
@@ -1032,16 +1056,22 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(1234 + u64::from(t));
             for step in 0..120 {
                 let c = rng.gen_range(0..10);
+                // The update window the threshold rule holds over.
+                let mut window = None;
                 if model.is_empty() || c < 4 {
                     let chunk = pattern(rng.gen_range(1..25_000), rng.gen());
                     let off = rng.gen_range(0..=model.len());
                     obj.insert(&mut db, off as u64, &chunk).unwrap();
                     model.splice(off..off, chunk.iter().copied());
+                    if off < model.len() - chunk.len() {
+                        window = Some((off, off + chunk.len()));
+                    }
                 } else if c < 7 {
                     let off = rng.gen_range(0..model.len());
                     let len = rng.gen_range(1..=(model.len() - off).min(20_000));
                     obj.delete(&mut db, off as u64, len as u64).unwrap();
                     model.drain(off..off + len);
+                    window = Some((off, off));
                 } else if c < 9 {
                     let off = rng.gen_range(0..model.len());
                     let len = rng.gen_range(1..=(model.len() - off).min(10_000));
@@ -1057,6 +1087,10 @@ mod tests {
                 }
                 obj.check_invariants(&db)
                     .unwrap_or_else(|e| panic!("T={t} step={step}: {e}"));
+                if let Some((lo, hi)) = window {
+                    check_threshold_window(&obj, &db, lo as u64, hi as u64)
+                        .unwrap_or_else(|e| panic!("T={t} step={step}: {e}"));
+                }
                 assert_eq!(obj.snapshot(&db), model, "content @{step} T={t}");
             }
         }

@@ -394,14 +394,6 @@ impl EsmObject {
     }
 }
 
-#[cfg(feature = "paranoid")]
-impl EsmObject {
-    /// Post-operation deep verification (the `paranoid` feature).
-    fn paranoid_verify(&self, db: &mut Db) -> Result<()> {
-        crate::paranoid::verify_object(self, db)
-    }
-}
-
 impl LargeObject for EsmObject {
     fn kind(&self) -> StorageKind {
         StorageKind::Esm
@@ -446,8 +438,6 @@ impl LargeObject for EsmObject {
         }
         self.tree.bump_size(db, bytes.len() as i64);
         ctx.finish(db);
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db)?;
         Ok(())
     }
 
@@ -479,8 +469,6 @@ impl LargeObject for EsmObject {
         self.insert_inner(db, &mut ctx, off, bytes)?;
         self.tree.bump_size(db, bytes.len() as i64);
         ctx.finish(db);
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db)?;
         Ok(())
     }
 
@@ -518,8 +506,6 @@ impl LargeObject for EsmObject {
             }
         }
         ctx.finish(db);
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db)?;
         Ok(())
     }
 
@@ -534,8 +520,6 @@ impl LargeObject for EsmObject {
                 self.rewrite_leaf(db, ctx, pos, content, pos.off_in_leaf)
             })?;
         ctx.finish(db);
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db)?;
         Ok(())
     }
 

@@ -56,10 +56,6 @@ mod metrics;
 mod node;
 mod object;
 mod observe;
-/// Deep runtime verification helpers, compiled in by the `paranoid`
-/// cargo feature (see the module docs).
-#[cfg(feature = "paranoid")]
-pub mod paranoid;
 mod segdata;
 mod shadow;
 mod shared;
@@ -68,6 +64,7 @@ mod starburst;
 mod stream;
 mod tree;
 mod txn;
+mod verify;
 mod version;
 
 pub use catalog::{Catalog, CatalogEntry, MAX_NAME};
@@ -83,6 +80,7 @@ pub use shared::{SharedDb, SharedSnapshotReader};
 pub use spec::{open_object, ManagerSpec};
 pub use starburst::{StarburstObject, StarburstParams};
 pub use stream::{ObjectReader, ObjectWriter, SnapshotReader};
+pub use verify::Finding;
 pub use version::Snapshot;
 
 /// Maximum bytes any single operation may carry, a sanity bound

@@ -116,12 +116,6 @@ impl StarburstObject {
         u64::from(self.max_seg_pages) * PAGE_SIZE_U64
     }
 
-    /// The configured extent-size ceiling, in pages (§2.2's MaxSeg).
-    #[cfg(feature = "paranoid")]
-    pub(crate) fn max_seg_pages(&self) -> u32 {
-        self.max_seg_pages
-    }
-
     /// Load the descriptor: header and segment list (by value, for the
     /// update paths). Read-only paths step through [`Db::with_meta_root`]'s
     /// view instead.
@@ -274,15 +268,6 @@ impl StarburstObject {
     }
 }
 
-#[cfg(feature = "paranoid")]
-impl StarburstObject {
-    /// Post-operation deep verification (the `paranoid` feature).
-    fn paranoid_verify(&self, db: &mut Db) -> Result<()> {
-        crate::paranoid::verify_object(self, db)?;
-        crate::paranoid::verify_starburst_descriptor(self, db)
-    }
-}
-
 impl LargeObject for StarburstObject {
     fn kind(&self) -> StorageKind {
         StorageKind::Starburst
@@ -352,8 +337,6 @@ impl LargeObject for StarburstObject {
         }
         hdr.size += bytes.len() as u64;
         self.store(db, &mut hdr, &segs)?;
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db)?;
         db.op_commit();
         Ok(())
     }
@@ -431,8 +414,6 @@ impl LargeObject for StarburstObject {
             return self.append(db, bytes);
         }
         self.rewrite_tail(db, off, 0, bytes)?;
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db)?;
         db.op_commit();
         Ok(())
     }
@@ -443,8 +424,6 @@ impl LargeObject for StarburstObject {
             return Ok(());
         }
         self.rewrite_tail(db, off, len, &[])?;
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db)?;
         db.op_commit();
         Ok(())
     }
@@ -481,8 +460,6 @@ impl LargeObject for StarburstObject {
             db.free_leaf(ext);
         }
         self.store(db, &mut hdr, &segs)?;
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db)?;
         db.op_commit();
         Ok(())
     }
@@ -505,8 +482,6 @@ impl LargeObject for StarburstObject {
         }
         hdr.last_seg_alloc = 0;
         self.store(db, &mut hdr, &segs)?;
-        #[cfg(feature = "paranoid")]
-        self.paranoid_verify(db)?;
         db.op_commit();
         Ok(())
     }
@@ -565,6 +540,7 @@ impl LargeObject for StarburstObject {
                 hdr.size
             )));
         }
+        let last = node.entries.len().saturating_sub(1);
         for (i, e) in node.entries.iter().enumerate() {
             if e.count == 0 {
                 return Err(LobError::InvariantViolated(format!("empty segment {i}")));
@@ -574,6 +550,15 @@ impl LargeObject for StarburstObject {
                     "segment {i} of {} bytes exceeds the {} byte max",
                     e.count,
                     self.max_bytes()
+                )));
+            }
+            // §2.2: only the last extent may be trimmed. Monotone doubling
+            // is not a rule: a §3.5 tail rewrite ends in an exact extent
+            // that a later append freezes mid-descriptor.
+            if i < last && e.count % PAGE_SIZE_U64 != 0 {
+                return Err(LobError::InvariantViolated(format!(
+                    "non-last segment {i} holds {} bytes: only the last extent may be trimmed",
+                    e.count
                 )));
             }
         }
@@ -944,6 +929,23 @@ mod tests {
         assert_eq!(u.data_pages, 2, "6 KB occupies exactly 2 pages after trim");
         obj.check_invariants(&db).unwrap();
         assert_eq!(obj.snapshot(&db).len(), 6 * 1024);
+    }
+
+    /// A tail rewrite (insert) ends with an exact-size extent that can be
+    /// smaller than its predecessor, and a later append freezes it
+    /// mid-descriptor: a legal shape, with every non-last extent whole.
+    #[test]
+    fn post_rewrite_append_shape_is_legal() {
+        let mut db = db();
+        let mut obj = make(&mut db);
+        obj.append(&mut db, &pattern(56_000, 7)).unwrap();
+        obj.insert(&mut db, 50_000, &pattern(9_000, 8)).unwrap();
+        obj.append(&mut db, &pattern(120_000, 9)).unwrap();
+        assert!(
+            obj.segments(&db).len() >= 2,
+            "the rewritten extent is frozen"
+        );
+        obj.check_invariants(&db).unwrap();
     }
 
     #[test]

@@ -37,8 +37,6 @@ use lobstore_buddy::Extent;
 use lobstore_simdisk::{cast, PAGE_SIZE};
 
 use crate::db::Db;
-#[cfg(feature = "paranoid")]
-use crate::error::{LobError, Result};
 use crate::metrics;
 
 /// One archived pre-image of a META page that was overwritten in place.
@@ -308,53 +306,50 @@ impl Db {
         }
     }
 
-    /// Deep verification of the version store (`paranoid` feature):
-    /// overlay tags must be strictly increasing and no newer than the
-    /// current version, pins must reference committed versions, and no
-    /// two deferred extents may overlap (that would become a double free
-    /// at reclamation).
-    #[cfg(feature = "paranoid")]
-    pub fn paranoid_verify_versions(&self) -> Result<()> {
+    /// The version store's own rules, checked by [`Db::verify`]: overlay
+    /// tags strictly increase and are no newer than the current version,
+    /// pins reference committed versions, and deferred frees are tagged
+    /// with committed versions and never overlap (an overlap would become
+    /// a double free at reclamation).
+    pub(crate) fn check_versions(&self) -> Result<(), String> {
         let current = self.versions.current;
         for (&page, copies) in &self.versions.overlay {
             let mut last = None;
             for c in copies {
                 if c.valid_through > current {
-                    return Err(LobError::InvariantViolated(format!(
+                    return Err(format!(
                         "overlay for META page {page} tagged {} beyond current version {current}",
                         c.valid_through
-                    )));
+                    ));
                 }
                 if last.is_some_and(|l| l >= c.valid_through) {
-                    return Err(LobError::InvariantViolated(format!(
+                    return Err(format!(
                         "overlay for META page {page} has non-increasing tags"
-                    )));
+                    ));
                 }
                 last = Some(c.valid_through);
             }
         }
         if let Some((&v, _)) = self.versions.pins.last_key_value() {
             if v > current {
-                return Err(LobError::InvariantViolated(format!(
+                return Err(format!(
                     "snapshot pinned at {v} beyond current version {current}"
-                )));
+                ));
             }
         }
         let mut exts: Vec<&Extent> = self.versions.deferred.iter().map(|d| &d.ext).collect();
         exts.sort_by_key(|e| (e.area, e.start));
         for (a, b) in exts.iter().zip(exts.iter().skip(1)) {
             if a.area == b.area && a.end() > b.start {
-                return Err(LobError::InvariantViolated(format!(
-                    "deferred frees overlap: {a} and {b}"
-                )));
+                return Err(format!("deferred frees overlap: {a} and {b}"));
             }
         }
         for d in &self.versions.deferred {
             if d.free_after > current {
-                return Err(LobError::InvariantViolated(format!(
+                return Err(format!(
                     "deferred free of {} tagged {} beyond current version {current}",
                     d.ext, d.free_after
-                )));
+                ));
             }
         }
         Ok(())
@@ -363,11 +358,73 @@ impl Db {
     /// Forget all snapshots, archived pages, and deferred frees — the
     /// crash path. Snapshots are in-memory handles; after a reboot the
     /// committed on-disk state is the only version. Deferred frees are
-    /// *not* executed: with the allocation log enabled, replay already
+    /// *not* executed here: with the allocation log enabled, replay
     /// reconstructs the committed allocator state (which has them free);
-    /// without it, the directories on disk are authoritative.
+    /// without it, the reboot releases those the last checkpoint made
+    /// durable (see [`Db::crash_and_reboot`]).
     pub(crate) fn clear_version_state(&mut self) {
         self.versions = VersionState::new();
         self.publish_version_gauges();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use lobstore_simdisk::AreaId;
+
+    use super::*;
+    use crate::spec::ManagerSpec;
+    use crate::Finding;
+
+    /// A pinned database whose delete deferred a free, and the walk's
+    /// version-store finding once `tamper` has edited the deferred list.
+    fn broken_by(tamper: impl FnOnce(&mut Vec<DeferredFree>, u64)) -> Vec<Finding> {
+        let mut db = Db::paper_default();
+        let mut obj = ManagerSpec::esm(4).create(&mut db).unwrap();
+        obj.append(&mut db, &[5u8; 60_000]).unwrap();
+        let snap = db.snapshot();
+        obj.delete(&mut db, 0, 30_000).unwrap();
+        let clean = db.verify(&[("a", obj.as_ref())], &[]);
+        assert!(clean.is_empty(), "{clean:?}");
+        let current = db.versions.current;
+        tamper(&mut db.versions.deferred, current);
+        let findings = db.verify(&[("a", obj.as_ref())], &[]);
+        // Not released: reclaiming the tampered list would free twice.
+        drop(snap);
+        findings
+            .into_iter()
+            .filter(|f| matches!(f, Finding::VersionsBroken { .. }))
+            .collect()
+    }
+
+    #[test]
+    fn overlapping_deferred_frees_are_reported() {
+        let findings = broken_by(|deferred, _| {
+            let d = &deferred[0];
+            let again = Extent::new(d.ext.area, d.ext.start, 1);
+            let free_after = d.free_after;
+            deferred.push(DeferredFree {
+                free_after,
+                ext: again,
+            });
+        });
+        assert!(
+            matches!(&findings[..], [Finding::VersionsBroken { detail }] if detail.contains("overlap")),
+            "{findings:?}"
+        );
+    }
+
+    #[test]
+    fn future_tagged_deferred_frees_are_reported() {
+        let findings = broken_by(|deferred, current| {
+            deferred.push(DeferredFree {
+                free_after: current + 1,
+                ext: Extent::new(AreaId::LEAF, 10_000, 1),
+            });
+        });
+        assert!(
+            matches!(&findings[..], [Finding::VersionsBroken { detail }] if detail.contains("beyond current version")),
+            "{findings:?}"
+        );
     }
 }

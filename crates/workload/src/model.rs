@@ -12,14 +12,15 @@
 //!   one unflushed op deep (§3.3 defers frees per operation).
 //! * [`OpGen`] — the one seeded generator, over a weighted mix of [`Kind`]s.
 //! * [`Driver`] — applies each op to a store object and to the model and
-//!   checks every read's bytes, the size and `check_invariants` after every
-//!   op; the whole object after a transaction and after a crash (rebooted,
-//!   reopened through `ManagerSpec::open`); at [`Driver::finish`] the final
-//!   bytes and that `destroy` leaks no page.
+//!   checks every read's bytes, the size and the database walk
+//!   (`Db::verify`) after every op; the whole object after a transaction
+//!   and after a crash (rebooted, reopened through `ManagerSpec::open`);
+//!   every pinned version when it is released; at [`Driver::finish`] the
+//!   final bytes and that `destroy` leaves the walk nothing to claim.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use lobstore_core::{Db, LargeObject, LobError, ManagerSpec};
+use lobstore_core::{Db, LargeObject, LobError, ManagerSpec, Snapshot, SnapshotReader};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,8 +38,14 @@ pub enum Op {
     /// Destroy the object and create an empty one of the same spec.
     Recreate,
     Checkpoint,
-    /// `crash_and_reboot`, then reopen the object by its root page.
+    /// `crash_and_reboot`, then reopen the object by its root page. Every
+    /// pin is dropped: snapshots are in-memory handles.
     Crash,
+    /// Pin the current version and record the model's bytes.
+    Snapshot,
+    /// Stream the oldest pinned version, compare it with the bytes
+    /// recorded at its pin, and release it (nothing when none is pinned).
+    Release,
     /// `ops` as one `Db::txn`; `abort` fails the closure after them all.
     Txn {
         ops: Vec<Op>,
@@ -55,6 +62,8 @@ pub enum Kind {
     Delete,
     Replace,
     Read,
+    Snapshot,
+    Release,
     Recreate,
     Checkpoint,
     Crash,
@@ -176,6 +185,8 @@ impl OpGen {
             Kind::Delete => Op::Delete(at, len),
             Kind::Replace => Op::Replace(at, len),
             Kind::Read => Op::Read(at, len),
+            Kind::Snapshot => Op::Snapshot,
+            Kind::Release => Op::Release,
             Kind::Recreate => Op::Recreate,
             Kind::Checkpoint => Op::Checkpoint,
             Kind::Crash => Op::Crash,
@@ -204,7 +215,7 @@ impl Iterator for OpGen {
         let op = self.draw(kind);
         match kind {
             Kind::Checkpoint | Kind::Crash => self.dirty = false,
-            Kind::Read => {}
+            Kind::Read | Kind::Snapshot | Kind::Release => {}
             _ if self.dirty && self.mix.iter().any(|&(_, k)| k == Kind::Crash) => {
                 self.held = Some(op);
                 return Some(Op::Checkpoint);
@@ -241,6 +252,14 @@ pub fn assert_same(got: &[u8], want: &[u8], what: &str) {
     }
 }
 
+/// A version pinned by [`Op::Snapshot`]: the handle, the object's root
+/// then, and the bytes the model held.
+struct Pin {
+    snap: Snapshot,
+    root: u32,
+    bytes: Vec<u8>,
+}
+
 /// One object driven in lockstep with its [`Model`]. The database is
 /// passed to every call, so it may live inside a `SharedDb`.
 pub struct Driver {
@@ -249,8 +268,11 @@ pub struct Driver {
     pub obj: Box<dyn LargeObject>,
     /// Its reference model.
     pub model: Model,
-    /// [`held_pages`] before the object was created.
-    baseline: (u64, u64),
+    /// META pages the database keeps beside the object (a catalog
+    /// chain): the walk's other roots.
+    pub other_meta: Vec<u32>,
+    /// Pinned versions, oldest first.
+    pins: Vec<Pin>,
     /// Ops applied so far, transaction members included; seeds payloads.
     step: u64,
 }
@@ -258,16 +280,15 @@ pub struct Driver {
 impl Driver {
     /// Create an empty object of `spec` in `db`.
     pub fn new(db: &mut Db, spec: ManagerSpec) -> Self {
-        let alloc_log = db.config().alloc_log;
-        let baseline = held_pages(db);
         Driver {
             obj: spec.create(db).expect("create"),
             model: Model {
-                alloc_log,
+                alloc_log: db.config().alloc_log,
                 ..Model::default()
             },
             spec,
-            baseline,
+            other_meta: Vec::new(),
+            pins: Vec::new(),
             step: 0,
         }
     }
@@ -291,12 +312,24 @@ impl Driver {
             Op::Crash => {
                 let root = self.obj.root_page();
                 db.crash_and_reboot();
-                if self.model.alloc_log {
-                    db.verify_alloc_log().expect("allocation log after replay");
-                }
+                self.pins.clear();
                 self.obj = self.spec.open(db, root).expect("reopen after crash");
                 self.model.crash();
                 true
+            }
+            Op::Snapshot => {
+                self.pins.push(Pin {
+                    snap: db.snapshot(),
+                    root: self.obj.root_page(),
+                    bytes: self.model.live.clone(),
+                });
+                false
+            }
+            Op::Release => {
+                if !self.pins.is_empty() {
+                    release(db, self.pins.remove(0), &what);
+                }
+                false
             }
             Op::Recreate => {
                 self.obj.destroy(db).expect("destroy");
@@ -342,9 +375,8 @@ impl Driver {
             }
         };
         self.step += 1;
-        if let Err(e) = self.obj.check_invariants(db) {
-            panic!("{what}: {e}");
-        }
+        let label = self.spec.label();
+        self.verify(db, &[(label.as_str(), self.obj.as_ref())], &what);
         assert_eq!(
             self.obj.size(db),
             self.model.live.len() as u64,
@@ -355,24 +387,36 @@ impl Driver {
         }
     }
 
-    /// The final bytes equal the model, and `destroy` returns every page
-    /// the object held.
+    /// Panic with every finding unless the walk from `objects` and
+    /// [`Self::other_meta`] is clean.
+    fn verify(&self, db: &Db, objects: &[(&str, &dyn LargeObject)], what: &str) {
+        let findings = db.verify(objects, &self.other_meta);
+        if !findings.is_empty() {
+            let lines: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
+            panic!("{what}: {}", lines.join("; "));
+        }
+    }
+
+    /// Every pinned version reads back as recorded, the final bytes equal
+    /// the model, and after `destroy` the walk finds no page left.
     pub fn finish(mut self, db: &mut Db) {
         let label = self.spec.label();
+        for pin in std::mem::take(&mut self.pins) {
+            release(db, pin, &label);
+        }
         assert_same(&self.obj.snapshot(db), &self.model.live, &label);
         self.obj.destroy(db).expect("destroy");
-        assert_eq!(
-            held_pages(db),
-            self.baseline,
-            "{label}: LEAF/META pages leaked"
-        );
+        self.verify(db, &[], &format!("{label}: after destroy"));
     }
 }
 
-/// LEAF and META pages allocated, the allocation log's own chain aside.
-fn held_pages(db: &Db) -> (u64, u64) {
-    let log = db.alloc_log_pages().len() as u64;
-    (db.leaf_pages_allocated(), db.meta_pages_allocated() - log)
+/// Stream `pin`'s version, compare it with the bytes recorded at the pin,
+/// and release it.
+fn release(db: &mut Db, pin: Pin, what: &str) {
+    let mut reader = SnapshotReader::new(db, &pin.snap, pin.root).expect("pinned root");
+    let got = reader.read_to_end(db);
+    assert_same(&got, &pin.bytes, &format!("{what}: pinned version"));
+    db.release_snapshot(pin.snap);
 }
 
 /// Apply data op `op` to `obj` and to `bytes`, payloads seeded by `step`

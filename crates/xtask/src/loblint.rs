@@ -10,7 +10,7 @@
 //! | `arith-overflow` | library crates, non-test code | bare `+ - * <<` (and compound forms) on page/byte/segment quantities — use `checked_*` / `saturating_*` |
 //! | `panic-path` | library crates, non-test code | indexing/slicing and `/` `%` with a non-constant divisor can panic — guard or waive |
 //! | `unit-mixing` | library crates, non-test code | byte-, page-index- and page-count-typed values may not be mixed in arithmetic/comparison/assignment |
-//! | `io-accounting` | library crates | raw `disk.read` / `disk.write` only inside the cost-counted bufpool wrappers; every I/O entry point reaches a wrapper and bumps its counter; health meta-inspectors stay peek-only |
+//! | `io-accounting` | library crates | raw `disk.read` / `disk.write` only inside the cost-counted bufpool wrappers; every I/O entry point reaches a wrapper and bumps its counter; meta-inspectors (health recounts, the `verify` walk) stay peek-only |
 //! | `bad-waiver` | whole workspace | `loblint: allow(...)` comments may only name known rules |
 //! | `lock-order` | workspace, non-test | the lock/latch acquisition graph is acyclic and follows the canonical order (see [`crate::flowrules`]) |
 //! | `guard-across-io` | library crates, non-test code | no lock guard or page pin live across a cost-counted I/O wrapper call or `std::io`/`std::fs` |
@@ -131,8 +131,9 @@ pub const RULE_DOCS: [(&str, &str, &str); 15] = [
          I/O entry point must reach a wrapper through the call graph and bump its counter: \
          its body calls `.add(` on a handle that its crate declares \
          (`static SEG_READS: Counter = ..` naming `core.seg.reads`) with exactly that name. \
-         Health meta-inspectors (frag_stats, sample_health, object_health) are the inverse: \
-         peek-only recounts that must never perform raw I/O or call a costed wrapper/entry.",
+         Meta-inspectors (frag_stats, sample_health, object_health, the verify walk) are the \
+         inverse: peek-only recounts that must never perform raw I/O or call a costed \
+         wrapper/entry.",
     ),
     (
         "lock-order",
@@ -956,13 +957,18 @@ pub(crate) const IO_ENTRIES: [(&str, &str, Option<&str>); 5] = [
     ),
 ];
 
-/// The health meta-inspectors (DESIGN.md §14): cost-free recounts the
-/// sampler may run at any cadence. Each must exist, touch no raw disk
+/// The meta-inspectors: the health recounts (DESIGN.md §14) the sampler
+/// may run at any cadence, and the consistency walk the model driver runs
+/// after every op (DESIGN.md §9). Each must exist, touch no raw disk
 /// I/O, and never call a cost-counted wrapper or I/O entry — observation
 /// that costs simulated I/O would distort the experiment it reports on
-/// (`tests/observability.rs` asserts the runtime twin of this rule).
-pub(crate) const META_INSPECTORS: [(&str, &str); 7] = [
+/// (`tests/observability.rs` and core's
+/// `verify::tests::the_walk_is_clean_and_costs_nothing` assert the
+/// runtime twin of this rule).
+pub(crate) const META_INSPECTORS: [(&str, &str); 9] = [
     ("crates/buddy/src/manager.rs", "frag_stats"),
+    ("crates/buddy/src/manager.rs", "verify"),
+    ("crates/core/src/verify.rs", "verify"),
     ("crates/core/src/db.rs", "leaf_frag_stats"),
     ("crates/core/src/db.rs", "meta_frag_stats"),
     ("crates/core/src/db.rs", "sample_health"),
@@ -1296,7 +1302,7 @@ fn check_io_accounting(analyses: &[Analysis], out: &mut Vec<Finding>) {
         }
     }
 
-    // (d) Health meta-inspectors are peek-only. Direct-call check, not
+    // (d) Meta-inspectors are peek-only. Direct-call check, not
     // reachability: the alias-prone call graph would drown this in
     // phantom paths, and a peek-only recount that *directly* invokes a
     // costed wrapper or entry is the regression worth catching.
@@ -1314,7 +1320,7 @@ fn check_io_accounting(analyses: &[Analysis], out: &mut Vec<Finding>) {
                 out,
                 1,
                 "io-accounting",
-                format!("health inspector `{inspector}` is missing from {file}"),
+                format!("meta-inspector `{inspector}` is missing from {file}"),
             );
             continue;
         };
@@ -1325,7 +1331,7 @@ fn check_io_accounting(analyses: &[Analysis], out: &mut Vec<Finding>) {
                 f.line,
                 "io-accounting",
                 format!(
-                    "health inspector `{inspector}` performs raw disk I/O; recounts must be \
+                    "meta-inspector `{inspector}` performs raw disk I/O; recounts must be \
                      peek-only"
                 ),
             );
@@ -1337,8 +1343,8 @@ fn check_io_accounting(analyses: &[Analysis], out: &mut Vec<Finding>) {
                     f.line,
                     "io-accounting",
                     format!(
-                        "health inspector `{inspector}` calls cost-counted `{c}`; health \
-                         sampling must stay simulated-I/O-free (peek-only)"
+                        "meta-inspector `{inspector}` calls cost-counted `{c}`; inspection \
+                         must stay simulated-I/O-free (peek-only)"
                     ),
                 );
             }

@@ -1,7 +1,8 @@
-//! Crash-recovery model configurations: seeded updates, checkpoints and
-//! crashes at arbitrary points; after every crash the object must read
-//! back exactly as of the last checkpoint (the model's log-off crash
-//! rule, which the generator keeps one unflushed op deep).
+//! Crash-recovery model configurations: seeded updates, checkpoints,
+//! snapshot pins and crashes at arbitrary points; after every crash the
+//! object must read back exactly as of the last checkpoint (the model's
+//! log-off crash rule, which the generator keeps one unflushed op deep),
+//! and the walk must find no page the crash left behind.
 
 use lobstore::workload::model::{for_seeds, Driver, Kind, Op, OpGen};
 use lobstore::{Db, ManagerSpec};
@@ -12,6 +13,8 @@ const MIX: &[(u32, Kind)] = &[
     (2, Kind::Append),
     (2, Kind::Checkpoint),
     (1, Kind::Crash),
+    (1, Kind::Snapshot),
+    (1, Kind::Release),
 ];
 
 /// 16 seeds (256 optimized): a checkpointed 30 000-byte object, then
@@ -28,15 +31,15 @@ fn recovers(spec: ManagerSpec, steps: usize) {
 
 #[test]
 fn esm_recovers_after_random_crashes() {
-    recovers(ManagerSpec::esm(4), 29);
+    recovers(ManagerSpec::esm(4), 35);
 }
 
 #[test]
 fn eos_recovers_after_random_crashes() {
-    recovers(ManagerSpec::eos(4), 29);
+    recovers(ManagerSpec::eos(4), 35);
 }
 
 #[test]
 fn starburst_recovers_after_random_crashes() {
-    recovers(ManagerSpec::starburst(), 15);
+    recovers(ManagerSpec::starburst(), 18);
 }

@@ -71,6 +71,61 @@ fn aborted_tail_delete_and_append_restore_every_byte() {
     }
 }
 
+/// Pins held across updates, a transaction and (log on) a crash: the
+/// walk after every op holds the deferred frees and the version store to
+/// their rules, each release streams its version back, and the crash
+/// drops the pin still held, so replay must find the frees it deferred
+/// free again.
+#[test]
+fn pins_across_updates_a_txn_and_a_crash() {
+    for spec in reproducer_specs() {
+        for log in [false, true] {
+            let mut db = db(log);
+            let mut d = Driver::new(&mut db, spec);
+            d.run(&mut db, BUILD);
+            d.apply(&mut db, &Op::Snapshot);
+            d.run(&mut db, tail_delete_then_append());
+            let txn = Op::Txn {
+                ops: vec![Op::Insert(0.5, 3_000), Op::Delete(0.1, 2_000)],
+                abort: false,
+            };
+            d.run(&mut db, [Op::Snapshot, txn, Op::Release]);
+            if log {
+                d.run(&mut db, [Op::Replace(0.3, 5_000), Op::Crash]);
+            }
+            d.run(&mut db, [Op::Append(7_000), Op::Release]);
+            d.finish(&mut db);
+        }
+    }
+}
+
+/// Without the log, a checkpoint under a pin writes the frees deferred
+/// for the pin as allocated, and the crash drops the pin: the reboot must
+/// free them (the walk found them leaked), on a second crash too, and
+/// nothing an update after the checkpoint deferred.
+#[test]
+fn a_log_off_crash_frees_what_a_pinned_checkpoint_deferred() {
+    for spec in reproducer_specs() {
+        let mut db = db(false);
+        let mut d = Driver::new(&mut db, spec);
+        d.run(&mut db, BUILD);
+        d.run(
+            &mut db,
+            [
+                Op::Snapshot,
+                Op::Delete(at(4_000, 20_000), 9_000),
+                Op::Checkpoint,
+                Op::Snapshot,
+                Op::Insert(0.5, 4_000),
+                Op::Crash,
+                Op::Append(3_000),
+                Op::Crash,
+            ],
+        );
+        d.finish(&mut db);
+    }
+}
+
 // ---- Replay of a multi-commit log ------------------------------------------
 //
 // lobbench's recovery probe as configurations: the allocation log on, an

@@ -1,17 +1,22 @@
-//! Model configurations: seeded sequences of every paper update plus
-//! reads against the one reference model (`lobstore::workload::model`),
-//! for every manager, plus allocator and buffer-pool properties.
+//! Model configurations: seeded sequences of every paper update, reads
+//! and snapshot pins against the one reference model
+//! (`lobstore::workload::model`), for every manager, plus allocator and
+//! buffer-pool properties. The driver's walk after every op holds the
+//! deferred frees and the version store to their rules while pins come
+//! and go.
 
 use lobstore::workload::model::{for_seeds, Driver, Kind, OpGen};
 use lobstore::{Db, ManagerSpec};
 use proptest::prelude::*;
 
 const MIX: &[(u32, Kind)] = &[
-    (1, Kind::Append),
-    (1, Kind::Insert),
-    (1, Kind::Delete),
-    (1, Kind::Replace),
-    (1, Kind::Read),
+    (3, Kind::Append),
+    (3, Kind::Insert),
+    (3, Kind::Delete),
+    (3, Kind::Replace),
+    (3, Kind::Read),
+    (1, Kind::Snapshot),
+    (1, Kind::Release),
 ];
 
 /// 24 seeds (256 optimized) of `ops` ops of up to 30 000 bytes.
@@ -26,27 +31,27 @@ fn matches_model(spec: ManagerSpec, ops: usize) {
 
 #[test]
 fn esm_small_leaves_match_model() {
-    matches_model(ManagerSpec::esm(1), 34);
+    matches_model(ManagerSpec::esm(1), 38);
 }
 
 #[test]
 fn esm_large_leaves_match_model() {
-    matches_model(ManagerSpec::esm(16), 34);
+    matches_model(ManagerSpec::esm(16), 38);
 }
 
 #[test]
 fn eos_small_threshold_matches_model() {
-    matches_model(ManagerSpec::eos(1), 34);
+    matches_model(ManagerSpec::eos(1), 38);
 }
 
 #[test]
 fn eos_large_threshold_matches_model() {
-    matches_model(ManagerSpec::eos(64), 34);
+    matches_model(ManagerSpec::eos(64), 38);
 }
 
 #[test]
 fn starburst_matches_model() {
-    matches_model(ManagerSpec::starburst(), 19);
+    matches_model(ManagerSpec::starburst(), 21);
 }
 
 // ---- allocator properties ------------------------------------------------
