@@ -42,9 +42,11 @@ run cargo run -q -p xtask -- loblint
 # drivers of lobstore_workload::model) runs the consistency walk,
 # `Db::verify`, after every op: object invariants, pages claimed twice,
 # both allocators against reachability and against their own
-# directories, the allocation log and the version store. It reads
-# cost-free, so no build needs a flag to carry it. Then the optimized
-# passes. The buddy crate: its word-parallel bitmap search is checked
+# directories, the allocation log (its chain reads back whole under the
+# current generation, and its root set is the set the walk started
+# from) and the version store. It reads cost-free, so no build needs a
+# flag to carry it. Then the optimized passes. The buddy crate: its
+# word-parallel bitmap search is checked
 # against the bit-at-a-time fold it replaced, and that sweep (all space
 # sizes x all orders) only reaches full depth without debug assertions;
 # and its twin test (`in_place_manager_matches_the_decoding_one`: 24 000

@@ -329,10 +329,10 @@ impl BuddyManager {
         self.allocated -= u64::from(ext.pages);
     }
 
-    /// Adopt `ext` as allocated at exactly its recorded position — the
+    /// Adopt `ext` as allocated at exactly its given position — the
     /// allocation-log **replay** path (core DESIGN.md §16). Recovery
-    /// rebuilds a fresh manager purely from logged `alloc`/`free`
-    /// records, so placement is dictated, not searched for: spaces up to
+    /// rebuilds a fresh manager purely from the pages the committed roots
+    /// reach, so placement is dictated, not searched for: spaces up to
     /// the extent's space are created on demand (their directories are
     /// re-initialized, overwriting whatever a crash left on disk), and
     /// the extent's pages are marked used. Pages already marked used stay

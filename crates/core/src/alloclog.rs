@@ -1,13 +1,13 @@
-//! Compact allocation log: crash recovery to the last committed version
+//! Allocation log: crash recovery to the last committed version
 //! (DESIGN.md §16.3).
 //!
 //! With [`crate::DbConfig::alloc_log`] enabled, the database appends a
 //! byte-stream journal to a chain of META pages:
 //!
-//! * `Alloc`/`Free` records at the moment an extent is (logically)
-//!   allocated or freed — replay reconstructs both buddy allocators from
-//!   scratch, so crash recovery never has to trust possibly-stale space
-//!   directories on disk;
+//! * `Root`/`Unroot` records at each commit for every root registered or
+//!   dropped since the previous commit ([`crate::Db::alloc_root`]: object
+//!   roots with their kind, catalog and record-store pages as plain
+//!   pages) — the log's root set is the database's durable root set;
 //! * `RootImage` records at each commit for every committed META page
 //!   that was overwritten in place since the previous commit (object
 //!   roots, catalog pages) — the shadowing discipline makes these the
@@ -21,6 +21,14 @@
 //! * a `Commit` marker closing each version. The marker is the single
 //!   commit point: replay applies everything up to the last valid marker
 //!   and, from the tail past it, only `UndoImage` records.
+//!
+//! The log records no allocation. §3.3's shadowing makes the committed
+//! allocated pages exactly the pages the committed roots reach, so replay
+//! rebuilds both buddy allocators from reachability: fresh managers adopt
+//! the chain and every page the committed roots claim
+//! ([`crate::object::claims`], the walk [`crate::Db::verify`] holds the
+//! live allocators against). Pins die with the crash, so the frees
+//! deferred for them are unreachable pages and come back free.
 //!
 //! ## Page format
 //!
@@ -42,19 +50,17 @@
 //! Records, little-endian:
 //!
 //! ```text
-//! 1  Alloc      area u8, start u32, pages u32
-//! 2  Free       area u8, start u32, pages u32
+//! 1  Root       page u32, kind u8   (0 = plain page, else the StorageKind tag)
+//! 2  Unroot     page u32
 //! 3  RootImage  page u32, len u16, content[len]   (trailing zeros trimmed)
 //! 4  Commit     version u64
 //! 5  UndoImage  page u32, len u16, content[len]
 //! ```
 //!
-//! The log is bounded: [`crate::Db::checkpoint`] compacts it to a single
-//! snapshot (one `Alloc` per live extent, one `Free` per deferred free,
-//! one `Commit`) under a new generation. A crash in the middle of
-//! compaction leaves no valid commit marker under the new generation, and
-//! recovery falls back to re-opening the allocators from the
-//! freshly-checkpointed space directories.
+//! The log is bounded: [`crate::Db::checkpoint`] compacts it to one
+//! `Root` per live root and one `Commit` under a new generation. A chain
+//! that holds no commit marker under its generation recovers the empty
+//! state.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -62,8 +68,9 @@ use lobstore_buddy::{BuddyConfig, BuddyManager, Extent};
 use lobstore_simdisk::{cast, AreaId, PageId, PAGE_SIZE};
 
 use crate::db::Db;
-use crate::error::{LobError, Result};
 use crate::metrics;
+use crate::object::{claims, StorageKind};
+use crate::spec::open_raw;
 
 const LOG_MAGIC: &[u8; 4] = b"ALOG";
 const GEN_OFF: usize = 4;
@@ -74,15 +81,19 @@ const DATA_OFF: usize = 24;
 /// Record bytes per chain page.
 const PAGE_CAP: usize = PAGE_SIZE - DATA_OFF;
 
-const TAG_ALLOC: u8 = 1;
-const TAG_FREE: u8 = 2;
+const TAG_ROOT: u8 = 1;
+const TAG_UNROOT: u8 = 2;
 const TAG_ROOT_IMAGE: u8 = 3;
 const TAG_COMMIT: u8 = 4;
 const TAG_UNDO_IMAGE: u8 = 5;
 
+/// A root set: META page → the kind of the object rooted there, `None`
+/// for a plain page.
+pub(crate) type Roots = BTreeMap<u32, Option<StorageKind>>;
+
 /// In-memory state of the allocation log (the chain lives in META pages).
 pub(crate) struct AllocLog {
-    /// First chain page. Fixed for the life of the database.
+    /// First chain page.
     head: u32,
     /// Current generation; chain pages with another generation are stale.
     generation: u32,
@@ -90,21 +101,33 @@ pub(crate) struct AllocLog {
     chain: Vec<u32>,
     /// Record bytes already written into the last chain page.
     tail_used: usize,
-    /// Record bytes appended but not yet written into chain pages.
-    pending: Vec<u8>,
     /// Committed META pages that already have an [`UndoImage`] in the
     /// current commit interval (re-imaging them would be redundant).
     imaged: HashSet<u32>,
+    /// The registered roots.
+    roots: Roots,
+    /// The root set as of the last commit: the next commit logs the
+    /// difference.
+    committed: Roots,
 }
 
 /// One parsed log record. A `Commit`'s version stays on disk, but
 /// replay needs only the marker's position.
 enum Record {
-    Alloc(Extent),
-    Free(Extent),
-    RootImage { page: u32, content: Vec<u8> },
+    Root {
+        page: u32,
+        kind: Option<StorageKind>,
+    },
+    Unroot(u32),
+    RootImage {
+        page: u32,
+        content: Vec<u8>,
+    },
     Commit,
-    UndoImage { page: u32, content: Vec<u8> },
+    UndoImage {
+        page: u32,
+        content: Vec<u8>,
+    },
 }
 
 fn put_u32(buf: &mut [u8], at: usize, v: u32) {
@@ -135,13 +158,6 @@ fn get_u16(buf: &[u8], at: usize) -> u16 {
     u16::from_le_bytes(b)
 }
 
-fn push_extent_record(out: &mut Vec<u8>, tag: u8, ext: Extent) {
-    out.push(tag);
-    out.push(ext.area.0);
-    out.extend_from_slice(&ext.start.to_le_bytes());
-    out.extend_from_slice(&ext.pages.to_le_bytes());
-}
-
 /// Serialize an image record with trailing zeros trimmed (replay
 /// zero-fills the page before applying the content).
 fn push_image_record(out: &mut Vec<u8>, tag: u8, page: u32, content: &[u8]) {
@@ -154,20 +170,22 @@ fn push_image_record(out: &mut Vec<u8>, tag: u8, page: u32, content: &[u8]) {
 
 /// Parse one record at `stream[at..]`. Returns the record and the offset
 /// just past it, or `None` if the bytes are truncated (the stream's tail
-/// after a partial flush) or the tag is unknown.
+/// after a partial flush) or the tag or a root's kind is unknown.
 fn parse_record(stream: &[u8], at: usize) -> Option<(Record, usize)> {
     let tag = *stream.get(at)?;
     match tag {
-        TAG_ALLOC | TAG_FREE => {
-            let body = stream.get(at + 1..at + 10)?;
-            let area = *body.first()?;
-            let ext = Extent::new(AreaId(area), get_u32(body, 1), get_u32(body, 5));
-            let rec = if tag == TAG_ALLOC {
-                Record::Alloc(ext)
-            } else {
-                Record::Free(ext)
+        TAG_ROOT => {
+            let body = stream.get(at + 1..at + 6)?;
+            let kind = match *body.get(4)? {
+                0 => None,
+                k => Some(StorageKind::from_u8(k)?),
             };
-            Some((rec, at + 10))
+            let page = get_u32(body, 0);
+            Some((Record::Root { page, kind }, at + 6))
+        }
+        TAG_UNROOT => {
+            let body = stream.get(at + 1..at + 5)?;
+            Some((Record::Unroot(get_u32(body, 0)), at + 5))
         }
         TAG_ROOT_IMAGE | TAG_UNDO_IMAGE => {
             let hdr = stream.get(at + 1..at + 7)?;
@@ -189,109 +207,18 @@ fn parse_record(stream: &[u8], at: usize) -> Option<(Record, usize)> {
     }
 }
 
-/// An area-keyed interval set used by [`Db::check_alloc_log`] to replay
-/// the log arithmetically, without touching any pages.
-#[derive(Default)]
-struct IntervalSet {
-    /// `(area, start) → end` with no overlapping or adjacent entries.
-    runs: BTreeMap<(u8, u32), u32>,
-}
-
-impl IntervalSet {
-    fn insert(&mut self, ext: Extent) {
-        if ext.pages == 0 {
-            return;
-        }
-        let (mut start, mut end) = (ext.start, ext.end());
-        let area = ext.area.0;
-        // Absorb every run that overlaps or abuts [start, end).
-        let keys: Vec<(u8, u32)> = self
-            .runs
-            .range((area, 0)..=(area, end))
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            let e = match self.runs.get(&k) {
-                Some(&e) => e,
-                None => continue,
-            };
-            if e < start {
-                continue;
-            }
-            start = start.min(k.1);
-            end = end.max(e);
-            self.runs.remove(&k);
-        }
-        self.runs.insert((area, start), end);
-    }
-
-    fn remove(&mut self, ext: Extent) {
-        if ext.pages == 0 {
-            return;
-        }
-        let (start, end) = (ext.start, ext.end());
-        let area = ext.area.0;
-        let keys: Vec<(u8, u32)> = self
-            .runs
-            .range((area, 0)..=(area, end))
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            let e = match self.runs.get(&k) {
-                Some(&e) => e,
-                None => continue,
-            };
-            if e <= start || k.1 >= end {
-                continue;
-            }
-            self.runs.remove(&k);
-            if k.1 < start {
-                self.runs.insert(k, start);
-            }
-            if e > end {
-                self.runs.insert((area, end), e);
-            }
-        }
-    }
-
-    fn from_extents(exts: impl IntoIterator<Item = Extent>) -> IntervalSet {
-        let mut s = IntervalSet::default();
-        for e in exts {
-            s.insert(e);
-        }
-        s
-    }
-
-    fn to_extents(&self) -> Vec<Extent> {
-        self.runs
-            .iter()
-            .map(|(&(area, start), &end)| Extent::new(AreaId(area), start, end - start))
-            .collect()
-    }
-}
-
 impl Db {
-    /// Bootstrap the allocation log on a fresh or newly-loaded database:
-    /// allocate and format the head page (replay adopts it with the rest
-    /// of the chain).
-    pub(crate) fn init_alloc_log(&mut self) {
+    /// Bootstrap the allocation log: allocate its head page and start it
+    /// from `roots` (the empty set on a fresh database) at the current
+    /// version.
+    pub(crate) fn init_alloc_log(&mut self, roots: Roots) {
         assert!(self.log.is_none(), "allocation log already initialized");
         assert!(
             self.cfg.shadowing,
             "the allocation log requires the shadowing discipline"
         );
         let head = self.meta_alloc.allocate(&mut self.pool, 1).start;
-        let generation = 1;
-        self.format_log_page(head, generation, 0);
-        self.pool.flush_page(PageId::new(AreaId::META, head));
-        self.log = Some(AllocLog {
-            head,
-            generation,
-            chain: vec![head],
-            tail_used: 0,
-            pending: Vec::new(),
-            imaged: HashSet::new(),
-        });
+        self.restart_log(head, 1, roots, self.current_version());
     }
 
     /// Chain pages currently owned by the allocation log (fsck treats
@@ -300,22 +227,19 @@ impl Db {
         self.log.as_ref().map_or_else(Vec::new, |l| l.chain.clone())
     }
 
-    /// Record an allocation in the log (no-op when the log is disabled).
-    pub(crate) fn log_record_alloc(&mut self, ext: Extent) {
+    /// Register `page` as a root of `kind` (no-op when the log is
+    /// disabled); the next commit logs it.
+    pub(crate) fn log_root(&mut self, page: u32, kind: Option<StorageKind>) {
         if let Some(log) = &mut self.log {
-            push_extent_record(&mut log.pending, TAG_ALLOC, ext);
-            metrics::ALLOCLOG_RECORDS.add(1);
+            log.roots.insert(page, kind);
         }
     }
 
-    /// Record a logical free in the log (no-op when the log is disabled).
-    /// Called at logical-free time, even when the physical free is
-    /// deferred for a pinned snapshot — replay reconstructs the
-    /// *committed* state, in which the extent is free.
-    pub(crate) fn log_record_free(&mut self, ext: Extent) {
+    /// Drop `page` from the root set, if it is there (no-op when the log
+    /// is disabled); the next commit logs it.
+    pub(crate) fn log_unroot(&mut self, page: u32) {
         if let Some(log) = &mut self.log {
-            push_extent_record(&mut log.pending, TAG_FREE, ext);
-            metrics::ALLOCLOG_RECORDS.add(1);
+            log.roots.remove(&page);
         }
     }
 
@@ -332,50 +256,67 @@ impl Db {
         }
         if log.imaged.insert(page) {
             let img = self.peek_meta(page);
-            push_image_record(&mut log.pending, TAG_UNDO_IMAGE, page, &img[..]);
+            let mut rec = Vec::new();
+            push_image_record(&mut rec, TAG_UNDO_IMAGE, page, &img[..]);
             metrics::ALLOCLOG_UNDO_IMAGES.add(1);
-            self.write_log_pending(&mut log, true);
+            self.write_log(&mut log, &rec);
         }
         self.log = Some(log);
     }
 
-    /// Close version `version` in the log: append a `RootImage` for every
-    /// committed page overwritten in place since the previous commit,
-    /// append the commit marker, write the stream out, and flush the
-    /// touched chain pages in order (the marker lands in the last page —
-    /// a crash anywhere in between degrades to the previous commit).
+    /// Close version `version` in the log: append a `Root`/`Unroot` for
+    /// every root registered or dropped since the previous commit and a
+    /// `RootImage` for every committed page overwritten in place since
+    /// then, append the commit marker, write the records out, and flush
+    /// the touched chain pages in order (the marker lands in the last
+    /// page — a crash anywhere in between degrades to the previous
+    /// commit).
     pub(crate) fn log_commit(&mut self, version: u64) {
         let Some(mut log) = self.log.take() else {
             self.dirty_roots.clear();
             return;
         };
-        let roots = std::mem::take(&mut self.dirty_roots);
-        for page in roots {
+        let mut recs = Vec::new();
+        for (&page, &kind) in &log.roots {
+            if log.committed.get(&page) != Some(&kind) {
+                recs.push(TAG_ROOT);
+                recs.extend_from_slice(&page.to_le_bytes());
+                recs.push(kind.map_or(0, StorageKind::as_u8));
+                metrics::ALLOCLOG_RECORDS.add(1);
+            }
+        }
+        for &page in log.committed.keys() {
+            if !log.roots.contains_key(&page) {
+                recs.push(TAG_UNROOT);
+                recs.extend_from_slice(&page.to_le_bytes());
+                metrics::ALLOCLOG_RECORDS.add(1);
+            }
+        }
+        if !recs.is_empty() {
+            log.committed.clone_from(&log.roots);
+        }
+        for page in std::mem::take(&mut self.dirty_roots) {
             let img = self.peek_meta(page);
-            push_image_record(&mut log.pending, TAG_ROOT_IMAGE, page, &img[..]);
+            push_image_record(&mut recs, TAG_ROOT_IMAGE, page, &img[..]);
             metrics::ALLOCLOG_ROOT_IMAGES.add(1);
         }
-        log.pending.push(TAG_COMMIT);
-        log.pending.extend_from_slice(&version.to_le_bytes());
-        self.write_log_pending(&mut log, true);
+        recs.push(TAG_COMMIT);
+        recs.extend_from_slice(&version.to_le_bytes());
+        self.write_log(&mut log, &recs);
         log.imaged.clear();
         metrics::ALLOCLOG_COMMITS.add(1);
         metrics::ALLOCLOG_CHAIN_PAGES.set(log.chain.len() as f64);
         self.log = Some(log);
     }
 
-    /// Drain `log.pending` into the chain, growing it as needed. A new
-    /// chain page allocates directly from the META allocator and is
-    /// logged by no record: replay adopts the chain it walks. With
-    /// `flush`, every touched page is flushed in chain order.
-    fn write_log_pending(&mut self, log: &mut AllocLog, flush: bool) {
-        if log.pending.is_empty() {
-            return;
-        }
-        let buf = std::mem::take(&mut log.pending);
+    /// Write `recs` into the chain, growing it as needed, then flush
+    /// every touched page in chain order. A new chain page allocates
+    /// directly from the META allocator and is logged by no record:
+    /// replay adopts the chain it walks.
+    fn write_log(&mut self, log: &mut AllocLog, recs: &[u8]) {
         let mut i = 0usize;
         let mut touched = vec![*log.chain.last().unwrap_or(&log.head)];
-        while i < buf.len() {
+        while i < recs.len() {
             if log.tail_used >= PAGE_CAP {
                 // Grow the chain. Allocation bypasses the Db hooks — the
                 // chain itself is the bookkeeping.
@@ -390,12 +331,12 @@ impl Db {
                 metrics::ALLOCLOG_CHAIN_GROWTH.add(1);
                 continue;
             }
-            let n = (PAGE_CAP - log.tail_used).min(buf.len() - i);
+            let n = (PAGE_CAP - log.tail_used).min(recs.len() - i);
             let tail = *log.chain.last().unwrap_or(&log.head);
             let at = DATA_OFF + log.tail_used;
             let used = log.tail_used + n;
             self.with_log_page_mut(tail, |p| {
-                if let (Some(dst), Some(src)) = (p.get_mut(at..at + n), buf.get(i..i + n)) {
+                if let (Some(dst), Some(src)) = (p.get_mut(at..at + n), recs.get(i..i + n)) {
                     dst.copy_from_slice(src);
                 }
                 put_u16(p, USED_OFF, cast::usize_to_u16(used));
@@ -403,10 +344,8 @@ impl Db {
             log.tail_used = used;
             i += n;
         }
-        if flush {
-            for p in touched {
-                self.pool.flush_page(PageId::new(AreaId::META, p));
-            }
+        for p in touched {
+            self.pool.flush_page(PageId::new(AreaId::META, p));
         }
     }
 
@@ -471,16 +410,13 @@ impl Db {
         (stream, pages)
     }
 
-    /// Crash recovery with the allocation log: rebuild both allocators
-    /// from scratch by replaying `Alloc`/`Free` records up to the last
-    /// commit marker and adopting the committed chain's own pages,
-    /// rewrite in-place-written pages from their last committed
-    /// `RootImage`, and restore pages the crashed tail had
-    /// overwritten from their `UndoImage`s. Falls back to re-opening the
-    /// allocators from the space directories when the chain holds no
-    /// commit marker under the current generation (bootstrap, or a crash
-    /// mid-compaction — compaction checkpoints everything first, so the
-    /// directories are authoritative there).
+    /// Crash recovery with the allocation log: rewrite in-place-written
+    /// pages from their last committed `RootImage`, restore pages the
+    /// crashed tail had overwritten from their `UndoImage`s, then rebuild
+    /// both allocators from scratch: fresh managers adopt the committed
+    /// chain and every page the roots committed by the last marker claim.
+    /// A chain with no commit marker under the current generation (its
+    /// head unreadable) recovers the empty state.
     pub(crate) fn replay_alloc_log(&mut self) {
         let Some(log) = self.log.take() else { return };
         let (stream, _) = self.read_log_stream(&log);
@@ -495,50 +431,31 @@ impl Db {
             at = next;
         }
 
-        let Some(committed_end) = committed_end else {
-            // No committed state under this generation: trust the space
-            // directories (see the method docs) and restart the log from
-            // the live state.
-            self.meta_alloc = BuddyManager::open(
-                BuddyConfig::new(AreaId::META, self.cfg.meta_space_pages),
-                &mut self.pool,
-            );
-            self.leaf_alloc = BuddyManager::open(
-                BuddyConfig::new(AreaId::LEAF, self.cfg.leaf_space_pages),
-                &mut self.pool,
-            );
-            metrics::ALLOCLOG_REPLAY_FALLBACKS.add(1);
-            self.restart_log_from_live_state(log.head, log.generation.saturating_add(1), 0);
-            return;
-        };
-
-        // Replay the committed prefix into fresh allocators.
         self.meta_alloc =
             BuddyManager::new(BuddyConfig::new(AreaId::META, self.cfg.meta_space_pages));
         self.leaf_alloc =
             BuddyManager::new(BuddyConfig::new(AreaId::LEAF, self.cfg.leaf_space_pages));
+        let Some(committed_end) = committed_end else {
+            self.adopt(Extent::new(AreaId::META, log.head, 1));
+            metrics::ALLOCLOG_REPLAY_FALLBACKS.add(1);
+            self.restart_log(log.head, log.generation.saturating_add(1), Roots::new(), 0);
+            return;
+        };
+
+        // The committed prefix: its images and its root set.
         let mut redo: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+        let mut roots = Roots::new();
         let mut at = 0usize;
         while at < committed_end {
             let Some((rec, next)) = parse_record(&stream, at) else {
                 break;
             };
             match rec {
-                Record::Alloc(ext) => {
-                    let alloc = if ext.area == AreaId::META {
-                        &mut self.meta_alloc
-                    } else {
-                        &mut self.leaf_alloc
-                    };
-                    alloc.adopt(&mut self.pool, ext);
+                Record::Root { page, kind } => {
+                    roots.insert(page, kind);
                 }
-                Record::Free(ext) => {
-                    let alloc = if ext.area == AreaId::META {
-                        &mut self.meta_alloc
-                    } else {
-                        &mut self.leaf_alloc
-                    };
-                    alloc.free(&mut self.pool, ext);
+                Record::Unroot(page) => {
+                    roots.remove(&page);
                 }
                 Record::RootImage { page, content } => {
                     redo.insert(page, content);
@@ -585,8 +502,7 @@ impl Db {
         let mut chain = log.chain.clone();
         chain.truncate(keep.max(1));
         for &p in &chain {
-            self.meta_alloc
-                .adopt(&mut self.pool, Extent::new(AreaId::META, p, 1));
+            self.adopt(Extent::new(AreaId::META, p, 1));
         }
         if let Some(&tail) = chain.last() {
             self.with_log_page_mut(tail, |p| {
@@ -595,13 +511,27 @@ impl Db {
             });
             self.pool.flush_page(PageId::new(AreaId::META, tail));
         }
+
+        // Allocated = reachable: every committed root's claims. A root
+        // whose object no longer opens claims its own page.
+        for (&page, &kind) in &roots {
+            let opened = kind.map(|kind| open_raw(self, kind, page));
+            let owned = match opened {
+                Some(Ok(obj)) => claims(obj.as_ref(), self),
+                _ => vec![Extent::new(AreaId::META, page, 1)],
+            };
+            for ext in owned {
+                self.adopt(ext);
+            }
+        }
         self.log = Some(AllocLog {
             head: log.head,
             generation: log.generation,
             chain,
             tail_used,
-            pending: Vec::new(),
             imaged: HashSet::new(),
+            roots: roots.clone(),
+            committed: roots,
         });
         metrics::ALLOCLOG_REPLAYS.add(1);
         // Make the recovered state durable (directories and rewritten
@@ -609,33 +539,18 @@ impl Db {
         self.pool.flush_all();
     }
 
-    /// Rebuild the log as a snapshot of the *live* allocator state under
-    /// generation `generation`: one `Alloc` per allocated extent (the
-    /// head included), one `Free` per deferred free (the committed state
-    /// has them free), and a commit marker at `version`.
-    fn restart_log_from_live_state(&mut self, head: u32, generation: u32, version: u64) {
-        // The head page may not be allocated in the live state (crash
-        // before the first commit): claim it back.
-        self.meta_alloc
-            .adopt(&mut self.pool, Extent::new(AreaId::META, head, 1));
-        let mut pending = Vec::new();
-        for ext in self.meta_allocated_ranges() {
-            push_extent_record(&mut pending, TAG_ALLOC, ext);
-        }
-        for ext in self.leaf_allocated_ranges() {
-            push_extent_record(&mut pending, TAG_ALLOC, ext);
-        }
-        for ext in self.deferred_extents() {
-            push_extent_record(&mut pending, TAG_FREE, ext);
-        }
+    /// Start the log over at `head` under `generation`: one `Root` per
+    /// entry of `roots` and a commit marker at `version`.
+    fn restart_log(&mut self, head: u32, generation: u32, roots: Roots, version: u64) {
         self.format_log_page(head, generation, 0);
         self.log = Some(AllocLog {
             head,
             generation,
             chain: vec![head],
             tail_used: 0,
-            pending,
             imaged: HashSet::new(),
+            roots,
+            committed: Roots::new(),
         });
         self.dirty_roots.clear();
         self.log_commit(version);
@@ -643,8 +558,8 @@ impl Db {
 
     /// Compact the allocation log (called by [`Db::checkpoint`] after
     /// `flush_all`): free the old chain beyond the head, bump the
-    /// generation, and rewrite the log as a snapshot of the live state.
-    /// Bounds the chain regardless of how many operations have run.
+    /// generation, and rewrite the log as the live root set. Bounds the
+    /// chain regardless of how many operations have run.
     pub(crate) fn compact_alloc_log(&mut self) {
         let Some(log) = self.log.take() else { return };
         for &p in log.chain.iter().skip(1) {
@@ -652,71 +567,59 @@ impl Db {
                 .free(&mut self.pool, Extent::new(AreaId::META, p, 1));
         }
         metrics::ALLOCLOG_COMPACTIONS.add(1);
-        self.restart_log_from_live_state(
+        self.restart_log(
             log.head,
             log.generation.saturating_add(1),
+            log.roots,
             self.current_version(),
         );
     }
 
-    /// Retire the log entirely: free every chain page (head included).
-    /// Used by [`Db::save_image`] so images never carry log pages; the
-    /// caller re-initializes afterwards.
-    pub(crate) fn retire_alloc_log(&mut self) {
-        let Some(log) = self.log.take() else { return };
+    /// Retire the log entirely: free every chain page (head included)
+    /// and hand back the root set. Used by [`Db::save_image`] so images
+    /// never carry log pages; the caller re-initializes afterwards.
+    pub(crate) fn retire_alloc_log(&mut self) -> Option<Roots> {
+        let log = self.log.take()?;
         for &p in &log.chain {
             self.meta_alloc
                 .free(&mut self.pool, Extent::new(AreaId::META, p, 1));
         }
+        Some(log.roots)
     }
 
-    /// The allocation log against `live`, both allocators' maps, checked
-    /// by [`Db::verify`]: replaying every record (committed and pending),
-    /// plus the chain's own pages, must yield exactly the live allocated
-    /// set minus the extents whose free is deferred for pinned snapshots.
-    /// Pure arithmetic over peeked pages. `Ok` when the log is disabled.
-    pub(crate) fn check_alloc_log(&self, live: impl IntoIterator<Item = Extent>) -> Result<()> {
+    /// The allocation log's part of [`Db::verify`]: the chain under the
+    /// current generation reads back as the in-memory chain and parses
+    /// exactly to its end, and the root set is `walked`, the roots the
+    /// caller walked from. Pure reads of peeked pages. `Ok` when the log
+    /// is disabled.
+    pub(crate) fn check_log(&self, walked: &Roots) -> Result<(), String> {
         let Some(log) = &self.log else {
             return Ok(());
         };
-        let (stream, _) = self.read_log_stream(log);
-        let mut replayed = IntervalSet::default();
-        let apply = |bytes: &[u8], set: &mut IntervalSet| -> usize {
-            let mut at = 0usize;
-            while let Some((rec, next)) = parse_record(bytes, at) {
-                match rec {
-                    Record::Alloc(ext) => set.insert(ext),
-                    Record::Free(ext) => set.remove(ext),
-                    _ => {}
-                }
-                at = next;
-            }
-            at
-        };
-        // The stream must parse exactly to its end: partial records only
-        // ever exist after a crash, and replay truncates them.
-        if apply(&stream, &mut replayed) != stream.len() {
-            return Err(LobError::Corrupt(
-                "allocation log: record stream ends mid-record".into(),
+        let (stream, pages) = self.read_log_stream(log);
+        if pages != log.chain {
+            return Err(format!(
+                "the chain reads back as pages {pages:?}, not {:?}",
+                log.chain
             ));
         }
-        apply(&log.pending, &mut replayed);
-        for &p in &log.chain {
-            replayed.insert(Extent::new(AreaId::META, p, 1));
+        let mut at = 0usize;
+        while let Some((_, next)) = parse_record(&stream, at) {
+            at = next;
         }
-
-        let mut live = IntervalSet::from_extents(live);
-        for ext in self.deferred_extents() {
-            live.remove(ext);
+        // Partial records only ever exist after a crash, and replay
+        // truncates them.
+        if at != stream.len() {
+            return Err(format!(
+                "the record stream stops parsing at byte {at} of {}",
+                stream.len()
+            ));
         }
-        let (a, b) = (replayed.to_extents(), live.to_extents());
-        if a != b {
-            return Err(LobError::InvariantViolated(format!(
-                "allocation log diverges from live allocators: replayed {} extents, live (minus \
-                 deferred) {} extents",
-                a.len(),
-                b.len()
-            )));
+        if log.roots != *walked {
+            return Err(format!(
+                "the root set is {:?}, the walk started from {walked:?}",
+                log.roots
+            ));
         }
         Ok(())
     }
@@ -728,9 +631,9 @@ mod tests {
 
     #[test]
     fn records_roundtrip_through_the_parser() {
-        let mut buf = Vec::new();
-        push_extent_record(&mut buf, TAG_ALLOC, Extent::new(AreaId::META, 7, 1));
-        push_extent_record(&mut buf, TAG_FREE, Extent::new(AreaId::LEAF, 128, 64));
+        let mut buf = vec![TAG_ROOT, 7, 0, 0, 0, StorageKind::Eos.as_u8()];
+        buf.extend([TAG_ROOT, 8, 0, 0, 0, 0]);
+        buf.extend([TAG_UNROOT, 9, 0, 0, 0]);
         push_image_record(&mut buf, TAG_ROOT_IMAGE, 3, &[1, 2, 3, 0, 0]);
         push_image_record(&mut buf, TAG_UNDO_IMAGE, 4, &[0, 0, 9]);
         buf.push(TAG_COMMIT);
@@ -740,53 +643,51 @@ mod tests {
         let mut seen = Vec::new();
         while let Some((rec, next)) = parse_record(&buf, at) {
             seen.push(match rec {
-                Record::Alloc(e) => format!("A{e}"),
-                Record::Free(e) => format!("F{e}"),
-                Record::RootImage { page, content } => format!("R{page}:{}", content.len()),
+                Record::Root { page, kind } => format!("R{page}:{kind:?}"),
+                Record::Unroot(page) => format!("X{page}"),
+                Record::RootImage { page, content } => format!("I{page}:{}", content.len()),
                 Record::UndoImage { page, content } => format!("U{page}:{}", content.len()),
                 Record::Commit => "C".to_string(),
             });
             at = next;
         }
         assert_eq!(at, buf.len(), "stream parses to the end");
-        assert_eq!(seen.len(), 5);
-        assert!(
-            seen[2].starts_with("R3:3"),
-            "trailing zeros trimmed: {}",
-            seen[2]
+        assert_eq!(
+            seen,
+            ["R7:Some(Eos)", "R8:None", "X9", "I3:3", "U4:3", "C"],
+            "trailing zeros trimmed, leading zeros kept"
         );
-        assert!(
-            seen[3].starts_with("U4:3"),
-            "leading zeros kept: {}",
-            seen[3]
-        );
-        assert_eq!(seen[4], "C");
     }
 
     #[test]
     fn truncated_records_parse_as_none() {
-        let mut buf = Vec::new();
-        push_extent_record(&mut buf, TAG_ALLOC, Extent::new(AreaId::META, 7, 1));
-        for cut in 1..buf.len() {
-            assert!(
-                parse_record(&buf[..cut], 0).is_none(),
-                "cut at {cut} must not parse"
-            );
+        let root = [TAG_ROOT, 7, 0, 0, 0, StorageKind::Esm.as_u8()];
+        let unroot = [TAG_UNROOT, 7, 0, 0, 0];
+        for rec in [&root[..], &unroot[..]] {
+            for cut in 1..rec.len() {
+                assert!(
+                    parse_record(&rec[..cut], 0).is_none(),
+                    "{rec:?} cut at {cut} must not parse"
+                );
+            }
+            assert!(parse_record(rec, 0).is_some());
         }
-        assert!(parse_record(&buf, 0).is_some());
+        let unknown_kind = [TAG_ROOT, 7, 0, 0, 0, 0xEE];
+        assert!(parse_record(&unknown_kind, 0).is_none());
     }
 
     /// A chain grown by commits whose `RootImage`s run a few hundred
     /// bytes grows inside a record. The chain pages carry no record of
-    /// their own, so the stream still parses to its end, the log agrees
-    /// with the allocators, and replay owns every chain page once.
+    /// their own, so the stream still parses to its end, the walk finds
+    /// the log whole, and replay owns every chain page once and keeps
+    /// the registered root.
     #[test]
     fn chain_growth_inside_a_record_keeps_the_stream_whole() {
         let mut db = Db::new(crate::DbConfig {
             alloc_log: true,
             ..crate::DbConfig::default()
         });
-        let page = db.alloc_meta_page();
+        let page = db.alloc_root(None);
         db.with_new_meta_page(page, |p| p[..300].fill(1));
         db.commit_version();
         let mut round = 1u8;
@@ -816,40 +717,32 @@ mod tests {
         let chain = db.alloc_log_pages();
         assert!(chain.len() >= 3);
         let ranges = db.meta_allocated_ranges();
-        for &p in &chain {
+        for &p in chain.iter().chain([&page]) {
             let owners = ranges
                 .iter()
                 .filter(|e| e.start <= p && p < e.end())
                 .count();
-            assert_eq!(owners, 1, "chain page {p} is allocated after replay");
+            assert_eq!(owners, 1, "page {p} is allocated after replay");
         }
         for _ in 0..chain.len() {
             let p = db.alloc_meta_page();
             assert!(!chain.contains(&p), "chain page {p} handed out again");
+            assert_ne!(p, page, "the root handed out again");
         }
     }
 
+    /// A META page no root reaches is free after a crash: the log
+    /// records roots, not allocations.
     #[test]
-    fn interval_set_merges_and_splits() {
-        let mut s = IntervalSet::default();
-        s.insert(Extent::new(AreaId::LEAF, 0, 4));
-        s.insert(Extent::new(AreaId::LEAF, 4, 4));
-        s.insert(Extent::new(AreaId::META, 0, 2));
-        assert_eq!(
-            s.to_extents(),
-            vec![
-                Extent::new(AreaId::META, 0, 2),
-                Extent::new(AreaId::LEAF, 0, 8)
-            ]
-        );
-        s.remove(Extent::new(AreaId::LEAF, 2, 3));
-        assert_eq!(
-            s.to_extents(),
-            vec![
-                Extent::new(AreaId::META, 0, 2),
-                Extent::new(AreaId::LEAF, 0, 2),
-                Extent::new(AreaId::LEAF, 5, 3)
-            ]
-        );
+    fn an_unrooted_page_is_free_after_a_crash() {
+        let mut db = Db::new(crate::DbConfig {
+            alloc_log: true,
+            ..crate::DbConfig::default()
+        });
+        let stray = db.alloc_meta_page();
+        db.commit_version();
+        db.crash_and_reboot();
+        assert_eq!(db.verify(&[], &[]), Vec::<crate::Finding>::new());
+        assert_eq!(db.alloc_meta_page(), stray, "the stray page is free again");
     }
 }

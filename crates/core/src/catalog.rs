@@ -5,6 +5,9 @@
 //! persistent name → (storage kind, root page) map stored in a chain of
 //! META pages, so databases survive restarts and images (see
 //! [`crate::Db::crash_and_reboot`] and the image format in `lobstore-cli`).
+//! Its pages are plain roots ([`crate::Db::alloc_root`]); with the
+//! allocation log on, a catalog change is durable at the next commit,
+//! like every in-place write of a committed page.
 //!
 //! Page layout (little-endian):
 //!
@@ -46,7 +49,7 @@ impl Catalog {
     /// Create an empty catalog; its first page is flushed immediately so
     /// the catalog itself survives a crash.
     pub fn create(db: &mut Db) -> Result<Self> {
-        let root = db.alloc_meta_page();
+        let root = db.alloc_root(None);
         db.with_new_meta_page(root, init_page);
         db.pool.flush_page(PageId::new(AreaId::META, root));
         Ok(Catalog { root })
@@ -111,7 +114,7 @@ impl Catalog {
             }
             if next == 0 {
                 // Chain a fresh page and retry there.
-                let new = db.alloc_meta_page();
+                let new = db.alloc_root(None);
                 db.with_new_meta_page(new, init_page);
                 db.with_meta_page_mut(page, |p| {
                     p[6..10].copy_from_slice(&new.to_le_bytes());

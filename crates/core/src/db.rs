@@ -7,9 +7,10 @@ use lobstore_buddy::{BuddyConfig, BuddyManager, Extent, FragStats};
 use lobstore_bufpool::{BufferPool, PoolConfig};
 use lobstore_simdisk::{AreaId, CostModel, IoStats, PageId, SimDisk, PAGE_SIZE};
 
-use crate::alloclog::AllocLog;
+use crate::alloclog::{AllocLog, Roots};
 use crate::health::{self, HealthSample};
 use crate::node::{Node, NodeView, RootHdr};
+use crate::object::StorageKind;
 use crate::txn::TxnState;
 use crate::version::VersionState;
 
@@ -135,7 +136,7 @@ impl Db {
             durable_frees: Vec::new(),
         };
         if cfg.alloc_log {
-            db.init_alloc_log();
+            db.init_alloc_log(Roots::new());
         }
         db
     }
@@ -168,7 +169,20 @@ impl Db {
     /// Allocate one page in the META area (index pages, roots, shadows).
     pub fn alloc_meta_page(&mut self) -> u32 {
         let page = self.meta_alloc.allocate(&mut self.pool, 1).start;
-        self.note_alloc(Extent::new(AreaId::META, page, 1));
+        self.txn_note_alloc(Extent::new(AreaId::META, page, 1));
+        page
+    }
+
+    /// Allocate one META page and register it as a root: `Some(kind)` for
+    /// the root of an object of that kind, `None` for a plain page (a
+    /// catalog or record-store page). With the allocation log on, crash
+    /// recovery rebuilds the allocators from what the committed roots
+    /// reach, so a page from [`Self::alloc_meta_page`] that no root
+    /// reaches is free after a crash. [`Self::free_meta_page`]
+    /// unregisters the page.
+    pub fn alloc_root(&mut self, kind: Option<StorageKind>) -> u32 {
+        let page = self.alloc_meta_page();
+        self.log_root(page, kind);
         page
     }
 
@@ -186,7 +200,7 @@ impl Db {
     /// Allocate a contiguous leaf segment of `pages` pages.
     pub fn alloc_leaf(&mut self, pages: u32) -> Extent {
         let ext = self.leaf_alloc.allocate(&mut self.pool, pages);
-        self.note_alloc(ext);
+        self.txn_note_alloc(ext);
         ext
     }
 
@@ -199,19 +213,14 @@ impl Db {
         self.release_extent(ext);
     }
 
-    /// Allocation hook: record the new extent with the open transaction
-    /// (for rollback) and the allocation log (for replay).
-    fn note_alloc(&mut self, ext: Extent) {
-        self.txn_note_alloc(ext);
-        self.log_record_alloc(ext);
-    }
-
-    /// Logical free of `ext`: recorded in the allocation log now (the
-    /// committed state has it free), physically released now unless a
-    /// pinned snapshot may still read the pages — then the release
-    /// defers until the last such pin is gone.
+    /// Logical free of `ext`: a freed root leaves the root set now (the
+    /// committed state has it free), and the pages are physically
+    /// released now unless a pinned snapshot may still read them — then
+    /// the release defers until the last such pin is gone.
     pub(crate) fn release_extent(&mut self, ext: Extent) {
-        self.log_record_free(ext);
+        if ext.area == AreaId::META {
+            self.log_unroot(ext.start);
+        }
         if self.versions.pinned() {
             self.defer_free(ext);
         } else {
@@ -225,6 +234,16 @@ impl Db {
             self.meta_alloc.free(&mut self.pool, ext);
         } else {
             self.leaf_alloc.free(&mut self.pool, ext);
+        }
+    }
+
+    /// Mark `ext` allocated in its allocator at exactly its place (log
+    /// replay, image cutting).
+    pub(crate) fn adopt(&mut self, ext: Extent) {
+        if ext.area == AreaId::META {
+            self.meta_alloc.adopt(&mut self.pool, ext);
+        } else {
+            self.leaf_alloc.adopt(&mut self.pool, ext);
         }
     }
 
@@ -330,12 +349,12 @@ impl Db {
     /// unflushed operations never overwrite the bytes that state
     /// references.
     /// With the allocation log enabled, recovery instead replays the log
-    /// to the last committed version: allocators rebuilt from the record
-    /// stream, in-place-written pages restored from their committed
-    /// images (see `alloclog.rs`). An open transaction is aborted; all
-    /// snapshots are released (they are in-memory handles), and without
-    /// the log the frees the last checkpoint deferred for them are
-    /// executed.
+    /// to the last committed version: in-place-written pages restored
+    /// from their committed images, allocators rebuilt from what the
+    /// committed roots reach (see `alloclog.rs`). An open transaction is
+    /// aborted; all snapshots are released (they are in-memory handles),
+    /// and without the log the frees the last checkpoint deferred for
+    /// them are executed.
     pub fn crash_and_reboot(&mut self) {
         self.pool.crash();
         self.clear_version_state();
@@ -370,7 +389,7 @@ impl Db {
     /// of the paper's operations (index shadows are already flushed per
     /// op; this adds the root pages and space directories).
     /// With the allocation log enabled, the checkpoint also compacts the
-    /// log to a snapshot of the live state (bounding its chain).
+    /// log to the live root set (bounding its chain).
     ///
     /// # Panics
     /// If a transaction is open — flushing uncommitted in-place root
@@ -386,18 +405,27 @@ impl Db {
     }
 
     /// Checkpoint and serialize the whole database to `w` (the disk-image
-    /// format of `lobstore-simdisk`). Images are always log-less: the
-    /// allocation log is retired before the image is cut and re-started
-    /// (from the live state) afterwards, so a loaded database never sees
-    /// another session's chain pages.
+    /// format of `lobstore-simdisk`). The image holds the committed
+    /// state: frees deferred for pinned snapshots are free in it, since a
+    /// loaded image has no pin to release them. Images are always
+    /// log-less: the allocation log is retired before the image is cut
+    /// and restarted from the same roots afterwards, so a loaded database
+    /// never sees another session's chain pages.
     pub fn save_image(&mut self, w: &mut impl std::io::Write) -> std::io::Result<()> {
-        let had_log = self.log.is_some();
-        self.retire_alloc_log();
+        let roots = self.retire_alloc_log();
         self.checkpoint();
+        let deferred = self.deferred_extents();
+        for &ext in &deferred {
+            self.free_now(ext);
+        }
+        self.pool.flush_all();
         let r = self.pool.disk().write_image(w);
-        if had_log {
-            self.init_alloc_log();
-            self.compact_alloc_log();
+        // The pins still read these pages.
+        for ext in deferred {
+            self.adopt(ext);
+        }
+        if let Some(roots) = roots {
+            self.init_alloc_log(roots);
         }
         r
     }
@@ -406,7 +434,17 @@ impl Db {
     /// authoritative; pool/tree/space parameters come from `cfg` and must
     /// match those the image was created with (the space sizes determine
     /// the directory-page positions).
+    ///
+    /// # Errors
+    /// `InvalidInput` if `cfg` turns the allocation log on: an image
+    /// carries no root set for it to recover from.
     pub fn load_image(r: &mut impl std::io::Read, cfg: DbConfig) -> std::io::Result<Db> {
+        if cfg.alloc_log {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "an image carries no root set: load it with alloc_log off",
+            ));
+        }
         let disk = SimDisk::read_image(r)?;
         let cfg = DbConfig {
             cost: disk.cost_model(),
@@ -421,7 +459,7 @@ impl Db {
             BuddyConfig::new(AreaId::LEAF, cfg.leaf_space_pages),
             &mut pool,
         );
-        let mut db = Db {
+        Ok(Db {
             pool,
             meta_alloc,
             leaf_alloc,
@@ -433,14 +471,7 @@ impl Db {
             op_created: HashSet::new(),
             dirty_roots: Vec::new(),
             durable_frees: Vec::new(),
-        };
-        if cfg.alloc_log {
-            // Images are log-less (see save_image): start a fresh log
-            // seeded with a snapshot of the loaded state.
-            db.init_alloc_log();
-            db.compact_alloc_log();
-        }
-        Ok(db)
+        })
     }
 
     /// [`Self::save_image`] to a file path.
@@ -589,5 +620,45 @@ mod tests {
         let mut obj2 = obj2;
         obj2.append(&mut db2, b" again").unwrap();
         assert_eq!(obj2.snapshot(&db2), b"image me again");
+    }
+
+    /// An image cut under a pin holds the committed state, in which the
+    /// frees deferred for the pin are free: the loaded database has no
+    /// pin to release them. The source keeps them for its pin.
+    #[test]
+    fn an_image_cut_under_a_pin_holds_the_deferred_frees_free() {
+        use crate::{ManagerSpec, SnapshotReader};
+        for alloc_log in [false, true] {
+            let cfg = DbConfig {
+                alloc_log,
+                ..DbConfig::default()
+            };
+            let mut db = Db::new(cfg);
+            let mut obj = ManagerSpec::esm(4).create(&mut db).unwrap();
+            obj.append(&mut db, &[7u8; 60_000]).unwrap();
+            let snap = db.snapshot();
+            obj.delete(&mut db, 0, 30_000).unwrap();
+            assert!(!db.deferred_extents().is_empty());
+            let mut img = Vec::new();
+            db.save_image(&mut img).unwrap();
+
+            assert_eq!(db.verify(&[("a", obj.as_ref())], &[]), []);
+            let mut reader = SnapshotReader::new(&mut db, &snap, obj.root_page()).unwrap();
+            assert_eq!(reader.read_to_end(&db), [7u8; 60_000]);
+            db.release_snapshot(snap);
+
+            let err = Db::load_image(&mut img.as_slice(), cfg).err();
+            assert_eq!(
+                err.map(|e| e.kind()),
+                alloc_log.then_some(std::io::ErrorKind::InvalidInput),
+                "an image has no root set for the log"
+            );
+            let mut loaded = Db::load_image(&mut img.as_slice(), DbConfig::default()).unwrap();
+            let loaded_obj = ManagerSpec::esm(4)
+                .open(&mut loaded, obj.root_page())
+                .unwrap();
+            assert_eq!(loaded_obj.snapshot(&loaded), [7u8; 30_000]);
+            assert_eq!(loaded.verify(&[("a", loaded_obj.as_ref())], &[]), []);
+        }
     }
 }

@@ -78,7 +78,7 @@ impl EosObject {
                 params.threshold_pages, params.max_seg_pages
             )));
         }
-        let root = db.alloc_meta_page();
+        let root = db.alloc_root(Some(StorageKind::Eos));
         let hdr = RootHdr {
             magic: EOS_MAGIC,
             kind: KIND_EOS,
@@ -91,6 +91,7 @@ impl EosObject {
         };
         db.with_new_meta_page(root, |p| hdr.write(p));
         db.pool.flush_page(PageId::new(AreaId::META, root));
+        db.op_commit();
         Ok(EosObject {
             tree: PosTree::new(root),
             threshold_pages: params.threshold_pages,

@@ -87,7 +87,7 @@ impl EsmObject {
                 params.leaf_pages
             )));
         }
-        let root = db.alloc_meta_page();
+        let root = db.alloc_root(Some(StorageKind::Esm));
         let hdr = RootHdr {
             magic: ESM_MAGIC,
             kind: KIND_ESM,
@@ -101,6 +101,7 @@ impl EsmObject {
         db.with_new_meta_page(root, |p| hdr.write(p));
         db.pool
             .flush_page(lobstore_simdisk::PageId::new(AreaId::META, root));
+        db.op_commit();
         Ok(EsmObject {
             tree: PosTree::new(root),
             leaf_pages: params.leaf_pages,

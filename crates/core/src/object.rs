@@ -1,5 +1,8 @@
 //! The common large-object interface implemented by all three managers.
 
+use lobstore_buddy::Extent;
+use lobstore_simdisk::AreaId;
+
 use crate::db::Db;
 use crate::error::{LobError, Result};
 use crate::MAX_OP_BYTES;
@@ -189,6 +192,22 @@ pub trait LargeObject {
     /// Cost-free snapshot of the full object content, for verification
     /// against reference models in tests.
     fn snapshot(&self, db: &Db) -> Vec<u8>;
+}
+
+/// Every extent `obj` reaches: its index pages, the root included, in
+/// META and its segments in LEAF. Cost-free. The one claim walk:
+/// [`Db::verify`] holds the allocators against it, and allocation-log
+/// replay rebuilds them from it.
+pub(crate) fn claims(obj: &dyn LargeObject, db: &Db) -> Vec<Extent> {
+    let index = obj
+        .index_page_numbers(db)
+        .into_iter()
+        .map(|page| Extent::new(AreaId::META, page, 1));
+    let segments = obj
+        .segments(db)
+        .into_iter()
+        .map(|s| Extent::new(AreaId::LEAF, s.start_page, s.pages));
+    index.chain(segments).collect()
 }
 
 #[cfg(test)]

@@ -102,16 +102,7 @@ impl ManagerSpec {
     /// Re-open an existing object of this kind by its root page. The
     /// returned handle is observed, like [`Self::create`]'s.
     pub fn open(&self, db: &mut Db, root_page: u32) -> Result<Box<dyn LargeObject>> {
-        let spec = *self;
-        observe_open(self.kind(), db, move |db| {
-            Ok(match spec {
-                ManagerSpec::Esm { .. } => {
-                    Box::new(EsmObject::open(db, root_page)?) as Box<dyn LargeObject>
-                }
-                ManagerSpec::Starburst { .. } => Box::new(StarburstObject::open(db, root_page)?),
-                ManagerSpec::Eos { .. } => Box::new(EosObject::open(db, root_page)?),
-            })
-        })
+        open_object(db, self.kind(), root_page)
     }
 
     /// Short label for tables ("ESM/4", "EOS/16", "Starburst").
@@ -130,12 +121,20 @@ impl ManagerSpec {
 /// the operation a long-field *descriptor* encodes (§2: the small object
 /// holds a `(kind, root)` pair per long field).
 pub fn open_object(db: &mut Db, kind: StorageKind, root_page: u32) -> Result<Box<dyn LargeObject>> {
-    observe_open(kind, db, move |db| {
-        Ok(match kind {
-            StorageKind::Esm => Box::new(EsmObject::open(db, root_page)?) as Box<dyn LargeObject>,
-            StorageKind::Eos => Box::new(EosObject::open(db, root_page)?),
-            StorageKind::Starburst => Box::new(StarburstObject::open(db, root_page)?),
-        })
+    observe_open(kind, db, move |db| open_raw(db, kind, root_page))
+}
+
+/// [`open_object`] unobserved: no span and no health tick, for
+/// allocation-log replay.
+pub(crate) fn open_raw(
+    db: &mut Db,
+    kind: StorageKind,
+    root_page: u32,
+) -> Result<Box<dyn LargeObject>> {
+    Ok(match kind {
+        StorageKind::Esm => Box::new(EsmObject::open(db, root_page)?) as Box<dyn LargeObject>,
+        StorageKind::Eos => Box::new(EosObject::open(db, root_page)?),
+        StorageKind::Starburst => Box::new(StarburstObject::open(db, root_page)?),
     })
 }
 

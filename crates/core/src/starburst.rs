@@ -77,7 +77,7 @@ impl StarburstObject {
                 params.max_seg_pages
             )));
         }
-        let root = db.alloc_meta_page();
+        let root = db.alloc_root(Some(StorageKind::Starburst));
         let hdr = RootHdr {
             magic: STAR_MAGIC,
             kind: KIND_STARBURST,
@@ -90,6 +90,7 @@ impl StarburstObject {
         };
         db.with_new_meta_page(root, |p| hdr.write(p));
         db.pool.flush_page(PageId::new(AreaId::META, root));
+        db.op_commit();
         Ok(StarburstObject {
             root,
             max_seg_pages: params.max_seg_pages,

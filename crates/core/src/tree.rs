@@ -682,6 +682,7 @@ impl PosTree {
             db.free_meta_page(page);
         }
         db.free_meta_page(self.root_page);
+        db.op_commit();
     }
 
     // ----- whole-tree walks (cost-free, for metrics and verification) -----

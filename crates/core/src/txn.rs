@@ -15,9 +15,8 @@
 //! snapshot pins it), write one allocation-log commit marker, and
 //! advance the version — exactly once for the whole batch. Rollback
 //! restores the captured pre-images, frees the transaction's
-//! allocations, discards the queued frees, and appends compensating
-//! `Free` records so a later commit marker cannot resurrect the aborted
-//! allocations at replay.
+//! allocations (unregistering the roots among them) and discards the
+//! queued frees; it writes nothing to the allocation log.
 
 use std::collections::{HashMap, HashSet};
 
@@ -118,8 +117,7 @@ impl Db {
     }
 
     /// Roll the open transaction back: restore pre-images, return the
-    /// transaction's allocations (with compensating log records), and
-    /// drop the queued flushes and frees.
+    /// transaction's allocations, and drop the queued flushes and frees.
     fn txn_rollback(&mut self) {
         let Some(t) = self.txn.take() else {
             unreachable!("rollback without an open transaction")
@@ -132,15 +130,11 @@ impl Db {
         }
         // Pages and extents allocated inside the transaction were never
         // reachable from any committed state, so they bypass deferral.
-        // The compensating Free records cancel their Alloc records when
-        // a later commit marker makes both replayable.
         for &page in &t.alloc_meta {
-            let ext = Extent::new(AreaId::META, page, 1);
-            self.log_record_free(ext);
-            self.free_now(ext);
+            self.log_unroot(page);
+            self.free_now(Extent::new(AreaId::META, page, 1));
         }
         for &ext in &t.alloc_leaf {
-            self.log_record_free(ext);
             self.free_now(ext);
         }
         metrics::MVCC_TXN_ROLLBACKS.add(1);

@@ -9,11 +9,13 @@
 //! 2. that no page is claimed twice: by two objects, twice by one object,
 //!    or by an object and a deferred free;
 //! 3. that each area's allocator map is exactly the claimed set: the
-//!    objects' segments and index pages, the caller's other META pages
-//!    (a catalog chain), the allocation log's chain, and the frees
-//!    deferred for pinned snapshots (DESIGN.md §16);
+//!    objects' segments and index pages ([`crate::object::claims`], the
+//!    walk allocation-log replay rebuilds the allocators from), the
+//!    caller's other META pages (a catalog chain), the allocation log's
+//!    chain, and the frees deferred for pinned snapshots (DESIGN.md §16);
 //! 4. both buddy allocators' directories against their own bookkeeping;
-//! 5. the allocation log against both allocators;
+//! 5. the allocation log: its chain reads back whole, and its root set
+//!    is the one the caller walked from;
 //! 6. the version store (overlay tags, pins, deferred frees).
 //!
 //! The walk reads only cost-free — peeked pages and in-memory state — so
@@ -24,8 +26,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use lobstore_buddy::Extent;
 use lobstore_simdisk::AreaId;
 
+use crate::alloclog::Roots;
 use crate::db::Db;
-use crate::object::LargeObject;
+use crate::object::{claims, LargeObject};
 
 /// Owner name of the allocation log's chain pages.
 const ALLOC_LOG: &str = "<alloc-log>";
@@ -90,7 +93,8 @@ pub enum Finding {
         /// What failed.
         detail: String,
     },
-    /// The allocation log does not replay to the allocators' state.
+    /// The allocation log's chain does not read back whole, or its root
+    /// set is not the one the caller walked from.
     AllocLogBroken {
         /// What failed.
         detail: String,
@@ -220,7 +224,9 @@ impl Db {
     /// for the findings) and `other_meta`, the META pages the caller
     /// keeps beside them (a catalog chain). The allocation log's chain
     /// and the deferred frees are the database's own and need not be
-    /// passed. An empty result means the database is consistent.
+    /// passed; with the log on, its root set must be exactly the
+    /// objects' roots plus `other_meta`. An empty result means the
+    /// database is consistent.
     ///
     /// Cost-free: every page is peeked, so `IoStats`, `PoolStats` and the
     /// disk trace are untouched. Call it between operations — inside a
@@ -233,8 +239,10 @@ impl Db {
         for ext in self.deferred_extents() {
             walk.claim(ext, DEFERRED);
         }
+        let mut roots = Roots::new();
         for &page in other_meta {
             walk.claim(Extent::new(AreaId::META, page, 1), OTHER_META);
+            roots.insert(page, None);
         }
         for &(name, obj) in objects {
             if let Err(e) = obj.check_invariants(self) {
@@ -243,39 +251,24 @@ impl Db {
                     detail: e.to_string(),
                 });
             }
-            for page in obj.index_page_numbers(self) {
-                walk.claim(Extent::new(AreaId::META, page, 1), name);
+            for ext in claims(obj, self) {
+                walk.claim(ext, name);
             }
-            for seg in obj.segments(self) {
-                walk.claim(Extent::new(AreaId::LEAF, seg.start_page, seg.pages), name);
-            }
+            roots.insert(obj.root_page(), Some(obj.kind()));
         }
 
-        let mut live = Vec::new();
-        let mut allocators_ok = true;
         let allocators = [&self.meta_alloc, &self.leaf_alloc];
         for alloc in allocators {
             let area = alloc.config().area;
             match alloc.verify(&self.pool) {
-                Ok(ranges) => {
-                    walk.reconcile(area, &ranges);
-                    live.extend(ranges);
-                }
-                Err(detail) => {
-                    allocators_ok = false;
-                    walk.findings
-                        .push(Finding::AllocatorBroken { area, detail });
-                }
+                Ok(ranges) => walk.reconcile(area, &ranges),
+                Err(detail) => walk
+                    .findings
+                    .push(Finding::AllocatorBroken { area, detail }),
             }
         }
-        // The log replays to the allocators' maps; with one of them
-        // broken there is nothing sound to hold it against.
-        if allocators_ok {
-            if let Err(e) = self.check_alloc_log(live) {
-                walk.findings.push(Finding::AllocLogBroken {
-                    detail: e.to_string(),
-                });
-            }
+        if let Err(detail) = self.check_log(&roots) {
+            walk.findings.push(Finding::AllocLogBroken { detail });
         }
         if let Err(detail) = self.check_versions() {
             walk.findings.push(Finding::VersionsBroken { detail });
@@ -475,7 +468,7 @@ mod tests {
     }
 
     // Stamp garbage over the log head's magic: the chain walk stops dead,
-    // so the replayed allocation map can no longer match the allocators.
+    // so the chain no longer reads back as the log's own.
     #[test]
     fn a_broken_alloc_log_chain_is_reported() {
         let mut db = logged_db();
@@ -491,8 +484,32 @@ mod tests {
         );
     }
 
+    // Replay rebuilds the allocators from the log's root set, so a root
+    // missing from it would come back free and one too many would keep
+    // its pages: either way the set is not the one the walk started from.
+    #[test]
+    fn a_root_set_that_is_not_the_walked_one_is_reported() {
+        let seeds: [fn(&mut Db, u32); 2] = [
+            |db, root| db.log_unroot(root),
+            |db, _| db.log_root(9_999, None),
+        ];
+        for seed in seeds {
+            let mut db = logged_db();
+            let mut obj = ManagerSpec::starburst().create(&mut db).unwrap();
+            obj.append(&mut db, &vec![2u8; 40_000]).unwrap();
+            assert_eq!(db.verify(&[("a", obj.as_ref())], &[]), CLEAN);
+            seed(&mut db, obj.root_page());
+            let findings = db.verify(&[("a", obj.as_ref())], &[]);
+            assert!(
+                matches!(&findings[..], [Finding::AllocLogBroken { detail }]
+                    if detail.contains("root set")),
+                "{findings:?}"
+            );
+        }
+    }
+
     // A directory the allocator cannot read is reported, and its area is
-    // not held against reachability (or the log against it).
+    // not held against reachability.
     #[test]
     fn a_broken_allocator_is_reported() {
         let mut db = logged_db();

@@ -359,9 +359,9 @@ impl Db {
     /// crash path. Snapshots are in-memory handles; after a reboot the
     /// committed on-disk state is the only version. Deferred frees are
     /// *not* executed here: with the allocation log enabled, replay
-    /// reconstructs the committed allocator state (which has them free);
-    /// without it, the reboot releases those the last checkpoint made
-    /// durable (see [`Db::crash_and_reboot`]).
+    /// rebuilds the allocators from what the committed roots reach, and
+    /// no root reaches them; without it, the reboot releases those the
+    /// last checkpoint made durable (see [`Db::crash_and_reboot`]).
     pub(crate) fn clear_version_state(&mut self) {
         self.versions = VersionState::new();
         self.publish_version_gauges();

@@ -269,7 +269,8 @@ pub struct Driver {
     /// Its reference model.
     pub model: Model,
     /// META pages the database keeps beside the object (a catalog
-    /// chain): the walk's other roots.
+    /// chain): the walk's other roots. With the log on they must be the
+    /// log's plain roots (`Db::alloc_root(None)`).
     pub other_meta: Vec<u32>,
     /// Pinned versions, oldest first.
     pins: Vec<Pin>,

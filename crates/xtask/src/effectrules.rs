@@ -63,7 +63,7 @@ pub(crate) enum Effect {
     DurableWrite,
     /// Page pin / frame guard acquisition (`guard*`, `fix*`).
     GuardAcq,
-    /// Buddy allocation (`alloc_leaf`, `alloc_meta_page`).
+    /// Buddy allocation (`alloc_leaf`, `alloc_meta_page`, `alloc_root`).
     BuddyAlloc,
     /// Immediate buddy release (`free_leaf`, `free_meta_page`).
     BuddyFree,
@@ -201,12 +201,15 @@ fn flip_arg(t: &[Tok], k: usize) -> Option<String> {
 
 /// All direct effect sites in one function body `[b0, b1)`.
 fn scan_sites(t: &[Tok], b0: usize, b1: usize) -> Vec<Site> {
-    // Names let-bound from `alloc_meta_page()`: the commit-point
-    // candidates. Loop variables and parameters (the `OpCtx::finish`
-    // flush loop, `Catalog::flush`) are deliberately not candidates.
+    // Names let-bound from `alloc_meta_page()`/`alloc_root()`: the
+    // commit-point candidates. Loop variables and parameters (the
+    // `OpCtx::finish` flush loop, `Catalog::flush`) are deliberately not
+    // candidates.
     let mut meta_vars: BTreeSet<String> = BTreeSet::new();
     for k in b0..b1.min(t.len()) {
-        if t[k].is_ident("alloc_meta_page") && t.get(k + 1).is_some_and(|n| n.is_punct("(")) {
+        if (t[k].is_ident("alloc_meta_page") || t[k].is_ident("alloc_root"))
+            && t.get(k + 1).is_some_and(|n| n.is_punct("("))
+        {
             if let Some(v) = lobflow::live_region(t, b0, b1, k).var {
                 meta_vars.insert(v);
             }
@@ -227,7 +230,7 @@ fn scan_sites(t: &[Tok], b0: usize, b1: usize) -> Vec<Site> {
         };
         let mut eff = |e: Effect| out.push(Site { effect: e, tok: k });
         match t[k].text.as_str() {
-            "alloc_leaf" | "alloc_meta_page" => eff(Effect::BuddyAlloc),
+            "alloc_leaf" | "alloc_meta_page" | "alloc_root" => eff(Effect::BuddyAlloc),
             "free_leaf" | "free_meta_page" => eff(Effect::BuddyFree),
             "shadow_page" => eff(Effect::ShadowPage),
             "fresh_page" => eff(Effect::FreshPage),

@@ -81,10 +81,10 @@ pub const RULE_DOCS: [(&str, &str, &str); 15] = [
     (
         "alloc-balance",
         "library crates, non-test code",
-        "Every let-bound buddy allocation (alloc_leaf/alloc_meta_page) must be freed, queued \
-         with free_*_later, or recorded (any later mention counts as an ownership transfer) \
-         on every CFG path — including ?/early-return error edges, where a leaked extent \
-         would survive until fsck. Effect-summary rule (DESIGN.md section 15).",
+        "Every let-bound buddy allocation (alloc_leaf/alloc_meta_page/alloc_root) must be \
+         freed, queued with free_*_later, or recorded (any later mention counts as an \
+         ownership transfer) on every CFG path — including ?/early-return error edges, where \
+         a leaked extent would survive until fsck. Effect-summary rule (DESIGN.md section 15).",
     ),
     (
         "arith-overflow",

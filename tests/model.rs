@@ -99,6 +99,27 @@ fn pins_across_updates_a_txn_and_a_crash() {
     }
 }
 
+/// With the log on, roots come and go: a recreate drops the old root
+/// from the log's root set and registers the new one, so a crash right
+/// after it, or after the checkpoint that compacts the log to the root
+/// set, recovers the new empty object and nothing of the old one.
+#[test]
+fn a_recreated_object_survives_a_logged_crash() {
+    for spec in reproducer_specs() {
+        for tail in [
+            &[Op::Recreate, Op::Crash][..],
+            &[Op::Recreate, Op::Checkpoint, Op::Crash],
+        ] {
+            let mut db = db(true);
+            let mut d = Driver::new(&mut db, spec);
+            d.run(&mut db, BUILD);
+            d.run(&mut db, tail.iter().cloned());
+            d.run(&mut db, [Op::Append(5_000), Op::Crash]);
+            d.finish(&mut db);
+        }
+    }
+}
+
 /// Without the log, a checkpoint under a pin writes the frees deferred
 /// for the pin as allocated, and the crash drops the pin: the reboot must
 /// free them (the walk found them leaked), on a second crash too, and
