@@ -9,15 +9,16 @@
 //!   roots with their kind, catalog and record-store pages as plain
 //!   pages) — the log's root set is the database's durable root set;
 //! * `RootImage` records at each commit for every committed META page
-//!   that was overwritten in place since the previous commit (object
-//!   roots, catalog pages) — the shadowing discipline makes these the
-//!   *only* pages whose on-disk bytes can disagree with the committed
-//!   state, and replay rewrites them from the images;
-//! * `UndoImage` records, written and flushed *before* the first in-place
-//!   overwrite of a committed page in each commit interval — if the
-//!   overwritten page reaches disk ahead of the commit marker (a catalog
-//!   self-flush, a pool write-back), recovery still has its committed
-//!   pre-image;
+//!   the commit interval overwrote in place (object roots, catalog
+//!   pages), in the order the write funnel captured them (`version.rs`)
+//!   — the shadowing discipline makes these the *only* pages whose
+//!   on-disk bytes can disagree with the committed state, and replay
+//!   rewrites them from the images;
+//! * `UndoImage` records: the funnel's one pre-image of each such page,
+//!   written and flushed when it is captured, *before* the overwrite —
+//!   if the overwritten page reaches disk ahead of the commit marker (a
+//!   catalog self-flush, a pool write-back), recovery still has its
+//!   committed pre-image;
 //! * a `Commit` marker closing each version. The marker is the single
 //!   commit point: replay applies everything up to the last valid marker
 //!   and, from the tail past it, only `UndoImage` records.
@@ -101,9 +102,6 @@ pub(crate) struct AllocLog {
     chain: Vec<u32>,
     /// Record bytes already written into the last chain page.
     tail_used: usize,
-    /// Committed META pages that already have an [`UndoImage`] in the
-    /// current commit interval (re-imaging them would be redundant).
-    imaged: HashSet<u32>,
     /// The registered roots.
     roots: Roots,
     /// The root set as of the last commit: the next commit logs the
@@ -243,37 +241,28 @@ impl Db {
         }
     }
 
-    /// First in-place overwrite of committed META `page` in this commit
-    /// interval: write its committed pre-image to the log — durably,
-    /// before the overwrite can reach disk — and remember the page for a
-    /// `RootImage` at the next commit.
-    pub(crate) fn log_note_overwrite(&mut self, page: u32) {
+    /// Write the pre-image the write funnel captured for `page` as an
+    /// `UndoImage` — durably, before the overwrite can reach disk.
+    pub(crate) fn log_undo_image(&mut self, page: u32, img: &[u8]) {
         let Some(mut log) = self.log.take() else {
             return;
         };
-        if !self.dirty_roots.contains(&page) {
-            self.dirty_roots.push(page);
-        }
-        if log.imaged.insert(page) {
-            let img = self.peek_meta(page);
-            let mut rec = Vec::new();
-            push_image_record(&mut rec, TAG_UNDO_IMAGE, page, &img[..]);
-            metrics::ALLOCLOG_UNDO_IMAGES.add(1);
-            self.write_log(&mut log, &rec);
-        }
+        let mut rec = Vec::new();
+        push_image_record(&mut rec, TAG_UNDO_IMAGE, page, img);
+        metrics::ALLOCLOG_UNDO_IMAGES.add(1);
+        self.write_log(&mut log, &rec);
         self.log = Some(log);
     }
 
     /// Close version `version` in the log: append a `Root`/`Unroot` for
     /// every root registered or dropped since the previous commit and a
-    /// `RootImage` for every committed page overwritten in place since
-    /// then, append the commit marker, write the records out, and flush
+    /// `RootImage` of every page the interval captured, in capture
+    /// order, append the commit marker, write the records out, and flush
     /// the touched chain pages in order (the marker lands in the last
     /// page — a crash anywhere in between degrades to the previous
     /// commit).
     pub(crate) fn log_commit(&mut self, version: u64) {
         let Some(mut log) = self.log.take() else {
-            self.dirty_roots.clear();
             return;
         };
         let mut recs = Vec::new();
@@ -295,7 +284,7 @@ impl Db {
         if !recs.is_empty() {
             log.committed.clone_from(&log.roots);
         }
-        for page in std::mem::take(&mut self.dirty_roots) {
+        for &(page, _) in &self.interval.images {
             let img = self.peek_meta(page);
             push_image_record(&mut recs, TAG_ROOT_IMAGE, page, &img[..]);
             metrics::ALLOCLOG_ROOT_IMAGES.add(1);
@@ -303,7 +292,6 @@ impl Db {
         recs.push(TAG_COMMIT);
         recs.extend_from_slice(&version.to_le_bytes());
         self.write_log(&mut log, &recs);
-        log.imaged.clear();
         metrics::ALLOCLOG_COMMITS.add(1);
         metrics::ALLOCLOG_CHAIN_PAGES.set(log.chain.len() as f64);
         self.log = Some(log);
@@ -529,7 +517,6 @@ impl Db {
             generation: log.generation,
             chain,
             tail_used,
-            imaged: HashSet::new(),
             roots: roots.clone(),
             committed: roots,
         });
@@ -548,11 +535,9 @@ impl Db {
             generation,
             chain: vec![head],
             tail_used: 0,
-            imaged: HashSet::new(),
             roots,
             committed: Roots::new(),
         });
-        self.dirty_roots.clear();
         self.log_commit(version);
     }
 

@@ -1,8 +1,6 @@
 //! The database context shared by all large-object managers: buffer pool
 //! (owning the simulated disk) plus one buddy-space allocator per area.
 
-use std::collections::HashSet;
-
 use lobstore_buddy::{BuddyConfig, BuddyManager, Extent, FragStats};
 use lobstore_bufpool::{BufferPool, PoolConfig};
 use lobstore_simdisk::{AreaId, CostModel, IoStats, PageId, SimDisk, PAGE_SIZE};
@@ -12,7 +10,7 @@ use crate::health::{self, HealthSample};
 use crate::node::{Node, NodeView, RootHdr};
 use crate::object::StorageKind;
 use crate::txn::TxnState;
-use crate::version::VersionState;
+use crate::version::{Interval, VersionState};
 
 /// Positional-tree fan-out limits. With the paper's 4 KB pages and 4-byte
 /// counts and pointers, the root holds up to 507 pairs and interior index
@@ -104,14 +102,10 @@ pub struct Db {
     /// Allocation log, when [`DbConfig::alloc_log`] is enabled (see
     /// `alloclog.rs`).
     pub(crate) log: Option<AllocLog>,
-    /// META pages allocated by the operation currently in flight —
-    /// mirror of the shadow context's created set, so the write funnel
-    /// can tell a fresh page's first write from an in-place overwrite of
-    /// committed content.
-    pub(crate) op_created: HashSet<u32>,
-    /// Committed META pages overwritten in place since the last commit
-    /// (root/catalog flips) — imaged into the allocation log at commit.
-    pub(crate) dirty_roots: Vec<u32>,
+    /// The commit interval in flight: the pages the operation in flight
+    /// allocated and the pre-images of the committed pages overwritten
+    /// in place (see `version.rs`).
+    pub(crate) interval: Interval,
     /// Frees deferred at the last checkpoint: free in the checkpointed
     /// state, written to disk as allocated for the pins of the time. A
     /// reboot without the log releases them (replay has them free).
@@ -121,20 +115,13 @@ pub struct Db {
 impl Db {
     /// Build a database over a fresh two-area simulated disk.
     pub fn new(cfg: DbConfig) -> Self {
-        let disk = SimDisk::new(2, cfg.cost);
-        let mut db = Db {
-            pool: BufferPool::new(disk, cfg.pool),
-            meta_alloc: BuddyManager::new(BuddyConfig::new(AreaId::META, cfg.meta_space_pages)),
-            leaf_alloc: BuddyManager::new(BuddyConfig::new(AreaId::LEAF, cfg.leaf_space_pages)),
-            cfg,
-            ops_total: 0,
-            versions: VersionState::new(),
-            txn: None,
-            log: None,
-            op_created: HashSet::new(),
-            dirty_roots: Vec::new(),
-            durable_frees: Vec::new(),
-        };
+        let pool = BufferPool::new(SimDisk::new(2, cfg.cost), cfg.pool);
+        let fresh = |area, pages| BuddyManager::new(BuddyConfig::new(area, pages));
+        let allocs = (
+            fresh(AreaId::META, cfg.meta_space_pages),
+            fresh(AreaId::LEAF, cfg.leaf_space_pages),
+        );
+        let mut db = Db::assemble(pool, allocs, cfg);
         if cfg.alloc_log {
             db.init_alloc_log(Roots::new());
         }
@@ -289,26 +276,12 @@ impl Db {
 
     /// Convenience: fix a META page for update, run `f`, unfix. The page
     /// is marked dirty; flushing is the caller's (shadow context's) job.
+    /// The funnel first captures the page's pre-image for the commit
+    /// interval (see `version.rs`).
     pub fn with_meta_page_mut<R>(&mut self, page: u32, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        self.note_meta_overwrite(page);
+        self.capture_preimage(page);
         let mut g = self.pool.guard_mut(PageId::new(AreaId::META, page));
         f(&mut g[..])
-    }
-
-    /// Versioning hooks of the META write funnel, run *before* the
-    /// mutation. By the shadowing discipline, an in-place write through
-    /// this funnel to a page the current operation did not allocate is a
-    /// root/header/catalog flip of committed content — exactly the
-    /// writes MVCC snapshots, open transactions, and the allocation log
-    /// must see coming. On the default path (no pins, no transaction, no
-    /// log) this is three cheap checks.
-    fn note_meta_overwrite(&mut self, page: u32) {
-        if self.op_created.contains(&page) {
-            return;
-        }
-        self.archive_page_preimage(page);
-        self.txn_note_overwrite(page);
-        self.log_note_overwrite(page);
     }
 
     /// Like [`Self::with_meta_page_mut`] but for a freshly allocated page
@@ -359,20 +332,12 @@ impl Db {
         self.pool.crash();
         self.clear_version_state();
         self.txn = None;
-        self.op_created.clear();
-        self.dirty_roots.clear();
+        self.interval = Interval::default();
         if self.log.is_some() {
             self.replay_alloc_log();
             return;
         }
-        self.meta_alloc = BuddyManager::open(
-            BuddyConfig::new(AreaId::META, self.cfg.meta_space_pages),
-            &mut self.pool,
-        );
-        self.leaf_alloc = BuddyManager::open(
-            BuddyConfig::new(AreaId::LEAF, self.cfg.leaf_space_pages),
-            &mut self.pool,
-        );
+        (self.meta_alloc, self.leaf_alloc) = open_allocators(&mut self.pool, &self.cfg);
         // Kept until the next checkpoint: a second crash returns to the
         // same checkpointed state.
         for &ext in &self.durable_frees {
@@ -388,8 +353,9 @@ impl Db {
     /// Flush everything that is dirty — the "checkpoint" matching the end
     /// of the paper's operations (index shadows are already flushed per
     /// op; this adds the root pages and space directories).
-    /// With the allocation log enabled, the checkpoint also compacts the
-    /// log to the live root set (bounding its chain).
+    /// It ends the commit interval (handing its pre-images to the pins),
+    /// and with the allocation log enabled it compacts the log to the
+    /// live root set (bounding its chain).
     ///
     /// # Panics
     /// If a transaction is open — flushing uncommitted in-place root
@@ -401,6 +367,7 @@ impl Db {
         );
         self.pool.flush_all();
         self.durable_frees = self.deferred_extents();
+        self.end_interval();
         self.compact_alloc_log();
     }
 
@@ -451,15 +418,15 @@ impl Db {
             ..cfg
         };
         let mut pool = BufferPool::new(disk, cfg.pool);
-        let meta_alloc = BuddyManager::open(
-            BuddyConfig::new(AreaId::META, cfg.meta_space_pages),
-            &mut pool,
-        );
-        let leaf_alloc = BuddyManager::open(
-            BuddyConfig::new(AreaId::LEAF, cfg.leaf_space_pages),
-            &mut pool,
-        );
-        Ok(Db {
+        let allocs = open_allocators(&mut pool, &cfg);
+        Ok(Db::assemble(pool, allocs, cfg))
+    }
+
+    /// A database over `pool` and its (META, LEAF) allocators, with no
+    /// version, pin, transaction or log state yet.
+    fn assemble(pool: BufferPool, allocs: (BuddyManager, BuddyManager), cfg: DbConfig) -> Db {
+        let (meta_alloc, leaf_alloc) = allocs;
+        Db {
             pool,
             meta_alloc,
             leaf_alloc,
@@ -468,10 +435,9 @@ impl Db {
             versions: VersionState::new(),
             txn: None,
             log: None,
-            op_created: HashSet::new(),
-            dirty_roots: Vec::new(),
+            interval: Interval::default(),
             durable_frees: Vec::new(),
-        })
+        }
     }
 
     /// [`Self::save_image`] to a file path.
@@ -556,6 +522,14 @@ impl Db {
     pub(crate) fn note_op(&mut self) {
         self.ops_total += 1;
     }
+}
+
+/// The (META, LEAF) allocators, re-attached to the directories the disk
+/// under `pool` holds.
+fn open_allocators(pool: &mut BufferPool, cfg: &DbConfig) -> (BuddyManager, BuddyManager) {
+    let mut open = |area, pages| BuddyManager::open(BuddyConfig::new(area, pages), pool);
+    let meta = open(AreaId::META, cfg.meta_space_pages);
+    (meta, open(AreaId::LEAF, cfg.leaf_space_pages))
 }
 
 #[cfg(test)]

@@ -6,14 +6,17 @@
 //! update."* An [`OpCtx`] tracks, for one logical operation:
 //!
 //! * which index pages have been shadowed (each page is copied at most
-//!   once per operation, even if updated repeatedly);
+//!   once per operation, even if updated repeatedly); the pages the
+//!   operation allocates are the commit interval's `created` set on the
+//!   [`Db`] (`version.rs`), which the META write funnel also reads to
+//!   tell a fresh page's write from an overwrite of committed content;
 //! * the set of new/updated pages to flush when the operation ends;
 //! * the old page versions to return to the allocator afterwards.
 //!
 //! When the database is configured with `shadowing: false` (the ablation
 //! case), pages are updated in place but still flushed at operation end.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use lobstore_buddy::Extent;
 use lobstore_simdisk::{AreaId, PageId};
@@ -23,9 +26,6 @@ use crate::metrics;
 
 /// State for one logical large-object operation.
 pub(crate) struct OpCtx {
-    /// META pages created (or already shadowed) during this operation;
-    /// shadowing one of these again is a no-op.
-    created: HashSet<u32>,
     /// Old page → shadow copy, so re-shadowing the old number within one
     /// operation lands on the same copy.
     remap: HashMap<u32, u32>,
@@ -44,7 +44,6 @@ impl OpCtx {
     /// Start an empty operation context.
     pub fn new() -> Self {
         OpCtx {
-            created: HashSet::new(),
             remap: HashMap::new(),
             flush: Vec::new(),
             free_old: Vec::new(),
@@ -62,9 +61,10 @@ impl OpCtx {
     /// Prepare META page `page` for update: returns the page number the
     /// update must be applied to. With shadowing on, this is a fresh page
     /// holding a copy of the old content; the old page is freed when the
-    /// operation finishes. Idempotent within one operation.
+    /// operation finishes. Idempotent within one operation: a page the
+    /// operation created is its own shadow.
     pub fn shadow_page(&mut self, db: &mut Db, page: u32) -> u32 {
-        if !db.config().shadowing || self.created.contains(&page) {
+        if !db.config().shadowing || db.interval.created.contains(&page) {
             self.note_flush(page);
             return page;
         }
@@ -78,8 +78,7 @@ impl OpCtx {
         let mut buf = [0u8; lobstore_simdisk::PAGE_SIZE];
         db.with_meta_page(page, |p| buf.copy_from_slice(p));
         db.with_new_meta_page(new, |p| p.copy_from_slice(&buf));
-        self.created.insert(new);
-        db.op_created.insert(new);
+        db.interval.created.insert(new);
         self.remap.insert(page, new);
         self.note_flush(new);
         self.free_old.push(page);
@@ -91,8 +90,7 @@ impl OpCtx {
     pub fn fresh_page(&mut self, db: &mut Db) -> u32 {
         metrics::SHADOW_FRESH_PAGES.add(1);
         let page = db.alloc_meta_page();
-        self.created.insert(page);
-        db.op_created.insert(page);
+        db.interval.created.insert(page);
         self.note_flush(page);
         page
     }
@@ -115,7 +113,7 @@ impl OpCtx {
     /// transaction commits them as one batch with a single version
     /// advance.
     pub fn finish(self, db: &mut Db) {
-        db.op_created.clear();
+        db.interval.created.clear();
         if db.txn_active() {
             db.txn_absorb_op(self.flush, self.free_old, self.free_extents);
             return;

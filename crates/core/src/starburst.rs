@@ -126,18 +126,22 @@ impl StarburstObject {
 
     /// Store the descriptor. The root page is left dirty in the pool (no
     /// forced flush — §4.2: appends write no index pages).
-    fn store(&self, db: &mut Db, hdr: &mut RootHdr, segs: &[Entry]) -> Result<()> {
-        if segs.len() > ROOT_MAX_ENTRIES {
-            return Err(LobError::Corrupt(format!(
-                "descriptor overflow: {} segments",
-                segs.len()
-            )));
-        }
+    fn store(&self, db: &mut Db, hdr: &mut RootHdr, segs: &[Entry]) {
+        debug_assert!(segs.len() <= ROOT_MAX_ENTRIES, "checked by `fits`");
         let node = Node {
             level: 0,
             entries: segs.to_vec(),
         };
         db.with_meta_page_mut(self.root, |p| node.write_root(p, hdr));
+    }
+
+    /// Refuse an update of `len` bytes that would leave `segs` segments:
+    /// the descriptor page holds 507. Checked before the update allocates
+    /// or frees anything, so a refused update leaves no trace.
+    fn fits(segs: usize, len: usize) -> Result<()> {
+        if segs > ROOT_MAX_ENTRIES {
+            return Err(LobError::OperationTooLarge { len: len as u64 });
+        }
         Ok(())
     }
 
@@ -260,12 +264,19 @@ impl StarburstObject {
         let (i, p, _) = find_child(segs.iter().copied(), off);
         let old = segs.split_off(i);
         let (at, cut) = (cast::to_usize(p), cast::to_usize(cut));
+        // `copy_tail` cuts the new tail into maximum-size segments.
+        let tail = old.iter().map(|e| cast::to_usize(e.count)).sum::<usize>() - cut + put.len();
+        Self::fits(
+            i + tail.div_ceil(cast::to_usize(self.max_bytes())),
+            put.len(),
+        )?;
         segs.extend(self.copy_tail(db, &old, at, cut, put, 0));
         // Writes done; now release the superseded tail.
         self.free_tail(db, &hdr, &old, 0);
         hdr.last_seg_alloc = 0; // the rewritten tail is exact
         hdr.size = segs.iter().map(|e| e.count).sum();
-        self.store(db, &mut hdr, &segs)
+        self.store(db, &mut hdr, &segs);
+        Ok(())
     }
 }
 
@@ -288,45 +299,45 @@ impl LargeObject for StarburstObject {
         }
         check_op_len(bytes.len() as u64)?;
         let (mut hdr, mut segs) = self.load(db);
-        let mut rem = bytes;
 
-        // Fill the allocated tail of the last segment in place.
-        if let Some(last) = segs.last_mut() {
-            let alloc = if hdr.last_seg_alloc > 0 {
-                hdr.last_seg_alloc
-            } else {
-                pages_for_bytes(last.count)
-            };
-            let space = u64::from(alloc) * PAGE_SIZE_U64 - last.count;
-            let take = cast::to_usize((rem.len() as u64).min(space));
-            if take > 0 {
-                append_in_place(db, last.ptr, last.count, &rem[..take]);
-                last.count += take as u64;
-                rem = &rem[take..];
+        // The last segment's allocation, and the bytes its allocated tail
+        // takes in place.
+        let (mut prev_alloc, space) = match segs.last() {
+            Some(last) => {
+                let alloc = if hdr.last_seg_alloc > 0 {
+                    hdr.last_seg_alloc
+                } else {
+                    pages_for_bytes(last.count)
+                };
+                (alloc, u64::from(alloc) * PAGE_SIZE_U64 - last.count)
             }
-        }
-
-        // Allocate new segments, doubling until the max (§2.2) — or
+            None => (0, 0),
+        };
+        let fill = cast::to_usize((bytes.len() as u64).min(space));
+        // Plan the new segments, doubling until the max (§2.2) — or
         // max-sized immediately when the size was declared known.
-        while !rem.is_empty() {
-            let prev_alloc = if segs.is_empty() {
-                0
-            } else if hdr.last_seg_alloc > 0 {
-                hdr.last_seg_alloc
-            } else {
-                match segs.last() {
-                    Some(last) => pages_for_bytes(last.count),
-                    None => unreachable!("branch guarded by segs.is_empty()"),
-                }
-            };
+        let mut plan = Vec::new();
+        let mut left = (bytes.len() - fill) as u64;
+        while left > 0 {
             let alloc = if self.known_size {
                 self.max_seg_pages
             } else if prev_alloc == 0 {
-                pages_for_bytes(rem.len() as u64).min(self.max_seg_pages)
+                pages_for_bytes(left).min(self.max_seg_pages)
             } else {
                 (prev_alloc * 2).min(self.max_seg_pages)
             };
-            let take = cast::to_usize((rem.len() as u64).min(u64::from(alloc) * PAGE_SIZE_U64));
+            let take = left.min(u64::from(alloc) * PAGE_SIZE_U64);
+            plan.push((alloc, cast::to_usize(take)));
+            (prev_alloc, left) = (alloc, left - take);
+        }
+        Self::fits(segs.len() + plan.len(), bytes.len())?;
+
+        let (filled, mut rem) = bytes.split_at(fill);
+        if let Some(last) = segs.last_mut().filter(|_| fill > 0) {
+            append_in_place(db, last.ptr, last.count, filled);
+            last.count += fill as u64;
+        }
+        for (alloc, take) in plan {
             let ext = db.alloc_leaf(alloc);
             db.pool.write_direct(AreaId::LEAF, ext.start, &rem[..take]);
             segs.push(Entry {
@@ -337,7 +348,7 @@ impl LargeObject for StarburstObject {
             rem = &rem[take..];
         }
         hdr.size += bytes.len() as u64;
-        self.store(db, &mut hdr, &segs)?;
+        self.store(db, &mut hdr, &segs);
         db.op_commit();
         Ok(())
     }
@@ -460,7 +471,7 @@ impl LargeObject for StarburstObject {
         for ext in free_later {
             db.free_leaf(ext);
         }
-        self.store(db, &mut hdr, &segs)?;
+        self.store(db, &mut hdr, &segs);
         db.op_commit();
         Ok(())
     }
@@ -482,7 +493,7 @@ impl LargeObject for StarburstObject {
             ));
         }
         hdr.last_seg_alloc = 0;
-        self.store(db, &mut hdr, &segs)?;
+        self.store(db, &mut hdr, &segs);
         db.op_commit();
         Ok(())
     }
@@ -1108,6 +1119,27 @@ mod tests {
                 size
             })
         );
+    }
+
+    /// A full descriptor refuses an update that needs a 508th segment
+    /// before it allocates or frees anything: the object reads back
+    /// unchanged and the walk finds every page where it was.
+    #[test]
+    fn a_full_descriptor_refuses_a_508th_segment_untouched() {
+        let mut db = db();
+        let params = StarburstParams {
+            max_seg_pages: 1,
+            known_size: false,
+        };
+        let mut obj = StarburstObject::create(&mut db, params).unwrap();
+        let data = pattern(ROOT_MAX_ENTRIES * PAGE_SIZE, 4);
+        obj.append(&mut db, &data).unwrap();
+        assert_eq!(obj.segments(&db).len(), ROOT_MAX_ENTRIES);
+        let too_large = Err(LobError::OperationTooLarge { len: 1 });
+        assert_eq!(obj.insert(&mut db, 0, b"x"), too_large);
+        assert_eq!(obj.append(&mut db, b"x"), too_large);
+        assert!(obj.snapshot(&db) == data, "the object reads back unchanged");
+        assert_eq!(db.verify(&[("sb", &obj)], &[]), []);
     }
 
     #[test]

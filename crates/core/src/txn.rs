@@ -6,28 +6,31 @@
 //! * each operation's shadow context *absorbs* instead of executing —
 //!   shadow-page flushes and frees queue on the transaction, so nothing
 //!   superseded is released and nothing new is made durable early;
-//! * the first in-place overwrite of each committed META page (object
-//!   roots, catalog pages) captures a pre-image for rollback;
+//! * the write funnel captures each committed META page (object roots,
+//!   catalog pages) at its first in-place overwrite: the commit
+//!   interval's one pre-image (`version.rs`). A transaction begins on an
+//!   interval boundary, so the interval's images are its own;
 //! * allocations are tracked so rollback can return them.
 //!
 //! Commit is the single header/root flip discipline, batched: flush
 //! every queued shadow page, release every queued free (deferred if a
 //! snapshot pins it), write one allocation-log commit marker, and
 //! advance the version — exactly once for the whole batch. Rollback
-//! restores the captured pre-images, frees the transaction's
-//! allocations (unregistering the roots among them) and discards the
-//! queued frees; it writes nothing to the allocation log.
+//! restores the interval's pre-images in capture order, frees the
+//! transaction's allocations (unregistering the roots among them) and
+//! discards the queued frees; it writes nothing to the allocation log.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use lobstore_buddy::Extent;
-use lobstore_simdisk::{AreaId, PageId, PAGE_SIZE};
+use lobstore_simdisk::{AreaId, PageId};
 
 use crate::db::Db;
 use crate::error::Result;
 use crate::metrics;
 
 /// Queued effects of an open transaction (owned by [`Db`]).
+#[derive(Default)]
 pub(crate) struct TxnState {
     /// META pages to flush at commit (shadow copies, fresh index pages),
     /// deduplicated, in first-queued order.
@@ -36,12 +39,9 @@ pub(crate) struct TxnState {
     free_meta: Vec<u32>,
     /// LEAF extents whose free is queued for commit.
     free_extents: Vec<Extent>,
-    /// Committed pages overwritten in place → their pre-transaction
-    /// content, captured at first overwrite (rollback undo).
-    preimages: HashMap<u32, Box<[u8; PAGE_SIZE]>>,
-    /// META pages allocated during the transaction (rollback frees them;
-    /// their in-place writes need no pre-image).
-    alloc_meta: HashSet<u32>,
+    /// META pages allocated during the transaction: no committed state,
+    /// so rollback frees them instead of restoring their images.
+    pub(crate) alloc_meta: HashSet<u32>,
     /// LEAF extents allocated during the transaction.
     alloc_leaf: Vec<Extent>,
     /// Operations absorbed so far (observability).
@@ -62,6 +62,9 @@ impl Db {
     /// updates restored, allocations returned) and the error is passed
     /// through.
     ///
+    /// A write that commits nothing (an EOS `trim`, a catalog or
+    /// record-store page) may have left the commit interval open; it is
+    /// committed first, so that a rollback undoes this transaction only.
     /// A crash (see [`Db::crash_and_reboot`]) while the transaction is
     /// open aborts it: with the allocation log enabled, replay recovers
     /// the last committed version.
@@ -76,15 +79,10 @@ impl Db {
             self.cfg.shadowing,
             "transactions require the shadowing discipline (DbConfig::shadowing)"
         );
-        self.txn = Some(TxnState {
-            flush: Vec::new(),
-            free_meta: Vec::new(),
-            free_extents: Vec::new(),
-            preimages: HashMap::new(),
-            alloc_meta: HashSet::new(),
-            alloc_leaf: Vec::new(),
-            ops: 0,
-        });
+        if !self.interval.images.is_empty() {
+            self.commit_version();
+        }
+        self.txn = Some(TxnState::default());
         match f(self) {
             Ok(r) => {
                 self.txn_commit();
@@ -116,18 +114,24 @@ impl Db {
         self.commit_version();
     }
 
-    /// Roll the open transaction back: restore pre-images, return the
-    /// transaction's allocations, and drop the queued flushes and frees.
+    /// Roll the open transaction back: restore the interval's pre-images
+    /// of the pages it did not allocate, return its allocations, and drop
+    /// the queued flushes and frees. The interval stays open: the log
+    /// still names its pages at the next commit.
     fn txn_rollback(&mut self) {
         let Some(t) = self.txn.take() else {
             unreachable!("rollback without an open transaction")
         };
-        for (page, img) in &t.preimages {
+        let images = std::mem::take(&mut self.interval.images);
+        for (page, img) in images.iter().filter(|(p, _)| !t.alloc_meta.contains(p)) {
             self.with_log_page_mut(*page, |p| p.copy_from_slice(&img[..]));
             // The overwrite may already be durable (a catalog self-flush,
             // a pool write-back); make the restored content durable too.
             self.pool.flush_page(PageId::new(AreaId::META, *page));
         }
+        self.interval.images = images;
+        // An operation the closure's error cut short never finished.
+        self.interval.created.clear();
         // Pages and extents allocated inside the transaction were never
         // reachable from any committed state, so they bypass deferral.
         for &page in &t.alloc_meta {
@@ -159,22 +163,6 @@ impl Db {
         t.free_meta.extend(free_meta);
         t.free_extents.extend(free_extents);
         t.ops += 1;
-    }
-
-    /// Transaction hook of the META write funnel: capture the committed
-    /// pre-image of `page` on its first in-place overwrite. Pages the
-    /// transaction itself allocated have no committed content to restore.
-    pub(crate) fn txn_note_overwrite(&mut self, page: u32) {
-        let img = match &self.txn {
-            Some(t) if !t.alloc_meta.contains(&page) && !t.preimages.contains_key(&page) => {
-                self.peek_meta(page)
-            }
-            _ => return,
-        };
-        if let Some(t) = &mut self.txn {
-            t.preimages.insert(page, img);
-            metrics::MVCC_TXN_PREIMAGES.add(1);
-        }
     }
 
     /// Transaction hook of the allocation path.

@@ -8,17 +8,23 @@
 //! mechanism:
 //!
 //! * every committed operation (or [`crate::Db::txn`] batch) advances a
-//!   database-global **version number**;
-//! * [`crate::Db::snapshot`] pins a version. While any pin is held,
-//!   in-place writes to committed META pages first **archive** the old
-//!   page content into an in-memory overlay, tagged with the last version
-//!   it was valid for, and every `free` of a committed page or extent is
-//!   **deferred** — the pages stay allocated (so nothing can reuse and
-//!   clobber them) until no pin needs them;
+//!   database-global **version number**; the writes between two commits
+//!   are one **commit interval**;
+//! * the META write funnel ([`crate::Db::with_meta_page_mut`]) copies a
+//!   committed page at its first in-place overwrite in the interval, while
+//!   a pin, a transaction or the allocation log is active: one pre-image
+//!   per page, which the log writes as an `UndoImage` (`alloclog.rs`), a
+//!   rollback restores (`txn.rs`) and, under a pin, the commit moves into
+//!   an in-memory **overlay** tagged with the version it was valid for.
+//!   `commit_version`, `checkpoint` and a crash end an interval;
+//! * [`crate::Db::snapshot`] pins a version. While any pin is held, every
+//!   `free` of a committed page or extent is **deferred** — the pages stay
+//!   allocated (so nothing can reuse and clobber them) until no pin needs
+//!   them;
 //! * [`crate::SnapshotReader`] walks an object's index *as of* the pinned
-//!   version: the root comes from the overlay (or the live page when it
-//!   was never overwritten since), everything below the root is immutable
-//!   while pinned, so ordinary costed reads serve the rest.
+//!   version: the root comes from the overlay, the open interval or the
+//!   live page, everything below the root is immutable while pinned, so
+//!   ordinary costed reads serve the rest.
 //!
 //! Old versions are reclaimed incrementally: whenever a pin is released
 //! or a version commits, overlay copies older than the oldest pin are
@@ -27,11 +33,12 @@
 //! recovery (the allocation log, `alloclog.rs`) replays to the last
 //! *committed* version.
 //!
-//! Default-path neutrality: with no snapshot pinned and no transaction
-//! open, every hook in this module reduces to an integer bump — the
-//! golden traces of the paper's three schemes are bit-identical.
+//! Default-path neutrality: with no snapshot pinned, no transaction open
+//! and no log, the funnel captures nothing and every hook in this module
+//! reduces to an integer bump — the golden traces of the paper's three
+//! schemes are bit-identical.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashSet};
 
 use lobstore_buddy::Extent;
 use lobstore_simdisk::{cast, PAGE_SIZE};
@@ -39,13 +46,31 @@ use lobstore_simdisk::{cast, PAGE_SIZE};
 use crate::db::Db;
 use crate::metrics;
 
-/// One archived pre-image of a META page that was overwritten in place.
-struct ArchivedPage {
-    /// Last committed version this content was valid for: a reader
-    /// pinned at `v` wants the first archived copy with
-    /// `valid_through >= v`, else the live page.
-    valid_through: u64,
-    content: Box<[u8; PAGE_SIZE]>,
+/// The commit interval in flight (owned by [`Db`]).
+#[derive(Default)]
+pub(crate) struct Interval {
+    /// META pages the operation in flight allocated (shadow copies, fresh
+    /// index pages): their writes are no overwrite of committed content.
+    pub created: HashSet<u32>,
+    /// Committed META pages overwritten in place, each with its content
+    /// at the interval's start, in first-capture order.
+    pub images: Images,
+}
+
+/// Pre-images of META pages, one per page.
+type Images = Vec<(u32, Box<[u8; PAGE_SIZE]>)>;
+
+/// The image of `page` in `images`, if any.
+fn image_of(images: &Images, page: u32) -> Option<&[u8; PAGE_SIZE]> {
+    images.iter().find(|(p, _)| *p == page).map(|(_, c)| &**c)
+}
+
+/// Does `images` hold two images of one page?
+fn holds_a_page_twice(images: &Images) -> bool {
+    let mut pages: Vec<u32> = images.iter().map(|(p, _)| *p).collect();
+    pages.sort_unstable();
+    pages.dedup();
+    pages.len() != images.len()
 }
 
 /// A free that is being held back because a pinned snapshot may still
@@ -64,9 +89,11 @@ pub(crate) struct VersionState {
     current: u64,
     /// Pinned version → number of open snapshots at that version.
     pins: BTreeMap<u64, u32>,
-    /// META page → archived pre-images, oldest first, strictly
-    /// increasing `valid_through` tags.
-    overlay: HashMap<u32, Vec<ArchivedPage>>,
+    /// The images of the intervals closed under a pin, oldest first, each
+    /// tagged with the last version it was valid for (strictly
+    /// increasing): a reader pinned at `v` wants the first interval
+    /// tagged `>= v` that holds the page.
+    overlay: Vec<(u64, Images)>,
     /// Frees held back for pinned snapshots, in the order they arrived.
     deferred: Vec<DeferredFree>,
 }
@@ -77,7 +104,7 @@ impl VersionState {
         VersionState {
             current: 0,
             pins: BTreeMap::new(),
-            overlay: HashMap::new(),
+            overlay: Vec::new(),
             deferred: Vec::new(),
         }
     }
@@ -175,32 +202,53 @@ impl Db {
         self.versions.deferred.iter().map(|d| d.ext).collect()
     }
 
-    /// Archive the pre-image of META `page` before an in-place overwrite,
-    /// when at least one snapshot is pinned. Called by the META write
-    /// funnel for pages that were *not* allocated by the current
-    /// operation — by the shadowing discipline those in-place writes are
-    /// exactly the root/header updates. Idempotent per committed version:
-    /// the second overwrite within one version finds the tag and skips.
-    pub(crate) fn archive_page_preimage(&mut self, page: u32) {
-        if !self.versions.pinned() {
+    /// The write funnel's one capture, run before an in-place write to
+    /// META `page`: on the page's first overwrite in the interval, copy
+    /// the content it holds now — unless the operation in flight
+    /// allocated it (by the shadowing discipline, everything else written
+    /// in place is a root, header or catalog flip of committed content),
+    /// or no pin, transaction or log will read the copy.
+    pub(crate) fn capture_preimage(&mut self, page: u32) {
+        let wanted = self.versions.pinned() || self.txn_active() || self.log.is_some();
+        let iv = &self.interval;
+        if !wanted || iv.created.contains(&page) || image_of(&iv.images, page).is_some() {
+            return;
+        }
+        let img = self.peek_meta(page);
+        self.log_undo_image(page, &img[..]);
+        if self
+            .txn
+            .as_ref()
+            .is_some_and(|t| !t.alloc_meta.contains(&page))
+        {
+            metrics::MVCC_TXN_PREIMAGES.add(1);
+        }
+        self.interval.images.push((page, img));
+    }
+
+    /// End the commit interval (`commit_version`, `checkpoint`): under a
+    /// pin its images join the overlay, tagged with the version being
+    /// closed, at most one per page per version — a checkpoint may have
+    /// handed over an earlier image of the same version.
+    pub(crate) fn end_interval(&mut self) {
+        let images = std::mem::take(&mut self.interval.images);
+        if images.is_empty() || !self.versions.pinned() {
             return;
         }
         let current = self.versions.current;
-        if let Some(copies) = self.versions.overlay.get(&page) {
-            if copies.last().is_some_and(|c| c.valid_through == current) {
-                return;
+        let overlay = &mut self.versions.overlay;
+        if overlay.last().is_none_or(|(tag, _)| *tag < current) {
+            overlay.push((current, Images::new()));
+        }
+        let Some((_, kept)) = overlay.last_mut() else {
+            return;
+        };
+        for (page, img) in images {
+            if image_of(kept, page).is_none() {
+                kept.push((page, img));
+                metrics::MVCC_PAGES_ARCHIVED.add(1);
             }
         }
-        let content = self.peek_meta(page);
-        self.versions
-            .overlay
-            .entry(page)
-            .or_default()
-            .push(ArchivedPage {
-                valid_through: current,
-                content,
-            });
-        metrics::MVCC_PAGES_ARCHIVED.add(1);
     }
 
     /// Queue `ext` to be freed once no pin at a version `<= free_after`
@@ -220,6 +268,7 @@ impl Db {
     pub(crate) fn commit_version(&mut self) {
         let v = self.versions.current + 1;
         self.log_commit(v);
+        self.end_interval();
         self.bump_version();
     }
 
@@ -246,12 +295,9 @@ impl Db {
     /// reach any more.
     pub(crate) fn reclaim_versions(&mut self) {
         let min_pin = self.versions.oldest_pin();
-        // Overlay copy tagged `t` serves only pins at versions <= t.
+        // Overlay images tagged `t` serve only pins at versions <= t.
         let keep_tag = |t: u64| min_pin.is_some_and(|m| m <= t);
-        self.versions.overlay.retain(|_, copies| {
-            copies.retain(|c| keep_tag(c.valid_through));
-            !copies.is_empty()
-        });
+        self.versions.overlay.retain(|&(tag, _)| keep_tag(tag));
         // A deferred free tagged `free_after` is still needed by pins at
         // versions <= free_after.
         let mut run = Vec::new();
@@ -287,8 +333,10 @@ impl Db {
         metrics::MVCC_DEFERRED_PAGES.set(held as f64);
     }
 
-    /// Read META `page` as of `version`: the first archived copy still
-    /// valid at that version, else the live page (costed, like any read).
+    /// Read META `page` as of `version`: its image in the first closed
+    /// interval still valid at that version, else the open interval's
+    /// image (the content of the current version), else the live page
+    /// (costed, like any read).
     pub(crate) fn versioned_meta_page<R>(
         &mut self,
         page: u32,
@@ -298,37 +346,41 @@ impl Db {
         let archived = self
             .versions
             .overlay
-            .get(&page)
-            .and_then(|copies| copies.iter().find(|c| c.valid_through >= version));
+            .iter()
+            .filter(|(tag, _)| *tag >= version)
+            .find_map(|(_, images)| image_of(images, page))
+            .or_else(|| image_of(&self.interval.images, page));
         match archived {
-            Some(c) => f(&c.content[..]),
+            Some(c) => f(&c[..]),
             None => self.with_meta_page(page, f),
         }
     }
 
-    /// The version store's own rules, checked by [`Db::verify`]: overlay
+    /// The version store's own rules, checked by [`Db::verify`]: the open
+    /// interval and each closed one hold one image per page, overlay
     /// tags strictly increase and are no newer than the current version,
     /// pins reference committed versions, and deferred frees are tagged
     /// with committed versions and never overlap (an overlap would become
     /// a double free at reclamation).
     pub(crate) fn check_versions(&self) -> Result<(), String> {
         let current = self.versions.current;
-        for (&page, copies) in &self.versions.overlay {
-            let mut last = None;
-            for c in copies {
-                if c.valid_through > current {
-                    return Err(format!(
-                        "overlay for META page {page} tagged {} beyond current version {current}",
-                        c.valid_through
-                    ));
-                }
-                if last.is_some_and(|l| l >= c.valid_through) {
-                    return Err(format!(
-                        "overlay for META page {page} has non-increasing tags"
-                    ));
-                }
-                last = Some(c.valid_through);
+        if holds_a_page_twice(&self.interval.images) {
+            return Err("the open interval holds a page twice".into());
+        }
+        let mut last = None;
+        for &(tag, ref images) in &self.versions.overlay {
+            if holds_a_page_twice(images) {
+                return Err(format!("overlay images tagged {tag} hold a page twice"));
             }
+            if tag > current {
+                return Err(format!(
+                    "overlay images tagged {tag} beyond current version {current}"
+                ));
+            }
+            if last.is_some_and(|l| l >= tag) {
+                return Err(format!("overlay images tagged {tag} twice or out of order"));
+            }
+            last = Some(tag);
         }
         if let Some((&v, _)) = self.versions.pins.last_key_value() {
             if v > current {

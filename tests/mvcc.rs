@@ -213,3 +213,123 @@ fn snapshot_accounting_is_observable() {
     obj.append(&mut db, b"x").unwrap();
     assert!(db.deferred_extents().is_empty(), "drained once unpinned");
 }
+
+/// A pinned version and a rolled-back transaction read the same
+/// pre-image: the root's content when the interval began, not after the
+/// transaction's first overwrite. The commit after the rollback hands
+/// that image to the overlay, and the pin reads it back on release.
+#[test]
+fn a_rolled_back_txn_under_a_pin_restores_the_first_image() {
+    for alloc_log in [false, true] {
+        for spec in specs() {
+            let mut db = Db::new(DbConfig {
+                alloc_log,
+                ..DbConfig::default()
+            });
+            let mut d = Driver::new(&mut db, spec);
+            // Both members write the root in place; the driver checks the
+            // live bytes and the walk after the rollback.
+            let ops = vec![Op::Append(3_000), Op::Insert(at(1_000, 43_000), 2_000)];
+            d.run(
+                &mut db,
+                [
+                    Op::Append(40_000),
+                    Op::Snapshot,
+                    Op::Txn { ops, abort: true },
+                    Op::Append(1_000),
+                    Op::Release,
+                ],
+            );
+            d.finish(&mut db);
+        }
+    }
+}
+
+/// An EOS object whose last segment is over-allocated: the second
+/// append fills the first page and doubles into two pages for the rest,
+/// one too many. Its `trim` frees that page and rewrites the root in
+/// place without committing a version.
+fn trimmable_eos(db: &mut Db) -> Driver {
+    let mut d = Driver::new(db, ManagerSpec::eos(16));
+    d.run(db, [Op::Append(3_000), Op::Append(3_000)]);
+    d
+}
+
+/// A checkpoint ends the commit interval, but not the version: a trim
+/// (which commits nothing) before it and an update of the same root
+/// after it each capture the root, and the overlay keeps the first
+/// capture only — one image per page per version, which the walk checks
+/// after the update. The pinned reader reads its version throughout.
+#[test]
+fn a_checkpoint_inside_a_version_keeps_one_image_per_page() {
+    for alloc_log in [false, true] {
+        let mut db = Db::new(DbConfig {
+            alloc_log,
+            ..DbConfig::default()
+        });
+        let mut d = trimmable_eos(&mut db);
+        let pinned = d.model.bytes().to_vec();
+        let snap = db.snapshot();
+        let read_pinned = |db: &mut Db, d: &Driver, step: &str| {
+            let mut reader = SnapshotReader::new(db, &snap, d.obj.root_page()).unwrap();
+            assert_eq!(reader.read_to_end(db), pinned, "log {alloc_log}: {step}");
+        };
+        d.obj.trim(&mut db).unwrap();
+        read_pinned(&mut db, &d, "after the trim");
+        d.apply(&mut db, &Op::Checkpoint);
+        read_pinned(&mut db, &d, "after the checkpoint");
+        d.apply(&mut db, &Op::Insert(at(10, 6_000), 500));
+        read_pinned(&mut db, &d, "after the second update");
+        db.release_snapshot(snap);
+        d.finish(&mut db);
+    }
+}
+
+/// A trim leaves the commit interval open; a transaction begins on a
+/// boundary, so it commits the trim first and its rollback cannot undo
+/// it — undoing it would point the root at the freed page. With the
+/// log on, the trim is durable: a crash recovers it.
+#[test]
+fn a_trim_survives_the_rollback_of_a_later_txn_and_a_crash() {
+    let mut db = mvcc_db();
+    let mut d = trimmable_eos(&mut db);
+    let before = db.leaf_pages_allocated();
+    d.obj.trim(&mut db).unwrap();
+    let trimmed = db.leaf_pages_allocated();
+    assert_eq!(trimmed, before - 1, "the trim freed a page");
+    let ops = vec![Op::Append(5_000), Op::Delete(0.5, 100)];
+    d.apply(&mut db, &Op::Txn { ops, abort: true });
+    assert_eq!(db.leaf_pages_allocated(), trimmed, "the trim survives");
+    d.apply(&mut db, &Op::Crash);
+    assert_eq!(db.leaf_pages_allocated(), trimmed, "the trim is durable");
+    d.finish(&mut db);
+}
+
+/// Rollback restores the pre-images in capture order: the same aborted
+/// transaction on two identical databases writes the same disk trace.
+#[test]
+fn an_aborted_txn_writes_the_same_trace_every_time() {
+    let run = || {
+        let mut db = mvcc_db();
+        let spec = ManagerSpec::esm(4);
+        let mut objs: Vec<_> = (0..6).map(|_| spec.create(&mut db).unwrap()).collect();
+        for (i, obj) in objs.iter_mut().enumerate() {
+            obj.append(&mut db, &fill(10_000, i as u64)).unwrap();
+        }
+        db.pool().disk().enable_trace(1 << 12);
+        let aborted = db.txn(|db| {
+            for obj in &mut objs {
+                obj.append(db, &fill(500, 9))?;
+            }
+            Err::<(), _>(lobstore::LobError::Corrupt("abort".into()))
+        });
+        assert!(aborted.is_err());
+        let trace = db.pool().disk().take_trace();
+        let objects: Vec<_> = objs.iter().map(|o| ("esm", o.as_ref())).collect();
+        assert_eq!(db.verify(&objects, &[]), []);
+        trace
+    };
+    let first = run();
+    assert!(!first.is_empty());
+    assert_eq!(first, run(), "the rollback's restore writes differ");
+}
