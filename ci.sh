@@ -82,7 +82,8 @@ run cargo run -q -p xtask -- loblint
 # their old case counts otherwise, the walk after every op included,
 # and tests/mvcc.rs's commit-interval rules (one pre-image per page per
 # interval, the first; a transaction begins on a boundary) without
-# debug assertions too. And simdisk optimized, where its copies run at full
+# debug assertions too, as must tests/golden_traces.rs's update-mix
+# digests (ESM and EOS traces, pinned call by call). And simdisk optimized, where its copies run at full
 # speed: a read of 1 MiB or more of an area's arena is copied as
 # page-aligned pieces on scoped threads, and its tests hold that copy to
 # `copy_from_slice` (1 MiB +-1 .. 4 MiB x 1, 2, 3, 7 pieces), a read across
@@ -101,7 +102,7 @@ run cargo test -q --release -p lobstore-core stream
 run cargo test -q --release --test perf_equivalence
 run cargo test -q --release -p lobstore-obs
 run cargo test -q --release -p lobstore-simdisk
-run cargo test -q --release --test model --test proptest_model --test crash_fuzz --test txn_crash --test mvcc
+run cargo test -q --release --test model --test proptest_model --test crash_fuzz --test txn_crash --test mvcc --test golden_traces
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

@@ -329,12 +329,6 @@ impl BufferPool {
         &self.disk
     }
 
-    /// Mutable access to the disk. Retained for API compatibility — the
-    /// disk itself is now fully shared, so [`Self::disk`] suffices.
-    pub fn disk_mut(&mut self) -> &mut SimDisk {
-        &mut self.disk
-    }
-
     /// Number of frames that are currently unpinned (evictable or free).
     pub fn available_frames(&self) -> usize {
         let g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);

@@ -82,13 +82,15 @@ impl Catalog {
         let name_len = match u8::try_from(name.len()) {
             Ok(n) if (1..=MAX_NAME).contains(&name.len()) => n,
             _ => {
-                return Err(LobError::Corrupt(format!(
+                return Err(LobError::InvalidArgument(format!(
                     "catalog name must be 1..={MAX_NAME} bytes"
                 )))
             }
         };
         if self.get(db, name)?.is_some() {
-            return Err(LobError::Corrupt(format!("name '{name}' already exists")));
+            return Err(LobError::InvalidArgument(format!(
+                "name '{name}' already exists"
+            )));
         }
         let needed = 1 + name.len() + 1 + 4;
         let mut page = self.root;
@@ -297,11 +299,15 @@ mod tests {
         let mut db = Db::paper_default();
         let mut cat = Catalog::create(&mut db).unwrap();
         cat.put(&mut db, "x", StorageKind::Esm, 1).unwrap();
-        assert!(cat.put(&mut db, "x", StorageKind::Eos, 2).is_err());
-        assert!(cat.put(&mut db, "", StorageKind::Eos, 2).is_err());
-        assert!(cat
-            .put(&mut db, &"n".repeat(MAX_NAME + 1), StorageKind::Eos, 2)
-            .is_err());
+        let long = "n".repeat(MAX_NAME + 1);
+        for name in ["x", "", long.as_str()] {
+            let got = cat.put(&mut db, name, StorageKind::Eos, 2);
+            assert!(
+                matches!(got, Err(LobError::InvalidArgument(_))),
+                "{name:?}: {got:?}"
+            );
+        }
+        assert_eq!(cat.list(&mut db).unwrap().len(), 1, "nothing was added");
     }
 
     #[test]

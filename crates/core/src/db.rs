@@ -150,7 +150,7 @@ impl Db {
 
     /// Zero the disk's I/O counters (page contents are untouched).
     pub fn reset_io_stats(&mut self) {
-        self.pool.disk_mut().reset_stats();
+        self.pool.disk().reset_stats();
     }
 
     /// Allocate one page in the META area (index pages, roots, shadows).

@@ -22,6 +22,14 @@
 //!   two adjacent segments, one of which has less than T pages, if they
 //!   can be stored in one"). Larger `T` ⇒ better utilization and reads,
 //!   more reshuffling on updates — the §4.6 trade-off.
+//!
+//! An update descends the count tree from the offset it names, then
+//! surveys segments and finds the window's neighbours along the search
+//! path ([`PosTree::next`], [`PosTree::prev`]) and replaces the window
+//! with one [`PosTree::splice`]. The region rebuild and the merge walk
+//! each descend once more, from their own offset, and a delete finds its
+//! rebuild window's two neighbours by descent: a delete's dropped run
+//! (and, for the merge walk, the rebuild) has moved the paths it holds.
 
 use lobstore_buddy::Extent;
 use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PageId, PAGE_SIZE_U64};
@@ -34,7 +42,7 @@ use crate::object::{
 };
 use crate::segdata::{append_in_place, append_seg_bytes, read_segs, seg_buf, write_new_seg};
 use crate::shadow::OpCtx;
-use crate::tree::{read_piece, PosTree};
+use crate::tree::{read_piece, LeafPos, PosTree};
 
 const EOS_MAGIC: u32 = 0x454F_5331; // "EOS1"
 const KIND_EOS: u8 = 2;
@@ -73,7 +81,7 @@ impl EosObject {
             || params.max_seg_pages == 0
             || params.max_seg_pages > db.max_segment_pages()
         {
-            return Err(LobError::Corrupt(format!(
+            return Err(LobError::InvalidArgument(format!(
                 "invalid EOS parameters: T={} max={}",
                 params.threshold_pages, params.max_seg_pages
             )));
@@ -167,23 +175,19 @@ impl EosObject {
 
     /// Enforce the threshold constraint around the update window
     /// `[lo, hi]` (object offsets): merge adjacent segments whose
-    /// boundary falls in the window while the rule demands it.
+    /// boundary falls in the window while the rule demands it, walking
+    /// right from the segment before `lo`.
     fn merge_around(&self, db: &mut Db, ctx: &mut OpCtx, lo: u64, hi: u64) -> Result<()> {
-        let mut cur = lo.saturating_sub(1);
+        let Some(mut x) = self.tree.descend(db, lo.saturating_sub(1)) else {
+            return Ok(());
+        };
         loop {
-            let total = self.tree.total(db);
-            if total == 0 {
-                return Ok(());
-            }
-            cur = cur.min(total - 1);
-            let x = self.tree.try_descend(db, cur)?;
-            if x.leaf_end() >= total {
-                return Ok(()); // no right neighbour
-            }
-            if x.leaf_end() > hi.min(total) {
+            if x.leaf_end() > hi {
                 return Ok(()); // past the update window
             }
-            let y = self.tree.try_descend(db, x.leaf_end())?;
+            let Some(y) = self.tree.next(db, &x)? else {
+                return Ok(()); // no right neighbour
+            };
             if self.must_merge(x.entry.count, y.entry.count) {
                 let mut hdr = self.tree.read_hdr(db);
                 let buf = read_segs(db, &[x.entry, y.entry], 0);
@@ -191,13 +195,15 @@ impl EosObject {
                 self.free_seg(ctx, &mut hdr, &x.entry);
                 self.free_seg(ctx, &mut hdr, &y.entry);
                 self.tree.write_hdr(db, &hdr);
-                self.tree.remove_entry(db, ctx, &x.path);
-                let again = self.tree.try_descend(db, x.leaf_start)?;
-                debug_assert_eq!(again.entry.ptr, y.entry.ptr);
-                self.tree.replace_entry(db, ctx, &again.path, vec![merged]);
-                // Stay at `cur`: the merged segment may merge again.
+                let run = [x.entry, y.entry];
+                let spliced = self.tree.splice(db, ctx, &x, &run, vec![merged])?;
+                // Stay here: the merged segment may merge again.
+                x = self.tree.first(db, &spliced)?;
             } else {
-                cur = x.leaf_end();
+                // Fix `y`'s path again, as a descent to it would: the pool
+                // evicts by recency, so the fix order is part of the cost.
+                self.tree.refresh(db, &y.path);
+                x = y;
             }
         }
     }
@@ -228,24 +234,19 @@ impl EosObject {
         debug_assert!(!old.is_empty() && !sources.is_empty());
         let region_len: u64 = sources.iter().map(Src::len).sum();
 
-        // Group adjacent sources while the threshold rule demands it.
-        let mut groups: Vec<Vec<Src<'_>>> = sources.into_iter().map(|s| vec![s]).collect();
-        loop {
-            let mut merged_any = false;
-            let mut i = 0;
-            while i + 1 < groups.len() {
-                let a: u64 = groups[i].iter().map(Src::len).sum();
-                let b: u64 = groups[i + 1].iter().map(Src::len).sum();
-                if self.must_merge(a, b) {
-                    let g = groups.remove(i + 1);
-                    groups[i].extend(g);
-                    merged_any = true;
-                } else {
-                    i += 1;
+        // Group adjacent sources while the threshold rule demands it. One
+        // left-to-right pass suffices: a group its right neighbour did not
+        // fit into stays apart from it as that neighbour grows.
+        let mut groups: Vec<(u64, Vec<Src<'_>>)> = Vec::with_capacity(sources.len());
+        for s in sources {
+            match groups.last_mut() {
+                Some((bytes, g)) if self.must_merge(*bytes, s.len()) => {
+                    // A group is a part of the region, summed above.
+                    // loblint: allow(arith-overflow)
+                    *bytes += s.len();
+                    g.push(s);
                 }
-            }
-            if !merged_any {
-                break;
+                _ => groups.push((s.len(), vec![s])),
             }
         }
 
@@ -256,7 +257,7 @@ impl EosObject {
         let mut new_entries = Vec::with_capacity(groups.len());
         let mut kept_prefix: Vec<(u32, u64)> = Vec::new(); // (ptr, kept len)
         let mut absorbed_segs: Vec<Entry> = Vec::new();
-        for g in groups {
+        for (total, g) in groups {
             match g.as_slice() {
                 [Src::Seg(e)] => new_entries.push(*e),
                 [Src::Prefix { ptr, len }] => {
@@ -267,7 +268,6 @@ impl EosObject {
                     });
                 }
                 _ => {
-                    let total: u64 = g.iter().map(Src::len).sum();
                     let mut buf = seg_buf(&[total]);
                     for s in &g {
                         match s {
@@ -303,40 +303,31 @@ impl EosObject {
         }
         self.tree.write_hdr(db, &hdr);
 
-        // Splice the tree: drop all but the last old entry, then replace
-        // the survivor with the new run (re-descending each time, since
-        // structural updates invalidate paths).
-        for e in &old[..old.len() - 1] {
-            let pos = self.tree.try_descend(db, region_start)?;
-            assert_eq!(pos.entry.ptr, e.ptr, "region entry mismatch");
-            self.tree.remove_entry(db, ctx, &pos.path);
-        }
-        let pos = self.tree.try_descend(db, region_start)?;
-        assert_eq!(
-            pos.entry.ptr,
-            old[old.len() - 1].ptr,
-            "last region entry mismatch"
-        );
-        self.tree.replace_entry(db, ctx, &pos.path, new_entries);
+        // Found afresh: in a delete, the dropped run has moved the window.
+        let first = self.tree.try_descend(db, region_start)?;
+        self.tree.splice(db, ctx, &first, old, new_entries)?;
         Ok(region_len)
     }
 
-    fn insert_inner(&mut self, db: &mut Db, ctx: &mut OpCtx, off: u64, bytes: &[u8]) -> Result<()> {
-        let pos = self.tree.try_descend(db, off)?;
+    /// Insert `bytes` at `pos`, which is not the object's end.
+    fn insert_inner(
+        &mut self,
+        db: &mut Db,
+        ctx: &mut OpCtx,
+        pos: LeafPos,
+        bytes: &[u8],
+    ) -> Result<()> {
         let p = pos.off_in_leaf;
         let s = pos.entry;
-        let total = self.tree.total(db);
+        // Pull both neighbours into the window so the threshold rule can
+        // coalesce across the update site in one pass.
+        let ln = self.tree.prev(db, &pos)?;
+        let rn = self.tree.next(db, &pos)?;
 
         let mut old = Vec::with_capacity(3);
         let mut sources = Vec::with_capacity(5);
         let mut parents = Vec::with_capacity(1);
-        let mut region_start = pos.leaf_start;
-
-        // Pull both neighbours into the window so the threshold rule can
-        // coalesce across the update site in one pass.
-        if pos.leaf_start > 0 {
-            let ln = self.tree.try_descend(db, pos.leaf_start - 1)?;
-            region_start = ln.leaf_start;
+        if let Some(ln) = &ln {
             old.push(ln.entry);
             sources.push(Src::Seg(ln.entry));
         }
@@ -356,12 +347,12 @@ impl EosObject {
             });
             parents.push(s);
         }
-        if pos.leaf_end() < total {
-            let rn = self.tree.try_descend(db, pos.leaf_end())?;
+        if let Some(rn) = &rn {
             old.push(rn.entry);
             sources.push(Src::Seg(rn.entry));
         }
 
+        let region_start = ln.as_ref().unwrap_or(&pos).leaf_start;
         let region_len = self.rebuild_region(db, ctx, region_start, &old, sources, &parents)?;
         self.tree.bump_size(db, bytes.len() as i64);
         // Cascade at the outer boundaries, in the rare case the edge
@@ -500,82 +491,90 @@ impl LargeObject for EosObject {
     }
 
     fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        let size = check_range(self.tree.size(db), off, 0)?;
         if bytes.is_empty() {
-            return Ok(());
+            return check_range(self.tree.size(db), off, 0).map(drop);
         }
-        check_op_len(bytes.len() as u64)?;
-        if off == size {
+        let len = bytes.len() as u64;
+        let max = self.max_bytes();
+        let check = || {
+            check_op_len(len)?;
+            if len > max {
+                return Err(LobError::OperationTooLarge { len });
+            }
+            Ok(())
+        };
+        let Some(pos) = self.tree.descend_insert(db, off, check)? else {
             return self.append(db, bytes);
-        }
-        if bytes.len() as u64 > self.max_bytes() {
-            return Err(LobError::OperationTooLarge {
-                len: bytes.len() as u64,
-            });
-        }
+        };
         let mut ctx = OpCtx::new();
-        self.insert_inner(db, &mut ctx, off, bytes)?;
+        self.insert_inner(db, &mut ctx, pos, bytes)?;
         ctx.finish(db);
         Ok(())
     }
 
     fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
-        check_range(self.tree.size(db), off, len)?;
         if len == 0 {
-            return Ok(());
+            return check_range(self.tree.size(db), off, 0).map(drop);
         }
+        let mut pos = self.tree.descend_checked(db, off, len)?;
         let mut ctx = OpCtx::new();
         let del_end = off + len;
+        let gone = || LobError::InvariantViolated(format!("delete at {off} lost a segment"));
 
-        // Survey the affected segments at their pre-delete offsets:
-        // fully covered segments are freed outright (no data I/O); at
-        // most two boundary segments survive partially.
-        let mut whole: Vec<Entry> = Vec::new();
-        // (entry, original leaf_start, kept prefix p, cut end q):
-        // bytes [p, q) of the segment are deleted.
-        let mut partials: Vec<(Entry, u64, u64, u64)> = Vec::new();
-        let mut cursor = off;
-        while cursor < del_end {
-            let pos = self.tree.try_descend(db, cursor)?;
+        // Survey the affected segments, left to right: fully covered
+        // segments are freed outright (no data I/O); at most two boundary
+        // segments survive partially, each losing its bytes from its
+        // `off_in_leaf` to `q`.
+        let mut whole: Vec<LeafPos> = Vec::new();
+        let mut partials: Vec<(LeafPos, u64)> = Vec::new();
+        let to_the_end = loop {
             let seg_end = pos.leaf_end();
+            let next = if seg_end < del_end {
+                Some(self.tree.next(db, &pos)?.ok_or_else(gone)?)
+            } else {
+                None
+            };
+            let is_last = pos.is_last();
             if pos.off_in_leaf == 0 && del_end >= seg_end {
-                whole.push(pos.entry);
+                whole.push(pos);
             } else {
                 let q = (del_end - pos.leaf_start).min(pos.entry.count);
-                partials.push((pos.entry, pos.leaf_start, pos.off_in_leaf, q));
+                partials.push((pos, q));
             }
-            cursor = seg_end;
-        }
-
-        // Phase 1: drop the fully covered segments. They all sit at the
-        // same post-removal offset (right after the left partial, or at
-        // `off` if there is none).
-        // If there is a left-boundary partial (it contains `off` at p>0),
-        // the covered segments originally start right after it; otherwise
-        // `off` itself is a segment boundary.
-        let w_start = match partials.first() {
-            Some((e, start, p, _)) if *p > 0 => start + e.count,
-            _ => off,
+            match next {
+                Some(n) => pos = n,
+                None => break is_last,
+            }
         };
-        for e in &whole {
-            let pos = self.tree.try_descend(db, w_start)?;
-            assert_eq!(pos.entry.ptr, e.ptr, "covered segment mismatch");
+
+        // Phase 1: drop the fully covered segments, left to right.
+        let mut dropped = None;
+        for w in &whole {
+            let pos = match dropped.take() {
+                Some(prev) => self.tree.after(db, prev)?.ok_or_else(gone)?,
+                None => {
+                    self.tree.refresh(db, &w.path);
+                    w.clone()
+                }
+            };
             let mut hdr = self.tree.read_hdr(db);
-            self.free_seg(&mut ctx, &mut hdr, e);
+            self.free_seg(&mut ctx, &mut hdr, &w.entry);
             self.tree.write_hdr(db, &hdr);
-            self.tree.remove_entry(db, &mut ctx, &pos.path);
+            dropped = Some(
+                self.tree
+                    .splice(db, &mut ctx, &pos, &[w.entry], Vec::new())?,
+            );
         }
 
-        // Phase 2: rebuild the boundary region, letting the threshold
-        // rule coalesce the surviving pieces with their neighbours.
-        if !partials.is_empty() {
-            // A left partial (p > 0) keeps its original start; a lone
-            // right partial has shifted to `w_start` now that the covered
-            // segments before it are gone.
-            let anchor = if partials[0].2 > 0 {
-                partials[0].1
+        if let Some((left, _)) = partials.first() {
+            // Phase 2: rebuild the boundary region, letting the threshold
+            // rule coalesce the surviving pieces with their neighbours. A
+            // left partial (p > 0) keeps its start; a lone right partial has
+            // moved to where the dropped run began.
+            let anchor = if left.off_in_leaf > 0 {
+                left.leaf_start
             } else {
-                w_start
+                off
             };
             let mut old = Vec::with_capacity(4);
             let mut sources = Vec::with_capacity(6);
@@ -588,7 +587,8 @@ impl LargeObject for EosObject {
                 sources.push(Src::Seg(ln.entry));
             }
             let mut kept_after = anchor;
-            for &(e, _, p, q) in &partials {
+            for &(ref pos, q) in &partials {
+                let (e, p) = (pos.entry, pos.off_in_leaf);
                 old.push(e);
                 if p > 0 {
                     sources.push(Src::Prefix { ptr: e.ptr, len: p });
@@ -601,10 +601,9 @@ impl LargeObject for EosObject {
                     });
                 }
                 parents.push(e);
-                kept_after += e.count; // counts not yet reduced in tree
+                kept_after += e.count; // counts not yet reduced in the tree
             }
-            let total = self.tree.total(db);
-            if kept_after < total {
+            if !to_the_end {
                 let rn = self.tree.try_descend(db, kept_after)?;
                 old.push(rn.entry);
                 sources.push(Src::Seg(rn.entry));
@@ -624,9 +623,8 @@ impl LargeObject for EosObject {
     }
 
     fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        check_range(self.tree.size(db), off, bytes.len() as u64)?;
         if bytes.is_empty() {
-            return Ok(());
+            return check_range(self.tree.size(db), off, 0).map(drop);
         }
         let mut ctx = OpCtx::new();
         self.tree
@@ -816,6 +814,24 @@ mod tests {
         let again = EosObject::open(&mut db, obj.root_page()).unwrap();
         assert_eq!(again.threshold_pages(), 16);
         assert_eq!(again.max_seg_pages, 8192);
+    }
+
+    #[test]
+    fn create_rejects_parameters_out_of_range() {
+        let mut db = db();
+        let too_big = db.max_segment_pages() + 1;
+        for (threshold_pages, max_seg_pages) in [(0, 64), (4, 0), (4, too_big)] {
+            let params = EosParams {
+                threshold_pages,
+                max_seg_pages,
+            };
+            let got = EosObject::create(&mut db, params);
+            assert!(
+                matches!(got, Err(LobError::InvalidArgument(_))),
+                "{params:?}: {got:?}"
+            );
+        }
+        assert_eq!(db.meta_pages_allocated(), 0, "no root was allocated");
     }
 
     #[test]

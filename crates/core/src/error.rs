@@ -17,7 +17,11 @@ pub enum LobError {
         /// Requested length.
         len: u64,
     },
-    /// A page failed structural validation (bad magic, impossible counts).
+    /// A caller asked for something no store can do: parameters out of
+    /// range, a name too long or already taken. Nothing was changed.
+    InvalidArgument(String),
+    /// A page failed structural validation (bad magic, impossible counts):
+    /// damage, never a caller mistake.
     Corrupt(String),
     /// An internal invariant was violated (returned by `check_invariants`).
     InvariantViolated(String),
@@ -33,6 +37,7 @@ impl std::fmt::Display for LobError {
             LobError::OperationTooLarge { len } => {
                 write!(f, "operation of {len} bytes exceeds the per-op limit")
             }
+            LobError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             LobError::Corrupt(msg) => write!(f, "corrupt storage structure: {msg}"),
             LobError::InvariantViolated(msg) => write!(f, "invariant violated: {msg}"),
         }
@@ -62,5 +67,9 @@ mod tests {
         assert!(LobError::Corrupt("x".into())
             .to_string()
             .contains("corrupt"));
+        assert_eq!(
+            LobError::InvalidArgument("x".into()).to_string(),
+            "invalid argument: x"
+        );
     }
 }

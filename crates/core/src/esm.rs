@@ -20,6 +20,12 @@
 //! Updates that overwrite useful bytes shadow the whole leaf (allocate a
 //! new segment, write it, free the old one); pure appends go in place
 //! (§3.3). Only pages actually holding bytes are ever transferred.
+//!
+//! Each update descends the count tree once, from the offset it names
+//! (a delete once more, to the leaf before its start, after the first
+//! rebalance), and reaches neighbours and rewrites leaf runs along the
+//! search path ([`PosTree::prev`], [`PosTree::next`],
+//! [`PosTree::splice`]).
 
 use lobstore_buddy::Extent;
 use lobstore_simdisk::{cast, AreaId, PAGE_SIZE_U64};
@@ -82,7 +88,7 @@ impl EsmObject {
     /// Create a new, empty ESM object.
     pub fn create(db: &mut Db, params: EsmParams) -> Result<Self> {
         if params.leaf_pages == 0 || params.leaf_pages > db.max_segment_pages() {
-            return Err(LobError::Corrupt(format!(
+            return Err(LobError::InvalidArgument(format!(
                 "leaf size {} pages out of range",
                 params.leaf_pages
             )));
@@ -150,6 +156,19 @@ impl EsmObject {
         }
     }
 
+    /// Write `buf` into fresh leaves of `sizes` bytes each, left to right.
+    fn new_leaves(&self, db: &mut Db, buf: &[u8], sizes: &[u64]) -> Vec<Entry> {
+        let mut rest = buf;
+        let mut out = Vec::with_capacity(sizes.len());
+        for &s in sizes {
+            let (piece, tail) = rest.split_at(cast::to_usize(s));
+            out.push(self.new_leaf(db, piece));
+            rest = tail;
+        }
+        debug_assert!(rest.is_empty());
+        out
+    }
+
     /// The bytes of the leaf at `pos` with `bytes` inserted at its offset.
     fn leaf_with(&self, db: &Db, pos: &LeafPos, bytes: &[u8]) -> Vec<u8> {
         let mut content = read_segs(db, &[pos.entry], bytes.len() as u64);
@@ -170,8 +189,7 @@ impl EsmObject {
         // Participants, leftmost first: the left neighbour if it has free
         // space, then the rightmost leaf.
         let mut parts: Vec<LeafPos> = Vec::with_capacity(2);
-        if pos.leaf_start > 0 {
-            let ln = self.tree.try_descend(db, pos.leaf_start - 1)?;
+        if let Some(ln) = self.tree.prev(db, &pos)? {
             if ln.entry.count < cap {
                 parts.push(ln);
             }
@@ -191,47 +209,25 @@ impl EsmObject {
         let rewritten: Vec<Entry> = parts[skip..].iter().map(|p| p.entry).collect();
         let mut buf = read_segs(db, &rewritten, bytes.len() as u64);
         buf.extend_from_slice(bytes);
-
-        let mut new_entries = Vec::with_capacity(sizes.len() - skip);
-        let mut off = 0usize;
-        for &s in &sizes[skip..] {
-            let s = cast::to_usize(s);
-            new_entries.push(self.new_leaf(db, &buf[off..off + s]));
-            off += s;
-        }
-        debug_assert_eq!(off, buf.len());
+        let new_entries = self.new_leaves(db, &buf, &sizes[skip..]);
 
         for p in &parts[skip..] {
             ctx.free_extent_later(self.leaf_extent(p.entry.ptr));
         }
 
-        match parts.len() - skip {
-            0 => {
+        match parts.get(skip) {
+            Some(first) => self.tree.splice(db, ctx, first, &rewritten, new_entries)?,
+            None => {
                 // Everything kept; the new leaves follow the rightmost one.
-                let last = match parts.last() {
-                    Some(p) => p,
-                    None => unreachable!("parts always includes the rightmost leaf"),
+                let Some(last) = parts.last() else {
+                    unreachable!("parts always includes the rightmost leaf");
                 };
                 let mut repl = Vec::with_capacity(1 + new_entries.len());
                 repl.push(last.entry);
                 repl.extend(new_entries);
-                self.tree.replace_entry(db, ctx, &last.path, repl);
+                self.tree.splice(db, ctx, last, &[last.entry], repl)?
             }
-            1 => {
-                let target = &parts[skip];
-                self.tree.replace_entry(db, ctx, &target.path, new_entries);
-            }
-            2 => {
-                // Both the neighbour and the rightmost leaf were rewritten:
-                // remove the neighbour's entry, re-find the rightmost leaf
-                // (offsets shifted), and replace it with the new entries.
-                self.tree.remove_entry(db, ctx, &parts[0].path);
-                let again = self.tree.try_descend(db, parts[0].leaf_start)?;
-                debug_assert_eq!(again.entry.ptr, parts[1].entry.ptr);
-                self.tree.replace_entry(db, ctx, &again.path, new_entries);
-            }
-            _ => unreachable!("at most two participants"),
-        }
+        };
         Ok(())
     }
 
@@ -266,47 +262,28 @@ impl EsmObject {
         }
     }
 
-    /// If the leaf at `at` is under half full (and not alone), merge with
+    /// If the leaf at `pos` is under half full (and not alone), merge with
     /// or borrow from a neighbour.
-    fn fix_underflow(&self, db: &mut Db, ctx: &mut OpCtx, at: u64) -> Result<()> {
+    fn fix_underflow(&self, db: &mut Db, ctx: &mut OpCtx, pos: LeafPos) -> Result<()> {
         let cap = self.cap();
-        let Some(pos) = self.tree.descend(db, at) else {
-            return Ok(());
-        };
         if pos.entry.count * 2 >= cap {
             return Ok(());
         }
         // Prefer the left neighbour.
-        let (left, right) = if pos.leaf_start > 0 {
-            let ln = self.tree.try_descend(db, pos.leaf_start - 1)?;
-            (ln, pos)
-        } else {
-            let total = self.tree.size(db);
-            if pos.leaf_end() >= total {
-                return Ok(()); // only leaf in the object
-            }
-            let rn = self.tree.try_descend(db, pos.leaf_end())?;
-            (pos, rn)
+        let (left, right) = match self.tree.prev(db, &pos)? {
+            Some(ln) => (ln, pos),
+            None => match self.tree.next(db, &pos)? {
+                Some(rn) => (pos, rn),
+                None => return Ok(()), // only leaf in the object
+            },
         };
+        // Merged into one leaf, or split evenly over two.
         let buf = read_segs(db, &[left.entry, right.entry], 0);
-        let total = buf.len() as u64;
-        let new_entries: Vec<Entry> = if total <= cap {
-            vec![self.new_leaf(db, &buf)]
-        } else {
-            let sizes = even_sizes(total, cap);
-            debug_assert_eq!(sizes.len(), 2);
-            let split = cast::to_usize(sizes[0]);
-            vec![
-                self.new_leaf(db, &buf[..split]),
-                self.new_leaf(db, &buf[split..]),
-            ]
-        };
+        let new_entries = self.new_leaves(db, &buf, &even_sizes(buf.len() as u64, cap));
         ctx.free_extent_later(self.leaf_extent(left.entry.ptr));
         ctx.free_extent_later(self.leaf_extent(right.entry.ptr));
-        self.tree.remove_entry(db, ctx, &left.path);
-        let again = self.tree.try_descend(db, left.leaf_start)?;
-        debug_assert_eq!(again.entry.ptr, right.entry.ptr);
-        self.tree.replace_entry(db, ctx, &again.path, new_entries);
+        let run = [left.entry, right.entry];
+        self.tree.splice(db, ctx, &left, &run, new_entries)?;
         Ok(())
     }
 
@@ -321,33 +298,30 @@ impl EsmObject {
         piece.copy_from_slice(&whole[s..s + piece.len()]);
     }
 
-    fn insert_inner(&mut self, db: &mut Db, ctx: &mut OpCtx, off: u64, bytes: &[u8]) -> Result<()> {
+    /// Insert `bytes` at `pos`, which is not the object's end.
+    fn insert_inner(
+        &mut self,
+        db: &mut Db,
+        ctx: &mut OpCtx,
+        pos: LeafPos,
+        bytes: &[u8],
+    ) -> Result<()> {
         let cap = self.cap();
         let len = bytes.len() as u64;
-        let pos = self.tree.try_descend(db, off)?;
         let p = cast::to_usize(pos.off_in_leaf);
 
         if pos.entry.count + len <= cap {
             // Fits in the target leaf: rewrite it.
             let content = self.leaf_with(db, &pos, bytes);
             let e = self.rewrite_leaf(db, ctx, &pos, &content, pos.off_in_leaf);
-            self.tree.replace_entry(db, ctx, &pos.path, vec![e]);
+            self.tree.splice(db, ctx, &pos, &[pos.entry], vec![e])?;
             return Ok(());
         }
 
         if self.insert_algo == EsmInsertAlgo::Improved {
             // Try to avoid a new leaf by redistributing with one neighbour.
-            let size = self.tree.size(db);
-            let left = if pos.leaf_start > 0 {
-                Some(self.tree.try_descend(db, pos.leaf_start - 1)?)
-            } else {
-                None
-            };
-            let right = if pos.leaf_end() < size {
-                Some(self.tree.try_descend(db, pos.leaf_end())?)
-            } else {
-                None
-            };
+            let left = self.tree.prev(db, &pos)?;
+            let right = self.tree.next(db, &pos)?;
             let fits = |n: &LeafPos| n.entry.count + pos.entry.count + len <= 2 * cap;
             let neighbour = match (left, right) {
                 (Some(l), _) if fits(&l) => Some((l, true)),
@@ -361,19 +335,14 @@ impl EsmObject {
                 } else {
                     (&pos, &n, p)
                 };
+                // Split evenly over two leaves (the stream outgrew one).
                 let mut buf = read_segs(db, &[first.entry, second.entry], len);
                 insert_bytes(&mut buf, at, bytes);
-                let total = buf.len() as u64;
-                let split = cast::to_usize(total.div_ceil(2));
-                let entries = vec![
-                    self.new_leaf(db, &buf[..split]),
-                    self.new_leaf(db, &buf[split..]),
-                ];
+                let entries = self.new_leaves(db, &buf, &even_sizes(buf.len() as u64, cap));
                 ctx.free_extent_later(self.leaf_extent(pos.entry.ptr));
                 ctx.free_extent_later(self.leaf_extent(n.entry.ptr));
-                self.tree.remove_entry(db, ctx, &first.path);
-                let again = self.tree.try_descend(db, first.leaf_start)?;
-                self.tree.replace_entry(db, ctx, &again.path, entries);
+                let run = [first.entry, second.entry];
+                self.tree.splice(db, ctx, first, &run, entries)?;
                 return Ok(());
             }
         }
@@ -381,16 +350,9 @@ impl EsmObject {
         // Split: distribute the leaf plus the new bytes evenly over
         // ceil(total/cap) leaves.
         let buf = self.leaf_with(db, &pos, bytes);
-        let sizes = even_sizes(buf.len() as u64, cap);
-        let mut entries = Vec::with_capacity(sizes.len());
-        let mut o = 0usize;
-        for &s in &sizes {
-            let s = cast::to_usize(s);
-            entries.push(self.new_leaf(db, &buf[o..o + s]));
-            o += s;
-        }
+        let entries = self.new_leaves(db, &buf, &even_sizes(buf.len() as u64, cap));
         ctx.free_extent_later(self.leaf_extent(pos.entry.ptr));
-        self.tree.replace_entry(db, ctx, &pos.path, entries);
+        self.tree.splice(db, ctx, &pos, &[pos.entry], entries)?;
         Ok(())
     }
 }
@@ -458,52 +420,73 @@ impl LargeObject for EsmObject {
     }
 
     fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        let size = check_range(self.tree.size(db), off, 0)?;
         if bytes.is_empty() {
-            return Ok(());
+            return check_range(self.tree.size(db), off, 0).map(drop);
         }
-        if off == size {
+        let len = bytes.len() as u64;
+        let Some(pos) = self
+            .tree
+            .descend_insert(db, off, || check_op_len(len).map(drop))?
+        else {
             return self.append(db, bytes);
-        }
-        check_op_len(bytes.len() as u64)?;
+        };
         let mut ctx = OpCtx::new();
-        self.insert_inner(db, &mut ctx, off, bytes)?;
-        self.tree.bump_size(db, bytes.len() as i64);
+        self.insert_inner(db, &mut ctx, pos, bytes)?;
+        self.tree.bump_size(db, len as i64);
         ctx.finish(db);
         Ok(())
     }
 
     fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
-        check_range(self.tree.size(db), off, len)?;
         if len == 0 {
-            return Ok(());
+            return check_range(self.tree.size(db), off, 0).map(drop);
         }
+        let mut pos = self.tree.descend_checked(db, off, len)?;
         let mut ctx = OpCtx::new();
         let mut remaining = len;
-        while remaining > 0 {
-            let pos = self.tree.try_descend(db, off)?;
+        let (last, keeps_tail) = loop {
             let del = (pos.leaf_end() - off).min(remaining);
-            if del == pos.entry.count {
+            // `off_in_leaf + del` is at most the leaf's byte count.
+            // loblint: allow(arith-overflow)
+            let keeps_tail = pos.off_in_leaf + del < pos.entry.count;
+            let spliced = if del == pos.entry.count {
                 // The whole leaf goes: no data I/O at all.
                 ctx.free_extent_later(self.leaf_extent(pos.entry.ptr));
-                self.tree.remove_entry(db, &mut ctx, &pos.path);
+                self.tree
+                    .splice(db, &mut ctx, &pos, &[pos.entry], Vec::new())?
             } else {
                 let mut content = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
                 let s = cast::to_usize(pos.off_in_leaf);
                 content.drain(s..s + cast::to_usize(del));
                 let e = self.rewrite_leaf(db, &mut ctx, &pos, &content, pos.off_in_leaf);
-                self.tree.replace_entry(db, &mut ctx, &pos.path, vec![e]);
-            }
+                self.tree
+                    .splice(db, &mut ctx, &pos, &[pos.entry], vec![e])?
+            };
             remaining -= del;
-        }
-        // Both deletion boundaries may have left an under-half leaf.
+            if remaining == 0 {
+                break (spliced, keeps_tail);
+            }
+            pos = self.tree.after(db, spliced)?.ok_or_else(|| {
+                LobError::InvariantViolated(format!("delete at {off} ran off the end"))
+            })?;
+        };
         self.tree.bump_size(db, -(len as i64));
-        let total = self.tree.size(db);
-        if total > 0 {
-            self.fix_underflow(db, &mut ctx, off.min(total - 1))?;
+        // Both deletion boundaries may have left an under-half leaf: the
+        // leaf now holding `off` (the last one when the tail went) and the
+        // leaf before it.
+        let at_off = if keeps_tail {
+            Some(self.tree.first(db, &last)?)
+        } else {
+            match self.tree.after(db, last)? {
+                None => self.tree.rightmost(db),
+                found => found,
+            }
+        };
+        if let Some(pos) = at_off {
+            self.fix_underflow(db, &mut ctx, pos)?;
             if off > 0 {
-                let total = self.tree.size(db);
-                self.fix_underflow(db, &mut ctx, (off - 1).min(total - 1))?;
+                let pos = self.tree.try_descend(db, off - 1)?;
+                self.fix_underflow(db, &mut ctx, pos)?;
             }
         }
         ctx.finish(db);
@@ -511,9 +494,8 @@ impl LargeObject for EsmObject {
     }
 
     fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        check_range(self.tree.size(db), off, bytes.len() as u64)?;
         if bytes.is_empty() {
-            return Ok(());
+            return check_range(self.tree.size(db), off, 0).map(drop);
         }
         let mut ctx = OpCtx::new();
         self.tree
@@ -610,6 +592,20 @@ mod tests {
             EsmObject::open(&mut db, page),
             Err(LobError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn create_rejects_a_leaf_size_out_of_range() {
+        let mut db = db();
+        let too_big = db.max_segment_pages() + 1;
+        for leaf_pages in [0, too_big] {
+            let got = EsmObject::create(&mut db, EsmParams { leaf_pages });
+            assert!(
+                matches!(got, Err(LobError::InvalidArgument(_))),
+                "{leaf_pages}: {got:?}"
+            );
+        }
+        assert_eq!(db.meta_pages_allocated(), 0, "no root was allocated");
     }
 
     #[test]

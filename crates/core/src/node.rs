@@ -187,11 +187,6 @@ impl<'a> NodeView<'a> {
         self.pairs.chunks_exact(8).map(decode_pair)
     }
 
-    /// Total bytes under this node.
-    pub fn total(&self) -> u64 {
-        self.iter().map(|e| e.count).sum()
-    }
-
     /// [`find_child`] over the page's pairs.
     pub fn find_child(&self, off: u64) -> (usize, u64, Entry) {
         find_child(self.iter(), off)
@@ -554,7 +549,7 @@ mod tests {
         assert_eq!(view.level, node.level);
         assert_eq!(view.is_empty(), node.entries.is_empty());
         assert!(view.iter().eq(node.entries.iter().copied()));
-        assert_eq!(view.total(), node.total());
+        assert_eq!(view.iter().map(|e| e.count).sum::<u64>(), node.total());
         assert_eq!(&view.to_node(), node);
 
         // 0, every entry boundary ± 1, the append position and one past it.
@@ -742,7 +737,7 @@ mod tests {
         let mut page = [0u8; PAGE_SIZE];
         put_u16(&mut page, 0, (NODE_MAX_ENTRIES + 1) as u16);
         assert_eq!(
-            outcome(|| NodeView::of_page(&page).total()),
+            outcome(|| NodeView::of_page(&page).len()),
             Err("corrupt node: 512 entries".to_string())
         );
         assert_eq!(
@@ -752,7 +747,7 @@ mod tests {
         let mut hdr = RootHdr::read(&page);
         hdr.n_entries = (ROOT_MAX_ENTRIES + 1) as u16;
         assert_eq!(
-            outcome(|| NodeView::of_root(&page, &hdr).total()),
+            outcome(|| NodeView::of_root(&page, &hdr).len()),
             Err("corrupt root: 508 entries".to_string())
         );
     }

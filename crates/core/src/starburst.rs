@@ -72,7 +72,7 @@ impl StarburstObject {
     /// Create a new, empty Starburst long field.
     pub fn create(db: &mut Db, params: StarburstParams) -> Result<Self> {
         if params.max_seg_pages == 0 || params.max_seg_pages > db.max_segment_pages() {
-            return Err(LobError::Corrupt(format!(
+            return Err(LobError::InvalidArgument(format!(
                 "max segment of {} pages out of range",
                 params.max_seg_pages
             )));
@@ -755,6 +755,24 @@ mod tests {
             assert_eq!(new.4, old.4, "leaf pages allocated, {ctx}");
             assert!(new.5 == old.5, "object bytes, {ctx}");
         }
+    }
+
+    #[test]
+    fn create_rejects_a_maximum_segment_out_of_range() {
+        let mut db = Db::paper_default();
+        let too_big = db.max_segment_pages() + 1;
+        for max_seg_pages in [0, too_big] {
+            let params = StarburstParams {
+                max_seg_pages,
+                known_size: false,
+            };
+            let got = StarburstObject::create(&mut db, params);
+            assert!(
+                matches!(got, Err(LobError::InvalidArgument(_))),
+                "{max_seg_pages}: {got:?}"
+            );
+        }
+        assert_eq!(db.meta_pages_allocated(), 0, "no root was allocated");
     }
 
     #[test]

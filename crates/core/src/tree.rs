@@ -15,6 +15,19 @@
 //! All index pages live in the META area. Every modified non-root node is
 //! shadowed through the operation's [`OpCtx`] (§3.3); the root is updated
 //! in place and left to the buffer pool.
+//!
+//! A manager descends once, from the offset its operation names; from
+//! there it moves along the search path. [`PosTree::next`] and
+//! [`PosTree::prev`] climb the path to the nearest ancestor with an entry
+//! on that side and walk down from it, searching no pairs on the way.
+//! [`PosTree::splice`] replaces a run of adjacent leaf entries one edit
+//! at a time, each on the path the edit before it left: a path whose
+//! every level was edited in place stays valid with its pages mapped to
+//! the operation's shadow copies; after a split, merge, borrow or height
+//! change the splice descends again. Every walk fixes the pages a
+//! descent to its target would, in the same order
+//! ([`PosTree::refresh`]): the pool evicts by recency, so the walks leave
+//! every miss, eviction and disk access where the descents put them.
 
 use std::convert::Infallible;
 use std::ops::Range;
@@ -32,12 +45,14 @@ use crate::object::{check_range, SegSpan, SegmentInfo, Utilization};
 use crate::segdata::{patch_in_place, peek_segs, read_seg_bytes};
 use crate::shadow::OpCtx;
 
-/// One step of a root-to-leaf search path: the node's page and the entry
-/// index taken in it. `path[0]` is always the root.
+/// One step of a root-to-leaf search path: the node's page, the entry
+/// index taken in it and the node's pair count, read under the fix that
+/// took the step. `path[0]` is always the root.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct PathStep {
     pub page: u32,
     pub idx: usize,
+    pub len: usize,
 }
 
 /// Result of a byte-offset search.
@@ -61,6 +76,37 @@ impl LeafPos {
     pub fn leaf_end(&self) -> u64 {
         self.leaf_start + self.entry.count
     }
+
+    /// The start of leaf `entry`, reached by `path`, at object offset
+    /// `leaf_start`.
+    fn at_start(path: Vec<PathStep>, entry: Entry, leaf_start: u64) -> Self {
+        LeafPos {
+            path,
+            entry,
+            off_in_leaf: 0,
+            leaf_start,
+        }
+    }
+
+    /// Whether this is the object's last leaf, read off the path.
+    pub fn is_last(&self) -> bool {
+        self.path.iter().all(|s| s.idx + 1 == s.len)
+    }
+}
+
+/// Where a [`PosTree::splice`] left the tree. Nothing is fixed until a
+/// position is asked for: [`PosTree::first`] or [`PosTree::after`].
+#[derive(Debug)]
+pub(crate) struct Spliced {
+    /// Object offset at which the replacements start.
+    start: u64,
+    /// The first replacement, if any.
+    first: Option<Entry>,
+    /// How many replacements there are, and their bytes.
+    put: (usize, u64),
+    /// Search path to the first replacement's slot, kept when every level
+    /// of the last edit was made in place; `None` after a restructure.
+    path: Option<Vec<PathStep>>,
 }
 
 /// Handle to one object's count tree, anchored at its root page.
@@ -125,6 +171,16 @@ impl PosTree {
         db.with_new_meta_page(page, |p| node.write_page(p));
     }
 
+    /// Fix index page `page` and run `f` on its pair array, in the root's
+    /// layout if it is the root.
+    fn view<R>(&self, db: &Db, page: u32, f: impl FnOnce(NodeView<'_>) -> R) -> R {
+        if page == self.root_page {
+            db.with_meta_root(page, |_, v| f(v))
+        } else {
+            db.with_meta_node(page, f)
+        }
+    }
+
     /// One level of an update on index page `page` (in the root's layout
     /// if it is the root). A read fix learns the node's level and the pair
     /// count `edit` would leave and asks `plain`; if it says yes, a write
@@ -138,18 +194,13 @@ impl PosTree {
         edit: &Edit,
         plain: impl FnOnce(usize, u8) -> bool,
     ) -> Level {
-        let root = page == self.root_page;
-        let choose =
-            |v: NodeView<'_>| (!plain(edit.len_after(v.len()), v.level)).then(|| v.to_node());
-        let decoded = if root {
-            db.with_meta_root(page, |_, v| choose(v))
-        } else {
-            db.with_meta_node(page, choose)
-        };
+        let decoded = self.view(db, page, |v| {
+            (!plain(edit.len_after(v.len()), v.level)).then(|| v.to_node())
+        });
         match decoded {
             Some(node) => Level::Decoded(node),
             None => Level::Edited(db.with_meta_page_mut(page, |p| {
-                edit.make(if root {
+                edit.make(if page == self.root_page {
                     NodeMut::of_root(p)
                 } else {
                     NodeMut::of_page(p)
@@ -166,7 +217,7 @@ impl PosTree {
     /// # Panics
     /// If `off` exceeds the stored object size.
     pub fn descend(&self, db: &mut Db, off: u64) -> Option<LeafPos> {
-        let Ok(pos) = self.descend_gated(db, off, |_| Ok::<(), Infallible>(()));
+        let Ok(pos) = self.descend_gated(db, |_, _| Ok::<_, Infallible>(Some(off)));
         pos
     }
 
@@ -176,41 +227,73 @@ impl PosTree {
     /// [`LobError::OutOfRange`] after that one fix and descends no
     /// further.
     pub fn descend_checked(&self, db: &mut Db, off: u64, len: u64) -> Result<LeafPos> {
-        self.descend_gated(db, off, |hdr| check_range(hdr.size, off, len).map(drop))?
-            .ok_or_else(|| self.no_leaf(off))
+        self.descend_gated(db, |hdr, _| {
+            check_range(hdr.size, off, len).map(|_| Some(off))
+        })?
+        .ok_or_else(|| self.no_leaf(off))
     }
 
-    /// The one descent: `gate` sees the root header under the root's fix
-    /// and may refuse the walk before any pair is searched.
-    fn descend_gated<E>(
+    /// The leaf holding byte `off`, where an insert puts its bytes,
+    /// checked under the descent's root fix: `off` must lie in
+    /// `[0, size]`, then `check` must pass. `None` when `off` is the
+    /// object size: the insert is an append, and the descent stops at the
+    /// root.
+    pub fn descend_insert(
         &self,
         db: &mut Db,
         off: u64,
-        gate: impl FnOnce(&RootHdr) -> std::result::Result<(), E>,
+        check: impl FnOnce() -> Result<()>,
+    ) -> Result<Option<LeafPos>> {
+        self.descend_gated(db, |hdr, _| {
+            if check_range(hdr.size, off, 0)? == off {
+                return Ok(None);
+            }
+            check().map(|()| Some(off))
+        })
+    }
+
+    /// The rightmost leaf at its end (`off_in_leaf` is its byte count), if
+    /// any: a descent to the root's byte total, taken under the root's
+    /// fix. Uses the tree's entries, not the header size, which may lag
+    /// within an operation.
+    pub fn rightmost(&self, db: &mut Db) -> Option<LeafPos> {
+        let Ok(pos) = self.descend_gated(db, |_, v| {
+            Ok::<_, Infallible>(Some(v.iter().map(|e| e.count).sum()))
+        });
+        pos
+    }
+
+    /// The one descent: `gate` sees the root header and pairs under the
+    /// root's fix and names the offset to descend to; `Ok(None)` ends the
+    /// walk there and `Err` refuses it, before any pair is searched.
+    fn descend_gated<E>(
+        &self,
+        db: &mut Db,
+        gate: impl FnOnce(&RootHdr, &NodeView<'_>) -> std::result::Result<Option<u64>, E>,
     ) -> std::result::Result<Option<LeafPos>, E> {
         // Each step searches the fixed page's pair array in place.
         let step_in = |node: NodeView<'_>, rem: u64| {
             let (idx, within, entry) = node.find_child(rem);
-            (idx, within, entry, node.level)
+            (idx, node.len(), within, entry, node.level)
         };
-        let mut rem = off;
         let first = db.with_meta_root(self.root_page, |hdr, node| {
-            gate(hdr)?;
-            Ok((!node.is_empty()).then(|| step_in(node, rem)))
+            let off = gate(hdr, &node)?.filter(|_| !node.is_empty());
+            Ok(off.map(|off| (off, step_in(node, off))))
         })?;
-        let Some((mut idx, mut within, mut entry, mut level)) = first else {
+        let Some((off, (mut idx, mut len, mut within, mut entry, mut level))) = first else {
             return Ok(None);
         };
         let mut path = Vec::with_capacity(4);
         path.push(PathStep {
             page: self.root_page,
             idx,
+            len,
         });
         while level > 0 {
             let page = entry.ptr;
-            rem = within;
-            (idx, within, entry, level) = db.with_meta_node(page, |node| step_in(node, rem));
-            path.push(PathStep { page, idx });
+            let rem = within;
+            (idx, len, within, entry, level) = db.with_meta_node(page, |node| step_in(node, rem));
+            path.push(PathStep { page, idx, len });
         }
         metrics::TREE_DESCENTS.add(1);
         metrics::TREE_DESCEND_DEPTH.add(path.len() as u64);
@@ -237,17 +320,96 @@ impl PosTree {
         ))
     }
 
-    /// The rightmost leaf, if any. Uses the tree's actual entry total (not
-    /// the header size, which may lag behind within an operation).
-    pub fn rightmost(&self, db: &mut Db) -> Option<LeafPos> {
-        let total = self.total(db);
-        self.descend(db, total)
+    // ----- moving along the path ------------------------------------------
+
+    /// The leaf after `pos`'s, or `None` at the tree's right edge (no fix
+    /// then). Climbs `pos.path` to the nearest node with an entry to the
+    /// right of the step taken and walks down from there, with the fixes
+    /// of a descent to that leaf.
+    pub fn next(&self, db: &mut Db, pos: &LeafPos) -> Result<Option<LeafPos>> {
+        let found = self.slot(db, &pos.path, 1)?;
+        Ok(found.map(|(path, entry)| LeafPos::at_start(path, entry, pos.leaf_end())))
     }
 
-    /// Total bytes currently indexed (the root's entry-count sum, which
-    /// may differ from the header size in the middle of an operation).
-    pub fn total(&self, db: &mut Db) -> u64 {
-        db.with_meta_root(self.root_page, |_, node| node.total())
+    /// The leaf before `pos`'s (at its start), or `None` at the tree's
+    /// left edge; the mirror of [`Self::next`].
+    pub fn prev(&self, db: &mut Db, pos: &LeafPos) -> Result<Option<LeafPos>> {
+        let Some(d) = pos.path.iter().rposition(|s| s.idx > 0) else {
+            return Ok(None);
+        };
+        let (above, from) = pos.path.split_at(d);
+        let Some(&PathStep { page, idx, .. }) = from.first() else {
+            return Ok(None);
+        };
+        let (path, entry) = self.walk_down(db, above, page, idx - 1, false)?;
+        let start = pos.leaf_start.saturating_sub(entry.count);
+        Ok(Some(LeafPos::at_start(path, entry, start)))
+    }
+
+    /// The leaf entry `skip` places after the one `path` ends at (which
+    /// may lie past the end of its node): the first node up the path with
+    /// an entry that far right, then the leftmost entries below it. `None`
+    /// at the tree's right edge.
+    fn slot(
+        &self,
+        db: &mut Db,
+        path: &[PathStep],
+        skip: usize,
+    ) -> Result<Option<(Vec<PathStep>, Entry)>> {
+        let last = path.len().saturating_sub(1);
+        let found = path.iter().enumerate().rev().find_map(|(d, s)| {
+            let idx = s.idx + if d == last { skip } else { 1 };
+            (idx < s.len).then_some((d, s.page, idx))
+        });
+        let Some((d, page, idx)) = found else {
+            return Ok(None);
+        };
+        let above = path.get(..d).unwrap_or_default();
+        self.walk_down(db, above, page, idx, true).map(Some)
+    }
+
+    /// Fix the pages of `path`, root first, as a descent along it would,
+    /// and read nothing. The pool's replacement order is recency, so a
+    /// walk that skipped the pages above its common ancestor would age
+    /// them and change which page a later miss evicts; refreshing them
+    /// keeps every disk access where the descent put it.
+    pub fn refresh(&self, db: &Db, path: &[PathStep]) {
+        for step in path {
+            self.view(db, step.page, |_| ());
+        }
+    }
+
+    /// Refresh `above`, the steps over index page `page`, then walk down
+    /// to a leaf entry, one fix a node: entry `idx` of `page`, then the
+    /// first or last entry of every node below, as `leftmost` says.
+    fn walk_down(
+        &self,
+        db: &mut Db,
+        above: &[PathStep],
+        mut page: u32,
+        idx: usize,
+        leftmost: bool,
+    ) -> Result<(Vec<PathStep>, Entry)> {
+        self.refresh(db, above);
+        let mut path = above.to_vec();
+        let mut idx = Some(idx);
+        loop {
+            let (i, len, entry, level) = self.view(db, page, |v| {
+                let len = v.len();
+                let i = idx.unwrap_or(if leftmost { 0 } else { len.saturating_sub(1) });
+                (i, len, v.get(i), v.level)
+            });
+            let Some(entry) = entry else {
+                let msg = format!("index page {page} has no entry {i}");
+                return Err(LobError::InvariantViolated(msg));
+            };
+            path.push(PathStep { page, idx: i, len });
+            if level == 0 {
+                return Ok((path, entry));
+            }
+            page = entry.ptr;
+            idx = None;
+        }
     }
 
     // ----- localized updates ----------------------------------------------
@@ -273,23 +435,90 @@ impl PosTree {
         }
     }
 
-    /// Replace the leaf entry at the end of `path` with `repl` (one or
-    /// more entries), splitting ancestors as needed. Counts along the path
-    /// are recomputed automatically.
-    ///
-    /// The path is stale afterwards; re-descend before the next tree call.
-    pub fn replace_entry(&self, db: &mut Db, ctx: &mut OpCtx, path: &[PathStep], repl: Vec<Entry>) {
-        assert!(!repl.is_empty(), "use remove_entry to delete");
-        self.apply(db, ctx, path, repl);
+    /// Replace the run of adjacent leaf entries `old`, the first at
+    /// `first`, with `repl` (empty: remove the run). The edits are one
+    /// [`Self::apply`] per entry, left to right: every entry but the last
+    /// is removed, the last is replaced by `repl`. Each edit runs on the
+    /// path the one before it left — the same path with its pages mapped
+    /// to their shadow copies while every level was edited in place, a
+    /// fresh descent to the run's start after a split, merge, borrow or
+    /// height change. Before its edit each entry is checked against
+    /// `old`: a run that is not the one the caller names fails with
+    /// [`LobError::InvariantViolated`], the edits before it made.
+    pub fn splice(
+        &self,
+        db: &mut Db,
+        ctx: &mut OpCtx,
+        first: &LeafPos,
+        old: &[Entry],
+        repl: Vec<Entry>,
+    ) -> Result<Spliced> {
+        let start = first.leaf_start;
+        let mut at = Some((first.path.clone(), first.entry));
+        for (i, want) in old.iter().enumerate() {
+            let (mut path, entry) = match at.take() {
+                Some(found) => found,
+                None => {
+                    let pos = self.try_descend(db, start)?;
+                    (pos.path, pos.entry)
+                }
+            };
+            if entry.ptr != want.ptr {
+                return Err(LobError::InvariantViolated(format!(
+                    "splice at offset {start}: entry {i} of the run is page {}, not page {}",
+                    entry.ptr, want.ptr
+                )));
+            }
+            if i + 1 == old.len() {
+                let (first, put) = (repl.first().copied(), (repl.len(), entries_total(&repl)));
+                let plain = self.apply(db, ctx, &mut path, repl);
+                return Ok(Spliced {
+                    start,
+                    first,
+                    put,
+                    path: plain.then_some(path),
+                });
+            }
+            let plain = self.apply(db, ctx, &mut path, Vec::new());
+            if plain {
+                // The removed entry's slot now holds the next one.
+                let Some((path, entry)) = self.slot(db, &path, 0)? else {
+                    return Err(self.no_leaf(start));
+                };
+                at = Some((path, entry));
+            }
+        }
+        Err(LobError::InvariantViolated(format!(
+            "splice at offset {start} names no entry"
+        )))
     }
 
-    /// Remove the leaf entry at the end of `path`, rebalancing ancestors
-    /// (borrow from or merge with siblings) to keep non-root nodes at
-    /// least half full.
-    ///
-    /// The path is stale afterwards; re-descend before the next tree call.
-    pub fn remove_entry(&self, db: &mut Db, ctx: &mut OpCtx, path: &[PathStep]) {
-        self.apply(db, ctx, path, Vec::new());
+    /// The first replacement a [`Self::splice`] made, at its start, with
+    /// the fixes of a descent there.
+    pub fn first(&self, db: &mut Db, s: &Spliced) -> Result<LeafPos> {
+        match (&s.path, s.first) {
+            (Some(path), Some(entry)) => {
+                self.refresh(db, path);
+                Ok(LeafPos::at_start(path.clone(), entry, s.start))
+            }
+            _ => self.try_descend(db, s.start),
+        }
+    }
+
+    /// The leaf after a [`Self::splice`]'s replacements (after the removed
+    /// run when there were none), with the fixes of a descent to it;
+    /// `None` at the tree's end.
+    pub fn after(&self, db: &mut Db, s: Spliced) -> Result<Option<LeafPos>> {
+        let (n, bytes) = s.put;
+        // The replacements lie inside the object.
+        // loblint: allow(arith-overflow)
+        let end = s.start + bytes;
+        let Some(path) = s.path else {
+            let pos = self.descend(db, end);
+            return Ok(pos.filter(|p| p.off_in_leaf < p.entry.count));
+        };
+        let found = self.slot(db, &path, n)?;
+        Ok(found.map(|(path, entry)| LeafPos::at_start(path, entry, end)))
     }
 
     /// Append `entry` after the current rightmost leaf (or as the first
@@ -304,9 +533,8 @@ impl PosTree {
                 };
                 self.apply_at_root(db, ctx, first);
             }
-            Some(pos) => {
-                let old = pos.entry;
-                self.replace_entry(db, ctx, &pos.path, vec![old, entry]);
+            Some(mut pos) => {
+                self.apply(db, ctx, &mut pos.path, vec![pos.entry, entry]);
             }
         }
     }
@@ -323,32 +551,48 @@ impl PosTree {
     /// its parent a 1→1 rewrite: the parent's pair count plus this level's
     /// byte delta, and the shadow copy's page number. Only a split, merge,
     /// borrow, root grow or height shrink decodes a node into a [`Node`].
-    fn apply(&self, db: &mut Db, ctx: &mut OpCtx, path: &[PathStep], repl: Vec<Entry>) {
-        let Some(leaf_parent) = path.last() else {
+    ///
+    /// Returns whether every level was plain. Then `path` still addresses
+    /// the edited slot: its pages are the shadow copies the edit went to,
+    /// and its last node's pair count is the one the edit left.
+    fn apply(&self, db: &mut Db, ctx: &mut OpCtx, path: &mut [PathStep], repl: Vec<Entry>) -> bool {
+        let Some(&leaf_parent) = path.last() else {
             unreachable!("search paths always contain at least the root");
         };
+        let grown = repl.len();
         let mut edit = Edit::Splice {
             at: leaf_parent.idx,
             remove: 1,
             repl,
         };
+        let mut plain = true;
         for d in (1..path.len()).rev() {
             let step = path[d];
             let target = ctx.shadow_page(db, step.page);
             let (cap, min) = (self.node_cap(db), self.node_min(db));
             edit = match self.edit_level(db, target, &edit, |n, _| (min..=cap).contains(&n)) {
-                Level::Edited(delta) => Edit::Adjust {
-                    at: path[d - 1].idx,
-                    delta,
-                    ptr: (target != step.page).then_some(target),
-                },
+                Level::Edited(delta) => {
+                    if let Some(step) = path.get_mut(d) {
+                        step.page = target;
+                    }
+                    Edit::Adjust {
+                        at: path[d - 1].idx,
+                        delta,
+                        ptr: (target != step.page).then_some(target),
+                    }
+                }
                 Level::Decoded(mut node) => {
+                    plain = false;
                     edit.make_owned(&mut node.entries);
                     self.restructure(db, ctx, &path[..=d], target, node)
                 }
             };
         }
-        self.apply_at_root(db, ctx, edit);
+        plain &= self.apply_at_root(db, ctx, edit);
+        if let Some(lp) = path.last_mut() {
+            lp.len = (lp.len + grown).saturating_sub(1);
+        }
+        plain
     }
 
     /// The structural half of one [`Self::apply`] level: `node`, decoded
@@ -483,12 +727,13 @@ impl PosTree {
     /// Terminal step of [`Self::apply`] at the root: make `edit` in place
     /// if the root neither outgrows `root_cap` nor is left an interior
     /// root with one child; otherwise decode it, grow the tree on overflow
-    /// or shrink it while the root has a single child.
-    fn apply_at_root(&self, db: &mut Db, ctx: &mut OpCtx, edit: Edit) {
+    /// or shrink it while the root has a single child. Returns whether
+    /// the edit was made in place.
+    fn apply_at_root(&self, db: &mut Db, ctx: &mut OpCtx, edit: Edit) -> bool {
         let rcap = self.root_cap(db);
         let plain = |n: usize, level: u8| n <= rcap && !(level > 0 && n == 1);
         let Level::Decoded(mut node) = self.edit_level(db, self.root_page, &edit, plain) else {
-            return;
+            return true;
         };
         edit.make_owned(&mut node.entries);
         if node.entries.len() > rcap {
@@ -524,6 +769,7 @@ impl PosTree {
             node = child;
         }
         self.store_root(db, &node);
+        false
     }
 
     // ----- the object body ESM and EOS share -------------------------------
@@ -556,7 +802,7 @@ impl PosTree {
         db: &mut Db,
         off: u64,
         len: usize,
-        mut visit: impl FnMut(&mut Db, &LeafPos, Range<usize>),
+        mut visit: impl FnMut(&mut Db, &LeafPos, Range<usize>) -> Result<()>,
     ) -> Result<()> {
         if len == 0 {
             return check_range(self.size(db), off, 0).map(drop);
@@ -568,7 +814,7 @@ impl PosTree {
             // loblint: allow(arith-overflow)
             let at = off + done as u64;
             let take = cast::to_usize((pos.leaf_end() - at).min((len - done) as u64));
-            visit(db, &pos, done..done + take);
+            visit(db, &pos, done..done + take)?;
             done += take;
             if done == len {
                 return Ok(());
@@ -591,6 +837,7 @@ impl PosTree {
             // `for_each_leaf` hands out sub-ranges of `0..out.len()`.
             // loblint: allow(panic-path)
             fetch(db, pos, &mut out[r]);
+            Ok(())
         })
     }
 
@@ -630,11 +877,12 @@ impl PosTree {
         })
     }
 
-    /// Overwrite `[off, off + bytes.len())` (range-checked by the caller),
-    /// leaf by leaf. Under shadowing each touched leaf is read whole,
-    /// patched in memory and handed to `shadow_leaf`, which writes the new
-    /// copy, queues the old one for release and returns the replacement
-    /// entry; without shadowing the bytes are patched in place.
+    /// Overwrite `[off, off + bytes.len())` (`bytes` not empty), leaf by
+    /// leaf, range-checked under the first descent's root fix. Under
+    /// shadowing each touched leaf is read whole, patched in memory and
+    /// handed to `shadow_leaf`, which writes the new copy, queues the old
+    /// one for release and returns the replacement entry; without
+    /// shadowing the bytes are patched in place.
     pub fn replace_range(
         &self,
         db: &mut Db,
@@ -655,10 +903,11 @@ impl PosTree {
                 // loblint: allow(panic-path)
                 content[s..s + patch.len()].copy_from_slice(patch);
                 let e = shadow_leaf(db, ctx, pos, &content);
-                self.replace_entry(db, ctx, &pos.path, vec![e]);
+                self.splice(db, ctx, pos, &[pos.entry], vec![e])?;
             } else {
                 patch_in_place(db, pos.entry.ptr, pos.off_in_leaf, patch);
             }
+            Ok(())
         })
     }
 
@@ -911,6 +1160,11 @@ pub(crate) fn read_piece(db: &mut Db, pos: &LeafPos, piece: &mut [u8]) {
         .read_segment(AreaId::LEAF, pos.entry.ptr, pos.off_in_leaf, piece);
 }
 
+/// Bytes behind `entries`.
+fn entries_total(entries: &[Entry]) -> u64 {
+    entries.iter().map(|e| e.count).sum()
+}
+
 /// Depth-first leaf walk under `node`, preserving left-to-right order;
 /// `fetch` loads a child index page (costed through the pool for
 /// `destroy`, peeked for the cost-free inspections).
@@ -1072,14 +1326,15 @@ mod tests {
     }
 
     #[test]
-    fn replace_entry_with_many_splits_leaf_parent() {
+    fn splice_in_many_splits_leaf_parent() {
         let (mut db, tree) = setup(4);
         build(&mut db, &tree, 4, 10);
         // Replace leaf 1 with five new leaves: forces a split at fan-out 4.
         let pos = tree.descend(&mut db, 10).unwrap();
         let mut ctx = OpCtx::new();
         let repl: Vec<Entry> = (0..5).map(|i| e(2, 2000 + i)).collect();
-        tree.replace_entry(&mut db, &mut ctx, &pos.path, repl);
+        tree.splice(&mut db, &mut ctx, &pos, &[pos.entry], repl)
+            .unwrap();
         ctx.finish(&mut db);
         // Ten bytes out, five leaves of two in: the object size is unchanged.
         assert_eq!(tree.read_hdr(&mut db).size, 40);
@@ -1099,7 +1354,8 @@ mod tests {
         for remaining in (1..=20u64).rev() {
             let pos = tree.descend(&mut db, 0).unwrap();
             let mut ctx = OpCtx::new();
-            tree.remove_entry(&mut db, &mut ctx, &pos.path);
+            tree.splice(&mut db, &mut ctx, &pos, &[pos.entry], Vec::new())
+                .unwrap();
             let mut hdr = tree.read_hdr(&mut db);
             hdr.size -= 10;
             tree.write_hdr(&mut db, &hdr);
@@ -1144,7 +1400,8 @@ mod tests {
                     let pos = tree.descend(&mut db, off).unwrap();
                     assert_eq!(pos.entry.ptr, model[i].1, "model desync at step {step}");
                     let old = pos.entry;
-                    tree.replace_entry(&mut db, &mut ctx, &pos.path, vec![old, e(count, ptr)]);
+                    let repl = vec![old, e(count, ptr)];
+                    tree.splice(&mut db, &mut ctx, &pos, &[old], repl).unwrap();
                     model.insert(i + 1, (count, ptr));
                 }
                 let mut hdr = tree.read_hdr(&mut db);
@@ -1155,7 +1412,8 @@ mod tests {
                 let off: u64 = model[..i].iter().map(|x| x.0).sum();
                 let pos = tree.descend(&mut db, off).unwrap();
                 assert_eq!(pos.entry.ptr, model[i].1);
-                tree.remove_entry(&mut db, &mut ctx, &pos.path);
+                tree.splice(&mut db, &mut ctx, &pos, &[pos.entry], Vec::new())
+                    .unwrap();
                 let removed = model.remove(i).0;
                 let mut hdr = tree.read_hdr(&mut db);
                 hdr.size = total - removed;
@@ -1177,7 +1435,8 @@ mod tests {
         for _ in 0..50 {
             let pos = tree.descend(&mut db, 0).unwrap();
             let mut ctx = OpCtx::new();
-            tree.remove_entry(&mut db, &mut ctx, &pos.path);
+            tree.splice(&mut db, &mut ctx, &pos, &[pos.entry], Vec::new())
+                .unwrap();
             let mut hdr = tree.read_hdr(&mut db);
             hdr.size -= 10;
             tree.write_hdr(&mut db, &hdr);
@@ -1212,6 +1471,122 @@ mod tests {
         let before = count(db);
         let got = f(db);
         (got, count(db) - before)
+    }
+
+    /// A position as a descent reports it: the leaf, where it starts, and
+    /// every step's page, index and pair count.
+    fn shape(pos: &LeafPos) -> (Entry, u64, u64, Vec<(u32, usize, usize)>) {
+        let path = pos.path.iter().map(|s| (s.page, s.idx, s.len)).collect();
+        (pos.entry, pos.leaf_start, pos.off_in_leaf, path)
+    }
+
+    /// `next`/`prev` find the leaf a descent to its offset finds, over the
+    /// same pages: the walk refreshes the path above the common ancestor,
+    /// so it makes exactly the descent's fixes.
+    #[test]
+    fn next_and_prev_walk_to_the_descended_neighbours() {
+        let (mut db, tree) = setup(4);
+        build(&mut db, &tree, 40, 10);
+        assert!(tree.read_hdr(&mut db).level >= 2);
+        for i in 0..40u64 {
+            let pos = tree.descend(&mut db, i * 10).unwrap();
+            let (next, n) = fixes_of(&mut db, |db| tree.next(db, &pos).unwrap());
+            let (prev, p) = fixes_of(&mut db, |db| tree.prev(db, &pos).unwrap());
+            for (got, fixes, at) in [(next, n, i + 1), (prev, p, i.wrapping_sub(1))] {
+                if at >= 40 {
+                    assert!(got.is_none(), "leaf {i}: no neighbour at {at}");
+                    assert_eq!(fixes, 0, "leaf {i}: the edge costs no fix");
+                    continue;
+                }
+                let (want, d) = fixes_of(&mut db, |db| tree.descend(db, at * 10).unwrap());
+                assert_eq!(shape(&got.unwrap()), shape(&want), "leaf {i} -> {at}");
+                assert_eq!(fixes, d, "leaf {i} -> {at}: the descent's fixes");
+            }
+        }
+        let last = tree.rightmost(&mut db).unwrap();
+        assert!(last.is_last());
+        assert_eq!(shape(&last), shape(&tree.descend(&mut db, 400).unwrap()));
+    }
+
+    /// Random runs of one to three leaves replaced by zero to three: the
+    /// leaves come out as `Vec::splice` says, and `first`/`after` find the
+    /// positions — path pages, indices and pair counts — and make the
+    /// fixes a descent to the same offset does, whether the splice kept
+    /// its path or restructured.
+    #[test]
+    fn splice_leaves_the_positions_a_descent_finds() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (mut db, tree) = setup(4);
+        build(&mut db, &tree, 30, 10);
+        let mut model: Vec<Entry> = tree.collect_leaves(&db).into_iter().map(|x| x.1).collect();
+        let mut rng = StdRng::seed_from_u64(35);
+        let mut next_ptr = 5000;
+        for step in 0..300 {
+            let i = rng.gen_range(0..model.len());
+            let n = rng.gen_range(1..=3.min(model.len() - i));
+            let k = if model.len() < 8 {
+                rng.gen_range(1..=3)
+            } else {
+                rng.gen_range(0..=3)
+            };
+            let repl: Vec<Entry> = (0..k)
+                .map(|_| {
+                    next_ptr += 1;
+                    e(rng.gen_range(1..=30), next_ptr)
+                })
+                .collect();
+            let start: u64 = model[..i].iter().map(|x| x.count).sum();
+            let pos = tree.descend(&mut db, start).unwrap();
+            let mut ctx = OpCtx::new();
+            let run = model[i..i + n].to_vec();
+            let spliced = tree
+                .splice(&mut db, &mut ctx, &pos, &run, repl.clone())
+                .unwrap();
+            let moved = entries_total(&repl) as i64 - entries_total(&run) as i64;
+            model.splice(i..i + n, repl.iter().copied());
+            let at = format!("step {step}: {n} at {i} -> {k}");
+            if k > 0 {
+                let (got, f) = fixes_of(&mut db, |db| tree.first(db, &spliced).unwrap());
+                let (want, d) = fixes_of(&mut db, |db| tree.descend(db, start).unwrap());
+                assert_eq!(shape(&got), shape(&want), "{at}: first");
+                assert_eq!(f, d, "{at}: first's fixes");
+            }
+            let end = start + entries_total(&repl);
+            let (got, f) = fixes_of(&mut db, |db| tree.after(db, spliced).unwrap());
+            let (want, d) = fixes_of(&mut db, |db| tree.descend(db, end));
+            let want = want.filter(|p| p.off_in_leaf < p.entry.count);
+            assert_eq!(
+                got.as_ref().map(shape),
+                want.as_ref().map(shape),
+                "{at}: after"
+            );
+            if want.is_some() {
+                assert_eq!(f, d, "{at}: after's fixes");
+            }
+            tree.bump_size(&mut db, moved);
+            ctx.finish(&mut db);
+            tree.check_invariants(&db)
+                .unwrap_or_else(|err| panic!("{at}: {err}"));
+            let got = tree.collect_leaves(&db).into_iter().map(|x| x.1);
+            assert!(got.eq(model.iter().copied()), "{at}: leaves differ");
+        }
+    }
+
+    /// A run the caller names wrongly fails the splice with an invariant
+    /// violation, not a panic; the edits before the mismatch are made.
+    #[test]
+    fn a_window_naming_the_wrong_page_fails_the_splice() {
+        let (mut db, tree) = setup(4);
+        build(&mut db, &tree, 20, 10);
+        let pos = tree.descend(&mut db, 30).unwrap();
+        let mut ctx = OpCtx::new();
+        let run = [pos.entry, e(10, 999)];
+        let got = tree.splice(&mut db, &mut ctx, &pos, &run, vec![e(20, 77)]);
+        let Err(LobError::InvariantViolated(msg)) = got else {
+            panic!("expected an invariant violation, got {got:?}");
+        };
+        assert!(msg.contains("page 1004, not page 999"), "{msg}");
     }
 
     #[test]
@@ -1336,7 +1711,7 @@ mod tests {
                 path: &[PathStep],
                 repl: Vec<Entry>,
             ) {
-                assert!(!repl.is_empty(), "use remove_entry to delete");
+                assert!(!repl.is_empty(), "use old_remove_entry to delete");
                 self.old_apply(db, ctx, path, 1, repl);
             }
 
@@ -1558,7 +1933,8 @@ mod tests {
                 if old {
                     tree.old_replace_entry(db, ctx, &pos.path, repl.clone());
                 } else {
-                    tree.replace_entry(db, ctx, &pos.path, repl.clone());
+                    tree.splice(db, ctx, &pos, &[pos.entry], repl.clone())
+                        .unwrap();
                 }
                 repl.iter().map(|x| x.count as i64).sum::<i64>() - pos.entry.count as i64
             }
@@ -1567,7 +1943,8 @@ mod tests {
                 if old {
                     tree.old_remove_entry(db, ctx, &pos.path);
                 } else {
-                    tree.remove_entry(db, ctx, &pos.path);
+                    tree.splice(db, ctx, &pos, &[pos.entry], Vec::new())
+                        .unwrap();
                 }
                 -(pos.entry.count as i64)
             }

@@ -257,7 +257,7 @@ fn scan_sites(t: &[Tok], b0: usize, b1: usize) -> Vec<Site> {
                     eff(Effect::RootFlip);
                 }
             }
-            name @ ("read" | "write") if recv.iter().any(|r| r == "disk" || r == "disk_mut") => {
+            name @ ("read" | "write") if recv.iter().any(|r| r == "disk") => {
                 eff(Effect::RawDisk);
                 if name != "read" {
                     eff(Effect::DurableWrite);

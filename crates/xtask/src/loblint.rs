@@ -981,17 +981,17 @@ pub(crate) const CALL_KEYWORDS: [&str; 11] = [
     "if", "match", "while", "for", "return", "loop", "fn", "as", "in", "move", "unsafe",
 ];
 
-/// A raw disk I/O site: `disk` / `disk_mut()` receiver followed by
+/// A raw disk I/O site: a `disk` / `disk()` receiver followed by
 /// `.read(` or `.write(`. Returns the index of the method ident for each
 /// site in `toks`.
 fn raw_disk_sites(toks: &[Tok]) -> Vec<usize> {
     let mut out = Vec::new();
     for i in 0..toks.len() {
-        if !(toks[i].is_ident("disk") || toks[i].is_ident("disk_mut")) {
+        if !toks[i].is_ident("disk") {
             continue;
         }
         let mut j = i + 1;
-        // Skip a call pair for accessor style: `disk_mut()`.
+        // Skip a call pair for accessor style: `disk()`.
         if toks.get(j).is_some_and(|t| t.is_punct("("))
             && toks.get(j + 1).is_some_and(|t| t.is_punct(")"))
         {
@@ -2245,11 +2245,11 @@ TOTAL           3          2      1
     }
 
     #[test]
-    fn disk_mut_accessor_style_raw_io_is_caught() {
+    fn accessor_style_raw_io_is_caught() {
         let mut files = io_fixture();
         files.push((
             "crates/core/src/rogue.rs",
-            "fn sneaky(p: &mut BufferPool) { p.disk_mut().write(a, p, buf); }\n",
+            "fn sneaky(p: &BufferPool) { p.disk().write(a, p, buf); }\n",
         ));
         let found = io_findings(&files);
         assert_eq!(found.len(), 1, "{found:?}");

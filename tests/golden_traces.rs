@@ -3,7 +3,8 @@
 //! the cost model at the finest grain — kind, page count, and order of
 //! every disk access.
 
-use lobstore::{simdisk::TraceKind, AreaId, Db, LargeObject, ManagerSpec};
+use lobstore::workload::model::{Driver, Kind, Op, OpGen};
+use lobstore::{simdisk::TraceKind, AreaId, Db, DbConfig, LargeObject, ManagerSpec, TreeConfig};
 
 fn build(spec: ManagerSpec, size: usize, append: usize) -> (Db, Box<dyn LargeObject>) {
     let mut db = Db::paper_default();
@@ -22,7 +23,7 @@ fn build(spec: ManagerSpec, size: usize, append: usize) -> (Db, Box<dyn LargeObj
 /// (kind, area, pages) triples of a trace.
 fn shape(db: &mut Db) -> Vec<(TraceKind, AreaId, u32)> {
     db.pool()
-        .disk_mut()
+        .disk()
         .take_trace()
         .into_iter()
         .map(|e| (e.kind, e.area, e.pages))
@@ -40,7 +41,7 @@ const META: AreaId = AreaId::META;
 #[test]
 fn starburst_unaligned_append_reads_boundary_writes_new() {
     let (mut db, mut obj) = build(ManagerSpec::starburst(), 100_000, 100_000);
-    db.pool().disk_mut().enable_trace(16);
+    db.pool().disk().enable_trace(16);
     obj.append(&mut db, &vec![1u8; 10_000]).unwrap();
     let t = shape(&mut db);
     // 100000 B = 24.4 pages, trimmed to a 25-page segment. The append
@@ -55,7 +56,7 @@ fn starburst_unaligned_append_reads_boundary_writes_new() {
 #[test]
 fn starburst_aligned_append_writes_only() {
     let (mut db, mut obj) = build(ManagerSpec::starburst(), 131_072, 131_072);
-    db.pool().disk_mut().enable_trace(16);
+    db.pool().disk().enable_trace(16);
     obj.append(&mut db, &vec![1u8; 8_192]).unwrap();
     let t = shape(&mut db);
     assert_eq!(t, vec![(W, LEAF, 2)], "{t:?}");
@@ -67,7 +68,7 @@ fn starburst_aligned_append_writes_only() {
 fn large_unaligned_read_is_exactly_three_steps() {
     let (mut db, mut obj) = build(ManagerSpec::starburst(), 1 << 20, 256 * 1024);
     obj.insert(&mut db, 3, b"x").unwrap(); // steady state: one segment
-    db.pool().disk_mut().enable_trace(16);
+    db.pool().disk().enable_trace(16);
     let mut out = vec![0u8; 100_000];
     obj.read(&mut db, 50_001, &mut out).unwrap();
     let t = shape(&mut db);
@@ -90,9 +91,9 @@ fn starburst_steady_state_insert_alternates_128_page_reads_and_writes() {
     obj.insert(&mut db, 3, b"x").unwrap(); // steady state: one 257-page segment
     let old = obj.segments(&db);
     assert_eq!(old.len(), 1);
-    db.pool().disk_mut().enable_trace(16);
+    db.pool().disk().enable_trace(16);
     obj.insert(&mut db, 500_000, &[7u8; 100]).unwrap();
-    let trace = db.pool().disk_mut().take_trace();
+    let trace = db.pool().disk().take_trace();
     let t: Vec<_> = trace.iter().map(|e| (e.kind, e.area, e.pages)).collect();
     assert_eq!(
         t,
@@ -133,7 +134,7 @@ fn starburst_steady_state_insert_alternates_128_page_reads_and_writes() {
 #[test]
 fn small_read_buffers_then_hits() {
     let (mut db, obj) = build(ManagerSpec::eos(16), 1 << 20, 256 * 1024);
-    db.pool().disk_mut().enable_trace(16);
+    db.pool().disk().enable_trace(16);
     let mut out = vec![0u8; 10_000];
     obj.read(&mut db, 500_000, &mut out).unwrap();
     obj.read(&mut db, 500_000, &mut out).unwrap();
@@ -148,7 +149,7 @@ fn small_read_buffers_then_hits() {
 #[test]
 fn esm_exact_fit_append_level1_is_one_write() {
     let (mut db, mut obj) = build(ManagerSpec::esm(16), 2 << 20, 65_536);
-    db.pool().disk_mut().enable_trace(16);
+    db.pool().disk().enable_trace(16);
     obj.append(&mut db, &vec![2u8; 65_536]).unwrap();
     let t = shape(&mut db);
     assert_eq!(t, vec![(W, LEAF, 16)], "{t:?}");
@@ -161,7 +162,7 @@ fn esm_exact_fit_append_level1_is_one_write() {
 fn esm_exact_fit_append_level2_adds_one_index_flush() {
     // 1-page leaves: level 2 beyond 507 leaves ⇒ 3 MB is comfortably there.
     let (mut db, mut obj) = build(ManagerSpec::esm(1), 3 << 20, 4096);
-    db.pool().disk_mut().enable_trace(16);
+    db.pool().disk().enable_trace(16);
     obj.append(&mut db, &vec![2u8; 4096]).unwrap();
     let t = shape(&mut db);
     let leaf_writes: Vec<_> = t.iter().filter(|e| e.1 == LEAF && e.0 == W).collect();
@@ -177,7 +178,7 @@ fn esm_exact_fit_append_level2_adds_one_index_flush() {
 #[test]
 fn eos_suffix_delete_moves_no_data() {
     let (mut db, mut obj) = build(ManagerSpec::eos(1), 1 << 20, 256 * 1024);
-    db.pool().disk_mut().enable_trace(16);
+    db.pool().disk().enable_trace(16);
     obj.delete(&mut db, (1 << 20) - 300_000, 300_000).unwrap();
     let t = shape(&mut db);
     assert!(
@@ -190,7 +191,7 @@ fn eos_suffix_delete_moves_no_data() {
 #[test]
 fn esm_whole_leaf_delete_reads_no_data() {
     let (mut db, mut obj) = build(ManagerSpec::esm(4), 1 << 20, 16_384);
-    db.pool().disk_mut().enable_trace(32);
+    db.pool().disk().enable_trace(32);
     // Delete leaves 10..14 exactly (aligned).
     obj.delete(&mut db, 10 * 16_384, 4 * 16_384).unwrap();
     let t = shape(&mut db);
@@ -206,7 +207,7 @@ fn esm_whole_leaf_delete_reads_no_data() {
 #[test]
 fn esm_small_insert_is_copy_update_flush() {
     let (mut db, mut obj) = build(ManagerSpec::esm(4), 10_000, 10_000);
-    db.pool().disk_mut().enable_trace(16);
+    db.pool().disk().enable_trace(16);
     obj.insert(&mut db, 5_000, b"tiny").unwrap();
     let t = shape(&mut db);
     let data: Vec<_> = t.iter().filter(|e| e.1 == LEAF).collect();
@@ -222,7 +223,7 @@ fn esm_small_insert_is_copy_update_flush() {
 #[test]
 fn esm_insert_into_full_leaf_splits_evenly() {
     let (mut db, mut obj) = build(ManagerSpec::esm(4), 1 << 20, 16_384);
-    db.pool().disk_mut().enable_trace(16);
+    db.pool().disk().enable_trace(16);
     obj.insert(&mut db, 100_000, b"tiny").unwrap();
     let t = shape(&mut db);
     let data: Vec<_> = t.iter().filter(|e| e.1 == LEAF).collect();
@@ -231,4 +232,96 @@ fn esm_insert_into_full_leaf_splits_evenly() {
     assert_eq!(*data[0], (R, LEAF, 4), "{t:?}");
     assert_eq!(*data[1], (W, LEAF, 3), "{t:?}");
     assert_eq!(*data[2], (W, LEAF, 3), "{t:?}");
+}
+
+/// FNV-1a, folded one `u64` at a time.
+fn fnv(h: u64, x: u64) -> u64 {
+    x.to_le_bytes()
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// ESM and EOS under the model's update mix: one FNV digest of every disk
+/// call (kind, area, start, pages) and the final `IoStats`, per manager
+/// and tree shape. Fan-out 4 crosses node edges on nearly every update
+/// (splits, merges, borrows, neighbours in the next node); 507/511 is the
+/// paper's tree. A change to the managers' update paths that means to
+/// leave their I/O alone must leave every digest alone.
+#[test]
+fn update_mix_traces_are_pinned() {
+    const MIX: &[(u32, Kind)] = &[
+        (2, Kind::Append),
+        (3, Kind::Insert),
+        (3, Kind::Delete),
+        (2, Kind::Replace),
+        (1, Kind::Read),
+    ];
+    let specs = [
+        ManagerSpec::esm(1),
+        ManagerSpec::esm(4),
+        ManagerSpec::esm(16),
+        ManagerSpec::eos(1),
+        ManagerSpec::eos(4),
+        ManagerSpec::eos(16),
+    ];
+    let mut got = Vec::new();
+    // 2.4 MB puts more than 507 ESM/1 leaves under the paper's root.
+    for (tree, build) in [
+        (TreeConfig::tiny(4), 600_000),
+        (TreeConfig::default(), 2_400_000),
+    ] {
+        for spec in specs {
+            let mut db = Db::new(DbConfig {
+                tree,
+                ..DbConfig::default()
+            });
+            db.pool().disk().enable_trace(1 << 12);
+            let mut d = Driver::new(&mut db, spec);
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            let ops = std::iter::once(Op::Append(build)).chain(OpGen::new(35, MIX, 24_000));
+            for op in ops.take(300) {
+                d.apply(&mut db, &op);
+                assert_eq!(db.pool().disk().trace_dropped(), 0);
+                for e in db.pool().disk().take_trace() {
+                    let kind = u64::from(e.kind == TraceKind::Write);
+                    for x in [
+                        kind,
+                        u64::from(e.area.0),
+                        u64::from(e.start),
+                        u64::from(e.pages),
+                    ] {
+                        h = fnv(h, x);
+                    }
+                }
+            }
+            let s = db.io_stats();
+            for x in [
+                s.read_calls,
+                s.write_calls,
+                s.pages_read,
+                s.pages_written,
+                s.time_us,
+            ] {
+                h = fnv(h, x);
+            }
+            got.push(h);
+            d.finish(&mut db);
+        }
+    }
+    // ESM/1, /4, /16 then EOS/1, /4, /16; fan-out 4, then 507/511.
+    let want: [u64; 12] = [
+        0x799f_3eb7_9911_db2c,
+        0x8cf4_57c1_b632_1505,
+        0x00a1_0d68_cc3b_827d,
+        0xfc46_1c59_d4bd_dea4,
+        0x4744_db5e_6090_4a49,
+        0x468b_7e37_1fac_74a9,
+        0x170a_ed9f_efc8_ac90,
+        0x7849_236a_226c_558d,
+        0xd83d_e2b0_d45f_6347,
+        0xb05e_8b7b_8e90_f510,
+        0x763c_f508_e37c_044a,
+        0x5cae_b7bd_0345_b394,
+    ];
+    assert_eq!(got, want, "{got:#018x?}");
 }

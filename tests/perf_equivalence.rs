@@ -112,10 +112,10 @@ fn charge(db: &mut Db, f: impl FnOnce(&mut Db)) -> Charge {
         let s = db.pool().pool_stats();
         s.hits + s.misses
     };
-    db.pool().disk_mut().enable_trace(4_096);
+    db.pool().disk().enable_trace(4_096);
     let (io, fixed) = (db.io_stats(), fixes(db));
     f(db);
-    let disk = db.pool().disk_mut();
+    let disk = db.pool().disk();
     let (trace, dropped) = (disk.take_trace(), disk.trace_dropped());
     assert_eq!(dropped, 0, "trace buffer too small");
     Charge {
@@ -415,10 +415,10 @@ impl PinnedStore {
     /// The LEAF-area disk reads `f` causes, as `(first page, page count)`.
     fn leaf_reads<T>(&self, f: impl FnOnce() -> T) -> (T, Vec<(u32, u32)>) {
         self.shared
-            .with(|db| db.pool().disk_mut().enable_trace(self.segs.len() * 3 + 64));
+            .with(|db| db.pool().disk().enable_trace(self.segs.len() * 3 + 64));
         let got = f();
         let (trace, dropped) = self.shared.with(|db| {
-            let disk = db.pool().disk_mut();
+            let disk = db.pool().disk();
             (disk.take_trace(), disk.trace_dropped())
         });
         assert_eq!(dropped, 0, "trace buffer too small");
