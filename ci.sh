@@ -26,8 +26,8 @@ run() {
 # fails loudly here rather than silently passing an under-linted
 # workspace. loblint then runs against the committed ratchet baseline
 # (loblint.baseline): any finding not already frozen there — a
-# lock-order cycle or a crash-consistency violation included — is
-# printed with its evidence trail and fails the build.
+# lock-order cycle included — is printed with its evidence trail and
+# fails the build.
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 
@@ -38,8 +38,9 @@ run cargo test -q -p xtask
 run cargo run -q -p xtask -- loblint
 
 # Functional gates: the whole suite once. Every model configuration
-# (tests/model.rs, proptest_model.rs, crash_fuzz.rs, txn_crash.rs, all
-# drivers of lobstore_workload::model) runs the consistency walk,
+# (tests/model.rs, proptest_model.rs, crash_fuzz.rs, txn_crash.rs,
+# crash_points.rs, all drivers of lobstore_workload::model) runs the
+# consistency walk,
 # `Db::verify`, after every op: object invariants, pages claimed twice,
 # both allocators against reachability and against their own
 # directories, the allocation log (its chain reads back whole under the
@@ -83,7 +84,9 @@ run cargo run -q -p xtask -- loblint
 # and tests/mvcc.rs's commit-interval rules (one pre-image per page per
 # interval, the first; a transaction begins on a boundary) without
 # debug assertions too, as must tests/golden_traces.rs's update-mix
-# digests (ESM and EOS traces, pinned call by call). And simdisk optimized, where its copies run at full
+# digests (ESM and EOS traces, pinned call by call), and
+# tests/crash_points.rs, which crashes at every disk write call of 16
+# seeded histories per scheme x log on/off x fan-out (1 seed otherwise). And simdisk optimized, where its copies run at full
 # speed: a read of 1 MiB or more of an area's arena is copied as
 # page-aligned pieces on scoped threads, and its tests hold that copy to
 # `copy_from_slice` (1 MiB +-1 .. 4 MiB x 1, 2, 3, 7 pieces), a read across
@@ -102,7 +105,40 @@ run cargo test -q --release -p lobstore-core stream
 run cargo test -q --release --test perf_equivalence
 run cargo test -q --release -p lobstore-obs
 run cargo test -q --release -p lobstore-simdisk
-run cargo test -q --release --test model --test proptest_model --test crash_fuzz --test txn_crash --test mvcc --test golden_traces
+run cargo test -q --release --test model --test proptest_model --test crash_fuzz --test txn_crash --test crash_points --test mvcc --test golden_traces
+
+# Mutation drill: the crash tests must catch a seeded break of the
+# shadowing discipline (paper section 3.3). Each patch in mutants/ is
+# applied to one copy of the tree under target/ (a patch that no longer
+# applies fails here), the copy must still build, each test named must
+# fail, and the patch is reversed before the next. The copy is fresh on
+# every run, so its build never reuses another tree's artifacts.
+mutant=target/mutants/tree
+rm -rf "$mutant" && mkdir -p "$mutant"
+tar --exclude=./target --exclude=./benchmark/target --exclude=./.git -cf - . | tar -xmf - -C "$mutant"
+drill() {
+    local patch=$1 test=$2
+    shift 2
+    echo
+    echo "==> mutation drill: mutants/$patch.patch must fail tests/$test.rs: $*"
+    patch -s -p1 --forward --reject-file=- -d "$mutant" < "mutants/$patch.patch"
+    (cd "$mutant" && cargo test -q --test "$test" --no-run)
+    for name in "$@"; do
+        if (cd "$mutant" && cargo test -q --test "$test" -- --exact "$name" > /dev/null 2>&1); then
+            echo "ci.sh: tests/$test.rs::$name passes with mutants/$patch.patch applied"
+            exit 1
+        fi
+    done
+    patch -s -R -p1 -d "$mutant" < "mutants/$patch.patch"
+}
+# A shadowed page updated in place.
+drill shadow-order deep_tree eos_mixed_ops_on_a_deep_tree
+# Everything dirty made durable before the operation's shadows.
+drill commit-point crash_consistency one_unflushed_op_never_damages_the_checkpoint \
+    recovered_database_remains_usable crash_before_first_checkpoint_recovers_empty
+# The superseded leaf extents never freed.
+drill alloc-balance crash_consistency one_unflushed_op_never_damages_the_checkpoint \
+    recovered_database_remains_usable
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

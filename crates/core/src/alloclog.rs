@@ -359,20 +359,20 @@ impl Db {
         f(&mut g[..])
     }
 
-    /// Read the on-disk chain under the log's current generation:
-    /// concatenated record bytes plus the pages that produced them. The
-    /// walk stops at the first page that fails validation (stale
-    /// generation, bad magic, out-of-order sequence) — exactly the pages
-    /// an interrupted flush left behind.
-    fn read_log_stream(&self, log: &AllocLog) -> (Vec<u8>, Vec<u32>) {
+    /// Read the chain from `head` under `generation`: concatenated
+    /// record bytes plus the pages that produced them. The walk stops at
+    /// the first page that fails validation (stale generation, bad magic,
+    /// out-of-order sequence) — exactly the pages an interrupted flush
+    /// left behind.
+    fn read_log_stream(&self, head: u32, generation: u32) -> (Vec<u8>, Vec<u32>) {
         let mut stream = Vec::new();
         let mut pages = Vec::new();
-        let mut next = log.head;
+        let mut next = head;
         let mut seq = 0u32;
         loop {
             let p = self.peek_meta(next);
             let valid = p.get(0..4).is_some_and(|m| m == LOG_MAGIC)
-                && get_u32(&p[..], GEN_OFF) == log.generation
+                && get_u32(&p[..], GEN_OFF) == generation
                 && get_u32(&p[..], SEQ_OFF) == seq;
             if !valid {
                 break;
@@ -403,11 +403,16 @@ impl Db {
     /// crashed tail had overwritten from their `UndoImage`s, then rebuild
     /// both allocators from scratch: fresh managers adopt the committed
     /// chain and every page the roots committed by the last marker claim.
-    /// A chain with no commit marker under the current generation (its
-    /// head unreadable) recovers the empty state.
+    /// Everything comes from the disk but the head's page number: the
+    /// generation from the head page, the chain from the walk. A chain
+    /// with no commit marker under its generation (its head unreadable)
+    /// recovers the empty state.
     pub(crate) fn replay_alloc_log(&mut self) {
-        let Some(log) = self.log.take() else { return };
-        let (stream, _) = self.read_log_stream(&log);
+        let Some(AllocLog { head, .. }) = self.log.take() else {
+            return;
+        };
+        let generation = get_u32(&self.peek_meta(head)[..], GEN_OFF);
+        let (stream, mut chain) = self.read_log_stream(head, generation);
 
         // Locate the last commit marker.
         let mut at = 0usize;
@@ -424,9 +429,9 @@ impl Db {
         self.leaf_alloc =
             BuddyManager::new(BuddyConfig::new(AreaId::LEAF, self.cfg.leaf_space_pages));
         let Some(committed_end) = committed_end else {
-            self.adopt(Extent::new(AreaId::META, log.head, 1));
+            self.adopt(Extent::new(AreaId::META, head, 1));
             metrics::ALLOCLOG_REPLAY_FALLBACKS.add(1);
-            self.restart_log(log.head, log.generation.saturating_add(1), Roots::new(), 0);
+            self.restart_log(head, generation.saturating_add(1), Roots::new(), 0);
             return;
         };
 
@@ -474,7 +479,7 @@ impl Db {
             self.pool.flush_page(PageId::new(AreaId::META, page));
         }
 
-        // Truncate the in-memory chain to the committed prefix, adopt its
+        // Truncate the walked chain to the committed prefix, adopt its
         // pages (no record names them), and seal the tail page so a
         // second crash replays identically.
         let page_idx = committed_end / PAGE_CAP;
@@ -487,7 +492,6 @@ impl Db {
             // loblint: allow(arith-overflow)
             (page_idx + 1, within)
         };
-        let mut chain = log.chain.clone();
         chain.truncate(keep.max(1));
         for &p in &chain {
             self.adopt(Extent::new(AreaId::META, p, 1));
@@ -513,8 +517,8 @@ impl Db {
             }
         }
         self.log = Some(AllocLog {
-            head: log.head,
-            generation: log.generation,
+            head,
+            generation,
             chain,
             tail_used,
             roots: roots.clone(),
@@ -581,7 +585,7 @@ impl Db {
         let Some(log) = &self.log else {
             return Ok(());
         };
-        let (stream, pages) = self.read_log_stream(log);
+        let (stream, pages) = self.read_log_stream(log.head, log.generation);
         if pages != log.chain {
             return Err(format!(
                 "the chain reads back as pages {pages:?}, not {:?}",
@@ -683,7 +687,7 @@ mod tests {
         }
 
         let log = db.log.as_ref().unwrap();
-        let (stream, pages) = db.read_log_stream(log);
+        let (stream, pages) = db.read_log_stream(log.head, log.generation);
         assert_eq!(pages, log.chain, "the walk reads the whole chain");
         let mut at = 0;
         while let Some((_, next)) = parse_record(&stream, at) {

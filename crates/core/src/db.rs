@@ -328,6 +328,11 @@ impl Db {
     /// aborted; all snapshots are released (they are in-memory handles),
     /// and without the log the frees the last checkpoint deferred for
     /// them are executed.
+    ///
+    /// A real reboot would have only the disk. This one still takes three
+    /// things from memory: the configuration, the log's head page number,
+    /// and, without the log, the frees the last checkpoint deferred
+    /// (`durable_frees`; no durable record of them exists yet).
     pub fn crash_and_reboot(&mut self) {
         self.pool.crash();
         self.clear_version_state();

@@ -1,6 +1,6 @@
 //! The simulated disk itself.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
 
 use crate::cost::CostModel;
@@ -302,6 +302,9 @@ impl AtomicIoStats {
 /// area's dense arena copies its bytes on every core the process may
 /// use, on scoped threads joined before the call returns; writes and
 /// the pages past the arena are always copied by the calling thread.
+///
+/// A fail-stop point ([`Self::fail_stop`]) simulates a crash at a write
+/// call: from that call on, writes are charged but their bytes are lost.
 pub struct SimDisk {
     areas: Vec<AreaSlot>,
     cost: CostModel,
@@ -312,6 +315,11 @@ pub struct SimDisk {
     /// racing `enable_trace` may go unrecorded, as it could before by
     /// winning the race for the mutex.
     tracing: AtomicBool,
+    /// The write call (numbered as `write_calls` counts them) from which
+    /// writes are lost; `u64::MAX` when no fail-stop point is set.
+    fail_at: AtomicU64,
+    /// Pages of the write call at `fail_at` that still land.
+    torn_pages: AtomicU32,
 }
 
 impl SimDisk {
@@ -327,6 +335,8 @@ impl SimDisk {
             stats: AtomicIoStats::default(),
             trace: Mutex::new(None),
             tracing: AtomicBool::new(false),
+            fail_at: AtomicU64::new(u64::MAX),
+            torn_pages: AtomicU32::new(0),
         }
     }
 
@@ -380,24 +390,41 @@ impl SimDisk {
             .unwrap_or_else(|| panic!("no such disk area {area}"))
     }
 
-    fn charge(&self, kind: TraceKind, area: AreaId, start: u32, pages: u32) {
+    /// Set or lift ([`None`]) a fail-stop point: `Some((call, torn_pages))`
+    /// loses every write from write call `call` on, numbered as
+    /// [`IoStats::write_calls`] counts them (the next write is call
+    /// `stats().write_calls`; [`Self::reset_stats`] renumbers), except the
+    /// first `torn_pages` pages of call `call` itself — a torn write.
+    /// Lost writes are charged and traced like any other; reads are still
+    /// served, so a page whose write was lost reads back stale. `poke` is
+    /// not a write call and always lands.
+    pub fn fail_stop(&self, at: Option<(u64, u32)>) {
+        let (call, torn) = at.unwrap_or((u64::MAX, 0));
+        self.torn_pages.store(torn, Ordering::Release);
+        self.fail_at.store(call, Ordering::Release);
+    }
+
+    /// Charge one call and return its number among the calls of its kind.
+    fn charge(&self, kind: TraceKind, area: AreaId, start: u32, pages: u32) -> u64 {
         let cost = self.cost.io_cost_us(pages);
         // Monotone counters: saturation past u64::MAX is not observable
         // in practice, so plain atomic adds keep the hot path lock-free.
-        match kind {
+        let call = match kind {
             TraceKind::Read => {
-                self.stats.read_calls.fetch_add(1, Ordering::AcqRel);
+                let call = self.stats.read_calls.fetch_add(1, Ordering::AcqRel);
                 self.stats
                     .pages_read
                     .fetch_add(u64::from(pages), Ordering::AcqRel);
+                call
             }
             TraceKind::Write => {
-                self.stats.write_calls.fetch_add(1, Ordering::AcqRel);
+                let call = self.stats.write_calls.fetch_add(1, Ordering::AcqRel);
                 self.stats
                     .pages_written
                     .fetch_add(u64::from(pages), Ordering::AcqRel);
+                call
             }
-        }
+        };
         self.stats.time_us.fetch_add(cost, Ordering::AcqRel);
         // Observability: per-area call/page counters and cost-shape
         // histograms, through static handles.
@@ -427,6 +454,7 @@ impl SimDisk {
                 t.record(event);
             }
         }
+        call
     }
 
     /// One read call: fetch `ceil(out.len() / PAGE_SIZE)` contiguous pages
@@ -453,7 +481,9 @@ impl SimDisk {
     ///
     /// If `data` ends mid-page, the remaining bytes of the final page are
     /// left untouched (read-modify-write of the trailing page); the cost
-    /// still charges the whole page, as the disk moves whole pages.
+    /// still charges the whole page, as the disk moves whole pages. Past
+    /// a fail-stop point ([`Self::fail_stop`]) the call is charged and
+    /// stores nothing, or only a page-prefix of `data`.
     ///
     /// # Panics
     /// If `data` is empty or the area does not exist.
@@ -461,7 +491,19 @@ impl SimDisk {
         assert!(!data.is_empty(), "zero-length disk write");
         let n_pages = cast::usize_to_u32(data.len().div_ceil(PAGE_SIZE));
         let slot = self.slot(area);
-        self.charge(TraceKind::Write, area, start_page, n_pages);
+        let call = self.charge(TraceKind::Write, area, start_page, n_pages);
+        let fail_at = self.fail_at.load(Ordering::Acquire);
+        let data = if call < fail_at {
+            data
+        } else if call == fail_at {
+            let torn = cast::u32_to_usize(self.torn_pages.load(Ordering::Acquire));
+            data.get(..torn.saturating_mul(PAGE_SIZE)).unwrap_or(data)
+        } else {
+            return;
+        };
+        if data.is_empty() {
+            return;
+        }
         let mut a = slot.store.write().unwrap_or_else(PoisonError::into_inner);
         a.copy_in(start_page, data);
     }
@@ -582,6 +624,30 @@ mod tests {
         d.peek(AreaId::META, 0, &mut out);
         assert_eq!(out, [9u8; 64]);
         assert_eq!(d.stats(), IoStats::default());
+    }
+
+    /// From the fail-stop call on, writes are charged and lost, but the
+    /// call at the point keeps its torn page-prefix; reads are served,
+    /// and lifting the point lets writes land again.
+    #[test]
+    fn a_fail_stop_point_loses_later_writes_and_tears_its_own() {
+        let d = disk();
+        let page = |b: u8, n: usize| vec![b; PAGE_SIZE * n];
+        d.write(AreaId::LEAF, 0, &page(1, 3));
+        d.fail_stop(Some((2, 1)));
+        d.write(AreaId::LEAF, 0, &page(2, 3));
+        d.write(AreaId::LEAF, 0, &page(3, 3));
+        d.write(AreaId::LEAF, 0, &page(4, 3));
+        let mut out = page(0, 3);
+        d.read(AreaId::LEAF, 0, &mut out);
+        assert_eq!(out[..PAGE_SIZE], page(3, 1)[..], "call 2 keeps one page");
+        assert_eq!(out[PAGE_SIZE..], page(2, 2)[..], "the rest is call 1's");
+        assert_eq!(d.stats().write_calls, 4, "lost writes are charged");
+        assert_eq!(d.stats().pages_written, 12);
+        d.fail_stop(None);
+        d.write(AreaId::LEAF, 0, &page(5, 1));
+        d.read(AreaId::LEAF, 0, &mut out[..PAGE_SIZE]);
+        assert_eq!(out[..PAGE_SIZE], page(5, 1)[..]);
     }
 
     #[test]

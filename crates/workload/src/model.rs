@@ -7,20 +7,26 @@
 //!   object's current size and lengths byte counts, both clamped by one
 //!   rule, so a sequence stays meaningful as the object grows and shrinks.
 //! * [`Model`] — the live bytes and the durable bytes a crash must give
-//!   back. With the allocation log on, every committed op or transaction
-//!   is durable; with it off only a checkpoint is, and a crash is defined
-//!   one unflushed op deep (§3.3 defers frees per operation).
+//!   back. The crash rule: a crash during an op (a transaction is one op)
+//!   gives back the durable bytes from before it or from after it. With
+//!   the allocation log on, every committed op or transaction is durable;
+//!   with it off only a checkpoint is, and a crash is defined one
+//!   unflushed update deep (§3.3 defers frees per operation).
 //! * [`OpGen`] — the one seeded generator, over a weighted mix of [`Kind`]s.
 //! * [`Driver`] — applies each op to a store object and to the model and
 //!   checks every read's bytes, the size and the database walk
 //!   (`Db::verify`) after every op; the whole object after a transaction
-//!   and after a crash (rebooted, reopened through `ManagerSpec::open`);
-//!   every pinned version when it is released; at [`Driver::finish`] the
-//!   final bytes and that `destroy` leaves the walk nothing to claim.
+//!   and after a crash (rebooted, reopened through `ManagerSpec::open`),
+//!   at an op boundary ([`Op::Crash`]) or at any disk write call of an op
+//!   ([`Driver::crash_during`]); every pinned version when it is
+//!   released; at [`Driver::finish`] the final bytes and that `destroy`
+//!   leaves the walk nothing to claim.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Once;
 
-use lobstore_core::{Db, LargeObject, LobError, ManagerSpec, Snapshot, SnapshotReader};
+use lobstore_core::{Db, Finding, LargeObject, LobError, ManagerSpec, Snapshot, SnapshotReader};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,17 +124,44 @@ impl Model {
         self.unflushed = 0;
     }
 
-    /// The crash rule: the last committed op or transaction with the log
-    /// on, the last checkpoint without it.
-    fn crash(&mut self) {
+    /// The crash rule: the durable bytes a crash during `op` may give
+    /// back, `live_after` being the live bytes once `op` has run — those
+    /// from before `op` and those from after it. After an op the durable
+    /// bytes are the live ones with the log on (every committed op or
+    /// transaction is durable), and without it only after a checkpoint.
+    fn crash_states(&self, op: &Op, live_after: Vec<u8>) -> [Vec<u8>; 2] {
+        let update = !matches!(
+            op,
+            Op::Read(..) | Op::Snapshot | Op::Release | Op::Checkpoint | Op::Crash
+        );
         assert!(
-            self.alloc_log || self.unflushed <= 1,
-            "without the allocation log a crash is defined one unflushed op deep (§3.3), not {}",
+            self.alloc_log || self.unflushed + usize::from(update) <= 1,
+            "without the allocation log a crash is defined one unflushed update deep (§3.3), \
+             not {} before {op:?}",
             self.unflushed
         );
-        self.live.clone_from(&self.durable);
+        let after = if self.alloc_log || matches!(op, Op::Checkpoint) {
+            live_after
+        } else {
+            self.durable.clone()
+        };
+        [self.durable.clone(), after]
+    }
+
+    /// A reboot gave back `bytes`: they are live and durable.
+    fn recovered(&mut self, bytes: Vec<u8>) {
+        self.durable.clone_from(&bytes);
+        self.live = bytes;
         self.unflushed = 0;
     }
+}
+
+/// Where [`Driver::crash_during`] cuts an op: at its `write`-th disk
+/// write call (from 0), of which the first `torn` pages still land.
+#[derive(Copy, Clone, Debug)]
+pub struct CrashPoint {
+    pub write: u64,
+    pub torn: u32,
 }
 
 /// The one seeded op generator: an endless stream over a weighted `mix`,
@@ -311,11 +344,9 @@ impl Driver {
                 false
             }
             Op::Crash => {
+                let states = self.model.crash_states(op, self.live_after(op));
                 let root = self.obj.root_page();
-                db.crash_and_reboot();
-                self.pins.clear();
-                self.obj = self.spec.open(db, root).expect("reopen after crash");
-                self.model.crash();
+                self.reboot(db, root, &states, &what);
                 true
             }
             Op::Snapshot => {
@@ -388,6 +419,96 @@ impl Driver {
         }
     }
 
+    /// Run `op` with the disk failing from its `at.write`-th write call on
+    /// (`SimDisk::fail_stop`), then crash, reboot and hold the store to
+    /// the crash rule: the object reads back as the durable bytes from
+    /// before `op` or from after it, and those become the model's. A
+    /// panic once writes are lost is expected, since later reads may see
+    /// stale pages, and is caught; a panic before the fault would have
+    /// failed the fault-free run of the same history already. Returns the
+    /// walk's findings: none, except after a log-off checkpoint cut
+    /// short — only the log makes a checkpoint atomic, and a half-flushed
+    /// one leaves pages that are referenced but free on disk, or
+    /// allocated and unreachable (dangling and leaked findings, nothing
+    /// else).
+    ///
+    /// # Panics
+    /// On `Op::Recreate`, which commits twice (destroy, then create), so
+    /// is not one op for the crash rule; and where the rule fails.
+    pub fn crash_during(&mut self, db: &mut Db, op: &Op, at: CrashPoint) -> Vec<Finding> {
+        assert!(
+            !matches!(op, Op::Recreate),
+            "Recreate commits twice: not one op for the crash rule"
+        );
+        let what = format!(
+            "{} op {} {op:?} cut at {at:?}",
+            self.spec.label(),
+            self.step
+        );
+        let states = self.model.crash_states(op, self.live_after(op));
+        let root = self.obj.root_page();
+        let first = db.io_stats().write_calls;
+        db.pool()
+            .disk()
+            .fail_stop(Some((first + at.write, at.torn)));
+        let _expected = quietly(|| self.apply(db, op));
+        db.pool().disk().fail_stop(None);
+        self.reboot(db, root, &states, &what);
+        let label = self.spec.label();
+        let findings = db.verify(&[(label.as_str(), self.obj.as_ref())], &self.other_meta);
+        let gap = !self.model.alloc_log && matches!(op, Op::Checkpoint);
+        let half_flushed = |f: &Finding| {
+            gap && matches!(
+                f,
+                Finding::LeafDangling { .. }
+                    | Finding::MetaDangling { .. }
+                    | Finding::LeafLeaked { .. }
+                    | Finding::MetaLeaked { .. }
+            )
+        };
+        if !findings.iter().all(half_flushed) {
+            let lines: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
+            panic!("{what}: {}", lines.join("; "));
+        }
+        findings
+    }
+
+    /// The live bytes once `op` has run: a data op's splice, a committed
+    /// transaction's splices in turn, nothing else (payloads seeded as
+    /// [`Self::apply`] seeds them).
+    fn live_after(&self, op: &Op) -> Vec<u8> {
+        let mut bytes = self.model.live.clone();
+        let members = match op {
+            Op::Txn { abort: true, .. } => &[][..],
+            Op::Txn { ops, .. } => ops.as_slice(),
+            op => std::slice::from_ref(op),
+        };
+        for (step, op) in (self.step + 1..).zip(members) {
+            if let Some((off, cut, put)) = splice(op, &bytes, step) {
+                bytes.splice(off..off + cut, put);
+            }
+        }
+        bytes
+    }
+
+    /// Crash and reboot, reopen the object at `root`, and take whichever
+    /// of the crash rule's `states` it reads back as the model's bytes.
+    /// Every pin is dropped: snapshots are in-memory handles.
+    fn reboot(&mut self, db: &mut Db, root: u32, states: &[Vec<u8>; 2], what: &str) {
+        db.crash_and_reboot();
+        self.pins.clear();
+        self.obj = self
+            .spec
+            .open(db, root)
+            .unwrap_or_else(|e| panic!("{what}: reopen after crash: {e}"));
+        let got = self.obj.snapshot(db);
+        if !states.contains(&got) {
+            assert_same(&got, &states[0], &format!("{what}: crash before the op"));
+            assert_same(&got, &states[1], &format!("{what}: crash after the op"));
+        }
+        self.model.recovered(got);
+    }
+
     /// Panic with every finding unless the walk from `objects` and
     /// [`Self::other_meta`] is clean.
     fn verify(&self, db: &Db, objects: &[(&str, &dyn LargeObject)], what: &str) {
@@ -420,6 +541,46 @@ fn release(db: &mut Db, pin: Pin, what: &str) {
     db.release_snapshot(pin.snap);
 }
 
+/// Run `f`, catching a panic without printing it: a panic after a
+/// fail-stop point is expected. Other threads' panics print as before.
+fn quietly<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
+    thread_local! {
+        static QUIET: Cell<bool> = const { Cell::new(false) };
+    }
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let loud = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !QUIET.with(Cell::get) {
+                loud(info);
+            }
+        }));
+    });
+    QUIET.with(|q| q.set(true));
+    let r = catch_unwind(AssertUnwindSafe(f));
+    QUIET.with(|q| q.set(false));
+    r
+}
+
+/// The splice update `op` makes to `bytes`, its payload seeded by
+/// `step`: `(offset, bytes cut, bytes put)`. Inserts cut nothing,
+/// deletes put nothing. `None` for a read, an op that touches nothing,
+/// and an op that is not a data op.
+fn splice(op: &Op, bytes: &[u8], step: u64) -> Option<(usize, usize, Vec<u8>)> {
+    let (at, len, insert) = match *op {
+        Op::Append(len) => (1.0, len, true),
+        Op::Insert(at, len) => (at, len, true),
+        Op::Delete(at, len) | Op::Replace(at, len) => (at, len, false),
+        _ => return None,
+    };
+    let (off, len) = resolve(bytes.len(), at, len, insert)?;
+    Some(match op {
+        Op::Delete(..) => (off, len, Vec::new()),
+        Op::Replace(..) => (off, len, fill(len, step)),
+        _ => (off, 0, fill(len, step)),
+    })
+}
+
 /// Apply data op `op` to `obj` and to `bytes`, payloads seeded by `step`
 /// (advanced); a read compares. `false` when `op` changed nothing.
 fn edit(
@@ -430,35 +591,24 @@ fn edit(
     step: &mut u64,
 ) -> bool {
     *step += 1;
-    let (at, len, insert) = match *op {
-        Op::Append(len) => (1.0, len, true),
-        Op::Insert(at, len) => (at, len, true),
-        Op::Delete(at, len) | Op::Replace(at, len) | Op::Read(at, len) => (at, len, false),
-        _ => return false,
-    };
-    let Some((off, len)) = resolve(bytes.len(), at, len, insert) else {
-        return false;
-    };
-    let new = fill(len, *step);
-    match op {
-        Op::Append(_) => obj.append(db, &new),
-        Op::Insert(..) => obj.insert(db, off as u64, &new),
-        Op::Delete(..) => obj.delete(db, off as u64, len as u64),
-        Op::Replace(..) => obj.replace(db, off as u64, &new),
-        _ => {
+    if let Op::Read(at, len) = *op {
+        if let Some((off, len)) = resolve(bytes.len(), at, len, false) {
             let mut out = vec![0u8; len];
             obj.read(db, off as u64, &mut out).expect("read");
             assert_same(&out, &bytes[off..off + len], &format!("read({off}, {len})"));
-            return false;
         }
+        return false;
+    }
+    let Some((off, cut, put)) = splice(op, bytes, *step) else {
+        return false;
+    };
+    match op {
+        Op::Append(_) => obj.append(db, &put),
+        Op::Insert(..) => obj.insert(db, off as u64, &put),
+        Op::Delete(..) => obj.delete(db, off as u64, cut as u64),
+        _ => obj.replace(db, off as u64, &put),
     }
     .unwrap_or_else(|e| panic!("{op:?}: {e}"));
-    // Every update is one splice: inserts cut nothing, deletes put nothing.
-    let (cut, put) = match op {
-        Op::Delete(..) => (len, Vec::new()),
-        Op::Replace(..) => (len, new),
-        _ => (0, new),
-    };
     bytes.splice(off..off + cut, put);
     true
 }

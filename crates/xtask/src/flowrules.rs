@@ -555,7 +555,7 @@ fn check_lock_order(analyses: &[Analysis], decls: &LockDecls, out: &mut Vec<Find
 /// conjure phantom acquisition edges. Acquisitions of locks *inside*
 /// such methods are still seen directly when the method itself is
 /// scanned; only the caller->callee nesting edge is dropped.
-pub(crate) fn call_descriptor(t: &[Tok], k: usize, owner: Option<&str>) -> Option<String> {
+fn call_descriptor(t: &[Tok], k: usize, owner: Option<&str>) -> Option<String> {
     if t[k].kind != TokKind::Ident
         || !t.get(k + 1).is_some_and(|n| n.is_punct("("))
         || CALL_KEYWORDS.contains(&t[k].text.as_str())

@@ -65,8 +65,8 @@ pub struct Block {
 pub struct Cfg {
     pub blocks: Vec<Block>,
     pub entry: usize,
-    /// Read by analyses that care about the function's final state
-    /// (and by the engine tests); some clients only replay statements.
+    /// Read by the engine tests, which pin the `return`/`?` edges into
+    /// it; the rules only replay statements.
     #[allow(dead_code)]
     pub exit: usize,
 }

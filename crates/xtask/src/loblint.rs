@@ -16,7 +16,6 @@
 //! | `guard-across-io` | library crates, non-test code | no lock guard or page pin live across a cost-counted I/O wrapper call or `std::io`/`std::fs` |
 //! | `panic-while-locked` | library crates, non-test code | no panic-capable token inside a region where a guard is live |
 //! | `disk-taint` | library crates, non-test code | disk-deserialized values must pass a bounds check before use as an index, `PageId`, or I/O argument |
-//! | `shadow-order`, `commit-point`, `alloc-balance` | library crates, non-test code | the crash-consistency rules over per-function effect summaries (see [`crate::effectrules`]) |
 //! | `unused-waiver` | whole workspace, non-test | a waiver that no longer suppresses anything is itself a finding |
 //!
 //! `lock-order` to `disk-taint` run on the CFG + dataflow engine in
@@ -58,11 +57,9 @@ use std::process::ExitCode;
 use crate::lobsyn::{self, FnDef, Tok, TokKind};
 
 /// The rule identifiers, as used in findings and `allow(...)` comments.
-pub const RULES: [&str; 15] = [
-    "alloc-balance",
+pub const RULES: [&str; 12] = [
     "arith-overflow",
     "bad-waiver",
-    "commit-point",
     "disk-taint",
     "guard-across-io",
     "io-accounting",
@@ -71,21 +68,12 @@ pub const RULES: [&str; 15] = [
     "magic-literal",
     "panic-path",
     "panic-while-locked",
-    "shadow-order",
     "unit-mixing",
     "unused-waiver",
 ];
 
 /// One `--explain` documentation entry per rule: (name, scope, text).
-pub const RULE_DOCS: [(&str, &str, &str); 15] = [
-    (
-        "alloc-balance",
-        "library crates, non-test code",
-        "Every let-bound buddy allocation (alloc_leaf/alloc_meta_page/alloc_root) must be \
-         freed, queued with free_*_later, or recorded (any later mention counts as an \
-         ownership transfer) on every CFG path — including ?/early-return error edges, where \
-         a leaked extent would survive until fsck. Effect-summary rule (DESIGN.md section 15).",
-    ),
+pub const RULE_DOCS: [(&str, &str, &str); 12] = [
     (
         "arith-overflow",
         "library crates, non-test code",
@@ -97,15 +85,6 @@ pub const RULE_DOCS: [(&str, &str, &str); 15] = [
         "whole workspace",
         "A `// loblint: allow(...)` comment names a rule loblint does not know; fix the \
          spelling so the waiver actually waives something.",
-    ),
-    (
-        "commit-point",
-        "library crates, non-test code",
-        "An operation that makes a freshly allocated META root/header page durable \
-         (flush_page(PageId::new(AreaId::META, <new page>))) has exactly one such flip per \
-         CFG path, and no durable write — direct or through a summarized call — may follow \
-         it: a crash between the flip and a later write would publish a half-finished \
-         operation (paper section 3.3; DESIGN.md section 15).",
     ),
     (
         "disk-taint",
@@ -176,16 +155,6 @@ pub const RULE_DOCS: [(&str, &str, &str); 15] = [
          Propagate errors or hoist the panic-capable work outside the guard.",
     ),
     (
-        "shadow-order",
-        "library crates, non-test code",
-        "Inside an OpCtx shadow operation: old storage is released only via free_*_later \
-         (materialized at finish), never freed immediately — directly or through a call \
-         whose effect summary frees; every shadow_page/fresh_page result is written before \
-         finish; no in-place write to a page shadowed in the same op; and no shadow, meta, \
-         or durable effect after finish. The static twin of tests/crash_consistency.rs \
-         (paper section 3.3; DESIGN.md section 15).",
-    ),
-    (
         "unit-mixing",
         "library crates, non-test code",
         "Byte-, page-index- and page-count-typed values may not be mixed in arithmetic, \
@@ -203,8 +172,8 @@ pub const RULE_DOCS: [(&str, &str, &str); 15] = [
 const LIBRARY_CRATES: [&str; 6] = ["core", "buddy", "bufpool", "simdisk", "record", "obs"];
 
 /// One reported violation. `evidence` carries the control-flow trail
-/// for the CFG and effect rules (acquisition chain, taint path, effect
-/// chain); empty for token rules. It is printed under the finding line
+/// for the CFG rules (acquisition chain, taint path); empty for token
+/// rules. It is printed under the finding line
 /// and excluded from the baseline key, like line numbers.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
@@ -385,7 +354,6 @@ pub fn lint_sources(sources: &[(String, String)]) -> Vec<Finding> {
     }
     check_io_accounting(&analyses, &mut findings);
     crate::flowrules::check(&analyses, &mut findings);
-    crate::effectrules::check(&analyses, &mut findings);
     // Last: every other rule has had its chance to consume waivers.
     check_unused_waivers(&analyses, &mut findings);
     findings.sort();

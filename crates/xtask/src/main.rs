@@ -19,7 +19,6 @@
 //! See `loblint::RULES` for the rule set and `DESIGN.md` ("Correctness
 //! tooling" and "Static analysis") for the rationale.
 
-mod effectrules;
 mod flowrules;
 mod lobflow;
 mod loblint;

@@ -9,7 +9,7 @@
 //! allocators hold exactly what the object, the catalog and the log
 //! claim, with the frees deferred for dropped pins free again.
 
-use lobstore::workload::model::{for_seeds, Driver, Kind, Op, OpGen};
+use lobstore::workload::model::{at, for_seeds, CrashPoint, Driver, Kind, Op, OpGen};
 use lobstore::{Catalog, Db, DbConfig, ManagerSpec};
 
 /// Txns of one to three updates, single updates (append : insert : delete
@@ -63,4 +63,39 @@ fn eos_txns_crash_consistently() {
 #[test]
 fn starburst_txns_crash_consistently() {
     crash_consistently(ManagerSpec::starburst(), 7);
+}
+
+/// A checkpoint that loses every write, then a crash. The checkpoint had
+/// already compacted the log in memory (a new generation, a one-page
+/// chain), which a reboot does not have: replay must read the generation
+/// from the log's head page and the chain from its own walk, and give
+/// back the bytes the last commit left, with a clean walk.
+#[test]
+fn a_checkpoint_that_writes_nothing_recovers_the_last_commit() {
+    let ops = [
+        Op::Append(30_000),
+        Op::Checkpoint,
+        Op::Insert(at(10_000, 30_000), 22_805),
+        Op::Txn {
+            ops: vec![Op::Delete(0.5, 4_000), Op::Append(3_000)],
+            abort: false,
+        },
+    ];
+    for spec in [
+        ManagerSpec::esm(4),
+        ManagerSpec::eos(8),
+        ManagerSpec::starburst(),
+    ] {
+        let mut db = Db::new(DbConfig {
+            alloc_log: true,
+            ..DbConfig::default()
+        });
+        let mut d = Driver::new(&mut db, spec);
+        d.run(&mut db, ops.clone());
+        let committed = d.model.bytes().to_vec();
+        let nothing = CrashPoint { write: 0, torn: 0 };
+        assert_eq!(d.crash_during(&mut db, &Op::Checkpoint, nothing), []);
+        assert_eq!(d.model.bytes(), committed, "{}", spec.label());
+        d.finish(&mut db);
+    }
 }
