@@ -147,11 +147,15 @@ drill alloc-balance crash_consistency one_unflushed_op_never_damages_the_checkpo
 run cargo build --release --offline --manifest-path benchmark/Cargo.toml
 run cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-# Smoke-run one small paper bin; its stdout is the whole result.
-mkdir -p target/bench-smoke
+# The paper bins at paper scale, each stdout against its pinned output
+# (crates/bench/golden/paper/; the workspace run above held the --quick
+# set the same way, tests/golden_outputs.rs).
+run ./run_all_benches.sh
 echo
-echo "==> cargo run -q -p lobstore-bench --bin table2 -- --quick > target/bench-smoke/table2.txt"
-cargo run -q -p lobstore-bench --bin table2 -- --quick > target/bench-smoke/table2.txt
+echo "==> diff -u crates/bench/golden/paper/<bin>.txt results/<bin>.txt, every bin"
+for golden in crates/bench/golden/paper/*.txt; do
+    diff -u "$golden" "results/$(basename "$golden")"
+done
 
 echo
 echo "ci.sh: all gates passed"

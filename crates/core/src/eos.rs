@@ -200,9 +200,6 @@ impl EosObject {
                 // Stay here: the merged segment may merge again.
                 x = self.tree.first(db, &spliced)?;
             } else {
-                // Fix `y`'s path again, as a descent to it would: the pool
-                // evicts by recency, so the fix order is part of the cost.
-                self.tree.refresh(db, &y.path);
                 x = y;
             }
         }
@@ -552,10 +549,7 @@ impl LargeObject for EosObject {
         for w in &whole {
             let pos = match dropped.take() {
                 Some(prev) => self.tree.after(db, prev)?.ok_or_else(gone)?,
-                None => {
-                    self.tree.refresh(db, &w.path);
-                    w.clone()
-                }
+                None => w.clone(),
             };
             let mut hdr = self.tree.read_hdr(db);
             self.free_seg(&mut ctx, &mut hdr, &w.entry);

@@ -24,10 +24,8 @@
 //! at a time, each on the path the edit before it left: a path whose
 //! every level was edited in place stays valid with its pages mapped to
 //! the operation's shadow copies; after a split, merge, borrow or height
-//! change the splice descends again. Every walk fixes the pages a
-//! descent to its target would, in the same order
-//! ([`PosTree::refresh`]): the pool evicts by recency, so the walks leave
-//! every miss, eviction and disk access where the descents put them.
+//! change the splice descends again. A walk fixes only the node it
+//! climbed to and those below it, one fix a node.
 
 use std::convert::Infallible;
 use std::ops::Range;
@@ -324,8 +322,8 @@ impl PosTree {
 
     /// The leaf after `pos`'s, or `None` at the tree's right edge (no fix
     /// then). Climbs `pos.path` to the nearest node with an entry to the
-    /// right of the step taken and walks down from there, with the fixes
-    /// of a descent to that leaf.
+    /// right of the step taken and walks down from there, fixing that
+    /// node and each one below it.
     pub fn next(&self, db: &mut Db, pos: &LeafPos) -> Result<Option<LeafPos>> {
         let found = self.slot(db, &pos.path, 1)?;
         Ok(found.map(|(path, entry)| LeafPos::at_start(path, entry, pos.leaf_end())))
@@ -348,8 +346,9 @@ impl PosTree {
 
     /// The leaf entry `skip` places after the one `path` ends at (which
     /// may lie past the end of its node): the first node up the path with
-    /// an entry that far right, then the leftmost entries below it. `None`
-    /// at the tree's right edge.
+    /// an entry that far right, then the leftmost entries below it, one
+    /// fix a node from there down. `None`, with no fix, at the tree's
+    /// right edge.
     fn slot(
         &self,
         db: &mut Db,
@@ -368,20 +367,9 @@ impl PosTree {
         self.walk_down(db, above, page, idx, true).map(Some)
     }
 
-    /// Fix the pages of `path`, root first, as a descent along it would,
-    /// and read nothing. The pool's replacement order is recency, so a
-    /// walk that skipped the pages above its common ancestor would age
-    /// them and change which page a later miss evicts; refreshing them
-    /// keeps every disk access where the descent put it.
-    pub fn refresh(&self, db: &Db, path: &[PathStep]) {
-        for step in path {
-            self.view(db, step.page, |_| ());
-        }
-    }
-
-    /// Refresh `above`, the steps over index page `page`, then walk down
-    /// to a leaf entry, one fix a node: entry `idx` of `page`, then the
-    /// first or last entry of every node below, as `leftmost` says.
+    /// Walk down from index page `page`, which `above` leads to, to a
+    /// leaf entry, one fix a node: entry `idx` of `page`, then the first
+    /// or last entry of every node below, as `leftmost` says.
     fn walk_down(
         &self,
         db: &mut Db,
@@ -390,7 +378,6 @@ impl PosTree {
         idx: usize,
         leftmost: bool,
     ) -> Result<(Vec<PathStep>, Entry)> {
-        self.refresh(db, above);
         let mut path = above.to_vec();
         let mut idx = Some(idx);
         loop {
@@ -493,21 +480,18 @@ impl PosTree {
         )))
     }
 
-    /// The first replacement a [`Self::splice`] made, at its start, with
-    /// the fixes of a descent there.
+    /// The first replacement a [`Self::splice`] made, at its start: no
+    /// fix when the splice kept its path, a descent otherwise.
     pub fn first(&self, db: &mut Db, s: &Spliced) -> Result<LeafPos> {
         match (&s.path, s.first) {
-            (Some(path), Some(entry)) => {
-                self.refresh(db, path);
-                Ok(LeafPos::at_start(path.clone(), entry, s.start))
-            }
+            (Some(path), Some(entry)) => Ok(LeafPos::at_start(path.clone(), entry, s.start)),
             _ => self.try_descend(db, s.start),
         }
     }
 
     /// The leaf after a [`Self::splice`]'s replacements (after the removed
-    /// run when there were none), with the fixes of a descent to it;
-    /// `None` at the tree's end.
+    /// run when there were none), or `None` at the tree's end: a walk as
+    /// [`Self::next`]'s when the splice kept its path, a descent otherwise.
     pub fn after(&self, db: &mut Db, s: Spliced) -> Result<Option<LeafPos>> {
         let (n, bytes) = s.put;
         // The replacements lie inside the object.
@@ -1480,9 +1464,23 @@ mod tests {
         (pos.entry, pos.leaf_start, pos.off_in_leaf, path)
     }
 
-    /// `next`/`prev` find the leaf a descent to its offset finds, over the
-    /// same pages: the walk refreshes the path above the common ancestor,
-    /// so it makes exactly the descent's fixes.
+    /// The fixes a walk from path `from` to path `to` makes: one a level,
+    /// from the node it climbed to (the last step the two paths share
+    /// before the walk took another entry, or the leaf's parent when it
+    /// took none) down.
+    fn walk_fixes(from: &[PathStep], to: &[PathStep]) -> u64 {
+        let shared = from
+            .iter()
+            .zip(to)
+            .take_while(|(a, b)| (a.page, a.idx) == (b.page, b.idx))
+            .count();
+        (to.len() - shared.min(to.len() - 1)) as u64
+    }
+
+    /// `next`/`prev` find the leaf a descent to its offset finds, with
+    /// the same path. The walk fixes only the nodes from the one it
+    /// climbed to down, so never more than the descent, and nothing at
+    /// an edge.
     #[test]
     fn next_and_prev_walk_to_the_descended_neighbours() {
         let (mut db, tree) = setup(4);
@@ -1498,9 +1496,15 @@ mod tests {
                     assert_eq!(fixes, 0, "leaf {i}: the edge costs no fix");
                     continue;
                 }
+                let got = got.unwrap();
                 let (want, d) = fixes_of(&mut db, |db| tree.descend(db, at * 10).unwrap());
-                assert_eq!(shape(&got.unwrap()), shape(&want), "leaf {i} -> {at}");
-                assert_eq!(fixes, d, "leaf {i} -> {at}: the descent's fixes");
+                assert_eq!(shape(&got), shape(&want), "leaf {i} -> {at}");
+                let walked = walk_fixes(&pos.path, &got.path);
+                assert_eq!(fixes, walked, "leaf {i} -> {at}: one fix a level walked");
+                assert!(
+                    fixes <= d,
+                    "leaf {i} -> {at}: {fixes} fixes, the descent {d}"
+                );
             }
         }
         let last = tree.rightmost(&mut db).unwrap();
@@ -1510,9 +1514,11 @@ mod tests {
 
     /// Random runs of one to three leaves replaced by zero to three: the
     /// leaves come out as `Vec::splice` says, and `first`/`after` find the
-    /// positions — path pages, indices and pair counts — and make the
-    /// fixes a descent to the same offset does, whether the splice kept
-    /// its path or restructured.
+    /// positions a descent to the same offset finds — path pages, indices
+    /// and pair counts — whether the splice kept its path or
+    /// restructured. On a kept path `first` fixes nothing and `after`
+    /// walks (one fix a node from the one it climbed to down); otherwise
+    /// each is the descent. Never more fixes than the descent's.
     #[test]
     fn splice_leaves_the_positions_a_descent_finds() {
         use rand::rngs::StdRng;
@@ -1546,11 +1552,13 @@ mod tests {
             let moved = entries_total(&repl) as i64 - entries_total(&run) as i64;
             model.splice(i..i + n, repl.iter().copied());
             let at = format!("step {step}: {n} at {i} -> {k}");
+            let kept = spliced.path.clone();
             if k > 0 {
                 let (got, f) = fixes_of(&mut db, |db| tree.first(db, &spliced).unwrap());
                 let (want, d) = fixes_of(&mut db, |db| tree.descend(db, start).unwrap());
                 assert_eq!(shape(&got), shape(&want), "{at}: first");
-                assert_eq!(f, d, "{at}: first's fixes");
+                let first = if kept.is_some() { 0 } else { d };
+                assert_eq!(f, first, "{at}: first's fixes");
             }
             let end = start + entries_total(&repl);
             let (got, f) = fixes_of(&mut db, |db| tree.after(db, spliced).unwrap());
@@ -1561,8 +1569,13 @@ mod tests {
                 want.as_ref().map(shape),
                 "{at}: after"
             );
-            if want.is_some() {
-                assert_eq!(f, d, "{at}: after's fixes");
+            match (&kept, &got) {
+                (Some(from), Some(to)) => {
+                    assert_eq!(f, walk_fixes(from, &to.path), "{at}: after walks");
+                    assert!(f <= d, "{at}: after's {f} fixes, the descent {d}");
+                }
+                (Some(_), None) => assert_eq!(f, 0, "{at}: after at the edge"),
+                (None, _) => assert_eq!(f, d, "{at}: after descends"),
             }
             tree.bump_size(&mut db, moved);
             ctx.finish(&mut db);
