@@ -72,12 +72,15 @@ run cargo run -q -p xtask -- loblint
 # otherwise, at fan-out 4, 6 and 507/511 with shadowing on and off,
 # through the in-place write path against the decoding one it replaced
 # -- every META page's bytes, `IoStats`, `PoolStats`, trace and the
-# tree invariants after every step). And the live cursor, refilled by one
-# `read_span` a segment: core's stream tests hold a streamed scan to the
-# `IoStats` of one bulk read of the same range, and
-# tests/perf_equivalence.rs also to its disk trace, call by call, and on
-# ESM and EOS to its pool fixes plus the reader's one size lookup, for
-# ESM's direct (16-page) and buffered (4-page) leaves alike; tree's
+# tree invariants after every step). And the one read cursor
+# (`SpanCursor`), refilled a segment at a time by its source — the live
+# one's `read_span`, or the pinned one's descent and page-run read: core's
+# stream tests hold a streamed live scan to the `IoStats` of one bulk read
+# of the same range, and tests/perf_equivalence.rs also to its disk
+# trace, call by call, and on ESM and EOS to its pool fixes plus the
+# reader's one size lookup, for ESM's direct (16-page) and buffered
+# (4-page) leaves alike, and a pinned script to the same bytes, `IoStats`
+# and LEAF reads through a borrowed `&Db` and `SharedDb`'s read tier; tree's
 # `reads_fix_the_root_once` holds a read to one root fix, an out-of-range
 # one included. And the model configurations, 256 seeds optimized and
 # their old case counts otherwise, the walk after every op included,
@@ -108,7 +111,8 @@ run cargo test -q --release -p lobstore-simdisk
 run cargo test -q --release --test model --test proptest_model --test crash_fuzz --test txn_crash --test crash_points --test mvcc --test golden_traces
 
 # Mutation drill: the crash tests must catch a seeded break of the
-# shadowing discipline (paper section 3.3). Each patch in mutants/ is
+# shadowing discipline (paper section 3.3), and the META walk a pinned
+# open that lets a non-root page through. Each patch in mutants/ is
 # applied to one copy of the tree under target/ (a patch that no longer
 # applies fails here), the copy must still build, each test named must
 # fail, and the patch is reversed before the next. The copy is fresh on
@@ -139,6 +143,8 @@ drill commit-point crash_consistency one_unflushed_op_never_damages_the_checkpoi
 # The superseded leaf extents never freed.
 drill alloc-balance crash_consistency one_unflushed_op_never_damages_the_checkpoint \
     recovered_database_remains_usable
+# A pinned open that checks a root's kind byte but not its magic.
+drill pinned-root-check mvcc a_pinned_open_walk_of_the_meta_area_opens_the_roots_only
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

@@ -2,8 +2,8 @@
 //! scale, so regressions in any layer surface as a failed claim rather
 //! than a silently wrong figure.
 
-use lobstore_bench::{run_update_sweep, Scale};
-use lobstore_workload::{ManagerSpec, MixedReport, OpKind};
+use lobstore_bench::{fresh_db, run_update_sweep, Scale, ESM_LEAF_PAGES, PAPER_APPEND_KB};
+use lobstore_workload::{build_object, ManagerSpec, MixedReport, OpKind};
 
 fn tiny() -> Scale {
     Scale {
@@ -19,6 +19,40 @@ fn last_util(rep: &MixedReport) -> f64 {
 
 fn avg(rep: &MixedReport, kind: OpKind) -> f64 {
     rep.avg_ms(kind, &rep.marks).expect("ops of this kind ran")
+}
+
+/// Simulated seconds to build a 1 MB object of `spec` by `kb` KB appends:
+/// one cell of Figure 5.
+fn fig5_build_s(spec: ManagerSpec, kb: usize) -> f64 {
+    let mut db = fresh_db();
+    let (_, rep) = build_object(&mut db, &spec, tiny().object_bytes, kb * 1024).expect("build");
+    rep.seconds()
+}
+
+/// Figure 5: the best ESM leaf size is the append size — 4, 16, 64 and
+/// 256 KB appends build fastest on 1-, 4-, 16- and 64-page leaves.
+#[test]
+fn fig5_best_esm_leaf_is_the_append_size() {
+    for (kb, best) in [(4, 1), (16, 4), (64, 16), (256, 64)] {
+        let times: Vec<(u32, f64)> = ESM_LEAF_PAGES
+            .iter()
+            .map(|&p| (p, fig5_build_s(ManagerSpec::esm(p), kb)))
+            .collect();
+        let min = times.iter().map(|t| t.1).fold(f64::INFINITY, f64::min);
+        let fastest: Vec<u32> = times.iter().filter(|t| t.1 == min).map(|t| t.0).collect();
+        assert_eq!(fastest, [best], "{kb} KB appends: {times:?}");
+    }
+}
+
+/// Figure 5 (§4.2): Starburst and EOS/4 grow their segments alike, so
+/// their columns are equal at every append size.
+#[test]
+fn fig5_starburst_and_eos4_columns_are_equal() {
+    for kb in PAPER_APPEND_KB {
+        let sb = fig5_build_s(ManagerSpec::starburst(), kb);
+        let eos = fig5_build_s(ManagerSpec::eos(4), kb);
+        assert_eq!(sb, eos, "{kb} KB appends");
+    }
 }
 
 /// Figure 7.c: for 100 KB operations, small ESM leaves hold much better

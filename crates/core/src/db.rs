@@ -269,7 +269,7 @@ impl Db {
     /// Convenience: fix-read a META page, run `f` on its bytes, unfix.
     /// (Low-level page access for layers that keep their own structures
     /// in META pages, such as the record store.)
-    pub fn with_meta_page<R>(&mut self, page: u32, f: impl FnOnce(&[u8]) -> R) -> R {
+    pub fn with_meta_page<R>(&self, page: u32, f: impl FnOnce(&[u8]) -> R) -> R {
         let g = self.pool.guard(PageId::new(AreaId::META, page));
         f(&g[..])
     }
@@ -606,7 +606,8 @@ mod tests {
     /// pin to release them. The source keeps them for its pin.
     #[test]
     fn an_image_cut_under_a_pin_holds_the_deferred_frees_free() {
-        use crate::{ManagerSpec, SnapshotReader};
+        use crate::{ManagerSpec, SpanCursor};
+        use std::io::Read;
         for alloc_log in [false, true] {
             let cfg = DbConfig {
                 alloc_log,
@@ -622,8 +623,12 @@ mod tests {
             db.save_image(&mut img).unwrap();
 
             assert_eq!(db.verify(&[("a", obj.as_ref())], &[]), []);
-            let mut reader = SnapshotReader::new(&mut db, &snap, obj.root_page()).unwrap();
-            assert_eq!(reader.read_to_end(&db), [7u8; 60_000]);
+            let mut pinned = Vec::new();
+            SpanCursor::pinned(&db, &snap, obj.root_page())
+                .unwrap()
+                .read_to_end(&mut pinned)
+                .unwrap();
+            assert_eq!(pinned, [7u8; 60_000]);
             db.release_snapshot(snap);
 
             let err = Db::load_image(&mut img.as_slice(), cfg).err();

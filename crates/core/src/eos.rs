@@ -44,9 +44,6 @@ use crate::segdata::{append_in_place, append_seg_bytes, read_segs, seg_buf, writ
 use crate::shadow::OpCtx;
 use crate::tree::{read_piece, LeafPos, PosTree};
 
-const EOS_MAGIC: u32 = 0x454F_5331; // "EOS1"
-const KIND_EOS: u8 = 2;
-
 /// Creation parameters for an EOS object.
 #[derive(Copy, Clone, Debug)]
 pub struct EosParams {
@@ -87,16 +84,10 @@ impl EosObject {
             )));
         }
         let root = db.alloc_root(Some(StorageKind::Eos));
-        let hdr = RootHdr {
-            magic: EOS_MAGIC,
-            kind: KIND_EOS,
-            level: 0,
-            n_entries: 0,
-            size: 0,
-            params: u64::from(params.threshold_pages) | (u64::from(params.max_seg_pages) << 32),
-            last_seg_alloc: 0,
-            last_seg_ptr: 0,
-        };
+        let hdr = RootHdr::new(
+            StorageKind::Eos,
+            u64::from(params.threshold_pages) | (u64::from(params.max_seg_pages) << 32),
+        );
         db.with_new_meta_page(root, |p| hdr.write(p));
         db.pool.flush_page(PageId::new(AreaId::META, root));
         db.op_commit();
@@ -111,11 +102,7 @@ impl EosObject {
     pub fn open(db: &mut Db, root_page: u32) -> Result<Self> {
         let tree = PosTree::new(root_page);
         let hdr = tree.read_hdr(db);
-        if hdr.magic != EOS_MAGIC || hdr.kind != KIND_EOS {
-            return Err(LobError::Corrupt(format!(
-                "page {root_page} is not an EOS object root"
-            )));
-        }
+        hdr.check_root(root_page, Some(StorageKind::Eos))?;
         Ok(EosObject {
             tree,
             threshold_pages: cast::to_u32(hdr.params & 0xFFFF_FFFF),

@@ -43,9 +43,6 @@ use crate::segdata::{
 use crate::shadow::OpCtx;
 use crate::tree::{read_piece, LeafPos, PosTree};
 
-const ESM_MAGIC: u32 = 0x4553_4D31; // "ESM1"
-const KIND_ESM: u8 = 1;
-
 /// Byte-insert algorithm variant \[Care86\].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum EsmInsertAlgo {
@@ -94,16 +91,7 @@ impl EsmObject {
             )));
         }
         let root = db.alloc_root(Some(StorageKind::Esm));
-        let hdr = RootHdr {
-            magic: ESM_MAGIC,
-            kind: KIND_ESM,
-            level: 0,
-            n_entries: 0,
-            size: 0,
-            params: u64::from(params.leaf_pages),
-            last_seg_alloc: 0,
-            last_seg_ptr: 0,
-        };
+        let hdr = RootHdr::new(StorageKind::Esm, u64::from(params.leaf_pages));
         db.with_new_meta_page(root, |p| hdr.write(p));
         db.pool
             .flush_page(lobstore_simdisk::PageId::new(AreaId::META, root));
@@ -120,11 +108,7 @@ impl EsmObject {
     pub fn open(db: &mut Db, root_page: u32) -> Result<Self> {
         let tree = PosTree::new(root_page);
         let hdr = tree.read_hdr(db);
-        if hdr.magic != ESM_MAGIC || hdr.kind != KIND_ESM {
-            return Err(LobError::Corrupt(format!(
-                "page {root_page} is not an ESM object root"
-            )));
-        }
+        hdr.check_root(root_page, Some(StorageKind::Esm))?;
         Ok(EsmObject {
             tree,
             leaf_pages: cast::to_u32(hdr.params),

@@ -76,10 +76,10 @@ pub use health::{object_health, publish_object_health, HealthSample, ObjectHealt
 pub use lobstore_buddy::{Extent, FragStats};
 pub use metrics::NAMES as METRIC_NAMES;
 pub use object::{LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization};
-pub use shared::{SharedDb, SharedSnapshotReader};
+pub use shared::{SharedDb, SharedPin, SharedSnapshotReader};
 pub use spec::{open_object, ManagerSpec};
 pub use starburst::{StarburstObject, StarburstParams};
-pub use stream::{ObjectReader, ObjectWriter, SnapshotReader};
+pub use stream::{Live, ObjectReader, ObjectWriter, Pinned, ReadAccess, SpanCursor};
 pub use verify::Finding;
 pub use version::Snapshot;
 

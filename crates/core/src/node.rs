@@ -28,7 +28,9 @@
 
 use lobstore_simdisk::{cast, PAGE_SIZE};
 
+use crate::error::LobError;
 use crate::layout::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64};
+use crate::object::StorageKind;
 
 /// Byte offset of the entry array in an interior node page.
 pub(crate) const NODE_ENTRIES_OFF: usize = 8;
@@ -415,6 +417,53 @@ pub(crate) struct RootHdr {
 }
 
 impl RootHdr {
+    /// The header of a new, empty `kind` root with parameter word `params`.
+    pub fn new(kind: StorageKind, params: u64) -> RootHdr {
+        RootHdr {
+            magic: Self::magic(kind),
+            kind: kind.as_u8(),
+            level: 0,
+            n_entries: 0,
+            size: 0,
+            params,
+            last_seg_alloc: 0,
+            last_seg_ptr: 0,
+        }
+    }
+
+    /// The magic a `kind` root starts with.
+    pub fn magic(kind: StorageKind) -> u32 {
+        match kind {
+            StorageKind::Esm => 0x4553_4D31,       // "ESM1"
+            StorageKind::Eos => 0x454F_5331,       // "EOS1"
+            StorageKind::Starburst => 0x5354_4152, // "STAR"
+        }
+    }
+
+    /// Check that this header, read from `page`, heads an object root:
+    /// its magic and kind byte name the same scheme — `kind` when given
+    /// (a manager's `open`), else the one the kind byte names (a pinned
+    /// cursor). Returns that scheme, or the error its `open` returns.
+    pub fn check_root(&self, page: u32, kind: Option<StorageKind>) -> crate::Result<StorageKind> {
+        let Some(kind) = kind.or(StorageKind::from_u8(self.kind)) else {
+            return Err(LobError::Corrupt(format!(
+                "page {page} is not an object root (kind {})",
+                self.kind
+            )));
+        };
+        if self.magic == Self::magic(kind) && self.kind == kind.as_u8() {
+            return Ok(kind);
+        }
+        Err(LobError::Corrupt(format!(
+            "page {page} is not {}",
+            match kind {
+                StorageKind::Esm => "an ESM object root",
+                StorageKind::Eos => "an EOS object root",
+                StorageKind::Starburst => "a Starburst descriptor",
+            }
+        )))
+    }
+
     /// Parse the header fields of a root page.
     pub fn read(page: &[u8]) -> RootHdr {
         RootHdr {

@@ -10,11 +10,12 @@
 //!   one [`RwLock`] and run serialized, exactly like the paper's
 //!   simulation driver;
 //! * version-pinned snapshot scans ([`SharedDb::snapshot_reader`]) take
-//!   only the **read side**: everything a pinned [`SnapshotReader`]
+//!   only the **read side**, once per refill: everything the pinned
+//!   cursor ([`crate::SpanCursor`] over a [`crate::Pinned`] source)
 //!   touches below its root is immutable while the pin is held, and the
 //!   buffer pool's control mutex and per-frame latches make the page
-//!   traffic thread-safe — so any number of scanners stream concurrently, and
-//!   with each other *and* block only writers.
+//!   traffic thread-safe — so any number of scanners stream concurrently,
+//!   and with each other *and* block only writers.
 //!
 //! This is still not fine-grained concurrency control over updates:
 //! latches, lock crabbing, and transactions are outside the paper's scope
@@ -30,15 +31,14 @@
 //! reader that panicked mid-scan held no pool pins or latches at the
 //! `RwLock` boundary (page pins live strictly inside pool calls). The
 //! snapshot pin a panicking reader leaks is released by its
-//! [`SharedSnapshotReader`]'s `Drop`.
+//! [`SharedPin`]'s `Drop`.
 
-use std::io::{BufRead, Read, Seek, SeekFrom};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::db::Db;
 use crate::error::Result;
 use crate::metrics;
-use crate::stream::{read_buffered, seek_target, SnapshotReader};
+use crate::stream::{Pinned, ReadAccess, SpanCursor};
 use crate::version::Snapshot;
 
 /// A cloneable, thread-safe handle to one database. All clones refer to
@@ -85,27 +85,19 @@ impl SharedDb {
         f(&self.inner.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Open a pinned snapshot scan over the object rooted at `root_page`.
-    ///
-    /// Takes the write lock briefly (pinning mutates version state), then
-    /// returns a cursor whose reads need only the **read** side — see
-    /// [`SharedSnapshotReader`]. Dropping the cursor releases the pin.
+    /// Pin the current committed version and open a cursor over the
+    /// object rooted at `root_page` as of it. The pin takes the write
+    /// lock briefly; the open and every refill take only the read side.
+    /// The cursor owns the pin: dropping it (or [`SharedSnapshotReader::close`])
+    /// releases it, and so does a failed open.
     pub fn snapshot_reader(&self, root_page: u32) -> Result<SharedSnapshotReader> {
-        let (snap, reader) = self.with(|db| {
-            let snap = db.snapshot();
-            match SnapshotReader::new(db, &snap, root_page) {
-                Ok(r) => Ok((snap, r)),
-                Err(e) => {
-                    db.release_snapshot(snap);
-                    Err(e)
-                }
-            }
-        })?;
-        Ok(SharedSnapshotReader {
+        let snap = self.with(Db::snapshot);
+        let version = snap.version();
+        let pin = SharedPin {
             shared: self.clone(),
             snap: Some(snap),
-            reader,
-        })
+        };
+        SpanCursor::open(pin, version, root_page)
     }
 
     /// Recover the unique [`Db`] if this is the last handle.
@@ -116,85 +108,42 @@ impl SharedDb {
     }
 }
 
-/// A positional cursor streaming one object as of a pinned version,
-/// holding the database lock only in **read** mode while scanning — the
-/// `SharedDb` twin of [`crate::ObjectReader`].
-///
-/// Implements [`Read`], [`BufRead`] (with the snapshot reader's span as
-/// the buffer), and [`Seek`]. Each refill takes the shared lock once per
-/// span — the rest of one segment, up to 4 MB — and consuming the span
-/// takes none, so concurrent scanners spend almost all their time outside
-/// any `SharedDb`-level lock.
-///
-/// Dropping the cursor re-enters the write tier once to release the
-/// snapshot pin; call [`Self::close`] to do it explicitly.
-pub struct SharedSnapshotReader {
-    shared: SharedDb,
-    snap: Option<Snapshot>,
-    reader: SnapshotReader,
+/// A pinned cursor over `SharedDb` enters the read tier once per refill.
+impl ReadAccess for SharedDb {
+    fn with_db<R>(&mut self, f: impl FnOnce(&Db) -> R) -> R {
+        self.with_read(f)
+    }
 }
 
-impl SharedSnapshotReader {
-    /// Object size at the pinned version.
-    pub fn size(&self) -> u64 {
-        self.reader.size()
-    }
+/// `SharedDb`'s read tier together with the snapshot pin it serves:
+/// dropping it re-enters the write tier once to release the pin.
+pub struct SharedPin {
+    shared: SharedDb,
+    snap: Option<Snapshot>,
+}
 
-    /// The pinned version this cursor reads.
-    pub fn version(&self) -> u64 {
-        self.snap.as_ref().map_or(0, Snapshot::version)
+impl ReadAccess for SharedPin {
+    fn with_db<R>(&mut self, f: impl FnOnce(&Db) -> R) -> R {
+        self.shared.with_db(f)
     }
+}
 
-    /// Release the snapshot pin now (otherwise done on drop).
-    pub fn close(mut self) {
-        self.release();
-    }
-
-    fn release(&mut self) {
+impl Drop for SharedPin {
+    fn drop(&mut self) {
         if let Some(snap) = self.snap.take() {
             self.shared.with(|db| db.release_snapshot(snap));
         }
     }
 }
 
-impl Read for SharedSnapshotReader {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        read_buffered(self, out)
-    }
-}
+/// The pinned cursor [`SharedDb::snapshot_reader`] returns: it owns its
+/// pin and takes the read tier only to refill its span.
+pub type SharedSnapshotReader = SpanCursor<Pinned<SharedPin>>;
 
-impl BufRead for SharedSnapshotReader {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        // While the buffered span covers the cursor, hand bytes out
-        // without touching the lock at all — a scanner only re-enters the
-        // read tier once per exhausted span. The slice borrows the
-        // cursor's own buffer, valid after the lock drops. At or past
-        // the end there is nothing to fetch, so EOF takes no lock either.
-        if self.reader.buffered().is_empty() && self.reader.position() < self.reader.size() {
-            let SharedSnapshotReader { shared, reader, .. } = self;
-            shared.with_read(|db| {
-                reader.fill_buf(db);
-            });
-        }
-        Ok(self.reader.buffered())
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.reader.consume(amt);
-    }
-}
-
-impl Seek for SharedSnapshotReader {
-    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
-        let target = seek_target(pos, self.reader.position(), self.reader.size())?;
-        self.reader.seek(target);
-        Ok(target)
-    }
-}
-
-impl Drop for SharedSnapshotReader {
-    fn drop(&mut self) {
-        self.release();
+impl SharedSnapshotReader {
+    /// Release the snapshot pin now (otherwise done on drop).
+    pub fn close(self) {
+        drop(self);
     }
 }
 
@@ -216,6 +165,8 @@ const _: () = {
 
 #[cfg(test)]
 mod tests {
+    use std::io::{BufRead, Read, Seek, SeekFrom};
+
     use super::*;
     use crate::spec::ManagerSpec;
 

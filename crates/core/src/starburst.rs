@@ -33,8 +33,6 @@ use crate::object::{
 };
 use crate::segdata::{append_in_place, insert_bytes, patch_in_place, peek_segs};
 
-const STAR_MAGIC: u32 = 0x5354_4152; // "STAR"
-const KIND_STARBURST: u8 = 3;
 /// The 512 KB copy buffer of §3.5, in pages and in bytes (a widening
 /// cast; `cast::u32_to_usize` is not `const`).
 const STAGING_PAGES: u32 = 128;
@@ -78,16 +76,10 @@ impl StarburstObject {
             )));
         }
         let root = db.alloc_root(Some(StorageKind::Starburst));
-        let hdr = RootHdr {
-            magic: STAR_MAGIC,
-            kind: KIND_STARBURST,
-            level: 0,
-            n_entries: 0,
-            size: 0,
-            params: u64::from(params.max_seg_pages) | (u64::from(params.known_size) << 32),
-            last_seg_alloc: 0,
-            last_seg_ptr: 0,
-        };
+        let hdr = RootHdr::new(
+            StorageKind::Starburst,
+            u64::from(params.max_seg_pages) | (u64::from(params.known_size) << 32),
+        );
         db.with_new_meta_page(root, |p| hdr.write(p));
         db.pool.flush_page(PageId::new(AreaId::META, root));
         db.op_commit();
@@ -101,11 +93,7 @@ impl StarburstObject {
     /// Open an existing long field by its descriptor page.
     pub fn open(db: &mut Db, root_page: u32) -> Result<Self> {
         let hdr = db.with_meta_page(root_page, RootHdr::read);
-        if hdr.magic != STAR_MAGIC || hdr.kind != KIND_STARBURST {
-            return Err(LobError::Corrupt(format!(
-                "page {root_page} is not a Starburst descriptor"
-            )));
-        }
+        hdr.check_root(root_page, Some(StorageKind::Starburst))?;
         Ok(StarburstObject {
             root: root_page,
             max_seg_pages: cast::to_u32(hdr.params & 0xFFFF_FFFF),
@@ -541,7 +529,7 @@ impl LargeObject for StarburstObject {
     fn check_invariants(&self, db: &Db) -> Result<()> {
         let page = db.peek_meta(self.root);
         let hdr = RootHdr::read(&page[..]);
-        if hdr.magic != STAR_MAGIC {
+        if hdr.magic != RootHdr::magic(StorageKind::Starburst) {
             return Err(LobError::Corrupt("bad descriptor magic".into()));
         }
         let node = Node::read_root(&page[..], &hdr);

@@ -1,22 +1,28 @@
 //! `std::io` adapters over large objects: stream a BLOB like a file.
 //!
-//! Two cursors, because they differ by something the code observes —
-//! whether the version being read can still change:
+//! One cursor reads every version. [`SpanCursor`] holds the position, the
+//! object size and one [`Span`]: the rest of the segment under the
+//! cursor, refilled by one descent and one segment read into the `Vec` it
+//! handed out last time (§3.2: one segment per I/O call, nothing read
+//! ahead of the request). Its [`Read`], [`BufRead`] and [`Seek`] are
+//! written once; a `Source` has one job, to refill the span at a
+//! position. There are two:
 //!
-//! * [`ObjectReader`] reads the **live** version. It borrows the database
-//!   exclusively, finds segments through the manager (hybrid §3.2 pool
-//!   policy) and costs exactly what one bulk [`LargeObject::read`] would.
-//! * [`SnapshotReader`] reads a **pinned** version. Everything below its
-//!   root is immutable while the pin is held, so `&Db` is enough for every
-//!   call; it reads segments page-direct, so under the shared lock a
-//!   concurrent scanner fixes only the index pages of its descents.
-//!   [`crate::SharedSnapshotReader`] wraps it for [`crate::SharedDb`].
+//! * [`Live`] reads the **live** version. It borrows the database
+//!   exclusively, and a refill is one [`LargeObject::read_span`] under the
+//!   hybrid §3.2 pool policy, so a streamed scan costs exactly what one
+//!   bulk [`LargeObject::read`] would. [`ObjectReader`] is this cursor.
+//! * [`Pinned`] reads a **pinned** version. Its root is resolved once,
+//!   through the version overlay; everything below it is immutable while
+//!   the pin is held, so a refill needs only `&Db`: one descent and one
+//!   page-direct segment read, which under [`crate::SharedDb`]'s read
+//!   tier fixes only the index pages. It reaches `&Db` through a
+//!   [`ReadAccess`]: a borrowed `&Db`, `SharedDb`'s read tier
+//!   ([`crate::SharedSnapshotReader`] owns its pin as well), or a
+//!   caller's wrapper.
 //!
-//! Both buffer the same way: one [`Span`], the rest of the segment under
-//! the cursor, refilled by one descent and one segment read into the
-//! `Vec` it handed out last time (§3.2: one segment per I/O call, nothing
-//! read ahead of the request). The live cursor makes both inside one
-//! [`LargeObject::read_span`] call.
+//! Only a refill runs a source: a read inside the buffered span, or at
+//! or past the end, touches no database and takes no lock.
 //!
 //! [`ObjectWriter`] implements [`Write`] for streaming creation by
 //! appends, buffering to a configurable chunk size so the append pattern
@@ -27,61 +33,21 @@ use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 use lobstore_simdisk::cast;
 
 use crate::db::Db;
-use crate::error::{LobError, Result};
+use crate::error::Result;
 use crate::node::{find_child, Node, RootHdr};
-use crate::object::{LargeObject, StorageKind};
+use crate::object::LargeObject;
 use crate::segdata::read_seg_pages;
 use crate::version::Snapshot;
 
-/// Upper bound on one scan-cursor refill, live or pinned. Large enough
-/// that tree-scheme segments (≤ a few hundred KB) always refill in a
-/// single span read; bounds the buffer for Starburst's up-to-32 MB
-/// segments.
+/// Upper bound on one refill, live or pinned. Large enough that
+/// tree-scheme segments (≤ a few hundred KB) always refill in a single
+/// span read; bounds the buffer for Starburst's up-to-32 MB segments.
 const READ_AHEAD_MAX: usize = 4 << 20;
 
-/// Resolve a [`SeekFrom`] against a cursor at `pos` over `size` bytes,
-/// with [`std::io::Cursor`]'s semantics: a target before byte 0 (or past
-/// `u64::MAX`) is `InvalidInput`; a target past the end is allowed and
-/// reads there return 0 bytes.
-pub(crate) fn seek_target(from: SeekFrom, pos: u64, size: u64) -> io::Result<u64> {
-    let target = match from {
-        SeekFrom::Start(n) => i128::from(n),
-        SeekFrom::End(d) => i128::from(size) + i128::from(d),
-        SeekFrom::Current(d) => i128::from(pos) + i128::from(d),
-    };
-    u64::try_from(target).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "seek to a negative or overflowing position",
-        )
-    })
-}
-
-/// [`Read::read`] for a cursor that is a [`BufRead`]: copy from the head
-/// of `fill_buf`, then `consume`. Short reads happen at span boundaries.
-pub(crate) fn read_buffered(r: &mut impl BufRead, out: &mut [u8]) -> io::Result<usize> {
-    if out.is_empty() {
-        return Ok(0);
-    }
-    let n = take_into(out, r.fill_buf()?);
-    r.consume(n);
-    Ok(n)
-}
-
-/// Copy as much of the head of `src` as fits into `out`; returns the
-/// count.
-fn take_into(out: &mut [u8], src: &[u8]) -> usize {
-    let take = src.len().min(out.len());
-    // `take` is clamped to both slice lengths.
-    // loblint: allow(panic-path)
-    out[..take].copy_from_slice(&src[..take]);
-    take
-}
-
-/// What a scan cursor buffers: object bytes `[start, start + len)`, held
-/// at `data[skip..skip + len]`. The segment read lands in `data`
-/// directly — the only copy those bytes make before `fill_buf` hands
-/// them out — and the next refill reuses the allocation.
+/// What a cursor buffers: object bytes `[start, start + len)`, held at
+/// `data[skip..skip + len]`. The segment read lands in `data` directly —
+/// the only copy those bytes make before `fill_buf` hands them out — and
+/// the next refill reuses the allocation.
 #[derive(Default)]
 struct Span {
     start: u64,
@@ -104,43 +70,40 @@ impl Span {
     }
 }
 
-/// Streaming reader over a large object.
+/// Where a [`SpanCursor`] gets its bytes.
+pub(crate) trait Source {
+    /// Read from object byte `pos` (below the object size) to the end of
+    /// the segment holding it, at most 4 MiB, into `buf`, reusing its
+    /// allocation. Returns `(skip, len)`: the bytes are
+    /// `buf[skip..skip + len]`, and `len > 0`.
+    fn refill(&mut self, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)>;
+}
+
+/// A sequential-scan cursor over one version of a large object.
 ///
-/// A sequential-scan cursor: instead of descending the index for every
-/// `read()` call (ruinous for small chunks — one full root-to-leaf walk
-/// per 4 KB), the reader refills its buffer once per span with one
-/// [`LargeObject::read_span`]: one descent to the segment holding the
-/// current position, one byte-range read of the rest of that segment
-/// (capped at `READ_AHEAD_MAX`, 4 MiB). Small sequential reads then cost
-/// exactly the simulated I/O of one large read: the refills make the
-/// descents and issue the per-segment `read_segment` calls a whole-range
-/// [`LargeObject::read`] would, and nothing else but the one size lookup
-/// of [`ObjectReader::new`].
-///
-/// Seeks don't discard the buffer — the object cannot change while the
-/// reader holds the database borrow, so re-reads within the buffered
-/// span (including backward seeks) are served from memory.
-pub struct ObjectReader<'a> {
-    db: &'a mut Db,
-    obj: &'a dyn LargeObject,
+/// Instead of descending the index for every `read()` call (ruinous for
+/// small chunks — one full root-to-leaf walk per 4 KB), the cursor refills
+/// its one span per segment through its source, so small sequential
+/// reads cost exactly the simulated I/O of one large read. Seeks keep the
+/// span: the version cannot change under the cursor, so a re-read inside
+/// it (a backward seek included) is served from memory. Seeking follows
+/// [`std::io::Cursor`]: a target before byte 0 or past `u64::MAX` is
+/// `InvalidInput`; past the end is allowed and reads 0 bytes.
+pub struct SpanCursor<S> {
+    src: S,
     pos: u64,
     size: u64,
-    /// The buffered span; `skip` stays 0, a byte-range read fills `data`
-    /// from its first byte.
     span: Span,
 }
 
-impl<'a> ObjectReader<'a> {
-    /// Start a sequential reader at offset 0 of `obj`.
-    pub fn new(db: &'a mut Db, obj: &'a dyn LargeObject) -> Self {
-        let size = obj.size(db);
+impl<S> SpanCursor<S> {
+    fn over(src: S, size: u64) -> Self {
         // Reserve the full read-ahead capacity up front: refills then
         // never reallocate (a reallocation would memcpy bytes that are
         // about to be overwritten by the next span read).
         let cap = cast::to_usize(size.min(READ_AHEAD_MAX as u64));
-        ObjectReader {
-            db,
-            obj,
+        SpanCursor {
+            src,
             pos: 0,
             size,
             span: Span {
@@ -155,34 +118,39 @@ impl<'a> ObjectReader<'a> {
         self.pos
     }
 
-    /// Refill the span starting at the current position with the rest of
-    /// the segment holding it: one observed read, one descent.
-    fn refill(&mut self) -> Result<()> {
-        let n = self
-            .obj
-            .read_span(self.db, self.pos, READ_AHEAD_MAX, &mut self.span.data)?;
-        debug_assert!(n > 0, "refill inside the object read nothing");
-        self.span.start = self.pos;
-        self.span.len = n;
-        Ok(())
+    /// Object size in the version the cursor reads.
+    pub fn size(&self) -> u64 {
+        self.size
     }
 }
 
-impl Read for ObjectReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        read_buffered(self, buf)
+impl<S: Source> Read for SpanCursor<S> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        if out.is_empty() {
+            return Ok(0);
+        }
+        let n = self.fill_buf()?.read(out)?;
+        self.consume(n);
+        Ok(n)
     }
 }
 
-impl BufRead for ObjectReader<'_> {
+impl<S: Source> BufRead for SpanCursor<S> {
     /// Zero-copy access to the buffered span: the returned slice borrows
-    /// the read-ahead buffer directly, so sequential consumers pay for
-    /// each byte exactly once (the refill's copy out of the page store)
-    /// instead of twice. Refills on demand like [`Read::read`] and
-    /// charges identical simulated I/O.
+    /// the span directly, so sequential consumers pay for each byte
+    /// exactly once (the refill's copy out of the page store). Empty only
+    /// at or past the end of the object.
     fn fill_buf(&mut self) -> io::Result<&[u8]> {
         if self.pos < self.size && self.span.slice_at(self.pos).is_empty() {
-            self.refill().map_err(|e| io::Error::other(e.to_string()))?;
+            self.span.len = 0;
+            let (skip, len) = self
+                .src
+                .refill(self.pos, &mut self.span.data)
+                .map_err(|e| io::Error::other(e.to_string()))?;
+            debug_assert!(len > 0, "refill inside the object read nothing");
+            self.span.start = self.pos;
+            self.span.skip = skip;
+            self.span.len = len.min(cast::to_usize(self.size.saturating_sub(self.pos)));
         }
         Ok(self.span.slice_at(self.pos))
     }
@@ -194,171 +162,121 @@ impl BufRead for ObjectReader<'_> {
             amt <= self.span.slice_at(self.pos).len(),
             "consume before fill_buf"
         );
-        // loblint: allow(arith-overflow)
-        self.pos += amt as u64;
+        self.pos = self.pos.saturating_add(amt as u64);
     }
 }
 
-impl Seek for ObjectReader<'_> {
-    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        self.pos = seek_target(pos, self.pos, self.size)?;
+impl<S> Seek for SpanCursor<S> {
+    fn seek(&mut self, from: SeekFrom) -> io::Result<u64> {
+        let target = match from {
+            SeekFrom::Start(n) => i128::from(n),
+            SeekFrom::End(d) => i128::from(self.size) + i128::from(d),
+            SeekFrom::Current(d) => i128::from(self.pos) + i128::from(d),
+        };
+        self.pos = u64::try_from(target).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "seek to a negative or overflowing position",
+            )
+        })?;
         Ok(self.pos)
     }
 }
 
-/// A positional cursor reading one object *as of* a pinned snapshot.
-///
-/// The reader resolves the object's root through the version overlay
-/// once, at construction — everything reachable from that root is
-/// immutable while the snapshot stays pinned. That is also why a shared
-/// `&Db` is enough for every read (`&mut Db` coerces to it): the cursor
-/// does not borrow the database between calls, so readers on other
-/// threads of a [`crate::SharedDb`] interleave with a writer's operations
-/// and still observe stable bytes.
-///
-/// It buffers like [`ObjectReader`]: one span, the rest of the segment
-/// under the cursor (capped at 4 MiB), refilled by one index descent plus
-/// one page-run segment read. A whole-object scan therefore charges the
-/// same simulated I/O calls in the same order as [`ObjectReader`], a
-/// partial read pays for its own segment only, and a re-read inside the
-/// buffered span touches no database at all.
-pub struct SnapshotReader {
-    version: u64,
-    /// Parsed root: level and entries as of the snapshot.
-    root: Node,
-    size: u64,
-    pos: u64,
-    /// The buffered span; `data` holds the whole covering page run, so
-    /// `skip` is the span's offset inside its first page.
-    span: Span,
+/// The live source: the head version, read through the manager.
+pub struct Live<'a> {
+    db: &'a mut Db,
+    obj: &'a dyn LargeObject,
 }
 
-impl SnapshotReader {
-    /// Open a snapshot cursor over the object rooted at `root_page`.
-    /// Fails if the page does not hold a manager root at this version.
-    pub fn new(db: &mut Db, snap: &Snapshot, root_page: u32) -> Result<SnapshotReader> {
-        let v = snap.version();
-        let (hdr, root) = db.versioned_meta_page(root_page, v, |p| {
-            let hdr = RootHdr::read(p);
-            let node = Node::read_root(p, &hdr);
-            (hdr, node)
-        });
-        if StorageKind::from_u8(hdr.kind).is_none() {
-            return Err(LobError::Corrupt(format!(
-                "page {root_page} is not an object root at version {v} (kind {})",
-                hdr.kind
-            )));
-        }
-        Ok(SnapshotReader {
-            version: v,
-            root,
-            size: hdr.size,
-            pos: 0,
-            span: Span::default(),
-        })
+impl Source for Live<'_> {
+    /// One [`LargeObject::read_span`]: one observed read, one descent,
+    /// one segment read, filling the buffer from its first byte.
+    fn refill(&mut self, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)> {
+        let n = self.obj.read_span(self.db, pos, READ_AHEAD_MAX, buf)?;
+        Ok((0, n))
     }
+}
 
-    /// Object size at the snapshot version.
-    pub fn size(&self) -> u64 {
-        self.size
+/// The cursor over the live version. Its refills make the descents and
+/// issue the per-segment `read_segment` calls a whole-range
+/// [`LargeObject::read`] would, and nothing else but the one size lookup
+/// of [`ObjectReader::new`].
+pub type ObjectReader<'a> = SpanCursor<Live<'a>>;
+
+impl<'a> ObjectReader<'a> {
+    /// Start a sequential reader at offset 0 of `obj`.
+    pub fn new(db: &'a mut Db, obj: &'a dyn LargeObject) -> Self {
+        let size = obj.size(db);
+        Self::over(Live { db, obj }, size)
     }
+}
 
-    /// Current read position.
-    pub fn position(&self) -> u64 {
-        self.pos
+/// How a pinned cursor reaches the database for one refill.
+pub trait ReadAccess {
+    /// Run `f` with shared access to the database.
+    fn with_db<R>(&mut self, f: impl FnOnce(&Db) -> R) -> R;
+}
+
+impl ReadAccess for &Db {
+    fn with_db<R>(&mut self, f: impl FnOnce(&Db) -> R) -> R {
+        f(self)
     }
+}
 
-    /// Move the cursor. Past the end is allowed, like a file: reads
-    /// there return 0 bytes.
-    pub fn seek(&mut self, pos: u64) {
-        self.pos = pos;
-    }
+/// The pinned source: one version of one object, its root parsed once.
+pub struct Pinned<D> {
+    db: D,
+    version: u64,
+    root: Node,
+}
 
-    /// Read up to `out.len()` bytes at the cursor; returns the count
-    /// (0 at end of object). Short reads happen at span boundaries,
-    /// like [`std::io::Read`].
-    pub fn read(&mut self, db: &Db, out: &mut [u8]) -> usize {
-        if out.is_empty() {
-            return 0;
-        }
-        let n = take_into(out, self.fill_buf(db));
-        self.consume(n);
-        n
-    }
-
-    /// Bytes buffered at the cursor, refilling the span if it does not
-    /// cover the current position. Empty only at (or past) the end of
-    /// the object.
-    pub fn fill_buf(&mut self, db: &Db) -> &[u8] {
-        if self.pos < self.size && self.buffered().is_empty() {
-            self.refill(db);
-        }
-        self.buffered()
-    }
-
-    /// What [`Self::fill_buf`] last produced, as far as it is still
-    /// unconsumed — without touching the database, so a caller can check
-    /// it before taking any lock and hand it out after dropping one.
-    pub fn buffered(&self) -> &[u8] {
-        self.span.slice_at(self.pos)
-    }
-
-    /// Advance the cursor past `n` bytes returned by [`Self::fill_buf`].
-    pub fn consume(&mut self, n: usize) {
-        self.pos = self.pos.saturating_add(n as u64);
-    }
-
-    /// Read from the cursor to the end of the object.
-    pub fn read_to_end(&mut self, db: &Db) -> Vec<u8> {
-        let mut out = Vec::with_capacity(cast::to_usize(self.size.saturating_sub(self.pos)));
-        loop {
-            let chunk = self.fill_buf(db);
-            if chunk.is_empty() {
-                return out;
+impl<D: ReadAccess> Source for Pinned<D> {
+    /// One descent below the parsed root, searching each index page in
+    /// place, then one page-run read of the rest of the segment
+    /// (`read_seg_pages`), landing in the buffer directly.
+    fn refill(&mut self, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)> {
+        let Pinned { db, version, root } = self;
+        Ok(db.with_db(|db| {
+            assert!(
+                db.is_pinned(*version),
+                "snapshot at version {version} was released while a reader was open"
+            );
+            let (_, mut within, mut e) = find_child(root.entries.iter().copied(), pos);
+            for _ in 0..root.level {
+                (_, within, e) = db.with_meta_node(e.ptr, |node| node.find_child(within));
             }
-            out.extend_from_slice(chunk);
-            let n = chunk.len();
-            self.consume(n);
-        }
+            let want = e.count.saturating_sub(within).min(READ_AHEAD_MAX as u64);
+            let skip = read_seg_pages(db, e.ptr, within, want, buf, 0);
+            (skip, cast::to_usize(want))
+        }))
+    }
+}
+
+impl<D: ReadAccess> SpanCursor<Pinned<D>> {
+    /// Open a cursor over the object rooted at `root_page` as of `snap`,
+    /// reaching the database through `db`: a borrowed `&Db`, a
+    /// [`crate::SharedDb`]'s read tier, or a caller's own [`ReadAccess`].
+    /// Fails, as the scheme's `open` would, unless the page holds an
+    /// object root at that version.
+    pub fn pinned(db: D, snap: &Snapshot, root_page: u32) -> Result<Self> {
+        Self::open(db, snap.version(), root_page)
     }
 
-    /// Locate the leaf segment holding object byte `off`: returns
-    /// `(segment first page, offset of `off` in the segment, segment
-    /// byte count)`.
-    fn locate(&self, db: &Db, off: u64) -> (u32, u64, u64) {
-        debug_assert!(off < self.size);
-        let (_, mut within, mut e) = find_child(self.root.entries.iter().copied(), off);
-        for _ in 0..self.root.level {
-            // A pinned version's index pages cannot change, so the page
-            // is searched in place through `&Db`, like the live descent.
-            (_, within, e) = db.with_meta_node(e.ptr, |node| node.find_child(within));
-        }
-        (e.ptr, within, e.count)
+    pub(crate) fn open(mut db: D, version: u64, root_page: u32) -> Result<Self> {
+        let (size, root) = db.with_db(|db| {
+            db.versioned_meta_page(root_page, version, |p| {
+                let hdr = RootHdr::read(p);
+                hdr.check_root(root_page, None)?;
+                Ok((hdr.size, Node::read_root(p, &hdr)))
+            })
+        })?;
+        Ok(Self::over(Pinned { db, version, root }, size))
     }
 
-    /// Refill the span starting at the current position: one descent to
-    /// find the segment, one page-run read for the remainder of that
-    /// segment, landing in the span's buffer directly.
-    fn refill(&mut self, db: &Db) {
-        assert!(
-            db.is_pinned(self.version),
-            "snapshot at version {} was released while a reader was open",
-            self.version
-        );
-        let (ptr, from, seg_len) = self.locate(db, self.pos);
-        let left = seg_len
-            .saturating_sub(from)
-            .min(self.size.saturating_sub(self.pos));
-        let want = cast::to_usize(left).min(READ_AHEAD_MAX);
-        debug_assert!(want > 0, "refill past the located segment");
-        let mut data = std::mem::take(&mut self.span.data);
-        let skip = read_seg_pages(db, ptr, from, want as u64, &mut data, 0);
-        self.span = Span {
-            start: self.pos,
-            skip,
-            len: want,
-            data,
-        };
+    /// The pinned version this cursor reads.
+    pub fn version(&self) -> u64 {
+        self.src.version
     }
 }
 
@@ -586,11 +504,11 @@ mod tests {
         assert_eq!(buf[..], data[..4096]);
         // Jump back: the span is already buffered, so this must not
         // change the simulated I/O tally.
-        let io_before = r.db.io_stats();
+        let io_before = r.src.db.io_stats();
         r.seek(SeekFrom::Start(100)).unwrap();
         r.read_exact(&mut buf).unwrap();
         assert_eq!(buf[..], data[100..100 + 4096]);
-        assert_eq!(r.db.io_stats(), io_before, "re-read served from buffer");
+        assert_eq!(r.src.db.io_stats(), io_before, "re-read served from buffer");
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //!   `free` of a committed page or extent is **deferred** — the pages stay
 //!   allocated (so nothing can reuse and clobber them) until no pin needs
 //!   them;
-//! * [`crate::SnapshotReader`] walks an object's index *as of* the pinned
-//!   version: the root comes from the overlay, the open interval or the
-//!   live page, everything below the root is immutable while pinned, so
-//!   ordinary costed reads serve the rest.
+//! * the read cursor's pinned source ([`crate::SpanCursor::pinned`])
+//!   reads an object *as of* the pinned version: the root comes from the
+//!   overlay, the open interval or the live page, everything below the
+//!   root is immutable while pinned, so ordinary costed reads serve the
+//!   rest.
 //!
 //! Old versions are reclaimed incrementally: whenever a pin is released
 //! or a version commits, overlay copies older than the oldest pin are
@@ -137,7 +138,7 @@ impl Snapshot {
 
 impl Db {
     /// Pin the current committed version and return a read handle for it.
-    /// Reads through the returned [`Snapshot`] (see [`crate::SnapshotReader`])
+    /// Reads through the returned [`Snapshot`] (see [`crate::SpanCursor::pinned`])
     /// observe exactly the bytes committed at this version, no matter how
     /// many updates or transactions commit afterwards.
     ///
@@ -338,7 +339,7 @@ impl Db {
     /// image (the content of the current version), else the live page
     /// (costed, like any read).
     pub(crate) fn versioned_meta_page<R>(
-        &mut self,
+        &self,
         page: u32,
         version: u64,
         f: impl FnOnce(&[u8]) -> R,

@@ -23,10 +23,11 @@
 //!   leaves the walk nothing to claim.
 
 use std::cell::Cell;
+use std::io::Read;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
-use lobstore_core::{Db, Finding, LargeObject, LobError, ManagerSpec, Snapshot, SnapshotReader};
+use lobstore_core::{Db, Finding, LargeObject, LobError, ManagerSpec, Snapshot, SpanCursor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -535,8 +536,11 @@ impl Driver {
 /// Stream `pin`'s version, compare it with the bytes recorded at the pin,
 /// and release it.
 fn release(db: &mut Db, pin: Pin, what: &str) {
-    let mut reader = SnapshotReader::new(db, &pin.snap, pin.root).expect("pinned root");
-    let got = reader.read_to_end(db);
+    let mut got = Vec::new();
+    SpanCursor::pinned(&*db, &pin.snap, pin.root)
+        .expect("pinned root")
+        .read_to_end(&mut got)
+        .expect("pinned read");
     assert_same(&got, &pin.bytes, &format!("{what}: pinned version"));
     db.release_snapshot(pin.snap);
 }

@@ -55,8 +55,8 @@ pub use lobstore_workload as workload;
 pub use lobstore_core::{
     object_health, open_object, publish_object_health, Catalog, CatalogEntry, Db, DbConfig,
     EosObject, EosParams, EsmInsertAlgo, EsmObject, EsmParams, FragStats, HealthSample,
-    LargeObject, LobError, ManagerSpec, ObjectHealth, ObjectReader, ObjectWriter, Result,
-    SegmentInfo, SharedDb, SharedSnapshotReader, Snapshot, SnapshotReader, StarburstObject,
+    LargeObject, LobError, ManagerSpec, ObjectHealth, ObjectReader, ObjectWriter, ReadAccess,
+    Result, SegmentInfo, SharedDb, SharedSnapshotReader, Snapshot, SpanCursor, StarburstObject,
     StarburstParams, StorageKind, TreeConfig, Utilization,
 };
 pub use lobstore_record::{FieldInput, LongHandle, RecordId, RecordStore, Value};

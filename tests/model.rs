@@ -4,7 +4,9 @@
 //! `tests/crash_fuzz.rs` and `tests/txn_crash.rs`.
 
 use lobstore::workload::model::{assert_same, at, Driver, Op};
-use lobstore::{Db, DbConfig, ManagerSpec, SnapshotReader};
+use std::io::Read;
+
+use lobstore::{Db, DbConfig, ManagerSpec, SpanCursor};
 
 fn db(alloc_log: bool) -> Db {
     Db::new(DbConfig {
@@ -43,9 +45,13 @@ fn append_after_a_tail_delete_leaves_a_pinned_version_alone() {
             let pinned = d.model.bytes().to_vec();
             let snap = db.snapshot();
             d.run(&mut db, tail_delete_then_append());
-            let mut reader = SnapshotReader::new(&mut db, &snap, d.obj.root_page()).unwrap();
+            let mut got = Vec::new();
+            SpanCursor::pinned(&db, &snap, d.obj.root_page())
+                .unwrap()
+                .read_to_end(&mut got)
+                .unwrap();
             let what = format!("{} log {log}: pinned version", spec.label());
-            assert_same(&reader.read_to_end(&db), &pinned, &what);
+            assert_same(&got, &pinned, &what);
             db.release_snapshot(snap);
             d.finish(&mut db);
         }

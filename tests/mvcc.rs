@@ -4,7 +4,9 @@
 
 use lobstore::workload::fill;
 use lobstore::workload::model::{at, Driver, Op};
-use lobstore::{Db, DbConfig, ManagerSpec, SnapshotReader};
+use std::io::{Read, Seek, SeekFrom};
+
+use lobstore::{Catalog, Db, DbConfig, ManagerSpec, SharedDb, SpanCursor};
 
 fn mvcc_db() -> Db {
     Db::new(DbConfig {
@@ -21,52 +23,66 @@ fn specs() -> [ManagerSpec; 3] {
     ]
 }
 
+/// Everything `cursor` reads from where it stands to the end.
+fn rest_of(mut cursor: impl Read) -> Vec<u8> {
+    let mut out = Vec::new();
+    cursor.read_to_end(&mut out).unwrap();
+    out
+}
+
 /// A reader holding a snapshot sees exactly the bytes that were
 /// committed when the snapshot was taken, no matter how much a writer
 /// churns the object afterwards.
 #[test]
 fn snapshot_readers_are_byte_stable_under_writer_churn() {
     for spec in specs() {
-        let mut db = mvcc_db();
-        let mut obj = spec.create(&mut db).unwrap();
+        let shared = SharedDb::new(mvcc_db());
+        let mut obj = shared.with(|db| spec.create(db)).unwrap();
         let before = fill(150_000, 1);
-        obj.append(&mut db, &before).unwrap();
+        shared.with(|db| obj.append(db, &before)).unwrap();
 
-        let snap = db.snapshot();
-        let mut reader = SnapshotReader::new(&mut db, &snap, obj.root_page()).unwrap();
+        // The cursor owns its pin; a second pin of the same version
+        // serves a reader opened after the churn.
+        let mut reader = shared.snapshot_reader(obj.root_page()).unwrap();
+        let snap = shared.with(Db::snapshot);
+        assert_eq!(snap.version(), reader.version());
         assert_eq!(reader.size(), before.len() as u64);
 
         // Read the first third while the object is still unchanged.
         let mut first = vec![0u8; 50_000];
-        let mut got = 0;
-        while got < first.len() {
-            let n = reader.read(&db, &mut first[got..]);
-            assert!(n > 0, "premature EOF at {got}");
-            got += n;
-        }
+        reader.read_exact(&mut first).unwrap();
         assert_eq!(first, before[..50_000], "{spec:?}");
 
         // Writer churn: every op commits a new version.
-        obj.insert(&mut db, 10_000, &fill(30_000, 2)).unwrap();
-        obj.delete(&mut db, 70_000, 40_000).unwrap();
-        obj.append(&mut db, &fill(20_000, 3)).unwrap();
-        assert_ne!(obj.snapshot(&db), before, "live state moved on");
+        shared.with(|db| {
+            obj.insert(db, 10_000, &fill(30_000, 2)).unwrap();
+            obj.delete(db, 70_000, 40_000).unwrap();
+            obj.append(db, &fill(20_000, 3)).unwrap();
+            assert_ne!(obj.snapshot(db), before, "live state moved on");
+        });
 
         // The in-flight reader keeps producing the snapshot's bytes...
-        let rest = reader.read_to_end(&db);
-        assert_eq!(rest, before[50_000..], "{spec:?}: tail diverged");
-        // ...and a reader opened late on the same snapshot agrees.
-        let mut late = SnapshotReader::new(&mut db, &snap, obj.root_page()).unwrap();
-        assert_eq!(late.read_to_end(&db), before, "{spec:?}: late reader");
-
-        // Releasing the pin lets deferred frees drain on the next commit.
-        db.release_snapshot(snap);
-        obj.append(&mut db, b"one more commit").unwrap();
-        assert!(
-            db.deferred_extents().is_empty(),
-            "{spec:?}: frees reclaimed after release"
+        assert_eq!(
+            rest_of(&mut reader),
+            before[50_000..],
+            "{spec:?}: tail diverged"
         );
-        obj.check_invariants(&db).unwrap();
+        // ...and a reader opened late on the same snapshot agrees.
+        let late =
+            shared.with_read(|db| rest_of(SpanCursor::pinned(db, &snap, obj.root_page()).unwrap()));
+        assert_eq!(late, before, "{spec:?}: late reader");
+
+        // Releasing both pins lets deferred frees drain on the next commit.
+        reader.close();
+        shared.with(|db| {
+            db.release_snapshot(snap);
+            obj.append(db, b"one more commit").unwrap();
+            assert!(
+                db.deferred_extents().is_empty(),
+                "{spec:?}: frees reclaimed after release"
+            );
+            obj.check_invariants(db).unwrap();
+        });
     }
 }
 
@@ -83,19 +99,63 @@ fn snapshot_reader_random_access_matches_snapshot_bytes() {
     obj.delete(&mut db, 0, 45_000).unwrap();
     obj.insert(&mut db, 1_000, &fill(5_000, 5)).unwrap();
 
-    let mut reader = SnapshotReader::new(&mut db, &snap, obj.root_page()).unwrap();
+    let mut reader = SpanCursor::pinned(&db, &snap, obj.root_page()).unwrap();
     for &(off, len) in &[(0usize, 100usize), (89_000, 1_000), (40_000, 8_192), (1, 1)] {
-        reader.seek(off as u64);
+        reader.seek(SeekFrom::Start(off as u64)).unwrap();
         let mut out = vec![0u8; len];
-        let mut got = 0;
-        while got < len {
-            let n = reader.read(&db, &mut out[got..]);
-            assert!(n > 0);
-            got += n;
-        }
+        reader.read_exact(&mut out).unwrap();
         assert_eq!(out, before[off..off + len], "range {off}+{len}");
     }
     db.release_snapshot(snap);
+}
+
+/// A pinned cursor opens object roots only. On a logged store the
+/// allocation log's pages sit among the roots in the META area, and some
+/// carry a kind byte of 1–3; each must fail to open, with an error and
+/// not a panic. Through `SharedDb`, a failed open leaves no pin behind.
+#[test]
+fn a_pinned_open_walk_of_the_meta_area_opens_the_roots_only() {
+    let mut db = mvcc_db();
+    let mut cat = Catalog::create(&mut db).unwrap();
+    let mut objects = Vec::new();
+    for (i, spec) in specs().into_iter().enumerate() {
+        let mut obj = spec.create(&mut db).unwrap();
+        let bytes = fill(1_500_000, 10 + i as u64);
+        for piece in bytes.chunks(100_000) {
+            obj.append(&mut db, piece).unwrap();
+        }
+        cat.put(&mut db, &format!("o{i}"), obj.kind(), obj.root_page())
+            .unwrap();
+        objects.push((obj.root_page(), bytes));
+    }
+    assert!(
+        !db.alloc_log_pages().is_empty(),
+        "the walk must meet the log"
+    );
+    let bytes_of = |page: u32| objects.iter().find(|(root, _)| *root == page);
+
+    let snap = db.snapshot();
+    let mut opened = Vec::new();
+    for page in 0..400 {
+        if let Ok(cursor) = SpanCursor::pinned(&db, &snap, page) {
+            let (_, want) = bytes_of(page).expect("only an object root opens");
+            assert!(rest_of(cursor) == *want, "root {page} misread");
+            opened.push(page);
+        }
+    }
+    let mut roots: Vec<u32> = objects.iter().map(|(root, _)| *root).collect();
+    roots.sort_unstable();
+    assert_eq!(opened, roots);
+    db.release_snapshot(snap);
+
+    let shared = SharedDb::new(db);
+    for page in 0..400 {
+        match shared.snapshot_reader(page) {
+            Ok(cursor) => assert!(rest_of(cursor) == bytes_of(page).unwrap().1),
+            Err(e) => assert!(bytes_of(page).is_none(), "root {page}: {e}"),
+        }
+        assert_eq!(shared.with(|db| db.pinned_snapshots()), 0, "page {page}");
+    }
 }
 
 /// A transaction's operations become visible as ONE committed version,
@@ -271,8 +331,8 @@ fn a_checkpoint_inside_a_version_keeps_one_image_per_page() {
         let pinned = d.model.bytes().to_vec();
         let snap = db.snapshot();
         let read_pinned = |db: &mut Db, d: &Driver, step: &str| {
-            let mut reader = SnapshotReader::new(db, &snap, d.obj.root_page()).unwrap();
-            assert_eq!(reader.read_to_end(db), pinned, "log {alloc_log}: {step}");
+            let cursor = SpanCursor::pinned(&*db, &snap, d.obj.root_page()).unwrap();
+            assert_eq!(rest_of(cursor), pinned, "log {alloc_log}: {step}");
         };
         d.obj.trim(&mut db).unwrap();
         read_pinned(&mut db, &d, "after the trim");

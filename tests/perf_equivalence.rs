@@ -315,16 +315,18 @@ proptest! {
 
 // ---- the pinned cursor ----------------------------------------------------
 //
-// `SnapshotReader` has one buffering scheme (one span: the rest of the
-// segment under the cursor) behind `read` and `fill_buf`/`consume`, and
-// `SharedSnapshotReader` is a lock adapter over it. Four more properties,
-// over the same generators:
+// The pinned cursor is the live cursor's `SpanCursor` over a `Pinned`
+// source, which reaches `&Db` through a borrowed reference or through
+// `SharedDb`'s read tier. Four more properties, over the same generators:
 //
 // 3. **Pinned bytes**: after the object is pinned and then churned, random
-//    seek/read scripts through `SnapshotReader::read` and through
-//    `SharedSnapshotReader` return the content at pin time.
-// 4. **Pinned accounting**: driving the cursor by `read` and by
-//    `fill_buf`/`consume` charges identical `IoStats` on twin databases.
+//    seek/read scripts return the content at pin time, through a
+//    borrowed-`&Db` cursor, through one on `SharedDb`'s read tier and
+//    through `SharedDb::snapshot_reader`'s, opened before the churn.
+// 4. **Pinned accounting**: on twin databases, driving the cursor by
+//    `read` and by `fill_buf`/`consume` charges identical `IoStats`, and
+//    the same `read` script through a borrowed `&Db` and through
+//    `SharedDb`'s read tier charges identical `IoStats` and LEAF trace.
 // 5. **Pinned scan trace**: a whole scan's LEAF-area reads are exactly
 //    the model computed from `segments()` at pin time — one call per
 //    ≤ 4 MB piece of each segment, covering pages only. (The in-repo twin
@@ -335,10 +337,10 @@ proptest! {
 
 use std::io::BufRead;
 
+use lobstore::core::Pinned;
 use lobstore::simdisk::TraceKind;
 use lobstore::{
-    AreaId, IoStats, SegmentInfo, SharedDb, SharedSnapshotReader, Snapshot, SnapshotReader,
-    PAGE_SIZE,
+    AreaId, IoStats, SegmentInfo, SharedDb, SharedSnapshotReader, Snapshot, SpanCursor, PAGE_SIZE,
 };
 
 /// The most one span of the pinned cursor holds (`READ_AHEAD_MAX` in
@@ -389,12 +391,6 @@ fn pinned_store(spec: ManagerSpec, history: &[Op]) -> PinnedStore {
 }
 
 impl PinnedStore {
-    fn reader(&self) -> SnapshotReader {
-        self.shared
-            .with(|db| SnapshotReader::new(db, &self.snap, self.root))
-            .unwrap()
-    }
-
     fn io_stats(&self) -> IoStats {
         self.shared.with(|db| db.io_stats())
     }
@@ -415,7 +411,7 @@ impl PinnedStore {
     /// The LEAF-area disk reads `f` causes, as `(first page, page count)`.
     fn leaf_reads<T>(&self, f: impl FnOnce() -> T) -> (T, Vec<(u32, u32)>) {
         self.shared
-            .with(|db| db.pool().disk().enable_trace(self.segs.len() * 3 + 64));
+            .with(|db| db.pool().disk().enable_trace(self.segs.len() * 3 + 256));
         let got = f();
         let (trace, dropped) = self.shared.with(|db| {
             let disk = db.pool().disk();
@@ -428,6 +424,19 @@ impl PinnedStore {
             .map(|e| (e.start, e.pages))
             .collect();
         (got, reads)
+    }
+
+    /// A cold cursor over the pinned version that reaches the database
+    /// through `db`.
+    fn cursor_on<'a>(&self, db: &'a Db) -> SpanCursor<Pinned<&'a Db>> {
+        SpanCursor::pinned(db, &self.snap, self.root).unwrap()
+    }
+
+    /// What `f` returns, the `IoStats` it charges and its LEAF reads.
+    fn costed<T>(&self, f: impl FnOnce() -> T) -> (T, IoStats, Vec<(u32, u32)>) {
+        let before = self.io_stats();
+        let (got, leaf) = self.leaf_reads(f);
+        (got, self.io_stats() - before, leaf)
     }
 
     fn finish(self) {
@@ -448,74 +457,107 @@ fn pull(len: usize, mut step: impl FnMut(usize) -> Vec<u8>) -> Vec<u8> {
     got
 }
 
+/// Visit `ranges` through `c` by `Read::read`, at most `chunk` bytes a
+/// call; returns each range's bytes. A read past the end then returns 0.
+fn script_by_read(
+    c: &mut (impl Read + Seek),
+    ranges: &[(usize, usize)],
+    chunk: usize,
+) -> Vec<Vec<u8>> {
+    let got = ranges
+        .iter()
+        .map(|&(off, len)| {
+            c.seek(SeekFrom::Start(off as u64)).unwrap();
+            pull(len, |want| {
+                let mut buf = vec![0u8; want.min(chunk)];
+                let n = c.read(&mut buf).unwrap();
+                buf.truncate(n);
+                buf
+            })
+        })
+        .collect();
+    c.seek(SeekFrom::End(7)).unwrap();
+    assert_eq!(c.read(&mut [0u8; 1]).unwrap(), 0, "a read past the end");
+    got
+}
+
+/// [`script_by_read`] by `fill_buf`/`consume`.
+fn script_by_fill(
+    c: &mut (impl BufRead + Seek),
+    ranges: &[(usize, usize)],
+    chunk: usize,
+) -> Vec<Vec<u8>> {
+    ranges
+        .iter()
+        .map(|&(off, len)| {
+            c.seek(SeekFrom::Start(off as u64)).unwrap();
+            pull(len, |want| {
+                let piece = c.fill_buf().unwrap();
+                let piece = piece[..piece.len().min(want).min(chunk)].to_vec();
+                c.consume(piece.len());
+                piece
+            })
+        })
+        .collect()
+}
+
 fn pinned_cursor_properties(
     spec: ManagerSpec,
     history: &[Op],
     script: &[(f64, usize)],
     chunk: usize,
 ) {
-    // Twins: identical history, so identical pool and disk state.
+    // Triplets: identical history, so identical pool and disk state.
     let mut by_read = pinned_store(spec, history);
     let by_fill = pinned_store(spec, history);
+    let by_tier = pinned_store(spec, history);
     let content = by_read.content.clone();
-    assert!(content == by_fill.content, "twin stores diverge");
+    assert!(
+        content == by_fill.content && content == by_tier.content,
+        "twin stores diverge"
+    );
     let ranges = by_read.ranges(script);
+    let want: Vec<&[u8]> = ranges
+        .iter()
+        .map(|&(off, len)| &content[off..off + len])
+        .collect();
 
-    // Properties 3 and 4 on the bare cursor: same bytes, same charge,
-    // whichever surface drives it. The `read` side goes through the
-    // exclusive tier, where `&mut Db` coerces to the `&Db` it takes.
-    let (before_read, before_fill) = (by_read.io_stats(), by_fill.io_stats());
-    let (mut r, mut f) = (by_read.reader(), by_fill.reader());
-    for &(off, len) in &ranges {
-        r.seek(off as u64);
-        let got = pull(len, |want| {
-            let mut buf = vec![0u8; want.min(chunk)];
-            let n = by_read.shared.with(|db| r.read(db, &mut buf));
-            buf.truncate(n);
-            buf
-        });
-        assert!(
-            got == content[off..off + len],
-            "read({off}, {len}) diverges"
-        );
-
-        f.seek(off as u64);
-        let got = pull(len, |want| {
-            let avail = by_fill.shared.with_read(|db| f.fill_buf(db).len());
-            let n = avail.min(want).min(chunk);
-            let piece = f.buffered()[..n].to_vec();
-            f.consume(n);
-            piece
-        });
-        assert!(
-            got == content[off..off + len],
-            "fill_buf({off}, {len}) diverges"
-        );
-    }
+    // Properties 3 and 4 on cursors opened after the churn: the same
+    // bytes and the same charge, whichever surface drives the cursor and
+    // whichever way it reaches the database.
+    let (read, read_io, read_leaf) = by_read.costed(|| {
+        by_read
+            .shared
+            .with_read(|db| script_by_read(&mut by_read.cursor_on(db), &ranges, chunk))
+    });
+    let (fill, fill_io, _) = by_fill.costed(|| {
+        by_fill
+            .shared
+            .with_read(|db| script_by_fill(&mut by_fill.cursor_on(db), &ranges, chunk))
+    });
+    let (tier, tier_io, tier_leaf) = by_tier.costed(|| {
+        let mut c = SpanCursor::pinned(by_tier.shared.clone(), &by_tier.snap, by_tier.root);
+        script_by_read(c.as_mut().unwrap(), &ranges, chunk)
+    });
+    assert!(read == want, "read diverges");
+    assert!(fill == want, "fill_buf/consume diverges");
+    assert!(tier == want, "read on the read tier diverges");
     assert_eq!(
-        by_read.io_stats() - before_read,
-        by_fill.io_stats() - before_fill,
+        read_io, fill_io,
         "read and fill_buf/consume must charge the same simulated I/O"
     );
-    let mut at_end = [0u8; 1];
-    r.seek(content.len() as u64 + 7);
-    assert_eq!(by_read.shared.with(|db| r.read(db, &mut at_end)), 0);
+    assert_eq!(
+        read_io, tier_io,
+        "a borrowed &Db and SharedDb's read tier must charge the same simulated I/O"
+    );
+    assert_eq!(
+        read_leaf, tier_leaf,
+        "a borrowed &Db and SharedDb's read tier must make the same LEAF reads"
+    );
 
-    // Property 3 on the lock adapter, pinned before the churn.
-    for &(off, len) in &ranges {
-        let c = &mut by_read.cursor;
-        c.seek(SeekFrom::Start(off as u64)).unwrap();
-        let got = pull(len, |want| {
-            let piece = c.fill_buf().unwrap();
-            let piece = piece[..piece.len().min(want).min(chunk)].to_vec();
-            c.consume(piece.len());
-            piece
-        });
-        assert!(
-            got == content[off..off + len],
-            "shared({off}, {len}) diverges"
-        );
-    }
+    // Property 3 on the cursor `snapshot_reader` opened before the churn.
+    let pre_churn = script_by_fill(&mut by_read.cursor, &ranges, chunk);
+    assert!(pre_churn == want, "snapshot_reader diverges");
 
     // Property 5: a cold cursor's whole scan, call by call.
     let mut model = Vec::new();
@@ -527,9 +569,13 @@ fn pinned_cursor_properties(
             lo = hi;
         }
     }
-    let mut cold = by_read.reader();
-    let (scanned, leaf_reads) =
-        by_read.leaf_reads(|| by_read.shared.with_read(|db| cold.read_to_end(db)));
+    let (scanned, leaf_reads) = by_read.leaf_reads(|| {
+        by_read.shared.with_read(|db| {
+            let mut out = Vec::new();
+            by_read.cursor_on(db).read_to_end(&mut out).unwrap();
+            out
+        })
+    });
     assert!(scanned == content, "cold scan diverges");
     assert_eq!(
         leaf_reads, model,
@@ -546,11 +592,14 @@ fn pinned_cursor_properties(
         });
         let seg = seg.expect("segments() covers the object");
         let in_seg = off as u64 - (seg_end - seg.bytes);
-        let mut cold = by_read.reader();
-        cold.seek(off as u64);
         let mut buf = [0u8; 100];
-        let (n, leaf_reads) =
-            by_read.leaf_reads(|| by_read.shared.with_read(|db| cold.read(db, &mut buf)));
+        let (n, leaf_reads) = by_read.leaf_reads(|| {
+            by_read.shared.with_read(|db| {
+                let mut cold = by_read.cursor_on(db);
+                cold.seek(SeekFrom::Start(off as u64)).unwrap();
+                cold.read(&mut buf).unwrap()
+            })
+        });
         assert_eq!(
             n as u64,
             (seg.bytes - in_seg).min(100),
@@ -567,6 +616,7 @@ fn pinned_cursor_properties(
 
     by_read.finish();
     by_fill.finish();
+    by_tier.finish();
 }
 
 /// A segment larger than one span is read in span-sized pieces.

@@ -18,20 +18,22 @@
 //!   three schemes on the write tier. Every scan pass must return the
 //!   exact bytes pinned at setup (byte stability under churn), the
 //!   closure equation must still hold with reader and writer I/O
-//!   interleaved (scanner deltas are measured inside an aux-mutex +
-//!   read-lock region, so no writer I/O can splice in), and an offline
-//!   fsck of the settled database must come back clean.
+//!   interleaved (each scanner refill, the cursor's only database
+//!   access, is measured inside an aux-mutex + read-lock region, so no
+//!   writer I/O can splice in), and an offline fsck of the settled
+//!   database must come back clean.
 //!
 //! Both storms exercise the obs registry from every thread: the
 //! registry is thread-local by design, so each thread's metrics must be
 //! exact (no cross-thread bleed), and the coordinator folds worker
 //! snapshots together with [`lobstore_obs::merge_thread_registry`].
 
+use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use lobstore::workload::fill;
-use lobstore::{Catalog, Db, ManagerSpec, SharedDb, SnapshotReader};
+use lobstore::{Catalog, Db, ManagerSpec, ReadAccess, SharedDb, SpanCursor};
 use lobstore_cli::check_database;
 use lobstore_simdisk::IoStats;
 
@@ -187,6 +189,29 @@ fn mixed_traffic_from_many_threads_keeps_io_accounting_closed() {
     db.checkpoint();
 }
 
+/// A scanner's way to the database: every refill of its pinned cursor
+/// runs inside one (aux mutex + read lock) region — the read lock keeps
+/// writer I/O out, the aux mutex keeps sibling scanners out — and adds
+/// its I/O delta to `spent`.
+struct Metered<'a> {
+    shared: &'a SharedDb,
+    aux: &'a Mutex<()>,
+    spent: &'a mut IoStats,
+}
+
+impl ReadAccess for Metered<'_> {
+    fn with_db<R>(&mut self, f: impl FnOnce(&Db) -> R) -> R {
+        let _guard = self.aux.lock().unwrap();
+        let (r, delta) = self.shared.with_read(|db| {
+            let before = db.io_stats();
+            let r = f(db);
+            (r, db.io_stats() - before)
+        });
+        *self.spent = *self.spent + delta;
+        r
+    }
+}
+
 const SCANNERS: usize = 4;
 const WRITER_OPS: usize = 40;
 const SEED_BYTES: usize = 150_000;
@@ -228,16 +253,12 @@ fn snapshot_scans_race_writers_with_closed_accounting_and_clean_fsck() {
     let mut pinned = Vec::new();
     for s in 0..SCANNERS {
         let (_, root, expect) = &objs[s % objs.len()];
-        let (snap, reader) = shared.with(|db| {
-            let snap = db.snapshot();
-            let r = SnapshotReader::new(db, &snap, *root).unwrap();
-            (snap, r)
-        });
-        pinned.push((snap, reader, expect.clone()));
+        pinned.push((shared.with(Db::snapshot), *root, expect.clone()));
     }
 
-    // Baseline after all setup I/O (object creation, catalog, reader
-    // construction): the closure equation covers exactly the storm.
+    // Baseline after all setup I/O (object creation, catalog, pins): the
+    // closure equation covers exactly the storm, the scanners' cursor
+    // opens included.
     let initial = shared.with(|db| db.io_stats());
     let done = Arc::new(AtomicBool::new(false));
     // Serializes scanners against each other (but not against writers —
@@ -294,10 +315,8 @@ fn snapshot_scans_race_writers_with_closed_accounting_and_clean_fsck() {
     }
 
     // Scanners: stream the pinned snapshot end-to-end, repeatedly, on
-    // the read tier. Each refill's I/O delta is measured inside one
-    // (aux mutex + read lock) region: the read lock keeps writer I/O
-    // out, the aux mutex keeps sibling scanners out.
-    for (s, (snap, mut reader, expect)) in pinned.into_iter().enumerate() {
+    // the read tier, each through a `Metered` cursor.
+    for (s, (snap, root, expect)) in pinned.into_iter().enumerate() {
         let shared = shared.clone();
         let done = done.clone();
         let aux = aux.clone();
@@ -306,22 +325,21 @@ fn snapshot_scans_race_writers_with_closed_accounting_and_clean_fsck() {
             let mut spent = IoStats::default();
             let mut passes = 0u64;
             let mut buf = vec![0u8; SCAN_CHUNK];
+            let access = Metered {
+                shared: &shared,
+                aux: &aux,
+                spent: &mut spent,
+            };
+            let mut reader = SpanCursor::pinned(access, &snap, root).unwrap();
             while !done.load(Ordering::Acquire) || passes < 2 {
-                reader.seek(0);
+                reader.seek(SeekFrom::Start(0)).unwrap();
                 let mut got = Vec::with_capacity(expect.len());
                 loop {
-                    let guard = aux.lock().unwrap();
-                    let (n, delta) = shared.with_read(|db| {
-                        let before = db.io_stats();
-                        let n = reader.read(db, &mut buf);
-                        (n, db.io_stats() - before)
-                    });
-                    drop(guard);
+                    let n = reader.read(&mut buf).unwrap();
                     if n == 0 {
                         break;
                     }
                     got.extend_from_slice(&buf[..n]);
-                    spent = spent + delta;
                 }
                 assert_eq!(
                     got, expect,
@@ -330,6 +348,7 @@ fn snapshot_scans_race_writers_with_closed_accounting_and_clean_fsck() {
                 passes += 1;
                 lobstore_obs::counter_add("storm.scan_passes", 1);
             }
+            drop(reader);
             (spent, passes, snap, lobstore_obs::snapshot())
         }));
     }
