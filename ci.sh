@@ -19,15 +19,16 @@ run() {
 # and in the six library crates' non-test code documented public items,
 # no `unwrap`/`expect` and no truncating `as` cast (the attribute block
 # at the top of each library lib.rs). loblint carries what it cannot.
-# The xtask suite runs explicitly before loblint: it carries the
-# seeded-violation fixtures and mutation drills for every lint rule
-# (including the CFG rules: lock-order cycle/canonical-order detection,
-# guard-across-io, panic-while-locked, disk-taint), so a broken rule
-# fails loudly here rather than silently passing an under-linted
-# workspace. loblint then runs against the committed ratchet baseline
-# (loblint.baseline): any finding not already frozen there — a
-# lock-order cycle included — is printed with its evidence trail and
-# fails the build.
+# clippy.toml's disallowed-methods list leaves lobstore_obs::sync's
+# helpers the only way to take a lock; under debug assertions each
+# acquisition checks the lock order (sync::Rank), so every debug test
+# below checks it too. The xtask suite runs explicitly before loblint:
+# it carries the seeded-violation fixtures for every lint rule (the one
+# CFG rule, disk-taint, included), so a broken rule fails loudly here
+# rather than silently passing an under-linted workspace. loblint then
+# runs against the committed ratchet baseline (loblint.baseline): any
+# finding not already frozen there is printed with its evidence trail
+# and fails the build.
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 
@@ -111,8 +112,11 @@ run cargo test -q --release -p lobstore-simdisk
 run cargo test -q --release --test model --test proptest_model --test crash_fuzz --test txn_crash --test crash_points --test mvcc --test golden_traces
 
 # Mutation drill: the crash tests must catch a seeded break of the
-# shadowing discipline (paper section 3.3), and the META walk a pinned
-# open that lets a non-root page through. Each patch in mutants/ is
+# shadowing discipline (paper section 3.3) and a lost undo image, the
+# META walk a pinned open that lets a non-root page through, and the
+# seeded schedules and the lock-order check a latch two pages share, a
+# page guard held across a segment read and a lock helper that passes
+# poison on. Each patch in mutants/ is
 # applied to one copy of the tree under target/ (a patch that no longer
 # applies fails here), the copy must still build, each test named must
 # fail, and the patch is reversed before the next. The copy is fresh on
@@ -145,6 +149,15 @@ drill alloc-balance crash_consistency one_unflushed_op_never_damages_the_checkpo
     recovered_database_remains_usable
 # A pinned open that checks a root's kind byte but not its magic.
 drill pinned-root-check mvcc a_pinned_open_walk_of_the_meta_area_opens_the_roots_only
+# A transaction's pre-images never logged (`log_undo_image` writes nothing).
+drill undo-image txn_crash an_evicted_in_place_overwrite_is_undone_by_a_crash_before_commit
+# Write guards on pages 16 apart share one latch: a reported deadlock.
+drill shared-latch schedules guards_on_pages_sixteen_apart_do_not_wait_for_each_other
+# Starburst's descriptor guard kept across its segment read: an order violation.
+drill guard-across-io perf_equivalence starburst_large_append_reads_back_through_split_calls \
+    starburst_streamed_accounting_matches_bulk
+# The lock helpers pass a poisoned lock's panic on instead of recovering.
+drill poison schedules pinned_scans_read_their_version_under_every_schedule
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

@@ -2,8 +2,9 @@
 //! ([`Frame`]) and its replacement metadata ([`FrameMeta`]), which the
 //! pool keeps in the control block under `BufferPool.ctl`.
 
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+use lobstore_obs::sync::{self, Guard, Rank};
 use lobstore_simdisk::{PageId, PAGE_SIZE};
 
 /// One page worth of heap bytes.
@@ -15,7 +16,7 @@ pub(crate) type PageBox = Box<[u8; PAGE_SIZE]>;
 pub(crate) struct Frame {
     /// The frame latch: shared for readers, exclusive for writers and
     /// for the refill after an eviction.
-    pub bytes: RwLock<PageBox>,
+    bytes: RwLock<PageBox>,
 }
 
 impl Frame {
@@ -24,6 +25,16 @@ impl Frame {
         Frame {
             bytes: RwLock::new(Box::new([0u8; PAGE_SIZE])),
         }
+    }
+
+    /// The frame latch, shared.
+    pub fn read(&self) -> Guard<RwLockReadGuard<'_, PageBox>> {
+        sync::read(&self.bytes, Rank::FrameBytes)
+    }
+
+    /// The frame latch, exclusive.
+    pub fn write(&self) -> Guard<RwLockWriteGuard<'_, PageBox>> {
+        sync::write(&self.bytes, Rank::FrameBytes)
     }
 }
 

@@ -20,12 +20,15 @@
 //! holds `ctl` instead of a pin reaches bytes by the frame index the
 //! control block just gave it.
 //!
-//! Lock order (DESIGN.md §13): `BufferPool.ctl` → `Frame.bytes` → the
-//! disk's own locks. [`PageGuard`]/[`PageGuardMut`] hold the frame latch
-//! for their lifetime and release it *before* re-taking `ctl` to drop
-//! the pin.
+//! Lock order ([`lobstore_obs::sync::Rank`]): `BufferPool.ctl` →
+//! `Frame.bytes` → the disk's own locks. [`PageGuard`]/[`PageGuardMut`]
+//! hold the frame latch for their lifetime and release it *before*
+//! re-taking `ctl` to drop the pin; a thread that holds one makes no other
+//! pool call until it drops it.
 
-use std::sync::{Mutex, PoisonError, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+
+use lobstore_obs::sync::{self, Guard, Rank};
 
 use lobstore_simdisk::{cast, IoStats, PageId, SimDisk, PAGE_SIZE};
 
@@ -308,6 +311,11 @@ impl BufferPool {
         BufferPool::new(SimDisk::paper_default(), PoolConfig::default())
     }
 
+    /// The control block.
+    pub(crate) fn lock_ctl(&self) -> Guard<MutexGuard<'_, PoolInner>> {
+        sync::lock(&self.ctl, Rank::PoolCtl)
+    }
+
     /// The sizing parameters this pool was built with.
     pub fn config(&self) -> PoolConfig {
         self.cfg
@@ -320,7 +328,7 @@ impl BufferPool {
 
     /// Pool-level hit/miss counters.
     pub fn pool_stats(&self) -> PoolStats {
-        let g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let g = self.lock_ctl();
         g.stats
     }
 
@@ -331,13 +339,13 @@ impl BufferPool {
 
     /// Number of frames that are currently unpinned (evictable or free).
     pub fn available_frames(&self) -> usize {
-        let g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let g = self.lock_ctl();
         g.available()
     }
 
     /// Whether `pid` is resident.
     pub fn contains(&self, pid: PageId) -> bool {
-        let g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let g = self.lock_ctl();
         g.resident(pid).is_some()
     }
 
@@ -349,11 +357,7 @@ impl BufferPool {
 
     /// Copy one whole page out of frame `idx` under its read latch.
     pub(crate) fn copy_frame_into(&self, idx: usize, out: &mut [u8]) {
-        let bytes = self
-            .frame(idx)
-            .bytes
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
+        let bytes = self.frame(idx).read();
         out.copy_from_slice(bytes.as_slice());
     }
 
@@ -371,11 +375,7 @@ impl BufferPool {
             return;
         };
         {
-            let bytes = self
-                .frame(idx)
-                .bytes
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
+            let bytes = self.frame(idx).read();
             self.disk.write(pid.area, pid.page, bytes.as_slice());
         }
         inner.stats.eviction_writes += 1;
@@ -415,7 +415,7 @@ impl BufferPool {
     /// I/O call). Returns a handle for [`Self::with_page`] /
     /// [`Self::with_page_mut`].
     pub fn fix(&self, pid: PageId) -> FrameRef {
-        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.lock_ctl();
         if let Some(idx) = g.resident(pid) {
             let stats = g.repin_hit(idx);
             drop(g);
@@ -426,11 +426,7 @@ impl BufferPool {
         Self::note_fix(false, stats);
         let idx = self.victim(&mut g);
         {
-            let mut bytes = self
-                .frame(idx)
-                .bytes
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut bytes = self.frame(idx).write();
             self.disk.read(pid.area, pid.page, bytes.as_mut_slice());
         }
         g.install(idx, pid, false);
@@ -441,13 +437,9 @@ impl BufferPool {
     /// about to initialize completely (freshly allocated index pages,
     /// shadow copies). The frame starts zeroed and dirty.
     pub fn fix_new(&self, pid: PageId) -> FrameRef {
-        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.lock_ctl();
         let idx = self.claim(&mut g, pid, true);
-        let mut bytes = self
-            .frame(idx)
-            .bytes
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut bytes = self.frame(idx).write();
         bytes.fill(0);
         FrameRef(idx)
     }
@@ -460,11 +452,7 @@ impl BufferPool {
     pub(crate) fn install_page(&self, inner: &mut PoolInner, pid: PageId, content: &[u8]) -> usize {
         let idx = self.victim(inner);
         inner.install(idx, pid, false);
-        self.frame(idx)
-            .bytes
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .copy_from_slice(content);
+        self.frame(idx).write().copy_from_slice(content);
         idx
     }
 
@@ -490,11 +478,7 @@ impl BufferPool {
         }
         inner.detach(idx);
         {
-            let mut bytes = self
-                .frame(idx)
-                .bytes
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut bytes = self.frame(idx).write();
             self.disk.read(pid.area, pid.page, bytes.as_mut_slice());
             body(bytes.as_slice());
         }
@@ -505,11 +489,7 @@ impl BufferPool {
     /// Run `body` with read access to a fixed frame's bytes, under the
     /// frame's read latch. `body` must not call back into the pool.
     pub fn with_page<R>(&self, r: FrameRef, body: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> R {
-        let bytes = self
-            .frame(r.0)
-            .bytes
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
+        let bytes = self.frame(r.0).read();
         body(&bytes)
     }
 
@@ -517,36 +497,25 @@ impl BufferPool {
     /// frame's exclusive latch; marks the page dirty. `body` must not
     /// call back into the pool.
     pub fn with_page_mut<R>(&self, r: FrameRef, body: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R) -> R {
-        self.ctl
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .dirty_pinned(r.0);
-        let mut bytes = self
-            .frame(r.0)
-            .bytes
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
+        self.lock_ctl().dirty_pinned(r.0);
+        let mut bytes = self.frame(r.0).write();
         body(&mut bytes)
     }
 
     /// Release one fix on the frame.
     pub fn unfix(&self, r: FrameRef) {
-        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.lock_ctl();
         g.unpin(r.0, false);
     }
 
     /// If `pid` is resident and dirty, write it to disk (one 1-page call).
     pub fn flush_page(&self, pid: PageId) {
-        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.lock_ctl();
         let Some(idx) = g.resident_dirty(pid) else {
             return;
         };
         {
-            let bytes = self
-                .frame(idx)
-                .bytes
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
+            let bytes = self.frame(idx).read();
             self.disk.write(pid.area, pid.page, bytes.as_slice());
         }
         g.set_clean(idx);
@@ -555,14 +524,10 @@ impl BufferPool {
 
     /// Write back every dirty frame (one call per page).
     pub fn flush_all(&self) {
-        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.lock_ctl();
         for (idx, pid) in g.dirty_frames() {
             {
-                let bytes = self
-                    .frame(idx)
-                    .bytes
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner);
+                let bytes = self.frame(idx).read();
                 self.disk.write(pid.area, pid.page, bytes.as_slice());
             }
             g.set_clean(idx);
@@ -576,7 +541,7 @@ impl BufferPool {
     /// # Panics
     /// If the page is currently fixed.
     pub fn discard(&self, pid: PageId) {
-        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.lock_ctl();
         if let Some(idx) = g.resident(pid) {
             g.drop_frame(idx);
         }
@@ -591,7 +556,7 @@ impl BufferPool {
     /// If any frame is still fixed (a fixed frame mid-crash would be a
     /// harness bug, not a simulated condition).
     pub fn crash(&self) {
-        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.lock_ctl();
         g.crash_detach_all();
     }
 
@@ -606,7 +571,7 @@ impl BufferPool {
     }
 
     fn peek_resident(&self, pid: PageId, out: &mut [u8; PAGE_SIZE]) -> bool {
-        let g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let g = self.lock_ctl();
         let Some(idx) = g.resident(pid) else {
             return false;
         };
@@ -621,7 +586,7 @@ impl BufferPool {
     /// # Panics
     /// If a page of the range is currently fixed.
     pub fn discard_range(&self, area: lobstore_simdisk::AreaId, start: u32, pages: u32) {
-        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.lock_ctl();
         for (_, idx) in g.resident_in(area, start, pages) {
             g.drop_frame(idx);
         }
@@ -631,26 +596,31 @@ impl BufferPool {
     /// releases the fix when dropped. The guard latches only its own
     /// frame, shared, for its whole lifetime: guards on other pages —
     /// and a `fix` that has to evict — never wait for it.
+    ///
+    /// A thread holding a page guard makes no other pool call until it
+    /// drops the guard: every call takes `ctl`, which ranks before the
+    /// frame latch, and a reader holding `ctl` may wait for this frame.
+    /// Under `debug_assertions` such a call panics with an order
+    /// violation. Copy the bytes out first.
     pub fn guard(&self, pid: PageId) -> PageGuard<'_> {
         let pin = HeldPin::new(self, self.fix(pid));
         PageGuard {
-            latch: pin
-                .frame()
-                .bytes
-                .read()
-                .unwrap_or_else(PoisonError::into_inner),
+            latch: pin.frame().read(),
             _pin: pin,
         }
     }
 
     /// Fix `pid` and return a write guard; mutable access marks the page
-    /// dirty, exactly as [`Self::with_page_mut`] does.
+    /// dirty, exactly as [`Self::with_page_mut`] does. As for
+    /// [`Self::guard`], the thread makes no other pool call while it
+    /// holds the guard.
     pub fn guard_mut(&self, pid: PageId) -> PageGuardMut<'_> {
         PageGuardMut::over(HeldPin::new(self, self.fix(pid)))
     }
 
     /// Like [`Self::guard_mut`] but over [`Self::fix_new`]: no disk read,
-    /// the frame starts zeroed and dirty.
+    /// the frame starts zeroed and dirty. No other pool call while it is
+    /// held, as for [`Self::guard`].
     pub fn guard_new(&self, pid: PageId) -> PageGuardMut<'_> {
         PageGuardMut::over(HeldPin::new(self, self.fix_new(pid)))
     }
@@ -680,7 +650,7 @@ impl<'a> HeldPin<'a> {
 
 impl Drop for HeldPin<'_> {
     fn drop(&mut self) {
-        let mut g = self.pool.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.pool.lock_ctl();
         g.unpin(self.r.0, self.dirtied);
     }
 }
@@ -691,7 +661,7 @@ impl Drop for HeldPin<'_> {
 /// order, so the latch is released before the pin re-enters `ctl` and
 /// the lock hierarchy is never inverted.
 pub struct PageGuard<'a> {
-    latch: RwLockReadGuard<'a, PageBox>,
+    latch: Guard<RwLockReadGuard<'a, PageBox>>,
     _pin: HeldPin<'a>,
 }
 
@@ -707,18 +677,14 @@ impl std::ops::Deref for PageGuard<'_> {
 /// page, mutable derefs do (recorded when the pin is released). Drop
 /// order as for [`PageGuard`]: latch first, then the pin.
 pub struct PageGuardMut<'a> {
-    latch: RwLockWriteGuard<'a, PageBox>,
+    latch: Guard<RwLockWriteGuard<'a, PageBox>>,
     pin: HeldPin<'a>,
 }
 
 impl<'a> PageGuardMut<'a> {
     fn over(pin: HeldPin<'a>) -> Self {
         PageGuardMut {
-            latch: pin
-                .frame()
-                .bytes
-                .write()
-                .unwrap_or_else(PoisonError::into_inner),
+            latch: pin.frame().write(),
             pin,
         }
     }
@@ -762,13 +728,9 @@ mod tests {
         /// tests: the same install under a `ctl` acquisition of its own.
         pub(crate) fn install_clean(&self, pid: PageId, content: &[u8]) -> FrameRef {
             assert_eq!(content.len(), PAGE_SIZE, "install_clean needs a full page");
-            let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut g = self.lock_ctl();
             let idx = self.claim(&mut g, pid, false);
-            let mut bytes = self
-                .frame(idx)
-                .bytes
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut bytes = self.frame(idx).write();
             bytes.copy_from_slice(content);
             FrameRef(idx)
         }
@@ -776,7 +738,7 @@ mod tests {
         /// Every frame's page, dirty bit, pin count and LRU stamp, in frame
         /// order — what the twin-pool tests in `segio` compare.
         pub(crate) fn frame_table(&self) -> Vec<(Option<PageId>, bool, u32, u64)> {
-            let g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+            let g = self.lock_ctl();
             g.frames
                 .iter()
                 .map(|f| (f.pid, f.dirty, f.pins, f.last_used))
@@ -1034,15 +996,14 @@ mod tests {
 
     #[test]
     fn shared_read_guards_coexist() {
-        // The old `&mut self` guards could never overlap; the latched
-        // guards can, as long as both sides are readers.
+        // One thread takes a read guard on a page another holds one on.
         let pool = pool_with_frames(4);
-        let g1 = pool.guard(pid(1));
-        let g2 = pool.guard(pid(1));
-        assert_eq!(g1[0], g2[0]);
-        drop(g1);
-        drop(g2);
-        assert_eq!(pool.available_frames(), 4, "both pins released");
+        for seed in 0..8 {
+            let hold = || pool.guard(pid(1));
+            let body = || assert_eq!(pool.guard(pid(1))[0], 0);
+            assert_eq!(sync::while_held(seed, hold, body), Ok(()));
+        }
+        assert_eq!(pool.available_frames(), 4, "every pin released");
     }
 
     #[test]
@@ -1072,50 +1033,66 @@ mod tests {
         );
     }
 
-    /// Run `body` on a thread of its own, so a pool that deadlocks
-    /// against itself fails the test instead of hanging the suite.
-    fn finishes(body: impl FnOnce() + Send + 'static) {
-        let (done, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            body();
-            let _ = done.send(());
+    /// `body`'s panic message.
+    fn panic_of(body: impl FnOnce()) -> String {
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).expect_err("body panics");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_second_guard_under_a_write_guard_is_an_order_violation() {
+        // A guard holds its frame latch, and every pool call takes `ctl`,
+        // an earlier rank: a thread that holds a guard makes no other pool
+        // call, so it cannot wait for a frame that waits for `ctl`.
+        let pool = pool_with_frames(4);
+        let err = panic_of(|| {
+            let mut a = pool.guard_mut(pid(0));
+            a[0] = 1;
+            drop(pool.guard_mut(pid(16)));
         });
         assert!(
-            rx.recv_timeout(std::time::Duration::from_secs(3)).is_ok(),
-            "pool call deadlocked (or panicked) under a held guard"
+            err.starts_with("lock order violation: holds [FrameBytes")
+                && err.contains("wants PoolCtl"),
+            "{err}"
+        );
+        assert_eq!(
+            pool.available_frames(),
+            4,
+            "the unwound guard released its pin"
         );
     }
 
     #[test]
-    fn write_guards_on_distinct_pages_coexist() {
-        // A guard latches only its own frame, so one thread can hold
-        // two. Page numbers 16 apart: any latch keyed by a small hash of
-        // the page number would put these two on one latch.
-        finishes(|| {
-            let pool = pool_with_frames(4);
-            let mut a = pool.guard_mut(pid(0));
-            let mut b = pool.guard_mut(pid(16));
-            a[0] = 1;
-            b[0] = 2;
-            assert_eq!((a[0], b[0]), (1, 2));
-            drop((a, b));
-            assert_eq!(pool.available_frames(), 4);
-        });
-    }
-
-    #[test]
-    fn fix_under_a_write_guard_can_evict() {
-        finishes(|| {
-            let pool = pool_with_frames(2);
-            let r = pool.fix(pid(16));
-            pool.unfix(r); // resident, unpinned: the only possible victim
-            let mut g = pool.guard_mut(pid(0));
-            g[0] = 9;
-            let r = pool.fix(pid(5));
-            assert!(!pool.contains(pid(16)), "page 16 was evicted");
-            pool.unfix(r);
-            assert_eq!(g[0], 9, "the guarded frame was left alone");
-        });
+    fn fix_under_a_write_guard_is_reported_and_under_a_pin_evicts() {
+        let pool = pool_with_frames(2);
+        let r = pool.fix(pid(16));
+        pool.unfix(r); // resident, unpinned: the only possible victim
+        #[cfg(debug_assertions)]
+        {
+            let err = panic_of(|| {
+                let _g = pool.guard_mut(pid(0));
+                pool.fix(pid(5));
+            });
+            assert!(err.starts_with("lock order violation"), "{err}");
+        }
+        // Pinned by a `FrameRef`, which holds no latch, page 0 stays put
+        // while a fix evicts the other frame.
+        let pinned = pool.fix(pid(0));
+        pool.with_page_mut(pinned, |page| page[0] = 9);
+        let r = pool.fix(pid(5));
+        assert!(!pool.contains(pid(16)), "page 16 was evicted");
+        pool.unfix(r);
+        assert_eq!(
+            pool.with_page(pinned, |page| page[0]),
+            9,
+            "the pinned frame was left alone"
+        );
+        pool.unfix(pinned);
     }
 
     #[test]
@@ -1193,83 +1170,77 @@ mod tests {
     fn buffered_reads_under_concurrent_access() {
         // The sibling of `frame_reuse_under_concurrent_access` for the
         // buffered segment read, which holds `ctl` across its disk reads
-        // and frame latches as `fix` does: two threads read 1–4 pages,
-        // aligned and clipped, while two fix and write through guards.
-        // Every byte of page `p` is `p`, except the last (`!p`) and byte
-        // 1, which counts the writes.
+        // and frame latches as `fix` does: under seeded schedules, two
+        // threads read 1–4 pages, aligned and clipped, while two fix and
+        // write through guards. Every byte of page `p` is `p`, except the
+        // last (`!p`) and byte 1, which counts the writes.
         const PAGES: u32 = 64;
-        const ACCESSES: u64 = 4_000;
-        finishes(|| {
+        const ACCESSES: u64 = 150;
+        let own = |at: usize, byte: u8| {
+            let p = (at / PAGE_SIZE) as u8;
+            match at % PAGE_SIZE {
+                1 => {}
+                o if o == PAGE_SIZE - 1 => assert_eq!(byte, !p, "byte {at}"),
+                _ => assert_eq!(byte, p, "byte {at}"),
+            }
+        };
+        for seed in 0..4 {
             let pool = pool_with_frames(8);
             for p in 0..PAGES {
                 let mut page = [p as u8; PAGE_SIZE];
                 (page[1], page[PAGE_SIZE - 1]) = (0, !(p as u8));
                 pool.disk().poke(AreaId::META, p, &page);
             }
-            let own = |at: usize, byte: u8| {
-                let p = (at / PAGE_SIZE) as u8;
-                match at % PAGE_SIZE {
-                    1 => {}
-                    o if o == PAGE_SIZE - 1 => assert_eq!(byte, !p, "byte {at}"),
-                    _ => assert_eq!(byte, p, "byte {at}"),
-                }
-            };
-            let mut bumps = [0u32; PAGES as usize];
-            std::thread::scope(|s| {
-                let workers: Vec<_> = (0..4u64)
-                    .map(|t| {
-                        let pool = &pool;
-                        s.spawn(move || {
-                            let mut mine = [0u32; PAGES as usize];
-                            let mut out = vec![0u8; 4 * PAGE_SIZE];
-                            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ t;
-                            for _ in 0..ACCESSES {
-                                // xorshift64
-                                x ^= x << 13;
-                                x ^= x >> 7;
-                                x ^= x << 17;
-                                let p = (x >> 8) as u32 % PAGES;
-                                if t < 2 {
-                                    // Aligned whole pages, or a clipped range.
-                                    let pages = 1 + (x >> 20) as usize % 4;
-                                    let (skip, len) = match (x >> 24) % 3 {
-                                        0 => (0, pages * PAGE_SIZE),
-                                        1 => (0, 100),
-                                        _ => ((x >> 28) as usize % PAGE_SIZE, pages * PAGE_SIZE),
-                                    };
-                                    let off = p as usize * PAGE_SIZE + skip;
-                                    let len = len.min(PAGES as usize * PAGE_SIZE - off);
-                                    pool.read_segment(AreaId::META, 0, off as u64, &mut out[..len]);
-                                    for (i, &b) in out[..len].iter().enumerate() {
-                                        own(off + i, b);
-                                    }
-                                } else if x.is_multiple_of(2) {
-                                    let r = pool.fix(pid(p));
-                                    pool.with_page(r, |page| own(p as usize * PAGE_SIZE, page[0]));
-                                    pool.unfix(r);
-                                } else {
-                                    let mut g = pool.guard_mut(pid(p));
-                                    g[1] = g[1].wrapping_add(1);
-                                    mine[p as usize] += 1;
-                                }
+            let bumps: Vec<_> = (0..PAGES)
+                .map(|_| std::sync::atomic::AtomicU8::new(0))
+                .collect();
+            let worker = |t: u64| {
+                let (pool, bumps) = (&pool, &bumps);
+                Box::new(move || {
+                    let mut out = vec![0u8; 4 * PAGE_SIZE];
+                    let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ t ^ (seed << 8);
+                    for _ in 0..ACCESSES {
+                        // xorshift64
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let p = (x >> 8) as u32 % PAGES;
+                        if t < 2 {
+                            // Aligned whole pages, or a clipped range.
+                            let pages = 1 + (x >> 20) as usize % 4;
+                            let (skip, len) = match (x >> 24) % 3 {
+                                0 => (0, pages * PAGE_SIZE),
+                                1 => (0, 100),
+                                _ => ((x >> 28) as usize % PAGE_SIZE, pages * PAGE_SIZE),
+                            };
+                            let off = p as usize * PAGE_SIZE + skip;
+                            let len = len.min(PAGES as usize * PAGE_SIZE - off);
+                            pool.read_segment(AreaId::META, 0, off as u64, &mut out[..len]);
+                            for (i, &b) in out[..len].iter().enumerate() {
+                                own(off + i, b);
                             }
-                            mine
-                        })
-                    })
-                    .collect();
-                for w in workers {
-                    for (sum, n) in bumps.iter_mut().zip(w.join().unwrap()) {
-                        *sum += n;
+                        } else if x.is_multiple_of(2) {
+                            let r = pool.fix(pid(p));
+                            pool.with_page(r, |page| own(p as usize * PAGE_SIZE, page[0]));
+                            pool.unfix(r);
+                        } else {
+                            let mut g = pool.guard_mut(pid(p));
+                            g[1] = g[1].wrapping_add(1);
+                            bumps[p as usize].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        }
                     }
-                }
-            });
+                }) as sync::Thread
+            };
+            let out = sync::schedule(seed, (0..4).map(worker).collect());
+            assert!(out.iter().all(Result::is_ok), "seed {seed}: {out:?}");
             assert_eq!(pool.available_frames(), 8);
             pool.flush_all();
             for p in 0..PAGES {
                 let mut page = [0u8; PAGE_SIZE];
                 pool.disk().peek(AreaId::META, p, &mut page);
-                assert_eq!(page[1], bumps[p as usize] as u8, "page {p} lost a write");
+                let want = bumps[p as usize].load(std::sync::atomic::Ordering::Relaxed);
+                assert_eq!(page[1], want, "seed {seed}: page {p} lost a write");
             }
-        });
+        }
     }
 }

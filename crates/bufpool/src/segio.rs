@@ -13,8 +13,6 @@
 //! overlays, so version-pinned snapshot readers can stream segments
 //! concurrently under the shared side of the database lock.
 
-use std::sync::PoisonError;
-
 use lobstore_simdisk::{cast, AreaId, PageId, PAGE_SIZE, PAGE_SIZE_U64};
 
 use crate::metrics;
@@ -66,7 +64,7 @@ impl BufferPool {
         // The request's pages and, once known, the frames they are in.
         let mut slots = [(PageId::new(area, first), None); MAX_BUFFERED_SEG];
         let at = &mut slots[..cast::u32_to_usize(n_pages)];
-        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.lock_ctl();
         if g.available() < at.len() {
             return false;
         }
@@ -189,7 +187,7 @@ impl BufferPool {
     /// scanner through the control latch once per page.
     fn overlay_dirty(&self, area: AreaId, first: u32, out: &mut [u8]) {
         debug_assert!(out.len().is_multiple_of(PAGE_SIZE));
-        let g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let g = self.lock_ctl();
         let n_pages = cast::usize_to_u32(out.len() / PAGE_SIZE);
         for (page, idx) in g.dirty_in(area, first, n_pages) {
             // Holding `ctl` keeps the page in its frame; copy under the
@@ -240,7 +238,7 @@ impl BufferPool {
     /// single sequential I/O call (§3.3: "the dirty pages of the segment
     /// are simply flushed to disk at the end of the operation").
     pub fn flush_range(&self, area: AreaId, start: u32, n_pages: u32) {
-        let mut g = self.ctl.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.lock_ctl();
         let dirty = g.dirty_in(area, start, n_pages);
         // Consecutive page numbers form one run.
         for run in dirty.chunk_by(|a, b| a.0 + 1 == b.0) {

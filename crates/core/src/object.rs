@@ -126,8 +126,9 @@ pub struct SegSpan {
 ///
 /// All operations borrow the [`Db`] because every byte they touch moves
 /// through the buffer pool and the simulated disk; the handle itself holds
-/// only the root page number and immutable parameters.
-pub trait LargeObject {
+/// only the root page number and immutable parameters, so it can move
+/// to another thread.
+pub trait LargeObject: Send {
     /// Which structure this is.
     fn kind(&self) -> StorageKind;
 

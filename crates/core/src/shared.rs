@@ -33,7 +33,9 @@
 //! snapshot pin a panicking reader leaks is released by its
 //! [`SharedPin`]'s `Drop`.
 
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, RwLock};
+
+use lobstore_obs::sync::{self, Rank};
 
 use crate::db::Db;
 use crate::error::Result;
@@ -62,11 +64,11 @@ impl SharedDb {
     /// lock. Contended acquisitions are counted on
     /// `core.shared.write_waits`.
     pub fn with<R>(&self, f: impl FnOnce(&mut Db) -> R) -> R {
-        if let Ok(mut g) = self.inner.try_write() {
+        if let Some(mut g) = sync::try_write(&self.inner, Rank::SharedDb) {
             return f(&mut g);
         }
         metrics::SHARED_WRITE_WAITS.add(1);
-        f(&mut self.inner.write().unwrap_or_else(PoisonError::into_inner))
+        f(&mut sync::write(&self.inner, Rank::SharedDb))
     }
 
     /// Run `f` with shared (read-only) access to the database. Any number
@@ -78,11 +80,11 @@ impl SharedDb {
     /// disk are internally synchronized for the page traffic `&Db` reads
     /// perform.
     pub fn with_read<R>(&self, f: impl FnOnce(&Db) -> R) -> R {
-        if let Ok(g) = self.inner.try_read() {
+        if let Some(g) = sync::try_read(&self.inner, Rank::SharedDb) {
             return f(&g);
         }
         metrics::SHARED_READ_WAITS.add(1);
-        f(&self.inner.read().unwrap_or_else(PoisonError::into_inner))
+        f(&sync::read(&self.inner, Rank::SharedDb))
     }
 
     /// Pin the current committed version and open a cursor over the
@@ -103,7 +105,7 @@ impl SharedDb {
     /// Recover the unique [`Db`] if this is the last handle.
     pub fn try_unwrap(self) -> std::result::Result<Db, SharedDb> {
         Arc::try_unwrap(self.inner)
-            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .map(sync::into_inner)
             .map_err(|inner| SharedDb { inner })
     }
 }
@@ -291,39 +293,18 @@ mod tests {
         digest
     }
 
-    /// Run `f` over `r` on a thread of its own and hand back its result,
-    /// or `None` if it has not finished after 3 s (it is blocked on the
-    /// lock `held`). Dropping `held` afterwards lets a blocked `f` (and
-    /// the reader's drop, which needs the write tier) through, so the
-    /// thread is always joined.
-    fn while_holding<G, T: Send + 'static>(
-        mut r: SharedSnapshotReader,
-        held: G,
-        f: impl FnOnce(&mut SharedSnapshotReader) -> T + Send + 'static,
-    ) -> Option<T> {
-        let (done, rx) = std::sync::mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            let _ = done.send(f(&mut r));
-        });
-        let got = rx.recv_timeout(std::time::Duration::from_secs(3)).ok();
-        drop(held);
-        worker.join().unwrap();
-        got
-    }
-
     #[test]
     fn cold_pinned_scan_needs_only_the_read_tier() {
         let shared = SharedDb::new(Db::paper_default());
         // Dozens of segments: the scanner refills once per segment, each
-        // time through the lock.
+        // time through the lock, while another thread holds its read side.
         let (root, want) = patterned(&shared, 9 << 20);
-        let r = shared.snapshot_reader(root).unwrap();
-        let held = shared.inner.read().unwrap();
-        assert_eq!(
-            while_holding(r, held, scan_digest),
-            Some(want),
-            "a pinned scan blocked behind (or misread under) a held read lock"
-        );
+        for seed in 0..2 {
+            let mut r = shared.snapshot_reader(root).unwrap();
+            let hold = || sync::read(&shared.inner, Rank::SharedDb);
+            let scan = || assert_eq!(scan_digest(&mut r), want, "a pinned scan misread");
+            assert_eq!(sync::while_held(seed, hold, scan), Ok(()));
+        }
         assert_eq!(shared.with(|db| db.pinned_snapshots()), 0);
     }
 
@@ -336,18 +317,17 @@ mod tests {
         let span = r.fill_buf().unwrap().to_vec();
         assert!(!span.is_empty());
         r.consume(span.len());
-        let held = shared.inner.write().unwrap();
-        let reread = while_holding(r, held, move |r| {
-            r.seek(SeekFrom::Start(300_000)).unwrap();
-            let mut out = vec![0u8; span.len()];
-            r.read_exact(&mut out).unwrap();
-            out == span
-        });
-        assert_eq!(
-            reread,
-            Some(true),
-            "a re-read of the buffered span waited for the database lock"
-        );
+        for seed in 0..4 {
+            let hold = || sync::write(&shared.inner, Rank::SharedDb);
+            let reread = || {
+                r.seek(SeekFrom::Start(300_000)).unwrap();
+                let mut out = vec![0u8; span.len()];
+                r.read_exact(&mut out).unwrap();
+                assert!(out == span, "the re-read span differs");
+            };
+            assert_eq!(sync::while_held(seed, hold, reread), Ok(()));
+        }
+        drop(r);
         assert_eq!(shared.with(|db| db.pinned_snapshots()), 0);
     }
 
@@ -357,12 +337,11 @@ mod tests {
         let (root, _) = patterned(&shared, 100_000);
         let mut r = shared.snapshot_reader(root).unwrap();
         r.seek(SeekFrom::End(0)).unwrap();
-        let held = shared.inner.write().unwrap();
-        assert_eq!(
-            while_holding(r, held, |r| r.read(&mut [0u8; 16]).unwrap()),
-            Some(0),
-            "a read at EOF waited for the database lock"
-        );
+        for seed in 0..4 {
+            let hold = || sync::write(&shared.inner, Rank::SharedDb);
+            let read = || assert_eq!(r.read(&mut [0u8; 16]).unwrap(), 0);
+            assert_eq!(sync::while_held(seed, hold, read), Ok(()));
+        }
     }
 
     #[test]

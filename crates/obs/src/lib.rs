@@ -62,6 +62,7 @@ pub mod json;
 mod metrics;
 mod sink;
 mod span;
+pub mod sync;
 
 pub use metrics::{
     counter_add, counter_value, gauge_set, gauge_value, histogram_record, merge_thread_registry,

@@ -26,9 +26,10 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::json::Value;
+use crate::sync::{self, Guard, Rank};
 
 /// Number of log₂ buckets a histogram keeps: bucket 0 holds the value 0,
 /// bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)`.
@@ -134,7 +135,7 @@ impl SlotTable {
     }
 }
 
-/// Innermost lock of the workspace (DESIGN.md §13): taken for a name's
+/// Innermost lock of the workspace ([`Rank::MetricSlots`]): taken for a name's
 /// first resolution on a thread and for [`snapshot`], held over map work
 /// only, never across a call out of this module.
 static SLOTS: Mutex<SlotTable> = Mutex::new(SlotTable {
@@ -143,10 +144,8 @@ static SLOTS: Mutex<SlotTable> = Mutex::new(SlotTable {
     histos: SlotNames(BTreeMap::new()),
 });
 
-fn slots() -> MutexGuard<'static, SlotTable> {
-    // The table's only update is one map insert; a poisoned guard still
-    // holds a consistent table.
-    SLOTS.lock().unwrap_or_else(PoisonError::into_inner)
+fn slots() -> Guard<MutexGuard<'static, SlotTable>> {
+    sync::lock(&SLOTS, Rank::MetricSlots)
 }
 
 // ---- static handles ---------------------------------------------------------

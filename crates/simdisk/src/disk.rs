@@ -1,7 +1,9 @@
 //! The simulated disk itself.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+use lobstore_obs::sync::{self, Guard, Rank};
 
 use crate::cost::CostModel;
 use crate::metrics as m;
@@ -254,6 +256,16 @@ struct AreaSlot {
     store: RwLock<Area>,
 }
 
+impl AreaSlot {
+    fn read(&self) -> Guard<RwLockReadGuard<'_, Area>> {
+        sync::read(&self.store, Rank::AreaStore)
+    }
+
+    fn write(&self) -> Guard<RwLockWriteGuard<'_, Area>> {
+        sync::write(&self.store, Rank::AreaStore)
+    }
+}
+
 /// The five [`IoStats`] counters as atomics, so accounting works through
 /// `&self` from concurrent readers without a lock on the hot path.
 #[derive(Default)]
@@ -363,7 +375,7 @@ impl SimDisk {
     /// Start recording up to `capacity` I/O calls; see [`Self::take_trace`].
     pub fn enable_trace(&self, capacity: usize) {
         let trace = Trace::new(capacity);
-        let mut g = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.lock_trace();
         *g = Some(trace);
         self.tracing.store(true, Ordering::Release);
     }
@@ -371,7 +383,7 @@ impl SimDisk {
     /// Drain the recorded trace (empty if tracing was never enabled).
     /// Also resets the dropped-event count.
     pub fn take_trace(&self) -> Vec<TraceEvent> {
-        let mut g = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut g = self.lock_trace();
         g.as_mut().map(Trace::take).unwrap_or_default()
     }
 
@@ -380,8 +392,12 @@ impl SimDisk {
     /// exact trace must check this is zero, or its assertions run
     /// against a truncated event stream.
     pub fn trace_dropped(&self) -> u64 {
-        let g = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+        let g = self.lock_trace();
         g.as_ref().map(Trace::dropped).unwrap_or(0)
+    }
+
+    fn lock_trace(&self) -> Guard<MutexGuard<'_, Option<Trace>>> {
+        sync::lock(&self.trace, Rank::DiskTrace)
     }
 
     fn slot(&self, area: AreaId) -> &AreaSlot {
@@ -449,7 +465,7 @@ impl SimDisk {
                 pages,
                 cost_us: cost,
             };
-            let mut g = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut g = self.lock_trace();
             if let Some(t) = g.as_mut() {
                 t.record(event);
             }
@@ -472,7 +488,7 @@ impl SimDisk {
         let n_pages = cast::usize_to_u32(out.len().div_ceil(PAGE_SIZE));
         let slot = self.slot(area);
         self.charge(TraceKind::Read, area, start_page, n_pages);
-        let a = slot.store.read().unwrap_or_else(PoisonError::into_inner);
+        let a = slot.read();
         a.copy_out(start_page, out);
     }
 
@@ -504,7 +520,7 @@ impl SimDisk {
         if data.is_empty() {
             return;
         }
-        let mut a = slot.store.write().unwrap_or_else(PoisonError::into_inner);
+        let mut a = slot.write();
         a.copy_in(start_page, data);
     }
 
@@ -514,14 +530,14 @@ impl SimDisk {
     /// 1 MiB of arena alike.
     pub fn peek(&self, area: AreaId, start_page: u32, out: &mut [u8]) {
         let slot = self.slot(area);
-        let a = slot.store.read().unwrap_or_else(PoisonError::into_inner);
+        let a = slot.read();
         a.copy_out(start_page, out);
     }
 
     /// Cost-free write, for tests and debugging only.
     pub fn poke(&self, area: AreaId, start_page: u32, data: &[u8]) {
         let slot = self.slot(area);
-        let mut a = slot.store.write().unwrap_or_else(PoisonError::into_inner);
+        let mut a = slot.write();
         a.copy_in(start_page, data);
     }
 
@@ -529,14 +545,14 @@ impl SimDisk {
     /// not a cost metric).
     pub fn materialized_pages(&self, area: AreaId) -> usize {
         let slot = self.slot(area);
-        let a = slot.store.read().unwrap_or_else(PoisonError::into_inner);
+        let a = slot.read();
         a.materialized_count()
     }
 
     /// Page numbers of every materialized page in `area`, ascending.
     pub fn materialized_page_numbers(&self, area: AreaId) -> Vec<u32> {
         let slot = self.slot(area);
-        let a = slot.store.read().unwrap_or_else(PoisonError::into_inner);
+        let a = slot.read();
         a.materialized_numbers()
     }
 

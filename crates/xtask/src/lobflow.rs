@@ -1,11 +1,10 @@
 //! `lobflow` — intra-procedural control flow and dataflow over
 //! [`crate::lobsyn`] token streams (std-only).
 //!
-//! This is the analysis layer under the loblint v3 concurrency rules.
-//! The v2 rules see tokens and a call graph; what they cannot see is
-//! *order*: whether a check happens before a use, whether a guard is
-//! still live at a call site, which assignments can reach a merge
-//! point. `lobflow` recovers exactly that much structure:
+//! This is the analysis layer under loblint's `disk-taint` rule. The
+//! token rules see tokens and a call graph; what they cannot see is
+//! *order*: whether a check happens before a use, which assignments can
+//! reach a merge point. `lobflow` recovers exactly that much structure:
 //!
 //! * **CFG construction** — per-function basic blocks over
 //!   `if`/`else if`/`else`, `match`, `loop`/`while`/`for`, `return`,
@@ -15,10 +14,6 @@
 //! * **Forward dataflow** — a worklist fixpoint over any join
 //!   semilattice (`None` = unreachable bottom), with per-statement
 //!   state replay for rules that need the state *at* a program point.
-//! * **Regions** — the token extent over which a value of interest
-//!   (a lock guard, a page pin) is live. Rust drops guards at the end
-//!   of their lexical scope (or at an explicit `drop(g)`), so regions
-//!   are computed lexically and shared by all guard-discipline rules.
 //!
 //! Like `lobsyn`, the builder is deliberately forgiving: expression-
 //! position conditionals (`let x = if c { a } else { b };`) are
@@ -503,158 +498,6 @@ pub fn replay<S: Clone>(
     }
 }
 
-// ---- regions --------------------------------------------------------------
-
-/// The token extent over which a value of interest is live: from its
-/// production site to the end of its lexical scope, an explicit
-/// `drop(var)`, or (for unbound temporaries) the end of its statement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Region {
-    /// Binding name, when the value was `let`-bound.
-    pub var: Option<String>,
-    /// Token range `[lo, hi)` of the live extent.
-    pub lo: usize,
-    pub hi: usize,
-}
-
-impl Region {
-    pub fn contains(&self, i: usize) -> bool {
-        self.lo <= i && i < self.hi
-    }
-}
-
-/// Index just past the end of the statement containing `i`: the `;` at
-/// the brace depth of `i`, or the end of the enclosing brace scope.
-fn stmt_extent(toks: &[Tok], b1: usize, i: usize) -> usize {
-    let mut depth = 0i64;
-    let mut j = i;
-    while j < b1.min(toks.len()) {
-        match toks[j].text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => {
-                if depth == 0 {
-                    return j;
-                }
-                depth -= 1;
-            }
-            ";" if depth == 0 => return j + 1,
-            _ => {}
-        }
-        j += 1;
-    }
-    b1.min(toks.len())
-}
-
-/// Index of the `}` closing the innermost brace scope containing `i`,
-/// bounded by the body range `[.., b1)`.
-fn scope_extent(toks: &[Tok], b1: usize, i: usize) -> usize {
-    let mut depth = 0i64;
-    let mut j = i;
-    while j < b1.min(toks.len()) {
-        match toks[j].text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => {
-                if depth == 0 {
-                    return j;
-                }
-                depth -= 1;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    b1.min(toks.len())
-}
-
-/// Index of the opener matching the `)`/`]` at `close`, scanning back
-/// no further than `b0` (returned as is when the group is unbalanced).
-fn group_start(toks: &[Tok], b0: usize, close: usize) -> usize {
-    let mut depth = 0usize;
-    for j in (b0..=close).rev() {
-        if toks[j].is_punct(")") || toks[j].is_punct("]") {
-            depth += 1;
-        } else if toks[j].is_punct("(") || toks[j].is_punct("[") {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    b0
-}
-
-/// The live region of a value produced at token `prod` inside a
-/// function body `[b0, b1)`. Walks back from `prod` for a `let
-/// [mut] name =` binding head; when bound, the region runs to the end
-/// of the enclosing brace scope or an explicit `drop(name)`, whichever
-/// comes first. Unbound values live to the end of their statement.
-pub fn live_region(toks: &[Tok], b0: usize, b1: usize, prod: usize) -> Region {
-    // Find the binding: scan back past the receiver chain to `let`. A
-    // call or index inside the chain (`self.frame(i).bytes.read()`,
-    // `v[i].lock()`) is skipped as one balanced group.
-    let mut j = prod;
-    while j > b0 {
-        let t = &toks[j - 1];
-        if t.kind == TokKind::Ident || t.is_punct(".") || t.is_punct("::") || t.is_punct("&") {
-            j -= 1;
-        } else if t.is_punct(")") || t.is_punct("]") {
-            j = group_start(toks, b0, j - 1);
-        } else {
-            break;
-        }
-    }
-    let var = if j >= b0 + 2 && toks[j - 1].is_punct("=") {
-        let mut k = j - 1;
-        // `= ` preceded by `name` (+ optional `mut`) + `let`.
-        if k >= 1 && toks[k - 1].kind == TokKind::Ident && !toks[k - 1].is_ident("mut") {
-            let name = toks[k - 1].text.clone();
-            k -= 1;
-            if k >= 1 && toks[k - 1].is_ident("mut") {
-                k -= 1;
-            }
-            if k >= 1 && toks[k - 1].is_ident("let") {
-                Some(name)
-            } else {
-                None
-            }
-        } else {
-            None
-        }
-    } else {
-        None
-    };
-
-    match var {
-        None => Region {
-            var: None,
-            lo: prod,
-            hi: stmt_extent(toks, b1, prod),
-        },
-        Some(name) => {
-            let scope_end = scope_extent(toks, b1, prod);
-            // An explicit `drop(name)` inside the scope ends the region.
-            let mut hi = scope_end;
-            let mut k = stmt_extent(toks, b1, prod);
-            while k + 2 < scope_end {
-                if toks[k].is_ident("drop")
-                    && toks[k + 1].is_punct("(")
-                    && toks[k + 2].is_ident(&name)
-                    && toks.get(k + 3).is_some_and(|t| t.is_punct(")"))
-                {
-                    hi = k;
-                    break;
-                }
-                k += 1;
-            }
-            Region {
-                var: Some(name),
-                lo: prod,
-                hi,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -875,79 +718,5 @@ mod tests {
         assert!(x_set_at_exit(
             "fn f() { clear(); loop { if d() { break; } set(); } }"
         ));
-    }
-
-    // ---- regions ------------------------------------------------------
-
-    fn region_at(src: &str, marker: &str) -> (Vec<Tok>, Region) {
-        let toks = lobsyn::lex(src).toks;
-        let fns = lobsyn::fn_defs(&toks);
-        let (b0, b1) = fns[0].body.unwrap();
-        let prod = toks.iter().position(|t| t.is_ident(marker)).unwrap();
-        let r = live_region(&toks, b0, b1, prod);
-        (toks, r)
-    }
-
-    #[test]
-    fn let_bound_region_runs_to_scope_end() {
-        let src = "fn f() { let g = m.lock(); use1(); } \n";
-        let (toks, r) = region_at(src, "lock");
-        assert_eq!(r.var.as_deref(), Some("g"));
-        let use1 = toks.iter().position(|t| t.is_ident("use1")).unwrap();
-        assert!(r.contains(use1));
-    }
-
-    #[test]
-    fn calls_and_indexing_in_the_receiver_chain_keep_the_binding() {
-        for src in [
-            "fn f() { let g = self.frame(i).bytes.read(); use1(); }",
-            "fn f() { let mut g = self.frames[i + 1].bytes.read(); use1(); }",
-        ] {
-            let (toks, r) = region_at(src, "read");
-            assert_eq!(r.var.as_deref(), Some("g"), "{src}");
-            let use1 = toks.iter().position(|t| t.is_ident("use1")).unwrap();
-            assert!(r.contains(use1), "{src}");
-        }
-        // An argument position is still not a binding.
-        let (_, r) = region_at("fn f() { let n = take(m.lock()); use1(); }", "lock");
-        assert_eq!(r.var, None);
-    }
-
-    #[test]
-    fn inner_scope_ends_the_region() {
-        let src = "fn f() { { let g = m.lock(); inner(); } outer(); }";
-        let (toks, r) = region_at(src, "lock");
-        let inner = toks.iter().position(|t| t.is_ident("inner")).unwrap();
-        let outer = toks.iter().position(|t| t.is_ident("outer")).unwrap();
-        assert!(r.contains(inner));
-        assert!(!r.contains(outer));
-    }
-
-    #[test]
-    fn explicit_drop_ends_the_region() {
-        let src = "fn f() { let g = m.lock(); use1(); drop(g); use2(); }";
-        let (toks, r) = region_at(src, "lock");
-        let u1 = toks.iter().position(|t| t.is_ident("use1")).unwrap();
-        let u2 = toks.iter().position(|t| t.is_ident("use2")).unwrap();
-        assert!(r.contains(u1));
-        assert!(!r.contains(u2));
-    }
-
-    #[test]
-    fn unbound_temporary_lives_for_its_statement() {
-        let src = "fn f() { m.lock().insert(k, v); later(); }";
-        let (toks, r) = region_at(src, "lock");
-        assert_eq!(r.var, None);
-        let ins = toks.iter().position(|t| t.is_ident("insert")).unwrap();
-        let later = toks.iter().position(|t| t.is_ident("later")).unwrap();
-        assert!(r.contains(ins));
-        assert!(!r.contains(later));
-    }
-
-    #[test]
-    fn mut_binding_is_recognized() {
-        let src = "fn f() { let mut g = m.lock(); touch(); }";
-        let (_, r) = region_at(src, "lock");
-        assert_eq!(r.var.as_deref(), Some("g"));
     }
 }

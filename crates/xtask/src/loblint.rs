@@ -12,14 +12,13 @@
 //! | `unit-mixing` | library crates, non-test code | byte-, page-index- and page-count-typed values may not be mixed in arithmetic/comparison/assignment |
 //! | `io-accounting` | library crates | raw `disk.read` / `disk.write` only inside the cost-counted bufpool wrappers; every I/O entry point reaches a wrapper and bumps its counter; meta-inspectors (health recounts, the `verify` walk) stay peek-only |
 //! | `bad-waiver` | whole workspace | `loblint: allow(...)` comments may only name known rules |
-//! | `lock-order` | workspace, non-test | the lock/latch acquisition graph is acyclic and follows the canonical order (see [`crate::flowrules`]) |
-//! | `guard-across-io` | library crates, non-test code | no lock guard or page pin live across a cost-counted I/O wrapper call or `std::io`/`std::fs` |
-//! | `panic-while-locked` | library crates, non-test code | no panic-capable token inside a region where a guard is live |
 //! | `disk-taint` | library crates, non-test code | disk-deserialized values must pass a bounds check before use as an index, `PageId`, or I/O argument |
 //! | `unused-waiver` | whole workspace, non-test | a waiver that no longer suppresses anything is itself a finding |
 //!
-//! `lock-order` to `disk-taint` run on the CFG + dataflow engine in
-//! [`crate::lobflow`] and live in [`crate::flowrules`].
+//! `disk-taint` runs on the CFG + dataflow engine in [`crate::lobflow`]
+//! and lives in [`crate::flowrules`]. The lock order is not a rule here:
+//! `lobstore_obs::sync` checks every acquisition at run time under
+//! `debug_assertions`.
 //!
 //! What rustc and clippy decide with types is theirs, not a rule here:
 //! `unsafe`, `todo!`/`unimplemented!` (`[workspace.lints]`), and for the
@@ -57,23 +56,20 @@ use std::process::ExitCode;
 use crate::lobsyn::{self, FnDef, Tok, TokKind};
 
 /// The rule identifiers, as used in findings and `allow(...)` comments.
-pub const RULES: [&str; 12] = [
+pub const RULES: [&str; 9] = [
     "arith-overflow",
     "bad-waiver",
     "disk-taint",
-    "guard-across-io",
     "io-accounting",
-    "lock-order",
     "magic-duplicate",
     "magic-literal",
     "panic-path",
-    "panic-while-locked",
     "unit-mixing",
     "unused-waiver",
 ];
 
 /// One `--explain` documentation entry per rule: (name, scope, text).
-pub const RULE_DOCS: [(&str, &str, &str); 12] = [
+pub const RULE_DOCS: [(&str, &str, &str); 9] = [
     (
         "arith-overflow",
         "library crates, non-test code",
@@ -97,13 +93,6 @@ pub const RULE_DOCS: [(&str, &str, &str); 12] = [
          static twin of `lobctl check`.",
     ),
     (
-        "guard-across-io",
-        "library crates, non-test code",
-        "A lock guard, borrow latch, or page pin is live across a cost-counted I/O wrapper \
-         call or a std::io/std::fs path. Disk I/O under a held lock serializes the workload \
-         the lock was meant to protect; drop the guard first or restructure.",
-    ),
-    (
         "io-accounting",
         "library crates",
         "Raw `disk.read`/`disk.write` only inside the cost-counted bufpool wrappers; every \
@@ -113,20 +102,6 @@ pub const RULE_DOCS: [(&str, &str, &str); 12] = [
          Meta-inspectors (frag_stats, sample_health, object_health, the verify walk) are the \
          inverse: peek-only recounts that must never perform raw I/O or call a costed \
          wrapper/entry.",
-    ),
-    (
-        "lock-order",
-        "whole workspace, non-test",
-        "All lock/latch acquisitions (Mutex::lock, RwLock::read/write, BufferPool::guard*, \
-         thread-local RefCell .with) form a graph: an edge A -> B means B is acquired while \
-         A is held, directly or through a call. The graph must be acyclic, must not \
-         re-acquire a held resource, and known resources must follow the canonical order in \
-         flowrules::CANONICAL_LOCK_ORDER (DESIGN.md section 13). Only what the rule can name \
-         is checked: a lock must be a `field: [Arc<]Mutex<..>|RwLock<..>` struct field (the \
-         pool's frame latch is `Frame.bytes`) or an ALL_CAPS static, and a resource missing \
-         from the table is unranked; an xtask test holds the table, the workspace's \
-         declarations (struct fields and statics of the library crates alike) and the \
-         DESIGN.md table to the same names.",
     ),
     (
         "magic-duplicate",
@@ -145,14 +120,6 @@ pub const RULE_DOCS: [(&str, &str, &str); 12] = [
          divisor can panic; guard or waive. Exempt: full-range `[..]` slices, a `[` after \
          the keyword `mut` (a slice *type* such as `&mut [u8]`, never an indexing \
          expression), and divisors that are literals or ALL_CAPS const chains.",
-    ),
-    (
-        "panic-while-locked",
-        "library crates, non-test code",
-        "A panic-capable token (unwrap/expect, panic!-family macros, indexing, non-constant \
-         division — with the same `[..]`/slice-type/const-divisor exemptions as panic-path) \
-         inside a region where a guard is live poisons the lock for every other thread. \
-         Propagate errors or hoist the panic-capable work outside the guard.",
     ),
     (
         "unit-mixing",
@@ -550,9 +517,8 @@ pub(crate) fn ends_operand(t: &Tok) -> bool {
 }
 
 /// Is `toks[i]` a `/ % /= %=` whose divisor is not a literal or
-/// ALL_CAPS const — i.e. a potential divide-by-zero panic? Shared by
-/// `panic-path` and `panic-while-locked`.
-pub(crate) fn panic_div_at(t: &[Tok], i: usize) -> bool {
+/// ALL_CAPS const — i.e. a potential divide-by-zero panic?
+fn panic_div_at(t: &[Tok], i: usize) -> bool {
     if !(t[i].kind == TokKind::Punct
         && matches!(t[i].text.as_str(), "/" | "%" | "/=" | "%=")
         && i > 0
@@ -569,8 +535,8 @@ pub(crate) fn panic_div_at(t: &[Tok], i: usize) -> bool {
 }
 
 /// Is `toks[i]` a postfix `[` (indexing/slicing a value) that is not a
-/// full-range `[..]`? Shared by `panic-path`, `panic-while-locked` and
-/// the `disk-taint` sink scan. A `[` after the keyword `mut` is a slice
+/// full-range `[..]`? Shared by `panic-path` and the `disk-taint` sink
+/// scan. A `[` after the keyword `mut` is a slice
 /// *type* (`&mut [u8]`), never an indexing expression — `mut` cannot
 /// name a value.
 pub(crate) fn panic_index_at(t: &[Tok], i: usize) -> bool {
@@ -650,7 +616,7 @@ fn is_quantity(chain: &[String]) -> bool {
 }
 
 /// Is this identifier an ALL_CAPS constant name?
-pub(crate) fn is_const_name(id: &str) -> bool {
+fn is_const_name(id: &str) -> bool {
     id.chars().any(|c| c.is_ascii_uppercase())
         && id
             .chars()
@@ -945,7 +911,7 @@ pub(crate) const META_INSPECTORS: [(&str, &str); 9] = [
     ("crates/core/src/health.rs", "publish_object_health"),
 ];
 
-pub(crate) const CALL_KEYWORDS: [&str; 11] = [
+const CALL_KEYWORDS: [&str; 11] = [
     "if", "match", "while", "for", "return", "loop", "fn", "as", "in", "move", "unsafe",
 ];
 
@@ -1655,7 +1621,7 @@ mod tests {
             evidence: Vec::new(),
         };
         let findings = vec![
-            f("a.rs", 1, "lock-order"),
+            f("a.rs", 1, "disk-taint"),
             f("a.rs", 2, "panic-path"),
             f("b.rs", 3, "panic-path"),
         ];
@@ -1663,7 +1629,7 @@ mod tests {
         let expected = "\
 rule        total  baselined    new
 ----------  -----  ---------  -----
-lock-order      1          1      0
+disk-taint      1          1      0
 panic-path      2          1      1
 ----------  -----  ---------  -----
 TOTAL           3          2      1
@@ -1981,11 +1947,6 @@ TOTAL           3          2      1
                 "panic-path --explain must mention the {needle:?} exemption"
             );
         }
-        // panic-while-locked shares panic_index_at/panic_div_at.
-        assert!(
-            text_of("panic-while-locked").contains("exemptions as panic-path"),
-            "panic-while-locked --explain must reference the shared exemptions"
-        );
         // disk-taint: the sanitizer set in flowrules::sanitized_at.
         for needle in [
             "comparison",

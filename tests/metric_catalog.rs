@@ -1,8 +1,7 @@
 //! The metric catalog is one set of names, written down twice: the
 //! handles each instrumented crate declares (`METRIC_NAMES`, from its
 //! `lobstore_obs::metrics!` block) and DESIGN.md §10's "Metric catalog"
-//! table. This test holds the two to each other in both directions, the
-//! way `xtask` holds loblint's lock-order table to DESIGN.md §13, and
+//! table. This test holds the two to each other in both directions, and
 //! keeps string-literal names out of the engine's update sites so the
 //! declared list stays the whole list.
 

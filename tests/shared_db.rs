@@ -1,5 +1,9 @@
-//! Multi-thread hammer tests for [`SharedDb`]: the runtime counterpart
-//! of loblint's `lock-order`/`panic-while-locked` static rules.
+//! Multi-thread hammer tests for [`SharedDb`] on real threads, beside
+//! the seeded schedules of `tests/schedules.rs`: a schedule runs one
+//! logical thread at a time and so never shows what hardware memory
+//! ordering does to threads that truly run at once. Every acquisition
+//! still checks the lock order (`lobstore::obs::sync::Rank`) in debug
+//! builds.
 //!
 //! Two storms:
 //!
@@ -200,6 +204,10 @@ struct Metered<'a> {
 }
 
 impl ReadAccess for Metered<'_> {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a lock of this test's own, outside the library's lock order"
+    )]
     fn with_db<R>(&mut self, f: impl FnOnce(&Db) -> R) -> R {
         let _guard = self.aux.lock().unwrap();
         let (r, delta) = self.shared.with_read(|db| {

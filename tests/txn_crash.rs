@@ -9,8 +9,9 @@
 //! allocators hold exactly what the object, the catalog and the log
 //! claim, with the frees deferred for dropped pins free again.
 
-use lobstore::workload::model::{at, for_seeds, CrashPoint, Driver, Kind, Op, OpGen};
-use lobstore::{Catalog, Db, DbConfig, ManagerSpec};
+use lobstore::workload::fill;
+use lobstore::workload::model::{assert_same, at, for_seeds, CrashPoint, Driver, Kind, Op, OpGen};
+use lobstore::{AreaId, Catalog, Db, DbConfig, ManagerSpec, PAGE_SIZE};
 
 /// Txns of one to three updates, single updates (append : insert : delete
 /// = 3 : 2 : 2), checkpoints, and pins, most released only by a crash.
@@ -97,5 +98,69 @@ fn a_checkpoint_that_writes_nothing_recovers_the_last_commit() {
         assert_eq!(d.crash_during(&mut db, &Op::Checkpoint, nothing), []);
         assert_eq!(d.model.bytes(), committed, "{}", spec.label());
         d.finish(&mut db);
+    }
+}
+
+/// Inside one transaction, object 0's committed root is overwritten in
+/// place; then the roots of 16 more objects are, so the pool (12 frames)
+/// runs out of clean frames and evicts the oldest dirty one, object 0's
+/// root, whose new bytes reach the disk. A crash before the commit marker
+/// must give back the pre-image, which only the log's `UndoImage` holds:
+/// the checkpoint left no `RootImage` of it.
+#[test]
+fn an_evicted_in_place_overwrite_is_undone_by_a_crash_before_commit() {
+    for spec in [
+        ManagerSpec::esm(4),
+        ManagerSpec::eos(8),
+        ManagerSpec::starburst(),
+    ] {
+        let mut db = Db::new(DbConfig {
+            alloc_log: true,
+            ..DbConfig::default()
+        });
+        let mut objs: Vec<_> = (0..17u64)
+            .map(|i| {
+                let mut obj = spec.create(&mut db).unwrap();
+                obj.append(&mut db, &fill(10_000, i)).unwrap();
+                obj
+            })
+            .collect();
+        db.checkpoint();
+        let want: Vec<_> = objs.iter().map(|o| o.snapshot(&db)).collect();
+        let root = objs[0].root_page();
+        let on_disk = |db: &mut Db| {
+            let mut page = [0u8; PAGE_SIZE];
+            db.pool().disk().peek(AreaId::META, root, &mut page);
+            page
+        };
+        let committed = on_disk(&mut db);
+        db.txn(|db| {
+            for (i, obj) in objs.iter_mut().enumerate() {
+                obj.append(db, &fill(1_000, 100 + i as u64))?;
+            }
+            let evicted = on_disk(db) != committed;
+            assert!(evicted, "{}: the root never reached the disk", spec.label());
+            // Lose every write from here on: the commit never lands.
+            let next = db.io_stats().write_calls;
+            db.pool().disk().fail_stop(Some((next, 0)));
+            Ok(())
+        })
+        .unwrap();
+        db.pool().disk().fail_stop(None);
+        db.crash_and_reboot();
+        let objs: Vec<_> = objs
+            .iter()
+            .map(|o| lobstore::open_object(&mut db, spec.kind(), o.root_page()).unwrap())
+            .collect();
+        for (i, (obj, want)) in objs.iter().zip(&want).enumerate() {
+            assert_same(
+                &obj.snapshot(&db),
+                want,
+                &format!("{} object {i}", spec.label()),
+            );
+        }
+        let named: Vec<_> = objs.iter().map(|o| ("obj", o.as_ref())).collect();
+        let findings = db.verify(&named, &[]);
+        assert!(findings.is_empty(), "{}: {findings:?}", spec.label());
     }
 }
