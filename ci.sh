@@ -18,17 +18,21 @@ run() {
 # `todo!`/`unimplemented!` anywhere ([workspace.lints] in Cargo.toml),
 # and in the six library crates' non-test code documented public items,
 # no `unwrap`/`expect` and no truncating `as` cast (the attribute block
-# at the top of each library lib.rs). loblint carries what it cannot.
-# clippy.toml's disallowed-methods list leaves lobstore_obs::sync's
-# helpers the only way to take a lock; under debug assertions each
-# acquisition checks the lock order (sync::Rank), so every debug test
-# below checks it too. The xtask suite runs explicitly before loblint:
-# it carries the seeded-violation fixtures for every lint rule (the one
-# CFG rule, disk-taint, included), so a broken rule fails loudly here
-# rather than silently passing an under-linted workspace. loblint then
-# runs against the committed ratchet baseline (loblint.baseline): any
-# finding not already frozen there is printed with its evidence trail
-# and fails the build.
+# at the top of each library lib.rs). clippy.toml's disallowed-methods
+# list names two funnels: lobstore_obs::sync's helpers are the only way
+# to take a lock (under debug assertions each acquisition checks the
+# lock order, sync::Rank, so every debug test below checks it too), and
+# the only raw SimDisk::read/write calls are the cost-counted BufferPool
+# wrappers', each under a statement-level allow (and simdisk's own
+# tests). loblint carries what neither types nor tests decide: on-disk
+# magic hygiene, the frozen arith-overflow/panic-path ratchet, unit
+# mixing and disk-taint, the one CFG rule. The xtask suite runs
+# explicitly before loblint: it carries the seeded-violation fixtures
+# for every lint rule, so a broken rule fails loudly here rather than
+# silently passing an under-linted workspace. loblint then runs against
+# the committed ratchet baseline (loblint.baseline): any finding not
+# already frozen there is printed with its evidence trail and fails the
+# build.
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 
@@ -113,51 +117,75 @@ run cargo test -q --release --test model --test proptest_model --test crash_fuzz
 
 # Mutation drill: the crash tests must catch a seeded break of the
 # shadowing discipline (paper section 3.3) and a lost undo image, the
-# META walk a pinned open that lets a non-root page through, and the
-# seeded schedules and the lock-order check a latch two pages share, a
-# page guard held across a segment read and a lock helper that passes
-# poison on. Each patch in mutants/ is
-# applied to one copy of the tree under target/ (a patch that no longer
-# applies fails here), the copy must still build, each test named must
-# fail, and the patch is reversed before the next. The copy is fresh on
-# every run, so its build never reuses another tree's artifacts.
+# META walk a pinned open that lets a non-root page through, the seeded
+# schedules and the lock-order check a latch two pages share, a page
+# guard held across a segment read and a lock helper that passes poison
+# on, and the I/O accounting's twins a raw disk read above the pool
+# (clippy), a segment write that skips its counter and a health recount
+# that fixes a page. Each patch in mutants/ is applied to one copy of
+# the tree under target/ (a patch that no longer applies fails here),
+# the copy must still build, and then either each test named must fail
+# or, for a `clippy` drill, clippy must; the patch is reversed before
+# the next. The copy is fresh on every run, so its build never reuses
+# another tree's artifacts.
 mutant=target/mutants/tree
 rm -rf "$mutant" && mkdir -p "$mutant"
 tar --exclude=./target --exclude=./benchmark/target --exclude=./.git -cf - . | tar -xmf - -C "$mutant"
+# drill <patch> <cargo test target args> -- <test>...: each test must fail.
+# drill <patch> clippy <cargo clippy package args>: clippy must fail.
 drill() {
-    local patch=$1 test=$2
-    shift 2
+    local patch=$1 target=()
+    shift
+    while [ $# -gt 0 ] && [ "$1" != -- ]; do
+        target+=("$1")
+        shift
+    done
+    [ $# -gt 0 ] && shift
     echo
-    echo "==> mutation drill: mutants/$patch.patch must fail tests/$test.rs: $*"
+    echo "==> mutation drill: mutants/$patch.patch must fail ${target[*]}${*:+ -- $*}"
     patch -s -p1 --forward --reject-file=- -d "$mutant" < "mutants/$patch.patch"
-    (cd "$mutant" && cargo test -q --test "$test" --no-run)
-    for name in "$@"; do
-        if (cd "$mutant" && cargo test -q --test "$test" -- --exact "$name" > /dev/null 2>&1); then
-            echo "ci.sh: tests/$test.rs::$name passes with mutants/$patch.patch applied"
+    if [ "${target[0]}" = clippy ]; then
+        (cd "$mutant" && cargo build -q "${target[@]:1}")
+        if (cd "$mutant" && cargo clippy -q "${target[@]:1}" -- -D warnings > /dev/null 2>&1); then
+            echo "ci.sh: clippy ${target[*]:1} passes with mutants/$patch.patch applied"
             exit 1
         fi
-    done
+    else
+        (cd "$mutant" && cargo test -q "${target[@]}" --no-run)
+        for name in "$@"; do
+            if (cd "$mutant" && cargo test -q "${target[@]}" -- --exact "$name" > /dev/null 2>&1); then
+                echo "ci.sh: ${target[*]} $name passes with mutants/$patch.patch applied"
+                exit 1
+            fi
+        done
+    fi
     patch -s -R -p1 -d "$mutant" < "mutants/$patch.patch"
 }
 # A shadowed page updated in place.
-drill shadow-order deep_tree eos_mixed_ops_on_a_deep_tree
+drill shadow-order --test deep_tree -- eos_mixed_ops_on_a_deep_tree
 # Everything dirty made durable before the operation's shadows.
-drill commit-point crash_consistency one_unflushed_op_never_damages_the_checkpoint \
+drill commit-point --test crash_consistency -- one_unflushed_op_never_damages_the_checkpoint \
     recovered_database_remains_usable crash_before_first_checkpoint_recovers_empty
 # The superseded leaf extents never freed.
-drill alloc-balance crash_consistency one_unflushed_op_never_damages_the_checkpoint \
+drill alloc-balance --test crash_consistency -- one_unflushed_op_never_damages_the_checkpoint \
     recovered_database_remains_usable
 # A pinned open that checks a root's kind byte but not its magic.
-drill pinned-root-check mvcc a_pinned_open_walk_of_the_meta_area_opens_the_roots_only
+drill pinned-root-check --test mvcc -- a_pinned_open_walk_of_the_meta_area_opens_the_roots_only
 # A transaction's pre-images never logged (`log_undo_image` writes nothing).
-drill undo-image txn_crash an_evicted_in_place_overwrite_is_undone_by_a_crash_before_commit
+drill undo-image --test txn_crash -- an_evicted_in_place_overwrite_is_undone_by_a_crash_before_commit
 # Write guards on pages 16 apart share one latch: a reported deadlock.
-drill shared-latch schedules guards_on_pages_sixteen_apart_do_not_wait_for_each_other
+drill shared-latch --test schedules -- guards_on_pages_sixteen_apart_do_not_wait_for_each_other
 # Starburst's descriptor guard kept across its segment read: an order violation.
-drill guard-across-io perf_equivalence starburst_large_append_reads_back_through_split_calls \
+drill guard-across-io --test perf_equivalence -- starburst_large_append_reads_back_through_split_calls \
     starburst_streamed_accounting_matches_bulk
 # The lock helpers pass a poisoned lock's panic on instead of recovering.
-drill poison schedules pinned_scans_read_their_version_under_every_schedule
+drill poison --test schedules -- pinned_scans_read_their_version_under_every_schedule
+# A segment read straight from the disk, past the pool's dirty frames.
+drill raw-io clippy -p lobstore-core
+# `patch_in_place` writes without counting `core.seg.writes`.
+drill uncounted-seg-write -p lobstore-core --lib -- segdata::tests::each_segment_write_counts_one_write
+# `object_health` fixes a leaf page instead of peeking.
+drill costed-inspector -p lobstore-core --lib -- verify::tests::the_walk_is_clean_and_costs_nothing
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

@@ -3,7 +3,7 @@
 //! than a silently wrong figure.
 
 use lobstore_bench::{fresh_db, run_update_sweep, Scale, ESM_LEAF_PAGES, PAPER_APPEND_KB};
-use lobstore_workload::{build_object, ManagerSpec, MixedReport, OpKind};
+use lobstore_workload::{build_object, sequential_scan, ManagerSpec, MixedReport, OpKind};
 
 fn tiny() -> Scale {
     Scale {
@@ -52,6 +52,57 @@ fn fig5_starburst_and_eos4_columns_are_equal() {
         let sb = fig5_build_s(ManagerSpec::starburst(), kb);
         let eos = fig5_build_s(ManagerSpec::eos(4), kb);
         assert_eq!(sb, eos, "{kb} KB appends");
+    }
+}
+
+/// Simulated seconds to scan a 1 MB object of `spec` in `kb` KB reads,
+/// the object built by `kb` KB appends: one cell of Figure 6.
+fn fig6_scan_s(spec: ManagerSpec, kb: usize) -> f64 {
+    let mut db = fresh_db();
+    let (obj, _) = build_object(&mut db, &spec, tiny().object_bytes, kb * 1024).expect("build");
+    let rep = sequential_scan(&mut db, obj.as_ref(), kb * 1024).expect("scan");
+    rep.seconds()
+}
+
+/// Figure 6: an ESM scan plateaus once its size is a multiple of the
+/// leaf — whole leaves a read — and no scan size beats the plateau.
+#[test]
+fn fig6_esm_scans_plateau_at_leaf_multiples() {
+    for pages in ESM_LEAF_PAGES {
+        let leaf_kb = 4 * pages as usize;
+        let times: Vec<(usize, f64)> = PAPER_APPEND_KB
+            .iter()
+            .map(|&kb| (kb, fig6_scan_s(ManagerSpec::esm(pages), kb)))
+            .collect();
+        let plateau: Vec<f64> = times
+            .iter()
+            .filter(|t| t.0 % leaf_kb == 0)
+            .map(|t| t.1)
+            .collect();
+        assert!(!plateau.is_empty(), "ESM/{pages}");
+        assert!(
+            plateau.iter().all(|&s| s == plateau[0]),
+            "ESM/{pages} at multiples of {leaf_kb} KB: {times:?}"
+        );
+        assert!(
+            times.iter().all(|t| t.1 >= plateau[0]),
+            "ESM/{pages} beats its plateau: {times:?}"
+        );
+    }
+}
+
+/// Figure 6: no column scans faster than the transfer rate allows
+/// (1 KB/ms over the whole object).
+#[test]
+fn fig6_scans_stay_above_the_transfer_floor() {
+    let floor = tiny().object_bytes as f64 / 1024.0 / 1000.0;
+    let mut specs: Vec<ManagerSpec> = ESM_LEAF_PAGES.map(ManagerSpec::esm).to_vec();
+    specs.extend([ManagerSpec::starburst(), ManagerSpec::eos(4)]);
+    for spec in specs {
+        for kb in PAPER_APPEND_KB {
+            let s = fig6_scan_s(spec, kb);
+            assert!(s >= floor, "{} at {kb} KB: {s} s < {floor} s", spec.label());
+        }
     }
 }
 

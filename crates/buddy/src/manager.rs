@@ -473,8 +473,10 @@ impl BuddyManager {
     /// [`BufferPool::peek_page`] (newest resident copy, else disk). This
     /// is the health sampler's data source: calling it must leave
     /// `IoStats` untouched, so degradation can be measured without the
-    /// measurement itself showing up in the cost model. loblint's
-    /// io-accounting rule pins this as a registered meta-inspector.
+    /// measurement itself showing up in the cost model. Core's
+    /// `verify::tests::the_walk_is_clean_and_costs_nothing` holds
+    /// `Db::sample_health`, which calls this, to no `IoStats`,
+    /// `PoolStats` or trace event.
     pub fn frag_stats(&self, pool: &BufferPool) -> FragStats {
         let mut st = FragStats {
             spaces: self.n_spaces,

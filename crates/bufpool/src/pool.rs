@@ -376,6 +376,7 @@ impl BufferPool {
         };
         {
             let bytes = self.frame(idx).read();
+            #[allow(clippy::disallowed_methods)]
             self.disk.write(pid.area, pid.page, bytes.as_slice());
         }
         inner.stats.eviction_writes += 1;
@@ -427,6 +428,7 @@ impl BufferPool {
         let idx = self.victim(&mut g);
         {
             let mut bytes = self.frame(idx).write();
+            #[allow(clippy::disallowed_methods)]
             self.disk.read(pid.area, pid.page, bytes.as_mut_slice());
         }
         g.install(idx, pid, false);
@@ -472,6 +474,7 @@ impl BufferPool {
         let idx = inner.pick_victim();
         if inner.is_dirty(idx) {
             let mut page = [0u8; PAGE_SIZE];
+            #[allow(clippy::disallowed_methods)]
             self.disk.read(pid.area, pid.page, &mut page);
             body(&page);
             return self.install_page(inner, pid, &page);
@@ -479,6 +482,7 @@ impl BufferPool {
         inner.detach(idx);
         {
             let mut bytes = self.frame(idx).write();
+            #[allow(clippy::disallowed_methods)]
             self.disk.read(pid.area, pid.page, bytes.as_mut_slice());
             body(bytes.as_slice());
         }
@@ -516,6 +520,7 @@ impl BufferPool {
         };
         {
             let bytes = self.frame(idx).read();
+            #[allow(clippy::disallowed_methods)]
             self.disk.write(pid.area, pid.page, bytes.as_slice());
         }
         g.set_clean(idx);
@@ -528,6 +533,7 @@ impl BufferPool {
         for (idx, pid) in g.dirty_frames() {
             {
                 let bytes = self.frame(idx).read();
+                #[allow(clippy::disallowed_methods)]
                 self.disk.write(pid.area, pid.page, bytes.as_slice());
             }
             g.set_clean(idx);

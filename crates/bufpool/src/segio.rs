@@ -96,10 +96,12 @@ impl BufferPool {
                 [(start, _), ..] => {
                     let mut staged = Vec::new();
                     let src: &[u8] = if dst.len() == run_bytes {
+                        #[allow(clippy::disallowed_methods)]
                         self.disk.read(area, start.page, dst);
                         dst
                     } else {
                         staged.resize(run_bytes, 0);
+                        #[allow(clippy::disallowed_methods)]
                         self.disk.read(area, start.page, &mut staged);
                         copy_part(&staged, from, dst);
                         &staged
@@ -162,6 +164,7 @@ impl BufferPool {
         if mid_first <= mid_last {
             let mid_pages = cast::u32_to_usize(mid_last - mid_first + 1);
             let mid_len = mid_pages * PAGE_SIZE;
+            #[allow(clippy::disallowed_methods)]
             self.disk
                 .read(area, mid_first, &mut out[pos..pos + mid_len]);
             // Overlay any resident *dirty* pages: the pool copy is newer
@@ -207,6 +210,7 @@ impl BufferPool {
         assert!(n_pages > 0);
         assert!(out.len() >= cast::u32_to_usize(n_pages) * PAGE_SIZE);
         let out = &mut out[..cast::u32_to_usize(n_pages) * PAGE_SIZE];
+        #[allow(clippy::disallowed_methods)]
         self.disk.read(area, start_page, out);
         self.overlay_dirty(area, start_page, out);
     }
@@ -229,6 +233,7 @@ impl BufferPool {
             // `flush_page` checks exactly that.
             self.flush_page(tail_pid);
         }
+        #[allow(clippy::disallowed_methods)]
         self.disk.write(area, start_page, data);
         self.discard_range(area, start_page, n_pages);
     }
@@ -249,6 +254,7 @@ impl BufferPool {
             // write it with a single sequential call — one call charged
             // for the whole run.
             let staged = self.gather_run(run);
+            #[allow(clippy::disallowed_methods)]
             self.disk.write(area, run_start, &staged);
             for &(_, idx) in run {
                 g.set_clean(idx);
@@ -744,6 +750,7 @@ mod tests {
                 } else {
                     // Boundary run: stage through a buffer sized to the run.
                     let mut tmp = vec![0u8; run_len * PAGE_SIZE];
+                    #[allow(clippy::disallowed_methods)]
                     self.disk.read(area, start_page, &mut tmp);
                     for (j, chunk) in tmp.chunks(PAGE_SIZE).enumerate() {
                         let pid = PageId::new(area, start_page + cast::usize_to_u32(j));
@@ -777,6 +784,7 @@ mod tests {
             start_page: u32,
             dst: &mut [u8],
         ) -> Vec<FrameRef> {
+            #[allow(clippy::disallowed_methods)]
             self.disk.read(area, start_page, dst);
             dst.chunks(PAGE_SIZE)
                 .enumerate()

@@ -33,7 +33,7 @@ pub use lobstore_core::Finding;
 
 use std::io::Write as _;
 
-use lobstore_core::{Catalog, Db, DbConfig, LargeObject, ManagerSpec, StorageKind};
+use lobstore_core::{Catalog, Db, DbConfig, LargeObject, LobError, ManagerSpec, StorageKind};
 
 /// Exit status plus everything printed, for testability.
 pub struct Outcome {
@@ -51,11 +51,16 @@ impl Outcome {
         }
     }
 
+    /// Exit status 1 with `msg` as stderr, ended by a newline.
     fn err(msg: impl Into<String>) -> Outcome {
+        let mut stderr = msg.into();
+        if !stderr.ends_with('\n') {
+            stderr.push('\n');
+        }
         Outcome {
             status: 1,
             stdout: Vec::new(),
-            stderr: msg.into(),
+            stderr,
         }
     }
 }
@@ -222,6 +227,11 @@ pub fn run(args: &[String]) -> Outcome {
             } else {
                 (0, size)
             };
+            // Checked before the buffer is sized: `len` comes from the
+            // command line and may be anything up to `u64::MAX`.
+            if off.checked_add(len).is_none_or(|end| end > size) {
+                bail!("{}", LobError::OutOfRange { off, len, size });
+            }
             let mut buf = vec![0u8; len as usize];
             if let Err(e) = obj.read(&mut db, off, &mut buf) {
                 bail!("{e}");
@@ -827,6 +837,34 @@ mod tests {
         );
         let big_cut = run(&argv(&[&img, "cut", "x", "0", "99"]));
         assert_eq!(big_cut.status, 1, "cut beyond the object fails");
+    }
+
+    #[test]
+    fn cat_past_the_end_fails_before_allocating() {
+        let img = tmp("cat-range.lob");
+        let _ = std::fs::remove_file(&img);
+        run(&argv(&[&img, "init"]));
+        run(&argv(&[&img, "create", "a", "esm", "4"]));
+        let payload = tmp("cat-range-payload.bin");
+        std::fs::write(&payload, b"hello world").unwrap();
+        assert_eq!(run(&argv(&[&img, "put", "a", &payload])).status, 0);
+        let max = u64::MAX.to_string();
+        for (off, len) in [
+            ("0", max.as_str()),
+            ("0", "12"),
+            ("3", "100"),
+            ("1", max.as_str()),
+        ] {
+            let out = run(&argv(&[&img, "cat", "a", off, len]));
+            assert_eq!(out.status, 1, "cat a {off} {len}");
+            assert!(out.stdout.is_empty());
+            assert_eq!(
+                out.stderr,
+                format!("byte range [{off}, {off}+{len}) out of range for object of 11 bytes\n")
+            );
+        }
+        let whole = run(&argv(&[&img, "cat", "a", "0", "11"]));
+        assert_eq!((whole.status, whole.stdout), (0, b"hello world".to_vec()));
     }
 
     #[test]

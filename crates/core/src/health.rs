@@ -15,9 +15,11 @@
 //!
 //! Everything here is *meta-inspection*: it reads allocator state and
 //! peeked pages only, so sampling never perturbs the simulated I/O record
-//! (loblint's io-accounting rule pins the inspectors; the
-//! `health_metrics` integration test pins equality with an fsck-style
-//! recount and stability across [`Db::crash_and_reboot`]).
+//! (`verify::tests::the_walk_is_clean_and_costs_nothing` measures the
+//! inspectors in a window where `IoStats`, `PoolStats` and the disk trace
+//! must not move; the `health_metrics` integration test pins equality
+//! with an fsck-style recount and stability across
+//! [`Db::crash_and_reboot`]).
 
 use lobstore_buddy::FragStats;
 use lobstore_obs::{gauge_set, histogram_record};
@@ -163,16 +165,6 @@ mod tests {
         assert_eq!(h.contiguous_joins, 9);
         assert_eq!(h.contiguity(), 1.0);
         assert!(h.utilization() > 0.9, "{}", h.utilization());
-    }
-
-    #[test]
-    fn object_health_is_simulated_io_free() {
-        let mut db = Db::paper_default();
-        let mut obj = ManagerSpec::eos(16).create(&mut db).unwrap();
-        obj.append(&mut db, &[7u8; 100_000]).unwrap();
-        let before = db.io_stats();
-        let _ = object_health(obj.as_ref(), &db);
-        assert_eq!(db.io_stats() - before, Default::default());
     }
 
     #[test]

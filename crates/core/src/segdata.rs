@@ -366,6 +366,24 @@ mod tests {
         assert_eq!(buf.capacity(), cap);
     }
 
+    /// Each segment write entry moves `core.seg.writes` by exactly one
+    /// and `core.seg.reads` not at all, however many pages it moves.
+    #[test]
+    fn each_segment_write_counts_one_write() {
+        let counts = || {
+            let value = lobstore_obs::counter_value;
+            (value("core.seg.writes"), value("core.seg.reads"))
+        };
+        let mut db = Db::paper_default();
+        let (writes, reads) = counts();
+        let ext = write_new_seg(&mut db, 4, &vec![7u8; 5_000]);
+        assert_eq!(counts(), (writes + 1, reads), "write_new_seg");
+        append_in_place(&mut db, ext.start, 5_000, &vec![9u8; 6_000]);
+        assert_eq!(counts(), (writes + 2, reads), "append_in_place");
+        patch_in_place(&mut db, ext.start, 100, &[0xEE; 5_000]);
+        assert_eq!(counts(), (writes + 3, reads), "patch_in_place");
+    }
+
     #[test]
     fn append_in_place_reads_partial_page_once() {
         let mut db = Db::paper_default();

@@ -283,7 +283,10 @@ mod tests {
     use crate::db::DbConfig;
     use crate::node::ROOT_ENTRIES_OFF;
     use crate::spec::ManagerSpec;
-    use crate::{EsmObject, EsmParams, StarburstObject, StarburstParams};
+    use crate::{
+        object_health, publish_object_health, EsmObject, EsmParams, StarburstObject,
+        StarburstParams,
+    };
 
     const CLEAN: [Finding; 0] = [];
 
@@ -303,8 +306,10 @@ mod tests {
     }
 
     /// With the log on and a pin held, a short history leaves a clean
-    /// walk — log chain and deferred frees owned — and the walk itself
-    /// costs no I/O, no pool fix and no trace event.
+    /// walk — log chain and deferred frees owned — and the walk itself,
+    /// like the health recounts (`sample_health`, `object_health`,
+    /// `publish_object_health`), costs no I/O, no pool fix and no trace
+    /// event.
     #[test]
     fn the_walk_is_clean_and_costs_nothing() {
         for spec in specs() {
@@ -328,6 +333,9 @@ mod tests {
             let (io, fixes) = (db.io_stats(), db.pool().pool_stats());
             let findings = db.verify(&[("x", obj.as_ref())], &[]);
             assert!(findings.is_empty(), "{spec:?}: {findings:?}");
+            // The health recounts read the same way.
+            db.sample_health();
+            publish_object_health(&[object_health(obj.as_ref(), &db)]);
             assert_eq!(db.io_stats(), io, "{spec:?}: IoStats moved");
             assert_eq!(db.pool().pool_stats(), fixes, "{spec:?}: PoolStats moved");
             assert!(db.pool().disk().take_trace().is_empty(), "{spec:?}: traced");

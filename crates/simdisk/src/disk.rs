@@ -567,6 +567,10 @@ impl SimDisk {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the device's own tests drive it without a pool"
+)]
 mod tests {
     use super::*;
 

@@ -9,9 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lobflow;
-use crate::loblint::{
-    ends_operand, left_chain, panic_index_at, unit_of, Analysis, Finding, IO_ENTRIES, IO_WRAPPERS,
-};
+use crate::loblint::{ends_operand, left_chain, panic_index_at, unit_of, Analysis, Finding};
 use crate::lobsyn::{FnDef, Tok, TokKind};
 
 /// Functions that deserialize values out of raw disk bytes: their
@@ -61,15 +59,26 @@ fn group_end(t: &[Tok], open: usize) -> usize {
     t.len()
 }
 
-/// The cost-counted I/O wrappers and entry points.
-fn io_call_names() -> BTreeSet<&'static str> {
-    let mut names: BTreeSet<&'static str> = IO_WRAPPERS
-        .iter()
-        .flat_map(|(_, ws)| ws.iter().copied())
-        .collect();
-    names.extend(IO_ENTRIES.iter().map(|(_, e, _)| *e));
-    names
-}
+/// The calls that reach the disk: bufpool's cost-counted wrappers and
+/// the segment I/O entries above them. A tainted value may not be one of
+/// their arguments.
+const IO_CALLS: [&str; 15] = [
+    "evict",
+    "fix",
+    "flush_page",
+    "flush_all",
+    "read_clipped",
+    "read_buffered",
+    "read_direct",
+    "read_pages",
+    "write_direct",
+    "flush_range",
+    "read_segment",
+    "read_seg_pages",
+    "write_new_seg",
+    "append_in_place",
+    "patch_in_place",
+];
 
 // ---- rule: disk-taint -----------------------------------------------------
 
@@ -335,7 +344,6 @@ fn taint_sinks(
             }
         }
     }
-    let io_names = io_call_names();
     for k in lo..hi {
         if panic_index_at(t, k) {
             scan_group(a, state, hi, reported, k, "a slice index", out);
@@ -348,7 +356,7 @@ fn taint_sinks(
             scan_group(a, state, hi, reported, k + 3, "a PageId", out);
         }
         if t[k].kind == TokKind::Ident
-            && io_names.contains(t[k].text.as_str())
+            && IO_CALLS.contains(&t[k].text.as_str())
             && t.get(k + 1).is_some_and(|n| n.is_punct("("))
             && !(k > 0 && t[k - 1].is_ident("fn"))
         {

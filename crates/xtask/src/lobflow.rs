@@ -2,7 +2,7 @@
 //! [`crate::lobsyn`] token streams (std-only).
 //!
 //! This is the analysis layer under loblint's `disk-taint` rule. The
-//! token rules see tokens and a call graph; what they cannot see is
+//! token rules see tokens; what they cannot see is
 //! *order*: whether a check happens before a use, which assignments can
 //! reach a merge point. `lobflow` recovers exactly that much structure:
 //!

@@ -10,7 +10,6 @@
 //! | `arith-overflow` | library crates, non-test code | bare `+ - * <<` (and compound forms) on page/byte/segment quantities — use `checked_*` / `saturating_*` |
 //! | `panic-path` | library crates, non-test code | indexing/slicing and `/` `%` with a non-constant divisor can panic — guard or waive |
 //! | `unit-mixing` | library crates, non-test code | byte-, page-index- and page-count-typed values may not be mixed in arithmetic/comparison/assignment |
-//! | `io-accounting` | library crates | raw `disk.read` / `disk.write` only inside the cost-counted bufpool wrappers; every I/O entry point reaches a wrapper and bumps its counter; meta-inspectors (health recounts, the `verify` walk) stay peek-only |
 //! | `bad-waiver` | whole workspace | `loblint: allow(...)` comments may only name known rules |
 //! | `disk-taint` | library crates, non-test code | disk-deserialized values must pass a bounds check before use as an index, `PageId`, or I/O argument |
 //! | `unused-waiver` | whole workspace, non-test | a waiver that no longer suppresses anything is itself a finding |
@@ -56,11 +55,10 @@ use std::process::ExitCode;
 use crate::lobsyn::{self, FnDef, Tok, TokKind};
 
 /// The rule identifiers, as used in findings and `allow(...)` comments.
-pub const RULES: [&str; 9] = [
+pub const RULES: [&str; 8] = [
     "arith-overflow",
     "bad-waiver",
     "disk-taint",
-    "io-accounting",
     "magic-duplicate",
     "magic-literal",
     "panic-path",
@@ -69,7 +67,7 @@ pub const RULES: [&str; 9] = [
 ];
 
 /// One `--explain` documentation entry per rule: (name, scope, text).
-pub const RULE_DOCS: [(&str, &str, &str); 9] = [
+pub const RULE_DOCS: [(&str, &str, &str); 8] = [
     (
         "arith-overflow",
         "library crates, non-test code",
@@ -91,17 +89,6 @@ pub const RULE_DOCS: [(&str, &str, &str); 9] = [
          dataflow over the function CFG; a comparison, a `.min(`/`.clamp(` call, or being an \
          argument to a call whose name contains check/valid/verify/bound sanitizes. The \
          static twin of `lobctl check`.",
-    ),
-    (
-        "io-accounting",
-        "library crates",
-        "Raw `disk.read`/`disk.write` only inside the cost-counted bufpool wrappers; every \
-         I/O entry point must reach a wrapper through the call graph and bump its counter: \
-         its body calls `.add(` on a handle that its crate declares \
-         (`static SEG_READS: Counter = ..` naming `core.seg.reads`) with exactly that name. \
-         Meta-inspectors (frag_stats, sample_health, object_health, the verify walk) are the \
-         inverse: peek-only recounts that must never perform raw I/O or call a costed \
-         wrapper/entry.",
     ),
     (
         "magic-duplicate",
@@ -139,9 +126,9 @@ pub const RULE_DOCS: [(&str, &str, &str); 9] = [
 const LIBRARY_CRATES: [&str; 6] = ["core", "buddy", "bufpool", "simdisk", "record", "obs"];
 
 /// One reported violation. `evidence` carries the control-flow trail
-/// for the CFG rules (acquisition chain, taint path); empty for token
-/// rules. It is printed under the finding line
-/// and excluded from the baseline key, like line numbers.
+/// of the CFG rule (its taint path); empty for token rules. It is
+/// printed under the finding line and excluded from the baseline key,
+/// like line numbers.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     pub file: String,
@@ -291,14 +278,6 @@ impl Analysis {
             });
         }
     }
-
-    /// The innermost function whose body contains token index `k`.
-    fn enclosing_fn(&self, k: usize) -> Option<&FnDef> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(a, b)| a <= k && k < b))
-            .max_by_key(|f| f.body.map(|(a, _)| a))
-    }
 }
 
 // ---- the full pipeline ----------------------------------------------------
@@ -319,7 +298,6 @@ pub fn lint_sources(sources: &[(String, String)]) -> Vec<Finding> {
         findings.extend(a.bad_waivers.iter().cloned());
         lint_file(a, &magics, &mut findings);
     }
-    check_io_accounting(&analyses, &mut findings);
     crate::flowrules::check(&analyses, &mut findings);
     // Last: every other rule has had its chance to consume waivers.
     check_unused_waivers(&analyses, &mut findings);
@@ -833,453 +811,6 @@ fn lint_unit_mixing(a: &Analysis, out: &mut Vec<Finding>) {
                     line,
                     "unit-mixing",
                     format!("assignment of a {} to a {}", ru.name(), lu.name()),
-                );
-            }
-        }
-    }
-}
-
-// ---- workspace rules: io-accounting ---------------------------------------
-
-/// The cost-counted wrapper functions, per bufpool file. Every raw
-/// `disk.read`/`disk.write` call site must sit inside one of these,
-/// and each must (transitively) perform raw I/O — together they are
-/// the static model of "all I/O above the disk goes through the pool".
-pub(crate) const IO_WRAPPERS: [(&str, &[&str]); 2] = [
-    (
-        "crates/bufpool/src/pool.rs",
-        &["evict", "fix", "flush_page", "flush_all", "read_clipped"],
-    ),
-    (
-        "crates/bufpool/src/segio.rs",
-        &[
-            "read_buffered",
-            "read_direct",
-            "read_pages",
-            "write_direct",
-            "flush_range",
-        ],
-    ),
-];
-
-/// The I/O entry points above the pool: each must reach a wrapper
-/// through the call graph, and the core ones must bump their obs
-/// counter — through a handle their crate declares for that name
-/// (`static SEG_READS: Counter = "core.seg.reads"` in a `metrics!`
-/// block) — the static twin of `tests/observability.rs`.
-pub(crate) const IO_ENTRIES: [(&str, &str, Option<&str>); 5] = [
-    ("crates/bufpool/src/segio.rs", "read_segment", None),
-    (
-        "crates/core/src/segdata.rs",
-        "read_seg_pages",
-        Some("core.seg.reads"),
-    ),
-    (
-        "crates/core/src/segdata.rs",
-        "write_new_seg",
-        Some("core.seg.writes"),
-    ),
-    (
-        "crates/core/src/segdata.rs",
-        "append_in_place",
-        Some("core.seg.writes"),
-    ),
-    (
-        "crates/core/src/segdata.rs",
-        "patch_in_place",
-        Some("core.seg.writes"),
-    ),
-];
-
-/// The meta-inspectors: the health recounts (DESIGN.md §14) the sampler
-/// may run at any cadence, and the consistency walk the model driver runs
-/// after every op (DESIGN.md §9). Each must exist, touch no raw disk
-/// I/O, and never call a cost-counted wrapper or I/O entry — observation
-/// that costs simulated I/O would distort the experiment it reports on
-/// (`tests/observability.rs` and core's
-/// `verify::tests::the_walk_is_clean_and_costs_nothing` assert the
-/// runtime twin of this rule).
-pub(crate) const META_INSPECTORS: [(&str, &str); 9] = [
-    ("crates/buddy/src/manager.rs", "frag_stats"),
-    ("crates/buddy/src/manager.rs", "verify"),
-    ("crates/core/src/verify.rs", "verify"),
-    ("crates/core/src/db.rs", "leaf_frag_stats"),
-    ("crates/core/src/db.rs", "meta_frag_stats"),
-    ("crates/core/src/db.rs", "sample_health"),
-    ("crates/core/src/health.rs", "object_health"),
-    ("crates/core/src/health.rs", "publish_area"),
-    ("crates/core/src/health.rs", "publish_object_health"),
-];
-
-const CALL_KEYWORDS: [&str; 11] = [
-    "if", "match", "while", "for", "return", "loop", "fn", "as", "in", "move", "unsafe",
-];
-
-/// A raw disk I/O site: a `disk` / `disk()` receiver followed by
-/// `.read(` or `.write(`. Returns the index of the method ident for each
-/// site in `toks`.
-fn raw_disk_sites(toks: &[Tok]) -> Vec<usize> {
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if !toks[i].is_ident("disk") {
-            continue;
-        }
-        let mut j = i + 1;
-        // Skip a call pair for accessor style: `disk()`.
-        if toks.get(j).is_some_and(|t| t.is_punct("("))
-            && toks.get(j + 1).is_some_and(|t| t.is_punct(")"))
-        {
-            j += 2;
-        }
-        if toks.get(j).is_some_and(|t| t.is_punct("."))
-            && toks
-                .get(j + 1)
-                .is_some_and(|t| t.is_ident("read") || t.is_ident("write"))
-            && toks.get(j + 2).is_some_and(|t| t.is_punct("("))
-        {
-            out.push(j + 1);
-        }
-    }
-    out
-}
-
-/// Names called from the token range `[b0, b1)`: `name(...)` and
-/// `.name(...)` forms, keywords and definitions excluded. A
-/// type-qualified call `Q::name(...)` only counts when `Q` is a type the
-/// workspace itself has an `impl` for (`owners`) — `Vec::new`,
-/// `u32::try_from` and friends are foreign and must not alias workspace
-/// functions that happen to share a method name.
-fn callees(toks: &[Tok], b0: usize, b1: usize, owners: &BTreeSet<&str>) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for k in b0..b1.min(toks.len()) {
-        if toks[k].kind == TokKind::Ident
-            && toks.get(k + 1).is_some_and(|n| n.is_punct("("))
-            && !CALL_KEYWORDS.contains(&toks[k].text.as_str())
-            && !(k > 0 && toks[k - 1].is_ident("fn"))
-        {
-            if k >= 2 && toks[k - 1].is_punct("::") && toks[k - 2].kind == TokKind::Ident {
-                let q = toks[k - 2].text.as_str();
-                let foreign_type = q.starts_with(char::is_uppercase) && !owners.contains(q);
-                // Primitive qualifiers (`u32::from_le_bytes`) are foreign
-                // too; lowercase module paths (`cast::to_u32`) stay.
-                let primitive = matches!(
-                    q,
-                    "u8" | "u16"
-                        | "u32"
-                        | "u64"
-                        | "u128"
-                        | "usize"
-                        | "i8"
-                        | "i16"
-                        | "i32"
-                        | "i64"
-                        | "i128"
-                        | "isize"
-                        | "f32"
-                        | "f64"
-                        | "bool"
-                        | "char"
-                        | "str"
-                );
-                if foreign_type || primitive {
-                    continue;
-                }
-            }
-            out.insert(toks[k].text.clone());
-        }
-    }
-    out
-}
-
-/// The metric handles the crate under `crate_dir` declares: handle
-/// identifier -> metric name. Reads both spellings of a declaration,
-/// `static ID: Counter = "name";` inside `lobstore_obs::metrics!` and
-/// the longhand `static ID: Counter = Counter::new("name");` — the name
-/// is the first string literal before the closing `;`.
-fn metric_handles(analyses: &[Analysis], crate_dir: &str) -> BTreeMap<String, String> {
-    let mut handles = BTreeMap::new();
-    for a in analyses.iter().filter(|a| a.rel.starts_with(crate_dir)) {
-        let t = &a.toks;
-        for i in 0..t.len() {
-            let declares = t[i].is_ident("static")
-                && t.get(i + 1).is_some_and(|n| n.kind == TokKind::Ident)
-                && t.get(i + 2).is_some_and(|n| n.is_punct(":"))
-                && t.get(i + 3).is_some_and(|n| {
-                    ["Counter", "Gauge", "Histogram"]
-                        .iter()
-                        .any(|k| n.is_ident(k))
-                })
-                && t.get(i + 4).is_some_and(|n| n.is_punct("="));
-            if !declares {
-                continue;
-            }
-            let name = t[i + 5..]
-                .iter()
-                .take_while(|n| !n.is_punct(";"))
-                .find(|n| n.kind == TokKind::Str);
-            if let Some(name) = name {
-                handles.insert(
-                    t[i + 1].text.clone(),
-                    name.text.trim_matches('"').to_string(),
-                );
-            }
-        }
-    }
-    handles
-}
-
-/// The io-accounting pass. Only runs when the scanned set contains
-/// bufpool sources (the real workspace, or a fixture modelling it).
-fn check_io_accounting(analyses: &[Analysis], out: &mut Vec<Finding>) {
-    if !analyses
-        .iter()
-        .any(|a| a.rel.starts_with("crates/bufpool/"))
-    {
-        return;
-    }
-
-    // Call graph and raw-I/O facts over library, non-test functions.
-    let owners: BTreeSet<&str> = analyses
-        .iter()
-        .filter(|a| a.class.library)
-        .flat_map(|a| a.fns.iter().filter_map(|f| f.owner.as_deref()))
-        .collect();
-    // Nodes are restricted to the two crates the accounting model spans.
-    // Call edges resolve by bare name, so every `.len(..)`/`.insert(..)`
-    // method call aliases any workspace function of that name; admitting
-    // obs/simdisk/record functions as nodes lets those aliases chain into
-    // phantom paths that reach a wrapper through code the entry never
-    // runs. Confining the graph to core + bufpool keeps every path the
-    // model cares about (entries live in core, wrappers in bufpool) while
-    // cutting the alias bridges.
-    let graph_crate =
-        |rel: &str| rel.starts_with("crates/bufpool/") || rel.starts_with("crates/core/");
-    let mut calls: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut has_raw: BTreeSet<String> = BTreeSet::new();
-    for a in analyses
-        .iter()
-        .filter(|a| a.class.library && graph_crate(&a.rel))
-    {
-        let raw = raw_disk_sites(&a.toks);
-        for f in &a.fns {
-            if a.in_test(f.line) {
-                continue;
-            }
-            let Some((b0, b1)) = f.body else { continue };
-            calls
-                .entry(f.name.clone())
-                .or_default()
-                .extend(callees(&a.toks, b0, b1, &owners));
-            if raw.iter().any(|&k| b0 <= k && k < b1) {
-                has_raw.insert(f.name.clone());
-            }
-        }
-    }
-    let reaches = |start: &str, pred: &dyn Fn(&str) -> bool| -> bool {
-        let mut seen = BTreeSet::new();
-        let mut queue = vec![start.to_string()];
-        while let Some(n) = queue.pop() {
-            if pred(&n) {
-                return true;
-            }
-            if !seen.insert(n.clone()) {
-                continue;
-            }
-            if let Some(cs) = calls.get(&n) {
-                queue.extend(cs.iter().cloned());
-            }
-        }
-        false
-    };
-    let all_wrappers: BTreeSet<&str> = IO_WRAPPERS
-        .iter()
-        .flat_map(|(_, ws)| ws.iter().copied())
-        .collect();
-
-    // (a) Every raw disk call site sits inside a wrapper in bufpool.
-    // The simdisk crate is the device itself and is exempt.
-    for a in analyses
-        .iter()
-        .filter(|a| a.class.library && !a.rel.starts_with("crates/simdisk/"))
-    {
-        let in_bufpool = a.rel.starts_with("crates/bufpool/");
-        for k in raw_disk_sites(&a.toks) {
-            let line = a.toks[k].line;
-            if a.in_test(line) {
-                continue;
-            }
-            let covered = in_bufpool
-                && a.enclosing_fn(k)
-                    .is_some_and(|f| all_wrappers.contains(f.name.as_str()));
-            if !covered {
-                let name = a
-                    .enclosing_fn(k)
-                    .map_or("<module scope>".to_string(), |f| f.qualified());
-                a.push(
-                    out,
-                    line,
-                    "io-accounting",
-                    format!(
-                        "raw disk {} outside the cost-counted wrappers (in `{name}`); route through BufferPool",
-                        a.toks[k].text
-                    ),
-                );
-            }
-        }
-    }
-
-    // (b) Each wrapper exists in its file and performs raw I/O, either
-    // directly or by delegating to another wrapper (`flush_all` →
-    // `flush_page`). A fixpoint over the wrapper set only — general
-    // reachability would let an aliased method name (`.remove(..)` vs a
-    // core fn `remove`) smuggle in raw I/O a wrapper does not do.
-    let mut raw_wrappers: BTreeSet<&str> = all_wrappers
-        .iter()
-        .copied()
-        .filter(|w| has_raw.contains(*w))
-        .collect();
-    loop {
-        let grown: Vec<&str> = all_wrappers
-            .iter()
-            .copied()
-            .filter(|w| !raw_wrappers.contains(w))
-            .filter(|w| {
-                calls
-                    .get(*w)
-                    .is_some_and(|cs| cs.iter().any(|c| raw_wrappers.contains(c.as_str())))
-            })
-            .collect();
-        if grown.is_empty() {
-            break;
-        }
-        raw_wrappers.extend(grown);
-    }
-    for (file, wrappers) in IO_WRAPPERS {
-        let Some(a) = analyses.iter().find(|a| a.rel == file) else {
-            continue;
-        };
-        for w in wrappers {
-            match a.fns.iter().find(|f| f.name == *w && !a.in_test(f.line)) {
-                None => a.push(
-                    out,
-                    1,
-                    "io-accounting",
-                    format!("cost-counted wrapper `{w}` is missing from {file}"),
-                ),
-                Some(f) => {
-                    if !raw_wrappers.contains(w) {
-                        a.push(
-                            out,
-                            f.line,
-                            "io-accounting",
-                            format!(
-                                "wrapper `{w}` performs no disk I/O (directly or via other wrappers)"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // (c) Each entry point reaches a wrapper and bumps its counter.
-    // Handle declarations are read once per crate, not once per entry.
-    let mut crate_handles: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
-    for (file, entry, counter) in IO_ENTRIES {
-        let Some(a) = analyses.iter().find(|a| a.rel == file) else {
-            continue;
-        };
-        let Some(f) = a.fns.iter().find(|f| f.name == entry && !a.in_test(f.line)) else {
-            a.push(
-                out,
-                1,
-                "io-accounting",
-                format!("I/O entry point `{entry}` is missing from {file}"),
-            );
-            continue;
-        };
-        if !reaches(entry, &|n| all_wrappers.contains(n)) {
-            a.push(
-                out,
-                f.line,
-                "io-accounting",
-                format!("I/O entry `{entry}` never reaches a cost-counted wrapper"),
-            );
-        }
-        if let (Some(counter), Some((b0, b1))) = (counter, f.body) {
-            // `HANDLE.add(` in the body, each handle resolved to the
-            // name its crate declared it with.
-            let crate_dir = file.split_inclusive('/').take(2).collect::<String>();
-            let handles = crate_handles
-                .entry(crate_dir)
-                .or_insert_with_key(|dir| metric_handles(analyses, dir));
-            let body = &a.toks[b0..b1.min(a.toks.len())];
-            let bumped: BTreeSet<&str> = body
-                .windows(3)
-                .filter(|w| w[1].is_punct(".") && w[2].is_ident("add"))
-                .filter_map(|w| handles.get(&w[0].text).map(String::as_str))
-                .collect();
-            if !bumped.contains(counter) {
-                let instead = if bumped.is_empty() {
-                    String::new()
-                } else {
-                    let names: Vec<&str> = bumped.into_iter().collect();
-                    format!(" (it bumps `{}`)", names.join("`, `"))
-                };
-                a.push(
-                    out,
-                    f.line,
-                    "io-accounting",
-                    format!("I/O entry `{entry}` does not bump its `{counter}` counter{instead}"),
-                );
-            }
-        }
-    }
-
-    // (d) Meta-inspectors are peek-only. Direct-call check, not
-    // reachability: the alias-prone call graph would drown this in
-    // phantom paths, and a peek-only recount that *directly* invokes a
-    // costed wrapper or entry is the regression worth catching.
-    let entry_names: BTreeSet<&str> = IO_ENTRIES.iter().map(|(_, e, _)| *e).collect();
-    for (file, inspector) in META_INSPECTORS {
-        let Some(a) = analyses.iter().find(|a| a.rel == file) else {
-            continue;
-        };
-        let Some(f) = a
-            .fns
-            .iter()
-            .find(|f| f.name == inspector && !a.in_test(f.line))
-        else {
-            a.push(
-                out,
-                1,
-                "io-accounting",
-                format!("meta-inspector `{inspector}` is missing from {file}"),
-            );
-            continue;
-        };
-        let Some((b0, b1)) = f.body else { continue };
-        if raw_disk_sites(&a.toks).iter().any(|&k| b0 <= k && k < b1) {
-            a.push(
-                out,
-                f.line,
-                "io-accounting",
-                format!(
-                    "meta-inspector `{inspector}` performs raw disk I/O; recounts must be \
-                     peek-only"
-                ),
-            );
-        }
-        for c in callees(&a.toks, b0, b1, &owners) {
-            if all_wrappers.contains(c.as_str()) || entry_names.contains(c.as_str()) {
-                a.push(
-                    out,
-                    f.line,
-                    "io-accounting",
-                    format!(
-                        "meta-inspector `{inspector}` calls cost-counted `{c}`; inspection \
-                         must stay simulated-I/O-free (peek-only)"
-                    ),
                 );
             }
         }
@@ -2092,267 +1623,6 @@ TOTAL           3          2      1
         let found = lint_lib(bad);
         assert_eq!(rules_of(&found), vec!["unit-mixing"]);
         assert!(found[0].message.contains("two page indexes"));
-    }
-
-    // ---- io-accounting ------------------------------------------------
-
-    /// A minimal, accounting-correct model of bufpool + core: every
-    /// wrapper exists and does raw I/O (or delegates to one that does),
-    /// every entry point reaches a wrapper and bumps its counter.
-    fn io_fixture() -> Vec<(&'static str, &'static str)> {
-        vec![
-            (
-                "crates/bufpool/src/pool.rs",
-                "impl BufferPool {\n\
-                 fn evict(&mut self) { self.disk.write(a, p, d); }\n\
-                 fn fix(&mut self) { self.disk.read(a, p, d); }\n\
-                 fn flush_page(&mut self) { self.disk.write(a, p, d); }\n\
-                 fn flush_all(&mut self) { self.flush_page(); }\n\
-                 fn read_clipped(&mut self) { self.disk.read(a, p, d); }\n\
-                 }\n",
-            ),
-            (
-                "crates/bufpool/src/segio.rs",
-                "impl BufferPool {\n\
-                 fn read_buffered(&mut self) { self.disk.read(a, p, d); self.read_clipped(); }\n\
-                 fn read_direct(&mut self) { self.disk.read(a, p, d); }\n\
-                 fn read_pages(&mut self) { self.disk.read(a, p, d); }\n\
-                 fn write_direct(&mut self) { self.disk.write(a, p, d); }\n\
-                 fn flush_range(&mut self) { self.disk.write(a, p, d); }\n\
-                 fn read_segment(&mut self) { self.read_buffered(); self.read_direct(); }\n\
-                 }\n",
-            ),
-            (
-                "crates/core/src/segdata.rs",
-                "fn read_seg_pages(db: &mut Db) { metrics::SEG_READS.add(1); db.pool.read_pages(); }\n\
-                 fn write_new_seg(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
-                 fn append_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
-                 fn patch_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n",
-            ),
-            (
-                "crates/core/src/metrics.rs",
-                "lobstore_obs::metrics! {\n\
-                 pub(crate) static SEG_READS: Counter = \"core.seg.reads\";\n\
-                 pub(crate) static SEG_WRITES: Counter = \"core.seg.writes\";\n\
-                 }\n",
-            ),
-        ]
-    }
-
-    fn io_findings(files: &[(&str, &str)]) -> Vec<Finding> {
-        lint_with(files)
-            .into_iter()
-            .filter(|f| f.rule == "io-accounting")
-            .collect()
-    }
-
-    #[test]
-    fn accounting_correct_fixture_is_clean() {
-        assert_eq!(io_findings(&io_fixture()), Vec::<Finding>::new());
-    }
-
-    #[test]
-    fn seeded_raw_io_outside_wrappers_and_waiver() {
-        let mut files = io_fixture();
-        files.push((
-            "crates/core/src/rogue.rs",
-            "fn sneaky(d: &mut SimDisk) { d.disk.write(a, p, buf); }\n",
-        ));
-        let found = io_findings(&files);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("raw disk write"));
-        assert!(found[0].message.contains("sneaky"));
-
-        files.pop();
-        files.push((
-            "crates/core/src/rogue.rs",
-            "// loblint: allow(io-accounting)\nfn sneaky(d: &mut SimDisk) { d.disk.write(a, p, buf); }\n",
-        ));
-        // Waiver above covers the fn's only line... the site is on line 2.
-        let found = io_findings(&files);
-        assert_eq!(found, Vec::<Finding>::new());
-    }
-
-    #[test]
-    fn accessor_style_raw_io_is_caught() {
-        let mut files = io_fixture();
-        files.push((
-            "crates/core/src/rogue.rs",
-            "fn sneaky(p: &BufferPool) { p.disk().write(a, p, buf); }\n",
-        ));
-        let found = io_findings(&files);
-        assert_eq!(found.len(), 1, "{found:?}");
-    }
-
-    /// The io fixture plus a peek-only model of the health inspectors.
-    fn inspector_fixture() -> Vec<(&'static str, &'static str)> {
-        let mut files = io_fixture();
-        files.push((
-            "crates/core/src/health.rs",
-            "pub fn object_health(db: &Db) -> ObjectHealth { db.peek_segments() }\n\
-             pub fn publish_area(st: &FragStats) { gauge_set(\"health.leaf.x\", st.ratio()); }\n\
-             pub fn publish_object_health(objs: &[ObjectHealth]) { publish_area(&recount(objs)); }\n",
-        ));
-        files
-    }
-
-    #[test]
-    fn peek_only_inspectors_are_clean() {
-        assert_eq!(io_findings(&inspector_fixture()), Vec::<Finding>::new());
-    }
-
-    #[test]
-    fn inspector_calling_a_costed_wrapper_is_flagged() {
-        let mut files = inspector_fixture();
-        files[4] = (
-            "crates/core/src/health.rs",
-            "pub fn object_health(db: &mut Db) -> ObjectHealth { db.pool.read_pages() }\n\
-             pub fn publish_area(st: &FragStats) { gauge_set(\"health.leaf.x\", st.ratio()); }\n\
-             pub fn publish_object_health(objs: &[ObjectHealth]) { publish_area(&recount(objs)); }\n",
-        );
-        let found = io_findings(&files);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("object_health"), "{found:?}");
-        assert!(found[0].message.contains("read_pages"), "{found:?}");
-    }
-
-    #[test]
-    fn inspector_doing_raw_io_or_missing_is_flagged() {
-        let mut files = inspector_fixture();
-        files[4] = (
-            "crates/core/src/health.rs",
-            "pub fn object_health(db: &mut Db) -> ObjectHealth { db.pool.disk.read(a, p, d) }\n\
-             pub fn publish_area(st: &FragStats) { gauge_set(\"health.leaf.x\", st.ratio()); }\n\
-             pub fn publish_object_health(objs: &[ObjectHealth]) { publish_area(&recount(objs)); }\n",
-        );
-        let found = io_findings(&files);
-        // The raw site is flagged twice: once as raw-I/O-outside-wrappers
-        // (check a), once as a non-peek inspector (check d).
-        assert!(
-            found.iter().any(|f| f.message.contains("peek-only")),
-            "{found:?}"
-        );
-
-        files[4] = (
-            "crates/core/src/health.rs",
-            "pub fn publish_area(st: &FragStats) { gauge_set(\"health.leaf.x\", st.ratio()); }\n\
-             pub fn publish_object_health(objs: &[ObjectHealth]) { publish_area(&recount(objs)); }\n",
-        );
-        let found = io_findings(&files);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(
-            found[0].message.contains("`object_health` is missing"),
-            "{found:?}"
-        );
-    }
-
-    #[test]
-    fn deleting_a_wrapper_call_uncovers_the_entry_path() {
-        // read_seg_pages no longer calls any wrapper: flagged.
-        let mut files = io_fixture();
-        files[2] = (
-            "crates/core/src/segdata.rs",
-            "fn read_seg_pages(db: &mut Db) { metrics::SEG_READS.add(1); }\n\
-             fn write_new_seg(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
-             fn append_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
-             fn patch_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n",
-        );
-        let found = io_findings(&files);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("read_seg_pages"));
-        assert!(found[0].message.contains("never reaches"));
-    }
-
-    #[test]
-    fn deleting_raw_io_from_a_wrapper_is_reported() {
-        // read_buffered loses its disk.read and calls nothing raw.
-        let mut files = io_fixture();
-        files[1] = (
-            "crates/bufpool/src/segio.rs",
-            "impl BufferPool {\n\
-             fn read_buffered(&mut self) { self.noop(); }\n\
-             fn read_direct(&mut self) { self.disk.read(a, p, d); }\n\
-             fn read_pages(&mut self) { self.disk.read(a, p, d); }\n\
-             fn write_direct(&mut self) { self.disk.write(a, p, d); }\n\
-             fn flush_range(&mut self) { self.disk.write(a, p, d); }\n\
-             fn read_segment(&mut self) { self.read_buffered(); self.read_direct(); }\n\
-             }\n",
-        );
-        let found = io_findings(&files);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("read_buffered"));
-        assert!(found[0].message.contains("performs no disk I/O"));
-    }
-
-    #[test]
-    fn missing_wrapper_and_missing_counter_are_reported() {
-        // flush_range deleted entirely.
-        let mut files = io_fixture();
-        files[1] = (
-            "crates/bufpool/src/segio.rs",
-            "impl BufferPool {\n\
-             fn read_buffered(&mut self) { self.disk.read(a, p, d); }\n\
-             fn read_direct(&mut self) { self.disk.read(a, p, d); }\n\
-             fn read_pages(&mut self) { self.disk.read(a, p, d); }\n\
-             fn write_direct(&mut self) { self.disk.write(a, p, d); }\n\
-             fn read_segment(&mut self) { self.read_buffered(); self.read_direct(); }\n\
-             }\n",
-        );
-        let found = io_findings(&files);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("flush_range"));
-        assert!(found[0].message.contains("missing"));
-
-        // Counter bump deleted from an entry point.
-        let mut files = io_fixture();
-        files[2] = (
-            "crates/core/src/segdata.rs",
-            "fn read_seg_pages(db: &mut Db) { db.pool.read_pages(); }\n\
-             fn write_new_seg(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
-             fn append_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
-             fn patch_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n",
-        );
-        let found = io_findings(&files);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("core.seg.reads"));
-    }
-
-    #[test]
-    fn bumping_the_wrong_handle_is_reported() {
-        // The entry bumps a declared handle, but one that resolves to
-        // another counter's name.
-        let mut files = io_fixture();
-        files[2] = (
-            "crates/core/src/segdata.rs",
-            "fn read_seg_pages(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.read_pages(); }\n\
-             fn write_new_seg(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
-             fn append_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n\
-             fn patch_in_place(db: &mut Db) { metrics::SEG_WRITES.add(1); db.pool.write_direct(); }\n",
-        );
-        let found = io_findings(&files);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0]
-            .message
-            .contains("`read_seg_pages` does not bump its `core.seg.reads`"));
-        assert!(found[0].message.contains("it bumps `core.seg.writes`"));
-
-        // Right identifier, declared with the wrong name (longhand form).
-        let mut files = io_fixture();
-        files[3] = (
-            "crates/core/src/metrics.rs",
-            "static SEG_READS: Counter = Counter::new(\"core.seg.raeds\");\n\
-             static SEG_WRITES: Counter = Counter::new(\"core.seg.writes\");\n",
-        );
-        let found = io_findings(&files);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].message.contains("it bumps `core.seg.raeds`"));
-    }
-
-    #[test]
-    fn io_accounting_skips_fixtureless_sets() {
-        // No bufpool sources scanned: the pass stays quiet rather than
-        // reporting the whole model as missing.
-        assert!(io_findings(&[("crates/core/src/x.rs", "fn f() {}\n")]).is_empty());
     }
 
     // ---- baseline ratchet ---------------------------------------------

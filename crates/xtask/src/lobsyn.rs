@@ -11,9 +11,7 @@
 //!   attribute is a `#[cfg(test)]`-family gate;
 //! * **test regions** — the token/line extent of every item under a
 //!   `#[cfg(test)]` attribute;
-//! * **function definitions** — name, defining line, body token range,
-//!   and the surrounding `impl` type (so a call-graph rule can talk
-//!   about `BufferPool::fix` rather than a bare `fix`).
+//! * **function definitions** — defining line and body token range.
 //!
 //! The lexer is deliberately forgiving: it never fails, and constructs
 //! it does not model exactly (float exponents with signs, raw
@@ -489,11 +487,10 @@ pub fn test_lines(toks: &[Tok], spans: &[AttrSpan]) -> BTreeSet<usize> {
     out
 }
 
-/// A function definition: its name, where it is, the token range of its
-/// body (if it has one), and the `impl` type it sits in (if any).
+/// A function definition: where it is and the token range of its body
+/// (if it has one).
 #[derive(Debug, Clone)]
 pub struct FnDef {
-    pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// Token index of the `fn` keyword.
@@ -501,148 +498,58 @@ pub struct FnDef {
     /// Token range `(open, close)` of the body braces, exclusive of the
     /// braces themselves; `None` for bodyless trait-method declarations.
     pub body: Option<(usize, usize)>,
-    /// Name of the surrounding `impl` type (`impl Foo`, `impl Tr for
-    /// Foo` both give `Foo`), or `None` at module level.
-    pub owner: Option<String>,
 }
 
-impl FnDef {
-    /// `Owner::name` when there is an owner, else just `name`.
-    pub fn qualified(&self) -> String {
-        match &self.owner {
-            Some(o) => format!("{o}::{}", self.name),
-            None => self.name.clone(),
+/// Every function definition in `toks`.
+pub fn fn_defs(toks: &[Tok]) -> Vec<FnDef> {
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if !t.is_ident("fn") {
+            continue;
         }
-    }
-}
-
-/// The implementing type name of an `impl` header starting at `i`
-/// (the `impl` token): the first identifier after `for` if present,
-/// else the first identifier after the (possibly generic) `impl`.
-fn impl_owner(toks: &[Tok], i: usize) -> Option<String> {
-    let mut j = i + 1;
-    // Skip generic parameters `impl<...>`.
-    if toks.get(j).is_some_and(|t| t.is_punct("<")) {
-        let mut angle = 0i64;
+        // `fn(u32) -> u32` is a pointer type, not a definition.
+        if toks.get(i + 1).is_none_or(|n| n.kind != TokKind::Ident) {
+            continue;
+        }
+        // Find the body: first `{` at signature level, or `;` (trait
+        // method without a body).
+        let mut j = i + 2;
+        let mut d = 0i64;
+        let mut body = None;
         while j < toks.len() {
             match toks[j].text.as_str() {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "<<" => angle += 2,
-                ">>" => angle -= 2,
+                "(" | "[" => d += 1,
+                ")" | "]" => d -= 1,
+                ";" if d == 0 => break,
+                "{" if d == 0 => {
+                    // Match the braces.
+                    let open = j;
+                    let mut bd = 0i64;
+                    while j < toks.len() {
+                        match toks[j].text.as_str() {
+                            "{" => bd += 1,
+                            "}" => {
+                                bd -= 1;
+                                if bd == 0 {
+                                    break;
+                                }
+                            }
+                            _ => {}
+                        }
+                        j += 1;
+                    }
+                    body = Some((open + 1, j));
+                    break;
+                }
                 _ => {}
             }
             j += 1;
-            if angle == 0 {
-                break;
-            }
         }
-    }
-    let mut first_ident: Option<String> = None;
-    let mut after_for: Option<String> = None;
-    let mut saw_for = false;
-    while j < toks.len() && !toks[j].is_punct("{") && !toks[j].is_punct(";") {
-        let t = &toks[j];
-        if t.is_ident("for") {
-            saw_for = true;
-        } else if t.is_ident("where") {
-            break;
-        } else if t.kind == TokKind::Ident {
-            if saw_for && after_for.is_none() {
-                after_for = Some(t.text.clone());
-            } else if first_ident.is_none() {
-                first_ident = Some(t.text.clone());
-            }
-            // Only the *last* path segment names the type: `a::b::C`.
-            if toks.get(j + 1).is_some_and(|n| n.is_punct("::")) {
-                if saw_for {
-                    after_for = None;
-                } else {
-                    first_ident = None;
-                }
-            }
-        }
-        j += 1;
-    }
-    after_for.or(first_ident)
-}
-
-/// Every function definition in `toks`, with `impl` owners resolved.
-pub fn fn_defs(toks: &[Tok]) -> Vec<FnDef> {
-    let mut out = Vec::new();
-    // (brace close depth, owner) stack for impl blocks.
-    let mut impl_stack: Vec<(i64, Option<String>)> = Vec::new();
-    let mut pending_impl: Option<Option<String>> = None;
-    let mut depth = 0i64;
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
-        match t.text.as_str() {
-            "{" if t.kind == TokKind::Punct => {
-                depth += 1;
-                if let Some(owner) = pending_impl.take() {
-                    impl_stack.push((depth, owner));
-                }
-            }
-            "}" if t.kind == TokKind::Punct => {
-                if impl_stack.last().is_some_and(|(d, _)| *d == depth) {
-                    impl_stack.pop();
-                }
-                depth -= 1;
-            }
-            "impl" if t.kind == TokKind::Ident => {
-                pending_impl = Some(impl_owner(toks, i));
-            }
-            "fn" if t.kind == TokKind::Ident => {
-                if let Some(name_tok) = toks.get(i + 1) {
-                    if name_tok.kind == TokKind::Ident {
-                        // Find the body: first `{` at signature level, or
-                        // `;` (trait method without a body).
-                        let mut j = i + 2;
-                        let mut d = 0i64;
-                        let mut body = None;
-                        while j < toks.len() {
-                            match toks[j].text.as_str() {
-                                "(" | "[" => d += 1,
-                                ")" | "]" => d -= 1,
-                                ";" if d == 0 => break,
-                                "{" if d == 0 => {
-                                    // Match the braces.
-                                    let open = j;
-                                    let mut bd = 0i64;
-                                    while j < toks.len() {
-                                        match toks[j].text.as_str() {
-                                            "{" => bd += 1,
-                                            "}" => {
-                                                bd -= 1;
-                                                if bd == 0 {
-                                                    break;
-                                                }
-                                            }
-                                            _ => {}
-                                        }
-                                        j += 1;
-                                    }
-                                    body = Some((open + 1, j));
-                                    break;
-                                }
-                                _ => {}
-                            }
-                            j += 1;
-                        }
-                        out.push(FnDef {
-                            name: name_tok.text.clone(),
-                            line: t.line,
-                            fn_tok: i,
-                            body,
-                            owner: impl_stack.last().and_then(|(_, o)| o.clone()),
-                        });
-                    }
-                }
-            }
-            _ => {}
-        }
-        i += 1;
+        out.push(FnDef {
+            line: t.line,
+            fn_tok: i,
+            body,
+        });
     }
     out
 }
@@ -758,26 +665,11 @@ mod tests {
     }
 
     #[test]
-    fn fn_defs_resolve_impl_owners() {
-        let src = "impl BufferPool {\n    fn fix(&mut self) {}\n}\n\
-                   impl LargeObject for ObservedObject {\n    fn read(&self) {}\n}\n\
-                   fn free() { let inner = 1; }\n";
-        let l = lex(src);
-        let fns = fn_defs(&l.toks);
-        let names: Vec<_> = fns.iter().map(FnDef::qualified).collect();
-        assert_eq!(
-            names,
-            vec!["BufferPool::fix", "ObservedObject::read", "free"]
-        );
-        assert!(fns[2].body.is_some());
-    }
-
-    #[test]
     fn nested_fns_and_closures_do_not_confuse_bodies() {
         let src = "fn outer() {\n    let f = |x: u32| x + 1;\n    fn inner() {}\n}\nfn next() {}\n";
         let fns = fn_defs(&lex(src).toks);
-        let names: Vec<_> = fns.iter().map(|f| f.name.clone()).collect();
-        assert_eq!(names, vec!["outer", "inner", "next"]);
+        let lines: Vec<_> = fns.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![1, 3, 5], "outer, inner, next");
         // outer's body spans past inner's.
         let outer = &fns[0];
         let inner = &fns[1];
@@ -790,20 +682,6 @@ mod tests {
         let fns = fn_defs(&lex(src).toks);
         assert_eq!(fns.len(), 1);
         assert!(fns[0].body.is_some());
-    }
-
-    #[test]
-    fn generic_impl_owner_is_found() {
-        let src = "impl<T: Clone> Wrapper<T> {\n    fn get(&self) {}\n}\n";
-        let fns = fn_defs(&lex(src).toks);
-        assert_eq!(fns[0].qualified(), "Wrapper::get");
-    }
-
-    #[test]
-    fn path_qualified_impl_takes_last_segment() {
-        let src = "impl crate::pool::BufferPool {\n    fn tick(&mut self) {}\n}\n";
-        let fns = fn_defs(&lex(src).toks);
-        assert_eq!(fns[0].qualified(), "BufferPool::tick");
     }
 }
 
