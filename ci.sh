@@ -120,14 +120,15 @@ run cargo test -q --release --test model --test proptest_model --test crash_fuzz
 # META walk a pinned open that lets a non-root page through, the seeded
 # schedules and the lock-order check a latch two pages share, a page
 # guard held across a segment read and a lock helper that passes poison
-# on, and the I/O accounting's twins a raw disk read above the pool
+# on, the I/O accounting's twins a raw disk read above the pool
 # (clippy), a segment write that skips its counter and a health recount
-# that fixes a page. Each patch in mutants/ is applied to one copy of
-# the tree under target/ (a patch that no longer applies fails here),
-# the copy must still build, and then either each test named must fail
-# or, for a `clippy` drill, clippy must; the patch is reversed before
-# the next. The copy is fresh on every run, so its build never reuses
-# another tree's artifacts.
+# that fixes a page, and the live cursor's seek scripts a refill that
+# walks on from the last leaf after a seek. Each patch in mutants/ is
+# applied to one copy of the tree under target/ (a patch that no longer
+# applies fails here), the copy must still build, and then either each
+# test named must fail or, for a `clippy` drill, clippy must; the patch
+# is reversed before the next. The copy is fresh on every run, so its
+# build never reuses another tree's artifacts.
 mutant=target/mutants/tree
 rm -rf "$mutant" && mkdir -p "$mutant"
 tar --exclude=./target --exclude=./benchmark/target --exclude=./.git -cf - . | tar -xmf - -C "$mutant"
@@ -186,6 +187,8 @@ drill raw-io clippy -p lobstore-core
 drill uncounted-seg-write -p lobstore-core --lib -- segdata::tests::each_segment_write_counts_one_write
 # `object_health` fixes a leaf page instead of peeking.
 drill costed-inspector -p lobstore-core --lib -- verify::tests::the_walk_is_clean_and_costs_nothing
+# The live cursor walks on from its last leaf whatever offset a refill asks for.
+drill walk-after-seek --test perf_equivalence -- esm_live_cursor_follows_seeks eos_live_cursor_follows_seeks
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

@@ -5,6 +5,7 @@ use lobstore_simdisk::AreaId;
 
 use crate::db::Db;
 use crate::error::{LobError, Result};
+use crate::tree::LeafPos;
 use crate::MAX_OP_BYTES;
 
 /// Validate the byte range `[off, off + len)` of an operation against the
@@ -122,6 +123,20 @@ pub struct SegSpan {
     pub page: u32,
 }
 
+/// Where a [`LargeObject::read_span`] left off, for the next span to walk
+/// on from. Only this crate makes one, and only a cursor that holds the
+/// database exclusively keeps one between spans, so no write can come
+/// between the span that left a position and the span that walks from it.
+#[derive(Debug)]
+pub struct SpanPos(pub(crate) Option<LeafPos>);
+
+impl SpanPos {
+    /// No position: the next span descends.
+    pub(crate) fn none() -> Self {
+        SpanPos(None)
+    }
+}
+
 /// A large object stored in the database.
 ///
 /// All operations borrow the [`Db`] because every byte they touch moves
@@ -146,12 +161,25 @@ pub trait LargeObject: Send {
 
     /// Read from `off` to the end of the stored segment holding it, at
     /// most `max` bytes, into `buf`, which is resized to that count; the
-    /// count is returned. One descent (Starburst: one descriptor fix) and
-    /// the one segment read a [`Self::read`] of that range issues, so it
-    /// costs exactly that read. Requires `off < size`, except that
-    /// `max == 0` reads nothing and is checked like an empty `read`. The
-    /// live [`crate::ObjectReader`] refills its buffer with this call.
-    fn read_span(&self, db: &mut Db, off: u64, max: usize, buf: &mut Vec<u8>) -> Result<usize>;
+    /// count is returned. Requires `off < size`, except that `max == 0`
+    /// reads nothing and is checked like an empty `read`. The live
+    /// [`crate::ObjectReader`] refills its buffer with this call.
+    ///
+    /// `at` is where the previous span ended. On the tree schemes a span
+    /// that starts at the end of the leaf `at` holds walks to the next
+    /// leaf, as a multi-leaf [`Self::read`] does; any other span is one
+    /// descent. Either way it then issues the one segment read a `read`
+    /// of that range would, so a run of spans costs what one `read` of
+    /// their bytes costs. Starburst (one descriptor fix a span) ignores
+    /// `at`.
+    fn read_span(
+        &self,
+        db: &mut Db,
+        off: u64,
+        max: usize,
+        buf: &mut Vec<u8>,
+        at: &mut SpanPos,
+    ) -> Result<usize>;
 
     /// Locate the contiguous stored segment containing byte `off`
     /// (requires `off < size`). For the tree schemes this is one costed

@@ -28,7 +28,7 @@ use lobstore_simdisk::IoStats;
 use crate::db::Db;
 use crate::error::Result;
 use crate::metrics as m;
-use crate::object::{LargeObject, SegmentInfo, StorageKind, Utilization};
+use crate::object::{LargeObject, SegmentInfo, SpanPos, StorageKind, Utilization};
 
 /// The logical operations an observed span can describe.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -284,9 +284,16 @@ impl LargeObject for ObservedObject {
     }
 
     /// Spanned as `op.<scheme>.read`: a cursor's refill is a read.
-    fn read_span(&self, db: &mut Db, off: u64, max: usize, buf: &mut Vec<u8>) -> Result<usize> {
+    fn read_span(
+        &self,
+        db: &mut Db,
+        off: u64,
+        max: usize,
+        buf: &mut Vec<u8>,
+        at: &mut SpanPos,
+    ) -> Result<usize> {
         let obs = OpObserver::begin(self.inner.kind(), OpName::Read, db);
-        let r = self.inner.read_span(db, off, max, buf);
+        let r = self.inner.read_span(db, off, max, buf, at);
         let b = self.observed_bytes(&obs, db);
         obs.finish(db, b, r.is_ok());
         r

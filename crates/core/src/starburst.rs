@@ -29,7 +29,7 @@ use crate::db::Db;
 use crate::error::{LobError, Result};
 use crate::node::{find_child, Entry, Node, RootHdr, ROOT_MAX_ENTRIES};
 use crate::object::{
-    check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization,
+    check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, SpanPos, StorageKind, Utilization,
 };
 use crate::segdata::{append_in_place, insert_bytes, patch_in_place, peek_segs};
 
@@ -377,7 +377,14 @@ impl LargeObject for StarburstObject {
         Ok(())
     }
 
-    fn read_span(&self, db: &mut Db, off: u64, max: usize, buf: &mut Vec<u8>) -> Result<usize> {
+    fn read_span(
+        &self,
+        db: &mut Db,
+        off: u64,
+        max: usize,
+        buf: &mut Vec<u8>,
+        _at: &mut SpanPos,
+    ) -> Result<usize> {
         if max == 0 {
             buf.clear();
             return self.read(db, off, buf).map(|()| 0);

@@ -2,16 +2,18 @@
 //!
 //! One cursor reads every version. [`SpanCursor`] holds the position, the
 //! object size and one [`Span`]: the rest of the segment under the
-//! cursor, refilled by one descent and one segment read into the `Vec` it
-//! handed out last time (§3.2: one segment per I/O call, nothing read
-//! ahead of the request). Its [`Read`], [`BufRead`] and [`Seek`] are
-//! written once; a `Source` has one job, to refill the span at a
-//! position. There are two:
+//! cursor, refilled by finding that segment in the index and reading it
+//! into the `Vec` handed out last time (§3.2: one segment per I/O call,
+//! nothing read ahead of the request). Its [`Read`], [`BufRead`] and
+//! [`Seek`] are written once; a `Source` has one job, to refill the span
+//! at a position. There are two:
 //!
 //! * [`Live`] reads the **live** version. It borrows the database
 //!   exclusively, and a refill is one [`LargeObject::read_span`] under the
-//!   hybrid §3.2 pool policy, so a streamed scan costs exactly what one
-//!   bulk [`LargeObject::read`] would. [`ObjectReader`] is this cursor.
+//!   hybrid §3.2 pool policy. A refill where the last span ended walks to
+//!   the next leaf as a bulk read does, so a streamed scan costs exactly
+//!   what one bulk [`LargeObject::read`] would. [`ObjectReader`] is this
+//!   cursor.
 //! * [`Pinned`] reads a **pinned** version. Its root is resolved once,
 //!   through the version overlay; everything below it is immutable while
 //!   the pin is held, so a refill needs only `&Db`: one descent and one
@@ -35,7 +37,7 @@ use lobstore_simdisk::cast;
 use crate::db::Db;
 use crate::error::Result;
 use crate::node::{find_child, Node, RootHdr};
-use crate::object::LargeObject;
+use crate::object::{LargeObject, SpanPos};
 use crate::segdata::read_seg_pages;
 use crate::version::Snapshot;
 
@@ -183,32 +185,41 @@ impl<S> Seek for SpanCursor<S> {
     }
 }
 
-/// The live source: the head version, read through the manager.
+/// The live source: the head version, read through the manager, and the
+/// leaf the last refill ended with. It holds the database exclusively, so
+/// nothing writes between two refills and that leaf stays where it was.
 pub struct Live<'a> {
     db: &'a mut Db,
     obj: &'a dyn LargeObject,
+    at: SpanPos,
 }
 
 impl Source for Live<'_> {
-    /// One [`LargeObject::read_span`]: one observed read, one descent,
-    /// one segment read, filling the buffer from its first byte.
+    /// One [`LargeObject::read_span`]: one observed read, one segment
+    /// read, filling the buffer from its first byte. The segment is found
+    /// by a walk from the last refill's leaf when `pos` is that leaf's
+    /// end, and by a descent otherwise: on the first refill, after a seek
+    /// elsewhere and after a span cut at 4 MiB.
     fn refill(&mut self, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)> {
-        let n = self.obj.read_span(self.db, pos, READ_AHEAD_MAX, buf)?;
+        let n = self
+            .obj
+            .read_span(self.db, pos, READ_AHEAD_MAX, buf, &mut self.at)?;
         Ok((0, n))
     }
 }
 
-/// The cursor over the live version. Its refills make the descents and
-/// issue the per-segment `read_segment` calls a whole-range
-/// [`LargeObject::read`] would, and nothing else but the one size lookup
-/// of [`ObjectReader::new`].
+/// The cursor over the live version. A scan from offset `o` makes the one
+/// descent, the walks and the per-segment `read_segment` calls of a
+/// [`LargeObject::read`] from `o` to the end, and nothing else but the
+/// one size lookup of [`ObjectReader::new`].
 pub type ObjectReader<'a> = SpanCursor<Live<'a>>;
 
 impl<'a> ObjectReader<'a> {
     /// Start a sequential reader at offset 0 of `obj`.
     pub fn new(db: &'a mut Db, obj: &'a dyn LargeObject) -> Self {
         let size = obj.size(db);
-        Self::over(Live { db, obj }, size)
+        let at = SpanPos::none();
+        Self::over(Live { db, obj, at }, size)
     }
 }
 

@@ -17,7 +17,9 @@
 //! in place and left to the buffer pool.
 //!
 //! A manager descends once, from the offset its operation names; from
-//! there it moves along the search path. [`PosTree::next`] and
+//! there it moves along the search path. A multi-leaf read or replace
+//! descends once too, and so does a run of the live cursor's refills
+//! ([`PosTree::read_span`]). [`PosTree::next`] and
 //! [`PosTree::prev`] climb the path to the nearest ancestor with an entry
 //! on that side and walk down from it, searching no pairs on the way.
 //! [`PosTree::splice`] replaces a run of adjacent leaf entries one edit
@@ -775,18 +777,18 @@ impl PosTree {
     }
 
     /// Visit, left to right, every leaf overlapping object bytes
-    /// `[off, off + len)`: one descent per leaf, `visit` gets the leaf
-    /// and the sub-range of the caller's `len`-byte buffer that falls in
-    /// it. The first descent range-checks the request under its own root
-    /// fix; an empty request descends nowhere and is checked against
-    /// [`Self::size`]. The tree may be restructured inside `visit`; the
-    /// next leaf is found by a fresh descent.
+    /// `[off, off + len)`: `visit` gets the leaf and the sub-range of the
+    /// caller's `len`-byte buffer that falls in it. One range-checked
+    /// descent finds the first leaf; an empty request descends nowhere and
+    /// is checked against [`Self::size`]. Each later leaf is a walk along
+    /// the leaf level: [`Self::next`], or [`Self::after`] the [`Spliced`]
+    /// `visit` returns when it replaced its leaf.
     fn for_each_leaf(
         &self,
         db: &mut Db,
         off: u64,
         len: usize,
-        mut visit: impl FnMut(&mut Db, &LeafPos, Range<usize>) -> Result<()>,
+        mut visit: impl FnMut(&mut Db, &LeafPos, Range<usize>) -> Result<Option<Spliced>>,
     ) -> Result<()> {
         if len == 0 {
             return check_range(self.size(db), off, 0).map(drop);
@@ -798,18 +800,22 @@ impl PosTree {
             // loblint: allow(arith-overflow)
             let at = off + done as u64;
             let take = cast::to_usize((pos.leaf_end() - at).min((len - done) as u64));
-            visit(db, &pos, done..done + take)?;
+            let spliced = visit(db, &pos, done..done + take)?;
             done += take;
             if done == len {
                 return Ok(());
             }
-            pos = self.try_descend(db, pos.leaf_end())?;
+            let next = match spliced {
+                Some(s) => self.after(db, s)?,
+                None => self.next(db, &pos)?,
+            };
+            pos = next.ok_or_else(|| self.no_leaf(pos.leaf_end()))?;
         }
     }
 
-    /// Read `out.len()` bytes at `off`: one descent per leaf, `fetch`
-    /// copying each leaf's piece out ([`read_piece`] but for ESM's
-    /// whole-leaf ablation).
+    /// Read `out.len()` bytes at `off`: one descent, then a walk from leaf
+    /// to leaf, `fetch` copying each leaf's piece out ([`read_piece`] but
+    /// for ESM's whole-leaf ablation).
     pub fn read(
         &self,
         db: &mut Db,
@@ -821,32 +827,48 @@ impl PosTree {
             // `for_each_leaf` hands out sub-ranges of `0..out.len()`.
             // loblint: allow(panic-path)
             fetch(db, pos, &mut out[r]);
-            Ok(())
+            Ok(None)
         })
     }
 
     /// Read from `off` to the end of its leaf, at most `max` bytes, into
-    /// `buf` (resized to the count, which is returned): the one
-    /// range-checked descent and the one `fetch` of a [`Self::read`] of
-    /// that range. `max == 0` reads nothing, checked like an empty read.
+    /// `buf` (resized to the count, which is returned): the leaf a
+    /// [`Self::read`] of that range reaches and its one `fetch`. When
+    /// `last` holds the leaf the previous span ended with and `off` is
+    /// that leaf's end, the leaf is [`Self::next`] of it, as a bulk read
+    /// walks; otherwise it is one range-checked descent. `last` is left
+    /// holding this leaf if the span reached its end, else nothing.
+    /// `max == 0` reads nothing, checked like an empty read.
     pub fn read_span(
         &self,
         db: &mut Db,
         off: u64,
         max: usize,
         buf: &mut Vec<u8>,
+        last: &mut Option<LeafPos>,
         fetch: impl FnOnce(&mut Db, &LeafPos, &mut [u8]),
     ) -> Result<usize> {
+        let walk_from = last.take().filter(|p| p.leaf_end() == off);
         if max == 0 {
             check_range(self.size(db), off, 0)?;
             buf.clear();
             return Ok(0);
         }
-        let pos = self.descend_checked(db, off, 1)?;
+        let pos = match walk_from {
+            Some(prev) => self.next(db, &prev)?.ok_or(LobError::OutOfRange {
+                off,
+                len: 1,
+                size: off,
+            })?,
+            None => self.descend_checked(db, off, 1)?,
+        };
         let left = pos.entry.count.saturating_sub(pos.off_in_leaf);
         let n = cast::to_usize(left.min(max as u64));
         buf.resize(n, 0);
         fetch(db, &pos, buf);
+        if n as u64 == left {
+            *last = Some(pos);
+        }
         Ok(n)
     }
 
@@ -862,11 +884,13 @@ impl PosTree {
     }
 
     /// Overwrite `[off, off + bytes.len())` (`bytes` not empty), leaf by
-    /// leaf, range-checked under the first descent's root fix. Under
-    /// shadowing each touched leaf is read whole, patched in memory and
-    /// handed to `shadow_leaf`, which writes the new copy, queues the old
-    /// one for release and returns the replacement entry; without
-    /// shadowing the bytes are patched in place.
+    /// leaf as [`Self::read`] walks them, range-checked under the one
+    /// descent's root fix. Under shadowing each touched leaf is read
+    /// whole, patched in memory and handed to `shadow_leaf`, which writes
+    /// the new copy, queues the old one for release and returns the
+    /// replacement entry; the splice that puts it in is where the walk to
+    /// the next leaf starts. Without shadowing the bytes are patched in
+    /// place.
     pub fn replace_range(
         &self,
         db: &mut Db,
@@ -879,19 +903,18 @@ impl PosTree {
             // `for_each_leaf` hands out sub-ranges of `0..bytes.len()`.
             // loblint: allow(panic-path)
             let patch = &bytes[r];
-            if db.config().shadowing {
-                let s = cast::to_usize(pos.off_in_leaf);
-                let mut content = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
-                // The patch lies inside this leaf: `s + patch.len()` is at
-                // most the leaf's byte count, which is `content.len()`.
-                // loblint: allow(panic-path)
-                content[s..s + patch.len()].copy_from_slice(patch);
-                let e = shadow_leaf(db, ctx, pos, &content);
-                self.splice(db, ctx, pos, &[pos.entry], vec![e])?;
-            } else {
+            if !db.config().shadowing {
                 patch_in_place(db, pos.entry.ptr, pos.off_in_leaf, patch);
+                return Ok(None);
             }
-            Ok(())
+            let s = cast::to_usize(pos.off_in_leaf);
+            let mut content = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
+            // The patch lies inside this leaf: `s + patch.len()` is at
+            // most the leaf's byte count, which is `content.len()`.
+            // loblint: allow(panic-path)
+            content[s..s + patch.len()].copy_from_slice(patch);
+            let e = shadow_leaf(db, ctx, pos, &content);
+            self.splice(db, ctx, pos, &[pos.entry], vec![e]).map(Some)
         })
     }
 
@@ -1604,8 +1627,9 @@ mod tests {
 
     #[test]
     fn reads_fix_the_root_once() {
-        use crate::object::LargeObject;
-        use crate::{EosObject, EosParams, EsmObject, EsmParams};
+        use crate::object::{LargeObject, SpanPos};
+        use crate::{EosObject, EosParams, EsmObject, EsmParams, ObjectReader};
+        use std::io::Read;
         // Twelve one-page leaves under fan-out 4: a root over interior
         // nodes. The leaves were written direct, so none is in the pool,
         // and a cold leaf's read fixes nothing.
@@ -1637,13 +1661,13 @@ mod tests {
             assert_eq!(n, 2, "{kind}: a one-leaf read fixes root + interior");
             let mut span = Vec::new();
             let (r, n) = fixes_of(&mut db, |db| {
-                obj.read_span(db, 7 * 4096 + 10, 99, &mut span)
+                obj.read_span(db, 7 * 4096 + 10, 99, &mut span, &mut SpanPos::none())
             });
             assert_eq!(r.unwrap(), 99);
             assert_eq!(span[..], bytes[7 * 4096 + 10..][..99]);
             assert_eq!(n, 2, "{kind}: a span read fixes root + interior");
             let (r, _) = fixes_of(&mut db, |db| {
-                obj.read_span(db, 8 * 4096 + 96, 1 << 20, &mut span)
+                obj.read_span(db, 8 * 4096 + 96, 1 << 20, &mut span, &mut SpanPos::none())
             });
             assert_eq!(r.unwrap(), 4000, "{kind}: a span ends with its leaf");
 
@@ -1664,7 +1688,9 @@ mod tests {
                 let (r, n) = fixes_of(&mut db, |db| obj.locate(db, off));
                 assert_eq!(r.unwrap_err(), oor(off, 1), "{kind}: locate({off})");
                 assert_eq!(n, 1, "{kind}: locate({off}) fixes only the root");
-                let (r, n) = fixes_of(&mut db, |db| obj.read_span(db, off, 10, &mut span));
+                let (r, n) = fixes_of(&mut db, |db| {
+                    obj.read_span(db, off, 10, &mut span, &mut SpanPos::none())
+                });
                 assert_eq!(r.unwrap_err(), oor(off, 1), "{kind}: read_span({off})");
                 assert_eq!(n, 1, "{kind}: read_span({off}) fixes only the root");
             }
@@ -1673,8 +1699,49 @@ mod tests {
             let (r, n) = fixes_of(&mut db, |db| obj.read(db, SIZE, &mut []));
             r.unwrap();
             assert_eq!(n, 1, "{kind}: an empty read fixes the root");
-            let (r, n) = fixes_of(&mut db, |db| obj.read_span(db, SIZE, 0, &mut span));
+            let (r, n) = fixes_of(&mut db, |db| {
+                obj.read_span(db, SIZE, 0, &mut span, &mut SpanPos::none())
+            });
             assert_eq!((r.unwrap(), span.len(), n), (0, 0, 1), "{kind}");
+
+            // A whole-object pass, bulk or through the cursor, on cold
+            // leaves: one descent to the first leaf, then a walk to each
+            // next one (the cursor adds its one size lookup).
+            let tree = PosTree::new(obj.root_page());
+            let segs = obj.segments(&db);
+            let paths: Vec<_> = segs
+                .iter()
+                .map(|s| tree.descend(&mut db, s.offset).unwrap().path)
+                .collect();
+            let walks: u64 = paths.windows(2).map(|w| walk_fixes(&w[0], &w[1])).sum();
+            let want = paths[0].len() as u64 + walks;
+            let whole = |db: &mut Db, pass: &dyn Fn(&mut Db) -> Vec<u8>| {
+                for s in &segs {
+                    db.pool.discard_range(AreaId::LEAF, s.start_page, s.pages);
+                }
+                let descents = metrics::TREE_DESCENTS.value();
+                let (got, n) = fixes_of(db, pass);
+                assert!(got == bytes, "{kind}: a whole pass reads the object");
+                (metrics::TREE_DESCENTS.value() - descents, n)
+            };
+            let bulk = whole(&mut db, &|db| {
+                let mut out = vec![0u8; bytes.len()];
+                obj.read(db, 0, &mut out).unwrap();
+                out
+            });
+            assert_eq!(bulk, (1, want), "{kind}: a whole read descends once");
+            let streamed = whole(&mut db, &|db| {
+                let mut out = Vec::new();
+                ObjectReader::new(db, obj.as_ref())
+                    .read_to_end(&mut out)
+                    .unwrap();
+                out
+            });
+            assert_eq!(
+                streamed,
+                (1, want + 1),
+                "{kind}: a whole cursor pass descends once"
+            );
         }
     }
 

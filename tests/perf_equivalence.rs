@@ -13,20 +13,26 @@
 //! 2. **Accounting**: streaming an object through the cursor makes the
 //!    disk calls of one bulk `LargeObject::read` of the same range on a
 //!    twin database — *identical* `IoStats` and disk trace — and on the
-//!    tree schemes its pool fixes plus the reader's one size lookup.
+//!    tree schemes its pool fixes plus the reader's one size lookup:
+//!    both descend once and walk the leaf level from there.
 //!    Bulk reads' absolute costs are pinned by `tests/golden_traces.rs`
 //!    and `tests/cost_model.rs` (unchanged by the optimization pass), so
 //!    equality here is transitively equality with pre-optimization
 //!    accounting. Two fixed cases hold property 2 on 3–4 MB objects,
 //!    whose disk calls are large enough that `SimDisk` splits their copy
-//!    across cores, and check both reads against the appended bytes.
+//!    across cores, and check both reads against the appended bytes;
+//!    a third holds it on ESM/4 and EOS/16 under fan-out 4, where a
+//!    walk to the next leaf fixes fewer index pages than a descent.
+//!
+//! Properties 3–6 hold the pinned cursor, and property 7, at the end,
+//! holds the live cursor's bytes under seek scripts.
 
 use std::io::{Read, Seek, SeekFrom};
 
 use lobstore::simdisk::TraceEvent;
 use lobstore::workload::fill;
 use lobstore::workload::model::{Driver, Kind, Op, OpGen};
-use lobstore::{Db, ManagerSpec, ObjectReader, StorageKind};
+use lobstore::{Db, DbConfig, LargeObject, ManagerSpec, ObjectReader, StorageKind, TreeConfig};
 use proptest::prelude::*;
 
 /// Build histories: appends, inserts and replaces.
@@ -125,34 +131,62 @@ fn charge(db: &mut Db, f: impl FnOnce(&mut Db)) -> Charge {
     }
 }
 
-/// Twin databases, identical single-append build: stream `[start, size)`
-/// through the cursor on one, bulk-read the same range on the other.
-/// Both must make the same disk calls in the same order (bit-identical
-/// `IoStats` and disk trace), and on the tree schemes the same pool
-/// fixes plus exactly one: the root fix of the size lookup in
-/// `ObjectReader::new`.
+/// How a store of [`streamed_accounting_matches_bulk`] lays its object
+/// down: the tree's fan-out, and the size of the appends that write
+/// `fill(total, 99)`.
+#[derive(Clone, Copy)]
+struct Layout {
+    tree: TreeConfig,
+    append: usize,
+}
+
+impl Layout {
+    /// The paper's tree, the object in one append.
+    fn paper() -> Self {
+        Layout {
+            tree: TreeConfig::default(),
+            append: usize::MAX,
+        }
+    }
+
+    /// A store holding `build` of `spec`, laid down this way.
+    fn store(self, spec: ManagerSpec, build: &[u8]) -> (Db, Box<dyn LargeObject>) {
+        let mut db = Db::new(DbConfig {
+            tree: self.tree,
+            ..DbConfig::default()
+        });
+        let mut obj = spec.create(&mut db).unwrap();
+        for piece in build.chunks(self.append) {
+            obj.append(&mut db, piece).unwrap();
+        }
+        (db, obj)
+    }
+}
+
+/// Twin databases, identical build: stream `[start, size)` through the
+/// cursor on one, bulk-read the same range on the other. Both must make
+/// the same disk calls in the same order (bit-identical `IoStats` and
+/// disk trace), and on the tree schemes the same pool fixes plus exactly
+/// one: the root fix of the size lookup in `ObjectReader::new`.
 ///
-/// Each refill is one `read_span`: the range-checked descent to the leaf
-/// under the cursor and the segment read a bulk `read` issues for that
-/// leaf, so the cursor walks the bulk read's fix sequence leaf by leaf.
+/// The bulk read descends once to `start` and walks from leaf to leaf.
+/// The cursor's first refill is that descent; each later one starts
+/// where the last ended and walks to the next leaf as the bulk read did,
+/// then makes the segment read the bulk read made there. So the two fix
+/// the same pages in the same order, at any depth.
 /// Starburst's bulk read plans every segment under one descriptor fix,
 /// where the cursor fixes the descriptor once a segment, so its fixes are
 /// not compared; each of those extra fixes is a hit, with no disk call.
 fn streamed_accounting_matches_bulk(
     spec: ManagerSpec,
+    layout: Layout,
     total: usize,
     start_frac: f64,
     chunk: usize,
 ) {
     let build = fill(total, 99);
-
-    let mut db_bulk = Db::paper_default();
-    let mut obj_bulk = spec.create(&mut db_bulk).unwrap();
-    obj_bulk.append(&mut db_bulk, &build).unwrap();
-
-    let mut db_stream = Db::paper_default();
-    let mut obj_stream = spec.create(&mut db_stream).unwrap();
-    obj_stream.append(&mut db_stream, &build).unwrap();
+    let (mut db_bulk, obj_bulk) = layout.store(spec, &build);
+    let (mut db_stream, obj_stream) = layout.store(spec, &build);
 
     let start = ((start_frac * total as f64) as usize).min(total - 1);
     let want = total - start;
@@ -206,7 +240,7 @@ fn large_append_reads_back(spec: ManagerSpec, total: usize) {
     assert!(total <= SPAN_MAX as usize);
     let split_reads = || lobstore::obs::counter_value("simdisk.split_reads");
     let before = split_reads();
-    streamed_accounting_matches_bulk(spec, total, 0.0, 64 << 10);
+    streamed_accounting_matches_bulk(spec, Layout::paper(), total, 0.0, 64 << 10);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores > 1 {
         assert!(split_reads() > before, "no read was split");
@@ -217,6 +251,31 @@ fn large_append_reads_back(spec: ManagerSpec, total: usize) {
     let mut obj = spec.create(&mut db).unwrap();
     obj.append(&mut db, &build).unwrap();
     assert!(obj.snapshot(&db) == build, "peek reference diverges");
+}
+
+/// The accounting property where a walk and a descent differ: under
+/// fan-out 4 the object's index has interior pages below the root, so a
+/// walk to the next leaf fixes fewer pages than a descent. ESM/4 lays its
+/// leaves in one append; EOS/16 is appended a page at a time, so its
+/// segments double in size and there are enough of them to need an
+/// interior level.
+#[test]
+fn streamed_accounting_matches_bulk_at_depth() {
+    for (spec, append) in [
+        (ManagerSpec::esm(4), 600_000),
+        (ManagerSpec::eos(16), 4_096),
+    ] {
+        let layout = Layout {
+            tree: TreeConfig::tiny(4),
+            append,
+        };
+        let (db, obj) = layout.store(spec, &fill(600_000, 99));
+        let index = obj.index_page_numbers(&db).len();
+        assert!(index > 1, "{}: {index} index page", spec.label());
+        for (start, chunk) in [(0.0, 4_096), (0.0, 1_000), (0.37, 10_000)] {
+            streamed_accounting_matches_bulk(spec, layout, 600_000, start, chunk);
+        }
+    }
 }
 
 #[test]
@@ -288,28 +347,28 @@ proptest! {
     fn esm_streamed_accounting_matches_bulk(
         (total, start, chunk) in (65_536usize..1_500_000, 0.0f64..=1.0, 512usize..16_384)
     ) {
-        streamed_accounting_matches_bulk(ManagerSpec::esm(16), total, start, chunk);
+        streamed_accounting_matches_bulk(ManagerSpec::esm(16), Layout::paper(), total, start, chunk);
     }
 
     #[test]
     fn esm_buffered_leaves_streamed_accounting_matches_bulk(
         (total, start, chunk) in (65_536usize..1_500_000, 0.0f64..=1.0, 512usize..16_384)
     ) {
-        streamed_accounting_matches_bulk(ManagerSpec::esm(4), total, start, chunk);
+        streamed_accounting_matches_bulk(ManagerSpec::esm(4), Layout::paper(), total, start, chunk);
     }
 
     #[test]
     fn eos_streamed_accounting_matches_bulk(
         (total, start, chunk) in (65_536usize..1_500_000, 0.0f64..=1.0, 512usize..16_384)
     ) {
-        streamed_accounting_matches_bulk(ManagerSpec::eos(16), total, start, chunk);
+        streamed_accounting_matches_bulk(ManagerSpec::eos(16), Layout::paper(), total, start, chunk);
     }
 
     #[test]
     fn starburst_streamed_accounting_matches_bulk(
         (total, start, chunk) in (65_536usize..1_500_000, 0.0f64..=1.0, 512usize..16_384)
     ) {
-        streamed_accounting_matches_bulk(ManagerSpec::starburst(), total, start, chunk);
+        streamed_accounting_matches_bulk(ManagerSpec::starburst(), Layout::paper(), total, start, chunk);
     }
 }
 
@@ -674,5 +733,98 @@ proptest! {
     ) {
         let history: Vec<Op> = OpGen::new(seed, CHURN, 40_000).take(edits).collect();
         pinned_cursor_properties(ManagerSpec::starburst(), &history, &script, chunk);
+    }
+}
+
+// ---- the live cursor under seeks ------------------------------------------
+//
+// 7. **Live seeks**: on a tree two or more levels tall, random seek/read
+//    scripts through `ObjectReader`, driven by `read` and by
+//    `fill_buf`/`consume`, return the `snapshot()` bytes. A refill walks
+//    from the leaf the last one ended with only when it starts at that
+//    leaf's end, and descends otherwise; a walk from the wrong leaf reads
+//    the wrong bytes here, where property 2's whole scans never seek
+//    after their start.
+
+fn live_cursor_follows_seeks(
+    spec: ManagerSpec,
+    (seed, edits): (u64, usize),
+    script: &[(f64, usize)],
+    chunk: usize,
+) {
+    let mut db = Db::new(DbConfig {
+        tree: TreeConfig::tiny(4),
+        ..DbConfig::default()
+    });
+    let mut d = Driver::new(&mut db, spec);
+    // A page an append: EOS's segments double, and there are enough.
+    let pages = (0..150).map(|_| Op::Append(4_096));
+    d.run(
+        &mut db,
+        pages.chain(OpGen::new(seed, BUILD, 40_000).take(edits)),
+    );
+    let obj = d.obj;
+    let index = obj.index_page_numbers(&db).len();
+    assert!(index > 1, "{}: {index} index page", spec.label());
+
+    let content = obj.snapshot(&db);
+    let size = content.len();
+    let ranges: Vec<(usize, usize)> = std::iter::once((0, size))
+        .chain(script.iter().map(|&(at, len)| {
+            let off = ((at * size as f64) as usize).min(size);
+            (off, len.min(size - off))
+        }))
+        .collect();
+    let want: Vec<&[u8]> = ranges
+        .iter()
+        .map(|&(off, len)| &content[off..off + len])
+        .collect();
+
+    let by_read = script_by_read(
+        &mut ObjectReader::new(&mut db, obj.as_ref()),
+        &ranges,
+        chunk,
+    );
+    assert!(by_read == want, "read diverges from the peek reference");
+    let by_fill = script_by_fill(
+        &mut ObjectReader::new(&mut db, obj.as_ref()),
+        &ranges,
+        chunk,
+    );
+    assert!(
+        by_fill == want,
+        "fill_buf/consume diverges from the peek reference"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 12,
+        max_shrink_iters: 100,
+        ..ProptestConfig::default()
+    })]
+
+    #[test]
+    fn esm_live_cursor_follows_seeks(
+        (seed, edits, script, chunk) in (
+            any::<u64>(),
+            0usize..12,
+            prop::collection::vec((0.0f64..=1.0, 1usize..100_000), 1..8),
+            1usize..20_000,
+        )
+    ) {
+        live_cursor_follows_seeks(ManagerSpec::esm(4), (seed, edits), &script, chunk);
+    }
+
+    #[test]
+    fn eos_live_cursor_follows_seeks(
+        (seed, edits, script, chunk) in (
+            any::<u64>(),
+            0usize..12,
+            prop::collection::vec((0.0f64..=1.0, 1usize..100_000), 1..8),
+            1usize..20_000,
+        )
+    ) {
+        live_cursor_follows_seeks(ManagerSpec::eos(16), (seed, edits), &script, chunk);
     }
 }
