@@ -25,14 +25,15 @@ run() {
 # the only raw SimDisk::read/write calls are the cost-counted BufferPool
 # wrappers', each under a statement-level allow (and simdisk's own
 # tests). loblint carries what neither types nor tests decide: on-disk
-# magic hygiene, the frozen arith-overflow/panic-path ratchet, unit
-# mixing and disk-taint, the one CFG rule. The xtask suite runs
+# magic hygiene, the frozen arith-overflow/panic-path ratchet and unit
+# mixing. Untrusted disk bytes are the decoders' own business: each
+# returns `Corrupt` on a page it cannot hold, and its property test
+# (arbitrary and bit-flipped pages) runs in the suites below. The xtask suite runs
 # explicitly before loblint: it carries the seeded-violation fixtures
 # for every lint rule, so a broken rule fails loudly here rather than
 # silently passing an under-linted workspace. loblint then runs against
 # the committed ratchet baseline (loblint.baseline): any finding not
-# already frozen there is printed with its evidence trail and fails the
-# build.
+# already frozen there is printed and fails the build.
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 
@@ -72,6 +73,11 @@ run cargo run -q -p xtask -- loblint
 # assertions; so does its sweep of the in-place pair edits (`NodeMut`:
 # splice at every front/back/empty/full boundary, count add, pointer
 # set) against decode -> `Vec` -> whole-page encode, byte for byte. And
+# every on-disk decoder's property test (`*_decode_totally`: node, root
+# and descriptor pages, alloc-log chain pages and records, catalog pages,
+# heap pages and records; buddy's directory and simdisk's image header
+# run with their crates): 256 arbitrary and bit-flipped pages optimized,
+# 64 otherwise, each a consistent `Ok` or `Corrupt`. And
 # core's count-tree twin (`in_place_tree_matches_the_decoding_one`:
 # 24 000 append/replace/remove/add_count steps optimized, 2 000
 # otherwise, at fan-out 4, 6 and 507/511 with shadowing on and off,
@@ -108,6 +114,7 @@ run cargo test -q --release -p lobstore-buddy
 run cargo test -q --release -p lobstore-core segdata
 run cargo test -q --release -p lobstore-core starburst
 run cargo test -q --release -p lobstore-core node
+run cargo test -q --release -p lobstore-core -p lobstore-record --lib decode_totally
 run cargo test -q --release -p lobstore-core tree
 run cargo test -q --release -p lobstore-core stream
 run cargo test -q --release --test perf_equivalence
@@ -122,8 +129,10 @@ run cargo test -q --release --test model --test proptest_model --test crash_fuzz
 # guard held across a segment read and a lock helper that passes poison
 # on, the I/O accounting's twins a raw disk read above the pool
 # (clippy), a segment write that skips its counter and a health recount
-# that fixes a page, and the live cursor's seek scripts a refill that
-# walks on from the last leaf after a seek. Each patch in mutants/ is
+# that fixes a page, the live cursor's seek scripts a refill that
+# walks on from the last leaf after a seek, and the root decoder's
+# property test a root view that drops its pair-count bound (the
+# Starburst descriptor's segment-count bound). Each patch in mutants/ is
 # applied to one copy of the tree under target/ (a patch that no longer
 # applies fails here), the copy must still build, and then either each
 # test named must fail or, for a `clippy` drill, clippy must; the patch
@@ -189,6 +198,8 @@ drill uncounted-seg-write -p lobstore-core --lib -- segdata::tests::each_segment
 drill costed-inspector -p lobstore-core --lib -- verify::tests::the_walk_is_clean_and_costs_nothing
 # The live cursor walks on from its last leaf whatever offset a refill asks for.
 drill walk-after-seek --test perf_equivalence -- esm_live_cursor_follows_seeks eos_live_cursor_follows_seeks
+# The root view without its `n_entries <= 507` bound: 600 claimed pairs read as none.
+drill root-count-bound -p lobstore-core --lib -- node::tests::root_pages_decode_totally
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

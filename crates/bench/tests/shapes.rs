@@ -2,7 +2,9 @@
 //! scale, so regressions in any layer surface as a failed claim rather
 //! than a silently wrong figure.
 
-use lobstore_bench::{fresh_db, run_update_sweep, Scale, ESM_LEAF_PAGES, PAPER_APPEND_KB};
+use lobstore_bench::{
+    eos_specs, fresh_db, run_update_sweep, Scale, ESM_LEAF_PAGES, MEAN_OP_SIZES, PAPER_APPEND_KB,
+};
 use lobstore_workload::{build_object, sequential_scan, ManagerSpec, MixedReport, OpKind};
 
 fn tiny() -> Scale {
@@ -150,6 +152,44 @@ fn fig9c_read_cost_falls_with_leaf_size() {
         r1 > 2.5 * r64,
         "ESM/1 reads {r1:.0} ms should dwarf ESM/64 {r64:.0} ms"
     );
+}
+
+/// Figure 10: EOS read cost under the update mix. At 10 KB and 100 KB
+/// operations a larger threshold reads cheaper (EOS/1, 4, 16, 64 in
+/// falling order), and EOS/1's 10 KB reads grow dearer as updates shrink
+/// its segments; 100-byte reads stay one seek plus one page (37 ms) in
+/// every column.
+#[test]
+fn fig10_eos_read_cost_falls_with_threshold() {
+    let page_read_ms = 37.0;
+    for mean in MEAN_OP_SIZES {
+        let sweep = run_update_sweep(&eos_specs(), tiny(), mean);
+        let reads: Vec<f64> = sweep
+            .iter()
+            .map(|(_, rep)| avg(rep, OpKind::Read))
+            .collect();
+        if mean == 100 {
+            for (label, r) in sweep.iter().map(|s| &s.0).zip(&reads) {
+                assert!(
+                    (r - page_read_ms).abs() < 0.1 * page_read_ms,
+                    "{label} 100 B reads {r:.1} ms"
+                );
+            }
+            continue;
+        }
+        assert!(
+            reads.windows(2).all(|w| w[0] > w[1]),
+            "mean {mean}: EOS/1, 4, 16, 64 reads {reads:.1?} ms"
+        );
+        if mean == 10_000 {
+            let eos1 = &sweep[0].1.marks;
+            let (first, last) = (
+                eos1[0].read_ms.unwrap(),
+                eos1.last().unwrap().read_ms.unwrap(),
+            );
+            assert!(last > first, "EOS/1 10 KB reads {first:.1} -> {last:.1} ms");
+        }
+    }
 }
 
 /// §4.4.2: for the same setting, EOS reads cost no more than ESM reads

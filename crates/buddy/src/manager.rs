@@ -1,7 +1,7 @@
 //! The buddy-space manager: spaces, directory pages, superdirectory.
 
 use lobstore_bufpool::BufferPool;
-use lobstore_simdisk::{bytes, AreaId, PageId};
+use lobstore_simdisk::{bytes, cast, AreaId, PageId};
 
 use crate::bitmap::{Bitmap, BuddyBitmap};
 use crate::Extent;
@@ -147,16 +147,19 @@ impl BuddyManager {
             // reports every page beyond the truncation point as dangling.
             let mut probe = [0u8; lobstore_simdisk::PAGE_SIZE];
             pool.peek_page(dir, &mut probe);
-            if dir_u32(&probe, 0) != DIR_MAGIC || dir_u32(&probe, 4) != cfg.space_pages {
+            if mgr.parse_dir(&probe).is_err() {
                 break;
             }
             // Real (costed) read of the directory, as a restart would do.
             let r = pool.fix(dir);
-            let (free, max_order) = pool.with_page(r, |page| {
-                let bm = mgr.parse_dir(page);
-                (bm.free_pages(), bm.max_order())
+            let parsed = pool.with_page(r, |page| {
+                let bm = mgr.parse_dir(page)?;
+                Ok::<_, Corrupt>((bm.free_pages(), bm.max_order()))
             });
             pool.unfix(r);
+            let Ok((free, max_order)) = parsed else {
+                break;
+            };
             mgr.allocated += u64::from(cfg.space_pages.saturating_sub(free));
             mgr.superdir.push(Some(max_order));
             mgr.n_spaces += 1;
@@ -211,7 +214,8 @@ impl BuddyManager {
     /// free, "down to the precision of one block").
     ///
     /// # Panics
-    /// If `n_pages` is 0 or exceeds the space size.
+    /// If `n_pages` is 0 or exceeds the space size, or a directory page
+    /// it visits is corrupt.
     pub fn allocate(&mut self, pool: &mut BufferPool, n_pages: u32) -> Extent {
         assert!(n_pages > 0, "zero-page allocation");
         assert!(
@@ -258,13 +262,13 @@ impl BuddyManager {
         let dir = PageId::new(self.cfg.area, self.dir_page(space));
         let r = pool.fix(dir);
         let probe = pool.with_page(r, |page| {
-            let bm = self.parse_dir(page);
+            let bm = or_panic(self.parse_dir(page));
             bm.find_block(order).ok_or_else(|| bm.max_free_order())
         });
         let (result, hint) = match probe {
             Ok(block) => {
                 let hint = pool.with_page_mut(r, |page| {
-                    let mut bm = self.parse_dir_mut(page);
+                    let mut bm = or_panic(self.parse_dir_mut(page));
                     bm.mark_used(block, n_pages);
                     bm.max_free_order()
                 });
@@ -291,7 +295,7 @@ impl BuddyManager {
         let dir = PageId::new(self.cfg.area, self.dir_page(space));
         let r = pool.fix(dir);
         let (out, hint) = pool.with_page_mut(r, |page| {
-            let mut bm = self.parse_dir_mut(page);
+            let mut bm = or_panic(self.parse_dir_mut(page));
             (edit(&mut bm), bm.max_free_order())
         });
         pool.unfix(r);
@@ -305,8 +309,9 @@ impl BuddyManager {
     /// are allowed; the extent must not cross a space boundary.
     ///
     /// # Panics
-    /// If the extent spans spaces, covers a directory page, or (in debug
-    /// builds) frees a page that is not allocated.
+    /// If the extent spans spaces, covers a directory page, its space's
+    /// directory page is corrupt, or (in debug builds) it frees a page
+    /// that is not allocated.
     pub fn free(&mut self, pool: &mut BufferPool, ext: Extent) {
         assert_eq!(ext.area, self.cfg.area, "extent from a different area");
         if ext.pages == 0 {
@@ -405,7 +410,7 @@ impl BuddyManager {
             let dir = PageId::new(self.cfg.area, self.dir_page(s));
             let r = pool.fix(dir);
             pool.with_page(r, |page| {
-                out.extend(self.used_extents(s, &self.parse_dir(page)))
+                out.extend(self.used_extents(s, &or_panic(self.parse_dir(page))))
             });
             pool.unfix(r);
         }
@@ -436,13 +441,9 @@ impl BuddyManager {
         for s in 0..self.n_spaces {
             let mut page = [0u8; lobstore_simdisk::PAGE_SIZE];
             pool.peek_page(PageId::new(self.cfg.area, self.dir_page(s)), &mut page);
-            if dir_u32(&page, 0) != DIR_MAGIC {
-                return Err(format!("space {s}: directory magic corrupted"));
-            }
-            if dir_u32(&page, 4) != self.cfg.space_pages {
-                return Err(format!("space {s}: directory space-size field mismatch"));
-            }
-            let bm = self.parse_dir(&page);
+            let bm = self
+                .parse_dir(&page)
+                .map_err(|Corrupt(what)| format!("space {s}: {what}"))?;
             let used = self.cfg.space_pages.saturating_sub(bm.free_pages());
             used_total = used_total.saturating_add(u64::from(used));
             out.extend(self.used_extents(s, &bm));
@@ -487,7 +488,7 @@ impl BuddyManager {
             let dir = PageId::new(self.cfg.area, self.dir_page(s));
             let mut probe = [0u8; lobstore_simdisk::PAGE_SIZE];
             pool.peek_page(dir, &mut probe);
-            let bm = self.parse_dir(&probe);
+            let bm = or_panic(self.parse_dir(&probe));
             st.free_pages = st.free_pages.saturating_add(u64::from(bm.free_pages()));
             st.free_runs.extend(bm.runs(true).map(|(_, n)| n));
         }
@@ -512,27 +513,54 @@ impl BuddyManager {
         s
     }
 
-    /// The bitmap of a directory page, where it lies.
-    ///
-    /// # Panics
-    /// If the page's magic or size field is not this manager's.
-    fn parse_dir<'a>(&self, page: &'a [u8]) -> Bitmap<&'a [u8]> {
-        let pages = self.check_dir(page);
-        Bitmap::over(page.get(BITMAP_OFF..).unwrap_or_default(), pages)
+    /// The bitmap of a directory page, where it lies: [`Corrupt`] unless
+    /// the page carries this manager's magic and space size and is long
+    /// enough to hold that bitmap. Every bit pattern past that is a
+    /// directory.
+    fn parse_dir<'a>(&self, page: &'a [u8]) -> Result<Bitmap<&'a [u8]>, Corrupt> {
+        let pages = self.check_dir(page)?;
+        Ok(Bitmap::over(
+            page.get(BITMAP_OFF..).unwrap_or_default(),
+            pages,
+        ))
     }
 
     /// [`Self::parse_dir`] for editing the page in place.
-    fn parse_dir_mut<'a>(&self, page: &'a mut [u8]) -> Bitmap<&'a mut [u8]> {
-        let pages = self.check_dir(page);
-        Bitmap::over(page.get_mut(BITMAP_OFF..).unwrap_or_default(), pages)
+    fn parse_dir_mut<'a>(&self, page: &'a mut [u8]) -> Result<Bitmap<&'a mut [u8]>, Corrupt> {
+        let pages = self.check_dir(page)?;
+        Ok(Bitmap::over(
+            page.get_mut(BITMAP_OFF..).unwrap_or_default(),
+            pages,
+        ))
     }
 
-    fn check_dir(&self, page: &[u8]) -> u32 {
-        let magic = dir_u32(page, 0);
-        assert_eq!(magic, DIR_MAGIC, "corrupt buddy directory page");
-        let pages = dir_u32(page, 4);
-        assert_eq!(pages, self.cfg.space_pages, "directory/config mismatch");
-        pages
+    fn check_dir(&self, page: &[u8]) -> Result<u32, Corrupt> {
+        if dir_u32(page, 0) != DIR_MAGIC {
+            return Err(Corrupt("directory magic corrupted"));
+        }
+        let pages = self.cfg.space_pages;
+        if dir_u32(page, 4) != pages {
+            return Err(Corrupt("directory space-size field mismatch"));
+        }
+        let bitmap_end = BITMAP_OFF.saturating_add(cast::u32_to_usize(pages / 8));
+        if page.len() < bitmap_end {
+            return Err(Corrupt("directory page too short for its bitmap"));
+        }
+        Ok(pages)
+    }
+}
+
+/// What is wrong with a page that does not hold this manager's directory.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct Corrupt(&'static str);
+
+/// The bitmap of a directory page on a path that cannot return an error
+/// yet (`allocate`, `free` and the cost-free recounts): a corrupt page
+/// panics there, naming what is wrong with it.
+fn or_panic<B>(dir: Result<Bitmap<B>, Corrupt>) -> Bitmap<B> {
+    match dir {
+        Ok(bm) => bm,
+        Err(Corrupt(what)) => panic!("corrupt buddy directory page: {what}"),
     }
 }
 
@@ -559,12 +587,91 @@ fn put_u32(page: &mut [u8], at: usize, v: u32) {
 mod tests {
     use super::*;
     use lobstore_bufpool::PoolConfig;
-    use lobstore_simdisk::{CostModel, SimDisk};
+    use lobstore_simdisk::{CostModel, SimDisk, PAGE_SIZE as PAGE};
 
     fn setup(space_pages: u32) -> (BuddyManager, BufferPool) {
         let pool = BufferPool::new(SimDisk::new(2, CostModel::default()), PoolConfig::default());
         let mgr = BuddyManager::new(BuddyConfig::new(AreaId::LEAF, space_pages));
         (mgr, pool)
+    }
+
+    /// Decode `page` as `mgr`'s directory: `Corrupt` unless its header is
+    /// `mgr`'s, and an `Ok` bitmap agrees with the page's bytes — it
+    /// re-encodes to them, counts their set bits as free, and every block
+    /// its search finds is free — in place and for editing alike.
+    fn check_dir_decode(mgr: &BuddyManager, page: &[u8]) {
+        let pages = mgr.cfg.space_pages;
+        let header_ok = dir_u32(page, 0) == DIR_MAGIC && dir_u32(page, 4) == pages;
+        let bm = match mgr.parse_dir(page) {
+            Err(Corrupt(what)) => {
+                assert!(!header_ok, "a directory header refused: {what}");
+                assert!(mgr.parse_dir_mut(&mut page.to_vec()).is_err());
+                return;
+            }
+            Ok(bm) => bm,
+        };
+        assert!(header_ok);
+        let stored = &page[BITMAP_OFF..BITMAP_OFF + bm.byte_len()];
+        let mut again = vec![0u8; bm.byte_len()];
+        bm.write_bytes(&mut again);
+        assert_eq!(again, stored);
+        let set: u32 = stored.iter().map(|b| b.count_ones()).sum();
+        assert_eq!(bm.free_pages(), set);
+        for order in 0..=bm.max_order() {
+            if let Some(block) = bm.find_block(order) {
+                assert!(bm.run_free(block, 1 << order), "order {order} at {block}");
+            }
+        }
+        let free_order = bm.max_free_order();
+        let mut copy = page.to_vec();
+        let mut edit = mgr.parse_dir_mut(&mut copy).unwrap();
+        assert_eq!(edit.max_free_order(), free_order);
+        if let Some(block) = edit.find_block(0) {
+            edit.mark_used(block, 1);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: if cfg!(debug_assertions) { 64 } else { 256 },
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+        /// The directory decoder is total over arbitrary pages, pages with
+        /// a valid header and arbitrary bitmap bytes, valid directories and
+        /// valid directories with bits flipped: a consistent `Ok` or
+        /// `Corrupt`, never a panic.
+        #[test]
+        fn directories_decode_totally(
+            (noise, used, flips) in (
+                proptest::collection::vec(proptest::prelude::any::<u8>(), PAGE..PAGE + 1),
+                proptest::collection::vec((proptest::prelude::any::<u32>(), 1u32..64), 0..8),
+                proptest::collection::vec(proptest::prelude::any::<u32>(), 1..8),
+            )
+        ) {
+            for space_pages in [64, 16 * 1024] {
+                let mgr = BuddyManager::new(BuddyConfig::new(AreaId::LEAF, space_pages));
+                check_dir_decode(&mgr, &noise);
+                let mut page = noise.clone();
+                put_u32(&mut page, 0, DIR_MAGIC);
+                put_u32(&mut page, 4, space_pages);
+                check_dir_decode(&mgr, &page);
+                let mut bm = BuddyBitmap::all_free(space_pages);
+                for &(start, n) in &used {
+                    let start = start % (space_pages - n);
+                    bm.claim(start, n);
+                }
+                page.fill(0);
+                put_u32(&mut page, 0, DIR_MAGIC);
+                put_u32(&mut page, 4, space_pages);
+                bm.write_bytes(&mut page[BITMAP_OFF..]);
+                check_dir_decode(&mgr, &page);
+                for bit in &flips {
+                    let bit = *bit as usize % (PAGE * 8);
+                    page[bit / 8] ^= 1 << (bit % 8);
+                }
+                check_dir_decode(&mgr, &page);
+            }
+        }
     }
 
     #[test]

@@ -166,6 +166,25 @@ fn push_image_record(out: &mut Vec<u8>, tag: u8, page: u32, content: &[u8]) {
     out.extend_from_slice(content.get(..len).unwrap_or(&[]));
 }
 
+/// Check page `p` as chain page `seq` of `generation`: its record bytes
+/// and the page after it, or `None` when it is not that page (stale
+/// generation, bad magic, out-of-order sequence) — where the walk stops.
+/// A used count above the page's capacity reads as a full page. A page
+/// with spare capacity is the last page of the stream: its next pointer
+/// (if any) is leftover from a truncated write.
+fn parse_chain_page(p: &[u8], generation: u32, seq: u32) -> Option<(&[u8], Option<u32>)> {
+    let valid = p.get(0..4).is_some_and(|m| m == LOG_MAGIC)
+        && get_u32(p, GEN_OFF) == generation
+        && get_u32(p, SEQ_OFF) == seq;
+    if !valid {
+        return None;
+    }
+    let used = usize::from(get_u16(p, USED_OFF)).min(PAGE_CAP);
+    let next = get_u32(p, NEXT_OFF);
+    let after = (used == PAGE_CAP && next != 0).then_some(next);
+    Some((p.get(DATA_OFF..DATA_OFF + used).unwrap_or(&[]), after))
+}
+
 /// Parse one record at `stream[at..]`. Returns the record and the offset
 /// just past it, or `None` if the bytes are truncated (the stream's tail
 /// after a partial flush) or the tag or a root's kind is unknown.
@@ -371,28 +390,15 @@ impl Db {
         let mut seq = 0u32;
         loop {
             let p = self.peek_meta(next);
-            let valid = p.get(0..4).is_some_and(|m| m == LOG_MAGIC)
-                && get_u32(&p[..], GEN_OFF) == generation
-                && get_u32(&p[..], SEQ_OFF) == seq;
-            if !valid {
+            let Some((records, after)) = parse_chain_page(&p[..], generation, seq) else {
                 break;
-            }
-            let used_raw = usize::from(get_u16(&p[..], USED_OFF));
-            let used = if used_raw > PAGE_CAP {
-                PAGE_CAP
-            } else {
-                used_raw
             };
-            stream.extend_from_slice(p.get(DATA_OFF..DATA_OFF + used).unwrap_or(&[]));
+            stream.extend_from_slice(records);
             pages.push(next);
-            let nx = get_u32(&p[..], NEXT_OFF);
-            // A page with spare capacity is the last page of the stream;
-            // its next pointer (if any) is leftover from a truncated
-            // write.
-            if used < PAGE_CAP || nx == 0 {
+            let Some(after) = after else {
                 break;
-            }
-            next = nx;
+            };
+            next = after;
             seq = seq.saturating_add(1);
         }
         (stream, pages)
@@ -646,6 +652,129 @@ mod tests {
             ["R7:Some(Eos)", "R8:None", "X9", "I3:3", "U4:3", "C"],
             "trailing zeros trimmed, leading zeros kept"
         );
+    }
+
+    /// `rec` as the log writes it; a `Commit` carries `version`.
+    fn encode(rec: &Record, version: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        match rec {
+            Record::Root { page, kind } => {
+                out.push(TAG_ROOT);
+                out.extend_from_slice(&page.to_le_bytes());
+                out.push(kind.map_or(0, StorageKind::as_u8));
+            }
+            Record::Unroot(page) => {
+                out.push(TAG_UNROOT);
+                out.extend_from_slice(&page.to_le_bytes());
+            }
+            Record::RootImage { page, content } | Record::UndoImage { page, content } => {
+                let tag = match rec {
+                    Record::RootImage { .. } => TAG_ROOT_IMAGE,
+                    _ => TAG_UNDO_IMAGE,
+                };
+                out.push(tag);
+                out.extend_from_slice(&page.to_le_bytes());
+                out.extend_from_slice(&(content.len() as u16).to_le_bytes());
+                out.extend_from_slice(content);
+            }
+            Record::Commit => {
+                out.push(TAG_COMMIT);
+                out.extend_from_slice(version);
+            }
+        }
+        out
+    }
+
+    /// Parse `stream` record by record, as replay does, until the parser
+    /// stops: every record lies inside the stream, re-encodes to the
+    /// bytes it was parsed from, and holds no more content than they do.
+    fn check_records(stream: &[u8]) {
+        let mut at = 0;
+        while let Some((rec, next)) = parse_record(stream, at) {
+            assert!(
+                at < next && next <= stream.len(),
+                "{at}..{next} of {}",
+                stream.len()
+            );
+            let bytes = &stream[at..next];
+            if let Record::RootImage { content, .. } | Record::UndoImage { content, .. } = &rec {
+                assert!(content.capacity() <= bytes.len());
+            }
+            let version = bytes.get(1..).unwrap_or_default();
+            assert_eq!(encode(&rec, version), bytes, "record at {at}");
+            at = next;
+        }
+    }
+
+    /// Check `page` as chain page `seq` of `generation`: a page that
+    /// passes names them and its own magic, and its records and next
+    /// pointer are the header's, with a used count clamped to the page.
+    fn check_chain_page(page: &[u8], generation: u32, seq: u32) {
+        let Some((records, after)) = parse_chain_page(page, generation, seq) else {
+            let header = (&page[..4], get_u32(page, GEN_OFF), get_u32(page, SEQ_OFF));
+            assert_ne!(header, (&LOG_MAGIC[..], generation, seq));
+            return;
+        };
+        assert_eq!(&page[..4], LOG_MAGIC);
+        assert_eq!(
+            (get_u32(page, GEN_OFF), get_u32(page, SEQ_OFF)),
+            (generation, seq)
+        );
+        let used = usize::from(get_u16(page, USED_OFF)).min(PAGE_CAP);
+        assert_eq!(records, &page[DATA_OFF..DATA_OFF + used]);
+        let next = get_u32(page, NEXT_OFF);
+        assert_eq!(after, (used == PAGE_CAP && next != 0).then_some(next));
+        check_records(records);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: if cfg!(debug_assertions) { 64 } else { 256 },
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+        /// The chain-page header and the record parser are total over
+        /// arbitrary pages, valid chain pages of random records, and those
+        /// pages with bits flipped: no panic, and what parses agrees with
+        /// its bytes.
+        #[test]
+        fn log_pages_and_records_decode_totally(
+            (noise, recs, (generation, seq, next), flips) in (
+                proptest::collection::vec(proptest::prelude::any::<u8>(), PAGE_SIZE..PAGE_SIZE + 1),
+                proptest::collection::vec((0u8..7, proptest::prelude::any::<u32>(), 0usize..600), 0..24),
+                (0u32..4, 0u32..4, proptest::prelude::any::<u32>()),
+                proptest::collection::vec(proptest::prelude::any::<u32>(), 1..8),
+            )
+        ) {
+            check_chain_page(&noise, generation, seq);
+            check_records(&noise);
+            let mut stream = Vec::new();
+            for &(tag, page, len) in &recs {
+                let content: Vec<u8> = (0..len).map(|i| (i as u8) ^ (page as u8) | 1).collect();
+                match tag {
+                    0 | 1 => stream.extend(encode(&Record::Root { page, kind: StorageKind::from_u8(tag + 1) }, &[])),
+                    2 => stream.extend(encode(&Record::Unroot(page), &[])),
+                    3 => push_image_record(&mut stream, TAG_ROOT_IMAGE, page, &content),
+                    4 => push_image_record(&mut stream, TAG_UNDO_IMAGE, page, &content),
+                    _ => stream.extend(encode(&Record::Commit, &u64::from(page).to_le_bytes())),
+                }
+            }
+            check_records(&stream);
+            let mut page = vec![0u8; PAGE_SIZE];
+            page[..4].copy_from_slice(LOG_MAGIC);
+            put_u32(&mut page, GEN_OFF, generation);
+            put_u32(&mut page, SEQ_OFF, seq);
+            put_u32(&mut page, NEXT_OFF, next);
+            let used = stream.len().min(PAGE_CAP);
+            put_u16(&mut page, USED_OFF, used as u16);
+            page[DATA_OFF..DATA_OFF + used].copy_from_slice(&stream[..used]);
+            let (records, _) = parse_chain_page(&page, generation, seq).unwrap();
+            assert_eq!(records, &stream[..used]);
+            for bit in &flips {
+                let bit = *bit as usize % (PAGE_SIZE * 8);
+                page[bit / 8] ^= 1 << (bit % 8);
+            }
+            check_chain_page(&page, generation, seq);
+        }
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! [6..10) next page u32 (0 = end of chain)
 //! [10..)  entries: [name_len u8][name bytes][kind u8][root u32]
 //! ```
+//!
+//! The decoders are total: a page without the magic, an entry that runs
+//! past the page or names no scheme, and a chain that returns to a page
+//! it has visited are [`LobError::Corrupt`].
+
+use std::collections::BTreeSet;
 
 use lobstore_simdisk::{bytes as le, cast, AreaId, PageId, PAGE_SIZE};
 
@@ -93,12 +99,13 @@ impl Catalog {
             )));
         }
         let needed = 1 + name.len() + 1 + 4;
-        let mut page = self.root;
+        let mut seen = Seen::default();
+        let mut page = seen.visit(self.root)?;
         loop {
             let (n, next, used) = db.with_meta_page(page, |p| {
-                let (n, next) = header(p);
-                (n, next, used_bytes(p, n))
-            });
+                let (n, next) = header(p)?;
+                Ok::<_, LobError>((n, next, used_bytes(p, n)?))
+            })?;
             if PAGE_SIZE - used >= needed {
                 db.with_meta_page_mut(page, |p| {
                     let mut at = used;
@@ -122,9 +129,9 @@ impl Catalog {
                     p[6..10].copy_from_slice(&new.to_le_bytes());
                 });
                 self.flush(db, page);
-                page = new;
+                page = seen.visit(new)?;
             } else {
-                page = next;
+                page = seen.visit(next)?;
             }
         }
     }
@@ -138,13 +145,11 @@ impl Catalog {
     /// destroyed — that is the caller's decision.
     pub fn remove(&mut self, db: &mut Db, name: &str) -> Result<Option<CatalogEntry>> {
         let mut removed = None;
+        let mut seen = Seen::default();
         let mut page = self.root;
         while page != 0 {
-            let (entries, next) = db.with_meta_page(page, |p| {
-                let (n, next) = header(p);
-                (parse_entries(p, n), next)
-            });
-            let entries = entries?;
+            seen.visit(page)?;
+            let (entries, next) = db.with_meta_page(page, entries_and_next)?;
             if let Some(pos) = entries.iter().position(|e| e.name == name) {
                 let mut keep = entries;
                 removed = Some(keep.remove(pos));
@@ -159,7 +164,6 @@ impl Catalog {
                         LobError::Corrupt("catalog name outgrew its length byte".into())
                     })?;
                 db.with_meta_page_mut(page, |p| {
-                    let next = header(p).1;
                     init_page(p);
                     p[6..10].copy_from_slice(&next.to_le_bytes());
                     let mut at = HDR;
@@ -186,17 +190,11 @@ impl Catalog {
     /// Every entry, in chain order.
     pub fn list(&self, db: &mut Db) -> Result<Vec<CatalogEntry>> {
         let mut out = Vec::new();
+        let mut seen = Seen::default();
         let mut page = self.root;
         while page != 0 {
-            let (entries, next) = db.with_meta_page(page, |p| {
-                if le::le_u32(p) != CAT_MAGIC {
-                    return (None, 0);
-                }
-                let (n, next) = header(p);
-                (Some(parse_entries(p, n)), next)
-            });
-            let entries =
-                entries.ok_or_else(|| LobError::Corrupt("broken catalog chain".into()))??;
+            seen.visit(page)?;
+            let (entries, next) = db.with_meta_page(page, entries_and_next)?;
             out.extend(entries);
             page = next;
         }
@@ -206,12 +204,11 @@ impl Catalog {
     /// The catalog's own page chain (for consistency checking).
     pub fn pages(&self, db: &mut Db) -> Result<Vec<u32>> {
         let mut out = Vec::new();
+        let mut seen = Seen::default();
         let mut page = self.root;
         while page != 0 {
-            out.push(page);
-            let next =
-                db.with_meta_page(page, |p| (le::le_u32(p) == CAT_MAGIC).then(|| header(p).1));
-            page = next.ok_or_else(|| LobError::Corrupt("broken catalog chain".into()))?;
+            out.push(seen.visit(page)?);
+            page = db.with_meta_page(page, header)?.1;
         }
         Ok(out)
     }
@@ -236,40 +233,91 @@ fn init_page(p: &mut [u8]) {
     p[0..4].copy_from_slice(&CAT_MAGIC.to_le_bytes());
 }
 
-fn header(p: &[u8]) -> (u16, u32) {
-    (le::le_u16(&p[4..]), le::le_u32(&p[6..]))
+/// The pages one walk of the chain has visited: following `next` back to
+/// one of them is `Corrupt`, so a damaged chain ends.
+#[derive(Default)]
+struct Seen(BTreeSet<u32>);
+
+impl Seen {
+    /// Record a visit to `page`: `Corrupt` if this walk has been there.
+    fn visit(&mut self, page: u32) -> Result<u32> {
+        if !self.0.insert(page) {
+            return Err(LobError::Corrupt(format!(
+                "catalog chain returns to page {page}"
+            )));
+        }
+        Ok(page)
+    }
 }
 
-fn parse_entries(p: &[u8], n: u16) -> Result<Vec<CatalogEntry>> {
-    let mut out = Vec::with_capacity(usize::from(n));
-    let mut at = HDR;
-    for _ in 0..n {
-        let len = usize::from(p[at]);
-        at += 1;
-        let name = String::from_utf8_lossy(&p[at..at + len]).into_owned();
-        at += len;
-        let kind = StorageKind::from_u8(p[at]).ok_or_else(|| {
-            LobError::Corrupt(format!("bad storage-kind byte {} in catalog", p[at]))
-        })?;
-        at += 1;
-        let root = le::le_u32(&p[at..]);
-        at += 4;
-        out.push(CatalogEntry {
-            name,
-            kind,
-            root_page: root,
-        });
+/// A page's entry count and next page: `Corrupt` unless it carries the
+/// catalog magic.
+fn header(p: &[u8]) -> Result<(u16, u32)> {
+    match (p.get(..4), p.get(4..6), p.get(6..HDR)) {
+        (Some(magic), Some(n), Some(next)) if le::le_u32(magic) == CAT_MAGIC => {
+            Ok((le::le_u16(n), le::le_u32(next)))
+        }
+        _ => Err(LobError::Corrupt("broken catalog chain".into())),
     }
+}
+
+/// A page's entries and the next page of the chain.
+fn entries_and_next(p: &[u8]) -> Result<(Vec<CatalogEntry>, u32)> {
+    let (n, next) = header(p)?;
+    Ok((parse_entries(p, n)?, next))
+}
+
+/// Walk a page's `n` entries, handing each to `visit` as `(name bytes,
+/// kind byte, root page)`; returns the offset past the last one.
+/// `Corrupt` if an entry runs past the page.
+fn walk_entries(
+    p: &[u8],
+    n: u16,
+    mut visit: impl FnMut(&[u8], u8, u32) -> Result<()>,
+) -> Result<usize> {
+    let mut at = HDR;
+    for i in 0..n {
+        let entry = p.get(at).and_then(|&len| {
+            let name_end = at + 1 + usize::from(len);
+            let (&kind, root) = p.get(name_end..name_end + 5)?.split_first()?;
+            Some((
+                p.get(at + 1..name_end)?,
+                kind,
+                le::le_u32(root),
+                name_end + 5,
+            ))
+        });
+        let Some((name, kind, root, end)) = entry else {
+            return Err(LobError::Corrupt(format!(
+                "catalog entry {i} of {n} runs past its page"
+            )));
+        };
+        visit(name, kind, root)?;
+        at = end;
+    }
+    Ok(at)
+}
+
+/// A page's `n` entries. Each takes at least six bytes of the page, so
+/// the list grows no larger than the page can hold.
+fn parse_entries(p: &[u8], n: u16) -> Result<Vec<CatalogEntry>> {
+    let mut out = Vec::new();
+    walk_entries(p, n, |name, kind, root_page| {
+        let kind = StorageKind::from_u8(kind)
+            .ok_or_else(|| LobError::Corrupt(format!("bad storage-kind byte {kind} in catalog")))?;
+        out.push(CatalogEntry {
+            name: String::from_utf8_lossy(name).into_owned(),
+            kind,
+            root_page,
+        });
+        Ok(())
+    })?;
     Ok(out)
 }
 
-fn used_bytes(p: &[u8], n: u16) -> usize {
-    let mut at = HDR;
-    for _ in 0..n {
-        let len = usize::from(p[at]);
-        at += 1 + len + 1 + 4;
-    }
-    at
+/// Bytes a page's header and `n` entries take.
+fn used_bytes(p: &[u8], n: u16) -> Result<usize> {
+    walk_entries(p, n, |_, _, _| Ok(()))
 }
 
 #[cfg(test)]
@@ -350,6 +398,133 @@ mod tests {
         let e = cat.get(&mut db, "thing").unwrap().unwrap();
         let obj = crate::spec::open_object(&mut db, e.kind, e.root_page).unwrap();
         assert_eq!(obj.snapshot(&db), b"persistent bytes");
+    }
+
+    /// Every call that walks the chain on a damaged `cat`.
+    fn walks(cat: &mut Catalog, db: &mut Db) -> Vec<Result<()>> {
+        vec![
+            cat.pages(db).map(drop),
+            cat.list(db).map(drop),
+            cat.get(db, "a").map(drop),
+            cat.put(db, "new", StorageKind::Esm, 9),
+            cat.remove(db, "zz").map(drop),
+        ]
+    }
+
+    #[test]
+    fn a_chain_that_loops_is_corrupt() {
+        let is_corrupt = |got: &Result<()>| matches!(got, Err(LobError::Corrupt(m)) if m.contains("returns to page"));
+        // One page whose next is itself.
+        let mut db = Db::paper_default();
+        let mut cat = Catalog::create(&mut db).unwrap();
+        cat.put(&mut db, "a", StorageKind::Eos, 3).unwrap();
+        let root = cat.root_page();
+        db.with_meta_page_mut(root, |p| p[6..10].copy_from_slice(&root.to_le_bytes()));
+        for got in walks(&mut cat, &mut db) {
+            assert!(is_corrupt(&got), "{got:?}");
+        }
+        // Two pages that name each other.
+        let mut db = Db::paper_default();
+        let mut cat = Catalog::create(&mut db).unwrap();
+        let mut i = 0;
+        while cat.pages(&mut db).unwrap().len() < 2 {
+            cat.put(&mut db, &format!("{i:0100}"), StorageKind::Esm, i)
+                .unwrap();
+            i += 1;
+        }
+        let root = cat.root_page();
+        let second = cat.pages(&mut db).unwrap()[1];
+        db.with_meta_page_mut(second, |p| p[6..10].copy_from_slice(&root.to_le_bytes()));
+        for got in walks(&mut cat, &mut db) {
+            assert!(is_corrupt(&got), "{got:?}");
+        }
+    }
+
+    /// `entries` and `next` as a catalog page.
+    fn encode(entries: &[CatalogEntry], next: u32) -> Vec<u8> {
+        let mut p = vec![0u8; PAGE_SIZE];
+        init_page(&mut p);
+        p[4..6].copy_from_slice(&(entries.len() as u16).to_le_bytes());
+        p[6..10].copy_from_slice(&next.to_le_bytes());
+        let mut at = HDR;
+        for e in entries {
+            p[at] = e.name.len() as u8;
+            p[at + 1..at + 1 + e.name.len()].copy_from_slice(e.name.as_bytes());
+            at += 1 + e.name.len();
+            p[at] = e.kind.as_u8();
+            p[at + 1..at + 5].copy_from_slice(&e.root_page.to_le_bytes());
+            at += 5;
+        }
+        p
+    }
+
+    /// Decode `page` as the chain walks do: the header is `Corrupt`
+    /// unless the magic is there; the entries and their byte count agree
+    /// with each other and with the header, and re-encode to the page's
+    /// bytes wherever no name needed repair.
+    fn check_page(page: &[u8]) {
+        let Ok((n, next)) = header(page) else {
+            assert_ne!(le::le_u32(page), CAT_MAGIC);
+            return;
+        };
+        let (entries, used) = (parse_entries(page, n), used_bytes(page, n));
+        let (Ok(entries), Ok(used)) = (entries, used) else {
+            return;
+        };
+        assert_eq!(entries.len(), usize::from(n));
+        assert!(used <= page.len());
+        if entries.iter().all(|e| !e.name.contains('\u{FFFD}')) {
+            let stored: usize = entries.iter().map(|e| 6 + e.name.len()).sum();
+            assert_eq!(HDR + stored, used);
+            assert_eq!(encode(&entries, next)[..used], page[..used]);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: if cfg!(debug_assertions) { 64 } else { 256 },
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+        /// The page decoders are total over arbitrary pages, pages with
+        /// the magic and arbitrary bytes behind it, valid pages and valid
+        /// pages with bits flipped: a consistent `Ok` or `Corrupt`, never
+        /// a panic.
+        #[test]
+        fn catalog_pages_decode_totally(
+            (noise, names, flips) in (
+                proptest::collection::vec(proptest::prelude::any::<u8>(), PAGE_SIZE..PAGE_SIZE + 1),
+                proptest::collection::vec((1usize..MAX_NAME, 0u8..3, proptest::prelude::any::<u32>()), 0..40),
+                proptest::collection::vec(proptest::prelude::any::<u32>(), 1..8),
+            )
+        ) {
+            check_page(&noise);
+            let mut page = noise.clone();
+            page[..4].copy_from_slice(&CAT_MAGIC.to_le_bytes());
+            check_page(&page);
+            let entries: Vec<CatalogEntry> = names
+                .iter()
+                .map(|&(len, kind, root_page)| CatalogEntry {
+                    name: "n".repeat(len),
+                    kind: StorageKind::from_u8(kind + 1).unwrap(),
+                    root_page,
+                })
+                .take_while({
+                    let mut at = HDR;
+                    move |e| {
+                        at += 6 + e.name.len();
+                        at <= PAGE_SIZE
+                    }
+                })
+                .collect();
+            let mut page = encode(&entries, 7);
+            assert_eq!(parse_entries(&page, entries.len() as u16).unwrap(), entries);
+            check_page(&page);
+            for bit in &flips {
+                let bit = *bit as usize % (PAGE_SIZE * 8);
+                page[bit / 8] ^= 1 << (bit % 8);
+            }
+            check_page(&page);
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@ use lobstore_bufpool::{BufferPool, PoolConfig};
 use lobstore_simdisk::{AreaId, CostModel, IoStats, PageId, SimDisk, PAGE_SIZE};
 
 use crate::alloclog::{AllocLog, Roots};
+use crate::error::Result;
 use crate::health::{self, HealthSample};
 use crate::node::{Node, NodeView, RootHdr};
 use crate::object::StorageKind;
@@ -292,11 +293,16 @@ impl Db {
     }
 
     /// Fix-read a META page as a non-root index node, run `f` on the view
-    /// of its pair array, unfix. `&self`, like the pool's `guard`: the
-    /// descent of a pinned-version scan has only a shared reference.
-    pub(crate) fn with_meta_node<R>(&self, page: u32, f: impl FnOnce(NodeView<'_>) -> R) -> R {
+    /// of its pair array, unfix; `Corrupt` if the page holds no node.
+    /// `&self`, like the pool's `guard`: the descent of a pinned-version
+    /// scan has only a shared reference.
+    pub(crate) fn with_meta_node<R>(
+        &self,
+        page: u32,
+        f: impl FnOnce(NodeView<'_>) -> R,
+    ) -> Result<R> {
         let g = self.pool.guard(PageId::new(AreaId::META, page));
-        f(NodeView::of_page(&g[..]))
+        NodeView::of_page(&g[..]).map(f)
     }
 
     /// Like [`Self::with_meta_node`] for a root/descriptor page: `f` gets
@@ -306,10 +312,10 @@ impl Db {
         &self,
         page: u32,
         f: impl FnOnce(&RootHdr, NodeView<'_>) -> R,
-    ) -> R {
+    ) -> Result<R> {
         let g = self.pool.guard(PageId::new(AreaId::META, page));
         let hdr = RootHdr::read(&g[..]);
-        f(&hdr, NodeView::of_root(&g[..], &hdr))
+        NodeView::of_root(&g[..], &hdr).map(|node| f(&hdr, node))
     }
 
     /// Simulate a crash and restart: the buffer pool loses every unflushed
@@ -409,7 +415,8 @@ impl Db {
     ///
     /// # Errors
     /// `InvalidInput` if `cfg` turns the allocation log on: an image
-    /// carries no root set for it to recover from.
+    /// carries no root set for it to recover from. `InvalidData` if the
+    /// image's header cannot be real or it has no META and LEAF areas.
     pub fn load_image(r: &mut impl std::io::Read, cfg: DbConfig) -> std::io::Result<Db> {
         if cfg.alloc_log {
             return Err(std::io::Error::new(
@@ -418,6 +425,12 @@ impl Db {
             ));
         }
         let disk = SimDisk::read_image(r)?;
+        if disk.n_areas() < 2 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("an image of {} areas has no META and LEAF", disk.n_areas()),
+            ));
+        }
         let cfg = DbConfig {
             cost: disk.cost_model(),
             ..cfg
@@ -470,15 +483,14 @@ impl Db {
     }
 
     /// [`Self::peek_meta`] parsed as a root/descriptor page.
-    pub(crate) fn peek_root(&self, page: u32) -> (RootHdr, Node) {
+    pub(crate) fn peek_root(&self, page: u32) -> Result<(RootHdr, Node)> {
         let bytes = self.peek_meta(page);
         let hdr = RootHdr::read(&bytes[..]);
-        let node = Node::read_root(&bytes[..], &hdr);
-        (hdr, node)
+        Ok((hdr, Node::read_root(&bytes[..], &hdr)?))
     }
 
     /// [`Self::peek_meta`] parsed as a non-root index node.
-    pub(crate) fn peek_node(&self, page: u32) -> Node {
+    pub(crate) fn peek_node(&self, page: u32) -> Result<Node> {
         Node::read_page(&self.peek_meta(page)[..])
     }
 

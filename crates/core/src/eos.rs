@@ -35,7 +35,7 @@ use lobstore_buddy::Extent;
 use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PageId, PAGE_SIZE_U64};
 
 use crate::db::Db;
-use crate::error::{LobError, Result};
+use crate::error::{or_panic, LobError, Result};
 use crate::node::{Entry, RootHdr};
 use crate::object::{
     check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, SpanPos, StorageKind, Utilization,
@@ -101,7 +101,7 @@ impl EosObject {
     /// Open an existing EOS object by its root page.
     pub fn open(db: &mut Db, root_page: u32) -> Result<Self> {
         let tree = PosTree::new(root_page);
-        let hdr = tree.read_hdr(db);
+        let hdr = tree.read_hdr(db)?;
         hdr.check_root(root_page, Some(StorageKind::Eos))?;
         Ok(EosObject {
             tree,
@@ -165,7 +165,7 @@ impl EosObject {
     /// boundary falls in the window while the rule demands it, walking
     /// right from the segment before `lo`.
     fn merge_around(&self, db: &mut Db, ctx: &mut OpCtx, lo: u64, hi: u64) -> Result<()> {
-        let Some(mut x) = self.tree.descend(db, lo.saturating_sub(1)) else {
+        let Some(mut x) = self.tree.descend(db, lo.saturating_sub(1))? else {
             return Ok(());
         };
         loop {
@@ -176,7 +176,7 @@ impl EosObject {
                 return Ok(()); // no right neighbour
             };
             if self.must_merge(x.entry.count, y.entry.count) {
-                let mut hdr = self.tree.read_hdr(db);
+                let mut hdr = self.tree.read_hdr(db)?;
                 let buf = read_segs(db, &[x.entry, y.entry], 0);
                 let merged = self.new_exact_seg(db, &buf);
                 self.free_seg(ctx, &mut hdr, &x.entry);
@@ -237,7 +237,7 @@ impl EosObject {
         // Materialize each group: untouched segments and in-place
         // prefixes stay put; everything else is read once and written
         // once into an exactly sized fresh segment.
-        let mut hdr = self.tree.read_hdr(db);
+        let mut hdr = self.tree.read_hdr(db)?;
         let mut new_entries = Vec::with_capacity(groups.len());
         let mut kept_prefix: Vec<(u32, u64)> = Vec::new(); // (ptr, kept len)
         let mut absorbed_segs: Vec<Entry> = Vec::new();
@@ -338,7 +338,7 @@ impl EosObject {
 
         let region_start = ln.as_ref().unwrap_or(&pos).leaf_start;
         let region_len = self.rebuild_region(db, ctx, region_start, &old, sources, &parents)?;
-        self.tree.bump_size(db, bytes.len() as i64);
+        self.tree.bump_size(db, bytes.len() as i64)?;
         // Cascade at the outer boundaries, in the rare case the edge
         // groups still violate the rule against segments outside the
         // window.
@@ -390,7 +390,7 @@ impl LargeObject for EosObject {
     }
 
     fn size(&self, db: &mut Db) -> u64 {
-        self.tree.size(db)
+        or_panic(self.tree.size(db))
     }
 
     fn append(&mut self, db: &mut Db, bytes: &[u8]) -> Result<()> {
@@ -407,8 +407,8 @@ impl LargeObject for EosObject {
         // snapshot or an open transaction's rollback still reads; only a
         // flagged over-allocation, which no shrink survives, is then safe.
         let mut prev_alloc = 0u32;
-        if let Some(pos) = self.tree.rightmost(db) {
-            let hdr = self.tree.read_hdr(db);
+        if let Some(pos) = self.tree.rightmost(db)? {
+            let hdr = self.tree.read_hdr(db)?;
             let alloc = alloc_of(&hdr, &pos.entry);
             prev_alloc = alloc;
             let flagged = hdr.last_seg_alloc > 0 && hdr.last_seg_ptr == pos.entry.ptr;
@@ -421,8 +421,8 @@ impl LargeObject for EosObject {
             let take = cast::to_usize((rem.len() as u64).min(space));
             if take > 0 {
                 append_in_place(db, pos.entry.ptr, pos.entry.count, &rem[..take]);
-                self.tree.add_count(db, &mut ctx, &pos.path, take as i64);
-                self.tree.bump_size(db, take as i64);
+                self.tree.add_count(db, &mut ctx, &pos.path, take as i64)?;
+                self.tree.bump_size(db, take as i64)?;
                 rem = &rem[take..];
             }
         }
@@ -444,8 +444,8 @@ impl LargeObject for EosObject {
                     count: take as u64,
                     ptr: ext.start,
                 },
-            );
-            let mut hdr = self.tree.read_hdr(db);
+            )?;
+            let mut hdr = self.tree.read_hdr(db)?;
             hdr.size += take as u64;
             if alloc > pages_for_bytes(take as u64) {
                 hdr.last_seg_alloc = alloc;
@@ -484,7 +484,7 @@ impl LargeObject for EosObject {
 
     fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
-            return check_range(self.tree.size(db), off, 0).map(drop);
+            return check_range(self.tree.size(db)?, off, 0).map(drop);
         }
         let len = bytes.len() as u64;
         let max = self.max_bytes();
@@ -506,7 +506,7 @@ impl LargeObject for EosObject {
 
     fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
         if len == 0 {
-            return check_range(self.tree.size(db), off, 0).map(drop);
+            return check_range(self.tree.size(db)?, off, 0).map(drop);
         }
         let mut pos = self.tree.descend_checked(db, off, len)?;
         let mut ctx = OpCtx::new();
@@ -546,7 +546,7 @@ impl LargeObject for EosObject {
                 Some(prev) => self.tree.after(db, prev)?.ok_or_else(gone)?,
                 None => w.clone(),
             };
-            let mut hdr = self.tree.read_hdr(db);
+            let mut hdr = self.tree.read_hdr(db)?;
             self.free_seg(&mut ctx, &mut hdr, &w.entry);
             self.tree.write_hdr(db, &hdr);
             dropped = Some(
@@ -599,12 +599,12 @@ impl LargeObject for EosObject {
             }
             let region_len =
                 self.rebuild_region(db, &mut ctx, region_start, &old, sources, &parents)?;
-            self.tree.bump_size(db, -(len as i64));
+            self.tree.bump_size(db, -(len as i64))?;
             self.merge_around(db, &mut ctx, region_start, region_start + region_len)?;
         } else {
             // Pure whole-segment delete: the freed gap may have brought
             // two violating segments together.
-            self.tree.bump_size(db, -(len as i64));
+            self.tree.bump_size(db, -(len as i64))?;
             self.merge_around(db, &mut ctx, off, off)?;
         }
         ctx.finish(db);
@@ -613,27 +613,27 @@ impl LargeObject for EosObject {
 
     fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
-            return check_range(self.tree.size(db), off, 0).map(drop);
+            return check_range(self.tree.size(db)?, off, 0).map(drop);
         }
         let mut ctx = OpCtx::new();
         self.tree
             .replace_range(db, &mut ctx, off, bytes, |db, ctx, pos, content| {
-                let mut hdr = self.tree.read_hdr(db);
+                let mut hdr = self.tree.read_hdr(db)?;
                 let e = self.new_exact_seg(db, content);
                 self.free_seg(ctx, &mut hdr, &pos.entry);
                 self.tree.write_hdr(db, &hdr);
-                e
+                Ok(e)
             })?;
         ctx.finish(db);
         Ok(())
     }
 
     fn trim(&mut self, db: &mut Db) -> Result<()> {
-        let mut hdr = self.tree.read_hdr(db);
+        let mut hdr = self.tree.read_hdr(db)?;
         if hdr.last_seg_alloc == 0 {
             return Ok(());
         }
-        let Some(pos) = self.tree.rightmost(db) else {
+        let Some(pos) = self.tree.rightmost(db)? else {
             hdr.last_seg_alloc = 0;
             hdr.last_seg_ptr = 0;
             self.tree.write_hdr(db, &hdr);
@@ -655,26 +655,25 @@ impl LargeObject for EosObject {
     }
 
     fn destroy(&mut self, db: &mut Db) -> Result<()> {
-        self.tree.destroy(db, alloc_of);
-        Ok(())
+        self.tree.destroy(db, alloc_of)
     }
 
     fn utilization(&self, db: &Db) -> Utilization {
-        self.tree.utilization(db, alloc_of)
+        or_panic(self.tree.utilization(db, alloc_of))
     }
 
     fn segments(&self, db: &Db) -> Vec<SegmentInfo> {
-        self.tree.segments(db, alloc_of)
+        or_panic(self.tree.segments(db, alloc_of))
     }
 
     fn index_page_numbers(&self, db: &Db) -> Vec<u32> {
-        self.tree.index_page_numbers(db)
+        or_panic(self.tree.index_page_numbers(db))
     }
 
     fn check_invariants(&self, db: &Db) -> Result<()> {
         self.tree.check_invariants(db)?;
-        let (hdr, _) = db.peek_root(self.tree.root_page);
-        let leaves = self.tree.collect_leaves(db);
+        let (hdr, _) = db.peek_root(self.tree.root_page)?;
+        let leaves = self.tree.collect_leaves(db)?;
         for (off, e) in &leaves {
             if e.count == 0 {
                 return Err(LobError::InvariantViolated(format!(
@@ -706,7 +705,7 @@ impl LargeObject for EosObject {
     }
 
     fn snapshot(&self, db: &Db) -> Vec<u8> {
-        self.tree.peek_content(db)
+        or_panic(self.tree.peek_content(db))
     }
 }
 
@@ -788,9 +787,10 @@ mod tests {
 
     /// Segment page counts, left to right (allocation-aware).
     fn seg_pages(db: &Db, obj: &EosObject) -> Vec<u32> {
-        let (hdr, _) = db.peek_root(obj.tree.root_page);
+        let (hdr, _) = db.peek_root(obj.tree.root_page).unwrap();
         obj.tree
             .collect_leaves(db)
+            .unwrap()
             .iter()
             .map(|(_, e)| alloc_of(&hdr, e))
             .collect()
@@ -919,7 +919,7 @@ mod tests {
         obj.check_invariants(&db).unwrap();
         let pages = seg_pages(&db, &obj);
         // No adjacent pair may fit in T pages.
-        let leaves = obj.tree.collect_leaves(&db);
+        let leaves = obj.tree.collect_leaves(&db).unwrap();
         for w in leaves.windows(2) {
             assert!(
                 !obj.must_merge(w[0].1.count, w[1].1.count),

@@ -49,6 +49,16 @@ impl std::error::Error for LobError {}
 /// Shorthand for results carrying a [`LobError`].
 pub type Result<T> = std::result::Result<T, LobError>;
 
+/// `r`'s value, for the [`crate::LargeObject`] methods that cannot return
+/// an error yet (`size`, `segments`, `snapshot` and the other cost-free
+/// walks): a damaged page panics there with its `Corrupt` message.
+pub(crate) fn or_panic<T>(r: Result<T>) -> T {
+    match r {
+        Ok(v) => v,
+        Err(e) => panic!("{e}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,7 +31,7 @@ use lobstore_buddy::Extent;
 use lobstore_simdisk::{cast, AreaId, PAGE_SIZE_U64};
 
 use crate::db::Db;
-use crate::error::{LobError, Result};
+use crate::error::{or_panic, LobError, Result};
 use crate::node::{Entry, RootHdr};
 use crate::object::{
     check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, SpanPos, StorageKind, Utilization,
@@ -107,7 +107,7 @@ impl EsmObject {
     /// Open an existing ESM object by its root page.
     pub fn open(db: &mut Db, root_page: u32) -> Result<Self> {
         let tree = PosTree::new(root_page);
-        let hdr = tree.read_hdr(db);
+        let hdr = tree.read_hdr(db)?;
         hdr.check_root(root_page, Some(StorageKind::Esm))?;
         Ok(EsmObject {
             tree,
@@ -351,7 +351,7 @@ impl LargeObject for EsmObject {
     }
 
     fn size(&self, db: &mut Db) -> u64 {
-        self.tree.size(db)
+        or_panic(self.tree.size(db))
     }
 
     fn append(&mut self, db: &mut Db, bytes: &[u8]) -> Result<()> {
@@ -360,7 +360,7 @@ impl LargeObject for EsmObject {
         }
         check_op_len(bytes.len() as u64)?;
         let mut ctx = OpCtx::new();
-        match self.tree.rightmost(db) {
+        match self.tree.rightmost(db)? {
             None => {
                 // First bytes of the object: lay out leaves directly.
                 let sizes = append_sizes(bytes.len() as u64, self.cap());
@@ -368,7 +368,7 @@ impl LargeObject for EsmObject {
                 for &s in &sizes {
                     let s = cast::to_usize(s);
                     let e = self.new_leaf(db, &bytes[off..off + s]);
-                    self.tree.append_entry(db, &mut ctx, e);
+                    self.tree.append_entry(db, &mut ctx, e)?;
                     off += s;
                 }
             }
@@ -377,13 +377,13 @@ impl LargeObject for EsmObject {
                 if bytes.len() as u64 <= free {
                     append_in_place(db, pos.entry.ptr, pos.entry.count, bytes);
                     self.tree
-                        .add_count(db, &mut ctx, &pos.path, bytes.len() as i64);
+                        .add_count(db, &mut ctx, &pos.path, bytes.len() as i64)?;
                 } else {
                     self.append_overflow(db, &mut ctx, pos, bytes)?;
                 }
             }
         }
-        self.tree.bump_size(db, bytes.len() as i64);
+        self.tree.bump_size(db, bytes.len() as i64)?;
         ctx.finish(db);
         Ok(())
     }
@@ -413,7 +413,7 @@ impl LargeObject for EsmObject {
 
     fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
-            return check_range(self.tree.size(db), off, 0).map(drop);
+            return check_range(self.tree.size(db)?, off, 0).map(drop);
         }
         let len = bytes.len() as u64;
         let Some(pos) = self
@@ -424,14 +424,14 @@ impl LargeObject for EsmObject {
         };
         let mut ctx = OpCtx::new();
         self.insert_inner(db, &mut ctx, pos, bytes)?;
-        self.tree.bump_size(db, len as i64);
+        self.tree.bump_size(db, len as i64)?;
         ctx.finish(db);
         Ok(())
     }
 
     fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
         if len == 0 {
-            return check_range(self.tree.size(db), off, 0).map(drop);
+            return check_range(self.tree.size(db)?, off, 0).map(drop);
         }
         let mut pos = self.tree.descend_checked(db, off, len)?;
         let mut ctx = OpCtx::new();
@@ -462,7 +462,7 @@ impl LargeObject for EsmObject {
                 LobError::InvariantViolated(format!("delete at {off} ran off the end"))
             })?;
         };
-        self.tree.bump_size(db, -(len as i64));
+        self.tree.bump_size(db, -(len as i64))?;
         // Both deletion boundaries may have left an under-half leaf: the
         // leaf now holding `off` (the last one when the tail went) and the
         // leaf before it.
@@ -470,7 +470,7 @@ impl LargeObject for EsmObject {
             Some(self.tree.first(db, &last)?)
         } else {
             match self.tree.after(db, last)? {
-                None => self.tree.rightmost(db),
+                None => self.tree.rightmost(db)?,
                 found => found,
             }
         };
@@ -487,12 +487,12 @@ impl LargeObject for EsmObject {
 
     fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
-            return check_range(self.tree.size(db), off, 0).map(drop);
+            return check_range(self.tree.size(db)?, off, 0).map(drop);
         }
         let mut ctx = OpCtx::new();
         self.tree
             .replace_range(db, &mut ctx, off, bytes, |db, ctx, pos, content| {
-                self.rewrite_leaf(db, ctx, pos, content, pos.off_in_leaf)
+                Ok(self.rewrite_leaf(db, ctx, pos, content, pos.off_in_leaf))
             })?;
         ctx.finish(db);
         Ok(())
@@ -503,26 +503,25 @@ impl LargeObject for EsmObject {
     }
 
     fn destroy(&mut self, db: &mut Db) -> Result<()> {
-        self.tree.destroy(db, |_, _| self.leaf_pages);
-        Ok(())
+        self.tree.destroy(db, |_, _| self.leaf_pages)
     }
 
     fn utilization(&self, db: &Db) -> Utilization {
-        self.tree.utilization(db, |_, _| self.leaf_pages)
+        or_panic(self.tree.utilization(db, |_, _| self.leaf_pages))
     }
 
     fn segments(&self, db: &Db) -> Vec<SegmentInfo> {
-        self.tree.segments(db, |_, _| self.leaf_pages)
+        or_panic(self.tree.segments(db, |_, _| self.leaf_pages))
     }
 
     fn index_page_numbers(&self, db: &Db) -> Vec<u32> {
-        self.tree.index_page_numbers(db)
+        or_panic(self.tree.index_page_numbers(db))
     }
 
     fn check_invariants(&self, db: &Db) -> Result<()> {
         self.tree.check_invariants(db)?;
         let cap = self.cap();
-        let leaves = self.tree.collect_leaves(db);
+        let leaves = self.tree.collect_leaves(db)?;
         for (off, e) in &leaves {
             if e.count == 0 || e.count > cap {
                 return Err(LobError::InvariantViolated(format!(
@@ -541,7 +540,7 @@ impl LargeObject for EsmObject {
     }
 
     fn snapshot(&self, db: &Db) -> Vec<u8> {
-        self.tree.peek_content(db)
+        or_panic(self.tree.peek_content(db))
     }
 }
 

@@ -28,7 +28,7 @@
 
 use lobstore_simdisk::{cast, PAGE_SIZE};
 
-use crate::error::LobError;
+use crate::error::{LobError, Result};
 use crate::layout::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64};
 use crate::object::StorageKind;
 
@@ -78,9 +78,9 @@ impl Node {
 
     /// [`find_child`] over this node's entries, without the entry.
     #[cfg(test)]
-    pub fn find_child(&self, off: u64) -> (usize, u64) {
-        let (idx, within, _) = find_child(self.entries.iter().copied(), off);
-        (idx, within)
+    pub fn find_child(&self, off: u64) -> Result<(usize, u64)> {
+        let (idx, within, _) = find_child(self.entries.iter().copied(), off)?;
+        Ok((idx, within))
     }
 
     /// Byte offset (relative to this node) at which entry `idx` starts.
@@ -90,8 +90,8 @@ impl Node {
     }
 
     /// Parse an interior node page.
-    pub fn read_page(page: &[u8]) -> Node {
-        NodeView::of_page(page).to_node()
+    pub fn read_page(page: &[u8]) -> Result<Node> {
+        NodeView::of_page(page).map(NodeView::to_node)
     }
 
     /// Serialize into an interior node page.
@@ -104,13 +104,19 @@ impl Node {
         if let Some(gap) = page.get_mut(3..NODE_ENTRIES_OFF) {
             gap.fill(0);
         }
-        NodeMut::of_page(page).encode(0, &self.entries);
+        let n = self.entries.len();
+        NodeMut {
+            page,
+            at: INTERIOR,
+            n,
+        }
+        .encode(0, &self.entries);
     }
 
     /// Parse the entry array of a root page (level/count come from the
     /// header, already parsed into `hdr`).
-    pub fn read_root(page: &[u8], hdr: &RootHdr) -> Node {
-        NodeView::of_root(page, hdr).to_node()
+    pub fn read_root(page: &[u8], hdr: &RootHdr) -> Result<Node> {
+        NodeView::of_root(page, hdr).map(NodeView::to_node)
     }
 
     /// Serialize entries into a root page and refresh the header fields
@@ -120,7 +126,8 @@ impl Node {
         hdr.level = self.level;
         hdr.n_entries = cast::usize_to_u16(self.entries.len());
         hdr.write(page);
-        NodeMut::of_root(page).encode(0, &self.entries);
+        let n = self.entries.len();
+        NodeMut { page, at: ROOT, n }.encode(0, &self.entries);
     }
 }
 
@@ -129,7 +136,8 @@ impl Node {
 /// past instead of parsing all of them into a [`Node`] first. The view
 /// borrows the page bytes, so it lives no longer than the frame latch they
 /// were read under — nothing outlives a write to the page, nothing can go
-/// stale. This is the only decoder of the on-page pair layout.
+/// stale. This is the only decoder of the on-page pair layout, and it is
+/// total: a pair count above the page's capacity is [`LobError::Corrupt`].
 #[derive(Copy, Clone)]
 pub(crate) struct NodeView<'a> {
     pub level: u8,
@@ -139,33 +147,33 @@ pub(crate) struct NodeView<'a> {
 
 impl<'a> NodeView<'a> {
     /// View an interior node page.
-    pub fn of_page(page: &'a [u8]) -> Self {
-        Self::in_layout(page, INTERIOR)
-    }
-
-    /// View a page in `at`'s layout, reading its own header fields.
-    fn in_layout(page: &'a [u8], at: Layout) -> Self {
-        let n = usize::from(get_u16(page, at.len_at));
-        assert!(n <= at.cap, "corrupt {}: {n} entries", at.name);
-        NodeView {
-            level: page.get(at.level_at).copied().unwrap_or(0),
-            pairs: page
-                .get(at.pairs_at..at.pairs_at + n * 8)
-                .unwrap_or_default(),
-        }
+    pub fn of_page(page: &'a [u8]) -> Result<Self> {
+        let level = page.get(INTERIOR.level_at).copied().unwrap_or(0);
+        Self::of(page, INTERIOR, get_u16(page, INTERIOR.len_at), level)
     }
 
     /// View the entry array of a root page (level/count come from the
     /// header, already parsed into `hdr`).
-    pub fn of_root(page: &'a [u8], hdr: &RootHdr) -> Self {
-        let n = usize::from(hdr.n_entries);
-        assert!(n <= ROOT_MAX_ENTRIES, "corrupt root: {n} entries");
-        NodeView {
-            level: hdr.level,
-            pairs: page
-                .get(ROOT_ENTRIES_OFF..ROOT_ENTRIES_OFF + n * 8)
-                .unwrap_or_default(),
+    pub fn of_root(page: &'a [u8], hdr: &RootHdr) -> Result<Self> {
+        Self::of(page, ROOT, hdr.n_entries, hdr.level)
+    }
+
+    /// The first `n` pairs of a page in `at`'s layout: `Corrupt` when they
+    /// do not fit its capacity. (Pages are `PAGE_SIZE` long, so `n` pairs
+    /// within the capacity lie inside the page.)
+    fn of(page: &'a [u8], at: Layout, n: u16, level: u8) -> Result<Self> {
+        let n = usize::from(n);
+        if n > at.cap {
+            return Err(LobError::Corrupt(format!(
+                "{} of {n} entries, above its capacity of {}",
+                at.name, at.cap
+            )));
         }
+        let pairs = page.get(at.pairs_at..at.pairs_at + n * 8);
+        Ok(NodeView {
+            level,
+            pairs: pairs.unwrap_or_default(),
+        })
     }
 
     /// Whether the node has no entries.
@@ -190,7 +198,7 @@ impl<'a> NodeView<'a> {
     }
 
     /// [`find_child`] over the page's pairs.
-    pub fn find_child(&self, off: u64) -> (usize, u64, Entry) {
+    pub fn find_child(&self, off: u64) -> Result<(usize, u64, Entry)> {
         find_child(self.iter(), off)
     }
 
@@ -207,28 +215,32 @@ impl<'a> NodeView<'a> {
 /// Starburst's descriptor: the segment holding byte `off` starts at
 /// `off - within`); `off` equal to their total selects the last child with
 /// its full count as the in-child offset (the append position). Returns
-/// `(entry index, offset within that child, the entry)`.
-///
-/// # Panics
-/// If there are no entries or `off` exceeds their total.
+/// `(entry index, offset within that child, the entry)`, or `Corrupt`
+/// when there are no entries or `off` exceeds their total: callers
+/// range-check `off` against the object size first, so either means the
+/// counts on the page disagree with it.
 pub(crate) fn find_child(
     entries: impl IntoIterator<Item = Entry>,
     off: u64,
-) -> (usize, u64, Entry) {
+) -> Result<(usize, u64, Entry)> {
     let mut rem = off;
     let mut last = None;
     for (i, e) in entries.into_iter().enumerate() {
         if rem < e.count {
-            return (i, rem, e);
+            return Ok((i, rem, e));
         }
         rem = rem.saturating_sub(e.count);
         last = Some((i, e));
     }
-    let Some((i, e)) = last else {
-        panic!("find_child on empty node");
-    };
-    assert!(rem == 0, "offset beyond node total");
-    (i, e.count, e)
+    match last {
+        Some((i, e)) if rem == 0 => Ok((i, e.count, e)),
+        Some(_) => Err(LobError::Corrupt(format!(
+            "offset {off} lies {rem} bytes beyond its node"
+        ))),
+        None => Err(LobError::Corrupt(format!(
+            "offset {off} searched in a node with no entries"
+        ))),
+    }
 }
 
 /// One 8-byte `(count u32, ptr u32)` pair.
@@ -281,7 +293,8 @@ const ROOT: Layout = Layout {
     name: "root",
 };
 
-/// [`NodeView`]'s write twin: an index page edited where its pairs lie.
+/// [`NodeView`]'s write twin: an index page edited where its pairs lie,
+/// its pair count read once, when it is opened.
 /// An update changes one or a few pairs of a node of up to 511, so a
 /// splice moves the pairs behind the edit once (`copy_within`) and encodes
 /// only the new ones, instead of decoding every pair into a [`Node`] and
@@ -293,28 +306,40 @@ const ROOT: Layout = Layout {
 pub(crate) struct NodeMut<'a> {
     page: &'a mut [u8],
     at: Layout,
+    /// The page's `n_entries`, at most `at.cap`.
+    n: usize,
 }
 
 impl<'a> NodeMut<'a> {
-    /// Edit an interior node page.
-    pub fn of_page(page: &'a mut [u8]) -> Self {
-        NodeMut { page, at: INTERIOR }
+    /// Edit an interior node page: `Corrupt` if its pair count is above
+    /// the capacity.
+    pub fn of_page(page: &'a mut [u8]) -> Result<Self> {
+        let n = NodeView::of_page(page)?.len();
+        Ok(NodeMut {
+            page,
+            at: INTERIOR,
+            n,
+        })
     }
 
     /// Edit the entry array of a root page (its `n_entries` header field
-    /// included).
-    pub fn of_root(page: &'a mut [u8]) -> Self {
-        NodeMut { page, at: ROOT }
+    /// included): `Corrupt` if that count is above the capacity.
+    pub fn of_root(page: &'a mut [u8]) -> Result<Self> {
+        let n = NodeView::of_root(page, &RootHdr::read(page))?.len();
+        Ok(NodeMut { page, at: ROOT, n })
     }
 
-    /// The page's pairs, read where they lie (`n_entries` checked against
-    /// the capacity).
+    /// The page's pairs, read where they lie.
     fn view(&self) -> NodeView<'_> {
-        NodeView::in_layout(self.page, self.at)
+        let at = self.at.pairs_at;
+        NodeView {
+            level: 0,
+            pairs: self.page.get(at..at + self.n * 8).unwrap_or_default(),
+        }
     }
 
     fn len(&self) -> usize {
-        self.view().len()
+        self.n
     }
 
     /// Entry `i`.
@@ -357,6 +382,7 @@ impl<'a> NodeMut<'a> {
         }
         self.encode(at, repl);
         put_u16(self.page, self.at.len_at, cast::usize_to_u16(new_n));
+        self.n = new_n;
         let added: u64 = repl.iter().map(|e| e.count).sum();
         added as i64 - removed as i64
     }
@@ -501,11 +527,144 @@ impl RootHdr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
 
     fn entry(count: u64, ptr: u32) -> Entry {
         Entry { count, ptr }
+    }
+
+    /// Flip bit `b % (8 * len)` of `page` for every `b` in `bits`.
+    fn flip(page: &mut [u8], bits: &[u32]) {
+        for &b in bits {
+            let b = b as usize % (page.len() * 8);
+            page[b / 8] ^= 1 << (b % 8);
+        }
+    }
+
+    /// Decode `page` as an interior node: `Corrupt` exactly when its
+    /// count is above the capacity; an `Ok` view has the header's count
+    /// and level, and writing its node back gives the page's bytes
+    /// (the reserved header bytes aside). The owned and in-place forms
+    /// agree.
+    fn check_node_page(page: &[u8]) {
+        let n = usize::from(get_u16(page, 0));
+        let view = NodeView::of_page(page);
+        assert_eq!(view.is_ok(), n <= NODE_MAX_ENTRIES, "{n} entries");
+        let mut copy = page.to_vec();
+        assert_eq!(
+            NodeMut::of_page(&mut copy).map(|m| m.len()).ok(),
+            view.as_ref().map(|v| v.len()).ok()
+        );
+        let Ok(view) = view else {
+            assert!(Node::read_page(page).is_err());
+            return;
+        };
+        assert_eq!((view.len(), view.level), (n, page[2]));
+        let node = view.to_node();
+        assert_eq!(Node::read_page(page).unwrap(), node);
+        node.write_page(&mut copy);
+        assert_eq!((&copy[..3], &copy[8..]), (&page[..3], &page[8..]));
+    }
+
+    /// [`check_node_page`] for a root page: its header re-encodes to its
+    /// bytes, the view of its pairs is `Corrupt` exactly when the header
+    /// counts more than a root holds, and `check_root` accepts a scheme
+    /// only when magic and kind byte both name it.
+    fn check_root_page(page: &[u8]) {
+        let hdr = RootHdr::read(page);
+        let mut copy = page.to_vec();
+        hdr.write(&mut copy);
+        assert_eq!(&copy[..32], &page[..32]);
+        for want in [
+            None,
+            Some(StorageKind::Esm),
+            Some(StorageKind::Eos),
+            Some(StorageKind::Starburst),
+        ] {
+            if let Ok(kind) = hdr.check_root(9, want) {
+                assert!(want.is_none_or(|w| w == kind));
+                assert_eq!((hdr.magic, hdr.kind), (RootHdr::magic(kind), kind.as_u8()));
+            }
+        }
+        let n = usize::from(hdr.n_entries);
+        let view = NodeView::of_root(page, &hdr);
+        assert_eq!(view.is_ok(), n <= ROOT_MAX_ENTRIES, "{n} entries");
+        let mut copy = page.to_vec();
+        assert_eq!(
+            NodeMut::of_root(&mut copy).map(|m| m.len()).ok(),
+            view.as_ref().map(|v| v.len()).ok()
+        );
+        let Ok(view) = view else {
+            assert!(Node::read_root(page, &hdr).is_err());
+            return;
+        };
+        assert_eq!((view.len(), view.level), (n, hdr.level));
+        let node = view.to_node();
+        assert_eq!(Node::read_root(page, &hdr).unwrap(), node);
+        node.write_root(&mut copy, &mut hdr.clone());
+        assert_eq!((&copy[..32], &copy[40..]), (&page[..32], &page[40..]));
+    }
+
+    /// A random page, a node of up to 512 random pairs at a random level,
+    /// and bits to flip.
+    type PageNodeFlips = (Vec<u8>, (u8, Vec<(u32, u32)>), Vec<u32>);
+
+    fn page_node_flips() -> impl Strategy<Value = PageNodeFlips> {
+        (
+            proptest::collection::vec(any::<u8>(), PAGE_SIZE..PAGE_SIZE + 1),
+            (
+                any::<u8>(),
+                proptest::collection::vec((any::<u32>(), any::<u32>()), 0..512),
+            ),
+            proptest::collection::vec(any::<u32>(), 1..8),
+        )
+    }
+
+    fn node_of(level: u8, pairs: &[(u32, u32)], cap: usize) -> Node {
+        Node {
+            level,
+            entries: pairs
+                .iter()
+                .take(cap)
+                .map(|&(c, p)| entry(u64::from(c), p))
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: if cfg!(debug_assertions) { 64 } else { 256 },
+            ..ProptestConfig::default()
+        })]
+        /// The interior-node decoders are total over arbitrary pages,
+        /// valid node pages written over them, and those with bits
+        /// flipped: a consistent `Ok` or `Corrupt`, never a panic.
+        #[test]
+        fn node_pages_decode_totally((noise, (level, pairs), flips) in page_node_flips()) {
+            check_node_page(&noise);
+            let mut page = noise.clone();
+            node_of(level, &pairs, NODE_MAX_ENTRIES).write_page(&mut page);
+            check_node_page(&page);
+            flip(&mut page, &flips);
+            check_node_page(&page);
+        }
+
+        /// The root decoders — header, `check_root` and the pair view, the
+        /// Starburst descriptor's segment list included — are total over
+        /// the same three kinds of page.
+        #[test]
+        fn root_pages_decode_totally((noise, (level, pairs), flips) in page_node_flips()) {
+            check_root_page(&noise);
+            let kind = StorageKind::from_u8(level % 3 + 1).unwrap();
+            let mut hdr = RootHdr::new(kind, u64::from(pairs.len() as u32));
+            let mut page = noise.clone();
+            node_of(level, &pairs, ROOT_MAX_ENTRIES).write_root(&mut page, &mut hdr);
+            check_root_page(&page);
+            flip(&mut page, &flips);
+            check_root_page(&page);
+        }
     }
 
     #[test]
@@ -522,7 +681,7 @@ mod tests {
         }
         let mut page = [0u8; PAGE_SIZE];
         n.write_page(&mut page);
-        let back = Node::read_page(&page);
+        let back = Node::read_page(&page).unwrap();
         assert_eq!(back, n);
     }
 
@@ -546,7 +705,7 @@ mod tests {
         let hdr2 = RootHdr::read(&page);
         assert_eq!(hdr2, hdr);
         assert_eq!(hdr2.n_entries, 2);
-        let back = Node::read_root(&page, &hdr2);
+        let back = Node::read_root(&page, &hdr2).unwrap();
         assert_eq!(back, n);
     }
 
@@ -555,25 +714,32 @@ mod tests {
         let mut n = Node::new(0);
         n.entries = vec![entry(900, 1), entry(930, 2)];
         assert_eq!(n.total(), 1830); // the paper's Figure 1 example
-        assert_eq!(n.find_child(0), (0, 0));
-        assert_eq!(n.find_child(899), (0, 899));
-        assert_eq!(n.find_child(900), (1, 0));
-        assert_eq!(n.find_child(1829), (1, 929));
+        assert_eq!(n.find_child(0), Ok((0, 0)));
+        assert_eq!(n.find_child(899), Ok((0, 899)));
+        assert_eq!(n.find_child(900), Ok((1, 0)));
+        assert_eq!(n.find_child(1829), Ok((1, 929)));
         // Append position: one past the end.
-        assert_eq!(n.find_child(1830), (1, 930));
+        assert_eq!(n.find_child(1830), Ok((1, 930)));
         assert_eq!(n.offset_of(1), 900);
     }
 
     #[test]
-    #[should_panic(expected = "offset beyond node total")]
-    fn find_child_rejects_far_offsets() {
+    fn find_child_rejects_far_offsets_as_corruption() {
         let mut n = Node::new(0);
+        let corrupt = |m: &str| Err(LobError::Corrupt(m.to_string()));
+        assert_eq!(
+            n.find_child(0),
+            corrupt("offset 0 searched in a node with no entries")
+        );
         n.entries = vec![entry(10, 1)];
-        n.find_child(11);
+        assert_eq!(
+            n.find_child(11),
+            corrupt("offset 11 lies 1 bytes beyond its node")
+        );
     }
 
     /// What a call returned, or the message it panicked with.
-    fn outcome<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    fn outcome<T>(f: impl FnOnce() -> T) -> std::result::Result<T, String> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|p| {
             p.downcast_ref::<String>()
                 .cloned()
@@ -590,10 +756,10 @@ mod tests {
         let view = if root {
             node.write_root(&mut page, &mut hdr);
             hdr = RootHdr::read(&page);
-            NodeView::of_root(&page, &hdr)
+            NodeView::of_root(&page, &hdr).unwrap()
         } else {
             node.write_page(&mut page);
-            NodeView::of_page(&page)
+            NodeView::of_page(&page).unwrap()
         };
         assert_eq!(view.level, node.level);
         assert_eq!(view.is_empty(), node.entries.is_empty());
@@ -610,22 +776,12 @@ mod tests {
             probes.extend([boundary.saturating_sub(1), boundary, boundary + 1]);
         }
         for off in probes {
-            let want = outcome(|| {
-                let (idx, within) = node.find_child(off);
-                (idx, within, node.entries[idx])
-            });
-            assert_eq!(
-                outcome(|| view.find_child(off)),
-                want,
-                "offset {off} of {total}"
-            );
-            if node.entries.is_empty() {
-                assert_eq!(want, Err("find_child on empty node".to_string()));
-            } else if off > total {
-                assert_eq!(want, Err("offset beyond node total".to_string()));
-            } else {
-                assert!(want.is_ok(), "offset {off} of {total}: {want:?}");
-            }
+            let want = node
+                .find_child(off)
+                .map(|(idx, within)| (idx, within, node.entries[idx]));
+            assert_eq!(view.find_child(off), want, "offset {off} of {total}");
+            let fits = !node.entries.is_empty() && off <= total;
+            assert_eq!(want.is_ok(), fits, "offset {off} of {total}: {want:?}");
         }
     }
 
@@ -677,9 +833,9 @@ mod tests {
             let mut a = base;
             let got = outcome(|| {
                 let mut view = if root {
-                    NodeMut::of_root(&mut a)
+                    NodeMut::of_root(&mut a).unwrap()
                 } else {
-                    NodeMut::of_page(&mut a)
+                    NodeMut::of_page(&mut a).unwrap()
                 };
                 in_place(&mut view)
             });
@@ -687,9 +843,9 @@ mod tests {
             let want = outcome(|| {
                 let mut hdr = RootHdr::read(&b);
                 let mut edited = if root {
-                    Node::read_root(&b, &hdr)
+                    Node::read_root(&b, &hdr).unwrap()
                 } else {
-                    Node::read_page(&b)
+                    Node::read_page(&b).unwrap()
                 };
                 owned(&mut edited.entries);
                 let delta = edited.total() as i64 - node.total() as i64;
@@ -783,22 +939,25 @@ mod tests {
 
     #[test]
     fn entry_count_above_capacity_is_corruption() {
+        fn corrupt<T>(what: &str) -> Result<T> {
+            Err(LobError::Corrupt(what.to_string()))
+        }
         let mut page = [0u8; PAGE_SIZE];
         put_u16(&mut page, 0, (NODE_MAX_ENTRIES + 1) as u16);
-        assert_eq!(
-            outcome(|| NodeView::of_page(&page).len()),
-            Err("corrupt node: 512 entries".to_string())
-        );
-        assert_eq!(
-            outcome(|| NodeMut::of_page(&mut page.clone()).add_count(0, 1)),
-            Err("corrupt node: 512 entries".to_string())
-        );
+        let node = "node of 512 entries, above its capacity of 511";
+        assert_eq!(NodeView::of_page(&page).map(|v| v.len()), corrupt(node));
+        assert_eq!(Node::read_page(&page), corrupt(node));
+        assert_eq!(NodeMut::of_page(&mut page).map(|m| m.len()), corrupt(node));
         let mut hdr = RootHdr::read(&page);
-        hdr.n_entries = (ROOT_MAX_ENTRIES + 1) as u16;
+        hdr.n_entries = 600;
+        hdr.write(&mut page);
+        let root = "root of 600 entries, above its capacity of 507";
         assert_eq!(
-            outcome(|| NodeView::of_root(&page, &hdr).len()),
-            Err("corrupt root: 508 entries".to_string())
+            NodeView::of_root(&page, &hdr).map(|v| v.len()),
+            corrupt(root)
         );
+        assert_eq!(Node::read_root(&page, &hdr), corrupt(root));
+        assert_eq!(NodeMut::of_root(&mut page).map(|m| m.len()), corrupt(root));
     }
 
     #[test]
@@ -809,6 +968,9 @@ mod tests {
         }
         let mut page = [0u8; PAGE_SIZE];
         n.write_page(&mut page);
-        assert_eq!(Node::read_page(&page).entries.len(), NODE_MAX_ENTRIES);
+        assert_eq!(
+            Node::read_page(&page).unwrap().entries.len(),
+            NODE_MAX_ENTRIES
+        );
     }
 }

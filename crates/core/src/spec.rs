@@ -141,6 +141,7 @@ pub(crate) fn open_raw(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LobError;
 
     #[test]
     fn create_all_kinds_and_use_through_dyn() {
@@ -159,6 +160,65 @@ mod tests {
             obj.destroy(&mut db).unwrap();
         }
         assert_eq!(db.leaf_pages_allocated(), 0);
+    }
+
+    /// A root whose header claims 600 pairs, more than the 507 a root
+    /// page holds, is `Corrupt` to every read and update of all three
+    /// schemes, and to the consistency check.
+    #[test]
+    fn a_root_claiming_600_entries_is_corrupt() {
+        let corrupt = |got: Result<()>| {
+            assert!(
+                matches!(&got, Err(LobError::Corrupt(m)) if m.contains("root of 600 entries")),
+                "{got:?}"
+            );
+        };
+        for spec in [
+            ManagerSpec::esm(4),
+            ManagerSpec::starburst(),
+            ManagerSpec::eos(16),
+        ] {
+            let mut db = Db::paper_default();
+            let mut obj = spec.create(&mut db).unwrap();
+            obj.append(&mut db, &[5u8; 30_000]).unwrap();
+            db.with_meta_page_mut(obj.root_page(), |p| {
+                p[6..8].copy_from_slice(&600u16.to_le_bytes())
+            });
+            let mut out = [0u8; 10];
+            corrupt(obj.read(&mut db, 100, &mut out));
+            corrupt(obj.locate(&mut db, 100).map(drop));
+            corrupt(obj.append(&mut db, b"more"));
+            corrupt(obj.insert(&mut db, 10, b"in"));
+            corrupt(obj.delete(&mut db, 10, 5));
+            corrupt(obj.replace(&mut db, 10, b"re"));
+            corrupt(obj.check_invariants(&db));
+            corrupt(obj.destroy(&mut db));
+        }
+    }
+
+    /// A root whose size field claims more bytes than its pairs count
+    /// sends a read past the tree's counts: `Corrupt`, not a panic.
+    #[test]
+    fn a_size_beyond_the_counts_is_corrupt() {
+        for spec in [
+            ManagerSpec::esm(4),
+            ManagerSpec::starburst(),
+            ManagerSpec::eos(16),
+        ] {
+            let mut db = Db::paper_default();
+            let mut obj = spec.create(&mut db).unwrap();
+            obj.append(&mut db, &[5u8; 30_000]).unwrap();
+            db.with_meta_page_mut(obj.root_page(), |p| {
+                p[8..16].copy_from_slice(&40_000u64.to_le_bytes());
+            });
+            let mut out = [0u8; 10];
+            let got = obj.read(&mut db, 35_000, &mut out);
+            assert!(
+                matches!(got, Err(LobError::Corrupt(_))),
+                "{}: {got:?}",
+                spec.label()
+            );
+        }
     }
 
     #[test]

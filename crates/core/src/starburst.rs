@@ -26,7 +26,7 @@ use lobstore_buddy::Extent;
 use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PageId, PAGE_SIZE, PAGE_SIZE_U64};
 
 use crate::db::Db;
-use crate::error::{LobError, Result};
+use crate::error::{or_panic, LobError, Result};
 use crate::node::{find_child, Entry, Node, RootHdr, ROOT_MAX_ENTRIES};
 use crate::object::{
     check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, SpanPos, StorageKind, Utilization,
@@ -107,9 +107,15 @@ impl StarburstObject {
 
     /// Load the descriptor: header and segment list (by value, for the
     /// update paths). Read-only paths step through [`Db::with_meta_root`]'s
-    /// view instead.
-    fn load(&self, db: &mut Db) -> (RootHdr, Vec<Entry>) {
+    /// view instead. `Corrupt` when the segment count is above the
+    /// descriptor's capacity.
+    fn load(&self, db: &mut Db) -> Result<(RootHdr, Vec<Entry>)> {
         db.with_meta_root(self.root, |hdr, node| (*hdr, node.iter().collect()))
+    }
+
+    /// The object size on the descriptor.
+    fn stored_size(&self, db: &mut Db) -> Result<u64> {
+        db.with_meta_root(self.root, |hdr, _| hdr.size)
     }
 
     /// Store the descriptor. The root page is left dirty in the pool (no
@@ -248,8 +254,8 @@ impl StarburstObject {
     /// that, per the shadowing discipline (§3.3), a crash mid-operation
     /// cannot have clobbered the pages the previous state references.
     fn rewrite_tail(&mut self, db: &mut Db, off: u64, cut: u64, put: &[u8]) -> Result<()> {
-        let (mut hdr, mut segs) = self.load(db);
-        let (i, p, _) = find_child(segs.iter().copied(), off);
+        let (mut hdr, mut segs) = self.load(db)?;
+        let (i, p, _) = find_child(segs.iter().copied(), off)?;
         let old = segs.split_off(i);
         let (at, cut) = (cast::to_usize(p), cast::to_usize(cut));
         // `copy_tail` cuts the new tail into maximum-size segments.
@@ -278,7 +284,7 @@ impl LargeObject for StarburstObject {
     }
 
     fn size(&self, db: &mut Db) -> u64 {
-        db.with_meta_root(self.root, |hdr, _| hdr.size)
+        or_panic(self.stored_size(db))
     }
 
     fn append(&mut self, db: &mut Db, bytes: &[u8]) -> Result<()> {
@@ -286,7 +292,7 @@ impl LargeObject for StarburstObject {
             return Ok(());
         }
         check_op_len(bytes.len() as u64)?;
-        let (mut hdr, mut segs) = self.load(db);
+        let (mut hdr, mut segs) = self.load(db)?;
 
         // The last segment's allocation, and the bytes its allocated tail
         // takes in place.
@@ -351,7 +357,7 @@ impl LargeObject for StarburstObject {
             if want == 0 {
                 return Ok(plan);
             }
-            let (first, mut within, _) = node.find_child(off);
+            let (first, mut within, _) = node.find_child(off)?;
             let mut segs = node.iter().skip(first);
             let mut done = 0usize;
             while done < want {
@@ -367,7 +373,7 @@ impl LargeObject for StarburstObject {
                 within = 0;
             }
             Ok(plan)
-        })?;
+        })??;
         let mut done = 0usize;
         for (ptr, within, take) in plan {
             db.pool
@@ -402,17 +408,17 @@ impl LargeObject for StarburstObject {
     fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {
         db.with_meta_root(self.root, |hdr, node| {
             check_range(hdr.size, off, 1)?;
-            let (_, within, e) = node.find_child(off);
+            let (_, within, e) = node.find_child(off)?;
             Ok(SegSpan {
                 start: off - within,
                 bytes: e.count,
                 page: e.ptr,
             })
-        })
+        })?
     }
 
     fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        let size = check_range(self.size(db), off, 0)?;
+        let size = check_range(self.stored_size(db)?, off, 0)?;
         if bytes.is_empty() {
             return Ok(());
         }
@@ -426,7 +432,7 @@ impl LargeObject for StarburstObject {
     }
 
     fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
-        check_range(self.size(db), off, len)?;
+        check_range(self.stored_size(db)?, off, len)?;
         if len == 0 {
             return Ok(());
         }
@@ -436,12 +442,12 @@ impl LargeObject for StarburstObject {
     }
 
     fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        check_range(self.size(db), off, bytes.len() as u64)?;
+        check_range(self.stored_size(db)?, off, bytes.len() as u64)?;
         if bytes.is_empty() {
             return Ok(());
         }
-        let (mut hdr, mut segs) = self.load(db);
-        let (mut i, mut within, _) = find_child(segs.iter().copied(), off);
+        let (mut hdr, mut segs) = self.load(db)?;
+        let (mut i, mut within, _) = find_child(segs.iter().copied(), off)?;
         let mut done = 0usize;
         // Superseded segments are released only after every new copy has
         // been written (§3.3 shadowing discipline).
@@ -472,7 +478,7 @@ impl LargeObject for StarburstObject {
     }
 
     fn trim(&mut self, db: &mut Db) -> Result<()> {
-        let (mut hdr, segs) = self.load(db);
+        let (mut hdr, segs) = self.load(db)?;
         if hdr.last_seg_alloc == 0 || segs.is_empty() {
             return Ok(());
         }
@@ -494,7 +500,7 @@ impl LargeObject for StarburstObject {
     }
 
     fn destroy(&mut self, db: &mut Db) -> Result<()> {
-        let (hdr, segs) = self.load(db);
+        let (hdr, segs) = self.load(db)?;
         self.free_tail(db, &hdr, &segs, 0);
         db.free_meta_page(self.root);
         db.op_commit();
@@ -511,7 +517,7 @@ impl LargeObject for StarburstObject {
     }
 
     fn segments(&self, db: &Db) -> Vec<SegmentInfo> {
-        let (hdr, node) = db.peek_root(self.root);
+        let (hdr, node) = or_panic(db.peek_root(self.root));
         let mut off = 0u64;
         node.entries
             .iter()
@@ -539,7 +545,7 @@ impl LargeObject for StarburstObject {
         if hdr.magic != RootHdr::magic(StorageKind::Starburst) {
             return Err(LobError::Corrupt("bad descriptor magic".into()));
         }
-        let node = Node::read_root(&page[..], &hdr);
+        let node = Node::read_root(&page[..], &hdr)?;
         let total: u64 = node.entries.iter().map(|e| e.count).sum();
         if total != hdr.size {
             return Err(LobError::InvariantViolated(format!(
@@ -583,7 +589,7 @@ impl LargeObject for StarburstObject {
     }
 
     fn snapshot(&self, db: &Db) -> Vec<u8> {
-        peek_segs(db, &db.peek_root(self.root).1.entries)
+        peek_segs(db, &or_panic(db.peek_root(self.root)).1.entries)
     }
 }
 
@@ -913,7 +919,7 @@ mod tests {
             model.extend_from_slice(&c);
             obj.check_invariants(&db).unwrap();
         }
-        let (hdr, segs) = obj.load(&mut db);
+        let (hdr, segs) = obj.load(&mut db).unwrap();
         assert_eq!(hdr.size, model.len() as u64);
         let page_sizes: Vec<u32> = (0..segs.len())
             .map(|i| obj.seg_alloc(&hdr, &segs, i))
@@ -935,7 +941,7 @@ mod tests {
         )
         .unwrap();
         obj.append(&mut db, &pattern(100_000, 1)).unwrap();
-        let (hdr, segs) = obj.load(&mut db);
+        let (hdr, segs) = obj.load(&mut db).unwrap();
         assert_eq!(obj.seg_alloc(&hdr, &segs, 0), 8);
         obj.check_invariants(&db).unwrap();
     }
@@ -1010,7 +1016,7 @@ mod tests {
         assert_eq!(obj.snapshot(&db), model);
         obj.check_invariants(&db).unwrap();
         // Tail now in max-size (16-page) segments, last trimmed.
-        let (hdr, segs) = obj.load(&mut db);
+        let (hdr, segs) = obj.load(&mut db).unwrap();
         assert_eq!(hdr.last_seg_alloc, 0);
         for e in &segs[segs.len() - 2..segs.len() - 1] {
             assert_eq!(e.count, 16 * 4096);

@@ -248,19 +248,19 @@ impl<D: ReadAccess> Source for Pinned<D> {
     /// (`read_seg_pages`), landing in the buffer directly.
     fn refill(&mut self, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)> {
         let Pinned { db, version, root } = self;
-        Ok(db.with_db(|db| {
+        db.with_db(|db| {
             assert!(
                 db.is_pinned(*version),
                 "snapshot at version {version} was released while a reader was open"
             );
-            let (_, mut within, mut e) = find_child(root.entries.iter().copied(), pos);
+            let (_, mut within, mut e) = find_child(root.entries.iter().copied(), pos)?;
             for _ in 0..root.level {
-                (_, within, e) = db.with_meta_node(e.ptr, |node| node.find_child(within));
+                (_, within, e) = db.with_meta_node(e.ptr, |node| node.find_child(within))??;
             }
             let want = e.count.saturating_sub(within).min(READ_AHEAD_MAX as u64);
             let skip = read_seg_pages(db, e.ptr, within, want, buf, 0);
-            (skip, cast::to_usize(want))
-        }))
+            Ok((skip, cast::to_usize(want)))
+        })
     }
 }
 
@@ -279,7 +279,7 @@ impl<D: ReadAccess> SpanCursor<Pinned<D>> {
             db.versioned_meta_page(root_page, version, |p| {
                 let hdr = RootHdr::read(p);
                 hdr.check_root(root_page, None)?;
-                Ok((hdr.size, Node::read_root(p, &hdr)))
+                Ok((hdr.size, Node::read_root(p, &hdr)?))
             })
         })?;
         Ok(Self::over(Pinned { db, version, root }, size))

@@ -29,7 +29,6 @@
 //! change the splice descends again. A walk fixes only the node it
 //! climbed to and those below it, one fix a node.
 
-use std::convert::Infallible;
 use std::ops::Range;
 
 use lobstore_buddy::Extent;
@@ -136,7 +135,7 @@ impl PosTree {
     // ----- page access ---------------------------------------------------
 
     /// Read the object header stored on the root page.
-    pub fn read_hdr(&self, db: &mut Db) -> RootHdr {
+    pub fn read_hdr(&self, db: &mut Db) -> Result<RootHdr> {
         db.with_meta_root(self.root_page, |hdr, _| *hdr)
     }
 
@@ -147,7 +146,7 @@ impl PosTree {
 
     /// Root header + entries by value, for the structural write paths.
     /// Read-only walks step through [`Db::with_meta_root`]'s view instead.
-    fn load_root(&self, db: &mut Db) -> (RootHdr, Node) {
+    fn load_root(&self, db: &mut Db) -> Result<(RootHdr, Node)> {
         db.with_meta_root(self.root_page, |hdr, node| (*hdr, node.to_node()))
     }
 
@@ -159,7 +158,7 @@ impl PosTree {
         });
     }
 
-    fn load_node(&self, db: &mut Db, page: u32) -> Node {
+    fn load_node(&self, db: &mut Db, page: u32) -> Result<Node> {
         db.with_meta_node(page, |node| node.to_node())
     }
 
@@ -173,7 +172,7 @@ impl PosTree {
 
     /// Fix index page `page` and run `f` on its pair array, in the root's
     /// layout if it is the root.
-    fn view<R>(&self, db: &Db, page: u32, f: impl FnOnce(NodeView<'_>) -> R) -> R {
+    fn view<R>(&self, db: &Db, page: u32, f: impl FnOnce(NodeView<'_>) -> R) -> Result<R> {
         if page == self.root_page {
             db.with_meta_root(page, |_, v| f(v))
         } else {
@@ -193,32 +192,31 @@ impl PosTree {
         page: u32,
         edit: &Edit,
         plain: impl FnOnce(usize, u8) -> bool,
-    ) -> Level {
+    ) -> Result<Level> {
         let decoded = self.view(db, page, |v| {
             (!plain(edit.len_after(v.len()), v.level)).then(|| v.to_node())
-        });
-        match decoded {
-            Some(node) => Level::Decoded(node),
-            None => Level::Edited(db.with_meta_page_mut(page, |p| {
-                edit.make(if page == self.root_page {
-                    NodeMut::of_root(p)
-                } else {
-                    NodeMut::of_page(p)
-                })
-            })),
+        })?;
+        if let Some(node) = decoded {
+            return Ok(Level::Decoded(node));
         }
+        db.with_meta_page_mut(page, |p| {
+            let node = if page == self.root_page {
+                NodeMut::of_root(p)
+            } else {
+                NodeMut::of_page(p)
+            };
+            node.map(|node| Level::Edited(edit.make(node)))
+        })
     }
 
     // ----- search ---------------------------------------------------------
 
     /// Find the leaf containing byte `off` (`off == size` selects the
-    /// rightmost leaf at its end). Returns `None` for an empty object.
-    ///
-    /// # Panics
-    /// If `off` exceeds the stored object size.
-    pub fn descend(&self, db: &mut Db, off: u64) -> Option<LeafPos> {
-        let Ok(pos) = self.descend_gated(db, |_, _| Ok::<_, Infallible>(Some(off)));
-        pos
+    /// rightmost leaf at its end). Returns `None` for an empty object,
+    /// and `Corrupt` when `off` lies beyond the tree's counts (callers
+    /// range-check it against the stored object size first).
+    pub fn descend(&self, db: &mut Db, off: u64) -> Result<Option<LeafPos>> {
+        self.descend_gated(db, |_, _| Ok(Some(off)))
     }
 
     /// The leaf holding byte `off` of a read of `[off, off + len)`
@@ -256,30 +254,28 @@ impl PosTree {
     /// any: a descent to the root's byte total, taken under the root's
     /// fix. Uses the tree's entries, not the header size, which may lag
     /// within an operation.
-    pub fn rightmost(&self, db: &mut Db) -> Option<LeafPos> {
-        let Ok(pos) = self.descend_gated(db, |_, v| {
-            Ok::<_, Infallible>(Some(v.iter().map(|e| e.count).sum()))
-        });
-        pos
+    pub fn rightmost(&self, db: &mut Db) -> Result<Option<LeafPos>> {
+        self.descend_gated(db, |_, v| Ok(Some(v.iter().map(|e| e.count).sum())))
     }
 
     /// The one descent: `gate` sees the root header and pairs under the
     /// root's fix and names the offset to descend to; `Ok(None)` ends the
-    /// walk there and `Err` refuses it, before any pair is searched.
-    fn descend_gated<E>(
+    /// walk there and `Err` refuses it, before any pair is searched. A
+    /// page on the way that holds no node ends it with `Corrupt`.
+    fn descend_gated(
         &self,
         db: &mut Db,
-        gate: impl FnOnce(&RootHdr, &NodeView<'_>) -> std::result::Result<Option<u64>, E>,
-    ) -> std::result::Result<Option<LeafPos>, E> {
+        gate: impl FnOnce(&RootHdr, &NodeView<'_>) -> Result<Option<u64>>,
+    ) -> Result<Option<LeafPos>> {
         // Each step searches the fixed page's pair array in place.
         let step_in = |node: NodeView<'_>, rem: u64| {
-            let (idx, within, entry) = node.find_child(rem);
-            (idx, node.len(), within, entry, node.level)
+            let (idx, within, entry) = node.find_child(rem)?;
+            Ok::<_, LobError>((idx, node.len(), within, entry, node.level))
         };
         let first = db.with_meta_root(self.root_page, |hdr, node| {
             let off = gate(hdr, &node)?.filter(|_| !node.is_empty());
-            Ok(off.map(|off| (off, step_in(node, off))))
-        })?;
+            off.map(|off| Ok((off, step_in(node, off)?))).transpose()
+        })??;
         let Some((off, (mut idx, mut len, mut within, mut entry, mut level))) = first else {
             return Ok(None);
         };
@@ -292,7 +288,8 @@ impl PosTree {
         while level > 0 {
             let page = entry.ptr;
             let rem = within;
-            (idx, len, within, entry, level) = db.with_meta_node(page, |node| step_in(node, rem));
+            (idx, len, within, entry, level) =
+                db.with_meta_node(page, |node| step_in(node, rem))??;
             path.push(PathStep { page, idx, len });
         }
         metrics::TREE_DESCENTS.add(1);
@@ -310,7 +307,7 @@ impl PosTree {
     /// tree and the stored object size disagree — an invariant violation,
     /// not a caller error.
     pub fn try_descend(&self, db: &mut Db, off: u64) -> Result<LeafPos> {
-        self.descend(db, off).ok_or_else(|| self.no_leaf(off))
+        self.descend(db, off)?.ok_or_else(|| self.no_leaf(off))
     }
 
     fn no_leaf(&self, off: u64) -> LobError {
@@ -387,7 +384,7 @@ impl PosTree {
                 let len = v.len();
                 let i = idx.unwrap_or(if leftmost { 0 } else { len.saturating_sub(1) });
                 (i, len, v.get(i), v.level)
-            });
+            })?;
             let Some(entry) = entry else {
                 let msg = format!("index page {page} has no entry {i}");
                 return Err(LobError::InvariantViolated(msg));
@@ -406,7 +403,13 @@ impl PosTree {
     /// Add `delta` to the leaf count along `path` (and to every ancestor
     /// entry). Used for in-place appends that change no pointers. Every
     /// level is edited where it lies and none is restructured.
-    pub fn add_count(&self, db: &mut Db, ctx: &mut OpCtx, path: &[PathStep], delta: i64) {
+    pub fn add_count(
+        &self,
+        db: &mut Db,
+        ctx: &mut OpCtx,
+        path: &[PathStep],
+        delta: i64,
+    ) -> Result<()> {
         let mut moved = None;
         for (d, step) in path.iter().enumerate().rev() {
             let page = if d == 0 {
@@ -419,9 +422,10 @@ impl PosTree {
                 delta,
                 ptr: moved,
             };
-            self.edit_level(db, page, &edit, |_, _| true);
+            self.edit_level(db, page, &edit, |_, _| true)?;
             moved = (page != step.page).then_some(page);
         }
+        Ok(())
     }
 
     /// Replace the run of adjacent leaf entries `old`, the first at
@@ -460,7 +464,7 @@ impl PosTree {
             }
             if i + 1 == old.len() {
                 let (first, put) = (repl.first().copied(), (repl.len(), entries_total(&repl)));
-                let plain = self.apply(db, ctx, &mut path, repl);
+                let plain = self.apply(db, ctx, &mut path, repl)?;
                 return Ok(Spliced {
                     start,
                     first,
@@ -468,7 +472,7 @@ impl PosTree {
                     path: plain.then_some(path),
                 });
             }
-            let plain = self.apply(db, ctx, &mut path, Vec::new());
+            let plain = self.apply(db, ctx, &mut path, Vec::new())?;
             if plain {
                 // The removed entry's slot now holds the next one.
                 let Some((path, entry)) = self.slot(db, &path, 0)? else {
@@ -500,7 +504,7 @@ impl PosTree {
         // loblint: allow(arith-overflow)
         let end = s.start + bytes;
         let Some(path) = s.path else {
-            let pos = self.descend(db, end);
+            let pos = self.descend(db, end)?;
             return Ok(pos.filter(|p| p.off_in_leaf < p.entry.count));
         };
         let found = self.slot(db, &path, n)?;
@@ -509,20 +513,21 @@ impl PosTree {
 
     /// Append `entry` after the current rightmost leaf (or as the first
     /// leaf of an empty object).
-    pub fn append_entry(&self, db: &mut Db, ctx: &mut OpCtx, entry: Entry) {
-        match self.rightmost(db) {
+    pub fn append_entry(&self, db: &mut Db, ctx: &mut OpCtx, entry: Entry) -> Result<()> {
+        match self.rightmost(db)? {
             None => {
                 let first = Edit::Splice {
                     at: 0,
                     remove: 0,
                     repl: vec![entry],
                 };
-                self.apply_at_root(db, ctx, first);
+                self.apply_at_root(db, ctx, first)?;
             }
             Some(mut pos) => {
-                self.apply(db, ctx, &mut pos.path, vec![pos.entry, entry]);
+                self.apply(db, ctx, &mut pos.path, vec![pos.entry, entry])?;
             }
         }
+        Ok(())
     }
 
     // ----- structural engine ----------------------------------------------
@@ -541,7 +546,13 @@ impl PosTree {
     /// Returns whether every level was plain. Then `path` still addresses
     /// the edited slot: its pages are the shadow copies the edit went to,
     /// and its last node's pair count is the one the edit left.
-    fn apply(&self, db: &mut Db, ctx: &mut OpCtx, path: &mut [PathStep], repl: Vec<Entry>) -> bool {
+    fn apply(
+        &self,
+        db: &mut Db,
+        ctx: &mut OpCtx,
+        path: &mut [PathStep],
+        repl: Vec<Entry>,
+    ) -> Result<bool> {
         let Some(&leaf_parent) = path.last() else {
             unreachable!("search paths always contain at least the root");
         };
@@ -556,7 +567,7 @@ impl PosTree {
             let step = path[d];
             let target = ctx.shadow_page(db, step.page);
             let (cap, min) = (self.node_cap(db), self.node_min(db));
-            edit = match self.edit_level(db, target, &edit, |n, _| (min..=cap).contains(&n)) {
+            edit = match self.edit_level(db, target, &edit, |n, _| (min..=cap).contains(&n))? {
                 Level::Edited(delta) => {
                     if let Some(step) = path.get_mut(d) {
                         step.page = target;
@@ -570,15 +581,15 @@ impl PosTree {
                 Level::Decoded(mut node) => {
                     plain = false;
                     edit.make_owned(&mut node.entries);
-                    self.restructure(db, ctx, &path[..=d], target, node)
+                    self.restructure(db, ctx, &path[..=d], target, node)?
                 }
             };
         }
-        plain &= self.apply_at_root(db, ctx, edit);
+        plain &= self.apply_at_root(db, ctx, edit)?;
         if let Some(lp) = path.last_mut() {
             lp.len = (lp.len + grown).saturating_sub(1);
         }
-        plain
+        Ok(plain)
     }
 
     /// The structural half of one [`Self::apply`] level: `node`, decoded
@@ -592,7 +603,7 @@ impl PosTree {
         path: &[PathStep],
         target: u32,
         node: Node,
-    ) -> Edit {
+    ) -> Result<Edit> {
         let d = path.len() - 1;
         let cap = self.node_cap(db);
         let pidx = path[d - 1].idx;
@@ -616,30 +627,30 @@ impl PosTree {
                     ptr: pg,
                 });
             }
-            return Edit::Splice {
+            return Ok(Edit::Splice {
                 at: pidx,
                 remove: 1,
                 repl: out,
-            };
+            });
         }
         // Underflow: rebalance with a sibling, if one exists.
         let parent_node = if d - 1 == 0 {
-            self.load_root(db).1
+            self.load_root(db)?.1
         } else {
-            self.load_node(db, path[d - 1].page)
+            self.load_node(db, path[d - 1].page)?
         };
         if parent_node.entries.len() < 2 {
             // No sibling (parent is a 1-entry root): tolerate the
             // underflow; root collapse will absorb it eventually.
             self.store_node(db, target, &node);
-            return Edit::Splice {
+            return Ok(Edit::Splice {
                 at: pidx,
                 remove: 1,
                 repl: vec![Entry {
                     count: node.total(),
                     ptr: target,
                 }],
-            };
+            });
         }
         let (lo, hi) = if pidx > 0 {
             (pidx - 1, pidx)
@@ -649,7 +660,7 @@ impl PosTree {
         let sib_is_left = pidx > 0;
         let sib_old = parent_node.entries[if sib_is_left { lo } else { hi }].ptr;
         let sib_target = ctx.shadow_page(db, sib_old);
-        let sib = self.load_node(db, sib_target);
+        let sib = self.load_node(db, sib_target)?;
         debug_assert_eq!(sib.level, node.level);
         let mut combined = Vec::with_capacity(sib.entries.len() + node.entries.len());
         if sib_is_left {
@@ -703,11 +714,11 @@ impl PosTree {
                 },
             ]
         };
-        Edit::Splice {
+        Ok(Edit::Splice {
             at: lo,
             remove: 2,
             repl,
-        }
+        })
     }
 
     /// Terminal step of [`Self::apply`] at the root: make `edit` in place
@@ -715,11 +726,11 @@ impl PosTree {
     /// root with one child; otherwise decode it, grow the tree on overflow
     /// or shrink it while the root has a single child. Returns whether
     /// the edit was made in place.
-    fn apply_at_root(&self, db: &mut Db, ctx: &mut OpCtx, edit: Edit) -> bool {
+    fn apply_at_root(&self, db: &mut Db, ctx: &mut OpCtx, edit: Edit) -> Result<bool> {
         let rcap = self.root_cap(db);
         let plain = |n: usize, level: u8| n <= rcap && !(level > 0 && n == 1);
-        let Level::Decoded(mut node) = self.edit_level(db, self.root_page, &edit, plain) else {
-            return true;
+        let Level::Decoded(mut node) = self.edit_level(db, self.root_page, &edit, plain)? else {
+            return Ok(true);
         };
         edit.make_owned(&mut node.entries);
         if node.entries.len() > rcap {
@@ -747,7 +758,7 @@ impl PosTree {
         // interior node because of its larger header).
         while node.level > 0 && node.entries.len() == 1 {
             let child_pg = node.entries[0].ptr;
-            let child = self.load_node(db, child_pg);
+            let child = self.load_node(db, child_pg)?;
             if child.entries.len() > rcap {
                 break;
             }
@@ -755,7 +766,7 @@ impl PosTree {
             node = child;
         }
         self.store_root(db, &node);
-        false
+        Ok(false)
     }
 
     // ----- the object body ESM and EOS share -------------------------------
@@ -765,15 +776,16 @@ impl PosTree {
     // shadowed) is passed in.
 
     /// Object size recorded in the root header.
-    pub fn size(&self, db: &mut Db) -> u64 {
-        self.read_hdr(db).size
+    pub fn size(&self, db: &mut Db) -> Result<u64> {
+        Ok(self.read_hdr(db)?.size)
     }
 
     /// Add `delta` to the object size recorded in the root header.
-    pub fn bump_size(&self, db: &mut Db, delta: i64) {
-        let mut hdr = self.read_hdr(db);
+    pub fn bump_size(&self, db: &mut Db, delta: i64) -> Result<()> {
+        let mut hdr = self.read_hdr(db)?;
         hdr.size = (hdr.size as i64 + delta) as u64;
         self.write_hdr(db, &hdr);
+        Ok(())
     }
 
     /// Visit, left to right, every leaf overlapping object bytes
@@ -791,7 +803,7 @@ impl PosTree {
         mut visit: impl FnMut(&mut Db, &LeafPos, Range<usize>) -> Result<Option<Spliced>>,
     ) -> Result<()> {
         if len == 0 {
-            return check_range(self.size(db), off, 0).map(drop);
+            return check_range(self.size(db)?, off, 0).map(drop);
         }
         let mut pos = self.descend_checked(db, off, len as u64)?;
         let mut done = 0usize;
@@ -850,7 +862,7 @@ impl PosTree {
     ) -> Result<usize> {
         let walk_from = last.take().filter(|p| p.leaf_end() == off);
         if max == 0 {
-            check_range(self.size(db), off, 0)?;
+            check_range(self.size(db)?, off, 0)?;
             buf.clear();
             return Ok(0);
         }
@@ -897,7 +909,7 @@ impl PosTree {
         ctx: &mut OpCtx,
         off: u64,
         bytes: &[u8],
-        mut shadow_leaf: impl FnMut(&mut Db, &mut OpCtx, &LeafPos, &[u8]) -> Entry,
+        mut shadow_leaf: impl FnMut(&mut Db, &mut OpCtx, &LeafPos, &[u8]) -> Result<Entry>,
     ) -> Result<()> {
         self.for_each_leaf(db, off, bytes.len(), |db, pos, r| {
             // `for_each_leaf` hands out sub-ranges of `0..bytes.len()`.
@@ -913,7 +925,7 @@ impl PosTree {
             // most the leaf's byte count, which is `content.len()`.
             // loblint: allow(panic-path)
             content[s..s + patch.len()].copy_from_slice(patch);
-            let e = shadow_leaf(db, ctx, pos, &content);
+            let e = shadow_leaf(db, ctx, pos, &content)?;
             self.splice(db, ctx, pos, &[pos.entry], vec![e]).map(Some)
         })
     }
@@ -922,34 +934,36 @@ impl PosTree {
     /// owns), every index page and the root. The index is read through
     /// the pool, so finding the segments is I/O-costed — `destroy` really
     /// does have to read it.
-    pub fn destroy(&self, db: &mut Db, leaf_pages: impl Fn(&RootHdr, &Entry) -> u32) {
-        let (hdr, root) = self.load_root(db);
+    pub fn destroy(&self, db: &mut Db, leaf_pages: impl Fn(&RootHdr, &Entry) -> u32) -> Result<()> {
+        let (hdr, root) = self.load_root(db)?;
         let mut leaves = Vec::new();
         walk_leaves(
             &root,
             &mut |page| self.load_node(db, page),
             &mut 0,
             &mut leaves,
-        );
+        )?;
+        let index = self.index_page_numbers(db)?;
         for (_, e) in leaves {
             db.free_leaf(Extent::new(AreaId::LEAF, e.ptr, leaf_pages(&hdr, &e)));
         }
-        for page in self.index_page_numbers(db).into_iter().skip(1) {
+        for page in index.into_iter().skip(1) {
             db.free_meta_page(page);
         }
         db.free_meta_page(self.root_page);
         db.op_commit();
+        Ok(())
     }
 
     // ----- whole-tree walks (cost-free, for metrics and verification) -----
 
     /// Every leaf entry with its object start offset, left to right.
     /// Cost-free (peeks pages).
-    pub fn collect_leaves(&self, db: &Db) -> Vec<(u64, Entry)> {
+    pub fn collect_leaves(&self, db: &Db) -> Result<Vec<(u64, Entry)>> {
         let mut out = Vec::new();
-        let (_, root) = db.peek_root(self.root_page);
-        walk_leaves(&root, &mut |page| db.peek_node(page), &mut 0, &mut out);
-        out
+        let (_, root) = db.peek_root(self.root_page)?;
+        walk_leaves(&root, &mut |page| db.peek_node(page), &mut 0, &mut out)?;
+        Ok(out)
     }
 
     /// The data segments, left to right; `leaf_pages` says how many pages
@@ -958,9 +972,10 @@ impl PosTree {
         &self,
         db: &Db,
         leaf_pages: impl Fn(&RootHdr, &Entry) -> u32,
-    ) -> Vec<SegmentInfo> {
-        let (hdr, _) = db.peek_root(self.root_page);
-        self.collect_leaves(db)
+    ) -> Result<Vec<SegmentInfo>> {
+        let (hdr, _) = db.peek_root(self.root_page)?;
+        Ok(self
+            .collect_leaves(db)?
             .into_iter()
             .map(|(offset, e)| SegmentInfo {
                 offset,
@@ -968,7 +983,7 @@ impl PosTree {
                 bytes: e.count,
                 pages: leaf_pages(&hdr, &e),
             })
-            .collect()
+            .collect())
     }
 
     /// Storage-utilization breakdown over [`Self::segments`]. Cost-free.
@@ -976,47 +991,48 @@ impl PosTree {
         &self,
         db: &Db,
         leaf_pages: impl Fn(&RootHdr, &Entry) -> u32,
-    ) -> Utilization {
-        let segs = self.segments(db, leaf_pages);
-        Utilization {
+    ) -> Result<Utilization> {
+        let segs = self.segments(db, leaf_pages)?;
+        Ok(Utilization {
             object_bytes: segs.iter().map(|s| s.bytes).sum(),
             data_pages: segs.iter().map(|s| u64::from(s.pages)).sum(),
-            index_pages: self.index_page_numbers(db).len() as u64,
-        }
+            index_pages: self.index_page_numbers(db)?.len() as u64,
+        })
     }
 
     /// Cost-free copy of the full object content (peeked pages).
-    pub fn peek_content(&self, db: &Db) -> Vec<u8> {
+    pub fn peek_content(&self, db: &Db) -> Result<Vec<u8>> {
         let leaves: Vec<Entry> = self
-            .collect_leaves(db)
+            .collect_leaves(db)?
             .into_iter()
             .map(|(_, e)| e)
             .collect();
-        peek_segs(db, &leaves)
+        Ok(peek_segs(db, &leaves))
     }
 
     /// Every index page of this tree, the root first. Cost-free.
-    pub fn index_page_numbers(&self, db: &Db) -> Vec<u32> {
-        let (_, root) = db.peek_root(self.root_page);
+    pub fn index_page_numbers(&self, db: &Db) -> Result<Vec<u32>> {
+        let (_, root) = db.peek_root(self.root_page)?;
         let mut out = vec![self.root_page];
-        self.collect_internal(db, &root, &mut out);
-        out
+        self.collect_internal(db, &root, &mut out)?;
+        Ok(out)
     }
 
-    fn collect_internal(&self, db: &Db, node: &Node, out: &mut Vec<u32>) {
+    fn collect_internal(&self, db: &Db, node: &Node, out: &mut Vec<u32>) -> Result<()> {
         if node.level == 0 {
-            return;
+            return Ok(());
         }
         for e in &node.entries {
             out.push(e.ptr);
-            self.collect_internal(db, &db.peek_node(e.ptr), out);
+            self.collect_internal(db, &db.peek_node(e.ptr)?, out)?;
         }
+        Ok(())
     }
 
     /// Structural checks: count consistency, level monotonicity, fan-out
     /// bounds, half-full rule for non-root nodes.
     pub fn check_invariants(&self, db: &Db) -> Result<()> {
-        let (hdr, root) = db.peek_root(self.root_page);
+        let (hdr, root) = db.peek_root(self.root_page)?;
         if root.entries.len() > self.root_cap(db) {
             return Err(LobError::InvariantViolated(format!(
                 "root holds {} entries, cap {}",
@@ -1028,7 +1044,7 @@ impl PosTree {
             // A lone child is tolerated only when it cannot be absorbed
             // into the root (the root's pair capacity is slightly smaller
             // than an interior node's).
-            let child = db.peek_node(root.entries[0].ptr);
+            let child = db.peek_node(root.entries[0].ptr)?;
             if child.entries.len() <= self.root_cap(db) {
                 return Err(LobError::InvariantViolated(
                     "internal root with a lone absorbable child".into(),
@@ -1066,7 +1082,7 @@ impl PosTree {
             if node.level == 0 {
                 total += e.count;
             } else {
-                let child = db.peek_node(e.ptr);
+                let child = db.peek_node(e.ptr)?;
                 if child.level != node.level - 1 {
                     return Err(LobError::InvariantViolated(format!(
                         "child level {} under node level {}",
@@ -1177,18 +1193,19 @@ fn entries_total(entries: &[Entry]) -> u64 {
 /// `destroy`, peeked for the cost-free inspections).
 fn walk_leaves(
     node: &Node,
-    fetch: &mut impl FnMut(u32) -> Node,
+    fetch: &mut impl FnMut(u32) -> Result<Node>,
     off: &mut u64,
     out: &mut Vec<(u64, Entry)>,
-) {
+) -> Result<()> {
     for e in &node.entries {
         if node.level == 0 {
             out.push((*off, *e));
             *off += e.count;
         } else {
-            walk_leaves(&fetch(e.ptr), fetch, off, out);
+            walk_leaves(&fetch(e.ptr)?, fetch, off, out)?;
         }
     }
+    Ok(())
 }
 
 /// Split `entries` into `ceil(n/cap)` consecutive pieces with sizes as
@@ -1251,8 +1268,8 @@ mod tests {
     fn build(db: &mut Db, tree: &PosTree, n: u32, sz: u64) {
         for i in 0..n {
             let mut ctx = OpCtx::new();
-            tree.append_entry(db, &mut ctx, e(sz, 1000 + i));
-            let mut hdr = tree.read_hdr(db);
+            tree.append_entry(db, &mut ctx, e(sz, 1000 + i)).unwrap();
+            let mut hdr = tree.read_hdr(db).unwrap();
             hdr.size += sz;
             tree.write_hdr(db, &hdr);
             ctx.finish(db);
@@ -1262,7 +1279,7 @@ mod tests {
     #[test]
     fn empty_tree_descends_to_none() {
         let (mut db, tree) = setup(4);
-        assert!(tree.descend(&mut db, 0).is_none());
+        assert!(tree.descend(&mut db, 0).unwrap().is_none());
         tree.check_invariants(&db).unwrap();
     }
 
@@ -1271,13 +1288,13 @@ mod tests {
         let (mut db, tree) = setup(4);
         build(&mut db, &tree, 20, 10);
         tree.check_invariants(&db).unwrap();
-        let hdr = tree.read_hdr(&mut db);
+        let hdr = tree.read_hdr(&mut db).unwrap();
         assert_eq!(hdr.size, 200);
         assert!(hdr.level >= 1, "fan-out 4 with 20 leaves must grow");
-        let leaves = tree.collect_leaves(&db);
+        let leaves = tree.collect_leaves(&db).unwrap();
         assert_eq!(leaves.len(), 20);
         assert_eq!(leaves[7], (70, e(10, 1007)));
-        assert!(tree.index_page_numbers(&db).len() > 1);
+        assert!(tree.index_page_numbers(&db).unwrap().len() > 1);
     }
 
     #[test]
@@ -1285,13 +1302,13 @@ mod tests {
         let (mut db, tree) = setup(4);
         build(&mut db, &tree, 20, 10);
         for off in [0u64, 9, 10, 55, 199] {
-            let pos = tree.descend(&mut db, off).unwrap();
+            let pos = tree.descend(&mut db, off).unwrap().unwrap();
             assert_eq!(pos.leaf_start, (off / 10) * 10);
             assert_eq!(pos.off_in_leaf, off % 10);
             assert_eq!(pos.entry.ptr, 1000 + (off / 10) as u32);
         }
         // Append position.
-        let pos = tree.descend(&mut db, 200).unwrap();
+        let pos = tree.descend(&mut db, 200).unwrap().unwrap();
         assert_eq!(pos.off_in_leaf, 10);
         assert_eq!(pos.entry.ptr, 1019);
     }
@@ -1300,15 +1317,15 @@ mod tests {
     fn add_count_updates_every_level() {
         let (mut db, tree) = setup(4);
         build(&mut db, &tree, 20, 10);
-        let pos = tree.descend(&mut db, 55).unwrap();
+        let pos = tree.descend(&mut db, 55).unwrap().unwrap();
         let mut ctx = OpCtx::new();
-        tree.add_count(&mut db, &mut ctx, &pos.path, 7);
-        let mut hdr = tree.read_hdr(&mut db);
+        tree.add_count(&mut db, &mut ctx, &pos.path, 7).unwrap();
+        let mut hdr = tree.read_hdr(&mut db).unwrap();
         hdr.size += 7;
         tree.write_hdr(&mut db, &hdr);
         ctx.finish(&mut db);
         tree.check_invariants(&db).unwrap();
-        let leaves = tree.collect_leaves(&db);
+        let leaves = tree.collect_leaves(&db).unwrap();
         assert_eq!(leaves[5].1.count, 17);
     }
 
@@ -1316,18 +1333,18 @@ mod tests {
     fn add_count_shadows_non_root_path_pages() {
         let (mut db, tree) = setup(4);
         build(&mut db, &tree, 20, 10);
-        let pos = tree.descend(&mut db, 0).unwrap();
+        let pos = tree.descend(&mut db, 0).unwrap().unwrap();
         assert!(pos.path.len() >= 2);
         let old_pages: Vec<u32> = pos.path.iter().skip(1).map(|s| s.page).collect();
         let mut ctx = OpCtx::new();
-        tree.add_count(&mut db, &mut ctx, &pos.path, 1);
-        let mut hdr = tree.read_hdr(&mut db);
+        tree.add_count(&mut db, &mut ctx, &pos.path, 1).unwrap();
+        let mut hdr = tree.read_hdr(&mut db).unwrap();
         hdr.size += 1;
         tree.write_hdr(&mut db, &hdr);
         ctx.finish(&mut db);
         tree.check_invariants(&db).unwrap();
         // The path below the root was relocated by shadowing.
-        let pos2 = tree.descend(&mut db, 0).unwrap();
+        let pos2 = tree.descend(&mut db, 0).unwrap().unwrap();
         let new_pages: Vec<u32> = pos2.path.iter().skip(1).map(|s| s.page).collect();
         assert_ne!(old_pages, new_pages);
     }
@@ -1337,16 +1354,16 @@ mod tests {
         let (mut db, tree) = setup(4);
         build(&mut db, &tree, 4, 10);
         // Replace leaf 1 with five new leaves: forces a split at fan-out 4.
-        let pos = tree.descend(&mut db, 10).unwrap();
+        let pos = tree.descend(&mut db, 10).unwrap().unwrap();
         let mut ctx = OpCtx::new();
         let repl: Vec<Entry> = (0..5).map(|i| e(2, 2000 + i)).collect();
         tree.splice(&mut db, &mut ctx, &pos, &[pos.entry], repl)
             .unwrap();
         ctx.finish(&mut db);
         // Ten bytes out, five leaves of two in: the object size is unchanged.
-        assert_eq!(tree.read_hdr(&mut db).size, 40);
+        assert_eq!(tree.read_hdr(&mut db).unwrap().size, 40);
         tree.check_invariants(&db).unwrap();
-        let leaves = tree.collect_leaves(&db);
+        let leaves = tree.collect_leaves(&db).unwrap();
         assert_eq!(leaves.len(), 8);
         assert_eq!(leaves[1].1, e(2, 2000));
         assert_eq!(leaves[5].1, e(2, 2004));
@@ -1359,23 +1376,23 @@ mod tests {
         build(&mut db, &tree, 20, 10);
         // Remove leaves one at a time from the front.
         for remaining in (1..=20u64).rev() {
-            let pos = tree.descend(&mut db, 0).unwrap();
+            let pos = tree.descend(&mut db, 0).unwrap().unwrap();
             let mut ctx = OpCtx::new();
             tree.splice(&mut db, &mut ctx, &pos, &[pos.entry], Vec::new())
                 .unwrap();
-            let mut hdr = tree.read_hdr(&mut db);
+            let mut hdr = tree.read_hdr(&mut db).unwrap();
             hdr.size -= 10;
             tree.write_hdr(&mut db, &hdr);
             ctx.finish(&mut db);
             tree.check_invariants(&db)
                 .unwrap_or_else(|e| panic!("at {remaining} leaves left: {e}"));
         }
-        let hdr = tree.read_hdr(&mut db);
+        let hdr = tree.read_hdr(&mut db).unwrap();
         assert_eq!(hdr.size, 0);
         assert_eq!(hdr.level, 0, "tree collapsed");
-        assert!(tree.collect_leaves(&db).is_empty());
+        assert!(tree.collect_leaves(&db).unwrap().is_empty());
         assert_eq!(
-            tree.index_page_numbers(&db),
+            tree.index_page_numbers(&db).unwrap(),
             [tree.root_page],
             "only the root remains"
         );
@@ -1398,38 +1415,38 @@ mod tests {
                 let ptr = next_ptr;
                 next_ptr += 1;
                 if model.is_empty() || rng.gen_bool(0.3) {
-                    tree.append_entry(&mut db, &mut ctx, e(count, ptr));
+                    tree.append_entry(&mut db, &mut ctx, e(count, ptr)).unwrap();
                     model.push((count, ptr));
                 } else {
                     // Replace a random leaf with [old, new] (a split).
                     let i = rng.gen_range(0..model.len());
                     let off: u64 = model[..i].iter().map(|x| x.0).sum();
-                    let pos = tree.descend(&mut db, off).unwrap();
+                    let pos = tree.descend(&mut db, off).unwrap().unwrap();
                     assert_eq!(pos.entry.ptr, model[i].1, "model desync at step {step}");
                     let old = pos.entry;
                     let repl = vec![old, e(count, ptr)];
                     tree.splice(&mut db, &mut ctx, &pos, &[old], repl).unwrap();
                     model.insert(i + 1, (count, ptr));
                 }
-                let mut hdr = tree.read_hdr(&mut db);
+                let mut hdr = tree.read_hdr(&mut db).unwrap();
                 hdr.size = total + count;
                 tree.write_hdr(&mut db, &hdr);
             } else {
                 let i = rng.gen_range(0..model.len());
                 let off: u64 = model[..i].iter().map(|x| x.0).sum();
-                let pos = tree.descend(&mut db, off).unwrap();
+                let pos = tree.descend(&mut db, off).unwrap().unwrap();
                 assert_eq!(pos.entry.ptr, model[i].1);
                 tree.splice(&mut db, &mut ctx, &pos, &[pos.entry], Vec::new())
                     .unwrap();
                 let removed = model.remove(i).0;
-                let mut hdr = tree.read_hdr(&mut db);
+                let mut hdr = tree.read_hdr(&mut db).unwrap();
                 hdr.size = total - removed;
                 tree.write_hdr(&mut db, &hdr);
             }
             ctx.finish(&mut db);
             tree.check_invariants(&db)
                 .unwrap_or_else(|err| panic!("step {step}: {err}"));
-            let leaves = tree.collect_leaves(&db);
+            let leaves = tree.collect_leaves(&db).unwrap();
             let got: Vec<(u64, u32)> = leaves.iter().map(|(_, e)| (e.count, e.ptr)).collect();
             assert_eq!(got, model, "leaf sequence mismatch at step {step}");
         }
@@ -1440,11 +1457,11 @@ mod tests {
         let (mut db, tree) = setup(4);
         build(&mut db, &tree, 50, 10);
         for _ in 0..50 {
-            let pos = tree.descend(&mut db, 0).unwrap();
+            let pos = tree.descend(&mut db, 0).unwrap().unwrap();
             let mut ctx = OpCtx::new();
             tree.splice(&mut db, &mut ctx, &pos, &[pos.entry], Vec::new())
                 .unwrap();
-            let mut hdr = tree.read_hdr(&mut db);
+            let mut hdr = tree.read_hdr(&mut db).unwrap();
             hdr.size -= 10;
             tree.write_hdr(&mut db, &hdr);
             ctx.finish(&mut db);
@@ -1508,9 +1525,9 @@ mod tests {
     fn next_and_prev_walk_to_the_descended_neighbours() {
         let (mut db, tree) = setup(4);
         build(&mut db, &tree, 40, 10);
-        assert!(tree.read_hdr(&mut db).level >= 2);
+        assert!(tree.read_hdr(&mut db).unwrap().level >= 2);
         for i in 0..40u64 {
-            let pos = tree.descend(&mut db, i * 10).unwrap();
+            let pos = tree.descend(&mut db, i * 10).unwrap().unwrap();
             let (next, n) = fixes_of(&mut db, |db| tree.next(db, &pos).unwrap());
             let (prev, p) = fixes_of(&mut db, |db| tree.prev(db, &pos).unwrap());
             for (got, fixes, at) in [(next, n, i + 1), (prev, p, i.wrapping_sub(1))] {
@@ -1520,7 +1537,7 @@ mod tests {
                     continue;
                 }
                 let got = got.unwrap();
-                let (want, d) = fixes_of(&mut db, |db| tree.descend(db, at * 10).unwrap());
+                let (want, d) = fixes_of(&mut db, |db| tree.descend(db, at * 10).unwrap().unwrap());
                 assert_eq!(shape(&got), shape(&want), "leaf {i} -> {at}");
                 let walked = walk_fixes(&pos.path, &got.path);
                 assert_eq!(fixes, walked, "leaf {i} -> {at}: one fix a level walked");
@@ -1530,9 +1547,12 @@ mod tests {
                 );
             }
         }
-        let last = tree.rightmost(&mut db).unwrap();
+        let last = tree.rightmost(&mut db).unwrap().unwrap();
         assert!(last.is_last());
-        assert_eq!(shape(&last), shape(&tree.descend(&mut db, 400).unwrap()));
+        assert_eq!(
+            shape(&last),
+            shape(&tree.descend(&mut db, 400).unwrap().unwrap())
+        );
     }
 
     /// Random runs of one to three leaves replaced by zero to three: the
@@ -1548,7 +1568,12 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let (mut db, tree) = setup(4);
         build(&mut db, &tree, 30, 10);
-        let mut model: Vec<Entry> = tree.collect_leaves(&db).into_iter().map(|x| x.1).collect();
+        let mut model: Vec<Entry> = tree
+            .collect_leaves(&db)
+            .unwrap()
+            .into_iter()
+            .map(|x| x.1)
+            .collect();
         let mut rng = StdRng::seed_from_u64(35);
         let mut next_ptr = 5000;
         for step in 0..300 {
@@ -1566,7 +1591,7 @@ mod tests {
                 })
                 .collect();
             let start: u64 = model[..i].iter().map(|x| x.count).sum();
-            let pos = tree.descend(&mut db, start).unwrap();
+            let pos = tree.descend(&mut db, start).unwrap().unwrap();
             let mut ctx = OpCtx::new();
             let run = model[i..i + n].to_vec();
             let spliced = tree
@@ -1578,14 +1603,14 @@ mod tests {
             let kept = spliced.path.clone();
             if k > 0 {
                 let (got, f) = fixes_of(&mut db, |db| tree.first(db, &spliced).unwrap());
-                let (want, d) = fixes_of(&mut db, |db| tree.descend(db, start).unwrap());
+                let (want, d) = fixes_of(&mut db, |db| tree.descend(db, start).unwrap().unwrap());
                 assert_eq!(shape(&got), shape(&want), "{at}: first");
                 let first = if kept.is_some() { 0 } else { d };
                 assert_eq!(f, first, "{at}: first's fixes");
             }
             let end = start + entries_total(&repl);
             let (got, f) = fixes_of(&mut db, |db| tree.after(db, spliced).unwrap());
-            let (want, d) = fixes_of(&mut db, |db| tree.descend(db, end));
+            let (want, d) = fixes_of(&mut db, |db| tree.descend(db, end).unwrap());
             let want = want.filter(|p| p.off_in_leaf < p.entry.count);
             assert_eq!(
                 got.as_ref().map(shape),
@@ -1600,11 +1625,11 @@ mod tests {
                 (Some(_), None) => assert_eq!(f, 0, "{at}: after at the edge"),
                 (None, _) => assert_eq!(f, d, "{at}: after descends"),
             }
-            tree.bump_size(&mut db, moved);
+            tree.bump_size(&mut db, moved).unwrap();
             ctx.finish(&mut db);
             tree.check_invariants(&db)
                 .unwrap_or_else(|err| panic!("{at}: {err}"));
-            let got = tree.collect_leaves(&db).into_iter().map(|x| x.1);
+            let got = tree.collect_leaves(&db).unwrap().into_iter().map(|x| x.1);
             assert!(got.eq(model.iter().copied()), "{at}: leaves differ");
         }
     }
@@ -1615,7 +1640,7 @@ mod tests {
     fn a_window_naming_the_wrong_page_fails_the_splice() {
         let (mut db, tree) = setup(4);
         build(&mut db, &tree, 20, 10);
-        let pos = tree.descend(&mut db, 30).unwrap();
+        let pos = tree.descend(&mut db, 30).unwrap().unwrap();
         let mut ctx = OpCtx::new();
         let run = [pos.entry, e(10, 999)];
         let got = tree.splice(&mut db, &mut ctx, &pos, &run, vec![e(20, 77)]);
@@ -1651,7 +1676,11 @@ mod tests {
             let bytes: Vec<u8> = (0..SIZE).map(|i| (i % 253) as u8).collect();
             obj.append(&mut db, &bytes).unwrap();
             let kind = obj.kind();
-            assert_eq!(db.peek_root(obj.root_page()).0.level, 1, "{kind}: depth 2");
+            assert_eq!(
+                db.peek_root(obj.root_page()).unwrap().0.level,
+                1,
+                "{kind}: depth 2"
+            );
 
             // A one-leaf read: the root and one interior node.
             let mut out = [0u8; 100];
@@ -1711,7 +1740,7 @@ mod tests {
             let segs = obj.segments(&db);
             let paths: Vec<_> = segs
                 .iter()
-                .map(|s| tree.descend(&mut db, s.offset).unwrap().path)
+                .map(|s| tree.descend(&mut db, s.offset).unwrap().unwrap().path)
                 .collect();
             let walks: u64 = paths.windows(2).map(|w| walk_fixes(&w[0], &w[1])).sum();
             let want = paths[0].len() as u64 + walks;
@@ -1771,12 +1800,12 @@ mod tests {
                         }
                     };
                     if d == 0 {
-                        let (mut hdr, mut node) = self.load_root(db);
+                        let (mut hdr, mut node) = self.load_root(db).unwrap();
                         adjust(&mut node.entries[step.idx], child_ptr_fix);
                         self.old_store_root(db, &mut hdr, &node);
                     } else {
                         let target = ctx.shadow_page(db, step.page);
-                        let mut node = self.load_node(db, target);
+                        let mut node = self.load_node(db, target).unwrap();
                         adjust(&mut node.entries[step.idx], child_ptr_fix);
                         self.store_node(db, target, &node);
                         child_ptr_fix = (target != step.page).then_some(target);
@@ -1800,9 +1829,9 @@ mod tests {
             }
 
             pub(super) fn old_append_entry(&self, db: &mut Db, ctx: &mut OpCtx, entry: Entry) {
-                match self.rightmost(db) {
+                match self.rightmost(db).unwrap() {
                     None => {
-                        let (mut hdr, mut node) = self.load_root(db);
+                        let (mut hdr, mut node) = self.load_root(db).unwrap();
                         debug_assert_eq!(node.level, 0);
                         node.entries.push(entry);
                         self.old_store_root(db, &mut hdr, &node);
@@ -1837,7 +1866,7 @@ mod tests {
                         return;
                     }
                     let target = ctx.shadow_page(db, step.page);
-                    let mut node = self.load_node(db, target);
+                    let mut node = self.load_node(db, target).unwrap();
                     node.entries.splice(start..start + remove_len, repl);
                     let cap = self.node_cap(db);
                     let min = self.node_min(db);
@@ -1865,9 +1894,9 @@ mod tests {
                         parent_remove = 1;
                     } else if node.entries.len() < min {
                         let parent_node = if d - 1 == 0 {
-                            self.load_root(db).1
+                            self.load_root(db).unwrap().1
                         } else {
-                            self.load_node(db, path[d - 1].page)
+                            self.load_node(db, path[d - 1].page).unwrap()
                         };
                         let pidx = path[d - 1].idx;
                         if parent_node.entries.len() < 2 {
@@ -1885,7 +1914,7 @@ mod tests {
                             let sib_old =
                                 parent_node.entries[if sib_is_left { lo } else { hi }].ptr;
                             let sib_target = ctx.shadow_page(db, sib_old);
-                            let sib = self.load_node(db, sib_target);
+                            let sib = self.load_node(db, sib_target).unwrap();
                             let mut combined = Vec::new();
                             if sib_is_left {
                                 combined.extend_from_slice(&sib.entries);
@@ -1949,7 +1978,7 @@ mod tests {
                 remove_len: usize,
                 repl: Vec<Entry>,
             ) {
-                let (mut hdr, mut node) = self.load_root(db);
+                let (mut hdr, mut node) = self.load_root(db).unwrap();
                 node.entries.splice(start..start + remove_len, repl);
                 let rcap = self.root_cap(db);
                 if node.entries.len() > rcap {
@@ -1969,7 +1998,7 @@ mod tests {
                 }
                 while node.level > 0 && node.entries.len() == 1 {
                     let child_pg = node.entries[0].ptr;
-                    let child = self.load_node(db, child_pg);
+                    let child = self.load_node(db, child_pg).unwrap();
                     if child.entries.len() > rcap {
                         break;
                     }
@@ -1996,15 +2025,15 @@ mod tests {
     /// returns the change in the object size.
     fn run_twin_op(db: &mut Db, tree: &PosTree, ctx: &mut OpCtx, op: &TwinOp, old: bool) -> i64 {
         let leaf = |db: &mut Db, i: usize| {
-            let off: u64 = tree.collect_leaves(db)[i].0;
-            tree.descend(db, off).unwrap()
+            let off: u64 = tree.collect_leaves(db).unwrap()[i].0;
+            tree.descend(db, off).unwrap().unwrap()
         };
         match op {
             TwinOp::Append(x) => {
                 if old {
                     tree.old_append_entry(db, ctx, *x);
                 } else {
-                    tree.append_entry(db, ctx, *x);
+                    tree.append_entry(db, ctx, *x).unwrap();
                 }
                 x.count as i64
             }
@@ -2033,7 +2062,7 @@ mod tests {
                 if old {
                     tree.old_add_count(db, ctx, &pos.path, *delta);
                 } else {
-                    tree.add_count(db, ctx, &pos.path, *delta);
+                    tree.add_count(db, ctx, &pos.path, *delta).unwrap();
                 }
                 *delta
             }
@@ -2130,13 +2159,13 @@ mod tests {
                     .iter()
                     .map(|op| run_twin_op(db, t, &mut ctx, op, old))
                     .sum();
-                t.bump_size(db, moved);
+                t.bump_size(db, moved).unwrap();
                 ctx.finish(db);
             }
             model = leaves;
 
             let at = || format!("{label}: step {step} ({ops:?})");
-            let pages = tree.index_page_numbers(&new_db);
+            let pages = tree.index_page_numbers(&new_db).unwrap();
             high_page = high_page.max(pages.iter().copied().max().unwrap_or(0));
             for page in 0..=high_page + 8 {
                 let (a, b) = (new_db.peek_meta(page), old_db.peek_meta(page));
@@ -2160,9 +2189,13 @@ mod tests {
             old_tree
                 .check_invariants(&old_db)
                 .unwrap_or_else(|err| panic!("{}: oracle: {err}", at()));
-            let got = tree.collect_leaves(&new_db).into_iter().map(|x| x.1);
+            let got = tree
+                .collect_leaves(&new_db)
+                .unwrap()
+                .into_iter()
+                .map(|x| x.1);
             assert!(got.eq(model.iter().copied()), "{}: leaves differ", at());
-            let level = new_db.peek_root(tree.root_page).0.level;
+            let level = new_db.peek_root(tree.root_page).unwrap().0.level;
             shrinks += usize::from(level < max_level);
             max_level = max_level.max(level);
         }

@@ -21,6 +21,8 @@ use crate::error::{RecordError, Result};
 
 const TAG_SHORT: u8 = 0x00;
 const TAG_LONG: u8 = 0x01;
+/// Bytes the smallest field takes: an empty short field's tag and length.
+const MIN_FIELD: usize = 3;
 
 /// Descriptor of a long field stored outside the record.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -90,7 +92,8 @@ pub fn encode(fields: &[Value]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Deserialize a record.
+/// Deserialize a record. A field count that the bytes after it cannot
+/// hold is `Corrupt` before anything is reserved for the fields.
 pub fn decode(bytes: &[u8]) -> Result<Vec<Value>> {
     let corrupt = |m: &str| RecordError::Corrupt(m.to_string());
     let mut at = 0usize;
@@ -103,6 +106,12 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<Value>> {
         Ok(s)
     };
     let n = usize::from(le::le_u16(take(&mut at, 2)?));
+    let rest = bytes.len() - at;
+    if n > rest / MIN_FIELD {
+        return Err(RecordError::Corrupt(format!(
+            "record claims {n} fields in {rest} bytes"
+        )));
+    }
     let mut fields = Vec::with_capacity(n);
     for _ in 0..n {
         let tag = take(&mut at, 1)?[0];
@@ -167,6 +176,58 @@ mod tests {
         let mut trailing = good.clone();
         trailing.push(0);
         assert!(decode(&trailing).is_err(), "trailing bytes");
+    }
+
+    #[test]
+    fn a_field_count_the_bytes_cannot_hold_reserves_nothing() {
+        assert_eq!(
+            decode(&[0xFF, 0xFF]),
+            Err(RecordError::Corrupt(
+                "record claims 65535 fields in 0 bytes".into()
+            ))
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: if cfg!(debug_assertions) { 64 } else { 256 },
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+        /// `decode` is total over arbitrary bytes, valid records and valid
+        /// records with bits flipped: what decodes re-encodes to its bytes
+        /// and holds no more fields than they can, and anything else is
+        /// `Corrupt`.
+        #[test]
+        fn records_decode_totally(
+            (noise, fields, flips) in (
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+                proptest::collection::vec((0u8..4, proptest::prelude::any::<u32>(), 0usize..40), 0..20),
+                proptest::collection::vec(proptest::prelude::any::<u32>(), 1..6),
+            )
+        ) {
+            let check = |bytes: &[u8]| match decode(bytes) {
+                Ok(fields) => {
+                    assert!(fields.capacity() <= bytes.len() / MIN_FIELD);
+                    assert_eq!(encode(&fields).unwrap(), bytes);
+                }
+                Err(e) => assert!(matches!(e, RecordError::Corrupt(_)), "{e}"),
+            };
+            check(&noise);
+            let values: Vec<Value> = fields
+                .iter()
+                .map(|&(kind, root_page, len)| match StorageKind::from_u8(kind) {
+                    Some(kind) => Value::Long(LongHandle { kind, root_page }),
+                    None => Value::short(vec![kind; len]),
+                })
+                .collect();
+            let mut bytes = encode(&values).unwrap();
+            assert_eq!(decode(&bytes).unwrap(), values);
+            for bit in &flips {
+                let bit = *bit as usize % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            check(&bytes);
+        }
     }
 
     #[test]

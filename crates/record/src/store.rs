@@ -78,15 +78,24 @@ impl RecordStore {
         self.root
     }
 
-    fn heap_pages(&self, db: &mut Db) -> Vec<u32> {
-        db.with_meta_page(self.root, |p| {
-            let n = usize::from(le::le_u16(&p[4..]));
-            (0..n).map(|i| le::le_u32(&p[HDR + i * 4..])).collect()
+    /// The heap pages the root lists: `Corrupt` when it counts more than
+    /// it can hold.
+    fn heap_pages(&self, db: &mut Db) -> Result<Vec<u32>> {
+        let root = self.root;
+        db.with_meta_page(root, |p| {
+            let n = p.get(4..6).map_or(0, |n| usize::from(le::le_u16(n)));
+            let list = p.get(HDR..HDR + n * 4).filter(|_| n <= MAX_HEAP_PAGES);
+            let Some(list) = list else {
+                return Err(RecordError::Corrupt(format!(
+                    "record-store root {root} lists {n} heap pages"
+                )));
+            };
+            Ok(list.chunks_exact(4).map(le::le_u32).collect())
         })
     }
 
     fn add_heap_page(&self, db: &mut Db) -> Result<u32> {
-        let pages = self.heap_pages(db);
+        let pages = self.heap_pages(db)?;
         if pages.len() >= MAX_HEAP_PAGES {
             return Err(RecordError::Corrupt("record store full".into()));
         }
@@ -149,7 +158,7 @@ impl RecordStore {
         if bytes.len() > PAGE_SIZE - 32 {
             return Err(RecordError::RecordTooLarge(bytes.len()));
         }
-        for hp in self.heap_pages(db) {
+        for hp in self.heap_pages(db)? {
             let slot = self.with_heap_page(db, hp, |p| page::insert(p, bytes))?;
             if let Some(slot) = slot {
                 return Ok(RecordId { page: hp, slot });
@@ -164,14 +173,19 @@ impl RecordStore {
 
     /// Fix a heap page for update, run `f`, flush it (record operations
     /// persist at operation end, like leaf flushes in §3.3).
-    fn with_heap_page<R>(&self, db: &mut Db, hp: u32, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
+    fn with_heap_page<R>(
+        &self,
+        db: &mut Db,
+        hp: u32,
+        f: impl FnOnce(&mut [u8]) -> Result<R>,
+    ) -> Result<R> {
         let out = db.with_meta_page_mut(hp, |p| {
             if !page::is_heap(p) {
                 return Err(RecordError::Corrupt(format!(
                     "page {hp} is not a heap page"
                 )));
             }
-            Ok(f(p))
+            f(p)
         })?;
         db.pool().flush_page(PageId::new(AreaId::META, hp));
         Ok(out)
@@ -184,7 +198,7 @@ impl RecordStore {
             if !page::is_heap(p) {
                 return Err(RecordError::NoSuchRecord);
             }
-            page::get(p, id.slot)
+            page::get(p, id.slot)?
                 .map(<[u8]>::to_vec)
                 .ok_or(RecordError::NoSuchRecord)
         })?;
@@ -234,18 +248,8 @@ impl RecordStore {
     /// Every live record id, in heap order.
     pub fn scan(&self, db: &mut Db) -> Result<Vec<RecordId>> {
         let mut out = Vec::new();
-        for hp in self.heap_pages(db) {
-            let slots = db.with_meta_page(hp, |p| {
-                let mut v = Vec::new();
-                let mut slot = 0u16;
-                while still_has_slot(p, slot) {
-                    if page::get(p, slot).is_some() {
-                        v.push(slot);
-                    }
-                    slot += 1;
-                }
-                v
-            });
+        for hp in self.heap_pages(db)? {
+            let slots = db.with_meta_page(hp, page::live_slots)?;
             out.extend(slots.into_iter().map(|slot| RecordId { page: hp, slot }));
         }
         Ok(out)
@@ -253,22 +257,17 @@ impl RecordStore {
 
     /// Number of live records.
     pub fn len(&self, db: &mut Db) -> Result<usize> {
-        Ok(self
-            .heap_pages(db)
-            .into_iter()
-            .map(|hp| db.with_meta_page(hp, page::live_records))
-            .sum())
+        let mut n = 0;
+        for hp in self.heap_pages(db)? {
+            n += db.with_meta_page(hp, page::live_records)?;
+        }
+        Ok(n)
     }
 
     /// Whether the store holds no live records.
     pub fn is_empty(&self, db: &mut Db) -> Result<bool> {
         Ok(self.len(db)? == 0)
     }
-}
-
-/// Whether the slot directory extends to `slot` (live or tombstoned).
-fn still_has_slot(p: &[u8], slot: u16) -> bool {
-    slot < le::le_u16(&p[4..])
 }
 
 #[cfg(test)]
@@ -321,12 +320,27 @@ mod tests {
             assert_eq!(long.snapshot(&db), blob);
             longs.push(long);
         }
-        let mut pages = store.heap_pages(&mut db);
+        let mut pages = store.heap_pages(&mut db).unwrap();
         assert!(pages.len() > 1, "the records span heap pages");
         pages.push(store.root_page());
         let objects: Vec<(&str, &dyn LargeObject)> =
             longs.iter().map(|o| ("long", o.as_ref())).collect();
         assert_eq!(db.verify(&objects, &pages), []);
+    }
+
+    #[test]
+    fn a_slot_past_the_page_end_is_corrupt() {
+        let mut db = db();
+        let mut store = RecordStore::create(&mut db).unwrap();
+        let id = store.insert(&mut db, &[FieldInput::Short(b"x")]).unwrap();
+        // Slot `id.slot` now claims 100 bytes from offset 4090.
+        let at = 16 + 4 * usize::from(id.slot);
+        db.with_meta_page_mut(id.page, |p| {
+            p[at..at + 2].copy_from_slice(&4090u16.to_le_bytes());
+            p[at + 2..at + 4].copy_from_slice(&100u16.to_le_bytes());
+        });
+        let got = store.get(&mut db, id);
+        assert!(matches!(got, Err(RecordError::Corrupt(_))), "{got:?}");
     }
 
     #[test]

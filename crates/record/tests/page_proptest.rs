@@ -39,7 +39,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Insert(bytes) => {
-                    if let Some(slot) = page::insert(&mut p, &bytes) {
+                    if let Some(slot) = page::insert(&mut p, &bytes).unwrap() {
                         prop_assert!(!model.contains_key(&slot),
                             "live slot {slot} reused");
                         dir_slots = dir_slots.max(slot as usize + 1);
@@ -58,25 +58,25 @@ proptest! {
                 }
                 Op::Delete(slot) => {
                     let was_live = model.remove(&slot).is_some();
-                    prop_assert_eq!(page::delete(&mut p, slot), was_live);
+                    prop_assert_eq!(page::delete(&mut p, slot).unwrap(), was_live);
                 }
                 Op::Update(slot, bytes) => {
                     let live = model.contains_key(&slot);
-                    let ok = page::update(&mut p, slot, &bytes);
+                    let ok = page::update(&mut p, slot, &bytes).unwrap();
                     if ok {
                         prop_assert!(live, "update succeeded on dead slot");
                         model.insert(slot, bytes);
                     } else if live {
                         // Failed grow: record must be unchanged.
-                        prop_assert_eq!(page::get(&p, slot).unwrap(), &model[&slot][..]);
+                        prop_assert_eq!(page::get(&p, slot).unwrap().unwrap(), &model[&slot][..]);
                     }
                 }
-                Op::Compact => page::compact(&mut p),
+                Op::Compact => page::compact(&mut p).unwrap(),
             }
             // Full state check after every op.
-            prop_assert_eq!(page::live_records(&p), model.len());
+            prop_assert_eq!(page::live_records(&p).unwrap(), model.len());
             for (slot, bytes) in &model {
-                prop_assert_eq!(page::get(&p, *slot).unwrap(), &bytes[..],
+                prop_assert_eq!(page::get(&p, *slot).unwrap().unwrap(), &bytes[..],
                     "slot {} corrupted", slot);
             }
         }

@@ -11,13 +11,13 @@
 //! | `panic-path` | library crates, non-test code | indexing/slicing and `/` `%` with a non-constant divisor can panic — guard or waive |
 //! | `unit-mixing` | library crates, non-test code | byte-, page-index- and page-count-typed values may not be mixed in arithmetic/comparison/assignment |
 //! | `bad-waiver` | whole workspace | `loblint: allow(...)` comments may only name known rules |
-//! | `disk-taint` | library crates, non-test code | disk-deserialized values must pass a bounds check before use as an index, `PageId`, or I/O argument |
 //! | `unused-waiver` | whole workspace, non-test | a waiver that no longer suppresses anything is itself a finding |
 //!
-//! `disk-taint` runs on the CFG + dataflow engine in [`crate::lobflow`]
-//! and lives in [`crate::flowrules`]. The lock order is not a rule here:
-//! `lobstore_obs::sync` checks every acquisition at run time under
-//! `debug_assertions`.
+//! The lock order is not a rule here: `lobstore_obs::sync` checks every
+//! acquisition at run time under `debug_assertions`. Nor is decoding
+//! disk bytes: every on-disk decoder returns `Corrupt` on a page it
+//! cannot hold, and a property test per format over arbitrary and
+//! bit-flipped pages pins that.
 //!
 //! What rustc and clippy decide with types is theirs, not a rule here:
 //! `unsafe`, `todo!`/`unimplemented!` (`[workspace.lints]`), and for the
@@ -55,10 +55,9 @@ use std::process::ExitCode;
 use crate::lobsyn::{self, FnDef, Tok, TokKind};
 
 /// The rule identifiers, as used in findings and `allow(...)` comments.
-pub const RULES: [&str; 8] = [
+pub const RULES: [&str; 7] = [
     "arith-overflow",
     "bad-waiver",
-    "disk-taint",
     "magic-duplicate",
     "magic-literal",
     "panic-path",
@@ -67,7 +66,7 @@ pub const RULES: [&str; 8] = [
 ];
 
 /// One `--explain` documentation entry per rule: (name, scope, text).
-pub const RULE_DOCS: [(&str, &str, &str); 8] = [
+pub const RULE_DOCS: [(&str, &str, &str); 7] = [
     (
         "arith-overflow",
         "library crates, non-test code",
@@ -79,16 +78,6 @@ pub const RULE_DOCS: [(&str, &str, &str); 8] = [
         "whole workspace",
         "A `// loblint: allow(...)` comment names a rule loblint does not know; fix the \
          spelling so the waiver actually waives something.",
-    ),
-    (
-        "disk-taint",
-        "library crates, non-test code",
-        "A value deserialized from disk bytes (from_le_bytes, get_u16/u32/u64, decode) is \
-         tainted: it must flow through a bounds/validation check before being used as a slice \
-         index, a PageId, an I/O-call argument, or in offset/length arithmetic. Forward \
-         dataflow over the function CFG; a comparison, a `.min(`/`.clamp(` call, or being an \
-         argument to a call whose name contains check/valid/verify/bound sanitizes. The \
-         static twin of `lobctl check`.",
     ),
     (
         "magic-duplicate",
@@ -125,17 +114,14 @@ pub const RULE_DOCS: [(&str, &str, &str); 8] = [
 
 const LIBRARY_CRATES: [&str; 6] = ["core", "buddy", "bufpool", "simdisk", "record", "obs"];
 
-/// One reported violation. `evidence` carries the control-flow trail
-/// of the CFG rule (its taint path); empty for token rules. It is
-/// printed under the finding line and excluded from the baseline key,
-/// like line numbers.
+/// One reported violation. The line number is printed but excluded
+/// from the baseline key.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     pub file: String,
     pub line: usize,
     pub rule: &'static str,
     pub message: String,
-    pub evidence: Vec<String>,
 }
 
 /// How a file participates in the lint pass.
@@ -211,7 +197,6 @@ impl Analysis {
                             "unknown rule `{name}` in `loblint: allow(...)`; known rules: {}",
                             RULES.join(", ")
                         ),
-                        evidence: Vec::new(),
                     }),
                 }
             }
@@ -256,25 +241,12 @@ impl Analysis {
         rule: &'static str,
         message: String,
     ) {
-        self.push_ev(out, line, rule, message, Vec::new());
-    }
-
-    /// Like [`Analysis::push`], with a control-flow evidence trail.
-    pub(crate) fn push_ev(
-        &self,
-        out: &mut Vec<Finding>,
-        line: usize,
-        rule: &'static str,
-        message: String,
-        evidence: Vec<String>,
-    ) {
         if !self.allowed(line, rule) {
             out.push(Finding {
                 file: self.rel.clone(),
                 line,
                 rule,
                 message,
-                evidence,
             });
         }
     }
@@ -298,7 +270,6 @@ pub fn lint_sources(sources: &[(String, String)]) -> Vec<Finding> {
         findings.extend(a.bad_waivers.iter().cloned());
         lint_file(a, &magics, &mut findings);
     }
-    crate::flowrules::check(&analyses, &mut findings);
     // Last: every other rule has had its chance to consume waivers.
     check_unused_waivers(&analyses, &mut findings);
     findings.sort();
@@ -474,7 +445,6 @@ fn check_magic_duplicates(defs: &[MagicDef], findings: &mut Vec<Finding>) {
                     "magic value {value} of `{}` already defined as `{}` at {}:{}",
                     d.name, group[0].name, group[0].file, group[0].line
                 ),
-                evidence: Vec::new(),
             });
         }
     }
@@ -513,8 +483,7 @@ fn panic_div_at(t: &[Tok], i: usize) -> bool {
 }
 
 /// Is `toks[i]` a postfix `[` (indexing/slicing a value) that is not a
-/// full-range `[..]`? Shared by `panic-path` and the `disk-taint` sink
-/// scan. A `[` after the keyword `mut` is a slice
+/// full-range `[..]`? A `[` after the keyword `mut` is a slice
 /// *type* (`&mut [u8]`), never an indexing expression — `mut` cannot
 /// name a value.
 pub(crate) fn panic_index_at(t: &[Tok], i: usize) -> bool {
@@ -993,16 +962,6 @@ pub fn stats_table(findings: &[Finding], baselined: &[bool]) -> String {
     out
 }
 
-/// One finding as `run` prints it: the `file:line: [rule] message`
-/// line, then each step of its evidence trail indented beneath it.
-pub fn render_finding(f: &Finding) -> String {
-    let mut out = format!("{}:{}: [{}] {}\n", f.file, f.line, f.rule, f.message);
-    for step in &f.evidence {
-        let _ = writeln!(out, "    {step}");
-    }
-    out
-}
-
 /// Print the `RULE_DOCS` entry for `rule`. Exit 0 when known, 2 not.
 pub fn explain(rule: &str) -> ExitCode {
     match RULE_DOCS.iter().find(|(name, _, _)| *name == rule) {
@@ -1090,7 +1049,7 @@ pub fn run(opts: &Opts) -> ExitCode {
 
     for (f, baselined) in findings.iter().zip(&marks) {
         if !baselined {
-            print!("{}", render_finding(f));
+            println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
         }
     }
     if opts.stats {
@@ -1149,10 +1108,9 @@ mod tests {
             line,
             rule,
             message: "m".to_string(),
-            evidence: Vec::new(),
         };
         let findings = vec![
-            f("a.rs", 1, "disk-taint"),
+            f("a.rs", 1, "bad-waiver"),
             f("a.rs", 2, "panic-path"),
             f("b.rs", 3, "panic-path"),
         ];
@@ -1160,7 +1118,7 @@ mod tests {
         let expected = "\
 rule        total  baselined    new
 ----------  -----  ---------  -----
-disk-taint      1          1      0
+bad-waiver      1          1      0
 panic-path      2          1      1
 ----------  -----  ---------  -----
 TOTAL           3          2      1
@@ -1172,34 +1130,6 @@ TOTAL           3          2      1
     fn stats_table_on_empty_findings_has_only_the_total_row() {
         let table = stats_table(&[], &[]);
         assert!(table.contains("TOTAL      0          0      0"), "{table}");
-    }
-
-    // ---- text output --------------------------------------------------
-
-    #[test]
-    fn text_output_prints_the_evidence_trail_under_the_finding() {
-        // A CFG rule's finding carries its trail; each step is indented
-        // under the finding line.
-        let found = lint_lib(
-            "fn f(page: &[u8], store: &[u8]) -> u8 {\nlet idx = decode(page);\nstore[idx]\n}\n",
-        );
-        let taint = found.iter().find(|f| f.rule == "disk-taint").unwrap();
-        assert!(!taint.evidence.is_empty(), "{found:?}");
-        let text = render_finding(taint);
-        let mut lines = text.lines();
-        assert_eq!(
-            lines.next(),
-            Some(format!("crates/core/src/x.rs:3: [disk-taint] {}", taint.message).as_str())
-        );
-        let trail: Vec<&str> = lines.collect();
-        assert_eq!(trail.len(), taint.evidence.len());
-        for (line, step) in trail.iter().zip(&taint.evidence) {
-            assert_eq!(*line, format!("    {step}"));
-        }
-        assert!(text.contains("tainted by"), "{text}");
-        // A token rule's finding has no trail: one line, nothing under it.
-        let plain = lint_lib("fn f(v: &[u8], i: usize) -> u8 { v[i] }\n");
-        assert_eq!(render_finding(&plain[0]).lines().count(), 1);
     }
 
     // ---- scope: library crates, non-test code -------------------------
@@ -1406,7 +1336,6 @@ TOTAL           3          2      1
             line: 7,
             rule: "panic-path",
             message: "indexing".into(),
-            evidence: Vec::new(),
         }];
         let mut resolved = old.resolved_against(&current);
         resolved.sort();
@@ -1476,21 +1405,6 @@ TOTAL           3          2      1
             assert!(
                 text_of("panic-path").contains(needle),
                 "panic-path --explain must mention the {needle:?} exemption"
-            );
-        }
-        // disk-taint: the sanitizer set in flowrules::sanitized_at.
-        for needle in [
-            "comparison",
-            ".min(",
-            ".clamp(",
-            "check",
-            "valid",
-            "verify",
-            "bound",
-        ] {
-            assert!(
-                text_of("disk-taint").contains(needle),
-                "disk-taint --explain must name the {needle:?} sanitizer"
             );
         }
     }

@@ -6,8 +6,8 @@
 //!   [--explain <rule>] [--stats]` — run the project-specific static
 //!   analysis pass over every `.rs` source under the current directory
 //!   (the workspace root). Findings frozen in `loblint.baseline` do not
-//!   fail the run; new ones are printed, each with its evidence trail
-//!   indented beneath it. Exit code 0 means no *new* findings, 1 means
+//!   fail the run; new ones are printed, one `file:line: [rule] message`
+//!   line each. Exit code 0 means no *new* findings, 1 means
 //!   new findings were reported, 2 means the pass itself could not run
 //!   (bad argument, unreadable files). `--no-baseline` reports every
 //!   finding as new; `--update-baseline` regenerates the baseline
@@ -19,8 +19,6 @@
 //! See `loblint::RULES` for the rule set and `DESIGN.md` ("Correctness
 //! tooling" and "Static analysis") for the rationale.
 
-mod flowrules;
-mod lobflow;
 mod loblint;
 mod lobsyn;
 
