@@ -91,7 +91,9 @@ run cargo run -q -p xtask -- loblint
 # trace, call by call, and on ESM and EOS to its pool fixes plus the
 # reader's one size lookup, for ESM's direct (16-page) and buffered
 # (4-page) leaves alike, and a pinned script to the same bytes, `IoStats`
-# and LEAF reads through a borrowed `&Db` and `SharedDb`'s read tier; tree's
+# and LEAF reads through a borrowed `&Db` and `SharedDb`'s read tier, and
+# a bulk read and a cursor pass beside six dirty roots to at most one
+# META read more than on a clean pool; tree's
 # `reads_fix_the_root_once` holds a read to one root fix, an out-of-range
 # one included. And the model configurations, 256 seeds optimized and
 # their old case counts otherwise, the walk after every op included,
@@ -130,13 +132,14 @@ run cargo test -q --release --test model --test proptest_model --test crash_fuzz
 # on, the I/O accounting's twins a raw disk read above the pool
 # (clippy), a segment write that skips its counter and a health recount
 # that fixes a page, the live cursor's seek scripts a refill that
-# walks on from the last leaf after a seek, and the root decoder's
-# property test a root view that drops its pair-count bound (the
-# Starburst descriptor's segment-count bound). Each patch in mutants/ is
-# applied to one copy of the tree under target/ (a patch that no longer
-# applies fails here), the copy must still build, and then either each
-# test named must fail or, for a `clippy` drill, clippy must; the patch
-# is reversed before the next. The copy is fresh on every run, so its
+# walks on from the last leaf after a seek, the dirty-pool walk test a
+# leaf read that may evict the walk's own level-0 node, and the root
+# decoder's property test a root view that drops its pair-count bound
+# (the Starburst descriptor's segment-count bound): 14 patches. Each
+# patch in mutants/ is applied to one copy of the tree under target/ (a
+# patch that no longer applies fails here), the copy must still build,
+# and then either each test named must fail or, for a `clippy` drill,
+# clippy must; the patch is reversed before the next. The copy is fresh on every run, so its
 # build never reuses another tree's artifacts.
 mutant=target/mutants/tree
 rm -rf "$mutant" && mkdir -p "$mutant"
@@ -198,6 +201,8 @@ drill uncounted-seg-write -p lobstore-core --lib -- segdata::tests::each_segment
 drill costed-inspector -p lobstore-core --lib -- verify::tests::the_walk_is_clean_and_costs_nothing
 # The live cursor walks on from its last leaf whatever offset a refill asks for.
 drill walk-after-seek --test perf_equivalence -- esm_live_cursor_follows_seeks eos_live_cursor_follows_seeks
+# A walk's leaf read never holds its level-0 node, so a dirty pool evicts it once a leaf.
+drill walk-drops-parent --test perf_equivalence -- the_walk_reads_its_index_once_in_a_dirty_pool
 # The root view without its `n_entries <= 507` bound: 600 claimed pairs read as none.
 drill root-count-bound -p lobstore-core --lib -- node::tests::root_pages_decode_totally
 

@@ -177,6 +177,15 @@ impl PoolInner {
         f.last_used = t;
     }
 
+    /// One more pin on the frame holding `pid`, if it is resident, with
+    /// no hit counted and no LRU refresh.
+    fn pin(&mut self, pid: PageId) -> Option<usize> {
+        let mut frames = self.frames.iter_mut().enumerate();
+        let (idx, f) = frames.find(|(_, f)| f.pid == Some(pid))?;
+        f.pins += 1;
+        Some(idx)
+    }
+
     pub(crate) fn unpin(&mut self, idx: usize, dirtied: bool) {
         let f = &mut self.frames[idx];
         if dirtied {
@@ -504,6 +513,23 @@ impl BufferPool {
         self.lock_ctl().dirty_pinned(r.0);
         let mut bytes = self.frame(r.0).write();
         body(&mut bytes)
+    }
+
+    /// Add a pin to `pid`'s frame if it is resident and at least `spare`
+    /// frames stay unpinned beside it, so it is no victim until
+    /// [`Self::unfix`] releases it; `None`, reading nothing, otherwise.
+    /// Unlike [`Self::fix`] it counts no hit and leaves the LRU stamp
+    /// alone: a holder that fixes the page again afterwards leaves the
+    /// pool's counters and replacement order as a caller that had not
+    /// held it, unless the page would have been a victim in between.
+    pub fn hold(&self, pid: PageId, spare: usize) -> Option<FrameRef> {
+        let mut g = self.lock_ctl();
+        let idx = g.pin(pid)?;
+        if g.available() < spare {
+            g.unpin(idx, false);
+            return None;
+        }
+        Some(FrameRef(idx))
     }
 
     /// Release one fix on the frame.
@@ -998,6 +1024,47 @@ mod tests {
         pool.unfix(rc);
         assert!(pool.contains(pid(0)));
         assert!(!pool.contains(pid(1)));
+    }
+
+    #[test]
+    fn a_held_frame_counts_nothing_and_is_never_a_victim() {
+        let pool = pool_with_frames(3);
+        for p in 0..3 {
+            let r = pool.fix(pid(p));
+            pool.unfix(r);
+        }
+        // Page 0 is the least recently used clean frame.
+        let (table, stats, io) = (pool.frame_table(), pool.pool_stats(), pool.io_stats());
+        assert_eq!(pool.hold(pid(0), 3), None, "a hold leaves two frames");
+        assert_eq!(pool.frame_table(), table, "a refused hold leaves no pin");
+        let held = pool.hold(pid(0), 2).expect("page 0 is resident");
+        assert_eq!(pool.pool_stats(), stats, "holding counts no hit");
+        assert_eq!(pool.io_stats(), io);
+        let mut pinned = table.clone();
+        pinned[held.0].2 += 1;
+        assert_eq!(pool.frame_table(), pinned, "only the pin count moves");
+        assert_eq!(pool.available_frames(), 2);
+
+        let r = pool.fix(pid(3));
+        pool.unfix(r);
+        assert!(pool.contains(pid(0)), "the held frame is no victim");
+        assert!(!pool.contains(pid(1)), "the next LRU clean frame goes");
+
+        assert_eq!(pool.hold(pid(1), 0), None, "a missing page is not held");
+        assert_eq!(
+            pool.io_stats().read_calls,
+            io.read_calls + 1,
+            "hold reads nothing"
+        );
+
+        pool.unfix(held);
+        assert_eq!(pool.available_frames(), 3, "unfix releases the hold");
+        let r = pool.fix(pid(4));
+        pool.unfix(r);
+        assert!(
+            !pool.contains(pid(0)),
+            "released, page 0 is the LRU victim again"
+        );
     }
 
     #[test]

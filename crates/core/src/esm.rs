@@ -273,7 +273,7 @@ impl EsmObject {
 
     /// A read's copy out of the leaf at `pos`: the hybrid segment read,
     /// or under the §4.5 ablation the entire leaf, then the piece copied.
-    fn fetch(&self, db: &mut Db, pos: &LeafPos, piece: &mut [u8]) {
+    fn fetch(&self, db: &Db, pos: &LeafPos, piece: &mut [u8]) {
         if !self.whole_leaf_io {
             return read_piece(db, pos, piece);
         }

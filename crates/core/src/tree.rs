@@ -32,7 +32,8 @@
 use std::ops::Range;
 
 use lobstore_buddy::Extent;
-use lobstore_simdisk::{cast, AreaId};
+use lobstore_bufpool::{BufferPool, FrameRef};
+use lobstore_simdisk::{cast, AreaId, PageId, PAGE_SIZE_U64};
 
 use crate::db::Db;
 use crate::error::{LobError, Result};
@@ -827,25 +828,29 @@ impl PosTree {
 
     /// Read `out.len()` bytes at `off`: one descent, then a walk from leaf
     /// to leaf, `fetch` copying each leaf's piece out ([`read_piece`] but
-    /// for ESM's whole-leaf ablation).
+    /// for ESM's whole-leaf ablation) under [`fetch_leaf`]'s hold while
+    /// bytes remain after it.
     pub fn read(
         &self,
         db: &mut Db,
         off: u64,
         out: &mut [u8],
-        mut fetch: impl FnMut(&mut Db, &LeafPos, &mut [u8]),
+        mut fetch: impl FnMut(&Db, &LeafPos, &mut [u8]),
     ) -> Result<()> {
-        self.for_each_leaf(db, off, out.len(), |db, pos, r| {
+        let len = out.len();
+        self.for_each_leaf(db, off, len, |db, pos, r| {
+            let walks_on = r.end < len;
             // `for_each_leaf` hands out sub-ranges of `0..out.len()`.
             // loblint: allow(panic-path)
-            fetch(db, pos, &mut out[r]);
+            fetch_leaf(db, pos, walks_on, &mut out[r], &mut fetch);
             Ok(None)
         })
     }
 
     /// Read from `off` to the end of its leaf, at most `max` bytes, into
     /// `buf` (resized to the count, which is returned): the leaf a
-    /// [`Self::read`] of that range reaches and its one `fetch`. When
+    /// [`Self::read`] of that range reaches and its one `fetch`, under
+    /// [`fetch_leaf`]'s hold if the span reaches the leaf's end. When
     /// `last` holds the leaf the previous span ended with and `off` is
     /// that leaf's end, the leaf is [`Self::next`] of it, as a bulk read
     /// walks; otherwise it is one range-checked descent. `last` is left
@@ -858,7 +863,7 @@ impl PosTree {
         max: usize,
         buf: &mut Vec<u8>,
         last: &mut Option<LeafPos>,
-        fetch: impl FnOnce(&mut Db, &LeafPos, &mut [u8]),
+        fetch: impl FnOnce(&Db, &LeafPos, &mut [u8]),
     ) -> Result<usize> {
         let walk_from = last.take().filter(|p| p.leaf_end() == off);
         if max == 0 {
@@ -877,8 +882,9 @@ impl PosTree {
         let left = pos.entry.count.saturating_sub(pos.off_in_leaf);
         let n = cast::to_usize(left.min(max as u64));
         buf.resize(n, 0);
-        fetch(db, &pos, buf);
-        if n as u64 == left {
+        let walks_on = n as u64 == left;
+        fetch_leaf(db, &pos, walks_on, buf, fetch);
+        if walks_on {
             *last = Some(pos);
         }
         Ok(n)
@@ -1178,9 +1184,49 @@ enum Level {
 
 /// A read's copy out of one leaf: the §3.2 hybrid-policy segment read of
 /// `piece.len()` bytes from the leaf's `off_in_leaf`.
-pub(crate) fn read_piece(db: &mut Db, pos: &LeafPos, piece: &mut [u8]) {
+pub(crate) fn read_piece(db: &Db, pos: &LeafPos, piece: &mut [u8]) {
     db.pool
         .read_segment(AreaId::LEAF, pos.entry.ptr, pos.off_in_leaf, piece);
+}
+
+/// Run a read's `fetch` of the leaf at `pos`. When `walks_on` — the walk
+/// goes on from this leaf — and the next leaf is the next entry of the
+/// same level-0 node, that node is held pinned over the fetch
+/// ([`BufferPool::hold`]) so the leaf read cannot evict it from under the
+/// walk's next step. The hold ends when this returns, unwinding included.
+/// It counts no fix and moves no LRU stamp, and the walk fixes the node
+/// again as before, so the pool sees the same fixes; where the leaf read
+/// would have taken the node as its victim, it takes the next one in
+/// §3.2's order instead and the walk's re-fix hits. The hold leaves as
+/// many frames unpinned as the leaf has pages, or is not taken: it must
+/// never push a buffered read onto the direct path.
+fn fetch_leaf<F: FnOnce(&Db, &LeafPos, &mut [u8])>(
+    db: &Db,
+    pos: &LeafPos,
+    walks_on: bool,
+    piece: &mut [u8],
+    fetch: F,
+) {
+    let leaf_pages = cast::to_usize(pos.entry.count.div_ceil(PAGE_SIZE_U64));
+    let _held = pos
+        .path
+        .last()
+        .filter(|s| walks_on && s.idx + 1 < s.len)
+        .and_then(|s| db.pool.hold(PageId::new(AreaId::META, s.page), leaf_pages))
+        .map(|r| Held { pool: &db.pool, r });
+    fetch(db, pos, piece);
+}
+
+/// A pin [`fetch_leaf`] holds; released when dropped.
+struct Held<'a> {
+    pool: &'a BufferPool,
+    r: FrameRef,
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        self.pool.unfix(self.r);
+    }
 }
 
 /// Bytes behind `entries`.

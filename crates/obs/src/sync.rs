@@ -645,6 +645,7 @@ mod sched {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(debug_assertions)]
     use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]

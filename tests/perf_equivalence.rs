@@ -22,7 +22,10 @@
 //!    whose disk calls are large enough that `SimDisk` splits their copy
 //!    across cores, and check both reads against the appended bytes;
 //!    a third holds it on ESM/4 and EOS/16 under fan-out 4, where a
-//!    walk to the next leaf fixes fewer index pages than a descent.
+//!    walk to the next leaf fixes fewer index pages than a descent. A
+//!    fourth holds a whole ESM/4 read beside six dirty roots to the
+//!    META reads of a clean pool: a leaf read never evicts the walk's
+//!    own level-0 node.
 //!
 //! Properties 3–6 hold the pinned cursor, and property 7, at the end,
 //! holds the live cursor's bytes under seek scripts.
@@ -275,6 +278,61 @@ fn streamed_accounting_matches_bulk_at_depth() {
         for (start, chunk) in [(0.0, 4_096), (0.0, 1_000), (0.37, 10_000)] {
             streamed_accounting_matches_bulk(spec, layout, 600_000, start, chunk);
         }
+    }
+}
+
+/// A walk keeps its level-0 node over each leaf read, however dirty the
+/// pool. One ESM/4 object of 1 MB under fan-out 16, flushed; then six
+/// more objects of one append each, whose roots and the buddy pages stay
+/// dirty, so only a few of the 12 frames are clean and a 4-page leaf
+/// read would take the walk's node as its victim. A whole bulk read and
+/// a whole cursor pass must read back the object and make at most one
+/// META read call more than on the same store without the six.
+#[test]
+fn the_walk_reads_its_index_once_in_a_dirty_pool() {
+    let spec = ManagerSpec::esm(4);
+    let layout = Layout {
+        tree: TreeConfig::tiny(16),
+        append: usize::MAX,
+    };
+    let build = fill(1 << 20, 99);
+    let store = |others: usize| {
+        let (mut db, obj) = layout.store(spec, &build);
+        db.pool().flush_all();
+        for _ in 0..others {
+            let mut other = spec.create(&mut db).unwrap();
+            other.append(&mut db, &fill(100, 7)).unwrap();
+        }
+        (db, obj)
+    };
+    let meta_reads = |c: &Charge| {
+        let meta = |e: &&TraceEvent| e.kind == TraceKind::Read && e.area == AreaId::META;
+        c.trace.iter().filter(meta).count()
+    };
+    let bulk = |others| {
+        let (mut db, obj) = store(others);
+        let mut out = vec![0u8; build.len()];
+        let c = charge(&mut db, |db| obj.read(db, 0, &mut out).unwrap());
+        assert!(out == build, "bulk read diverges from the append");
+        meta_reads(&c)
+    };
+    let streamed = |others| {
+        let (mut db, obj) = store(others);
+        let mut out = Vec::new();
+        let c = charge(&mut db, |db| {
+            stream_all(&mut ObjectReader::new(db, obj.as_ref()), 10_000, &mut out);
+        });
+        assert!(out == build, "cursor pass diverges from the append");
+        meta_reads(&c)
+    };
+    for (what, clean, dirty) in [
+        ("bulk read", bulk(0), bulk(6)),
+        ("cursor pass", streamed(0), streamed(6)),
+    ] {
+        assert!(
+            dirty <= clean + 1,
+            "a {what} beside six dirty roots makes {dirty} META reads, on a clean pool {clean}"
+        );
     }
 }
 

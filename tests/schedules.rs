@@ -19,8 +19,10 @@ use std::io::Read;
 
 use lobstore::bufpool::{BufferPool, PoolConfig};
 use lobstore::obs::sync::{self, Thread};
+use lobstore::simdisk::SimDisk;
 use lobstore::workload::model::{assert_same, Driver, Kind, Op, OpGen};
-use lobstore::{simdisk::SimDisk, PAGE_SIZE};
+#[cfg(debug_assertions)]
+use lobstore::PAGE_SIZE;
 use lobstore::{
     AreaId, Db, DbConfig, ManagerSpec, PageId, ReadAccess, SharedDb, Snapshot, SpanCursor,
 };
