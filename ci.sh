@@ -85,15 +85,15 @@ run cargo run -q -p xtask -- loblint
 # -- every META page's bytes, `IoStats`, `PoolStats`, trace and the
 # tree invariants after every step). And the one read cursor
 # (`SpanCursor`), refilled a segment at a time by its source — the live
-# one's `read_span`, or the pinned one's descent and page-run read: core's
-# stream tests hold a streamed live scan to the `IoStats` of one bulk read
-# of the same range, and tests/perf_equivalence.rs also to its disk
-# trace, call by call, and on ESM and EOS to its pool fixes plus the
-# reader's one size lookup, for ESM's direct (16-page) and buffered
-# (4-page) leaves alike, and a pinned script to the same bytes, `IoStats`
-# and LEAF reads through a borrowed `&Db` and `SharedDb`'s read tier, and
-# a bulk read and a cursor pass beside six dirty roots to at most one
-# META read more than on a clean pool; tree's
+# one's `read_span` or the pinned one's descent, each with the one
+# page-run leaf read: core's stream tests hold a streamed live scan to
+# the `IoStats` of a pinned pass over the same version, and
+# tests/perf_equivalence.rs also to its disk trace, call by call, and its
+# LEAF reads to the `segments()` model, for ESM's 16- and 4-page leaves
+# alike, and a pinned script to the same bytes, `IoStats` and LEAF reads
+# through a borrowed `&Db` and `SharedDb`'s read tier, a bulk read beside
+# six dirty roots to at most one META read more than on a clean pool and
+# a cursor pass there to one read of each index page at most; tree's
 # `reads_fix_the_root_once` holds a read to one root fix, an out-of-range
 # one included. And the model configurations, 256 seeds optimized and
 # their old case counts otherwise, the walk after every op included,
@@ -133,9 +133,11 @@ run cargo test -q --release --test model --test proptest_model --test crash_fuzz
 # (clippy), a segment write that skips its counter and a health recount
 # that fixes a page, the live cursor's seek scripts a refill that
 # walks on from the last leaf after a seek, the dirty-pool walk test a
-# leaf read that may evict the walk's own level-0 node, and the root
-# decoder's property test a root view that drops its pair-count bound
-# (the Starburst descriptor's segment-count bound): 14 patches. Each
+# leaf read that may evict the walk's own level-0 node, the live
+# cursor's accounting property a refill sent back through the pool's
+# hybrid read, and the root decoder's property test a root view that
+# drops its pair-count bound (the Starburst descriptor's segment-count
+# bound): 15 patches. Each
 # patch in mutants/ is applied to one copy of the tree under target/ (a
 # patch that no longer applies fails here), the copy must still build,
 # and then either each test named must fail or, for a `clippy` drill,
@@ -203,6 +205,10 @@ drill costed-inspector -p lobstore-core --lib -- verify::tests::the_walk_is_clea
 drill walk-after-seek --test perf_equivalence -- esm_live_cursor_follows_seeks eos_live_cursor_follows_seeks
 # A walk's leaf read never holds its level-0 node, so a dirty pool evicts it once a leaf.
 drill walk-drops-parent --test perf_equivalence -- the_walk_reads_its_index_once_in_a_dirty_pool
+# The live refill through `read_piece`/`fetch_leaf` and the pool's hybrid read.
+drill live-refill-via-pool --test perf_equivalence -- esm_streamed_accounting_matches_bulk \
+    esm_buffered_leaves_streamed_accounting_matches_bulk eos_streamed_accounting_matches_bulk \
+    starburst_streamed_accounting_matches_bulk streamed_accounting_matches_bulk_at_depth
 # The root view without its `n_entries <= 507` bound: 600 claimed pairs read as none.
 drill root-count-bound -p lobstore-core --lib -- node::tests::root_pages_decode_totally
 

@@ -191,6 +191,51 @@ pub fn run_update_sweep(
         .collect()
 }
 
+/// One row of the §4.6 summary for `spec` at `scale`, with mean
+/// operation size `mean`: the average read cost (ms), the average insert
+/// cost (s) and the final storage utilization. ESM and EOS run
+/// [`run_update_sweep`]'s update mix. Starburst, whose length-changing
+/// updates copy the whole object, runs six insert + delete pairs on a
+/// build of 256 KB appends, then 300 random reads.
+pub fn summary46_row(spec: ManagerSpec, scale: Scale, mean: u64) -> (Option<f64>, f64, f64) {
+    use lobstore_workload::{build_object, fill_bytes, random_reads, OpKind};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    if !matches!(spec, ManagerSpec::Starburst { .. }) {
+        let (_, rep) = run_update_sweep(&[spec], scale, mean).remove(0);
+        let last = rep.marks.last().expect("marks");
+        let read = rep.avg_ms(OpKind::Read, &rep.marks);
+        let ins = rep.avg_ms(OpKind::Insert, &rep.marks).unwrap_or(0.0) / 1_000.0;
+        return (read, ins, last.utilization);
+    }
+    let mut db = fresh_db();
+    let (mut obj, _) = build_object(&mut db, &spec, scale.object_bytes, 256 * 1024).expect("build");
+    let mut rng = StdRng::seed_from_u64(46);
+    let mut buf = vec![0u8; (mean * 2) as usize];
+    let mut insert_us = 0u64;
+    let n = 6u32;
+    for i in 0..n {
+        let size = obj.size(&mut db);
+        let len = rng.gen_range(mean / 2..=mean * 3 / 2);
+        fill_bytes(&mut buf[..len as usize], u64::from(i));
+        let off = rng.gen_range(0..=size);
+        let before = db.io_stats();
+        obj.insert(&mut db, off, &buf[..len as usize])
+            .expect("insert");
+        insert_us += (db.io_stats() - before).time_us;
+        let size = obj.size(&mut db);
+        obj.delete(&mut db, rng.gen_range(0..=size - len), len)
+            .expect("delete");
+    }
+    let reads = random_reads(&mut db, obj.as_ref(), 300, mean, 46).expect("reads");
+    (
+        Some(reads.avg_read_ms()),
+        insert_us as f64 / 1e6 / f64::from(n),
+        obj.utilization(&db).ratio(),
+    )
+}
+
 /// Print one mark-by-mark table for `metric` over the sweep results.
 pub fn print_mark_table(
     title: &str,

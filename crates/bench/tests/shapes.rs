@@ -3,7 +3,8 @@
 //! than a silently wrong figure.
 
 use lobstore_bench::{
-    eos_specs, fresh_db, run_update_sweep, Scale, ESM_LEAF_PAGES, MEAN_OP_SIZES, PAPER_APPEND_KB,
+    eos_specs, fresh_db, run_update_sweep, summary46_row, Scale, ESM_LEAF_PAGES, MEAN_OP_SIZES,
+    PAPER_APPEND_KB,
 };
 use lobstore_workload::{build_object, sequential_scan, ManagerSpec, MixedReport, OpKind};
 
@@ -43,6 +44,26 @@ fn fig5_best_esm_leaf_is_the_append_size() {
         let min = times.iter().map(|t| t.1).fold(f64::INFINITY, f64::min);
         let fastest: Vec<u32> = times.iter().filter(|t| t.1 == min).map(|t| t.0).collect();
         assert_eq!(fastest, [best], "{kb} KB appends: {times:?}");
+    }
+}
+
+/// Figure 5's sawtooth: ESM/1 builds at least 1.5× slower at every
+/// append size that is not a whole number of pages than at the page
+/// multiples beside it, because each such append leaves a partial leaf
+/// the next one must read back and rewrite.
+#[test]
+fn fig5_esm1_sawtooth_peaks_between_page_multiples() {
+    let spec = ManagerSpec::esm(1);
+    for kb in [3, 5, 6, 7, 10, 14] {
+        let t = fig5_build_s(spec, kb);
+        let beside = [kb / 4 * 4, kb.div_ceil(4) * 4];
+        for m in beside.into_iter().filter(|&m| m > 0) {
+            let tm = fig5_build_s(spec, m);
+            assert!(
+                t >= 1.5 * tm,
+                "ESM/1 at {kb} KB: {t:.1} s, at {m} KB: {tm:.1} s"
+            );
+        }
     }
 }
 
@@ -260,5 +281,35 @@ fn deletes_mirror_inserts() {
     assert!(
         d64 > d4,
         "T=64 deletes ({d64:.0}) must cost more than T=4 ({d4:.0})"
+    );
+}
+
+/// §4.6: EOS/64 reads and stores like Starburst, within a few percent,
+/// while its inserts cost a fraction of Starburst's whole-object copies;
+/// ESM/16 cannot have both, and its utilization falls far below the
+/// other two. At `tiny()` scale the rows read 53.4 / 51.2 ms,
+/// 98.9 / 99.6 %, 0.66 / 2.23 s and, for ESM/16, 78.9 %.
+#[test]
+fn summary46_eos64_matches_starburst_but_updates_cheaply() {
+    let row = |spec| summary46_row(spec, tiny(), 10_000);
+    let (eos_read, eos_ins, eos_util) = row(ManagerSpec::eos(64));
+    let (_, _, esm_util) = row(ManagerSpec::esm(16));
+    let (sb_read, sb_ins, sb_util) = row(ManagerSpec::starburst());
+    let (eos_read, sb_read) = (eos_read.unwrap(), sb_read.unwrap());
+    assert!(
+        (eos_read - sb_read).abs() < 0.05 * sb_read,
+        "reads: EOS/64 {eos_read:.1} ms, Starburst {sb_read:.1} ms"
+    );
+    assert!(
+        (eos_util - sb_util).abs() < 0.03,
+        "utilization: EOS/64 {eos_util:.3}, Starburst {sb_util:.3}"
+    );
+    assert!(
+        eos_ins < 0.5 * sb_ins,
+        "inserts: EOS/64 {eos_ins:.2} s, Starburst {sb_ins:.2} s"
+    );
+    assert!(
+        esm_util < eos_util.min(sb_util) - 0.15,
+        "utilization: ESM/16 {esm_util:.3}, EOS/64 {eos_util:.3}, Starburst {sb_util:.3}"
     );
 }

@@ -473,9 +473,8 @@ impl LargeObject for EosObject {
         max: usize,
         buf: &mut Vec<u8>,
         at: &mut SpanPos,
-    ) -> Result<usize> {
-        self.tree
-            .read_span(db, off, max, buf, &mut at.0, read_piece)
+    ) -> Result<(usize, usize)> {
+        self.tree.read_span(db, off, max, buf, &mut at.0)
     }
 
     fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {

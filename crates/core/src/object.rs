@@ -160,18 +160,18 @@ pub trait LargeObject: Send {
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()>;
 
     /// Read from `off` to the end of the stored segment holding it, at
-    /// most `max` bytes, into `buf`, which is resized to that count; the
-    /// count is returned. Requires `off < size`, except that `max == 0`
-    /// reads nothing and is checked like an empty `read`. The live
-    /// [`crate::ObjectReader`] refills its buffer with this call.
+    /// most `max` bytes: the page run covering them, with one page-direct
+    /// call, into `buf`, reusing its allocation. Returns `(skip, len)`:
+    /// the bytes are `buf[skip..skip + len]`. Requires `off < size`,
+    /// except that `max == 0` reads nothing and is checked like an empty
+    /// `read`. The live [`crate::ObjectReader`] refills its buffer with
+    /// this call; the read is the pinned cursor's, so a partial page
+    /// never takes §3.2's 3-step path.
     ///
     /// `at` is where the previous span ended. On the tree schemes a span
     /// that starts at the end of the leaf `at` holds walks to the next
     /// leaf, as a multi-leaf [`Self::read`] does; any other span is one
-    /// descent. Either way it then issues the one segment read a `read`
-    /// of that range would, so a run of spans costs what one `read` of
-    /// their bytes costs. Starburst (one descriptor fix a span) ignores
-    /// `at`.
+    /// descent. Starburst (one descriptor fix a span) ignores `at`.
     fn read_span(
         &self,
         db: &mut Db,
@@ -179,7 +179,7 @@ pub trait LargeObject: Send {
         max: usize,
         buf: &mut Vec<u8>,
         at: &mut SpanPos,
-    ) -> Result<usize>;
+    ) -> Result<(usize, usize)>;
 
     /// Locate the contiguous stored segment containing byte `off`
     /// (requires `off < size`). For the tree schemes this is one costed

@@ -291,7 +291,7 @@ impl LargeObject for ObservedObject {
         max: usize,
         buf: &mut Vec<u8>,
         at: &mut SpanPos,
-    ) -> Result<usize> {
+    ) -> Result<(usize, usize)> {
         let obs = OpObserver::begin(self.inner.kind(), OpName::Read, db);
         let r = self.inner.read_span(db, off, max, buf, at);
         let b = self.observed_bytes(&obs, db);

@@ -31,7 +31,7 @@ use crate::node::{find_child, Entry, Node, RootHdr, ROOT_MAX_ENTRIES};
 use crate::object::{
     check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, SpanPos, StorageKind, Utilization,
 };
-use crate::segdata::{append_in_place, insert_bytes, patch_in_place, peek_segs};
+use crate::segdata::{append_in_place, insert_bytes, patch_in_place, peek_segs, read_seg_pages};
 
 /// The 512 KB copy buffer of §3.5, in pages and in bytes (a widening
 /// cast; `cast::u32_to_usize` is not `const`).
@@ -390,19 +390,18 @@ impl LargeObject for StarburstObject {
         max: usize,
         buf: &mut Vec<u8>,
         _at: &mut SpanPos,
-    ) -> Result<usize> {
+    ) -> Result<(usize, usize)> {
         if max == 0 {
             buf.clear();
-            return self.read(db, off, buf).map(|()| 0);
+            return self.read(db, off, buf).map(|()| (0, 0));
         }
-        // The descriptor's one fix finds the segment, as the plan of a
-        // bulk `read` of the range would; then that plan's one read.
+        // The descriptor's one fix finds the segment; then one page-run
+        // read of the rest of it.
         let seg = self.locate(db, off)?;
         let within = off.saturating_sub(seg.start);
-        let n = cast::to_usize(seg.bytes.saturating_sub(within).min(max as u64));
-        buf.resize(n, 0);
-        db.pool.read_segment(AreaId::LEAF, seg.page, within, buf);
-        Ok(n)
+        let n = seg.bytes.saturating_sub(within).min(max as u64);
+        let skip = read_seg_pages(db, seg.page, within, n, buf, 0);
+        Ok((skip, cast::to_usize(n)))
     }
 
     fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {

@@ -9,22 +9,25 @@
 //! at a position. There are two:
 //!
 //! * [`Live`] reads the **live** version. It borrows the database
-//!   exclusively, and a refill is one [`LargeObject::read_span`] under the
-//!   hybrid §3.2 pool policy. A refill where the last span ended walks to
-//!   the next leaf as a bulk read does, so a streamed scan costs exactly
-//!   what one bulk [`LargeObject::read`] would. [`ObjectReader`] is this
-//!   cursor.
+//!   exclusively, and a refill is one [`LargeObject::read_span`]. A
+//!   refill where the last span ended walks to the next leaf as a bulk
+//!   read does. [`ObjectReader`] is this cursor.
 //! * [`Pinned`] reads a **pinned** version. Its root is resolved once,
 //!   through the version overlay; everything below it is immutable while
 //!   the pin is held, so a refill needs only `&Db`: one descent and one
-//!   page-direct segment read, which under [`crate::SharedDb`]'s read
-//!   tier fixes only the index pages. It reaches `&Db` through a
+//!   segment read, which under [`crate::SharedDb`]'s read tier fixes
+//!   only the index pages. It reaches `&Db` through a
 //!   [`ReadAccess`]: a borrowed `&Db`, `SharedDb`'s read tier
 //!   ([`crate::SharedSnapshotReader`] owns its pin as well), or a
 //!   caller's wrapper.
 //!
-//! Only a refill runs a source: a read inside the buffered span, or at
-//! or past the end, touches no database and takes no lock.
+//! Both sources read a leaf the same way: the page run covering the rest
+//! of the segment, in one page-direct call, into the span's own buffer
+//! (`read_seg_pages`). A partial page never needs §3.2's 3-step I/O,
+//! which exists only to land a page run in a caller's buffer at an
+//! unaligned offset, so a streamed pass costs one pinned pass. Only a
+//! refill runs a source: a read inside the buffered span, or at or past
+//! the end, touches no database and takes no lock.
 //!
 //! [`ObjectWriter`] implements [`Write`] for streaming creation by
 //! appends, buffering to a configurable chunk size so the append pattern
@@ -86,7 +89,7 @@ pub(crate) trait Source {
 /// Instead of descending the index for every `read()` call (ruinous for
 /// small chunks — one full root-to-leaf walk per 4 KB), the cursor refills
 /// its one span per segment through its source, so small sequential
-/// reads cost exactly the simulated I/O of one large read. Seeks keep the
+/// reads cost exactly the simulated I/O of one whole pass. Seeks keep the
 /// span: the version cannot change under the cursor, so a re-read inside
 /// it (a backward seek included) is served from memory. Seeking follows
 /// [`std::io::Cursor`]: a target before byte 0 or past `u64::MAX` is
@@ -195,23 +198,22 @@ pub struct Live<'a> {
 }
 
 impl Source for Live<'_> {
-    /// One [`LargeObject::read_span`]: one observed read, one segment
-    /// read, filling the buffer from its first byte. The segment is found
-    /// by a walk from the last refill's leaf when `pos` is that leaf's
-    /// end, and by a descent otherwise: on the first refill, after a seek
-    /// elsewhere and after a span cut at 4 MiB.
+    /// One [`LargeObject::read_span`]: one observed read, then the
+    /// pinned source's leaf read, one page-run read of the rest of the
+    /// segment (`read_seg_pages`). The segment is found by a walk from
+    /// the last refill's leaf when `pos` is that leaf's end, and by a
+    /// descent otherwise: on the first refill, after a seek elsewhere and
+    /// after a span cut at 4 MiB.
     fn refill(&mut self, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)> {
-        let n = self
-            .obj
-            .read_span(self.db, pos, READ_AHEAD_MAX, buf, &mut self.at)?;
-        Ok((0, n))
+        self.obj
+            .read_span(self.db, pos, READ_AHEAD_MAX, buf, &mut self.at)
     }
 }
 
 /// The cursor over the live version. A scan from offset `o` makes the one
-/// descent, the walks and the per-segment `read_segment` calls of a
-/// [`LargeObject::read`] from `o` to the end, and nothing else but the
-/// one size lookup of [`ObjectReader::new`].
+/// descent and the walks of a [`LargeObject::read`] from `o` to the end,
+/// one page-run read per segment (per 4 MiB piece of a longer one), and
+/// nothing else but the one size lookup of [`ObjectReader::new`].
 pub type ObjectReader<'a> = SpanCursor<Live<'a>>;
 
 impl<'a> ObjectReader<'a> {
@@ -451,10 +453,11 @@ mod tests {
     }
 
     #[test]
-    fn streamed_small_reads_cost_like_one_big_read() {
-        // The scan-cursor guarantee (and the regression this pins): N
-        // small sequential reads through ObjectReader charge exactly the
-        // simulated I/O of one whole-object `read`, for every scheme.
+    fn streamed_small_reads_cost_like_one_pinned_pass() {
+        // The scan-cursor guarantee: N small sequential reads through
+        // ObjectReader charge exactly the simulated I/O of a pinned
+        // cursor's pass over the same version, for every scheme: the two
+        // sources read each leaf the same way, one page run a segment.
         // Before the cursor, each 1 KB read re-descended the index and
         // issued its own segment read.
         use crate::spec::ManagerSpec;
@@ -470,12 +473,17 @@ mod tests {
                 obj
             };
 
-            let mut db_bulk = Db::paper_default();
-            let obj_bulk = build(&mut db_bulk);
-            db_bulk.reset_io_stats();
-            let mut bulk_out = vec![0u8; size];
-            obj_bulk.read(&mut db_bulk, 0, &mut bulk_out).unwrap();
-            let bulk = db_bulk.io_stats();
+            let mut db_pinned = Db::paper_default();
+            let obj_pinned = build(&mut db_pinned);
+            let snap = db_pinned.snapshot();
+            db_pinned.reset_io_stats();
+            let mut pinned_out = Vec::with_capacity(size);
+            SpanCursor::pinned(&db_pinned, &snap, obj_pinned.root_page())
+                .unwrap()
+                .read_to_end(&mut pinned_out)
+                .unwrap();
+            let pinned = db_pinned.io_stats();
+            db_pinned.release_snapshot(snap);
 
             let mut db_stream = Db::paper_default();
             let obj_stream = build(&mut db_stream);
@@ -492,12 +500,13 @@ mod tests {
             }
             let streamed = db_stream.io_stats();
 
-            assert_eq!(got, bulk_out, "{}: bytes differ", spec.label());
+            assert_eq!(got, pattern(size), "{}: bytes differ", spec.label());
+            assert_eq!(got, pinned_out, "{}: bytes differ", spec.label());
             assert_eq!(
                 streamed,
-                bulk,
+                pinned,
                 "{}: streamed 1 KB reads must cost the same simulated I/O \
-                 as one large read",
+                 as a pinned pass",
                 spec.label()
             );
         }

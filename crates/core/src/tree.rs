@@ -42,7 +42,7 @@ use crate::node::{
     add_signed, Entry, Node, NodeMut, NodeView, RootHdr, NODE_MAX_ENTRIES, ROOT_MAX_ENTRIES,
 };
 use crate::object::{check_range, SegSpan, SegmentInfo, Utilization};
-use crate::segdata::{patch_in_place, peek_segs, read_seg_bytes};
+use crate::segdata::{patch_in_place, peek_segs, read_seg_bytes, read_seg_pages};
 use crate::shadow::OpCtx;
 
 /// One step of a root-to-leaf search path: the node's page, the entry
@@ -847,15 +847,15 @@ impl PosTree {
         })
     }
 
-    /// Read from `off` to the end of its leaf, at most `max` bytes, into
-    /// `buf` (resized to the count, which is returned): the leaf a
-    /// [`Self::read`] of that range reaches and its one `fetch`, under
-    /// [`fetch_leaf`]'s hold if the span reaches the leaf's end. When
-    /// `last` holds the leaf the previous span ended with and `off` is
-    /// that leaf's end, the leaf is [`Self::next`] of it, as a bulk read
-    /// walks; otherwise it is one range-checked descent. `last` is left
-    /// holding this leaf if the span reached its end, else nothing.
-    /// `max == 0` reads nothing, checked like an empty read.
+    /// Read from `off` to the end of its leaf, at most `max` bytes: the
+    /// covering page run, with one page-direct call, into `buf`
+    /// ([`read_seg_pages`]). Returns `(skip, len)`: the bytes are
+    /// `buf[skip..skip + len]`. When `last` holds the leaf the previous
+    /// span ended with and `off` is that leaf's end, the leaf is
+    /// [`Self::next`] of it, as a bulk read walks; otherwise it is one
+    /// range-checked descent. `last` is left holding this leaf if the
+    /// span reached its end, else nothing. `max == 0` reads nothing,
+    /// checked like an empty read.
     pub fn read_span(
         &self,
         db: &mut Db,
@@ -863,13 +863,12 @@ impl PosTree {
         max: usize,
         buf: &mut Vec<u8>,
         last: &mut Option<LeafPos>,
-        fetch: impl FnOnce(&Db, &LeafPos, &mut [u8]),
-    ) -> Result<usize> {
+    ) -> Result<(usize, usize)> {
         let walk_from = last.take().filter(|p| p.leaf_end() == off);
         if max == 0 {
             check_range(self.size(db)?, off, 0)?;
             buf.clear();
-            return Ok(0);
+            return Ok((0, 0));
         }
         let pos = match walk_from {
             Some(prev) => self.next(db, &prev)?.ok_or(LobError::OutOfRange {
@@ -880,14 +879,12 @@ impl PosTree {
             None => self.descend_checked(db, off, 1)?,
         };
         let left = pos.entry.count.saturating_sub(pos.off_in_leaf);
-        let n = cast::to_usize(left.min(max as u64));
-        buf.resize(n, 0);
-        let walks_on = n as u64 == left;
-        fetch_leaf(db, &pos, walks_on, buf, fetch);
-        if walks_on {
+        let n = left.min(max as u64);
+        let skip = read_seg_pages(db, pos.entry.ptr, pos.off_in_leaf, n, buf, 0);
+        if n == left {
             *last = Some(pos);
         }
-        Ok(n)
+        Ok((skip, cast::to_usize(n)))
     }
 
     /// The stored segment holding byte `off` (`off < size`): one costed,
@@ -1738,13 +1735,14 @@ mod tests {
             let (r, n) = fixes_of(&mut db, |db| {
                 obj.read_span(db, 7 * 4096 + 10, 99, &mut span, &mut SpanPos::none())
             });
-            assert_eq!(r.unwrap(), 99);
-            assert_eq!(span[..], bytes[7 * 4096 + 10..][..99]);
+            let (skip, len) = r.unwrap();
+            assert_eq!(len, 99);
+            assert_eq!(span[skip..skip + len], bytes[7 * 4096 + 10..][..99]);
             assert_eq!(n, 2, "{kind}: a span read fixes root + interior");
             let (r, _) = fixes_of(&mut db, |db| {
                 obj.read_span(db, 8 * 4096 + 96, 1 << 20, &mut span, &mut SpanPos::none())
             });
-            assert_eq!(r.unwrap(), 4000, "{kind}: a span ends with its leaf");
+            assert_eq!(r.unwrap().1, 4000, "{kind}: a span ends with its leaf");
 
             // Out of range: the error the size check always gave, after
             // the root fix alone.
@@ -1777,7 +1775,7 @@ mod tests {
             let (r, n) = fixes_of(&mut db, |db| {
                 obj.read_span(db, SIZE, 0, &mut span, &mut SpanPos::none())
             });
-            assert_eq!((r.unwrap(), span.len(), n), (0, 0, 1), "{kind}");
+            assert_eq!((r.unwrap(), span.len(), n), ((0, 0), 0, 1), "{kind}");
 
             // A whole-object pass, bulk or through the cursor, on cold
             // leaves: one descent to the first leaf, then a walk to each

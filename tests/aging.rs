@@ -8,8 +8,9 @@
 //! seed; a changed constant is a changed placement, split policy or
 //! read path, never noise. DESIGN.md §14 says how to re-record them.
 
+use lobstore::simdisk::TraceKind;
 use lobstore::workload::{stream_scan, ChurnConfig, ChurnWorkload};
-use lobstore::{Db, ManagerSpec};
+use lobstore::{AreaId, Db, ManagerSpec, SegmentInfo, PAGE_SIZE};
 
 /// Streamed-scan chunk: one page per `consume`.
 const STREAM_CHUNK: usize = 4 * 1024;
@@ -24,6 +25,25 @@ struct Aged {
     /// LEAF area at the final mark.
     free_pages: u64,
     largest_free_run: u32,
+}
+
+/// The LEAF reads a streamed scan of an object with segments `segs`
+/// makes, as `(first page, page count)`: one call per ≤ 4 MiB piece of
+/// each segment, covering pages only.
+fn scan_model(segs: &[SegmentInfo]) -> Vec<(u32, u32)> {
+    const SPAN_MAX: u64 = 4 << 20;
+    let page = PAGE_SIZE as u64;
+    let mut model = Vec::new();
+    for s in segs {
+        let mut lo = 0;
+        while lo < s.bytes {
+            let hi = (lo + SPAN_MAX).min(s.bytes);
+            let (first, last) = (lo / page, (hi - 1) / page);
+            model.push((s.start_page + first as u32, (last - first + 1) as u32));
+            lo = hi;
+        }
+    }
+    model
 }
 
 fn age(spec: &ManagerSpec, want: &Aged) {
@@ -63,8 +83,23 @@ fn age(spec: &ManagerSpec, want: &Aged) {
         .iter()
         .max_by_key(|o| o.utilization(&db).object_bytes)
         .expect("non-empty pool");
+    let segs = biggest.segments(&db);
+    db.pool().disk().enable_trace(segs.len() * 3 + 256);
     let scan = stream_scan(&mut db, biggest.as_ref(), STREAM_CHUNK).expect("scan");
+    let disk = db.pool().disk();
+    let (trace, dropped) = (disk.take_trace(), disk.trace_dropped());
+    assert_eq!(dropped, 0, "{label}: trace buffer too small");
     assert_eq!(scan.bytes, biggest.utilization(&db).object_bytes, "{label}");
+    let leaf_reads: Vec<(u32, u32)> = trace
+        .iter()
+        .filter(|e| e.area == AreaId::LEAF && e.kind == TraceKind::Read)
+        .map(|e| (e.start, e.pages))
+        .collect();
+    assert_eq!(
+        leaf_reads,
+        scan_model(&segs),
+        "{label}: a streamed scan is one LEAF call per <= 4 MB piece of each segment"
+    );
     let last = rep.marks.last().expect("marks");
     let got = Aged {
         read_calls: scan.io.read_calls,
@@ -82,9 +117,9 @@ fn esm_aged_store_is_pinned() {
     age(
         &ManagerSpec::esm(16),
         &Aged {
-            read_calls: 4,
+            read_calls: 2,
             pages_read: 25,
-            time_us: 232_000,
+            time_us: 166_000,
             free_pages: 16_160,
             largest_free_run: 16_128,
         },
@@ -96,9 +131,9 @@ fn eos_aged_store_is_pinned() {
     age(
         &ManagerSpec::eos(16),
         &Aged {
-            read_calls: 3,
+            read_calls: 2,
             pages_read: 25,
-            time_us: 199_000,
+            time_us: 166_000,
             free_pages: 16_104,
             largest_free_run: 16_002,
         },
@@ -110,9 +145,9 @@ fn starburst_aged_store_is_pinned() {
     age(
         &ManagerSpec::starburst(),
         &Aged {
-            read_calls: 3,
+            read_calls: 2,
             pages_read: 25,
-            time_us: 199_000,
+            time_us: 166_000,
             free_pages: 16_128,
             largest_free_run: 16_033,
         },

@@ -10,22 +10,24 @@
 //!    the bytes of the naive peek-based reference (`snapshot()`, which
 //!    walks the index with cost-free peeks and bypasses the buffer
 //!    pool and the scatter path entirely).
-//! 2. **Accounting**: streaming an object through the cursor makes the
-//!    disk calls of one bulk `LargeObject::read` of the same range on a
-//!    twin database — *identical* `IoStats` and disk trace — and on the
-//!    tree schemes its pool fixes plus the reader's one size lookup:
-//!    both descend once and walk the leaf level from there.
-//!    Bulk reads' absolute costs are pinned by `tests/golden_traces.rs`
-//!    and `tests/cost_model.rs` (unchanged by the optimization pass), so
-//!    equality here is transitively equality with pre-optimization
-//!    accounting. Two fixed cases hold property 2 on 3–4 MB objects,
-//!    whose disk calls are large enough that `SimDisk` splits their copy
-//!    across cores, and check both reads against the appended bytes;
-//!    a third holds it on ESM/4 and EOS/16 under fan-out 4, where a
-//!    walk to the next leaf fixes fewer index pages than a descent. A
-//!    fourth holds a whole ESM/4 read beside six dirty roots to the
-//!    META reads of a clean pool: a leaf read never evicts the walk's
-//!    own level-0 node.
+//! 2. **Accounting**: a live pass costs one pinned pass. Streaming an
+//!    object through `ObjectReader` makes exactly property 5's LEAF
+//!    reads, computed from `segments()` — one call per ≤ 4 MiB piece of
+//!    each segment, covering pages only — and on a twin database a
+//!    pinned cursor over the same version returns the same bytes and
+//!    charges identical `IoStats` and disk trace: both sources read a
+//!    leaf as one page run into their own buffer, so no partial page
+//!    takes §3.2's 3-step path. Bulk reads keep that path; their
+//!    absolute costs are pinned by `tests/golden_traces.rs` and
+//!    `tests/cost_model.rs`. Two fixed cases hold property 2 on
+//!    3–4 MB objects, whose disk calls are large enough that `SimDisk`
+//!    splits their copy across cores, and check the reads against the
+//!    appended bytes; a third holds it on ESM/4 and EOS/16 under
+//!    fan-out 4, where a walk to the next leaf fixes fewer index pages
+//!    than a descent. A fourth holds a whole ESM/4 read beside six dirty
+//!    roots to the META reads of a clean pool (a leaf read never evicts
+//!    the walk's own level-0 node), and a cursor pass there to one read
+//!    of each index page at most.
 //!
 //! Properties 3–6 hold the pinned cursor, and property 7, at the end,
 //! holds the live cursor's bytes under seek scripts.
@@ -35,7 +37,7 @@ use std::io::{Read, Seek, SeekFrom};
 use lobstore::simdisk::TraceEvent;
 use lobstore::workload::fill;
 use lobstore::workload::model::{Driver, Kind, Op, OpGen};
-use lobstore::{Db, DbConfig, LargeObject, ManagerSpec, ObjectReader, StorageKind, TreeConfig};
+use lobstore::{Db, DbConfig, LargeObject, ManagerSpec, ObjectReader, TreeConfig};
 use proptest::prelude::*;
 
 /// Build histories: appends, inserts and replaces.
@@ -47,17 +49,6 @@ const CHURN: &[(u32, Kind)] = &[
     (1, Kind::Replace),
     (1, Kind::Delete),
 ];
-
-/// Drain a reader to the end in `chunk`-sized requests.
-fn stream_all(r: &mut ObjectReader<'_>, chunk: usize, out: &mut Vec<u8>) {
-    let mut buf = vec![0u8; chunk];
-    loop {
-        match r.read(&mut buf).unwrap() {
-            0 => break,
-            n => out.extend_from_slice(&buf[..n]),
-        }
-    }
-}
 
 /// Build an object from `edits` ops of up to `max_len` bytes of the
 /// `BUILD` mix, then check random-range reads and a full streamed scan
@@ -99,7 +90,7 @@ fn bytes_match_reference(
     // Full streamed scan through the cursor.
     let mut streamed = Vec::with_capacity(size);
     let mut r = ObjectReader::new(&mut db, obj.as_ref());
-    stream_all(&mut r, chunk, &mut streamed);
+    drain(&mut r, chunk, &mut streamed);
     assert_eq!(streamed.len(), size, "cursor length");
     assert!(
         streamed == reference,
@@ -108,21 +99,16 @@ fn bytes_match_reference(
 }
 
 /// What one side of [`streamed_accounting_matches_bulk`] cost: its
-/// `IoStats`, its disk calls in order, and its buffer-pool fixes.
+/// `IoStats` and its disk calls in order.
 struct Charge {
     io: IoStats,
     trace: Vec<TraceEvent>,
-    fixes: u64,
 }
 
 /// Run `f` on `db` and measure what it charges.
 fn charge(db: &mut Db, f: impl FnOnce(&mut Db)) -> Charge {
-    let fixes = |db: &mut Db| {
-        let s = db.pool().pool_stats();
-        s.hits + s.misses
-    };
     db.pool().disk().enable_trace(4_096);
-    let (io, fixed) = (db.io_stats(), fixes(db));
+    let io = db.io_stats();
     f(db);
     let disk = db.pool().disk();
     let (trace, dropped) = (disk.take_trace(), disk.trace_dropped());
@@ -130,7 +116,6 @@ fn charge(db: &mut Db, f: impl FnOnce(&mut Db)) -> Charge {
     Charge {
         io: db.io_stats() - io,
         trace,
-        fixes: fixes(db) - fixed,
     }
 }
 
@@ -166,20 +151,42 @@ impl Layout {
     }
 }
 
+/// Drain any cursor to the end in `chunk`-sized requests.
+fn drain(r: &mut impl Read, chunk: usize, out: &mut Vec<u8>) {
+    let mut buf = vec![0u8; chunk];
+    loop {
+        match r.read(&mut buf).unwrap() {
+            0 => break,
+            n => out.extend_from_slice(&buf[..n]),
+        }
+    }
+}
+
+/// The LEAF-area reads of a trace, as `(first page, page count)`.
+fn leaf_reads(trace: &[TraceEvent]) -> Vec<(u32, u32)> {
+    trace
+        .iter()
+        .filter(|e| e.area == AreaId::LEAF && e.kind == TraceKind::Read)
+        .map(|e| (e.start, e.pages))
+        .collect()
+}
+
 /// Twin databases, identical build: stream `[start, size)` through the
-/// cursor on one, bulk-read the same range on the other. Both must make
-/// the same disk calls in the same order (bit-identical `IoStats` and
-/// disk trace), and on the tree schemes the same pool fixes plus exactly
-/// one: the root fix of the size lookup in `ObjectReader::new`.
+/// live cursor on one and through a pinned cursor over the same version
+/// on the other. The live pass must read back the appended bytes, make
+/// exactly the LEAF reads of [`scan_model`] from `start`, and charge
+/// what the pinned pass charges: the same bytes, bit-identical
+/// `IoStats`, the same disk calls in the same order, and the same leaf
+/// pages left in the pool. The last tells the two leaf reads apart where
+/// the disk calls cannot: a leaf of at most 4 pages read through the
+/// pool makes the one call a page run makes, but takes a frame a page.
 ///
-/// The bulk read descends once to `start` and walks from leaf to leaf.
-/// The cursor's first refill is that descent; each later one starts
-/// where the last ended and walks to the next leaf as the bulk read did,
-/// then makes the segment read the bulk read made there. So the two fix
-/// the same pages in the same order, at any depth.
-/// Starburst's bulk read plans every segment under one descriptor fix,
-/// where the cursor fixes the descriptor once a segment, so its fixes are
-/// not compared; each of those extra fixes is a hit, with no disk call.
+/// The live cursor's first refill descends to `start`; each later one
+/// walks from the leaf the last one ended with. The pinned cursor
+/// descends once a refill below its parsed root. Either way a refill's
+/// leaf read is one page run of the rest of the segment, read past the
+/// pool's frames, so the index pages the two fix stay resident and are
+/// read at most once each.
 fn streamed_accounting_matches_bulk(
     spec: ManagerSpec,
     layout: Layout,
@@ -188,59 +195,71 @@ fn streamed_accounting_matches_bulk(
     chunk: usize,
 ) {
     let build = fill(total, 99);
-    let (mut db_bulk, obj_bulk) = layout.store(spec, &build);
-    let (mut db_stream, obj_stream) = layout.store(spec, &build);
+    let (mut db_live, obj_live) = layout.store(spec, &build);
+    let (mut db_pinned, obj_pinned) = layout.store(spec, &build);
 
     let start = ((start_frac * total as f64) as usize).min(total - 1);
-    let want = total - start;
+    let segs = obj_live.segments(&db_live);
 
-    let mut bulk_bytes = vec![0u8; want];
-    let bulk = charge(&mut db_bulk, |db| {
-        obj_bulk.read(db, start as u64, &mut bulk_bytes).unwrap();
-    });
-
-    let mut streamed_bytes = Vec::with_capacity(want);
-    let streamed = charge(&mut db_stream, |db| {
-        let mut r = ObjectReader::new(db, obj_stream.as_ref());
+    let mut live_bytes = Vec::with_capacity(total - start);
+    let live = charge(&mut db_live, |db| {
+        let mut r = ObjectReader::new(db, obj_live.as_ref());
         r.seek(SeekFrom::Start(start as u64)).unwrap();
-        stream_all(&mut r, chunk, &mut streamed_bytes);
+        drain(&mut r, chunk, &mut live_bytes);
     });
+
+    let snap = db_pinned.snapshot();
+    let mut pinned_bytes = Vec::with_capacity(total - start);
+    let pinned = charge(&mut db_pinned, |db| {
+        let mut c = SpanCursor::pinned(&*db, &snap, obj_pinned.root_page()).unwrap();
+        c.seek(SeekFrom::Start(start as u64)).unwrap();
+        drain(&mut c, chunk, &mut pinned_bytes);
+    });
+    db_pinned.release_snapshot(snap);
 
     assert!(
-        bulk_bytes == build[start..],
-        "bulk read diverges from the append"
+        live_bytes == build[start..],
+        "cursor scan diverges from the append"
     );
-    assert!(streamed_bytes == bulk_bytes, "content diverges");
+    assert!(live_bytes == pinned_bytes, "content diverges");
     let what = format!("cursor scan of [{start}, {total}) in {chunk}-byte chunks");
     assert_eq!(
-        streamed.io, bulk.io,
-        "{what} must charge exactly the simulated I/O of one bulk read"
+        leaf_reads(&live.trace),
+        scan_model(&segs, start as u64),
+        "{what} must make one LEAF call per <= 4 MB piece of each segment, \
+         covering pages only"
     );
     assert_eq!(
-        streamed.trace, bulk.trace,
-        "{what} must make the disk calls of one bulk read, in its order"
+        live.io, pinned.io,
+        "{what} must charge exactly the simulated I/O of a pinned pass"
     );
-    if spec.kind() != StorageKind::Starburst {
-        assert_eq!(
-            streamed.fixes,
-            bulk.fixes + 1,
-            "{what} must fix the pages one bulk read fixes, plus the root \
-             once for the reader's size"
-        );
-    }
+    assert_eq!(
+        live.trace, pinned.trace,
+        "{what} must make the disk calls of a pinned pass, in its order"
+    );
+    let resident = |db: &mut Db| {
+        let pages = segs
+            .iter()
+            .flat_map(|s| s.start_page..s.start_page + s.pages);
+        let pool = db.pool();
+        pages
+            .filter(|&p| pool.contains(PageId::new(AreaId::LEAF, p)))
+            .count()
+    };
+    assert_eq!(
+        resident(&mut db_live),
+        resident(&mut db_pinned),
+        "{what} must leave the leaf pages in the pool that a pinned pass \
+         leaves: its leaf reads take no frame"
+    );
 }
 
-/// An object of one multi-megabyte append, whose streamed and bulk reads
+/// An object of one multi-megabyte append, whose live and pinned passes
 /// make disk calls of 1 MiB and more — the calls whose copy `SimDisk`
 /// cuts across cores. Both read back the appended bytes and make the same
 /// calls; `snapshot()` peeks one page at a time, so it never splits and
 /// is the independent oracle.
-///
-/// One append makes one segment, and `total` stays under the cursor's
-/// 4 MiB span: the cursor reads a longer segment in 4 MiB pieces, one
-/// call each, where a bulk read makes one call.
 fn large_append_reads_back(spec: ManagerSpec, total: usize) {
-    assert!(total <= SPAN_MAX as usize);
     let split_reads = || lobstore::obs::counter_value("simdisk.split_reads");
     let before = split_reads();
     streamed_accounting_matches_bulk(spec, Layout::paper(), total, 0.0, 64 << 10);
@@ -285,9 +304,11 @@ fn streamed_accounting_matches_bulk_at_depth() {
 /// pool. One ESM/4 object of 1 MB under fan-out 16, flushed; then six
 /// more objects of one append each, whose roots and the buddy pages stay
 /// dirty, so only a few of the 12 frames are clean and a 4-page leaf
-/// read would take the walk's node as its victim. A whole bulk read and
-/// a whole cursor pass must read back the object and make at most one
-/// META read call more than on the same store without the six.
+/// read would take the walk's node as its victim. A whole bulk read must
+/// read back the object and make at most one META read call more than
+/// on the same store without the six. A whole cursor pass reads its
+/// leaves past the pool's frames, so it must read each index page at
+/// most once.
 #[test]
 fn the_walk_reads_its_index_once_in_a_dirty_pool() {
     let spec = ManagerSpec::esm(4);
@@ -316,24 +337,24 @@ fn the_walk_reads_its_index_once_in_a_dirty_pool() {
         assert!(out == build, "bulk read diverges from the append");
         meta_reads(&c)
     };
-    let streamed = |others| {
-        let (mut db, obj) = store(others);
-        let mut out = Vec::new();
-        let c = charge(&mut db, |db| {
-            stream_all(&mut ObjectReader::new(db, obj.as_ref()), 10_000, &mut out);
-        });
-        assert!(out == build, "cursor pass diverges from the append");
-        meta_reads(&c)
-    };
-    for (what, clean, dirty) in [
-        ("bulk read", bulk(0), bulk(6)),
-        ("cursor pass", streamed(0), streamed(6)),
-    ] {
-        assert!(
-            dirty <= clean + 1,
-            "a {what} beside six dirty roots makes {dirty} META reads, on a clean pool {clean}"
-        );
-    }
+    let (clean, dirty) = (bulk(0), bulk(6));
+    assert!(
+        dirty <= clean + 1,
+        "a bulk read beside six dirty roots makes {dirty} META reads, on a clean pool {clean}"
+    );
+
+    let (mut db, obj) = store(6);
+    let index = obj.index_page_numbers(&db).len();
+    let mut out = Vec::new();
+    let c = charge(&mut db, |db| {
+        drain(&mut ObjectReader::new(db, obj.as_ref()), 10_000, &mut out);
+    });
+    assert!(out == build, "cursor pass diverges from the append");
+    let streamed = meta_reads(&c);
+    assert!(
+        streamed <= index,
+        "a cursor pass beside six dirty roots makes {streamed} META reads of a {index}-page index"
+    );
 }
 
 #[test]
@@ -457,7 +478,8 @@ use std::io::BufRead;
 use lobstore::core::Pinned;
 use lobstore::simdisk::TraceKind;
 use lobstore::{
-    AreaId, IoStats, SegmentInfo, SharedDb, SharedSnapshotReader, Snapshot, SpanCursor, PAGE_SIZE,
+    AreaId, IoStats, PageId, SegmentInfo, SharedDb, SharedSnapshotReader, Snapshot, SpanCursor,
+    PAGE_SIZE,
 };
 
 /// The most one span of the pinned cursor holds (`READ_AHEAD_MAX` in
@@ -470,6 +492,22 @@ fn span_read(s: &SegmentInfo, lo: u64) -> ((u32, u32), u64) {
     let hi = (lo + SPAN_MAX).min(s.bytes);
     let (first, last) = (lo / PAGE_SIZE as u64, (hi - 1) / PAGE_SIZE as u64);
     ((s.start_page + first as u32, (last - first + 1) as u32), hi)
+}
+
+/// The LEAF reads a cold cursor's scan from object byte `from` to the
+/// end makes over segments `segs`, as `(first page, page count)`: one
+/// call per ≤ 4 MiB piece of each segment, covering pages only.
+fn scan_model(segs: &[SegmentInfo], from: u64) -> Vec<(u32, u32)> {
+    let mut model = Vec::new();
+    for s in segs.iter().filter(|s| s.offset + s.bytes > from) {
+        let mut lo = from.saturating_sub(s.offset);
+        while lo < s.bytes {
+            let (call, hi) = span_read(s, lo);
+            model.push(call);
+            lo = hi;
+        }
+    }
+    model
 }
 
 /// A store whose object was built from `history`, pinned twice (a bare
@@ -535,12 +573,7 @@ impl PinnedStore {
             (disk.take_trace(), disk.trace_dropped())
         });
         assert_eq!(dropped, 0, "trace buffer too small");
-        let reads = trace
-            .iter()
-            .filter(|e| e.area == AreaId::LEAF && e.kind == TraceKind::Read)
-            .map(|e| (e.start, e.pages))
-            .collect();
-        (got, reads)
+        (got, leaf_reads(&trace))
     }
 
     /// A cold cursor over the pinned version that reaches the database
@@ -677,15 +710,7 @@ fn pinned_cursor_properties(
     assert!(pre_churn == want, "snapshot_reader diverges");
 
     // Property 5: a cold cursor's whole scan, call by call.
-    let mut model = Vec::new();
-    for s in &by_read.segs {
-        let mut lo = 0u64;
-        while lo < s.bytes {
-            let (call, hi) = span_read(s, lo);
-            model.push(call);
-            lo = hi;
-        }
-    }
+    let model = scan_model(&by_read.segs, 0);
     let (scanned, leaf_reads) = by_read.leaf_reads(|| {
         by_read.shared.with_read(|db| {
             let mut out = Vec::new();
