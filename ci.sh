@@ -84,9 +84,9 @@ run cargo run -q -p xtask -- loblint
 # through the in-place write path against the decoding one it replaced
 # -- every META page's bytes, `IoStats`, `PoolStats`, trace and the
 # tree invariants after every step). And the one read cursor
-# (`SpanCursor`), refilled a segment at a time by its source — the live
-# one's `read_span` or the pinned one's descent, each with the one
-# page-run leaf read: core's stream tests hold a streamed live scan to
+# (`SpanCursor`), refilled a segment at a time by one function for both
+# sources, a descent below the root parsed at open and one page-run leaf
+# read: core's stream tests hold a streamed live scan to
 # the `IoStats` of a pinned pass over the same version, and
 # tests/perf_equivalence.rs also to its disk trace, call by call, and its
 # LEAF reads to the `segments()` model, for ESM's 16- and 4-page leaves
@@ -94,15 +94,17 @@ run cargo run -q -p xtask -- loblint
 # through a borrowed `&Db` and `SharedDb`'s read tier, a bulk read beside
 # six dirty roots to at most one META read more than on a clean pool and
 # a cursor pass there to one read of each index page at most; tree's
-# `reads_fix_the_root_once` holds a read to one root fix, an out-of-range
-# one included. And the model configurations, 256 seeds optimized and
+# `reads_fix_the_root_once` holds a bulk read to one root fix, an
+# out-of-range one included, and a cursor to two root fixes at open and
+# none after. And the model configurations, 256 seeds optimized and
 # their old case counts otherwise, the walk after every op included,
 # and tests/mvcc.rs's commit-interval rules (one pre-image per page per
 # interval, the first; a transaction begins on a boundary) without
 # debug assertions too, as must tests/golden_traces.rs's update-mix
 # digests (ESM and EOS traces, pinned call by call), and
 # tests/crash_points.rs, which crashes at every disk write call of 16
-# seeded histories per scheme x log on/off x fan-out (1 seed otherwise). And simdisk optimized, where its copies run at full
+# seeded histories per scheme x log on/off x fan-out, and 4 beside
+# sixteen other objects (1 seed otherwise). And simdisk optimized, where its copies run at full
 # speed: a read of 1 MiB or more of an area's arena is copied as
 # page-aligned pieces on scoped threads, and its tests hold that copy to
 # `copy_from_slice` (1 MiB +-1 .. 4 MiB x 1, 2, 3, 7 pieces), a read across
@@ -131,11 +133,11 @@ run cargo test -q --release --test model --test proptest_model --test crash_fuzz
 # guard held across a segment read and a lock helper that passes poison
 # on, the I/O accounting's twins a raw disk read above the pool
 # (clippy), a segment write that skips its counter and a health recount
-# that fixes a page, the live cursor's seek scripts a refill that
-# walks on from the last leaf after a seek, the dirty-pool walk test a
-# leaf read that may evict the walk's own level-0 node, the live
-# cursor's accounting property a refill sent back through the pool's
-# hybrid read, and the root decoder's property test a root view that
+# that fixes a page, the dirty-pool walk test a leaf read that may evict
+# the walk's own level-0 node, the cursors' accounting properties and
+# the aging pins a refill sent back through the pool's hybrid read, the
+# observability closure a live refill nobody observes, and the root
+# decoder's property test a root view that
 # drops its pair-count bound (the Starburst descriptor's segment-count
 # bound): 15 patches. Each
 # patch in mutants/ is applied to one copy of the tree under target/ (a
@@ -188,11 +190,11 @@ drill alloc-balance --test crash_consistency -- one_unflushed_op_never_damages_t
 drill pinned-root-check --test mvcc -- a_pinned_open_walk_of_the_meta_area_opens_the_roots_only
 # A transaction's pre-images never logged (`log_undo_image` writes nothing).
 drill undo-image --test txn_crash -- an_evicted_in_place_overwrite_is_undone_by_a_crash_before_commit
+drill undo-image --test crash_points -- every_write_call_beside_sixteen_objects_is_a_crash_point
 # Write guards on pages 16 apart share one latch: a reported deadlock.
 drill shared-latch --test schedules -- guards_on_pages_sixteen_apart_do_not_wait_for_each_other
-# Starburst's descriptor guard kept across its segment read: an order violation.
-drill guard-across-io --test perf_equivalence -- starburst_large_append_reads_back_through_split_calls \
-    starburst_streamed_accounting_matches_bulk
+# Starburst's bulk read keeps its descriptor guard across its segment reads: an order violation.
+drill guard-across-io --test perf_equivalence -- starburst_reads_match_the_peek_reference
 # The lock helpers pass a poisoned lock's panic on instead of recovering.
 drill poison --test schedules -- pinned_scans_read_their_version_under_every_schedule
 # A segment read straight from the disk, past the pool's dirty frames.
@@ -201,14 +203,18 @@ drill raw-io clippy -p lobstore-core
 drill uncounted-seg-write -p lobstore-core --lib -- segdata::tests::each_segment_write_counts_one_write
 # `object_health` fixes a leaf page instead of peeking.
 drill costed-inspector -p lobstore-core --lib -- verify::tests::the_walk_is_clean_and_costs_nothing
-# The live cursor walks on from its last leaf whatever offset a refill asks for.
-drill walk-after-seek --test perf_equivalence -- esm_live_cursor_follows_seeks eos_live_cursor_follows_seeks
 # A walk's leaf read never holds its level-0 node, so a dirty pool evicts it once a leaf.
 drill walk-drops-parent --test perf_equivalence -- the_walk_reads_its_index_once_in_a_dirty_pool
-# The live refill through `read_piece`/`fetch_leaf` and the pool's hybrid read.
+# The cursors' one refill reads its leaf through the pool's hybrid read.
 drill live-refill-via-pool --test perf_equivalence -- esm_streamed_accounting_matches_bulk \
-    esm_buffered_leaves_streamed_accounting_matches_bulk eos_streamed_accounting_matches_bulk \
-    starburst_streamed_accounting_matches_bulk streamed_accounting_matches_bulk_at_depth
+    eos_streamed_accounting_matches_bulk starburst_streamed_accounting_matches_bulk \
+    streamed_accounting_matches_bulk_at_depth esm_pinned_cursor_is_stable_and_costed_once \
+    eos_pinned_cursor_is_stable_and_costed_once starburst_pinned_cursor_is_stable_and_costed_once \
+    the_walk_reads_its_index_once_in_a_dirty_pool
+drill live-refill-via-pool --test aging -- esm_aged_store_is_pinned eos_aged_store_is_pinned \
+    starburst_aged_store_is_pinned
+# The live refill without its observer: the cursor's reads escape `span.io.*`.
+drill cursor-unobserved --test observability -- mixed_workload_metrics_and_events_are_consistent
 # The root view without its `n_entries <= 507` bound: 600 claimed pairs read as none.
 drill root-count-bound -p lobstore-core --lib -- node::tests::root_pages_decode_totally
 

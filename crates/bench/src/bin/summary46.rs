@@ -1,6 +1,8 @@
 //! §4.6 summary claim: with a large enough threshold (T = 64), EOS
 //! matches Starburst's read cost and storage utilization while its
-//! length-changing updates cost roughly 30× less.
+//! length-changing updates cost far less. The note prints the ratio of
+//! the rows' insert costs: 27× at paper scale (18.0 s vs 0.7 s), 3× at
+//! `--quick`, whose 1 MB object keeps Starburst's whole-object copy short.
 
 use lobstore_bench::{
     fmt_ms, fmt_pct, fmt_s, note, print_banner, print_table, summary46_row, Scale,
@@ -13,12 +15,14 @@ fn main() {
     let mean = 10_000u64;
 
     let mut rows = Vec::new();
+    let mut insert = Vec::new();
     for spec in [
         ManagerSpec::eos(64),
         ManagerSpec::esm(16),
         ManagerSpec::starburst(),
     ] {
         let (read_ms, insert_s, util) = summary46_row(spec, scale, mean);
+        insert.push(insert_s);
         rows.push(vec![
             spec.label(),
             fmt_ms(read_ms),
@@ -36,8 +40,10 @@ fn main() {
         ],
         &rows,
     );
-    note(
-        "Expected: EOS/64 reads & utilization ≈ Starburst, with update cost ~30x lower;\n\
-         ESM cannot optimize reads and utilization at once (§4.6).",
-    );
+    // Starburst's insert cost over EOS/64's (the first and last rows).
+    let ratio = insert[2] / insert[0];
+    note(&format!(
+        "Expected: EOS/64 reads & utilization ≈ Starburst, with update cost lower ({ratio:.0}x above);\n\
+         ESM cannot optimize reads and utilization at once (§4.6)."
+    ));
 }

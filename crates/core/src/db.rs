@@ -515,7 +515,8 @@ impl Db {
 
     /// Operations observed so far: every operation routed through the
     /// observed wrapper ([`crate::ManagerSpec::create`] /
-    /// [`crate::open_object`] objects).
+    /// [`crate::open_object`] objects), and every refill of a live
+    /// [`crate::ObjectReader`], over any object.
     pub fn health_ops(&self) -> u64 {
         self.ops_total
     }
@@ -534,8 +535,8 @@ impl Db {
         sample
     }
 
-    /// One observed operation completed: advance the tick. Called by the
-    /// observation wrapper after every operation.
+    /// One observed operation completed: advance the tick. Called by
+    /// `OpObserver::finish` after every observed operation.
     pub(crate) fn note_op(&mut self) {
         self.ops_total += 1;
     }

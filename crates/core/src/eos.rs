@@ -38,7 +38,7 @@ use crate::db::Db;
 use crate::error::{or_panic, LobError, Result};
 use crate::node::{Entry, RootHdr};
 use crate::object::{
-    check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, SpanPos, StorageKind, Utilization,
+    check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization,
 };
 use crate::segdata::{append_in_place, append_seg_bytes, read_segs, seg_buf, write_new_seg};
 use crate::shadow::OpCtx;
@@ -464,17 +464,6 @@ impl LargeObject for EosObject {
 
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
         self.tree.read(db, off, out, read_piece)
-    }
-
-    fn read_span(
-        &self,
-        db: &mut Db,
-        off: u64,
-        max: usize,
-        buf: &mut Vec<u8>,
-        at: &mut SpanPos,
-    ) -> Result<(usize, usize)> {
-        self.tree.read_span(db, off, max, buf, &mut at.0)
     }
 
     fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {

@@ -75,7 +75,7 @@ pub use esm::{EsmInsertAlgo, EsmObject, EsmParams};
 pub use health::{object_health, publish_object_health, HealthSample, ObjectHealth};
 pub use lobstore_buddy::{Extent, FragStats};
 pub use metrics::NAMES as METRIC_NAMES;
-pub use object::{LargeObject, SegSpan, SegmentInfo, SpanPos, StorageKind, Utilization};
+pub use object::{LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization};
 pub use shared::{SharedDb, SharedPin, SharedSnapshotReader};
 pub use spec::{open_object, ManagerSpec};
 pub use starburst::{StarburstObject, StarburstParams};

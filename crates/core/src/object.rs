@@ -5,7 +5,6 @@ use lobstore_simdisk::AreaId;
 
 use crate::db::Db;
 use crate::error::{LobError, Result};
-use crate::tree::LeafPos;
 use crate::MAX_OP_BYTES;
 
 /// Validate the byte range `[off, off + len)` of an operation against the
@@ -111,8 +110,8 @@ pub struct SegmentInfo {
 
 /// Location of the contiguous stored segment holding one byte offset, as
 /// reported by [`LargeObject::locate`], for probes and tooling. Streaming
-/// readers do not ask for it: [`LargeObject::read_span`] finds the
-/// segment and reads it in the same call.
+/// readers do not ask for it: a cursor finds its segment below the root
+/// it parsed at open ([`crate::SpanCursor`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SegSpan {
     /// Object offset of the segment's first byte.
@@ -121,20 +120,6 @@ pub struct SegSpan {
     pub bytes: u64,
     /// First disk page of the segment (LEAF area).
     pub page: u32,
-}
-
-/// Where a [`LargeObject::read_span`] left off, for the next span to walk
-/// on from. Only this crate makes one, and only a cursor that holds the
-/// database exclusively keeps one between spans, so no write can come
-/// between the span that left a position and the span that walks from it.
-#[derive(Debug)]
-pub struct SpanPos(pub(crate) Option<LeafPos>);
-
-impl SpanPos {
-    /// No position: the next span descends.
-    pub(crate) fn none() -> Self {
-        SpanPos(None)
-    }
 }
 
 /// A large object stored in the database.
@@ -158,28 +143,6 @@ pub trait LargeObject: Send {
 
     /// Read `out.len()` bytes starting at `off` into `out`.
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()>;
-
-    /// Read from `off` to the end of the stored segment holding it, at
-    /// most `max` bytes: the page run covering them, with one page-direct
-    /// call, into `buf`, reusing its allocation. Returns `(skip, len)`:
-    /// the bytes are `buf[skip..skip + len]`. Requires `off < size`,
-    /// except that `max == 0` reads nothing and is checked like an empty
-    /// `read`. The live [`crate::ObjectReader`] refills its buffer with
-    /// this call; the read is the pinned cursor's, so a partial page
-    /// never takes §3.2's 3-step path.
-    ///
-    /// `at` is where the previous span ended. On the tree schemes a span
-    /// that starts at the end of the leaf `at` holds walks to the next
-    /// leaf, as a multi-leaf [`Self::read`] does; any other span is one
-    /// descent. Starburst (one descriptor fix a span) ignores `at`.
-    fn read_span(
-        &self,
-        db: &mut Db,
-        off: u64,
-        max: usize,
-        buf: &mut Vec<u8>,
-        at: &mut SpanPos,
-    ) -> Result<(usize, usize)>;
 
     /// Locate the contiguous stored segment containing byte `off`
     /// (requires `off < size`). For the tree schemes this is one costed

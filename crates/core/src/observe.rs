@@ -8,7 +8,9 @@
 //! [`crate::ManagerSpec::create`], [`crate::ManagerSpec::open`], and
 //! [`crate::open_object`] return wrapped objects, so everything built
 //! through the declarative layer is observed; constructing a concrete
-//! manager directly bypasses observation.
+//! manager directly bypasses observation, except for a read cursor's
+//! refills: [`crate::ObjectReader`] brackets each one as an
+//! `op.<scheme>.read` itself, over any object.
 //!
 //! Two invariants the wrapper maintains:
 //!
@@ -28,7 +30,7 @@ use lobstore_simdisk::IoStats;
 use crate::db::Db;
 use crate::error::Result;
 use crate::metrics as m;
-use crate::object::{LargeObject, SegmentInfo, SpanPos, StorageKind, Utilization};
+use crate::object::{LargeObject, SegmentInfo, StorageKind, Utilization};
 
 /// The logical operations an observed span can describe.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -278,22 +280,6 @@ impl LargeObject for ObservedObject {
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
         let obs = OpObserver::begin(self.inner.kind(), OpName::Read, db);
         let r = self.inner.read(db, off, out);
-        let b = self.observed_bytes(&obs, db);
-        obs.finish(db, b, r.is_ok());
-        r
-    }
-
-    /// Spanned as `op.<scheme>.read`: a cursor's refill is a read.
-    fn read_span(
-        &self,
-        db: &mut Db,
-        off: u64,
-        max: usize,
-        buf: &mut Vec<u8>,
-        at: &mut SpanPos,
-    ) -> Result<(usize, usize)> {
-        let obs = OpObserver::begin(self.inner.kind(), OpName::Read, db);
-        let r = self.inner.read_span(db, off, max, buf, at);
         let b = self.observed_bytes(&obs, db);
         obs.finish(db, b, r.is_ok());
         r

@@ -29,9 +29,9 @@ use crate::db::Db;
 use crate::error::{or_panic, LobError, Result};
 use crate::node::{find_child, Entry, Node, RootHdr, ROOT_MAX_ENTRIES};
 use crate::object::{
-    check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, SpanPos, StorageKind, Utilization,
+    check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization,
 };
-use crate::segdata::{append_in_place, insert_bytes, patch_in_place, peek_segs, read_seg_pages};
+use crate::segdata::{append_in_place, insert_bytes, patch_in_place, peek_segs};
 
 /// The 512 KB copy buffer of §3.5, in pages and in bytes (a widening
 /// cast; `cast::u32_to_usize` is not `const`).
@@ -381,27 +381,6 @@ impl LargeObject for StarburstObject {
             done += take;
         }
         Ok(())
-    }
-
-    fn read_span(
-        &self,
-        db: &mut Db,
-        off: u64,
-        max: usize,
-        buf: &mut Vec<u8>,
-        _at: &mut SpanPos,
-    ) -> Result<(usize, usize)> {
-        if max == 0 {
-            buf.clear();
-            return self.read(db, off, buf).map(|()| (0, 0));
-        }
-        // The descriptor's one fix finds the segment; then one page-run
-        // read of the rest of it.
-        let seg = self.locate(db, off)?;
-        let within = off.saturating_sub(seg.start);
-        let n = seg.bytes.saturating_sub(within).min(max as u64);
-        let skip = read_seg_pages(db, seg.page, within, n, buf, 0);
-        Ok((skip, cast::to_usize(n)))
     }
 
     fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {

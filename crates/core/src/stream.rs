@@ -2,32 +2,27 @@
 //!
 //! One cursor reads every version. [`SpanCursor`] holds the position, the
 //! object size and one [`Span`]: the rest of the segment under the
-//! cursor, refilled by finding that segment in the index and reading it
-//! into the `Vec` handed out last time (§3.2: one segment per I/O call,
-//! nothing read ahead of the request). Its [`Read`], [`BufRead`] and
-//! [`Seek`] are written once; a `Source` has one job, to refill the span
-//! at a position. There are two:
+//! cursor, read into the `Vec` handed out last time (§3.2: one segment
+//! per I/O call, nothing read ahead of the request). Its [`Read`],
+//! [`BufRead`] and [`Seek`] are written once, and so is a refill
+//! (`refill_below`): below the version's root, parsed once at open, one
+//! in-place pair search a level, then the page run covering the rest of
+//! the segment, in one page-direct call, into the span's own buffer
+//! (`read_seg_pages`), so a partial page never takes §3.2's 3-step I/O.
+//! Only a refill touches the database; a read inside the span, or at or
+//! past the end, takes no lock. The two sources differ in where the root
+//! comes from and in what brackets a refill:
 //!
-//! * [`Live`] reads the **live** version. It borrows the database
-//!   exclusively, and a refill is one [`LargeObject::read_span`]. A
-//!   refill where the last span ended walks to the next leaf as a bulk
-//!   read does. [`ObjectReader`] is this cursor.
-//! * [`Pinned`] reads a **pinned** version. Its root is resolved once,
-//!   through the version overlay; everything below it is immutable while
-//!   the pin is held, so a refill needs only `&Db`: one descent and one
-//!   segment read, which under [`crate::SharedDb`]'s read tier fixes
-//!   only the index pages. It reaches `&Db` through a
-//!   [`ReadAccess`]: a borrowed `&Db`, `SharedDb`'s read tier
+//! * [`Live`] ([`ObjectReader`]) reads the **live** version, borrowing
+//!   the database exclusively, so nothing writes while it is open. It
+//!   parses the root through the pool, and each refill is one observed
+//!   `op.<scheme>.read`, over any object.
+//! * [`Pinned`] reads a **pinned** version, its root resolved through the
+//!   version overlay. Everything below it is immutable while the pin is
+//!   held, so a refill needs only `&Db`, reached through a [`ReadAccess`]:
+//!   a borrowed `&Db`, [`crate::SharedDb`]'s read tier
 //!   ([`crate::SharedSnapshotReader`] owns its pin as well), or a
-//!   caller's wrapper.
-//!
-//! Both sources read a leaf the same way: the page run covering the rest
-//! of the segment, in one page-direct call, into the span's own buffer
-//! (`read_seg_pages`). A partial page never needs §3.2's 3-step I/O,
-//! which exists only to land a page run in a caller's buffer at an
-//! unaligned offset, so a streamed pass costs one pinned pass. Only a
-//! refill runs a source: a read inside the buffered span, or at or past
-//! the end, touches no database and takes no lock.
+//!   caller's wrapper. Each refill asserts the pin is still held.
 //!
 //! [`ObjectWriter`] implements [`Write`] for streaming creation by
 //! appends, buffering to a configurable chunk size so the append pattern
@@ -40,7 +35,8 @@ use lobstore_simdisk::cast;
 use crate::db::Db;
 use crate::error::Result;
 use crate::node::{find_child, Node, RootHdr};
-use crate::object::{LargeObject, SpanPos};
+use crate::object::{LargeObject, StorageKind};
+use crate::observe::{OpName, OpObserver};
 use crate::segdata::read_seg_pages;
 use crate::version::Snapshot;
 
@@ -188,40 +184,69 @@ impl<S> Seek for SpanCursor<S> {
     }
 }
 
-/// The live source: the head version, read through the manager, and the
-/// leaf the last refill ended with. It holds the database exclusively, so
-/// nothing writes between two refills and that leaf stays where it was.
+/// The root page `page` holds, checked as an object root (of `kind` when
+/// given, else of the kind its header names): its stored size and its
+/// parsed node.
+fn parse_root(p: &[u8], page: u32, kind: Option<StorageKind>) -> Result<(u64, Node)> {
+    let hdr = RootHdr::read(p);
+    hdr.check_root(page, kind)?;
+    Ok((hdr.size, Node::read_root(p, &hdr)?))
+}
+
+/// The one refill, for both sources: from object byte `pos` (below the
+/// size) to the end of the segment holding it, at most 4 MiB, into
+/// `buf`. The pair search starts in the parsed `root`, then takes one
+/// [`Db::with_meta_node`] step a level, and the leaf read is one page
+/// run (`read_seg_pages`). Returns `(skip, len)` as [`Source::refill`].
+fn refill_below(db: &Db, root: &Node, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)> {
+    let (_, mut within, mut e) = find_child(root.entries.iter().copied(), pos)?;
+    for _ in 0..root.level {
+        (_, within, e) = db.with_meta_node(e.ptr, |node| node.find_child(within))??;
+    }
+    let want = e.count.saturating_sub(within).min(READ_AHEAD_MAX as u64);
+    let skip = read_seg_pages(db, e.ptr, within, want, buf, 0);
+    Ok((skip, cast::to_usize(want)))
+}
+
+/// The live source: the head version, its root parsed at open. It holds
+/// the database exclusively, so nothing writes while it is open and the
+/// root stays what it was. A root that failed to parse fails each refill.
 pub struct Live<'a> {
     db: &'a mut Db,
     obj: &'a dyn LargeObject,
-    at: SpanPos,
+    root: Result<Node>,
 }
 
 impl Source for Live<'_> {
-    /// One [`LargeObject::read_span`]: one observed read, then the
-    /// pinned source's leaf read, one page-run read of the rest of the
-    /// segment (`read_seg_pages`). The segment is found by a walk from
-    /// the last refill's leaf when `pos` is that leaf's end, and by a
-    /// descent otherwise: on the first refill, after a seek elsewhere and
-    /// after a span cut at 4 MiB.
+    /// One observed `op.<scheme>.read` around `refill_below`.
     fn refill(&mut self, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)> {
-        self.obj
-            .read_span(self.db, pos, READ_AHEAD_MAX, buf, &mut self.at)
+        let Live { db, obj, root } = self;
+        let obs = OpObserver::begin(obj.kind(), OpName::Read, db);
+        let r = match root {
+            Ok(root) => refill_below(db, root, pos, buf),
+            Err(e) => Err(e.clone()),
+        };
+        let bytes = obs.listening().then(|| obj.utilization(db).object_bytes);
+        obs.finish(db, bytes, r.is_ok());
+        r
     }
 }
 
-/// The cursor over the live version. A scan from offset `o` makes the one
-/// descent and the walks of a [`LargeObject::read`] from `o` to the end,
-/// one page-run read per segment (per 4 MiB piece of a longer one), and
-/// nothing else but the one size lookup of [`ObjectReader::new`].
+/// The cursor over the live version. Opening it looks the size up and
+/// parses the root, a fix each; a scan from offset `o` then makes one
+/// page-run read per segment (per 4 MiB piece of a longer one), each
+/// below one fix of every index level under the root.
 pub type ObjectReader<'a> = SpanCursor<Live<'a>>;
 
 impl<'a> ObjectReader<'a> {
     /// Start a sequential reader at offset 0 of `obj`.
     pub fn new(db: &'a mut Db, obj: &'a dyn LargeObject) -> Self {
         let size = obj.size(db);
-        let at = SpanPos::none();
-        Self::over(Live { db, obj, at }, size)
+        let page = obj.root_page();
+        let root = db
+            .with_meta_page(page, |p| parse_root(p, page, Some(obj.kind())))
+            .map(|(_, root)| root);
+        Self::over(Live { db, obj, root }, size)
     }
 }
 
@@ -245,9 +270,7 @@ pub struct Pinned<D> {
 }
 
 impl<D: ReadAccess> Source for Pinned<D> {
-    /// One descent below the parsed root, searching each index page in
-    /// place, then one page-run read of the rest of the segment
-    /// (`read_seg_pages`), landing in the buffer directly.
+    /// `refill_below`, inside one [`ReadAccess::with_db`].
     fn refill(&mut self, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)> {
         let Pinned { db, version, root } = self;
         db.with_db(|db| {
@@ -255,13 +278,7 @@ impl<D: ReadAccess> Source for Pinned<D> {
                 db.is_pinned(*version),
                 "snapshot at version {version} was released while a reader was open"
             );
-            let (_, mut within, mut e) = find_child(root.entries.iter().copied(), pos)?;
-            for _ in 0..root.level {
-                (_, within, e) = db.with_meta_node(e.ptr, |node| node.find_child(within))??;
-            }
-            let want = e.count.saturating_sub(within).min(READ_AHEAD_MAX as u64);
-            let skip = read_seg_pages(db, e.ptr, within, want, buf, 0);
-            Ok((skip, cast::to_usize(want)))
+            refill_below(db, root, pos, buf)
         })
     }
 }
@@ -278,11 +295,7 @@ impl<D: ReadAccess> SpanCursor<Pinned<D>> {
 
     pub(crate) fn open(mut db: D, version: u64, root_page: u32) -> Result<Self> {
         let (size, root) = db.with_db(|db| {
-            db.versioned_meta_page(root_page, version, |p| {
-                let hdr = RootHdr::read(p);
-                hdr.check_root(root_page, None)?;
-                Ok((hdr.size, Node::read_root(p, &hdr)?))
-            })
+            db.versioned_meta_page(root_page, version, |p| parse_root(p, root_page, None))
         })?;
         Ok(Self::over(Pinned { db, version, root }, size))
     }

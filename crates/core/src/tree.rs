@@ -18,8 +18,8 @@
 //!
 //! A manager descends once, from the offset its operation names; from
 //! there it moves along the search path. A multi-leaf read or replace
-//! descends once too, and so does a run of the live cursor's refills
-//! ([`PosTree::read_span`]). [`PosTree::next`] and
+//! descends once too. (A read cursor does not use this tree: it parses
+//! the root once and refills below it, `crate::stream`.) [`PosTree::next`] and
 //! [`PosTree::prev`] climb the path to the nearest ancestor with an entry
 //! on that side and walk down from it, searching no pairs on the way.
 //! [`PosTree::splice`] replaces a run of adjacent leaf entries one edit
@@ -42,7 +42,7 @@ use crate::node::{
     add_signed, Entry, Node, NodeMut, NodeView, RootHdr, NODE_MAX_ENTRIES, ROOT_MAX_ENTRIES,
 };
 use crate::object::{check_range, SegSpan, SegmentInfo, Utilization};
-use crate::segdata::{patch_in_place, peek_segs, read_seg_bytes, read_seg_pages};
+use crate::segdata::{patch_in_place, peek_segs, read_seg_bytes};
 use crate::shadow::OpCtx;
 
 /// One step of a root-to-leaf search path: the node's page, the entry
@@ -845,46 +845,6 @@ impl PosTree {
             fetch_leaf(db, pos, walks_on, &mut out[r], &mut fetch);
             Ok(None)
         })
-    }
-
-    /// Read from `off` to the end of its leaf, at most `max` bytes: the
-    /// covering page run, with one page-direct call, into `buf`
-    /// ([`read_seg_pages`]). Returns `(skip, len)`: the bytes are
-    /// `buf[skip..skip + len]`. When `last` holds the leaf the previous
-    /// span ended with and `off` is that leaf's end, the leaf is
-    /// [`Self::next`] of it, as a bulk read walks; otherwise it is one
-    /// range-checked descent. `last` is left holding this leaf if the
-    /// span reached its end, else nothing. `max == 0` reads nothing,
-    /// checked like an empty read.
-    pub fn read_span(
-        &self,
-        db: &mut Db,
-        off: u64,
-        max: usize,
-        buf: &mut Vec<u8>,
-        last: &mut Option<LeafPos>,
-    ) -> Result<(usize, usize)> {
-        let walk_from = last.take().filter(|p| p.leaf_end() == off);
-        if max == 0 {
-            check_range(self.size(db)?, off, 0)?;
-            buf.clear();
-            return Ok((0, 0));
-        }
-        let pos = match walk_from {
-            Some(prev) => self.next(db, &prev)?.ok_or(LobError::OutOfRange {
-                off,
-                len: 1,
-                size: off,
-            })?,
-            None => self.descend_checked(db, off, 1)?,
-        };
-        let left = pos.entry.count.saturating_sub(pos.off_in_leaf);
-        let n = left.min(max as u64);
-        let skip = read_seg_pages(db, pos.entry.ptr, pos.off_in_leaf, n, buf, 0);
-        if n == left {
-            *last = Some(pos);
-        }
-        Ok((skip, cast::to_usize(n)))
     }
 
     /// The stored segment holding byte `off` (`off < size`): one costed,
@@ -1695,9 +1655,9 @@ mod tests {
 
     #[test]
     fn reads_fix_the_root_once() {
-        use crate::object::{LargeObject, SpanPos};
+        use crate::object::LargeObject;
         use crate::{EosObject, EosParams, EsmObject, EsmParams, ObjectReader};
-        use std::io::Read;
+        use std::io::{BufRead, Read, Seek, SeekFrom};
         // Twelve one-page leaves under fan-out 4: a root over interior
         // nodes. The leaves were written direct, so none is in the pool,
         // and a cold leaf's read fixes nothing.
@@ -1731,18 +1691,33 @@ mod tests {
             r.unwrap();
             assert_eq!(out[..], bytes[5 * 4096 + 10..][..100]);
             assert_eq!(n, 2, "{kind}: a one-leaf read fixes root + interior");
-            let mut span = Vec::new();
-            let (r, n) = fixes_of(&mut db, |db| {
-                obj.read_span(db, 7 * 4096 + 10, 99, &mut span, &mut SpanPos::none())
-            });
-            let (skip, len) = r.unwrap();
-            assert_eq!(len, 99);
-            assert_eq!(span[skip..skip + len], bytes[7 * 4096 + 10..][..99]);
-            assert_eq!(n, 2, "{kind}: a span read fixes root + interior");
-            let (r, _) = fixes_of(&mut db, |db| {
-                obj.read_span(db, 8 * 4096 + 96, 1 << 20, &mut span, &mut SpanPos::none())
-            });
-            assert_eq!(r.unwrap().1, 4000, "{kind}: a span ends with its leaf");
+
+            // The cursor fixes the root twice as it opens (the size
+            // lookup, then the parse it refills below); a refill fixes the
+            // interior node alone, and a read at or past the end nothing.
+            let pool_fixes = || {
+                lobstore_obs::counter_value("bufpool.hits")
+                    + lobstore_obs::counter_value("bufpool.misses")
+            };
+            let before = pool_fixes();
+            let mut r = ObjectReader::new(&mut db, obj.as_ref());
+            assert_eq!(pool_fixes() - before, 2, "{kind}: open");
+            let mut read_at = |off: u64, out: &mut [u8]| {
+                r.seek(SeekFrom::Start(off)).unwrap();
+                let before = pool_fixes();
+                let n = r.read(out).unwrap();
+                (n, pool_fixes() - before)
+            };
+            let mut span = [0u8; 99];
+            assert_eq!(read_at(7 * 4096 + 10, &mut span), (99, 1), "{kind}: refill");
+            assert_eq!(span[..], bytes[7 * 4096 + 10..][..99]);
+            for off in [SIZE, SIZE + 7] {
+                assert_eq!(read_at(off, &mut span), (0, 0), "{kind}: read at {off}");
+            }
+            r.seek(SeekFrom::Start(8 * 4096 + 96)).unwrap();
+            let len = r.fill_buf().unwrap().len();
+            assert_eq!(len, 4000, "{kind}: a span ends with its leaf");
+            drop(r);
 
             // Out of range: the error the size check always gave, after
             // the root fix alone.
@@ -1761,25 +1736,17 @@ mod tests {
                 let (r, n) = fixes_of(&mut db, |db| obj.locate(db, off));
                 assert_eq!(r.unwrap_err(), oor(off, 1), "{kind}: locate({off})");
                 assert_eq!(n, 1, "{kind}: locate({off}) fixes only the root");
-                let (r, n) = fixes_of(&mut db, |db| {
-                    obj.read_span(db, off, 10, &mut span, &mut SpanPos::none())
-                });
-                assert_eq!(r.unwrap_err(), oor(off, 1), "{kind}: read_span({off})");
-                assert_eq!(n, 1, "{kind}: read_span({off}) fixes only the root");
             }
 
             // Zero-length at the end: still a success, still one fix.
             let (r, n) = fixes_of(&mut db, |db| obj.read(db, SIZE, &mut []));
             r.unwrap();
             assert_eq!(n, 1, "{kind}: an empty read fixes the root");
-            let (r, n) = fixes_of(&mut db, |db| {
-                obj.read_span(db, SIZE, 0, &mut span, &mut SpanPos::none())
-            });
-            assert_eq!((r.unwrap(), span.len(), n), ((0, 0), 0, 1), "{kind}");
 
-            // A whole-object pass, bulk or through the cursor, on cold
-            // leaves: one descent to the first leaf, then a walk to each
-            // next one (the cursor adds its one size lookup).
+            // A whole-object pass on cold leaves. Bulk: one descent to the
+            // first leaf, then a walk to each next one. The cursor: its two
+            // open fixes, then the interior node once a leaf (12), and no
+            // descent the tree counts.
             let tree = PosTree::new(obj.root_page());
             let segs = obj.segments(&db);
             let paths: Vec<_> = segs
@@ -1810,11 +1777,7 @@ mod tests {
                     .unwrap();
                 out
             });
-            assert_eq!(
-                streamed,
-                (1, want + 1),
-                "{kind}: a whole cursor pass descends once"
-            );
+            assert_eq!(streamed, (0, 14), "{kind}: a whole cursor pass");
         }
     }
 

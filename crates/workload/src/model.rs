@@ -294,6 +294,13 @@ struct Pin {
     bytes: Vec<u8>,
 }
 
+/// An object beside the driver's whose bytes never change (see
+/// [`Driver::add_companions`]).
+struct Companion {
+    obj: Box<dyn LargeObject>,
+    bytes: Vec<u8>,
+}
+
 /// One object driven in lockstep with its [`Model`]. The database is
 /// passed to every call, so it may live inside a `SharedDb`.
 pub struct Driver {
@@ -308,6 +315,8 @@ pub struct Driver {
     pub other_meta: Vec<u32>,
     /// Pinned versions, oldest first.
     pins: Vec<Pin>,
+    /// Objects beside the driver's, rewritten inside every transaction.
+    companions: Vec<Companion>,
     /// Ops applied so far, transaction members included; seeds payloads.
     step: u64,
 }
@@ -324,7 +333,25 @@ impl Driver {
             spec,
             other_meta: Vec::new(),
             pins: Vec::new(),
+            companions: Vec::new(),
             step: 0,
+        }
+    }
+
+    /// Put `n` objects of the driver's spec beside its object, `len`
+    /// bytes each. Inside every transaction each one's first byte is
+    /// replaced by itself after each member op: its bytes never change,
+    /// but its root is rewritten in place, so enough of them crowd the
+    /// pool's frames until the driver's root, rewritten by the member
+    /// before, is written back before the commit — a write only the
+    /// log's `UndoImage` undoes. The walk covers them after every op, and
+    /// after every crash each must read back unchanged.
+    pub fn add_companions(&mut self, db: &mut Db, n: usize, len: usize) {
+        for i in 0..n {
+            let mut obj = self.spec.create(db).expect("create companion");
+            let bytes = fill(len, u64::MAX - i as u64);
+            obj.append(db, &bytes).expect("fill companion");
+            self.companions.push(Companion { obj, bytes });
         }
     }
 
@@ -374,9 +401,14 @@ impl Driver {
             Op::Txn { ops, abort } => {
                 let mut scratch = self.model.live.clone();
                 let (obj, step) = (&mut self.obj, &mut self.step);
+                let companions = &mut self.companions;
                 let result = db.txn(|db| {
                     for op in ops {
                         edit(db, obj.as_mut(), &mut scratch, op, step);
+                        for c in companions.iter_mut() {
+                            let first = c.bytes.get(..1).unwrap_or_default();
+                            c.obj.replace(db, 0, first)?;
+                        }
                     }
                     if *abort {
                         Err(LobError::Corrupt("injected abort".into()))
@@ -409,7 +441,7 @@ impl Driver {
         };
         self.step += 1;
         let label = self.spec.label();
-        self.verify(db, &[(label.as_str(), self.obj.as_ref())], &what);
+        self.verify(db, &self.objects(&label), &what);
         assert_eq!(
             self.obj.size(db),
             self.model.live.len() as u64,
@@ -456,7 +488,7 @@ impl Driver {
         db.pool().disk().fail_stop(None);
         self.reboot(db, root, &states, &what);
         let label = self.spec.label();
-        let findings = db.verify(&[(label.as_str(), self.obj.as_ref())], &self.other_meta);
+        let findings = db.verify(&self.objects(&label), &self.other_meta);
         let gap = !self.model.alloc_log && matches!(op, Op::Checkpoint);
         let half_flushed = |f: &Finding| {
             gap && matches!(
@@ -508,6 +540,26 @@ impl Driver {
             assert_same(&got, &states[1], &format!("{what}: crash after the op"));
         }
         self.model.recovered(got);
+        for (i, c) in self.companions.iter_mut().enumerate() {
+            c.obj = self
+                .spec
+                .open(db, c.obj.root_page())
+                .unwrap_or_else(|e| panic!("{what}: reopen companion {i}: {e}"));
+            let got = c.obj.snapshot(db);
+            assert_same(&got, &c.bytes, &format!("{what}: companion {i}"));
+        }
+    }
+
+    /// The walk's objects: the driver's, labelled `label`, and its
+    /// companions.
+    fn objects<'a>(&'a self, label: &'a str) -> Vec<(&'a str, &'a dyn LargeObject)> {
+        let companions = self
+            .companions
+            .iter()
+            .map(|c| ("companion", c.obj.as_ref()));
+        std::iter::once((label, self.obj.as_ref()))
+            .chain(companions)
+            .collect()
     }
 
     /// Panic with every finding unless the walk from `objects` and
@@ -529,6 +581,14 @@ impl Driver {
         }
         assert_same(&self.obj.snapshot(db), &self.model.live, &label);
         self.obj.destroy(db).expect("destroy");
+        for mut c in std::mem::take(&mut self.companions) {
+            assert_same(
+                &c.obj.snapshot(db),
+                &c.bytes,
+                &format!("{label}: companion"),
+            );
+            c.obj.destroy(db).expect("destroy companion");
+        }
         self.verify(db, &[], &format!("{label}: after destroy"));
     }
 }

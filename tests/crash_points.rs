@@ -10,7 +10,11 @@
 //!
 //! Every config runs on the paper's fan-out and on `TreeConfig::tiny(4)`:
 //! at 507/511 a 30 KB object has no interior index page, so an index
-//! page edited in place shows only on the tiny tree.
+//! page edited in place shows only on the tiny tree. One more config puts
+//! sixteen objects beside the driver's (`Driver::add_companions`), with
+//! the log on: a transaction rewrites their roots after each member, so
+//! the 12-frame pool writes the driver's root back before the commit,
+//! and a crash after that write is undone only by the log's `UndoImage`.
 
 use lobstore::simdisk::TraceKind;
 use lobstore::workload::model::{CrashPoint, Driver, Kind, Op, OpGen};
@@ -39,14 +43,6 @@ struct Tally {
     gap: usize,
 }
 
-fn db(alloc_log: bool, tree: TreeConfig) -> Db {
-    Db::new(DbConfig {
-        alloc_log,
-        tree,
-        ..DbConfig::default()
-    })
-}
-
 /// The torn prefixes a `pages`-page write is cut at: none, and for a
 /// multi-page write one page and all but one.
 fn torn(pages: u32) -> Vec<u32> {
@@ -60,16 +56,38 @@ fn torn(pages: u32) -> Vec<u32> {
     cuts
 }
 
+/// How a config lays out its store: the allocation log on or off, the
+/// tree's fan-out, and how many objects stand beside the driver's.
+#[derive(Clone, Copy)]
+struct Store {
+    alloc_log: bool,
+    tree: TreeConfig,
+    companions: usize,
+}
+
+impl Store {
+    /// An empty store and its driver.
+    fn open(self, spec: ManagerSpec) -> (Db, Driver) {
+        let mut db = Db::new(DbConfig {
+            alloc_log: self.alloc_log,
+            tree: self.tree,
+            ..DbConfig::default()
+        });
+        let mut d = Driver::new(&mut db, spec);
+        d.add_companions(&mut db, self.companions, 4_096);
+        (db, d)
+    }
+}
+
 /// Cut `seed`'s history at every write point.
-fn enumerate(spec: ManagerSpec, alloc_log: bool, tree: TreeConfig, seed: u64, tally: &mut Tally) {
+fn enumerate(spec: ManagerSpec, store: Store, seed: u64, tally: &mut Tally) {
     // Without the log only a checkpoint makes the new object durable.
     let mut history = vec![Op::Checkpoint, Op::Append(30_000), Op::Checkpoint];
     history.extend(OpGen::new(seed, MIX, 12_000).take(OPS));
 
     // The fault-free run: it fails on any panic, and its trace gives the
     // page count of every write call of every op.
-    let mut base = db(alloc_log, tree);
-    let mut d = Driver::new(&mut base, spec);
+    let (mut base, mut d) = store.open(spec);
     base.pool().disk().enable_trace(1 << 16);
     let mut writes = Vec::new();
     for op in &history {
@@ -89,8 +107,7 @@ fn enumerate(spec: ManagerSpec, alloc_log: bool, tree: TreeConfig, seed: u64, ta
     for (k, pages) in writes.iter().enumerate() {
         for (write, &n) in (0u64..).zip(pages) {
             for torn in torn(n) {
-                let mut db = db(alloc_log, tree);
-                let mut d = Driver::new(&mut db, spec);
+                let (mut db, mut d) = store.open(spec);
                 d.run(&mut db, history[..k].iter().cloned());
                 let at = CrashPoint { write, torn };
                 let findings = d.crash_during(&mut db, &history[k], at);
@@ -105,25 +122,31 @@ fn enumerate(spec: ManagerSpec, alloc_log: bool, tree: TreeConfig, seed: u64, ta
     }
 }
 
-/// Every config on `tree` over `seeds` seeds: three schemes × log on
-/// and off. A failure names its config and seed before the panic goes on.
-fn every_point(tree: TreeConfig, seeds: u64) {
+/// Every config on `tree` beside `companions` objects over `seeds`
+/// seeds: three schemes × each log setting in `logs`. A failure names its
+/// config and seed before the panic goes on.
+fn every_point(tree: TreeConfig, companions: usize, logs: &[bool], seeds: u64) {
     let specs = [
         ManagerSpec::esm(4),
         ManagerSpec::eos(4),
         ManagerSpec::starburst(),
     ];
-    for alloc_log in [true, false] {
+    for &alloc_log in logs {
         for spec in specs {
             let what = format!(
-                "{} log {alloc_log} fan-out {}",
+                "{} log {alloc_log} fan-out {} beside {companions}",
                 spec.label(),
                 tree.node_entries
             );
+            let store = Store {
+                alloc_log,
+                tree,
+                companions,
+            };
             let mut tally = Tally::default();
             for seed in 0..seeds {
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    enumerate(spec, alloc_log, tree, seed, &mut tally)
+                    enumerate(spec, store, seed, &mut tally)
                 }));
                 if let Err(panic) = run {
                     eprintln!("crash points failed: {what} seed {seed}");
@@ -149,10 +172,16 @@ fn seeds() -> u64 {
 
 #[test]
 fn every_write_call_on_the_paper_tree_is_a_crash_point() {
-    every_point(TreeConfig::default(), seeds());
+    every_point(TreeConfig::default(), 0, &[true, false], seeds());
 }
 
 #[test]
 fn every_write_call_on_a_tiny_tree_is_a_crash_point() {
-    every_point(TreeConfig::tiny(4), seeds());
+    every_point(TreeConfig::tiny(4), 0, &[true, false], seeds());
+}
+
+/// 4 seeds optimized, 1 otherwise: every point re-creates the sixteen.
+#[test]
+fn every_write_call_beside_sixteen_objects_is_a_crash_point() {
+    every_point(TreeConfig::default(), 16, &[true], seeds().min(4));
 }

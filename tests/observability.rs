@@ -1,5 +1,6 @@
 //! End-to-end observability: with a sink installed, a mixed workload over
-//! all three storage schemes must produce a JSONL event stream and a
+//! all three storage schemes, each followed by one streamed cursor pass,
+//! must produce a JSONL event stream and a
 //! metrics dump whose numbers are mutually consistent — the sum of the
 //! per-operation span I/O deltas equals the disks' cumulative I/O, the
 //! buffer pool reports a hit ratio, and the per-area simulated-disk page
@@ -8,9 +9,13 @@
 //! The metrics registry is thread-local, so this single test owns the
 //! whole pipeline without interference from other tests.
 
+use std::io::Read;
+
 use lobstore::bufpool::PoolConfig;
 use lobstore::obs::{self, json, json::Value};
-use lobstore::{build_object, Db, DbConfig, IoStats, ManagerSpec, MixedConfig, MixedWorkload};
+use lobstore::{
+    build_object, Db, DbConfig, IoStats, ManagerSpec, MixedConfig, MixedWorkload, ObjectReader,
+};
 
 const SCHEMES: [(&str, &str); 3] = [("ESM", "esm"), ("Starburst", "starburst"), ("EOS", "eos")];
 
@@ -55,6 +60,12 @@ fn mixed_workload_metrics_and_events_are_consistent() {
             ..MixedConfig::default()
         });
         w.run(&mut db, obj.as_mut()).expect("mixed workload");
+        // One streamed pass: each cursor refill is an observed read.
+        let mut back = Vec::new();
+        ObjectReader::new(&mut db, obj.as_ref())
+            .read_to_end(&mut back)
+            .expect("cursor pass");
+        assert!(back == obj.snapshot(&db), "cursor pass diverges");
         disk_total = disk_total + (db.io_stats() - base);
     }
     let _ = obs::take_sink();

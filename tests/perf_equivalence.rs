@@ -23,8 +23,7 @@
 //!    3–4 MB objects, whose disk calls are large enough that `SimDisk`
 //!    splits their copy across cores, and check the reads against the
 //!    appended bytes; a third holds it on ESM/4 and EOS/16 under
-//!    fan-out 4, where a walk to the next leaf fixes fewer index pages
-//!    than a descent. A fourth holds a whole ESM/4 read beside six dirty
+//!    fan-out 4, whose index has interior pages below the root. A fourth holds a whole ESM/4 read beside six dirty
 //!    roots to the META reads of a clean pool (a leaf read never evicts
 //!    the walk's own level-0 node), and a cursor pass there to one read
 //!    of each index page at most.
@@ -181,12 +180,12 @@ fn leaf_reads(trace: &[TraceEvent]) -> Vec<(u32, u32)> {
 /// the disk calls cannot: a leaf of at most 4 pages read through the
 /// pool makes the one call a page run makes, but takes a frame a page.
 ///
-/// The live cursor's first refill descends to `start`; each later one
-/// walks from the leaf the last one ended with. The pinned cursor
-/// descends once a refill below its parsed root. Either way a refill's
-/// leaf read is one page run of the rest of the segment, read past the
-/// pool's frames, so the index pages the two fix stay resident and are
-/// read at most once each.
+/// Both cursors refill through one function, a descent below the root
+/// they parsed at open; they differ in how they open (through the pool,
+/// or through the version overlay) and in the live refill's observer.
+/// A refill's leaf read is one page run of the rest of the segment, read
+/// past the pool's frames, so the index pages the two fix stay resident
+/// and are read at most once each.
 fn streamed_accounting_matches_bulk(
     spec: ManagerSpec,
     layout: Layout,
@@ -275,9 +274,9 @@ fn large_append_reads_back(spec: ManagerSpec, total: usize) {
     assert!(obj.snapshot(&db) == build, "peek reference diverges");
 }
 
-/// The accounting property where a walk and a descent differ: under
-/// fan-out 4 the object's index has interior pages below the root, so a
-/// walk to the next leaf fixes fewer pages than a descent. ESM/4 lays its
+/// The accounting property on a deeper index: under fan-out 4 the
+/// object's index has interior pages below the root, which every refill
+/// fixes on its way down. ESM/4 lays its
 /// leaves in one append; EOS/16 is appended a page at a time, so its
 /// segments double in size and there are enough of them to need an
 /// interior level.
@@ -823,11 +822,10 @@ proptest! {
 //
 // 7. **Live seeks**: on a tree two or more levels tall, random seek/read
 //    scripts through `ObjectReader`, driven by `read` and by
-//    `fill_buf`/`consume`, return the `snapshot()` bytes. A refill walks
-//    from the leaf the last one ended with only when it starts at that
-//    leaf's end, and descends otherwise; a walk from the wrong leaf reads
-//    the wrong bytes here, where property 2's whole scans never seek
-//    after their start.
+//    `fill_buf`/`consume`, return the `snapshot()` bytes. Each refill
+//    descends from the root parsed at open to the position asked for,
+//    which property 2's whole scans, never seeking after their start,
+//    would not tell from a refill that reads on from the last leaf.
 
 fn live_cursor_follows_seeks(
     spec: ManagerSpec,
