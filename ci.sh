@@ -94,9 +94,9 @@ run cargo run -q -p xtask -- loblint
 # through a borrowed `&Db` and `SharedDb`'s read tier, a bulk read beside
 # six dirty roots to at most one META read more than on a clean pool and
 # a cursor pass there to one read of each index page at most; tree's
-# `reads_fix_the_root_once` holds a bulk read to one root fix, an
-# out-of-range one included, and a cursor to two root fixes at open and
-# none after. And the model configurations, 256 seeds optimized and
+# `reads_fix_the_root_once` holds a bulk read of each scheme to one root
+# fix, an out-of-range one included, and a cursor to one root fix at
+# open and none after. And the model configurations, 256 seeds optimized and
 # their old case counts otherwise, the walk after every op included,
 # and tests/mvcc.rs's commit-interval rules (one pre-image per page per
 # interval, the first; a transaction begins on a boundary) without
@@ -129,17 +129,18 @@ run cargo test -q --release --test model --test proptest_model --test crash_fuzz
 # Mutation drill: the crash tests must catch a seeded break of the
 # shadowing discipline (paper section 3.3) and a lost undo image, the
 # META walk a pinned open that lets a non-root page through, the seeded
-# schedules and the lock-order check a latch two pages share, a page
-# guard held across a segment read and a lock helper that passes poison
+# schedules and the lock-order check a latch two pages share, a root
+# guard held across a leaf read and a lock helper that passes poison
 # on, the I/O accounting's twins a raw disk read above the pool
 # (clippy), a segment write that skips its counter and a health recount
 # that fixes a page, the dirty-pool walk test a leaf read that may evict
 # the walk's own level-0 node, the cursors' accounting properties and
 # the aging pins a refill sent back through the pool's hybrid read, the
-# observability closure a live refill nobody observes, and the root
+# observability closure a live refill nobody observes, the root
 # decoder's property test a root view that
 # drops its pair-count bound (the Starburst descriptor's segment-count
-# bound): 15 patches. Each
+# bound), and the byte model a Starburst flag left on a shadowed
+# segment's old pages: 16 patches. Each
 # patch in mutants/ is applied to one copy of the tree under target/ (a
 # patch that no longer applies fails here), the copy must still build,
 # and then either each test named must fail or, for a `clippy` drill,
@@ -193,8 +194,12 @@ drill undo-image --test txn_crash -- an_evicted_in_place_overwrite_is_undone_by_
 drill undo-image --test crash_points -- every_write_call_beside_sixteen_objects_is_a_crash_point
 # Write guards on pages 16 apart share one latch: a reported deadlock.
 drill shared-latch --test schedules -- guards_on_pages_sixteen_apart_do_not_wait_for_each_other
-# Starburst's bulk read keeps its descriptor guard across its segment reads: an order violation.
+# A bulk read keeps a guard on its root across each leaf read: an order violation.
 drill guard-across-io --test perf_equivalence -- starburst_reads_match_the_peek_reference
+# Starburst's `replace` shadows the over-allocated last segment and leaves the flag behind.
+drill starburst-stale-flag --test proptest_model -- starburst_matches_model
+drill starburst-stale-flag --test perf_equivalence -- starburst_reads_match_the_peek_reference \
+    starburst_pinned_cursor_is_stable_and_costed_once
 # The lock helpers pass a poisoned lock's panic on instead of recovering.
 drill poison --test schedules -- pinned_scans_read_their_version_under_every_schedule
 # A segment read straight from the disk, past the pool's dirty frames.

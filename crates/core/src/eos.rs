@@ -130,7 +130,7 @@ impl EosObject {
     /// for release at operation end, clearing the over-allocation flag if
     /// it pointed here.
     fn free_seg_tail(&self, ctx: &mut OpCtx, hdr: &mut RootHdr, entry: &Entry, keep_pages: u32) {
-        let alloc = alloc_of(hdr, entry);
+        let alloc = hdr.alloc_of(entry);
         if alloc > keep_pages {
             ctx.free_extent_later(Extent::new(
                 AreaId::LEAF,
@@ -138,7 +138,7 @@ impl EosObject {
                 alloc - keep_pages,
             ));
         }
-        if hdr.last_seg_alloc > 0 && hdr.last_seg_ptr == entry.ptr {
+        if hdr.flags(entry) {
             hdr.last_seg_alloc = 0;
             hdr.last_seg_ptr = 0;
         }
@@ -346,16 +346,6 @@ impl EosObject {
     }
 }
 
-/// Pages allocated to the segment behind `entry` (the flagged rightmost
-/// segment may be over-allocated during append growth).
-fn alloc_of(hdr: &RootHdr, entry: &Entry) -> u32 {
-    if hdr.last_seg_alloc > 0 && hdr.last_seg_ptr == entry.ptr {
-        hdr.last_seg_alloc
-    } else {
-        pages_for_bytes(entry.count)
-    }
-}
-
 /// One content source for an EOS region rebuild (see
 /// [`EosObject::rebuild_region`]).
 enum Src<'a> {
@@ -409,9 +399,9 @@ impl LargeObject for EosObject {
         let mut prev_alloc = 0u32;
         if let Some(pos) = self.tree.rightmost(db)? {
             let hdr = self.tree.read_hdr(db)?;
-            let alloc = alloc_of(&hdr, &pos.entry);
+            let alloc = hdr.alloc_of(&pos.entry);
             prev_alloc = alloc;
-            let flagged = hdr.last_seg_alloc > 0 && hdr.last_seg_ptr == pos.entry.ptr;
+            let flagged = hdr.flags(&pos.entry);
             let older_reader = db.txn_active() || db.pinned_snapshots() > 0;
             let space = if flagged || !older_reader {
                 u64::from(alloc) * PAGE_SIZE_U64 - pos.entry.count
@@ -643,15 +633,15 @@ impl LargeObject for EosObject {
     }
 
     fn destroy(&mut self, db: &mut Db) -> Result<()> {
-        self.tree.destroy(db, alloc_of)
+        self.tree.destroy(db, RootHdr::alloc_of)
     }
 
     fn utilization(&self, db: &Db) -> Utilization {
-        or_panic(self.tree.utilization(db, alloc_of))
+        or_panic(self.tree.utilization(db, RootHdr::alloc_of))
     }
 
     fn segments(&self, db: &Db) -> Vec<SegmentInfo> {
-        or_panic(self.tree.segments(db, alloc_of))
+        or_panic(self.tree.segments(db, RootHdr::alloc_of))
     }
 
     fn index_page_numbers(&self, db: &Db) -> Vec<u32> {
@@ -780,7 +770,7 @@ mod tests {
             .collect_leaves(db)
             .unwrap()
             .iter()
-            .map(|(_, e)| alloc_of(&hdr, e))
+            .map(|(_, e)| hdr.alloc_of(e))
             .collect()
     }
 

@@ -1,8 +1,10 @@
 //! In-memory representation and page layout of positional-tree nodes.
 //!
-//! Both ESM and EOS index their leaf segments with the same tree of
+//! ESM and EOS index their leaf segments with the same tree of
 //! `(count, pointer)` pairs (§2.1, §2.3): entry *i* of a node records how
 //! many object bytes live in the subtree (or leaf segment) it points to.
+//! Starburst's descriptor (§2.2) is a root of that tree that stays at
+//! level 0.
 //! The paper stores cumulative counts; we store per-child counts, which
 //! occupy the same 8 bytes per pair and make structural updates local.
 //!
@@ -18,7 +20,8 @@
 //! │        (count u32,     │     │ 8..16  object size      u64  │
 //! │         ptr   u32)*    │     │ 16..24 manager params   u64  │
 //! └────────────────────────┘     │ 24..28 last_seg_alloc   u32  │
-//!                                │ 28..40 reserved              │
+//!                                │ 28..32 last_seg_ptr     u32  │
+//!                                │ 32..40 reserved              │
 //! (4096−8)/8  = 511 pairs        │ 40..   entries               │
 //!                                └──────────────────────────────┘
 //!                                (4096−40)/8 = 507 pairs
@@ -26,7 +29,7 @@
 //!
 //! matching the paper's 511/507 pair capacities (§4.1).
 
-use lobstore_simdisk::{cast, PAGE_SIZE};
+use lobstore_simdisk::{cast, pages_for_bytes, PAGE_SIZE};
 
 use crate::error::{LobError, Result};
 use crate::layout::{get_u16, get_u32, get_u64, put_u16, put_u32, put_u64};
@@ -419,8 +422,8 @@ impl<'a> NodeMut<'a> {
     }
 }
 
-/// The root-page header shared by the tree-based managers (and reused, with
-/// its own magic, by Starburst's descriptor page).
+/// The root-page header of all three managers (Starburst's descriptor
+/// page carries it too, with its own magic).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) struct RootHdr {
     pub magic: u32,
@@ -438,7 +441,9 @@ pub(crate) struct RootHdr {
     pub last_seg_alloc: u32,
     /// First page of the segment `last_seg_alloc` refers to, so the
     /// over-allocation can be attributed (and freed) safely even after
-    /// structural changes. Meaningless when `last_seg_alloc == 0`.
+    /// structural changes. EOS and Starburst set it whenever they set
+    /// `last_seg_alloc`, and move it when they shadow that segment.
+    /// Meaningless when `last_seg_alloc == 0`.
     pub last_seg_ptr: u32,
 }
 
@@ -454,6 +459,21 @@ impl RootHdr {
             params,
             last_seg_alloc: 0,
             last_seg_ptr: 0,
+        }
+    }
+
+    /// Whether `entry` is the over-allocated rightmost segment.
+    pub fn flags(&self, entry: &Entry) -> bool {
+        self.last_seg_alloc > 0 && self.last_seg_ptr == entry.ptr
+    }
+
+    /// Pages allocated to the segment behind `entry`: the flagged one's
+    /// over-allocation, else the pages its bytes use.
+    pub fn alloc_of(&self, entry: &Entry) -> u32 {
+        if self.flags(entry) {
+            self.last_seg_alloc
+        } else {
+            pages_for_bytes(entry.count)
         }
     }
 

@@ -145,8 +145,8 @@ pub trait LargeObject: Send {
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()>;
 
     /// Locate the contiguous stored segment containing byte `off`
-    /// (requires `off < size`). For the tree schemes this is one costed
-    /// descent; for Starburst a descriptor lookup.
+    /// (requires `off < size`): one costed descent of the count tree
+    /// (for Starburst, of its one-level descriptor).
     fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan>;
 
     /// Insert `bytes` so the first inserted byte lands at offset `off`

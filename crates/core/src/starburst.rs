@@ -2,9 +2,12 @@
 //!
 //! A long field is a sequence of extents whose sizes **double** until a
 //! maximum segment size is reached (then max-size segments repeat); the
-//! last segment is trimmed. The descriptor is flat: one root page with an
-//! array of segment pointers — there is no tree, so reads and appends
-//! never touch index pages.
+//! last segment is trimmed. The descriptor is flat: one page of segment
+//! pointers, stored as a count-tree root ([`PosTree`]) that stays at
+//! level 0 — it is never split, so reads and appends never touch an
+//! index page below it. Reads, lookups, `destroy` and the inspections
+//! are the tree's, as for ESM and EOS (§3.2's segment read); what is
+//! Starburst's own is how it updates.
 //!
 //! The price is paid by length-changing updates: inserting (deleting)
 //! bytes in the middle requires **copying every segment from the affected
@@ -31,7 +34,8 @@ use crate::node::{find_child, Entry, Node, RootHdr, ROOT_MAX_ENTRIES};
 use crate::object::{
     check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization,
 };
-use crate::segdata::{append_in_place, insert_bytes, patch_in_place, peek_segs};
+use crate::segdata::{append_in_place, insert_bytes, patch_in_place};
+use crate::tree::{read_piece, PosTree};
 
 /// The 512 KB copy buffer of §3.5, in pages and in bytes (a widening
 /// cast; `cast::u32_to_usize` is not `const`).
@@ -61,7 +65,7 @@ impl Default for StarburstParams {
 /// Handle to one Starburst long field.
 #[derive(Debug)]
 pub struct StarburstObject {
-    root: u32,
+    tree: PosTree,
     max_seg_pages: u32,
     known_size: bool,
 }
@@ -84,7 +88,7 @@ impl StarburstObject {
         db.pool.flush_page(PageId::new(AreaId::META, root));
         db.op_commit();
         Ok(StarburstObject {
-            root,
+            tree: PosTree::new(root),
             max_seg_pages: params.max_seg_pages,
             known_size: params.known_size,
         })
@@ -95,7 +99,7 @@ impl StarburstObject {
         let hdr = db.with_meta_page(root_page, RootHdr::read);
         hdr.check_root(root_page, Some(StorageKind::Starburst))?;
         Ok(StarburstObject {
-            root: root_page,
+            tree: PosTree::new(root_page),
             max_seg_pages: cast::to_u32(hdr.params & 0xFFFF_FFFF),
             known_size: (hdr.params >> 32) & 1 == 1,
         })
@@ -103,19 +107,6 @@ impl StarburstObject {
 
     fn max_bytes(&self) -> u64 {
         u64::from(self.max_seg_pages) * PAGE_SIZE_U64
-    }
-
-    /// Load the descriptor: header and segment list (by value, for the
-    /// update paths). Read-only paths step through [`Db::with_meta_root`]'s
-    /// view instead. `Corrupt` when the segment count is above the
-    /// descriptor's capacity.
-    fn load(&self, db: &mut Db) -> Result<(RootHdr, Vec<Entry>)> {
-        db.with_meta_root(self.root, |hdr, node| (*hdr, node.iter().collect()))
-    }
-
-    /// The object size on the descriptor.
-    fn stored_size(&self, db: &mut Db) -> Result<u64> {
-        db.with_meta_root(self.root, |hdr, _| hdr.size)
     }
 
     /// Store the descriptor. The root page is left dirty in the pool (no
@@ -126,7 +117,7 @@ impl StarburstObject {
             level: 0,
             entries: segs.to_vec(),
         };
-        db.with_meta_page_mut(self.root, |p| node.write_root(p, hdr));
+        db.with_meta_page_mut(self.tree.root_page, |p| node.write_root(p, hdr));
     }
 
     /// Refuse an update of `len` bytes that would leave `segs` segments:
@@ -137,16 +128,6 @@ impl StarburstObject {
             return Err(LobError::OperationTooLarge { len: len as u64 });
         }
         Ok(())
-    }
-
-    /// Pages allocated to segment `i` of `segs` (the last one may be
-    /// over-allocated while the object grows by appends).
-    fn seg_alloc(&self, hdr: &RootHdr, segs: &[Entry], i: usize) -> u32 {
-        if i + 1 == segs.len() && hdr.last_seg_alloc > 0 {
-            hdr.last_seg_alloc
-        } else {
-            pages_for_bytes(segs[i].count)
-        }
     }
 
     /// The §3.5 copy: stream the bytes of segments `old` into fresh
@@ -238,14 +219,6 @@ impl StarburstObject {
         segs
     }
 
-    /// Free segments `segs[from..]` (with the last one's true allocation).
-    fn free_tail(&self, db: &mut Db, hdr: &RootHdr, segs: &[Entry], from: usize) {
-        for i in from..segs.len() {
-            let alloc = self.seg_alloc(hdr, segs, i);
-            db.free_leaf(Extent::new(AreaId::LEAF, segs[i].ptr, alloc));
-        }
-    }
-
     /// The §3.5 update path shared by insert and delete: rewrite the tail
     /// from the segment containing `off`, with `cut` bytes at `off`
     /// replaced by `put`.
@@ -254,7 +227,8 @@ impl StarburstObject {
     /// that, per the shadowing discipline (§3.3), a crash mid-operation
     /// cannot have clobbered the pages the previous state references.
     fn rewrite_tail(&mut self, db: &mut Db, off: u64, cut: u64, put: &[u8]) -> Result<()> {
-        let (mut hdr, mut segs) = self.load(db)?;
+        let (mut hdr, root) = self.tree.load_root(db)?;
+        let mut segs = root.entries;
         let (i, p, _) = find_child(segs.iter().copied(), off)?;
         let old = segs.split_off(i);
         let (at, cut) = (cast::to_usize(p), cast::to_usize(cut));
@@ -266,8 +240,11 @@ impl StarburstObject {
         )?;
         segs.extend(self.copy_tail(db, &old, at, cut, put, 0));
         // Writes done; now release the superseded tail.
-        self.free_tail(db, &hdr, &old, 0);
-        hdr.last_seg_alloc = 0; // the rewritten tail is exact
+        for e in &old {
+            db.free_leaf(Extent::new(AreaId::LEAF, e.ptr, hdr.alloc_of(e)));
+        }
+        // The rewritten tail is exact.
+        (hdr.last_seg_alloc, hdr.last_seg_ptr) = (0, 0);
         hdr.size = segs.iter().map(|e| e.count).sum();
         self.store(db, &mut hdr, &segs);
         Ok(())
@@ -280,11 +257,11 @@ impl LargeObject for StarburstObject {
     }
 
     fn root_page(&self) -> u32 {
-        self.root
+        self.tree.root_page
     }
 
     fn size(&self, db: &mut Db) -> u64 {
-        or_panic(self.stored_size(db))
+        or_panic(self.tree.size(db))
     }
 
     fn append(&mut self, db: &mut Db, bytes: &[u8]) -> Result<()> {
@@ -292,17 +269,14 @@ impl LargeObject for StarburstObject {
             return Ok(());
         }
         check_op_len(bytes.len() as u64)?;
-        let (mut hdr, mut segs) = self.load(db)?;
+        let (mut hdr, root) = self.tree.load_root(db)?;
+        let mut segs = root.entries;
 
         // The last segment's allocation, and the bytes its allocated tail
         // takes in place.
         let (mut prev_alloc, space) = match segs.last() {
             Some(last) => {
-                let alloc = if hdr.last_seg_alloc > 0 {
-                    hdr.last_seg_alloc
-                } else {
-                    pages_for_bytes(last.count)
-                };
+                let alloc = hdr.alloc_of(last);
                 (alloc, u64::from(alloc) * PAGE_SIZE_U64 - last.count)
             }
             None => (0, 0),
@@ -338,7 +312,7 @@ impl LargeObject for StarburstObject {
                 count: take as u64,
                 ptr: ext.start,
             });
-            hdr.last_seg_alloc = alloc;
+            (hdr.last_seg_alloc, hdr.last_seg_ptr) = (alloc, ext.start);
             rem = &rem[take..];
         }
         hdr.size += bytes.len() as u64;
@@ -348,55 +322,15 @@ impl LargeObject for StarburstObject {
     }
 
     fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
-        // Range-check and plan the per-segment spans on the descriptor
-        // page in one fix, then issue the reads.
-        let want = out.len();
-        let plan: Vec<(u32, u64, usize)> = db.with_meta_root(self.root, |hdr, node| {
-            check_range(hdr.size, off, want as u64)?;
-            let mut plan = Vec::new();
-            if want == 0 {
-                return Ok(plan);
-            }
-            let (first, mut within, _) = node.find_child(off)?;
-            let mut segs = node.iter().skip(first);
-            let mut done = 0usize;
-            while done < want {
-                let Some(e) = segs.next() else {
-                    return Err(LobError::InvariantViolated(format!(
-                        "descriptor at page {} ends before its size {}",
-                        self.root, hdr.size
-                    )));
-                };
-                let take = cast::to_usize((e.count - within).min((want - done) as u64));
-                plan.push((e.ptr, within, take));
-                done += take;
-                within = 0;
-            }
-            Ok(plan)
-        })??;
-        let mut done = 0usize;
-        for (ptr, within, take) in plan {
-            db.pool
-                .read_segment(AreaId::LEAF, ptr, within, &mut out[done..done + take]);
-            done += take;
-        }
-        Ok(())
+        self.tree.read(db, off, out, read_piece)
     }
 
     fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {
-        db.with_meta_root(self.root, |hdr, node| {
-            check_range(hdr.size, off, 1)?;
-            let (_, within, e) = node.find_child(off)?;
-            Ok(SegSpan {
-                start: off - within,
-                bytes: e.count,
-                page: e.ptr,
-            })
-        })?
+        self.tree.locate(db, off)
     }
 
     fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        let size = check_range(self.stored_size(db)?, off, 0)?;
+        let size = check_range(self.tree.size(db)?, off, 0)?;
         if bytes.is_empty() {
             return Ok(());
         }
@@ -410,7 +344,7 @@ impl LargeObject for StarburstObject {
     }
 
     fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
-        check_range(self.stored_size(db)?, off, len)?;
+        check_range(self.tree.size(db)?, off, len)?;
         if len == 0 {
             return Ok(());
         }
@@ -420,11 +354,12 @@ impl LargeObject for StarburstObject {
     }
 
     fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        check_range(self.stored_size(db)?, off, bytes.len() as u64)?;
+        check_range(self.tree.size(db)?, off, bytes.len() as u64)?;
         if bytes.is_empty() {
             return Ok(());
         }
-        let (mut hdr, mut segs) = self.load(db)?;
+        let (mut hdr, root) = self.tree.load_root(db)?;
+        let mut segs = root.entries;
         let (mut i, mut within, _) = find_child(segs.iter().copied(), off)?;
         let mut done = 0usize;
         // Superseded segments are released only after every new copy has
@@ -434,11 +369,15 @@ impl LargeObject for StarburstObject {
             let e = segs[i];
             let take = cast::to_usize((e.count - within).min((bytes.len() - done) as u64));
             if db.config().shadowing {
-                // Shadow the whole affected segment: copy it, patched.
-                let alloc = self.seg_alloc(&hdr, &segs, i);
+                // Shadow the whole affected segment: copy it, patched, into
+                // as many pages; the flag follows the flagged one.
+                let alloc = hdr.alloc_of(&e);
                 let (at, put) = (cast::to_usize(within), &bytes[done..done + take]);
                 let new = self.copy_tail(db, &segs[i..=i], at, take, put, alloc);
                 free_later.push(Extent::new(AreaId::LEAF, e.ptr, alloc));
+                if hdr.flags(&e) {
+                    hdr.last_seg_ptr = new[0].ptr;
+                }
                 segs[i].ptr = new[0].ptr;
             } else {
                 patch_in_place(db, e.ptr, within, &bytes[done..done + take]);
@@ -456,11 +395,9 @@ impl LargeObject for StarburstObject {
     }
 
     fn trim(&mut self, db: &mut Db) -> Result<()> {
-        let (mut hdr, segs) = self.load(db)?;
-        if hdr.last_seg_alloc == 0 || segs.is_empty() {
-            return Ok(());
-        }
-        let Some(last) = segs.last() else {
+        let (mut hdr, root) = self.tree.load_root(db)?;
+        let segs = root.entries;
+        let Some(last) = segs.last().filter(|_| hdr.last_seg_alloc > 0) else {
             return Ok(());
         };
         let used = pages_for_bytes(last.count);
@@ -471,59 +408,33 @@ impl LargeObject for StarburstObject {
                 hdr.last_seg_alloc - used,
             ));
         }
-        hdr.last_seg_alloc = 0;
+        (hdr.last_seg_alloc, hdr.last_seg_ptr) = (0, 0);
         self.store(db, &mut hdr, &segs);
         db.op_commit();
         Ok(())
     }
 
     fn destroy(&mut self, db: &mut Db) -> Result<()> {
-        let (hdr, segs) = self.load(db)?;
-        self.free_tail(db, &hdr, &segs, 0);
-        db.free_meta_page(self.root);
-        db.op_commit();
-        Ok(())
+        self.tree.destroy(db, RootHdr::alloc_of)
     }
 
     fn utilization(&self, db: &Db) -> Utilization {
-        let segs = self.segments(db);
-        Utilization {
-            object_bytes: segs.iter().map(|s| s.bytes).sum(),
-            data_pages: segs.iter().map(|s| u64::from(s.pages)).sum(),
-            index_pages: 1,
-        }
+        or_panic(self.tree.utilization(db, RootHdr::alloc_of))
     }
 
     fn segments(&self, db: &Db) -> Vec<SegmentInfo> {
-        let (hdr, node) = or_panic(db.peek_root(self.root));
-        let mut off = 0u64;
-        node.entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let info = SegmentInfo {
-                    offset: off,
-                    start_page: e.ptr,
-                    bytes: e.count,
-                    pages: self.seg_alloc(&hdr, &node.entries, i),
-                };
-                off += e.count;
-                info
-            })
-            .collect()
+        or_panic(self.tree.segments(db, RootHdr::alloc_of))
     }
 
-    fn index_page_numbers(&self, _db: &Db) -> Vec<u32> {
-        vec![self.root] // flat descriptor: the root page is the index
+    fn index_page_numbers(&self, db: &Db) -> Vec<u32> {
+        or_panic(self.tree.index_page_numbers(db))
     }
 
+    // The descriptor's own rules, not `PosTree::check_invariants`: a
+    // descriptor holds up to 507 segments under any tree configuration.
     fn check_invariants(&self, db: &Db) -> Result<()> {
-        let page = db.peek_meta(self.root);
-        let hdr = RootHdr::read(&page[..]);
-        if hdr.magic != RootHdr::magic(StorageKind::Starburst) {
-            return Err(LobError::Corrupt("bad descriptor magic".into()));
-        }
-        let node = Node::read_root(&page[..], &hdr)?;
+        let (hdr, node) = db.peek_root(self.tree.root_page)?;
+        hdr.check_root(self.tree.root_page, Some(StorageKind::Starburst))?;
         let total: u64 = node.entries.iter().map(|e| e.count).sum();
         if total != hdr.size {
             return Err(LobError::InvariantViolated(format!(
@@ -557,6 +468,11 @@ impl LargeObject for StarburstObject {
             let last = node.entries.last().ok_or_else(|| {
                 LobError::InvariantViolated("last_seg_alloc set on empty object".into())
             })?;
+            if !hdr.flags(last) {
+                return Err(LobError::InvariantViolated(
+                    "over-allocation flag does not point at the rightmost segment".into(),
+                ));
+            }
             if pages_for_bytes(last.count) > hdr.last_seg_alloc {
                 return Err(LobError::InvariantViolated(
                     "last segment uses more pages than allocated".into(),
@@ -567,7 +483,7 @@ impl LargeObject for StarburstObject {
     }
 
     fn snapshot(&self, db: &Db) -> Vec<u8> {
-        peek_segs(db, &or_panic(db.peek_root(self.root)).1.entries)
+        or_panic(self.tree.peek_content(db))
     }
 }
 
@@ -720,7 +636,7 @@ mod tests {
                     calls(TraceKind::Read),
                     calls(TraceKind::Write),
                     stats,
-                    obj.load(db),
+                    obj.tree.load_root(db),
                     db.leaf_pages_allocated(),
                     obj.snapshot(db),
                 ));
@@ -897,11 +813,8 @@ mod tests {
             model.extend_from_slice(&c);
             obj.check_invariants(&db).unwrap();
         }
-        let (hdr, segs) = obj.load(&mut db).unwrap();
-        assert_eq!(hdr.size, model.len() as u64);
-        let page_sizes: Vec<u32> = (0..segs.len())
-            .map(|i| obj.seg_alloc(&hdr, &segs, i))
-            .collect();
+        assert_eq!(obj.size(&mut db), model.len() as u64);
+        let page_sizes: Vec<u32> = obj.segments(&db).iter().map(|s| s.pages).collect();
         assert_eq!(&page_sizes[..4], &[1, 2, 4, 8]);
         assert!(page_sizes[4..].iter().all(|&p| p == 8), "{page_sizes:?}");
         assert_eq!(obj.snapshot(&db), model);
@@ -919,8 +832,7 @@ mod tests {
         )
         .unwrap();
         obj.append(&mut db, &pattern(100_000, 1)).unwrap();
-        let (hdr, segs) = obj.load(&mut db).unwrap();
-        assert_eq!(obj.seg_alloc(&hdr, &segs, 0), 8);
+        assert_eq!(obj.segments(&db)[0].pages, 8);
         obj.check_invariants(&db).unwrap();
     }
 
@@ -994,7 +906,7 @@ mod tests {
         assert_eq!(obj.snapshot(&db), model);
         obj.check_invariants(&db).unwrap();
         // Tail now in max-size (16-page) segments, last trimmed.
-        let (hdr, segs) = obj.load(&mut db).unwrap();
+        let (hdr, Node { entries: segs, .. }) = obj.tree.load_root(&mut db).unwrap();
         assert_eq!(hdr.last_seg_alloc, 0);
         for e in &segs[segs.len() - 2..segs.len() - 1] {
             assert_eq!(e.count, 16 * 4096);

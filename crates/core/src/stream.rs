@@ -15,8 +15,8 @@
 //!
 //! * [`Live`] ([`ObjectReader`]) reads the **live** version, borrowing
 //!   the database exclusively, so nothing writes while it is open. It
-//!   parses the root through the pool, and each refill is one observed
-//!   `op.<scheme>.read`, over any object.
+//!   parses the root through the pool (one observed `op.<scheme>.size`),
+//!   and each refill is one observed `op.<scheme>.read`, over any object.
 //! * [`Pinned`] reads a **pinned** version, its root resolved through the
 //!   version overlay. Everything below it is immutable while the pin is
 //!   held, so a refill needs only `&Db`, reached through a [`ReadAccess`]:
@@ -226,26 +226,34 @@ impl Source for Live<'_> {
             Ok(root) => refill_below(db, root, pos, buf),
             Err(e) => Err(e.clone()),
         };
-        let bytes = obs.listening().then(|| obj.utilization(db).object_bytes);
+        // A failed refill reports no size: its root may not parse.
+        let bytes = (obs.listening() && r.is_ok()).then(|| obj.utilization(db).object_bytes);
         obs.finish(db, bytes, r.is_ok());
         r
     }
 }
 
-/// The cursor over the live version. Opening it looks the size up and
-/// parses the root, a fix each; a scan from offset `o` then makes one
-/// page-run read per segment (per 4 MiB piece of a longer one), each
-/// below one fix of every index level under the root.
+/// The cursor over the live version. Opening it parses the root, its
+/// size included, in one fix, observed as the `op.<scheme>.size` it
+/// stands in for; a scan from offset `o` then makes one page-run read
+/// per segment (per 4 MiB piece of a longer one), each below one fix of
+/// every index level under the root.
 pub type ObjectReader<'a> = SpanCursor<Live<'a>>;
 
 impl<'a> ObjectReader<'a> {
-    /// Start a sequential reader at offset 0 of `obj`.
+    /// Start a sequential reader at offset 0 of `obj`. A root that fails
+    /// to parse leaves the size unknown (`u64::MAX`), so the first read
+    /// reaches a refill and fails with the parse error.
     pub fn new(db: &'a mut Db, obj: &'a dyn LargeObject) -> Self {
-        let size = obj.size(db);
         let page = obj.root_page();
-        let root = db
-            .with_meta_page(page, |p| parse_root(p, page, Some(obj.kind())))
-            .map(|(_, root)| root);
+        let obs = OpObserver::begin(obj.kind(), OpName::Size, db);
+        let (size, root) = match db.with_meta_page(page, |p| parse_root(p, page, Some(obj.kind())))
+        {
+            Ok((size, root)) => (size, Ok(root)),
+            Err(e) => (u64::MAX, Err(e)),
+        };
+        let bytes = (obs.listening() && root.is_ok()).then_some(size);
+        obs.finish(db, bytes, root.is_ok());
         Self::over(Live { db, obj, root }, size)
     }
 }
@@ -450,6 +458,36 @@ mod tests {
             r.seek(SeekFrom::Current(i64::MAX)).is_err(),
             "past u64::MAX"
         );
+    }
+
+    /// A live cursor over a root that no longer parses opens, and its
+    /// first read fails: no panic, and not an empty object either. The
+    /// root loses its magic, or claims more pairs than a root page holds.
+    #[test]
+    fn a_cursor_over_a_broken_root_fails_its_first_read() {
+        use crate::spec::ManagerSpec;
+        type Break = fn(&mut [u8]);
+        let breaks: [(&str, Break); 2] = [
+            ("magic", |p| p[0..4].copy_from_slice(b"XXXX")),
+            ("pair count", |p| {
+                p[6..8].copy_from_slice(&600u16.to_le_bytes())
+            }),
+        ];
+        for spec in [
+            ManagerSpec::esm(4),
+            ManagerSpec::eos(16),
+            ManagerSpec::starburst(),
+        ] {
+            for (what, corrupt) in breaks {
+                let mut db = Db::paper_default();
+                let mut obj = spec.create(&mut db).unwrap();
+                obj.append(&mut db, &pattern(50_000)).unwrap();
+                db.with_meta_page_mut(obj.root_page(), corrupt);
+                let mut r = ObjectReader::new(&mut db, obj.as_ref());
+                let got = r.read(&mut [0u8; 16]);
+                assert!(got.is_err(), "{} {what}: {got:?}", spec.label());
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The positional "count tree" shared by ESM and EOS (§2.1, §2.3).
+//! The positional "count tree" of ESM and EOS (§2.1, §2.3), whose level-0
+//! root is Starburst's descriptor too (§2.2).
 //!
 //! A B+-tree-like structure whose separators are byte counts rather than
 //! keys: each `(count, ptr)` pair says how many object bytes live behind
@@ -8,9 +9,11 @@
 //! credits ESM/EOS with in §4.6.
 //!
 //! The tree manages **index** nodes only. What a level-0 entry points at —
-//! a fixed-size ESM leaf or a variable-size EOS segment — is the storage
-//! manager's business; managers feed the tree replacement entries and the
-//! tree keeps counts, fan-out bounds, and balance.
+//! a fixed-size ESM leaf, a variable-size EOS segment or a Starburst
+//! extent — is the storage manager's business; managers feed the tree
+//! replacement entries and the tree keeps counts, fan-out bounds, and
+//! balance. Starburst writes its descriptor itself (§3.5) and never
+//! splits it.
 //!
 //! All index pages live in the META area. Every modified non-root node is
 //! shadowed through the operation's [`OpCtx`] (§3.3); the root is updated
@@ -145,9 +148,10 @@ impl PosTree {
         db.with_meta_page_mut(self.root_page, |p| hdr.write(p));
     }
 
-    /// Root header + entries by value, for the structural write paths.
-    /// Read-only walks step through [`Db::with_meta_root`]'s view instead.
-    fn load_root(&self, db: &mut Db) -> Result<(RootHdr, Node)> {
+    /// Root header + entries by value, for the structural write paths
+    /// (and Starburst's updates). Read-only walks step through
+    /// [`Db::with_meta_root`]'s view instead.
+    pub(crate) fn load_root(&self, db: &mut Db) -> Result<(RootHdr, Node)> {
         db.with_meta_root(self.root_page, |hdr, node| (*hdr, node.to_node()))
     }
 
@@ -770,11 +774,11 @@ impl PosTree {
         Ok(false)
     }
 
-    // ----- the object body ESM and EOS share -------------------------------
+    // ----- the object body the three managers share ------------------------
     //
-    // What the two managers do identically over this tree lives here once;
-    // what differs (how many pages a leaf entry owns, how a leaf is
-    // shadowed) is passed in.
+    // What the managers do identically over this tree lives here once:
+    // every read, lookup, `destroy` and inspection. What differs (how many
+    // pages a leaf entry owns, how a leaf is shadowed) is passed in.
 
     /// Object size recorded in the root header.
     pub fn size(&self, db: &mut Db) -> Result<u64> {
@@ -1655,53 +1659,64 @@ mod tests {
 
     #[test]
     fn reads_fix_the_root_once() {
-        use crate::object::LargeObject;
-        use crate::{EosObject, EosParams, EsmObject, EsmParams, ObjectReader};
+        use crate::object::{LargeObject, StorageKind};
+        use crate::{
+            EosObject, EosParams, EsmObject, EsmParams, ObjectReader, StarburstObject,
+            StarburstParams,
+        };
         use std::io::{BufRead, Read, Seek, SeekFrom};
-        // Twelve one-page leaves under fan-out 4: a root over interior
-        // nodes. The leaves were written direct, so none is in the pool,
-        // and a cold leaf's read fixes nothing.
+        // Twelve one-page leaves under fan-out 4: for ESM and EOS a root
+        // over interior nodes (depth 2), for Starburst its descriptor
+        // (depth 1). The leaves were written direct, so none is in the
+        // pool, and a cold leaf's read fixes nothing.
         const SIZE: u64 = 12 * 4096;
-        for esm in [true, false] {
+        for kind in [StorageKind::Esm, StorageKind::Eos, StorageKind::Starburst] {
             let mut db = Db::new(DbConfig {
                 tree: TreeConfig::tiny(4),
                 ..DbConfig::default()
             });
-            let mut obj: Box<dyn LargeObject> = if esm {
-                Box::new(EsmObject::create(&mut db, EsmParams { leaf_pages: 1 }).unwrap())
-            } else {
-                let params = EosParams {
-                    threshold_pages: 1,
-                    max_seg_pages: 1,
-                };
-                Box::new(EosObject::create(&mut db, params).unwrap())
+            let mut obj: Box<dyn LargeObject> = match kind {
+                StorageKind::Esm => {
+                    Box::new(EsmObject::create(&mut db, EsmParams { leaf_pages: 1 }).unwrap())
+                }
+                StorageKind::Eos => {
+                    let params = EosParams {
+                        threshold_pages: 1,
+                        max_seg_pages: 1,
+                    };
+                    Box::new(EosObject::create(&mut db, params).unwrap())
+                }
+                StorageKind::Starburst => {
+                    let params = StarburstParams {
+                        max_seg_pages: 1,
+                        known_size: false,
+                    };
+                    Box::new(StarburstObject::create(&mut db, params).unwrap())
+                }
             };
             let bytes: Vec<u8> = (0..SIZE).map(|i| (i % 253) as u8).collect();
             obj.append(&mut db, &bytes).unwrap();
-            let kind = obj.kind();
-            assert_eq!(
-                db.peek_root(obj.root_page()).unwrap().0.level,
-                1,
-                "{kind}: depth 2"
-            );
+            let depth = u64::from(db.peek_root(obj.root_page()).unwrap().0.level) + 1;
+            let want_depth = if kind == StorageKind::Starburst { 1 } else { 2 };
+            assert_eq!(depth, want_depth, "{kind}: depth");
 
-            // A one-leaf read: the root and one interior node.
+            // A one-leaf read fixes every level once.
             let mut out = [0u8; 100];
             let (r, n) = fixes_of(&mut db, |db| obj.read(db, 5 * 4096 + 10, &mut out));
             r.unwrap();
             assert_eq!(out[..], bytes[5 * 4096 + 10..][..100]);
-            assert_eq!(n, 2, "{kind}: a one-leaf read fixes root + interior");
+            assert_eq!(n, depth, "{kind}: a one-leaf read fixes each level");
 
-            // The cursor fixes the root twice as it opens (the size
-            // lookup, then the parse it refills below); a refill fixes the
-            // interior node alone, and a read at or past the end nothing.
+            // The cursor fixes the root once as it opens (the parse it
+            // takes the size from and refills below); a refill fixes the
+            // levels below the root, and a read at or past the end nothing.
             let pool_fixes = || {
                 lobstore_obs::counter_value("bufpool.hits")
                     + lobstore_obs::counter_value("bufpool.misses")
             };
             let before = pool_fixes();
             let mut r = ObjectReader::new(&mut db, obj.as_ref());
-            assert_eq!(pool_fixes() - before, 2, "{kind}: open");
+            assert_eq!(pool_fixes() - before, 1, "{kind}: open");
             let mut read_at = |off: u64, out: &mut [u8]| {
                 r.seek(SeekFrom::Start(off)).unwrap();
                 let before = pool_fixes();
@@ -1709,7 +1724,8 @@ mod tests {
                 (n, pool_fixes() - before)
             };
             let mut span = [0u8; 99];
-            assert_eq!(read_at(7 * 4096 + 10, &mut span), (99, 1), "{kind}: refill");
+            let refill = read_at(7 * 4096 + 10, &mut span);
+            assert_eq!(refill, (99, depth - 1), "{kind}: refill");
             assert_eq!(span[..], bytes[7 * 4096 + 10..][..99]);
             for off in [SIZE, SIZE + 7] {
                 assert_eq!(read_at(off, &mut span), (0, 0), "{kind}: read at {off}");
@@ -1744,8 +1760,8 @@ mod tests {
             assert_eq!(n, 1, "{kind}: an empty read fixes the root");
 
             // A whole-object pass on cold leaves. Bulk: one descent to the
-            // first leaf, then a walk to each next one. The cursor: its two
-            // open fixes, then the interior node once a leaf (12), and no
+            // first leaf, then a walk to each next one. The cursor: its
+            // open fix, then the levels below the root once a leaf, and no
             // descent the tree counts.
             let tree = PosTree::new(obj.root_page());
             let segs = obj.segments(&db);
@@ -1777,7 +1793,11 @@ mod tests {
                     .unwrap();
                 out
             });
-            assert_eq!(streamed, (0, 14), "{kind}: a whole cursor pass");
+            assert_eq!(
+                streamed,
+                (0, 1 + 12 * (depth - 1)),
+                "{kind}: a whole cursor pass"
+            );
         }
     }
 

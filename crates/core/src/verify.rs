@@ -424,55 +424,67 @@ mod tests {
         );
     }
 
-    // Seeded violation, Starburst: lower the on-disk MaxSeg parameter
-    // after large extents were laid out — segments that were legal under
-    // the old ceiling now exceed it.
+    /// Seeded violations, Starburst: each case builds a descriptor the
+    /// walk passes, breaks one of its rules on the page and expects that
+    /// rule's finding alone.
     #[test]
-    fn a_segment_above_a_lowered_max_seg_is_reported() {
-        let mut db = Db::paper_default();
-        let mut obj = StarburstObject::create(&mut db, StarburstParams::default()).unwrap();
-        obj.append(&mut db, &vec![4u8; 80_000]).unwrap();
-        assert_eq!(db.verify(&[("c", &obj)], &[]), CLEAN);
-        db.with_meta_page_mut(obj.root_page(), |p| {
-            // params word (bytes 16..24): max_seg_pages | known << 32.
-            p[16..24].copy_from_slice(&2u64.to_le_bytes());
-        });
-        let obj = StarburstObject::open(&mut db, obj.root_page()).unwrap();
-        let findings = db.verify(&[("c", &obj)], &[]);
-        assert!(
-            matches!(&findings[..], [Finding::ObjectBroken { detail, .. }]
-                if detail.contains("byte max")),
-            "{findings:?}"
-        );
-    }
-
-    // Seeded violation, Starburst: trim a byte off a non-last segment in
-    // the descriptor, keeping the size sum consistent.
-    #[test]
-    fn a_trimmed_interior_starburst_segment_is_reported() {
-        let mut db = Db::paper_default();
-        let mut obj = StarburstObject::create(&mut db, StarburstParams::default()).unwrap();
-        // The second append outgrows the first segment: the descriptor
-        // ends up with several doubling entries.
-        obj.append(&mut db, &vec![7u8; 4096]).unwrap();
-        obj.append(&mut db, &vec![7u8; 30_000]).unwrap();
-        assert!(obj.segments(&db).len() >= 2, "need at least two segments");
-        assert_eq!(db.verify(&[("c", &obj)], &[]), CLEAN);
-        db.with_meta_page_mut(obj.root_page(), |p| {
-            // Entry 0's count (u32 at ROOT_ENTRIES_OFF) and hdr.size (u64
-            // at 8) each lose one byte.
-            let at = ROOT_ENTRIES_OFF;
-            let c = u32::from_le_bytes(p[at..at + 4].try_into().unwrap());
-            p[at..at + 4].copy_from_slice(&(c - 1).to_le_bytes());
-            let s = u64::from_le_bytes(p[8..16].try_into().unwrap());
-            p[8..16].copy_from_slice(&(s - 1).to_le_bytes());
-        });
-        let findings = db.verify(&[("c", &obj)], &[]);
-        assert!(
-            matches!(&findings[..], [Finding::ObjectBroken { detail, .. }]
-                if detail.contains("only the last extent")),
-            "{findings:?}"
-        );
+    fn seeded_starburst_faults_are_reported() {
+        type Break = fn(&mut [u8]);
+        let cases: [(&str, &[usize], Break, &str); 3] = [
+            // The MaxSeg parameter (bytes 16..24: max_seg_pages | known
+            // << 32) lowered after large extents were laid out: segments
+            // legal under the old ceiling now exceed it.
+            (
+                "lowered max seg",
+                &[80_000],
+                |p| {
+                    p[16..24].copy_from_slice(&2u64.to_le_bytes());
+                },
+                "byte max",
+            ),
+            // A non-last segment a byte short, and the size (u64 at 8)
+            // with it, so the sum still agrees.
+            (
+                "trimmed interior segment",
+                &[4096, 30_000],
+                |p| {
+                    let at = ROOT_ENTRIES_OFF;
+                    let c = u32::from_le_bytes(p[at..at + 4].try_into().unwrap());
+                    p[at..at + 4].copy_from_slice(&(c - 1).to_le_bytes());
+                    let s = u64::from_le_bytes(p[8..16].try_into().unwrap());
+                    p[8..16].copy_from_slice(&(s - 1).to_le_bytes());
+                },
+                "only the last extent",
+            ),
+            // The over-allocation flag's pointer (u32 at 28) left naming
+            // no segment, as a shadowed last segment that did not move it
+            // would. The exact-size tail keeps every page claimed.
+            (
+                "stale flag",
+                &[4096, 8192],
+                |p| {
+                    p[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
+                },
+                "rightmost segment",
+            ),
+        ];
+        for (what, appends, corrupt, want) in cases {
+            let mut db = Db::paper_default();
+            let mut obj = StarburstObject::create(&mut db, StarburstParams::default()).unwrap();
+            for &len in appends {
+                obj.append(&mut db, &vec![7u8; len]).unwrap();
+            }
+            assert_eq!(db.verify(&[("c", &obj)], &[]), CLEAN, "{what}");
+            db.with_meta_page_mut(obj.root_page(), corrupt);
+            // Reopened: the handle keeps the parameter word it opened with.
+            let obj = StarburstObject::open(&mut db, obj.root_page()).unwrap();
+            let findings = db.verify(&[("c", &obj)], &[]);
+            assert!(
+                matches!(&findings[..], [Finding::ObjectBroken { detail, .. }]
+                    if detail.contains(want)),
+                "{what}: {findings:?}"
+            );
+        }
     }
 
     // Stamp garbage over the log head's magic: the chain walk stops dead,
