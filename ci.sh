@@ -84,13 +84,14 @@ run cargo run -q -p xtask -- loblint
 # through the in-place write path against the decoding one it replaced
 # -- every META page's bytes, `IoStats`, `PoolStats`, trace and the
 # tree invariants after every step). And the one read cursor
-# (`SpanCursor`), refilled a segment at a time by one function for both
-# sources, a descent below the root parsed at open and one page-run leaf
-# read: core's stream tests hold a streamed live scan to
+# (`SpanCursor`), refilled a run of on-disk neighbours at a time by one
+# function for both sources, a descent below the root parsed at open and
+# one page-run leaf read: core's stream tests hold a streamed live scan to
 # the `IoStats` of a pinned pass over the same version, and
 # tests/perf_equivalence.rs also to its disk trace, call by call, and its
-# LEAF reads to the `segments()` model, for ESM's 16- and 4-page leaves
-# alike, and a pinned script to the same bytes, `IoStats` and LEAF reads
+# LEAF reads to the run model over `segments()` (`cursor_reads`), for
+# ESM's 16- and 4-page leaves alike and fixed runs that join, break and
+# stop at a node, and a pinned script to the same bytes, `IoStats` and LEAF reads
 # through a borrowed `&Db` and `SharedDb`'s read tier, a bulk read beside
 # six dirty roots to at most one META read more than on a clean pool and
 # a cursor pass there to one read of each index page at most; tree's
@@ -135,12 +136,13 @@ run cargo test -q --release --test model --test proptest_model --test crash_fuzz
 # (clippy), a segment write that skips its counter and a health recount
 # that fixes a page, the dirty-pool walk test a leaf read that may evict
 # the walk's own level-0 node, the cursors' accounting properties and
-# the aging pins a refill sent back through the pool's hybrid read, the
+# the aging pins a refill sent back through the pool's hybrid read,
+# the run model a refill that joins no neighbour, the
 # observability closure a live refill nobody observes, the root
 # decoder's property test a root view that
 # drops its pair-count bound (the Starburst descriptor's segment-count
 # bound), and the byte model a Starburst flag left on a shadowed
-# segment's old pages: 16 patches. Each
+# segment's old pages: 17 patches. Each
 # patch in mutants/ is applied to one copy of the tree under target/ (a
 # patch that no longer applies fails here), the copy must still build,
 # and then either each test named must fail or, for a `clippy` drill,
@@ -215,9 +217,15 @@ drill live-refill-via-pool --test perf_equivalence -- esm_streamed_accounting_ma
     eos_streamed_accounting_matches_bulk starburst_streamed_accounting_matches_bulk \
     streamed_accounting_matches_bulk_at_depth esm_pinned_cursor_is_stable_and_costed_once \
     eos_pinned_cursor_is_stable_and_costed_once starburst_pinned_cursor_is_stable_and_costed_once \
-    the_walk_reads_its_index_once_in_a_dirty_pool
+    a_run_joins_appended_leaves_up_to_256_kib a_partial_leaf_ends_its_run a_run_stops_at_its_node
 drill live-refill-via-pool --test aging -- esm_aged_store_is_pinned eos_aged_store_is_pinned \
     starburst_aged_store_is_pinned
+# A refill that reads its own segment only, joining no neighbour on disk.
+drill refill-joins-nothing --test perf_equivalence -- esm_streamed_accounting_matches_bulk \
+    esm_buffered_leaves_streamed_accounting_matches_bulk \
+    a_run_joins_appended_leaves_up_to_256_kib a_partial_leaf_ends_its_run a_moved_leaf_ends_its_run \
+    a_run_stops_at_its_node starburst_doubling_segments_join streamed_accounting_matches_bulk_at_depth \
+    esm_pinned_cursor_is_stable_and_costed_once
 # The live refill without its observer: the cursor's reads escape `span.io.*`.
 drill cursor-unobserved --test observability -- mixed_workload_metrics_and_events_are_consistent
 # The root view without its `n_entries <= 507` bound: 600 claimed pairs read as none.

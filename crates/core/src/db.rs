@@ -307,7 +307,8 @@ impl Db {
 
     /// Like [`Self::with_meta_node`] for a root/descriptor page: `f` gets
     /// the parsed header and the view of the entry array (the Starburst
-    /// descriptor shares the root-page layout).
+    /// descriptor shares the root-page layout). `Corrupt` unless the page
+    /// heads an object root ([`RootHdr::check_root`]).
     pub(crate) fn with_meta_root<R>(
         &self,
         page: u32,
@@ -315,6 +316,7 @@ impl Db {
     ) -> Result<R> {
         let g = self.pool.guard(PageId::new(AreaId::META, page));
         let hdr = RootHdr::read(&g[..]);
+        hdr.check_root(page, None)?;
         NodeView::of_root(&g[..], &hdr).map(|node| f(&hdr, node))
     }
 
@@ -576,6 +578,34 @@ mod tests {
         db.free_leaf(l);
         assert_eq!(db.meta_pages_allocated(), 0);
         assert_eq!(db.leaf_pages_allocated(), 0);
+    }
+
+    /// A root page whose magic was stamped over fails each read of it
+    /// with `Corrupt` instead of answering from the pairs below: bulk
+    /// `read`, `locate` and `insert`, for all three schemes. (`size()`
+    /// returns a bare `u64`, so there the `Corrupt` is a panic until it
+    /// returns a `Result`, ROADMAP item 3(d).)
+    #[test]
+    fn a_stamped_root_fails_its_reads() {
+        use crate::spec::ManagerSpec;
+        use crate::LobError;
+        let corrupt = |r: Result<()>| matches!(r, Err(LobError::Corrupt(_)));
+        for spec in [
+            ManagerSpec::esm(4),
+            ManagerSpec::eos(16),
+            ManagerSpec::starburst(),
+        ] {
+            let label = spec.label();
+            let mut db = Db::paper_default();
+            let mut obj = spec.create(&mut db).unwrap();
+            obj.append(&mut db, &[7u8; 50_000]).unwrap();
+            db.with_meta_page_mut(obj.root_page(), |p| p[0..4].copy_from_slice(b"XXXX"));
+            let read = obj.read(&mut db, 100, &mut [0u8; 10]);
+            assert!(corrupt(read), "{label}: read");
+            let locate = obj.locate(&mut db, 100).map(|_| ());
+            assert!(corrupt(locate), "{label}: locate");
+            assert!(corrupt(obj.insert(&mut db, 100, b"abc")), "{label}: insert");
+        }
     }
 
     #[test]

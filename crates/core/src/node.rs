@@ -200,6 +200,17 @@ impl<'a> NodeView<'a> {
         self.pairs.chunks_exact(8).map(decode_pair)
     }
 
+    /// The entries from index `i` on, in page order (none when `i` is at
+    /// or past the end): a slice of the page, not a walk past the first `i`.
+    pub fn iter_from(&self, i: usize) -> impl Iterator<Item = Entry> + 'a {
+        let at = i.saturating_mul(8).min(self.pairs.len());
+        self.pairs
+            .get(at..)
+            .unwrap_or_default()
+            .chunks_exact(8)
+            .map(decode_pair)
+    }
+
     /// [`find_child`] over the page's pairs.
     pub fn find_child(&self, off: u64) -> Result<(usize, u64, Entry)> {
         find_child(self.iter(), off)

@@ -106,6 +106,10 @@ pub struct SegmentInfo {
     /// Pages allocated to the segment (≥ `ceil(bytes / PAGE_SIZE)`; larger
     /// only for a tail segment still growing by appends).
     pub pages: u32,
+    /// META page of the level-0 index node whose pair names the segment
+    /// (the root's, or the Starburst descriptor's, at level 0). A cursor
+    /// joins on-disk neighbours into one read only within one node.
+    pub node_page: u32,
 }
 
 /// Location of the contiguous stored segment holding one byte offset, as

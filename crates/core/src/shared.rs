@@ -296,8 +296,9 @@ mod tests {
     #[test]
     fn cold_pinned_scan_needs_only_the_read_tier() {
         let shared = SharedDb::new(Db::paper_default());
-        // Dozens of segments: the scanner refills once per segment, each
-        // time through the lock, while another thread holds its read side.
+        // Dozens of runs: the scanner refills once per run of on-disk
+        // neighbours, each time through the lock, while another thread
+        // holds its read side.
         let (root, want) = patterned(&shared, 9 << 20);
         for seed in 0..2 {
             let mut r = shared.snapshot_reader(root).unwrap();

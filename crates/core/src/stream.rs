@@ -1,14 +1,16 @@
 //! `std::io` adapters over large objects: stream a BLOB like a file.
 //!
 //! One cursor reads every version. [`SpanCursor`] holds the position, the
-//! object size and one [`Span`]: the rest of the segment under the
-//! cursor, read into the `Vec` handed out last time (§3.2: one segment
-//! per I/O call, nothing read ahead of the request). Its [`Read`],
-//! [`BufRead`] and [`Seek`] are written once, and so is a refill
-//! (`refill_below`): below the version's root, parsed once at open, one
-//! in-place pair search a level, then the page run covering the rest of
-//! the segment, in one page-direct call, into the span's own buffer
-//! (`read_seg_pages`), so a partial page never takes §3.2's 3-step I/O.
+//! object size and one [`Span`]: the rest of the run under the cursor,
+//! read into the `Vec` handed out last time. A run is the segment holding
+//! the position and the segments that follow it on disk in the same
+//! level-0 node, up to 256 KiB (`run_len`): one seek for pages that lie
+//! together, as §4.3 costs a scan. Its [`Read`], [`BufRead`] and [`Seek`]
+//! are written once, and so is a refill (`refill_below`): below the
+//! version's root, parsed once at open, one in-place pair search a level,
+//! then the page run covering the rest of the run, in one page-direct
+//! call, into the span's own buffer (`read_seg_pages`), so a partial page
+//! never takes §3.2's 3-step I/O.
 //! Only a refill touches the database; a read inside the span, or at or
 //! past the end, takes no lock. The two sources differ in where the root
 //! comes from and in what brackets a refill:
@@ -30,11 +32,11 @@
 
 use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 
-use lobstore_simdisk::cast;
+use lobstore_simdisk::{cast, PAGE_SIZE_U64};
 
 use crate::db::Db;
 use crate::error::Result;
-use crate::node::{find_child, Node, RootHdr};
+use crate::node::{find_child, Entry, Node, RootHdr};
 use crate::object::{LargeObject, StorageKind};
 use crate::observe::{OpName, OpObserver};
 use crate::segdata::read_seg_pages;
@@ -45,8 +47,13 @@ use crate::version::Snapshot;
 /// span read; bounds the buffer for Starburst's up-to-32 MB segments.
 const READ_AHEAD_MAX: usize = 4 << 20;
 
+/// How far a refill joins the segments that follow on disk: it takes the
+/// next one while its run holds less than this past its position. Runs
+/// of 1 or 4 MiB save few more seeks, and their copies leave the cache.
+const RUN_MAX: u64 = 256 << 10;
+
 /// What a cursor buffers: object bytes `[start, start + len)`, held at
-/// `data[skip..skip + len]`. The segment read lands in `data` directly —
+/// `data[skip..skip + len]`. The run read lands in `data` directly —
 /// the only copy those bytes make before `fill_buf` hands them out — and
 /// the next refill reuses the allocation.
 #[derive(Default)]
@@ -74,7 +81,7 @@ impl Span {
 /// Where a [`SpanCursor`] gets its bytes.
 pub(crate) trait Source {
     /// Read from object byte `pos` (below the object size) to the end of
-    /// the segment holding it, at most 4 MiB, into `buf`, reusing its
+    /// the run holding it, at most 4 MiB, into `buf`, reusing its
     /// allocation. Returns `(skip, len)`: the bytes are
     /// `buf[skip..skip + len]`, and `len > 0`.
     fn refill(&mut self, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)>;
@@ -84,7 +91,7 @@ pub(crate) trait Source {
 ///
 /// Instead of descending the index for every `read()` call (ruinous for
 /// small chunks — one full root-to-leaf walk per 4 KB), the cursor refills
-/// its one span per segment through its source, so small sequential
+/// its one span per run of segments through its source, so small sequential
 /// reads cost exactly the simulated I/O of one whole pass. Seeks keep the
 /// span: the version cannot change under the cursor, so a re-read inside
 /// it (a backward seek included) is served from memory. Seeking follows
@@ -194,18 +201,48 @@ fn parse_root(p: &[u8], page: u32, kind: Option<StorageKind>) -> Result<(u64, No
 }
 
 /// The one refill, for both sources: from object byte `pos` (below the
-/// size) to the end of the segment holding it, at most 4 MiB, into
-/// `buf`. The pair search starts in the parsed `root`, then takes one
-/// [`Db::with_meta_node`] step a level, and the leaf read is one page
+/// size) to the end of its run (`run_len`), at most 4 MiB, into `buf`.
+/// The pair search starts in the parsed `root`, then takes one
+/// [`Db::with_meta_node`] step a level; the run is read from the pairs
+/// after the found one in its level-0 node, and the leaf read is one page
 /// run (`read_seg_pages`). Returns `(skip, len)` as [`Source::refill`].
 fn refill_below(db: &Db, root: &Node, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)> {
-    let (_, mut within, mut e) = find_child(root.entries.iter().copied(), pos)?;
-    for _ in 0..root.level {
-        (_, within, e) = db.with_meta_node(e.ptr, |node| node.find_child(within))??;
-    }
-    let want = e.count.saturating_sub(within).min(READ_AHEAD_MAX as u64);
+    let (i, within, e) = find_child(root.entries.iter().copied(), pos)?;
+    let (within, e, want) = if root.level == 0 {
+        let next = root.entries.get(i.saturating_add(1)..).unwrap_or_default();
+        (within, e, run_len(within, e, next.iter().copied()))
+    } else {
+        let (mut within, mut e) = (within, e);
+        for _ in 1..root.level {
+            (_, within, e) = db.with_meta_node(e.ptr, |node| node.find_child(within))??;
+        }
+        db.with_meta_node(e.ptr, |node| {
+            let (i, within, e) = node.find_child(within)?;
+            let next = node.iter_from(i.saturating_add(1));
+            Result::Ok((within, e, run_len(within, e, next)))
+        })??
+    };
     let skip = read_seg_pages(db, e.ptr, within, want, buf, 0);
     Ok((skip, cast::to_usize(want)))
+}
+
+/// Bytes a refill reads from byte `within` of segment `e`: the rest of
+/// the run that starts with `e` and takes each of `next` (the pairs after
+/// `e` in its level-0 node) while the run ends on a page boundary, the
+/// next segment starts on the page after it, and the run holds less than
+/// [`RUN_MAX`] past `within`; at most [`READ_AHEAD_MAX`].
+fn run_len(within: u64, e: Entry, next: impl Iterator<Item = Entry>) -> u64 {
+    let mut run = e.count;
+    for n in next {
+        let joins = run.is_multiple_of(PAGE_SIZE_U64)
+            && run.saturating_sub(within) < RUN_MAX
+            && u64::from(n.ptr) == u64::from(e.ptr).saturating_add(run / PAGE_SIZE_U64);
+        if !joins {
+            break;
+        }
+        run = run.saturating_add(n.count);
+    }
+    run.saturating_sub(within).min(READ_AHEAD_MAX as u64)
 }
 
 /// The live source: the head version, its root parsed at open. It holds
@@ -236,8 +273,8 @@ impl Source for Live<'_> {
 /// The cursor over the live version. Opening it parses the root, its
 /// size included, in one fix, observed as the `op.<scheme>.size` it
 /// stands in for; a scan from offset `o` then makes one page-run read
-/// per segment (per 4 MiB piece of a longer one), each below one fix of
-/// every index level under the root.
+/// per run of neighbouring segments (per 4 MiB piece of a longer one),
+/// each below one fix of every index level under the root.
 pub type ObjectReader<'a> = SpanCursor<Live<'a>>;
 
 impl<'a> ObjectReader<'a> {
@@ -508,7 +545,7 @@ mod tests {
         // The scan-cursor guarantee: N small sequential reads through
         // ObjectReader charge exactly the simulated I/O of a pinned
         // cursor's pass over the same version, for every scheme: the two
-        // sources read each leaf the same way, one page run a segment.
+        // sources read the leaves the same way, one page run a run.
         // Before the cursor, each 1 KB read re-descended the index and
         // issued its own segment read.
         use crate::spec::ManagerSpec;

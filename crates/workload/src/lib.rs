@@ -32,7 +32,9 @@ pub use churn::{ChurnConfig, ChurnMark, ChurnReport, ChurnWorkload};
 pub use lobstore_core::ManagerSpec;
 pub use metrics::NAMES as METRIC_NAMES;
 pub use mixed::{Mark, MixedConfig, MixedReport, MixedWorkload, OpKind};
-pub use scanner::{random_reads, sequential_scan, stream_scan, ScanReport};
+pub use scanner::{
+    cursor_reads, random_reads, sequential_scan, stream_scan, CursorRead, ScanReport,
+};
 
 /// Deterministic filler bytes for generated workloads: cheap to produce
 /// and distinctive enough that content bugs surface in tests.

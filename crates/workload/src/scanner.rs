@@ -1,7 +1,7 @@
 //! Sequential scans (§4.3) and standalone random-read probes.
 
-use lobstore_core::{Db, LargeObject, Result};
-use lobstore_simdisk::IoStats;
+use lobstore_core::{Db, LargeObject, Result, SegmentInfo};
+use lobstore_simdisk::{IoStats, PAGE_SIZE_U64};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,6 +64,56 @@ pub fn sequential_scan(
         reads,
         io: db.io_stats() - before,
     })
+}
+
+/// One refill of a cold cursor, as [`cursor_reads`] models it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CursorRead {
+    /// First object byte the refill buffers.
+    pub pos: u64,
+    /// Bytes it buffers from `pos`.
+    pub len: u64,
+    /// Its one LEAF-area disk call: `(first page, page count)`.
+    pub call: (u32, u32),
+}
+
+/// The refills a cold cursor ([`lobstore_core::SpanCursor`], live or
+/// pinned) makes streaming an object with segments `segs` from byte
+/// `from` to its end, in order: the model the cursor tests hold its disk
+/// trace to. A refill reads from its position to the end of a run: the
+/// segment holding the position, joined by the segments after it in the
+/// same level-0 node while the run ends on a page boundary, the next
+/// segment starts on the page after it, and the run holds less than
+/// 256 KiB past the position. Its one call covers the pages of at most
+/// 4 MiB of the run.
+pub fn cursor_reads(segs: &[SegmentInfo], from: u64) -> Vec<CursorRead> {
+    const RUN_MAX: u64 = 256 << 10;
+    const SPAN_MAX: u64 = 4 << 20;
+    let mut reads = Vec::new();
+    let mut pos = from;
+    loop {
+        let i = segs.partition_point(|s| s.offset + s.bytes <= pos);
+        let Some(first) = segs.get(i) else {
+            return reads;
+        };
+        let within = pos - first.offset;
+        let mut run = first.bytes;
+        for next in &segs[i + 1..] {
+            let joins = run.is_multiple_of(PAGE_SIZE_U64)
+                && run - within < RUN_MAX
+                && next.node_page == first.node_page
+                && u64::from(next.start_page) == u64::from(first.start_page) + run / PAGE_SIZE_U64;
+            if !joins {
+                break;
+            }
+            run += next.bytes;
+        }
+        let len = (run - within).min(SPAN_MAX);
+        let (lo, hi) = (within / PAGE_SIZE_U64, (within + len - 1) / PAGE_SIZE_U64);
+        let call = (first.start_page + lo as u32, (hi - lo + 1) as u32);
+        reads.push(CursorRead { pos, len, call });
+        pos += len;
+    }
 }
 
 /// Read the entire object front to back in `chunk_bytes` pieces through

@@ -9,8 +9,8 @@
 //! read path, never noise. DESIGN.md §14 says how to re-record them.
 
 use lobstore::simdisk::TraceKind;
-use lobstore::workload::{stream_scan, ChurnConfig, ChurnWorkload};
-use lobstore::{AreaId, Db, ManagerSpec, SegmentInfo, PAGE_SIZE};
+use lobstore::workload::{cursor_reads, stream_scan, ChurnConfig, ChurnWorkload};
+use lobstore::{AreaId, Db, ManagerSpec};
 
 /// Streamed-scan chunk: one page per `consume`.
 const STREAM_CHUNK: usize = 4 * 1024;
@@ -25,25 +25,6 @@ struct Aged {
     /// LEAF area at the final mark.
     free_pages: u64,
     largest_free_run: u32,
-}
-
-/// The LEAF reads a streamed scan of an object with segments `segs`
-/// makes, as `(first page, page count)`: one call per ≤ 4 MiB piece of
-/// each segment, covering pages only.
-fn scan_model(segs: &[SegmentInfo]) -> Vec<(u32, u32)> {
-    const SPAN_MAX: u64 = 4 << 20;
-    let page = PAGE_SIZE as u64;
-    let mut model = Vec::new();
-    for s in segs {
-        let mut lo = 0;
-        while lo < s.bytes {
-            let hi = (lo + SPAN_MAX).min(s.bytes);
-            let (first, last) = (lo / page, (hi - 1) / page);
-            model.push((s.start_page + first as u32, (last - first + 1) as u32));
-            lo = hi;
-        }
-    }
-    model
 }
 
 fn age(spec: &ManagerSpec, want: &Aged) {
@@ -95,10 +76,10 @@ fn age(spec: &ManagerSpec, want: &Aged) {
         .filter(|e| e.area == AreaId::LEAF && e.kind == TraceKind::Read)
         .map(|e| (e.start, e.pages))
         .collect();
+    let model: Vec<(u32, u32)> = cursor_reads(&segs, 0).iter().map(|r| r.call).collect();
     assert_eq!(
-        leaf_reads,
-        scan_model(&segs),
-        "{label}: a streamed scan is one LEAF call per <= 4 MB piece of each segment"
+        leaf_reads, model,
+        "{label}: a streamed scan is one LEAF call a run of neighbouring segments"
     );
     let last = rep.marks.last().expect("marks");
     let got = Aged {

@@ -11,22 +11,26 @@
 //!    walks the index with cost-free peeks and bypasses the buffer
 //!    pool and the scatter path entirely).
 //! 2. **Accounting**: a live pass costs one pinned pass. Streaming an
-//!    object through `ObjectReader` makes exactly property 5's LEAF
-//!    reads, computed from `segments()` — one call per ≤ 4 MiB piece of
-//!    each segment, covering pages only — and on a twin database a
-//!    pinned cursor over the same version returns the same bytes and
-//!    charges identical `IoStats` and disk trace: both sources read a
-//!    leaf as one page run into their own buffer, so no partial page
-//!    takes §3.2's 3-step path. Bulk reads keep that path; their
-//!    absolute costs are pinned by `tests/golden_traces.rs` and
-//!    `tests/cost_model.rs`. Two fixed cases hold property 2 on
-//!    3–4 MB objects, whose disk calls are large enough that `SimDisk`
-//!    splits their copy across cores, and check the reads against the
-//!    appended bytes; a third holds it on ESM/4 and EOS/16 under
-//!    fan-out 4, whose index has interior pages below the root. A fourth holds a whole ESM/4 read beside six dirty
-//!    roots to the META reads of a clean pool (a leaf read never evicts
-//!    the walk's own level-0 node), and a cursor pass there to one read
-//!    of each index page at most.
+//!    object through `ObjectReader` makes exactly the LEAF reads of the
+//!    run model, `workload::cursor_reads` over `segments()`: a refill
+//!    reads one page run from its position through the segments that
+//!    follow it on disk in its level-0 node, while the run ends on a page
+//!    boundary and holds under 256 KiB, at most 4 MiB a call. On a twin
+//!    database a pinned cursor over the same version returns the same
+//!    bytes and charges identical `IoStats` and disk trace: both sources
+//!    read a run into their own buffer, so no partial page takes §3.2's
+//!    3-step path. Bulk reads keep that path; their absolute costs are
+//!    pinned by `tests/golden_traces.rs` and `tests/cost_model.rs`. Fixed
+//!    cases hold property 2 on 3–4 MB objects, whose disk calls are large
+//!    enough that `SimDisk` splits their copy across cores; on ESM/4 and
+//!    EOS/16 under fan-out 4, whose index has interior pages below the
+//!    root; and on the runs themselves: appended ESM/4 leaves joined up to
+//!    the 256 KiB cap, a partial leaf and a shadowed leaf that each break
+//!    a run, runs that stop at fan-out 4's node boundaries, and
+//!    Starburst's doubling segments. One more holds a whole ESM/4 read
+//!    beside six dirty roots to the META reads of a clean pool (a leaf
+//!    read never evicts the walk's own level-0 node), and a cursor pass
+//!    there to one read of each index page at most.
 //!
 //! Properties 3–6 hold the pinned cursor, and property 7, at the end,
 //! holds the live cursor's bytes under seek scripts.
@@ -34,8 +38,8 @@
 use std::io::{Read, Seek, SeekFrom};
 
 use lobstore::simdisk::TraceEvent;
-use lobstore::workload::fill;
 use lobstore::workload::model::{Driver, Kind, Op, OpGen};
+use lobstore::workload::{cursor_reads, fill, CursorRead};
 use lobstore::{Db, DbConfig, LargeObject, ManagerSpec, ObjectReader, TreeConfig};
 use proptest::prelude::*;
 
@@ -170,62 +174,69 @@ fn leaf_reads(trace: &[TraceEvent]) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Twin databases, identical build: stream `[start, size)` through the
-/// live cursor on one and through a pinned cursor over the same version
-/// on the other. The live pass must read back the appended bytes, make
-/// exactly the LEAF reads of [`scan_model`] from `start`, and charge
-/// what the pinned pass charges: the same bytes, bit-identical
-/// `IoStats`, the same disk calls in the same order, and the same leaf
-/// pages left in the pool. The last tells the two leaf reads apart where
-/// the disk calls cannot: a leaf of at most 4 pages read through the
-/// pool makes the one call a page run makes, but takes a frame a page.
+/// The LEAF calls of `reads`, as `(first page, page count)`.
+fn calls(reads: &[CursorRead]) -> Vec<(u32, u32)> {
+    reads.iter().map(|r| r.call).collect()
+}
+
+/// Twin databases from `store`, identical builds: stream `[start, size)`
+/// through the live cursor on one and through a pinned cursor over the
+/// same version on the other. The live pass must read back the
+/// `snapshot()` bytes, make exactly the LEAF reads of [`cursor_reads`]
+/// from `start`, and charge what the pinned pass charges: the same bytes,
+/// bit-identical `IoStats`, the same disk calls in the same order, and
+/// the same leaf pages left in the pool. The last tells the two leaf
+/// reads apart where the disk calls cannot: a leaf of at most 4 pages
+/// read through the pool makes the one call a page run makes, but takes
+/// a frame a page. Returns the modelled refills.
 ///
 /// Both cursors refill through one function, a descent below the root
 /// they parsed at open; they differ in how they open (through the pool,
 /// or through the version overlay) and in the live refill's observer.
-/// A refill's leaf read is one page run of the rest of the segment, read
-/// past the pool's frames, so the index pages the two fix stay resident
-/// and are read at most once each.
-fn streamed_accounting_matches_bulk(
-    spec: ManagerSpec,
-    layout: Layout,
-    total: usize,
-    start_frac: f64,
+/// A refill's leaf read is one page run, read past the pool's frames, so
+/// the index pages the two fix stay resident and are read at most once
+/// each.
+fn live_pass_costs_a_pinned_pass(
+    store: &dyn Fn() -> (Db, Box<dyn LargeObject>),
+    start: u64,
     chunk: usize,
-) {
-    let build = fill(total, 99);
-    let (mut db_live, obj_live) = layout.store(spec, &build);
-    let (mut db_pinned, obj_pinned) = layout.store(spec, &build);
-
-    let start = ((start_frac * total as f64) as usize).min(total - 1);
+) -> Vec<CursorRead> {
+    let (mut db_live, obj_live) = store();
+    let (mut db_pinned, obj_pinned) = store();
+    let reference = obj_live.snapshot(&db_live);
+    let from = usize::try_from(start).unwrap();
     let segs = obj_live.segments(&db_live);
 
-    let mut live_bytes = Vec::with_capacity(total - start);
+    let mut live_bytes = Vec::with_capacity(reference.len() - from);
     let live = charge(&mut db_live, |db| {
         let mut r = ObjectReader::new(db, obj_live.as_ref());
-        r.seek(SeekFrom::Start(start as u64)).unwrap();
+        r.seek(SeekFrom::Start(start)).unwrap();
         drain(&mut r, chunk, &mut live_bytes);
     });
 
     let snap = db_pinned.snapshot();
-    let mut pinned_bytes = Vec::with_capacity(total - start);
+    let mut pinned_bytes = Vec::with_capacity(reference.len() - from);
     let pinned = charge(&mut db_pinned, |db| {
         let mut c = SpanCursor::pinned(&*db, &snap, obj_pinned.root_page()).unwrap();
-        c.seek(SeekFrom::Start(start as u64)).unwrap();
+        c.seek(SeekFrom::Start(start)).unwrap();
         drain(&mut c, chunk, &mut pinned_bytes);
     });
     db_pinned.release_snapshot(snap);
 
     assert!(
-        live_bytes == build[start..],
-        "cursor scan diverges from the append"
+        live_bytes == reference[from..],
+        "cursor scan diverges from the peek reference"
     );
     assert!(live_bytes == pinned_bytes, "content diverges");
-    let what = format!("cursor scan of [{start}, {total}) in {chunk}-byte chunks");
+    let what = format!(
+        "cursor scan of [{start}, {}) in {chunk}-byte chunks",
+        reference.len()
+    );
+    let model = cursor_reads(&segs, start);
     assert_eq!(
         leaf_reads(&live.trace),
-        scan_model(&segs, start as u64),
-        "{what} must make one LEAF call per <= 4 MB piece of each segment, \
+        calls(&model),
+        "{what} must make one LEAF call a run of neighbouring segments, \
          covering pages only"
     );
     assert_eq!(
@@ -251,6 +262,30 @@ fn streamed_accounting_matches_bulk(
         "{what} must leave the leaf pages in the pool that a pinned pass \
          leaves: its leaf reads take no frame"
     );
+    model
+}
+
+/// [`live_pass_costs_a_pinned_pass`] over `fill(total, 99)`, laid down
+/// by `layout`, from `start_frac` of the way in; the pass must also read
+/// back the appended bytes.
+fn streamed_accounting_matches_bulk(
+    spec: ManagerSpec,
+    layout: Layout,
+    total: usize,
+    start_frac: f64,
+    chunk: usize,
+) -> Vec<CursorRead> {
+    let build = fill(total, 99);
+    let store = || {
+        let (db, obj) = layout.store(spec, &build);
+        assert!(
+            obj.snapshot(&db) == build,
+            "the store diverges from the append"
+        );
+        (db, obj)
+    };
+    let start = ((start_frac * total as f64) as usize).min(total - 1);
+    live_pass_costs_a_pinned_pass(&store, start as u64, chunk)
 }
 
 /// An object of one multi-megabyte append, whose live and pinned passes
@@ -266,12 +301,6 @@ fn large_append_reads_back(spec: ManagerSpec, total: usize) {
     if cores > 1 {
         assert!(split_reads() > before, "no read was split");
     }
-
-    let build = fill(total, 99);
-    let mut db = Db::paper_default();
-    let mut obj = spec.create(&mut db).unwrap();
-    obj.append(&mut db, &build).unwrap();
-    assert!(obj.snapshot(&db) == build, "peek reference diverges");
 }
 
 /// The accounting property on a deeper index: under fan-out 4 the
@@ -297,6 +326,99 @@ fn streamed_accounting_matches_bulk_at_depth() {
             streamed_accounting_matches_bulk(spec, layout, 600_000, start, chunk);
         }
     }
+}
+
+// The runs, on fixed layouts. Each case holds the live pass to the
+// `snapshot()` bytes, to the run model and to a pinned pass (`IoStats`
+// and trace), and pins the calls the model gives, page by page.
+
+/// ESM/4 appended a megabyte at a time lays its 16 KiB leaves back to
+/// back, so a refill joins them into one call until the run holds
+/// 256 KiB: sixteen leaves, 64 pages, a call. From a position inside a
+/// leaf the first run joins up to the cap past it.
+#[test]
+fn a_run_joins_appended_leaves_up_to_256_kib() {
+    const CAP: u64 = 256 << 10;
+    let layout = Layout {
+        tree: TreeConfig::default(),
+        append: 1 << 20,
+    };
+    let spec = ManagerSpec::esm(4);
+    let model = streamed_accounting_matches_bulk(spec, layout, 3 << 20, 0.0, 4_096);
+    let want: Vec<(u32, u32)> = (0..12).map(|k| (1 + 64 * k, 64)).collect();
+    assert_eq!(calls(&model), want, "from byte 0");
+
+    let model = streamed_accounting_matches_bulk(spec, layout, 3 << 20, 0.37, 10_000);
+    let (first, rest) = model.split_first().unwrap();
+    assert!(
+        (CAP..CAP + 16_384).contains(&first.len),
+        "the first run joins up to the cap past its position: {first:?}"
+    );
+    let (last, full) = rest.split_last().unwrap();
+    assert!(full.iter().all(|r| r.len == CAP), "{model:?}");
+    assert_eq!(last.pos + last.len, 3 << 20, "the last run ends the object");
+}
+
+/// A leaf whose bytes end inside a page ends its run. ESM/4 lays 400 000
+/// bytes as 23 full leaves and two of 11 584 bytes (three pages of their
+/// four): the second run joins leaves 16-22 and the first short leaf,
+/// and the last leaf, on the four pages right behind it, is read alone.
+#[test]
+fn a_partial_leaf_ends_its_run() {
+    let model =
+        streamed_accounting_matches_bulk(ManagerSpec::esm(4), Layout::paper(), 400_000, 0.0, 4_096);
+    assert_eq!(calls(&model), [(1, 64), (65, 31), (97, 3)]);
+}
+
+/// A leaf that a shadowed `replace` moved away ends the run before it
+/// and is read on its own; the next run starts behind its old place.
+#[test]
+fn a_moved_leaf_ends_its_run() {
+    let store = || {
+        let (mut db, mut obj) = Layout::paper().store(ManagerSpec::esm(4), &fill(400_000, 99));
+        obj.replace(&mut db, 100_000, &fill(1_000, 7)).unwrap();
+        (db, obj)
+    };
+    let model = live_pass_costs_a_pinned_pass(&store, 0, 4_096);
+    assert_eq!(
+        calls(&model),
+        [(1, 24), (101, 4), (29, 64), (93, 3), (97, 3)],
+        "leaf 6, pages 25-28, now lies at page 101"
+    );
+}
+
+/// Under fan-out 4 a run stops at the end of its level-0 node (three
+/// leaves here), though the next node's first leaf lies right behind it:
+/// a refill joins the pairs of the node its search ended in, no other.
+#[test]
+fn a_run_stops_at_its_node() {
+    let layout = Layout {
+        tree: TreeConfig::tiny(4),
+        append: usize::MAX,
+    };
+    let model = streamed_accounting_matches_bulk(ManagerSpec::esm(4), layout, 400_000, 0.0, 4_096);
+    let mut want: Vec<(u32, u32)> = (0..7).map(|k| (1 + 12 * k, 12)).collect();
+    want.extend([(85, 11), (97, 3)]);
+    assert_eq!(calls(&model), want);
+}
+
+/// Starburst appended a page at a time: its segments double in size.
+/// The first (page 1) and the second (page 3) do not touch; from the
+/// second on, the segments the buddy allocator put back to back join
+/// until the run passes 256 KiB, and every larger one is a call of its
+/// own.
+#[test]
+fn starburst_doubling_segments_join() {
+    let layout = Layout {
+        tree: TreeConfig::default(),
+        append: 4_096,
+    };
+    let spec = ManagerSpec::starburst();
+    let model = streamed_accounting_matches_bulk(spec, layout, 3 << 20, 0.0, 4_096);
+    assert_eq!(
+        calls(&model),
+        [(1, 1), (3, 126), (129, 128), (257, 256), (513, 257)]
+    );
 }
 
 /// A walk keeps its level-0 node over each leaf read, however dirty the
@@ -465,12 +587,11 @@ proptest! {
 //    the same `read` script through a borrowed `&Db` and through
 //    `SharedDb`'s read tier charges identical `IoStats` and LEAF trace.
 // 5. **Pinned scan trace**: a whole scan's LEAF-area reads are exactly
-//    the model computed from `segments()` at pin time — one call per
-//    ≤ 4 MB piece of each segment, covering pages only. (The in-repo twin
-//    of lobbench's `versioned/sim_ms_per_op`.)
+//    the run model (`cursor_reads`) over `segments()` at pin time. (The
+//    in-repo twin of lobbench's `versioned/sim_ms_per_op`.)
 // 6. **Pinned partial read**: a cold 100-byte read is one LEAF-area call,
-//    for the rest of the segment that holds its offset — nothing is read
-//    ahead across a segment boundary.
+//    the model's first from its offset: the rest of the run that holds
+//    it, and nothing past the run.
 
 use std::io::BufRead;
 
@@ -478,36 +599,7 @@ use lobstore::core::Pinned;
 use lobstore::simdisk::TraceKind;
 use lobstore::{
     AreaId, IoStats, PageId, SegmentInfo, SharedDb, SharedSnapshotReader, Snapshot, SpanCursor,
-    PAGE_SIZE,
 };
-
-/// The most one span of the pinned cursor holds (`READ_AHEAD_MAX` in
-/// `stream.rs`).
-const SPAN_MAX: u64 = 4 << 20;
-
-/// The LEAF read a cold pinned cursor issues at byte `lo` of segment `s`,
-/// as `(first page, page count)`, and the segment offset its span ends at.
-fn span_read(s: &SegmentInfo, lo: u64) -> ((u32, u32), u64) {
-    let hi = (lo + SPAN_MAX).min(s.bytes);
-    let (first, last) = (lo / PAGE_SIZE as u64, (hi - 1) / PAGE_SIZE as u64);
-    ((s.start_page + first as u32, (last - first + 1) as u32), hi)
-}
-
-/// The LEAF reads a cold cursor's scan from object byte `from` to the
-/// end makes over segments `segs`, as `(first page, page count)`: one
-/// call per ≤ 4 MiB piece of each segment, covering pages only.
-fn scan_model(segs: &[SegmentInfo], from: u64) -> Vec<(u32, u32)> {
-    let mut model = Vec::new();
-    for s in segs.iter().filter(|s| s.offset + s.bytes > from) {
-        let mut lo = from.saturating_sub(s.offset);
-        while lo < s.bytes {
-            let (call, hi) = span_read(s, lo);
-            model.push(call);
-            lo = hi;
-        }
-    }
-    model
-}
 
 /// A store whose object was built from `history`, pinned twice (a bare
 /// [`Snapshot`] and a [`SharedSnapshotReader`]), then churned by the same
@@ -709,7 +801,7 @@ fn pinned_cursor_properties(
     assert!(pre_churn == want, "snapshot_reader diverges");
 
     // Property 5: a cold cursor's whole scan, call by call.
-    let model = scan_model(&by_read.segs, 0);
+    let model = calls(&cursor_reads(&by_read.segs, 0));
     let (scanned, leaf_reads) = by_read.leaf_reads(|| {
         by_read.shared.with_read(|db| {
             let mut out = Vec::new();
@@ -720,19 +812,13 @@ fn pinned_cursor_properties(
     assert!(scanned == content, "cold scan diverges");
     assert_eq!(
         leaf_reads, model,
-        "LEAF reads of a pinned scan must be one call per <= 4 MB piece of \
-         each segment, covering pages only"
+        "LEAF reads of a pinned scan must be one call a run of neighbouring \
+         segments, covering pages only"
     );
 
-    // Property 6: a cold partial read pays for its own segment only.
+    // Property 6: a cold partial read pays for its own run only.
     for &(off, _) in ranges.iter().filter(|r| r.0 < content.len()) {
-        let mut seg_end = 0u64;
-        let seg = by_read.segs.iter().find(|s| {
-            seg_end += s.bytes;
-            (off as u64) < seg_end
-        });
-        let seg = seg.expect("segments() covers the object");
-        let in_seg = off as u64 - (seg_end - seg.bytes);
+        let first = cursor_reads(&by_read.segs, off as u64)[0];
         let mut buf = [0u8; 100];
         let (n, leaf_reads) = by_read.leaf_reads(|| {
             by_read.shared.with_read(|db| {
@@ -741,17 +827,13 @@ fn pinned_cursor_properties(
                 cold.read(&mut buf).unwrap()
             })
         });
-        assert_eq!(
-            n as u64,
-            (seg.bytes - in_seg).min(100),
-            "short read at {off}"
-        );
+        assert_eq!(n as u64, first.len.min(100), "short read at {off}");
         assert!(buf[..n] == content[off..off + n], "partial({off}) diverges");
         assert_eq!(
             leaf_reads,
-            [span_read(seg, in_seg).0],
+            [first.call],
             "a cold 100-byte pinned read at {off} must be one LEAF call, for \
-             the rest of its own segment"
+             the rest of its own run"
         );
     }
 
