@@ -138,11 +138,12 @@ run cargo test -q --release --test model --test proptest_model --test crash_fuzz
 # the walk's own level-0 node, the cursors' accounting properties and
 # the aging pins a refill sent back through the pool's hybrid read,
 # the run model a refill that joins no neighbour, the
-# observability closure a live refill nobody observes, the root
-# decoder's property test a root view that
+# observability closure an object op or a live refill nobody observes
+# (a refill is the cursor's, not an object op, so the cursor brackets
+# it itself), the root decoder's property test a root view that
 # drops its pair-count bound (the Starburst descriptor's segment-count
 # bound), and the byte model a Starburst flag left on a shadowed
-# segment's old pages: 17 patches. Each
+# segment's old pages: 18 patches. Each
 # patch in mutants/ is applied to one copy of the tree under target/ (a
 # patch that no longer applies fails here), the copy must still build,
 # and then either each test named must fail or, for a `clippy` drill,
@@ -228,6 +229,8 @@ drill refill-joins-nothing --test perf_equivalence -- esm_streamed_accounting_ma
     esm_pinned_cursor_is_stable_and_costed_once
 # The live refill without its observer: the cursor's reads escape `span.io.*`.
 drill cursor-unobserved --test observability -- mixed_workload_metrics_and_events_are_consistent
+# `Lob::delete` without its observer: the op's I/O escapes `span.io.*`.
+drill op-unobserved --test observability -- mixed_workload_metrics_and_events_are_consistent
 # The root view without its `n_entries <= 507` bound: 600 claimed pairs read as none.
 drill root-count-bound -p lobstore-core --lib -- node::tests::root_pages_decode_totally
 

@@ -4,7 +4,7 @@
 //! advantage of large leaves for reads.
 
 use lobstore_bench::{fmt_ms, fresh_db, note, print_banner, print_table, Scale};
-use lobstore_core::{EsmObject, EsmParams};
+use lobstore_core::{Lob, ManagerSpec};
 use lobstore_workload::{build_by_appends, random_reads};
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     for leaf_pages in [4u32, 16, 64] {
         for whole in [false, true] {
             let mut db = fresh_db();
-            let mut obj = EsmObject::create(&mut db, EsmParams { leaf_pages }).expect("create");
+            let mut obj = Lob::create(&mut db, ManagerSpec::esm(leaf_pages)).expect("create");
             build_by_appends(
                 &mut db,
                 &mut obj,

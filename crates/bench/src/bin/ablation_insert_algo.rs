@@ -4,7 +4,7 @@
 //! significant storage utilization at minimal additional insert cost.
 
 use lobstore_bench::{fmt_ms, fmt_pct, fresh_db, note, print_banner, print_table, Scale};
-use lobstore_core::{EsmInsertAlgo, EsmObject, EsmParams};
+use lobstore_core::{EsmInsertAlgo, Lob, ManagerSpec};
 use lobstore_workload::{build_by_appends, MixedConfig, MixedWorkload, OpKind};
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     for (leaf_pages, mean) in [(1u32, 100u64), (1, 10_000), (4, 10_000), (16, 100_000)] {
         for algo in [EsmInsertAlgo::Basic, EsmInsertAlgo::Improved] {
             let mut db = fresh_db();
-            let mut obj = EsmObject::create(&mut db, EsmParams { leaf_pages }).expect("create");
+            let mut obj = Lob::create(&mut db, ManagerSpec::esm(leaf_pages)).expect("create");
             obj.insert_algo = algo;
             build_by_appends(
                 &mut db,

@@ -71,7 +71,7 @@ use lobstore_simdisk::{cast, AreaId, PageId, PAGE_SIZE};
 use crate::db::Db;
 use crate::metrics;
 use crate::object::{claims, StorageKind};
-use crate::spec::open_raw;
+use crate::spec::Lob;
 
 const LOG_MAGIC: &[u8; 4] = b"ALOG";
 const GEN_OFF: usize = 4;
@@ -513,9 +513,9 @@ impl Db {
         // Allocated = reachable: every committed root's claims. A root
         // whose object no longer opens claims its own page.
         for (&page, &kind) in &roots {
-            let opened = kind.map(|kind| open_raw(self, kind, page));
+            let opened = kind.map(|kind| Lob::open_raw(self, kind, page));
             let owned = match opened {
-                Some(Ok(obj)) => claims(obj.as_ref(), self),
+                Some(Ok(obj)) => claims(&obj, self),
                 _ => vec![Extent::new(AreaId::META, page, 1)],
             };
             for ext in owned {

@@ -515,10 +515,8 @@ impl Db {
         self.meta_alloc.frag_stats(&self.pool)
     }
 
-    /// Operations observed so far: every operation routed through the
-    /// observed wrapper ([`crate::ManagerSpec::create`] /
-    /// [`crate::open_object`] objects), and every refill of a live
-    /// [`crate::ObjectReader`], over any object.
+    /// Operations observed so far: every costed operation of a
+    /// [`crate::Lob`], and every refill of a live [`crate::ObjectReader`].
     pub fn health_ops(&self) -> u64 {
         self.ops_total
     }
@@ -625,16 +623,16 @@ mod tests {
 
     #[test]
     fn image_roundtrip_preserves_database() {
-        use crate::{EosObject, EosParams, LargeObject};
+        use crate::{LargeObject, Lob, ManagerSpec, StorageKind};
         let mut db = Db::paper_default();
-        let mut obj = EosObject::create(&mut db, EosParams::default()).unwrap();
+        let mut obj = Lob::create(&mut db, ManagerSpec::eos(4)).unwrap();
         obj.append(&mut db, b"image me").unwrap();
         let root = obj.root_page();
         let mut img = Vec::new();
         db.save_image(&mut img).unwrap();
 
         let mut db2 = Db::load_image(&mut img.as_slice(), DbConfig::default()).unwrap();
-        let obj2 = EosObject::open(&mut db2, root).unwrap();
+        let obj2 = Lob::open(&mut db2, StorageKind::Eos, root).unwrap();
         assert_eq!(obj2.snapshot(&db2), b"image me");
         assert_eq!(db2.leaf_pages_allocated(), db.leaf_pages_allocated());
         assert_eq!(db2.meta_pages_allocated(), db.meta_pages_allocated());

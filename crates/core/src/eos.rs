@@ -32,89 +32,28 @@
 //! (and, for the merge walk, the rebuild) has moved the paths it holds.
 
 use lobstore_buddy::Extent;
-use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PageId, PAGE_SIZE_U64};
+use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PAGE_SIZE_U64};
 
 use crate::db::Db;
-use crate::error::{or_panic, LobError, Result};
+use crate::error::{LobError, Result};
 use crate::node::{Entry, RootHdr};
-use crate::object::{
-    check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization,
-};
+use crate::object::{check_op_len, check_range};
 use crate::segdata::{append_in_place, append_seg_bytes, read_segs, seg_buf, write_new_seg};
 use crate::shadow::OpCtx;
-use crate::tree::{read_piece, LeafPos, PosTree};
+use crate::tree::{LeafPos, PosTree};
 
-/// Creation parameters for an EOS object.
+/// EOS's update policy over one object's tree ([`crate::Lob`] builds it
+/// from its [`crate::ManagerSpec::Eos`] spec for each update).
 #[derive(Copy, Clone, Debug)]
-pub struct EosParams {
-    /// Segment-size threshold `T` in pages (§2.3). The paper evaluates
-    /// 1, 4, 16, and 64.
+pub(crate) struct Eos {
+    pub tree: PosTree,
+    /// Segment-size threshold `T` in pages (§2.3).
     pub threshold_pages: u32,
-    /// Maximum segment size in pages (32 MB with 4 KB pages, §3.1).
+    /// Maximum segment size in pages.
     pub max_seg_pages: u32,
 }
 
-impl Default for EosParams {
-    fn default() -> Self {
-        EosParams {
-            threshold_pages: 4,
-            max_seg_pages: 8192,
-        }
-    }
-}
-
-/// Handle to one EOS large object.
-#[derive(Debug)]
-pub struct EosObject {
-    tree: PosTree,
-    threshold_pages: u32,
-    max_seg_pages: u32,
-}
-
-impl EosObject {
-    /// Create a new, empty EOS object.
-    pub fn create(db: &mut Db, params: EosParams) -> Result<Self> {
-        if params.threshold_pages == 0
-            || params.max_seg_pages == 0
-            || params.max_seg_pages > db.max_segment_pages()
-        {
-            return Err(LobError::InvalidArgument(format!(
-                "invalid EOS parameters: T={} max={}",
-                params.threshold_pages, params.max_seg_pages
-            )));
-        }
-        let root = db.alloc_root(Some(StorageKind::Eos));
-        let hdr = RootHdr::new(
-            StorageKind::Eos,
-            u64::from(params.threshold_pages) | (u64::from(params.max_seg_pages) << 32),
-        );
-        db.with_new_meta_page(root, |p| hdr.write(p));
-        db.pool.flush_page(PageId::new(AreaId::META, root));
-        db.op_commit();
-        Ok(EosObject {
-            tree: PosTree::new(root),
-            threshold_pages: params.threshold_pages,
-            max_seg_pages: params.max_seg_pages,
-        })
-    }
-
-    /// Open an existing EOS object by its root page.
-    pub fn open(db: &mut Db, root_page: u32) -> Result<Self> {
-        let tree = PosTree::new(root_page);
-        let hdr = tree.read_hdr(db)?;
-        hdr.check_root(root_page, Some(StorageKind::Eos))?;
-        Ok(EosObject {
-            tree,
-            threshold_pages: cast::to_u32(hdr.params & 0xFFFF_FFFF),
-            max_seg_pages: cast::to_u32(hdr.params >> 32),
-        })
-    }
-
-    /// The segment-size threshold `T`, in pages.
-    pub fn threshold_pages(&self) -> u32 {
-        self.threshold_pages
-    }
-
+impl Eos {
     fn max_bytes(&self) -> u64 {
         u64::from(self.max_seg_pages) * PAGE_SIZE_U64
     }
@@ -294,13 +233,7 @@ impl EosObject {
     }
 
     /// Insert `bytes` at `pos`, which is not the object's end.
-    fn insert_inner(
-        &mut self,
-        db: &mut Db,
-        ctx: &mut OpCtx,
-        pos: LeafPos,
-        bytes: &[u8],
-    ) -> Result<()> {
+    fn insert_inner(&self, db: &mut Db, ctx: &mut OpCtx, pos: LeafPos, bytes: &[u8]) -> Result<()> {
         let p = pos.off_in_leaf;
         let s = pos.entry;
         // Pull both neighbours into the window so the threshold rule can
@@ -344,46 +277,10 @@ impl EosObject {
         // window.
         self.merge_around(db, ctx, region_start, region_start + region_len)
     }
-}
 
-/// One content source for an EOS region rebuild (see
-/// [`EosObject::rebuild_region`]).
-enum Src<'a> {
-    /// An existing whole segment pulled into the window.
-    Seg(Entry),
-    /// The kept prefix of a split segment — stays physically in place if
-    /// it ends up alone in its group.
-    Prefix { ptr: u32, len: u64 },
-    /// A kept part of a split segment that has to move.
-    Tail { ptr: u32, from: u64, len: u64 },
-    /// New bytes supplied by the caller.
-    Mem(&'a [u8]),
-}
-
-impl Src<'_> {
-    fn len(&self) -> u64 {
-        match self {
-            Src::Seg(e) => e.count,
-            Src::Prefix { len, .. } | Src::Tail { len, .. } => *len,
-            Src::Mem(m) => m.len() as u64,
-        }
-    }
-}
-
-impl LargeObject for EosObject {
-    fn kind(&self) -> StorageKind {
-        StorageKind::Eos
-    }
-
-    fn root_page(&self) -> u32 {
-        self.tree.root_page
-    }
-
-    fn size(&self, db: &mut Db) -> u64 {
-        or_panic(self.tree.size(db))
-    }
-
-    fn append(&mut self, db: &mut Db, bytes: &[u8]) -> Result<()> {
+    /// Append `bytes`: fill the rightmost segment's allocated tail in
+    /// place, then grow with doubling segments (§4.2).
+    pub(crate) fn append(&self, db: &mut Db, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
             return Ok(());
         }
@@ -452,15 +349,9 @@ impl LargeObject for EosObject {
         Ok(())
     }
 
-    fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
-        self.tree.read(db, off, out, read_piece)
-    }
-
-    fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {
-        self.tree.locate(db, off)
-    }
-
-    fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
+    /// Insert `bytes` at `off`. One at the end is [`Self::append`] (this
+    /// policy's, unobserved: the caller's `op.eos.insert` covers it).
+    pub(crate) fn insert(&self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
             return check_range(self.tree.size(db)?, off, 0).map(drop);
         }
@@ -482,7 +373,9 @@ impl LargeObject for EosObject {
         Ok(())
     }
 
-    fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
+    /// Delete `len` bytes at `off`: covered segments are freed, the
+    /// boundary region rebuilt under the threshold rule.
+    pub(crate) fn delete(&self, db: &mut Db, off: u64, len: u64) -> Result<()> {
         if len == 0 {
             return check_range(self.tree.size(db)?, off, 0).map(drop);
         }
@@ -589,7 +482,9 @@ impl LargeObject for EosObject {
         Ok(())
     }
 
-    fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
+    /// Overwrite `bytes.len()` bytes at `off`, each touched segment
+    /// shadowed into an exact one.
+    pub(crate) fn replace(&self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
             return check_range(self.tree.size(db)?, off, 0).map(drop);
         }
@@ -606,7 +501,8 @@ impl LargeObject for EosObject {
         Ok(())
     }
 
-    fn trim(&mut self, db: &mut Db) -> Result<()> {
+    /// Release the rightmost segment's over-allocation.
+    pub(crate) fn trim(&self, db: &mut Db) -> Result<()> {
         let mut hdr = self.tree.read_hdr(db)?;
         if hdr.last_seg_alloc == 0 {
             return Ok(());
@@ -632,23 +528,9 @@ impl LargeObject for EosObject {
         Ok(())
     }
 
-    fn destroy(&mut self, db: &mut Db) -> Result<()> {
-        self.tree.destroy(db, RootHdr::alloc_of)
-    }
-
-    fn utilization(&self, db: &Db) -> Utilization {
-        or_panic(self.tree.utilization(db, RootHdr::alloc_of))
-    }
-
-    fn segments(&self, db: &Db) -> Vec<SegmentInfo> {
-        or_panic(self.tree.segments(db, RootHdr::alloc_of))
-    }
-
-    fn index_page_numbers(&self, db: &Db) -> Vec<u32> {
-        or_panic(self.tree.index_page_numbers(db))
-    }
-
-    fn check_invariants(&self, db: &Db) -> Result<()> {
+    /// The tree's invariants, every segment within the maximum, and the
+    /// over-allocation flag on the rightmost segment.
+    pub(crate) fn check_invariants(&self, db: &Db) -> Result<()> {
         self.tree.check_invariants(db)?;
         let (hdr, _) = db.peek_root(self.tree.root_page)?;
         let leaves = self.tree.collect_leaves(db)?;
@@ -681,15 +563,36 @@ impl LargeObject for EosObject {
         }
         Ok(())
     }
+}
 
-    fn snapshot(&self, db: &Db) -> Vec<u8> {
-        or_panic(self.tree.peek_content(db))
+/// One content source for an EOS region rebuild (see
+/// [`Eos::rebuild_region`]).
+enum Src<'a> {
+    /// An existing whole segment pulled into the window.
+    Seg(Entry),
+    /// The kept prefix of a split segment — stays physically in place if
+    /// it ends up alone in its group.
+    Prefix { ptr: u32, len: u64 },
+    /// A kept part of a split segment that has to move.
+    Tail { ptr: u32, from: u64, len: u64 },
+    /// New bytes supplied by the caller.
+    Mem(&'a [u8]),
+}
+
+impl Src<'_> {
+    fn len(&self) -> u64 {
+        match self {
+            Src::Seg(e) => e.count,
+            Src::Prefix { len, .. } | Src::Tail { len, .. } => *len,
+            Src::Mem(m) => m.len() as u64,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LargeObject, Lob, ManagerSpec, StorageKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -703,15 +606,24 @@ mod tests {
             .collect()
     }
 
-    fn make(db: &mut Db, t: u32) -> EosObject {
-        EosObject::create(
-            db,
-            EosParams {
-                threshold_pages: t,
-                max_seg_pages: 8192,
-            },
-        )
-        .unwrap()
+    fn make(db: &mut Db, t: u32) -> Lob {
+        Lob::create(db, ManagerSpec::eos(t)).unwrap()
+    }
+
+    /// `obj`'s EOS policy.
+    fn policy(obj: &Lob) -> Eos {
+        let ManagerSpec::Eos {
+            threshold_pages,
+            max_seg_pages,
+        } = obj.spec()
+        else {
+            panic!("not an EOS object: {:?}", obj.spec());
+        };
+        Eos {
+            tree: obj.tree,
+            threshold_pages,
+            max_seg_pages,
+        }
     }
 
     /// §2.3's threshold rule over the update window `[lo, hi]` (object
@@ -719,16 +631,15 @@ mod tests {
     /// segments whose bytes fit in `T` pages together. The window only:
     /// the rule is an update postcondition, and append growth leaves
     /// small doubling segments adjacent on purpose (§4.2).
-    fn check_threshold_window(obj: &EosObject, db: &Db, lo: u64, hi: u64) -> Result<()> {
+    fn check_threshold_window(obj: &Lob, db: &Db, lo: u64, hi: u64) -> Result<()> {
+        let eos = policy(obj);
         for w in obj.segments(db).windows(2) {
             let boundary = w[1].offset;
-            if (lo..=hi).contains(&boundary) && obj.must_merge(w[0].bytes, w[1].bytes) {
+            if (lo..=hi).contains(&boundary) && eos.must_merge(w[0].bytes, w[1].bytes) {
                 return Err(LobError::InvariantViolated(format!(
                     "threshold rule violated at offset {boundary}: adjacent segments of {} and \
                      {} bytes fit in {} pages",
-                    w[0].bytes,
-                    w[1].bytes,
-                    obj.threshold_pages()
+                    w[0].bytes, w[1].bytes, eos.threshold_pages
                 )));
             }
         }
@@ -741,14 +652,11 @@ mod tests {
     #[test]
     fn a_raised_threshold_breaks_the_window_rule() {
         let mut db = db();
-        let mut obj = EosObject::create(
-            &mut db,
-            EosParams {
-                threshold_pages: 1,
-                max_seg_pages: 64,
-            },
-        )
-        .unwrap();
+        let spec = ManagerSpec::Eos {
+            threshold_pages: 1,
+            max_seg_pages: 64,
+        };
+        let mut obj = Lob::create(&mut db, spec).unwrap();
         // Two adjacent multi-page segments (T=1 never merges them).
         obj.append(&mut db, &pattern(3 * 4096, 5)).unwrap();
         obj.insert(&mut db, 4096, &pattern(2 * 4096, 6)).unwrap();
@@ -758,13 +666,13 @@ mod tests {
         db.with_meta_page_mut(obj.root_page(), |p| {
             p[16..24].copy_from_slice(&(64u64 | (64u64 << 32)).to_le_bytes());
         });
-        let obj = EosObject::open(&mut db, obj.root_page()).unwrap();
+        let obj = Lob::open(&mut db, StorageKind::Eos, obj.root_page()).unwrap();
         let err = check_threshold_window(&obj, &db, 0, size).unwrap_err();
         assert!(err.to_string().contains("threshold rule"), "{err}");
     }
 
     /// Segment page counts, left to right (allocation-aware).
-    fn seg_pages(db: &Db, obj: &EosObject) -> Vec<u32> {
+    fn seg_pages(db: &Db, obj: &Lob) -> Vec<u32> {
         let (hdr, _) = db.peek_root(obj.tree.root_page).unwrap();
         obj.tree
             .collect_leaves(db)
@@ -778,9 +686,8 @@ mod tests {
     fn create_open_roundtrip() {
         let mut db = db();
         let obj = make(&mut db, 16);
-        let again = EosObject::open(&mut db, obj.root_page()).unwrap();
-        assert_eq!(again.threshold_pages(), 16);
-        assert_eq!(again.max_seg_pages, 8192);
+        let again = Lob::open(&mut db, StorageKind::Eos, obj.root_page()).unwrap();
+        assert_eq!(again.spec(), ManagerSpec::eos(16));
     }
 
     #[test]
@@ -788,11 +695,11 @@ mod tests {
         let mut db = db();
         let too_big = db.max_segment_pages() + 1;
         for (threshold_pages, max_seg_pages) in [(0, 64), (4, 0), (4, too_big)] {
-            let params = EosParams {
+            let params = ManagerSpec::Eos {
                 threshold_pages,
                 max_seg_pages,
             };
-            let got = EosObject::create(&mut db, params);
+            let got = Lob::create(&mut db, params);
             assert!(
                 matches!(got, Err(LobError::InvalidArgument(_))),
                 "{params:?}: {got:?}"
@@ -900,7 +807,7 @@ mod tests {
         let leaves = obj.tree.collect_leaves(&db).unwrap();
         for w in leaves.windows(2) {
             assert!(
-                !obj.must_merge(w[0].1.count, w[1].1.count),
+                !policy(&obj).must_merge(w[0].1.count, w[1].1.count),
                 "unmerged pair: {pages:?}"
             );
         }

@@ -31,11 +31,9 @@ use lobstore_buddy::Extent;
 use lobstore_simdisk::{cast, AreaId, PAGE_SIZE_U64};
 
 use crate::db::Db;
-use crate::error::{or_panic, LobError, Result};
-use crate::node::{Entry, RootHdr};
-use crate::object::{
-    check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization,
-};
+use crate::error::{LobError, Result};
+use crate::node::Entry;
+use crate::object::{check_op_len, check_range};
 use crate::segdata::{
     append_in_place, append_sizes, even_sizes, insert_bytes, read_seg_bytes, read_segs,
     write_new_seg,
@@ -55,73 +53,17 @@ pub enum EsmInsertAlgo {
     Improved,
 }
 
-/// Creation parameters for an ESM object.
+/// ESM's update policy over one object's tree ([`crate::Lob`] builds it
+/// from its [`crate::ManagerSpec::Esm`] spec for each update).
 #[derive(Copy, Clone, Debug)]
-pub struct EsmParams {
+pub(crate) struct Esm {
+    pub tree: PosTree,
     /// Leaf segment size in pages; fixed for the object's lifetime.
     pub leaf_pages: u32,
-}
-
-impl Default for EsmParams {
-    fn default() -> Self {
-        EsmParams { leaf_pages: 4 }
-    }
-}
-
-/// Handle to one ESM large object.
-#[derive(Debug)]
-pub struct EsmObject {
-    tree: PosTree,
-    leaf_pages: u32,
-    /// Insert algorithm; the paper's results use [`EsmInsertAlgo::Improved`].
     pub insert_algo: EsmInsertAlgo,
-    /// Ablation switch reproducing the \[Care86\] prototype assumption the
-    /// paper criticizes in §4.5: read entire leaf segments even when only
-    /// a few pages are needed.
-    pub whole_leaf_io: bool,
 }
 
-impl EsmObject {
-    /// Create a new, empty ESM object.
-    pub fn create(db: &mut Db, params: EsmParams) -> Result<Self> {
-        if params.leaf_pages == 0 || params.leaf_pages > db.max_segment_pages() {
-            return Err(LobError::InvalidArgument(format!(
-                "leaf size {} pages out of range",
-                params.leaf_pages
-            )));
-        }
-        let root = db.alloc_root(Some(StorageKind::Esm));
-        let hdr = RootHdr::new(StorageKind::Esm, u64::from(params.leaf_pages));
-        db.with_new_meta_page(root, |p| hdr.write(p));
-        db.pool
-            .flush_page(lobstore_simdisk::PageId::new(AreaId::META, root));
-        db.op_commit();
-        Ok(EsmObject {
-            tree: PosTree::new(root),
-            leaf_pages: params.leaf_pages,
-            insert_algo: EsmInsertAlgo::default(),
-            whole_leaf_io: false,
-        })
-    }
-
-    /// Open an existing ESM object by its root page.
-    pub fn open(db: &mut Db, root_page: u32) -> Result<Self> {
-        let tree = PosTree::new(root_page);
-        let hdr = tree.read_hdr(db)?;
-        hdr.check_root(root_page, Some(StorageKind::Esm))?;
-        Ok(EsmObject {
-            tree,
-            leaf_pages: cast::to_u32(hdr.params),
-            insert_algo: EsmInsertAlgo::default(),
-            whole_leaf_io: false,
-        })
-    }
-
-    /// Leaf segment size in pages.
-    pub fn leaf_pages(&self) -> u32 {
-        self.leaf_pages
-    }
-
+impl Esm {
     /// Leaf capacity in bytes.
     fn cap(&self) -> u64 {
         u64::from(self.leaf_pages) * PAGE_SIZE_U64
@@ -271,25 +213,8 @@ impl EsmObject {
         Ok(())
     }
 
-    /// A read's copy out of the leaf at `pos`: the hybrid segment read,
-    /// or under the §4.5 ablation the entire leaf, then the piece copied.
-    fn fetch(&self, db: &Db, pos: &LeafPos, piece: &mut [u8]) {
-        if !self.whole_leaf_io {
-            return read_piece(db, pos, piece);
-        }
-        let whole = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
-        let s = cast::to_usize(pos.off_in_leaf);
-        piece.copy_from_slice(&whole[s..s + piece.len()]);
-    }
-
     /// Insert `bytes` at `pos`, which is not the object's end.
-    fn insert_inner(
-        &mut self,
-        db: &mut Db,
-        ctx: &mut OpCtx,
-        pos: LeafPos,
-        bytes: &[u8],
-    ) -> Result<()> {
+    fn insert_inner(&self, db: &mut Db, ctx: &mut OpCtx, pos: LeafPos, bytes: &[u8]) -> Result<()> {
         let cap = self.cap();
         let len = bytes.len() as u64;
         let p = cast::to_usize(pos.off_in_leaf);
@@ -339,22 +264,10 @@ impl EsmObject {
         self.tree.splice(db, ctx, &pos, &[pos.entry], entries)?;
         Ok(())
     }
-}
 
-impl LargeObject for EsmObject {
-    fn kind(&self) -> StorageKind {
-        StorageKind::Esm
-    }
-
-    fn root_page(&self) -> u32 {
-        self.tree.root_page
-    }
-
-    fn size(&self, db: &mut Db) -> u64 {
-        or_panic(self.tree.size(db))
-    }
-
-    fn append(&mut self, db: &mut Db, bytes: &[u8]) -> Result<()> {
+    /// Append `bytes`: fill the rightmost leaf in place, or redistribute
+    /// on overflow (§4.2).
+    pub(crate) fn append(&self, db: &mut Db, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
             return Ok(());
         }
@@ -388,16 +301,9 @@ impl LargeObject for EsmObject {
         Ok(())
     }
 
-    fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
-        self.tree
-            .read(db, off, out, |db, pos, piece| self.fetch(db, pos, piece))
-    }
-
-    fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {
-        self.tree.locate(db, off)
-    }
-
-    fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
+    /// Insert `bytes` at `off`. One at the end is [`Self::append`] (this
+    /// policy's, unobserved: the caller's `op.esm.insert` covers it).
+    pub(crate) fn insert(&self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
             return check_range(self.tree.size(db)?, off, 0).map(drop);
         }
@@ -415,7 +321,8 @@ impl LargeObject for EsmObject {
         Ok(())
     }
 
-    fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
+    /// Delete `len` bytes at `off`, then rebalance both boundaries.
+    pub(crate) fn delete(&self, db: &mut Db, off: u64, len: u64) -> Result<()> {
         if len == 0 {
             return check_range(self.tree.size(db)?, off, 0).map(drop);
         }
@@ -471,7 +378,8 @@ impl LargeObject for EsmObject {
         Ok(())
     }
 
-    fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
+    /// Overwrite `bytes.len()` bytes at `off`, shadowing each leaf.
+    pub(crate) fn replace(&self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
             return check_range(self.tree.size(db)?, off, 0).map(drop);
         }
@@ -484,27 +392,9 @@ impl LargeObject for EsmObject {
         Ok(())
     }
 
-    fn trim(&mut self, _db: &mut Db) -> Result<()> {
-        Ok(()) // ESM leaves are fixed-size; nothing to trim.
-    }
-
-    fn destroy(&mut self, db: &mut Db) -> Result<()> {
-        self.tree.destroy(db, |_, _| self.leaf_pages)
-    }
-
-    fn utilization(&self, db: &Db) -> Utilization {
-        or_panic(self.tree.utilization(db, |_, _| self.leaf_pages))
-    }
-
-    fn segments(&self, db: &Db) -> Vec<SegmentInfo> {
-        or_panic(self.tree.segments(db, |_, _| self.leaf_pages))
-    }
-
-    fn index_page_numbers(&self, db: &Db) -> Vec<u32> {
-        or_panic(self.tree.index_page_numbers(db))
-    }
-
-    fn check_invariants(&self, db: &Db) -> Result<()> {
+    /// The tree's invariants, and every leaf within its capacity and at
+    /// least half full unless alone.
+    pub(crate) fn check_invariants(&self, db: &Db) -> Result<()> {
         self.tree.check_invariants(db)?;
         let cap = self.cap();
         let leaves = self.tree.collect_leaves(db)?;
@@ -524,15 +414,24 @@ impl LargeObject for EsmObject {
         }
         Ok(())
     }
+}
 
-    fn snapshot(&self, db: &Db) -> Vec<u8> {
-        or_panic(self.tree.peek_content(db))
+/// A bulk read's copy out of the leaf at `pos`: the hybrid segment read,
+/// or under the §4.5 ablation (`whole_leaf_io`) the entire leaf, then the
+/// piece copied. [`crate::Lob`]'s one leaf fetch, for every scheme.
+pub(crate) fn fetch(whole_leaf_io: bool, db: &Db, pos: &LeafPos, piece: &mut [u8]) {
+    if !whole_leaf_io {
+        return read_piece(db, pos, piece);
     }
+    let whole = read_seg_bytes(db, pos.entry.ptr, 0, pos.entry.count);
+    let s = cast::to_usize(pos.off_in_leaf);
+    piece.copy_from_slice(&whole[s..s + piece.len()]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LargeObject, Lob, ManagerSpec, StorageKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -546,8 +445,8 @@ mod tests {
             .collect()
     }
 
-    fn make(db: &mut Db, leaf_pages: u32) -> EsmObject {
-        EsmObject::create(db, EsmParams { leaf_pages }).unwrap()
+    fn make(db: &mut Db, leaf_pages: u32) -> Lob {
+        Lob::create(db, ManagerSpec::esm(leaf_pages)).unwrap()
     }
 
     #[test]
@@ -555,8 +454,8 @@ mod tests {
         let mut db = db();
         let obj = make(&mut db, 16);
         let root = obj.root_page();
-        let again = EsmObject::open(&mut db, root).unwrap();
-        assert_eq!(again.leaf_pages(), 16);
+        let again = Lob::open(&mut db, StorageKind::Esm, root).unwrap();
+        assert_eq!(again.spec(), ManagerSpec::esm(16));
         assert_eq!(again.kind(), StorageKind::Esm);
     }
 
@@ -566,7 +465,7 @@ mod tests {
         let page = db.alloc_meta_page();
         db.with_new_meta_page(page, |p| p[0] = 0xFF);
         assert!(matches!(
-            EsmObject::open(&mut db, page),
+            Lob::open(&mut db, StorageKind::Esm, page),
             Err(LobError::Corrupt(_))
         ));
     }
@@ -576,7 +475,7 @@ mod tests {
         let mut db = db();
         let too_big = db.max_segment_pages() + 1;
         for leaf_pages in [0, too_big] {
-            let got = EsmObject::create(&mut db, EsmParams { leaf_pages });
+            let got = Lob::create(&mut db, ManagerSpec::esm(leaf_pages));
             assert!(
                 matches!(got, Err(LobError::InvalidArgument(_))),
                 "{leaf_pages}: {got:?}"

@@ -9,24 +9,26 @@
 //! page. All three managers store it in **segments** — runs of physically
 //! adjacent disk pages — and differ in how segments are sized and indexed:
 //!
-//! * [`EsmObject`]: fixed-size multi-page leaf segments under a positional
-//!   B+-tree of `(count, pointer)` pairs (§2.1);
-//! * [`StarburstObject`]: a flat descriptor pointing to segments that
-//!   double in size up to a maximum, with the last segment trimmed (§2.2);
-//! * [`EosObject`]: variable-size segments under the same positional tree,
-//!   governed by a segment-size threshold `T` (§2.3).
+//! * ESM: fixed-size multi-page leaf segments under a positional B+-tree
+//!   of `(count, pointer)` pairs (§2.1);
+//! * Starburst: a flat descriptor pointing to segments that double in
+//!   size up to a maximum, with the last segment trimmed (§2.2);
+//! * EOS: variable-size segments under the same positional tree, governed
+//!   by a segment-size threshold `T` (§2.3).
 //!
-//! All managers implement [`LargeObject`], whose operations are the ones
-//! the paper measures: append, sequential/random byte-range read, byte
-//! insert and delete at arbitrary offsets, plus byte-range replace.
+//! One handle type, [`Lob`], holds an object of any of them; its
+//! [`ManagerSpec`] names the scheme and its parameters. It implements
+//! [`LargeObject`], whose operations are the ones the paper measures:
+//! append, sequential/random byte-range read, byte insert and delete at
+//! arbitrary offsets, plus byte-range replace.
 //!
 //! # Example
 //!
 //! ```
-//! use lobstore_core::{Db, DbConfig, EsmObject, EsmParams, LargeObject};
+//! use lobstore_core::{Db, DbConfig, LargeObject, Lob, ManagerSpec};
 //!
 //! let mut db = Db::new(DbConfig::default());
-//! let mut obj = EsmObject::create(&mut db, EsmParams { leaf_pages: 4 }).unwrap();
+//! let mut obj = Lob::create(&mut db, ManagerSpec::esm(4)).unwrap();
 //! obj.append(&mut db, b"hello, large object world").unwrap();
 //! obj.insert(&mut db, 5, b" there").unwrap();
 //! let mut buf = vec![0u8; 11];
@@ -69,16 +71,14 @@ mod version;
 
 pub use catalog::{Catalog, CatalogEntry, MAX_NAME};
 pub use db::{Db, DbConfig, TreeConfig};
-pub use eos::{EosObject, EosParams};
 pub use error::{LobError, Result};
-pub use esm::{EsmInsertAlgo, EsmObject, EsmParams};
+pub use esm::EsmInsertAlgo;
 pub use health::{object_health, publish_object_health, HealthSample, ObjectHealth};
 pub use lobstore_buddy::{Extent, FragStats};
 pub use metrics::NAMES as METRIC_NAMES;
 pub use object::{LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization};
 pub use shared::{SharedDb, SharedPin, SharedSnapshotReader};
-pub use spec::{open_object, ManagerSpec};
-pub use starburst::{StarburstObject, StarburstParams};
+pub use spec::{open_object, Lob, ManagerSpec};
 pub use stream::{Live, ObjectReader, ObjectWriter, Pinned, ReadAccess, SpanCursor};
 pub use verify::Finding;
 pub use version::Snapshot;

@@ -1,4 +1,4 @@
-//! The common large-object interface implemented by all three managers.
+//! The common large-object interface, implemented by [`crate::Lob`].
 
 use lobstore_buddy::Extent;
 use lobstore_simdisk::AreaId;
@@ -47,6 +47,16 @@ impl StorageKind {
         }
     }
 
+    /// The scheme's name ("ESM", "Starburst", "EOS"): its `Display` and
+    /// its spans' `scheme` field.
+    pub fn name(self) -> &'static str {
+        match self {
+            StorageKind::Esm => "ESM",
+            StorageKind::Starburst => "Starburst",
+            StorageKind::Eos => "EOS",
+        }
+    }
+
     /// Inverse of [`Self::as_u8`].
     pub fn from_u8(tag: u8) -> Option<StorageKind> {
         match tag {
@@ -60,11 +70,7 @@ impl StorageKind {
 
 impl std::fmt::Display for StorageKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            StorageKind::Esm => "ESM",
-            StorageKind::Starburst => "Starburst",
-            StorageKind::Eos => "EOS",
-        })
+        f.write_str(self.name())
     }
 }
 

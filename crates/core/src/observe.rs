@@ -1,22 +1,20 @@
 //! Span-per-operation observability for large objects.
 //!
-//! [`ObservedObject`] wraps any [`LargeObject`] and brackets each
-//! I/O-bearing operation with a `lobstore-obs` span named
-//! `op.<scheme>.<operation>` (e.g. `op.esm.append`). Each name is a
-//! static counter handle in [`crate::metrics`]; with no sink installed
-//! an operation bumps that handle and opens no span at all.
-//! [`crate::ManagerSpec::create`], [`crate::ManagerSpec::open`], and
-//! [`crate::open_object`] return wrapped objects, so everything built
-//! through the declarative layer is observed; constructing a concrete
-//! manager directly bypasses observation, except for a read cursor's
-//! refills: [`crate::ObjectReader`] brackets each one as an
-//! `op.<scheme>.read` itself, over any object.
+//! [`OpObserver`] brackets one I/O-bearing operation with a `lobstore-obs`
+//! span named `op.<scheme>.<operation>` (e.g. `op.esm.append`). Each name
+//! is a static counter handle in [`crate::metrics`]; with no sink
+//! installed an operation bumps that handle and opens no span at all.
+//! Every costed operation of [`crate::Lob`], its `create` and `open`
+//! included, runs inside one, so every handle is observed; a read
+//! cursor's refills are the cursor's, not an object operation, and
+//! [`crate::ObjectReader`] brackets each one as an `op.<scheme>.read`
+//! itself.
 //!
-//! Two invariants the wrapper maintains:
+//! Two invariants the bracket maintains:
 //!
 //! * **No simulated I/O of its own.** Annotations only use cost-free
-//!   inspection ([`LargeObject::utilization`]); the wrapped operation's
-//!   [`IoStats`] are exactly those of the bare object.
+//!   inspection (peeked pages); an operation's [`IoStats`] are the same
+//!   with a sink and without one.
 //! * **Accounting closure.** Every operation's `IoStats` delta is
 //!   accumulated into the `span.io.*` counters, with or without a sink,
 //!   so a run whose I/O goes only through observed operations satisfies
@@ -30,7 +28,7 @@ use lobstore_simdisk::IoStats;
 use crate::db::Db;
 use crate::error::Result;
 use crate::metrics as m;
-use crate::object::{LargeObject, SegmentInfo, StorageKind, Utilization};
+use crate::object::StorageKind;
 
 /// The logical operations an observed span can describe.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -102,15 +100,6 @@ fn op_counter(kind: StorageKind, op: OpName) -> &'static Counter {
     }
 }
 
-/// Short scheme label used as a span field ("ESM" / "Starburst" / "EOS").
-fn kind_label(kind: StorageKind) -> &'static str {
-    match kind {
-        StorageKind::Esm => "ESM",
-        StorageKind::Starburst => "Starburst",
-        StorageKind::Eos => "EOS",
-    }
-}
-
 /// Operation label used as a span field ("append", "read", ...).
 fn op_label(op: OpName) -> &'static str {
     match op {
@@ -154,10 +143,10 @@ impl HookCounters {
     }
 }
 
-/// Bracketing state for one observed operation: the before-snapshot of
-/// the disk's [`IoStats`] and (when a sink is listening) of the hook
-/// counters. Whether one is listening is read once, in
-/// [`OpObserver::begin`], and holds for the whole operation.
+/// Bracketing state for one observed operation ([`OpObserver::around`]):
+/// the before-snapshot of the disk's [`IoStats`] and (when a sink is
+/// listening) of the hook counters. Whether one is listening is read
+/// once, when the operation begins, and holds for the whole operation.
 pub(crate) struct OpObserver {
     kind: StorageKind,
     op: OpName,
@@ -167,7 +156,7 @@ pub(crate) struct OpObserver {
 
 impl OpObserver {
     /// Capture the before-state of one operation on a `kind` object.
-    pub(crate) fn begin(kind: StorageKind, op: OpName, db: &Db) -> OpObserver {
+    fn begin(kind: StorageKind, op: OpName, db: &Db) -> OpObserver {
         OpObserver {
             kind,
             op,
@@ -180,17 +169,11 @@ impl OpObserver {
         }
     }
 
-    /// Was a sink installed when the operation began? Callers collect
-    /// span-only values (the object's size) only then.
-    pub(crate) fn listening(&self) -> bool {
-        self.hooks.is_some()
-    }
-
     /// Close the operation: accumulate its [`IoStats`] delta into the
     /// `span.io.*` counters, count the operation (as an annotated span
     /// when a sink is listening, as a bare counter bump otherwise), and
     /// advance the database's operation tick.
-    pub(crate) fn finish(self, db: &mut Db, object_bytes: Option<u64>, ok: bool) {
+    fn finish(self, db: &mut Db, object_bytes: Option<u64>, ok: bool) {
         db.note_op();
         let delta = db.io_stats() - self.before_io;
         m::SPAN_IO_READ_CALLS.add(delta.read_calls);
@@ -206,7 +189,7 @@ impl OpObserver {
         // Ending the span bumps `counter` by name.
         let mut span = Span::begin(counter.name());
         let now = HookCounters::capture();
-        span.field_str("scheme", kind_label(self.kind));
+        span.field_str("scheme", self.kind.name());
         span.field_str("op", op_label(self.op));
         if let Some(bytes) = object_bytes {
             span.field_u64("object_bytes", bytes);
@@ -228,175 +211,34 @@ impl OpObserver {
         span.field("ok", Value::Bool(ok));
         span.end();
     }
-}
 
-/// A [`LargeObject`] wrapper that spans every I/O-bearing operation.
-/// Cost-free inspection methods delegate unobserved.
-pub(crate) struct ObservedObject {
-    inner: Box<dyn LargeObject>,
-}
-
-impl ObservedObject {
-    /// Wrap `inner`; the result behaves identically (same simulated I/O,
-    /// same results) but records spans and `span.io.*` counters.
-    pub(crate) fn wrap(inner: Box<dyn LargeObject>) -> Box<dyn LargeObject> {
-        Box::new(ObservedObject { inner })
-    }
-
-    /// Cost-free object size for span annotation, collected only when
-    /// someone is listening. Never calls [`LargeObject::size`] — that
-    /// could fix the root page and perturb the operation's own I/O.
-    fn observed_bytes(&self, obs: &OpObserver, db: &Db) -> Option<u64> {
-        obs.listening()
-            .then(|| self.inner.utilization(db).object_bytes)
-    }
-}
-
-impl LargeObject for ObservedObject {
-    fn kind(&self) -> StorageKind {
-        self.inner.kind()
-    }
-
-    fn root_page(&self) -> u32 {
-        self.inner.root_page()
-    }
-
-    fn size(&self, db: &mut Db) -> u64 {
-        let obs = OpObserver::begin(self.inner.kind(), OpName::Size, db);
-        let n = self.inner.size(db);
-        let bytes = obs.listening().then_some(n);
-        obs.finish(db, bytes, true);
-        n
-    }
-
-    fn append(&mut self, db: &mut Db, bytes: &[u8]) -> Result<()> {
-        let obs = OpObserver::begin(self.inner.kind(), OpName::Append, db);
-        let r = self.inner.append(db, bytes);
-        let b = self.observed_bytes(&obs, db);
-        obs.finish(db, b, r.is_ok());
+    /// Run `f` as one observed `op` on a `kind` object: [`Self::begin`],
+    /// `f`, [`Self::finish`]. `bytes` names the object's size for the
+    /// span from `f`'s result; it is asked only when a sink listens.
+    pub(crate) fn around<R>(
+        kind: StorageKind,
+        op: OpName,
+        db: &mut Db,
+        f: impl FnOnce(&mut Db) -> Result<R>,
+        bytes: impl FnOnce(&Db, &Result<R>) -> Option<u64>,
+    ) -> Result<R> {
+        let obs = OpObserver::begin(kind, op, db);
+        let r = f(db);
+        let bytes = if obs.hooks.is_some() {
+            bytes(db, &r)
+        } else {
+            None
+        };
+        obs.finish(db, bytes, r.is_ok());
         r
-    }
-
-    fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
-        let obs = OpObserver::begin(self.inner.kind(), OpName::Read, db);
-        let r = self.inner.read(db, off, out);
-        let b = self.observed_bytes(&obs, db);
-        obs.finish(db, b, r.is_ok());
-        r
-    }
-
-    fn locate(&self, db: &mut Db, off: u64) -> Result<crate::object::SegSpan> {
-        let obs = OpObserver::begin(self.inner.kind(), OpName::Locate, db);
-        let r = self.inner.locate(db, off);
-        let b = self.observed_bytes(&obs, db);
-        obs.finish(db, b, r.is_ok());
-        r
-    }
-
-    fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        let obs = OpObserver::begin(self.inner.kind(), OpName::Insert, db);
-        let r = self.inner.insert(db, off, bytes);
-        let b = self.observed_bytes(&obs, db);
-        obs.finish(db, b, r.is_ok());
-        r
-    }
-
-    fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
-        let obs = OpObserver::begin(self.inner.kind(), OpName::Delete, db);
-        let r = self.inner.delete(db, off, len);
-        let b = self.observed_bytes(&obs, db);
-        obs.finish(db, b, r.is_ok());
-        r
-    }
-
-    fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
-        let obs = OpObserver::begin(self.inner.kind(), OpName::Replace, db);
-        let r = self.inner.replace(db, off, bytes);
-        let b = self.observed_bytes(&obs, db);
-        obs.finish(db, b, r.is_ok());
-        r
-    }
-
-    fn trim(&mut self, db: &mut Db) -> Result<()> {
-        let obs = OpObserver::begin(self.inner.kind(), OpName::Trim, db);
-        let r = self.inner.trim(db);
-        let b = self.observed_bytes(&obs, db);
-        obs.finish(db, b, r.is_ok());
-        r
-    }
-
-    fn destroy(&mut self, db: &mut Db) -> Result<()> {
-        let obs = OpObserver::begin(self.inner.kind(), OpName::Destroy, db);
-        let r = self.inner.destroy(db);
-        // The object is gone; no size annotation.
-        obs.finish(db, None, r.is_ok());
-        r
-    }
-
-    fn utilization(&self, db: &Db) -> Utilization {
-        self.inner.utilization(db)
-    }
-
-    fn segments(&self, db: &Db) -> Vec<SegmentInfo> {
-        self.inner.segments(db)
-    }
-
-    fn index_page_numbers(&self, db: &Db) -> Vec<u32> {
-        self.inner.index_page_numbers(db)
-    }
-
-    fn check_invariants(&self, db: &Db) -> Result<()> {
-        self.inner.check_invariants(db)
-    }
-
-    fn snapshot(&self, db: &Db) -> Vec<u8> {
-        self.inner.snapshot(db)
-    }
-}
-
-/// Observe an object construction (`Create`): run `f`, span the result,
-/// and wrap the new object so its operations are observed too.
-pub(crate) fn observe_create(
-    kind: StorageKind,
-    db: &mut Db,
-    f: impl FnOnce(&mut Db) -> Result<Box<dyn LargeObject>>,
-) -> Result<Box<dyn LargeObject>> {
-    observe_build(kind, OpName::Create, db, f)
-}
-
-/// Observe an object re-open (`Open`); see [`observe_create`].
-pub(crate) fn observe_open(
-    kind: StorageKind,
-    db: &mut Db,
-    f: impl FnOnce(&mut Db) -> Result<Box<dyn LargeObject>>,
-) -> Result<Box<dyn LargeObject>> {
-    observe_build(kind, OpName::Open, db, f)
-}
-
-fn observe_build(
-    kind: StorageKind,
-    op: OpName,
-    db: &mut Db,
-    f: impl FnOnce(&mut Db) -> Result<Box<dyn LargeObject>>,
-) -> Result<Box<dyn LargeObject>> {
-    let obs = OpObserver::begin(kind, op, db);
-    match f(db) {
-        Ok(inner) => {
-            let bytes = obs.listening().then(|| inner.utilization(db).object_bytes);
-            obs.finish(db, bytes, true);
-            Ok(ObservedObject::wrap(inner))
-        }
-        Err(e) => {
-            obs.finish(db, None, false);
-            Err(e)
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::ManagerSpec;
+    use crate::spec::{Lob, ManagerSpec};
+    use crate::LargeObject;
     use lobstore_obs::{counter_value, install_sink, json, reset, snapshot, take_sink, MemorySink};
 
     #[test]
@@ -470,30 +312,33 @@ mod tests {
         }
     }
 
+    /// The same operations with a sink and without one cost the same
+    /// simulated I/O: annotating a span reads nothing through the pool.
     #[test]
     fn annotation_is_simulated_io_free() {
-        reset();
+        let run = |sink: Option<MemorySink>| {
+            reset();
+            if let Some(sink) = sink {
+                install_sink(Box::new(sink));
+            }
+            let mut db = Db::paper_default();
+            let mut obj = ManagerSpec::starburst().create(&mut db).unwrap();
+            obj.append(&mut db, &[3u8; 20_000]).unwrap();
+            obj.insert(&mut db, 100, &[4u8; 300]).unwrap();
+            let mut out = [0u8; 50];
+            obj.read(&mut db, 9_000, &mut out).unwrap();
+            obj.delete(&mut db, 0, 1_000).unwrap();
+            let _ = take_sink();
+            db.io_stats()
+        };
         let sink = MemorySink::new();
-        install_sink(Box::new(sink.clone()));
-        let mut db = Db::paper_default();
-        let mut obj = ManagerSpec::starburst().create(&mut db).unwrap();
-        obj.append(&mut db, &[3u8; 20_000]).unwrap();
-        let observed_io = db.io_stats();
-        let _ = take_sink();
-        reset();
-        // The same operations on a bare (unobserved) object cost exactly
-        // the same simulated I/O.
-        let mut db2 = Db::paper_default();
-        let mut bare = crate::starburst::StarburstObject::create(
-            &mut db2,
-            crate::starburst::StarburstParams {
-                max_seg_pages: 8192,
-                known_size: false,
-            },
-        )
-        .unwrap();
-        bare.append(&mut db2, &[3u8; 20_000]).unwrap();
-        assert_eq!(observed_io, db2.io_stats());
+        let observed = run(Some(sink.clone()));
+        assert_eq!(
+            sink.lines().len(),
+            5,
+            "create, append, insert, read, delete"
+        );
+        assert_eq!(observed, run(None));
     }
 
     #[test]
@@ -514,6 +359,81 @@ mod tests {
         );
         obj.append(&mut db, &[2u8; 10_000]).unwrap(); // op 3
         assert_eq!(db.health_ops(), 3);
+    }
+
+    /// A handle built by `Lob::create`/`Lob::open` directly, not through
+    /// `ManagerSpec`, is observed too: its operations count under its
+    /// scheme and every I/O lands in `span.io.*`.
+    #[test]
+    fn a_directly_built_handle_is_observed() {
+        for (spec, scheme) in [
+            (ManagerSpec::esm(4), "esm"),
+            (ManagerSpec::eos(16), "eos"),
+            (ManagerSpec::starburst(), "starburst"),
+        ] {
+            reset();
+            let _ = take_sink();
+            let mut db = Db::paper_default();
+            db.reset_io_stats();
+            let mut obj = Lob::create(&mut db, spec).unwrap();
+            obj.append(&mut db, &[7u8; 30_000]).unwrap();
+            let mut obj = Lob::open(&mut db, spec.kind(), obj.root_page()).unwrap();
+            obj.delete(&mut db, 100, 5_000).unwrap();
+            obj.trim(&mut db).unwrap();
+            let mut out = [0u8; 100];
+            obj.read(&mut db, 50, &mut out).unwrap();
+            assert_eq!(obj.size(&mut db), 25_000);
+            for op in ["create", "open", "append", "delete", "trim", "read", "size"] {
+                assert_eq!(
+                    counter_value(&format!("op.{scheme}.{op}")),
+                    1,
+                    "{scheme} {op}"
+                );
+            }
+            let io = db.io_stats();
+            assert_eq!(
+                counter_value("span.io.read_calls"),
+                io.read_calls,
+                "{scheme}"
+            );
+            assert_eq!(
+                counter_value("span.io.write_calls"),
+                io.write_calls,
+                "{scheme}"
+            );
+            assert_eq!(
+                counter_value("span.io.pages_read"),
+                io.pages_read,
+                "{scheme}"
+            );
+            assert_eq!(
+                counter_value("span.io.pages_written"),
+                io.pages_written,
+                "{scheme}"
+            );
+            assert_eq!(counter_value("span.io.time_us"), io.time_us, "{scheme}");
+        }
+    }
+
+    /// An insert at the end is the scheme's append, run inside the one
+    /// observed insert: one `op.<scheme>.insert`, no `op.<scheme>.append`.
+    #[test]
+    fn an_insert_at_the_end_counts_once() {
+        for spec in [
+            ManagerSpec::esm(4),
+            ManagerSpec::eos(16),
+            ManagerSpec::starburst(),
+        ] {
+            let mut db = Db::paper_default();
+            let mut obj = spec.create(&mut db).unwrap();
+            reset();
+            obj.insert(&mut db, 0, &[1u8; 9_000]).unwrap();
+            obj.insert(&mut db, 9_000, &[2u8; 3_000]).unwrap();
+            let scheme = spec.kind().name().to_lowercase();
+            assert_eq!(counter_value(&format!("op.{scheme}.insert")), 2, "{scheme}");
+            assert_eq!(counter_value(&format!("op.{scheme}.append")), 0, "{scheme}");
+            assert_eq!(obj.snapshot(&db).len(), 12_000);
+        }
     }
 
     #[test]

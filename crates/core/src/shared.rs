@@ -158,9 +158,7 @@ const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_send::<Db>();
     assert_sync::<Db>();
-    assert_send::<crate::EsmObject>();
-    assert_send::<crate::EosObject>();
-    assert_send::<crate::StarburstObject>();
+    assert_send::<crate::Lob>();
     assert_send::<SharedDb>();
     assert_send::<SharedSnapshotReader>();
 };

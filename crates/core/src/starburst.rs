@@ -26,85 +26,33 @@
 //! 507 segments ≈ 16 GB of max-size segments).
 
 use lobstore_buddy::Extent;
-use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PageId, PAGE_SIZE, PAGE_SIZE_U64};
+use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PAGE_SIZE, PAGE_SIZE_U64};
 
 use crate::db::Db;
-use crate::error::{or_panic, LobError, Result};
+use crate::error::{LobError, Result};
 use crate::node::{find_child, Entry, Node, RootHdr, ROOT_MAX_ENTRIES};
-use crate::object::{
-    check_op_len, check_range, LargeObject, SegSpan, SegmentInfo, StorageKind, Utilization,
-};
+use crate::object::{check_op_len, check_range, StorageKind};
 use crate::segdata::{append_in_place, insert_bytes, patch_in_place};
-use crate::tree::{read_piece, PosTree};
+use crate::tree::PosTree;
 
 /// The 512 KB copy buffer of §3.5, in pages and in bytes (a widening
 /// cast; `cast::u32_to_usize` is not `const`).
 const STAGING_PAGES: u32 = 128;
 const CHUNK: usize = STAGING_PAGES as usize * PAGE_SIZE;
 
-/// Creation parameters for a Starburst long field.
+/// Starburst's update policy over one object's descriptor ([`crate::Lob`]
+/// builds it from its [`crate::ManagerSpec::Starburst`] spec for each
+/// update).
 #[derive(Copy, Clone, Debug)]
-pub struct StarburstParams {
-    /// Maximum segment size in pages. The paper's space manager supports
-    /// 32 MB segments (8192 × 4 KB pages, §3.1).
+pub(crate) struct Starburst {
+    pub tree: PosTree,
+    /// Maximum segment size in pages.
     pub max_seg_pages: u32,
-    /// Whether the eventual size is known in advance; if so, maximum-size
-    /// segments are used from the start (§2.2).
+    /// Whether maximum-size segments are used from the start (§2.2).
     pub known_size: bool,
 }
 
-impl Default for StarburstParams {
-    fn default() -> Self {
-        StarburstParams {
-            max_seg_pages: 8192,
-            known_size: false,
-        }
-    }
-}
-
-/// Handle to one Starburst long field.
-#[derive(Debug)]
-pub struct StarburstObject {
-    tree: PosTree,
-    max_seg_pages: u32,
-    known_size: bool,
-}
-
-impl StarburstObject {
-    /// Create a new, empty Starburst long field.
-    pub fn create(db: &mut Db, params: StarburstParams) -> Result<Self> {
-        if params.max_seg_pages == 0 || params.max_seg_pages > db.max_segment_pages() {
-            return Err(LobError::InvalidArgument(format!(
-                "max segment of {} pages out of range",
-                params.max_seg_pages
-            )));
-        }
-        let root = db.alloc_root(Some(StorageKind::Starburst));
-        let hdr = RootHdr::new(
-            StorageKind::Starburst,
-            u64::from(params.max_seg_pages) | (u64::from(params.known_size) << 32),
-        );
-        db.with_new_meta_page(root, |p| hdr.write(p));
-        db.pool.flush_page(PageId::new(AreaId::META, root));
-        db.op_commit();
-        Ok(StarburstObject {
-            tree: PosTree::new(root),
-            max_seg_pages: params.max_seg_pages,
-            known_size: params.known_size,
-        })
-    }
-
-    /// Open an existing long field by its descriptor page.
-    pub fn open(db: &mut Db, root_page: u32) -> Result<Self> {
-        let hdr = db.with_meta_page(root_page, RootHdr::read);
-        hdr.check_root(root_page, Some(StorageKind::Starburst))?;
-        Ok(StarburstObject {
-            tree: PosTree::new(root_page),
-            max_seg_pages: cast::to_u32(hdr.params & 0xFFFF_FFFF),
-            known_size: (hdr.params >> 32) & 1 == 1,
-        })
-    }
-
+impl Starburst {
     fn max_bytes(&self) -> u64 {
         u64::from(self.max_seg_pages) * PAGE_SIZE_U64
     }
@@ -226,7 +174,7 @@ impl StarburstObject {
     /// The new segments are written *before* the old ones are freed so
     /// that, per the shadowing discipline (§3.3), a crash mid-operation
     /// cannot have clobbered the pages the previous state references.
-    fn rewrite_tail(&mut self, db: &mut Db, off: u64, cut: u64, put: &[u8]) -> Result<()> {
+    fn rewrite_tail(&self, db: &mut Db, off: u64, cut: u64, put: &[u8]) -> Result<()> {
         let (mut hdr, root) = self.tree.load_root(db)?;
         let mut segs = root.entries;
         let (i, p, _) = find_child(segs.iter().copied(), off)?;
@@ -249,22 +197,10 @@ impl StarburstObject {
         self.store(db, &mut hdr, &segs);
         Ok(())
     }
-}
 
-impl LargeObject for StarburstObject {
-    fn kind(&self) -> StorageKind {
-        StorageKind::Starburst
-    }
-
-    fn root_page(&self) -> u32 {
-        self.tree.root_page
-    }
-
-    fn size(&self, db: &mut Db) -> u64 {
-        or_panic(self.tree.size(db))
-    }
-
-    fn append(&mut self, db: &mut Db, bytes: &[u8]) -> Result<()> {
+    /// Append `bytes`: fill the last segment's allocated tail in place,
+    /// then add doubling segments (§2.2).
+    pub(crate) fn append(&self, db: &mut Db, bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
             return Ok(());
         }
@@ -321,15 +257,10 @@ impl LargeObject for StarburstObject {
         Ok(())
     }
 
-    fn read(&self, db: &mut Db, off: u64, out: &mut [u8]) -> Result<()> {
-        self.tree.read(db, off, out, read_piece)
-    }
-
-    fn locate(&self, db: &mut Db, off: u64) -> Result<SegSpan> {
-        self.tree.locate(db, off)
-    }
-
-    fn insert(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
+    /// Insert `bytes` at `off` by the §3.5 tail copy. One at the end is
+    /// [`Self::append`] (this policy's, unobserved: the caller's
+    /// `op.starburst.insert` covers it).
+    pub(crate) fn insert(&self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
         let size = check_range(self.tree.size(db)?, off, 0)?;
         if bytes.is_empty() {
             return Ok(());
@@ -343,7 +274,8 @@ impl LargeObject for StarburstObject {
         Ok(())
     }
 
-    fn delete(&mut self, db: &mut Db, off: u64, len: u64) -> Result<()> {
+    /// Delete `len` bytes at `off` by the §3.5 tail copy.
+    pub(crate) fn delete(&self, db: &mut Db, off: u64, len: u64) -> Result<()> {
         check_range(self.tree.size(db)?, off, len)?;
         if len == 0 {
             return Ok(());
@@ -353,7 +285,9 @@ impl LargeObject for StarburstObject {
         Ok(())
     }
 
-    fn replace(&mut self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
+    /// Overwrite `bytes.len()` bytes at `off`, each touched segment
+    /// shadowed whole.
+    pub(crate) fn replace(&self, db: &mut Db, off: u64, bytes: &[u8]) -> Result<()> {
         check_range(self.tree.size(db)?, off, bytes.len() as u64)?;
         if bytes.is_empty() {
             return Ok(());
@@ -394,7 +328,8 @@ impl LargeObject for StarburstObject {
         Ok(())
     }
 
-    fn trim(&mut self, db: &mut Db) -> Result<()> {
+    /// Release the last segment's over-allocation (§2.2).
+    pub(crate) fn trim(&self, db: &mut Db) -> Result<()> {
         let (mut hdr, root) = self.tree.load_root(db)?;
         let segs = root.entries;
         let Some(last) = segs.last().filter(|_| hdr.last_seg_alloc > 0) else {
@@ -414,25 +349,9 @@ impl LargeObject for StarburstObject {
         Ok(())
     }
 
-    fn destroy(&mut self, db: &mut Db) -> Result<()> {
-        self.tree.destroy(db, RootHdr::alloc_of)
-    }
-
-    fn utilization(&self, db: &Db) -> Utilization {
-        or_panic(self.tree.utilization(db, RootHdr::alloc_of))
-    }
-
-    fn segments(&self, db: &Db) -> Vec<SegmentInfo> {
-        or_panic(self.tree.segments(db, RootHdr::alloc_of))
-    }
-
-    fn index_page_numbers(&self, db: &Db) -> Vec<u32> {
-        or_panic(self.tree.index_page_numbers(db))
-    }
-
-    // The descriptor's own rules, not `PosTree::check_invariants`: a
-    // descriptor holds up to 507 segments under any tree configuration.
-    fn check_invariants(&self, db: &Db) -> Result<()> {
+    /// The descriptor's own rules, not `PosTree::check_invariants`: a
+    /// descriptor holds up to 507 segments under any tree configuration.
+    pub(crate) fn check_invariants(&self, db: &Db) -> Result<()> {
         let (hdr, node) = db.peek_root(self.tree.root_page)?;
         hdr.check_root(self.tree.root_page, Some(StorageKind::Starburst))?;
         let total: u64 = node.entries.iter().map(|e| e.count).sum();
@@ -481,15 +400,12 @@ impl LargeObject for StarburstObject {
         }
         Ok(())
     }
-
-    fn snapshot(&self, db: &Db) -> Vec<u8> {
-        or_panic(self.tree.peek_content(db))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LargeObject, Lob, ManagerSpec};
     use lobstore_simdisk::TraceKind;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -501,7 +417,7 @@ mod tests {
         pub(super) static MATERIALISE: Cell<bool> = const { Cell::new(false) };
     }
 
-    impl StarburstObject {
+    impl Starburst {
         /// The copy `copy_tail` replaced, kept as its oracle: read every
         /// old segment into one `Vec` the size of the tail, edit the
         /// `Vec`, write it out as maximum-size segments. Same read calls
@@ -573,7 +489,7 @@ mod tests {
     const TWIN_MAX: usize = 4_000_000;
 
     impl TwinOp {
-        fn apply(self, obj: &mut StarburstObject, db: &mut Db, step: usize) {
+        fn apply(self, obj: &mut Lob, db: &mut Db, step: usize) {
             let size = cast::to_usize(obj.size(db));
             let clamp = |at: usize, len: usize| {
                 let at = at.min(size.saturating_sub(1));
@@ -605,11 +521,11 @@ mod tests {
     fn run_twin(max_seg_pages: u32, size: usize, ops: &[TwinOp]) {
         let build = || {
             let mut db = db();
-            let params = StarburstParams {
+            let params = ManagerSpec::Starburst {
                 max_seg_pages,
                 known_size: false,
             };
-            let mut obj = StarburstObject::create(&mut db, params).unwrap();
+            let mut obj = Lob::create(&mut db, params).unwrap();
             for piece in pattern(size, 3).chunks(100_000) {
                 obj.append(&mut db, piece).unwrap();
             }
@@ -657,11 +573,11 @@ mod tests {
         let mut db = Db::paper_default();
         let too_big = db.max_segment_pages() + 1;
         for max_seg_pages in [0, too_big] {
-            let params = StarburstParams {
+            let params = ManagerSpec::Starburst {
                 max_seg_pages,
                 known_size: false,
             };
-            let got = StarburstObject::create(&mut db, params);
+            let got = Lob::create(&mut db, params);
             assert!(
                 matches!(got, Err(LobError::InvalidArgument(_))),
                 "{max_seg_pages}: {got:?}"
@@ -781,25 +697,24 @@ mod tests {
             .collect()
     }
 
-    fn make(db: &mut Db) -> StarburstObject {
-        StarburstObject::create(db, StarburstParams::default()).unwrap()
+    fn make(db: &mut Db) -> Lob {
+        Lob::create(db, ManagerSpec::starburst()).unwrap()
     }
 
     #[test]
     fn create_open_roundtrip() {
         let mut db = db();
         let obj = make(&mut db);
-        let again = StarburstObject::open(&mut db, obj.root_page()).unwrap();
-        assert_eq!(again.max_seg_pages, 8192);
-        assert!(!again.known_size);
+        let again = Lob::open(&mut db, StorageKind::Starburst, obj.root_page()).unwrap();
+        assert_eq!(again.spec(), ManagerSpec::starburst());
     }
 
     #[test]
     fn segments_double_until_max() {
         let mut db = db();
-        let mut obj = StarburstObject::create(
+        let mut obj = Lob::create(
             &mut db,
-            StarburstParams {
+            ManagerSpec::Starburst {
                 max_seg_pages: 8,
                 known_size: false,
             },
@@ -823,9 +738,9 @@ mod tests {
     #[test]
     fn known_size_uses_max_segments_immediately() {
         let mut db = db();
-        let mut obj = StarburstObject::create(
+        let mut obj = Lob::create(
             &mut db,
-            StarburstParams {
+            ManagerSpec::Starburst {
                 max_seg_pages: 8,
                 known_size: true,
             },
@@ -872,9 +787,9 @@ mod tests {
     #[test]
     fn reads_across_segment_boundaries() {
         let mut db = db();
-        let mut obj = StarburstObject::create(
+        let mut obj = Lob::create(
             &mut db,
-            StarburstParams {
+            ManagerSpec::Starburst {
                 max_seg_pages: 2,
                 known_size: false,
             },
@@ -890,9 +805,9 @@ mod tests {
     #[test]
     fn insert_copies_the_tail_into_max_segments() {
         let mut db = db();
-        let mut obj = StarburstObject::create(
+        let mut obj = Lob::create(
             &mut db,
-            StarburstParams {
+            ManagerSpec::Starburst {
                 max_seg_pages: 16,
                 known_size: false,
             },
@@ -1036,11 +951,11 @@ mod tests {
     #[test]
     fn a_full_descriptor_refuses_a_508th_segment_untouched() {
         let mut db = db();
-        let params = StarburstParams {
+        let params = ManagerSpec::Starburst {
             max_seg_pages: 1,
             known_size: false,
         };
-        let mut obj = StarburstObject::create(&mut db, params).unwrap();
+        let mut obj = Lob::create(&mut db, params).unwrap();
         let data = pattern(ROOT_MAX_ENTRIES * PAGE_SIZE, 4);
         obj.append(&mut db, &data).unwrap();
         assert_eq!(obj.segments(&db).len(), ROOT_MAX_ENTRIES);
@@ -1064,9 +979,9 @@ mod tests {
     #[test]
     fn random_ops_match_reference_model() {
         let mut db = db();
-        let mut obj = StarburstObject::create(
+        let mut obj = Lob::create(
             &mut db,
-            StarburstParams {
+            ManagerSpec::Starburst {
                 max_seg_pages: 32,
                 known_size: false,
             },

@@ -258,15 +258,13 @@ impl Source for Live<'_> {
     /// One observed `op.<scheme>.read` around `refill_below`.
     fn refill(&mut self, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)> {
         let Live { db, obj, root } = self;
-        let obs = OpObserver::begin(obj.kind(), OpName::Read, db);
-        let r = match root {
+        let refill = |db: &mut Db| match root {
             Ok(root) => refill_below(db, root, pos, buf),
             Err(e) => Err(e.clone()),
         };
         // A failed refill reports no size: its root may not parse.
-        let bytes = (obs.listening() && r.is_ok()).then(|| obj.utilization(db).object_bytes);
-        obs.finish(db, bytes, r.is_ok());
-        r
+        let bytes = |db: &Db, r: &Result<_>| r.is_ok().then(|| obj.utilization(db).object_bytes);
+        OpObserver::around(obj.kind(), OpName::Read, db, refill, bytes)
     }
 }
 
@@ -282,15 +280,13 @@ impl<'a> ObjectReader<'a> {
     /// to parse leaves the size unknown (`u64::MAX`), so the first read
     /// reaches a refill and fails with the parse error.
     pub fn new(db: &'a mut Db, obj: &'a dyn LargeObject) -> Self {
-        let page = obj.root_page();
-        let obs = OpObserver::begin(obj.kind(), OpName::Size, db);
-        let (size, root) = match db.with_meta_page(page, |p| parse_root(p, page, Some(obj.kind())))
-        {
+        let (page, kind) = (obj.root_page(), obj.kind());
+        let parse = |db: &mut Db| db.with_meta_page(page, |p| parse_root(p, page, Some(kind)));
+        let size = |_: &Db, r: &Result<(u64, Node)>| r.as_ref().ok().map(|(size, _)| *size);
+        let (size, root) = match OpObserver::around(kind, OpName::Size, db, parse, size) {
             Ok((size, root)) => (size, Ok(root)),
             Err(e) => (u64::MAX, Err(e)),
         };
-        let bytes = (obs.listening() && root.is_ok()).then_some(size);
-        obs.finish(db, bytes, root.is_ok());
         Self::over(Live { db, obj, root }, size)
     }
 }
@@ -429,7 +425,7 @@ impl Write for ObjectWriter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EosObject, EosParams};
+    use crate::{Lob, ManagerSpec};
 
     fn pattern(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i % 251) as u8).collect()
@@ -438,7 +434,7 @@ mod tests {
     #[test]
     fn writer_then_reader_roundtrip() {
         let mut db = Db::paper_default();
-        let mut obj = EosObject::create(&mut db, EosParams::default()).unwrap();
+        let mut obj = Lob::create(&mut db, ManagerSpec::eos(4)).unwrap();
         let data = pattern(200_000);
         {
             let mut w = ObjectWriter::new(&mut db, &mut obj, 64 * 1024);
@@ -458,7 +454,7 @@ mod tests {
     #[test]
     fn reader_seeks_like_a_file() {
         let mut db = Db::paper_default();
-        let mut obj = EosObject::create(&mut db, EosParams::default()).unwrap();
+        let mut obj = Lob::create(&mut db, ManagerSpec::eos(4)).unwrap();
         let data = pattern(50_000);
         obj.append(&mut db, &data).unwrap();
         let mut r = ObjectReader::new(&mut db, &obj);
@@ -530,7 +526,7 @@ mod tests {
     #[test]
     fn writer_flush_pushes_partial_chunk() {
         let mut db = Db::paper_default();
-        let mut obj = EosObject::create(&mut db, EosParams::default()).unwrap();
+        let mut obj = Lob::create(&mut db, ManagerSpec::eos(4)).unwrap();
         let mut w = ObjectWriter::new(&mut db, &mut obj, 4096);
         w.write_all(b"tiny").unwrap();
         assert_eq!(w.appended(), 0, "still buffered");
@@ -603,7 +599,7 @@ mod tests {
     #[test]
     fn cursor_serves_backward_seeks_from_the_buffer() {
         let mut db = Db::paper_default();
-        let mut obj = EosObject::create(&mut db, EosParams::default()).unwrap();
+        let mut obj = Lob::create(&mut db, ManagerSpec::eos(4)).unwrap();
         let data = pattern(100_000);
         obj.append(&mut db, &data).unwrap();
         let mut r = ObjectReader::new(&mut db, &obj);
@@ -677,11 +673,11 @@ mod tests {
     fn bufread_copy_between_objects() {
         // Copy one object into another through std::io machinery only.
         let mut db = Db::paper_default();
-        let mut src = EosObject::create(&mut db, EosParams::default()).unwrap();
+        let mut src = Lob::create(&mut db, ManagerSpec::eos(4)).unwrap();
         let data = pattern(123_456);
         src.append(&mut db, &data).unwrap();
 
-        let mut dst = EosObject::create(&mut db, EosParams::default()).unwrap();
+        let mut dst = Lob::create(&mut db, ManagerSpec::eos(4)).unwrap();
         // Two-phase copy (the borrow rules forbid reading and writing the
         // same Db simultaneously — single-client, like the paper).
         let mut tmp = Vec::new();

@@ -1662,10 +1662,7 @@ mod tests {
     #[test]
     fn reads_fix_the_root_once() {
         use crate::object::{LargeObject, StorageKind};
-        use crate::{
-            EosObject, EosParams, EsmObject, EsmParams, ObjectReader, StarburstObject,
-            StarburstParams,
-        };
+        use crate::{Lob, ManagerSpec, ObjectReader};
         use std::io::{BufRead, Read, Seek, SeekFrom};
         // Twelve one-page leaves under fan-out 4: for ESM and EOS a root
         // over interior nodes (depth 2), for Starburst its descriptor
@@ -1677,25 +1674,18 @@ mod tests {
                 tree: TreeConfig::tiny(4),
                 ..DbConfig::default()
             });
-            let mut obj: Box<dyn LargeObject> = match kind {
-                StorageKind::Esm => {
-                    Box::new(EsmObject::create(&mut db, EsmParams { leaf_pages: 1 }).unwrap())
-                }
-                StorageKind::Eos => {
-                    let params = EosParams {
-                        threshold_pages: 1,
-                        max_seg_pages: 1,
-                    };
-                    Box::new(EosObject::create(&mut db, params).unwrap())
-                }
-                StorageKind::Starburst => {
-                    let params = StarburstParams {
-                        max_seg_pages: 1,
-                        known_size: false,
-                    };
-                    Box::new(StarburstObject::create(&mut db, params).unwrap())
-                }
+            let spec = match kind {
+                StorageKind::Esm => ManagerSpec::esm(1),
+                StorageKind::Eos => ManagerSpec::Eos {
+                    threshold_pages: 1,
+                    max_seg_pages: 1,
+                },
+                StorageKind::Starburst => ManagerSpec::Starburst {
+                    max_seg_pages: 1,
+                    known_size: false,
+                },
             };
+            let mut obj = Lob::create(&mut db, spec).unwrap();
             let bytes: Vec<u8> = (0..SIZE).map(|i| (i % 253) as u8).collect();
             obj.append(&mut db, &bytes).unwrap();
             let depth = u64::from(db.peek_root(obj.root_page()).unwrap().0.level) + 1;
@@ -1717,7 +1707,7 @@ mod tests {
                     + lobstore_obs::counter_value("bufpool.misses")
             };
             let before = pool_fixes();
-            let mut r = ObjectReader::new(&mut db, obj.as_ref());
+            let mut r = ObjectReader::new(&mut db, &obj);
             assert_eq!(pool_fixes() - before, 1, "{kind}: open");
             let mut read_at = |off: u64, out: &mut [u8]| {
                 r.seek(SeekFrom::Start(off)).unwrap();
@@ -1803,9 +1793,7 @@ mod tests {
             assert_eq!(bulk, (1, want), "{kind}: a whole read descends once");
             let streamed = whole(&mut db, &|db| {
                 let mut out = Vec::new();
-                ObjectReader::new(db, obj.as_ref())
-                    .read_to_end(&mut out)
-                    .unwrap();
+                ObjectReader::new(db, &obj).read_to_end(&mut out).unwrap();
                 out
             });
             let nodes = if kind == StorageKind::Starburst { 1 } else { 4 };

@@ -283,10 +283,7 @@ mod tests {
     use crate::db::DbConfig;
     use crate::node::ROOT_ENTRIES_OFF;
     use crate::spec::ManagerSpec;
-    use crate::{
-        object_health, publish_object_health, EsmObject, EsmParams, StarburstObject,
-        StarburstParams,
-    };
+    use crate::{object_health, publish_object_health, Lob, StorageKind};
 
     const CLEAN: [Finding; 0] = [];
 
@@ -384,7 +381,7 @@ mod tests {
     #[test]
     fn size_total_mismatch_is_reported() {
         let mut db = Db::paper_default();
-        let mut obj = EsmObject::create(&mut db, EsmParams { leaf_pages: 4 }).unwrap();
+        let mut obj = Lob::create(&mut db, ManagerSpec::esm(4)).unwrap();
         obj.append(&mut db, &vec![3u8; 50_000]).unwrap();
         // hdr.size lives at bytes 8..16 of the root page.
         db.with_meta_page_mut(obj.root_page(), |p| p[8] = p[8].wrapping_add(1));
@@ -400,7 +397,7 @@ mod tests {
     #[test]
     fn leaves_aliased_within_one_object_are_reported() {
         let mut db = Db::paper_default();
-        let mut obj = EsmObject::create(&mut db, EsmParams { leaf_pages: 4 }).unwrap();
+        let mut obj = Lob::create(&mut db, ManagerSpec::esm(4)).unwrap();
         obj.append(&mut db, &vec![3u8; 100_000]).unwrap();
         // Copy leaf 0's pointer over leaf 1's (each root entry is a
         // (count u32, ptr u32) pair starting at ROOT_ENTRIES_OFF).
@@ -470,14 +467,14 @@ mod tests {
         ];
         for (what, appends, corrupt, want) in cases {
             let mut db = Db::paper_default();
-            let mut obj = StarburstObject::create(&mut db, StarburstParams::default()).unwrap();
+            let mut obj = Lob::create(&mut db, ManagerSpec::starburst()).unwrap();
             for &len in appends {
                 obj.append(&mut db, &vec![7u8; len]).unwrap();
             }
             assert_eq!(db.verify(&[("c", &obj)], &[]), CLEAN, "{what}");
             db.with_meta_page_mut(obj.root_page(), corrupt);
             // Reopened: the handle keeps the parameter word it opened with.
-            let obj = StarburstObject::open(&mut db, obj.root_page()).unwrap();
+            let obj = Lob::open(&mut db, StorageKind::Starburst, obj.root_page()).unwrap();
             let findings = db.verify(&[("c", &obj)], &[]);
             assert!(
                 matches!(&findings[..], [Finding::ObjectBroken { detail, .. }]

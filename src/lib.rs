@@ -24,10 +24,10 @@
 //! ## Quick start
 //!
 //! ```
-//! use lobstore::{Db, EosObject, EosParams, LargeObject};
+//! use lobstore::{Db, LargeObject, Lob, ManagerSpec};
 //!
 //! let mut db = Db::paper_default();
-//! let mut blob = EosObject::create(&mut db, EosParams::default()).unwrap();
+//! let mut blob = Lob::create(&mut db, ManagerSpec::eos(4)).unwrap();
 //! blob.append(&mut db, b"first, some video frames...").unwrap();
 //! blob.insert(&mut db, 7, b"hold on, ").unwrap();
 //! blob.delete(&mut db, 0, 7).unwrap();
@@ -54,10 +54,9 @@ pub use lobstore_workload as workload;
 
 pub use lobstore_core::{
     object_health, open_object, publish_object_health, Catalog, CatalogEntry, Db, DbConfig,
-    EosObject, EosParams, EsmInsertAlgo, EsmObject, EsmParams, FragStats, HealthSample,
-    LargeObject, LobError, ManagerSpec, ObjectHealth, ObjectReader, ObjectWriter, ReadAccess,
-    Result, SegmentInfo, SharedDb, SharedSnapshotReader, Snapshot, SpanCursor, StarburstObject,
-    StarburstParams, StorageKind, TreeConfig, Utilization,
+    EsmInsertAlgo, FragStats, HealthSample, LargeObject, Lob, LobError, ManagerSpec, ObjectHealth,
+    ObjectReader, ObjectWriter, ReadAccess, Result, SegmentInfo, SharedDb, SharedSnapshotReader,
+    Snapshot, SpanCursor, StorageKind, TreeConfig, Utilization,
 };
 pub use lobstore_record::{FieldInput, LongHandle, RecordId, RecordStore, Value};
 pub use lobstore_simdisk::{AreaId, CostModel, IoStats, PageId, PAGE_SIZE};

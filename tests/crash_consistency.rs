@@ -16,7 +16,7 @@
 
 use lobstore::workload::fill;
 use lobstore::workload::model::{at, Driver, Op};
-use lobstore::{Db, EsmObject, LargeObject, ManagerSpec};
+use lobstore::{Db, LargeObject, Lob, ManagerSpec, StorageKind};
 
 fn specs() -> Vec<ManagerSpec> {
     vec![
@@ -84,7 +84,7 @@ fn without_shadowing_replace_is_not_crash_safe() {
         shadowing: false,
         ..lobstore::DbConfig::default()
     });
-    let mut obj = EsmObject::create(&mut db, lobstore::EsmParams { leaf_pages: 4 }).unwrap();
+    let mut obj = Lob::create(&mut db, ManagerSpec::esm(4)).unwrap();
     let content = fill(50_000, 1);
     obj.append(&mut db, &content).unwrap();
     let root = obj.root_page();
@@ -94,7 +94,7 @@ fn without_shadowing_replace_is_not_crash_safe() {
     let _ = obj;
     db.crash_and_reboot();
 
-    let obj = EsmObject::open(&mut db, root).unwrap();
+    let obj = Lob::open(&mut db, StorageKind::Esm, root).unwrap();
     assert_ne!(
         obj.snapshot(&db),
         content,

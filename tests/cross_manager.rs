@@ -99,12 +99,12 @@ fn mixed_kinds_share_one_database() {
 /// re-open purely from the root page numbers.
 #[test]
 fn reopen_after_flush() {
-    use lobstore::{EosObject, EsmObject, StarburstObject};
+    use lobstore::{open_object, Lob, LobError, StorageKind};
     let mut db = Db::paper_default();
 
-    let mut esm = EsmObject::create(&mut db, lobstore::EsmParams { leaf_pages: 4 }).unwrap();
-    let mut eos = EosObject::create(&mut db, lobstore::EosParams::default()).unwrap();
-    let mut star = StarburstObject::create(&mut db, lobstore::StarburstParams::default()).unwrap();
+    let mut esm = Lob::create(&mut db, ManagerSpec::esm(4)).unwrap();
+    let mut eos = Lob::create(&mut db, ManagerSpec::eos(4)).unwrap();
+    let mut star = Lob::create(&mut db, ManagerSpec::starburst()).unwrap();
     esm.append(&mut db, &fill(30_000, 1)).unwrap();
     eos.append(&mut db, &fill(30_000, 2)).unwrap();
     star.append(&mut db, &fill(30_000, 3)).unwrap();
@@ -114,14 +114,25 @@ fn reopen_after_flush() {
     // Flush all dirty pages (roots are only flushed lazily).
     db.pool().flush_all();
 
-    let esm = EsmObject::open(&mut db, roots.0).unwrap();
-    let eos = EosObject::open(&mut db, roots.1).unwrap();
-    let star = StarburstObject::open(&mut db, roots.2).unwrap();
+    let esm = Lob::open(&mut db, StorageKind::Esm, roots.0).unwrap();
+    let eos = Lob::open(&mut db, StorageKind::Eos, roots.1).unwrap();
+    let star = Lob::open(&mut db, StorageKind::Starburst, roots.2).unwrap();
     assert_eq!(esm.snapshot(&db), fill(30_000, 1));
     assert_eq!(eos.snapshot(&db), fill(30_000, 2));
     assert_eq!(star.snapshot(&db), fill(30_000, 3));
-    // Kind confusion is rejected.
-    assert!(EsmObject::open(&mut db, roots.1).is_err());
-    assert!(StarburstObject::open(&mut db, roots.0).is_err());
-    assert!(EosObject::open(&mut db, roots.2).is_err());
+    // Kind confusion is rejected: every wrong (kind, root) pair.
+    let kinds = [StorageKind::Esm, StorageKind::Eos, StorageKind::Starburst];
+    for (i, root) in [roots.0, roots.1, roots.2].into_iter().enumerate() {
+        for (j, kind) in kinds.into_iter().enumerate() {
+            let got = open_object(&mut db, kind, root).map(|o| o.kind());
+            if i == j {
+                assert_eq!(got, Ok(kind));
+            } else {
+                assert!(
+                    matches!(got, Err(LobError::Corrupt(_))),
+                    "{kind} on {root}: {got:?}"
+                );
+            }
+        }
+    }
 }
