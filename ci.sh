@@ -142,8 +142,10 @@ run cargo test -q --release --test model --test proptest_model --test crash_fuzz
 # (a refill is the cursor's, not an object op, so the cursor brackets
 # it itself), the root decoder's property test a root view that
 # drops its pair-count bound (the Starburst descriptor's segment-count
-# bound), and the byte model a Starburst flag left on a shadowed
-# segment's old pages: 18 patches. Each
+# bound), the byte model a Starburst flag left on a shadowed
+# segment's old pages, the byte-copy count a Starburst tail copy staged
+# through memory again, and the golden trace and the twin-run oracle a
+# tail-copy read left uncharged: 20 patches. Each
 # patch in mutants/ is applied to one copy of the tree under target/ (a
 # patch that no longer applies fails here), the copy must still build,
 # and then either each test named must fail or, for a `clippy` drill,
@@ -233,6 +235,13 @@ drill cursor-unobserved --test observability -- mixed_workload_metrics_and_event
 drill op-unobserved --test observability -- mixed_workload_metrics_and_events_are_consistent
 # The root view without its `n_entries <= 507` bound: 600 claimed pairs read as none.
 drill root-count-bound -p lobstore-core --lib -- node::tests::root_pages_decode_totally
+# Starburst's tail copy staged through a buffer again: a tail byte copied about twice.
+drill tail-copy-staged -p lobstore-core --lib -- starburst::tests::a_tail_copy_moves_each_byte_once
+# The tail copy's reads never charged: its read calls leave the trace and `IoStats`.
+drill tail-copy-uncharged-read --test golden_traces -- \
+    starburst_steady_state_insert_alternates_128_page_reads_and_writes
+drill tail-copy-uncharged-read -p lobstore-core --lib -- \
+    starburst::tests::streaming_copy_matches_the_materialising_oracle_on_the_hard_cases
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

@@ -13,7 +13,7 @@
 //! overlays, so version-pinned snapshot readers can stream segments
 //! concurrently under the shared side of the database lock.
 
-use lobstore_simdisk::{cast, AreaId, PageId, PAGE_SIZE, PAGE_SIZE_U64};
+use lobstore_simdisk::{cast, AreaId, PageId, Piece, PAGE_SIZE, PAGE_SIZE_U64};
 
 use crate::metrics;
 use crate::pool::{BufferPool, FrameRef, MAX_BUFFERED_SEG};
@@ -203,9 +203,9 @@ impl BufferPool {
     }
 
     /// Read `n_pages` whole pages directly into `out` with one I/O call —
-    /// for internal staging buffers (e.g. Starburst's 512 KB copy buffer)
-    /// where page-grained reads need no boundary staging, and for the
-    /// `&self` snapshot-scan path, which must not fix frames.
+    /// for page-grained reads that need no boundary staging (an update's
+    /// segment reads, a cursor's page run), and for the `&self`
+    /// snapshot-scan path, which must not fix frames.
     pub fn read_pages(&self, area: AreaId, start_page: u32, n_pages: u32, out: &mut [u8]) {
         assert!(n_pages > 0);
         assert!(out.len() >= cast::u32_to_usize(n_pages) * PAGE_SIZE);
@@ -215,17 +215,35 @@ impl BufferPool {
         self.overlay_dirty(area, start_page, out);
     }
 
+    /// Charge one read call of `n_pages` whole pages that moves no byte,
+    /// for a copy whose bytes a later [`Self::write_direct_from`] takes
+    /// from the disk (Starburst's §3.5 tail copy).
+    pub fn charge_read(&self, area: AreaId, start_page: u32, n_pages: u32) {
+        #[allow(clippy::disallowed_methods)]
+        self.disk.charge_read(area, start_page, n_pages);
+    }
+
     /// Write `data` to contiguous pages starting at `start_page` with one
-    /// I/O call, bypassing the pool. Resident copies of fully-overwritten
-    /// pages are dropped; a dirty resident copy of a *partially* covered
-    /// trailing page is flushed first so its unwritten bytes survive the
-    /// disk-side read-modify-write.
+    /// I/O call, bypassing the pool: [`Self::write_direct_from`] with one
+    /// [`Piece::Mem`].
     pub fn write_direct(&self, area: AreaId, start_page: u32, data: &[u8]) {
-        assert!(!data.is_empty(), "zero-length direct write");
-        let n_pages = cast::usize_to_u32(data.len().div_ceil(PAGE_SIZE));
-        let partial_tail = !data.len().is_multiple_of(PAGE_SIZE);
-        if partial_tail {
-            // `n_pages >= 1` (data is non-empty) and the write below
+        self.write_direct_from(area, start_page, &[Piece::Mem(data)]);
+    }
+
+    /// Write the bytes of `pieces` to contiguous pages starting at
+    /// `start_page` with one I/O call, bypassing the pool. A
+    /// [`Piece::Disk`] is copied disk to disk, but a page of it that is
+    /// dirty in the pool is copied from its frame, which is newer, as
+    /// [`Self::read_pages`] overlays it; the frame stays dirty. Resident
+    /// copies of fully-overwritten pages are dropped; a dirty resident
+    /// copy of a *partially* covered trailing page is flushed first so
+    /// its unwritten bytes survive the disk-side read-modify-write.
+    pub fn write_direct_from(&self, area: AreaId, start_page: u32, pieces: &[Piece<'_>]) {
+        let len: usize = pieces.iter().map(Piece::len).sum();
+        assert!(len > 0, "zero-length direct write");
+        let n_pages = cast::usize_to_u32(len.div_ceil(PAGE_SIZE));
+        if !len.is_multiple_of(PAGE_SIZE) {
+            // `n_pages >= 1` (the write is non-empty) and the write below
             // targets exactly this page range.
             // loblint: allow(arith-overflow)
             let tail_pid = PageId::new(area, start_page + n_pages - 1);
@@ -233,9 +251,50 @@ impl BufferPool {
             // `flush_page` checks exactly that.
             self.flush_page(tail_pid);
         }
+        let frames = self.dirty_sources(area, pieces);
+        let overlaid;
+        let pieces = if frames.is_empty() {
+            pieces
+        } else {
+            overlaid = overlay_frames(pieces, &frames);
+            &overlaid
+        };
         #[allow(clippy::disallowed_methods)]
-        self.disk.write(area, start_page, data);
+        self.disk.write_from(area, start_page, pieces);
         self.discard_range(area, start_page, n_pages);
+    }
+
+    /// Copies of the dirty resident pages that the [`Piece::Disk`]s of
+    /// `pieces` read, by page number; none, and no `ctl` acquisition,
+    /// for a write from memory only.
+    fn dirty_sources(&self, area: AreaId, pieces: &[Piece<'_>]) -> Vec<(usize, Vec<u8>)> {
+        let mut frames = Vec::new();
+        if !pieces.iter().any(|p| matches!(p, Piece::Disk { .. })) {
+            return frames;
+        }
+        let g = self.lock_ctl();
+        for &piece in pieces {
+            let Piece::Disk { byte, len } = piece else {
+                continue;
+            };
+            let first_page = byte / PAGE_SIZE;
+            // The pages stay within the 32-bit page space.
+            // loblint: allow(arith-overflow)
+            let pages = (byte + len).div_ceil(PAGE_SIZE) - first_page;
+            let found = g.dirty_in(
+                area,
+                cast::usize_to_u32(first_page),
+                cast::usize_to_u32(pages),
+            );
+            for (page, idx) in found {
+                let mut copy = vec![0u8; PAGE_SIZE];
+                self.copy_frame_into(idx, &mut copy);
+                frames.push((cast::u32_to_usize(page), copy));
+            }
+        }
+        frames.sort_unstable_by_key(|f| f.0);
+        frames.dedup_by_key(|f| f.0);
+        frames
     }
 
     /// Flush the dirty resident pages of the page range `[start,
@@ -273,6 +332,47 @@ impl BufferPool {
         }
         buf
     }
+}
+
+/// `pieces` with each page of a [`Piece::Disk`] that `frames` (sorted by
+/// page number) holds taken from the frame copy instead, the rest of it
+/// kept as disk pieces.
+fn overlay_frames<'a>(pieces: &[Piece<'a>], frames: &'a [(usize, Vec<u8>)]) -> Vec<Piece<'a>> {
+    let mut out = Vec::new();
+    for &piece in pieces {
+        let Piece::Disk { byte, len } = piece else {
+            out.push(piece);
+            continue;
+        };
+        // The piece lies in the area, far below `usize::MAX`.
+        // loblint: allow(arith-overflow)
+        let (mut at, end) = (byte, byte + len);
+        while at < end {
+            let (page, off) = (at / PAGE_SIZE, at % PAGE_SIZE);
+            // loblint: allow(arith-overflow)
+            let take = (PAGE_SIZE - off).min(end - at);
+            let next = frames
+                .binary_search_by_key(&page, |f| f.0)
+                .ok()
+                .and_then(|i| frames.get(i))
+                // `off + take <= PAGE_SIZE`, the length of every copy.
+                // loblint: allow(arith-overflow)
+                .and_then(|f| f.1.get(off..off + take))
+                .map(Piece::Mem);
+            match (next, out.last_mut()) {
+                (Some(mem), _) => out.push(mem),
+                // Disk bytes that follow on from a disk piece join it.
+                // loblint: allow(arith-overflow)
+                (None, Some(Piece::Disk { byte, len })) if *byte + *len == at => *len += take,
+                (None, _) => out.push(Piece::Disk {
+                    byte: at,
+                    len: take,
+                }),
+            }
+            at += take;
+        }
+    }
+    out
 }
 
 /// Copy the `dst.len()` bytes of `page` that start at `from`.
@@ -444,6 +544,57 @@ mod tests {
             out[PAGE_SIZE + 100..].iter().all(|&b| b == 0xAA),
             "dirty resident tail bytes must survive"
         );
+    }
+
+    /// A disk-to-disk write whose sources cross two dirty resident pages
+    /// copies their frame bytes, as `read_pages` + `write_direct` of the
+    /// same range would, with the same write call; the frames stay
+    /// resident and dirty.
+    #[test]
+    fn write_direct_from_copies_a_dirty_source_page_from_its_frame() {
+        let mut seen = Vec::new();
+        let mem = [0x77u8; 300];
+        for staged in [false, true] {
+            let p = pool();
+            seed(&p, 0, 8);
+            for (q, b) in [(2u32, 0xEE), (4, 0xDD)] {
+                let r = p.fix(PageId::new(A, q));
+                p.with_page_mut(r, |page| page.fill(b));
+                p.unfix(r);
+            }
+            p.disk().reset_stats();
+            p.disk().enable_trace(4);
+            let (byte, len) = (PAGE_SIZE + 100, 3 * PAGE_SIZE + 50);
+            if staged {
+                let mut pages = vec![0u8; 4 * PAGE_SIZE];
+                p.read_pages(A, 1, 4, &mut pages);
+                let mut data = pages[100..100 + len].to_vec();
+                data.extend_from_slice(&mem);
+                p.write_direct(A, 20, &data);
+            } else {
+                let pieces = [Piece::Disk { byte, len }, Piece::Mem(&mem)];
+                p.write_direct_from(A, 20, &pieces);
+            }
+            let writes: Vec<_> = p
+                .disk()
+                .take_trace()
+                .into_iter()
+                .filter(|e| e.kind == TraceKind::Write)
+                .collect();
+            let mut out = vec![0u8; 5 * PAGE_SIZE];
+            p.disk().peek(A, 20, &mut out);
+            for q in [2u32, 4] {
+                let dirty = p
+                    .frame_table()
+                    .into_iter()
+                    .any(|(pid, dirty, ..)| pid == Some(PageId::new(A, q)) && dirty);
+                assert!(dirty, "page {q} stays resident and dirty");
+            }
+            seen.push((out, writes, p.io_stats().write_calls));
+        }
+        assert!(seen[0].0 == seen[1].0, "the copies differ");
+        assert_eq!(seen[0].1, seen[1].1);
+        assert_eq!(seen[0].2, 1);
     }
 
     #[test]

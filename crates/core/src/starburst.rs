@@ -12,9 +12,11 @@
 //! The price is paid by length-changing updates: inserting (deleting)
 //! bytes in the middle requires **copying every segment from the affected
 //! one rightward** (including it, because of shadowing) into a new set of
-//! segments, streamed through a 512 KB staging buffer (§3.5): ≤ 128-page
+//! segments with the calls of a 512 KB staging buffer (§3.5): ≤ 128-page
 //! reads of the old segments alternate with ≤ 128-page writes of the new
-//! ones, and the object is never in memory whole. Once an object has
+//! ones. The reads are charged and move nothing; each write copies its
+//! bytes from the old segments and the inserted bytes, disk to disk, so
+//! a byte is copied once and the object is never in memory. Once an object has
 //! been updated, its size is known, so the rewrite uses maximum-size
 //! segments with the last one trimmed — which is why the steady-state
 //! update cost equals a whole-object copy (Table 3).
@@ -26,17 +28,18 @@
 //! 507 segments ≈ 16 GB of max-size segments).
 
 use lobstore_buddy::Extent;
-use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PAGE_SIZE, PAGE_SIZE_U64};
+use lobstore_simdisk::{cast, pages_for_bytes, AreaId, Piece, PAGE_SIZE, PAGE_SIZE_U64};
 
 use crate::db::Db;
 use crate::error::{LobError, Result};
 use crate::node::{find_child, Entry, Node, RootHdr, ROOT_MAX_ENTRIES};
 use crate::object::{check_op_len, check_range, StorageKind};
-use crate::segdata::{append_in_place, insert_bytes, patch_in_place};
+use crate::segdata::{append_in_place, patch_in_place};
 use crate::tree::PosTree;
 
 /// The 512 KB copy buffer of §3.5, in pages and in bytes (a widening
-/// cast; `cast::u32_to_usize` is not `const`).
+/// cast; `cast::u32_to_usize` is not `const`): the size of each call of
+/// the tail copy.
 const STAGING_PAGES: u32 = 128;
 const CHUNK: usize = STAGING_PAGES as usize * PAGE_SIZE;
 
@@ -81,10 +84,12 @@ impl Starburst {
     /// The §3.5 copy: stream the bytes of segments `old` into fresh
     /// maximum-size segments (the last one exact, none smaller than
     /// `min_alloc` pages), with bytes `at..at + cut` of the stream
-    /// replaced by `put`. Each ≤ 512 KB read lands in the staging buffer
-    /// behind the bytes still pending and is edited there; every chunk of
-    /// the current new segment that is complete is then written. Nothing
-    /// is freed here.
+    /// replaced by `put`. The 512 KB staging buffer is the call pattern:
+    /// each ≤ 128-page read of an old segment is charged where the buffer
+    /// would take it in, and every chunk of the current new segment that
+    /// the reads so far complete is then written, by one call whose bytes
+    /// come from the old segments and `put` ([`NewTail`]), so each byte
+    /// is copied once. Nothing is freed here.
     fn copy_tail(
         &self,
         db: &mut Db,
@@ -99,38 +104,33 @@ impl Starburst {
             return self.copy_tail_oracle(db, old, at, cut, put, min_alloc);
         }
         let old_len: usize = old.iter().map(|e| cast::to_usize(e.count)).sum();
+        let tail = NewTail { old, at, cut, put };
         let max_bytes = cast::to_usize(self.max_bytes());
-        // `buf[..fill]` is copied but not yet written: less than a chunk
-        // between reads. `put` is spliced in, so `buf` grows by it.
-        let mut buf = vec![0u8; 2 * CHUNK];
-        let (mut fill, mut pos) = (0usize, 0usize);
+        // `fill` bytes of the new tail are read but not yet written: less
+        // than a chunk between reads; `done` are written.
+        let (mut fill, mut done, mut pos) = (0usize, 0usize, 0usize);
         // Bytes of the new tail no segment is open for yet; then the open
         // segment: bytes it still takes, and the page they go to. A segment
         // is opened, and allocated, as soon as the one before it is full.
         let mut unplaced = old_len - cut + put.len();
         let (mut seg_left, mut next_page) = (0usize, 0u32);
         let mut segs = Vec::new();
+        let mut pieces = Vec::new();
         for e in old {
             let (mut left, mut page) = (cast::to_usize(e.count), e.ptr);
             while left > 0 {
                 let n = pages_for_bytes(left as u64).min(STAGING_PAGES);
                 let got = left.min(cast::u32_to_usize(n) * PAGE_SIZE);
-                let chunk = &mut buf[fill..];
-                db.pool.read_pages(AreaId::LEAF, page, n, chunk);
-                // Drop the part of the cut inside this chunk; `put` goes
-                // in where the cut starts.
-                let lo = at.clamp(pos, pos + got) - pos;
-                let hi = (at + cut).clamp(pos, pos + got) - pos;
-                if lo < hi {
-                    chunk.copy_within(hi..got, lo);
-                }
+                db.pool.charge_read(AreaId::LEAF, page, n);
+                // The read adds its bytes outside the cut, and `put` where
+                // the cut starts.
+                let lo = at.clamp(pos, pos + got);
+                let hi = (at + cut).clamp(pos, pos + got);
+                fill += got - (hi - lo);
                 if (pos..pos + got).contains(&at) {
-                    insert_bytes(&mut buf, fill + lo, put);
                     fill += put.len();
                 }
-                fill += got - (hi - lo);
                 (left, page, pos) = (left - got, page + n, pos + got);
-                let mut head = 0;
                 loop {
                     if seg_left == 0 {
                         seg_left = unplaced.min(max_bytes);
@@ -148,19 +148,17 @@ impl Starburst {
                         });
                     }
                     let n = seg_left.min(CHUNK);
-                    if fill - head < n {
+                    if fill < n {
                         break;
                     }
-                    let chunk = &buf[head..head + n];
-                    db.pool.write_direct(AreaId::LEAF, next_page, chunk);
-                    (seg_left, head) = (seg_left - n, head + n);
+                    tail.pieces(done, n, &mut pieces);
+                    db.pool.write_direct_from(AreaId::LEAF, next_page, &pieces);
+                    (seg_left, fill, done) = (seg_left - n, fill - n, done + n);
                     // Only a segment's last chunk is shorter than 128 pages,
                     // and `next_page` is not used again after that one.
                     // loblint: allow(arith-overflow)
                     next_page += STAGING_PAGES;
                 }
-                buf.copy_within(head..fill, 0);
-                fill -= head;
             }
         }
         debug_assert_eq!((fill, unplaced, seg_left), (0, 0, 0));
@@ -399,6 +397,47 @@ impl Starburst {
             }
         }
         Ok(())
+    }
+}
+
+/// The new tail of a §3.5 copy, mapped to where its bytes are: the old
+/// segments' bytes `..at`, then `put`, then their bytes from `at + cut`.
+struct NewTail<'a> {
+    old: &'a [Entry],
+    at: usize,
+    cut: usize,
+    put: &'a [u8],
+}
+
+impl<'a> NewTail<'a> {
+    /// Set `out` to the pieces of new-tail bytes `from..from + len`: old
+    /// bytes before the edit point, `put`, old bytes after the cut.
+    fn pieces(&self, from: usize, len: usize, out: &mut Vec<Piece<'a>>) {
+        out.clear();
+        let (end, put_end) = (from + len, self.at + self.put.len());
+        self.old_pieces(from, end.min(self.at), out);
+        let (lo, hi) = (from.clamp(self.at, put_end), end.clamp(self.at, put_end));
+        if lo < hi {
+            out.push(Piece::Mem(&self.put[lo - self.at..hi - self.at]));
+        }
+        // New-tail byte `x` past `put` is old byte `x - put.len() + cut`.
+        let shift = |x: usize| x - put_end + self.at + self.cut;
+        self.old_pieces(shift(from.max(put_end)), shift(end.max(put_end)), out);
+    }
+
+    /// Push a disk piece for each old segment that bytes `lo..hi` of the
+    /// old stream touch (none if the range is empty).
+    fn old_pieces(&self, lo: usize, hi: usize, out: &mut Vec<Piece<'a>>) {
+        let mut start = 0;
+        for e in self.old {
+            let end = start + cast::to_usize(e.count);
+            let (a, b) = (lo.max(start), hi.min(end));
+            if a < b {
+                let byte = cast::u32_to_usize(e.ptr) * PAGE_SIZE + (a - start);
+                out.push(Piece::Disk { byte, len: b - a });
+            }
+            start = end;
+        }
     }
 }
 
@@ -855,6 +894,38 @@ mod tests {
             "calls {} vs expected ~{expected_calls}",
             s.calls()
         );
+    }
+
+    /// In the steady state an insert and a delete each copy the new
+    /// tail once: `simdisk.leaf.bytes_copied` grows by exactly its
+    /// length, as the reads move nothing and each write copies its bytes
+    /// straight to their new segment.
+    #[test]
+    fn a_tail_copy_moves_each_byte_once() {
+        let mut db = db();
+        let params = ManagerSpec::Starburst {
+            max_seg_pages: 64,
+            known_size: false,
+        };
+        let mut obj = Lob::create(&mut db, params).unwrap();
+        obj.append(&mut db, &pattern(1 << 20, 1)).unwrap();
+        // The first update: maximum-size segments from here on.
+        obj.insert(&mut db, 1_000, b"x").unwrap();
+        let copied = || lobstore_obs::counter_value("simdisk.leaf.bytes_copied");
+        for (off, put, cut) in [(300_000u64, 5_000usize, 0u64), (700_123, 0, 40_000)] {
+            let size = obj.size(&mut db);
+            let segs = obj.segments(&db);
+            let seg = segs.iter().rfind(|s| s.offset <= off).unwrap();
+            let new_tail = size - seg.offset + put as u64 - cut;
+            let before = copied();
+            if put > 0 {
+                obj.insert(&mut db, off, &pattern(put, 2)).unwrap();
+            } else {
+                obj.delete(&mut db, off, cut).unwrap();
+            }
+            assert_eq!(copied() - before, new_tail, "at {off}");
+        }
+        obj.check_invariants(&db).unwrap();
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The simulated disk itself.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -106,6 +107,56 @@ fn copy_split(dst: &mut [u8], src: &[u8], pieces: usize) {
     }
 }
 
+/// Copy the bytes from byte address `byte` on into `out`, for a range
+/// past the arena: a sparse page where one exists, zeroes elsewhere.
+fn sparse_out(sparse: &BTreeMap<u32, PageBox>, byte: usize, out: &mut [u8]) {
+    let (mut at, mut rest) = (byte, out);
+    while !rest.is_empty() {
+        let (page, off) = (at / PAGE_SIZE, at % PAGE_SIZE);
+        // loblint: allow(arith-overflow)
+        let (dst, tail) = rest.split_at_mut((PAGE_SIZE - off).min(rest.len()));
+        match sparse.get(&cast::usize_to_u32(page)) {
+            // `off + dst.len() <= PAGE_SIZE` by the split above.
+            // loblint: allow(arith-overflow, panic-path)
+            Some(p) => dst.copy_from_slice(&p[off..off + dst.len()]),
+            None => dst.fill(0),
+        }
+        (at, rest) = (at + dst.len(), tail);
+    }
+}
+
+/// Where the bytes of one part of a [`SimDisk::write_from`] call come
+/// from.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Piece<'a> {
+    /// `len` bytes of the written area from byte address `byte` (page
+    /// `p` starts at byte `p * PAGE_SIZE`), as the area holds them when
+    /// the call is made.
+    Disk {
+        /// Address of the first byte.
+        byte: usize,
+        /// Number of bytes.
+        len: usize,
+    },
+    /// Bytes of the caller's memory.
+    Mem(&'a [u8]),
+}
+
+impl Piece<'_> {
+    /// Number of bytes the piece supplies.
+    pub fn len(&self) -> usize {
+        match *self {
+            Piece::Disk { len, .. } => len,
+            Piece::Mem(bytes) => bytes.len(),
+        }
+    }
+
+    /// Whether the piece supplies no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// One database area: an extent-backed page store.
 ///
 /// Pages `[0, arena_pages)` live contiguously in `arena` (page `p` at
@@ -128,7 +179,7 @@ struct Area {
     present: Vec<u64>,
     /// Pages beyond the arena frontier. Invariant: every key is
     /// `>= arena_pages()`.
-    sparse: std::collections::BTreeMap<u32, PageBox>,
+    sparse: BTreeMap<u32, PageBox>,
 }
 
 impl Area {
@@ -164,26 +215,91 @@ impl Area {
         }
     }
 
-    /// Store `data` on pages starting at `start`; a partial final page
-    /// keeps its remaining bytes (read-modify-write).
-    fn copy_in(&mut self, start: u32, data: &[u8]) {
-        let n_pages = data.len().div_ceil(PAGE_SIZE);
+    /// Store the first `land` bytes of `pieces` on pages starting at
+    /// `start`; a partial final page keeps its remaining bytes
+    /// (read-modify-write). A [`Piece::Disk`] source is read as the area
+    /// holds it before the call, so pieces that overlap the destination,
+    /// and a destination past the arena's reach, are gathered first.
+    fn copy_in(&mut self, start: u32, pieces: &[Piece<'_>], land: usize) {
+        let n_pages = land.div_ceil(PAGE_SIZE);
         let first = cast::u32_to_usize(start);
-        if first <= self.arena_pages() + ARENA_GROW_SLACK_PAGES {
-            self.grow_arena(first + n_pages);
-            let off = first * PAGE_SIZE;
-            self.arena[off..off + data.len()].copy_from_slice(data);
-            for p in first..first + n_pages {
-                self.set_bit(p);
+        let (dst, dense) = (
+            first * PAGE_SIZE,
+            first <= self.arena_pages() + ARENA_GROW_SLACK_PAGES,
+        );
+        let overlaps = pieces.iter().any(|p| match *p {
+            // loblint: allow(arith-overflow)
+            Piece::Disk { byte, len } => byte < dst + land && dst < byte + len,
+            Piece::Mem(_) => false,
+        });
+        if overlaps || !dense {
+            let mut data = vec![0u8; land];
+            self.gather(pieces, &mut data);
+            if dense {
+                return self.copy_in(start, &[Piece::Mem(&data)], land);
             }
-        } else {
             for (i, chunk) in data.chunks(PAGE_SIZE).enumerate() {
                 let page = self
                     .sparse
                     .entry(start + cast::usize_to_u32(i))
                     .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+                // loblint: allow(panic-path)
                 page[..chunk.len()].copy_from_slice(chunk);
             }
+            return;
+        }
+        // loblint: allow(arith-overflow)
+        self.grow_arena(first + n_pages);
+        let Area { arena, sparse, .. } = self;
+        let mut at = dst;
+        let end = dst + land;
+        for piece in pieces {
+            // `at + n <= end`, inside the arena just grown to hold it.
+            let n = piece.len().min(end - at);
+            let next = at + n;
+            match *piece {
+                // loblint: allow(panic-path)
+                Piece::Mem(bytes) => arena[at..next].copy_from_slice(&bytes[..n]),
+                Piece::Disk { byte, .. } => {
+                    // The arena part moves within the arena; the rest is
+                    // past it, so a sparse page or zeroes.
+                    let inside = arena.len().saturating_sub(byte).min(n);
+                    if inside > 0 {
+                        // loblint: allow(arith-overflow)
+                        arena.copy_within(byte..byte + inside, at);
+                    }
+                    // loblint: allow(arith-overflow, panic-path)
+                    sparse_out(sparse, byte + inside, &mut arena[at + inside..next]);
+                }
+            }
+            at = next;
+        }
+        // loblint: allow(arith-overflow)
+        for p in first..first + n_pages {
+            self.set_bit(p);
+        }
+    }
+
+    /// The first `out.len()` bytes of `pieces`, [`Piece::Disk`] ones read
+    /// from the area.
+    fn gather(&self, pieces: &[Piece<'_>], out: &mut [u8]) {
+        let mut rest = out;
+        for piece in pieces {
+            let (dst, tail) = rest.split_at_mut(piece.len().min(rest.len()));
+            match *piece {
+                // loblint: allow(panic-path)
+                Piece::Mem(bytes) => dst.copy_from_slice(&bytes[..dst.len()]),
+                Piece::Disk { byte, .. } => {
+                    let inside = self.arena.len().saturating_sub(byte).min(dst.len());
+                    let (head, past) = dst.split_at_mut(inside);
+                    if let Some(src) = self.arena.get(byte..byte.saturating_add(inside)) {
+                        head.copy_from_slice(src);
+                    }
+                    // loblint: allow(arith-overflow)
+                    sparse_out(&self.sparse, byte + inside, past);
+                }
+            }
+            rest = tail;
         }
     }
 
@@ -212,19 +328,10 @@ impl Area {
             let (dst, src) = (&mut out[..arena_bytes], &self.arena[off..off + arena_bytes]);
             copy_split(dst, src, pieces);
         }
-        // `first + served pages` stays within the 32-bit page space.
-        // loblint: allow(arith-overflow)
-        let next = first + arena_bytes / PAGE_SIZE;
-        // `arena_bytes <= out.len()` by the clamp above.
-        // loblint: allow(panic-path)
-        for (i, chunk) in out[arena_bytes..].chunks_mut(PAGE_SIZE).enumerate() {
-            match self.sparse.get(&cast::usize_to_u32(next + i)) {
-                // `chunk.len() <= PAGE_SIZE`, the length of `p`.
-                // loblint: allow(panic-path)
-                Some(p) => chunk.copy_from_slice(&p[..chunk.len()]),
-                None => chunk.fill(0),
-            }
-        }
+        // The sparse part starts where the arena part ends.
+        // loblint: allow(arith-overflow, panic-path)
+        let (byte, rest) = (first * PAGE_SIZE + arena_bytes, &mut out[arena_bytes..]);
+        sparse_out(&self.sparse, byte, rest);
     }
 
     fn materialized_count(&self) -> usize {
@@ -294,6 +401,15 @@ impl AtomicIoStats {
         self.pages_read.store(0, Ordering::Release);
         self.pages_written.store(0, Ordering::Release);
         self.time_us.store(0, Ordering::Release);
+    }
+}
+
+/// The counter of bytes that read and write calls copy in `area`.
+fn bytes_copied(area: AreaId) -> &'static lobstore_obs::Counter {
+    match area.0 {
+        0 => &m::META_BYTES_COPIED,
+        1 => &m::LEAF_BYTES_COPIED,
+        _ => &m::OTHER_BYTES_COPIED,
     }
 }
 
@@ -488,40 +604,73 @@ impl SimDisk {
         let n_pages = cast::usize_to_u32(out.len().div_ceil(PAGE_SIZE));
         let slot = self.slot(area);
         self.charge(TraceKind::Read, area, start_page, n_pages);
+        bytes_copied(area).add(out.len() as u64);
         let a = slot.read();
         a.copy_out(start_page, out);
     }
 
-    /// One write call: store `data` on `ceil(data.len() / PAGE_SIZE)`
-    /// contiguous pages starting at `start_page`.
+    /// One read call of `n_pages` pages from `start_page` that moves no
+    /// byte: charged and traced as [`Self::read`] of those pages is, for
+    /// a caller whose bytes reach their destination by a later
+    /// [`Self::write_from`].
     ///
-    /// If `data` ends mid-page, the remaining bytes of the final page are
-    /// left untouched (read-modify-write of the trailing page); the cost
-    /// still charges the whole page, as the disk moves whole pages. Past
-    /// a fail-stop point ([`Self::fail_stop`]) the call is charged and
-    /// stores nothing, or only a page-prefix of `data`.
+    /// # Panics
+    /// If `n_pages` is 0 or the area does not exist.
+    pub fn charge_read(&self, area: AreaId, start_page: u32, n_pages: u32) {
+        assert!(n_pages > 0, "zero-length disk read");
+        self.slot(area);
+        self.charge(TraceKind::Read, area, start_page, n_pages);
+    }
+
+    /// One write call: store `data` on `ceil(data.len() / PAGE_SIZE)`
+    /// contiguous pages starting at `start_page`; [`Self::write_from`]
+    /// with one [`Piece::Mem`].
     ///
     /// # Panics
     /// If `data` is empty or the area does not exist.
     pub fn write(&self, area: AreaId, start_page: u32, data: &[u8]) {
-        assert!(!data.is_empty(), "zero-length disk write");
-        let n_pages = cast::usize_to_u32(data.len().div_ceil(PAGE_SIZE));
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "one write path: `write` is `write_from` of one piece"
+        )]
+        self.write_from(area, start_page, &[Piece::Mem(data)]);
+    }
+
+    /// One write call that stores the bytes of `pieces`, in order, on
+    /// `ceil(len / PAGE_SIZE)` contiguous pages starting at `start_page`,
+    /// `len` being their total length. A [`Piece::Disk`] is copied from
+    /// this area as it stood before the call, straight from page store
+    /// to page store.
+    ///
+    /// If the bytes end mid-page, the remaining bytes of the final page
+    /// are left untouched (read-modify-write of the trailing page); the
+    /// cost still charges the whole page, as the disk moves whole pages.
+    /// Past a fail-stop point ([`Self::fail_stop`]) the call is charged
+    /// and stores nothing, or only a page-prefix of its bytes.
+    ///
+    /// # Panics
+    /// If the pieces hold no byte or the area does not exist.
+    pub fn write_from(&self, area: AreaId, start_page: u32, pieces: &[Piece<'_>]) {
+        let len: usize = pieces.iter().map(Piece::len).sum();
+        assert!(len > 0, "zero-length disk write");
+        let n_pages = cast::usize_to_u32(len.div_ceil(PAGE_SIZE));
         let slot = self.slot(area);
         let call = self.charge(TraceKind::Write, area, start_page, n_pages);
         let fail_at = self.fail_at.load(Ordering::Acquire);
-        let data = if call < fail_at {
-            data
+        let land = if call < fail_at {
+            len
         } else if call == fail_at {
             let torn = cast::u32_to_usize(self.torn_pages.load(Ordering::Acquire));
-            data.get(..torn.saturating_mul(PAGE_SIZE)).unwrap_or(data)
+            torn.saturating_mul(PAGE_SIZE).min(len)
         } else {
             return;
         };
-        if data.is_empty() {
+        if land == 0 {
             return;
         }
+        bytes_copied(area).add(land as u64);
         let mut a = slot.write();
-        a.copy_in(start_page, data);
+        a.copy_in(start_page, pieces, land);
     }
 
     /// Cost-free read used by verification code and by the buffer manager
@@ -538,7 +687,7 @@ impl SimDisk {
     pub fn poke(&self, area: AreaId, start_page: u32, data: &[u8]) {
         let slot = self.slot(area);
         let mut a = slot.write();
-        a.copy_in(start_page, data);
+        a.copy_in(start_page, &[Piece::Mem(data)], data.len());
     }
 
     /// Number of pages ever materialized in `area` (a memory-usage metric,
@@ -861,6 +1010,161 @@ mod tests {
         assert_eq!(s.read_calls, 200);
         assert_eq!(s.pages_read, 400);
         assert_eq!(s.write_calls, 1);
+    }
+
+    /// A far page, past the arena's reach: it lands in the sparse map.
+    const FAR: u32 = 3 * ARENA_GROW_SLACK_PAGES as u32;
+
+    /// The twin disks of the `write_from` tests: an arena of 40 pattern
+    /// pages in LEAF and one sparse page at [`FAR`].
+    fn twin_disk() -> SimDisk {
+        let d = disk();
+        d.write(AreaId::LEAF, 0, &pattern(40 * PAGE_SIZE, 1));
+        d.write(AreaId::LEAF, FAR, &pattern(PAGE_SIZE, 2));
+        d
+    }
+
+    /// The bytes `pieces` stand for on `d`, gathered through peeks.
+    fn gathered(d: &SimDisk, pieces: &[Piece<'_>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for piece in pieces {
+            match *piece {
+                Piece::Mem(bytes) => out.extend_from_slice(bytes),
+                Piece::Disk { byte, len } => {
+                    let skip = byte % PAGE_SIZE;
+                    let mut pages = vec![0u8; (skip + len).div_ceil(PAGE_SIZE) * PAGE_SIZE];
+                    d.peek(AreaId::LEAF, (byte / PAGE_SIZE) as u32, &mut pages);
+                    out.extend_from_slice(&pages[skip..skip + len]);
+                }
+            }
+        }
+        out
+    }
+
+    /// Every materialized LEAF page of `d`, with its bytes.
+    fn leaf_pages(d: &SimDisk) -> Vec<(u32, Vec<u8>)> {
+        let pages = d.materialized_page_numbers(AreaId::LEAF);
+        pages
+            .into_iter()
+            .map(|p| {
+                let mut bytes = vec![0u8; PAGE_SIZE];
+                d.peek(AreaId::LEAF, p, &mut bytes);
+                (p, bytes)
+            })
+            .collect()
+    }
+
+    /// `write_from(LEAF, page, pieces)` on one twin disk and `write` of
+    /// the same bytes gathered into a `Vec` on the other, under the
+    /// fail-stop point `stop`, leave the same pages, `IoStats`, trace
+    /// event and `simdisk.leaf.bytes_copied`.
+    fn write_from_matches_write(stop: Option<(u64, u32)>, page: u32, pieces: &[Piece<'_>]) {
+        let mut seen = Vec::new();
+        for from_pieces in [true, false] {
+            let d = twin_disk();
+            let data = gathered(&d, pieces);
+            lobstore_obs::reset();
+            d.fail_stop(stop);
+            d.enable_trace(4);
+            if from_pieces {
+                d.write_from(AreaId::LEAF, page, pieces);
+            } else {
+                d.write(AreaId::LEAF, page, &data);
+            }
+            d.fail_stop(None);
+            let copied = lobstore_obs::counter_value("simdisk.leaf.bytes_copied");
+            seen.push((leaf_pages(&d), d.stats(), d.take_trace(), copied));
+        }
+        let ctx = format!("stop {stop:?}, page {page}, {pieces:?}");
+        assert!(seen[0].0 == seen[1].0, "pages, {ctx}");
+        assert_eq!(seen[0].1, seen[1].1, "IoStats, {ctx}");
+        assert_eq!(seen[0].2, seen[1].2, "trace, {ctx}");
+        assert_eq!(seen[0].3, seen[1].3, "bytes copied, {ctx}");
+    }
+
+    #[test]
+    fn write_from_matches_write_of_the_gathered_bytes() {
+        let mem = pattern(5_000, 9);
+        let far = FAR as usize * PAGE_SIZE;
+        // Disk, Mem, Disk at unaligned offsets, ending mid-page over an
+        // arena page, inside the arena and growing it.
+        let mixed = [
+            Piece::Disk {
+                byte: 3 * PAGE_SIZE + 123,
+                len: 2 * PAGE_SIZE + 7,
+            },
+            Piece::Mem(&mem),
+            Piece::Disk {
+                byte: 20 * PAGE_SIZE + 4_000,
+                len: 3 * PAGE_SIZE + 1,
+            },
+        ];
+        for page in [30, 38, 45] {
+            write_from_matches_write(None, page, &mixed);
+        }
+        // Sources that overlap the destination read as they were, also
+        // where an earlier piece has just been written over them.
+        write_from_matches_write(None, 4, &mixed);
+        let behind = [
+            Piece::Mem(&mem),
+            Piece::Disk {
+                byte: 4 * PAGE_SIZE + 100,
+                len: PAGE_SIZE,
+            },
+        ];
+        write_from_matches_write(None, 4, &behind);
+        // A source past the frontier: a sparse page, then absent ones.
+        let sparse = [
+            Piece::Mem(&mem[..10]),
+            Piece::Disk {
+                byte: far + 100,
+                len: 2 * PAGE_SIZE,
+            },
+        ];
+        write_from_matches_write(None, 10, &sparse);
+        // A destination past the frontier: sparse pages, one of them
+        // already there, from arena and sparse sources.
+        write_from_matches_write(None, FAR - 1, &mixed);
+        write_from_matches_write(None, FAR + 5, &sparse);
+        // A fail-stop at the call (the twin disk's third write), torn at
+        // no page, one and all; and a call after the fail-stop.
+        let pages = mixed
+            .iter()
+            .map(Piece::len)
+            .sum::<usize>()
+            .div_ceil(PAGE_SIZE) as u32;
+        for torn in [0, 1, pages] {
+            write_from_matches_write(Some((2, torn)), 30, &mixed);
+            write_from_matches_write(Some((2, torn)), FAR + 5, &sparse);
+        }
+        write_from_matches_write(Some((1, 1)), 30, &mixed);
+    }
+
+    /// `charge_read` is a read call's charge, trace event and counters
+    /// without its copy.
+    #[test]
+    fn charge_read_charges_a_read_and_copies_nothing() {
+        let mut seen = Vec::new();
+        for copy in [true, false] {
+            let d = twin_disk();
+            d.reset_stats();
+            lobstore_obs::reset();
+            d.enable_trace(4);
+            if copy {
+                d.read(AreaId::LEAF, 7, &mut vec![0u8; 3 * PAGE_SIZE]);
+            } else {
+                d.charge_read(AreaId::LEAF, 7, 3);
+            }
+            let count = |name| lobstore_obs::counter_value(name);
+            let counts = [
+                count("simdisk.leaf.read_calls"),
+                count("simdisk.leaf.pages_read"),
+            ];
+            seen.push((d.stats(), d.take_trace(), counts));
+            let copied = count("simdisk.leaf.bytes_copied");
+            assert_eq!(copied, if copy { 3 * PAGE_SIZE as u64 } else { 0 });
+        }
+        assert_eq!(seen[0], seen[1]);
     }
 
     const MIB: usize = 1 << 20;

@@ -40,7 +40,7 @@ mod trace;
 
 pub use convert::{bytes, cast};
 pub use cost::CostModel;
-pub use disk::SimDisk;
+pub use disk::{Piece, SimDisk};
 pub use metrics::NAMES as METRIC_NAMES;
 pub use stats::IoStats;
 pub use trace::{TraceEvent, TraceKind};
