@@ -144,8 +144,9 @@ run cargo test -q --release --test model --test proptest_model --test crash_fuzz
 # drops its pair-count bound (the Starburst descriptor's segment-count
 # bound), the byte model a Starburst flag left on a shadowed
 # segment's old pages, the byte-copy count a Starburst tail copy staged
-# through memory again, and the golden trace and the twin-run oracle a
-# tail-copy read left uncharged: 20 patches. Each
+# through memory again, the golden trace and the twin-run oracle a
+# tail-copy read left uncharged, and the fail-stop twin a tail copy that
+# lands its lost calls' bytes: 21 patches. Each
 # patch in mutants/ is applied to one copy of the tree under target/ (a
 # patch that no longer applies fails here), the copy must still build,
 # and then either each test named must fail or, for a `clippy` drill,
@@ -242,6 +243,9 @@ drill tail-copy-uncharged-read --test golden_traces -- \
     starburst_steady_state_insert_alternates_128_page_reads_and_writes
 drill tail-copy-uncharged-read -p lobstore-core --lib -- \
     starburst::tests::streaming_copy_matches_the_materialising_oracle_on_the_hard_cases
+# The tail copy lands a whole segment, past a fail-stop point too.
+drill tail-copy-lands-lost-calls -p lobstore-core --lib -- \
+    starburst::tests::a_fail_stopped_copy_lands_what_the_per_call_oracle_lands
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

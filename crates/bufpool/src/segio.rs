@@ -216,41 +216,53 @@ impl BufferPool {
     }
 
     /// Charge one read call of `n_pages` whole pages that moves no byte,
-    /// for a copy whose bytes a later [`Self::write_direct_from`] takes
-    /// from the disk (Starburst's §3.5 tail copy).
+    /// for a copy whose bytes a later [`Self::land`] takes from the disk
+    /// (Starburst's §3.5 tail copy).
     pub fn charge_read(&self, area: AreaId, start_page: u32, n_pages: u32) {
         #[allow(clippy::disallowed_methods)]
         self.disk.charge_read(area, start_page, n_pages);
     }
 
     /// Write `data` to contiguous pages starting at `start_page` with one
-    /// I/O call, bypassing the pool: [`Self::write_direct_from`] with one
-    /// [`Piece::Mem`].
+    /// I/O call, bypassing the pool: [`Self::charge_write`], then
+    /// [`Self::land`] of one [`Piece::Mem`].
     pub fn write_direct(&self, area: AreaId, start_page: u32, data: &[u8]) {
-        self.write_direct_from(area, start_page, &[Piece::Mem(data)]);
+        let land = self.charge_write(area, start_page, data.len());
+        self.land(area, start_page, &[Piece::Mem(data)], land);
     }
 
-    /// Write the bytes of `pieces` to contiguous pages starting at
-    /// `start_page` with one I/O call, bypassing the pool. A
-    /// [`Piece::Disk`] is copied disk to disk, but a page of it that is
-    /// dirty in the pool is copied from its frame, which is newer, as
-    /// [`Self::read_pages`] overlays it; the frame stays dirty. Resident
-    /// copies of fully-overwritten pages are dropped; a dirty resident
-    /// copy of a *partially* covered trailing page is flushed first so
-    /// its unwritten bytes survive the disk-side read-modify-write.
-    pub fn write_direct_from(&self, area: AreaId, start_page: u32, pieces: &[Piece<'_>]) {
-        let len: usize = pieces.iter().map(Piece::len).sum();
+    /// Charge one write call of `len` bytes to contiguous pages starting
+    /// at `start_page`, bypassing the pool, and return how many of its
+    /// bytes land ([`SimDisk::charge_write`]); [`Self::land`] moves them.
+    /// A dirty resident copy of a *partially* covered trailing page is
+    /// flushed first, so its unwritten bytes survive the disk-side
+    /// read-modify-write.
+    ///
+    /// [`SimDisk::charge_write`]: lobstore_simdisk::SimDisk::charge_write
+    pub fn charge_write(&self, area: AreaId, start_page: u32, len: usize) -> usize {
         assert!(len > 0, "zero-length direct write");
-        let n_pages = cast::usize_to_u32(len.div_ceil(PAGE_SIZE));
         if !len.is_multiple_of(PAGE_SIZE) {
-            // `n_pages >= 1` (the write is non-empty) and the write below
-            // targets exactly this page range.
+            // `len > 0`, and the write targets exactly this page range.
             // loblint: allow(arith-overflow)
-            let tail_pid = PageId::new(area, start_page + n_pages - 1);
+            let tail_pid = PageId::new(area, start_page + cast::usize_to_u32(len / PAGE_SIZE));
             // Only a *dirty* resident tail needs the pre-flush, and
             // `flush_page` checks exactly that.
             self.flush_page(tail_pid);
         }
+        #[allow(clippy::disallowed_methods)]
+        self.disk.charge_write(area, start_page, len)
+    }
+
+    /// Land the first `land` bytes of `pieces` on the pages from
+    /// `start_page`, bypassing the pool: the cost-free copy of the write
+    /// calls [`Self::charge_write`] charged there, `land` being the bytes
+    /// they let land. A [`Piece::Disk`] is copied disk to disk, but a
+    /// page of it that is dirty in the pool is copied from its frame,
+    /// which is newer, as [`Self::read_pages`] overlays it; the frame
+    /// stays dirty. Resident copies of every page `pieces` cover are
+    /// dropped, landed or not.
+    pub fn land(&self, area: AreaId, start_page: u32, pieces: &[Piece<'_>], land: usize) {
+        let len: usize = pieces.iter().map(Piece::len).sum();
         let frames = self.dirty_sources(area, pieces);
         let overlaid;
         let pieces = if frames.is_empty() {
@@ -260,7 +272,8 @@ impl BufferPool {
             &overlaid
         };
         #[allow(clippy::disallowed_methods)]
-        self.disk.write_from(area, start_page, pieces);
+        self.disk.land(area, start_page, pieces, land);
+        let n_pages = cast::usize_to_u32(len.div_ceil(PAGE_SIZE));
         self.discard_range(area, start_page, n_pages);
     }
 
@@ -546,12 +559,12 @@ mod tests {
         );
     }
 
-    /// A disk-to-disk write whose sources cross two dirty resident pages
+    /// A disk-to-disk land whose sources cross two dirty resident pages
     /// copies their frame bytes, as `read_pages` + `write_direct` of the
-    /// same range would, with the same write call; the frames stay
+    /// same range would, after the same write call; the frames stay
     /// resident and dirty.
     #[test]
-    fn write_direct_from_copies_a_dirty_source_page_from_its_frame() {
+    fn a_land_copies_a_dirty_source_page_from_its_frame() {
         let mut seen = Vec::new();
         let mem = [0x77u8; 300];
         for staged in [false, true] {
@@ -573,7 +586,8 @@ mod tests {
                 p.write_direct(A, 20, &data);
             } else {
                 let pieces = [Piece::Disk { byte, len }, Piece::Mem(&mem)];
-                p.write_direct_from(A, 20, &pieces);
+                let land = p.charge_write(A, 20, len + mem.len());
+                p.land(A, 20, &pieces, land);
             }
             let writes: Vec<_> = p
                 .disk()

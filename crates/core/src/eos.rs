@@ -322,8 +322,7 @@ impl Eos {
                 (prev_alloc * 2).min(self.max_seg_pages)
             };
             let take = cast::to_usize((rem.len() as u64).min(u64::from(alloc) * PAGE_SIZE_U64));
-            let ext = db.alloc_leaf(alloc);
-            db.pool.write_direct(AreaId::LEAF, ext.start, &rem[..take]);
+            let ext = write_new_seg(db, alloc, &rem[..take]);
             self.tree.append_entry(
                 db,
                 &mut ctx,

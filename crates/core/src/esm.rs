@@ -36,7 +36,7 @@ use crate::node::Entry;
 use crate::object::{check_op_len, check_range};
 use crate::segdata::{
     append_in_place, append_sizes, even_sizes, insert_bytes, read_seg_bytes, read_segs,
-    write_new_seg,
+    write_new_seg, write_seg_pages,
 };
 use crate::shadow::OpCtx;
 use crate::tree::{read_piece, LeafPos, PosTree};
@@ -176,11 +176,8 @@ impl Esm {
             // In place: write only the pages from the first changed byte on.
             let first_page = keep_prefix / PAGE_SIZE_U64;
             let from = cast::to_usize(first_page * PAGE_SIZE_U64);
-            db.pool.write_direct(
-                AreaId::LEAF,
-                pos.entry.ptr + cast::to_u32(first_page),
-                &content[from..],
-            );
+            let page = pos.entry.ptr + cast::to_u32(first_page);
+            write_seg_pages(db, page, &content[from..]);
             Entry {
                 count: content.len() as u64,
                 ptr: pos.entry.ptr,

@@ -15,7 +15,7 @@
 //! it rides and once more only if it sits behind an insertion point.
 
 use lobstore_buddy::Extent;
-use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PageId, PAGE_SIZE, PAGE_SIZE_U64};
+use lobstore_simdisk::{cast, pages_for_bytes, AreaId, PageId, Piece, PAGE_SIZE, PAGE_SIZE_U64};
 
 use crate::db::Db;
 use crate::metrics;
@@ -143,10 +143,24 @@ pub(crate) fn peek_segs(db: &Db, segs: &[Entry]) -> Vec<u8> {
 pub(crate) fn write_new_seg(db: &mut Db, alloc_pages: u32, bytes: &[u8]) -> Extent {
     debug_assert!(!bytes.is_empty());
     debug_assert!(pages_for_bytes(bytes.len() as u64) <= alloc_pages);
-    metrics::SEG_WRITES.add(1);
     let ext = db.alloc_leaf(alloc_pages);
-    db.pool.write_direct(AreaId::LEAF, ext.start, bytes);
+    write_seg_pages(db, ext.start, bytes);
     ext
+}
+
+/// Write `bytes` to the LEAF pages from `page` with one I/O call: one
+/// segment written, from its page `page` on.
+pub(crate) fn write_seg_pages(db: &mut Db, page: u32, bytes: &[u8]) {
+    metrics::SEG_WRITES.add(1);
+    db.pool.write_direct(AreaId::LEAF, page, bytes);
+}
+
+/// Land the first `landed` bytes of `pieces` on the new segment at `ptr`,
+/// whose write calls the caller charged one by one
+/// ([`lobstore_bufpool::BufferPool::charge_write`]): one segment written.
+pub(crate) fn land_seg(db: &Db, ptr: u32, pieces: &[Piece<'_>], landed: usize) {
+    metrics::SEG_WRITES.add(1);
+    db.pool.land(AreaId::LEAF, ptr, pieces, landed);
 }
 
 /// Append `new` after the first `old_len` bytes of the segment at `ptr`,

@@ -14,9 +14,10 @@
 //! one rightward** (including it, because of shadowing) into a new set of
 //! segments with the calls of a 512 KB staging buffer (§3.5): ≤ 128-page
 //! reads of the old segments alternate with ≤ 128-page writes of the new
-//! ones. The reads are charged and move nothing; each write copies its
-//! bytes from the old segments and the inserted bytes, disk to disk, so
-//! a byte is copied once and the object is never in memory. Once an object has
+//! ones. The calls are charged and move nothing; once a new segment's
+//! last write is charged, one copy lands its bytes from the old segments
+//! and the inserted bytes, disk to disk and cut across cores, so a byte
+//! is copied once and the object is never in memory. Once an object has
 //! been updated, its size is known, so the rewrite uses maximum-size
 //! segments with the last one trimmed — which is why the steady-state
 //! update cost equals a whole-object copy (Table 3).
@@ -34,7 +35,7 @@ use crate::db::Db;
 use crate::error::{LobError, Result};
 use crate::node::{find_child, Entry, Node, RootHdr, ROOT_MAX_ENTRIES};
 use crate::object::{check_op_len, check_range, StorageKind};
-use crate::segdata::{append_in_place, patch_in_place};
+use crate::segdata::{append_in_place, land_seg, patch_in_place, write_new_seg};
 use crate::tree::PosTree;
 
 /// The 512 KB copy buffer of §3.5, in pages and in bytes (a widening
@@ -87,9 +88,12 @@ impl Starburst {
     /// replaced by `put`. The 512 KB staging buffer is the call pattern:
     /// each ≤ 128-page read of an old segment is charged where the buffer
     /// would take it in, and every chunk of the current new segment that
-    /// the reads so far complete is then written, by one call whose bytes
-    /// come from the old segments and `put` ([`NewTail`]), so each byte
-    /// is copied once. Nothing is freed here.
+    /// the reads so far complete is then charged as one write call. When
+    /// a segment's last call is charged, one land copies what its calls
+    /// let land from the old segments and `put` ([`NewTail`]), so each
+    /// byte is copied once. Nothing is freed here: the caller frees the
+    /// old segments after the copy, so between a charge and its land
+    /// nothing writes them, and nothing reads the new ones.
     fn copy_tail(
         &self,
         db: &mut Db,
@@ -107,13 +111,16 @@ impl Starburst {
         let tail = NewTail { old, at, cut, put };
         let max_bytes = cast::to_usize(self.max_bytes());
         // `fill` bytes of the new tail are read but not yet written: less
-        // than a chunk between reads; `done` are written.
+        // than a chunk between reads; `done` are charged as written.
         let (mut fill, mut done, mut pos) = (0usize, 0usize, 0usize);
         // Bytes of the new tail no segment is open for yet; then the open
         // segment: bytes it still takes, and the page they go to. A segment
         // is opened, and allocated, as soon as the one before it is full.
         let mut unplaced = old_len - cut + put.len();
         let (mut seg_left, mut next_page) = (0usize, 0u32);
+        // The open segment's first new-tail byte and page, and the prefix
+        // of its charged bytes that lands.
+        let (mut seg_from, mut seg_page, mut landed) = (0usize, 0u32, 0usize);
         let mut segs = Vec::new();
         let mut pieces = Vec::new();
         for e in old {
@@ -146,18 +153,30 @@ impl Starburst {
                             count: seg_left as u64,
                             ptr: next_page,
                         });
+                        (seg_from, seg_page, landed) = (done, next_page, 0);
                     }
                     let n = seg_left.min(CHUNK);
                     if fill < n {
                         break;
                     }
-                    tail.pieces(done, n, &mut pieces);
-                    db.pool.write_direct_from(AreaId::LEAF, next_page, &pieces);
+                    let got = db.pool.charge_write(AreaId::LEAF, next_page, n);
+                    // A call lands only while every earlier call of the
+                    // segment landed whole: past a short one, all are lost.
+                    // `seg_from` is a past value of `done`, which only grows.
+                    // loblint: allow(arith-overflow)
+                    if landed == done - seg_from {
+                        landed += got;
+                    }
                     (seg_left, fill, done) = (seg_left - n, fill - n, done + n);
                     // Only a segment's last chunk is shorter than 128 pages,
                     // and `next_page` is not used again after that one.
                     // loblint: allow(arith-overflow)
                     next_page += STAGING_PAGES;
+                    if seg_left == 0 {
+                        // loblint: allow(arith-overflow)
+                        tail.pieces(seg_from, done - seg_from, &mut pieces);
+                        land_seg(db, seg_page, &pieces, landed);
+                    }
                 }
             }
         }
@@ -240,8 +259,7 @@ impl Starburst {
             last.count += fill as u64;
         }
         for (alloc, take) in plan {
-            let ext = db.alloc_leaf(alloc);
-            db.pool.write_direct(AreaId::LEAF, ext.start, &rem[..take]);
+            let ext = write_new_seg(db, alloc, &rem[..take]);
             segs.push(Entry {
                 count: take as u64,
                 ptr: ext.start,
@@ -552,24 +570,110 @@ mod tests {
         }
     }
 
+    /// A store of one `size`-byte object of `max_seg_pages`-page
+    /// segments, appended 100 000 bytes at a time.
+    fn twin_store(max_seg_pages: u32, size: usize) -> (Db, Lob) {
+        let mut db = db();
+        let params = ManagerSpec::Starburst {
+            max_seg_pages,
+            known_size: false,
+        };
+        let mut obj = Lob::create(&mut db, params).unwrap();
+        for piece in pattern(size, 3).chunks(100_000) {
+            obj.append(&mut db, piece).unwrap();
+        }
+        (db, obj)
+    }
+
+    /// Every materialized LEAF page of `db`, with its bytes.
+    fn leaf_pages(db: &Db) -> Vec<(u32, Vec<u8>)> {
+        let disk = db.pool.disk();
+        let pages = disk.materialized_page_numbers(AreaId::LEAF);
+        let peek = |p| {
+            let mut bytes = vec![0u8; PAGE_SIZE];
+            disk.peek(AreaId::LEAF, p, &mut bytes);
+            (p, bytes)
+        };
+        pages.into_iter().map(peek).collect()
+    }
+
+    /// A fail-stop at each write call of a steady-state insert and a
+    /// delete, torn at no page, one and all of the call's, leaves the
+    /// LEAF pages, `IoStats` and read and write calls that the
+    /// materialising oracle leaves, which lands each write as it is
+    /// charged: the one land per segment keeps exactly the prefix its
+    /// calls let land. A 64-page segment takes two calls and a 300-page
+    /// one three, so a segment's lost tail is tested too.
+    #[test]
+    fn a_fail_stopped_copy_lands_what_the_per_call_oracle_lands() {
+        let ops = [
+            TwinOp::Insert {
+                at: 250_000,
+                len: 5_000,
+            },
+            TwinOp::Delete {
+                at: 200_123,
+                len: 40_000,
+            },
+        ];
+        for (max_seg_pages, op) in [64, 300].into_iter().flat_map(|m| ops.map(|op| (m, op))) {
+            // The store, steady: maximum-size segments from here on.
+            let build = || {
+                let (mut db, mut obj) = twin_store(max_seg_pages, 1_300_000);
+                obj.insert(&mut db, 1_000, b"x").unwrap();
+                (db, obj)
+            };
+            // The op's write calls, from a fault-free run.
+            let (mut db, mut obj) = build();
+            db.pool().disk().enable_trace(1 << 12);
+            op.apply(&mut obj, &mut db, 1);
+            let trace = db.pool().disk().take_trace();
+            let writes: Vec<u32> = trace
+                .iter()
+                .filter(|e| e.kind == TraceKind::Write)
+                .map(|e| e.pages)
+                .collect();
+            assert!(writes.len() > 1, "{op:?}");
+            for (k, &pages) in (0u64..).zip(&writes) {
+                for torn in [0, 1, pages] {
+                    let mut seen = Vec::new();
+                    for oracle in [false, true] {
+                        let (mut db, mut obj) = build();
+                        db.reset_io_stats();
+                        let disk = db.pool().disk();
+                        disk.fail_stop(Some((k, torn)));
+                        disk.enable_trace(1 << 12);
+                        MATERIALISE.set(oracle);
+                        op.apply(&mut obj, &mut db, 1);
+                        MATERIALISE.set(false);
+                        let disk = db.pool().disk();
+                        disk.fail_stop(None);
+                        let trace = disk.take_trace();
+                        let calls = |kind: TraceKind| -> Vec<_> {
+                            let of_kind = trace.iter().filter(|e| e.kind == kind);
+                            of_kind.map(|e| (e.start, e.pages)).collect()
+                        };
+                        let (reads, writes) = (calls(TraceKind::Read), calls(TraceKind::Write));
+                        seen.push((leaf_pages(&db), db.io_stats(), reads, writes));
+                    }
+                    let ctx =
+                        format!("{max_seg_pages}-page segments, {op:?}, write {k} torn {torn}");
+                    assert!(seen[0].0 == seen[1].0, "LEAF pages, {ctx}");
+                    assert_eq!(seen[0].1, seen[1].1, "IoStats, {ctx}");
+                    assert_eq!(seen[0].2, seen[1].2, "read calls, {ctx}");
+                    assert_eq!(seen[0].3, seen[1].3, "write calls, {ctx}");
+                }
+            }
+        }
+    }
+
     /// Run `ops` on two identical stores — one through the streaming
     /// copy, one through the materialising oracle — and after every op
     /// compare the read calls, the write calls (each as a sequence; only
     /// their interleaving may differ), `IoStats`, the descriptor, the
     /// allocation total and the object's bytes.
     fn run_twin(max_seg_pages: u32, size: usize, ops: &[TwinOp]) {
-        let build = || {
-            let mut db = db();
-            let params = ManagerSpec::Starburst {
-                max_seg_pages,
-                known_size: false,
-            };
-            let mut obj = Lob::create(&mut db, params).unwrap();
-            for piece in pattern(size, 3).chunks(100_000) {
-                obj.append(&mut db, piece).unwrap();
-            }
-            (db, obj)
-        };
+        let build = || twin_store(max_seg_pages, size);
         let mut twins = [build(), build()];
         for (step, op) in ops.iter().enumerate() {
             let mut seen = Vec::new();
@@ -926,6 +1030,26 @@ mod tests {
             assert_eq!(copied() - before, new_tail, "at {off}");
         }
         obj.check_invariants(&db).unwrap();
+    }
+
+    /// A steady-state insert writes each new segment once: one land a
+    /// segment, so `core.seg.writes` grows by the new-segment count.
+    #[test]
+    fn a_tail_copy_counts_one_write_a_new_segment() {
+        let (mut db, mut obj) = twin_store(64, 1 << 20);
+        obj.insert(&mut db, 1_000, b"x").unwrap();
+        let off = 300_000;
+        let edited = obj
+            .segments(&db)
+            .iter()
+            .rposition(|s| s.offset <= off)
+            .unwrap();
+        let writes = || lobstore_obs::counter_value("core.seg.writes");
+        let before = writes();
+        obj.insert(&mut db, off, &pattern(5_000, 2)).unwrap();
+        let new = obj.segments(&db).len() - edited;
+        assert!(new > 1, "{new} new segments");
+        assert_eq!(writes() - before, new as u64);
     }
 
     #[test]

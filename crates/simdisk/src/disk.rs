@@ -20,9 +20,10 @@ type PageBox = Box<[u8; PAGE_SIZE]>;
 /// allocation while a stray far-off write cannot balloon memory.
 const ARENA_GROW_SLACK_PAGES: usize = 4096;
 
-/// The smallest arena copy a read splits across cores. Below it, starting
-/// and joining a helper thread costs more than the half copy it takes
-/// over (DESIGN.md §12, "Extent-backed page store").
+/// The smallest arena copy that is split across cores, a read's or a
+/// write's. Below it, starting and joining a helper thread costs more
+/// than the half copy it takes over (DESIGN.md §12, "Extent-backed page
+/// store").
 const SPLIT_MIN_BYTES: usize = 1 << 20;
 
 /// The smallest piece of a split copy: a copy is cut into at most
@@ -107,6 +108,16 @@ fn copy_split(dst: &mut [u8], src: &[u8], pieces: usize) {
     }
 }
 
+/// [`copy_split`] cut into [`split_pieces`] pieces, counting a copy that
+/// is split in `splits` (the caller's thread, whose obs storage it is).
+fn copy_arena(dst: &mut [u8], src: &[u8], splits: &lobstore_obs::Counter) {
+    let pieces = split_pieces(dst.len());
+    if pieces > 1 {
+        splits.add(1);
+    }
+    copy_split(dst, src, pieces);
+}
+
 /// Copy the bytes from byte address `byte` on into `out`, for a range
 /// past the arena: a sparse page where one exists, zeroes elsewhere.
 fn sparse_out(sparse: &BTreeMap<u32, PageBox>, byte: usize, out: &mut [u8]) {
@@ -125,8 +136,8 @@ fn sparse_out(sparse: &BTreeMap<u32, PageBox>, byte: usize, out: &mut [u8]) {
     }
 }
 
-/// Where the bytes of one part of a [`SimDisk::write_from`] call come
-/// from.
+/// Where the bytes of one part of a [`SimDisk::write_from`] or
+/// [`SimDisk::land`] come from.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Piece<'a> {
     /// `len` bytes of the written area from byte address `byte` (page
@@ -161,11 +172,11 @@ impl Piece<'_> {
 ///
 /// Pages `[0, arena_pages)` live contiguously in `arena` (page `p` at
 /// byte offset `p * PAGE_SIZE`), so a multi-page run moves with one
-/// slice copy instead of one map lookup and copy per page; a read of
-/// 1 MiB or more of the arena is cut into page-aligned pieces copied on
-/// every core at once ([`copy_split`]). Writes far beyond the frontier
-/// land in the `sparse` fallback map and are migrated into the arena
-/// when it later grows over them.
+/// slice copy instead of one map lookup and copy per page; an arena copy
+/// of 1 MiB or more, into the arena or out of it, is cut into
+/// page-aligned pieces copied on every core at once ([`copy_split`]).
+/// Writes far beyond the frontier land in the `sparse` fallback map and
+/// are migrated into the arena when it later grows over them.
 ///
 /// Pages are still materialized lazily — a never-written page reads as
 /// zeroes, like a freshly formatted volume — with one bit per arena page
@@ -220,6 +231,8 @@ impl Area {
     /// (read-modify-write). A [`Piece::Disk`] source is read as the area
     /// holds it before the call, so pieces that overlap the destination,
     /// and a destination past the arena's reach, are gathered first.
+    /// Otherwise each piece's arena part is one [`copy_arena`] (cut
+    /// across cores from 1 MiB, counted in `simdisk.split_writes`).
     fn copy_in(&mut self, start: u32, pieces: &[Piece<'_>], land: usize) {
         let n_pages = land.div_ceil(PAGE_SIZE);
         let first = cast::u32_to_usize(start);
@@ -250,6 +263,7 @@ impl Area {
         }
         // loblint: allow(arith-overflow)
         self.grow_arena(first + n_pages);
+        let splits = &m::SPLIT_WRITES;
         let Area { arena, sparse, .. } = self;
         let mut at = dst;
         let end = dst + land;
@@ -259,14 +273,24 @@ impl Area {
             let next = at + n;
             match *piece {
                 // loblint: allow(panic-path)
-                Piece::Mem(bytes) => arena[at..next].copy_from_slice(&bytes[..n]),
+                Piece::Mem(bytes) => copy_arena(&mut arena[at..next], &bytes[..n], splits),
                 Piece::Disk { byte, .. } => {
                     // The arena part moves within the arena; the rest is
                     // past it, so a sparse page or zeroes.
                     let inside = arena.len().saturating_sub(byte).min(n);
                     if inside > 0 {
-                        // loblint: allow(arith-overflow)
-                        arena.copy_within(byte..byte + inside, at);
+                        // The source does not overlap the destination, so
+                        // it lies wholly on one side of `at`: cut there.
+                        let (dst, src) = if byte < at {
+                            let (head, rest) = arena.split_at_mut(at);
+                            // loblint: allow(arith-overflow, panic-path)
+                            (&mut rest[..inside], &head[byte..byte + inside])
+                        } else {
+                            let (head, rest) = arena.split_at_mut(byte);
+                            // loblint: allow(panic-path)
+                            (&mut head[at..at + inside], &rest[..inside])
+                        };
+                        copy_arena(dst, src, splits);
                     }
                     // loblint: allow(arith-overflow, panic-path)
                     sparse_out(sparse, byte + inside, &mut arena[at + inside..next]);
@@ -305,7 +329,7 @@ impl Area {
 
     /// Fetch pages starting at `start` into `out`. Never materializes;
     /// absent pages read as zeroes (arena slack already holds zeroes).
-    /// The arena part is one [`copy_split`] (cut across cores from 1 MiB,
+    /// The arena part is one [`copy_arena`] (cut across cores from 1 MiB,
     /// counted in `simdisk.split_reads`); sparse pages are copied one by
     /// one on the calling thread.
     fn copy_out(&self, start: u32, out: &mut [u8]) {
@@ -317,16 +341,12 @@ impl Area {
             .min(out.len());
         if arena_bytes > 0 {
             let off = first * PAGE_SIZE;
-            let pieces = split_pieces(arena_bytes);
-            if pieces > 1 {
-                m::SPLIT_READS.add(1);
-            }
             // `arena_bytes` was clamped to both the arena extent past
             // `off` and `out.len()` above, so neither slice can be out
             // of range.
             // loblint: allow(arith-overflow, panic-path)
             let (dst, src) = (&mut out[..arena_bytes], &self.arena[off..off + arena_bytes]);
-            copy_split(dst, src, pieces);
+            copy_arena(dst, src, &m::SPLIT_READS);
         }
         // The sparse part starts where the arena part ends.
         // loblint: allow(arith-overflow, panic-path)
@@ -426,13 +446,17 @@ fn bytes_copied(area: AreaId) -> &'static lobstore_obs::Counter {
 /// optional trace is mutex-guarded — a mutex no call takes until a trace
 /// has been enabled. A call is charged on the calling thread before any
 /// byte moves, so costs, counter order and the trace stream depend only
-/// on the sequence of calls. A read or peek of 1 MiB or more of an
-/// area's dense arena copies its bytes on every core the process may
-/// use, on scoped threads joined before the call returns; writes and
-/// the pages past the arena are always copied by the calling thread.
+/// on the sequence of calls. One rule covers every copy into or out of
+/// an area's dense arena: from 1 MiB on — a read's or peek's run, or one
+/// piece of a write or a [`Self::land`] — it runs on every core the
+/// process may use, on scoped threads joined before the call returns.
+/// The pages past the arena are always copied by the calling thread.
 ///
 /// A fail-stop point ([`Self::fail_stop`]) simulates a crash at a write
 /// call: from that call on, writes are charged but their bytes are lost.
+/// A write call is two halves, [`Self::charge_write`] and
+/// [`Self::land`], so a caller may charge several calls and land their
+/// bytes in one copy.
 pub struct SimDisk {
     areas: Vec<AreaSlot>,
     cost: CostModel,
@@ -612,7 +636,7 @@ impl SimDisk {
     /// One read call of `n_pages` pages from `start_page` that moves no
     /// byte: charged and traced as [`Self::read`] of those pages is, for
     /// a caller whose bytes reach their destination by a later
-    /// [`Self::write_from`].
+    /// [`Self::land`].
     ///
     /// # Panics
     /// If `n_pages` is 0 or the area does not exist.
@@ -638,33 +662,59 @@ impl SimDisk {
 
     /// One write call that stores the bytes of `pieces`, in order, on
     /// `ceil(len / PAGE_SIZE)` contiguous pages starting at `start_page`,
-    /// `len` being their total length. A [`Piece::Disk`] is copied from
-    /// this area as it stood before the call, straight from page store
-    /// to page store.
-    ///
-    /// If the bytes end mid-page, the remaining bytes of the final page
-    /// are left untouched (read-modify-write of the trailing page); the
-    /// cost still charges the whole page, as the disk moves whole pages.
-    /// Past a fail-stop point ([`Self::fail_stop`]) the call is charged
-    /// and stores nothing, or only a page-prefix of its bytes.
+    /// `len` being their total length: [`Self::charge_write`] and then
+    /// [`Self::land`] of what it lets land.
     ///
     /// # Panics
     /// If the pieces hold no byte or the area does not exist.
     pub fn write_from(&self, area: AreaId, start_page: u32, pieces: &[Piece<'_>]) {
-        let len: usize = pieces.iter().map(Piece::len).sum();
+        let len = pieces.iter().map(Piece::len).sum();
+        #[allow(clippy::disallowed_methods, reason = "a write call's charge")]
+        let land = self.charge_write(area, start_page, len);
+        #[allow(clippy::disallowed_methods, reason = "a write call's copy")]
+        self.land(area, start_page, pieces, land);
+    }
+
+    /// Charge and trace one write call of `len` bytes to
+    /// `ceil(len / PAGE_SIZE)` contiguous pages from `start_page`, and
+    /// return how many of its bytes land: all of them, or past a
+    /// fail-stop point ([`Self::fail_stop`]) none or a page-prefix (the
+    /// torn call). Moves nothing: [`Self::land`] copies the bytes.
+    ///
+    /// # Panics
+    /// If `len` is 0 or the area does not exist.
+    pub fn charge_write(&self, area: AreaId, start_page: u32, len: usize) -> usize {
         assert!(len > 0, "zero-length disk write");
         let n_pages = cast::usize_to_u32(len.div_ceil(PAGE_SIZE));
-        let slot = self.slot(area);
+        self.slot(area);
         let call = self.charge(TraceKind::Write, area, start_page, n_pages);
         let fail_at = self.fail_at.load(Ordering::Acquire);
-        let land = if call < fail_at {
+        if call < fail_at {
             len
         } else if call == fail_at {
             let torn = cast::u32_to_usize(self.torn_pages.load(Ordering::Acquire));
             torn.saturating_mul(PAGE_SIZE).min(len)
         } else {
-            return;
-        };
+            0
+        }
+    }
+
+    /// Store the first `land` bytes of `pieces`, in order, on the pages
+    /// from `start_page`: cost-free, the copy of write calls that
+    /// [`Self::charge_write`] charged, `land` being the bytes they let
+    /// land. A [`Piece::Disk`] is copied from this area as it stands
+    /// before the copy, straight from page store to page store.
+    ///
+    /// If the bytes end mid-page, the remaining bytes of the final page
+    /// are left untouched (read-modify-write of the trailing page).
+    ///
+    /// # Panics
+    /// If the pieces hold fewer than `land` bytes or the area does not
+    /// exist.
+    pub fn land(&self, area: AreaId, start_page: u32, pieces: &[Piece<'_>], land: usize) {
+        let slot = self.slot(area);
+        let len: usize = pieces.iter().map(Piece::len).sum();
+        assert!(land <= len, "landing {land} bytes of {len}");
         if land == 0 {
             return;
         }
@@ -1024,17 +1074,23 @@ mod tests {
         d
     }
 
-    /// The bytes `pieces` stand for on `d`, gathered through peeks.
+    /// The bytes `pieces` stand for on `d`, gathered through one-page
+    /// peeks, which never split.
     fn gathered(d: &SimDisk, pieces: &[Piece<'_>]) -> Vec<u8> {
         let mut out = Vec::new();
+        let mut page = vec![0u8; PAGE_SIZE];
         for piece in pieces {
             match *piece {
                 Piece::Mem(bytes) => out.extend_from_slice(bytes),
                 Piece::Disk { byte, len } => {
-                    let skip = byte % PAGE_SIZE;
-                    let mut pages = vec![0u8; (skip + len).div_ceil(PAGE_SIZE) * PAGE_SIZE];
-                    d.peek(AreaId::LEAF, (byte / PAGE_SIZE) as u32, &mut pages);
-                    out.extend_from_slice(&pages[skip..skip + len]);
+                    let mut at = byte;
+                    while at < byte + len {
+                        d.peek(AreaId::LEAF, (at / PAGE_SIZE) as u32, &mut page);
+                        let off = at % PAGE_SIZE;
+                        let take = (PAGE_SIZE - off).min(byte + len - at);
+                        out.extend_from_slice(&page[off..off + take]);
+                        at += take;
+                    }
                 }
             }
         }
@@ -1054,32 +1110,50 @@ mod tests {
             .collect()
     }
 
-    /// `write_from(LEAF, page, pieces)` on one twin disk and `write` of
-    /// the same bytes gathered into a `Vec` on the other, under the
-    /// fail-stop point `stop`, leave the same pages, `IoStats`, trace
-    /// event and `simdisk.leaf.bytes_copied`.
+    /// How a twin disk makes one write call.
+    #[derive(Clone, Copy, Debug)]
+    enum WriteBy {
+        /// `write_from` of the pieces.
+        Pieces,
+        /// `charge_write`, then `land` of the bytes it lets land.
+        ChargeThenLand,
+        /// `write` of the pieces' bytes gathered into a `Vec`.
+        Gathered,
+    }
+
+    /// `write_from(LEAF, page, pieces)`, `charge_write` + `land` of the
+    /// same pieces and `write` of their bytes gathered into a `Vec`, each
+    /// on a twin disk under the fail-stop point `stop`, leave the same
+    /// pages, `IoStats`, trace event and `simdisk.leaf.bytes_copied`.
     fn write_from_matches_write(stop: Option<(u64, u32)>, page: u32, pieces: &[Piece<'_>]) {
         let mut seen = Vec::new();
-        for from_pieces in [true, false] {
+        let by = [WriteBy::Pieces, WriteBy::ChargeThenLand, WriteBy::Gathered];
+        for by in by {
             let d = twin_disk();
             let data = gathered(&d, pieces);
             lobstore_obs::reset();
             d.fail_stop(stop);
             d.enable_trace(4);
-            if from_pieces {
-                d.write_from(AreaId::LEAF, page, pieces);
-            } else {
-                d.write(AreaId::LEAF, page, &data);
+            match by {
+                WriteBy::Pieces => d.write_from(AreaId::LEAF, page, pieces),
+                WriteBy::ChargeThenLand => {
+                    let land = d.charge_write(AreaId::LEAF, page, data.len());
+                    d.land(AreaId::LEAF, page, pieces, land);
+                }
+                WriteBy::Gathered => d.write(AreaId::LEAF, page, &data),
             }
             d.fail_stop(None);
             let copied = lobstore_obs::counter_value("simdisk.leaf.bytes_copied");
-            seen.push((leaf_pages(&d), d.stats(), d.take_trace(), copied));
+            seen.push((by, leaf_pages(&d), d.stats(), d.take_trace(), copied));
         }
-        let ctx = format!("stop {stop:?}, page {page}, {pieces:?}");
-        assert!(seen[0].0 == seen[1].0, "pages, {ctx}");
-        assert_eq!(seen[0].1, seen[1].1, "IoStats, {ctx}");
-        assert_eq!(seen[0].2, seen[1].2, "trace, {ctx}");
-        assert_eq!(seen[0].3, seen[1].3, "bytes copied, {ctx}");
+        let want = &seen[2];
+        for got in &seen[..2] {
+            let ctx = format!("{:?}, stop {stop:?}, page {page}", got.0);
+            assert!(got.1 == want.1, "pages, {ctx}");
+            assert_eq!(got.2, want.2, "IoStats, {ctx}");
+            assert_eq!(got.3, want.3, "trace, {ctx}");
+            assert_eq!(got.4, want.4, "bytes copied, {ctx}");
+        }
     }
 
     #[test]
@@ -1138,6 +1212,55 @@ mod tests {
             write_from_matches_write(Some((2, torn)), FAR + 5, &sparse);
         }
         write_from_matches_write(Some((1, 1)), 30, &mixed);
+    }
+
+    /// The split-copy disk: one sparse page at 4 200, written while the
+    /// arena was empty, then pattern pages `0..4_000` in the arena.
+    fn split_disk() -> SimDisk {
+        let d = disk();
+        d.write(AreaId::LEAF, 4_200, &pattern(PAGE_SIZE, 7));
+        d.write(AreaId::LEAF, 0, &pattern(4_000 * PAGE_SIZE, 3));
+        assert_eq!(
+            d.materialized_page_numbers(AreaId::LEAF).last(),
+            Some(&4_200)
+        );
+        d
+    }
+
+    /// A disk-to-disk land of 1 MiB and more, whose arena part is cut
+    /// across cores, stores what a serial copy of the same bytes would:
+    /// with the source below the destination, above it, and reaching past
+    /// the arena through zero pages into the sparse one. The oracle is
+    /// built from one-page peeks, which never split. The twin of
+    /// `split_copy_matches_copy_from_slice`.
+    #[test]
+    fn split_land_matches_a_serial_copy() {
+        let page = |p: usize| p * PAGE_SIZE;
+        // (destination page, source byte, length): 1.2 MiB below and
+        // above, and 1.2 MiB of arena followed by 220 pages past it.
+        let cases = [
+            (1_000u32, page(100) + 123, page(300) + 77),
+            (500, page(2_000) + 5, page(300)),
+            (100, page(3_700) + 9, page(520)),
+        ];
+        for (dst, byte, len) in cases {
+            let d = split_disk();
+            let src = Piece::Disk { byte, len };
+            let bytes = gathered(&d, &[src]);
+            let mut want: BTreeMap<u32, Vec<u8>> = leaf_pages(&d).into_iter().collect();
+            for (i, chunk) in bytes.chunks(PAGE_SIZE).enumerate() {
+                let p = want
+                    .entry(dst + i as u32)
+                    .or_insert_with(|| vec![0; PAGE_SIZE]);
+                p[..chunk.len()].copy_from_slice(chunk);
+            }
+            let splits = || lobstore_obs::counter_value("simdisk.split_writes");
+            let before = splits();
+            d.land(AreaId::LEAF, dst, &[src], len);
+            let got: BTreeMap<u32, Vec<u8>> = leaf_pages(&d).into_iter().collect();
+            assert!(got == want, "land at {dst} from byte {byte}");
+            assert_eq!(splits() - before, u64::from(cores() > 1), "at {dst}");
+        }
     }
 
     /// `charge_read` is a read call's charge, trace event and counters

@@ -1,7 +1,7 @@
 //! The disk's metric handles (DESIGN.md §10): per-area call and page
 //! counters and the cost-shape histograms, bumped once per I/O call, the
-//! per-area bytes that read and write calls copy, and the count of calls
-//! whose copy was cut across cores.
+//! per-area bytes that read and write calls copy, and the counts of read
+//! calls and of write-side copies that were cut across cores.
 
 lobstore_obs::metrics! {
     pub(crate) static META_READ_CALLS: Counter = "simdisk.meta.read_calls";
@@ -23,4 +23,5 @@ lobstore_obs::metrics! {
     pub(crate) static TRANSFER_US: Histogram = "simdisk.transfer_us";
     pub(crate) static CALL_PAGES: Histogram = "simdisk.call_pages";
     pub(crate) static SPLIT_READS: Counter = "simdisk.split_reads";
+    pub(crate) static SPLIT_WRITES: Counter = "simdisk.split_writes";
 }

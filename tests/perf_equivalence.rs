@@ -30,7 +30,9 @@
 //!    Starburst's doubling segments. One more holds a whole ESM/4 read
 //!    beside six dirty roots to the META reads of a clean pool (a leaf
 //!    read never evicts the walk's own level-0 node), and a cursor pass
-//!    there to one read of each index page at most.
+//!    there to one read of each index page at most. The write side's
+//!    twin holds a steady-state 10 MB Starburst update, whose new
+//!    segment lands in one copy cut across cores, to the model's bytes.
 //!
 //! Properties 3–6 hold the pinned cursor, and property 7, at the end,
 //! holds the live cursor's bytes under seek scripts.
@@ -486,6 +488,38 @@ fn eos_large_append_reads_back_through_split_calls() {
 #[test]
 fn starburst_large_append_reads_back_through_split_calls() {
     large_append_reads_back(ManagerSpec::starburst(), (4 << 20) - 4_321);
+}
+
+/// A steady-state Starburst update of a 10 MB object copies its one new
+/// segment by one land (§3.5's tail copy), whose arena copies are cut
+/// across cores on two or more: `simdisk.split_writes` counts them, as
+/// `simdisk.split_reads` counts the split reads above. The object reads
+/// back as the model through `snapshot()`'s one-page peeks.
+#[test]
+fn a_steady_state_starburst_update_lands_through_split_writes() {
+    let split_writes = || lobstore::obs::counter_value("simdisk.split_writes");
+    let mut db = Db::paper_default();
+    let mut obj = ManagerSpec::starburst().create(&mut db).unwrap();
+    let mut model = fill(10 << 20, 7);
+    obj.append(&mut db, &model).unwrap();
+    // The first update: maximum-size segments from here on.
+    obj.insert(&mut db, 1_000, b"x").unwrap();
+    model.insert(1_000, b'x');
+    for (off, put) in [(5 << 20, &b"yz"[..]), (3_000_000, &[])] {
+        let before = split_writes();
+        if put.is_empty() {
+            obj.delete(&mut db, off, 70_000).unwrap();
+            model.drain(off as usize..off as usize + 70_000);
+        } else {
+            obj.insert(&mut db, off, put).unwrap();
+            model.splice(off as usize..off as usize, put.iter().copied());
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if cores > 1 {
+            assert!(split_writes() > before, "no land was split at {off}");
+        }
+    }
+    assert!(obj.snapshot(&db) == model, "the object diverges");
 }
 
 proptest! {
