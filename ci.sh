@@ -105,7 +105,9 @@ run cargo run -q -p xtask -- loblint
 # digests (ESM and EOS traces, pinned call by call), and
 # tests/crash_points.rs, which crashes at every disk write call of 16
 # seeded histories per scheme x log on/off x fan-out, and 4 beside
-# sixteen other objects (1 seed otherwise). And simdisk optimized, where its copies run at full
+# sixteen other objects (1 seed otherwise), and holds every LEAF page
+# that only a cut op's lost calls wrote, free before it and reached by
+# no root after the reboot, to its bytes from before the op. And simdisk optimized, where its copies run at full
 # speed: a read of 1 MiB or more of an area's arena is copied as
 # page-aligned pieces on scoped threads, and its tests hold that copy to
 # `copy_from_slice` (1 MiB +-1 .. 4 MiB x 1, 2, 3, 7 pieces), a read across
@@ -145,8 +147,10 @@ run cargo test -q --release --test model --test proptest_model --test crash_fuzz
 # bound), the byte model a Starburst flag left on a shadowed
 # segment's old pages, the byte-copy count a Starburst tail copy staged
 # through memory again, the golden trace and the twin-run oracle a
-# tail-copy read left uncharged, and the fail-stop twin a tail copy that
-# lands its lost calls' bytes: 21 patches. Each
+# tail-copy read left uncharged, the fail-stop twin and the crash points'
+# late-land check a tail copy that lands its lost calls' bytes, the
+# live cursor's dirty-page test a borrow that skips the dirty check, and
+# the clean-pass copy count a live refill that copies again: 23 patches. Each
 # patch in mutants/ is applied to one copy of the tree under target/ (a
 # patch that no longer applies fails here), the copy must still build,
 # and then either each test named must fail or, for a `clippy` drill,
@@ -246,6 +250,11 @@ drill tail-copy-uncharged-read -p lobstore-core --lib -- \
 # The tail copy lands a whole segment, past a fail-stop point too.
 drill tail-copy-lands-lost-calls -p lobstore-core --lib -- \
     starburst::tests::a_fail_stopped_copy_lands_what_the_per_call_oracle_lands
+drill tail-copy-lands-lost-calls --test crash_points -- every_write_call_on_the_paper_tree_is_a_crash_point
+# A live refill that borrows a run holding a dirty resident page: the frame's bytes are lost.
+drill borrow-ignores-dirty -p lobstore-core --lib -- stream::tests::a_dirty_resident_page_sends_its_run_to_the_copy
+# A live refill that copies its run again, as a pinned one does.
+drill live-refill-copies --test perf_equivalence -- a_live_pass_over_a_clean_dense_object_copies_no_leaf_byte
 
 # lobbench (benchmark/) is a workspace of its own that the bench driver
 # builds against this engine, so nothing above compiles it: build it and

@@ -8,10 +8,13 @@
 //!   does not match page boundaries (Figure 4) — the partial first/last
 //!   pages are staged through the pool, giving the paper's 3-step I/O.
 //!
-//! Everything here takes `&self`: the direct paths (`read_pages`,
-//! `read_direct`'s interior step) only consult the pool for dirty
-//! overlays, so version-pinned snapshot readers can stream segments
-//! concurrently under the shared side of the database lock.
+//! Everything here but the borrow takes `&self`: the direct paths
+//! (`read_pages`, `read_direct`'s interior step) only consult the pool
+//! for dirty overlays, so version-pinned snapshot readers can stream
+//! segments concurrently under the shared side of the database lock. A
+//! borrow (`charge_borrow`, `borrowed_pages`) hands out the disk's own
+//! bytes, so it takes `&mut self`: nothing can change them while it is
+//! held.
 
 use lobstore_simdisk::{cast, AreaId, PageId, Piece, PAGE_SIZE, PAGE_SIZE_U64};
 
@@ -223,6 +226,37 @@ impl BufferPool {
         self.disk.charge_read(area, start_page, n_pages);
     }
 
+    /// Whether the `n_pages` whole pages from `start_page` can be read by
+    /// borrowing them ([`Self::borrowed_pages`]) instead of copying them:
+    /// none of them is dirty in the pool, and the disk's arena holds them
+    /// all. If so, the one call [`Self::read_pages`] would make of them is
+    /// charged ([`Self::charge_read`]) and `true` returned; if not,
+    /// nothing is charged, and the caller reads them with `read_pages`.
+    pub fn charge_borrow(&mut self, area: AreaId, start_page: u32, n_pages: u32) -> bool {
+        let clean = self
+            .lock_ctl()
+            .dirty_in(area, start_page, n_pages)
+            .is_empty();
+        if !clean || self.borrowed_pages(area, start_page, n_pages).is_none() {
+            return false;
+        }
+        self.charge_read(area, start_page, n_pages);
+        true
+    }
+
+    /// The `n_pages` whole pages from `start_page` as the disk holds them,
+    /// borrowed: cost-free, no copy. Between a [`Self::charge_borrow`]
+    /// that returned `true` and the end of the caller's `&mut` hold on
+    /// the pool, nothing can write, flush or evict, so these are the bytes
+    /// [`Self::read_pages`] would have copied. `None` when a page lies
+    /// past the disk's arena.
+    // A live cursor calls this once a `fill_buf`: inline it there.
+    #[inline]
+    pub fn borrowed_pages(&mut self, area: AreaId, start_page: u32, n_pages: u32) -> Option<&[u8]> {
+        #[allow(clippy::disallowed_methods)]
+        self.disk.borrow_pages(area, start_page, n_pages)
+    }
+
     /// Write `data` to contiguous pages starting at `start_page` with one
     /// I/O call, bypassing the pool: [`Self::charge_write`], then
     /// [`Self::land`] of one [`Piece::Mem`].
@@ -397,7 +431,7 @@ fn copy_part(page: &[u8], from: usize, dst: &mut [u8]) {
 mod tests {
     use super::*;
     use crate::pool::PoolConfig;
-    use lobstore_simdisk::{CostModel, SimDisk, TraceKind};
+    use lobstore_simdisk::{CostModel, IoStats, SimDisk, TraceKind};
     use proptest::prelude::*;
 
     const A: AreaId = AreaId::LEAF;
@@ -698,6 +732,43 @@ mod tests {
         p.read_pages(A, 0, 4, &mut out);
         assert_eq!(p.io_stats().read_calls, 1);
         assert!(out[PAGE_SIZE..2 * PAGE_SIZE].iter().all(|&b| b == 0x77));
+    }
+
+    /// A run borrows when it is clean and in the arena: it is charged the
+    /// one call `read_pages` makes and hands out the bytes it copies. A
+    /// dirty page or a page past the arena refuses it, charging nothing.
+    #[test]
+    fn charge_borrow_charges_the_read_pages_call_of_a_clean_arena_run() {
+        let mut p = pool();
+        let data = seed(&p, 0, 8);
+        p.disk().enable_trace(16);
+        let mut copied = vec![0u8; 4 * PAGE_SIZE];
+        p.read_pages(A, 2, 4, &mut copied);
+        let (read, read_trace) = (p.io_stats(), p.disk().take_trace());
+        p.disk().reset_stats();
+        assert!(p.charge_borrow(A, 2, 4));
+        assert_eq!((p.io_stats(), p.disk().take_trace()), (read, read_trace));
+        assert_eq!(p.borrowed_pages(A, 2, 4), Some(&copied[..]));
+        assert_eq!(copied[..], data[2 * PAGE_SIZE..6 * PAGE_SIZE]);
+
+        // A page written past the arena's reach lies in the sparse map.
+        let far = 1 << 20;
+        p.disk().poke(A, far, &[9u8; PAGE_SIZE]);
+        dirty(&p, 5, 0x77);
+        p.disk().reset_stats();
+        for (start, pages, why) in [
+            (4, 2, "dirty page 5"),
+            (7, 2, "page 8 past the arena"),
+            (far, 1, "sparse"),
+        ] {
+            assert!(!p.charge_borrow(A, start, pages), "{why}");
+        }
+        assert_eq!(
+            p.io_stats(),
+            IoStats::default(),
+            "a refused borrow charges nothing"
+        );
+        assert!(p.charge_borrow(A, 6, 2), "clean again past the dirty page");
     }
 
     /// Make `page` resident and dirty, filled with `fill`.

@@ -259,6 +259,13 @@ impl Db {
         leaf_alloc.allocated_ranges(pool)
     }
 
+    /// The LEAF allocator's current allocation map, read cost-free as
+    /// [`Db::verify`] reads it (no I/O charged, no frame fixed), or why a
+    /// directory does not check out.
+    pub fn leaf_allocation_map(&self) -> std::result::Result<Vec<Extent>, String> {
+        self.leaf_alloc.verify(&self.pool)
+    }
+
     /// The META allocator's current allocation map.
     pub fn meta_allocated_ranges(&mut self) -> Vec<Extent> {
         let Db {

@@ -41,14 +41,7 @@ pub(crate) fn read_seg_pages(
 ) -> usize {
     debug_assert!(len > 0 && at <= buf.len());
     metrics::SEG_READS.add(1);
-    let first_page = cast::to_u32(from / PAGE_SIZE_U64);
-    // `from + len - 1` is the last requested byte; callers stay inside
-    // the segment, far below `u64::MAX`.
-    let last_page = cast::to_u32((from + len - 1) / PAGE_SIZE_U64);
-    // `last_page >= first_page` (both derive from the same range) and
-    // page counts are far below `u32::MAX`.
-    // loblint: allow(arith-overflow)
-    let n_pages = last_page - first_page + 1;
+    let (first_page, n_pages) = covering_pages(from, len);
     let need = at + cast::u32_to_usize(n_pages) * PAGE_SIZE;
     // Recycled buffers are usually already the right size; `resize`
     // only zero-fills growth.
@@ -59,6 +52,46 @@ pub(crate) fn read_seg_pages(
     db.pool
         .read_pages(AreaId::LEAF, ptr + first_page, n_pages, pages);
     cast::to_usize(from % PAGE_SIZE_U64)
+}
+
+/// [`read_seg_pages`]' page run, borrowed instead of copied: when the
+/// pool lets the run be borrowed ([`BufferPool::charge_borrow`]), its one
+/// call is charged and `Some((first page, page count, skip))` returned,
+/// the requested bytes being `[skip, skip + len)` of those pages
+/// ([`BufferPool::borrowed_pages`]); otherwise nothing is charged or
+/// counted and the caller copies the run with `read_seg_pages`.
+///
+/// [`BufferPool::charge_borrow`]: lobstore_bufpool::BufferPool::charge_borrow
+/// [`BufferPool::borrowed_pages`]: lobstore_bufpool::BufferPool::borrowed_pages
+pub(crate) fn borrow_seg_pages(
+    db: &mut Db,
+    ptr: u32,
+    from: u64,
+    len: u64,
+) -> Option<(u32, u32, usize)> {
+    debug_assert!(len > 0);
+    let (first_page, n_pages) = covering_pages(from, len);
+    // The run lies inside the segment, in the 32-bit page space.
+    // loblint: allow(arith-overflow)
+    let first = ptr + first_page;
+    if !db.pool.charge_borrow(AreaId::LEAF, first, n_pages) {
+        return None;
+    }
+    metrics::SEG_READS.add(1);
+    Some((first, n_pages, cast::to_usize(from % PAGE_SIZE_U64)))
+}
+
+/// The pages of a segment that bytes `[from, from + len)` cover: the
+/// first, from the segment's start, and how many (`len > 0`).
+fn covering_pages(from: u64, len: u64) -> (u32, u32) {
+    let first_page = cast::to_u32(from / PAGE_SIZE_U64);
+    // `from + len - 1` is the last requested byte; callers stay inside
+    // the segment, far below `u64::MAX`.
+    let last_page = cast::to_u32((from + len - 1) / PAGE_SIZE_U64);
+    // `last_page >= first_page` (both derive from the same range) and
+    // page counts are far below `u32::MAX`.
+    // loblint: allow(arith-overflow)
+    (first_page, last_page - first_page + 1)
 }
 
 /// An empty buffer in which pieces of these lengths can be assembled

@@ -1,30 +1,35 @@
 //! `std::io` adapters over large objects: stream a BLOB like a file.
 //!
 //! One cursor reads every version. [`SpanCursor`] holds the position, the
-//! object size and one [`Span`]: the rest of the run under the cursor,
-//! read into the `Vec` handed out last time. A run is the segment holding
-//! the position and the segments that follow it on disk in the same
-//! level-0 node, up to 256 KiB (`run_len`): one seek for pages that lie
-//! together, as §4.3 costs a scan. Its [`Read`], [`BufRead`] and [`Seek`]
-//! are written once, and so is a refill (`refill_below`): below the
-//! version's root, parsed once at open, one in-place pair search a level,
-//! then the page run covering the rest of the run, in one page-direct
-//! call, into the span's own buffer (`read_seg_pages`), so a partial page
-//! never takes §3.2's 3-step I/O.
+//! object size and one [`Span`]: the rest of the run under the cursor. A
+//! run is the segment holding the position and the segments that follow
+//! it on disk in the same level-0 node, up to 256 KiB (`run_len`): one
+//! seek for pages that lie together, as §4.3 costs a scan. Its [`Read`],
+//! [`BufRead`] and [`Seek`] are written once, and so is a refill's search
+//! (`locate_run`): below the version's root, parsed once at open, one
+//! in-place pair search a level. The page run covering the rest of the
+//! run is then one page-direct call, so a partial page never takes §3.2's
+//! 3-step I/O.
 //! Only a refill touches the database; a read inside the span, or at or
 //! past the end, takes no lock. The two sources differ in where the root
-//! comes from and in what brackets a refill:
+//! comes from, in what brackets a refill and in where its bytes land:
 //!
 //! * [`Live`] ([`ObjectReader`]) reads the **live** version, borrowing
-//!   the database exclusively, so nothing writes while it is open. It
-//!   parses the root through the pool (one observed `op.<scheme>.size`),
-//!   and each refill is one observed `op.<scheme>.read`, over any object.
+//!   the database exclusively, so nothing writes, flushes or evicts while
+//!   it is open. It parses the root through the pool (one observed
+//!   `op.<scheme>.size`), and each refill is one observed
+//!   `op.<scheme>.read`, over any object. A refill charges its page run's
+//!   call and copies nothing: `fill_buf` hands out the page store's own
+//!   bytes (`borrow_seg_pages`). A run with a dirty resident page, or one
+//!   reaching past the disk's arena, is copied as a pinned one is.
 //! * [`Pinned`] reads a **pinned** version, its root resolved through the
 //!   version overlay. Everything below it is immutable while the pin is
 //!   held, so a refill needs only `&Db`, reached through a [`ReadAccess`]:
 //!   a borrowed `&Db`, [`crate::SharedDb`]'s read tier
 //!   ([`crate::SharedSnapshotReader`] owns its pin as well), or a
-//!   caller's wrapper. Each refill asserts the pin is still held.
+//!   caller's wrapper. Each refill asserts the pin is still held. It
+//!   reaches the database only inside [`ReadAccess::with_db`], so it
+//!   copies its run into the span's own buffer (`read_seg_pages`).
 //!
 //! [`ObjectWriter`] implements [`Write`] for streaming creation by
 //! appends, buffering to a configurable chunk size so the append pattern
@@ -32,14 +37,14 @@
 
 use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 
-use lobstore_simdisk::{cast, PAGE_SIZE_U64};
+use lobstore_simdisk::{cast, AreaId, PAGE_SIZE, PAGE_SIZE_U64};
 
 use crate::db::Db;
 use crate::error::Result;
 use crate::node::{find_child, Entry, Node, RootHdr};
 use crate::object::{LargeObject, StorageKind};
 use crate::observe::{OpName, OpObserver};
-use crate::segdata::read_seg_pages;
+use crate::segdata::{borrow_seg_pages, read_seg_pages};
 use crate::version::Snapshot;
 
 /// Upper bound on one refill, live or pinned. Large enough that
@@ -52,39 +57,67 @@ const READ_AHEAD_MAX: usize = 4 << 20;
 /// of 1 or 4 MiB save few more seeks, and their copies leave the cache.
 const RUN_MAX: u64 = 256 << 10;
 
-/// What a cursor buffers: object bytes `[start, start + len)`, held at
-/// `data[skip..skip + len]`. The run read lands in `data` directly —
-/// the only copy those bytes make before `fill_buf` hands them out — and
-/// the next refill reuses the allocation.
-#[derive(Default)]
-struct Span {
-    start: u64,
+/// What one refill read: `len` object bytes from the position it started
+/// at, held from byte `skip` on of the span's own buffer or, when `run`
+/// names it (first page, page count), of a LEAF page run borrowed from
+/// the page store.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Refill {
     skip: usize,
     len: usize,
-    data: Vec<u8>,
+    run: Option<(u32, u32)>,
+}
+
+/// The span's own buffer, for refills that copy. Nothing is allocated
+/// until the first of them, which reserves `cap` bytes; every later one
+/// reuses them.
+pub(crate) struct SpanBuf {
+    bytes: Vec<u8>,
+    cap: usize,
+}
+
+impl SpanBuf {
+    /// The buffer, its capacity reserved on first use.
+    fn get(&mut self) -> &mut Vec<u8> {
+        if self.bytes.capacity() == 0 {
+            self.bytes.reserve_exact(self.cap);
+        }
+        &mut self.bytes
+    }
+}
+
+/// What a cursor buffers: object bytes `[start, start + got.len)`, where
+/// the last refill (`got`) left them. A copied run lands in `buf`
+/// directly, the only copy those bytes make before `fill_buf` hands them
+/// out; a borrowed one makes none.
+struct Span {
+    start: u64,
+    got: Refill,
+    buf: SpanBuf,
 }
 
 impl Span {
-    /// The buffered bytes from `pos` to the end of the span; empty when
-    /// `pos` is outside it.
-    fn slice_at(&self, pos: u64) -> &[u8] {
-        let Some(d) = pos.checked_sub(self.start).map(cast::to_usize) else {
-            return &[];
-        };
-        let end = self.skip.saturating_add(self.len);
-        self.data
-            .get(self.skip.saturating_add(d)..end)
-            .unwrap_or(&[])
+    /// Where the byte at `pos` sits in the held bytes, and how many follow
+    /// it in the span; `None` when `pos` is outside it.
+    fn at(&self, pos: u64) -> Option<(usize, usize)> {
+        let d = cast::to_usize(pos.checked_sub(self.start)?);
+        let rest = self.got.len.checked_sub(d).filter(|&n| n > 0)?;
+        Some((self.got.skip.saturating_add(d), rest))
     }
 }
 
 /// Where a [`SpanCursor`] gets its bytes.
 pub(crate) trait Source {
     /// Read from object byte `pos` (below the object size) to the end of
-    /// the run holding it, at most 4 MiB, into `buf`, reusing its
-    /// allocation. Returns `(skip, len)`: the bytes are
-    /// `buf[skip..skip + len]`, and `len > 0`.
-    fn refill(&mut self, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)>;
+    /// the run holding it, at most 4 MiB: into `buf`, or by borrowing the
+    /// run. The returned `len` is above 0.
+    fn refill(&mut self, pos: u64, buf: &mut SpanBuf) -> Result<Refill>;
+
+    /// The `pages` LEAF pages from `first` of a run that [`Self::refill`]
+    /// returned borrowed; `None` for a source that never borrows.
+    fn borrowed(&mut self, _first: u32, _pages: u32) -> Option<&[u8]> {
+        None
+    }
 }
 
 /// A sequential-scan cursor over one version of a large object.
@@ -94,9 +127,10 @@ pub(crate) trait Source {
 /// its one span per run of segments through its source, so small sequential
 /// reads cost exactly the simulated I/O of one whole pass. Seeks keep the
 /// span: the version cannot change under the cursor, so a re-read inside
-/// it (a backward seek included) is served from memory. Seeking follows
-/// [`std::io::Cursor`]: a target before byte 0 or past `u64::MAX` is
-/// `InvalidInput`; past the end is allowed and reads 0 bytes.
+/// it (a backward seek included) is served from the same run, with no new
+/// charge. Seeking follows [`std::io::Cursor`]: a target before byte 0 or
+/// past `u64::MAX` is `InvalidInput`; past the end is allowed and reads 0
+/// bytes.
 pub struct SpanCursor<S> {
     src: S,
     pos: u64,
@@ -106,17 +140,22 @@ pub struct SpanCursor<S> {
 
 impl<S> SpanCursor<S> {
     fn over(src: S, size: u64) -> Self {
-        // Reserve the full read-ahead capacity up front: refills then
-        // never reallocate (a reallocation would memcpy bytes that are
-        // about to be overwritten by the next span read).
-        let cap = cast::to_usize(size.min(READ_AHEAD_MAX as u64));
+        // A copied refill reserves the full read-ahead capacity once, and
+        // the page slack around it: later ones then never reallocate (a
+        // reallocation would memcpy bytes that are about to be
+        // overwritten by the next span read).
+        let cap = cast::to_usize(size.min(READ_AHEAD_MAX as u64)).saturating_add(2 * PAGE_SIZE);
         SpanCursor {
             src,
             pos: 0,
             size,
             span: Span {
-                data: Vec::with_capacity(cap),
-                ..Span::default()
+                start: 0,
+                got: Refill::default(),
+                buf: SpanBuf {
+                    bytes: Vec::new(),
+                    cap,
+                },
             },
         }
     }
@@ -144,30 +183,45 @@ impl<S: Source> Read for SpanCursor<S> {
 }
 
 impl<S: Source> BufRead for SpanCursor<S> {
-    /// Zero-copy access to the buffered span: the returned slice borrows
-    /// the span directly, so sequential consumers pay for each byte
-    /// exactly once (the refill's copy out of the page store). Empty only
-    /// at or past the end of the object.
+    /// Zero-copy access to the span: the returned slice borrows the
+    /// span's buffer or, for a borrowed run, the page store itself, so a
+    /// sequential consumer of a live cursor copies no byte of a clean
+    /// run, and of any other at most once (the refill's copy out of the
+    /// page store). Empty only at or past the end of the object.
     fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        if self.pos < self.size && self.span.slice_at(self.pos).is_empty() {
-            self.span.len = 0;
-            let (skip, len) = self
+        if self.pos < self.size && self.span.at(self.pos).is_none() {
+            self.span.got.len = 0;
+            let got = self
                 .src
-                .refill(self.pos, &mut self.span.data)
+                .refill(self.pos, &mut self.span.buf)
                 .map_err(|e| io::Error::other(e.to_string()))?;
-            debug_assert!(len > 0, "refill inside the object read nothing");
+            debug_assert!(got.len > 0, "refill inside the object read nothing");
             self.span.start = self.pos;
-            self.span.skip = skip;
-            self.span.len = len.min(cast::to_usize(self.size.saturating_sub(self.pos)));
+            self.span.got = Refill {
+                len: got
+                    .len
+                    .min(cast::to_usize(self.size.saturating_sub(self.pos))),
+                ..got
+            };
         }
-        Ok(self.span.slice_at(self.pos))
+        let Some((at, rest)) = self.span.at(self.pos) else {
+            return Ok(&[]);
+        };
+        let held = match self.span.got.run {
+            None => &self.span.buf.bytes[..],
+            Some((first, pages)) => self
+                .src
+                .borrowed(first, pages)
+                .ok_or_else(|| io::Error::other("a borrowed run left the page store"))?,
+        };
+        Ok(held.get(at..at.saturating_add(rest)).unwrap_or_default())
     }
 
     fn consume(&mut self, amt: usize) {
         // Contract (std::io::BufRead): `amt` never exceeds the slice
         // `fill_buf` returned, so this stays within the buffered span.
         debug_assert!(
-            amt <= self.span.slice_at(self.pos).len(),
+            amt <= self.span.at(self.pos).map_or(0, |(_, rest)| rest),
             "consume before fill_buf"
         );
         self.pos = self.pos.saturating_add(amt as u64);
@@ -200,13 +254,13 @@ fn parse_root(p: &[u8], page: u32, kind: Option<StorageKind>) -> Result<(u64, No
     Ok((hdr.size, Node::read_root(p, &hdr)?))
 }
 
-/// The one refill, for both sources: from object byte `pos` (below the
-/// size) to the end of its run (`run_len`), at most 4 MiB, into `buf`.
+/// The one refill search, for both sources: from object byte `pos`
+/// (below the size) to the end of its run (`run_len`), at most 4 MiB.
 /// The pair search starts in the parsed `root`, then takes one
 /// [`Db::with_meta_node`] step a level; the run is read from the pairs
-/// after the found one in its level-0 node, and the leaf read is one page
-/// run (`read_seg_pages`). Returns `(skip, len)` as [`Source::refill`].
-fn refill_below(db: &Db, root: &Node, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)> {
+/// after the found one in its level-0 node. Returns the run's first
+/// segment (`ptr`), the byte in it the run starts at, and its length.
+fn locate_run(db: &Db, root: &Node, pos: u64) -> Result<(u32, u64, u64)> {
     let (i, within, e) = find_child(root.entries.iter().copied(), pos)?;
     let (within, e, want) = if root.level == 0 {
         let next = root.entries.get(i.saturating_add(1)..).unwrap_or_default();
@@ -222,8 +276,18 @@ fn refill_below(db: &Db, root: &Node, pos: u64, buf: &mut Vec<u8>) -> Result<(us
             Result::Ok((within, e, run_len(within, e, next)))
         })??
     };
-    let skip = read_seg_pages(db, e.ptr, within, want, buf, 0);
-    Ok((skip, cast::to_usize(want)))
+    Ok((e.ptr, within, want))
+}
+
+/// Copy `len` bytes of the run from byte `within` of the segment at
+/// `ptr` into `buf`: one page run (`read_seg_pages`).
+fn copy_run(db: &Db, (ptr, within, len): (u32, u64, u64), buf: &mut SpanBuf) -> Refill {
+    let skip = read_seg_pages(db, ptr, within, len, buf.get(), 0);
+    Refill {
+        skip,
+        len: cast::to_usize(len),
+        run: None,
+    }
 }
 
 /// Bytes a refill reads from byte `within` of segment `e`: the rest of
@@ -255,16 +319,29 @@ pub struct Live<'a> {
 }
 
 impl Source for Live<'_> {
-    /// One observed `op.<scheme>.read` around `refill_below`.
-    fn refill(&mut self, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)> {
+    /// One observed `op.<scheme>.read` around `locate_run`, then the run
+    /// borrowed (`borrow_seg_pages`), or copied when it cannot be.
+    fn refill(&mut self, pos: u64, buf: &mut SpanBuf) -> Result<Refill> {
         let Live { db, obj, root } = self;
-        let refill = |db: &mut Db| match root {
-            Ok(root) => refill_below(db, root, pos, buf),
-            Err(e) => Err(e.clone()),
+        let refill = |db: &mut Db| {
+            let run = locate_run(db, root.as_ref().map_err(Clone::clone)?, pos)?;
+            let (ptr, within, len) = run;
+            Ok(match borrow_seg_pages(db, ptr, within, len) {
+                Some((first, pages, skip)) => Refill {
+                    skip,
+                    len: cast::to_usize(len),
+                    run: Some((first, pages)),
+                },
+                None => copy_run(db, run, buf),
+            })
         };
         // A failed refill reports no size: its root may not parse.
         let bytes = |db: &Db, r: &Result<_>| r.is_ok().then(|| obj.utilization(db).object_bytes);
         OpObserver::around(obj.kind(), OpName::Read, db, refill, bytes)
+    }
+
+    fn borrowed(&mut self, first: u32, pages: u32) -> Option<&[u8]> {
+        self.db.pool.borrowed_pages(AreaId::LEAF, first, pages)
     }
 }
 
@@ -311,15 +388,15 @@ pub struct Pinned<D> {
 }
 
 impl<D: ReadAccess> Source for Pinned<D> {
-    /// `refill_below`, inside one [`ReadAccess::with_db`].
-    fn refill(&mut self, pos: u64, buf: &mut Vec<u8>) -> Result<(usize, usize)> {
+    /// `locate_run` and the run's copy, inside one [`ReadAccess::with_db`].
+    fn refill(&mut self, pos: u64, buf: &mut SpanBuf) -> Result<Refill> {
         let Pinned { db, version, root } = self;
         db.with_db(|db| {
             assert!(
                 db.is_pinned(*version),
                 "snapshot at version {version} was released while a reader was open"
             );
-            refill_below(db, root, pos, buf)
+            Ok(copy_run(db, locate_run(db, root, pos)?, buf))
         })
     }
 }
@@ -665,6 +742,119 @@ mod tests {
                 io_read,
                 "{}: fill_buf/consume must charge the same simulated I/O",
                 spec.label()
+            );
+        }
+    }
+
+    /// LEAF bytes that read calls have copied on this thread.
+    fn leaf_bytes_copied() -> u64 {
+        lobstore_obs::counter_value("simdisk.leaf.bytes_copied")
+    }
+
+    /// A live pass from byte 0 to the end, by `fill_buf` and `consume`:
+    /// the bytes, and the LEAF bytes its read calls copied.
+    fn live_pass(db: &mut Db, obj: &dyn LargeObject) -> (Vec<u8>, u64) {
+        let copied = leaf_bytes_copied();
+        let mut got = Vec::new();
+        let mut r = ObjectReader::new(db, obj);
+        loop {
+            let chunk = r.fill_buf().unwrap();
+            if chunk.is_empty() {
+                break;
+            }
+            let n = chunk.len().min(4096);
+            got.extend_from_slice(&chunk[..n]);
+            r.consume(n);
+        }
+        (got, leaf_bytes_copied() - copied)
+    }
+
+    /// A run holding a dirty resident page is copied, the frame's bytes
+    /// overlaid: the disk's own bytes of that page are stale. An ESM/4
+    /// leaf page is written through the pool and left unflushed; the
+    /// pass reads it as `snapshot()` does, and borrows every other run.
+    #[test]
+    fn a_dirty_resident_page_sends_its_run_to_the_copy() {
+        let mut db = Db::paper_default();
+        let mut obj = ManagerSpec::esm(4).create(&mut db).unwrap();
+        let size = 600_000;
+        obj.append(&mut db, &pattern(size)).unwrap();
+        db.pool.flush_all();
+        let (clean, copied) = live_pass(&mut db, obj.as_ref());
+        assert_eq!(clean, pattern(size));
+        assert_eq!(copied, 0, "a clean pass borrows every run");
+
+        let seg = obj.segments(&db)[20];
+        let pid = lobstore_simdisk::PageId::new(AreaId::LEAF, seg.start_page + 1);
+        db.pool.guard_mut(pid).fill(0xEE);
+        let want = obj.snapshot(&db);
+        assert_ne!(want, clean, "the frame is newer than the disk");
+        let (got, copied) = live_pass(&mut db, obj.as_ref());
+        assert!(got == want, "the pass must read the dirty frame's bytes");
+        assert!(
+            copied > 0 && copied < size as u64,
+            "only the dirty page's run is copied: {copied} bytes"
+        );
+    }
+
+    /// A run that reaches past the disk's arena is copied: an EOS/16
+    /// object laid behind an 8 192-page hole lies in the sparse map, and
+    /// re-writing pages with their own bytes, up to a few pages into the
+    /// object, grows the arena over that prefix only. Each pass reads the
+    /// `snapshot()` bytes and makes the LEAF reads a pinned pass makes.
+    #[test]
+    fn a_run_past_the_arena_is_copied() {
+        let mut db = Db::paper_default();
+        let _hole = db.alloc_leaf(8_192);
+        let mut obj = ManagerSpec::eos(16).create(&mut db).unwrap();
+        let size = 300_000;
+        obj.append(&mut db, &pattern(size)).unwrap();
+        db.pool.flush_all();
+        let first = obj.segments(&db)[0].start_page;
+        assert!(
+            first > 8_192,
+            "the object lies behind the hole: page {first}"
+        );
+        let leaf_reads = |db: &mut Db, pass: &dyn Fn(&mut Db) -> Vec<u8>| {
+            db.pool.disk().enable_trace(64);
+            let got = pass(db);
+            let reads: Vec<(u32, u32)> = db
+                .pool
+                .disk()
+                .take_trace()
+                .iter()
+                .filter(|e| e.area == AreaId::LEAF)
+                .map(|e| (e.start, e.pages))
+                .collect();
+            (got, reads)
+        };
+        let pinned = |db: &mut Db| {
+            let snap = db.snapshot();
+            let mut got = Vec::new();
+            SpanCursor::pinned(&*db, &snap, obj.root_page())
+                .unwrap()
+                .read_to_end(&mut got)
+                .unwrap();
+            db.release_snapshot(snap);
+            got
+        };
+        for arena_end in [None, Some(first + 3)] {
+            if let Some(end) = arena_end {
+                let mut page = [0u8; lobstore_simdisk::PAGE_SIZE];
+                for p in (0..end).step_by(4_096).skip(1).chain([end - 1]) {
+                    db.pool.disk().peek(AreaId::LEAF, p, &mut page);
+                    db.pool.disk().poke(AreaId::LEAF, p, &page);
+                }
+            }
+            let copied = leaf_bytes_copied();
+            let (live, live_reads) = leaf_reads(&mut db, &|db| live_pass(db, obj.as_ref()).0);
+            let live_copied = leaf_bytes_copied() - copied;
+            let (got, pinned_reads) = leaf_reads(&mut db, &pinned);
+            assert!(live == pattern(size) && got == live, "{arena_end:?}");
+            assert_eq!(live_reads, pinned_reads, "{arena_end:?}");
+            assert!(
+                live_copied >= size as u64,
+                "{arena_end:?}: every run reaches past the arena, {live_copied} bytes copied"
             );
         }
     }

@@ -2,7 +2,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 use lobstore_obs::sync::{self, Guard, Rank};
 
@@ -733,6 +735,27 @@ impl SimDisk {
         a.copy_out(start_page, out);
     }
 
+    /// Pages `[start_page, start_page + n_pages)` of `area` as its arena
+    /// holds them, borrowed: cost-free like [`Self::peek`], and lock-free,
+    /// since `&mut self` already excludes every other call for as long as
+    /// the bytes are held. `None` when any of the pages lies past the
+    /// arena (the sparse map's side).
+    ///
+    /// # Panics
+    /// If the area does not exist.
+    // A live cursor calls this once a `fill_buf`: inline it there.
+    #[inline]
+    pub fn borrow_pages(&mut self, area: AreaId, start_page: u32, n_pages: u32) -> Option<&[u8]> {
+        let slot = self
+            .areas
+            .get_mut(area.0 as usize)
+            .unwrap_or_else(|| panic!("no such disk area {area}"));
+        let a = slot.store.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let from = cast::u32_to_usize(start_page).checked_mul(PAGE_SIZE)?;
+        let len = cast::u32_to_usize(n_pages).checked_mul(PAGE_SIZE)?;
+        a.arena.get(from..from.checked_add(len)?)
+    }
+
     /// Cost-free write, for tests and debugging only.
     pub fn poke(&self, area: AreaId, start_page: u32, data: &[u8]) {
         let slot = self.slot(area);
@@ -1018,6 +1041,33 @@ mod tests {
         d.peek(AreaId::LEAF, far, &mut back);
         assert!(back[..PAGE_SIZE].iter().all(|&b| b == 7));
         assert!(back[PAGE_SIZE..].iter().all(|&b| b == 8));
+    }
+
+    /// A borrow hands out the bytes a read copies, charges nothing and
+    /// copies nothing, and refuses a run with any page past the arena.
+    #[test]
+    fn a_borrow_is_a_free_read_of_arena_pages_only() {
+        let mut d = disk();
+        let bytes: Vec<u8> = (0..3 * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        d.write(AreaId::LEAF, 0, &bytes); // arena: pages 0..3
+        let far = (ARENA_GROW_SLACK_PAGES as u32) * 3;
+        d.write(AreaId::LEAF, far, &[4u8; PAGE_SIZE]); // sparse
+        let mut read = vec![0u8; 2 * PAGE_SIZE];
+        d.read(AreaId::LEAF, 1, &mut read);
+        let (stats, copied) = (
+            d.stats(),
+            lobstore_obs::counter_value("simdisk.leaf.bytes_copied"),
+        );
+        assert_eq!(d.borrow_pages(AreaId::LEAF, 1, 2), Some(&read[..]));
+        assert_eq!(d.borrow_pages(AreaId::LEAF, 0, 3), Some(&bytes[..]));
+        assert_eq!(d.borrow_pages(AreaId::LEAF, 2, 2), None, "one page past");
+        assert_eq!(d.borrow_pages(AreaId::LEAF, far, 1), None, "a sparse page");
+        assert_eq!(d.borrow_pages(AreaId::LEAF, u32::MAX, u32::MAX), None);
+        assert_eq!(d.stats(), stats);
+        assert_eq!(
+            lobstore_obs::counter_value("simdisk.leaf.bytes_copied"),
+            copied
+        );
     }
 
     #[test]

@@ -23,11 +23,15 @@
 //!   leaves the walk nothing to claim.
 
 use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Read;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
-use lobstore_core::{Db, Finding, LargeObject, LobError, ManagerSpec, Snapshot, SpanCursor};
+use lobstore_core::{
+    Db, Extent, Finding, LargeObject, LobError, ManagerSpec, Snapshot, SpanCursor,
+};
+use lobstore_simdisk::{AreaId, TraceKind, PAGE_SIZE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -163,6 +167,101 @@ impl Model {
 pub struct CrashPoint {
     pub write: u64,
     pub torn: u32,
+}
+
+/// The late-land check of [`Driver::crash_during`]: the LEAF pages free
+/// before the cut op that hold bytes, with those bytes (a free page that
+/// holds none reads as zeroes), and the allocation map then.
+struct LateLands {
+    allocated: Vec<Extent>,
+    bytes: BTreeMap<u32, Vec<u8>>,
+}
+
+/// Write calls a trace can hold while one op is cut and rebooted.
+const LATE_TRACE_CALLS: usize = 1 << 16;
+
+impl LateLands {
+    /// Record the free LEAF pages' bytes, read cost-free, and start the
+    /// disk trace that [`traced_writes`] reads.
+    fn before(db: &mut Db, what: &str) -> Self {
+        let allocated = allocation_map(db, what);
+        let disk = db.pool().disk();
+        let mut bytes = BTreeMap::new();
+        for page in disk.materialized_page_numbers(AreaId::LEAF) {
+            if !covers(&allocated, page) {
+                let mut b = vec![0u8; PAGE_SIZE];
+                disk.peek(AreaId::LEAF, page, &mut b);
+                bytes.insert(page, b);
+            }
+        }
+        disk.enable_trace(LATE_TRACE_CALLS);
+        LateLands { allocated, bytes }
+    }
+
+    /// After the reboot: the LEAF pages that only the cut op's lost write
+    /// calls (`cut`, the op's calls in order; from `at.write` on, less the
+    /// torn prefix) wrote, that were free before the op and that no root
+    /// reaches now, must hold their bytes from before it. A page the
+    /// reboot wrote is its own.
+    fn check(&self, db: &mut Db, at: CrashPoint, cut: &[(AreaId, u32, u32)], what: &str) {
+        let mut landed = BTreeSet::new();
+        let mut lost = BTreeSet::new();
+        let leaf = |(area, start, pages): &(AreaId, u32, u32)| {
+            (*area == AreaId::LEAF).then_some(*start..start + pages)
+        };
+        for (k, call) in (0u64..).zip(cut) {
+            let Some(pages) = leaf(call) else { continue };
+            let torn = if k == at.write { at.torn } else { 0 };
+            for page in pages {
+                if k < at.write || page < call.1 + torn {
+                    landed.insert(page);
+                } else {
+                    lost.insert(page);
+                }
+            }
+        }
+        landed.extend(traced_writes(db).iter().filter_map(leaf).flatten());
+        let now = allocation_map(db, what);
+        let disk = db.pool().disk();
+        let mut got = vec![0u8; PAGE_SIZE];
+        for &page in lost.difference(&landed) {
+            if covers(&self.allocated, page) || covers(&now, page) {
+                continue;
+            }
+            disk.peek(AreaId::LEAF, page, &mut got);
+            let held = self
+                .bytes
+                .get(&page)
+                .map_or(&[0u8; PAGE_SIZE][..], Vec::as_slice);
+            assert!(
+                got == held,
+                "{what}: LEAF page {page}, free before the op and reached by no root, \
+                 holds bytes of a lost write"
+            );
+        }
+    }
+}
+
+/// The write calls traced since [`LateLands::before`] started the trace
+/// (or since the last call), as `(area, first page, pages)` in call order.
+fn traced_writes(db: &mut Db) -> Vec<(AreaId, u32, u32)> {
+    let disk = db.pool().disk();
+    assert_eq!(disk.trace_dropped(), 0, "late-land trace capacity");
+    let trace = disk.take_trace();
+    let writes = trace.iter().filter(|e| e.kind == TraceKind::Write);
+    writes.map(|e| (e.area, e.start, e.pages)).collect()
+}
+
+/// The LEAF allocation map, read cost-free.
+fn allocation_map(db: &Db, what: &str) -> Vec<Extent> {
+    db.leaf_allocation_map()
+        .unwrap_or_else(|e| panic!("{what}: LEAF allocator: {e}"))
+}
+
+/// Whether one of `extents` (ascending, disjoint) holds `page`.
+fn covers(extents: &[Extent], page: u32) -> bool {
+    let i = extents.partition_point(|e| e.end() <= page);
+    extents.get(i).is_some_and(|e| e.start <= page)
 }
 
 /// The one seeded op generator: an endless stream over a weighted `mix`,
@@ -463,7 +562,11 @@ impl Driver {
     /// short — only the log makes a checkpoint atomic, and a half-flushed
     /// one leaves pages that are referenced but free on disk, or
     /// allocated and unreachable (dangling and leaked findings, nothing
-    /// else).
+    /// else). A lost write must not land late either, where the bytes
+    /// check cannot see it: every LEAF page that was free before `op`,
+    /// that only its lost write calls wrote and that no root reaches
+    /// after the reboot still holds its bytes from before `op`
+    /// (`LateLands`; the disk trace is enabled for it).
     ///
     /// # Panics
     /// On `Op::Recreate`, which commits twice (destroy, then create), so
@@ -480,13 +583,16 @@ impl Driver {
         );
         let states = self.model.crash_states(op, self.live_after(op));
         let root = self.obj.root_page();
+        let late = LateLands::before(db, &what);
         let first = db.io_stats().write_calls;
         db.pool()
             .disk()
             .fail_stop(Some((first + at.write, at.torn)));
         let _expected = quietly(|| self.apply(db, op));
         db.pool().disk().fail_stop(None);
+        let cut = traced_writes(db);
         self.reboot(db, root, &states, &what);
+        late.check(db, at, &cut, &what);
         let label = self.spec.label();
         let findings = db.verify(&self.objects(&label), &self.other_meta);
         let gap = !self.model.alloc_log && matches!(op, Op::Checkpoint);

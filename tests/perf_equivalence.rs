@@ -17,12 +17,15 @@
 //!    follow it on disk in its level-0 node, while the run ends on a page
 //!    boundary and holds under 256 KiB, at most 4 MiB a call. On a twin
 //!    database a pinned cursor over the same version returns the same
-//!    bytes and charges identical `IoStats` and disk trace: both sources
-//!    read a run into their own buffer, so no partial page takes §3.2's
-//!    3-step path. Bulk reads keep that path; their absolute costs are
-//!    pinned by `tests/golden_traces.rs` and `tests/cost_model.rs`. Fixed
-//!    cases hold property 2 on 3–4 MB objects, whose disk calls are large
-//!    enough that `SimDisk` splits their copy across cores; on ESM/4 and
+//!    bytes and charges identical `IoStats` and disk trace: the pinned
+//!    source copies a run into its own buffer and the live one borrows it
+//!    from the page store, charged as that same one call, so no partial
+//!    page takes §3.2's 3-step path, and over a clean object the live pass
+//!    copies no LEAF byte. Bulk reads keep that path; their absolute
+//!    costs are pinned by `tests/golden_traces.rs` and
+//!    `tests/cost_model.rs`. Fixed cases hold property 2 on 3–4 MB
+//!    objects, whose pinned passes make disk calls large enough that
+//!    `SimDisk` splits their copy across cores; on ESM/4 and
 //!    EOS/16 under fan-out 4, whose index has interior pages below the
 //!    root; and on the runs themselves: appended ESM/4 leaves joined up to
 //!    the 256 KiB cap, a partial leaf and a shadowed leaf that each break
@@ -192,10 +195,11 @@ fn calls(reads: &[CursorRead]) -> Vec<(u32, u32)> {
 /// read through the pool makes the one call a page run makes, but takes
 /// a frame a page. Returns the modelled refills.
 ///
-/// Both cursors refill through one function, a descent below the root
+/// Both cursors search through one function, a descent below the root
 /// they parsed at open; they differ in how they open (through the pool,
-/// or through the version overlay) and in the live refill's observer.
-/// A refill's leaf read is one page run, read past the pool's frames, so
+/// or through the version overlay), in the live refill's observer and in
+/// whether the run is copied (pinned) or borrowed (live, charged as the
+/// same call). A refill's leaf read is one page run, past the pool's frames, so
 /// the index pages the two fix stay resident and are read at most once
 /// each.
 fn live_pass_costs_a_pinned_pass(
@@ -291,10 +295,11 @@ fn streamed_accounting_matches_bulk(
 }
 
 /// An object of one multi-megabyte append, whose live and pinned passes
-/// make disk calls of 1 MiB and more — the calls whose copy `SimDisk`
-/// cuts across cores. Both read back the appended bytes and make the same
-/// calls; `snapshot()` peeks one page at a time, so it never splits and
-/// is the independent oracle.
+/// make disk calls of 1 MiB and more. Both read back the appended bytes
+/// and are charged the same calls, but only the pinned pass copies: its
+/// calls are the ones whose copy `SimDisk` cuts across cores, and the live
+/// pass borrows its runs, so it adds no split read. `snapshot()` peeks one
+/// page at a time, so it never splits and is the independent oracle.
 fn large_append_reads_back(spec: ManagerSpec, total: usize) {
     let split_reads = || lobstore::obs::counter_value("simdisk.split_reads");
     let before = split_reads();
@@ -302,6 +307,65 @@ fn large_append_reads_back(spec: ManagerSpec, total: usize) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores > 1 {
         assert!(split_reads() > before, "no read was split");
+    }
+    let (mut db, obj) = Layout::paper().store(spec, &fill(total, 99));
+    let before = split_reads();
+    let mut out = Vec::new();
+    drain(
+        &mut ObjectReader::new(&mut db, obj.as_ref()),
+        64 << 10,
+        &mut out,
+    );
+    assert!(out == fill(total, 99), "the live pass diverges");
+    assert_eq!(split_reads(), before, "the live pass split a read");
+}
+
+/// Over a clean object whose pages all lie in the disk's arena, a live
+/// pass borrows every run: its read calls copy no LEAF byte
+/// (`simdisk.leaf.bytes_copied`), while its `IoStats`, disk trace and
+/// LEAF reads stay a pinned pass's and the run model's
+/// ([`live_pass_costs_a_pinned_pass`]), and `core.seg.reads` still counts
+/// one a refill.
+#[test]
+fn a_live_pass_over_a_clean_dense_object_copies_no_leaf_byte() {
+    let counter = lobstore::obs::counter_value;
+    for (spec, total) in [
+        (ManagerSpec::esm(16), 700_000),
+        (ManagerSpec::esm(4), 1 << 20),
+        (ManagerSpec::eos(16), (3 << 20) + 1_234),
+        (ManagerSpec::starburst(), (4 << 20) - 4_321),
+    ] {
+        let build = fill(total, 99);
+        let store = || {
+            let (mut db, obj) = Layout::paper().store(spec, &build);
+            db.pool().flush_all();
+            (db, obj)
+        };
+        let model = live_pass_costs_a_pinned_pass(&store, 0, 4_096);
+        let (mut db, obj) = store();
+        let (copied, seg_reads) = (
+            counter("simdisk.leaf.bytes_copied"),
+            counter("core.seg.reads"),
+        );
+        let mut out = Vec::new();
+        drain(
+            &mut ObjectReader::new(&mut db, obj.as_ref()),
+            4_096,
+            &mut out,
+        );
+        assert!(out == build, "{}: the live pass diverges", spec.label());
+        assert_eq!(
+            counter("simdisk.leaf.bytes_copied"),
+            copied,
+            "{}: a live pass over a clean object copies no LEAF byte",
+            spec.label()
+        );
+        assert_eq!(
+            counter("core.seg.reads") - seg_reads,
+            model.len() as u64,
+            "{}: one segment read a refill",
+            spec.label()
+        );
     }
 }
 
